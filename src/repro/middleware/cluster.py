@@ -38,7 +38,13 @@ end speaking the *existing* wire protocol to clients:
 * ``push_tile`` frames stream back through the same backend link that
   served the request and are forwarded to the owning client verbatim;
   ``push_ack`` travels the reverse route by session ownership.
-* A dead worker surfaces as a typed ``worker_unavailable`` error and
+* Payload-bearing frames are forwarded **opaque** to a client that
+  negotiated ``binary`` (every link then speaks binary too): the router
+  parses a frame's small JSON header and re-frames its body unchanged,
+  never inflating or rebuilding the tile.  A JSON client over binary
+  links is the fallback that still decodes and re-encodes.
+* A dead worker — or one that leaves a round trip unanswered past the
+  deadline — surfaces as a typed ``worker_unavailable`` error and
   is removed from the ring; a retry of the same key lands on a
   surviving worker (sessions open on every worker, so the survivor
   already has the session — no re-open round trip).
@@ -78,6 +84,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from repro.core.popularity import SharedHotspotRegistry
 from repro.middleware.config import ServiceConfig
@@ -100,8 +107,10 @@ from repro.middleware.protocol import (
     TileRequest,
     Welcome,
     WorkerUnavailableError,
+    binary_message_type,
     decode_wire,
     encode_wire,
+    frame_binary_body,
     negotiate_payload,
     negotiate_version,
 )
@@ -110,6 +119,13 @@ from repro.tiles.moves import Move
 from repro.tiles.pyramid import TilePyramid
 
 _READ_CHUNK = 65536
+
+#: How long a backend link waits for one round trip before it declares
+#: the worker stalled.  A stalled worker is handled like a dead one (the
+#: client gets ``worker_unavailable`` and the ring drops the node); the
+#: bound sits below the shipped clients' 30 s socket timeout so that they
+#: see that typed error and not their own timeout.
+_ROUNDTRIP_DEADLINE_SECONDS = 20.0
 
 
 # ----------------------------------------------------------------------
@@ -202,13 +218,22 @@ class ConsistentHashRing:
 # ----------------------------------------------------------------------
 # backend links
 # ----------------------------------------------------------------------
+class _OpaqueFrame(NamedTuple):
+    """A worker's payload-bearing binary frame, forwarded unopened:
+    its type name (read from the header) and its raw body."""
+
+    type: str
+    body: bytes
+
+
 class _BackendLink:
     """One router→worker connection speaking the wire protocol.
 
     The router is a *client* of each worker.  A link dies the moment a
-    stream operation fails; death is sticky and converts to the typed
-    ``worker_unavailable`` error so the real client can retry (the ring
-    will have re-mapped the key by then).
+    stream operation fails or a round trip outlasts
+    ``_ROUNDTRIP_DEADLINE_SECONDS``; death is sticky and converts to the
+    typed ``worker_unavailable`` error so the real client can retry (the
+    ring will have re-mapped the key by then).
     """
 
     def __init__(
@@ -228,6 +253,7 @@ class _BackendLink:
         self.push = False
         self.payload = "json"
         self.server_max_frame_bytes = 0
+        self._stalled = False
         self._wire = framing
         self._decoder = FrameDecoder(framing, max_frame_bytes)
         self._pending: deque = deque()
@@ -277,43 +303,69 @@ class _BackendLink:
             )
         return welcome
 
-    async def roundtrip(self, message):
+    async def roundtrip(self, message, *, opaque: bool = False):
         """Send one message, return ``(reply, pushes)``.
 
         Push frames streamed ahead of the reply are collected and
-        returned for forwarding.  Any stream failure marks the link
-        dead and raises the typed worker-down error.  Encoding happens
-        *before* the failure guard: an oversized outgoing frame is a
-        local, recoverable error — not worker death.
+        returned for forwarding.  With ``opaque`` the payload-bearing
+        binary frames among them come back as :class:`_OpaqueFrame`,
+        only their header parsed.  Any stream failure, an unparseable
+        frame, or a worker that does not answer within the deadline
+        marks the link dead and raises the typed worker-down error.
+        Encoding happens *before* the failure guard: an oversized
+        outgoing frame is a local, recoverable error — not worker death.
         """
         if self.dead or self._writer is None:
             raise WorkerUnavailableError(f"worker {self.node} is down")
         data = encode_wire(message, self._wire, self.max_frame_bytes)
-        pushes: list[PushTile] = []
+        pushes: list = []
+        # The deadline aborts the transport, which fails the pending
+        # drain/read below like any other connection loss.
+        deadline = asyncio.get_running_loop().call_later(
+            _ROUNDTRIP_DEADLINE_SECONDS, self._stall
+        )
         try:
             async with self._lock:
                 self._writer.write(data)
                 await self._writer.drain()
                 while True:
-                    reply = await self._recv_message()
-                    if isinstance(reply, PushTile):
+                    reply = await self._recv_message(opaque)
+                    if isinstance(reply, PushTile) or (
+                        isinstance(reply, _OpaqueFrame)
+                        and reply.type == "push_tile"
+                    ):
                         pushes.append(reply)
                         continue
                     return reply, pushes
         except (ConnectionError, OSError, ProtocolError) as exc:
             self._die()
+            reason = (
+                f"gave no answer within {_ROUNDTRIP_DEADLINE_SECONDS:g} s"
+                if self._stalled
+                else f"died mid-request: {exc}"
+            )
             raise WorkerUnavailableError(
-                f"worker {self.node} died mid-request: {exc}"
+                f"worker {self.node} {reason}"
             ) from exc
+        finally:
+            deadline.cancel()
 
-    async def _recv_message(self):
+    async def _recv_message(self, opaque: bool):
         assert self._reader is not None
         while not self._pending:
             chunk = await self._reader.read(_READ_CHUNK)
             if not chunk:
                 raise ConnectionResetError("worker closed the connection")
             self._pending.extend(self._decoder.feed(chunk))
-        return decode_wire(self._pending.popleft())
+        frame = self._pending.popleft()
+        if opaque and isinstance(frame, bytes):
+            return _OpaqueFrame(binary_message_type(frame), frame)
+        return decode_wire(frame)
+
+    def _stall(self) -> None:
+        self._stalled = True
+        if self._writer is not None:
+            self._writer.transport.abort()
 
     def _die(self) -> None:
         self.dead = True
@@ -407,6 +459,11 @@ class TileServiceRouter:
             shards=1, decay=self.config.prefetch.hotspot_decay
         )
         self.gossip_rounds = 0
+        #: Payload-bearing worker frames forwarded to a binary client
+        #: unopened, and those decoded and re-encoded because the client
+        #: speaks JSON while the links speak binary.
+        self.frames_spliced = 0
+        self.frames_transcoded = 0
         self._alive: set[str] = set()
         self._control: dict[str, _BackendLink] = {}
         self._push_capable = False
@@ -525,12 +582,12 @@ class TileServiceRouter:
                         )
                         await writer.drain()
                     break
-                out = bytearray()
+                out: list[bytes] = []
                 fatal = False
                 for frame in frames:
                     messages, fatal = await self._dispatch(frame, state)
                     for message in messages:
-                        out += self._encode_out(message, state)
+                        out.append(self._encode_out(message, state))
                     if state.payload_pending:
                         # The welcome granting "binary" went out in the
                         # pre-handshake framing; every frame after it —
@@ -542,7 +599,7 @@ class TileServiceRouter:
                         break
                 if out:
                     try:
-                        writer.write(bytes(out))
+                        writer.writelines(out)
                         await writer.drain()
                     except (ConnectionError, OSError):
                         break
@@ -565,6 +622,13 @@ class TileServiceRouter:
     def _encode_out(self, message, state: _RouterClientState) -> bytes:
         framing = self._wire_framing(state)
         try:
+            if isinstance(message, _OpaqueFrame):
+                # Worker and client both speak binary: the body goes on
+                # as it came, checked against this router's own budget.
+                # The client's decoder validates every byte of it.
+                frame = frame_binary_body(message.body, self.max_frame_bytes)
+                self.frames_spliced += 1
+                return frame
             return encode_wire(message, framing, self.max_frame_bytes)
         except ProtocolError as exc:
             # The response outgrew the frame budget — report that
@@ -830,19 +894,43 @@ class TileServiceRouter:
                 "(safe to retry: the ring has re-mapped the key)",
                 session_id=session_id,
             )
+        messages = await self._relay(node, link, message, state)
+        state.session_worker[session_id] = node
+        if not state.push:
+            messages = messages[-1:]
+        return messages, False
+
+    async def _relay(
+        self,
+        node: str,
+        link: _BackendLink,
+        message: "TileRequest | PushAck",
+        state: _RouterClientState,
+    ) -> list:
+        """One worker round trip for a client: push frames, then the
+        reply, ready for :meth:`_encode_out`.
+
+        Whether payload-bearing frames are spliced or transcoded follows
+        from what was negotiated: a binary client implies binary links
+        (:meth:`_serve_hello`), so their bodies pass through unopened; a
+        JSON client over binary links gets them decoded here, in the
+        link, and re-encoded as JSON on the way out.
+        """
         try:
-            reply, pushes = await link.roundtrip(message)
+            reply, pushes = await link.roundtrip(
+                message, opaque=state.payload == "binary"
+            )
         except WorkerUnavailableError as exc:
             self._mark_worker_dead(node)
             raise WorkerUnavailableError(
-                str(exc), session_id=session_id
+                str(exc), session_id=message.session_id
             ) from exc
-        state.session_worker[session_id] = node
-        messages: list = []
-        if state.push:
-            messages.extend(pushes)
-        messages.append(reply)
-        return messages, False
+        messages = [*pushes, reply]
+        if link.payload == "binary" and state.payload != "binary":
+            self.frames_transcoded += sum(
+                getattr(m, "payload", None) is not None for m in messages
+            )
+        return messages
 
     async def _serve_ack(self, message: PushAck, state: _RouterClientState):
         session_id = self._require_session(message.session_id, state)
@@ -870,16 +958,7 @@ class TileServiceRouter:
             raise WorkerUnavailableError(
                 f"worker {node} is down", session_id=session_id
             )
-        try:
-            reply, pushes = await link.roundtrip(message)
-        except WorkerUnavailableError as exc:
-            self._mark_worker_dead(node)
-            raise WorkerUnavailableError(
-                str(exc), session_id=session_id
-            ) from exc
-        messages: list = list(pushes)
-        messages.append(reply)
-        return messages, False
+        return await self._relay(node, link, message, state), False
 
     def _serve_gossip(self, message: HotspotGossip):
         """Client-facing gossip: read-only view of the merged hot set."""

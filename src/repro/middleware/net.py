@@ -70,7 +70,9 @@ from repro.middleware.protocol import (
     TilePayload,
     TileRef,
     TileRequest,
+    TileSegmentCache,
     Welcome,
+    encode_tile_frame,
     encode_wire,
     negotiate_payload,
     negotiate_version,
@@ -270,6 +272,13 @@ class ForeCacheSocketServer:
         #: Wall-clock registry decay (``hotspot_tick_seconds``), started
         #: with the server when configured.
         self.hotspot_ticker: HotspotDecayTicker | None = None
+        #: Encode once, send many: the encoded payload segment of every
+        #: full-fidelity tile this server has sent, per payload
+        #: encoding, under a fixed byte budget.  Entries cannot go
+        #: stale — the pyramid's levels are never written after
+        #: ``build()``, so a tile's bytes are a function of its key for
+        #: this server's lifetime.
+        self.segment_cache = TileSegmentCache()
 
     @classmethod
     def build(
@@ -401,18 +410,17 @@ class ForeCacheSocketServer:
                     await self._send(writer, ErrorInfo.from_exception(exc), conn)
                     break
                 # Everything this read-batch produces — push frames and
-                # replies across every completed frame — coalesces into
-                # one buffer and leaves in a single write+drain (the
-                # writev-style batching that keeps small frames from
-                # paying a syscall each).
-                out = bytearray()
+                # replies across every completed frame — leaves in a
+                # single writelines+drain (the writev-style batching
+                # that keeps small frames from paying a syscall each).
+                out: list[bytes] = []
                 fatal = False
                 for item in frames:
                     messages, fatal = await self._dispatch(item, conn)
                     # Push frames (if any) precede the reply — the last
                     # message is always the frame's actual answer.
                     for message in messages:
-                        out += self._encode_out(message, conn)
+                        out.append(self._encode_out(message, conn))
                     if conn.payload_pending:
                         # The welcome granting "binary" was just encoded
                         # under the pre-handshake framing; every frame
@@ -424,7 +432,7 @@ class ForeCacheSocketServer:
                         break
                 if out:
                     try:
-                        writer.write(bytes(out))
+                        writer.writelines(out)
                         await writer.drain()
                     except (ConnectionError, OSError):
                         break  # client vanished mid-write
@@ -444,10 +452,11 @@ class ForeCacheSocketServer:
 
     def _encode_out(self, message, conn: _ConnectionState) -> bytes:
         """Encode one outgoing message (or pass through pre-encoded
-        bytes — push frames are encoded once, where their byte size is
-        charged against the push budget)."""
-        if isinstance(message, (bytes, bytearray)):
-            return bytes(message)
+        bytes — tile-bearing frames are built where their tile is at
+        hand, push frames also because their byte size is charged
+        against the push budget)."""
+        if isinstance(message, bytes):
+            return message
         framing = self._wire_framing(conn)
         try:
             return encode_wire(message, framing, self.max_frame_bytes)
@@ -614,17 +623,37 @@ class ForeCacheSocketServer:
         result = await self.service.request(
             session_id, message.to_move(), message.tile.to_key()
         )
+        # A full-fidelity tile goes out through the segment cache; a
+        # degraded one (same key, other bytes) and a metadata-only
+        # reply are encoded by the serve loop like any other message.
+        cached = self.include_payload and result.fidelity == 1.0
         response = protocol.TileResponse.from_result(
             session_id,
             result,
-            include_payload=self.include_payload,
+            include_payload=self.include_payload and not cached,
             binary=conn.payload == "binary",
         )
         messages: list = []
         if conn.push and self.push_scheduler is not None:
             messages.extend(await self._push_messages(session_id, conn))
+        if cached:
+            try:
+                response = self._tile_frame(response, result.tile, conn)
+            except FrameTooLargeError as exc:
+                response = self._encode_out(ErrorInfo.from_exception(exc), conn)
         messages.append(response)
         return messages, False
+
+    def _tile_frame(self, message, tile, conn: _ConnectionState) -> bytes:
+        """Frame a payload-less reply or push around its full-fidelity
+        tile, through the segment cache."""
+        return encode_tile_frame(
+            message,
+            tile,
+            self._wire_framing(conn),
+            self.max_frame_bytes,
+            self.segment_cache,
+        )
 
     async def _serve_ack(self, message: PushAck, conn: _ConnectionState):
         """Absorb a push-cache digest; with ``tile`` set, record the
@@ -705,11 +734,20 @@ class ForeCacheSocketServer:
                 rank=job.rank,
                 generation=generation,
                 utility=job.utility,
-                payload=TilePayload.from_tile(tile, binary=binary),
                 fidelity=job.fidelity,
             )
             try:
-                frame = encode_wire(push, framing, self.max_frame_bytes)
+                if job.fidelity == 1.0:
+                    frame = self._tile_frame(push, tile, conn)
+                else:
+                    frame = encode_wire(
+                        replace(
+                            push,
+                            payload=TilePayload.from_tile(tile, binary=binary),
+                        ),
+                        framing,
+                        self.max_frame_bytes,
+                    )
             except FrameTooLargeError:
                 # This tile can never fit a frame; skip it without
                 # charging the round's budget.

@@ -43,6 +43,12 @@ wins — the dominant NDSI blocks compress far below their JSON form).
 :func:`encode_wire` / :func:`decode_wire` pick the right form per
 message; declining peers keep the byte-identical JSON protocol.
 
+A full-fidelity tile's bytes depend on its key alone, so a server need
+not rebuild them per send: :func:`encode_tile_frame` splices a
+per-tile segment, kept in a byte-bounded :class:`TileSegmentCache`,
+behind each send's own header, byte-identical to :func:`encode_wire` —
+which stays the reference encoder and serves every other message.
+
 All ``from_dict`` constructors tolerate unknown fields (they extract
 the fields they know and ignore the rest), so a newer peer can add
 fields without breaking an older one.
@@ -53,6 +59,7 @@ from __future__ import annotations
 import json
 import struct
 import zlib
+from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -876,6 +883,14 @@ DEFAULT_MAX_FRAME_BYTES = 8 * 1024 * 1024
 _LENGTH_HEADER = struct.Struct(">I")
 
 
+def _check_frame_size(size: int, max_frame_bytes: int) -> None:
+    if size > max_frame_bytes:
+        raise FrameTooLargeError(
+            f"frame of {size} bytes exceeds the "
+            f"{max_frame_bytes}-byte limit"
+        )
+
+
 def encode_frame(
     text: str,
     framing: str = "lines",
@@ -888,14 +903,13 @@ def encode_frame(
     and — in ``"lines"`` framing — embedded newlines, which would split
     into two bogus frames on the wire.
     """
+    return _frame_json(text.encode("utf-8"), framing, max_frame_bytes)
+
+
+def _frame_json(payload: bytes, framing: str, max_frame_bytes: int) -> bytes:
     if framing not in FRAMINGS:
         raise ValueError(f"framing must be one of {FRAMINGS}, got {framing!r}")
-    payload = text.encode("utf-8")
-    if len(payload) > max_frame_bytes:
-        raise FrameTooLargeError(
-            f"frame of {len(payload)} bytes exceeds the "
-            f"{max_frame_bytes}-byte limit"
-        )
+    _check_frame_size(len(payload), max_frame_bytes)
     if framing == "lines":
         if b"\n" in payload:
             raise FramingError(
@@ -1043,7 +1057,7 @@ def _unpack_blob(codec, body: memoryview, total: int) -> "bytes | memoryview":
         # allocation blow-up).
         decomp = zlib.decompressobj()
         try:
-            raw = decomp.decompress(bytes(body), total)
+            raw = decomp.decompress(body, total)
         except zlib.error as exc:
             raise InvalidRequestError(
                 f"binary payload blob failed to inflate: {exc}"
@@ -1098,8 +1112,13 @@ def _decode_binary_payload(descriptor, body: memoryview) -> TilePayload:
     return TilePayload(tile=tile, attributes=tuple(blocks))
 
 
-def decode_binary_message(data):
-    """Parse a binary body back into its payload-bearing message."""
+def _split_binary_body(data) -> tuple[str, dict, memoryview]:
+    """Cut a binary body into ``(type name, header dict, blob view)``.
+
+    Checks everything about the body that does not need the blob: it is
+    long enough for the header it declares, the header is a JSON object,
+    and its type may travel as a binary body.
+    """
     view = memoryview(data)
     if view.ndim != 1 or view.format != "B":
         view = view.cast("B")
@@ -1127,6 +1146,22 @@ def decode_binary_message(data):
         raise InvalidRequestError(
             f"message type {name!r} cannot travel as a binary body"
         )
+    return name, header, view[body_start:]
+
+
+def binary_message_type(data) -> str:
+    """The type name of a binary body, from its header alone.
+
+    For a forwarder that passes the body on without opening it: the
+    header checks of :func:`decode_binary_message` run, the blob is not
+    touched (the final receiver's decoder validates every byte of it).
+    """
+    return _split_binary_body(data)[0]
+
+
+def decode_binary_message(data):
+    """Parse a binary body back into its payload-bearing message."""
+    name, header, blob = _split_binary_body(data)
     descriptor = header.pop("payload", None)
     header["payload"] = None
     cls = MESSAGE_TYPES[name]
@@ -1136,7 +1171,7 @@ def decode_binary_message(data):
         raise InvalidRequestError(f"malformed {name} message: {exc}") from None
     if descriptor is None:
         return message
-    payload = _decode_binary_payload(descriptor, view[body_start:])
+    payload = _decode_binary_payload(descriptor, blob)
     return replace(message, payload=payload)
 
 
@@ -1164,12 +1199,166 @@ def encode_wire(
     else:
         kind = _FRAME_KIND_JSON
         body = encode(message).encode("utf-8")
-    if len(body) > max_frame_bytes:
-        raise FrameTooLargeError(
-            f"frame of {len(body)} bytes exceeds the "
-            f"{max_frame_bytes}-byte limit"
-        )
+    _check_frame_size(len(body), max_frame_bytes)
     return _BINARY_FRAME_HEADER.pack(kind, len(body)) + body
+
+
+def frame_binary_body(body: bytes, max_frame_bytes: int) -> bytes:
+    """Put an already encoded binary body back behind a kind-1 header.
+
+    The cluster router forwards a worker's payload-bearing frames to a
+    binary client this way: the body — whatever :func:`encode_wire`
+    built on the worker — travels on unopened, checked only against the
+    forwarder's own frame budget.
+    """
+    _check_frame_size(len(body), max_frame_bytes)
+    return _BINARY_FRAME_HEADER.pack(_FRAME_KIND_BINARY, len(body)) + body
+
+
+# ----------------------------------------------------------------------
+# encode once, send many
+# ----------------------------------------------------------------------
+#: Byte budget of one server's :class:`TileSegmentCache`: about 1000
+#: binary (~7.7 KB) or 115 JSON (~71 KB) segments of a 32x32 MODIS tile.
+SEGMENT_CACHE_BYTES = 8 * 1024 * 1024
+
+
+class TileSegmentCache:
+    """Byte-bounded LRU of encoded full-fidelity tile payloads.
+
+    An entry is the part of a payload-bearing frame that depends on the
+    tile alone, keyed by ``(TileKey, binary?)``: the JSON text of the
+    frame's ``payload`` value — the whole :meth:`TilePayload.to_dict`
+    under the JSON framings, the blob descriptor under ``"binary"`` —
+    and, for binary, the deflated blob.  :func:`encode_tile_frame`
+    splices it behind each send's own small header.
+
+    An entry never goes stale: a ``TilePyramid``'s levels are not
+    written after ``build()``, so a full-fidelity tile's bytes are a
+    function of its key for as long as the server that owns this cache
+    lives.  Reduced-fidelity tiles share a key with their full form and
+    must never be stored.
+
+    Not locked: the socket server encodes on its event loop only.
+    """
+
+    def __init__(self, budget_bytes: int = SEGMENT_CACHE_BYTES) -> None:
+        if budget_bytes < 0:
+            raise ValueError(
+                f"budget_bytes must be >= 0, got {budget_bytes}"
+            )
+        self.budget_bytes = budget_bytes
+        self._segments: OrderedDict = OrderedDict()
+        self.bytes = 0
+        self.hits = 0
+        self.misses = 0
+        self.evictions = 0
+
+    def __len__(self) -> int:
+        return len(self._segments)
+
+    def get(self, key) -> "tuple[bytes, bytes] | None":
+        segment = self._segments.get(key)
+        if segment is None:
+            self.misses += 1
+            return None
+        self.hits += 1
+        self._segments.move_to_end(key)
+        return segment
+
+    def put(self, key, segment: "tuple[bytes, bytes]") -> None:
+        """Admit a segment, evicting least-recently-sent ones to stay
+        within the budget; one that alone exceeds it is not stored."""
+        size = len(segment[0]) + len(segment[1])
+        if size > self.budget_bytes:
+            return
+        old = self._segments.pop(key, None)
+        if old is not None:
+            self.bytes -= len(old[0]) + len(old[1])
+        self._segments[key] = segment
+        self.bytes += size
+        while self.bytes > self.budget_bytes:
+            _, (text, blob) = self._segments.popitem(last=False)
+            self.bytes -= len(text) + len(blob)
+            self.evictions += 1
+
+    def stats(self) -> dict:
+        """A counters snapshot (diagnostics, tests)."""
+        return {
+            "entries": len(self._segments),
+            "bytes": self.bytes,
+            "hits": self.hits,
+            "misses": self.misses,
+            "evictions": self.evictions,
+        }
+
+
+def _encode_tile_segment(tile: DataTile, binary: bool) -> "tuple[bytes, bytes]":
+    payload = TilePayload.from_tile(tile, binary=binary)
+    if not binary:
+        return json.dumps(payload.to_dict()).encode("utf-8"), b""
+    descriptor, blob = _payload_descriptor(payload)
+    return json.dumps(descriptor).encode("utf-8"), blob
+
+
+def encode_tile_frame(
+    message,
+    tile: DataTile,
+    framing: str,
+    max_frame_bytes: int,
+    cache: TileSegmentCache,
+) -> bytes:
+    """Frame a full-fidelity ``tile`` behind ``message``'s header,
+    encoding the tile's bytes at most once per ``cache`` residency.
+
+    ``message`` is the :class:`TileResponse` or :class:`PushTile` to
+    send *without* its payload.  The result — and any
+    :class:`FrameTooLargeError` / :class:`FramingError` raised instead —
+    is what the reference encoder gives for the complete message::
+
+        encode_wire(
+            replace(message, payload=TilePayload.from_tile(
+                tile, binary=framing == "binary")),
+            framing, max_frame_bytes)
+
+    ``payload`` is the last key of a full-fidelity message's dict, so
+    the cached segment replaces the header's trailing ``null}``.
+    """
+    name = _TYPE_NAMES.get(type(message))
+    if (
+        name not in _BINARY_MESSAGE_NAMES
+        or message.payload is not None
+        or message.fidelity != 1.0
+    ):
+        raise ValueError(
+            "encode_tile_frame takes a payload-less, full-fidelity "
+            "tile_response or push_tile"
+        )
+    binary = framing == "binary"
+    key = (tile.key, binary)
+    segment = cache.get(key)
+    if segment is None:
+        segment = _encode_tile_segment(tile, binary)
+        cache.put(key, segment)
+    payload_text, blob = segment
+    header = encode(message).encode("utf-8")[: -len(b"null}")]
+    if not binary:
+        return _frame_json(
+            b"".join((header, payload_text, b"}")), framing, max_frame_bytes
+        )
+    header_len = len(header) + len(payload_text) + 1
+    body_len = _LENGTH_HEADER.size + header_len + len(blob)
+    _check_frame_size(body_len, max_frame_bytes)
+    return b"".join(
+        (
+            _BINARY_FRAME_HEADER.pack(_FRAME_KIND_BINARY, body_len),
+            _LENGTH_HEADER.pack(header_len),
+            header,
+            payload_text,
+            b"}",
+            blob,
+        )
+    )
 
 
 def decode_wire(frame):

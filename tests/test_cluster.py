@@ -9,26 +9,42 @@ worker boot (dataset build + bind) stays cheap.
 from __future__ import annotations
 
 import os
+import socketserver
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.core.allocation import SingleModelStrategy
 from repro.core.engine import PredictionEngine
 from repro.core.popularity import SharedHotspotRegistry
+from repro.middleware import cluster as cluster_module
 from repro.middleware.cluster import (
     ConsistentHashRing,
     ProcessCluster,
     ThreadedClusterServer,
+    ThreadedRouter,
     _snake_walk,
 )
-from repro.middleware.config import PrefetchPolicy, ServiceConfig
+from repro.middleware.config import CacheConfig, PrefetchPolicy, ServiceConfig
 from repro.middleware.net import SocketTransport, ThreadedSocketServer
 from repro.middleware.protocol import (
+    CloseSession,
+    FrameDecoder,
+    FrameTooLargeError,
+    Hello,
     HotspotGossip,
+    OpenSession,
+    SessionInfo,
+    TileRequest,
+    Welcome,
     WorkerUnavailableError,
+    decode_wire,
+    encode_wire,
 )
 from repro.recommenders.momentum import MomentumRecommender
 from repro.tiles.key import TileKey
@@ -180,8 +196,6 @@ class TestHandshakeIntersection:
         full = ThreadedSocketServer(
             tiny_dataset.pyramid, ServiceConfig(), engine_factory=factory
         )
-        from repro.middleware.cluster import ThreadedRouter
-
         router = None
         try:
             json_addr = json_only.start()
@@ -336,6 +350,231 @@ class TestRoutingAndFailover:
             client.close()
         finally:
             transport.close()
+
+
+# ----------------------------------------------------------------------
+# opaque forwarding: binary bodies pass through, JSON clients transcode
+# ----------------------------------------------------------------------
+PUSH_CONFIG = ServiceConfig(
+    prefetch=PrefetchPolicy(k=4, push="on"),
+    cache=CacheConfig(recent_capacity=4, prefetch_capacity=8),
+)
+
+
+def tapped_walk(address, walk, *, payload, push=False) -> bytes:
+    """Replay ``walk`` as session "walker"; return every byte the
+    server side sent after its welcome."""
+    with SocketTransport(
+        *address, payload=payload, push=push, wire_tap=True
+    ) as transport:
+        assert transport.payload == payload
+        assert transport.push_enabled is push
+        client = transport.connect(session_id="walker")
+        for move, key in walk:
+            assert client.request(move, key).tile.key == key
+        client.close()
+        # The welcome (one JSON line) names the server; skip it.
+        _, _, after_welcome = bytes(transport.wire_received).partition(b"\n")
+        return after_welcome
+
+
+class TestOpaqueForwarding:
+    @pytest.mark.parametrize("push", [False, True], ids=["pull", "push"])
+    def test_binary_client_gets_the_workers_bytes(self, tiny_dataset, push):
+        """Through a 1-worker cluster every reply — and every push
+        frame — reaches a binary client byte-identical to what a direct
+        ``ForeCacheSocketServer`` sends for the same walk."""
+        pyramid = tiny_dataset.pyramid
+        factory = lambda: make_engine(pyramid.grid)  # noqa: E731
+        walk = _snake_walk(pyramid.grid, TileKey(0, 0, 0), 12)
+        with ThreadedSocketServer(
+            pyramid, PUSH_CONFIG, engine_factory=factory
+        ) as direct:
+            expected = tapped_walk(
+                direct.address, walk, payload="binary", push=push
+            )
+            scheduler = direct.server.push_scheduler
+            assert (scheduler.pushed_tiles > 0) is push
+        with ThreadedClusterServer(
+            pyramid, PUSH_CONFIG, workers=1, engine_factory=factory
+        ) as cluster:
+            routed = tapped_walk(
+                cluster.address, walk, payload="binary", push=push
+            )
+            router = cluster.router.router
+        assert routed == expected
+        # Every payload-bearing (kind-1) frame was spliced, none
+        # transcoded.
+        payload_frames = sum(
+            isinstance(frame, bytes)
+            for frame in FrameDecoder("binary").feed(routed)
+        )
+        assert router.frames_spliced == payload_frames >= len(walk) // 2
+        assert router.frames_transcoded == 0
+
+    def test_json_client_over_binary_links_gets_correct_json(
+        self, cluster2, tiny_dataset
+    ):
+        """The slow path that stays: the links speak binary (every
+        worker can), the client speaks JSON, so each tile is decoded and
+        re-encoded — chosen from the negotiated payloads alone."""
+        pyramid = tiny_dataset.pyramid
+        walk = _snake_walk(pyramid.grid, TileKey(0, 0, 0), 12)
+        with SocketTransport(*cluster2.address, wire_tap=True) as transport:
+            assert transport.payload == "json"
+            client = transport.connect()
+            for move, key in walk:
+                response = client.request(move, key)
+                full = pyramid.fetch_tile(key, charge=False)
+                for name, array in full.attributes.items():
+                    np.testing.assert_array_equal(
+                        response.tile.attributes[name], array
+                    )
+            client.close()
+            # Plain JSON lines all the way down the client's stream.
+            frames = FrameDecoder("lines").feed(bytes(transport.wire_received))
+            assert len(frames) == 1 + 1 + len(walk) + 1
+        router = cluster2.router.router
+        assert router.frames_transcoded == len(walk)
+        assert router.frames_spliced == 0
+
+    def test_spliced_body_is_checked_against_the_routers_budget(
+        self, tiny_dataset
+    ):
+        pyramid = tiny_dataset.pyramid
+        with ThreadedSocketServer(
+            pyramid,
+            ServiceConfig(),
+            engine_factory=lambda: make_engine(pyramid.grid),
+        ) as worker:
+            with ThreadedRouter(
+                {"worker-0": worker.address}, max_frame_bytes=4096
+            ) as router:
+                with SocketTransport(
+                    *router.address, payload="binary"
+                ) as transport:
+                    client = transport.connect()
+                    with pytest.raises(FrameTooLargeError, match="4096-byte"):
+                        client.request(None, TileKey(0, 0, 0))
+                    # Typed answer, link and connection both still up.
+                    assert router.router.alive_workers == ("worker-0",)
+                    assert router.router.frames_spliced == 0
+                    client.close()
+
+
+# ----------------------------------------------------------------------
+# misbehaving workers: corrupt frames and stalls
+# ----------------------------------------------------------------------
+class FakeWorker:
+    """A worker stand-in: real handshake (granting binary) and session
+    replies, then ``on_request(sock)`` decides what a tile request gets
+    — the connection stays open either way."""
+
+    def __init__(self, on_request) -> None:
+        fake = self
+
+        class Handler(socketserver.BaseRequestHandler):
+            def handle(self) -> None:
+                decoder, wire = FrameDecoder("lines"), "lines"
+                while data := self.request.recv(65536):
+                    for frame in decoder.feed(data):
+                        message = decode_wire(frame)
+                        if isinstance(message, Hello):
+                            reply = Welcome(version=1, payload="binary")
+                        elif isinstance(message, (OpenSession, CloseSession)):
+                            reply = SessionInfo(
+                                message.session_id, True, "sync", 0, 0, 0.0, 0.0
+                            )
+                        else:
+                            assert isinstance(message, TileRequest)
+                            fake.requests += 1
+                            on_request(self.request)
+                            continue
+                        self.request.sendall(encode_wire(reply, wire))
+                        if isinstance(message, Hello):
+                            decoder.switch_to_binary()
+                            wire = "binary"
+
+        self.requests = 0
+        self._server = socketserver.ThreadingTCPServer(
+            ("127.0.0.1", 0), Handler
+        )
+        self._server.daemon_threads = True
+        self.address = self._server.server_address
+        self._thread = threading.Thread(
+            target=self._server.serve_forever, daemon=True
+        )
+
+    def __enter__(self) -> "FakeWorker":
+        self._thread.start()
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self._server.shutdown()
+        self._server.server_close()
+        self._thread.join(timeout=10)
+        assert not self._thread.is_alive()
+
+
+def kind1_frame(body: bytes) -> bytes:
+    return b"\x01" + len(body).to_bytes(4, "big") + body
+
+
+class TestWorkerFaults:
+    @pytest.mark.parametrize(
+        "body",
+        [
+            b"\x00\x00",
+            (64).to_bytes(4, "big") + b'{"type": "tile_response"}',
+            (9).to_bytes(4, "big") + b"not json!" + b"blob",
+            (2).to_bytes(4, "big") + b"[]",
+            (19).to_bytes(4, "big") + b'{"type": "welcome"}',
+        ],
+        ids=["truncated", "header-overrun", "not-json", "not-object", "wrong-type"],
+    )
+    @pytest.mark.parametrize("payload", ["binary", "json"])
+    def test_corrupt_worker_header_is_worker_unavailable(self, body, payload):
+        """Opaque or not, the frame's header is still parsed: a worker
+        that sends a broken one loses its link, and the client gets the
+        typed error instead of the worker's bytes."""
+        with FakeWorker(lambda sock: sock.sendall(kind1_frame(body))) as fake:
+            with ThreadedRouter({"worker-0": fake.address}) as router:
+                with SocketTransport(
+                    *router.address, payload=payload
+                ) as transport:
+                    client = transport.connect(session_id="s")
+                    with pytest.raises(
+                        WorkerUnavailableError, match="died mid-request"
+                    ):
+                        client.request(None, TileKey(0, 0, 0))
+                    assert fake.requests == 1
+                    assert router.router.alive_workers == ()
+                    assert router.router.frames_spliced == 0
+
+    def test_stalled_worker_is_worker_unavailable_within_the_deadline(
+        self, monkeypatch
+    ):
+        """A worker that accepts the request and never answers must not
+        hang the client: the round-trip deadline kills the link."""
+        monkeypatch.setattr(cluster_module, "_ROUNDTRIP_DEADLINE_SECONDS", 0.5)
+        with FakeWorker(lambda sock: None) as fake:
+            with ThreadedRouter({"worker-0": fake.address}) as router:
+                with SocketTransport(
+                    *router.address, payload="binary", timeout=20.0
+                ) as transport:
+                    client = transport.connect(session_id="s")
+                    started = time.monotonic()
+                    with pytest.raises(
+                        WorkerUnavailableError, match="no answer within 0.5 s"
+                    ):
+                        client.request(None, TileKey(0, 0, 0))
+                    assert time.monotonic() - started < 10.0
+                    assert fake.requests == 1
+                    assert router.router.alive_workers == ()
+                    # The connection itself survived; with the only
+                    # worker gone the next request fails fast and typed.
+                    with pytest.raises(WorkerUnavailableError):
+                        client.request(None, TileKey(0, 0, 0))
 
 
 # ----------------------------------------------------------------------

@@ -681,3 +681,110 @@ class TestAsyncServerInOneLoop:
             assert server.connection_count == 0
 
         asyncio.run(scenario())
+
+
+# ----------------------------------------------------------------------
+# encode once, send many (the byte-identity fuzz lives in
+# test_properties.py; the conformance suite pins whole streams)
+# ----------------------------------------------------------------------
+class TestEncodeOnce:
+    @pytest.mark.parametrize("payload", ["json", "binary"])
+    def test_a_resend_is_a_cache_hit_with_the_same_tile(
+        self, server, small_dataset, payload
+    ):
+        pyramid = small_dataset.pyramid
+        cache = server.server.segment_cache
+        with SocketTransport(
+            *server.address, pyramid=pyramid, payload=payload
+        ) as one, SocketTransport(
+            *server.address, pyramid=pyramid, payload=payload
+        ) as two:
+            first = one.connect().handle_request(None, TileKey(2, 1, 1))
+            assert cache.stats()["misses"] == 1
+            again = two.connect().handle_request(None, TileKey(2, 1, 1))
+            assert cache.stats() == {
+                "entries": 1,
+                "bytes": cache.bytes,
+                "hits": 1,
+                "misses": 1,
+                "evictions": 0,
+            }
+        expected = pyramid.fetch_tile(TileKey(2, 1, 1))
+        for response in (first, again):
+            for name, array in expected.attributes.items():
+                assert (response.tile.attributes[name] == array).all()
+
+    def test_each_payload_encoding_has_its_own_entry(
+        self, server, small_dataset
+    ):
+        for payload in ("json", "binary"):
+            with SocketTransport(*server.address, payload=payload) as transport:
+                transport.connect().handle_request(None, TileKey(0, 0, 0))
+        stats = server.server.segment_cache.stats()
+        assert (stats["entries"], stats["misses"], stats["hits"]) == (2, 2, 0)
+
+    def test_metadata_only_server_never_touches_the_cache(self, small_dataset):
+        with ThreadedSocketServer(
+            small_dataset.pyramid,
+            CONFIG,
+            engine_factory=lambda: make_engine(small_dataset.pyramid.grid),
+            include_payload=False,
+        ) as server:
+            with SocketTransport(*server.address) as transport:
+                session_id = transport.connect().session_id
+                for _ in range(2):
+                    reply = transport.roundtrip(
+                        TileRequest(session_id, TileRef(0, 0, 0))
+                    )
+                    assert reply.payload is None
+            stats = server.server.segment_cache.stats()
+        assert (stats["entries"], stats["misses"], stats["hits"]) == (0, 0, 0)
+
+    def test_degraded_reply_never_touches_the_cache(self, small_dataset):
+        config = ServiceConfig(
+            prefetch=PrefetchPolicy(
+                k=2,
+                fidelity="progressive",
+                shed_miss_streak=2,
+                fidelity_reduction=4,
+            ),
+            cache=CacheConfig(recent_capacity=8, prefetch_capacity=4),
+        )
+        with ThreadedSocketServer(
+            small_dataset.pyramid,
+            config,
+            engine_factory=lambda: make_engine(small_dataset.pyramid.grid),
+        ) as server:
+            cache = server.server.segment_cache
+            with SocketTransport(*server.address) as transport:
+                conn = transport.connect()
+                # Warm the level-1 ancestor, then trip the miss streak.
+                for key in (TileKey(1, 0, 0), TileKey(4, 9, 9), TileKey(5, 20, 20)):
+                    assert conn.handle_request(None, key).fidelity == 1.0
+                before = cache.stats()
+                degraded = conn.handle_request(None, TileKey(3, 1, 1))
+                assert degraded.fidelity == 0.25
+                # Same key, other bytes: neither looked up nor stored.
+                assert cache.stats() == before
+                assert before["entries"] == 3
+
+    @pytest.mark.parametrize("payload", ["json", "binary"])
+    def test_oversized_reply_is_a_typed_error_cold_and_warm(
+        self, small_dataset, payload
+    ):
+        # Room for the handshake and control frames, not for a tile
+        # (~71 KB as JSON, ~8 KB binary).
+        config = ServiceConfig(prefetch=PrefetchPolicy(k=5), max_frame_bytes=4096)
+        with ThreadedSocketServer(
+            small_dataset.pyramid,
+            config,
+            engine_factory=lambda: make_engine(small_dataset.pyramid.grid),
+        ) as server:
+            with SocketTransport(*server.address, payload=payload) as transport:
+                conn = transport.connect()
+                for _ in range(2):
+                    with pytest.raises(FrameTooLargeError, match="4096-byte"):
+                        conn.handle_request(None, TileKey(0, 0, 0))
+                # A typed answer each time; the connection keeps serving.
+                info = transport.roundtrip(CloseSession(conn.session_id))
+                assert info.requests == 2

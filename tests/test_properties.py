@@ -1,5 +1,7 @@
 """Property-based tests (hypothesis) on core invariants."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -326,8 +328,8 @@ _BINARY_DTYPES = st.sampled_from(["float64", "float32", "int32", "uint8"])
 
 
 @st.composite
-def tile_responses(draw):
-    """Payload-bearing responses with arbitrary dense attribute blocks."""
+def data_tiles(draw, dtypes=_BINARY_DTYPES, finite=True):
+    """Tiles with arbitrary dense attribute blocks."""
     key = draw(tile_keys(max_level=3))
     rows = draw(st.integers(1, 4))
     cols = draw(st.integers(1, 4))
@@ -340,15 +342,15 @@ def tile_responses(draw):
         )
     )
     attributes = {}
-    for index, name in enumerate(names):
-        dtype = np.dtype(draw(_BINARY_DTYPES))
+    for name in names:
+        dtype = np.dtype(draw(dtypes))
         cells = rows * cols
         if dtype.kind == "f":
             values = draw(
                 st.lists(
                     st.floats(
-                        allow_nan=False,
-                        allow_infinity=False,
+                        allow_nan=not finite,
+                        allow_infinity=not finite,
                         width=32,
                     ),
                     min_size=cells,
@@ -359,11 +361,19 @@ def tile_responses(draw):
             values = draw(
                 st.lists(st.integers(0, 200), min_size=cells, max_size=cells)
             )
-        attributes[name] = np.asarray(values, dtype=dtype).reshape(rows, cols)
-    tile = DataTile(key=key, attributes=attributes)
+        with np.errstate(over="ignore"):  # a float16 cell may become inf
+            array = np.asarray(values, dtype=dtype)
+        attributes[name] = array.reshape(rows, cols)
+    return DataTile(key=key, attributes=attributes)
+
+
+@st.composite
+def tile_responses(draw):
+    """Payload-bearing responses with arbitrary dense attribute blocks."""
+    tile = draw(data_tiles())
     return protocol_module.TileResponse(
         session_id=draw(st.text("abcdefgh-123", min_size=1, max_size=8)),
-        tile=protocol_module.TileRef.from_key(key),
+        tile=protocol_module.TileRef.from_key(tile.key),
         latency_seconds=draw(st.floats(0.0, 10.0, allow_nan=False)),
         hit=draw(st.booleans()),
         payload=protocol_module.TilePayload.from_tile(tile, binary=True),
@@ -464,6 +474,115 @@ class TestBinaryFramingProperties:
         decoder = protocol_module.FrameDecoder("binary")
         with pytest.raises(protocol_module.FramingError):
             decoder.feed(b"\x7f")
+
+
+# ----------------------------------------------------------------------
+# encode once, send many: the cached-segment encoder vs the reference
+# ----------------------------------------------------------------------
+_tile_refs = tile_keys(max_level=3).map(protocol_module.TileRef.from_key)
+
+
+@st.composite
+def payloadless_messages(draw, tile):
+    """The per-send header of a reply or a push for ``tile``."""
+    ref = protocol_module.TileRef.from_key(tile.key)
+    session_id = draw(st.text(min_size=1, max_size=8))
+    if draw(st.booleans()):
+        return protocol_module.TileResponse(
+            session_id=session_id,
+            tile=ref,
+            latency_seconds=draw(st.floats(0.0, 10.0, allow_nan=False)),
+            hit=draw(st.booleans()),
+            phase=draw(st.sampled_from([None, "Foraging", "Sensemaking"])),
+            prefetched=tuple(draw(st.lists(_tile_refs, max_size=3))),
+        )
+    return protocol_module.PushTile(
+        session_id=session_id,
+        tile=ref,
+        rank=draw(st.integers(0, 8)),
+        generation=draw(st.integers(0, 1000)),
+        utility=draw(st.floats(0.0, 4.0, allow_nan=False)),
+    )
+
+
+class TestEncodeOnceProperties:
+    """``encode_tile_frame`` is the reference encoder, byte for byte —
+    on the send that fills the cache and on every send after it."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        data=st.data(),
+        tile=data_tiles(
+            dtypes=st.sampled_from(
+                ["float64", "float32", "float16", "int64", "int16",
+                 "uint8", "bool"]
+            ),
+            finite=False,
+        ),
+        framing=st.sampled_from(["lines", "length", "binary"]),
+    )
+    def test_byte_identical_to_encode_wire_cold_and_warm(
+        self, data, tile, framing
+    ):
+        cache = protocol_module.TileSegmentCache()
+        binary = framing == "binary"
+        for sends in (1, 2, 3):
+            message = data.draw(payloadless_messages(tile))
+            reference = protocol_module.encode_wire(
+                replace(
+                    message,
+                    payload=protocol_module.TilePayload.from_tile(
+                        tile, binary=binary
+                    ),
+                ),
+                framing,
+            )
+            frame = protocol_module.encode_tile_frame(
+                message,
+                tile,
+                framing,
+                protocol_module.DEFAULT_MAX_FRAME_BYTES,
+                cache,
+            )
+            assert frame == reference
+            assert cache.stats()["misses"] == 1
+            assert cache.stats()["hits"] == sends - 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        data=st.data(),
+        tile=data_tiles(),
+        framing=st.sampled_from(["lines", "length", "binary"]),
+    )
+    def test_size_limit_raises_what_the_reference_raises(
+        self, data, tile, framing
+    ):
+        message = data.draw(payloadless_messages(tile))
+        complete = replace(
+            message,
+            payload=protocol_module.TilePayload.from_tile(
+                tile, binary=framing == "binary"
+            ),
+        )
+        exact = len(protocol_module.encode_wire(complete, framing)) - (
+            {"lines": 1, "length": 4, "binary": 5}[framing]
+        )
+        cache = protocol_module.TileSegmentCache()
+        for limit in (exact, exact - 1, exact - 1):
+            try:
+                reference = protocol_module.encode_wire(
+                    complete, framing, limit
+                )
+            except protocol_module.FrameTooLargeError as exc:
+                reference = str(exc)
+            try:
+                frame = protocol_module.encode_tile_frame(
+                    message, tile, framing, limit, cache
+                )
+            except protocol_module.FrameTooLargeError as exc:
+                frame = str(exc)
+            assert frame == reference
+        assert isinstance(frame, str)  # the tight limit did refuse
 
 
 # ----------------------------------------------------------------------

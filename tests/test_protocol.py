@@ -27,6 +27,7 @@ from repro.middleware.protocol import (
     TileRef,
     TileRequest,
     TileResponse,
+    TileSegmentCache,
     VersionMismatchError,
     Welcome,
     negotiate_version,
@@ -237,6 +238,98 @@ class TestPayloadEdgeCases:
         restored = back.payload.to_tile()
         assert restored.attributes["v"].shape == (0, 0)
         assert restored.attributes["v"].dtype == np.int16
+
+
+class TestTileSegmentCache:
+    """The encode-once store: byte-bounded, LRU, counted."""
+
+    @staticmethod
+    def segment(size: int) -> tuple[bytes, bytes]:
+        return b"t" * (size // 2), b"b" * (size - size // 2)
+
+    def test_budget_is_honoured_by_evicting_least_recently_sent(self):
+        cache = TileSegmentCache(budget_bytes=100)
+        for name in "abc":
+            cache.put(name, self.segment(40))
+            assert cache.bytes <= 100
+        # "a" was the oldest; admitting "c" pushed it out.
+        assert cache.get("a") is None
+        assert cache.get("b") is not None  # now the most recent
+        cache.put("d", self.segment(40))
+        assert cache.get("c") is None
+        assert cache.get("b") is not None
+        assert cache.stats() == {
+            "entries": 2,
+            "bytes": 80,
+            "hits": 2,
+            "misses": 2,
+            "evictions": 2,
+        }
+
+    def test_entry_larger_than_the_budget_is_never_stored(self):
+        cache = TileSegmentCache(budget_bytes=100)
+        cache.put("small", self.segment(60))
+        cache.put("huge", self.segment(101))
+        assert cache.get("huge") is None
+        # ... and did not evict what was there to make room.
+        assert cache.get("small") is not None
+        assert (len(cache), cache.bytes, cache.evictions) == (1, 60, 0)
+
+    def test_replacing_an_entry_recounts_its_bytes(self):
+        cache = TileSegmentCache(budget_bytes=100)
+        cache.put("a", self.segment(60))
+        cache.put("a", self.segment(30))
+        assert (len(cache), cache.bytes, cache.evictions) == (1, 30, 0)
+
+    def test_default_budget_is_the_module_constant(self):
+        assert TileSegmentCache().budget_bytes == protocol.SEGMENT_CACHE_BYTES
+        with pytest.raises(ValueError):
+            TileSegmentCache(budget_bytes=-1)
+
+    def test_oversized_tile_is_encoded_but_not_kept(self):
+        tile = DataTile(
+            key=TileKey(1, 0, 0),
+            attributes={"v": np.arange(64, dtype="float64").reshape(8, 8)},
+        )
+        message = TileResponse(
+            session_id="s", tile=TileRef(1, 0, 0), latency_seconds=0.0, hit=True
+        )
+        cache = TileSegmentCache(budget_bytes=16)
+        for _ in range(2):
+            frame = protocol.encode_tile_frame(
+                message, tile, "lines", protocol.DEFAULT_MAX_FRAME_BYTES, cache
+            )
+            back = protocol.decode(frame.decode("utf-8"))
+            np.testing.assert_array_equal(
+                back.payload.to_tile().attributes["v"], tile.attributes["v"]
+            )
+        assert cache.stats()["entries"] == 0
+        assert cache.stats()["misses"] == 2
+
+    @pytest.mark.parametrize(
+        "message",
+        [
+            TileResponse(
+                session_id="s",
+                tile=TileRef(1, 0, 0),
+                latency_seconds=0.0,
+                hit=True,
+                fidelity=0.25,
+            ),
+            SessionInfo("s", True, "sync", 0, 0, 0.0, 0.0),
+        ],
+        ids=["reduced-fidelity", "no-payload-type"],
+    )
+    def test_only_full_fidelity_tile_messages_are_accepted(self, message):
+        tile = DataTile(
+            key=TileKey(1, 0, 0), attributes={"v": np.zeros((2, 2))}
+        )
+        cache = TileSegmentCache()
+        with pytest.raises(ValueError):
+            protocol.encode_tile_frame(
+                message, tile, "binary", protocol.DEFAULT_MAX_FRAME_BYTES, cache
+            )
+        assert cache.stats()["misses"] == 0
 
 
 class TestForwardCompatibility:

@@ -747,6 +747,65 @@ class TestPushEndToEnd:
                     assert cache.get(k).shape == (32, 32)
                     assert 0.0 < cache.fidelity(k) <= 1.0
 
+    def test_second_walker_is_pushed_from_the_segment_cache(
+        self, push_server, small_dataset
+    ):
+        pyramid = small_dataset.pyramid
+        segments = push_server.server.segment_cache
+        pushed = []
+        for _ in range(2):
+            with SocketTransport(
+                *push_server.address, pyramid=pyramid, push=True
+            ) as transport:
+                conn = transport.connect()
+                for move, k in PAN_WALK:
+                    conn.handle_request(move, k)
+                for k in conn.push_cache.digest():
+                    held = conn.push_cache.get(k)
+                    full = pyramid.fetch_tile(k, charge=False)
+                    for name, array in full.attributes.items():
+                        assert (held.attributes[name] == array).all()
+                pushed.append(conn.push_cache.pushed)
+            if len(pushed) == 1:
+                first = segments.stats()
+        # The first walker's sends encoded every tile; the second walks
+        # the same tiles and is served those encodings, pushes included.
+        assert pushed[0] == pushed[1] > 0
+        second = segments.stats()
+        assert second["misses"] == first["misses"]
+        assert second["hits"] - first["hits"] >= pushed[1]
+
+    def test_coarse_push_frames_never_enter_the_segment_cache(
+        self, small_dataset
+    ):
+        pyramid = small_dataset.pyramid
+        config = ServiceConfig(
+            prefetch=PrefetchPolicy(k=4, push="on", fidelity="progressive"),
+            cache=CacheConfig(recent_capacity=4, prefetch_capacity=8),
+        )
+        with ThreadedSocketServer(
+            pyramid, config, engine_factory=engine_factory(pyramid)
+        ) as server:
+            with SocketTransport(
+                *server.address, push=True, push_cache_capacity=64
+            ) as pushy:
+                conn = pushy.connect()
+                for move, k in PAN_WALK:
+                    conn.handle_request(move, k)
+                streamed = conn.push_cache.digest()
+            assert server.server.push_scheduler.stats()["coarse_tiles"] > 0
+            # A coarse frame shares its key with the full tile.  Had one
+            # been stored, a plain client asking for that key would now
+            # be handed the block-averaged bytes.
+            with SocketTransport(*server.address) as plain:
+                conn = plain.connect()
+                for k in streamed:
+                    response = conn.handle_request(None, k)
+                    full = pyramid.fetch_tile(k, charge=False)
+                    assert response.fidelity == 1.0
+                    for name, array in full.attributes.items():
+                        assert (response.tile.attributes[name] == array).all()
+
     def test_push_requires_payload_serving(self, small_dataset):
         with pytest.raises(ValueError, match="metadata-only"):
             ThreadedSocketServer(
