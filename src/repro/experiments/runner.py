@@ -415,13 +415,14 @@ def replay_model_latency(
         return _replay_async_frontend(
             context, factory, k, prefetch_mode, shared_hotspots
         )
-    if frontend == "socket":
-        return _replay_socket_frontend(
-            context, factory, k, prefetch_mode, shared_hotspots
-        )
-    if frontend == "cluster":
-        return _replay_cluster_frontend(
-            context, factory, k, prefetch_mode, shared_hotspots
+    if frontend in ("socket", "cluster"):
+        return _replay_wire_frontend(
+            context,
+            factory,
+            k,
+            prefetch_mode,
+            shared_hotspots,
+            cluster=frontend == "cluster",
         )
     recorder = LatencyRecorder()
     for _, train, test in leave_one_user_out(context.study):
@@ -545,12 +546,14 @@ def _replay_async_frontend(
     return asyncio.run(replay_all())
 
 
-def _replay_socket_frontend(
+def _replay_wire_frontend(
     context,
     factory,
     k: int,
     prefetch_mode: str = "sync",
     shared_hotspots: str = "off",
+    *,
+    cluster: bool = False,
 ):
     """The whole LOO replay over real loopback TCP.
 
@@ -560,8 +563,15 @@ def _replay_socket_frontend(
     ends.  Latencies are reconstructed *client-side* from the wire
     responses — what a real browser would report — which must equal the
     server-side recorder to the bit.
+
+    With ``cluster`` the endpoint is a 1-worker cluster instead: the
+    client connects to the consistent-hash router, which owns the
+    handshake and forwards every request to the single worker.  The
+    numbers must not move — the router adds transport hops, never
+    virtual latency.
     """
     from repro.middleware.client import BrowsingSession
+    from repro.middleware.cluster import ThreadedClusterServer
     from repro.middleware.latency import LatencyRecorder
     from repro.middleware.net import SocketTransport, ThreadedSocketServer
 
@@ -570,60 +580,20 @@ def _replay_socket_frontend(
         engine = factory(train)
         for trace in test:
             engine.reset()
-            with ThreadedSocketServer(
-                context.pyramid,
-                _figure12_config(k, prefetch_mode, shared_hotspots),
-                engine_factory=lambda: engine,
-                # The replay is sequential; don't spawn (and join) a full
-                # 8-thread bridge pool per trace.
-                max_workers=1,
-            ) as server:
+            config = _figure12_config(k, prefetch_mode, shared_hotspots)
+            # The replay is sequential; don't spawn (and join) a full
+            # 8-thread bridge pool per trace.
+            serving = dict(engine_factory=lambda: engine, max_workers=1)
+            endpoint = (
+                ThreadedClusterServer(
+                    context.pyramid, config, workers=1, **serving
+                )
+                if cluster
+                else ThreadedSocketServer(context.pyramid, config, **serving)
+            )
+            with endpoint:
                 with SocketTransport(
-                    *server.address, pyramid=context.pyramid
-                ) as transport:
-                    conn = transport.connect()
-                    responses = BrowsingSession(conn).replay(trace)
-                    conn.close()
-            for response in responses:
-                recorder.record(response.latency_seconds, response.hit)
-    return recorder
-
-
-def _replay_cluster_frontend(
-    context,
-    factory,
-    k: int,
-    prefetch_mode: str = "sync",
-    shared_hotspots: str = "off",
-):
-    """The whole LOO replay through a 1-worker cluster.
-
-    Same cold-service-per-trace discipline as the socket front end,
-    with the consistent-hash router in the path: client connects to the
-    router, the router owns the handshake and forwards every request to
-    the single worker.  Client-side reconstruction must still equal the
-    pinned figure numbers to the bit — the router adds transport hops,
-    never virtual latency.
-    """
-    from repro.middleware.client import BrowsingSession
-    from repro.middleware.cluster import ThreadedClusterServer
-    from repro.middleware.latency import LatencyRecorder
-    from repro.middleware.net import SocketTransport
-
-    recorder = LatencyRecorder()
-    for _, train, test in leave_one_user_out(context.study):
-        engine = factory(train)
-        for trace in test:
-            engine.reset()
-            with ThreadedClusterServer(
-                context.pyramid,
-                _figure12_config(k, prefetch_mode, shared_hotspots),
-                workers=1,
-                engine_factory=lambda: engine,
-                max_workers=1,
-            ) as cluster:
-                with SocketTransport(
-                    *cluster.address, pyramid=context.pyramid
+                    *endpoint.address, pyramid=context.pyramid
                 ) as transport:
                     conn = transport.connect()
                     responses = BrowsingSession(conn).replay(trace)

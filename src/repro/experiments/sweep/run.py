@@ -188,63 +188,35 @@ def _replay_inprocess(
     return recorder, wall, tracked
 
 
-def _replay_socket(
-    pyramid, config: ServiceConfig, walks, settle: bool
+def _replay_wire(
+    pyramid,
+    config: ServiceConfig,
+    walks,
+    settle: bool,
+    workers: int | None = None,
 ) -> tuple[LatencyRecorder, float, int]:
+    """Replay over loopback TCP: against one socket server, or — with
+    ``workers`` — through the router of an all-threads cluster."""
+    from repro.middleware.cluster import ThreadedClusterServer
     from repro.middleware.net import SocketTransport, ThreadedSocketServer
 
+    serving = dict(engine_factory=_engine_factory(pyramid.grid), max_workers=2)
+    endpoint = (
+        ThreadedSocketServer(pyramid, config, **serving)
+        if workers is None
+        else ThreadedClusterServer(pyramid, config, workers=workers, **serving)
+    )
     recorder = LatencyRecorder()
-    with ThreadedSocketServer(
-        pyramid,
-        config,
-        engine_factory=_engine_factory(pyramid.grid),
-        max_workers=2,
-    ) as server:
-        # The sync facade under the asyncio server — the sweep owns the
-        # whole stack, so draining it directly between requests is fair
-        # game (drain/wait_idle is thread-safe by design).
-        inner = server.server.service.service
+    with endpoint:
+        # The sync facades under the asyncio servers — the sweep owns the
+        # whole stack, so draining them directly between requests is fair
+        # game (drain/wait_idle is thread-safe by design).  Draining must
+        # reach *every* worker's scheduler: a request's prefetch round
+        # runs on whichever worker owns its tile key.
+        servers = [endpoint] if workers is None else endpoint.workers
+        inner = [threaded.server.service.service for threaded in servers]
         with SocketTransport(
-            *server.address,
-            pyramid=pyramid,
-            push=config.prefetch.push_enabled,
-        ) as transport:
-            start = time.perf_counter()
-            for index, walk in enumerate(walks):
-                client = transport.connect(session_id=f"user-{index + 1}")
-                try:
-                    for move, key in walk:
-                        response = client.handle_request(move, key)
-                        recorder.record(response.latency_seconds, response.hit)
-                        if settle:
-                            inner.drain()
-                finally:
-                    client.close()
-            wall = time.perf_counter() - start
-        registry = inner.hotspot_registry
-        tracked = len(registry) if registry is not None else 0
-    return recorder, wall, tracked
-
-
-def _replay_cluster(
-    pyramid, config: ServiceConfig, walks, settle: bool, workers: int
-) -> tuple[LatencyRecorder, float, int]:
-    from repro.middleware.cluster import ThreadedClusterServer
-    from repro.middleware.net import SocketTransport
-
-    recorder = LatencyRecorder()
-    with ThreadedClusterServer(
-        pyramid,
-        config,
-        workers=workers,
-        engine_factory=_engine_factory(pyramid.grid),
-        max_workers=2,
-    ) as cluster:
-        # Draining must reach *every* worker's scheduler: a request's
-        # prefetch round runs on whichever worker owns its tile key.
-        inner = [w.server.service.service for w in cluster.workers]
-        with SocketTransport(
-            *cluster.address,
+            *endpoint.address,
             pyramid=pyramid,
             push=config.prefetch.push_enabled,
         ) as transport:
@@ -312,18 +284,19 @@ def run_cell(cell: SweepCell) -> CellResult:
     walks = cell_walks(params, dataset)
     config = cell_config(params)
     settle = params["settle"] and config.prefetch.background
-    if params["frontend"] == "cluster":
-        recorder, wall, tracked = _replay_cluster(
-            dataset.pyramid, config, walks, settle, params["cluster_workers"]
+    if params["frontend"] == "inprocess":
+        recorder, wall, tracked = _replay_inprocess(
+            dataset.pyramid, config, walks, settle
         )
     else:
-        replay = (
-            _replay_socket
-            if params["frontend"] == "socket"
-            else _replay_inprocess
-        )
-        recorder, wall, tracked = replay(
-            dataset.pyramid, config, walks, settle
+        recorder, wall, tracked = _replay_wire(
+            dataset.pyramid,
+            config,
+            walks,
+            settle,
+            params["cluster_workers"]
+            if params["frontend"] == "cluster"
+            else None,
         )
     metrics = {
         "requests": recorder.count,

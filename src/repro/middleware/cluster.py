@@ -49,6 +49,14 @@ end speaking the *existing* wire protocol to clients:
   surviving worker (sessions open on every worker, so the survivor
   already has the session — no re-open round trip).
 
+Protocol logic is shared, not copied: the router serves its clients
+with the worker's own serve loop (:class:`~repro.middleware.net._WireServer`
+— same dispatch guard, same typed replies, a repeated ``hello`` refused
+alike) and supplies only its message handlers; each backend link is an
+I/O shell around the same
+:class:`~repro.middleware.connection.ClientConnection` core as the
+user-facing socket clients.
+
 Backend links are **per client connection**: a client that negotiated
 push gets push-capable links, a pull-only client gets pull-only links.
 This keeps worker-side behaviour bit-identical to a direct connection
@@ -80,36 +88,42 @@ import bisect
 import contextlib
 import hashlib
 import multiprocessing
-import threading
 import time
-from collections import deque
 from dataclasses import dataclass, replace
-from typing import NamedTuple
 
 from repro.core.popularity import SharedHotspotRegistry
 from repro.middleware.config import ServiceConfig
-from repro.middleware.net import ForeCacheSocketServer, ThreadedSocketServer
+from repro.middleware.connection import (
+    ClientConnection,
+    OpaqueFrame,
+    decode_opaque,
+)
+from repro.middleware.net import (
+    ForeCacheSocketServer,
+    ThreadedSocketServer,
+    _ConnectionState,
+    _LoopThread,
+    _PeriodicTask,
+    _WireServer,
+    _core_attribute,
+)
 from repro.middleware.protocol import (
     DEFAULT_MAX_FRAME_BYTES,
     CloseSession,
     DuplicateSessionError,
     ErrorInfo,
-    FrameDecoder,
+    FrameTooLargeError,
     Hello,
     HotspotGossip,
     InvalidRequestError,
     OpenSession,
     ProtocolError,
     PushAck,
-    PushTile,
     SessionInfo,
-    SessionNotFoundError,
     TileRequest,
     Welcome,
     WorkerUnavailableError,
-    binary_message_type,
     decode_wire,
-    encode_wire,
     frame_binary_body,
     negotiate_payload,
     negotiate_version,
@@ -218,19 +232,15 @@ class ConsistentHashRing:
 # ----------------------------------------------------------------------
 # backend links
 # ----------------------------------------------------------------------
-class _OpaqueFrame(NamedTuple):
-    """A worker's payload-bearing binary frame, forwarded unopened:
-    its type name (read from the header) and its raw body."""
-
-    type: str
-    body: bytes
-
-
 class _BackendLink:
     """One router→worker connection speaking the wire protocol.
 
-    The router is a *client* of each worker.  A link dies the moment a
-    stream operation fails or a round trip outlasts
+    The router is a *client* of each worker: the link is one more I/O
+    shell around a :class:`~repro.middleware.connection.ClientConnection`,
+    differing from the user-facing clients in two decisions — push
+    frames are collected for forwarding rather than absorbed, and (for a
+    binary client) payload-bearing frames come back unopened.  A link
+    dies the moment a stream operation fails or a round trip outlasts
     ``_ROUNDTRIP_DEADLINE_SECONDS``; death is sticky and converts to the
     typed ``worker_unavailable`` error so the real client can retry (the
     ring will have re-mapped the key by then).
@@ -248,18 +258,16 @@ class _BackendLink:
         self.node = node
         self.host = host
         self.port = port
-        self.max_frame_bytes = max_frame_bytes
         self.dead = False
-        self.push = False
-        self.payload = "json"
-        self.server_max_frame_bytes = 0
         self._stalled = False
-        self._wire = framing
-        self._decoder = FrameDecoder(framing, max_frame_bytes)
-        self._pending: deque = deque()
+        self._core = ClientConnection(framing, max_frame_bytes)
         self._reader: asyncio.StreamReader | None = None
         self._writer: asyncio.StreamWriter | None = None
         self._lock = asyncio.Lock()
+
+    push = _core_attribute("push_enabled")
+    payload = _core_attribute("payload")
+    server_max_frame_bytes = _core_attribute("server_max_frame_bytes")
 
     async def connect(
         self,
@@ -277,47 +285,35 @@ class _BackendLink:
             raise WorkerUnavailableError(
                 f"worker {self.node} is unreachable: {exc}"
             ) from exc
-        hello = Hello(
-            client=client_name,
-            push=push,
-            payloads=("json", "binary") if binary else ("json",),
+        hello = self._core.hello(
+            client_name, push=push, payload="binary" if binary else "json"
         )
-        welcome, pushes = await self.roundtrip(hello)
-        if pushes or not isinstance(welcome, Welcome):
+        reply, _ = await self.roundtrip(hello)
+        try:
+            return self._core.welcome(reply)
+        except ProtocolError as exc:
             self._die()
             raise WorkerUnavailableError(
-                f"worker {self.node} sent a malformed handshake reply"
-            )
-        self.push = welcome.push
-        self.payload = welcome.payload
-        self.server_max_frame_bytes = welcome.max_frame_bytes
-        if welcome.payload == "binary":
-            # The worker switches to binary frames right after its
-            # welcome; follow suit on our side of the link.
-            self._wire = "binary"
-            self._decoder.switch_to_binary()
-        if welcome.max_frame_bytes > 0:
-            # Never let a legitimate large worker reply trip our decoder.
-            self._decoder.max_frame_bytes = max(
-                self._decoder.max_frame_bytes, welcome.max_frame_bytes
-            )
-        return welcome
+                f"worker {self.node} refused the handshake: {exc}"
+            ) from exc
 
     async def roundtrip(self, message, *, opaque: bool = False):
         """Send one message, return ``(reply, pushes)``.
 
         Push frames streamed ahead of the reply are collected and
         returned for forwarding.  With ``opaque`` the payload-bearing
-        binary frames among them come back as :class:`_OpaqueFrame`,
+        binary frames among them come back as :class:`OpaqueFrame`,
         only their header parsed.  Any stream failure, an unparseable
         frame, or a worker that does not answer within the deadline
         marks the link dead and raises the typed worker-down error.
-        Encoding happens *before* the failure guard: an oversized
+        Framing happens *before* the failure guard: an oversized
         outgoing frame is a local, recoverable error — not worker death.
         """
         if self.dead or self._writer is None:
             raise WorkerUnavailableError(f"worker {self.node} is down")
-        data = encode_wire(message, self._wire, self.max_frame_bytes)
+        core = self._core
+        data = core.begin(message)
+        decode = decode_opaque if opaque else decode_wire
         pushes: list = []
         # The deadline aborts the transport, which fails the pending
         # drain/read below like any other connection loss.
@@ -328,15 +324,9 @@ class _BackendLink:
             async with self._lock:
                 self._writer.write(data)
                 await self._writer.drain()
-                while True:
-                    reply = await self._recv_message(opaque)
-                    if isinstance(reply, PushTile) or (
-                        isinstance(reply, _OpaqueFrame)
-                        and reply.type == "push_tile"
-                    ):
-                        pushes.append(reply)
-                        continue
-                    return reply, pushes
+                while (reply := core.reply(decode, pushes.append)) is None:
+                    core.receive(await self._reader.read(_READ_CHUNK))
+                return reply, pushes
         except (ConnectionError, OSError, ProtocolError) as exc:
             self._die()
             reason = (
@@ -349,18 +339,6 @@ class _BackendLink:
             ) from exc
         finally:
             deadline.cancel()
-
-    async def _recv_message(self, opaque: bool):
-        assert self._reader is not None
-        while not self._pending:
-            chunk = await self._reader.read(_READ_CHUNK)
-            if not chunk:
-                raise ConnectionResetError("worker closed the connection")
-            self._pending.extend(self._decoder.feed(chunk))
-        frame = self._pending.popleft()
-        if opaque and isinstance(frame, bytes):
-            return _OpaqueFrame(binary_message_type(frame), frame)
-        return decode_wire(frame)
 
     def _stall(self) -> None:
         self._stalled = True
@@ -375,40 +353,25 @@ class _BackendLink:
             self._writer = None
 
     async def aclose(self) -> None:
-        if self._writer is not None:
-            writer = self._writer
-            self._writer = None
-            was_dead = self.dead
-            self.dead = True
+        writer, self._writer = self._writer, None
+        self.dead = True
+        if writer is not None:  # else never connected, or already died
             with contextlib.suppress(Exception):
                 writer.close()
-                if not was_dead:
-                    # A dead peer (SIGKILLed worker) may never complete
-                    # the close handshake; don't hang shutdown on it.
-                    with contextlib.suppress(asyncio.CancelledError):
-                        await asyncio.wait_for(writer.wait_closed(), 5)
-        self.dead = True
+                # A dead peer (SIGKILLed worker) may never complete
+                # the close handshake; don't hang shutdown on it.
+                with contextlib.suppress(asyncio.CancelledError):
+                    await asyncio.wait_for(writer.wait_closed(), 5)
 
 
-class _RouterClientState:
-    """Per-client-connection bookkeeping inside the router."""
+class _RouterClientState(_ConnectionState):
+    """Per-client-connection bookkeeping inside the router: the shared
+    serving state plus this client's own backend links."""
 
-    __slots__ = (
-        "sessions",
-        "negotiated",
-        "push",
-        "payload",
-        "payload_pending",
-        "links",
-        "session_worker",
-    )
+    __slots__ = ("links", "session_worker")
 
     def __init__(self) -> None:
-        self.sessions: set[str] = set()
-        self.negotiated = False
-        self.push = False
-        self.payload = "json"
-        self.payload_pending = False
+        super().__init__()
         self.links: dict[str, _BackendLink] = {}
         self.session_worker: dict[str, str] = {}
 
@@ -416,7 +379,7 @@ class _RouterClientState:
 # ----------------------------------------------------------------------
 # the router
 # ----------------------------------------------------------------------
-class TileServiceRouter:
+class TileServiceRouter(_WireServer):
     """Thin asyncio router fronting N socket workers.
 
     Speaks the unchanged wire protocol to clients; owns no tile state
@@ -480,14 +443,8 @@ class TileServiceRouter:
         # channel.  No sessions ever open on a control link, so no push
         # frames flow on it even though push is offered.
         self._closing = asyncio.Event()
-        for node, (host, port) in sorted(self.worker_addrs.items()):
-            link = _BackendLink(
-                node,
-                host,
-                port,
-                framing=self.framing,
-                max_frame_bytes=self.max_frame_bytes,
-            )
+        for node in sorted(self.worker_addrs):
+            link = self._new_link(node)
             await link.connect(push=True, binary="binary" in self.payloads)
             self._control[node] = link
             self._alive.add(node)
@@ -509,6 +466,16 @@ class TileServiceRouter:
             )
             self._gossiper.start()
         return (self.host, self.port)
+
+    def _new_link(self, node: str) -> _BackendLink:
+        host, port = self.worker_addrs[node]
+        return _BackendLink(
+            node,
+            host,
+            port,
+            framing=self.framing,
+            max_frame_bytes=self.max_frame_bytes,
+        )
 
     @property
     def address(self) -> tuple[str, int]:
@@ -543,136 +510,30 @@ class TileServiceRouter:
         if link is not None:
             link._die()
 
-    # -- client serve loop (mirrors ForeCacheSocketServer) -------------
-    async def _serve_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        assert self._closing is not None
-        state = _RouterClientState()
-        decoder = FrameDecoder(self.framing, self.max_frame_bytes)
-        closing_wait = asyncio.ensure_future(self._closing.wait())
-        try:
-            while not self._closing.is_set():
-                read_task = asyncio.ensure_future(reader.read(_READ_CHUNK))
-                await asyncio.wait(
-                    {read_task, closing_wait},
-                    return_when=asyncio.FIRST_COMPLETED,
-                )
-                if not read_task.done():
-                    read_task.cancel()
-                    with contextlib.suppress(
-                        asyncio.CancelledError, ConnectionError, OSError
-                    ):
-                        await read_task
-                    break
-                try:
-                    data = read_task.result()
-                except (ConnectionError, OSError):
-                    break
-                if not data:
-                    break
-                try:
-                    frames = decoder.feed(data)
-                except ProtocolError as exc:
-                    with contextlib.suppress(ConnectionError, OSError):
-                        writer.write(
-                            self._encode_out(
-                                ErrorInfo.from_exception(exc), state
-                            )
-                        )
-                        await writer.drain()
-                    break
-                out: list[bytes] = []
-                fatal = False
-                for frame in frames:
-                    messages, fatal = await self._dispatch(frame, state)
-                    for message in messages:
-                        out.append(self._encode_out(message, state))
-                    if state.payload_pending:
-                        # The welcome granting "binary" went out in the
-                        # pre-handshake framing; every frame after it —
-                        # both directions — speaks binary.
-                        state.payload_pending = False
-                        state.payload = "binary"
-                        decoder.switch_to_binary()
-                    if fatal:
-                        break
-                if out:
-                    try:
-                        writer.writelines(out)
-                        await writer.drain()
-                    except (ConnectionError, OSError):
-                        break
-                if fatal:
-                    break
-        finally:
-            closing_wait.cancel()
-            with contextlib.suppress(asyncio.CancelledError):
-                await closing_wait
-            for link in state.links.values():
-                await link.aclose()
-            state.links.clear()
-            writer.close()
-            with contextlib.suppress(Exception):
-                await writer.wait_closed()
+    # -- client serving (the loop itself is _WireServer's) --------------
+    _connection_state = _RouterClientState
 
-    def _wire_framing(self, state: _RouterClientState) -> str:
-        return "binary" if state.payload == "binary" else self.framing
+    async def _release(self, state: _RouterClientState) -> None:
+        for link in state.links.values():
+            await link.aclose()
+        state.links.clear()
 
     def _encode_out(self, message, state: _RouterClientState) -> bytes:
-        framing = self._wire_framing(state)
-        try:
-            if isinstance(message, _OpaqueFrame):
-                # Worker and client both speak binary: the body goes on
-                # as it came, checked against this router's own budget.
-                # The client's decoder validates every byte of it.
+        if isinstance(message, OpaqueFrame):
+            # Worker and client both speak binary: the body goes on
+            # as it came, checked against this router's own budget.
+            # The client's decoder validates every byte of it.
+            try:
                 frame = frame_binary_body(message.body, self.max_frame_bytes)
-                self.frames_spliced += 1
-                return frame
-            return encode_wire(message, framing, self.max_frame_bytes)
-        except ProtocolError as exc:
-            # The response outgrew the frame budget — report that
-            # instead of silently dropping it (mirrors the worker).
-            return encode_wire(ErrorInfo.from_exception(exc), framing)
-
-    async def _dispatch(self, frame, state: _RouterClientState):
-        """Serve one client frame; returns ``(messages, fatal)``."""
-        try:
-            message = decode_wire(frame)
-        except ProtocolError as exc:
-            return [ErrorInfo.from_exception(exc)], False
-        if not state.negotiated and not isinstance(message, Hello):
-            error = InvalidRequestError(
-                "connection must open with a hello frame, got "
-                f"{type(message).__name__}"
-            )
-            return [ErrorInfo.from_exception(error)], True
-        try:
-            if isinstance(message, Hello):
-                return await self._serve_hello(message, state)
-            if isinstance(message, OpenSession):
-                return await self._serve_open(message, state)
-            if isinstance(message, CloseSession):
-                return await self._serve_close(message, state)
-            if isinstance(message, TileRequest):
-                return await self._serve_request(message, state)
-            if isinstance(message, PushAck):
-                return await self._serve_ack(message, state)
-            if isinstance(message, HotspotGossip):
-                return self._serve_gossip(message)
-            raise InvalidRequestError(
-                f"unexpected message type "
-                f"{type(message).__name__!r} from client"
-            )
-        except ProtocolError as exc:
-            return [ErrorInfo.from_exception(exc)], isinstance(
-                message, Hello
-            )
+            except FrameTooLargeError as exc:
+                message = ErrorInfo.from_exception(exc)
+                return super()._encode_out(message, state)
+            self.frames_spliced += 1
+            return frame
+        return super()._encode_out(message, state)
 
     # -- handshake -----------------------------------------------------
     async def _serve_hello(self, message: Hello, state: _RouterClientState):
-        if state.negotiated:
-            raise InvalidRequestError("handshake already completed")
         version = negotiate_version(message.versions)
         push_wanted = bool(message.push) and self._push_capable
         offer_binary = "binary" in self.payloads and self._backend_binary
@@ -680,14 +541,7 @@ class TileServiceRouter:
         # this client asked for it, so workers never run push rounds
         # (which populate their caches) for pull-only clients.
         for node in sorted(self._alive):
-            host, port = self.worker_addrs[node]
-            link = _BackendLink(
-                node,
-                host,
-                port,
-                framing=self.framing,
-                max_frame_bytes=self.max_frame_bytes,
-            )
+            link = self._new_link(node)
             try:
                 await link.connect(push=push_wanted, binary=offer_binary)
             except WorkerUnavailableError:
@@ -695,11 +549,7 @@ class TileServiceRouter:
                 continue
             state.links[node] = link
         if not state.links:
-            return [
-                ErrorInfo.from_exception(
-                    WorkerUnavailableError("no live workers on the ring")
-                )
-            ], True
+            raise WorkerUnavailableError("no live workers on the ring")
         push_granted = push_wanted and all(
             link.push for link in state.links.values()
         )
@@ -716,7 +566,6 @@ class TileServiceRouter:
         max_frame = min([self.max_frame_bytes, *limits])
         state.negotiated = True
         state.push = push_granted
-        state.payload = "json"
         state.payload_pending = payload == "binary"
         welcome = Welcome(
             version=version,
@@ -725,98 +574,22 @@ class TileServiceRouter:
             push=push_granted,
             payload=payload,
         )
-        return [welcome], False
+        return [welcome]
 
     # -- session lifecycle ---------------------------------------------
     def _next_session_id(self) -> str:
         self._session_counter += 1
         return f"session-{self._session_counter}"
 
-    async def _serve_open(
-        self, message: OpenSession, state: _RouterClientState
-    ):
-        session_id = (
-            str(message.session_id)
-            if message.session_id is not None
-            else self._next_session_id()
-        )
-        auto = message.session_id is None
-        reply: SessionInfo | ErrorInfo | None = None
-        opened: list[str] = []
-        for _ in range(64):
-            reply, opened = await self._broadcast_open(
-                OpenSession(session_id=session_id), state
-            )
-            if (
-                auto
-                and isinstance(reply, ErrorInfo)
-                and reply.code == DuplicateSessionError.code
-            ):
-                # Another client claimed the auto id first (each worker
-                # numbers its own sessions); roll back and renumber.
-                await self._rollback_open(session_id, opened, state)
-                session_id = self._next_session_id()
-                continue
-            break
-        if isinstance(reply, ErrorInfo):
-            await self._rollback_open(session_id, opened, state)
-            return [reply], False
-        state.sessions.add(session_id)
-        return [reply], False
+    async def _broadcast(
+        self, message: "OpenSession | CloseSession", state: _RouterClientState
+    ) -> "tuple[list[SessionInfo], ErrorInfo]":
+        """Send one session-lifecycle message to every live worker.
 
-    async def _broadcast_open(
-        self, message: OpenSession, state: _RouterClientState
-    ):
-        """Open the session on every live worker; first success wins
-        the reply.  Returns ``(reply, opened_nodes)``."""
-        reply: SessionInfo | None = None
-        opened: list[str] = []
-        error: ErrorInfo | None = None
-        for node in sorted(state.links):
-            link = state.links[node]
-            if link.dead:
-                continue
-            try:
-                result, _ = await link.roundtrip(message)
-            except WorkerUnavailableError:
-                self._mark_worker_dead(node)
-                continue
-            if isinstance(result, ErrorInfo):
-                error = error or result
-                continue
-            if isinstance(result, SessionInfo):
-                opened.append(node)
-                if reply is None:
-                    reply = result
-        if reply is not None:
-            return reply, opened
-        if error is not None:
-            return error, opened
-        return (
-            ErrorInfo.from_exception(
-                WorkerUnavailableError(
-                    "no live workers on the ring",
-                    session_id=message.session_id,
-                )
-            ),
-            opened,
-        )
-
-    async def _rollback_open(
-        self, session_id: str, opened: list[str], state: _RouterClientState
-    ) -> None:
-        close = CloseSession(session_id=session_id)
-        for node in opened:
-            link = state.links.get(node)
-            if link is None or link.dead:
-                continue
-            with contextlib.suppress(WorkerUnavailableError):
-                await link.roundtrip(close)
-
-    async def _serve_close(
-        self, message: CloseSession, state: _RouterClientState
-    ):
-        self._require_session(message.session_id, state)
+        Returns the workers' ``SessionInfo`` answers (in node order)
+        and the error to report when there are none: the first typed
+        error a worker gave, else ``worker_unavailable``.
+        """
         infos: list[SessionInfo] = []
         error: ErrorInfo | None = None
         for node in sorted(state.links):
@@ -830,24 +603,51 @@ class TileServiceRouter:
                 continue
             if isinstance(result, ErrorInfo):
                 error = error or result
-                continue
-            if isinstance(result, SessionInfo):
+            elif isinstance(result, SessionInfo):
                 infos.append(result)
+        if error is None:
+            error = ErrorInfo.from_exception(
+                WorkerUnavailableError(
+                    "no live workers on the ring",
+                    session_id=message.session_id,
+                )
+            )
+        return infos, error
+
+    async def _serve_open(
+        self, message: OpenSession, state: _RouterClientState
+    ):
+        """Open the session on every live worker; the first success
+        wins the reply."""
+        auto = message.session_id is None
+        session_id = (
+            self._next_session_id() if auto else str(message.session_id)
+        )
+        for _ in range(64):
+            infos, error = await self._broadcast(
+                OpenSession(session_id=session_id), state
+            )
+            if infos or not auto or error.code != DuplicateSessionError.code:
+                break
+            # Another client claimed the auto id first (each worker
+            # numbers its own sessions); renumber.
+            session_id = self._next_session_id()
+        if not infos:
+            return [error]
+        state.sessions.add(session_id)
+        return [infos[0]]
+
+    async def _serve_close(
+        self, message: CloseSession, state: _RouterClientState
+    ):
+        self._require_session(message.session_id, state)
+        infos, error = await self._broadcast(message, state)
         state.sessions.discard(message.session_id)
         state.session_worker.pop(message.session_id, None)
         if not infos:
-            if error is not None:
-                return [error], False
-            return [
-                ErrorInfo.from_exception(
-                    WorkerUnavailableError(
-                        "no live workers on the ring",
-                        session_id=message.session_id,
-                    )
-                )
-            ], False
+            return [error]
         if len(infos) == 1:
-            return [replace(infos[0], open=False)], False
+            return [replace(infos[0], open=False)]
         # Aggregate across partitions: requests/hits sum, latency is
         # the request-weighted mean.
         requests = sum(info.requests for info in infos)
@@ -865,24 +665,14 @@ class TileServiceRouter:
             ),
             open=False,
         )
-        return [merged], False
-
-    def _require_session(
-        self, session_id: str | None, state: _RouterClientState
-    ) -> str:
-        if not session_id or session_id not in state.sessions:
-            raise SessionNotFoundError(
-                f"session {session_id!r} is not open on this connection",
-                session_id=str(session_id) if session_id else None,
-            )
-        return session_id
+        return [merged]
 
     # -- the request path ----------------------------------------------
     async def _serve_request(
         self, message: TileRequest, state: _RouterClientState
     ):
         session_id = self._require_session(message.session_id, state)
-        key = TileKey(message.tile.level, message.tile.x, message.tile.y)
+        key = message.tile.to_key()
         node = self.ring.owner(key)
         link = state.links.get(node)
         if link is None or link.dead:
@@ -898,7 +688,7 @@ class TileServiceRouter:
         state.session_worker[session_id] = node
         if not state.push:
             messages = messages[-1:]
-        return messages, False
+        return messages
 
     async def _relay(
         self,
@@ -940,10 +730,7 @@ class TileServiceRouter:
             )
         node = state.session_worker.get(session_id)
         if node is None and message.tile is not None:
-            key = TileKey(
-                message.tile.level, message.tile.x, message.tile.y
-            )
-            node = self.ring.owner(key)
+            node = self.ring.owner(message.tile.to_key())
         if node is None:
             live = sorted(
                 n for n, link in state.links.items() if not link.dead
@@ -958,20 +745,11 @@ class TileServiceRouter:
             raise WorkerUnavailableError(
                 f"worker {node} is down", session_id=session_id
             )
-        return await self._relay(node, link, message, state), False
+        return await self._relay(node, link, message, state)
 
-    def _serve_gossip(self, message: HotspotGossip):
+    async def _serve_gossip(self, message: HotspotGossip, state):
         """Client-facing gossip: read-only view of the merged hot set."""
-        tick, entries = self.cluster_view.gossip_snapshot()
-        return [
-            HotspotGossip(
-                entries=tuple(
-                    (key.level, key.x, key.y, weight)
-                    for key, weight in entries
-                ),
-                tick=tick,
-            )
-        ], False
+        return [HotspotGossip.from_registry(self.cluster_view)]
 
     # -- gossip --------------------------------------------------------
     async def gossip_once(self) -> SharedHotspotRegistry:
@@ -983,14 +761,7 @@ class TileServiceRouter:
         every worker — disjoint hot sets converge within two rounds.
         ``merge_max`` keeps repeated rounds stable (idempotent).
         """
-        tick, entries = self.cluster_view.gossip_snapshot()
-        outbound = HotspotGossip(
-            entries=tuple(
-                (key.level, key.x, key.y, weight)
-                for key, weight in entries
-            ),
-            tick=tick,
-        )
+        outbound = HotspotGossip.from_registry(self.cluster_view)
         fresh = SharedHotspotRegistry(
             shards=1, decay=self.config.prefetch.hotspot_decay
         )
@@ -1001,17 +772,8 @@ class TileServiceRouter:
             except WorkerUnavailableError:
                 self._mark_worker_dead(node)
                 continue
-            if isinstance(reply, HotspotGossip) and reply.entries:
-                fresh.merge_max(
-                    SharedHotspotRegistry.from_snapshot(
-                        (
-                            (TileKey(level, x, y), weight)
-                            for level, x, y, weight in reply.entries
-                        ),
-                        tick=reply.tick,
-                        decay=fresh.decay,
-                    )
-                )
+            if isinstance(reply, HotspotGossip):
+                reply.merge_into(fresh)
             # An ErrorInfo reply (worker shares no registry) is skipped
             # silently: gossip degrades gracefully on mixed clusters.
         self.cluster_view = fresh
@@ -1019,12 +781,11 @@ class TileServiceRouter:
         return fresh
 
 
-class HotspotGossiper:
+class HotspotGossiper(_PeriodicTask):
     """Periodic driver for :meth:`TileServiceRouter.gossip_once`.
 
-    Same shape as :class:`~repro.middleware.net.HotspotDecayTicker`:
-    injectable sleep for tests, ``start``/``stop``; failures of a
-    single round are suppressed (a dead worker already got marked).
+    Failures of a single round are suppressed (a dead worker already
+    got marked).
     """
 
     def __init__(
@@ -1034,49 +795,28 @@ class HotspotGossiper:
         *,
         sleep=None,
     ) -> None:
-        if interval_seconds <= 0:
-            raise ValueError("interval_seconds must be positive")
+        super().__init__(interval_seconds, sleep=sleep)
         self.router = router
-        self.interval_seconds = interval_seconds
         self.rounds = 0
-        self._sleep = sleep if sleep is not None else asyncio.sleep
-        self._task: asyncio.Task | None = None
 
-    @property
-    def running(self) -> bool:
-        return self._task is not None and not self._task.done()
-
-    def start(self) -> None:
-        if self.running:
-            raise RuntimeError("gossiper already running")
-        self._task = asyncio.ensure_future(self._run())
-
-    async def stop(self) -> None:
-        if self._task is None:
-            return
-        self._task.cancel()
-        with contextlib.suppress(asyncio.CancelledError):
-            await self._task
-        self._task = None
-
-    async def _run(self) -> None:
-        while True:
-            await self._sleep(self.interval_seconds)
-            with contextlib.suppress(Exception):
-                await self.router.gossip_once()
-                self.rounds += 1
+    async def _tick(self) -> None:
+        with contextlib.suppress(Exception):
+            await self.router.gossip_once()
+            self.rounds += 1
 
 
 # ----------------------------------------------------------------------
 # threaded in-process harnesses (tests / sweep)
 # ----------------------------------------------------------------------
-class ThreadedRouter:
+class ThreadedRouter(_LoopThread):
     """Run a :class:`TileServiceRouter` on a background thread.
 
     Mirrors :class:`~repro.middleware.net.ThreadedSocketServer`: sync
     callers get a live ``(host, port)`` after :meth:`start` and a
     blocking :meth:`stop`.
     """
+
+    _thread_name = "forecache-router"
 
     def __init__(
         self,
@@ -1089,97 +829,98 @@ class ThreadedRouter:
         max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
         payloads: tuple[str, ...] = ("json", "binary"),
     ) -> None:
+        super().__init__()
         self._workers = workers
         self._config = config
-        self._host = host
-        self._port = port
-        self._framing = framing
-        self._max_frame_bytes = max_frame_bytes
-        self._payloads = payloads
-        self.router: TileServiceRouter | None = None
-        self.address: tuple[str, int] | None = None
-        self._thread: threading.Thread | None = None
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._stop_event: asyncio.Event | None = None
-        self._ready = threading.Event()
-        self._error: BaseException | None = None
-
-    def start(self) -> tuple[str, int]:
-        if self._thread is not None:
-            raise RuntimeError("threaded router already started")
-        self._thread = threading.Thread(
-            target=lambda: asyncio.run(self._main()),
-            name="forecache-router",
-            daemon=True,
+        self._router_kwargs = dict(
+            host=host,
+            port=port,
+            framing=framing,
+            max_frame_bytes=max_frame_bytes,
+            payloads=payloads,
         )
-        self._thread.start()
-        self._ready.wait(timeout=60)
-        if self._error is not None:
-            error = self._error
-            self._thread.join(timeout=5)
-            self._thread = None
-            raise error
-        if self.address is None:
-            raise RuntimeError("router thread failed to start")
-        return self.address
 
-    async def _main(self) -> None:
-        router = TileServiceRouter(
-            self._workers,
-            self._config,
-            host=self._host,
-            port=self._port,
-            framing=self._framing,
-            max_frame_bytes=self._max_frame_bytes,
-            payloads=self._payloads,
+    @property
+    def router(self) -> TileServiceRouter | None:
+        """The underlying router (set once :meth:`start` returns)."""
+        return self._endpoint
+
+    def _build(self) -> TileServiceRouter:
+        return TileServiceRouter(
+            self._workers, self._config, **self._router_kwargs
         )
-        try:
-            await router.start()
-        except BaseException as exc:
-            with contextlib.suppress(BaseException):
-                await router.aclose()
-            self._error = exc
-            self._ready.set()
-            return
-        self.router = router
-        self.address = router.address
-        self._loop = asyncio.get_running_loop()
-        self._stop_event = asyncio.Event()
-        self._ready.set()
-        await self._stop_event.wait()
-        await router.aclose()
 
     def gossip_once(self) -> SharedHotspotRegistry:
         """Drive one gossip round from sync code (tests, sweeps)."""
-        assert self.router is not None and self._loop is not None
-        future = asyncio.run_coroutine_threadsafe(
-            self.router.gossip_once(), self._loop
-        )
-        return future.result(timeout=30)
+        assert self.router is not None
+        return self._run(self.router.gossip_once())
+
+
+class _ClusterHarness:
+    """What both cluster harnesses share: N workers a subclass boots
+    (:meth:`_boot_workers`) and reaps (:meth:`_stop_workers`), fronted
+    by one :class:`ThreadedRouter`."""
+
+    config: ServiceConfig
+    _host: str
+    _framing: str
+    _payloads: tuple[str, ...]
+    router: ThreadedRouter | None = None
+
+    @property
+    def address(self) -> tuple[str, int]:
+        assert self.router is not None and self.router.address is not None
+        return self.router.address
+
+    def _boot_workers(self) -> list[tuple[str, int]]:
+        """Start every worker; returns their addresses in index order."""
+        raise NotImplementedError
+
+    def _stop_workers(self) -> None:
+        raise NotImplementedError
+
+    def start(self):
+        try:
+            addresses = self._boot_workers()
+            # Stable logical node names: the ring hashes the node id, so
+            # deriving it from the (ephemeral) port would re-partition the
+            # key space on every boot.  ``worker-<i>`` keeps the partition
+            # a pure function of (worker count, ring_replicas, ring_seed).
+            self.router = ThreadedRouter(
+                {
+                    f"worker-{index}": address
+                    for index, address in enumerate(addresses)
+                },
+                self.config,
+                host=self._host,
+                framing=self._framing,
+                payloads=self._payloads,
+            )
+            self.router.start()
+        except BaseException:
+            self.stop()
+            raise
+        return self
+
+    def gossip_once(self) -> SharedHotspotRegistry:
+        assert self.router is not None
+        return self.router.gossip_once()
 
     def stop(self) -> None:
-        if self._thread is None:
-            return
-        if self._loop is not None and self._stop_event is not None:
-            stop_event = self._stop_event
+        if self.router is not None:
+            with contextlib.suppress(Exception):
+                self.router.stop()
+            self.router = None
+        self._stop_workers()
 
-            def _signal() -> None:
-                stop_event.set()
-
-            with contextlib.suppress(RuntimeError):
-                self._loop.call_soon_threadsafe(_signal)
-        self._thread.join(timeout=30)
-        self._thread = None
-
-    def __enter__(self) -> "ThreadedRouter":
-        self.start()
-        return self
+    def __enter__(self):
+        return self.start()
 
     def __exit__(self, *exc_info) -> None:
         self.stop()
 
 
-class ThreadedClusterServer:
+class ThreadedClusterServer(_ClusterHarness):
     """N in-process threaded workers plus a threaded router.
 
     The all-threads harness for tests and the parameter sweep: every
@@ -1223,35 +964,9 @@ class ThreadedClusterServer:
         self._payloads = (
             payloads if payloads is not None else self.config.payloads
         )
-        self.router: ThreadedRouter | None = None
 
-    @property
-    def address(self) -> tuple[str, int]:
-        assert self.router is not None and self.router.address is not None
-        return self.router.address
-
-    def start(self) -> "ThreadedClusterServer":
-        try:
-            for worker in self.workers:
-                worker.start()
-            # Stable logical node names (not host:port): the ring hashes
-            # the node id, and ephemeral ports would re-partition the key
-            # space on every boot.
-            self.router = ThreadedRouter(
-                {
-                    f"worker-{index}": worker.address
-                    for index, worker in enumerate(self.workers)
-                },
-                self.config,
-                host=self._host,
-                framing=self._framing,
-                payloads=self._payloads,
-            )
-            self.router.start()
-        except BaseException:
-            self.stop()
-            raise
-        return self
+    def _boot_workers(self) -> list[tuple[str, int]]:
+        return [worker.start() for worker in self.workers]
 
     def stop_worker(self, index: int) -> None:
         """Gracefully stop one worker — the router sees EOF on its
@@ -1259,24 +974,10 @@ class ThreadedClusterServer:
         typed ``worker_unavailable`` errors."""
         self.workers[index].stop()
 
-    def gossip_once(self) -> SharedHotspotRegistry:
-        assert self.router is not None
-        return self.router.gossip_once()
-
-    def stop(self) -> None:
-        if self.router is not None:
-            with contextlib.suppress(Exception):
-                self.router.stop()
-            self.router = None
+    def _stop_workers(self) -> None:
         for worker in self.workers:
             with contextlib.suppress(Exception):
                 worker.stop()
-
-    def __enter__(self) -> "ThreadedClusterServer":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
 
 
 # ----------------------------------------------------------------------
@@ -1346,7 +1047,7 @@ def _cluster_worker_main(spec: WorkerSpec, port_queue, stop_event) -> None:
             port_queue.put(("error", f"{type(exc).__name__}: {exc}"))
 
 
-class ProcessCluster:
+class ProcessCluster(_ClusterHarness):
     """N spawn-context worker processes plus an in-process router.
 
     The real multi-process deployment shape: every worker is its own
@@ -1377,50 +1078,33 @@ class ProcessCluster:
             raise ValueError("workers must be >= 1")
         self.num_workers = workers
         self.config = config or ServiceConfig()
-        self._size = size
-        self._tile_size = tile_size
-        self._days = days
-        self._seed = seed
+        #: What every worker process is built from (``port`` is set per
+        #: worker at boot).
+        self._spec = WorkerSpec(
+            host=host,
+            size=size,
+            tile_size=tile_size,
+            days=days,
+            seed=seed,
+            framing=framing,
+            max_workers=max_workers,
+            config=self.config,
+        )
         self._start_port = start_port
         self._host = host
         self._framing = framing
-        self._max_workers = max_workers
         self._payloads = payloads
         self._boot_timeout = boot_timeout
         self._ctx = multiprocessing.get_context("spawn")
         self.processes: list = []
         self._stop_events: list = []
         self.worker_ports: list[int] = []
-        self.router: ThreadedRouter | None = None
 
-    @property
-    def address(self) -> tuple[str, int]:
-        assert self.router is not None and self.router.address is not None
-        return self.router.address
-
-    def start(self) -> "ProcessCluster":
-        try:
-            self._boot()
-        except BaseException:
-            self.stop()
-            raise
-        return self
-
-    def _boot(self) -> None:
+    def _boot_workers(self) -> list[tuple[str, int]]:
         queues = []
         for index in range(self.num_workers):
             port = self._start_port + index if self._start_port else 0
-            spec = WorkerSpec(
-                host=self._host,
-                port=port,
-                size=self._size,
-                tile_size=self._tile_size,
-                days=self._days,
-                seed=self._seed,
-                framing=self._framing,
-                max_workers=self._max_workers,
-                config=self.config,
-            )
+            spec = replace(self._spec, port=port)
             queue = self._ctx.Queue()
             stop_event = self._ctx.Event()
             process = self._ctx.Process(
@@ -1446,21 +1130,7 @@ class ProcessCluster:
                     f"worker {index} failed to boot: {value}"
                 )
             self.worker_ports.append(int(value))
-        # Stable logical node names: the ring hashes the node id, so
-        # deriving it from the (ephemeral) port would re-partition the
-        # key space on every boot.  ``worker-<i>`` keeps the partition a
-        # pure function of (worker count, ring_replicas, ring_seed).
-        self.router = ThreadedRouter(
-            {
-                f"worker-{index}": (self._host, port)
-                for index, port in enumerate(self.worker_ports)
-            },
-            self.config,
-            host=self._host,
-            framing=self._framing,
-            payloads=self._payloads,
-        )
-        self.router.start()
+        return [(self._host, port) for port in self.worker_ports]
 
     def kill_worker(self, index: int) -> None:
         """Hard-kill one worker process (mid-request failure injection)."""
@@ -1474,15 +1144,7 @@ class ProcessCluster:
             self._stop_events[index].set()
         self.processes[index].join(timeout=30)
 
-    def gossip_once(self) -> SharedHotspotRegistry:
-        assert self.router is not None
-        return self.router.gossip_once()
-
-    def stop(self) -> None:
-        if self.router is not None:
-            with contextlib.suppress(Exception):
-                self.router.stop()
-            self.router = None
+    def _stop_workers(self) -> None:
         for process, event in zip(self.processes, self._stop_events):
             # Never touch a dead worker's event: setting it blocks on
             # an ack from the (SIGKILLed) waiter that will never come.
@@ -1498,12 +1160,6 @@ class ProcessCluster:
         self.processes.clear()
         self._stop_events.clear()
         self.worker_ports.clear()
-
-    def __enter__(self) -> "ProcessCluster":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
 
 
 # ----------------------------------------------------------------------

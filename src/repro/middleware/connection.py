@@ -1,0 +1,413 @@
+"""The connection core: a client connection's protocol logic, without I/O.
+
+Everything a client of the wire protocol must *decide* lives here, once:
+the ``hello`` it sends and what a ``welcome`` may grant, the framing in
+force, the send and receive limits, cutting the byte stream back into
+frames, absorbing ``push_tile`` frames ahead of a reply, and whether the
+strict request/reply pairing is still intact.  Nothing here moves a
+byte: this module imports no ``socket``, ``asyncio``, ``threading`` or
+``selectors`` (a structural test asserts it).  A *transport* is the I/O
+shell around one :class:`ClientConnection` —
+:class:`~repro.middleware.net.SocketTransport` (blocking sockets),
+:class:`~repro.middleware.net.AsyncSocketTransport` (asyncio streams)
+and the cluster router's backend link all run the same loop::
+
+    frame = core.begin(message)            # raises before any byte moves
+    try:
+        send(frame)
+        while (reply := core.reply()) is None:
+            core.receive(recv())
+    except BaseException:
+        if core.reply_outstanding:         # the pairing is lost
+            drop the connection
+        raise
+
+:class:`SessionStub` is the same idea one level up: what one session
+sends for ``(move, key)`` and how the reply becomes the in-process
+:class:`~repro.middleware.service.TileResponse`, shared by the sync and
+the async session clients.
+"""
+
+from __future__ import annotations
+
+from collections import deque
+from typing import NamedTuple
+
+from repro.middleware import protocol
+from repro.middleware.protocol import (
+    DEFAULT_MAX_FRAME_BYTES,
+    FRAMINGS,
+    PAYLOADS,
+    SUPPORTED_VERSIONS,
+    CloseSession,
+    ErrorInfo,
+    FrameDecoder,
+    Hello,
+    OpenSession,
+    ProtocolError,
+    PushAck,
+    PushTile,
+    SessionInfo,
+    SessionNotFoundError,
+    TileRef,
+    TileRequest,
+    Welcome,
+    binary_message_type,
+    decode_wire,
+    encode_wire,
+)
+from repro.middleware.push import PushCache
+from repro.middleware.service import TileResponse
+from repro.middleware.transport import response_to_client
+from repro.tiles.key import TileKey
+from repro.tiles.moves import Move
+from repro.tiles.reduce import upsample_tile
+
+
+def check_framing(framing: str) -> str:
+    if framing not in FRAMINGS:
+        raise ValueError(f"framing must be one of {FRAMINGS}, got {framing!r}")
+    return framing
+
+
+def check_payload(payload: str) -> str:
+    if payload not in PAYLOADS:
+        raise ValueError(
+            f"payload must be one of {PAYLOADS}, got {payload!r}"
+        )
+    return payload
+
+
+class OpaqueFrame(NamedTuple):
+    """A payload-bearing binary frame, forwarded unopened: its type
+    name (read from the header) and its raw body."""
+
+    type: str
+    body: bytes
+
+
+def decode_opaque(frame):
+    """:func:`decode_wire` for a forwarder: a payload-bearing binary
+    frame comes back as an :class:`OpaqueFrame`, only its header parsed."""
+    if isinstance(frame, bytes):
+        return OpaqueFrame(binary_message_type(frame), frame)
+    return decode_wire(frame)
+
+
+class ClientConnection:
+    """The protocol state of one client connection.
+
+    The protocol is strict request/reply, so the owner serializes
+    :meth:`begin` … :meth:`reply` pairs (the transports hold a lock
+    around them).  ``wire_tap=True`` also records every byte framed and
+    fed (conformance tests assert whole streams byte-identical across
+    negotiation outcomes).
+    """
+
+    def __init__(
+        self,
+        framing: str = "lines",
+        max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
+        *,
+        push_cache_capacity: int = 32,
+        wire_tap: bool = False,
+    ) -> None:
+        #: Framing actually on the wire right now — starts as the JSON
+        #: framing, flips to "binary" if the handshake grants it.
+        self.wire = check_framing(framing)
+        #: Outgoing limit; clamped to the server's advertised budget after
+        #: the handshake, so an over-limit request fails locally (and
+        #: recoverably) instead of tripping the server's decoder — which
+        #: hangs up and would take every session on this connection down.
+        self.send_limit = max_frame_bytes
+        self._decoder = FrameDecoder(framing, max_frame_bytes)
+        self._pending: deque[str | bytes] = deque()
+        #: A request has been framed and its reply is not yet out of the
+        #: stream.  A failure while this is set leaves that reply
+        #: possibly still in flight — the pairing is unrecoverable, and
+        #: the owner must drop the connection rather than hand request
+        #: N+1 the answer to request N.
+        self.reply_outstanding = False
+        self._offered_push = False
+        self._offered_payload = "json"
+        #: True once both sides agreed on push (requested AND granted).
+        self.push_enabled = False
+        #: Payload encoding in force ("json" until the handshake grants
+        #: more).
+        self.payload = "json"
+        #: Negotiated protocol revision and the server's advertised limits.
+        self.server_version: int | None = None
+        self.server_name = ""
+        self.server_max_frame_bytes = 0
+        self.push_cache_capacity = push_cache_capacity
+        #: Per-session push caches (only populated on push connections).
+        self._push_caches: dict[str, PushCache] = {}
+        #: Wire byte counters, always on (cheap integer adds) — the
+        #: benchmark's bytes-per-tile numbers come straight from here.
+        self.bytes_sent = 0
+        self.bytes_received = 0
+        self.wire_sent: bytearray | None = bytearray() if wire_tap else None
+        self.wire_received: bytearray | None = (
+            bytearray() if wire_tap else None
+        )
+
+    # ------------------------------------------------------------------
+    # handshake
+    # ------------------------------------------------------------------
+    def hello(
+        self, client: str, *, push: bool = False, payload: str = "json"
+    ) -> Hello:
+        """The opening frame; remembers what it offered so
+        :meth:`welcome` can refuse a grant that was never asked for."""
+        self._offered_push = push
+        self._offered_payload = check_payload(payload)
+        return Hello(
+            versions=SUPPORTED_VERSIONS,
+            client=client,
+            push=push,
+            payloads=("json", "binary") if payload == "binary" else ("json",),
+        )
+
+    def welcome(self, reply) -> Welcome:
+        """Validate the reply to :meth:`hello` and put what it grants
+        in force; raises (typed) on anything but a legal welcome."""
+        if isinstance(reply, ErrorInfo):
+            raise reply.to_exception()
+        if not isinstance(reply, Welcome):
+            raise ProtocolError(
+                f"expected welcome, got {type(reply).__name__}"
+            )
+        if reply.payload == "binary" and self._offered_payload != "binary":
+            raise ProtocolError(
+                "server granted the binary payload encoding this "
+                "client never offered"
+            )
+        if reply.payload not in PAYLOADS:
+            raise ProtocolError(
+                f"server granted unknown payload encoding {reply.payload!r}"
+            )
+        self.server_version = reply.version
+        self.server_name = reply.server
+        self.server_max_frame_bytes = reply.max_frame_bytes
+        self.push_enabled = bool(self._offered_push and reply.push)
+        self.payload = reply.payload
+        if self.payload == "binary":
+            # The welcome itself arrived in the JSON framing; everything
+            # after it — both directions — speaks binary framing.  The
+            # strict request/reply pairing guarantees nothing else is
+            # buffered at this point.
+            self.wire = "binary"
+            self._decoder.switch_to_binary()
+        if reply.max_frame_bytes > 0:
+            self.send_limit = min(self.send_limit, reply.max_frame_bytes)
+            # Receiving is sized to the server's budget too: the server
+            # never frames a reply above its advertised limit, so a
+            # legitimate large response must not trip our decoder and
+            # take the connection down.
+            self._decoder.max_frame_bytes = max(
+                self._decoder.max_frame_bytes, reply.max_frame_bytes
+            )
+        return reply
+
+    # ------------------------------------------------------------------
+    # one request/reply exchange
+    # ------------------------------------------------------------------
+    def begin(self, message) -> bytes:
+        """Frame one request; its reply is outstanding from here on.
+
+        An over-limit request raises here, before any bytes move — a
+        local, recoverable failure that leaves the stream synced.
+        """
+        frame = encode_wire(message, self.wire, self.send_limit)
+        self.reply_outstanding = True
+        self.bytes_sent += len(frame)
+        if self.wire_sent is not None:
+            self.wire_sent += frame
+        return frame
+
+    def receive(self, data: bytes) -> None:
+        """Feed whatever the peer sent (``b""`` = it hung up)."""
+        if not data:
+            raise ProtocolError("server closed the connection")
+        self.bytes_received += len(data)
+        if self.wire_received is not None:
+            self.wire_received += data
+        self._pending.extend(self._decoder.feed(data))
+
+    def reply(self, decode=decode_wire, on_push=None):
+        """The reply to the outstanding request, or ``None`` while its
+        bytes are still to come (then :meth:`receive` more and ask again).
+
+        On push connections the server may precede the reply with
+        ``push_tile`` frames; each goes to ``on_push`` — by default into
+        the addressed session's :class:`PushCache` — in wire order,
+        before the reply is returned.  ``decode`` turns a cut frame into
+        a message (a forwarder passes :func:`decode_opaque`).
+        """
+        while self._pending:
+            frame = self._pending.popleft()
+            if not self.push_enabled:
+                # The frame was fully consumed, so the stream stays in
+                # sync even if its content fails to decode.
+                self.reply_outstanding = False
+                return decode(frame)
+            # Unlike the pull-only path, a decode failure is fatal
+            # here: an undecodable frame might have been a push, so
+            # "which frame answers the request" is no longer knowable.
+            message = decode(frame)
+            if isinstance(message, PushTile) or (
+                isinstance(message, OpaqueFrame) and message.type == "push_tile"
+            ):
+                (on_push or self._absorb_push)(message)
+                continue
+            self.reply_outstanding = False
+            return message
+        return None
+
+    def _absorb_push(self, message: PushTile) -> None:
+        """File one unsolicited pushed tile into its session's cache.
+
+        A coarse frame (``fidelity < 1``) is upsampled back to full tile
+        shape — the stand-in a client renders while the refinement frame
+        is still in flight; the cache's fidelity tracking upgrades it in
+        place when that frame lands.
+        """
+        cache = self._push_caches.get(message.session_id)
+        if cache is not None and message.payload is not None:
+            tile = message.payload.to_tile()
+            if message.fidelity < 1.0:
+                tile = upsample_tile(tile, int(round(1.0 / message.fidelity)))
+            cache.put(tile, fidelity=message.fidelity)
+
+    # ------------------------------------------------------------------
+    # sessions
+    # ------------------------------------------------------------------
+    def open_session(self, engine, session_id) -> OpenSession:
+        """The message that opens a server-side session.
+
+        Engines live server-side (the server's ``engine_factory`` builds
+        one per session); passing one here is a usage error.
+        """
+        if engine is not None:
+            raise ValueError(
+                "socket sessions get their engine from the server's "
+                "engine_factory; pass engine=None"
+            )
+        return OpenSession(
+            session_id=str(session_id) if session_id is not None else None
+        )
+
+    def session_opened(self, reply) -> "tuple[str, PushCache | None]":
+        """Check the reply to :meth:`open_session`; returns the session
+        id and — on push connections — its freshly registered cache."""
+        if isinstance(reply, ErrorInfo):
+            raise reply.to_exception()
+        if not isinstance(reply, SessionInfo):
+            raise ProtocolError(
+                f"expected session_info, got {type(reply).__name__}"
+            )
+        push_cache: PushCache | None = None
+        if self.push_enabled:
+            push_cache = PushCache(capacity=self.push_cache_capacity)
+            self._push_caches[reply.session_id] = push_cache
+        return reply.session_id, push_cache
+
+    def drop_push_cache(self, session_id: str) -> None:
+        self._push_caches.pop(session_id, None)
+
+
+class SessionStub:
+    """One session's side of the protocol, for any transport's client.
+
+    On push connections the stub consults its :class:`PushCache` before
+    touching the wire: a held tile is answered locally and the server is
+    told via ``push_ack`` (so its prediction engine still observes the
+    move); every wire request carries the cache digest so the server
+    never re-streams a held tile.
+    """
+
+    def __init__(
+        self,
+        connection: ClientConnection,
+        session_id: str,
+        push_cache: PushCache | None = None,
+    ) -> None:
+        self.connection = connection
+        self.session_id = session_id
+        self.push_cache = push_cache
+        self.closed = False
+
+    def _digest(self) -> tuple[TileRef, ...]:
+        assert self.push_cache is not None
+        return tuple(TileRef.from_key(k) for k in self.push_cache.digest())
+
+    def request(self, move: Move | None, key: TileKey):
+        """What to send for ``(move, key)``: ``(message, held_tile)``.
+
+        ``held_tile`` is the push cache's copy when the tile was already
+        streamed here (the message is then a ``push_ack`` reporting the
+        local hit), else ``None`` (a ``tile_request``).
+        """
+        move_name = move.value if move is not None else None
+        if self.push_cache is None:
+            held = None
+        else:
+            tile = self.push_cache.get(key)
+            if tile is not None:
+                ack = PushAck(
+                    session_id=self.session_id,
+                    held=self._digest(),
+                    move=move_name,
+                    tile=TileRef.from_key(tile.key),
+                )
+                return ack, tile
+            held = self._digest()
+        request = TileRequest(
+            session_id=self.session_id,
+            tile=TileRef.from_key(key),
+            move=move_name,
+            held=held,
+        )
+        return request, None
+
+    def response(self, reply, held_tile=None) -> TileResponse:
+        """Turn the reply to :meth:`request` into the in-process
+        response."""
+        if held_tile is None:
+            return response_to_client(reply)
+        if isinstance(reply, ErrorInfo):
+            raise reply.to_exception()
+        if not isinstance(reply, protocol.TileResponse):
+            raise ProtocolError(
+                f"expected tile_response, got {type(reply).__name__}"
+            )
+        # The reply is payload-less by design — materialize the
+        # in-process response from the tile this cache already holds.
+        return TileResponse(
+            tile=held_tile,
+            latency_seconds=reply.latency_seconds,
+            hit=reply.hit,
+            phase=reply.to_phase(),
+            prefetched=tuple(ref.to_key() for ref in reply.prefetched),
+            # A held tile may still be the coarse stand-in awaiting its
+            # refinement frame; report what this cache actually holds.
+            fidelity=self.push_cache.fidelity(held_tile.key),
+        )
+
+    def close(self) -> CloseSession | None:
+        """The message that closes the server-side session, or ``None``
+        when this stub already closed (close is idempotent)."""
+        if self.closed:
+            return None
+        self.closed = True
+        self.connection.drop_push_cache(self.session_id)
+        return CloseSession(self.session_id)
+
+    @staticmethod
+    def close_acknowledged(reply) -> None:
+        """Check the reply to :meth:`close`; a session the server
+        already reaped is not an error."""
+        if isinstance(reply, ErrorInfo):
+            exc = reply.to_exception()
+            if not isinstance(exc, SessionNotFoundError):
+                raise exc

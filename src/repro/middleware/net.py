@@ -22,16 +22,24 @@ answered with their typed :class:`~repro.middleware.protocol.ErrorInfo`
 and the connection is closed; a malformed *message* on a healthy frame
 stream is answered and the connection keeps serving.
 
+A second ``hello`` on a negotiated connection is refused with a typed
+``invalid_request`` and changes nothing.  Those rules live in one serve
+loop, :class:`_WireServer`, which the cluster router runs too.
+
 Clients come in both colors — :class:`SocketTransport` (blocking
 sockets, implements the shared
 :class:`~repro.middleware.transport.Transport` ABC) and
 :class:`AsyncSocketTransport` (asyncio streams) — each multiplexing any
-number of sessions over one connection.  The connections they return
-satisfy the same contract as every other front end, so the one
-``BrowsingSession`` / ``AsyncBrowsingSession`` replays traces over
-loopback exactly as it does in process.  :class:`ThreadedSocketServer`
-runs the whole server on a dedicated daemon thread for synchronous
-programs (examples, benchmarks, tests).
+number of sessions over one connection.  Neither holds protocol logic:
+a transport here is an I/O shell that frames via its
+:class:`~repro.middleware.connection.ClientConnection` core, moves the
+bytes, feeds the core and returns its reply; locks, timeouts and close
+semantics are the shell's, every protocol decision the core's.  The
+connections they return satisfy the same contract as every other front
+end, so the one ``BrowsingSession`` / ``AsyncBrowsingSession`` replays
+traces over loopback exactly as it does in process.
+:class:`ThreadedSocketServer` runs the whole server on a dedicated
+daemon thread for synchronous programs (examples, benchmarks, tests).
 """
 
 from __future__ import annotations
@@ -40,19 +48,20 @@ import asyncio
 import contextlib
 import socket
 import threading
-from collections import deque
 from dataclasses import replace
 
 from repro.core.engine import PredictionEngine
-from repro.core.popularity import SharedHotspotRegistry
 from repro.middleware import protocol
 from repro.middleware.aio import AsyncForeCacheService
 from repro.middleware.config import ServiceConfig
+from repro.middleware.connection import (
+    ClientConnection,
+    SessionStub,
+    check_framing,
+)
 from repro.middleware.protocol import (
     DEFAULT_MAX_FRAME_BYTES,
-    FRAMINGS,
     PAYLOADS,
-    SUPPORTED_VERSIONS,
     CloseSession,
     ErrorInfo,
     FrameDecoder,
@@ -65,13 +74,13 @@ from repro.middleware.protocol import (
     PushAck,
     PushTile,
     SessionClosedError,
-    SessionInfo,
     SessionNotFoundError,
     TilePayload,
     TileRef,
     TileRequest,
     TileSegmentCache,
     Welcome,
+    decode_wire,
     encode_tile_frame,
     encode_wire,
     negotiate_payload,
@@ -79,27 +88,13 @@ from repro.middleware.protocol import (
 )
 from repro.middleware.push import PUSH_MODEL, PushCache, PushScheduler
 from repro.middleware.service import TileResponse
-from repro.middleware.transport import Transport, response_to_client
+from repro.middleware.transport import Transport
 from repro.tiles.key import TileKey
-from repro.tiles.reduce import downsample_tile, upsample_tile
+from repro.tiles.reduce import downsample_tile
 from repro.tiles.moves import Move
 from repro.tiles.pyramid import TilePyramid
 
 _READ_CHUNK = 65536
-
-
-def _check_framing(framing: str) -> str:
-    if framing not in FRAMINGS:
-        raise ValueError(f"framing must be one of {FRAMINGS}, got {framing!r}")
-    return framing
-
-
-def _check_payload(payload: str) -> str:
-    if payload not in PAYLOADS:
-        raise ValueError(
-            f"payload must be one of {PAYLOADS}, got {payload!r}"
-        )
-    return payload
 
 
 def _check_payloads(payloads) -> tuple[str, ...]:
@@ -117,45 +112,32 @@ def _check_payloads(payloads) -> tuple[str, ...]:
     return payloads
 
 
-class HotspotDecayTicker:
-    """Wall-clock decay tick for a shared hotspot registry.
+class _PeriodicTask:
+    """One coroutine, :meth:`_tick`, run on the event loop every
+    ``interval_seconds``; the ``sleep`` coroutine is injectable so
+    tests drive the loop with a fake clock."""
 
-    Long-idle deployments see no requests, so request-count ticking
-    (``PrefetchPolicy.hotspot_tick_every``) never fires and stale
-    hotspots linger.  This ticker advances the registry's virtual tick
-    from the asyncio loop every ``interval_seconds`` of *real* time.
-    Off by default (``hotspot_tick_seconds=0``); the ``sleep``
-    coroutine is injectable so tests drive the loop with a fake clock.
-    """
-
-    def __init__(
-        self,
-        registry,
-        interval_seconds: float,
-        *,
-        sleep=None,
-    ) -> None:
+    def __init__(self, interval_seconds: float, *, sleep=None) -> None:
         if interval_seconds <= 0:
             raise ValueError(
                 f"interval_seconds must be > 0, got {interval_seconds}"
             )
-        self.registry = registry
         self.interval_seconds = interval_seconds
         self._sleep = sleep if sleep is not None else asyncio.sleep
         self._task: asyncio.Task | None = None
-        #: Decay ticks delivered so far (diagnostics/tests).
-        self.ticks = 0
+
+    async def _tick(self) -> None:
+        raise NotImplementedError
 
     async def _run(self) -> None:
         while True:
             await self._sleep(self.interval_seconds)
-            self.registry.advance()
-            self.ticks += 1
+            await self._tick()
 
     def start(self) -> None:
         """Begin ticking on the running event loop."""
         if self._task is not None:
-            raise RuntimeError("hotspot ticker already started")
+            raise RuntimeError(f"{type(self).__name__} already started")
         self._task = asyncio.ensure_future(self._run())
 
     @property
@@ -170,6 +152,27 @@ class HotspotDecayTicker:
         with contextlib.suppress(asyncio.CancelledError):
             await self._task
         self._task = None
+
+
+class HotspotDecayTicker(_PeriodicTask):
+    """Wall-clock decay tick for a shared hotspot registry.
+
+    Long-idle deployments see no requests, so request-count ticking
+    (``PrefetchPolicy.hotspot_tick_every``) never fires and stale
+    hotspots linger.  This ticker advances the registry's virtual tick
+    from the asyncio loop every ``interval_seconds`` of *real* time.
+    Off by default (``hotspot_tick_seconds=0``).
+    """
+
+    def __init__(self, registry, interval_seconds: float, *, sleep=None) -> None:
+        super().__init__(interval_seconds, sleep=sleep)
+        self.registry = registry
+        #: Decay ticks delivered so far (diagnostics/tests).
+        self.ticks = 0
+
+    async def _tick(self) -> None:
+        self.registry.advance()
+        self.ticks += 1
 
 
 class _ConnectionState:
@@ -189,10 +192,186 @@ class _ConnectionState:
         self.payload_pending = False
 
 
+class _WireServer:
+    """Serving one client connection of the wire protocol.
+
+    The one serve loop under both :class:`ForeCacheSocketServer` and the
+    cluster's :class:`~repro.middleware.cluster.TileServiceRouter`: read
+    versus shutdown, frame cutting, the dispatch guard, the binary flip
+    after the welcome, one batched write per read, cleanup.  An endpoint
+    supplies ``framing``, ``max_frame_bytes`` and ``_closing``, its
+    message handlers (``_HANDLERS``) and what a finished connection
+    leaves behind (:meth:`_release`).
+    """
+
+    framing: str
+    max_frame_bytes: int
+    _closing: "asyncio.Event | None"
+    #: What a fresh connection's state is built from.
+    _connection_state = _ConnectionState
+
+    #: The message types a client may send, and the endpoint coroutine
+    #: ``handler(message, conn)`` serving each.  A handler returns
+    #: everything its message produces, in wire order — zero or more
+    #: pre-encoded ``push_tile`` frames *followed by* the actual reply,
+    #: so push delivery is deterministic (fixed interleaving, no
+    #: background writer task) — or raises, which becomes the typed
+    #: error reply.  ``_serve_hello`` runs at most once per connection.
+    _HANDLERS = {
+        Hello: "_serve_hello",
+        OpenSession: "_serve_open",
+        CloseSession: "_serve_close",
+        TileRequest: "_serve_request",
+        PushAck: "_serve_ack",
+        HotspotGossip: "_serve_gossip",
+    }
+
+    async def _release(self, conn: _ConnectionState) -> None:
+        """Drop what a finished connection leaves behind."""
+        raise NotImplementedError
+
+    def _require_session(self, session_id, conn: _ConnectionState) -> str:
+        if session_id not in conn.sessions:
+            # Per-connection isolation: a session another client opened
+            # is invisible here, even if it exists behind the endpoint.
+            raise SessionNotFoundError(
+                f"session {session_id!r} is not open on this connection",
+                session_id=session_id,
+            )
+        return session_id
+
+    async def _serve_connection(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> None:
+        assert self._closing is not None
+        conn = self._connection_state()
+        decoder = FrameDecoder(self.framing, self.max_frame_bytes)
+        closing_wait = asyncio.ensure_future(self._closing.wait())
+        try:
+            while not self._closing.is_set():
+                # Race the read against shutdown, so an *idle* connection
+                # closes promptly on aclose() while a dispatch already in
+                # progress (below, between reads) always runs to
+                # completion and flushes its response first.
+                read_task = asyncio.ensure_future(reader.read(_READ_CHUNK))
+                await asyncio.wait(
+                    {read_task, closing_wait},
+                    return_when=asyncio.FIRST_COMPLETED,
+                )
+                if not read_task.done():
+                    read_task.cancel()
+                    with contextlib.suppress(
+                        asyncio.CancelledError, ConnectionError, OSError
+                    ):
+                        await read_task
+                    break
+                try:
+                    data = read_task.result()
+                except (ConnectionError, OSError):
+                    break  # client vanished mid-read
+                if not data:
+                    break  # orderly EOF
+                # Everything this read-batch produces — push frames and
+                # replies across every completed frame — leaves in a
+                # single writelines+drain (the writev-style batching
+                # that keeps small frames from paying a syscall each).
+                out: list[bytes] = []
+                fatal = False
+                try:
+                    frames = decoder.feed(data)
+                except ProtocolError as exc:
+                    # The byte stream itself is broken — answer with the
+                    # typed error, then hang up.
+                    frames = []
+                    out.append(
+                        self._encode_out(ErrorInfo.from_exception(exc), conn)
+                    )
+                    fatal = True
+                for frame in frames:
+                    messages, fatal = await self._dispatch(frame, conn)
+                    for message in messages:
+                        out.append(self._encode_out(message, conn))
+                    if conn.payload_pending:
+                        # The welcome granting "binary" was just encoded
+                        # under the pre-handshake framing; every frame
+                        # after it — both directions — speaks binary.
+                        conn.payload_pending = False
+                        conn.payload = "binary"
+                        decoder.switch_to_binary()
+                    if fatal:
+                        break
+                if out:
+                    try:
+                        writer.writelines(out)
+                        await writer.drain()
+                    except (ConnectionError, OSError):
+                        break  # client vanished mid-write
+                if fatal:
+                    break
+        finally:
+            closing_wait.cancel()
+            with contextlib.suppress(asyncio.CancelledError):
+                await closing_wait
+            await self._release(conn)
+            writer.close()
+            with contextlib.suppress(Exception):
+                await writer.wait_closed()
+
+    def _wire_framing(self, conn: _ConnectionState) -> str:
+        return "binary" if conn.payload == "binary" else self.framing
+
+    def _encode_out(self, message, conn: _ConnectionState) -> bytes:
+        """Encode one outgoing message (or pass through pre-encoded
+        bytes — tile-bearing frames are built where their tile is at
+        hand, push frames also because their byte size is charged
+        against the push budget)."""
+        if isinstance(message, bytes):
+            return message
+        framing = self._wire_framing(conn)
+        try:
+            return encode_wire(message, framing, self.max_frame_bytes)
+        except ProtocolError as exc:
+            # The *response* outgrew the frame budget (giant tile
+            # payload); report that instead of silently dropping it.
+            return encode_wire(ErrorInfo.from_exception(exc), framing)
+
+    async def _dispatch(self, frame, conn: _ConnectionState):
+        """Serve one frame; returns ``(messages, fatal)``."""
+        try:
+            message = decode_wire(frame)
+        except ProtocolError as exc:
+            # One malformed message on a healthy frame stream: answer
+            # and keep serving the connection.
+            return [ErrorInfo.from_exception(exc)], False
+        opening = not conn.negotiated
+        try:
+            if opening and not isinstance(message, Hello):
+                raise InvalidRequestError(
+                    "connection must open with a hello frame, got "
+                    f"{type(message).__name__}"
+                )
+            if not opening and isinstance(message, Hello):
+                # A repeated hello must not re-run the negotiation: the
+                # framing in force would no longer match the welcome.
+                raise InvalidRequestError("handshake already completed")
+            handler = self._HANDLERS.get(type(message))
+            if handler is None:
+                raise InvalidRequestError(
+                    f"cannot serve {type(message).__name__} messages"
+                )
+            return await getattr(self, handler)(message, conn), False
+        except Exception as exc:
+            # Before the handshake completes there is no negotiated
+            # state to keep serving on — answer, then hang up.  After
+            # it, whatever a handler raised is this one request's typed
+            # reply and the connection keeps serving.
+            return [ErrorInfo.from_exception(exc)], opening
+
+
 # ----------------------------------------------------------------------
 # server
 # ----------------------------------------------------------------------
-class ForeCacheSocketServer:
+class ForeCacheSocketServer(_WireServer):
     """Asyncio TCP server speaking the framed wire protocol."""
 
     def __init__(
@@ -212,7 +391,7 @@ class ForeCacheSocketServer:
         self.service = service
         self.host = host if host is not None else config.bind_host
         self.port = port if port is not None else config.bind_port
-        self.framing = _check_framing(framing)
+        self.framing = check_framing(framing)
         #: Payload encodings this server will grant in the handshake
         #: (defaults to ``ServiceConfig.payloads``).  Clients that do
         #: not offer "binary" — or servers configured without it — stay
@@ -371,180 +550,30 @@ class ForeCacheSocketServer:
             if task is not None:
                 self._conn_tasks.discard(task)
 
-    async def _serve_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        assert self._closing is not None
-        conn = _ConnectionState()
-        decoder = FrameDecoder(self.framing, self.max_frame_bytes)
-        closing_wait = asyncio.ensure_future(self._closing.wait())
-        try:
-            while not self._closing.is_set():
-                # Race the read against shutdown, so an *idle* connection
-                # closes promptly on aclose() while a dispatch already in
-                # progress (below, between reads) always runs to
-                # completion and flushes its response first.
-                read_task = asyncio.ensure_future(reader.read(_READ_CHUNK))
-                await asyncio.wait(
-                    {read_task, closing_wait},
-                    return_when=asyncio.FIRST_COMPLETED,
-                )
-                if not read_task.done():
-                    read_task.cancel()
-                    with contextlib.suppress(
-                        asyncio.CancelledError, ConnectionError, OSError
-                    ):
-                        await read_task
-                    break
-                try:
-                    data = read_task.result()
-                except (ConnectionError, OSError):
-                    break  # client vanished mid-read
-                if not data:
-                    break  # orderly EOF
-                try:
-                    frames = decoder.feed(data)
-                except ProtocolError as exc:
-                    # The byte stream itself is broken — answer with the
-                    # typed error, then hang up.
-                    await self._send(writer, ErrorInfo.from_exception(exc), conn)
-                    break
-                # Everything this read-batch produces — push frames and
-                # replies across every completed frame — leaves in a
-                # single writelines+drain (the writev-style batching
-                # that keeps small frames from paying a syscall each).
-                out: list[bytes] = []
-                fatal = False
-                for item in frames:
-                    messages, fatal = await self._dispatch(item, conn)
-                    # Push frames (if any) precede the reply — the last
-                    # message is always the frame's actual answer.
-                    for message in messages:
-                        out.append(self._encode_out(message, conn))
-                    if conn.payload_pending:
-                        # The welcome granting "binary" was just encoded
-                        # under the pre-handshake framing; every frame
-                        # after it — both directions — speaks binary.
-                        conn.payload_pending = False
-                        conn.payload = "binary"
-                        decoder.switch_to_binary()
-                    if fatal:
-                        break
-                if out:
-                    try:
-                        writer.writelines(out)
-                        await writer.drain()
-                    except (ConnectionError, OSError):
-                        break  # client vanished mid-write
-                if fatal:
-                    break
-        finally:
-            closing_wait.cancel()
-            with contextlib.suppress(asyncio.CancelledError):
-                await closing_wait
-            await self._close_sessions(conn.sessions)
-            writer.close()
-            with contextlib.suppress(Exception):
-                await writer.wait_closed()
+    async def _serve_hello(self, message: Hello, conn: _ConnectionState):
+        version = negotiate_version(message.versions)
+        conn.negotiated = True
+        # Push is granted only when both sides ask for it; legacy
+        # peers (push=False hello, or none at all) get the exact
+        # pre-push protocol.
+        conn.push = bool(message.push and self.push_scheduler is not None)
+        # Payload encoding likewise: "binary" only when the hello
+        # offers it AND this server's payloads allow it; everyone
+        # else keeps the byte-identical JSON wire.  The flip itself
+        # happens in the serve loop, *after* this welcome is framed
+        # in the pre-handshake encoding.
+        granted = negotiate_payload(message.payloads, self.payloads)
+        conn.payload_pending = granted == "binary"
+        welcome = Welcome(
+            version=version,
+            server=self.server_name,
+            max_frame_bytes=self.max_frame_bytes,
+            push=conn.push,
+            payload=granted,
+        )
+        return [welcome]
 
-    def _wire_framing(self, conn: _ConnectionState) -> str:
-        return "binary" if conn.payload == "binary" else self.framing
-
-    def _encode_out(self, message, conn: _ConnectionState) -> bytes:
-        """Encode one outgoing message (or pass through pre-encoded
-        bytes — tile-bearing frames are built where their tile is at
-        hand, push frames also because their byte size is charged
-        against the push budget)."""
-        if isinstance(message, bytes):
-            return message
-        framing = self._wire_framing(conn)
-        try:
-            return encode_wire(message, framing, self.max_frame_bytes)
-        except FrameTooLargeError as exc:
-            # The *response* outgrew the frame budget (giant tile
-            # payload); report that instead of silently dropping it.
-            return encode_wire(ErrorInfo.from_exception(exc), framing)
-
-    async def _send(
-        self, writer: asyncio.StreamWriter, message, conn: _ConnectionState
-    ) -> bool:
-        """Frame and flush one message; False when the client is gone.
-
-        Kept for out-of-band sends (framing-error replies); the main
-        serve loop batches via :meth:`_encode_out` instead.
-        """
-        try:
-            writer.write(self._encode_out(message, conn))
-            await writer.drain()
-            return True
-        except (ConnectionError, OSError):
-            return False
-
-    async def _dispatch(self, frame, conn: _ConnectionState):
-        """Serve one frame; returns ``(messages, fatal)``.
-
-        ``messages`` is everything this frame produces, in wire order;
-        on push connections that is zero or more pre-encoded
-        ``push_tile`` frames *followed by* the frame's actual reply, so
-        push delivery is deterministic (fixed interleaving, no
-        background writer task).
-        """
-        try:
-            message = protocol.decode_wire(frame)
-        except ProtocolError as exc:
-            # One malformed message on a healthy frame stream: answer
-            # and keep serving the connection.
-            return [ErrorInfo.from_exception(exc)], False
-        if not conn.negotiated and not isinstance(message, Hello):
-            error = InvalidRequestError(
-                "connection must open with a hello frame, got "
-                f"{type(message).__name__}"
-            )
-            return [ErrorInfo.from_exception(error)], True
-        if isinstance(message, Hello):
-            try:
-                version = negotiate_version(message.versions)
-            except ProtocolError as exc:
-                return [ErrorInfo.from_exception(exc)], True
-            conn.negotiated = True
-            # Push is granted only when both sides ask for it; legacy
-            # peers (push=False hello, or none at all) get the exact
-            # pre-push protocol.
-            conn.push = bool(message.push and self.push_scheduler is not None)
-            # Payload encoding likewise: "binary" only when the hello
-            # offers it AND this server's payloads allow it; everyone
-            # else keeps the byte-identical JSON wire.  The flip itself
-            # happens in the serve loop, *after* this welcome is framed
-            # in the pre-handshake encoding.
-            granted = negotiate_payload(message.payloads, self.payloads)
-            conn.payload_pending = granted == "binary"
-            welcome = Welcome(
-                version=version,
-                server=self.server_name,
-                max_frame_bytes=self.max_frame_bytes,
-                push=conn.push,
-                payload=granted,
-            )
-            return [welcome], False
-        try:
-            if isinstance(message, OpenSession):
-                return await self._open_session(message, conn)
-            if isinstance(message, CloseSession):
-                return await self._close_session(message, conn)
-            if isinstance(message, TileRequest):
-                return await self._serve_request(message, conn)
-            if isinstance(message, PushAck):
-                return await self._serve_ack(message, conn)
-            if isinstance(message, HotspotGossip):
-                return self._serve_gossip(message)
-            error = InvalidRequestError(
-                f"server cannot serve {type(message).__name__} messages"
-            )
-            return [ErrorInfo.from_exception(error)], False
-        except Exception as exc:
-            return [ErrorInfo.from_exception(exc)], False
-
-    def _serve_gossip(self, message: HotspotGossip):
+    async def _serve_gossip(self, message: HotspotGossip, conn):
         """Absorb a popularity snapshot; reply with this node's own.
 
         Cluster workers answer the router's gossip frames here: incoming
@@ -560,44 +589,18 @@ class ForeCacheSocketServer:
                 "this server shares no hotspot registry "
                 '(shared_hotspots is "off")'
             )
-        if message.entries:
-            registry.merge_max(
-                SharedHotspotRegistry.from_snapshot(
-                    (
-                        (TileKey(level, x, y), weight)
-                        for level, x, y, weight in message.entries
-                    ),
-                    tick=message.tick,
-                    decay=registry.decay,
-                )
-            )
-        tick, entries = registry.gossip_snapshot()
-        reply = HotspotGossip(
-            entries=tuple(
-                (key.level, key.x, key.y, weight) for key, weight in entries
-            ),
-            tick=tick,
-        )
-        return [reply], False
+        message.merge_into(registry)
+        return [HotspotGossip.from_registry(registry)]
 
-    def _require_session(self, session_id: str, conn: _ConnectionState):
-        if session_id not in conn.sessions:
-            # Per-connection isolation: a session another client opened
-            # is invisible here, even if it exists on the service.
-            raise SessionNotFoundError(
-                f"session {session_id!r} is not open on this connection",
-                session_id=session_id,
-            )
-
-    async def _open_session(self, message: OpenSession, conn: _ConnectionState):
+    async def _serve_open(self, message: OpenSession, conn: _ConnectionState):
         handle = await self.service.open_session(None, message.session_id)
         session_id = str(handle.session_id)
         conn.sessions.add(session_id)
         if conn.push and self.push_scheduler is not None:
             self.push_scheduler.open_session(session_id)
-        return [await handle.info()], False
+        return [await handle.info()]
 
-    async def _close_session(
+    async def _serve_close(
         self, message: CloseSession, conn: _ConnectionState
     ):
         session_id = message.session_id
@@ -607,7 +610,7 @@ class ForeCacheSocketServer:
         conn.sessions.discard(session_id)
         if self.push_scheduler is not None:
             self.push_scheduler.forget_session(session_id)
-        return [replace(final, open=False)], False
+        return [replace(final, open=False)]
 
     async def _serve_request(self, message: TileRequest, conn: _ConnectionState):
         session_id = message.session_id
@@ -642,7 +645,7 @@ class ForeCacheSocketServer:
             except FrameTooLargeError as exc:
                 response = self._encode_out(ErrorInfo.from_exception(exc), conn)
         messages.append(response)
-        return messages, False
+        return messages
 
     def _tile_frame(self, message, tile, conn: _ConnectionState) -> bytes:
         """Frame a payload-less reply or push around its full-fidelity
@@ -669,7 +672,7 @@ class ForeCacheSocketServer:
             session_id, [ref.to_key() for ref in message.held]
         )
         if message.tile is None:
-            return [await self.service.info(session_id)], False
+            return [await self.service.info(session_id)]
         result = await self.service.local_hit(
             session_id, message.to_move(), message.tile.to_key()
         )
@@ -690,7 +693,7 @@ class ForeCacheSocketServer:
         )
         messages: list = list(await self._push_messages(session_id, conn))
         messages.append(response)
-        return messages, False
+        return messages
 
     async def _push_messages(
         self, session_id: str, conn: _ConnectionState
@@ -763,20 +766,113 @@ class ForeCacheSocketServer:
             messages.append(frame)
         return messages
 
-    async def _close_sessions(self, sessions: set[str]) -> None:
+    async def _release(self, conn: _ConnectionState) -> None:
         """Drop the sessions a finished connection leaves behind."""
-        for session_id in list(sessions):
+        for session_id in list(conn.sessions):
             if self.push_scheduler is not None:
                 self.push_scheduler.forget_session(session_id)
             with contextlib.suppress(Exception):
                 await self.service.close_session(session_id)
-        sessions.clear()
+        conn.sessions.clear()
 
 
 # ----------------------------------------------------------------------
 # threaded server (for synchronous programs)
 # ----------------------------------------------------------------------
-class ThreadedSocketServer:
+class _LoopThread:
+    """An asyncio endpoint on its own daemon thread and event loop.
+
+    The one harness under :class:`ThreadedSocketServer` and the
+    cluster's :class:`~repro.middleware.cluster.ThreadedRouter`: build
+    the endpoint on the thread, ``start()`` it, publish its address,
+    wait for ``stop()``, ``aclose()`` it.  A subclass supplies
+    :meth:`_build` and a thread name.  One-shot: a harness that was
+    started (successfully or not) is not started again.
+    """
+
+    _thread_name = "forecache-loop"
+
+    def __init__(self) -> None:
+        #: ``(host, port)`` actually bound (set once :meth:`start` returns).
+        self.address: tuple[str, int] | None = None
+        self._endpoint = None
+        self._thread: threading.Thread | None = None
+        self._ready = threading.Event()
+        self._error: BaseException | None = None
+        self._loop: asyncio.AbstractEventLoop | None = None
+        self._stop_event: asyncio.Event | None = None
+
+    def _build(self):
+        """Construct the endpoint — anything with ``await start() ->
+        address`` and ``await aclose()``.  Runs on the loop thread."""
+        raise NotImplementedError
+
+    def start(self) -> tuple[str, int]:
+        """Start the thread; returns the bound ``(host, port)``.  A
+        failed start re-raises here, with the thread already joined."""
+        if self._thread is not None:
+            raise RuntimeError(f"{type(self).__name__} already started")
+        self._thread = threading.Thread(
+            target=lambda: asyncio.run(self._main()),
+            name=self._thread_name,
+            daemon=True,
+        )
+        self._thread.start()
+        self._ready.wait(timeout=60.0)
+        if self._error is not None:
+            self._thread.join(timeout=5.0)
+            raise self._error
+        if self.address is None:
+            raise RuntimeError(f"{self._thread_name} thread failed to start")
+        return self.address
+
+    async def _main(self) -> None:
+        endpoint = None
+        try:
+            endpoint = self._build()
+            address = await endpoint.start()
+        except BaseException as exc:  # surface bind errors to start()
+            if endpoint is not None:
+                # A built endpoint may own thread pools or open links; a
+                # failed bind must not leak them.
+                with contextlib.suppress(BaseException):
+                    await endpoint.aclose()
+            self._error = exc
+            self._ready.set()
+            return
+        self._endpoint = endpoint
+        self.address = address
+        self._loop = asyncio.get_running_loop()
+        self._stop_event = asyncio.Event()
+        self._ready.set()
+        await self._stop_event.wait()
+        await endpoint.aclose()
+
+    def _run(self, coroutine, timeout: float = 30.0):
+        """Run one coroutine on the endpoint's loop from sync code."""
+        assert self._loop is not None
+        return asyncio.run_coroutine_threadsafe(
+            coroutine, self._loop
+        ).result(timeout=timeout)
+
+    def stop(self) -> None:
+        """Drain and shut the endpoint down.  Idempotent."""
+        if self._thread is None:
+            return
+        if self._loop is not None and self._stop_event is not None:
+            with contextlib.suppress(RuntimeError):
+                self._loop.call_soon_threadsafe(self._stop_event.set)
+        self._thread.join(timeout=30.0)
+
+    def __enter__(self):
+        self.start()
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.stop()
+
+
+class ThreadedSocketServer(_LoopThread):
     """A :class:`ForeCacheSocketServer` on its own daemon thread/loop.
 
     Synchronous callers (examples, benchmarks, the conformance tests)
@@ -789,6 +885,8 @@ class ThreadedSocketServer:
     ``stop()`` (or leaving the ``with`` block) performs the server's
     graceful drain before the thread exits.
     """
+
+    _thread_name = "forecache-socket-server"
 
     def __init__(
         self,
@@ -803,101 +901,77 @@ class ThreadedSocketServer:
         port: int | None = None,
         payloads: tuple[str, ...] | None = None,
     ) -> None:
+        super().__init__()
         self._pyramid = pyramid
         self._config = config
-        self._engine_factory = engine_factory
-        self._framing = _check_framing(framing)
-        self._include_payload = include_payload
-        self._payloads = (
-            _check_payloads(payloads) if payloads is not None else None
+        self._server_kwargs = dict(
+            engine_factory=engine_factory,
+            max_workers=max_workers,
+            framing=check_framing(framing),
+            include_payload=include_payload,
+            host=host,
+            port=port,
+            payloads=(
+                _check_payloads(payloads) if payloads is not None else None
+            ),
         )
-        self._max_workers = max_workers
-        self._host = host
-        self._port = port
-        self.address: tuple[str, int] | None = None
-        #: The underlying asyncio server (set once :meth:`start` returns).
-        self.server: ForeCacheSocketServer | None = None
-        self._thread: threading.Thread | None = None
-        self._ready = threading.Event()
-        self._error: BaseException | None = None
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._stop_event: asyncio.Event | None = None
 
-    def start(self) -> tuple[str, int]:
-        """Start the server thread; returns the bound ``(host, port)``."""
-        if self._thread is not None:
-            raise RuntimeError("threaded socket server already started")
-        self._thread = threading.Thread(
-            target=lambda: asyncio.run(self._main()),
-            name="forecache-socket-server",
-            daemon=True,
+    @property
+    def server(self) -> ForeCacheSocketServer | None:
+        """The underlying asyncio server (set once :meth:`start` returns)."""
+        return self._endpoint
+
+    def _build(self) -> ForeCacheSocketServer:
+        return ForeCacheSocketServer.build(
+            self._pyramid, self._config, **self._server_kwargs
         )
-        self._thread.start()
-        self._ready.wait(timeout=30.0)
-        if self._error is not None:
-            raise self._error
-        if self.address is None:
-            raise RuntimeError("socket server thread failed to start")
-        return self.address
-
-    async def _main(self) -> None:
-        server = None
-        try:
-            server = ForeCacheSocketServer.build(
-                self._pyramid,
-                self._config,
-                engine_factory=self._engine_factory,
-                max_workers=self._max_workers,
-                framing=self._framing,
-                include_payload=self._include_payload,
-                host=self._host,
-                port=self._port,
-                payloads=self._payloads,
-            )
-            await server.start()
-        except BaseException as exc:  # surface bind errors to start()
-            if server is not None:
-                # The built service owns thread pools; a failed bind
-                # must not leak them.
-                with contextlib.suppress(BaseException):
-                    await server.aclose()
-            self._error = exc
-            self._ready.set()
-            return
-        self.server = server
-        self.address = server.address
-        self._loop = asyncio.get_running_loop()
-        self._stop_event = asyncio.Event()
-        self._ready.set()
-        await self._stop_event.wait()
-        await server.aclose()
-
-    def stop(self) -> None:
-        """Drain and shut the server down.  Idempotent."""
-        if self._thread is None:
-            return
-        if self._loop is not None and self._stop_event is not None:
-            stop_event = self._stop_event
-
-            def _signal() -> None:
-                stop_event.set()
-
-            with contextlib.suppress(RuntimeError):
-                self._loop.call_soon_threadsafe(_signal)
-        self._thread.join(timeout=30.0)
-
-    def __enter__(self) -> "ThreadedSocketServer":
-        self.start()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
 
 
 # ----------------------------------------------------------------------
-# synchronous client
+# clients: I/O shells around one ClientConnection
 # ----------------------------------------------------------------------
-class SocketTransport(Transport):
+def _core_attribute(name: str) -> property:
+    """Expose one attribute of a shell's connection core (where it is
+    documented) on the shell itself."""
+    return property(lambda self: getattr(self._core, name))
+
+
+class _ClientShell:
+    """What both socket clients expose of their connection core."""
+
+    _core: ClientConnection
+
+    push_enabled = _core_attribute("push_enabled")
+    payload = _core_attribute("payload")
+    server_version = _core_attribute("server_version")
+    server_name = _core_attribute("server_name")
+    server_max_frame_bytes = _core_attribute("server_max_frame_bytes")
+    bytes_sent = _core_attribute("bytes_sent")
+    bytes_received = _core_attribute("bytes_received")
+    wire_sent = _core_attribute("wire_sent")
+    wire_received = _core_attribute("wire_received")
+
+
+class _SessionClient:
+    """What both session clients share: identity and the protocol stub."""
+
+    def __init__(
+        self,
+        transport,
+        session_id: str,
+        push_cache: PushCache | None = None,
+    ) -> None:
+        self.transport = transport
+        self.session_id = session_id
+        self.push_cache = push_cache
+        self._stub = SessionStub(transport._core, session_id, push_cache)
+
+    @property
+    def pyramid(self) -> TilePyramid | None:
+        return self.transport.pyramid
+
+
+class SocketTransport(_ClientShell, Transport):
     """Blocking-socket client transport; multiplexes sessions over one
     TCP connection.
 
@@ -923,101 +997,25 @@ class SocketTransport(Transport):
         wire_tap: bool = False,
     ) -> None:
         self.pyramid = pyramid
-        self._framing = _check_framing(framing)
-        #: Framing actually on the wire right now — starts as the JSON
-        #: framing, flips to "binary" if the handshake grants it.
-        self._wire = self._framing
-        # Outgoing limit; clamped to the server's advertised budget after
-        # the handshake, so an over-limit request fails locally (and
-        # recoverably) instead of tripping the server's decoder — which
-        # hangs up and would take every session on this connection down.
-        self._send_limit = max_frame_bytes
-        self._decoder = FrameDecoder(framing, max_frame_bytes)
-        self._pending: deque[str | bytes] = deque()
+        self._core = ClientConnection(
+            framing,
+            max_frame_bytes,
+            push_cache_capacity=push_cache_capacity,
+            wire_tap=wire_tap,
+        )
+        hello = self._core.hello(client_name, push=push, payload=payload)
         self._lock = threading.RLock()
         # _closed is guarded by its own lock so close() can run while a
         # roundtrip holds self._lock blocked in recv.
         self._close_lock = threading.Lock()
         self._closed = False
-        self._push_cache_capacity = push_cache_capacity
-        #: Per-session push caches (only populated on push connections).
-        self._push_caches: dict[str, PushCache] = {}
-        #: True once both sides agreed on push (requested AND granted).
-        self.push_enabled = False
-        #: Payload encoding in force ("json" until the handshake grants
-        #: more).
-        self.payload = "json"
-        #: Wire byte counters, always on (cheap integer adds) — the
-        #: benchmark's bytes-per-tile numbers come straight from here.
-        self.bytes_sent = 0
-        self.bytes_received = 0
-        #: With ``wire_tap=True`` every byte sent/received is also
-        #: appended to these buffers (conformance tests assert whole
-        #: streams byte-identical across negotiation outcomes).
-        self.wire_sent: bytearray | None = bytearray() if wire_tap else None
-        self.wire_received: bytearray | None = (
-            bytearray() if wire_tap else None
-        )
-        requested = _check_payload(payload)
         self._sock = socket.create_connection((host, port), timeout=timeout)
         try:
-            welcome = self.roundtrip(
-                Hello(
-                    versions=SUPPORTED_VERSIONS,
-                    client=client_name,
-                    push=push,
-                    payloads=(
-                        ("json", "binary")
-                        if requested == "binary"
-                        else ("json",)
-                    ),
-                )
-            )
-            if isinstance(welcome, ErrorInfo):
-                raise welcome.to_exception()
-            if not isinstance(welcome, Welcome):
-                raise ProtocolError(
-                    f"expected welcome, got {type(welcome).__name__}"
-                )
-            if welcome.payload == "binary" and requested != "binary":
-                raise ProtocolError(
-                    "server granted the binary payload encoding this "
-                    "client never offered"
-                )
-            if welcome.payload not in PAYLOADS:
-                raise ProtocolError(
-                    f"server granted unknown payload encoding "
-                    f"{welcome.payload!r}"
-                )
+            self._core.welcome(self.roundtrip(hello))
         except BaseException:
             self.close()
             raise
-        #: Negotiated protocol revision and the server's advertised limits.
-        self.server_version = welcome.version
-        self.server_name = welcome.server
-        self.server_max_frame_bytes = welcome.max_frame_bytes
-        self.push_enabled = bool(push and welcome.push)
-        self.payload = welcome.payload
-        if self.payload == "binary":
-            # The welcome itself arrived in the JSON framing; everything
-            # after it — both directions — speaks binary framing.  The
-            # strict request/reply pairing guarantees nothing else is
-            # buffered at this point.
-            self._wire = "binary"
-            self._decoder.switch_to_binary()
-        if welcome.max_frame_bytes > 0:
-            self._send_limit = min(self._send_limit, welcome.max_frame_bytes)
-            # Receiving is sized to the server's budget too: the server
-            # never frames a reply above its advertised limit, so a
-            # legitimate large response must not trip our decoder and
-            # take the connection down.
-            self._decoder.max_frame_bytes = max(
-                self._decoder.max_frame_bytes, welcome.max_frame_bytes
-            )
 
-    # ------------------------------------------------------------------
-    # wire plumbing
-    # ------------------------------------------------------------------
     def roundtrip(self, message):
         """Send one message, return the decoded reply.
 
@@ -1028,113 +1026,30 @@ class SocketTransport(Transport):
         possibly still in flight — the pairing is unrecoverable, so the
         transport closes itself rather than hand request N+1 the answer
         to request N; later calls raise ``SessionClosedError``.
-
-        On push connections the server may precede the reply with
-        ``push_tile`` frames; those are absorbed into the addressed
-        session's :class:`PushCache` here, under the same lock, before
-        the reply is returned.
         """
+        core = self._core
         with self._lock:
             if self._closed:
                 raise SessionClosedError("socket transport is closed")
-            # An over-limit request raises here, before any bytes move —
-            # a local, recoverable failure that leaves the stream synced.
-            frame = encode_wire(message, self._wire, self._send_limit)
-            if not self.push_enabled:
-                try:
-                    self._sendall(frame)
-                    raw = self._recv_frame()
-                except BaseException:
-                    self.close()  # RLock: safe while held
-                    raise
-                # The frame was fully consumed, so the stream stays in
-                # sync even if its content fails to decode.
-                return protocol.decode_wire(raw)
+            frame = core.begin(message)
             try:
-                self._sendall(frame)
-                while True:
-                    # Unlike the pull-only path, decode failures are
-                    # fatal here: an undecodable frame might have been a
-                    # push, so "which frame answers the request" is no
-                    # longer knowable.
-                    reply = protocol.decode_wire(self._recv_frame())
-                    if isinstance(reply, PushTile):
-                        self._absorb_push(reply)
-                        continue
-                    return reply
+                self._sock.sendall(frame)
+                while (reply := core.reply()) is None:
+                    core.receive(self._sock.recv(_READ_CHUNK))
+                return reply
             except BaseException:
-                self.close()  # RLock: safe while held
+                if core.reply_outstanding:
+                    self.close()  # RLock: safe while held
                 raise
 
-    def _sendall(self, frame: bytes) -> None:
-        self._sock.sendall(frame)
-        self.bytes_sent += len(frame)
-        if self.wire_sent is not None:
-            self.wire_sent += frame
-
-    def _absorb_push(self, message: PushTile) -> None:
-        """File one unsolicited pushed tile into its session's cache.
-
-        A coarse frame (``fidelity < 1``) is upsampled back to full tile
-        shape — the stand-in a client renders while the refinement frame
-        is still in flight; the cache's fidelity tracking upgrades it in
-        place when that frame lands.
-        """
-        cache = self._push_caches.get(message.session_id)
-        if cache is not None and message.payload is not None:
-            tile = message.payload.to_tile()
-            if message.fidelity < 1.0:
-                tile = upsample_tile(tile, int(round(1.0 / message.fidelity)))
-            cache.put(tile, fidelity=message.fidelity)
-
-    def _recv_frame(self) -> str | bytes:
-        while not self._pending:
-            data = self._sock.recv(_READ_CHUNK)
-            if not data:
-                raise ProtocolError("server closed the connection")
-            self.bytes_received += len(data)
-            if self.wire_received is not None:
-                self.wire_received += data
-            self._pending.extend(self._decoder.feed(data))
-        return self._pending.popleft()
-
-    # ------------------------------------------------------------------
-    # Transport contract
-    # ------------------------------------------------------------------
     def connect(
         self,
         engine: PredictionEngine | None = None,
         session_id: str | None = None,
     ) -> "SocketSessionClient":
-        """Open a server-side session; returns its client stub.
-
-        Engines live server-side (the server's ``engine_factory`` builds
-        one per session); passing one here is a usage error.
-        """
-        if engine is not None:
-            raise ValueError(
-                "socket sessions get their engine from the server's "
-                "engine_factory; pass engine=None"
-            )
-        reply = self.roundtrip(
-            OpenSession(
-                session_id=str(session_id) if session_id is not None else None
-            )
-        )
-        if isinstance(reply, ErrorInfo):
-            raise reply.to_exception()
-        if not isinstance(reply, SessionInfo):
-            raise ProtocolError(
-                f"expected session_info, got {type(reply).__name__}"
-            )
-        push_cache: PushCache | None = None
-        if self.push_enabled:
-            push_cache = PushCache(capacity=self._push_cache_capacity)
-            self._push_caches[reply.session_id] = push_cache
-        return SocketSessionClient(self, reply.session_id, push_cache)
-
-    def _drop_push_cache(self, session_id: str) -> None:
-        self._push_caches.pop(session_id, None)
+        """Open a server-side session; returns its client stub."""
+        reply = self.roundtrip(self._core.open_session(engine, session_id))
+        return SocketSessionClient(self, *self._core.session_opened(reply))
 
     def close(self) -> None:
         """Drop the connection (server closes its sessions).  Idempotent.
@@ -1152,81 +1067,15 @@ class SocketTransport(Transport):
             self._sock.close()
 
 
-class SocketSessionClient:
-    """One session's client stub over a :class:`SocketTransport`.
-
-    On push connections the stub consults its :class:`PushCache` before
-    touching the wire: a held tile is answered locally and the server is
-    told via ``push_ack`` (so its prediction engine still observes the
-    move); every wire request carries the cache digest so the server
-    never re-streams a held tile.
-    """
-
-    def __init__(
-        self,
-        transport: SocketTransport,
-        session_id: str,
-        push_cache: PushCache | None = None,
-    ) -> None:
-        self.transport = transport
-        self.session_id = session_id
-        self.push_cache = push_cache
-        self._closed = False
-
-    @property
-    def pyramid(self) -> TilePyramid | None:
-        return self.transport.pyramid
-
-    def _digest(self) -> tuple[TileRef, ...]:
-        assert self.push_cache is not None
-        return tuple(TileRef.from_key(k) for k in self.push_cache.digest())
+class SocketSessionClient(_SessionClient):
+    """One session's client stub over a :class:`SocketTransport`."""
 
     def handle_request(self, move: Move | None, key: TileKey) -> TileResponse:
         """Round-trip one request over the socket (or answer it from the
         push cache when the tile was already streamed here)."""
-        held: tuple[TileRef, ...] | None = None
-        if self.push_cache is not None:
-            tile = self.push_cache.get(key)
-            if tile is not None:
-                return self._local_hit(move, tile)
-            held = self._digest()
-        reply = self.transport.roundtrip(
-            TileRequest(
-                session_id=self.session_id,
-                tile=TileRef.from_key(key),
-                move=move.value if move is not None else None,
-                held=held,
-            )
-        )
-        return response_to_client(reply)
-
-    def _local_hit(self, move: Move | None, tile) -> TileResponse:
-        """Answer from the push cache; report the hit to the server."""
-        reply = self.transport.roundtrip(
-            PushAck(
-                session_id=self.session_id,
-                held=self._digest(),
-                move=move.value if move is not None else None,
-                tile=TileRef.from_key(tile.key),
-            )
-        )
-        if isinstance(reply, ErrorInfo):
-            raise reply.to_exception()
-        if not isinstance(reply, protocol.TileResponse):
-            raise ProtocolError(
-                f"expected tile_response, got {type(reply).__name__}"
-            )
-        # The reply is payload-less by design — materialize the
-        # in-process response from the tile this cache already holds.
-        return TileResponse(
-            tile=tile,
-            latency_seconds=reply.latency_seconds,
-            hit=reply.hit,
-            phase=reply.to_phase(),
-            prefetched=tuple(ref.to_key() for ref in reply.prefetched),
-            # A held tile may still be the coarse stand-in awaiting its
-            # refinement frame; report what this cache actually holds.
-            fidelity=self.push_cache.fidelity(tile.key),
+        message, held_tile = self._stub.request(move, key)
+        return self._stub.response(
+            self.transport.roundtrip(message), held_tile
         )
 
     # The connection contract every front end shares.
@@ -1235,24 +1084,17 @@ class SocketSessionClient:
     def close(self) -> None:
         """Close the server-side session.  Idempotent; tolerates a
         transport that already went away."""
-        if self._closed:
+        message = self._stub.close()
+        if message is None:
             return
-        self._closed = True
-        self.transport._drop_push_cache(self.session_id)
         try:
-            reply = self.transport.roundtrip(CloseSession(self.session_id))
+            reply = self.transport.roundtrip(message)
         except (ProtocolError, OSError):
             return  # connection gone; the server reaps the session
-        if isinstance(reply, ErrorInfo):
-            exc = reply.to_exception()
-            if not isinstance(exc, SessionNotFoundError):
-                raise exc
+        self._stub.close_acknowledged(reply)
 
 
-# ----------------------------------------------------------------------
-# asyncio client
-# ----------------------------------------------------------------------
-class AsyncSocketTransport:
+class AsyncSocketTransport(_ClientShell):
     """Asyncio-streams client transport; the awaitable twin of
     :class:`SocketTransport`."""
 
@@ -1267,32 +1109,9 @@ class AsyncSocketTransport:
         self.pyramid = pyramid
         self._reader = reader
         self._writer = writer
-        self._framing = framing
-        #: Framing actually on the wire (flips to "binary" post-handshake).
-        self._wire = framing
-        # Outgoing limit; clamped to the server's advertised budget after
-        # the handshake (see SocketTransport for the rationale).
-        self._send_limit = max_frame_bytes
-        self._decoder = FrameDecoder(framing, max_frame_bytes)
-        self._pending: deque[str | bytes] = deque()
+        self._core = ClientConnection(framing, max_frame_bytes)
         self._lock = asyncio.Lock()
         self._closed = False
-        self.server_version: int | None = None
-        self.server_name = ""
-        self.server_max_frame_bytes = 0
-        self._push_cache_capacity = 32
-        #: Per-session push caches (only populated on push connections).
-        self._push_caches: dict[str, PushCache] = {}
-        #: True once both sides agreed on push (requested AND granted).
-        self.push_enabled = False
-        #: Payload encoding in force ("json" until the handshake grants
-        #: more).
-        self.payload = "json"
-        #: Wire byte counters (always on; see SocketTransport).
-        self.bytes_sent = 0
-        self.bytes_received = 0
-        self.wire_sent: bytearray | None = None
-        self.wire_received: bytearray | None = None
 
     @classmethod
     async def open(
@@ -1310,64 +1129,21 @@ class AsyncSocketTransport:
         wire_tap: bool = False,
     ) -> "AsyncSocketTransport":
         """Connect and run the hello/welcome handshake."""
-        _check_framing(framing)
-        requested = _check_payload(payload)
+        core = ClientConnection(
+            framing,
+            max_frame_bytes,
+            push_cache_capacity=push_cache_capacity,
+            wire_tap=wire_tap,
+        )
+        hello = core.hello(client_name, push=push, payload=payload)
         reader, writer = await asyncio.open_connection(host, port)
         self = cls(reader, writer, pyramid, framing, max_frame_bytes)
-        self._push_cache_capacity = push_cache_capacity
-        if wire_tap:
-            self.wire_sent = bytearray()
-            self.wire_received = bytearray()
+        self._core = core  # the constructor's default core, configured
         try:
-            welcome = await self.roundtrip(
-                Hello(
-                    versions=SUPPORTED_VERSIONS,
-                    client=client_name,
-                    push=push,
-                    payloads=(
-                        ("json", "binary")
-                        if requested == "binary"
-                        else ("json",)
-                    ),
-                )
-            )
-            if isinstance(welcome, ErrorInfo):
-                raise welcome.to_exception()
-            if not isinstance(welcome, Welcome):
-                raise ProtocolError(
-                    f"expected welcome, got {type(welcome).__name__}"
-                )
-            if welcome.payload == "binary" and requested != "binary":
-                raise ProtocolError(
-                    "server granted the binary payload encoding this "
-                    "client never offered"
-                )
-            if welcome.payload not in PAYLOADS:
-                raise ProtocolError(
-                    f"server granted unknown payload encoding "
-                    f"{welcome.payload!r}"
-                )
+            core.welcome(await self.roundtrip(hello))
         except BaseException:
             await self.aclose()
             raise
-        self.server_version = welcome.version
-        self.server_name = welcome.server
-        self.server_max_frame_bytes = welcome.max_frame_bytes
-        self.push_enabled = bool(push and welcome.push)
-        self.payload = welcome.payload
-        if self.payload == "binary":
-            # The welcome itself arrived in the JSON framing; everything
-            # after it — both directions — speaks binary framing.
-            self._wire = "binary"
-            self._decoder.switch_to_binary()
-        if welcome.max_frame_bytes > 0:
-            self._send_limit = min(self._send_limit, welcome.max_frame_bytes)
-            # See SocketTransport: receive limit follows the server's
-            # advertised budget so a large-but-legal reply never kills
-            # the connection.
-            self._decoder.max_frame_bytes = max(
-                self._decoder.max_frame_bytes, welcome.max_frame_bytes
-            )
         return self
 
     async def roundtrip(self, message):
@@ -1379,66 +1155,24 @@ class AsyncSocketTransport:
         closes itself instead of letting the next request read a stale
         answer.  Later calls raise ``SessionClosedError``.
         """
+        core = self._core
         async with self._lock:
             if self._closed:
                 raise SessionClosedError("socket transport is closed")
-            # An over-limit request raises here, before any bytes move —
-            # local and recoverable, the stream stays synced.
-            frame = encode_wire(message, self._wire, self._send_limit)
+            frame = core.begin(message)
             try:
                 self._writer.write(frame)
-                self.bytes_sent += len(frame)
-                if self.wire_sent is not None:
-                    self.wire_sent += frame
                 await self._writer.drain()
-                if not self.push_enabled:
-                    raw = await self._recv_frame()
-                else:
-                    # Push connections absorb unsolicited push_tile
-                    # frames until the actual reply arrives; a decode
-                    # failure is fatal here (the undecodable frame might
-                    # have been a push — pairing is unrecoverable).
-                    while True:
-                        reply = protocol.decode_wire(await self._recv_frame())
-                        if isinstance(reply, PushTile):
-                            self._absorb_push(reply)
-                            continue
-                        return reply
+                while (reply := core.reply()) is None:
+                    core.receive(await self._reader.read(_READ_CHUNK))
+                return reply
             except BaseException:
-                # No awaits here: this must complete even while a
-                # cancellation is being delivered.
-                self._closed = True
-                self._writer.close()
+                if core.reply_outstanding:
+                    # No awaits here: this must complete even while a
+                    # cancellation is being delivered.
+                    self._closed = True
+                    self._writer.close()
                 raise
-            # A fully consumed frame keeps the stream in sync even if
-            # its content fails to decode.
-            return protocol.decode_wire(raw)
-
-    def _absorb_push(self, message: PushTile) -> None:
-        """File one unsolicited pushed tile into its session's cache.
-
-        A coarse frame (``fidelity < 1``) is upsampled back to full tile
-        shape — the stand-in a client renders while the refinement frame
-        is still in flight; the cache's fidelity tracking upgrades it in
-        place when that frame lands.
-        """
-        cache = self._push_caches.get(message.session_id)
-        if cache is not None and message.payload is not None:
-            tile = message.payload.to_tile()
-            if message.fidelity < 1.0:
-                tile = upsample_tile(tile, int(round(1.0 / message.fidelity)))
-            cache.put(tile, fidelity=message.fidelity)
-
-    async def _recv_frame(self) -> str | bytes:
-        while not self._pending:
-            data = await self._reader.read(_READ_CHUNK)
-            if not data:
-                raise ProtocolError("server closed the connection")
-            self.bytes_received += len(data)
-            if self.wire_received is not None:
-                self.wire_received += data
-            self._pending.extend(self._decoder.feed(data))
-        return self._pending.popleft()
 
     async def connect(
         self,
@@ -1446,30 +1180,12 @@ class AsyncSocketTransport:
         session_id: str | None = None,
     ) -> "AsyncSocketSessionClient":
         """Open a server-side session; returns its awaitable stub."""
-        if engine is not None:
-            raise ValueError(
-                "socket sessions get their engine from the server's "
-                "engine_factory; pass engine=None"
-            )
         reply = await self.roundtrip(
-            OpenSession(
-                session_id=str(session_id) if session_id is not None else None
-            )
+            self._core.open_session(engine, session_id)
         )
-        if isinstance(reply, ErrorInfo):
-            raise reply.to_exception()
-        if not isinstance(reply, SessionInfo):
-            raise ProtocolError(
-                f"expected session_info, got {type(reply).__name__}"
-            )
-        push_cache: PushCache | None = None
-        if self.push_enabled:
-            push_cache = PushCache(capacity=self._push_cache_capacity)
-            self._push_caches[reply.session_id] = push_cache
-        return AsyncSocketSessionClient(self, reply.session_id, push_cache)
-
-    def _drop_push_cache(self, session_id: str) -> None:
-        self._push_caches.pop(session_id, None)
+        return AsyncSocketSessionClient(
+            self, *self._core.session_opened(reply)
+        )
 
     async def aclose(self) -> None:
         """Drop the connection (server closes its sessions).  Idempotent."""
@@ -1487,96 +1203,31 @@ class AsyncSocketTransport:
         await self.aclose()
 
 
-class AsyncSocketSessionClient:
+class AsyncSocketSessionClient(_SessionClient):
     """One session's awaitable stub over an :class:`AsyncSocketTransport`.
 
     Satisfies the ``AsyncBrowsingSession`` connection contract
     (``.pyramid`` + awaitable ``.request(move, key)``).
     """
 
-    def __init__(
-        self,
-        transport: AsyncSocketTransport,
-        session_id: str,
-        push_cache: PushCache | None = None,
-    ) -> None:
-        self.transport = transport
-        self.session_id = session_id
-        self.push_cache = push_cache
-        self._closed = False
-
-    @property
-    def pyramid(self) -> TilePyramid | None:
-        return self.transport.pyramid
-
-    def _digest(self) -> tuple[TileRef, ...]:
-        assert self.push_cache is not None
-        return tuple(TileRef.from_key(k) for k in self.push_cache.digest())
-
     async def request(self, move: Move | None, key: TileKey) -> TileResponse:
         """Round-trip one request over the socket (or answer it from the
         push cache when the tile was already streamed here)."""
-        held: tuple[TileRef, ...] | None = None
-        if self.push_cache is not None:
-            tile = self.push_cache.get(key)
-            if tile is not None:
-                return await self._local_hit(move, tile)
-            held = self._digest()
-        reply = await self.transport.roundtrip(
-            TileRequest(
-                session_id=self.session_id,
-                tile=TileRef.from_key(key),
-                move=move.value if move is not None else None,
-                held=held,
-            )
-        )
-        return response_to_client(reply)
-
-    async def _local_hit(self, move: Move | None, tile) -> TileResponse:
-        """Answer from the push cache; report the hit to the server."""
-        reply = await self.transport.roundtrip(
-            PushAck(
-                session_id=self.session_id,
-                held=self._digest(),
-                move=move.value if move is not None else None,
-                tile=TileRef.from_key(tile.key),
-            )
-        )
-        if isinstance(reply, ErrorInfo):
-            raise reply.to_exception()
-        if not isinstance(reply, protocol.TileResponse):
-            raise ProtocolError(
-                f"expected tile_response, got {type(reply).__name__}"
-            )
-        # The reply is payload-less by design — materialize the
-        # in-process response from the tile this cache already holds.
-        return TileResponse(
-            tile=tile,
-            latency_seconds=reply.latency_seconds,
-            hit=reply.hit,
-            phase=reply.to_phase(),
-            prefetched=tuple(ref.to_key() for ref in reply.prefetched),
-            # A held tile may still be the coarse stand-in awaiting its
-            # refinement frame; report what this cache actually holds.
-            fidelity=self.push_cache.fidelity(tile.key),
+        message, held_tile = self._stub.request(move, key)
+        return self._stub.response(
+            await self.transport.roundtrip(message), held_tile
         )
 
     async def close(self) -> None:
         """Close the server-side session.  Idempotent."""
-        if self._closed:
+        message = self._stub.close()
+        if message is None:
             return
-        self._closed = True
-        self.transport._drop_push_cache(self.session_id)
         try:
-            reply = await self.transport.roundtrip(
-                CloseSession(self.session_id)
-            )
+            reply = await self.transport.roundtrip(message)
         except (ProtocolError, OSError):
             return
-        if isinstance(reply, ErrorInfo):
-            exc = reply.to_exception()
-            if not isinstance(exc, SessionNotFoundError):
-                raise exc
+        self._stub.close_acknowledged(reply)
 
     async def __aenter__(self) -> "AsyncSocketSessionClient":
         return self

@@ -814,6 +814,31 @@ class HotspotGossip:
             tick=int(data.get("tick", 0)),
         )
 
+    @classmethod
+    def from_registry(cls, registry) -> "HotspotGossip":
+        """A registry's full snapshot, stamped from one atomic tick read."""
+        tick, entries = registry.gossip_snapshot()
+        return cls(
+            entries=tuple(
+                (key.level, key.x, key.y, weight) for key, weight in entries
+            ),
+            tick=tick,
+        )
+
+    def merge_into(self, registry) -> None:
+        """Max-merge this snapshot into ``registry``, tick-aligned."""
+        if self.entries:
+            registry.merge_max(
+                type(registry).from_snapshot(
+                    (
+                        (TileKey(level, x, y), weight)
+                        for level, x, y, weight in self.entries
+                    ),
+                    tick=self.tick,
+                    decay=registry.decay,
+                )
+            )
+
 
 # ----------------------------------------------------------------------
 # envelope

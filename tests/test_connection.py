@@ -1,0 +1,595 @@
+"""The connection core, driven with bytes only.
+
+:mod:`repro.middleware.connection` holds the client side of the wire
+protocol without any I/O, so everything here feeds it byte strings and
+reads its answers — no socket is opened by a test body.  (The one
+recorded server stream comes from a real push server's ``wire_tap``, in
+a module fixture; it is then replayed into a bare core.)
+"""
+
+from __future__ import annotations
+
+import ast
+import inspect
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.allocation import SingleModelStrategy
+from repro.core.engine import PredictionEngine
+from repro.middleware import connection, protocol
+from repro.middleware.config import CacheConfig, PrefetchPolicy, ServiceConfig
+from repro.middleware.connection import (
+    ClientConnection,
+    OpaqueFrame,
+    SessionStub,
+    decode_opaque,
+)
+from repro.middleware.net import SocketTransport, ThreadedSocketServer
+from repro.middleware.protocol import (
+    ErrorInfo,
+    FrameDecoder,
+    FramingError,
+    OpenSession,
+    ProtocolError,
+    PushAck,
+    PushTile,
+    SessionInfo,
+    TilePayload,
+    TileRef,
+    TileRequest,
+    VersionMismatchError,
+    Welcome,
+    decode_wire,
+    encode_wire,
+)
+from repro.middleware.push import PushCache
+from repro.recommenders.momentum import MomentumRecommender
+from repro.tiles.key import TileKey
+from repro.tiles.moves import Move
+from repro.tiles.reduce import downsample_tile
+
+
+def handshaken(
+    *, framing="lines", push=False, payload="json", grant_push=None, **kwargs
+) -> ClientConnection:
+    """A core past its handshake, the welcome fed as bytes."""
+    core = ClientConnection(framing, **kwargs)
+    core.begin(core.hello("test", push=push, payload=payload))
+    welcome = Welcome(
+        version=1,
+        server="fake",
+        max_frame_bytes=1 << 20,
+        push=push if grant_push is None else grant_push,
+        payload=payload,
+    )
+    core.receive(encode_wire(welcome, framing))
+    core.welcome(core.reply())
+    return core
+
+
+def session_info(session_id="s") -> SessionInfo:
+    return SessionInfo(
+        session_id=session_id,
+        requests=0,
+        hits=0,
+        hit_rate=0.0,
+        average_latency_seconds=0.0,
+        open=True,
+        prefetch_mode="sync",
+    )
+
+
+def open_session(core: ClientConnection, session_id="s"):
+    """Run the open_session exchange against canned bytes."""
+    core.begin(core.open_session(None, session_id))
+    core.receive(encode_wire(session_info(session_id), core.wire))
+    return core.session_opened(core.reply())
+
+
+def tile_reply(tile, session_id="s") -> protocol.TileResponse:
+    return protocol.TileResponse(
+        session_id=session_id,
+        tile=TileRef.from_key(tile.key),
+        latency_seconds=0.0195,
+        hit=True,
+        payload=TilePayload.from_tile(tile),
+    )
+
+
+def push_frame(tile, *, fidelity=1.0, rank=0, session_id="s") -> PushTile:
+    return PushTile(
+        session_id=session_id,
+        tile=TileRef.from_key(tile.key),
+        rank=rank,
+        generation=1,
+        utility=1.0,
+        payload=TilePayload.from_tile(tile),
+        fidelity=fidelity,
+    )
+
+
+# ----------------------------------------------------------------------
+# handshake
+# ----------------------------------------------------------------------
+class TestHandshake:
+    def test_hello_offers_what_was_asked(self):
+        core = ClientConnection()
+        assert core.hello("me").payloads == ("json",)
+        hello = core.hello("me", push=True, payload="binary")
+        assert (hello.client, hello.push) == ("me", True)
+        assert hello.payloads == ("json", "binary")
+        with pytest.raises(ValueError):
+            core.hello("me", payload="msgpack")
+        with pytest.raises(ValueError):
+            ClientConnection("carrier-pigeon")
+
+    def test_grant_puts_binary_push_and_limits_in_force(self):
+        core = ClientConnection("length", 4096)
+        core.begin(core.hello("me", push=True, payload="binary"))
+        welcome = Welcome(
+            version=1, server="srv", max_frame_bytes=1024, push=True,
+            payload="binary",
+        )
+        core.receive(encode_wire(welcome, "length"))
+        assert core.welcome(core.reply()) == welcome
+        assert core.push_enabled and core.payload == "binary"
+        assert core.wire == "binary"
+        assert (core.server_version, core.server_name) == (1, "srv")
+        # Sending is clamped down to the server's budget ...
+        assert core.send_limit == 1024
+        with pytest.raises(protocol.FrameTooLargeError):
+            core.begin(OpenSession(session_id="x" * 2048))
+        assert not core.reply_outstanding  # nothing was framed
+        # ... and the next frame is cut under the binary framing.
+        core.begin(OpenSession(session_id="s"))
+        core.receive(encode_wire(session_info(), "binary"))
+        assert core.reply() == session_info()
+
+    def test_receive_limit_rises_to_the_servers_budget(self):
+        core = ClientConnection("lines", 128)
+        core.begin(core.hello("me"))
+        core.receive(
+            encode_wire(Welcome(version=1, max_frame_bytes=1 << 16), "lines")
+        )
+        core.welcome(core.reply())
+        assert core.send_limit == 128  # never raised above the local limit
+        core.begin(OpenSession(session_id="s"))
+        core.receive(encode_wire(session_info("s" * 500), "lines"))
+        assert core.reply().session_id == "s" * 500
+
+    def test_denied_capabilities_stay_off(self):
+        core = handshaken(push=True, grant_push=False)
+        assert not core.push_enabled and core.payload == "json"
+        assert core.wire == "lines"
+        # A server volunteering push nobody asked for is ignored.
+        assert not handshaken(push=False, grant_push=True).push_enabled
+
+    def test_unoffered_binary_grant_is_refused(self):
+        core = ClientConnection()
+        core.hello("me")
+        with pytest.raises(ProtocolError, match="never offered"):
+            core.welcome(Welcome(version=1, payload="binary"))
+        assert core.wire == "lines" and core.payload == "json"
+
+    def test_unknown_payload_grant_is_refused(self):
+        core = ClientConnection()
+        core.hello("me", payload="binary")
+        with pytest.raises(ProtocolError, match="unknown payload"):
+            core.welcome(Welcome(version=1, payload="msgpack"))
+
+    def test_typed_error_and_wrong_reply_raise(self):
+        core = ClientConnection()
+        core.hello("me")
+        refusal = ErrorInfo.from_exception(VersionMismatchError("no common"))
+        with pytest.raises(VersionMismatchError):
+            core.welcome(refusal)
+        with pytest.raises(ProtocolError, match="expected welcome"):
+            core.welcome(session_info())
+
+
+# ----------------------------------------------------------------------
+# request/reply exchanges
+# ----------------------------------------------------------------------
+class TestExchange:
+    def test_reply_is_none_until_its_last_byte_arrives(self):
+        core = handshaken()
+        frame = encode_wire(session_info(), "lines")
+        core.begin(OpenSession(session_id="s"))
+        assert core.reply() is None and core.reply_outstanding
+        core.receive(frame[:-1])
+        assert core.reply() is None and core.reply_outstanding
+        core.receive(frame[-1:])
+        assert core.reply() == session_info()
+        assert not core.reply_outstanding
+
+    def test_counters_and_tap_see_every_byte(self):
+        core = handshaken(wire_tap=True)
+        sent, received = core.bytes_sent, core.bytes_received
+        assert (sent, received) == (len(core.wire_sent), len(core.wire_received))
+        frame = core.begin(OpenSession(session_id="s"))
+        reply = encode_wire(session_info(), "lines")
+        core.receive(reply)
+        assert core.bytes_sent == sent + len(frame)
+        assert core.bytes_received == received + len(reply)
+        assert core.wire_sent.endswith(frame)
+        assert core.wire_received.endswith(reply)
+        assert handshaken().wire_sent is None
+
+    def test_hangup_is_a_typed_error_with_the_reply_outstanding(self):
+        core = handshaken()
+        core.begin(OpenSession(session_id="s"))
+        with pytest.raises(ProtocolError, match="closed the connection"):
+            core.receive(b"")
+        assert core.reply_outstanding
+
+    def test_pull_mode_undecodable_frame_leaves_the_stream_in_sync(self):
+        core = handshaken()
+        core.begin(OpenSession(session_id="s"))
+        core.receive(b'{"type": "no_such_message"}\n')
+        with pytest.raises(ProtocolError):
+            core.reply()
+        # The frame was consumed whole: the pairing is intact and the
+        # next exchange works.
+        assert not core.reply_outstanding
+        core.begin(OpenSession(session_id="s"))
+        core.receive(encode_wire(session_info(), "lines"))
+        assert core.reply() == session_info()
+
+    def test_push_mode_undecodable_frame_loses_the_pairing(self):
+        core = handshaken(push=True)
+        core.begin(OpenSession(session_id="s"))
+        core.receive(b'{"type": "no_such_message"}\n')
+        with pytest.raises(ProtocolError):
+            core.reply()
+        assert core.reply_outstanding  # it might have been a push
+
+    @pytest.mark.parametrize("push", [False, True])
+    def test_framing_error_loses_the_pairing(self, push):
+        core = handshaken(framing="length", push=push)
+        core.begin(OpenSession(session_id="s"))
+        with pytest.raises(FramingError):
+            core.receive((1 << 30).to_bytes(4, "big") + b"x")
+        assert core.reply_outstanding
+
+    def test_pushes_are_absorbed_in_wire_order_before_the_reply(
+        self, tiny_dataset
+    ):
+        pyramid = tiny_dataset.pyramid
+        wanted = pyramid.fetch_tile(TileKey(2, 0, 0))
+        pushed = pyramid.fetch_tile(TileKey(2, 1, 0))
+        coarse = downsample_tile(pushed, 4)
+        core = handshaken(push=True)
+        _, cache = open_session(core)
+        stream = b"".join(
+            encode_wire(message, "lines")
+            for message in (
+                push_frame(coarse, fidelity=0.25),
+                push_frame(pushed, rank=1),
+                tile_reply(wanted),
+            )
+        )
+        core.begin(TileRequest(session_id="s", tile=TileRef(2, 0, 0)))
+        core.receive(stream[:100])
+        assert core.reply() is None and len(cache) == 0
+        core.receive(stream[100:])
+        assert core.reply() == tile_reply(wanted)
+        # Coarse first, refinement second: the cache ends at full
+        # fidelity, upgraded in place, holding the full-resolution block.
+        assert cache.digest() == [pushed.key]
+        assert cache.fidelity(pushed.key) == 1.0 and cache.upgraded == 1
+        held = cache.get(pushed.key)
+        for name, block in pushed.attributes.items():
+            assert np.array_equal(held.attributes[name], block)
+
+    def test_coarse_push_is_upsampled_to_full_tile_shape(self, tiny_dataset):
+        tile = tiny_dataset.pyramid.fetch_tile(TileKey(2, 1, 1))
+        core = handshaken(push=True)
+        _, cache = open_session(core)
+        core.begin(TileRequest(session_id="s", tile=TileRef(2, 0, 0)))
+        core.receive(
+            encode_wire(
+                push_frame(downsample_tile(tile, 4), fidelity=0.25), "lines"
+            )
+            + encode_wire(session_info(), "lines")
+        )
+        core.reply()
+        assert cache.get(tile.key).shape == tile.shape
+        assert cache.fidelity(tile.key) == 0.25
+
+    def test_a_forwarder_collects_pushes_and_keeps_bodies_opaque(
+        self, tiny_dataset
+    ):
+        tile = tiny_dataset.pyramid.fetch_tile(TileKey(2, 0, 0))
+        core = handshaken(framing="length", push=True, payload="binary")
+        open_session(core)
+        push = encode_wire(push_frame(tile), "binary")
+        reply = encode_wire(tile_reply(tile), "binary")
+        core.begin(TileRequest(session_id="s", tile=TileRef(2, 0, 0)))
+        core.receive(push + reply)
+        pushes: list = []
+        answer = core.reply(decode_opaque, pushes.append)
+        assert [frame.type for frame in pushes] == ["push_tile"]
+        assert isinstance(answer, OpaqueFrame)
+        assert answer.type == "tile_response"
+        # Header + body is the frame as the worker sent it.
+        assert reply.endswith(answer.body) and push.endswith(pushes[0].body)
+        assert decode_wire(answer.body) == tile_reply(tile)
+        # JSON frames (errors, session info) are never opaque.
+        assert decode_opaque('{"type": "open_session"}') == OpenSession()
+
+
+# ----------------------------------------------------------------------
+# a recorded server stream, re-fed at arbitrary chunk boundaries
+# ----------------------------------------------------------------------
+PUSH_CONFIG = ServiceConfig(
+    prefetch=PrefetchPolicy(k=4, push="on", fidelity="progressive"),
+    cache=CacheConfig(recent_capacity=4, prefetch_capacity=8),
+)
+
+
+def pan_walk():
+    walk = [(None, TileKey(3, 0, 1))]
+    for move in [Move.PAN_RIGHT] * 4 + [Move.PAN_DOWN] * 2:
+        walk.append((move, walk[-1][1].apply(move)))
+    return walk
+
+
+@pytest.fixture(scope="module")
+def recording(small_dataset):
+    """``(client messages, server bytes)`` of one real push session
+    (length framing, binary payloads, progressive push)."""
+    pyramid = small_dataset.pyramid
+
+    def engine_factory():
+        model = MomentumRecommender()
+        return PredictionEngine(
+            pyramid.grid, {model.name: model}, SingleModelStrategy(model.name)
+        )
+
+    with ThreadedSocketServer(
+        pyramid, PUSH_CONFIG, engine_factory=engine_factory, framing="length"
+    ) as server:
+        with SocketTransport(
+            *server.address,
+            framing="length",
+            push=True,
+            payload="binary",
+            wire_tap=True,
+        ) as transport:
+            conn = transport.connect(session_id="walker")
+            for move, key in pan_walk():
+                conn.request(move, key)
+            assert conn.push_cache.hits > 0 and conn.push_cache.upgraded > 0
+            conn.close()
+            sent = bytes(transport.wire_sent)
+            received = bytes(transport.wire_received)
+    # The hello went out length-framed, everything after it binary.
+    hello_end = 4 + int.from_bytes(sent[:4], "big")
+    decoder = FrameDecoder("length")
+    frames = decoder.feed(sent[:hello_end])
+    decoder.switch_to_binary()
+    frames += decoder.feed(sent[hello_end:])
+    # Likewise the welcome.  It is the one chunk edge the replays keep:
+    # the framing flips there, and the strict request/reply pairing means
+    # no later byte exists before the client has read it.
+    welcome_end = 4 + int.from_bytes(received[:4], "big")
+    return (
+        [decode_wire(frame) for frame in frames],
+        sent,
+        received[:welcome_end],
+        received[welcome_end:],
+    )
+
+
+def replay(recording, chunks):
+    """Feed the welcome, then the rest of the recorded server bytes cut
+    as ``chunks``, into a bare core; returns its replies, push-cache
+    contents and resent bytes."""
+    messages, _, welcome, _ = recording
+    core = ClientConnection("length", wire_tap=True)
+    feed = iter([welcome, *chunks])
+
+    def exchange(message):
+        core.begin(message)
+        while (reply := core.reply()) is None:
+            core.receive(next(feed))
+        return reply
+
+    hello = core.hello(messages[0].client, push=True, payload="binary")
+    assert hello == messages[0]
+    core.welcome(exchange(hello))
+    replies, cache = [], None
+    for message in messages[1:]:
+        reply = exchange(message)
+        if isinstance(message, OpenSession):
+            _, cache = core.session_opened(reply)
+        replies.append(reply)
+    assert next(feed, None) is None  # every recorded byte was needed
+    held = {
+        key: (cache.fidelity(key), cache.get(key).attributes)
+        for key in cache.digest()
+    }
+    return replies, held, bytes(core.wire_sent)
+
+
+def assert_same_outcome(first, second):
+    replies, held, sent = first
+    other_replies, other_held, other_sent = second
+    assert replies == other_replies and sent == other_sent
+    assert held.keys() == other_held.keys()
+    for key, (fidelity, blocks) in held.items():
+        assert other_held[key][0] == fidelity
+        for name, block in blocks.items():
+            assert np.array_equal(other_held[key][1][name], block)
+
+
+class TestRecordedStream:
+    def test_whole_stream_reproduces_the_session(self, recording):
+        messages, sent, _, received = recording
+        replies, held, resent = replay(recording, [received])
+        # Framing the decoded requests again gives the client's bytes back.
+        assert resent == sent
+        assert any(isinstance(m, PushAck) for m in messages)  # local hits
+        assert sum(isinstance(r, protocol.TileResponse) for r in replies) == (
+            len(pan_walk())
+        )
+        assert not any(isinstance(r, PushTile) for r in replies)
+        assert held  # pushed tiles landed in the session's cache
+
+    @settings(max_examples=25, deadline=None)
+    @given(cuts=st.lists(st.integers(min_value=1), max_size=40))
+    def test_any_chunking_gives_the_same_replies_and_cache(
+        self, recording, cuts
+    ):
+        received = recording[3]
+        edges = sorted({cut % len(received) for cut in cuts} | {0})
+        chunks = [
+            received[start:end]
+            for start, end in zip(edges, [*edges[1:], len(received)])
+        ]
+        assert_same_outcome(
+            replay(recording, [received]), replay(recording, chunks)
+        )
+
+    @pytest.mark.parametrize("size", [1, 7, 4096])
+    def test_fixed_size_reads_give_the_same_replies_and_cache(
+        self, recording, size
+    ):
+        received = recording[3]
+        chunks = [
+            received[start : start + size]
+            for start in range(0, len(received), size)
+        ]
+        assert_same_outcome(
+            replay(recording, [received]), replay(recording, chunks)
+        )
+
+
+# ----------------------------------------------------------------------
+# session stub
+# ----------------------------------------------------------------------
+class TestSessionStub:
+    def test_pull_session_sends_plain_requests(self, tiny_dataset):
+        tile = tiny_dataset.pyramid.fetch_tile(TileKey(1, 0, 0))
+        core = handshaken()
+        stub = SessionStub(core, *open_session(core))
+        assert stub.push_cache is None
+        message, held_tile = stub.request(Move.ZOOM_IN_NW, tile.key)
+        assert held_tile is None
+        assert message == TileRequest(
+            session_id="s", tile=TileRef(1, 0, 0), move="zoom_in_nw"
+        )
+        response = stub.response(tile_reply(tile))
+        assert response.tile.key == tile.key and response.hit
+        assert response.latency_seconds == 0.0195
+
+    def test_miss_carries_the_digest_of_held_tiles(self, tiny_dataset):
+        pyramid = tiny_dataset.pyramid
+        core = handshaken(push=True)
+        stub = SessionStub(core, *open_session(core))
+        message, _ = stub.request(None, TileKey(0, 0, 0))
+        assert message.held == ()  # a push session always reports, even empty
+        stub.push_cache.put(pyramid.fetch_tile(TileKey(2, 1, 0)))
+        stub.push_cache.put(pyramid.fetch_tile(TileKey(2, 0, 1)))
+        message, held_tile = stub.request(Move.PAN_RIGHT, TileKey(2, 3, 3))
+        assert held_tile is None and isinstance(message, TileRequest)
+        assert message.held == (TileRef(2, 0, 1), TileRef(2, 1, 0))
+
+    def test_held_tile_is_acked_and_answered_locally(self, tiny_dataset):
+        tile = tiny_dataset.pyramid.fetch_tile(TileKey(2, 1, 0))
+        core = handshaken(push=True)
+        stub = SessionStub(core, *open_session(core))
+        stub.push_cache.put(tile, fidelity=0.25)
+        message, held_tile = stub.request(Move.PAN_RIGHT, tile.key)
+        assert held_tile is tile
+        assert message == PushAck(
+            session_id="s",
+            held=(TileRef(2, 1, 0),),
+            move="pan_right",
+            tile=TileRef(2, 1, 0),
+        )
+        reply = protocol.TileResponse(
+            session_id="s",
+            tile=TileRef(2, 1, 0),
+            latency_seconds=0.0,
+            hit=True,
+            prefetched=(TileRef(2, 2, 0),),
+        )
+        response = stub.response(reply, held_tile)
+        assert response.tile is tile and response.hit
+        assert response.prefetched == (TileKey(2, 2, 0),)
+        # The cache's fidelity, not the payload-less reply's default.
+        assert response.fidelity == 0.25
+        with pytest.raises(ProtocolError, match="expected tile_response"):
+            stub.response(session_info(), held_tile)
+        error = ErrorInfo(code="session_not_found", message="gone")
+        with pytest.raises(protocol.SessionNotFoundError):
+            stub.response(error, held_tile)
+
+    def test_payloadless_reply_to_a_wire_request_is_a_violation(self):
+        core = handshaken()
+        stub = SessionStub(core, *open_session(core))
+        reply = protocol.TileResponse(
+            session_id="s", tile=TileRef(0, 0, 0), latency_seconds=0.0, hit=True
+        )
+        with pytest.raises(ProtocolError, match="no payload"):
+            stub.response(reply)
+
+    def test_close_is_idempotent_and_tolerates_a_reaped_session(self):
+        core = handshaken(push=True)
+        stub = SessionStub(core, *open_session(core))
+        assert isinstance(stub.push_cache, PushCache)
+        assert stub.close() == protocol.CloseSession("s")
+        assert stub.close() is None
+        # The core no longer files pushes for the closed session.
+        core.begin(OpenSession(session_id="t"))
+        core.receive(
+            encode_wire(
+                PushTile(
+                    session_id="s", tile=TileRef(0, 0, 0), rank=0,
+                    generation=1, utility=1.0,
+                ),
+                "lines",
+            )
+            + encode_wire(session_info("t"), "lines")
+        )
+        assert core.reply() == session_info("t")
+        assert len(stub.push_cache) == 0
+        stub.close_acknowledged(session_info())
+        stub.close_acknowledged(
+            ErrorInfo(code="session_not_found", message="already reaped")
+        )
+        with pytest.raises(protocol.InvalidRequestError):
+            stub.close_acknowledged(
+                ErrorInfo(code="invalid_request", message="nope")
+            )
+
+    def test_engines_stay_server_side(self):
+        core = handshaken()
+        with pytest.raises(ValueError, match="engine_factory"):
+            core.open_session(object(), None)
+        assert core.open_session(None, 7) == OpenSession(session_id="7")
+        with pytest.raises(protocol.DuplicateSessionError):
+            core.session_opened(
+                ErrorInfo(code="duplicate_session", message="taken")
+            )
+        with pytest.raises(ProtocolError, match="expected session_info"):
+            core.session_opened(Welcome(version=1))
+
+
+# ----------------------------------------------------------------------
+# structure
+# ----------------------------------------------------------------------
+def test_the_core_imports_no_io_module():
+    """Sans-IO by construction: the core must stay drivable by bytes."""
+    tree = ast.parse(inspect.getsource(connection))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            imported.add(node.module.split(".")[0])
+    assert imported.isdisjoint({"socket", "asyncio", "threading", "selectors"})

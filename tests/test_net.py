@@ -419,7 +419,7 @@ class TestIsolation:
                 *server.address, pyramid=small_dataset.pyramid
             ) as transport:
                 assert transport.server_max_frame_bytes == budget
-                assert transport._send_limit == budget  # clamped from 8 MiB
+                assert transport._core.send_limit == budget  # clamped from 8 MiB
                 conn = transport.connect()
                 with pytest.raises(FrameTooLargeError):
                     transport.roundtrip(

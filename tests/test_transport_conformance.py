@@ -13,6 +13,8 @@ unknown-session errors, idempotent close, on every transport.
 from __future__ import annotations
 
 import asyncio
+import json
+import socket
 from contextlib import contextmanager
 
 import numpy as np
@@ -30,8 +32,15 @@ from repro.middleware.net import (
     ThreadedSocketServer,
 )
 from repro.middleware.protocol import (
+    CloseSession,
     DuplicateSessionError,
+    ErrorInfo,
+    Hello,
+    SessionInfo,
     SessionNotFoundError,
+    TileRef,
+    TileRequest,
+    Welcome,
 )
 from repro.middleware.service import ForeCacheService
 from repro.middleware.transport import InProcessTransport, Transport
@@ -717,3 +726,92 @@ class TestClusterConformance:
         routed = replay_model_latency(context, factory, k=5, frontend="cluster")
         assert routed.to_dict() == direct.to_dict()
         assert routed.average_seconds == 0.22686750000000075
+
+
+# ----------------------------------------------------------------------
+# the serve loop's dispatch guard: one rule set, server and router alike
+# ----------------------------------------------------------------------
+@contextmanager
+def serving_endpoint(kind, pyramid):
+    """A direct socket server, or a 1-worker cluster's router."""
+    factory = engine_factory(pyramid)
+    if kind == "server":
+        endpoint = ThreadedSocketServer(pyramid, CONFIG, engine_factory=factory)
+    else:
+        endpoint = ThreadedClusterServer(
+            pyramid, CONFIG, workers=1, engine_factory=factory
+        )
+    with endpoint:
+        yield endpoint
+
+
+class TestDispatchGuardConformance:
+    """What a misbehaving frame gets back — and that the connection
+    outlives it — is decided in the shared serve loop, so the direct
+    server and the router must answer identically."""
+
+    def bad_tile_exchange(self, kind, pyramid, payload):
+        with serving_endpoint(kind, pyramid) as endpoint:
+            with SocketTransport(
+                *endpoint.address, pyramid=pyramid, payload=payload
+            ) as transport:
+                conn = transport.connect(session_id="guarded")
+                bad = transport.roundtrip(
+                    TileRequest(session_id="guarded", tile=TileRef(-1, 0, 0))
+                )
+                # Same connection, same session, next request: served.
+                good = conn.handle_request(None, TileKey(0, 0, 0))
+                assert good.tile.key == TileKey(0, 0, 0)
+                conn.close()
+                return bad
+
+    @pytest.mark.parametrize("payload", ("json", "binary"))
+    def test_invalid_tile_reference_is_typed_and_survivable(
+        self, payload, small_dataset
+    ):
+        pyramid = small_dataset.pyramid
+        direct = self.bad_tile_exchange("server", pyramid, payload)
+        routed = self.bad_tile_exchange("cluster", pyramid, payload)
+        assert isinstance(direct, ErrorInfo)
+        assert routed == direct
+
+    @pytest.mark.parametrize("kind", ("server", "cluster"))
+    def test_repeated_hello_is_refused_and_changes_nothing(
+        self, kind, small_dataset
+    ):
+        pyramid = small_dataset.pyramid
+        with serving_endpoint(kind, pyramid) as endpoint:
+            with SocketTransport(
+                *endpoint.address, pyramid=pyramid, payload="binary"
+            ) as transport:
+                assert transport.payload == "binary"
+                # A second hello, now offering JSON only: must not
+                # re-run the negotiation under a wire that stays binary.
+                reply = transport.roundtrip(
+                    Hello(versions=(1,), client="again", payloads=("json",))
+                )
+                assert not isinstance(reply, Welcome)
+                assert isinstance(reply, ErrorInfo)
+                assert reply.code == "invalid_request"
+                assert "handshake already completed" in reply.message
+                # Negotiated state untouched, connection still serving:
+                # the next exchange speaks binary and returns a tile.
+                conn = transport.connect()
+                response = conn.handle_request(None, TileKey(0, 0, 0))
+                assert response.tile.key == TileKey(0, 0, 0)
+                info = transport.roundtrip(CloseSession(conn.session_id))
+                assert isinstance(info, SessionInfo) and not info.open
+
+    @pytest.mark.parametrize("kind", ("server", "cluster"))
+    def test_anything_before_hello_is_refused_and_hangs_up(
+        self, kind, small_dataset
+    ):
+        with serving_endpoint(kind, small_dataset.pyramid) as endpoint:
+            with socket.create_connection(endpoint.address, timeout=10) as sock:
+                sock.sendall(b'{"type": "open_session", "session_id": null}\n')
+                data = b""
+                while chunk := sock.recv(65536):
+                    data += chunk  # reads to EOF: the endpoint hung up
+        reply = json.loads(data)
+        assert (reply["type"], reply["code"]) == ("error", "invalid_request")
+        assert "must open with a hello" in reply["message"]
