@@ -8,10 +8,9 @@ over a shared cache with a real per-query backend delay; the benchmark
 reports wall-clock p50/p95 request latency and throughput per mode and
 asserts the background scheduler wins at the tail.
 
-The same driver loop runs against both serving front ends — the legacy
-``MultiUserServer`` adapter and the ``ForeCacheService`` facade's
-session handles — which must serve identical request counts (the
-adapter is a thin shim over the facade).
+The driver loop runs against the ``ForeCacheService`` facade's session
+handles with ``PrefetchPolicy(share_budget=True)`` — Section 6.2's
+multi-user scheme.
 
 The stress scenario scales to 8–16 sessions over a sharded cache and
 compares the scheduler's two admission disciplines: rank-aware fair
@@ -37,7 +36,6 @@ from repro.core.allocation import SingleModelStrategy
 from repro.core.engine import PredictionEngine
 from repro.middleware.config import PrefetchPolicy, ServiceConfig
 from repro.middleware.latency import nearest_rank_percentile as percentile
-from repro.middleware.multiuser import MultiUserServer
 from repro.middleware.scheduler import CANCELLED, DONE, PrefetchScheduler
 from repro.middleware.service import ForeCacheService
 from repro.modis.dataset import MODISDataset
@@ -52,7 +50,6 @@ STEPS_PER_USER = 30
 #: for the paper's ~1s SciDB miss, scaled down to keep the run short).
 BACKEND_DELAY = 0.004
 PREFETCH_K = 8
-FRONTENDS = ("legacy", "facade")
 #: Session count for the admission-discipline stress scenario, clamped
 #: to the 8–16 band (REPRO_USERS scales it inside that band).
 STRESS_USERS = max(8, min(16, int(os.environ.get("REPRO_USERS", "12"))))
@@ -65,29 +62,16 @@ def make_engine(grid) -> PredictionEngine:
     return PredictionEngine(grid, {model.name: model}, SingleModelStrategy(model.name))
 
 
-def open_frontend(
+def open_service(
     pyramid,
     manager,
     mode: str,
-    frontend: str,
     num_users: int = NUM_USERS,
     admission: str = "priority",
     workers: int | None = None,
 ):
-    """Returns (request_fn(user_id, move, key), closeable front end)."""
+    """Returns (request_fn(user_id, move, key), the closeable service)."""
     workers = num_users if workers is None else workers
-    if frontend == "legacy":
-        server = MultiUserServer(
-            pyramid,
-            prefetch_k=PREFETCH_K,
-            cache_manager=manager,
-            prefetch_mode=mode,
-            prefetch_workers=workers,
-            prefetch_admission=admission,
-        )
-        for user_id in range(1, num_users + 1):
-            server.register_user(user_id, make_engine(pyramid.grid))
-        return server.handle_request, server
     # No cache= here: the injected manager IS the cache, and the
     # service validates the budget against its real capacity.
     service = ForeCacheService(
@@ -118,7 +102,6 @@ def open_frontend(
 def run_mode(
     dataset: MODISDataset,
     mode: str,
-    frontend: str,
     num_users: int = NUM_USERS,
     admission: str = "priority",
     shards: int = 1,
@@ -136,8 +119,8 @@ def run_mode(
     )
     latencies: list[float] = []
     lock = threading.Lock()
-    request, server = open_frontend(
-        pyramid, manager, mode, frontend, num_users, admission, workers
+    request, server = open_service(
+        pyramid, manager, mode, num_users, admission, workers
     )
     with server:
         user_ids = list(range(1, num_users + 1))
@@ -172,12 +155,11 @@ def run_mode(
     return latencies, elapsed
 
 
-@pytest.mark.parametrize("frontend", FRONTENDS)
-def test_background_prefetch_beats_inline_p95(frontend):
+def test_background_prefetch_beats_inline_p95():
     dataset = MODISDataset.build(size=256, tile_size=32, days=1, seed=3)
     results = {}
     for mode in ("sync", "background"):
-        latencies, elapsed = run_mode(dataset, mode, frontend)
+        latencies, elapsed = run_mode(dataset, mode)
         results[mode] = {
             "p50": percentile(latencies, 0.50),
             "p95": percentile(latencies, 0.95),
@@ -188,7 +170,7 @@ def test_background_prefetch_beats_inline_p95(frontend):
     print()
     for mode, row in results.items():
         print(
-            f"{frontend:>7}/{mode:<10}: p50 {row['p50'] * 1e3:7.2f} ms   "
+            f"{mode:<10}: p50 {row['p50'] * 1e3:7.2f} ms   "
             f"p95 {row['p95'] * 1e3:7.2f} ms   "
             f"{row['rps']:7.1f} req/s   ({row['requests']} requests)"
         )
@@ -308,7 +290,6 @@ def test_stress_priority_admission_tail_no_worse_than_fifo():
         latencies, elapsed = run_mode(
             dataset,
             "background",
-            "facade",
             num_users=STRESS_USERS,
             admission=admission,
             shards=STRESS_SHARDS,

@@ -160,7 +160,7 @@ def replay_concurrent(world, fidelity: str):
                     if cursors[index] >= len(walk):
                         continue
                     move, key = walk[cursors[index]]
-                    response = clients[index].handle_request(move, key)
+                    response = clients[index].request(move, key)
                     recorder.record(response.latency_seconds, response.hit)
                     fidelities.append(response.fidelity)
                     if (

@@ -116,7 +116,7 @@ def replay_concurrent(world, walks, push: bool) -> LatencyRecorder:
                     if cursors[index] >= len(walk):
                         continue
                     move, key = walk[cursors[index]]
-                    response = clients[index].handle_request(move, key)
+                    response = clients[index].request(move, key)
                     recorder.record(response.latency_seconds, response.hit)
                     cursors[index] += 1
                     remaining -= 1

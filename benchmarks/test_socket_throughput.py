@@ -174,7 +174,7 @@ def test_loopback_socket_throughput(world, benchmark):
             conn = transport.connect()
             root = pyramid.grid.root
             benchmark.pedantic(
-                lambda: conn.handle_request(None, root),
+                lambda: conn.request(None, root),
                 rounds=30,
                 iterations=1,
             )
@@ -287,7 +287,7 @@ def test_binary_payload_beats_json(world, benchmark):
             conn = transport.connect()
             root = pyramid.grid.root
             benchmark.pedantic(
-                lambda: conn.handle_request(None, root),
+                lambda: conn.request(None, root),
                 rounds=30,
                 iterations=1,
             )

@@ -21,7 +21,6 @@ one stripe.  Stats counters live under their own small lock.
 
 from __future__ import annotations
 
-import asyncio
 import threading
 import time
 from concurrent.futures import Future
@@ -305,45 +304,3 @@ class CacheManager:
             self.coalesced = 0
             self.prefetch_queries = 0
 
-
-class AsyncCacheManager:
-    """The event-loop face of a :class:`CacheManager`.
-
-    Hits are served inline on the loop — :meth:`try_fetch` is a plain
-    synchronous probe (the cache's striped locks are only ever held for
-    dictionary operations, never across a backend query, so taking them
-    on the loop cannot stall it).  Only genuine backend work hops to the
-    executor.  Both faces share one manager, one cache, and one set of
-    counters, so sync and async front ends compose on the same tiles.
-    """
-
-    def __init__(self, manager: CacheManager, executor=None) -> None:
-        self.manager = manager
-        self._executor = executor
-
-    def _run(self, fn, *args):
-        return asyncio.get_running_loop().run_in_executor(
-            self._executor, fn, *args
-        )
-
-    def try_fetch(self, key: TileKey) -> FetchOutcome | None:
-        """Inline hit probe — no thread hop, None on a miss."""
-        return self.manager.try_fetch(key)
-
-    async def fetch(self, key: TileKey) -> FetchOutcome:
-        """Serve one request: hits inline, misses via the executor."""
-        outcome = self.manager.try_fetch(key)
-        if outcome is not None:
-            return outcome
-        return await self._run(self.manager.fetch, key)
-
-    async def prefetch(self, predictions) -> int:
-        """Run one synchronous prefetch cycle off-loop."""
-        return await self._run(self.manager.prefetch, predictions)
-
-    async def prefetch_one(self, key: TileKey, model: str) -> DataTile:
-        """Pull one predicted tile; resident tiles return inline."""
-        resident = self.manager.cache.lookup(key)
-        if resident is not None:
-            return resident
-        return await self._run(self.manager.prefetch_one, key, model)

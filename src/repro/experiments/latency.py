@@ -1,8 +1,9 @@
-"""Latency replay and the accuracy↔latency regression (Section 5.5).
+"""The accuracy↔latency regression (Section 5.5).
 
 Traces are replayed through a full middleware stack (prediction engine,
-cache manager, calibrated backend); every response's latency is the
-virtual time the stack actually charged.  Plotting average latency
+cache manager, calibrated backend — see
+:func:`repro.experiments.runner.replay_model_latency`); every response's
+latency is the virtual time the stack actually charged.  Plotting average latency
 against prefetch accuracy across all models and fetch sizes reproduces
 the paper's Figure 12: a near-perfect line with intercept ≈ the miss
 cost and slope ≈ −(miss − hit).
@@ -10,18 +11,11 @@ cost and slope ≈ −(miss − hit).
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import stats
-
-from repro.middleware.client import BrowsingSession
-from repro.middleware.latency import LatencyRecorder
-from repro.middleware.server import ForeCacheServer
-from repro.users.session import Trace
-
-ServerFactory = Callable[[list[Trace], int], ForeCacheServer]
 
 
 @dataclass(frozen=True)
@@ -37,29 +31,6 @@ class LatencyPoint:
     def average_latency_ms(self) -> float:
         """Average latency in milliseconds."""
         return self.average_latency_seconds * 1000.0
-
-
-def replay_latency(
-    server_factory: Callable[[], ForeCacheServer],
-    traces: Sequence[Trace],
-) -> LatencyRecorder:
-    """Replay traces through fresh server sessions, pooling latencies.
-
-    A new server session (cold cache, fresh engine state) is used per
-    trace, as each study trace was an independent session.
-    """
-    recorder = LatencyRecorder()
-    for trace in traces:
-        server = server_factory()
-        try:
-            session = BrowsingSession(server)
-            session.replay(trace)
-            recorder.merge(server.recorder)
-        finally:
-            # Sync servers make this a no-op; a background server owns
-            # a worker pool that must not outlive its trace.
-            server.close()
-    return recorder
 
 
 def linear_fit(

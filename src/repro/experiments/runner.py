@@ -30,11 +30,9 @@ from repro.experiments.latency import (
     LatencyPoint,
     improvement_percent,
     linear_fit,
-    replay_latency,
 )
 from repro.experiments.report import Comparison, Table
 from repro.middleware.latency import MISS_SECONDS
-from repro.middleware.server import ForeCacheServer
 from repro.phases.features import FEATURE_NAMES
 from repro.phases.labeler import model_fit_fraction
 from repro.phases.model import ALL_PHASES, AnalysisPhase
@@ -360,16 +358,16 @@ def latency_points(
 #: the socket front end replays over a real loopback TCP connection and
 #: only adds physical transport time, never virtual latency; "cluster"
 #: puts the consistent-hash router between client and a single worker,
-#: which must change nothing); "server" is the default so the figure
-#: benchmarks are untouched.
-REPLAY_FRONTENDS = ("server", "service", "async", "socket", "cluster")
+#: which must change nothing); "service" — the facade in process — is
+#: the default and what the figure benchmarks run.
+REPLAY_FRONTENDS = ("service", "async", "socket", "cluster")
 
 
 def replay_model_latency(
     context: ExperimentContext,
     factory,
     k: int,
-    frontend: str = "server",
+    frontend: str = "service",
     prefetch_mode: str = "sync",
     shared_hotspots: str = "off",
 ):
@@ -381,9 +379,8 @@ def replay_model_latency(
     latency is a pure function of prediction accuracy (Figure 12's
     near-perfect line).
 
-    ``frontend`` selects who serves the replay: the legacy
-    ``ForeCacheServer`` ("server"), the ``ForeCacheService`` facade
-    ("service"), the asyncio front end ("async"), the TCP socket
+    ``frontend`` selects who serves the replay: the ``ForeCacheService``
+    facade ("service"), the asyncio front end ("async"), the TCP socket
     transport over loopback ("socket" — real framed bytes on a real
     port; latency stays virtual, so the numbers still match), or a
     1-worker cluster behind the consistent-hash router ("cluster" —
@@ -427,23 +424,13 @@ def replay_model_latency(
     recorder = LatencyRecorder()
     for _, train, test in leave_one_user_out(context.study):
         engine = factory(train)
-        if frontend == "server":
-
-            def server_factory(engine=engine):
-                engine.reset()
-                return _figure12_server(
-                    context, engine, k, prefetch_mode, shared_hotspots
+        for trace in test:
+            recorder.merge(
+                _replay_service_trace(
+                    context, engine, trace, k, prefetch_mode,
+                    shared_hotspots,
                 )
-
-            recorder.merge(replay_latency(server_factory, test))
-        else:
-            for trace in test:
-                recorder.merge(
-                    _replay_service_trace(
-                        context, engine, trace, k, prefetch_mode,
-                        shared_hotspots,
-                    )
-                )
+            )
     return recorder
 
 
@@ -462,28 +449,6 @@ def _figure12_config(
             k=k, mode=prefetch_mode, shared_hotspots=shared_hotspots
         ),
         cache=CacheConfig(recent_capacity=1, prefetch_capacity=k),
-    )
-
-
-def _figure12_server(
-    context,
-    engine,
-    k: int,
-    prefetch_mode: str = "sync",
-    shared_hotspots: str = "off",
-) -> ForeCacheServer:
-    """A cold legacy server in the Section 5.2.2 cache shape."""
-    from repro.cache.manager import CacheManager
-    from repro.cache.tile_cache import TileCache
-
-    cache = TileCache(recent_capacity=1, prefetch_capacity=k)
-    return ForeCacheServer(
-        context.pyramid,
-        engine,
-        cache_manager=CacheManager(context.pyramid, cache),
-        prefetch_k=k,
-        prefetch_mode=prefetch_mode,
-        shared_hotspots=shared_hotspots,
     )
 
 

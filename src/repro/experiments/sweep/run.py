@@ -225,7 +225,7 @@ def _replay_wire(
                 client = transport.connect(session_id=f"user-{index + 1}")
                 try:
                     for move, key in walk:
-                        response = client.handle_request(move, key)
+                        response = client.request(move, key)
                         recorder.record(response.latency_seconds, response.hit)
                         if settle:
                             for service in inner:

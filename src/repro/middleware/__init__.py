@@ -9,8 +9,8 @@ JSON-serializable wire form (:mod:`repro.middleware.protocol`).
 :class:`InProcessTransport` runs the wire protocol without a network.
 :class:`BrowsingSession` / :class:`AsyncBrowsingSession` are the
 lightweight clients the user (or a trace replay) drives, against any
-front end.  The legacy kwargs-constructed :class:`ForeCacheServer` and
-:class:`MultiUserServer` remain as thin adapters over the facade.
+front end: every connection exposes ``.pyramid``, ``.request(move,
+key)`` and ``.close()``.
 """
 
 from repro.middleware.aio import AsyncForeCacheService, AsyncSessionHandle
@@ -37,7 +37,6 @@ from repro.middleware.latency import (
     LatencyRecorder,
     MISS_SECONDS,
 )
-from repro.middleware.multiuser import MultiUserResponse, MultiUserServer
 from repro.middleware.net import (
     AsyncSocketSessionClient,
     AsyncSocketTransport,
@@ -70,7 +69,6 @@ from repro.middleware.scheduler import (
     PrefetchJob,
     PrefetchScheduler,
 )
-from repro.middleware.server import ForeCacheServer
 from repro.middleware.service import (
     ForeCacheService,
     SessionHandle,
@@ -94,7 +92,6 @@ __all__ = [
     "ConsistentHashRing",
     "DuplicateSessionError",
     "ErrorInfo",
-    "ForeCacheServer",
     "ForeCacheService",
     "ForeCacheSocketServer",
     "FrameDecoder",
@@ -107,8 +104,6 @@ __all__ = [
     "LatencyModel",
     "LatencyRecorder",
     "MISS_SECONDS",
-    "MultiUserResponse",
-    "MultiUserServer",
     "PREFETCH_MODES",
     "PrefetchJob",
     "PrefetchPolicy",

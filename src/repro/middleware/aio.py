@@ -7,10 +7,7 @@ striped locks are only held for dict operations, never across a
 backend query), so the common case pays no thread hop at all.  Only
 genuinely blocking work leaves the loop: a cache miss (the DBMS query
 plus its observe/predict round runs as one unit on the bridge pool),
-sync-mode prefetch cycles, and lifecycle joins.  The loop-side faces of
-the shared core are :class:`~repro.cache.manager.AsyncCacheManager` and
-:class:`~repro.middleware.scheduler.AsyncPrefetchScheduler`, both
-exposed as attributes:
+sync-mode prefetch cycles, and lifecycle joins:
 
     async with AsyncForeCacheService.build(pyramid, config) as service:
         session = await service.open_session(engine)
@@ -37,12 +34,10 @@ import functools
 from collections.abc import Hashable
 from concurrent.futures import ThreadPoolExecutor
 
-from repro.cache.manager import AsyncCacheManager
 from repro.core.engine import PredictionEngine
 from repro.middleware.config import ServiceConfig
 from repro.middleware.latency import LatencyRecorder
 from repro.middleware.protocol import SessionClosedError, SessionInfo
-from repro.middleware.scheduler import AsyncPrefetchScheduler
 from repro.middleware.service import (
     ForeCacheService,
     PushHitResult,
@@ -119,18 +114,6 @@ class AsyncForeCacheService:
         self._executor = ThreadPoolExecutor(
             max_workers=max_workers, thread_name_prefix="forecache-aio"
         )
-        #: Loop-side face of the shared cache: hits inline, misses via
-        #: the bridge pool.
-        self.async_cache = AsyncCacheManager(
-            service.cache_manager, executor=self._executor
-        )
-        #: Loop-side face of the background scheduler (None in sync
-        #: mode): schedule/cancel inline, drain/shutdown off-loop.
-        self.async_scheduler = (
-            AsyncPrefetchScheduler(service.scheduler, executor=self._executor)
-            if service.scheduler is not None
-            else None
-        )
         # Sync-mode prefetch runs the whole cycle inside the request's
         # post-fetch half — that half must stay off the loop.  In
         # background mode (or with prefetch disabled) it is pure
@@ -206,7 +189,7 @@ class AsyncForeCacheService:
                 f"session {record.session_id!r} is closed",
                 session_id=str(record.session_id),
             )
-        outcome = self.async_cache.try_fetch(key)
+        outcome = self.service.cache_manager.try_fetch(key)
         if outcome is None:
             return await self._call(self.service._request, record, move, key)
         if self._post_blocking:
@@ -284,7 +267,11 @@ class AsyncForeCacheService:
         Resident tiles return inline; only a real load leaves the loop.
         """
         self._check_open()
-        return await self.async_cache.prefetch_one(key, model)
+        manager = self.service.cache_manager
+        resident = manager.cache.lookup(key)
+        if resident is not None:
+            return resident
+        return await self._call(manager.prefetch_one, key, model)
 
     @property
     def hotspot_registry(self):
@@ -297,9 +284,10 @@ class AsyncForeCacheService:
     async def drain(self, timeout: float | None = None) -> bool:
         """Wait for outstanding background prefetch work."""
         self._check_open()
-        if self.async_scheduler is None:
+        scheduler = self.service.scheduler
+        if scheduler is None:
             return True
-        return await self.async_scheduler.wait_idle(timeout)
+        return await self._call(scheduler.wait_idle, timeout)
 
     async def aclose(self) -> None:
         """Close the facade and stop the bridge thread pool.  Idempotent.

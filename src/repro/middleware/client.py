@@ -3,14 +3,15 @@
 The front-end visualizer only ever talks to the back-end through tile
 requests (Section 3).  :class:`BrowsingSession` models one user session:
 it tracks the current tile, validates moves against the pyramid, and
-forwards requests to a *connection* — anything exposing ``.pyramid`` and
-``.handle_request(move, key)``.  That contract is satisfied by the
-legacy :class:`~repro.middleware.server.ForeCacheServer`, a facade
-:class:`~repro.middleware.service.SessionHandle`, and a wire-speaking
-:class:`~repro.middleware.transport.WireSessionClient`, so the same
-client code drives every front end.  :class:`AsyncBrowsingSession` is
-the identical client for the asyncio front end
-(:class:`~repro.middleware.aio.AsyncSessionHandle`).
+forwards requests to a *connection* — anything exposing ``.pyramid``,
+``.request(move, key)`` and ``.close()``.  That contract is satisfied by
+a facade :class:`~repro.middleware.service.SessionHandle`, an
+in-process :class:`~repro.middleware.transport.WireSessionClient` and a
+:class:`~repro.middleware.net.SocketSessionClient`, so the same client
+code drives every front end.  :class:`AsyncBrowsingSession` is the
+identical client for connections whose ``request`` is awaitable
+(:class:`~repro.middleware.aio.AsyncSessionHandle`,
+:class:`~repro.middleware.net.AsyncSocketSessionClient`).
 
 Both can replay a recorded trace — the workhorse of the latency
 experiments.
@@ -51,6 +52,23 @@ class _BrowsingState:
         if self.current is not None:
             raise RuntimeError("replay requires a fresh session")
 
+    def _arrive(self, key: TileKey, response: TileResponse) -> TileResponse:
+        """Advance to ``key`` now that its request returned ``response``.
+
+        The one place position changes, and only ever with a response in
+        hand: a request that raised (``worker_unavailable`` mid-failover)
+        or was cancelled before it ran leaves the client where it was,
+        so the same ``start()`` / ``move()`` can simply be retried.  A
+        cancel *mid-flight* on the asyncio front end is weaker: the
+        worker thread finishes the request server-side (engine observes
+        it, the recorder logs it) while the client stays put — callers
+        who cancel mid-flight and care about exact engine history should
+        resync via the session's recorder/info rather than blindly
+        retrying the same move.
+        """
+        self.current = key
+        return response
+
     @property
     def available_moves(self) -> list[Move]:
         """Moves legal from the current tile."""
@@ -71,14 +89,12 @@ class BrowsingSession(_BrowsingState):
     def start(self, at: TileKey | None = None) -> TileResponse:
         """Open the session at a tile (default: the root overview)."""
         key = self._start_key(at)
-        self.current = key
-        return self.server.handle_request(None, key)
+        return self._arrive(key, self.server.request(None, key))
 
     def move(self, move: Move) -> TileResponse:
         """Apply one interface move and request the resulting tile."""
         target = self._move_target(move)
-        self.current = target
-        return self.server.handle_request(move, target)
+        return self._arrive(target, self.server.request(move, target))
 
     def replay(self, trace: Trace) -> list[TileResponse]:
         """Replay a recorded trace through the server, returning every
@@ -86,9 +102,11 @@ class BrowsingSession(_BrowsingState):
         self._check_fresh_for_replay()
         responses = []
         for request in trace.requests:
-            self.current = request.tile
             responses.append(
-                self.server.handle_request(request.move, request.tile)
+                self._arrive(
+                    request.tile,
+                    self.server.request(request.move, request.tile),
+                )
             )
         return responses
 
@@ -108,24 +126,14 @@ class AsyncBrowsingSession(_BrowsingState):
     async def start(self, at: TileKey | None = None) -> TileResponse:
         """Open the session at a tile (default: the root overview)."""
         key = self._start_key(at)
-        # Position advances only once the request succeeds, so a cancel
-        # that lands before the request ran leaves the client fully
-        # fresh and retryable.  A cancel *mid-flight* is weaker: the
-        # worker thread finishes the request server-side (engine
-        # observes it, the recorder logs it) while the client stays
-        # put — callers who cancel mid-flight and care about exact
-        # engine history should resync via the session's recorder/info
-        # rather than blindly retrying the same move.
-        response = await self.session.request(None, key)
-        self.current = key
-        return response
+        return self._arrive(key, await self.session.request(None, key))
 
     async def move(self, move: Move) -> TileResponse:
         """Apply one interface move and request the resulting tile."""
         target = self._move_target(move)
-        response = await self.session.request(move, target)
-        self.current = target
-        return response
+        return self._arrive(
+            target, await self.session.request(move, target)
+        )
 
     async def replay(self, trace: Trace) -> list[TileResponse]:
         """Replay a recorded trace, returning every response."""
@@ -133,7 +141,9 @@ class AsyncBrowsingSession(_BrowsingState):
         responses = []
         for request in trace.requests:
             responses.append(
-                await self.session.request(request.move, request.tile)
+                self._arrive(
+                    request.tile,
+                    await self.session.request(request.move, request.tile),
+                )
             )
-            self.current = request.tile
         return responses

@@ -1070,16 +1070,13 @@ class SocketTransport(_ClientShell, Transport):
 class SocketSessionClient(_SessionClient):
     """One session's client stub over a :class:`SocketTransport`."""
 
-    def handle_request(self, move: Move | None, key: TileKey) -> TileResponse:
+    def request(self, move: Move | None, key: TileKey) -> TileResponse:
         """Round-trip one request over the socket (or answer it from the
         push cache when the tile was already streamed here)."""
         message, held_tile = self._stub.request(move, key)
         return self._stub.response(
             self.transport.roundtrip(message), held_tile
         )
-
-    # The connection contract every front end shares.
-    request = handle_request
 
     def close(self) -> None:
         """Close the server-side session.  Idempotent; tolerates a

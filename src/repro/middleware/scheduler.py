@@ -51,7 +51,6 @@ reports the model's opinion); only the heap key moves.
 
 from __future__ import annotations
 
-import asyncio
 import heapq
 import threading
 from collections.abc import Hashable
@@ -381,43 +380,3 @@ class PrefetchScheduler:
     def __exit__(self, *exc_info) -> None:
         self.shutdown()
 
-
-class AsyncPrefetchScheduler:
-    """The event-loop face of a :class:`PrefetchScheduler`.
-
-    ``schedule`` and ``cancel_session`` are already non-blocking — they
-    take the scheduler lock only for heap pushes and dict updates, never
-    across a tile load — so the loop calls them inline with no thread
-    hop.  Only the genuinely blocking operations (:meth:`wait_idle`,
-    :meth:`shutdown`) hop to the executor.
-    """
-
-    def __init__(self, scheduler: PrefetchScheduler, executor=None) -> None:
-        self.scheduler = scheduler
-        self._executor = executor
-
-    @property
-    def closed(self) -> bool:
-        return self.scheduler.closed
-
-    def schedule(
-        self, predictions, session_id: Hashable = 0
-    ) -> list[PrefetchJob]:
-        """Queue a prediction round inline (no awaiting, no hop)."""
-        return self.scheduler.schedule(predictions, session_id=session_id)
-
-    def cancel_session(self, session_id: Hashable) -> None:
-        """Drop a session's queued jobs inline."""
-        self.scheduler.cancel_session(session_id)
-
-    async def wait_idle(self, timeout: float | None = None) -> bool:
-        """Await the drain of every queued job without blocking the loop."""
-        return await asyncio.get_running_loop().run_in_executor(
-            self._executor, self.scheduler.wait_idle, timeout
-        )
-
-    async def shutdown(self, wait: bool = True) -> None:
-        """Stop the worker pool off-loop.  Idempotent."""
-        return await asyncio.get_running_loop().run_in_executor(
-            self._executor, self.scheduler.shutdown, wait
-        )

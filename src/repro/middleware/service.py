@@ -26,10 +26,8 @@ every session's requests feed; under ``"boost"`` live
 the background scheduler consult it, so one user's traffic steers
 another user's prefetching (see README "Shared prediction").
 
-The legacy :class:`~repro.middleware.server.ForeCacheServer` and
-:class:`~repro.middleware.multiuser.MultiUserServer` are thin adapters
-over this facade; new code should use the facade (or its asyncio front
-end, :class:`~repro.middleware.aio.AsyncForeCacheService`) directly.
+:class:`~repro.middleware.aio.AsyncForeCacheService` is the asyncio
+front end over the same core.
 """
 
 from __future__ import annotations
@@ -103,9 +101,8 @@ class _SessionRecord:
 class SessionHandle:
     """The client-side face of one open session.
 
-    Exposes ``request()`` (alias ``handle_request``) plus the session's
-    recorder and engine.  Also a context manager: leaving the ``with``
-    block closes the session.
+    Exposes ``request()`` plus the session's recorder and engine.  Also
+    a context manager: leaving the ``with`` block closes the session.
     """
 
     def __init__(self, service: "ForeCacheService", record: _SessionRecord):
@@ -135,10 +132,6 @@ class SessionHandle:
     def request(self, move: Move | None, key: TileKey) -> TileResponse:
         """Serve one tile request for this session."""
         return self._service._request(self._record, move, key)
-
-    # The same signature the legacy servers exposed, so a
-    # BrowsingSession drives a handle and a server identically.
-    handle_request = request
 
     def info(self) -> SessionInfo:
         """This session's wire-ready state snapshot."""
@@ -177,7 +170,6 @@ class ForeCacheService:
         config: ServiceConfig | None = None,
         *,
         cache_manager: CacheManager | None = None,
-        scheduler: PrefetchScheduler | None = None,
         latency_model: LatencyModel | None = None,
         engine_factory: Callable[[], PredictionEngine] | None = None,
         hotspot_registry: SharedHotspotRegistry | None = None,
@@ -201,18 +193,7 @@ class ForeCacheService:
             )
         self.hotspot_registry = hotspot_registry
         if cache_manager is None:
-            # A provided scheduler's manager IS the serving cache;
-            # building a second one would prefetch into the wrong cache.
-            cache_manager = (
-                scheduler.cache_manager
-                if scheduler is not None
-                else self.config.cache.build_cache_manager(pyramid)
-            )
-        elif scheduler is not None and scheduler.cache_manager is not cache_manager:
-            raise ValueError(
-                "scheduler and service must share one cache_manager; "
-                "prefetched tiles would land in a cache requests never read"
-            )
+            cache_manager = self.config.cache.build_cache_manager(pyramid)
         if policy.share_budget and (
             cache_manager.cache.prefetch_capacity < policy.k
         ):
@@ -228,9 +209,11 @@ class ForeCacheService:
             else self.config.build_latency_model()
         )
         self.engine_factory = engine_factory
-        self._owns_scheduler = False
-        if policy.background and scheduler is None:
-            scheduler = PrefetchScheduler(
+        #: The background worker pool, shared by every session: set
+        #: exactly when ``policy.background``.
+        self.scheduler: PrefetchScheduler | None = None
+        if policy.background:
+            self.scheduler = PrefetchScheduler(
                 self.cache_manager,
                 max_workers=policy.workers,
                 admission=policy.admission,
@@ -248,8 +231,6 @@ class ForeCacheService:
                 ),
                 shed_keep_k=policy.shed_keep_k,
             )
-            self._owns_scheduler = True
-        self.scheduler = scheduler
         #: Request-count decay ticking (policy.hotspot_tick_every); its
         #: own lock so ticking never contends with the session table.
         self._hotspot_tick_lock = threading.Lock()
@@ -559,7 +540,7 @@ class ForeCacheService:
                 prefetched = tuple(result.tiles)
                 pending = result.attributed_tiles()
                 record.pending = pending
-                if self.scheduler is not None and policy.background:
+                if self.scheduler is not None:
                     # Under the session lock so observe-order ==
                     # schedule-order: the round reflecting the latest
                     # observation is the one that supersedes.
@@ -571,9 +552,8 @@ class ForeCacheService:
                         if not self.scheduler.closed:
                             raise  # not a lifecycle race — don't mask it
                         # The scheduler shut down under us (service
-                        # close, or a legacy adapter's close()); the
-                        # tile was served, so report the typed
-                        # lifecycle error, named accurately.
+                        # close); the tile was served, so report the
+                        # typed lifecycle error, named accurately.
                         raise SessionClosedError(
                             "prefetch scheduler is shut down; session"
                             f" {record.session_id!r} can no longer be"
@@ -590,9 +570,7 @@ class ForeCacheService:
                 self._hotspot_requests += 1
                 if self._hotspot_requests % policy.hotspot_tick_every == 0:
                     self.hotspot_registry.advance()
-        if policy.enabled and not (
-            self.scheduler is not None and policy.background
-        ):
+        if policy.enabled and self.scheduler is None:
             # ``pending`` is the local computed under the lock — not a
             # re-read of record.pending, which a concurrent reset() may
             # have already replaced.
@@ -690,11 +668,6 @@ class ForeCacheService:
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
-    @property
-    def owns_scheduler(self) -> bool:
-        """True when this service created (and will shut down) its pool."""
-        return self._owns_scheduler
-
     def drain(self, timeout: float | None = None) -> bool:
         """Wait for outstanding background prefetch work (tests/benchmarks)."""
         if self.scheduler is None:
@@ -717,11 +690,7 @@ class ForeCacheService:
                 record.closed = True
                 self._unbind_engine(record.engine)
         if self.scheduler is not None:
-            if self._owns_scheduler:
-                self.scheduler.shutdown()
-            else:
-                for record in records:
-                    self.scheduler.cancel_session(record.session_id)
+            self.scheduler.shutdown()
 
     def __enter__(self) -> "ForeCacheService":
         return self

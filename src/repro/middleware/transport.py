@@ -2,8 +2,8 @@
 
 :class:`Transport` is the contract every client-side transport
 implements — ``connect()`` opens a session and returns a connection
-satisfying the ``BrowsingSession`` interface (``.pyramid`` +
-``.handle_request(move, key)``), so the one client drives every
+satisfying the ``BrowsingSession`` interface (``.pyramid``,
+``.request(move, key)``, ``.close()``), so the one client drives every
 transport.  Two implementations exist:
 
 - :class:`InProcessTransport` (here) proves transport independence:
@@ -47,9 +47,9 @@ class Transport(ABC):
     """What a client-side transport provides: sessions over the wire.
 
     ``connect()`` opens a server-side session and returns a connection
-    exposing ``.pyramid``, ``.handle_request(move, key)`` and
-    ``.close()``.  ``close()`` releases the transport itself (idempotent;
-    the in-process transport holds nothing to release).
+    exposing ``.pyramid``, ``.request(move, key)`` and ``.close()``.
+    ``close()`` releases the transport itself (idempotent; the
+    in-process transport holds nothing to release).
     """
 
     @abstractmethod
@@ -188,7 +188,7 @@ class WireSessionClient:
         """Client-side pyramid knowledge (move validation, root tile)."""
         return self.transport.service.pyramid
 
-    def handle_request(self, move: Move | None, key: TileKey) -> TileResponse:
+    def request(self, move: Move | None, key: TileKey) -> TileResponse:
         """Round-trip one request through the wire protocol."""
         raw = self.transport.send(
             protocol.encode(

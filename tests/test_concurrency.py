@@ -18,13 +18,13 @@ from repro.cache.manager import CacheManager
 from repro.cache.tile_cache import TileCache
 from repro.core.allocation import SingleModelStrategy
 from repro.core.engine import PredictionEngine
-from repro.middleware.multiuser import MultiUserServer
+from repro.middleware.config import CacheConfig, PrefetchPolicy, ServiceConfig
 from repro.middleware.scheduler import (
     CANCELLED,
     DONE,
     PrefetchScheduler,
 )
-from repro.middleware.server import ForeCacheServer
+from repro.middleware.service import ForeCacheService
 from repro.recommenders.momentum import MomentumRecommender
 from repro.tiles.key import TileKey
 from repro.tiles.tile import DataTile
@@ -33,6 +33,15 @@ from repro.tiles.tile import DataTile
 def make_engine(grid) -> PredictionEngine:
     model = MomentumRecommender()
     return PredictionEngine(grid, {model.name: model}, SingleModelStrategy(model.name))
+
+
+def serving(pyramid, policy: PrefetchPolicy, **cache) -> ForeCacheService:
+    """A service whose sessions each get a fresh momentum engine."""
+    return ForeCacheService(
+        pyramid,
+        ServiceConfig(prefetch=policy, cache=CacheConfig(**cache)),
+        engine_factory=lambda: make_engine(pyramid.grid),
+    )
 
 
 def run_threads(workers) -> list[BaseException]:
@@ -233,27 +242,24 @@ class TestStaleCancellation:
 
 class TestBackgroundServer:
     def test_background_mode_serves_correct_tiles(self, small_dataset):
-        engine = make_engine(small_dataset.pyramid.grid)
-        with ForeCacheServer(
-            small_dataset.pyramid,
-            engine,
-            prefetch_k=5,
-            prefetch_mode="background",
-        ) as server:
+        with serving(
+            small_dataset.pyramid, PrefetchPolicy(k=5, mode="background")
+        ) as service:
+            session = service.open_session()
             rng = random.Random(11)
             key = small_dataset.pyramid.grid.root
-            response = server.handle_request(None, key)
+            response = session.request(None, key)
             assert response.tile.key == key
             for _ in range(20):
                 move, target = rng.choice(
                     small_dataset.pyramid.grid.available_moves(key)
                 )
-                response = server.handle_request(move, target)
+                response = session.request(move, target)
                 assert response.tile.key == target
                 key = target
-            assert server.drain(timeout=10)
-            assert server.recorder.count == 21
-            scheduler = server.scheduler
+            assert service.drain(timeout=10)
+            assert session.recorder.count == 21
+            scheduler = service.scheduler
             assert scheduler.jobs_submitted == (
                 scheduler.jobs_completed
                 + scheduler.jobs_cancelled
@@ -264,59 +270,42 @@ class TestBackgroundServer:
     def test_background_prefetch_produces_hits(self, small_dataset):
         """Once drained, the prefetched tiles serve the next request from
         cache, same as the synchronous path."""
-        engine = make_engine(small_dataset.pyramid.grid)
-        with ForeCacheServer(
-            small_dataset.pyramid,
-            engine,
-            prefetch_k=5,
-            prefetch_mode="background",
-        ) as server:
-            first = server.handle_request(None, TileKey(2, 1, 1))
-            assert server.drain(timeout=10)
+        with serving(
+            small_dataset.pyramid, PrefetchPolicy(k=5, mode="background")
+        ) as service:
+            session = service.open_session()
+            first = session.request(None, TileKey(2, 1, 1))
+            assert service.drain(timeout=10)
             target = first.prefetched[0]
             move = TileKey(2, 1, 1).move_to(target)
-            response = server.handle_request(move, target)
+            response = session.request(move, target)
             assert response.hit
 
     def test_sync_mode_is_default_and_unscheduled(self, small_dataset):
-        engine = make_engine(small_dataset.pyramid.grid)
-        server = ForeCacheServer(small_dataset.pyramid, engine)
-        assert server.prefetch_mode == "sync"
-        assert server.scheduler is None
+        service = ForeCacheService(small_dataset.pyramid)
+        assert service.config.prefetch.mode == "sync"
+        assert service.scheduler is None
 
-    def test_rejects_unknown_mode(self, small_dataset):
-        engine = make_engine(small_dataset.pyramid.grid)
+    def test_rejects_unknown_mode(self):
         with pytest.raises(ValueError):
-            ForeCacheServer(
-                small_dataset.pyramid, engine, prefetch_mode="eager"
-            )
+            PrefetchPolicy(mode="eager")
 
     def test_servers_sharing_a_scheduler_get_distinct_sessions(
         self, small_dataset
     ):
-        """Two servers on one scheduler must not cancel each other's
-        prefetch rounds via a colliding default session id."""
-        manager = CacheManager(small_dataset.pyramid, TileCache())
-        scheduler = PrefetchScheduler(manager, max_workers=2)
-        try:
-            servers = [
-                ForeCacheServer(
-                    small_dataset.pyramid,
-                    make_engine(small_dataset.pyramid.grid),
-                    cache_manager=manager,
-                    prefetch_mode="background",
-                    scheduler=scheduler,
-                )
-                for _ in range(2)
-            ]
-            assert servers[0].session_id != servers[1].session_id
-            for server in servers:
-                server.handle_request(None, small_dataset.pyramid.grid.root)
-            assert scheduler.wait_idle(10)
-            # Neither server's round was superseded by the other's.
-            assert scheduler.jobs_cancelled == 0
-        finally:
-            scheduler.shutdown()
+        """Two sessions of one background service (one shared
+        scheduler) must not cancel each other's queued prefetch rounds
+        via a colliding default session id."""
+        with serving(
+            small_dataset.pyramid, PrefetchPolicy(mode="background")
+        ) as service:
+            sessions = [service.open_session() for _ in range(2)]
+            assert sessions[0].session_id != sessions[1].session_id
+            for session in sessions:
+                session.request(None, small_dataset.pyramid.grid.root)
+            assert service.drain(timeout=10)
+            # Neither session's round was superseded by the other's.
+            assert service.scheduler.jobs_cancelled == 0
 
 
 class TestMultiUserStress:
@@ -327,27 +316,25 @@ class TestMultiUserStress:
         and the shared counters must reconcile."""
         pyramid = small_dataset.pyramid
         steps = 25
-        with MultiUserServer(
+        with serving(
             pyramid,
-            prefetch_k=8,
+            PrefetchPolicy(k=8, mode=mode, workers=3, share_budget=True),
             recent_capacity=16,
-            prefetch_mode=mode,
-            prefetch_workers=3,
+            prefetch_capacity=8,
         ) as server:
             user_ids = [1, 2, 3, 4]
             for user_id in user_ids:
-                server.register_user(user_id, make_engine(pyramid.grid))
+                server.open_session(session_id=user_id)
 
             def drive(user_id):
                 rng = random.Random(100 + user_id)
                 key = pyramid.grid.root
-                response = server.handle_request(user_id, None, key)
+                response = server.request(user_id, None, key)
                 assert response.tile.key == key
                 for _ in range(steps):
                     move, target = rng.choice(pyramid.grid.available_moves(key))
-                    response = server.handle_request(user_id, move, target)
+                    response = server.request(user_id, move, target)
                     assert response.tile.key == target
-                    assert response.user_id == user_id
                     key = target
 
             errors = run_threads([lambda u=u: drive(u) for u in user_ids])
@@ -358,7 +345,9 @@ class TestMultiUserStress:
             manager = server.cache_manager
             assert manager.requests == total
             assert 0 <= manager.hits <= total
-            assert sum(server.recorder(u).count for u in user_ids) == total
+            assert (
+                sum(server.session(u).recorder.count for u in user_ids) == total
+            )
             if mode == "background":
                 scheduler = server.scheduler
                 assert scheduler.jobs_failed == 0
@@ -368,15 +357,17 @@ class TestMultiUserStress:
 
     def test_one_users_fetch_warms_the_cache_for_another(self, small_dataset):
         pyramid = small_dataset.pyramid
-        with MultiUserServer(
-            pyramid, prefetch_k=4, prefetch_mode="background"
+        with serving(
+            pyramid,
+            PrefetchPolicy(k=4, mode="background", share_budget=True),
+            prefetch_capacity=4,
         ) as server:
-            server.register_user(1, make_engine(pyramid.grid))
-            server.register_user(2, make_engine(pyramid.grid))
+            server.open_session(session_id=1)
+            server.open_session(session_id=2)
             key = TileKey(2, 1, 1)
-            first = server.handle_request(1, None, key)
+            first = server.request(1, None, key)
             assert not first.hit
-            second = server.handle_request(2, None, key)
+            second = server.request(2, None, key)
             assert second.hit
 
 

@@ -15,10 +15,10 @@ from repro.experiments.latency import (
     figure13_violations,
     improvement_percent,
     linear_fit,
-    replay_latency,
 )
 from repro.experiments.report import Comparison, Table
-from repro.middleware.server import ForeCacheServer
+from repro.experiments.runner import _replay_service_trace
+from repro.middleware.latency import LatencyRecorder
 from repro.phases.model import AnalysisPhase
 from repro.recommenders.momentum import MomentumRecommender
 
@@ -121,16 +121,18 @@ class TestCrossValidation:
 
 class TestLatencyHarness:
     def test_replay_latency(self, small_dataset, small_study):
-        def server_factory():
-            model = MomentumRecommender()
-            engine = PredictionEngine(
-                small_dataset.pyramid.grid,
-                {model.name: model},
-                SingleModelStrategy(model.name),
+        model = MomentumRecommender()
+        engine = PredictionEngine(
+            small_dataset.pyramid.grid,
+            {model.name: model},
+            SingleModelStrategy(model.name),
+        )
+        # Each trace replays through a cold service; latencies pool.
+        recorder = LatencyRecorder()
+        for trace in small_study.traces[:2]:
+            recorder.merge(
+                _replay_service_trace(small_dataset, engine, trace, 5, "sync")
             )
-            return ForeCacheServer(small_dataset.pyramid, engine, prefetch_k=5)
-
-        recorder = replay_latency(server_factory, small_study.traces[:2])
         assert recorder.count == sum(len(t) for t in small_study.traces[:2])
         assert 0.0 < recorder.average_seconds < 1.0
 

@@ -6,7 +6,8 @@ import pytest
 from repro.core.allocation import SingleModelStrategy
 from repro.core.engine import PredictionEngine
 from repro.middleware.latency import HIT_SECONDS
-from repro.middleware.multiuser import MultiUserServer
+from repro.middleware.config import CacheConfig, PrefetchPolicy, ServiceConfig
+from repro.middleware.service import ForeCacheService
 from repro.recommenders.momentum import MomentumRecommender
 from repro.tiles.key import TileKey
 from repro.tiles.render import render_ascii, render_ppm, snow_colormap
@@ -18,37 +19,51 @@ def momentum_engine(grid) -> PredictionEngine:
     return PredictionEngine(grid, {model.name: model}, SingleModelStrategy(model.name))
 
 
+def multiuser_service(pyramid, k: int) -> ForeCacheService:
+    """Section 6.2's scheme: one shared cache whose prefetch region holds
+    the whole budget ``k``, split fairly across the open sessions."""
+    return ForeCacheService(
+        pyramid,
+        ServiceConfig(
+            prefetch=PrefetchPolicy(k=k, share_budget=True),
+            cache=CacheConfig(prefetch_capacity=k),
+        ),
+    )
+
+
 class TestMultiUserServer:
+    """Multi-user serving: sessions keyed by user id on one service."""
+
     @pytest.fixture
     def server(self, small_dataset):
-        server = MultiUserServer(small_dataset.pyramid, prefetch_k=8)
+        server = multiuser_service(small_dataset.pyramid, 8)
         grid = small_dataset.pyramid.grid
-        server.register_user(1, momentum_engine(grid))
-        server.register_user(2, momentum_engine(grid))
+        server.open_session(momentum_engine(grid), 1)
+        server.open_session(momentum_engine(grid), 2)
         return server
 
     def test_registration(self, server, small_dataset):
-        assert server.user_ids == [1, 2]
+        assert server.session_ids == [1, 2]
         with pytest.raises(ValueError):
-            server.register_user(1, momentum_engine(small_dataset.pyramid.grid))
+            server.open_session(momentum_engine(small_dataset.pyramid.grid), 1)
 
     def test_unknown_user_rejected(self, server):
         with pytest.raises(KeyError):
-            server.handle_request(9, None, TileKey(0, 0, 0))
+            server.request(9, None, TileKey(0, 0, 0))
 
     def test_users_share_the_cache(self, server):
         """A tile user 1 paid for is a hit for user 2 — Section 6.2's
         cross-user sharing."""
         key = TileKey(2, 1, 1)
-        first = server.handle_request(1, None, key)
+        first = server.request(1, None, key)
         assert not first.hit
-        second = server.handle_request(2, None, key)
+        second = server.request(2, None, key)
         assert second.hit
         assert second.latency_seconds == pytest.approx(HIT_SECONDS)
 
     def test_prefetch_budget_shared_fairly(self, server):
-        server.handle_request(1, None, TileKey(2, 1, 1))
-        server.handle_request(2, None, TileKey(2, 2, 2))
+        server.request(1, None, TileKey(2, 1, 1))
+        server.request(2, None, TileKey(2, 2, 2))
         usage = server.cache_manager.cache.model_usage()
         # Both users' model predictions occupy the shared region.
         assert sum(usage.values()) <= 8
@@ -58,20 +73,20 @@ class TestMultiUserServer:
         assert near_1 and near_2
 
     def test_per_user_recorders(self, server):
-        server.handle_request(1, None, TileKey(0, 0, 0))
-        assert server.recorder(1).count == 1
-        assert server.recorder(2).count == 0
+        server.request(1, None, TileKey(0, 0, 0))
+        assert server.session(1).recorder.count == 1
+        assert server.session(2).recorder.count == 0
 
     def test_remove_user(self, server):
-        server.remove_user(2)
-        assert server.user_ids == [1]
+        server.close_session(2)
+        assert server.session_ids == [1]
         with pytest.raises(KeyError):
-            server.remove_user(2)
+            server.close_session(2)
 
     def test_single_user_gets_full_budget(self, small_dataset):
-        server = MultiUserServer(small_dataset.pyramid, prefetch_k=6)
-        server.register_user(1, momentum_engine(small_dataset.pyramid.grid))
-        server.handle_request(1, None, TileKey(2, 1, 1))
+        server = multiuser_service(small_dataset.pyramid, 6)
+        server.open_session(momentum_engine(small_dataset.pyramid.grid), 1)
+        server.request(1, None, TileKey(2, 1, 1))
         assert len(server.cache_manager.cache.prefetched_keys) == 6
 
 

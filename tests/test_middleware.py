@@ -1,4 +1,4 @@
-"""Integration-style tests for the middleware server and client."""
+"""Integration-style tests for the serving facade and its client."""
 
 import pytest
 
@@ -7,27 +7,57 @@ from repro.cache.tile_cache import TileCache
 from repro.core.allocation import SingleModelStrategy
 from repro.core.engine import PredictionEngine
 from repro.middleware.client import BrowsingSession
+from repro.middleware.config import PrefetchPolicy, ServiceConfig
 from repro.middleware.latency import (
     HIT_SECONDS,
     LatencyModel,
     LatencyRecorder,
     MISS_SECONDS,
 )
-from repro.middleware.server import ForeCacheServer
+from repro.middleware.protocol import WorkerUnavailableError
+from repro.middleware.service import ForeCacheService, SessionHandle
 from repro.recommenders.momentum import MomentumRecommender
 from repro.tiles.key import TileKey
 from repro.tiles.moves import Move
 
 
+def momentum_engine(pyramid) -> PredictionEngine:
+    model = MomentumRecommender()
+    return PredictionEngine(
+        pyramid.grid, {model.name: model}, SingleModelStrategy(model.name)
+    )
+
+
+def open_handle(
+    pyramid, policy: PrefetchPolicy, **service_kwargs
+) -> SessionHandle:
+    """One session over its own cold sync-mode service (no pool to stop)."""
+    service = ForeCacheService(
+        pyramid, ServiceConfig(prefetch=policy), **service_kwargs
+    )
+    return service.open_session(momentum_engine(pyramid))
+
+
+class FailsOnce:
+    """A connection whose ``on_call``-th request raises before reaching
+    the server — what a client sees while the router fails over."""
+
+    def __init__(self, connection, on_call: int) -> None:
+        self.connection = connection
+        self.pyramid = connection.pyramid
+        self.calls = 0
+        self.on_call = on_call
+
+    def request(self, move, key):
+        self.calls += 1
+        if self.calls == self.on_call:
+            raise WorkerUnavailableError("worker went away")
+        return self.connection.request(move, key)
+
+
 @pytest.fixture
 def server(small_dataset):
-    model = MomentumRecommender()
-    engine = PredictionEngine(
-        small_dataset.pyramid.grid,
-        {model.name: model},
-        SingleModelStrategy(model.name),
-    )
-    return ForeCacheServer(small_dataset.pyramid, engine, prefetch_k=5)
+    return open_handle(small_dataset.pyramid, PrefetchPolicy(k=5))
 
 
 class TestLatencyModel:
@@ -56,60 +86,54 @@ class TestLatencyModel:
 
 class TestServer:
     def test_first_request_misses(self, server):
-        response = server.handle_request(None, TileKey(0, 0, 0))
+        response = server.request(None, TileKey(0, 0, 0))
         assert not response.hit
         assert response.latency_seconds == pytest.approx(MISS_SECONDS, rel=0.05)
         assert len(response.prefetched) == 4  # root has only 4 moves
 
     def test_predicted_request_hits(self, server):
-        first = server.handle_request(None, TileKey(2, 1, 1))
+        first = server.request(None, TileKey(2, 1, 1))
         # Momentum with no history ranks candidates deterministically;
         # follow one of the prefetched tiles.
         target = first.prefetched[0]
         move = TileKey(2, 1, 1).move_to(target)
-        response = server.handle_request(move, target)
+        response = server.request(move, target)
         assert response.hit
         assert response.latency_seconds == pytest.approx(HIT_SECONDS)
 
     def test_unpredicted_request_misses(self, server):
-        first = server.handle_request(None, TileKey(2, 1, 1))
+        first = server.request(None, TileKey(2, 1, 1))
         candidates = server.pyramid.grid.candidates(TileKey(2, 1, 1))
         not_prefetched = [t for t in candidates if t not in first.prefetched]
         assert not_prefetched
         target = not_prefetched[-1]
         move = TileKey(2, 1, 1).move_to(target)
-        response = server.handle_request(move, target)
+        response = server.request(move, target)
         assert not response.hit
 
     def test_prefetch_disabled(self, small_dataset):
-        model = MomentumRecommender()
-        engine = PredictionEngine(
-            small_dataset.pyramid.grid,
-            {model.name: model},
-            SingleModelStrategy(model.name),
+        server = open_handle(
+            small_dataset.pyramid, PrefetchPolicy(enabled=False)
         )
-        server = ForeCacheServer(
-            small_dataset.pyramid, engine, prefetch_enabled=False
-        )
-        server.handle_request(None, TileKey(2, 1, 1))
-        response = server.handle_request(Move.PAN_RIGHT, TileKey(2, 2, 1))
+        server.request(None, TileKey(2, 1, 1))
+        response = server.request(Move.PAN_RIGHT, TileKey(2, 2, 1))
         assert not response.hit
         assert response.prefetched == ()
 
     def test_recorder_accumulates(self, server):
-        server.handle_request(None, TileKey(1, 0, 0))
-        server.handle_request(Move.ZOOM_IN_NW, TileKey(2, 0, 0))
+        server.request(None, TileKey(1, 0, 0))
+        server.request(Move.ZOOM_IN_NW, TileKey(2, 0, 0))
         assert server.recorder.count == 2
 
     def test_reset_session(self, server):
-        server.handle_request(None, TileKey(1, 0, 0))
-        server.reset_session()
+        server.request(None, TileKey(1, 0, 0))
+        server.reset()
         assert server.recorder.count == 0
         assert server.engine.history.current is None
 
-    def test_rejects_bad_k(self, small_dataset, server):
+    def test_rejects_bad_k(self):
         with pytest.raises(ValueError):
-            ForeCacheServer(small_dataset.pyramid, server.engine, prefetch_k=0)
+            PrefetchPolicy(k=0)
 
 
 class TestBrowsingSession:
@@ -160,22 +184,42 @@ class TestBrowsingSession:
         with pytest.raises(RuntimeError):
             session.replay(small_study.traces[0])
 
+    def test_failed_start_leaves_the_session_fresh(self, server):
+        session = BrowsingSession(FailsOnce(server, on_call=1))
+        with pytest.raises(WorkerUnavailableError):
+            session.start()
+        assert session.current is None
+        # The router's promise: the same connection retries.
+        assert session.start().tile.key == TileKey(0, 0, 0)
+        assert session.current == TileKey(0, 0, 0)
+
+    def test_failed_move_is_not_applied(self, server):
+        session = BrowsingSession(FailsOnce(server, on_call=2))
+        session.start()
+        with pytest.raises(WorkerUnavailableError):
+            session.move(Move.ZOOM_IN_SE)
+        assert session.current == TileKey(0, 0, 0)
+        # Retrying applies the move once, not twice.
+        assert session.move(Move.ZOOM_IN_SE).tile.key == TileKey(1, 1, 1)
+        assert session.current == TileKey(1, 1, 1)
+
+    def test_failed_replay_can_be_retried(self, server, small_study):
+        trace = small_study.traces[0]
+        session = BrowsingSession(FailsOnce(server, on_call=1))
+        with pytest.raises(WorkerUnavailableError):
+            session.replay(trace)
+        assert session.current is None
+        assert len(session.replay(trace)) == len(trace)
+        assert session.current == trace.requests[-1].tile
+
     def test_prefetching_reduces_latency(self, small_dataset, small_study):
         """End to end: prefetching must beat no-prefetching on latency."""
 
-        def build_server(enabled: bool) -> ForeCacheServer:
-            model = MomentumRecommender()
-            engine = PredictionEngine(
-                small_dataset.pyramid.grid,
-                {model.name: model},
-                SingleModelStrategy(model.name),
-            )
-            return ForeCacheServer(
+        def build_server(enabled: bool) -> SessionHandle:
+            return open_handle(
                 small_dataset.pyramid,
-                engine,
+                PrefetchPolicy(k=5, enabled=enabled),
                 cache_manager=CacheManager(small_dataset.pyramid, TileCache()),
-                prefetch_k=5,
-                prefetch_enabled=enabled,
             )
 
         trace = max(small_study.traces, key=len)

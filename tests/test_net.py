@@ -264,7 +264,7 @@ class TestHandshake:
             *server.address, pyramid=small_dataset.pyramid
         ) as transport:
             conn = transport.connect(session_id="s2")
-            conn.handle_request(None, TileKey(0, 0, 0))
+            conn.request(None, TileKey(0, 0, 0))
             reply = transport.roundtrip(CloseSession("s2"))
             assert reply.open is False
             assert reply.requests == 1
@@ -309,7 +309,7 @@ class TestResilience:
             assert error["code"] == FrameTooLargeError.code
             bad.close()
             # The well-behaved client's session is untouched.
-            response = conn.handle_request(None, TileKey(0, 0, 0))
+            response = conn.request(None, TileKey(0, 0, 0))
             assert response.tile.key == TileKey(0, 0, 0)
 
     def test_truncated_frame_then_disconnect_leaves_service_healthy(
@@ -326,7 +326,7 @@ class TestResilience:
             *server.address, pyramid=small_dataset.pyramid
         ) as transport:
             conn = transport.connect()
-            assert conn.handle_request(None, TileKey(0, 0, 0)).hit is False
+            assert conn.request(None, TileKey(0, 0, 0)).hit is False
 
     def test_disconnect_reaps_the_connections_sessions(
         self, server, small_dataset
@@ -369,7 +369,7 @@ class TestResilience:
                 *server.address, pyramid=small_dataset.pyramid
             ) as transport:
                 conn = transport.connect()
-                response = conn.handle_request(None, TileKey(0, 0, 0))
+                response = conn.request(None, TileKey(0, 0, 0))
                 # The doomed client's query already populated the cache.
                 assert response.tile.key == TileKey(0, 0, 0)
 
@@ -431,7 +431,7 @@ class TestIsolation:
                     )
                 # Local rejection: the connection is still perfectly
                 # usable — nothing was sent, nothing desynced.
-                response = conn.handle_request(None, TileKey(0, 0, 0))
+                response = conn.request(None, TileKey(0, 0, 0))
                 assert response.tile.key == TileKey(0, 0, 0)
 
     def test_small_client_limit_does_not_choke_on_large_replies(
@@ -446,7 +446,7 @@ class TestIsolation:
             max_frame_bytes=8192,
         ) as transport:
             conn = transport.connect()
-            response = conn.handle_request(None, TileKey(0, 0, 0))
+            response = conn.request(None, TileKey(0, 0, 0))
             assert response.tile.key == TileKey(0, 0, 0)
 
     def test_failed_bind_surfaces_and_leaks_nothing(self, server, small_dataset):
@@ -524,7 +524,7 @@ class TestConcurrency:
         ) as transport:
             sessions = [transport.connect() for _ in range(4)]
             for conn in sessions:
-                assert conn.handle_request(
+                assert conn.request(
                     None, TileKey(0, 0, 0)
                 ).tile.key == TileKey(0, 0, 0)
             for conn in sessions:
@@ -549,7 +549,7 @@ class TestConcurrency:
         response_box: list = []
 
         def slow_request() -> None:
-            response_box.append(conn.handle_request(None, TileKey(2, 1, 1)))
+            response_box.append(conn.request(None, TileKey(2, 1, 1)))
 
         requester = threading.Thread(target=slow_request)
         requester.start()
@@ -578,10 +578,10 @@ class TestConcurrency:
             )
             conn = transport.connect()
             with pytest.raises(OSError):  # socket.timeout
-                conn.handle_request(None, TileKey(0, 0, 0))
+                conn.request(None, TileKey(0, 0, 0))
             # The stale reply must never answer a later request.
             with pytest.raises(SessionClosedError):
-                conn.handle_request(None, TileKey(1, 0, 0))
+                conn.request(None, TileKey(1, 0, 0))
 
     def test_cancelled_async_roundtrip_poisons_the_transport(
         self, small_dataset
@@ -644,7 +644,7 @@ class TestConcurrency:
         # "server closed the connection" ProtocolError or as the raw
         # socket error — never as a hang or a bogus response.
         with pytest.raises((ProtocolError, OSError)):
-            conn.handle_request(None, TileKey(0, 0, 0))
+            conn.request(None, TileKey(0, 0, 0))
         transport.close()
 
 
@@ -699,9 +699,9 @@ class TestEncodeOnce:
         ) as one, SocketTransport(
             *server.address, pyramid=pyramid, payload=payload
         ) as two:
-            first = one.connect().handle_request(None, TileKey(2, 1, 1))
+            first = one.connect().request(None, TileKey(2, 1, 1))
             assert cache.stats()["misses"] == 1
-            again = two.connect().handle_request(None, TileKey(2, 1, 1))
+            again = two.connect().request(None, TileKey(2, 1, 1))
             assert cache.stats() == {
                 "entries": 1,
                 "bytes": cache.bytes,
@@ -719,7 +719,7 @@ class TestEncodeOnce:
     ):
         for payload in ("json", "binary"):
             with SocketTransport(*server.address, payload=payload) as transport:
-                transport.connect().handle_request(None, TileKey(0, 0, 0))
+                transport.connect().request(None, TileKey(0, 0, 0))
         stats = server.server.segment_cache.stats()
         assert (stats["entries"], stats["misses"], stats["hits"]) == (2, 2, 0)
 
@@ -760,9 +760,9 @@ class TestEncodeOnce:
                 conn = transport.connect()
                 # Warm the level-1 ancestor, then trip the miss streak.
                 for key in (TileKey(1, 0, 0), TileKey(4, 9, 9), TileKey(5, 20, 20)):
-                    assert conn.handle_request(None, key).fidelity == 1.0
+                    assert conn.request(None, key).fidelity == 1.0
                 before = cache.stats()
-                degraded = conn.handle_request(None, TileKey(3, 1, 1))
+                degraded = conn.request(None, TileKey(3, 1, 1))
                 assert degraded.fidelity == 0.25
                 # Same key, other bytes: neither looked up nor stored.
                 assert cache.stats() == before
@@ -784,7 +784,7 @@ class TestEncodeOnce:
                 conn = transport.connect()
                 for _ in range(2):
                     with pytest.raises(FrameTooLargeError, match="4096-byte"):
-                        conn.handle_request(None, TileKey(0, 0, 0))
+                        conn.request(None, TileKey(0, 0, 0))
                 # A typed answer each time; the connection keeps serving.
                 info = transport.roundtrip(CloseSession(conn.session_id))
                 assert info.requests == 2

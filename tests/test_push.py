@@ -580,7 +580,7 @@ class TestPushEndToEnd:
                 assert not transport.push_enabled
                 conn = transport.connect()
                 assert conn.push_cache is None
-                assert conn.handle_request(None, TileKey(0, 0, 0)).tile.key == (
+                assert conn.request(None, TileKey(0, 0, 0)).tile.key == (
                     TileKey(0, 0, 0)
                 )
 
@@ -590,7 +590,7 @@ class TestPushEndToEnd:
         ) as transport:
             conn = transport.connect()
             for move, k in PAN_WALK:
-                response = conn.handle_request(move, k)
+                response = conn.request(move, k)
                 assert response.tile.key == k
             cache = conn.push_cache
             assert cache.hits > 0  # pans were answered from the cache
@@ -614,7 +614,7 @@ class TestPushEndToEnd:
         ) as transport:
             conn = transport.connect()
             for move, k in PAN_WALK:
-                conn.handle_request(move, k)
+                conn.request(move, k)
             cache = conn.push_cache
             # With no client-side eviction, every put must be a distinct
             # key: a re-push of a held tile would raise pushed above the
@@ -641,7 +641,7 @@ class TestPushEndToEnd:
             ) as transport:
                 conn = transport.connect()
                 for move, k in PAN_WALK:
-                    conn.handle_request(move, k)
+                    conn.request(move, k)
                 scheduler = server.server.push_scheduler
                 assert scheduler.cancelled_jobs > 0
                 assert scheduler.inflight_tiles(conn.session_id) <= 1
@@ -654,7 +654,7 @@ class TestPushEndToEnd:
             *push_server.address, pyramid=pyramid, push=True
         )
         conn = transport.connect()
-        conn.handle_request(None, TileKey(3, 0, 1))
+        conn.request(None, TileKey(3, 0, 1))
         # Vanish abruptly: no close_session, no goodbye — the server's
         # connection cleanup must reap the session and its push state.
         transport.close()
@@ -671,7 +671,7 @@ class TestPushEndToEnd:
         ) as fresh:
             replacement = fresh.connect()
             for move, k in PAN_WALK:
-                assert replacement.handle_request(move, k).tile.key == k
+                assert replacement.request(move, k).tile.key == k
             replacement.close()
 
     def test_push_ack_without_negotiation_is_rejected(
@@ -728,7 +728,7 @@ class TestPushEndToEnd:
             ) as transport:
                 conn = transport.connect()
                 for move, k in PAN_WALK:
-                    response = conn.handle_request(move, k)
+                    response = conn.request(move, k)
                     assert response.tile.key == k
                     # Request/reply responses are always full fidelity.
                     assert response.tile.shape == (32, 32)
@@ -759,7 +759,7 @@ class TestPushEndToEnd:
             ) as transport:
                 conn = transport.connect()
                 for move, k in PAN_WALK:
-                    conn.handle_request(move, k)
+                    conn.request(move, k)
                 for k in conn.push_cache.digest():
                     held = conn.push_cache.get(k)
                     full = pyramid.fetch_tile(k, charge=False)
@@ -791,7 +791,7 @@ class TestPushEndToEnd:
             ) as pushy:
                 conn = pushy.connect()
                 for move, k in PAN_WALK:
-                    conn.handle_request(move, k)
+                    conn.request(move, k)
                 streamed = conn.push_cache.digest()
             assert server.server.push_scheduler.stats()["coarse_tiles"] > 0
             # A coarse frame shares its key with the full tile.  Had one
@@ -800,7 +800,7 @@ class TestPushEndToEnd:
             with SocketTransport(*server.address) as plain:
                 conn = plain.connect()
                 for k in streamed:
-                    response = conn.handle_request(None, k)
+                    response = conn.request(None, k)
                     full = pyramid.fetch_tile(k, charge=False)
                     assert response.fidelity == 1.0
                     for name, array in full.attributes.items():

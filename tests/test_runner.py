@@ -11,7 +11,9 @@ from repro.experiments.context import ExperimentContext
 from repro.experiments.runner import (
     EXPERIMENTS,
     HYBRID_SIGNATURE,
+    REPLAY_FRONTENDS,
     hybrid_factory,
+    replay_model_latency,
     run_figure8,
     run_figure9,
     run_figure10a,
@@ -80,6 +82,30 @@ class TestRunnerFunctions:
             "ablation-allocation", "ablation-distance",
         }
         assert expected <= set(EXPERIMENTS)
+
+
+class TestReplayFrontends:
+    def test_the_four_front_ends(self):
+        assert REPLAY_FRONTENDS == ("service", "async", "socket", "cluster")
+
+    def test_retired_server_front_end_is_rejected(self, tiny_context):
+        with pytest.raises(ValueError, match="frontend must be one of"):
+            replay_model_latency(
+                tiny_context,
+                tiny_context.momentum_engine,
+                k=5,
+                frontend="server",
+            )
+
+    def test_default_front_end_is_the_facade(self, tiny_context):
+        """What Figures 12/13 run when nobody names a front end."""
+        factory = tiny_context.momentum_engine
+        default = replay_model_latency(tiny_context, factory, k=5)
+        facade = replay_model_latency(
+            tiny_context, factory, k=5, frontend="service"
+        )
+        assert default.count == tiny_context.study.total_requests()
+        assert default.to_dict() == facade.to_dict()
 
 
 class TestContext:

@@ -1,5 +1,5 @@
 """The serving facade: session lifecycle, config validation, and
-front-end equivalence (legacy server / facade / wire transport)."""
+front-end equivalence (facade / wire transport)."""
 
 import threading
 
@@ -16,7 +16,6 @@ from repro.middleware.protocol import (
     SessionClosedError,
     SessionNotFoundError,
 )
-from repro.middleware.server import ForeCacheServer
 from repro.middleware.service import ForeCacheService
 from repro.middleware.transport import InProcessTransport
 from repro.recommenders.momentum import MomentumRecommender
@@ -53,13 +52,6 @@ class TestConfig:
     def test_rejects_zero_workers(self):
         with pytest.raises(ValueError):
             PrefetchPolicy(workers=0)
-
-    def test_legacy_servers_validate_workers_too(self, small_dataset):
-        engine = make_engine(small_dataset.pyramid.grid)
-        with pytest.raises(ValueError):
-            ForeCacheServer(
-                small_dataset.pyramid, engine, prefetch_workers=0
-            )
 
     def test_rejects_undersized_shared_prefetch_region(self, small_dataset):
         # Validated when the service materializes the cache (the config
@@ -226,7 +218,7 @@ class TestSessionLifecycle:
 
 class TestEquivalence:
     """The acceptance bar: identical tile/hit/latency sequences through
-    the legacy server, the facade, and the wire transport."""
+    the facade and the wire transport."""
 
     @staticmethod
     def replay_signature(responses):
@@ -237,13 +229,9 @@ class TestEquivalence:
     def test_legacy_facade_and_wire_replays_match(
         self, small_dataset, small_study
     ):
+        """The facade is the reference leg (the id predates that)."""
         trace = max(small_study.traces, key=len)
         grid = small_dataset.pyramid.grid
-
-        legacy = ForeCacheServer(
-            small_dataset.pyramid, make_engine(grid), prefetch_k=5
-        )
-        legacy_responses = BrowsingSession(legacy).replay(trace)
 
         config = ServiceConfig(prefetch=PrefetchPolicy(k=5))
         with ForeCacheService(small_dataset.pyramid, config) as service:
@@ -255,27 +243,12 @@ class TestEquivalence:
             conn = transport.connect(make_engine(grid))
             wire_responses = BrowsingSession(conn).replay(trace)
 
-        legacy_sig = self.replay_signature(legacy_responses)
-        assert self.replay_signature(facade_responses) == legacy_sig
-        assert self.replay_signature(wire_responses) == legacy_sig
-        # The wire round trip rebuilt every payload losslessly.
-        for wire, ref in zip(wire_responses, legacy_responses):
-            assert wire.tile == ref.tile
-
-    def test_facade_recorder_matches_legacy(self, small_dataset, small_study):
-        trace = small_study.traces[0]
-        grid = small_dataset.pyramid.grid
-        legacy = ForeCacheServer(
-            small_dataset.pyramid, make_engine(grid), prefetch_k=5
+        assert self.replay_signature(wire_responses) == (
+            self.replay_signature(facade_responses)
         )
-        BrowsingSession(legacy).replay(trace)
-        with ForeCacheService(
-            small_dataset.pyramid, ServiceConfig(prefetch=PrefetchPolicy(k=5))
-        ) as service:
-            handle = service.open_session(make_engine(grid))
-            BrowsingSession(handle).replay(trace)
-            assert handle.recorder.latencies == legacy.recorder.latencies
-            assert handle.recorder.hits == legacy.recorder.hits
+        # The wire round trip rebuilt every payload losslessly.
+        for wire, ref in zip(wire_responses, facade_responses):
+            assert wire.tile == ref.tile
 
 
 class TestWireTransport:
@@ -286,14 +259,14 @@ class TestWireTransport:
         # A closed session is forgotten by id, so the wire reports it
         # unknown — still a typed protocol error the client can handle.
         with pytest.raises(SessionNotFoundError):
-            conn.handle_request(None, TileKey(0, 0, 0))
+            conn.request(None, TileKey(0, 0, 0))
 
     def test_unknown_wire_session(self, service):
         transport = InProcessTransport(service)
         conn = transport.connect()
         conn.session_id = "ghost"
         with pytest.raises(SessionNotFoundError):
-            conn.handle_request(None, TileKey(0, 0, 0))
+            conn.request(None, TileKey(0, 0, 0))
 
     def test_wire_close_is_idempotent(self, service):
         transport = InProcessTransport(service)
@@ -305,7 +278,7 @@ class TestWireTransport:
         """The facade and the wire must agree on the session key."""
         transport = InProcessTransport(service)
         conn = transport.connect(session_id=7)
-        assert conn.handle_request(None, TileKey(0, 0, 0)).tile.key == TileKey(
+        assert conn.request(None, TileKey(0, 0, 0)).tile.key == TileKey(
             0, 0, 0
         )
         conn.close()
@@ -315,7 +288,7 @@ class TestWireTransport:
         transport = InProcessTransport(service, include_payload=False)
         conn = transport.connect()
         with pytest.raises(Exception, match="payload"):
-            conn.handle_request(None, TileKey(0, 0, 0))
+            conn.request(None, TileKey(0, 0, 0))
 
 
 class TestBackgroundService:
@@ -336,15 +309,13 @@ class TestBackgroundService:
     def test_close_shuts_down_owned_scheduler(self, small_dataset):
         config = ServiceConfig(prefetch=PrefetchPolicy(mode="background"))
         service = ForeCacheService(small_dataset.pyramid, config)
-        assert service.owns_scheduler
         service.close()
         with pytest.raises(RuntimeError):
             service.scheduler.schedule([(TileKey(0, 0, 0), "m")])
 
 
 class TestSchedulingKnobs:
-    """admission and shards thread from config through the facade and
-    both legacy adapters."""
+    """admission and shards thread from config through the facade."""
 
     def test_rejects_bad_admission(self):
         with pytest.raises(ValueError):
@@ -378,32 +349,6 @@ class TestSchedulingKnobs:
         )
         assert manager.shards == 4
         assert manager.cache.shards == 4
-
-    def test_legacy_server_threads_admission_and_shards(self, small_dataset):
-        engine = make_engine(small_dataset.pyramid.grid)
-        with ForeCacheServer(
-            small_dataset.pyramid,
-            engine,
-            prefetch_mode="background",
-            prefetch_admission="fifo",
-            cache_shards=4,
-        ) as server:
-            assert server.scheduler.admission == "fifo"
-            assert server.cache_manager.shards == 4
-            assert server.cache_manager.cache.shards == 4
-
-    def test_multiuser_server_threads_admission_and_shards(self, small_dataset):
-        from repro.middleware.multiuser import MultiUserServer
-
-        with MultiUserServer(
-            small_dataset.pyramid,
-            prefetch_k=8,
-            prefetch_mode="background",
-            prefetch_admission="fifo",
-            cache_shards=4,
-        ) as server:
-            assert server.scheduler.admission == "fifo"
-            assert server.cache_manager.shards == 4
 
     def test_background_requests_flow_through_priority_scheduler(
         self, small_dataset

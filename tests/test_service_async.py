@@ -16,7 +16,7 @@ from repro.middleware.protocol import (
     DuplicateSessionError,
     SessionClosedError,
 )
-from repro.middleware.server import ForeCacheServer
+from repro.middleware.service import ForeCacheService
 from repro.recommenders.momentum import MomentumRecommender
 from repro.tiles.key import TileKey
 from repro.tiles.moves import Move
@@ -220,19 +220,19 @@ class TestAsyncConcurrency:
 
 class TestAsyncEquivalence:
     def test_async_replay_matches_legacy(self, small_dataset, small_study):
-        """Same trace, same tiles, same hits, same virtual latencies."""
+        """Same trace, same tiles, same hits, same virtual latencies as
+        the sync facade (the reference; the id predates that)."""
         trace = max(small_study.traces, key=len)
         grid = small_dataset.pyramid.grid
+        config = ServiceConfig(prefetch=PrefetchPolicy(k=5))
 
-        legacy = ForeCacheServer(
-            small_dataset.pyramid, make_engine(grid), prefetch_k=5
-        )
-        legacy_responses = BrowsingSession(legacy).replay(trace)
+        with ForeCacheService(small_dataset.pyramid, config) as sync_service:
+            handle = sync_service.open_session(make_engine(grid))
+            sync_responses = BrowsingSession(handle).replay(trace)
 
         async def scenario():
             async with AsyncForeCacheService.build(
-                small_dataset.pyramid,
-                ServiceConfig(prefetch=PrefetchPolicy(k=5)),
+                small_dataset.pyramid, config
             ) as service:
                 session = await service.open_session(make_engine(grid))
                 return await AsyncBrowsingSession(session).replay(trace)
@@ -240,7 +240,7 @@ class TestAsyncEquivalence:
         async_responses = run(scenario())
         signature = [
             (r.tile.key, r.hit, r.latency_seconds, r.phase)
-            for r in legacy_responses
+            for r in sync_responses
         ]
         assert [
             (r.tile.key, r.hit, r.latency_seconds, r.phase)

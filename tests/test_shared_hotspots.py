@@ -26,7 +26,6 @@ from repro.core.engine import PredictionEngine
 from repro.core.popularity import SharedHotspotRegistry
 from repro.middleware.config import CacheConfig, PrefetchPolicy, ServiceConfig
 from repro.middleware.scheduler import DONE, PrefetchScheduler
-from repro.middleware.server import ForeCacheServer
 from repro.middleware.service import ForeCacheService
 from repro.recommenders.hotspot import HotspotRecommender
 from repro.recommenders.momentum import MomentumRecommender
@@ -520,24 +519,24 @@ class TestEndToEnd:
         self, pyramid
     ):
         """``shared_hotspots="off"`` (the default) and ``"observe"``
-        must replay a trace with output identical to the pre-registry
-        serving stack (the legacy adapter with PR-4 defaults).
+        must replay a trace with output identical to a stack whose
+        policy never mentions sharing (default ``PrefetchPolicy``, hand-
+        built cache).
         """
         grid = pyramid.grid
         walk = _seeded_walk(grid)
 
-        legacy = ForeCacheServer(
+        with ForeCacheService(
             pyramid,
-            momentum_engine(grid),
-            prefetch_k=2,
+            ServiceConfig(prefetch=PrefetchPolicy(k=2)),
             cache_manager=CacheManager(
                 pyramid, TileCache(recent_capacity=2, prefetch_capacity=2)
             ),
-        )
-        with legacy:
+        ) as isolated:
+            handle = isolated.open_session(momentum_engine(grid))
             for move, key in walk:
-                legacy.handle_request(move, key)
-        baseline = legacy.recorder.to_dict()
+                handle.request(move, key)
+            baseline = handle.recorder.to_dict()
 
         for mode in ("off", "observe"):
             with ForeCacheService(pyramid, _service_config(mode)) as service:

@@ -22,6 +22,7 @@ import pytest
 
 from repro.core.allocation import SingleModelStrategy
 from repro.core.engine import PredictionEngine
+from repro.middleware.aio import AsyncForeCacheService
 from repro.middleware.client import AsyncBrowsingSession, BrowsingSession
 from repro.middleware.cluster import ThreadedClusterServer
 from repro.middleware.config import PrefetchPolicy, ServiceConfig
@@ -232,11 +233,11 @@ class TestErrorContract:
     def test_request_after_close_is_typed(self, kind, small_dataset):
         with open_transport(kind, small_dataset.pyramid) as transport:
             conn = transport.connect()
-            conn.handle_request(None, TileKey(0, 0, 0))
+            conn.request(None, TileKey(0, 0, 0))
             conn.close()
             # A closed session is forgotten by id on every transport.
             with pytest.raises(SessionNotFoundError):
-                conn.handle_request(None, TileKey(0, 0, 0))
+                conn.request(None, TileKey(0, 0, 0))
 
     @pytest.mark.parametrize("kind", SYNC_KINDS)
     def test_close_is_idempotent(self, kind, small_dataset):
@@ -250,8 +251,79 @@ class TestErrorContract:
         with open_transport(kind, small_dataset.pyramid) as transport:
             first = transport.connect()
             second = transport.connect()
-            assert not first.handle_request(None, TileKey(2, 1, 1)).hit
-            assert second.handle_request(None, TileKey(2, 1, 1)).hit
+            assert not first.request(None, TileKey(2, 1, 1)).hit
+            assert second.request(None, TileKey(2, 1, 1)).hit
+
+
+# ----------------------------------------------------------------------
+# the one connection contract: .pyramid, .request(move, key), .close()
+# ----------------------------------------------------------------------
+def check_connection_surface(conn, pyramid) -> None:
+    assert conn.pyramid is pyramid
+    # One verb: ``request`` is the only public request-spelled name.
+    assert [
+        name
+        for name in dir(conn)
+        if "request" in name and not name.startswith("_")
+    ] == ["request"]
+    assert callable(conn.close)
+
+
+@contextmanager
+def open_sync_connection(kind, pyramid):
+    """One open session's connection: a facade handle or a wire client."""
+    if kind == "facade":
+        with ForeCacheService(
+            pyramid, CONFIG, engine_factory=engine_factory(pyramid)
+        ) as service:
+            yield service.open_session()
+        return
+    with open_transport(kind, pyramid) as transport:
+        yield transport.connect()
+
+
+class TestConnectionContract:
+    """Whatever ``BrowsingSession`` / ``AsyncBrowsingSession`` can drive
+    exposes the same three names, sync or awaitable."""
+
+    @pytest.mark.parametrize("kind", ("facade",) + SYNC_KINDS)
+    def test_sync_connections_share_one_surface(self, kind, small_dataset):
+        pyramid = small_dataset.pyramid
+        with open_sync_connection(kind, pyramid) as conn:
+            check_connection_surface(conn, pyramid)
+            root = pyramid.grid.root
+            assert conn.request(None, root).tile.key == root
+            conn.close()
+
+    @pytest.mark.parametrize("kind", ("facade-async", "socket-async"))
+    def test_async_connections_share_one_surface(self, kind, small_dataset):
+        pyramid = small_dataset.pyramid
+        root = pyramid.grid.root
+
+        async def drive(conn):
+            check_connection_surface(conn, pyramid)
+            assert (await conn.request(None, root)).tile.key == root
+            await conn.close()
+
+        async def over_facade():
+            async with AsyncForeCacheService.build(
+                pyramid, CONFIG, engine_factory=engine_factory(pyramid)
+            ) as service:
+                await drive(await service.open_session())
+
+        async def over_socket(address):
+            async with await AsyncSocketTransport.open(
+                *address, pyramid=pyramid
+            ) as transport:
+                await drive(await transport.connect())
+
+        if kind == "facade-async":
+            asyncio.run(over_facade())
+            return
+        with ThreadedSocketServer(
+            pyramid, CONFIG, engine_factory=engine_factory(pyramid)
+        ) as server:
+            asyncio.run(over_socket(server.address))
 
 
 # ----------------------------------------------------------------------
@@ -760,7 +832,7 @@ class TestDispatchGuardConformance:
                     TileRequest(session_id="guarded", tile=TileRef(-1, 0, 0))
                 )
                 # Same connection, same session, next request: served.
-                good = conn.handle_request(None, TileKey(0, 0, 0))
+                good = conn.request(None, TileKey(0, 0, 0))
                 assert good.tile.key == TileKey(0, 0, 0)
                 conn.close()
                 return bad
@@ -797,7 +869,7 @@ class TestDispatchGuardConformance:
                 # Negotiated state untouched, connection still serving:
                 # the next exchange speaks binary and returns a tile.
                 conn = transport.connect()
-                response = conn.handle_request(None, TileKey(0, 0, 0))
+                response = conn.request(None, TileKey(0, 0, 0))
                 assert response.tile.key == TileKey(0, 0, 0)
                 info = transport.roundtrip(CloseSession(conn.session_id))
                 assert isinstance(info, SessionInfo) and not info.open
