@@ -101,8 +101,9 @@ class PredictionEngine:
         self.roi_tracker = ROITracker()
         # Recommender outputs are deterministic between observations, so
         # multiple predict() calls per request (e.g. sweeping k) reuse
-        # each model's ranking.
-        self._round_cache: dict[str, list[TileKey]] = {}
+        # each model's ranking — keyed by everything context() reads
+        # that can change without an observation.
+        self._round_cache: dict[tuple[str, int, str], list[TileKey]] = {}
         self._round_phase: AnalysisPhase | None = None
 
     # ------------------------------------------------------------------
@@ -203,8 +204,9 @@ class PredictionEngine:
             raise ValueError(f"prefetch budget k must be >= 1, got {k}")
         phase = self.predict_phase()
         allocation = self.strategy.allocate(phase, k)
-        context = self.context()
 
+        # The context is only built if some model still has to run.
+        context: PredictionContext | None = None
         per_model: dict[str, list[TileKey]] = {}
         for name, _ in allocation:
             if name not in self.recommenders:
@@ -212,11 +214,14 @@ class PredictionEngine:
                     f"allocation references unknown recommender {name!r}"
                 )
             if name not in per_model:
-                if name not in self._round_cache:
-                    self._round_cache[name] = self.recommenders[name].predict(
-                        context
-                    )
-                per_model[name] = self._round_cache[name]
+                round_key = (name, self.prefetch_distance, self.roi_source)
+                ranking = self._round_cache.get(round_key)
+                if ranking is None:
+                    if context is None:
+                        context = self.context()
+                    ranking = self.recommenders[name].predict(context)
+                    self._round_cache[round_key] = ranking
+                per_model[name] = ranking
 
         chosen: list[TileKey] = []
         attributions: dict[TileKey, str] = {}

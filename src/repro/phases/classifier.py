@@ -7,6 +7,7 @@ standardized with training-set statistics before hitting the kernel.
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Sequence
 
 import numpy as np
@@ -17,6 +18,10 @@ from repro.phases.svm import SMOTrainer, SVMModel
 from repro.tiles.key import TileKey
 from repro.tiles.moves import Move
 from repro.users.session import Trace
+
+#: How many ``(tile, move)`` decisions one classifier remembers (least
+#: recently used dropped first).
+DECISION_MEMO_REQUESTS = 4096
 
 
 class PhaseClassifier:
@@ -45,6 +50,11 @@ class PhaseClassifier:
         self._models: dict[tuple[AnalysisPhase, AnalysisPhase], SVMModel] = {}
         self._mean: np.ndarray | None = None
         self._std: np.ndarray | None = None
+        # The ensemble only changes in fit(), so a request's decision is
+        # worked out once; bound per instance, dropped by fit().
+        self._decision = functools.lru_cache(maxsize=DECISION_MEMO_REQUESTS)(
+            self._decide
+        )
 
     # ------------------------------------------------------------------
     # training
@@ -59,6 +69,7 @@ class PhaseClassifier:
             )
         if features.shape[0] == 0:
             raise ValueError("cannot train on an empty dataset")
+        self._decision.cache_clear()
         self._mean = features.mean(axis=0)
         std = features.std(axis=0)
         self._std = np.where(std > 0, std, 1.0)
@@ -119,7 +130,11 @@ class PhaseClassifier:
 
     def predict(self, tile: TileKey, move: Move | None) -> AnalysisPhase:
         """Phase prediction for a single request — the engine's entry
-        point (usable directly as the engine's ``phase_predictor``)."""
+        point (usable directly as the engine's ``phase_predictor``).
+        Remembered per ``(tile, move)``."""
+        return self._decision(tile, move)
+
+    def _decide(self, tile: TileKey, move: Move | None) -> AnalysisPhase:
         row = feature_vector(tile, move)[None, :]
         return self.predict_batch(row)[0]
 

@@ -27,7 +27,6 @@ from typing import TYPE_CHECKING
 from repro.recommenders.base import PredictionContext, Recommender
 from repro.recommenders.momentum import MomentumRecommender
 from repro.tiles.key import TileKey
-from repro.tiles.moves import ALL_MOVES
 from repro.users.session import Trace
 
 if TYPE_CHECKING:  # circular-import guard: core.engine imports this package
@@ -134,9 +133,9 @@ class HotspotRecommender(Recommender):
         current_distance = context.current.manhattan_distance(hotspot)
         candidate_set = set(context.candidates)
         ranked: list[tuple[int, float, int, TileKey]] = []
-        for move_index, move in enumerate(ALL_MOVES):
-            target = context.grid.apply(context.current, move)
-            if target is None or target not in candidate_set:
+        legal = context.grid.available_moves(context.current)
+        for move_index, (move, target) in enumerate(legal):
+            if target not in candidate_set:
                 continue
             closer = target.manhattan_distance(hotspot) < current_distance
             # Approaching tiles first; Momentum order within each group.

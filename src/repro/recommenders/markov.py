@@ -55,9 +55,9 @@ class MarkovRecommender(Recommender):
         distribution = self.move_distribution(context.history_moves)
         candidate_set = set(context.candidates)
         ranked: list[tuple[float, int, TileKey]] = []
-        for move_index, move in enumerate(ALL_MOVES):
-            target = context.grid.apply(context.current, move)
-            if target is None or target not in candidate_set:
+        legal = context.grid.available_moves(context.current)
+        for move_index, (move, target) in enumerate(legal):
+            if target not in candidate_set:
                 continue
             # Ties broken by stable move order for determinism.
             ranked.append((-distribution[move], move_index, target))

@@ -39,9 +39,9 @@ class MomentumRecommender(Recommender):
         distribution = self.move_distribution(context.last_move)
         candidate_set = set(context.candidates)
         ranked: list[tuple[float, int, TileKey]] = []
-        for move_index, move in enumerate(ALL_MOVES):
-            target = context.grid.apply(context.current, move)
-            if target is None or target not in candidate_set:
+        legal = context.grid.available_moves(context.current)
+        for move_index, (move, target) in enumerate(legal):
+            if target not in candidate_set:
                 continue
             ranked.append((-distribution[move], move_index, target))
         ranked.sort()

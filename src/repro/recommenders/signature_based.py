@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from repro.recommenders.base import PredictionContext, Recommender
-from repro.signatures.distance import rank_by_score, score_candidates
+from repro.signatures.distance import rank_by_score, score_pair_distances
 from repro.signatures.provider import SignatureProvider
 from repro.tiles.key import TileKey
 
@@ -45,12 +45,11 @@ class SignatureBasedRecommender(Recommender):
         is looking at now.
         """
         roi = list(context.roi) if context.roi else [context.current]
-        scores = score_candidates(
+        scores = score_pair_distances(
             list(context.candidates),
             roi,
             self.signature_names,
-            self.provider.vector,
-            self.provider.distance_fns(self.signature_names),
+            self.provider.pair_distance,
             self.weights,
         )
         return rank_by_score(scores)

@@ -43,22 +43,34 @@ def weighted_l2(distances: Sequence[float], weights: Sequence[float] | None = No
     (``f(c·d) == c·f(d)``), which naive ``sqrt(sum(d**2))`` violates
     near the bottom of the float64 range.
     """
-    distances = np.asarray(distances, dtype="float64")
+    row = np.asarray(distances, dtype="float64").reshape(1, -1)
+    weights = _signature_weights(weights, row.size, "distances")
+    return float(_weighted_l2_rows(row, weights)[0])
+
+
+def _signature_weights(
+    weights: Sequence[float] | None, count: int, what: str
+) -> np.ndarray:
+    """``weights`` as ``count`` non-negative floats (default: ones)."""
     if weights is None:
-        weights = np.ones_like(distances)
-    else:
-        weights = np.asarray(weights, dtype="float64")
-        if weights.shape != distances.shape:
-            raise ValueError(
-                f"{len(weights)} weights for {len(distances)} distances"
-            )
-        if weights.size and weights.min() < 0:
-            raise ValueError("signature weights must be non-negative")
-    scale = float(np.max(np.abs(distances))) if distances.size else 0.0
-    if scale == 0.0 or not np.isfinite(scale):
-        return float(np.sqrt(np.sum(weights * distances**2)))
-    scaled = distances / scale
-    return float(scale * np.sqrt(np.sum(weights * scaled**2)))
+        return np.ones(count)
+    if len(weights) != count:
+        raise ValueError(f"{len(weights)} weights for {count} {what}")
+    weights = np.asarray(weights, dtype="float64")
+    if weights.size and weights.min() < 0:
+        raise ValueError("signature weights must be non-negative")
+    return weights
+
+
+def _weighted_l2_rows(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """:func:`weighted_l2` of every row of a C-ordered 2-D array.
+
+    A row whose largest magnitude is 0, inf or nan is not rescaled.
+    """
+    scale = np.abs(rows).max(axis=1, initial=0.0)
+    scale[(scale == 0.0) | ~np.isfinite(scale)] = 1.0
+    scaled = rows / scale[:, None]
+    return scale * np.sqrt(np.sum(weights * scaled**2, axis=1))
 
 
 def score_candidates(
@@ -80,49 +92,62 @@ def score_candidates(
 
     ``get_vector`` supplies signature vectors (typically backed by the
     metadata store); ``distance_fns`` maps signature name to its distance
-    function.
+    function.  This is :func:`score_pair_distances` over raw distances
+    computed afresh from the vectors.
+    """
+
+    def pair_distance(a: TileKey, b: TileKey, name: str) -> float:
+        return distance_fns[name](get_vector(a, name), get_vector(b, name))
+
+    return score_pair_distances(
+        candidates, roi_tiles, signature_names, pair_distance, weights
+    )
+
+
+def score_pair_distances(
+    candidates: Sequence[TileKey],
+    roi_tiles: Sequence[TileKey],
+    signature_names: Sequence[str],
+    pair_distance: Callable[[TileKey, TileKey, str], float],
+    weights: Sequence[float] | None = None,
+) -> dict[TileKey, float]:
+    """Algorithm 3's per-round arithmetic over raw pair distances.
+
+    ``pair_distance(candidate, roi_tile, name)`` is line 1-9's
+    ``dist_i`` — a pure function of the pair, so callers may remember
+    it; everything that depends on the round (the per-signature maximum
+    over *this* round's pairs, the sum over *this* ROI) happens here,
+    one array operation per step for all pairs at once.  Every score
+    equals the pair-by-pair evaluation bit for bit.
     """
     if not candidates:
         return {}
     if not roi_tiles:
         raise ValueError("Algorithm 3 requires at least one ROI tile")
-    if weights is not None and len(weights) != len(signature_names):
-        raise ValueError(
-            f"{len(weights)} weights for {len(signature_names)} signatures"
-        )
+    weights = _signature_weights(weights, len(signature_names), "signatures")
 
     pairs = [(a, b) for a in candidates for b in roi_tiles]
-    manhattan = {
-        (a, b): a.manhattan_distance(b) for a, b in pairs
-    }
+    manhattan = [a.manhattan_distance(b) for a, b in pairs]
+    penalty = np.asarray([2.0 ** (m - 1) for m in manhattan])
+    physical = np.asarray([max(1, m) for m in manhattan], dtype="float64")
 
-    # Lines 1-9: penalized per-signature distances and per-signature maxima.
-    per_signature: dict[str, dict[tuple[TileKey, TileKey], float]] = {}
-    for name in signature_names:
-        dist_fn = distance_fns[name]
-        d_max = 1.0
-        table: dict[tuple[TileKey, TileKey], float] = {}
-        for a, b in pairs:
-            raw = dist_fn(get_vector(a, name), get_vector(b, name))
-            penalized = (2.0 ** (manhattan[(a, b)] - 1)) * raw
-            table[(a, b)] = penalized
-            d_max = max(d_max, penalized)
-        # Lines 10-11: normalize by the per-signature maximum.
-        for pair in table:
-            table[pair] /= d_max
-        per_signature[name] = table
+    # Distances are plain floats in the pair-by-pair form, where
+    # overflow and inf/inf pass silently; keep them silent here.
+    with np.errstate(over="ignore", invalid="ignore"):
+        # Lines 1-11: penalized per-signature distances, normalized by
+        # the per-signature maximum (never below 1).
+        normalized = np.empty((len(pairs), len(signature_names)))
+        for column, name in enumerate(signature_names):
+            penalized = penalty * [pair_distance(a, b, name) for a, b in pairs]
+            normalized[:, column] = penalized / max(1.0, *penalized.tolist())
 
-    # Lines 12-13: weighted l2 across signatures, over physical distance.
-    pair_distance: dict[tuple[TileKey, TileKey], float] = {}
-    for a, b in pairs:
-        per_pair = [per_signature[name][(a, b)] for name in signature_names]
-        physical = max(1, manhattan[(a, b)])
-        pair_distance[(a, b)] = weighted_l2(per_pair, weights) / physical
+        # Lines 12-13: weighted l2 across signatures, over physical
+        # distance.
+        pair_scores = _weighted_l2_rows(normalized, weights) / physical
 
     # Lines 14-15: sum over ROI tiles.
-    return {
-        a: sum(pair_distance[(a, b)] for b in roi_tiles) for a in candidates
-    }
+    per_candidate = pair_scores.reshape(len(candidates), -1).tolist()
+    return {a: sum(row) for a, row in zip(candidates, per_candidate)}
 
 
 def rank_by_score(scores: dict[TileKey, float]) -> list[TileKey]:

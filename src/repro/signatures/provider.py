@@ -10,6 +10,7 @@ without paying for tiles nobody ever looks at.
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Callable, Iterable, Sequence
 
 import numpy as np
@@ -19,9 +20,14 @@ from repro.tiles.key import TileKey
 from repro.tiles.metadata import MetadataStore
 from repro.tiles.pyramid import TilePyramid
 
+#: How many ``(tile, tile, signature)`` raw distances one provider
+#: remembers (least recently used dropped first).
+PAIR_DISTANCE_MEMO_PAIRS = 16384
+
 
 class SignatureProvider:
-    """Cached per-tile signature vectors over one pyramid attribute."""
+    """Cached per-tile signature vectors over one pyramid attribute,
+    and the raw signature distances of tile pairs derived from them."""
 
     def __init__(
         self,
@@ -39,6 +45,12 @@ class SignatureProvider:
         self.registry = registry
         self.attribute = attribute
         self.store = store if store is not None else MetadataStore()
+        # A stored vector never changes within one store generation, so
+        # a pair's distance is worked out once; bound per instance.
+        self._pair_distance = functools.lru_cache(
+            maxsize=PAIR_DISTANCE_MEMO_PAIRS
+        )(self._find_pair_distance)
+        self._generation = self.store.generation
 
     def vector(self, key: TileKey, signature_name: str) -> np.ndarray:
         """The signature vector for one tile, computed on first use.
@@ -47,6 +59,9 @@ class SignatureProvider:
         system these vectors were computed at tile-build time
         (Section 2.3), so serving them costs no DBMS queries.
         """
+        cached = self.store.get(key, signature_name)
+        if cached is not None:
+            return cached
         signature = self.registry.get(signature_name)
         return self.store.get_or_compute(
             key,
@@ -54,6 +69,23 @@ class SignatureProvider:
             lambda: signature.compute(
                 self.pyramid.fetch_tile(key, charge=False), self.attribute
             ),
+        )
+
+    def pair_distance(self, a: TileKey, b: TileKey, signature_name: str) -> float:
+        """Algorithm 3's raw ``dist_i``: the signature's distance between
+        two tiles' vectors.
+
+        Remembered per ``(a, b, signature)`` until the store replaces or
+        drops a vector (its ``generation`` moves).
+        """
+        if self._generation != self.store.generation:
+            self._generation = self.store.generation
+            self._pair_distance.cache_clear()
+        return self._pair_distance(a, b, signature_name)
+
+    def _find_pair_distance(self, a: TileKey, b: TileKey, signature_name: str) -> float:
+        return self.distance_fn(signature_name)(
+            self.vector(a, signature_name), self.vector(b, signature_name)
         )
 
     def distance_fn(

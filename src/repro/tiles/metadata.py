@@ -25,14 +25,23 @@ class MetadataStore:
         self._vectors: dict[tuple[TileKey, str], np.ndarray] = {}
         self._computes = 0
         self._hits = 0
+        #: Advances whenever a stored vector is replaced or dropped;
+        #: whoever remembers values derived from the vectors (the
+        #: provider's pair distances) forgets them when it has moved.
+        self.generation = 0
 
     def put(self, key: TileKey, name: str, vector: np.ndarray) -> None:
         """Store a signature vector for one tile."""
+        if (key, name) in self._vectors:
+            self.generation += 1
         self._vectors[(key, name)] = np.asarray(vector, dtype="float64")
 
     def get(self, key: TileKey, name: str) -> np.ndarray | None:
-        """Fetch a stored vector, or None if absent."""
-        return self._vectors.get((key, name))
+        """Fetch a stored vector (counted as a hit), or None if absent."""
+        cached = self._vectors.get((key, name))
+        if cached is not None:
+            self._hits += 1
+        return cached
 
     def has(self, key: TileKey, name: str) -> bool:
         """True if a vector is stored for (key, name)."""
@@ -45,9 +54,8 @@ class MetadataStore:
         compute: Callable[[], np.ndarray],
     ) -> np.ndarray:
         """Fetch a vector, computing and caching it on first use."""
-        cached = self._vectors.get((key, name))
+        cached = self.get(key, name)
         if cached is not None:
-            self._hits += 1
             return cached
         vector = np.asarray(compute(), dtype="float64")
         self._vectors[(key, name)] = vector
@@ -76,6 +84,7 @@ class MetadataStore:
         self._vectors.clear()
         self._computes = 0
         self._hits = 0
+        self.generation += 1
 
     # ------------------------------------------------------------------
     # persistence

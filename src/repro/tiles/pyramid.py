@@ -13,6 +13,7 @@ latitude), the second is ``x`` (columns, longitude).
 
 from __future__ import annotations
 
+import functools
 from collections import deque
 from collections.abc import Iterator
 
@@ -20,17 +21,33 @@ from repro.arraydb import query as Q
 from repro.arraydb.executor import Database
 from repro.arraydb.schema import ArraySchema, Attribute, Dimension
 from repro.tiles.key import TileKey
-from repro.tiles.moves import ALL_MOVES, Move
+from repro.tiles.moves import ALL_MOVES, PAN_OFFSETS, ZOOM_IN_OFFSETS, Move
 from repro.tiles.tile import DataTile
+
+#: How many keys' legal moves, and how many ``(key, d)`` candidate sets,
+#: one :class:`TileGrid` remembers (least recently used dropped first).
+GEOMETRY_MEMO_KEYS = 512
 
 
 class TileGrid:
-    """Bounds-checked quadtree geometry: level ``l`` has ``2^l`` tiles/dim."""
+    """Bounds-checked quadtree geometry: level ``l`` has ``2^l`` tiles/dim.
+
+    The geometry never changes, so the legal moves of a key and the
+    candidate set of a ``(key, d)`` are worked out once and remembered
+    for the grid's lifetime, at most :data:`GEOMETRY_MEMO_KEYS` of each.
+    """
 
     def __init__(self, num_levels: int) -> None:
         if num_levels < 1:
             raise ValueError(f"a pyramid needs at least one level, got {num_levels}")
         self.num_levels = num_levels
+        # Bound per instance: the memos die with the grid.
+        self._legal_moves = functools.lru_cache(maxsize=GEOMETRY_MEMO_KEYS)(
+            self._find_legal_moves
+        )
+        self._candidates = functools.lru_cache(maxsize=GEOMETRY_MEMO_KEYS)(
+            self._find_candidates
+        )
 
     @property
     def root(self) -> TileKey:
@@ -84,23 +101,28 @@ class TileGrid:
         """The key reached by ``move``, or None if it leaves the pyramid."""
         if not self.valid(key):
             raise ValueError(f"key {key} is not in this pyramid")
-        if move is Move.ZOOM_OUT and key.level == 0:
+        if move in PAN_OFFSETS:
+            dx, dy = PAN_OFFSETS[move]
+            level, x, y = key.level, key.x + dx, key.y + dy
+        elif move in ZOOM_IN_OFFSETS:
+            dx, dy = ZOOM_IN_OFFSETS[move]
+            level, x, y = key.level + 1, 2 * key.x + dx, 2 * key.y + dy
+        else:  # ZOOM_OUT
+            level, x, y = key.level - 1, key.x // 2, key.y // 2
+        if not 0 <= level < self.num_levels:
             return None
-        try:
-            target = key.apply(move)
-        except ValueError:
-            # Pans off the left/top edge produce negative coordinates.
+        n = 1 << level
+        if not (0 <= x < n and 0 <= y < n):
             return None
-        return target if self.valid(target) else None
+        return TileKey(level, x, y)
+
+    def _find_legal_moves(self, key: TileKey) -> tuple[tuple[Move, TileKey], ...]:
+        targets = ((move, self.apply(key, move)) for move in ALL_MOVES)
+        return tuple(pair for pair in targets if pair[1] is not None)
 
     def available_moves(self, key: TileKey) -> list[tuple[Move, TileKey]]:
         """All legal (move, destination) pairs from ``key``, in move order."""
-        result = []
-        for move in ALL_MOVES:
-            target = self.apply(key, move)
-            if target is not None:
-                result.append((move, target))
-        return result
+        return list(self._legal_moves(key))
 
     def neighbors(self, key: TileKey) -> list[TileKey]:
         """Destinations of all legal moves from ``key``."""
@@ -115,6 +137,9 @@ class TileGrid:
         """
         if d < 1:
             raise ValueError(f"prefetch distance d must be >= 1, got {d}")
+        return list(self._candidates(key, d))
+
+    def _find_candidates(self, key: TileKey, d: int) -> tuple[TileKey, ...]:
         seen = {key}
         order: list[TileKey] = []
         frontier = deque([(key, 0)])
@@ -122,12 +147,12 @@ class TileGrid:
             current, depth = frontier.popleft()
             if depth == d:
                 continue
-            for neighbor in self.neighbors(current):
+            for _, neighbor in self._legal_moves(current):
                 if neighbor not in seen:
                     seen.add(neighbor)
                     order.append(neighbor)
                     frontier.append((neighbor, depth + 1))
-        return order
+        return tuple(order)
 
 
 class TilePyramid:

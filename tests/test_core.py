@@ -219,6 +219,19 @@ class _FixedRecommender(Recommender):
         return [t for t in self._tiles if t in context.candidates]
 
 
+class _EchoRecommender(Recommender):
+    """Ranks the candidates as given; keeps the contexts it was shown."""
+
+    name = "echo"
+
+    def __init__(self):
+        self.contexts = []
+
+    def predict(self, context: PredictionContext):
+        self.contexts.append(context)
+        return list(context.candidates)
+
+
 class TestPredictionEngine:
     def test_observe_then_predict(self):
         model = MomentumRecommender()
@@ -332,6 +345,34 @@ class TestPredictionEngine:
         assert context.roi == (TileKey(2, 0, 0),)
         engine.roi_source = "committed"
         assert engine.context().roi == ()
+
+    def test_new_prefetch_distance_reranks(self):
+        """The round's rankings are only reusable for the settings they
+        were computed under."""
+        model = _EchoRecommender()
+        engine = PredictionEngine(
+            GRID, {model.name: model}, SingleModelStrategy(model.name)
+        )
+        key = TileKey(2, 1, 1)
+        engine.observe(None, key)
+        assert engine.predict(50).tiles == GRID.candidates(key, 1)
+        engine.prefetch_distance = 2
+        assert engine.predict(50).tiles == GRID.candidates(key, 2)
+        engine.prefetch_distance = 1
+        assert engine.predict(50).tiles == GRID.candidates(key, 1)
+        assert len(model.contexts) == 2  # d=1 was still remembered
+
+    def test_new_roi_source_reranks(self):
+        model = _EchoRecommender()
+        engine = PredictionEngine(
+            GRID, {model.name: model}, SingleModelStrategy(model.name)
+        )
+        engine.observe(None, TileKey(1, 0, 0))
+        engine.observe(Move.ZOOM_IN_NW, TileKey(2, 0, 0))
+        engine.predict(5)
+        engine.roi_source = "committed"
+        engine.predict(5)
+        assert [c.roi for c in model.contexts] == [(TileKey(2, 0, 0),), ()]
 
     def test_reset_clears_state(self):
         model = MomentumRecommender()

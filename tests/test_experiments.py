@@ -87,6 +87,18 @@ class TestReplayEngine:
         series = [result.accuracy(k) for k in (1, 3, 5, 8)]
         assert series == sorted(series)
 
+    def test_one_context_per_observation(self, small_dataset, small_study, monkeypatch):
+        """Sweeping k re-reads each model's ranking of the round; the
+        context is only built for the call that has to run a model."""
+        engine = self._engine(small_dataset)
+        built = []
+        build = engine.context
+        monkeypatch.setattr(engine, "context", lambda: built.append(1) or build())
+        trace = small_study.traces[0]
+        result = replay_engine(engine, [trace])
+        assert result.sample_count(8) == len(trace) - 1
+        assert len(built) == len(trace) - 1
+
 
 class TestCrossValidation:
     def test_folds_partition_users(self, small_study):
