@@ -2,7 +2,8 @@
 
 A :class:`ChunkedArray` binds an :class:`~repro.arraydb.schema.ArraySchema`
 to a chunk store and provides region reads/writes in *array coordinates*
-(which need not start at zero).  Reads assemble the covering chunks and
+(which need not start at zero), plus whole-chunk reads in *chunk
+coordinates*.  Region reads assemble the covering chunks; both kinds
 report how many chunks and cells were touched, which feeds the executor's
 cost accounting.
 """
@@ -120,6 +121,41 @@ class ChunkedArray:
                 chunk_slices.append(slice(lo - c_lo, hi - c_lo))
             out[tuple(out_slices)] = chunk[tuple(chunk_slices)]
         return out, ReadStats(chunks_read=chunks_read, cells_scanned=cells_scanned)
+
+    def read_chunk(
+        self, coords: tuple[int, ...]
+    ) -> tuple[dict[str, np.ndarray], ReadStats]:
+        """Read every attribute of the one chunk at chunk coordinates ``coords``.
+
+        Attribute for attribute this equals :meth:`read` over that chunk's
+        bounds, stats included — an absent chunk reads back zero-filled and
+        is not counted — without assembling a region.  The blocks are fresh
+        copies (never the store's own arrays) and read-only, so one block
+        can be handed to any number of readers.
+        """
+        schema = self.schema
+        if len(coords) != schema.ndim:
+            raise ValueError(
+                f"chunk coordinates have {len(coords)} dimensions, array "
+                f"{schema.name!r} has {schema.ndim}"
+            )
+        # chunk_bounds rejects an index outside the dimension's chunk count.
+        bounds = [dim.chunk_bounds(c) for dim, c in zip(schema.dimensions, coords)]
+        coords = tuple(coords)
+        blocks: dict[str, np.ndarray] = {}
+        chunks_read = 0
+        cells_scanned = 0
+        for attr in schema.attributes:
+            key = (schema.name, attr.name, coords)
+            if key in self._store:
+                block = np.array(self._store.get(key), dtype=attr.dtype, order="C")
+                chunks_read += 1
+                cells_scanned += block.size
+            else:
+                block = np.zeros([hi - lo for lo, hi in bounds], dtype=attr.dtype)
+            block.setflags(write=False)
+            blocks[attr.name] = block
+        return blocks, ReadStats(chunks_read=chunks_read, cells_scanned=cells_scanned)
 
     def write(
         self, attribute: str, data: np.ndarray, region: Region | None = None

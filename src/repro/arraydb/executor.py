@@ -9,8 +9,11 @@ fetches "slow" relative to middleware cache hits in the latency
 experiments.
 
 One planner nicety is implemented: ``subarray(scan(A), bounds)`` is fused
-into a single region read, so tile fetches only touch the chunks that
-overlap the tile rather than scanning the whole array.
+into a single region read, so a region query only touches the chunks that
+overlap it rather than scanning the whole array.  Tile fetches do not go
+through a plan at all: a tile is one whole chunk per attribute, which
+:meth:`Database.fetch_chunk` reads directly and charges exactly as that
+fused query would be.
 """
 
 from __future__ import annotations
@@ -181,13 +184,32 @@ class Database:
                 attributes=dict(inter.attributes),
                 stats=stats,
             )
+        self._charge(stats)
+        return result
+
+    def fetch_chunk(
+        self, name: str, coords: tuple[int, ...]
+    ) -> tuple[dict[str, np.ndarray], QueryStats]:
+        """Read every attribute of one whole chunk of ``name``, charged.
+
+        The data, the ledger and the clock advance are those of
+        ``execute(subarray(scan(name), <that chunk's bounds>))``, without
+        building or walking a plan: a chunk is the storage unit, so
+        fetching one is a look-up.  See :meth:`ChunkedArray.read_chunk`.
+        """
+        blocks, read_stats = self.array(name).read_chunk(coords)
+        stats = QueryStats(read_stats.chunks_read, read_stats.cells_scanned)
+        self._charge(stats)
+        return blocks, stats
+
+    def _charge(self, stats: QueryStats) -> None:
+        """Price a finished ledger and advance the clock by it."""
         cost = self.cost_model.query_cost(
             stats.chunks_read, stats.cells_scanned, stats.cells_computed
         )
         stats.elapsed_seconds = cost
         if self.clock is not None:
             self.clock.advance(cost)
-        return result
 
     # ------------------------------------------------------------------
     # evaluation

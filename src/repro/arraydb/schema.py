@@ -10,7 +10,6 @@ and its chunking.  Dimension ranges are half-open ``[start, end)``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -62,7 +61,7 @@ class Dimension:
     @property
     def num_chunks(self) -> int:
         """Number of chunks needed to cover the dimension."""
-        return math.ceil(self.length / self.chunk)
+        return -(-self.length // self.chunk)
 
     def chunk_of(self, coordinate: int) -> int:
         """Return the chunk index containing ``coordinate``."""

@@ -38,6 +38,15 @@ class TileKey:
             raise ValueError(
                 f"tile coordinates must be non-negative, got ({self.x}, {self.y})"
             )
+        # Every dict, lru_cache, shard and stripe on the request path is
+        # keyed by TileKey: hash once.  Not a field, so fields(), repr, ==
+        # and ordering do not see it.
+        object.__setattr__(self, "_hash", hash((self.level, self.x, self.y)))
+
+    def __hash__(self) -> int:
+        # Must stay hash((level, x, y)), what the dataclass would generate:
+        # ``hash(key) % shards`` places keys in the sharded caches.
+        return self._hash
 
     # ------------------------------------------------------------------
     # quadtree relations

@@ -222,6 +222,7 @@ class TilePyramid:
         pyramid = cls(db, source, tile_size, num_levels, tuple(attributes))
         for level in range(num_levels):
             pyramid._materialize_level(level, aggregates)
+        pyramid._views  # fail here, not on the first fetch
         return pyramid
 
     def _materialize_level(self, level: int, aggregates: dict[str, str]) -> None:
@@ -284,34 +285,61 @@ class TilePyramid:
             (key.x * ts, (key.x + 1) * ts),
         )
 
+    @functools.cached_property
+    def _views(self) -> tuple[str, ...]:
+        """Each level's view name, once the views are known to be tile-aligned.
+
+        A pyramid is never written after :meth:`build`, so what
+        :meth:`_materialize_level` guarantees — tile ``(level, x, y)`` *is*
+        chunk ``(y, x)`` of the level's view — is checked once per pyramid
+        and every fetch relies on it.
+        """
+        names = tuple(self.view_name(level) for level in range(self.num_levels))
+        for name in names:
+            schema = self.db.schema(name)
+            if (
+                schema.chunk_shape != (self.tile_size, self.tile_size)
+                or schema.origin != (0, 0)
+                or tuple(a.name for a in schema.attributes) != self.attributes
+            ):
+                raise ValueError(
+                    f"view {schema} is not tile-aligned: expected "
+                    f"{self.tile_size}x{self.tile_size} chunks from (0, 0) "
+                    f"over attributes {self.attributes}"
+                )
+        return names
+
+    def _tile_chunk(self, key: TileKey) -> tuple[str, tuple[int, int]]:
+        """Where ``key`` is stored: its level's view and chunk coordinates."""
+        if not self.grid.valid(key):
+            raise ValueError(f"key {key} is not in this pyramid")
+        return self._views[key.level], (key.y, key.x)
+
     def fetch_tile(self, key: TileKey, charge: bool = True) -> DataTile:
         """Fetch one tile's payload from the backing DBMS.
 
-        With ``charge=True`` (the default) the fetch runs as a real
-        ``subarray(scan(...))`` query and is charged to the database's
-        cost model/clock — this is the "cache miss" path.  With
-        ``charge=False`` the read bypasses the executor (used when
-        precomputing metadata at build time).
+        A tile is one whole chunk per attribute, read as such.  With
+        ``charge=True`` (the default) the read is charged to the
+        database's cost model/clock exactly as the equivalent
+        ``subarray(scan(...))`` query would be — this is the "cache miss"
+        path.  With ``charge=False`` the same read goes to the array
+        directly and costs nothing (used when precomputing metadata at
+        build time).
         """
         if charge:
             tile, _ = self.fetch_tile_timed(key)
             return tile
-        region = self.tile_region(key)
-        view = self.view_name(key.level)
-        attributes = {
-            name: self.db.read(view, name, region) for name in self.attributes
-        }
-        return DataTile(key=key, attributes=attributes)
+        view, coords = self._tile_chunk(key)
+        blocks, _ = self.db.array(view).read_chunk(coords)
+        return DataTile(key=key, attributes=blocks)
 
     def fetch_tile_timed(self, key: TileKey) -> tuple[DataTile, float]:
         """Charged tile fetch returning ``(tile, virtual seconds charged)``.
 
-        The cost comes from the query's own stats ledger rather than
+        The cost comes from the fetch's own stats ledger rather than
         clock deltas, so concurrent fetches report their individual
         costs even while a shared clock advances under them.
         """
-        region = self.tile_region(key)
-        view = self.view_name(key.level)
-        result = self.db.execute(Q.subarray(Q.scan(view), region))
-        attributes = {name: result.attribute(name) for name in self.attributes}
-        return DataTile(key=key, attributes=attributes), result.stats.elapsed_seconds
+        view, coords = self._tile_chunk(key)
+        blocks, stats = self.db.fetch_chunk(view, coords)
+        return DataTile(key=key, attributes=blocks), stats.elapsed_seconds

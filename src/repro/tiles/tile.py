@@ -15,7 +15,8 @@ class DataTile:
 
     All attribute blocks share the tile's shape.  Tiles are immutable —
     the middleware cache hands out shared references, so payloads must
-    never be mutated in place.
+    never be mutated in place; the blocks of a tile fetched from the
+    pyramid are read-only arrays, so an attempt raises.
     """
 
     key: TileKey

@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from repro.arraydb import ArraySchema, Attribute, Database, Dimension
+from repro.arraydb import query as Q
 from repro.arraydb.array import ChunkedArray, full_region, region_cells
+from repro.arraydb.cost import CostModel, VirtualClock
+from repro.arraydb.errors import ArrayNotFoundError
 from repro.arraydb.storage import MemoryChunkStore
 
 
@@ -137,3 +140,99 @@ class TestViaDatabase:
         db.create_array(schema)
         db.write("B", "v", np.eye(4))
         np.testing.assert_array_equal(db.read("B", "v"), np.eye(4))
+
+
+def edge_array(db: Database | None = None, y_start: int = 0) -> ChunkedArray:
+    """A two-attribute 10x10 array chunked by 4: the last chunk of each
+    dimension is partial."""
+    schema = ArraySchema(
+        "E",
+        attributes=(Attribute("v"), Attribute("n", "int16")),
+        dimensions=(
+            Dimension("y", y_start, y_start + 10, 4),
+            Dimension("x", 0, 10, 4),
+        ),
+    )
+    if db is None:
+        array = ChunkedArray(schema, MemoryChunkStore())
+    else:
+        array = db.create_array(schema)
+    array.write("v", np.arange(100.0).reshape(10, 10))
+    array.write("n", np.arange(100).reshape(10, 10))
+    return array
+
+
+def chunk_region(array: ChunkedArray, coords) -> tuple[tuple[int, int], ...]:
+    return tuple(
+        dim.chunk_bounds(c) for dim, c in zip(array.schema.dimensions, coords)
+    )
+
+
+class TestReadChunk:
+    """A whole-chunk read equals the region read over that chunk's bounds."""
+
+    @pytest.mark.parametrize("coords", [(0, 0), (1, 2), (2, 0), (2, 2)])
+    @pytest.mark.parametrize("absent", [None, "v", "n"])
+    def test_matches_region_read(self, coords, absent):
+        array = edge_array(y_start=3)
+        if absent is not None:
+            array._store.delete(("E", absent, coords))
+        bounds = chunk_region(array, coords)
+        blocks, stats = array.read_chunk(coords)
+        assert list(blocks) == ["v", "n"]
+        chunks_read = cells_scanned = 0
+        for name, block in blocks.items():
+            expected, read_stats = array.read(name, bounds)
+            assert block.dtype == expected.dtype
+            assert block.shape == expected.shape
+            assert block.tobytes() == expected.tobytes()
+            chunks_read += read_stats.chunks_read
+            cells_scanned += read_stats.cells_scanned
+        assert (stats.chunks_read, stats.cells_scanned) == (chunks_read, cells_scanned)
+        assert stats.chunks_read == (2 if absent is None else 1)
+
+    @pytest.mark.parametrize("coords", [(3, 0), (0, 3), (-1, 0)])
+    def test_index_outside_the_chunk_grid(self, coords):
+        with pytest.raises(IndexError):
+            edge_array().read_chunk(coords)
+
+    def test_wrong_dimensionality(self):
+        with pytest.raises(ValueError):
+            edge_array().read_chunk((0,))
+
+    def test_blocks_are_read_only_copies(self):
+        array = edge_array()
+        blocks, _ = array.read_chunk((0, 0))
+        for name, block in blocks.items():
+            assert not np.shares_memory(block, array._store.get(("E", name, (0, 0))))
+            with pytest.raises(ValueError):
+                block[0, 0] = 1
+
+
+class TestFetchChunk:
+    """The charged chunk read bills what the fused region query bills."""
+
+    @pytest.mark.parametrize("coords", [(0, 0), (2, 2)])
+    @pytest.mark.parametrize("absent", [False, True])
+    def test_matches_executed_subarray(self, coords, absent):
+        def world() -> Database:
+            cost = CostModel(0.05, 0.002, 1e-5, 1e-5)
+            db = Database(cost_model=cost, clock=VirtualClock())
+            array = edge_array(db)
+            if absent:
+                array._store.delete(("E", "n", coords))
+            return db
+
+        direct, reference = world(), world()
+        bounds = chunk_region(direct.array("E"), coords)
+        blocks, stats = direct.fetch_chunk("E", coords)
+        result = reference.execute(Q.subarray(Q.scan("E"), bounds))
+        assert stats == result.stats
+        assert stats.elapsed_seconds > 0
+        assert direct.clock.now() == reference.clock.now() == stats.elapsed_seconds
+        for name in ("v", "n"):
+            np.testing.assert_array_equal(blocks[name], result.attribute(name))
+
+    def test_unknown_array(self, db):
+        with pytest.raises(ArrayNotFoundError):
+            db.fetch_chunk("nope", (0, 0))

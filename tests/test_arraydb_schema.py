@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.arraydb.errors import SchemaError
 from repro.arraydb.schema import ArraySchema, Attribute, Dimension
@@ -19,6 +21,14 @@ class TestDimension:
 
     def test_num_chunks_partial(self):
         assert Dimension("x", 0, 10, 4).num_chunks == 3
+
+    def test_num_chunks_is_exact_beyond_float_precision(self):
+        assert Dimension("d", 0, 2**60 + 1, 1).num_chunks == 2**60 + 1
+
+    @given(st.integers(1, 2**62), st.integers(1, 2**62), st.integers(-(2**40), 2**40))
+    def test_num_chunks_is_the_least_cover(self, length, chunk, start):
+        n = Dimension("d", start, start + length, chunk).num_chunks
+        assert n * chunk >= length > (n - 1) * chunk
 
     def test_chunk_of(self):
         dim = Dimension("x", 0, 16, 4)

@@ -132,7 +132,7 @@ class TestCrossValidation:
 
 
 class TestLatencyHarness:
-    def test_replay_latency(self, small_dataset, small_study):
+    def test_replay_service_trace(self, small_dataset, small_study):
         model = MomentumRecommender()
         engine = PredictionEngine(
             small_dataset.pyramid.grid,

@@ -226,10 +226,8 @@ class TestEquivalence:
             (r.tile.key, r.hit, r.latency_seconds, r.phase) for r in responses
         ]
 
-    def test_legacy_facade_and_wire_replays_match(
-        self, small_dataset, small_study
-    ):
-        """The facade is the reference leg (the id predates that)."""
+    def test_facade_and_wire_replays_match(self, small_dataset, small_study):
+        """The facade is the reference leg."""
         trace = max(small_study.traces, key=len)
         grid = small_dataset.pyramid.grid
 

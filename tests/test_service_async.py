@@ -219,9 +219,9 @@ class TestAsyncConcurrency:
 
 
 class TestAsyncEquivalence:
-    def test_async_replay_matches_legacy(self, small_dataset, small_study):
+    def test_async_replay_matches_sync_facade(self, small_dataset, small_study):
         """Same trace, same tiles, same hits, same virtual latencies as
-        the sync facade (the reference; the id predates that)."""
+        the sync facade (the reference)."""
         trace = max(small_study.traces, key=len)
         grid = small_dataset.pyramid.grid
         config = ServiceConfig(prefetch=PrefetchPolicy(k=5))

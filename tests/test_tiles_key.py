@@ -1,6 +1,12 @@
 """Unit tests for tile keys and quadtree coordinate math."""
 
+import copy
+import dataclasses
+import pickle
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.tiles.key import TileKey
 from repro.tiles.moves import Move
@@ -18,6 +24,37 @@ class TestConstruction:
     def test_is_hashable_value(self):
         assert TileKey(1, 0, 1) == TileKey(1, 0, 1)
         assert len({TileKey(1, 0, 1), TileKey(1, 0, 1)}) == 1
+
+
+class TestStoredHash:
+    """The hash is computed once, and is the one the dataclass would generate."""
+
+    coords = st.integers(0, 2**40)
+
+    @given(st.integers(0, 64), coords, coords)
+    def test_equals_the_field_tuple_hash(self, level, x, y):
+        # hash(key) % shards places keys in every sharded cache, and the
+        # committed sweep baselines are functions of that placement.
+        assert hash(TileKey(level, x, y)) == hash((level, x, y))
+
+    @given(st.integers(0, 64), coords, coords)
+    def test_survives_every_way_of_copying_a_key(self, level, x, y):
+        key = TileKey(level, x, y)
+        copies = [
+            pickle.loads(pickle.dumps(key)),
+            copy.deepcopy(key),
+            dataclasses.replace(key),
+        ]
+        for other in copies:
+            assert other == key and hash(other) == hash(key)
+        moved = dataclasses.replace(key, x=x + 1)
+        assert hash(moved) == hash((level, x + 1, y))
+
+    def test_is_not_a_field(self):
+        key = TileKey(3, 5, 2)
+        assert [f.name for f in dataclasses.fields(key)] == ["level", "x", "y"]
+        assert repr(key) == "TileKey(level=3, x=5, y=2)"
+        assert dataclasses.asdict(key) == {"level": 3, "x": 5, "y": 2}
 
 
 class TestQuadtreeRelations:
