@@ -55,6 +55,11 @@ class ChunkedArray:
         self.schema = schema
         self._store = store
 
+    @property
+    def store(self) -> ChunkStore:
+        """The chunk store this array reads and writes."""
+        return self._store
+
     # ------------------------------------------------------------------
     # region validation / geometry
     # ------------------------------------------------------------------

@@ -23,7 +23,12 @@ ChunkKey = tuple[str, str, tuple[int, ...]]
 
 
 class ChunkStore(Protocol):
-    """Minimal interface every chunk store implements."""
+    """Minimal interface every chunk store implements.
+
+    A store whose ``get`` never waits outside the interpreter (no file,
+    no socket) may say so with a class attribute ``in_memory = True``;
+    a store that declares nothing is taken to block.
+    """
 
     def put(self, key: ChunkKey, chunk: np.ndarray) -> None:
         """Store (or overwrite) a chunk."""
@@ -50,6 +55,8 @@ class ChunkStore(Protocol):
 
 class MemoryChunkStore:
     """Chunks held in a plain dictionary."""
+
+    in_memory = True
 
     def __init__(self) -> None:
         self._chunks: dict[ChunkKey, np.ndarray] = {}

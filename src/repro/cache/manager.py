@@ -287,6 +287,28 @@ class CacheManager:
             time.sleep(self.backend_delay_seconds)
         return self.pyramid.fetch_tile_timed(key)
 
+    @property
+    def backend_can_block(self) -> bool:
+        """Whether a backend query may wait outside the interpreter.
+
+        Derived, not configured: true iff a real delay is emulated
+        (``backend_delay_seconds > 0``) or any level's view sits on a
+        chunk store that does not declare itself ``in_memory``.  An
+        event loop may run a query of a backend that cannot block
+        inline; one that can must leave the loop.
+        """
+        if self.backend_delay_seconds > 0:
+            return True
+        pyramid = self.pyramid
+        return not all(
+            getattr(
+                pyramid.db.array(pyramid.view_name(level)).store,
+                "in_memory",
+                False,
+            )
+            for level in range(pyramid.num_levels)
+        )
+
     # ------------------------------------------------------------------
     # stats
     # ------------------------------------------------------------------

@@ -5,9 +5,15 @@ served on the event loop itself
 (:meth:`~repro.cache.manager.CacheManager.try_fetch` — the cache's
 striped locks are only held for dict operations, never across a
 backend query), so the common case pays no thread hop at all.  Only
-genuinely blocking work leaves the loop: a cache miss (the DBMS query
-plus its observe/predict round runs as one unit on the bridge pool),
-sync-mode prefetch cycles, and lifecycle joins:
+work that can block — wait outside the interpreter — leaves the loop
+for the bridge pool: lifecycle joins, and, when the backend can block
+(:attr:`~repro.cache.manager.CacheManager.backend_can_block`: a
+configured delay or a chunk store that is not in memory — derived, not
+an option), a cache miss (the DBMS query plus its observe/predict round
+as one unit) and a sync-mode prefetch cycle.  Over an in-memory backend
+those are a few hundred microseconds of pure Python that would hold the
+GIL on any thread, so they run on the loop and the pool never starts a
+thread:
 
     async with AsyncForeCacheService.build(pyramid, config) as service:
         session = await service.open_session(engine)
@@ -20,11 +26,11 @@ replay front end stays bit-identical.
 
 Cancellation follows asyncio rules: cancelling a task blocked on
 ``await session.request(...)`` raises ``CancelledError`` in the task
-immediately; underlying cache/DBMS work already started runs to
-completion on its worker thread (populating the cache *and* feeding
-the prediction engine for later requests), and the session remains
-usable.  Hits served inline on the loop are atomic — they cannot be
-interrupted mid-round.
+immediately; underlying cache/DBMS work already started on the bridge
+pool runs to completion on its worker thread (populating the cache
+*and* feeding the prediction engine for later requests), and the
+session remains usable.  A request served on the loop is atomic — it
+cannot be interrupted mid-round.
 """
 
 from __future__ import annotations
@@ -79,8 +85,9 @@ class AsyncSessionHandle:
         """Serve one tile request without blocking the event loop.
 
         Cache hits are answered inline on the loop (no thread hop);
-        only misses travel to the bridge pool for the DBMS query.
+        only misses that can block travel to the bridge pool.
         """
+        self._service._check_open()
         return await self._service._request_record(
             self._handle._record, move, key
         )
@@ -115,11 +122,14 @@ class AsyncForeCacheService:
             max_workers=max_workers, thread_name_prefix="forecache-aio"
         )
         # Sync-mode prefetch runs the whole cycle inside the request's
-        # post-fetch half — that half must stay off the loop.  In
-        # background mode (or with prefetch disabled) it is pure
-        # bookkeeping and runs inline.
+        # post-fetch half — over a backend that can block, that half
+        # must stay off the loop.  In background mode (or with prefetch
+        # disabled) it is pure bookkeeping and runs inline.
         policy = service.config.prefetch
-        self._post_blocking = policy.enabled and not policy.background
+        self._backend_blocks = service.cache_manager.backend_can_block
+        self._post_blocking = (
+            self._backend_blocks and policy.enabled and not policy.background
+        )
         # _closing gates new calls from the moment aclose begins;
         # _closed flips only once teardown fully completed (so a
         # cancelled aclose can be retried).
@@ -178,12 +188,12 @@ class AsyncForeCacheService:
         """Serve one request for an already-resolved session record.
 
         The native path: the hit probe runs right here on the loop.  A
-        miss delegates the *whole* request — DBMS fetch plus the
-        observe/predict round — to the bridge pool as one unit, so
-        cancellation semantics match the threaded front end exactly
-        (started work runs to completion; nothing half-observes).
+        miss that can block delegates the *whole* request — DBMS fetch
+        plus the observe/predict round — to the bridge pool as one unit,
+        so cancellation semantics match the threaded front end exactly
+        (started work runs to completion; nothing half-observes).  The
+        caller has checked that the service is open.
         """
-        self._check_open()
         if record.closed:
             raise SessionClosedError(
                 f"session {record.session_id!r} is closed",
@@ -191,7 +201,11 @@ class AsyncForeCacheService:
             )
         outcome = self.service.cache_manager.try_fetch(key)
         if outcome is None:
-            return await self._call(self.service._request, record, move, key)
+            if self._backend_blocks:
+                return await self._call(
+                    self.service._request, record, move, key
+                )
+            return self.service._request(record, move, key)
         if self._post_blocking:
             return await self._call(
                 self.service._complete_request, record, move, key, outcome
@@ -264,14 +278,16 @@ class AsyncForeCacheService:
     async def load_tile(self, key: TileKey, model: str = "push") -> DataTile:
         """Materialize one tile for streaming (push path).
 
-        Resident tiles return inline; only a real load leaves the loop.
+        Resident tiles return inline; a load leaves the loop if it can block.
         """
         self._check_open()
         manager = self.service.cache_manager
         resident = manager.cache.lookup(key)
         if resident is not None:
             return resident
-        return await self._call(manager.prefetch_one, key, model)
+        if self._backend_blocks:
+            return await self._call(manager.prefetch_one, key, model)
+        return manager.prefetch_one(key, model)
 
     @property
     def hotspot_registry(self):

@@ -398,6 +398,7 @@ class TileServiceRouter(_WireServer):
         payloads: tuple[str, ...] = ("json", "binary"),
         server_name: str = "forecache-router",
     ) -> None:
+        super().__init__()
         if isinstance(workers, dict):
             self.worker_addrs = dict(workers)
         else:
@@ -431,8 +432,6 @@ class TileServiceRouter(_WireServer):
         self._control: dict[str, _BackendLink] = {}
         self._push_capable = False
         self._backend_binary = False
-        self._server: asyncio.AbstractServer | None = None
-        self._closing: asyncio.Event | None = None
         self._session_counter = 0
         self._gossiper: HotspotGossiper | None = None
 
@@ -442,7 +441,7 @@ class TileServiceRouter(_WireServer):
         # grants push/binary iff its policy allows) plus the gossip
         # channel.  No sessions ever open on a control link, so no push
         # frames flow on it even though push is offered.
-        self._closing = asyncio.Event()
+        self._closing = False
         for node in sorted(self.worker_addrs):
             link = self._new_link(node)
             await link.connect(push=True, binary="binary" in self.payloads)
@@ -486,15 +485,13 @@ class TileServiceRouter(_WireServer):
         return tuple(sorted(self._alive))
 
     async def aclose(self) -> None:
-        if self._closing is not None:
-            self._closing.set()
         if self._gossiper is not None:
             await self._gossiper.stop()
             self._gossiper = None
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
+        # Every client connection has closed its own backend links by
+        # the time this returns; the control links go last.
+        await self._stop_serving()
+        self._server = None
         for link in list(self._control.values()):
             await link.aclose()
         self._control.clear()

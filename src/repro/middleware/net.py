@@ -196,19 +196,52 @@ class _WireServer:
     """Serving one client connection of the wire protocol.
 
     The one serve loop under both :class:`ForeCacheSocketServer` and the
-    cluster's :class:`~repro.middleware.cluster.TileServiceRouter`: read
-    versus shutdown, frame cutting, the dispatch guard, the binary flip
-    after the welcome, one batched write per read, cleanup.  An endpoint
-    supplies ``framing``, ``max_frame_bytes`` and ``_closing``, its
-    message handlers (``_HANDLERS``) and what a finished connection
-    leaves behind (:meth:`_release`).
+    cluster's :class:`~repro.middleware.cluster.TileServiceRouter`: one
+    awaited read per turn, frame cutting, the dispatch guard, the binary
+    flip after the welcome, one batched write per read, cleanup — and
+    the one shutdown, :meth:`_stop_serving`, which reaches an idle
+    connection through its reader: ``feed_eof()`` wakes the pending
+    ``read`` with ``b""`` and the connection leaves by the orderly-EOF
+    branch; one in mid-dispatch is left alone, flushes its reply and
+    leaves at the loop top.  No task is created per read to race the
+    two.  An endpoint supplies ``framing``, ``max_frame_bytes`` and (in
+    its ``start()``) ``_server``, its message handlers (``_HANDLERS``)
+    and what a finished connection leaves behind (:meth:`_release`).
     """
 
     framing: str
     max_frame_bytes: int
-    _closing: "asyncio.Event | None"
     #: What a fresh connection's state is built from.
     _connection_state = _ConnectionState
+
+    def __init__(self) -> None:
+        self._server: asyncio.AbstractServer | None = None
+        self._closing = False
+        #: Each live connection's serving task, and the reader it is
+        #: blocked on while idle (None while it serves what it read).
+        self._connections: dict[
+            asyncio.Task, asyncio.StreamReader | None
+        ] = {}
+
+    @property
+    def connection_count(self) -> int:
+        """Connections currently being served."""
+        return len(self._connections)
+
+    async def _stop_serving(self) -> None:
+        """Stop accepting, then wait until every connection has left:
+        an idle one promptly, one in mid-dispatch after its reply is
+        flushed; each has run its :meth:`_release` by the time this
+        returns."""
+        self._closing = True
+        for reader in self._connections.values():
+            if reader is not None:
+                reader.feed_eof()
+        if self._server is not None:
+            self._server.close()
+            await self._server.wait_closed()
+        if self._connections:
+            await asyncio.gather(*self._connections, return_exceptions=True)
 
     #: The message types a client may send, and the endpoint coroutine
     #: ``handler(message, conn)`` serving each.  A handler returns
@@ -243,34 +276,21 @@ class _WireServer:
     async def _serve_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        assert self._closing is not None
         conn = self._connection_state()
         decoder = FrameDecoder(self.framing, self.max_frame_bytes)
-        closing_wait = asyncio.ensure_future(self._closing.wait())
+        task = asyncio.current_task()
+        connections = self._connections
+        connections[task] = None
         try:
-            while not self._closing.is_set():
-                # Race the read against shutdown, so an *idle* connection
-                # closes promptly on aclose() while a dispatch already in
-                # progress (below, between reads) always runs to
-                # completion and flushes its response first.
-                read_task = asyncio.ensure_future(reader.read(_READ_CHUNK))
-                await asyncio.wait(
-                    {read_task, closing_wait},
-                    return_when=asyncio.FIRST_COMPLETED,
-                )
-                if not read_task.done():
-                    read_task.cancel()
-                    with contextlib.suppress(
-                        asyncio.CancelledError, ConnectionError, OSError
-                    ):
-                        await read_task
-                    break
+            while not self._closing:
+                connections[task] = reader
                 try:
-                    data = read_task.result()
+                    data = await reader.read(_READ_CHUNK)
                 except (ConnectionError, OSError):
                     break  # client vanished mid-read
+                connections[task] = None
                 if not data:
-                    break  # orderly EOF
+                    break  # orderly EOF, or shutdown fed one
                 # Everything this read-batch produces — push frames and
                 # replies across every completed frame — leaves in a
                 # single writelines+drain (the writev-style batching
@@ -309,13 +329,15 @@ class _WireServer:
                 if fatal:
                     break
         finally:
-            closing_wait.cancel()
-            with contextlib.suppress(asyncio.CancelledError):
-                await closing_wait
-            await self._release(conn)
-            writer.close()
-            with contextlib.suppress(Exception):
-                await writer.wait_closed()
+            try:
+                # The transport stops reading first: a reader that
+                # shutdown fed an EOF must be fed nothing after it.
+                writer.close()
+                await self._release(conn)
+                with contextlib.suppress(Exception):
+                    await writer.wait_closed()
+            finally:
+                del connections[task]
 
     def _wire_framing(self, conn: _ConnectionState) -> str:
         return "binary" if conn.payload == "binary" else self.framing
@@ -387,6 +409,7 @@ class ForeCacheSocketServer(_WireServer):
         server_name: str = "forecache-repro",
         owns_service: bool = False,
     ) -> None:
+        super().__init__()
         config = service.config
         self.service = service
         self.host = host if host is not None else config.bind_host
@@ -415,10 +438,7 @@ class ForeCacheSocketServer(_WireServer):
         #: (the configured port may be 0 = ephemeral).
         self.address: tuple[str, int] | None = None
         self._owns_service = owns_service
-        self._server: asyncio.AbstractServer | None = None
-        self._closing: asyncio.Event | None = None
         self._closed = False
-        self._conn_tasks: set[asyncio.Task] = set()
         policy = config.prefetch
         if policy.push_enabled and not self.include_payload:
             raise ValueError(
@@ -488,9 +508,8 @@ class ForeCacheSocketServer(_WireServer):
             raise RuntimeError("socket server already started")
         if self._closed:
             raise RuntimeError("socket server is closed")
-        self._closing = asyncio.Event()
         self._server = await asyncio.start_server(
-            self._on_connection, self.host, self.port
+            self._serve_connection, self.host, self.port
         )
         sockname = self._server.sockets[0].getsockname()
         self.address = (sockname[0], sockname[1])
@@ -513,13 +532,7 @@ class ForeCacheSocketServer(_WireServer):
         self._closed = True
         if self.hotspot_ticker is not None:
             await self.hotspot_ticker.stop()
-        if self._closing is not None:
-            self._closing.set()
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-        if self._conn_tasks:
-            await asyncio.gather(*self._conn_tasks, return_exceptions=True)
+        await self._stop_serving()
         if self._owns_service:
             await self.service.aclose()
 
@@ -530,26 +543,9 @@ class ForeCacheSocketServer(_WireServer):
     async def __aexit__(self, *exc_info) -> None:
         await self.aclose()
 
-    @property
-    def connection_count(self) -> int:
-        """Connections currently being served."""
-        return len(self._conn_tasks)
-
     # ------------------------------------------------------------------
     # per-connection serving
     # ------------------------------------------------------------------
-    async def _on_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._conn_tasks.add(task)
-        try:
-            await self._serve_connection(reader, writer)
-        finally:
-            if task is not None:
-                self._conn_tasks.discard(task)
-
     async def _serve_hello(self, message: Hello, conn: _ConnectionState):
         version = negotiate_version(message.versions)
         conn.negotiated = True

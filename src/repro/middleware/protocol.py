@@ -56,6 +56,7 @@ fields without breaking an older one.
 
 from __future__ import annotations
 
+import functools
 import json
 import struct
 import zlib
@@ -964,6 +965,11 @@ _BLOB_CODECS = ("raw", "zlib")
 _COMPRESS_LEVEL = 1
 _COMPRESS_MIN_BYTES = 64
 
+#: Validated descriptor entries a decoder remembers, and the largest
+#: entry (characters of name and dtype plus dimensions) it will.
+ATTRIBUTE_SPEC_MEMO_ENTRIES = 1024
+ATTRIBUTE_SPEC_MEMO_KEY_CHARS = 128
+
 
 def _payload_descriptor(payload: TilePayload) -> tuple[dict, bytes]:
     """Flatten a payload into its JSON descriptor and packed blob."""
@@ -1021,6 +1027,42 @@ def encode_binary_message(message) -> bytes:
     )
 
 
+def _attribute_spec(name, dtype_name, shape: tuple, nbytes: int) -> tuple:
+    """Validate one descriptor entry (its ``shape`` and ``nbytes``
+    already integers); returns ``(name, dtype, shape, count, nbytes,
+    dtype text)``."""
+    try:
+        dtype = np.dtype(dtype_name)
+    except (TypeError, ValueError):
+        raise InvalidRequestError(
+            f"unknown dtype {dtype_name!r} in binary payload"
+        ) from None
+    if dtype.hasobject:
+        raise InvalidRequestError(
+            f"object dtype {dtype_name!r} cannot travel on the wire"
+        )
+    if any(n < 0 for n in shape) or nbytes < 0:
+        raise InvalidRequestError(
+            "binary attribute shape/nbytes must be non-negative"
+        )
+    count = 1
+    for n in shape:
+        count *= n
+    if count * dtype.itemsize != nbytes:
+        raise InvalidRequestError(
+            f"attribute {name!r} declares {nbytes} bytes but "
+            f"shape {shape} x {dtype} needs {count * dtype.itemsize}"
+        )
+    return str(name), dtype, shape, count, nbytes, str(dtype)
+
+
+#: Every reply of one deployment repeats the same few entries, so a
+#: validated one is remembered (a rejected one raises and is not).
+_remembered_attribute_spec = functools.lru_cache(
+    maxsize=ATTRIBUTE_SPEC_MEMO_ENTRIES
+)(_attribute_spec)
+
+
 def _parse_attribute_specs(attrs) -> tuple[list, int]:
     """Validate descriptor attribute entries; return specs and blob size."""
     if not isinstance(attrs, list):
@@ -1041,29 +1083,19 @@ def _parse_attribute_specs(attrs) -> tuple[list, int]:
             raise InvalidRequestError(
                 f"malformed binary attribute descriptor: {exc}"
             ) from None
-        try:
-            dtype = np.dtype(dtype_name)
-        except (TypeError, ValueError):
-            raise InvalidRequestError(
-                f"unknown dtype {dtype_name!r} in binary payload"
-            ) from None
-        if dtype.hasobject:
-            raise InvalidRequestError(
-                f"object dtype {dtype_name!r} cannot travel on the wire"
-            )
-        if any(n < 0 for n in shape) or nbytes < 0:
-            raise InvalidRequestError(
-                "binary attribute shape/nbytes must be non-negative"
-            )
-        count = 1
-        for n in shape:
-            count *= n
-        if count * dtype.itemsize != nbytes:
-            raise InvalidRequestError(
-                f"attribute {name!r} declares {nbytes} bytes but "
-                f"shape {shape} x {dtype} needs {count * dtype.itemsize}"
-            )
-        specs.append((str(name), dtype, shape, count, nbytes))
+        # Only a small entry with text for name and dtype is remembered:
+        # the memo never holds a peer's oversized key, an unhashable one
+        # (a JSON list) never reaches it, and equal keys of different
+        # types (1, 1.0, True) cannot stand in for each other.
+        if (
+            type(name) is str is type(dtype_name)
+            and len(name) + len(dtype_name) + len(shape)
+            <= ATTRIBUTE_SPEC_MEMO_KEY_CHARS
+        ):
+            validate = _remembered_attribute_spec
+        else:
+            validate = _attribute_spec
+        specs.append(validate(name, dtype_name, shape, nbytes))
         total += nbytes
     return specs, total
 
@@ -1115,7 +1147,7 @@ def _decode_binary_payload(descriptor, body: memoryview) -> TilePayload:
     buffer = _unpack_blob(codec, body, total)
     blocks = []
     offset = 0
-    for name, dtype, shape, count, nbytes in specs:
+    for name, dtype, shape, count, nbytes, dtype_text in specs:
         try:
             array = np.frombuffer(
                 buffer, dtype=dtype, count=count, offset=offset
@@ -1127,7 +1159,7 @@ def _decode_binary_payload(descriptor, body: memoryview) -> TilePayload:
         blocks.append(
             AttributeBlock(
                 name=name,
-                dtype=str(dtype),
+                dtype=dtype_text,
                 shape=shape,
                 values=None,
                 array=array,

@@ -8,6 +8,7 @@ worker boot (dataset build + bind) stays cheap.
 
 from __future__ import annotations
 
+import asyncio
 import os
 import socketserver
 import subprocess
@@ -575,6 +576,77 @@ class TestWorkerFaults:
                     # worker gone the next request fails fast and typed.
                     with pytest.raises(WorkerUnavailableError):
                         client.request(None, TileKey(0, 0, 0))
+
+
+# ----------------------------------------------------------------------
+# shutdown
+# ----------------------------------------------------------------------
+class TestRouterShutdown:
+    def test_aclose_waits_for_its_client_connections(self, tiny_dataset, capfd):
+        """Stopping a router with three idle clients and one in
+        mid-request: the in-flight reply arrives whole, every client
+        connection has released its backend links by the time
+        ``aclose`` returns, and nothing is left for loop teardown to
+        cancel (no exception reaches the loop's handler or stderr)."""
+        grid = tiny_dataset.pyramid.grid
+        config = ServiceConfig(
+            prefetch=PrefetchPolicy(enabled=False),
+            cache=CacheConfig(backend_delay_seconds=0.3),
+        )
+        cluster = ThreadedClusterServer(
+            tiny_dataset.pyramid,
+            config,
+            workers=2,
+            engine_factory=lambda: make_engine(grid),
+        ).start()
+        router = cluster.router.router
+        links, loop_errors, at_return = [], [], []
+
+        new_link = router._new_link
+        router._new_link = lambda node: links.append(new_link(node)) or links[-1]
+        aclose = router.aclose
+
+        async def observed_aclose():
+            await aclose()
+            at_return.append(
+                (router.connection_count, [link._writer for link in links])
+            )
+
+        router.aclose = observed_aclose
+
+        async def collect_loop_errors():
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: loop_errors.append(context)
+            )
+
+        cluster.router._run(collect_loop_errors())
+        transports = [
+            SocketTransport(*cluster.address, payload="binary")
+            for _ in range(4)
+        ]
+        clients = [
+            transport.connect(session_id=f"s{index}")
+            for index, transport in enumerate(transports)
+        ]
+        replies: list = []
+        requester = threading.Thread(
+            target=lambda: replies.append(clients[0].request(None, grid.root))
+        )
+        try:
+            requester.start()
+            time.sleep(0.1)  # let the request reach the slow backend
+            cluster.stop()  # must drain, not abort
+            requester.join(timeout=30)
+        finally:
+            cluster.stop()
+            for transport in transports:
+                transport.close()
+        assert replies and replies[0].tile.key == grid.root
+        assert not replies[0].hit
+        assert len(links) == 8  # 4 clients x 2 workers
+        assert at_return == [(0, [None] * 8)]
+        assert loop_errors == []
+        assert capfd.readouterr().err == ""
 
 
 # ----------------------------------------------------------------------

@@ -531,6 +531,41 @@ class TestConcurrency:
                 conn.close()
         assert wait_for(lambda: server.server.service.session_count == 0)
 
+    def test_slow_miss_does_not_delay_another_connections_hits(
+        self, small_dataset
+    ):
+        """A backend that blocks is queried off the loop: while one
+        connection waits out four 50 ms misses, another's hits keep
+        being answered (were the loop blocked, only a handful would)."""
+        config = ServiceConfig(
+            prefetch=PrefetchPolicy(enabled=False),
+            cache=CacheConfig(backend_delay_seconds=0.05),
+        )
+        pyramid = small_dataset.pyramid
+        with ThreadedSocketServer(
+            pyramid,
+            config,
+            engine_factory=lambda: make_engine(pyramid.grid),
+        ) as server, SocketTransport(
+            *server.address, pyramid=pyramid, payload="binary"
+        ) as slow, SocketTransport(
+            *server.address, pyramid=pyramid, payload="binary"
+        ) as fast:
+            slow_conn, fast_conn = slow.connect(), fast.connect()
+            assert not fast_conn.request(None, TileKey(0, 0, 0)).hit
+            missing = threading.Thread(
+                target=lambda: [
+                    slow_conn.request(None, TileKey(2, x, 0)) for x in range(4)
+                ]
+            )
+            missing.start()
+            hits = 0
+            while missing.is_alive():
+                assert fast_conn.request(None, TileKey(0, 0, 0)).hit
+                hits += 1
+            missing.join()
+            assert hits >= 20
+
     def test_graceful_shutdown_drains_in_flight_request(self, small_dataset):
         config = ServiceConfig(
             prefetch=PrefetchPolicy(k=5),
@@ -559,6 +594,53 @@ class TestConcurrency:
         assert response_box, "in-flight request was dropped on shutdown"
         assert response_box[0].tile.key == TileKey(2, 1, 1)
         transport.close()
+
+    def test_bytes_behind_the_shutdown_eof_are_dropped_quietly(
+        self, small_dataset
+    ):
+        """A request pipelined behind an in-flight one while the server
+        shuts down is never fed to the (ended) reader: the in-flight
+        reply still arrives whole and the loop sees no error."""
+        config = ServiceConfig(
+            prefetch=PrefetchPolicy(enabled=False),
+            cache=CacheConfig(backend_delay_seconds=0.4),
+        )
+        server = ThreadedSocketServer(
+            small_dataset.pyramid,
+            config,
+            engine_factory=lambda: make_engine(small_dataset.pyramid.grid),
+        )
+        server.start()
+        loop_errors: list = []
+
+        async def collect_loop_errors():
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: loop_errors.append(context)
+            )
+
+        server._run(collect_loop_errors())
+        sock = raw_connection(server)
+        try:
+            handshake(sock)
+            send_line(sock, {"type": "open_session", "session_id": "s"})
+            recv_lines(sock)
+            request = {"type": "tile_request", "session_id": "s",
+                       "tile": [2, 1, 1], "move": None}
+            send_line(sock, request)
+            time.sleep(0.1)  # the request is at the slow backend
+            stopper = threading.Thread(target=server.stop)
+            stopper.start()
+            time.sleep(0.1)  # shutdown has fed the EOF
+            send_line(sock, {**request, "tile": [2, 0, 0]})
+            (reply,) = recv_lines(sock, count=2)  # one reply, then EOF
+            stopper.join(timeout=30)
+            assert not stopper.is_alive()
+        finally:
+            sock.close()
+            server.stop()
+        assert reply["type"] == "tile_response"
+        assert reply["tile"] == [2, 1, 1]
+        assert loop_errors == []
 
     def test_recv_timeout_poisons_the_transport(self, small_dataset):
         """A timed-out roundtrip may leave its reply in flight; the

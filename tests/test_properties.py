@@ -1,6 +1,7 @@
 """Property-based tests (hypothesis) on core invariants."""
 
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -583,6 +584,154 @@ class TestEncodeOnceProperties:
                 frame = str(exc)
             assert frame == reference
         assert isinstance(frame, str)  # the tight limit did refuse
+
+
+# ----------------------------------------------------------------------
+# the remembered descriptor entry is the validated one, or absent
+# ----------------------------------------------------------------------
+def _entry(name="v", dtype="float64", shape=(2, 3), nbytes=None) -> dict:
+    if nbytes is None:
+        nbytes = int(np.prod(shape, dtype=int)) * np.dtype(dtype).itemsize
+    return {"name": name, "dtype": dtype, "shape": list(shape), "nbytes": nbytes}
+
+
+def _without(key: str) -> dict:
+    entry = _entry()
+    del entry[key]
+    return entry
+
+
+#: One descriptor of every family ``_parse_attribute_specs`` rejects,
+#: with the text it is rejected with.
+_MALFORMED_DESCRIPTORS = {
+    "non-list": ({"name": "v"}, "binary payload attributes must be a list"),
+    "non-dict entry": (
+        [["v", "float64"]],
+        "binary payload attribute entries must be objects",
+    ),
+    "missing name": (
+        [_without("name")],
+        "malformed binary attribute descriptor: 'name'",
+    ),
+    "missing nbytes": (
+        [_without("nbytes")],
+        "malformed binary attribute descriptor: 'nbytes'",
+    ),
+    "non-integer shape": (
+        [{**_entry(), "shape": ["x"]}],
+        "malformed binary attribute descriptor: "
+        "invalid literal for int() with base 10: 'x'",
+    ),
+    "shape not a sequence": (
+        [{**_entry(), "shape": 6}],
+        "malformed binary attribute descriptor: 'int' object is not iterable",
+    ),
+    "unknown dtype": (
+        [_entry(dtype="float64", nbytes=48) | {"dtype": "floaty"}],
+        "unknown dtype 'floaty' in binary payload",
+    ),
+    "object dtype": (
+        [_entry() | {"dtype": "O"}],
+        "object dtype 'O' cannot travel on the wire",
+    ),
+    "negative shape": (
+        [_entry() | {"shape": [-2, 3]}],
+        "binary attribute shape/nbytes must be non-negative",
+    ),
+    "negative nbytes": (
+        [_entry() | {"nbytes": -48}],
+        "binary attribute shape/nbytes must be non-negative",
+    ),
+    "size mismatch": (
+        [_entry(nbytes=47)],
+        "attribute 'v' declares 47 bytes but shape (2, 3) x float64 needs 48",
+    ),
+    "unhashable name, size mismatch": (
+        [_entry(name=["v"], nbytes=47)],
+        "attribute ['v'] declares 47 bytes but shape (2, 3) x float64 needs 48",
+    ),
+}
+
+_entry_names = st.one_of(
+    st.text(max_size=6),
+    st.sampled_from([1, 1.0, True, None, "x" * 200]),
+    st.lists(st.text(max_size=3), max_size=2),  # unhashable
+)
+_valid_entries = st.builds(
+    _entry,
+    name=_entry_names,
+    dtype=st.sampled_from(["float64", "<f4", "int32", "uint8", "bool"]),
+    shape=st.lists(st.integers(0, 5), max_size=3).map(tuple),
+)
+_malformed_entries = st.sampled_from(
+    [
+        attrs[0]
+        for attrs, _ in _MALFORMED_DESCRIPTORS.values()
+        if isinstance(attrs, list)
+    ]
+)
+
+
+def _parse_outcome(attrs):
+    """What parsing ``attrs`` comes to; anything but the typed error
+    (a ``TypeError`` from hashing a list, say) propagates."""
+    try:
+        return "parsed", protocol_module._parse_attribute_specs(attrs)
+    except protocol_module.InvalidRequestError as exc:
+        return "rejected", str(exc)
+
+
+def _unmemoised_parse_outcome(attrs):
+    with mock.patch.object(
+        protocol_module,
+        "_remembered_attribute_spec",
+        protocol_module._attribute_spec,
+    ):
+        return _parse_outcome(attrs)
+
+
+class TestAttributeSpecMemoProperties:
+    @pytest.mark.parametrize("family", sorted(_MALFORMED_DESCRIPTORS))
+    def test_each_malformed_family_keeps_its_message(self, family):
+        attrs, message = _MALFORMED_DESCRIPTORS[family]
+        protocol_module._remembered_attribute_spec.cache_clear()
+        for _ in ("cold", "warm"):
+            assert _parse_outcome(attrs) == ("rejected", message)
+        # A rejected entry is never remembered.
+        assert protocol_module._remembered_attribute_spec.cache_info().currsize == 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        attrs=st.lists(st.one_of(_valid_entries, _malformed_entries), max_size=5)
+    )
+    def test_memoised_parse_equals_unmemoised(self, attrs):
+        expected = _unmemoised_parse_outcome(attrs)
+        protocol_module._remembered_attribute_spec.cache_clear()
+        assert _parse_outcome(attrs) == expected  # cold
+        assert _parse_outcome(attrs) == expected  # warm
+
+    def test_equal_keys_of_different_types_stay_apart(self):
+        """``1 == 1.0 == True`` hash alike; their names differ."""
+        specs, total = protocol_module._parse_attribute_specs(
+            [_entry(name=name) for name in (1, True, 1.0, "1")]
+        )
+        assert [spec[0] for spec in specs] == ["1", "True", "1.0", "1"]
+        assert total == 4 * 48
+
+    def test_only_small_text_entries_are_remembered(self):
+        memo = protocol_module._remembered_attribute_spec
+        memo.cache_clear()
+        long_name = "n" * protocol_module.ATTRIBUTE_SPEC_MEMO_KEY_CHARS
+        for name in (["v"], 7, long_name):
+            (spec,), _ = protocol_module._parse_attribute_specs(
+                [_entry(name=name)]
+            )
+            assert spec[0] == str(name)
+        assert memo.cache_info().currsize == 0
+        protocol_module._parse_attribute_specs([_entry(), _entry()])
+        info = memo.cache_info()
+        assert (info.currsize, info.hits) == (1, 1)
+        assert info.maxsize == protocol_module.ATTRIBUTE_SPEC_MEMO_ENTRIES
 
 
 # ----------------------------------------------------------------------
