@@ -13,12 +13,9 @@ handles with ``PrefetchPolicy(share_budget=True)`` — Section 6.2's
 multi-user scheme.
 
 The stress scenario scales to 8–16 sessions over a sharded cache and
-compares the scheduler's two admission disciplines: rank-aware fair
-priority (the default) versus plain FIFO (the pre-priority baseline).
-It asserts the completion-order guarantee — every session's rank-1
-predicted tile completes before any session's rank-≥5 job, and no
-low-rank job from a superseded generation ever completes — and that
-priority admission's tail latency is no worse than FIFO's.
+asserts the scheduler's completion-order guarantee — every session's
+rank-1 predicted tile completes before any session's rank-≥5 job, and no
+low-rank job from a superseded generation ever completes.
 """
 
 from __future__ import annotations
@@ -50,7 +47,7 @@ STEPS_PER_USER = 30
 #: for the paper's ~1s SciDB miss, scaled down to keep the run short).
 BACKEND_DELAY = 0.004
 PREFETCH_K = 8
-#: Session count for the admission-discipline stress scenario, clamped
+#: Session count for the completion-order stress scenario, clamped
 #: to the 8–16 band (REPRO_USERS scales it inside that band).
 STRESS_USERS = max(8, min(16, int(os.environ.get("REPRO_USERS", "12"))))
 #: Shard count for the stress scenario's striped cache layers.
@@ -62,16 +59,8 @@ def make_engine(grid) -> PredictionEngine:
     return PredictionEngine(grid, {model.name: model}, SingleModelStrategy(model.name))
 
 
-def open_service(
-    pyramid,
-    manager,
-    mode: str,
-    num_users: int = NUM_USERS,
-    admission: str = "priority",
-    workers: int | None = None,
-):
+def open_service(pyramid, manager, mode: str):
     """Returns (request_fn(user_id, move, key), the closeable service)."""
-    workers = num_users if workers is None else workers
     # No cache= here: the injected manager IS the cache, and the
     # service validates the budget against its real capacity.
     service = ForeCacheService(
@@ -80,8 +69,7 @@ def open_service(
             prefetch=PrefetchPolicy(
                 k=PREFETCH_K,
                 mode=mode,
-                workers=workers,
-                admission=admission,
+                workers=NUM_USERS,
                 share_budget=True,
             ),
         ),
@@ -91,7 +79,7 @@ def open_service(
         user_id: service.open_session(
             make_engine(pyramid.grid), user_id, reset_engine=True
         )
-        for user_id in range(1, num_users + 1)
+        for user_id in range(1, NUM_USERS + 1)
     }
     return (
         lambda user_id, move, key: handles[user_id].request(move, key),
@@ -99,31 +87,19 @@ def open_service(
     )
 
 
-def run_mode(
-    dataset: MODISDataset,
-    mode: str,
-    num_users: int = NUM_USERS,
-    admission: str = "priority",
-    shards: int = 1,
-    workers: int | None = None,
-) -> tuple[list[float], float]:
-    """Drive ``num_users`` concurrent sessions; return (latencies, wall seconds)."""
+def run_mode(dataset: MODISDataset, mode: str) -> tuple[list[float], float]:
+    """Drive ``NUM_USERS`` concurrent sessions; return (latencies, wall seconds)."""
     pyramid = dataset.pyramid
     manager = CacheManager(
         pyramid,
-        TileCache(
-            recent_capacity=16, prefetch_capacity=PREFETCH_K, shards=shards
-        ),
+        TileCache(recent_capacity=16, prefetch_capacity=PREFETCH_K),
         backend_delay_seconds=BACKEND_DELAY,
-        shards=shards,
     )
     latencies: list[float] = []
     lock = threading.Lock()
-    request, server = open_service(
-        pyramid, manager, mode, num_users, admission, workers
-    )
+    request, server = open_service(pyramid, manager, mode)
     with server:
-        user_ids = list(range(1, num_users + 1))
+        user_ids = list(range(1, NUM_USERS + 1))
 
         def drive(user_id: int) -> None:
             # Identical walks across modes: the seed depends only on the user.
@@ -277,46 +253,3 @@ def test_stress_rank1_completes_before_stale_low_ranks():
     finally:
         release.set()
         scheduler.shutdown()
-
-
-def test_stress_priority_admission_tail_no_worse_than_fifo():
-    """The full 8–16-session random-walk stress over the sharded cache:
-    rank-aware fair admission must serve a tail (p95) no worse than the
-    FIFO baseline, with identical request counts.
-    """
-    dataset = MODISDataset.build(size=256, tile_size=32, days=1, seed=3)
-    results = {}
-    for admission in ("fifo", "priority"):
-        latencies, elapsed = run_mode(
-            dataset,
-            "background",
-            num_users=STRESS_USERS,
-            admission=admission,
-            shards=STRESS_SHARDS,
-            # Scarce workers: the queue backs up, so the admission
-            # discipline decides which tiles land in cache in time.
-            workers=2,
-        )
-        results[admission] = {
-            "p50": percentile(latencies, 0.50),
-            "p95": percentile(latencies, 0.95),
-            "requests": len(latencies),
-            "rps": len(latencies) / elapsed,
-        }
-
-    print()
-    for admission, row in results.items():
-        print(
-            f"{STRESS_USERS} users/{admission:<9}: "
-            f"p50 {row['p50'] * 1e3:7.2f} ms   "
-            f"p95 {row['p95'] * 1e3:7.2f} ms   "
-            f"{row['rps']:7.1f} req/s   ({row['requests']} requests)"
-        )
-
-    assert results["priority"]["requests"] == results["fifo"]["requests"]
-    assert (
-        results["priority"]["requests"] == STRESS_USERS * (STEPS_PER_USER + 1)
-    )
-    # Rank-aware admission must not regress the tail (generous slack
-    # for CI timing noise; typically it wins outright).
-    assert results["priority"]["p95"] <= results["fifo"]["p95"] * 1.25

@@ -95,7 +95,6 @@ def overload_config(fidelity: str) -> ServiceConfig:
             # arms during warm-up and stays armed (degraded serves never
             # clear the streak; only a real cache hit does).
             shed_miss_streak=2,
-            fidelity_reduction=4,
         ),
         # Starved on purpose: 4 recent slots + a k-sized prefetch region
         # against a 36-tile working set guarantees continuous eviction

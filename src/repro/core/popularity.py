@@ -38,6 +38,10 @@ from collections.abc import Iterable
 
 from repro.tiles.key import TileKey
 
+#: How many of the registry's hottest tiles the prefetch and push
+#: schedulers treat as globally hot.
+HOT_SET_SIZE = 8
+
 
 def _hotness(item: tuple[TileKey, float]) -> tuple[float, TileKey]:
     """Snapshot sort key: count descending, key ascending."""

@@ -1,7 +1,7 @@
 """Parameter-sweep experiment harness (grid runner + perf trajectory).
 
-Declarative grids over users x admission x shards x hotspot modes x
-workloads x front ends, executed through the real serving stack with
+Declarative grids over users x shards x hotspot modes x workloads x
+front ends, executed through the real serving stack with
 resumable per-cell persistence, aggregated into schema-versioned
 ``BENCH_<date>_<sha>.json`` snapshots, and gated by a tolerance-based
 regression compare.  See :mod:`repro.experiments.sweep.spec` for the

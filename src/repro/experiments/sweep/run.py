@@ -123,21 +123,15 @@ def cell_config(cell_params: dict) -> ServiceConfig:
             k=k,
             mode=cell_params["prefetch_mode"],
             workers=cell_params["prefetch_workers"],
-            admission=cell_params["prefetch_admission"],
             shared_hotspots=cell_params["shared_hotspots"],
             hotspot_decay=cell_params["hotspot_decay"],
-            hotspot_top_n=cell_params["hotspot_top_n"],
-            hotspot_boost=cell_params["hotspot_boost"],
             hotspot_tick_every=cell_params["hotspot_tick_every"],
-            hotspot_prune_epsilon=cell_params["hotspot_prune_epsilon"],
             push=cell_params["push"],
             push_budget_bytes=cell_params["push_budget_bytes"],
             push_max_inflight=cell_params["push_max_inflight"],
             fidelity=cell_params["fidelity"],
-            fidelity_reduction=cell_params["fidelity_reduction"],
             shed_queue_depth=cell_params["shed_queue_depth"],
             shed_miss_streak=cell_params["shed_miss_streak"],
-            shed_keep_k=cell_params["shed_keep_k"],
         ),
         cache=CacheConfig(
             recent_capacity=cell_params["recent_capacity"],

@@ -7,7 +7,6 @@ product) plus the fixed parameters every cell shares::
       "name": "ci-downscaled",
       "parameters": {
         "users": [2, 4],
-        "prefetch_admission": ["priority", "fifo"],
         "cache_shards": [1, 4],
         "shared_hotspots": ["off", "boost"],
         "workload": ["study", "convergent", "adversarial", "flash_crowd"],
@@ -41,7 +40,6 @@ from repro.middleware.config import (
     PUSH_MODES,
     SHARED_HOTSPOT_MODES,
 )
-from repro.middleware.scheduler import ADMISSION_MODES
 
 
 class SweepSpecError(ValueError):
@@ -107,22 +105,6 @@ def _check_float(name: str, minimum: float, maximum: float | None = None):
     return check
 
 
-def _check_power_of_two(name: str):
-    def check(value: object) -> None:
-        if (
-            not isinstance(value, int)
-            or isinstance(value, bool)
-            or value < 2
-            or value & (value - 1)
-        ):
-            raise SweepSpecError(
-                f"parameter {name!r} must be a power of two >= 2, "
-                f"got {value!r}"
-            )
-
-    return check
-
-
 def _check_bool(name: str):
     def check(value: object) -> None:
         if not isinstance(value, bool):
@@ -138,10 +120,6 @@ def _check_bool(name: str):
 PARAMETER_DOMAINS: dict[str, tuple[object, object]] = {
     # the grid axes the ROADMAP names
     "users": (2, _check_int("users", 1)),
-    "prefetch_admission": (
-        "priority",
-        _check_choice("prefetch_admission", ADMISSION_MODES),
-    ),
     "cache_shards": (1, _check_int("cache_shards", 1)),
     "shared_hotspots": (
         "off",
@@ -156,19 +134,11 @@ PARAMETER_DOMAINS: dict[str, tuple[object, object]] = {
     "recent_capacity": (4, _check_int("recent_capacity", 1)),
     "prefetch_capacity": (8, _check_int("prefetch_capacity", 1)),
     "hotspot_decay": (0.9, _check_float("hotspot_decay", 1e-9, 1.0)),
-    "hotspot_top_n": (8, _check_int("hotspot_top_n", 1)),
-    "hotspot_boost": (2, _check_int("hotspot_boost", 0)),
     "hotspot_tick_every": (16, _check_int("hotspot_tick_every", 0)),
-    "hotspot_prune_epsilon": (
-        1e-6,
-        _check_float("hotspot_prune_epsilon", 0.0),
-    ),
     # progressive fidelity + overload shedding
     "fidelity": ("off", _check_choice("fidelity", FIDELITY_MODES)),
-    "fidelity_reduction": (4, _check_power_of_two("fidelity_reduction")),
     "shed_queue_depth": (32, _check_int("shed_queue_depth", 1)),
     "shed_miss_streak": (0, _check_int("shed_miss_streak", 0)),
-    "shed_keep_k": (2, _check_int("shed_keep_k", 1)),
     # cluster front end (run.py enforces the frontend pairing); the
     # ring partition is a pure function of (cluster_workers,
     # ring_replicas, ring_seed) — worker node names are stable — so
@@ -196,15 +166,12 @@ PARAMETER_DOMAINS: dict[str, tuple[object, object]] = {
 #: Short slug aliases so cell ids stay readable.
 _SLUG_ALIASES = {
     "cluster_workers": "clworkers",
-    "prefetch_admission": "admission",
     "cache_shards": "shards",
     "shared_hotspots": "hotspots",
     "push_budget_bytes": "pushbudget",
     "push_max_inflight": "pushinflight",
-    "fidelity_reduction": "reduction",
     "shed_queue_depth": "sheddepth",
     "shed_miss_streak": "shedmiss",
-    "shed_keep_k": "shedkeep",
 }
 
 
@@ -389,7 +356,6 @@ CI_SPEC = {
     "name": "ci-downscaled",
     "parameters": {
         "users": [2, 4],
-        "prefetch_admission": ["priority", "fifo"],
         "cache_shards": [1, 4],
         "shared_hotspots": ["off", "boost"],
         "workload": ["study", "convergent", "adversarial", "flash_crowd"],
@@ -426,7 +392,7 @@ SMOKE_SPEC = {
 #: The push-mode trajectory sweep: off/on over the socket front end (the
 #: only one that can push) on the two workloads where push matters most.
 #: Kept as its own spec — and its own snapshot directory in CI — so the
-#: 128-cell ``ci`` grid's snapshots stay byte-comparable across the
+#: ``ci`` grid's snapshots stay byte-comparable across the
 #: push-introducing change.
 CI_PUSH_SPEC = {
     "name": "ci-push",

@@ -17,7 +17,6 @@ from repro.middleware.aio import AsyncForeCacheService, AsyncSessionHandle
 from repro.middleware.client import AsyncBrowsingSession, BrowsingSession
 from repro.middleware.cluster import (
     ConsistentHashRing,
-    HotspotGossiper,
     ProcessCluster,
     ThreadedClusterServer,
     ThreadedRouter,
@@ -64,11 +63,7 @@ from repro.middleware.protocol import (
     VersionMismatchError,
     WorkerUnavailableError,
 )
-from repro.middleware.scheduler import (
-    ADMISSION_MODES,
-    PrefetchJob,
-    PrefetchScheduler,
-)
+from repro.middleware.scheduler import PrefetchJob, PrefetchScheduler
 from repro.middleware.service import (
     ForeCacheService,
     SessionHandle,
@@ -81,7 +76,6 @@ from repro.middleware.transport import (
 )
 
 __all__ = [
-    "ADMISSION_MODES",
     "AsyncBrowsingSession",
     "AsyncForeCacheService",
     "AsyncSessionHandle",
@@ -98,7 +92,6 @@ __all__ = [
     "FramingError",
     "FrameTooLargeError",
     "HIT_SECONDS",
-    "HotspotGossiper",
     "InProcessTransport",
     "InvalidRequestError",
     "LatencyModel",

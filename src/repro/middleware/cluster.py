@@ -103,7 +103,6 @@ from repro.middleware.net import (
     ThreadedSocketServer,
     _ConnectionState,
     _LoopThread,
-    _PeriodicTask,
     _WireServer,
     _core_attribute,
 )
@@ -433,7 +432,6 @@ class TileServiceRouter(_WireServer):
         self._push_capable = False
         self._backend_binary = False
         self._session_counter = 0
-        self._gossiper: HotspotGossiper | None = None
 
     # -- lifecycle -----------------------------------------------------
     async def start(self) -> tuple[str, int]:
@@ -459,11 +457,6 @@ class TileServiceRouter(_WireServer):
         )
         sockname = self._server.sockets[0].getsockname()
         self.host, self.port = sockname[0], sockname[1]
-        if self.config.gossip_interval > 0:
-            self._gossiper = HotspotGossiper(
-                self, self.config.gossip_interval
-            )
-            self._gossiper.start()
         return (self.host, self.port)
 
     def _new_link(self, node: str) -> _BackendLink:
@@ -485,9 +478,6 @@ class TileServiceRouter(_WireServer):
         return tuple(sorted(self._alive))
 
     async def aclose(self) -> None:
-        if self._gossiper is not None:
-            await self._gossiper.stop()
-            self._gossiper = None
         # Every client connection has closed its own backend links by
         # the time this returns; the control links go last.
         await self._stop_serving()
@@ -776,30 +766,6 @@ class TileServiceRouter(_WireServer):
         self.cluster_view = fresh
         self.gossip_rounds += 1
         return fresh
-
-
-class HotspotGossiper(_PeriodicTask):
-    """Periodic driver for :meth:`TileServiceRouter.gossip_once`.
-
-    Failures of a single round are suppressed (a dead worker already
-    got marked).
-    """
-
-    def __init__(
-        self,
-        router: TileServiceRouter,
-        interval_seconds: float,
-        *,
-        sleep=None,
-    ) -> None:
-        super().__init__(interval_seconds, sleep=sleep)
-        self.router = router
-        self.rounds = 0
-
-    async def _tick(self) -> None:
-        with contextlib.suppress(Exception):
-            await self.router.gossip_once()
-            self.rounds += 1
 
 
 # ----------------------------------------------------------------------

@@ -1,14 +1,12 @@
 """Frozen configuration for the serving layer.
 
 The facade (:class:`~repro.middleware.service.ForeCacheService`) is
-constructed from three small value objects instead of the ~10 positional
-kwargs the original servers grew:
+constructed from three small value objects:
 
 - :class:`CacheConfig` — shape of the two-region middleware cache, its
   lock striping (``shards``), and the emulated backend delay,
 - :class:`PrefetchPolicy` — how the prediction engine's list ``P`` is
-  executed (budget, sync vs. background, worker pool, queue admission
-  discipline, fair sharing),
+  executed (budget, sync vs. background, worker pool, fair sharing),
 - :class:`ServiceConfig` — the two above plus the latency model's
   transfer overhead.
 
@@ -25,8 +23,6 @@ from repro.cache.manager import CacheManager
 from repro.cache.tile_cache import TileCache
 from repro.middleware.latency import HIT_SECONDS, LatencyModel
 from repro.middleware.protocol import DEFAULT_MAX_FRAME_BYTES, PAYLOADS
-from repro.middleware.push import PUSH_UTILITIES
-from repro.middleware.scheduler import ADMISSION_MODES
 from repro.tiles.pyramid import TilePyramid
 
 #: Who executes the prefetch list: the request call itself ("sync", the
@@ -130,10 +126,6 @@ class PrefetchPolicy:
     mode: str = "sync"
     #: Worker threads when ``mode == "background"``.
     workers: int = 2
-    #: Queue discipline for the background scheduler: "priority" (rank-
-    #: aware deficit-round-robin fair admission, the default) or "fifo"
-    #: (plain arrival order, the pre-priority baseline).
-    admission: str = "priority"
     #: Split ``k`` fairly across open sessions (the multi-user scheme of
     #: Section 6.2) instead of granting each session the full budget.
     share_budget: bool = False
@@ -146,26 +138,10 @@ class PrefetchPolicy:
     #: ``service.hotspot_registry.advance()`` yourself) or decay < 1
     #: never fires.
     hotspot_decay: float = 1.0
-    #: How many globally hot tiles the scheduler's rank boost considers.
-    hotspot_top_n: int = 8
-    #: Queue-rank steps a globally hot tile jumps under "boost".
-    hotspot_boost: int = 2
     #: Advance the registry's decay tick once every N served requests
     #: (0 = never; the owner drives the tick explicitly).  Request-count
     #: ticks keep replays deterministic where wall-clock ticks cannot.
     hotspot_tick_every: int = 0
-    #: Registry counters whose decayed weight falls below this are
-    #: dropped during lazy decay (0.0 = never prune, bit-identical
-    #: legacy behavior).  Set together with ``hotspot_decay < 1`` so
-    #: long adversarial workloads cannot grow the registry without
-    #: bound.
-    hotspot_prune_epsilon: float = 0.0
-    #: Wall-clock decay ticking for the socket server's registry: the
-    #: asyncio loop calls ``registry.advance()`` every this many real
-    #: seconds, so long-idle deployments decay popularity without
-    #: request traffic.  0 (default) = off; replays and tests stay on
-    #: the deterministic virtual tick (``hotspot_tick_every``).
-    hotspot_tick_seconds: float = 0.0
     #: Continuous push prefetch: "off" or "on" (:data:`PUSH_MODES`).
     #: Only the socket server acts on it — and only for clients that
     #: negotiated the ``push`` capability in their hello.
@@ -175,16 +151,9 @@ class PrefetchPolicy:
     push_budget_bytes: int = 256 * 1024
     #: Per-session cap on pushed-but-unacknowledged tiles in flight.
     push_max_inflight: int = 4
-    #: Utility ordering for push jobs: "rank" or "density"
-    #: (:data:`~repro.middleware.push.PUSH_UTILITIES`).
-    push_utility: str = "rank"
     #: Progressive fidelity + load shedding: "off" or "progressive"
     #: (:data:`FIDELITY_MODES`).
     fidelity: str = "off"
-    #: Linear downsampling factor of a coarse stand-in tile (per axis);
-    #: must be a power of two >= 2 so a stand-in can be carved from the
-    #: matching ancestor pyramid level.  4 = a 16x byte reduction.
-    fidelity_reduction: int = 4
     #: Overload trips when the background prefetch queue depth plus the
     #: cache manager's in-flight backend loads reaches this many jobs.
     shed_queue_depth: int = 32
@@ -193,27 +162,16 @@ class PrefetchPolicy:
     #: signal alone decides).  Deterministic under ``settle`` replays,
     #: unlike physical queue occupancy.
     shed_miss_streak: int = 0
-    #: Under shedding the scheduler keeps only prefetch jobs ranked
-    #: better than this (rank 0 = the model's top prediction).
-    shed_keep_k: int = 2
 
     def __post_init__(self) -> None:
         if self.k < 1:
-            raise ValueError(f"prefetch_k must be >= 1, got {self.k}")
+            raise ValueError(f"k must be >= 1, got {self.k}")
         if self.mode not in PREFETCH_MODES:
             raise ValueError(
-                f"prefetch_mode must be one of {PREFETCH_MODES}, got"
-                f" {self.mode!r}"
+                f"mode must be one of {PREFETCH_MODES}, got {self.mode!r}"
             )
         if self.workers < 1:
-            raise ValueError(
-                f"prefetch_workers must be >= 1, got {self.workers}"
-            )
-        if self.admission not in ADMISSION_MODES:
-            raise ValueError(
-                f"prefetch_admission must be one of {ADMISSION_MODES}, got"
-                f" {self.admission!r}"
-            )
+            raise ValueError(f"workers must be >= 1, got {self.workers}")
         if self.shared_hotspots not in SHARED_HOTSPOT_MODES:
             raise ValueError(
                 f"shared_hotspots must be one of {SHARED_HOTSPOT_MODES}, "
@@ -223,28 +181,10 @@ class PrefetchPolicy:
             raise ValueError(
                 f"hotspot_decay must be in (0, 1], got {self.hotspot_decay}"
             )
-        if self.hotspot_top_n < 1:
-            raise ValueError(
-                f"hotspot_top_n must be >= 1, got {self.hotspot_top_n}"
-            )
-        if self.hotspot_boost < 0:
-            raise ValueError(
-                f"hotspot_boost must be >= 0, got {self.hotspot_boost}"
-            )
         if self.hotspot_tick_every < 0:
             raise ValueError(
                 f"hotspot_tick_every must be >= 0, got"
                 f" {self.hotspot_tick_every}"
-            )
-        if self.hotspot_prune_epsilon < 0:
-            raise ValueError(
-                f"hotspot_prune_epsilon must be >= 0, got"
-                f" {self.hotspot_prune_epsilon}"
-            )
-        if self.hotspot_tick_seconds < 0:
-            raise ValueError(
-                f"hotspot_tick_seconds must be >= 0, got"
-                f" {self.hotspot_tick_seconds}"
             )
         if self.push not in PUSH_MODES:
             raise ValueError(
@@ -261,25 +201,10 @@ class PrefetchPolicy:
                 f"push_max_inflight must be >= 1, got"
                 f" {self.push_max_inflight}"
             )
-        if self.push_utility not in PUSH_UTILITIES:
-            raise ValueError(
-                f"push_utility must be one of {PUSH_UTILITIES}, got"
-                f" {self.push_utility!r}"
-            )
         if self.fidelity not in FIDELITY_MODES:
             raise ValueError(
                 f"fidelity must be one of {FIDELITY_MODES}, got"
                 f" {self.fidelity!r}"
-            )
-        reduction = self.fidelity_reduction
-        if (
-            not isinstance(reduction, int)
-            or reduction < 2
-            or reduction & (reduction - 1)
-        ):
-            raise ValueError(
-                "fidelity_reduction must be a power of two >= 2, got"
-                f" {self.fidelity_reduction!r}"
             )
         if self.shed_queue_depth < 1:
             raise ValueError(
@@ -288,10 +213,6 @@ class PrefetchPolicy:
         if self.shed_miss_streak < 0:
             raise ValueError(
                 f"shed_miss_streak must be >= 0, got {self.shed_miss_streak}"
-            )
-        if self.shed_keep_k < 1:
-            raise ValueError(
-                f"shed_keep_k must be >= 1, got {self.shed_keep_k}"
             )
 
     @property
@@ -350,11 +271,6 @@ class ServiceConfig:
     #: pure function of (seed, worker ids, replicas), so routers sharing
     #: a seed agree on tile ownership across processes and restarts.
     ring_seed: int = 0
-    #: Cluster mode: real seconds between hotspot gossip rounds (router
-    #: polls every worker's registry snapshot and rebroadcasts the
-    #: merged view).  0 (default) = no timer; tests and replays drive
-    #: rounds explicitly via ``TileServiceRouter.gossip_once()``.
-    gossip_interval: float = 0.0
 
     def __post_init__(self) -> None:
         # Capacity-vs-budget fit is NOT checked here: the serving cache
@@ -387,10 +303,6 @@ class ServiceConfig:
         if self.ring_replicas < 1:
             raise ValueError(
                 f"ring_replicas must be >= 1, got {self.ring_replicas}"
-            )
-        if self.gossip_interval < 0:
-            raise ValueError(
-                f"gossip_interval must be >= 0, got {self.gossip_interval}"
             )
 
     def build_latency_model(self) -> LatencyModel:

@@ -90,7 +90,7 @@ from repro.middleware.push import PUSH_MODEL, PushCache, PushScheduler
 from repro.middleware.service import TileResponse
 from repro.middleware.transport import Transport
 from repro.tiles.key import TileKey
-from repro.tiles.reduce import downsample_tile
+from repro.tiles.reduce import COARSE_REDUCTION, downsample_tile
 from repro.tiles.moves import Move
 from repro.tiles.pyramid import TilePyramid
 
@@ -110,69 +110,6 @@ def _check_payloads(payloads) -> tuple[str, ...]:
             f"got {payloads!r}"
         )
     return payloads
-
-
-class _PeriodicTask:
-    """One coroutine, :meth:`_tick`, run on the event loop every
-    ``interval_seconds``; the ``sleep`` coroutine is injectable so
-    tests drive the loop with a fake clock."""
-
-    def __init__(self, interval_seconds: float, *, sleep=None) -> None:
-        if interval_seconds <= 0:
-            raise ValueError(
-                f"interval_seconds must be > 0, got {interval_seconds}"
-            )
-        self.interval_seconds = interval_seconds
-        self._sleep = sleep if sleep is not None else asyncio.sleep
-        self._task: asyncio.Task | None = None
-
-    async def _tick(self) -> None:
-        raise NotImplementedError
-
-    async def _run(self) -> None:
-        while True:
-            await self._sleep(self.interval_seconds)
-            await self._tick()
-
-    def start(self) -> None:
-        """Begin ticking on the running event loop."""
-        if self._task is not None:
-            raise RuntimeError(f"{type(self).__name__} already started")
-        self._task = asyncio.ensure_future(self._run())
-
-    @property
-    def running(self) -> bool:
-        return self._task is not None and not self._task.done()
-
-    async def stop(self) -> None:
-        """Cancel the tick task.  Idempotent."""
-        if self._task is None:
-            return
-        self._task.cancel()
-        with contextlib.suppress(asyncio.CancelledError):
-            await self._task
-        self._task = None
-
-
-class HotspotDecayTicker(_PeriodicTask):
-    """Wall-clock decay tick for a shared hotspot registry.
-
-    Long-idle deployments see no requests, so request-count ticking
-    (``PrefetchPolicy.hotspot_tick_every``) never fires and stale
-    hotspots linger.  This ticker advances the registry's virtual tick
-    from the asyncio loop every ``interval_seconds`` of *real* time.
-    Off by default (``hotspot_tick_seconds=0``).
-    """
-
-    def __init__(self, registry, interval_seconds: float, *, sleep=None) -> None:
-        super().__init__(interval_seconds, sleep=sleep)
-        self.registry = registry
-        #: Decay ticks delivered so far (diagnostics/tests).
-        self.ticks = 0
-
-    async def _tick(self) -> None:
-        self.registry.advance()
-        self.ticks += 1
 
 
 class _ConnectionState:
@@ -454,23 +391,16 @@ class ForeCacheSocketServer(_WireServer):
             self.push_scheduler = PushScheduler(
                 budget_bytes=policy.push_budget_bytes,
                 max_inflight=policy.push_max_inflight,
-                utility=policy.push_utility,
                 # Mirror the prefetch scheduler: only "boost" acts on
                 # the shared signal.
                 hotspot_registry=(
                     registry if policy.hotspots_live else None
                 ),
-                hotspot_top_n=policy.hotspot_top_n,
-                hotspot_boost=float(policy.hotspot_boost),
                 # Progressive fidelity: coarse frame first, refinement
                 # with the round's leftover budget.  Off keeps the wire
                 # byte-identical to earlier builds.
                 progressive=policy.fidelity_enabled,
-                reduction=policy.fidelity_reduction,
             )
-        #: Wall-clock registry decay (``hotspot_tick_seconds``), started
-        #: with the server when configured.
-        self.hotspot_ticker: HotspotDecayTicker | None = None
         #: Encode once, send many: the encoded payload segment of every
         #: full-fidelity tile this server has sent, per payload
         #: encoding, under a fixed byte budget.  Entries cannot go
@@ -513,13 +443,6 @@ class ForeCacheSocketServer(_WireServer):
         )
         sockname = self._server.sockets[0].getsockname()
         self.address = (sockname[0], sockname[1])
-        policy = self.service.config.prefetch
-        registry = self.service.service.hotspot_registry
-        if policy.hotspot_tick_seconds > 0 and registry is not None:
-            self.hotspot_ticker = HotspotDecayTicker(
-                registry, policy.hotspot_tick_seconds
-            )
-            self.hotspot_ticker.start()
         return self.address
 
     async def aclose(self) -> None:
@@ -530,8 +453,6 @@ class ForeCacheSocketServer(_WireServer):
         if self._closed:
             return
         self._closed = True
-        if self.hotspot_ticker is not None:
-            await self.hotspot_ticker.stop()
         await self._stop_serving()
         if self._owns_service:
             await self.service.aclose()
@@ -726,7 +647,7 @@ class ForeCacheSocketServer(_WireServer):
                 # Coarse frame: block-averaged payload, a fraction of
                 # the full tile's wire bytes.  The refinement job queued
                 # behind it re-streams the tile at full resolution.
-                tile = downsample_tile(tile, scheduler.reduction)
+                tile = downsample_tile(tile, COARSE_REDUCTION)
             push = PushTile(
                 session_id=session_id,
                 tile=TileRef.from_key(job.key),

@@ -15,11 +15,10 @@ Two pieces live here, one per side of the connection:
   downstream byte budget fairly across them.  Within a session, each
   request starts a new *round* (generation): the prediction list is
   turned into :class:`PushJob` entries ordered by utility
-  (rank-decayed confidence × hotspot boost, optionally divided by the
-  estimated tile cost), deduplicated against everything the client
-  already holds (its acked digest) or has in flight (pushed, not yet
-  acked).  A new round cancels whatever the previous round still had
-  queued — exactly the generation discipline of
+  (rank-decayed confidence × hotspot boost), deduplicated against
+  everything the client already holds (its acked digest) or has in
+  flight (pushed, not yet acked).  A new round cancels whatever the
+  previous round still had queued — exactly the generation discipline of
   :class:`~repro.middleware.scheduler.PrefetchScheduler`.  The
   scheduler is *driven by* the event loop (the socket server calls it
   between awaits) and does no locking or I/O of its own; all methods
@@ -41,19 +40,11 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
+from repro.core.popularity import HOT_SET_SIZE, SharedHotspotRegistry
 from repro.tiles.key import TileKey
+from repro.tiles.reduce import COARSE_REDUCTION
 from repro.tiles.tile import DataTile
-
-if TYPE_CHECKING:  # imported for type hints only
-    from repro.core.popularity import SharedHotspotRegistry
-
-#: Utility orderings the scheduler understands: ``"rank"`` scores by
-#: rank-decayed confidence (hotspot-boosted), ``"density"`` divides
-#: that score by the estimated frame cost so small tiles win ties —
-#: useful when tile sizes vary across pyramid levels.
-PUSH_UTILITIES: tuple[str, ...] = ("rank", "density")
 
 #: Cache-attribution label for tiles loaded on the push path (shows up
 #: in cache stats next to the per-model prefetch attributions).
@@ -64,11 +55,9 @@ PUSH_MODEL = "push"
 #: ranks in contention rather than collapsing onto rank 0.
 CONFIDENCE_DECAY = 0.8
 
-#: Floor of the per-level cost estimate (bytes).  Committed-frame EMAs
-#: live in the thousands; without a floor a degenerate observation (an
-#: empty or near-empty frame) would make ``"density"`` divide by (near)
-#: zero and that level would dwarf every other utility in the queue.
-MIN_LEVEL_COST = 1.0
+#: Confidence multiplier of a globally hot tile: a hot rank-1 job
+#: (0.8 × 3.0) outranks a cold rank-0 one (1.0).
+HOT_CONFIDENCE_FACTOR = 3.0
 
 
 @dataclass(frozen=True)
@@ -137,54 +126,23 @@ class PushScheduler:
         self,
         budget_bytes: int,
         max_inflight: int,
-        utility: str = "rank",
         *,
-        hotspot_registry: "SharedHotspotRegistry | None" = None,
-        hotspot_top_n: int = 8,
-        hotspot_boost: float = 2.0,
-        confidence_decay: float = CONFIDENCE_DECAY,
+        hotspot_registry: SharedHotspotRegistry | None = None,
         progressive: bool = False,
-        reduction: int = 4,
     ) -> None:
         if budget_bytes < 1:
             raise ValueError(f"budget_bytes must be >= 1, got {budget_bytes}")
         if max_inflight < 1:
             raise ValueError(f"max_inflight must be >= 1, got {max_inflight}")
-        if utility not in PUSH_UTILITIES:
-            raise ValueError(
-                f"utility must be one of {PUSH_UTILITIES}, got {utility!r}"
-            )
-        if not isinstance(reduction, int) or reduction < 2 or reduction & (
-            reduction - 1
-        ):
-            raise ValueError(
-                f"reduction must be a power of two >= 2, got {reduction!r}"
-            )
-        if hotspot_top_n < 1:
-            raise ValueError(f"hotspot_top_n must be >= 1, got {hotspot_top_n}")
-        if hotspot_boost < 0:
-            raise ValueError(f"hotspot_boost must be >= 0, got {hotspot_boost}")
-        if not 0.0 < confidence_decay <= 1.0:
-            raise ValueError(
-                f"confidence_decay must be in (0, 1], got {confidence_decay}"
-            )
         self.budget_bytes = budget_bytes
         self.max_inflight = max_inflight
-        self.utility = utility
         self.hotspot_registry = hotspot_registry
-        self.hotspot_top_n = hotspot_top_n
-        self.hotspot_boost = hotspot_boost
-        self.confidence_decay = confidence_decay
         #: Fidelity-aware rounds: queue a coarse frame per predicted
-        #: tile first, then spend leftover budget on full-fidelity
-        #: refinement frames (``reduction`` is the coarse downsampling
-        #: factor per axis).
+        #: tile first (downsampled by
+        #: :data:`~repro.tiles.reduce.COARSE_REDUCTION` per axis), then
+        #: spend leftover budget on full-fidelity refinement frames.
         self.progressive = progressive
-        self.reduction = reduction
         self._sessions: dict[str, _PushSession] = {}
-        #: Per-level average committed frame bytes (the "density" cost
-        #: estimate; levels not yet seen fall back to the global mean).
-        self._level_cost: dict[int, float] = {}
         # counters (monotonic; exposed via stats())
         self.rounds = 0
         self.pushed_tiles = 0
@@ -281,10 +239,8 @@ class PushScheduler:
         self.rounds += 1
         hot: frozenset[TileKey] = frozenset()
         if self.hotspot_registry is not None:
-            hot = frozenset(
-                self.hotspot_registry.hot_keys(self.hotspot_top_n)
-            )
-        coarse_fidelity = 1.0 / self.reduction
+            hot = frozenset(self.hotspot_registry.hot_keys(HOT_SET_SIZE))
+        coarse_fidelity = 1.0 / COARSE_REDUCTION
         jobs: list[PushJob] = []
         refinements: list[PushJob] = []
         seen: set[TileKey] = set()
@@ -324,33 +280,10 @@ class PushScheduler:
         return len(state.queued)
 
     def _utility(self, key: TileKey, rank: int, hot: frozenset[TileKey]) -> float:
-        confidence = self.confidence_decay**rank
+        confidence = CONFIDENCE_DECAY**rank
         if key in hot:
-            confidence *= 1.0 + self.hotspot_boost
-        if self.utility == "density":
-            confidence /= self._estimated_cost(key.level)
+            confidence *= HOT_CONFIDENCE_FACTOR
         return confidence
-
-    def _estimated_cost(self, level: int) -> float:
-        """Estimated frame bytes of one tile at ``level``.
-
-        Cold start (no frame committed anywhere yet) returns the unit
-        cost for every level, so ``"density"`` degenerates to the pure
-        confidence ordering instead of inventing level preferences from
-        no data.  Once any level has been observed, unseen levels
-        borrow the global mean — which keeps their estimates on the
-        same *byte* scale as observed levels (mixing the unit cost with
-        multi-kilobyte observations would make unseen levels look
-        thousands of times cheaper).  Estimates are floored at
-        :data:`MIN_LEVEL_COST` so a degenerate observation can never
-        divide a utility by (near) zero.
-        """
-        cost = self._level_cost.get(level)
-        if cost is None:
-            if not self._level_cost:
-                return MIN_LEVEL_COST
-            cost = sum(self._level_cost.values()) / len(self._level_cost)
-        return max(cost, MIN_LEVEL_COST)
 
     def next_job(self, session_id: str) -> PushJob | None:
         """The round's next streamable job, or None when the session's
@@ -404,13 +337,6 @@ class PushScheduler:
                 self.refined_tiles += 1
         self.pushed_tiles += 1
         self.pushed_bytes += frame_bytes
-        # Running per-level cost average feeds the "density" utility.
-        previous = self._level_cost.get(job.key.level)
-        self._level_cost[job.key.level] = (
-            float(frame_bytes)
-            if previous is None
-            else 0.5 * previous + 0.5 * frame_bytes
-        )
         return True
 
     def reject(self, job: PushJob) -> None:

@@ -10,13 +10,11 @@ drains an explicit priority queue:
 
 - ``schedule()`` turns a prediction round into one :class:`PrefetchJob`
   per tile and pushes the jobs onto a shared heap;
-- under ``admission="priority"`` the heap is ordered by
-  ``(rank, session deficit, generation)`` — every session's top-ranked
-  prediction is fetched before anyone's low-rank tail, equally-ranked
-  jobs favor the session the pool has served least (deficit
-  round-robin), and among those the freshest round wins;
-  ``admission="fifo"`` preserves plain arrival order (the pre-priority
-  behavior, kept as a benchmark baseline);
+- the heap is ordered by ``(rank, session deficit, generation)`` —
+  every session's top-ranked prediction is fetched before anyone's
+  low-rank tail, equally-ranked jobs favor the session the pool has
+  served least (deficit round-robin), and among those the freshest
+  round wins;
 - each call supersedes the session's previous round — that session's
   generation counter is bumped, and a worker popping a job from an
   older generation drops it *at pop time*, so stale work never occupies
@@ -40,13 +38,14 @@ because a top prediction is overwhelmingly more likely to be the next
 request (Figure 12's accuracy↔latency line).
 
 With a bound :class:`~repro.core.popularity.SharedHotspotRegistry`
-(``PrefetchPolicy(shared_hotspots="boost")``) priority admission also
-consults the *global* signal: a job whose tile is currently among the
-registry's hottest gets its queue rank boosted by ``hotspot_boost``
-steps, because a globally popular tile pays off even if this session's
-model ranked it low — some session will ask for it, and the shared
-cache serves everyone.  The job's own ``rank`` is untouched (it still
-reports the model's opinion); only the heap key moves.
+(``PrefetchPolicy(shared_hotspots="boost")``) admission also consults
+the *global* signal: a job whose tile is currently among the registry's
+:data:`~repro.core.popularity.HOT_SET_SIZE` hottest gets its queue rank
+boosted by :data:`HOT_RANK_STEPS`, because a globally popular tile pays
+off even if this session's model ranked it low — some session will ask
+for it, and the shared cache serves everyone.  The job's own ``rank`` is
+untouched (it still reports the model's opinion); only the heap key
+moves.
 """
 
 from __future__ import annotations
@@ -55,14 +54,11 @@ import heapq
 import threading
 from collections.abc import Hashable
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 from repro.cache.manager import CacheManager
+from repro.core.popularity import HOT_SET_SIZE, SharedHotspotRegistry
 from repro.tiles.key import TileKey
 from repro.tiles.tile import DataTile
-
-if TYPE_CHECKING:
-    from repro.core.popularity import SharedHotspotRegistry
 
 #: Job lifecycle states.
 PENDING = "pending"
@@ -70,9 +66,12 @@ DONE = "done"
 CANCELLED = "cancelled"
 FAILED = "failed"
 
-#: Queue disciplines: rank-aware fair priority (default) or arrival
-#: order (the pre-priority baseline, kept for benchmarks).
-ADMISSION_MODES = ("priority", "fifo")
+#: Queue-rank steps a globally hot tile jumps ahead of its model rank.
+HOT_RANK_STEPS = 2
+
+#: While shedding, a round admits only predictions ranked better than
+#: this (rank 0 = the model's top prediction).
+SHED_KEEP_RANKS = 2
 
 
 @dataclass
@@ -109,41 +108,23 @@ class PrefetchScheduler:
         cache_manager: CacheManager,
         max_workers: int = 2,
         name: str = "prefetch",
-        admission: str = "priority",
-        hotspot_registry: "SharedHotspotRegistry | None" = None,
-        hotspot_top_n: int = 8,
-        hotspot_boost: int = 2,
+        hotspot_registry: SharedHotspotRegistry | None = None,
         shed_queue_depth: int | None = None,
-        shed_keep_k: int = 2,
     ) -> None:
         if max_workers < 1:
             raise ValueError(f"worker pool needs >= 1 workers, got {max_workers}")
-        if admission not in ADMISSION_MODES:
-            raise ValueError(
-                f"admission must be one of {ADMISSION_MODES}, got {admission!r}"
-            )
-        if hotspot_top_n < 1:
-            raise ValueError(f"hotspot_top_n must be >= 1, got {hotspot_top_n}")
-        if hotspot_boost < 0:
-            raise ValueError(f"hotspot_boost must be >= 0, got {hotspot_boost}")
         if shed_queue_depth is not None and shed_queue_depth < 1:
             raise ValueError(
                 f"shed_queue_depth must be >= 1, got {shed_queue_depth}"
             )
-        if shed_keep_k < 1:
-            raise ValueError(f"shed_keep_k must be >= 1, got {shed_keep_k}")
         self.cache_manager = cache_manager
         self.max_workers = max_workers
-        self.admission = admission
         self.hotspot_registry = hotspot_registry
-        self.hotspot_top_n = hotspot_top_n
-        self.hotspot_boost = hotspot_boost
         #: Overload shedding: once this many jobs are pending, a new
-        #: round admits only its ``shed_keep_k`` best-ranked tiles and
-        #: drops the low-rank tail (None = never shed, the default —
-        #: bit-identical to the pre-shedding scheduler).
+        #: round admits only its :data:`SHED_KEEP_RANKS` best-ranked
+        #: tiles and drops the low-rank tail (None = never shed, the
+        #: default — bit-identical to the pre-shedding scheduler).
         self.shed_queue_depth = shed_queue_depth
-        self.shed_keep_k = shed_keep_k
         self._lock = threading.Lock()
         self._work = threading.Condition(self._lock)
         #: Heap of ``(sort_key, job)``; sort keys are unique (they end
@@ -205,12 +186,8 @@ class PrefetchScheduler:
         # has its own striped locks): the hot set is a snapshot — jobs
         # queued this round keep the boost they were admitted with.
         hot: frozenset[TileKey] = frozenset()
-        if (
-            self.hotspot_registry is not None
-            and self.hotspot_boost > 0
-            and self.admission == "priority"
-        ):
-            hot = frozenset(self.hotspot_registry.hot_keys(self.hotspot_top_n))
+        if self.hotspot_registry is not None:
+            hot = frozenset(self.hotspot_registry.hot_keys(HOT_SET_SIZE))
         with self._lock:
             if self._closed:
                 raise RuntimeError("scheduler is shut down")
@@ -242,7 +219,7 @@ class PrefetchScheduler:
                 # request; shed the rest *at admission*, before they ever
                 # hold a heap slot.
                 kept = [
-                    entry for entry in ranked if entry[0] < self.shed_keep_k
+                    entry for entry in ranked if entry[0] < SHED_KEEP_RANKS
                 ]
                 self.jobs_shed += len(ranked) - len(kept)
                 ranked = kept
@@ -258,14 +235,12 @@ class PrefetchScheduler:
             ]
             for job in jobs:
                 self._seq += 1
-                if self.admission == "priority":
-                    rank = job.rank
-                    if job.key in hot:
-                        rank = max(0, rank - self.hotspot_boost)
-                    sort_key = (rank, deficit, -generation, self._seq)
-                else:
-                    sort_key = (self._seq,)
-                heapq.heappush(self._heap, (sort_key, job))
+                rank = job.rank
+                if job.key in hot:
+                    rank = max(0, rank - HOT_RANK_STEPS)
+                heapq.heappush(
+                    self._heap, ((rank, deficit, -generation, self._seq), job)
+                )
             self.jobs_submitted += len(jobs)
             self._pending += len(jobs)
             if self._pending:

@@ -50,10 +50,20 @@ from repro.middleware.protocol import (
 from repro.middleware.scheduler import PrefetchScheduler
 from repro.phases.model import AnalysisPhase
 from repro.tiles.key import TileKey
-from repro.tiles.reduce import carve_fidelity, carve_from_ancestor
+from repro.tiles.reduce import (
+    COARSE_REDUCTION,
+    carve_fidelity,
+    carve_from_ancestor,
+)
 from repro.tiles.moves import Move
 from repro.tiles.pyramid import TilePyramid
 from repro.tiles.tile import DataTile
+
+#: Service-owned registries drop a counter once its decayed weight falls
+#: below this, so decaying traffic cannot grow the key set without
+#: bound.  Observations weigh 1.0, so nothing is ever dropped at
+#: ``hotspot_decay=1.0``.
+HOTSPOT_PRUNE_EPSILON = 1e-6
 
 
 @dataclass(frozen=True)
@@ -189,7 +199,7 @@ class ForeCacheService:
             hotspot_registry = SharedHotspotRegistry(
                 shards=self.config.cache.shards,
                 decay=policy.hotspot_decay,
-                prune_epsilon=policy.hotspot_prune_epsilon,
+                prune_epsilon=HOTSPOT_PRUNE_EPSILON,
             )
         self.hotspot_registry = hotspot_registry
         if cache_manager is None:
@@ -216,20 +226,16 @@ class ForeCacheService:
             self.scheduler = PrefetchScheduler(
                 self.cache_manager,
                 max_workers=policy.workers,
-                admission=policy.admission,
                 # Only "boost" acts on the shared signal; "observe"
                 # collects without changing any scheduling decision.
                 hotspot_registry=(
                     self.hotspot_registry if policy.hotspots_live else None
                 ),
-                hotspot_top_n=policy.hotspot_top_n,
-                hotspot_boost=policy.hotspot_boost,
                 # Shedding only arms with progressive fidelity; off mode
                 # keeps the scheduler bit-identical to earlier builds.
                 shed_queue_depth=(
                     policy.shed_queue_depth if policy.fidelity_enabled else None
                 ),
-                shed_keep_k=policy.shed_keep_k,
             )
         #: Request-count decay ticking (policy.hotspot_tick_every); its
         #: own lock so ticking never contends with the session table.
@@ -449,7 +455,7 @@ class ForeCacheService:
         """
         if self.cache_manager.peek(key) is not None:
             return None
-        max_depth = self.config.prefetch.fidelity_reduction.bit_length() - 1
+        max_depth = COARSE_REDUCTION.bit_length() - 1
         for depth in range(1, max_depth + 1):
             level = key.level - depth
             if level < 0:

@@ -26,6 +26,11 @@ import numpy as np
 from repro.tiles.key import TileKey
 from repro.tiles.tile import DataTile
 
+#: Linear downsampling factor (per axis) of a coarse stand-in tile: a
+#: coarse push frame carries 1/16 of the cells, and degraded serving
+#: carves from an ancestor at most ``log2(COARSE_REDUCTION)`` levels up.
+COARSE_REDUCTION = 4
+
 
 def reduction_fidelity(factor: int) -> float:
     """The fidelity of a factor-``factor`` linear reduction."""

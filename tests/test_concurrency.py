@@ -500,8 +500,8 @@ class TestThreadSafeCaches:
 
 class TestPriorityAdmission:
     """Rank-aware fair admission: the scheduler's heap is ordered by
-    (rank, session deficit, generation), stale jobs are dropped at pop
-    time, and ``admission="fifo"`` restores plain arrival order."""
+    (rank, session deficit, generation) and stale jobs are dropped at
+    pop time."""
 
     @staticmethod
     def _manager(small_dataset, shards: int = 1) -> CacheManager:
@@ -550,31 +550,6 @@ class TestPriorityAdmission:
             assert all(job.state == DONE for job in jobs)
             by_completion = sorted(jobs, key=lambda j: j.finish_order)
             assert [j.rank for j in by_completion] == [0, 0, 0, 1, 1, 1, 2, 2, 2]
-        finally:
-            release.set()
-            scheduler.shutdown()
-
-    def test_fifo_admission_preserves_arrival_order(self, small_dataset):
-        """The baseline discipline drains whole rounds in arrival order."""
-        manager = self._manager(small_dataset)
-        gate_key = TileKey(3, 7, 7)
-        started, release = self._gate(manager, {gate_key})
-        scheduler = PrefetchScheduler(manager, max_workers=1, admission="fifo")
-        try:
-            scheduler.schedule([(gate_key, "m")], session_id="gate")
-            assert started.acquire(timeout=10)
-            rounds = [
-                scheduler.schedule(
-                    [(TileKey(3, x, y), "m") for x in range(3)],
-                    session_id=f"s{y}",
-                )
-                for y in range(3)
-            ]
-            release.set()
-            assert scheduler.wait_idle(10)
-            jobs = [job for round_ in rounds for job in round_]
-            by_completion = sorted(jobs, key=lambda j: j.finish_order)
-            assert [j.rank for j in by_completion] == [0, 1, 2, 0, 1, 2, 0, 1, 2]
         finally:
             release.set()
             scheduler.shutdown()

@@ -31,8 +31,8 @@ def multiuser_service(pyramid, k: int) -> ForeCacheService:
     )
 
 
-class TestMultiUserServer:
-    """Multi-user serving: sessions keyed by user id on one service."""
+class TestSharedBudgetSessions:
+    """Shared-budget sessions, keyed by user id, on one ForeCacheService."""
 
     @pytest.fixture
     def server(self, small_dataset):

@@ -828,7 +828,6 @@ class TestEncodeOnce:
                 k=2,
                 fidelity="progressive",
                 shed_miss_streak=2,
-                fidelity_reduction=4,
             ),
             cache=CacheConfig(recent_capacity=8, prefetch_capacity=4),
         )

@@ -7,10 +7,9 @@ dedup, generation cancellation, in-flight caps) and
 sockets involved.  The end-to-end half drives the real TCP stack:
 negotiated capability, pushed tiles answering locally, a tile never
 streamed twice while held, cancellation on a new request, a mid-push
-client disconnect leaving the service healthy, and the wall-clock
-hotspot decay ticker on a fake clock.  The hypothesis fuzz interleaves
-push and reply frames through the client's decoder to prove absorption
-never misparies request/reply.
+client disconnect leaving the service healthy.  The hypothesis fuzz
+interleaves push and reply frames through the client's decoder to prove
+absorption never misparies request/reply.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ from repro.middleware import protocol
 from repro.middleware.config import CacheConfig, PrefetchPolicy, ServiceConfig
 from repro.middleware.net import (
     AsyncSocketTransport,
-    HotspotDecayTicker,
     SocketTransport,
     ThreadedSocketServer,
 )
@@ -44,7 +42,12 @@ from repro.middleware.protocol import (
     Welcome,
     encode_frame,
 )
-from repro.middleware.push import PushCache, PushScheduler
+from repro.middleware.push import (
+    CONFIDENCE_DECAY,
+    HOT_CONFIDENCE_FACTOR,
+    PushCache,
+    PushScheduler,
+)
 from repro.recommenders.hotspot import HotspotRecommender
 from repro.recommenders.momentum import MomentumRecommender
 from repro.tiles.key import TileKey
@@ -153,8 +156,6 @@ class TestPushScheduler:
             PushScheduler(budget_bytes=0, max_inflight=1)
         with pytest.raises(ValueError):
             PushScheduler(budget_bytes=1024, max_inflight=0)
-        with pytest.raises(ValueError):
-            PushScheduler(budget_bytes=1024, max_inflight=1, utility="nope")
 
     def test_begin_round_requires_registration(self):
         scheduler = PushScheduler(budget_bytes=1024, max_inflight=2)
@@ -246,9 +247,7 @@ class TestPushScheduler:
         assert scheduler.session_count == 0
 
     def test_rank_utility_orders_by_confidence_decay(self):
-        scheduler = PushScheduler(
-            budget_bytes=10**6, max_inflight=8, confidence_decay=0.5
-        )
+        scheduler = PushScheduler(budget_bytes=10**6, max_inflight=8)
         scheduler.open_session("a")
         scheduler.begin_round(
             "a", predictions(key(1, 0, 0), key(1, 1, 0), key(1, 0, 1))
@@ -258,37 +257,26 @@ class TestPushScheduler:
             jobs.append(job)
             scheduler.commit(job, 10)
         assert [j.rank for j in jobs] == [0, 1, 2]
-        assert [j.utility for j in jobs] == [1.0, 0.5, 0.25]
+        assert [j.utility for j in jobs] == [
+            1.0,
+            CONFIDENCE_DECAY,
+            CONFIDENCE_DECAY**2,
+        ]
 
     def test_hotspot_boost_reorders_jobs(self):
         registry = SharedHotspotRegistry()
         for _ in range(5):
             registry.observe(key(1, 1, 0))
         scheduler = PushScheduler(
-            budget_bytes=10**6,
-            max_inflight=8,
-            hotspot_registry=registry,
-            hotspot_boost=9.0,
+            budget_bytes=10**6, max_inflight=8, hotspot_registry=registry
         )
         scheduler.open_session("a")
         scheduler.begin_round("a", predictions(key(1, 0, 0), key(1, 1, 0)))
-        # Rank 1 is globally hot: 0.8 * 10 = 8.0 > 1.0, so it leads.
-        assert scheduler.next_job("a").key == key(1, 1, 0)
-
-    def test_density_utility_prefers_cheap_levels(self):
-        scheduler = PushScheduler(
-            budget_bytes=10**6, max_inflight=8, utility="density"
-        )
-        scheduler.open_session("a")
-        # Teach the cost model: level 1 tiles are 10x level 2 tiles.
-        scheduler.begin_round("a", predictions(key(1, 0, 0), key(2, 0, 0)))
-        scheduler.commit(scheduler.next_job("a"), 10_000)  # level-1 cost
-        scheduler.commit(scheduler.next_job("a"), 1_000)  # level-2 cost
-        scheduler.acknowledge("a", [])
-        scheduler.begin_round("a", predictions(key(1, 1, 0), key(2, 1, 0)))
-        # Same confidence gap (1.0 vs 0.8) but 10x cost gap: the cheap
-        # level-2 tile wins under density scoring.
-        assert scheduler.next_job("a").key == key(2, 1, 0)
+        # Rank 1 is globally hot: 0.8 * 3.0 = 2.4 > 1.0, so it leads.
+        hot = scheduler.next_job("a")
+        assert hot.key == key(1, 1, 0)
+        assert hot.utility == CONFIDENCE_DECAY * HOT_CONFIDENCE_FACTOR == 0.8 * 3.0
+        assert scheduler.next_job("a").utility == 1.0
 
     def test_stats_snapshot(self):
         scheduler = PushScheduler(budget_bytes=1024, max_inflight=1)
@@ -342,46 +330,6 @@ class TestPushScheduler:
         scheduler.forget_session("a")
         assert scheduler.skip_oversize(job, 10)  # nowhere to stream it
 
-    def test_density_cold_start_is_pure_confidence_order(self):
-        # Regression: with no committed frames the per-level cost table
-        # is empty; the estimate must degenerate to a uniform unit cost
-        # (pure confidence order), not invent level preferences or
-        # divide by zero.
-        scheduler = PushScheduler(
-            budget_bytes=10**6, max_inflight=8, utility="density"
-        )
-        scheduler.open_session("a")
-        scheduler.begin_round(
-            "a", predictions(key(2, 0, 0), key(1, 0, 0), key(3, 0, 0))
-        )
-        jobs = []
-        while (job := scheduler.next_job("a")) is not None:
-            jobs.append(job)
-            scheduler.commit(job, 100)
-        assert [j.rank for j in jobs] == [0, 1, 2]
-        assert jobs[0].utility == pytest.approx(1.0)
-        assert jobs[1].utility == pytest.approx(0.8)
-
-    def test_density_unseen_level_borrows_the_global_mean(self):
-        # Once any level has real observations, an unseen level must be
-        # priced at the observed byte scale — not at the unit cold-start
-        # cost, which would make it look thousands of times cheaper.
-        scheduler = PushScheduler(
-            budget_bytes=10**7, max_inflight=8, utility="density"
-        )
-        scheduler.open_session("a")
-        scheduler.begin_round("a", predictions(key(1, 0, 0)))
-        scheduler.commit(scheduler.next_job("a"), 10_000)
-        scheduler.acknowledge("a", [])
-        # Level 3 has never been seen; rank order must still hold (the
-        # borrowed mean equals level 1's cost, so confidence decides).
-        scheduler.begin_round(
-            "a", predictions(key(1, 1, 0), key(3, 0, 0))
-        )
-        first = scheduler.next_job("a")
-        assert first.key == key(1, 1, 0)
-        assert first.utility == pytest.approx(1.0 / 10_000)
-
 
 class TestProgressivePushScheduler:
     def scheduler(self, budget: int = 10**6) -> PushScheduler:
@@ -389,7 +337,6 @@ class TestProgressivePushScheduler:
             budget_bytes=budget,
             max_inflight=8,
             progressive=True,
-            reduction=4,
         )
         scheduler.open_session("a")
         return scheduler
@@ -457,7 +404,6 @@ class TestProgressivePushScheduler:
             budget_bytes=10**6,
             max_inflight=1,
             progressive=True,
-            reduction=4,
         )
         scheduler.open_session("a")
         scheduler.begin_round("a", predictions(key(1, 0, 0)))
@@ -480,10 +426,6 @@ class TestProgressivePushScheduler:
         # Fresh push again (coarse first), not a refinement of nothing.
         job = scheduler.next_job("a")
         assert job.fidelity == 0.25
-
-    def test_reduction_validation(self):
-        with pytest.raises(ValueError, match="power of two"):
-            PushScheduler(budget_bytes=1024, max_inflight=1, reduction=3)
 
 
 # ----------------------------------------------------------------------
@@ -814,78 +756,6 @@ class TestPushEndToEnd:
                 engine_factory=engine_factory(small_dataset.pyramid),
                 include_payload=False,
             ).start()
-
-
-# ----------------------------------------------------------------------
-# wall-clock hotspot decay ticker (fake clock)
-# ----------------------------------------------------------------------
-class TestHotspotDecayTicker:
-    def test_interval_validation(self):
-        with pytest.raises(ValueError):
-            HotspotDecayTicker(SharedHotspotRegistry(), 0.0)
-
-    def test_fake_clock_ticks_advance_the_registry(self):
-        async def drive() -> tuple[int, int]:
-            registry = SharedHotspotRegistry(decay=0.5)
-            registry.observe(TileKey(0, 0, 0))
-            gate = asyncio.Semaphore(0)
-            intervals = []
-
-            async def fake_sleep(seconds: float) -> None:
-                intervals.append(seconds)
-                await gate.acquire()
-
-            ticker = HotspotDecayTicker(registry, 2.5, sleep=fake_sleep)
-            ticker.start()
-            assert ticker.running
-            for _ in range(3):
-                gate.release()
-            while ticker.ticks < 3:
-                await asyncio.sleep(0)
-            await ticker.stop()
-            assert not ticker.running
-            assert set(intervals) == {2.5}
-            return ticker.ticks, registry.tick
-
-        ticks, registry_tick = asyncio.run(drive())
-        assert ticks == 3
-        assert registry_tick == 3  # each tick advanced virtual time once
-
-    def test_stop_is_idempotent_and_restart_is_refused(self):
-        async def drive() -> None:
-            ticker = HotspotDecayTicker(SharedHotspotRegistry(), 1.0)
-            ticker.start()
-            with pytest.raises(RuntimeError):
-                ticker.start()
-            await ticker.stop()
-            await ticker.stop()
-
-        asyncio.run(drive())
-
-    def test_server_starts_and_stops_the_ticker(self, small_dataset):
-        config = ServiceConfig(
-            prefetch=PrefetchPolicy(
-                k=4,
-                shared_hotspots="observe",
-                hotspot_tick_seconds=3600.0,  # never actually fires
-            )
-        )
-        with ThreadedSocketServer(
-            small_dataset.pyramid,
-            config,
-            engine_factory=engine_factory(small_dataset.pyramid),
-        ) as server:
-            assert server.server.hotspot_ticker is not None
-            assert server.server.hotspot_ticker.running
-        assert not server.server.hotspot_ticker.running
-
-    def test_no_ticker_without_registry_or_interval(self, small_dataset):
-        with ThreadedSocketServer(
-            small_dataset.pyramid,
-            ServiceConfig(prefetch=PrefetchPolicy(k=4)),
-            engine_factory=engine_factory(small_dataset.pyramid),
-        ) as server:
-            assert server.server.hotspot_ticker is None
 
 
 # ----------------------------------------------------------------------

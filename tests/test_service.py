@@ -9,6 +9,7 @@ from repro.cache.manager import CacheManager
 from repro.cache.tile_cache import TileCache
 from repro.core.allocation import SingleModelStrategy
 from repro.core.engine import PredictionEngine
+from repro.experiments.sweep import SweepSpec, UnknownParameterError
 from repro.middleware.client import BrowsingSession
 from repro.middleware.config import CacheConfig, PrefetchPolicy, ServiceConfig
 from repro.middleware.protocol import (
@@ -27,6 +28,12 @@ def make_engine(grid) -> PredictionEngine:
     model = MomentumRecommender()
     return PredictionEngine(
         grid, {model.name: model}, SingleModelStrategy(model.name)
+    )
+
+
+def sweep_spec(**fixed) -> SweepSpec:
+    return SweepSpec.from_dict(
+        {"name": "retired", "parameters": {"users": [1]}, "fixed": fixed}
     )
 
 
@@ -90,6 +97,63 @@ class TestConfig:
                 ),
                 cache_manager=manager,
             )
+
+    @pytest.mark.parametrize(
+        "config, field, bad",
+        [
+            (PrefetchPolicy, "k", 0),
+            (PrefetchPolicy, "mode", "eager"),
+            (PrefetchPolicy, "workers", 0),
+            (PrefetchPolicy, "shared_hotspots", "loud"),
+            (PrefetchPolicy, "hotspot_decay", 0.0),
+            (PrefetchPolicy, "hotspot_tick_every", -1),
+            (PrefetchPolicy, "push", "maybe"),
+            (PrefetchPolicy, "push_budget_bytes", 10),
+            (PrefetchPolicy, "push_max_inflight", 0),
+            (PrefetchPolicy, "fidelity", "lossy"),
+            (PrefetchPolicy, "shed_queue_depth", 0),
+            (PrefetchPolicy, "shed_miss_streak", -1),
+            (CacheConfig, "recent_capacity", 0),
+            (CacheConfig, "prefetch_capacity", 0),
+            (CacheConfig, "backend_delay_seconds", -1.0),
+            (CacheConfig, "shards", 0),
+            (ServiceConfig, "transfer_seconds", -1.0),
+            (ServiceConfig, "bind_port", 70000),
+            (ServiceConfig, "max_frame_bytes", 16),
+            (ServiceConfig, "payloads", ("binary",)),
+            (ServiceConfig, "ring_replicas", 0),
+        ],
+    )
+    def test_validation_error_names_the_field_the_caller_typed(
+        self, config, field, bad
+    ):
+        with pytest.raises(ValueError) as excinfo:
+            config(**{field: bad})
+        assert str(excinfo.value).startswith(f"{field} must ")
+
+    @pytest.mark.parametrize(
+        "build, retired, error",
+        [
+            (PrefetchPolicy, {"admission": "fifo"}, TypeError),
+            (PrefetchPolicy, {"push_utility": "density"}, TypeError),
+            (PrefetchPolicy, {"hotspot_tick_seconds": 1.0}, TypeError),
+            (PrefetchPolicy, {"hotspot_prune_epsilon": 1e-6}, TypeError),
+            (PrefetchPolicy, {"hotspot_top_n": 8}, TypeError),
+            (PrefetchPolicy, {"hotspot_boost": 2}, TypeError),
+            (PrefetchPolicy, {"fidelity_reduction": 4}, TypeError),
+            (PrefetchPolicy, {"shed_keep_k": 2}, TypeError),
+            (ServiceConfig, {"gossip_interval": 1.0}, TypeError),
+            (sweep_spec, {"prefetch_admission": "fifo"}, UnknownParameterError),
+            (sweep_spec, {"hotspot_top_n": 8}, UnknownParameterError),
+            (sweep_spec, {"hotspot_boost": 2}, UnknownParameterError),
+            (sweep_spec, {"hotspot_prune_epsilon": 1e-6}, UnknownParameterError),
+            (sweep_spec, {"fidelity_reduction": 4}, UnknownParameterError),
+            (sweep_spec, {"shed_keep_k": 2}, UnknownParameterError),
+        ],
+    )
+    def test_retired_knobs_are_refused_by_name(self, build, retired, error):
+        with pytest.raises(error, match=next(iter(retired))):
+            build(**retired)
 
     def test_configs_are_frozen(self):
         policy = PrefetchPolicy()
@@ -313,33 +377,11 @@ class TestBackgroundService:
 
 
 class TestSchedulingKnobs:
-    """admission and shards thread from config through the facade."""
-
-    def test_rejects_bad_admission(self):
-        with pytest.raises(ValueError):
-            PrefetchPolicy(admission="lifo")
+    """shards thread from config through the facade."""
 
     def test_rejects_zero_shards(self):
         with pytest.raises(ValueError):
             CacheConfig(shards=0)
-
-    def test_service_builds_scheduler_with_admission(self, small_dataset):
-        with ForeCacheService(
-            small_dataset.pyramid,
-            ServiceConfig(
-                prefetch=PrefetchPolicy(mode="background", admission="fifo")
-            ),
-            engine_factory=lambda: make_engine(small_dataset.pyramid.grid),
-        ) as svc:
-            assert svc.scheduler.admission == "fifo"
-
-    def test_priority_is_the_default_admission(self, small_dataset):
-        with ForeCacheService(
-            small_dataset.pyramid,
-            ServiceConfig(prefetch=PrefetchPolicy(mode="background")),
-            engine_factory=lambda: make_engine(small_dataset.pyramid.grid),
-        ) as svc:
-            assert svc.scheduler.admission == "priority"
 
     def test_cache_config_shards_reach_both_layers(self, small_dataset):
         manager = CacheConfig(shards=4).build_cache_manager(
@@ -381,15 +423,9 @@ class TestProgressiveFidelity:
         with pytest.raises(ValueError):
             PrefetchPolicy(fidelity="lossy")
         with pytest.raises(ValueError):
-            PrefetchPolicy(fidelity_reduction=3)
-        with pytest.raises(ValueError):
-            PrefetchPolicy(fidelity_reduction=1)
-        with pytest.raises(ValueError):
             PrefetchPolicy(shed_queue_depth=0)
         with pytest.raises(ValueError):
             PrefetchPolicy(shed_miss_streak=-1)
-        with pytest.raises(ValueError):
-            PrefetchPolicy(shed_keep_k=0)
 
     def test_fidelity_defaults_off(self):
         policy = PrefetchPolicy()
@@ -416,7 +452,6 @@ class TestProgressiveFidelity:
             engine_factory=lambda: make_engine(small_dataset.pyramid.grid),
         ) as svc:
             assert svc.scheduler.shed_queue_depth == 4
-            assert svc.scheduler.shed_keep_k == 2
 
     def test_scheduler_sheds_low_rank_tail_under_backlog(self, small_dataset):
         from repro.middleware.scheduler import PrefetchScheduler
@@ -425,10 +460,7 @@ class TestProgressiveFidelity:
             small_dataset.pyramid, backend_delay_seconds=0.1
         )
         with PrefetchScheduler(
-            manager,
-            max_workers=1,
-            shed_queue_depth=2,
-            shed_keep_k=2,
+            manager, max_workers=1, shed_queue_depth=2
         ) as scheduler:
             first = [
                 (TileKey(3, x, 0), "momentum") for x in range(4)
@@ -439,7 +471,7 @@ class TestProgressiveFidelity:
                 (TileKey(3, x, 1), "momentum") for x in range(5)
             ]
             jobs = scheduler.schedule(second, session_id="b")
-            # Only the keep_k best-ranked survive admission.
+            # Only the SHED_KEEP_RANKS best-ranked survive admission.
             assert len(jobs) == 2
             assert [job.rank for job in jobs] == [0, 1]
             assert scheduler.jobs_shed == 3
@@ -469,7 +501,6 @@ class TestProgressiveFidelity:
             k=2,
             fidelity="progressive",
             shed_miss_streak=2,
-            fidelity_reduction=4,
             **knobs,
         )
         return ForeCacheService(

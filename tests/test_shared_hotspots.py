@@ -25,7 +25,11 @@ from repro.core.allocation import SingleModelStrategy
 from repro.core.engine import PredictionEngine
 from repro.core.popularity import SharedHotspotRegistry
 from repro.middleware.config import CacheConfig, PrefetchPolicy, ServiceConfig
-from repro.middleware.scheduler import DONE, PrefetchScheduler
+from repro.middleware.scheduler import (
+    DONE,
+    HOT_RANK_STEPS,
+    PrefetchScheduler,
+)
 from repro.middleware.service import ForeCacheService
 from repro.recommenders.hotspot import HotspotRecommender
 from repro.recommenders.momentum import MomentumRecommender
@@ -268,10 +272,10 @@ class TestRegistryDeterminism:
 # ----------------------------------------------------------------------
 class TestSchedulerBoost:
     def test_globally_hot_tile_jumps_the_rank_queue(self, pyramid):
-        """With the queue backed up, a rank-5 job for a globally hot
-        tile must complete before colder rank-1..4 jobs (its heap rank
-        is boosted), while ``PrefetchJob.rank`` still reports the
-        model's original opinion.
+        """With the queue backed up, a rank-3 job for a globally hot
+        tile completes with the rank-1 cohort (its heap rank jumps
+        ``HOT_RANK_STEPS``), while ``PrefetchJob.rank`` still reports
+        the model's original opinion.
         """
         manager = CacheManager(pyramid, TileCache(prefetch_capacity=16))
         gate_key = pyramid.grid.root
@@ -290,33 +294,25 @@ class TestSchedulerBoost:
         for _ in range(3):
             registry.observe(hot_tile)
         scheduler = PrefetchScheduler(
-            manager,
-            max_workers=1,
-            hotspot_registry=registry,
-            hotspot_top_n=1,
-            hotspot_boost=10,
+            manager, max_workers=1, hotspot_registry=registry
         )
         try:
             scheduler.schedule([(gate_key, "m")], session_id="gate")
             assert started.wait(30)
             round_ = scheduler.schedule(
-                [(TileKey(3, x, 0), "m") for x in range(5)]
-                + [(hot_tile, "m")],
+                [(TileKey(3, x, 0), "m") for x in range(3)]
+                + [(hot_tile, "m"), (TileKey(3, 3, 0), "m")],
                 session_id="user",
             )
             release.set()
             assert scheduler.wait_idle(30)
             assert all(job.state == DONE for job in round_)
-            boosted = round_[-1]
-            assert boosted.key == hot_tile and boosted.rank == 5
-            rank0 = round_[0]
-            cold_tail = [job for job in round_[1:-1]]
-            # Boosted to effective rank 0: behind the real rank-0 job
-            # (earlier admission seq), ahead of every cold rank>=1 job.
-            assert rank0.finish_order < boosted.finish_order
-            assert boosted.finish_order < min(
-                job.finish_order for job in cold_tail
-            )
+            boosted = round_[3]
+            assert boosted.key == hot_tile
+            assert boosted.rank == 3 == 1 + HOT_RANK_STEPS
+            # Boosted to effective rank 1: behind the real rank-1 job
+            # (earlier admission seq), ahead of every cold rank>=2 job.
+            assert [job.finish_order for job in round_] == [2, 3, 5, 4, 6]
         finally:
             release.set()
             scheduler.shutdown()
@@ -333,13 +329,6 @@ class TestSchedulerBoost:
             assert finish == sorted(finish)
         finally:
             scheduler.shutdown()
-
-    def test_boost_params_validated(self, pyramid):
-        manager = CacheManager(pyramid, TileCache(prefetch_capacity=4))
-        with pytest.raises(ValueError):
-            PrefetchScheduler(manager, hotspot_top_n=0)
-        with pytest.raises(ValueError):
-            PrefetchScheduler(manager, hotspot_boost=-1)
 
 
 # ----------------------------------------------------------------------
@@ -417,10 +406,6 @@ class TestServiceWiring:
             PrefetchPolicy(shared_hotspots="sometimes")
         with pytest.raises(ValueError):
             PrefetchPolicy(hotspot_decay=0.0)
-        with pytest.raises(ValueError):
-            PrefetchPolicy(hotspot_top_n=0)
-        with pytest.raises(ValueError):
-            PrefetchPolicy(hotspot_boost=-1)
         with pytest.raises(ValueError):
             PrefetchPolicy(hotspot_tick_every=-1)
         assert PrefetchPolicy(shared_hotspots="boost").hotspots_live
@@ -664,21 +649,35 @@ class TestSubEpsilonPruning:
         with pytest.raises(ValueError):
             registry.prune(epsilon=-1.0)
 
-    def test_policy_knob_validated_and_threaded(self):
-        with pytest.raises(ValueError):
-            PrefetchPolicy(hotspot_prune_epsilon=-1e-9)
+    def test_service_registry_prunes_at_the_constant(self):
+        """A service-owned registry drops a once-seen key after enough
+        decay ticks; the live keys' top-N equals an unpruned reference
+        fed the same observations and ticks."""
         policy = PrefetchPolicy(
-            shared_hotspots="observe",
+            k=1,
+            shared_hotspots="boost",
             hotspot_decay=0.5,
-            hotspot_prune_epsilon=1e-3,
+            hotspot_tick_every=1,
         )
-        service = ForeCacheService(
-            _small_pyramid(), ServiceConfig(prefetch=policy)
-        )
-        try:
-            assert service.hotspot_registry.prune_epsilon == 1e-3
-        finally:
-            service.close()
+        pyramid = _small_pyramid()
+        reference = SharedHotspotRegistry(decay=0.5)
+        once = TileKey(0, 0, 0)
+        live = [TileKey(1, 0, 0), TileKey(1, 1, 0)]
+        with ForeCacheService(
+            pyramid,
+            ServiceConfig(prefetch=policy),
+            engine_factory=lambda: momentum_engine(pyramid.grid),
+        ) as service:
+            session = service.open_session()
+            # ``once`` decays 22 ticks: 0.5**22 ~ 2.4e-7 < 1e-6.
+            for key in [once] + live * 11:
+                session.request(None, key)
+                reference.observe(key)
+                reference.advance()
+            registry = service.hotspot_registry
+            assert registry.snapshot(2) == reference.snapshot(2)
+            assert len(registry) == 2 and len(reference) == 3
+            assert registry.count(once) == 0.0 < reference.count(once)
 
     def test_snapshot_sweeps_dead_entries(self):
         registry = SharedHotspotRegistry(decay=0.5, prune_epsilon=0.05)

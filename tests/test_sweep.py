@@ -141,13 +141,12 @@ class TestSpecValidation:
         spec = resolve_spec("ci")
         assert set(spec.parameters) == {
             "users",
-            "prefetch_admission",
             "cache_shards",
             "shared_hotspots",
             "workload",
             "frontend",
         }
-        assert len(spec.cells()) == 128
+        assert len(spec.cells()) == 64
 
     def test_resolve_spec_from_file(self, tmp_path):
         path = tmp_path / "spec.json"
