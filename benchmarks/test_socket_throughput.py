@@ -1,16 +1,17 @@
-"""Loopback socket throughput vs. the in-process transport.
+"""Loopback socket throughput vs. the in-process facade.
 
 The transport-boundary cost made physical: the same seeded random walks
-are replayed by concurrent sessions through (a) the in-process wire
-transport — full JSON round trip, no socket — and (b) the real TCP
-socket transport over loopback, in both framings.  Each run reports
+are replayed by concurrent sessions through (a) the facade's own
+session handles — no wire at all — and (b) the real TCP socket
+transport over loopback, in both framings.  Each run reports
 wall-clock p50/p95 request latency and aggregate requests/second.
 
 The socket path pays serialization *plus* kernel round trips, so it
-cannot beat in-process; the benchmark asserts it stays within an
-order-of-magnitude envelope (loopback framing overhead must stay
-transport-bounded, not service-bounded) and that every front end serves
-the identical request count.  Scale down with ``REPRO_USERS``.
+cannot beat in-process; the benchmark asserts it stays within a fixed
+multiple of the facade's own request time (loopback framing overhead
+must stay transport-bounded, not service-bounded) and that every front
+end serves the identical request count.  Scale down with
+``REPRO_USERS``.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from repro.middleware.config import PrefetchPolicy, ServiceConfig
 from repro.middleware.latency import nearest_rank_percentile as percentile
 from repro.middleware.net import SocketTransport, ThreadedSocketServer
 from repro.middleware.service import ForeCacheService
-from repro.middleware.transport import InProcessTransport
 from repro.modis.dataset import MODISDataset
 from repro.recommenders.momentum import MomentumRecommender
 
@@ -39,7 +39,7 @@ STEPS_PER_USER = 40
 CONFIG = ServiceConfig(
     prefetch=PrefetchPolicy(k=5),
 )
-TRANSPORTS = ("inprocess", "socket-lines", "socket-length")
+TRANSPORTS = ("facade", "socket-lines", "socket-length")
 
 
 def make_engine(grid) -> PredictionEngine:
@@ -104,12 +104,11 @@ def run_transport(world: MODISDataset, kind: str):
             thread.join()
         return time.perf_counter() - begin
 
-    if kind == "inprocess":
+    if kind == "facade":
         with ForeCacheService(
             pyramid, CONFIG, engine_factory=lambda: make_engine(pyramid.grid)
         ) as service:
-            transport = InProcessTransport(service)
-            wall = drive(lambda index: transport.connect())
+            wall = drive(lambda index: service.open_session())
     else:
         framing = "length" if kind.endswith("length") else "lines"
         with ThreadedSocketServer(
@@ -156,14 +155,17 @@ def test_loopback_socket_throughput(world, benchmark):
     # Identical walks on every transport serve identical request counts.
     counts = {row["requests"] for row in results.values()}
     assert len(counts) == 1
-    # Loopback overhead stays transport-bounded: the socket's median
-    # must sit within 25x of the in-process wire round trip (generous —
-    # CI machines jitter — yet far below any service-bound regression,
-    # which would show up as 100x+ when a lock or the event loop
-    # serializes requests).
-    baseline = max(results["inprocess"]["p50_ms"], 0.05)
+    # Loopback overhead stays transport-bounded.  A facade request is
+    # ~0.2 ms of pure Python; a loopback round trip is ~1 ms alone and
+    # ~10 ms (60x) when the client threads and the server's loop thread
+    # share one core, each hand-off waiting out the 5 ms GIL switch
+    # interval.  250x leaves room for that and for CI jitter, and is
+    # still several times tighter than the envelope this replaced (25x
+    # of an in-process JSON round trip that itself cost 15-85x the
+    # facade).
+    baseline = max(results["facade"]["p50_ms"], 0.05)
     for kind in ("socket-lines", "socket-length"):
-        assert results[kind]["p50_ms"] <= baseline * 25.0, results
+        assert results[kind]["p50_ms"] <= baseline * 250.0, results
 
     # Time one representative socket round trip for the benchmark table.
     pyramid = world.pyramid

@@ -6,8 +6,9 @@ frozen configs (:class:`ServiceConfig`, :class:`PrefetchPolicy`,
 :class:`CacheConfig`), and requests/responses have a typed,
 JSON-serializable wire form (:mod:`repro.middleware.protocol`).
 :class:`AsyncForeCacheService` is the asyncio front end;
-:class:`InProcessTransport` runs the wire protocol without a network.
-:class:`BrowsingSession` / :class:`AsyncBrowsingSession` are the
+:class:`ForeCacheSocketServer` / :class:`SocketTransport` speak the wire
+protocol over TCP, :class:`TileServiceRouter` in front of a cluster of
+them.  :class:`BrowsingSession` / :class:`AsyncBrowsingSession` are the
 lightweight clients the user (or a trace replay) drives, against any
 front end: every connection exposes ``.pyramid``, ``.request(move,
 key)`` and ``.close()``.
@@ -69,11 +70,6 @@ from repro.middleware.service import (
     SessionHandle,
     TileResponse,
 )
-from repro.middleware.transport import (
-    InProcessTransport,
-    Transport,
-    WireSessionClient,
-)
 
 __all__ = [
     "AsyncBrowsingSession",
@@ -92,7 +88,6 @@ __all__ = [
     "FramingError",
     "FrameTooLargeError",
     "HIT_SECONDS",
-    "InProcessTransport",
     "InvalidRequestError",
     "LatencyModel",
     "LatencyRecorder",
@@ -115,10 +110,8 @@ __all__ = [
     "ThreadedRouter",
     "ThreadedSocketServer",
     "TileServiceRouter",
-    "Transport",
     "VersionMismatchError",
     "TileResponse",
-    "WireSessionClient",
     "WorkerSpec",
     "WorkerUnavailableError",
 ]

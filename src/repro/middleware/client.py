@@ -5,11 +5,11 @@ requests (Section 3).  :class:`BrowsingSession` models one user session:
 it tracks the current tile, validates moves against the pyramid, and
 forwards requests to a *connection* — anything exposing ``.pyramid``,
 ``.request(move, key)`` and ``.close()``.  That contract is satisfied by
-a facade :class:`~repro.middleware.service.SessionHandle`, an
-in-process :class:`~repro.middleware.transport.WireSessionClient` and a
-:class:`~repro.middleware.net.SocketSessionClient`, so the same client
-code drives every front end.  :class:`AsyncBrowsingSession` is the
-identical client for connections whose ``request`` is awaitable
+a facade :class:`~repro.middleware.service.SessionHandle` and a
+:class:`~repro.middleware.net.SocketSessionClient` (over a server or a
+cluster's router), so the same client code drives every front end.
+:class:`AsyncBrowsingSession` is the identical client for connections
+whose ``request`` is awaitable
 (:class:`~repro.middleware.aio.AsyncSessionHandle`,
 :class:`~repro.middleware.net.AsyncSocketSessionClient`).
 

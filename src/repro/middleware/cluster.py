@@ -50,10 +50,11 @@ end speaking the *existing* wire protocol to clients:
   already has the session — no re-open round trip).
 
 Protocol logic is shared, not copied: the router serves its clients
-with the worker's own serve loop (:class:`~repro.middleware.net._WireServer`
-— same dispatch guard, same typed replies, a repeated ``hello`` refused
-alike) and supplies only its message handlers; each backend link is an
-I/O shell around the same
+with the worker's own serve loop (:class:`~repro.middleware.net._WireServer`)
+and :class:`~repro.middleware.connection.ServerConnection` core — same
+dispatch guard, same handshake, same typed replies — supplying only its
+message handlers and the capabilities its workers share; each backend
+link is an I/O shell around the same
 :class:`~repro.middleware.connection.ClientConnection` core as the
 user-facing socket clients.
 
@@ -72,23 +73,17 @@ cluster-wide hot set within two gossip rounds.  ``merge_max`` is
 idempotent and commutative, so rebroadcast loops cannot inflate
 weights the way an additive merge would.
 
-Run a local cluster from the command line::
-
-    python -m repro.middleware.cluster --workers 4 --start-port 9500
-
-which boots N spawn-context worker processes plus the router, replays
-a deterministic trace through it, and prints a summary.
+``examples/cluster_serving.py`` boots a local :class:`ProcessCluster`,
+replays a deterministic trace through it and prints a summary.
 """
 
 from __future__ import annotations
 
-import argparse
 import asyncio
 import bisect
 import contextlib
 import hashlib
 import multiprocessing
-import time
 from dataclasses import dataclass, replace
 
 from repro.core.popularity import SharedHotspotRegistry
@@ -96,12 +91,12 @@ from repro.middleware.config import ServiceConfig
 from repro.middleware.connection import (
     ClientConnection,
     OpaqueFrame,
+    ServerConnection,
     decode_opaque,
 )
 from repro.middleware.net import (
     ForeCacheSocketServer,
     ThreadedSocketServer,
-    _ConnectionState,
     _LoopThread,
     _WireServer,
     _core_attribute,
@@ -124,11 +119,10 @@ from repro.middleware.protocol import (
     WorkerUnavailableError,
     decode_wire,
     frame_binary_body,
-    negotiate_payload,
     negotiate_version,
+    requested_key,
 )
 from repro.tiles.key import TileKey
-from repro.tiles.moves import Move
 from repro.tiles.pyramid import TilePyramid
 
 _READ_CHUNK = 65536
@@ -363,14 +357,12 @@ class _BackendLink:
                     await asyncio.wait_for(writer.wait_closed(), 5)
 
 
-class _RouterClientState(_ConnectionState):
-    """Per-client-connection bookkeeping inside the router: the shared
-    serving state plus this client's own backend links."""
+class _RouterClient(ServerConnection):
+    """One client connection inside the router: the shared protocol
+    core plus this client's own backend links."""
 
-    __slots__ = ("links", "session_worker")
-
-    def __init__(self) -> None:
-        super().__init__()
+    def __init__(self, framing: str, max_frame_bytes: int) -> None:
+        super().__init__(framing, max_frame_bytes)
         self.links: dict[str, _BackendLink] = {}
         self.session_worker: dict[str, str] = {}
 
@@ -498,30 +490,27 @@ class TileServiceRouter(_WireServer):
             link._die()
 
     # -- client serving (the loop itself is _WireServer's) --------------
-    _connection_state = _RouterClientState
+    _connection_core = _RouterClient
 
-    async def _release(self, state: _RouterClientState) -> None:
+    async def _release(self, state: _RouterClient) -> None:
         for link in state.links.values():
             await link.aclose()
         state.links.clear()
 
-    def _encode_out(self, message, state: _RouterClientState) -> bytes:
-        if isinstance(message, OpaqueFrame):
-            # Worker and client both speak binary: the body goes on
-            # as it came, checked against this router's own budget.
-            # The client's decoder validates every byte of it.
-            try:
-                frame = frame_binary_body(message.body, self.max_frame_bytes)
-            except FrameTooLargeError as exc:
-                message = ErrorInfo.from_exception(exc)
-                return super()._encode_out(message, state)
-            self.frames_spliced += 1
-            return frame
-        return super()._encode_out(message, state)
+    def _splice(self, frame: OpaqueFrame) -> "bytes | ErrorInfo":
+        """Worker and client both speak binary: the body goes on as it
+        came, checked against this router's own budget.  The client's
+        decoder validates every byte of it."""
+        try:
+            data = frame_binary_body(frame.body, self.max_frame_bytes)
+        except FrameTooLargeError as exc:
+            return ErrorInfo.from_exception(exc)
+        self.frames_spliced += 1
+        return data
 
     # -- handshake -----------------------------------------------------
-    async def _serve_hello(self, message: Hello, state: _RouterClientState):
-        version = negotiate_version(message.versions)
+    async def _serve_hello(self, message: Hello, state: _RouterClient):
+        negotiate_version(message.versions)  # refused before any dialling
         push_wanted = bool(message.push) and self._push_capable
         offer_binary = "binary" in self.payloads and self._backend_binary
         # Per-client backend links: push is offered to the workers iff
@@ -537,31 +526,26 @@ class TileServiceRouter(_WireServer):
             state.links[node] = link
         if not state.links:
             raise WorkerUnavailableError("no live workers on the ring")
-        push_granted = push_wanted and all(
-            link.push for link in state.links.values()
-        )
-        payload = negotiate_payload(message.payloads, self.payloads)
-        if payload == "binary" and not all(
-            link.payload == "binary" for link in state.links.values()
-        ):
-            payload = "json"
+        links = state.links.values()
         limits = [
             link.server_max_frame_bytes
-            for link in state.links.values()
+            for link in links
             if link.server_max_frame_bytes > 0
         ]
-        max_frame = min([self.max_frame_bytes, *limits])
-        state.negotiated = True
-        state.push = push_granted
-        state.payload_pending = payload == "binary"
-        welcome = Welcome(
-            version=version,
-            server=self.server_name,
-            max_frame_bytes=max_frame,
-            push=push_granted,
-            payload=payload,
-        )
-        return [welcome]
+        # Granted to this client: what every one of its links was.
+        return [
+            state.welcome(
+                message,
+                server=self.server_name,
+                push=push_wanted and all(link.push for link in links),
+                payloads=(
+                    self.payloads
+                    if all(link.payload == "binary" for link in links)
+                    else ("json",)
+                ),
+                max_frame_bytes=min([self.max_frame_bytes, *limits]),
+            )
+        ]
 
     # -- session lifecycle ---------------------------------------------
     def _next_session_id(self) -> str:
@@ -569,7 +553,7 @@ class TileServiceRouter(_WireServer):
         return f"session-{self._session_counter}"
 
     async def _broadcast(
-        self, message: "OpenSession | CloseSession", state: _RouterClientState
+        self, message: "OpenSession | CloseSession", state: _RouterClient
     ) -> "tuple[list[SessionInfo], ErrorInfo]":
         """Send one session-lifecycle message to every live worker.
 
@@ -602,14 +586,12 @@ class TileServiceRouter(_WireServer):
         return infos, error
 
     async def _serve_open(
-        self, message: OpenSession, state: _RouterClientState
+        self, message: OpenSession, state: _RouterClient
     ):
         """Open the session on every live worker; the first success
         wins the reply."""
         auto = message.session_id is None
-        session_id = (
-            self._next_session_id() if auto else str(message.session_id)
-        )
+        session_id = self._next_session_id() if auto else message.session_id
         for _ in range(64):
             infos, error = await self._broadcast(
                 OpenSession(session_id=session_id), state
@@ -625,9 +607,9 @@ class TileServiceRouter(_WireServer):
         return [infos[0]]
 
     async def _serve_close(
-        self, message: CloseSession, state: _RouterClientState
+        self, message: CloseSession, state: _RouterClient
     ):
-        self._require_session(message.session_id, state)
+        state.require_session(message.session_id)
         infos, error = await self._broadcast(message, state)
         state.sessions.discard(message.session_id)
         state.session_worker.pop(message.session_id, None)
@@ -656,10 +638,10 @@ class TileServiceRouter(_WireServer):
 
     # -- the request path ----------------------------------------------
     async def _serve_request(
-        self, message: TileRequest, state: _RouterClientState
+        self, message: TileRequest, state: _RouterClient
     ):
-        session_id = self._require_session(message.session_id, state)
-        key = message.tile.to_key()
+        session_id = state.require_session(message.session_id)
+        key = requested_key(message)
         node = self.ring.owner(key)
         link = state.links.get(node)
         if link is None or link.dead:
@@ -682,10 +664,10 @@ class TileServiceRouter(_WireServer):
         node: str,
         link: _BackendLink,
         message: "TileRequest | PushAck",
-        state: _RouterClientState,
+        state: _RouterClient,
     ) -> list:
         """One worker round trip for a client: push frames, then the
-        reply, ready for :meth:`_encode_out`.
+        reply, ready for the connection core to send.
 
         Whether payload-bearing frames are spliced or transcoded follows
         from what was negotiated: a binary client implies binary links
@@ -707,17 +689,20 @@ class TileServiceRouter(_WireServer):
             self.frames_transcoded += sum(
                 getattr(m, "payload", None) is not None for m in messages
             )
+        for index, m in enumerate(messages):
+            if isinstance(m, OpaqueFrame):
+                messages[index] = self._splice(m)
         return messages
 
-    async def _serve_ack(self, message: PushAck, state: _RouterClientState):
-        session_id = self._require_session(message.session_id, state)
+    async def _serve_ack(self, message: PushAck, state: _RouterClient):
+        session_id = state.require_session(message.session_id)
         if not state.push:
             raise InvalidRequestError(
                 "push_ack without negotiated push support"
             )
         node = state.session_worker.get(session_id)
         if node is None and message.tile is not None:
-            node = self.ring.owner(message.tile.to_key())
+            node = self.ring.owner(requested_key(message))
         if node is None:
             live = sorted(
                 n for n, link in state.links.items() if not link.dead
@@ -901,7 +886,6 @@ class ThreadedClusterServer(_ClusterHarness):
         workers: int = 2,
         engine_factory=None,
         framing: str = "lines",
-        include_payload: bool = True,
         max_workers: int = 4,
         payloads: tuple[str, ...] | None = None,
         host: str = "127.0.0.1",
@@ -915,7 +899,6 @@ class ThreadedClusterServer(_ClusterHarness):
                 self.config,
                 engine_factory=engine_factory,
                 framing=framing,
-                include_payload=include_payload,
                 max_workers=max_workers,
                 payloads=payloads,
                 host=host,
@@ -1123,153 +1106,3 @@ class ProcessCluster(_ClusterHarness):
         self.processes.clear()
         self._stop_events.clear()
         self.worker_ports.clear()
-
-
-# ----------------------------------------------------------------------
-# CLI
-# ----------------------------------------------------------------------
-def _snake_walk(grid, start: TileKey, steps: int) -> list[tuple[Move, TileKey]]:
-    """Deterministic walk: zoom to the deepest level, then snake."""
-    walk: list[tuple[Move, TileKey]] = []
-    key = start
-    while key.level < grid.deepest_level and len(walk) < steps:
-        nxt = grid.apply(key, Move.ZOOM_IN_NW)
-        if nxt is None:
-            break
-        walk.append((Move.ZOOM_IN_NW, nxt))
-        key = nxt
-    horizontal = Move.PAN_RIGHT
-    while len(walk) < steps:
-        nxt = grid.apply(key, horizontal)
-        if nxt is None:
-            horizontal = (
-                Move.PAN_LEFT
-                if horizontal == Move.PAN_RIGHT
-                else Move.PAN_RIGHT
-            )
-            nxt = grid.apply(key, Move.PAN_DOWN) or grid.apply(
-                key, Move.PAN_UP
-            )
-            if nxt is None:
-                break
-            walk.append((Move.PAN_DOWN, nxt))
-        else:
-            walk.append((horizontal, nxt))
-        key = nxt
-    return walk
-
-
-def main(argv=None) -> int:
-    from repro.middleware.config import CacheConfig, PrefetchPolicy
-    from repro.middleware.net import SocketTransport
-    from repro.modis.dataset import MODISDataset
-
-    parser = argparse.ArgumentParser(
-        prog="repro.middleware.cluster",
-        description="Boot a local multi-process ForeCache cluster and "
-        "replay a deterministic trace through the router.",
-    )
-    parser.add_argument("--workers", type=int, default=2)
-    parser.add_argument("--start-port", type=int, default=0)
-    parser.add_argument("--size", type=int, default=256)
-    parser.add_argument("--tile-size", type=int, default=32)
-    parser.add_argument("--sessions", type=int, default=2)
-    parser.add_argument("--steps", type=int, default=12)
-    parser.add_argument(
-        "--payload", choices=("json", "binary"), default="json"
-    )
-    parser.add_argument(
-        "--framing", choices=("lines", "length"), default="lines"
-    )
-    parser.add_argument("--push", action="store_true")
-    parser.add_argument(
-        "--kill-worker",
-        action="store_true",
-        help="hard-kill worker 0 halfway through the replay and assert "
-        "typed worker_unavailable errors surface cleanly",
-    )
-    parser.add_argument("--backend-delay", type=float, default=0.0)
-    args = parser.parse_args(argv)
-
-    config = ServiceConfig(
-        prefetch=PrefetchPolicy(push="on" if args.push else "off"),
-        cache=CacheConfig(backend_delay_seconds=args.backend_delay),
-    )
-    dataset = MODISDataset.build(
-        size=args.size, tile_size=args.tile_size, days=1, seed=7
-    )
-    grid = dataset.pyramid.grid
-    started = time.perf_counter()
-    served = 0
-    failures = 0
-    with ProcessCluster(
-        args.workers,
-        config=config,
-        size=args.size,
-        tile_size=args.tile_size,
-        start_port=args.start_port,
-        framing=args.framing,
-    ) as cluster:
-        host, port = cluster.address
-        print(
-            f"cluster up: {args.workers} worker(s) on ports "
-            f"{cluster.worker_ports}, router on {host}:{port}"
-        )
-        transport = SocketTransport(
-            host,
-            port,
-            framing=args.framing,
-            push=args.push,
-            payload=args.payload,
-        )
-        try:
-            print(
-                f"negotiated: push={transport.push_enabled} "
-                f"payload={transport.payload}"
-            )
-            clients = []
-            walks = []
-            for index in range(args.sessions):
-                clients.append(
-                    transport.connect(session_id=f"cli-user-{index + 1}")
-                )
-                walks.append(
-                    _snake_walk(grid, TileKey(0, 0, 0), args.steps)
-                )
-            total = sum(len(walk) for walk in walks)
-            half = total // 2
-            step = 0
-            for position in range(max(len(w) for w in walks)):
-                for client, walk in zip(clients, walks):
-                    if position >= len(walk):
-                        continue
-                    if args.kill_worker and step == half:
-                        print("killing worker 0 mid-replay")
-                        cluster.kill_worker(0)
-                    move, key = walk[position]
-                    try:
-                        client.request(move, key)
-                        served += 1
-                    except WorkerUnavailableError as exc:
-                        failures += 1
-                        print(f"typed worker error (retrying): {exc}")
-                        client.request(move, key)
-                        served += 1
-                    step += 1
-            for client in clients:
-                client.close()
-        finally:
-            transport.close()
-    elapsed = time.perf_counter() - started
-    print(
-        f"served {served} requests across {args.sessions} session(s) "
-        f"in {elapsed:.1f}s ({failures} typed worker error(s))"
-    )
-    if args.kill_worker and args.workers > 1 and failures == 0:
-        print("expected at least one typed worker_unavailable error")
-        return 1
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

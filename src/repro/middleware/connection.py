@@ -1,13 +1,19 @@
-"""The connection core: a client connection's protocol logic, without I/O.
+"""The connection cores: both sides of the wire protocol, without I/O.
 
-Everything a client of the wire protocol must *decide* lives here, once:
-the ``hello`` it sends and what a ``welcome`` may grant, the framing in
-force, the send and receive limits, cutting the byte stream back into
-frames, absorbing ``push_tile`` frames ahead of a reply, and whether the
-strict request/reply pairing is still intact.  Nothing here moves a
-byte: this module imports no ``socket``, ``asyncio``, ``threading`` or
-``selectors`` (a structural test asserts it).  A *transport* is the I/O
-shell around one :class:`ClientConnection` —
+Everything an endpoint of the wire protocol must *decide* lives here,
+once per side.  :class:`ClientConnection`: the ``hello`` it sends and
+what a ``welcome`` may grant, the framing in force, the send and receive
+limits, cutting the byte stream back into frames, absorbing
+``push_tile`` frames ahead of a reply, and whether the strict
+request/reply pairing is still intact.  :class:`ServerConnection`: what
+a client may send and when, what its ``hello`` is granted and the
+framing flip behind that grant, the framing of every reply, the typed
+reply to anything refused and whether it ends the connection, and which
+sessions the connection may address.  Nothing here moves a byte: this
+module imports no ``socket``, ``asyncio``, ``threading`` or
+``selectors`` (a structural test asserts it).
+
+A *transport* is the I/O shell around one :class:`ClientConnection` —
 :class:`~repro.middleware.net.SocketTransport` (blocking sockets),
 :class:`~repro.middleware.net.AsyncSocketTransport` (asyncio streams)
 and the cluster router's backend link all run the same loop::
@@ -21,6 +27,12 @@ and the cluster router's backend link all run the same loop::
         if core.reply_outstanding:         # the pairing is lost
             drop the connection
         raise
+
+The one shell around :class:`ServerConnection` is the serve loop the
+socket server and the cluster router share
+(:meth:`~repro.middleware.net._WireServer._serve_connection`): per read,
+``receive``; per frame, ``admit``, the endpoint's handler, then ``send``
+for each reply — or ``refuse`` for whatever either raised.
 
 :class:`SessionStub` is the same idea one level up: what one session
 sends for ``(move, key)`` and how the reply becomes the in-process
@@ -43,6 +55,8 @@ from repro.middleware.protocol import (
     ErrorInfo,
     FrameDecoder,
     Hello,
+    HotspotGossip,
+    InvalidRequestError,
     OpenSession,
     ProtocolError,
     PushAck,
@@ -55,6 +69,8 @@ from repro.middleware.protocol import (
     binary_message_type,
     decode_wire,
     encode_wire,
+    negotiate_payload,
+    negotiate_version,
 )
 from repro.middleware.push import PushCache
 from repro.middleware.service import TileResponse
@@ -314,6 +330,166 @@ class ClientConnection:
 
     def drop_push_cache(self, session_id: str) -> None:
         self._push_caches.pop(session_id, None)
+
+
+#: The message types a client may send.  A serving endpoint has one
+#: handler per member; anything else a client frames is refused.
+CLIENT_MESSAGES = frozenset(
+    {Hello, OpenSession, CloseSession, TileRequest, PushAck, HotspotGossip}
+)
+
+
+class ServerConnection:
+    """The protocol state of one served connection.
+
+    Bytes in, frames out of :meth:`receive`; a frame in, an admitted
+    message out of :meth:`admit`; a message (or pre-encoded bytes) in,
+    frame bytes out of :meth:`send`.  What the endpoint's handler does
+    with an admitted message is its own business, except for the one
+    decision a ``hello`` needs (:meth:`welcome`).  Every method returns
+    or raises a :class:`ProtocolError`; :meth:`refuse` turns anything
+    raised into the reply that goes out instead.
+    """
+
+    def __init__(
+        self,
+        framing: str = "lines",
+        max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
+    ) -> None:
+        #: Framing in force, both directions — starts as the endpoint's
+        #: JSON framing, flips to "binary" right after a welcome that
+        #: grants the binary payload encoding has been framed.
+        self.wire = check_framing(framing)
+        #: This endpoint's frame budget, in and out.
+        self.max_frame_bytes = max_frame_bytes
+        self._decoder = FrameDecoder(framing, max_frame_bytes)
+        #: True once a ``hello`` was granted (:meth:`welcome`).
+        self.negotiated = False
+        #: Push was asked for by the client AND offered by the endpoint.
+        self.push = False
+        #: Payload encoding granted ("json" until a welcome says more).
+        self.payload = "json"
+        #: Sessions opened over — and only addressable from — this
+        #: connection; the endpoint adds, discards, and reaps the rest.
+        self.sessions: set[str] = set()
+        # Whether refusing what is in hand ends the connection.
+        self._hang_up = False
+
+    def receive(self, data: bytes) -> "list[str | bytes]":
+        """Feed what the client sent; returns the frames it completed.
+        Raises (the typed ``FramingError`` family) when the byte stream
+        itself is broken: answered, then hung up on."""
+        try:
+            return self._decoder.feed(data)
+        except ProtocolError:
+            self._hang_up = True
+            raise
+
+    def admit(self, frame):
+        """Decode one frame and check it against the dispatch guard:
+        the connection opens with a ``hello``, a ``hello`` comes once,
+        and only :data:`CLIENT_MESSAGES` are served.  Returns the
+        message for its handler; raises its typed refusal."""
+        # A malformed message on a healthy frame stream is answered and
+        # the connection keeps serving, handshake or not.
+        self._hang_up = False
+        try:
+            message = decode_wire(frame)
+        except ProtocolError:
+            raise
+        except Exception as exc:
+            # One reply or one typed error per frame, whatever a field
+            # of outside input managed to raise.
+            raise InvalidRequestError(f"malformed message: {exc}") from None
+        # Before the handshake completes there is no negotiated state to
+        # keep serving on: a refusal from here on — the guard's or the
+        # hello handler's own — is answered, then hung up on.
+        self._hang_up = not self.negotiated
+        if isinstance(message, Hello):
+            if self.negotiated:
+                # A repeated hello must not re-run the negotiation: the
+                # framing in force would no longer match the welcome.
+                raise InvalidRequestError("handshake already completed")
+        elif not self.negotiated:
+            raise InvalidRequestError(
+                "connection must open with a hello frame, got "
+                f"{type(message).__name__}"
+            )
+        if type(message) not in CLIENT_MESSAGES:
+            raise InvalidRequestError(
+                f"cannot serve {type(message).__name__} messages"
+            )
+        return message
+
+    def welcome(
+        self,
+        hello: Hello,
+        *,
+        server: str,
+        push: bool,
+        payloads,
+        max_frame_bytes: int | None = None,
+    ) -> Welcome:
+        """Grant a ``hello`` out of what the endpoint can offer *this*
+        client (a router passes the intersection over its workers).
+
+        ``push`` and ``"binary"`` are granted only when the hello asked
+        too, so a legacy peer keeps the exact pre-push, JSON-only
+        protocol.  A version mismatch raises with nothing recorded.  The
+        grant is in force on return, except the framing: the welcome
+        itself still leaves in the pre-handshake framing (:meth:`send`).
+        """
+        version = negotiate_version(hello.versions)
+        self.negotiated = True
+        self.push = bool(hello.push and push)
+        self.payload = negotiate_payload(hello.payloads, payloads)
+        if max_frame_bytes is None:
+            max_frame_bytes = self.max_frame_bytes
+        return Welcome(
+            version=version,
+            server=server,
+            max_frame_bytes=max_frame_bytes,
+            push=self.push,
+            payload=self.payload,
+        )
+
+    def send(self, message) -> bytes:
+        """Frame one outgoing message in the framing in force.
+        Pre-encoded ``bytes`` pass through: tile-bearing frames are
+        built where their tile is at hand (push frames also because
+        their size is charged against the push budget), and a router's
+        spliced frames were never opened."""
+        if isinstance(message, bytes):
+            return message
+        try:
+            data = encode_wire(message, self.wire, self.max_frame_bytes)
+        except ProtocolError as exc:
+            # The *reply* outgrew the frame budget (giant tile
+            # payload); report that instead of silently dropping it.
+            data = encode_wire(ErrorInfo.from_exception(exc), self.wire)
+        if self.payload == "binary" and self.wire != "binary":
+            # That was the welcome granting "binary", framed as the
+            # hello was: every frame after it — both directions —
+            # speaks binary (a client sends nothing past its hello
+            # until it has read this).
+            self.wire = "binary"
+            self._decoder.switch_to_binary()
+        return data
+
+    def refuse(self, exc: BaseException) -> "tuple[bytes, bool]":
+        """The typed reply to whatever :meth:`receive`, :meth:`admit`
+        or a handler raised, and whether to hang up after sending it."""
+        return self.send(ErrorInfo.from_exception(exc)), self._hang_up
+
+    def require_session(self, session_id: str) -> str:
+        if session_id not in self.sessions:
+            # Per-connection isolation: a session another client opened
+            # is invisible here, even if it exists behind the endpoint.
+            raise SessionNotFoundError(
+                f"session {session_id!r} is not open on this connection",
+                session_id=session_id,
+            )
+        return session_id
 
 
 class SessionStub:

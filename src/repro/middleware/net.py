@@ -23,15 +23,15 @@ and the connection is closed; a malformed *message* on a healthy frame
 stream is answered and the connection keeps serving.
 
 A second ``hello`` on a negotiated connection is refused with a typed
-``invalid_request`` and changes nothing.  Those rules live in one serve
-loop, :class:`_WireServer`, which the cluster router runs too.
+``invalid_request`` and changes nothing.  Those rules are the
+:class:`~repro.middleware.connection.ServerConnection` core's; the one
+serve loop around it, :class:`_WireServer`, moves the bytes and runs
+the endpoint's handlers, and the cluster router runs it too.
 
 Clients come in both colors — :class:`SocketTransport` (blocking
-sockets, implements the shared
-:class:`~repro.middleware.transport.Transport` ABC) and
-:class:`AsyncSocketTransport` (asyncio streams) — each multiplexing any
-number of sessions over one connection.  Neither holds protocol logic:
-a transport here is an I/O shell that frames via its
+sockets) and :class:`AsyncSocketTransport` (asyncio streams) — each
+multiplexing any number of sessions over one connection.  Neither holds
+protocol logic: a transport here is an I/O shell that frames via its
 :class:`~repro.middleware.connection.ClientConnection` core, moves the
 bytes, feeds the core and returns its reply; locks, timeouts and close
 semantics are the shell's, every protocol decision the core's.  The
@@ -56,6 +56,7 @@ from repro.middleware.aio import AsyncForeCacheService
 from repro.middleware.config import ServiceConfig
 from repro.middleware.connection import (
     ClientConnection,
+    ServerConnection,
     SessionStub,
     check_framing,
 )
@@ -64,7 +65,6 @@ from repro.middleware.protocol import (
     PAYLOADS,
     CloseSession,
     ErrorInfo,
-    FrameDecoder,
     FrameTooLargeError,
     Hello,
     HotspotGossip,
@@ -74,21 +74,16 @@ from repro.middleware.protocol import (
     PushAck,
     PushTile,
     SessionClosedError,
-    SessionNotFoundError,
     TilePayload,
     TileRef,
     TileRequest,
     TileSegmentCache,
-    Welcome,
-    decode_wire,
     encode_tile_frame,
     encode_wire,
-    negotiate_payload,
-    negotiate_version,
+    requested_key,
 )
 from repro.middleware.push import PUSH_MODEL, PushCache, PushScheduler
 from repro.middleware.service import TileResponse
-from repro.middleware.transport import Transport
 from repro.tiles.key import TileKey
 from repro.tiles.reduce import COARSE_REDUCTION, downsample_tile
 from repro.tiles.moves import Move
@@ -112,44 +107,28 @@ def _check_payloads(payloads) -> tuple[str, ...]:
     return payloads
 
 
-class _ConnectionState:
-    """Per-connection serving state (sessions, negotiation, push)."""
-
-    __slots__ = ("sessions", "negotiated", "push", "payload", "payload_pending")
-
-    def __init__(self) -> None:
-        self.sessions: set[str] = set()
-        self.negotiated = False
-        self.push = False
-        #: Payload encoding in force for frames *after* the handshake.
-        self.payload = "json"
-        #: Set while the welcome granting "binary" is still to be
-        #: written in the pre-handshake framing; the serve loop flips
-        #: ``payload`` (and the decoder) right after encoding it.
-        self.payload_pending = False
-
-
 class _WireServer:
-    """Serving one client connection of the wire protocol.
+    """The I/O shell around one
+    :class:`~repro.middleware.connection.ServerConnection` per client.
 
     The one serve loop under both :class:`ForeCacheSocketServer` and the
     cluster's :class:`~repro.middleware.cluster.TileServiceRouter`: one
-    awaited read per turn, frame cutting, the dispatch guard, the binary
-    flip after the welcome, one batched write per read, cleanup — and
-    the one shutdown, :meth:`_stop_serving`, which reaches an idle
-    connection through its reader: ``feed_eof()`` wakes the pending
-    ``read`` with ``b""`` and the connection leaves by the orderly-EOF
-    branch; one in mid-dispatch is left alone, flushes its reply and
-    leaves at the loop top.  No task is created per read to race the
-    two.  An endpoint supplies ``framing``, ``max_frame_bytes`` and (in
-    its ``start()``) ``_server``, its message handlers (``_HANDLERS``)
-    and what a finished connection leaves behind (:meth:`_release`).
+    awaited read per turn, the core cuts and admits, the endpoint's
+    handler runs, one batched write per read, cleanup — and the one
+    shutdown, :meth:`_stop_serving`, which reaches an idle connection
+    through its reader: ``feed_eof()`` wakes the pending ``read`` with
+    ``b""`` and the connection leaves by the orderly-EOF branch; one in
+    mid-dispatch is left alone, flushes its reply and leaves at the
+    loop top.  No task is created per read to race the two.  An endpoint
+    supplies ``framing``, ``max_frame_bytes`` and (in its ``start()``)
+    ``_server``, its message handlers (``_HANDLERS``) and what a
+    finished connection leaves behind (:meth:`_release`).
     """
 
     framing: str
     max_frame_bytes: int
-    #: What a fresh connection's state is built from.
-    _connection_state = _ConnectionState
+    #: What a fresh connection's protocol state is built from.
+    _connection_core = ServerConnection
 
     def __init__(self) -> None:
         self._server: asyncio.AbstractServer | None = None
@@ -180,13 +159,14 @@ class _WireServer:
         if self._connections:
             await asyncio.gather(*self._connections, return_exceptions=True)
 
-    #: The message types a client may send, and the endpoint coroutine
+    #: The message types a client may send (the core's
+    #: ``CLIENT_MESSAGES``), and the endpoint coroutine
     #: ``handler(message, conn)`` serving each.  A handler returns
     #: everything its message produces, in wire order — zero or more
     #: pre-encoded ``push_tile`` frames *followed by* the actual reply,
     #: so push delivery is deterministic (fixed interleaving, no
     #: background writer task) — or raises, which becomes the typed
-    #: error reply.  ``_serve_hello`` runs at most once per connection.
+    #: error reply.  ``_serve_hello`` answers ``[conn.welcome(...)]``.
     _HANDLERS = {
         Hello: "_serve_hello",
         OpenSession: "_serve_open",
@@ -196,25 +176,14 @@ class _WireServer:
         HotspotGossip: "_serve_gossip",
     }
 
-    async def _release(self, conn: _ConnectionState) -> None:
+    async def _release(self, conn: ServerConnection) -> None:
         """Drop what a finished connection leaves behind."""
         raise NotImplementedError
-
-    def _require_session(self, session_id, conn: _ConnectionState) -> str:
-        if session_id not in conn.sessions:
-            # Per-connection isolation: a session another client opened
-            # is invisible here, even if it exists behind the endpoint.
-            raise SessionNotFoundError(
-                f"session {session_id!r} is not open on this connection",
-                session_id=session_id,
-            )
-        return session_id
 
     async def _serve_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        conn = self._connection_state()
-        decoder = FrameDecoder(self.framing, self.max_frame_bytes)
+        conn = self._connection_core(self.framing, self.max_frame_bytes)
         task = asyncio.current_task()
         connections = self._connections
         connections[task] = None
@@ -233,37 +202,33 @@ class _WireServer:
                 # single writelines+drain (the writev-style batching
                 # that keeps small frames from paying a syscall each).
                 out: list[bytes] = []
-                fatal = False
+                hang_up = False
                 try:
-                    frames = decoder.feed(data)
+                    frames = conn.receive(data)
                 except ProtocolError as exc:
-                    # The byte stream itself is broken — answer with the
-                    # typed error, then hang up.
-                    frames = []
-                    out.append(
-                        self._encode_out(ErrorInfo.from_exception(exc), conn)
-                    )
-                    fatal = True
+                    frames = ()
+                    refusal, hang_up = conn.refuse(exc)
+                    out.append(refusal)
                 for frame in frames:
-                    messages, fatal = await self._dispatch(frame, conn)
-                    for message in messages:
-                        out.append(self._encode_out(message, conn))
-                    if conn.payload_pending:
-                        # The welcome granting "binary" was just encoded
-                        # under the pre-handshake framing; every frame
-                        # after it — both directions — speaks binary.
-                        conn.payload_pending = False
-                        conn.payload = "binary"
-                        decoder.switch_to_binary()
-                    if fatal:
-                        break
+                    try:
+                        message = conn.admit(frame)
+                        handler = getattr(self, self._HANDLERS[type(message)])
+                        replies = await handler(message, conn)
+                    except Exception as exc:
+                        # The guard's or the handler's: one typed reply.
+                        refusal, hang_up = conn.refuse(exc)
+                        out.append(refusal)
+                        if hang_up:
+                            break
+                    else:
+                        out.extend(map(conn.send, replies))
                 if out:
                     try:
                         writer.writelines(out)
                         await writer.drain()
                     except (ConnectionError, OSError):
                         break  # client vanished mid-write
-                if fatal:
+                if hang_up:
                     break
         finally:
             try:
@@ -275,56 +240,6 @@ class _WireServer:
                     await writer.wait_closed()
             finally:
                 del connections[task]
-
-    def _wire_framing(self, conn: _ConnectionState) -> str:
-        return "binary" if conn.payload == "binary" else self.framing
-
-    def _encode_out(self, message, conn: _ConnectionState) -> bytes:
-        """Encode one outgoing message (or pass through pre-encoded
-        bytes — tile-bearing frames are built where their tile is at
-        hand, push frames also because their byte size is charged
-        against the push budget)."""
-        if isinstance(message, bytes):
-            return message
-        framing = self._wire_framing(conn)
-        try:
-            return encode_wire(message, framing, self.max_frame_bytes)
-        except ProtocolError as exc:
-            # The *response* outgrew the frame budget (giant tile
-            # payload); report that instead of silently dropping it.
-            return encode_wire(ErrorInfo.from_exception(exc), framing)
-
-    async def _dispatch(self, frame, conn: _ConnectionState):
-        """Serve one frame; returns ``(messages, fatal)``."""
-        try:
-            message = decode_wire(frame)
-        except ProtocolError as exc:
-            # One malformed message on a healthy frame stream: answer
-            # and keep serving the connection.
-            return [ErrorInfo.from_exception(exc)], False
-        opening = not conn.negotiated
-        try:
-            if opening and not isinstance(message, Hello):
-                raise InvalidRequestError(
-                    "connection must open with a hello frame, got "
-                    f"{type(message).__name__}"
-                )
-            if not opening and isinstance(message, Hello):
-                # A repeated hello must not re-run the negotiation: the
-                # framing in force would no longer match the welcome.
-                raise InvalidRequestError("handshake already completed")
-            handler = self._HANDLERS.get(type(message))
-            if handler is None:
-                raise InvalidRequestError(
-                    f"cannot serve {type(message).__name__} messages"
-                )
-            return await getattr(self, handler)(message, conn), False
-        except Exception as exc:
-            # Before the handshake completes there is no negotiated
-            # state to keep serving on — answer, then hang up.  After
-            # it, whatever a handler raised is this one request's typed
-            # reply and the connection keeps serving.
-            return [ErrorInfo.from_exception(exc)], opening
 
 
 # ----------------------------------------------------------------------
@@ -340,7 +255,6 @@ class ForeCacheSocketServer(_WireServer):
         host: str | None = None,
         port: int | None = None,
         framing: str = "lines",
-        include_payload: bool = True,
         max_frame_bytes: int | None = None,
         payloads: tuple[str, ...] | None = None,
         server_name: str = "forecache-repro",
@@ -359,12 +273,6 @@ class ForeCacheSocketServer(_WireServer):
         self.payloads = _check_payloads(
             payloads if payloads is not None else config.payloads
         )
-        #: Ship tile payloads in responses.  False mirrors
-        #: ``InProcessTransport(include_payload=False)``: a metadata-only
-        #: deployment whose clients resolve tile references out of band —
-        #: the shipped session clients refuse to materialize such
-        #: responses, with the same typed error.
-        self.include_payload = include_payload
         self.max_frame_bytes = (
             max_frame_bytes
             if max_frame_bytes is not None
@@ -377,11 +285,6 @@ class ForeCacheSocketServer(_WireServer):
         self._owns_service = owns_service
         self._closed = False
         policy = config.prefetch
-        if policy.push_enabled and not self.include_payload:
-            raise ValueError(
-                "push streams tile payloads; a metadata-only server "
-                "(include_payload=False) cannot offer the push capability"
-            )
         #: The server-wide push allocator, present iff the policy says
         #: ``push="on"``.  One scheduler serves every connection, so the
         #: downstream budget is shared across *all* live push sessions.
@@ -467,28 +370,16 @@ class ForeCacheSocketServer(_WireServer):
     # ------------------------------------------------------------------
     # per-connection serving
     # ------------------------------------------------------------------
-    async def _serve_hello(self, message: Hello, conn: _ConnectionState):
-        version = negotiate_version(message.versions)
-        conn.negotiated = True
-        # Push is granted only when both sides ask for it; legacy
-        # peers (push=False hello, or none at all) get the exact
-        # pre-push protocol.
-        conn.push = bool(message.push and self.push_scheduler is not None)
-        # Payload encoding likewise: "binary" only when the hello
-        # offers it AND this server's payloads allow it; everyone
-        # else keeps the byte-identical JSON wire.  The flip itself
-        # happens in the serve loop, *after* this welcome is framed
-        # in the pre-handshake encoding.
-        granted = negotiate_payload(message.payloads, self.payloads)
-        conn.payload_pending = granted == "binary"
-        welcome = Welcome(
-            version=version,
-            server=self.server_name,
-            max_frame_bytes=self.max_frame_bytes,
-            push=conn.push,
-            payload=granted,
-        )
-        return [welcome]
+    async def _serve_hello(self, message: Hello, conn: ServerConnection):
+        # ``conn.push`` can only come out true with a scheduler behind it.
+        return [
+            conn.welcome(
+                message,
+                server=self.server_name,
+                push=self.push_scheduler is not None,
+                payloads=self.payloads,
+            )
+        ]
 
     async def _serve_gossip(self, message: HotspotGossip, conn):
         """Absorb a popularity snapshot; reply with this node's own.
@@ -509,19 +400,18 @@ class ForeCacheSocketServer(_WireServer):
         message.merge_into(registry)
         return [HotspotGossip.from_registry(registry)]
 
-    async def _serve_open(self, message: OpenSession, conn: _ConnectionState):
+    async def _serve_open(self, message: OpenSession, conn: ServerConnection):
         handle = await self.service.open_session(None, message.session_id)
-        session_id = str(handle.session_id)
+        session_id = handle.session_id
         conn.sessions.add(session_id)
-        if conn.push and self.push_scheduler is not None:
+        if conn.push:
             self.push_scheduler.open_session(session_id)
         return [await handle.info()]
 
     async def _serve_close(
-        self, message: CloseSession, conn: _ConnectionState
+        self, message: CloseSession, conn: ServerConnection
     ):
-        session_id = message.session_id
-        self._require_session(session_id, conn)
+        session_id = conn.require_session(message.session_id)
         final = await self.service.info(session_id)
         await self.service.close_session(session_id)
         conn.sessions.discard(session_id)
@@ -529,58 +419,50 @@ class ForeCacheSocketServer(_WireServer):
             self.push_scheduler.forget_session(session_id)
         return [replace(final, open=False)]
 
-    async def _serve_request(self, message: TileRequest, conn: _ConnectionState):
-        session_id = message.session_id
-        self._require_session(session_id, conn)
-        if (
-            conn.push
-            and self.push_scheduler is not None
-            and message.held is not None
-        ):
+    async def _serve_request(self, message: TileRequest, conn: ServerConnection):
+        session_id = conn.require_session(message.session_id)
+        key = requested_key(message, self.service.pyramid.grid)
+        if conn.push and message.held is not None:
             self.push_scheduler.acknowledge(
                 session_id, [ref.to_key() for ref in message.held]
             )
         result = await self.service.request(
-            session_id, message.to_move(), message.tile.to_key()
+            session_id, message.to_move(), key
         )
         # A full-fidelity tile goes out through the segment cache; a
-        # degraded one (same key, other bytes) and a metadata-only
-        # reply are encoded by the serve loop like any other message.
-        cached = self.include_payload and result.fidelity == 1.0
+        # degraded one (same key, other bytes) is encoded by the
+        # connection core like any other message.
+        cached = result.fidelity == 1.0
         response = protocol.TileResponse.from_result(
-            session_id,
-            result,
-            include_payload=self.include_payload and not cached,
-            binary=conn.payload == "binary",
+            session_id, result, not cached, binary=conn.payload == "binary"
         )
         messages: list = []
-        if conn.push and self.push_scheduler is not None:
+        if conn.push:
             messages.extend(await self._push_messages(session_id, conn))
         if cached:
             try:
                 response = self._tile_frame(response, result.tile, conn)
             except FrameTooLargeError as exc:
-                response = self._encode_out(ErrorInfo.from_exception(exc), conn)
+                response = ErrorInfo.from_exception(exc)
         messages.append(response)
         return messages
 
-    def _tile_frame(self, message, tile, conn: _ConnectionState) -> bytes:
+    def _tile_frame(self, message, tile, conn: ServerConnection) -> bytes:
         """Frame a payload-less reply or push around its full-fidelity
         tile, through the segment cache."""
         return encode_tile_frame(
             message,
             tile,
-            self._wire_framing(conn),
+            conn.wire,
             self.max_frame_bytes,
             self.segment_cache,
         )
 
-    async def _serve_ack(self, message: PushAck, conn: _ConnectionState):
+    async def _serve_ack(self, message: PushAck, conn: ServerConnection):
         """Absorb a push-cache digest; with ``tile`` set, record the
         client's locally answered (push-hit) request."""
-        session_id = message.session_id
-        self._require_session(session_id, conn)
-        if not conn.push or self.push_scheduler is None:
+        session_id = conn.require_session(message.session_id)
+        if not conn.push:
             raise InvalidRequestError(
                 "push_ack on a connection that did not negotiate push",
                 session_id=session_id,
@@ -591,7 +473,9 @@ class ForeCacheSocketServer(_WireServer):
         if message.tile is None:
             return [await self.service.info(session_id)]
         result = await self.service.local_hit(
-            session_id, message.to_move(), message.tile.to_key()
+            session_id,
+            message.to_move(),
+            requested_key(message, self.service.pyramid.grid),
         )
         # Payload-less by construction: the client asked because it
         # already holds the tile.
@@ -613,7 +497,7 @@ class ForeCacheSocketServer(_WireServer):
         return messages
 
     async def _push_messages(
-        self, session_id: str, conn: _ConnectionState
+        self, session_id: str, conn: ServerConnection
     ) -> list[bytes]:
         """Run one push round for ``session_id``: queue the session's
         latest prediction list, then stream jobs until the fair-share
@@ -622,13 +506,12 @@ class ForeCacheSocketServer(_WireServer):
         Returns the push frames *pre-encoded* in the connection's
         negotiated encoding: each frame is encoded exactly once — here,
         where its true wire size is charged against the push budget —
-        and the serve loop passes the bytes through.  On binary
+        and the connection core passes the bytes through.  On binary
         connections a tile costs a fraction of its JSON size, so the
         same byte budget streams proportionally more tiles per round.
         """
         scheduler = self.push_scheduler
-        assert scheduler is not None
-        framing = self._wire_framing(conn)
+        framing = conn.wire
         binary = conn.payload == "binary"
         messages: list[bytes] = []
         try:
@@ -683,7 +566,7 @@ class ForeCacheSocketServer(_WireServer):
             messages.append(frame)
         return messages
 
-    async def _release(self, conn: _ConnectionState) -> None:
+    async def _release(self, conn: ServerConnection) -> None:
         """Drop the sessions a finished connection leaves behind."""
         for session_id in list(conn.sessions):
             if self.push_scheduler is not None:
@@ -812,7 +695,6 @@ class ThreadedSocketServer(_LoopThread):
         *,
         engine_factory=None,
         framing: str = "lines",
-        include_payload: bool = True,
         max_workers: int = 8,
         host: str | None = None,
         port: int | None = None,
@@ -825,7 +707,6 @@ class ThreadedSocketServer(_LoopThread):
             engine_factory=engine_factory,
             max_workers=max_workers,
             framing=check_framing(framing),
-            include_payload=include_payload,
             host=host,
             port=port,
             payloads=(
@@ -888,7 +769,7 @@ class _SessionClient:
         return self.transport.pyramid
 
 
-class SocketTransport(_ClientShell, Transport):
+class SocketTransport(_ClientShell):
     """Blocking-socket client transport; multiplexes sessions over one
     TCP connection.
 
@@ -982,6 +863,12 @@ class SocketTransport(_ClientShell, Transport):
             self._closed = True
         with contextlib.suppress(OSError):
             self._sock.close()
+
+    def __enter__(self) -> "SocketTransport":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
 
 class SocketSessionClient(_SessionClient):

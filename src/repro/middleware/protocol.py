@@ -163,6 +163,24 @@ ERROR_TYPES: dict[str, type[ProtocolError]] = {
 # ----------------------------------------------------------------------
 # wire building blocks
 # ----------------------------------------------------------------------
+#: What a ``from_dict`` may raise on a well-framed but malformed message;
+#: every decode site turns exactly these into :class:`InvalidRequestError`.
+#: ``OverflowError`` is ``int(inf)``: JSON ``1e400`` parses to a float.
+_MALFORMED = (KeyError, TypeError, ValueError, OverflowError)
+
+
+def _session_id(data: dict, *, optional: bool = False) -> "str | None":
+    """A message's ``session_id``: a string or, where ``optional``,
+    absent.  Anything else would name a session under one key at the
+    service and another (its ``str``) on the connection."""
+    value = data.get("session_id") if optional else data["session_id"]
+    if not isinstance(value, str) and not (optional and value is None):
+        raise TypeError(
+            f"session_id must be a string, got {type(value).__name__}"
+        )
+    return value
+
+
 @dataclass(frozen=True)
 class TileRef:
     """A tile address on the wire: ``[level, x, y]``."""
@@ -354,7 +372,7 @@ class TileRequest:
     def from_dict(cls, data: dict) -> "TileRequest":
         held = data.get("held")
         return cls(
-            session_id=data["session_id"],
+            session_id=_session_id(data),
             tile=TileRef.from_list(data["tile"]),
             move=data.get("move"),
             held=(
@@ -369,9 +387,8 @@ class TileRequest:
 class TileResponse:
     """One server response on the wire.
 
-    ``payload`` carries the tile's dense data when the transport ships
-    tiles; metadata-only transports leave it None and resolve the
-    ``tile`` reference out of band.
+    ``payload`` carries the tile's dense data; the reply to a
+    ``push_ack`` (the client already holds the tile) leaves it None.
 
     ``fidelity`` is the linear resolution fraction of the carried tile
     (1.0 = full resolution).  It is omitted from the wire form when
@@ -435,7 +452,7 @@ class TileResponse:
     def from_dict(cls, data: dict) -> "TileResponse":
         payload = data.get("payload")
         return cls(
-            session_id=data["session_id"],
+            session_id=_session_id(data),
             tile=TileRef.from_list(data["tile"]),
             latency_seconds=data["latency_seconds"],
             hit=data["hit"],
@@ -493,7 +510,7 @@ class PushTile:
     def from_dict(cls, data: dict) -> "PushTile":
         payload = data.get("payload")
         return cls(
-            session_id=data["session_id"],
+            session_id=_session_id(data),
             tile=TileRef.from_list(data["tile"]),
             rank=int(data["rank"]),
             generation=int(data["generation"]),
@@ -547,13 +564,35 @@ class PushAck:
     def from_dict(cls, data: dict) -> "PushAck":
         tile = data.get("tile")
         return cls(
-            session_id=data["session_id"],
+            session_id=_session_id(data),
             held=tuple(
                 TileRef.from_list(ref) for ref in data.get("held", [])
             ),
             move=data.get("move"),
             tile=TileRef.from_list(tile) if tile is not None else None,
         )
+
+
+def requested_key(message: "TileRequest | PushAck", grid=None) -> TileKey:
+    """The tile a ``tile_request`` / ``push_ack`` names, as a key.
+
+    A reference no :class:`TileKey` can hold (a negative coordinate) or,
+    given the serving pyramid's ``grid``, one outside it is refused here
+    — typed, with the session id — before the session or the cache see it.
+    """
+    try:
+        key = message.tile.to_key()
+    except ValueError as exc:
+        raise InvalidRequestError(
+            f"invalid tile reference {message.tile.to_list()}: {exc}",
+            session_id=message.session_id,
+        ) from None
+    if grid is not None and not grid.valid(key):
+        raise InvalidRequestError(
+            f"tile {key} is not in this pyramid",
+            session_id=message.session_id,
+        )
+    return key
 
 
 @dataclass(frozen=True)
@@ -582,7 +621,7 @@ class SessionInfo:
     @classmethod
     def from_dict(cls, data: dict) -> "SessionInfo":
         return cls(
-            session_id=data["session_id"],
+            session_id=_session_id(data),
             open=bool(data["open"]),
             prefetch_mode=data["prefetch_mode"],
             requests=int(data["requests"]),
@@ -625,7 +664,7 @@ class ErrorInfo:
         return cls(
             code=data["code"],
             message=data["message"],
-            session_id=data.get("session_id"),
+            session_id=_session_id(data, optional=True),
         )
 
 
@@ -764,7 +803,7 @@ class OpenSession:
 
     @classmethod
     def from_dict(cls, data: dict) -> "OpenSession":
-        return cls(session_id=data.get("session_id"))
+        return cls(session_id=_session_id(data, optional=True))
 
 
 @dataclass(frozen=True)
@@ -779,7 +818,7 @@ class CloseSession:
 
     @classmethod
     def from_dict(cls, data: dict) -> "CloseSession":
-        return cls(session_id=data["session_id"])
+        return cls(session_id=_session_id(data))
 
 
 @dataclass(frozen=True)
@@ -887,7 +926,7 @@ def decode(data: str):
         raise InvalidRequestError(f"unknown message type {name!r}")
     try:
         return cls.from_dict(raw)
-    except (KeyError, TypeError, ValueError) as exc:
+    except _MALFORMED as exc:
         raise InvalidRequestError(
             f"malformed {name} message: {exc}"
         ) from None
@@ -1079,7 +1118,7 @@ def _parse_attribute_specs(attrs) -> tuple[list, int]:
             dtype_name = item["dtype"]
             shape = tuple(int(n) for n in item["shape"])
             nbytes = int(item["nbytes"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except _MALFORMED as exc:
             raise InvalidRequestError(
                 f"malformed binary attribute descriptor: {exc}"
             ) from None
@@ -1139,7 +1178,7 @@ def _decode_binary_payload(descriptor, body: memoryview) -> TilePayload:
         tile = TileRef.from_list(descriptor["tile"])
         attrs = descriptor["attributes"]
         codec = descriptor.get("codec", "raw")
-    except (KeyError, TypeError, ValueError) as exc:
+    except _MALFORMED as exc:
         raise InvalidRequestError(
             f"malformed binary payload descriptor: {exc}"
         ) from None
@@ -1224,7 +1263,7 @@ def decode_binary_message(data):
     cls = MESSAGE_TYPES[name]
     try:
         message = cls.from_dict(header)
-    except (KeyError, TypeError, ValueError) as exc:
+    except _MALFORMED as exc:
         raise InvalidRequestError(f"malformed {name} message: {exc}") from None
     if descriptor is None:
         return message

@@ -9,6 +9,7 @@ worker boot (dataset build + bind) stays cheap.
 from __future__ import annotations
 
 import asyncio
+import importlib.util
 import os
 import socketserver
 import subprocess
@@ -29,7 +30,6 @@ from repro.middleware.cluster import (
     ProcessCluster,
     ThreadedClusterServer,
     ThreadedRouter,
-    _snake_walk,
 )
 from repro.middleware.config import CacheConfig, PrefetchPolicy, ServiceConfig
 from repro.middleware.net import SocketTransport, ThreadedSocketServer
@@ -50,7 +50,22 @@ from repro.middleware.protocol import (
 from repro.recommenders.momentum import MomentumRecommender
 from repro.tiles.key import TileKey
 
-REPO_SRC = str(Path(__file__).resolve().parent.parent / "src")
+REPO_ROOT = Path(__file__).resolve().parent.parent
+REPO_SRC = str(REPO_ROOT / "src")
+
+
+def load_example(name: str):
+    """Import ``examples/<name>.py`` (a script, not a package member)."""
+    spec = importlib.util.spec_from_file_location(
+        f"example_{name}", REPO_ROOT / "examples" / f"{name}.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# The cluster demo's deterministic walk doubles as these tests' trace.
+_snake_walk = load_example("cluster_serving")._snake_walk
 
 
 def make_engine(grid) -> PredictionEngine:
@@ -782,3 +797,25 @@ class TestProcessCluster:
                 client.close()
             finally:
                 transport.close()
+
+    def test_the_demo_runs_clean_as_a_script_and_only_as_a_script(self):
+        """``python -m repro.middleware.cluster`` ran the module twice
+        (the package imports it, runpy runs it again as ``__main__``,
+        and every spawned worker re-imports that ``__main__``), warning
+        each time; the demo is an example now and the module a library."""
+        assert not hasattr(cluster_module, "main")
+        run = subprocess.run(
+            [
+                sys.executable, "-W", "error::RuntimeWarning",
+                str(REPO_ROOT / "examples" / "cluster_serving.py"),
+                "--workers", "1", "--sessions", "1", "--steps", "4",
+                "--size", "64", "--tile-size", "16",
+            ],
+            env=dict(os.environ, PYTHONPATH=REPO_SRC),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert run.returncode == 0, run.stderr
+        assert "served 4 requests across 1 session(s)" in run.stdout
+        assert run.stderr == ""

@@ -1,16 +1,19 @@
-"""The connection core, driven with bytes only.
+"""The connection cores, driven with bytes only.
 
-:mod:`repro.middleware.connection` holds the client side of the wire
-protocol without any I/O, so everything here feeds it byte strings and
-reads its answers — no socket is opened by a test body.  (The one
-recorded server stream comes from a real push server's ``wire_tap``, in
-a module fixture; it is then replayed into a bare core.)
+:mod:`repro.middleware.connection` holds both sides of the wire
+protocol without any I/O, so everything here feeds a core byte strings
+and reads its answers — no socket is opened by a test body.  (The one
+recorded session comes from a real push server's ``wire_tap``, in a
+module fixture; its two byte streams are then replayed into bare cores:
+the server's into a :class:`ClientConnection`, the client's into a
+:class:`ServerConnection`.)
 """
 
 from __future__ import annotations
 
 import ast
 import inspect
+import json
 
 import numpy as np
 import pytest
@@ -24,19 +27,30 @@ from repro.middleware.config import CacheConfig, PrefetchPolicy, ServiceConfig
 from repro.middleware.connection import (
     ClientConnection,
     OpaqueFrame,
+    ServerConnection,
     SessionStub,
     decode_opaque,
 )
-from repro.middleware.net import SocketTransport, ThreadedSocketServer
+from repro.middleware.net import (
+    SocketTransport,
+    ThreadedSocketServer,
+    _WireServer,
+)
 from repro.middleware.protocol import (
+    MESSAGE_TYPES,
+    PAYLOADS,
+    CloseSession,
     ErrorInfo,
     FrameDecoder,
+    FrameTooLargeError,
     FramingError,
+    Hello,
     OpenSession,
     ProtocolError,
     PushAck,
     PushTile,
     SessionInfo,
+    SessionNotFoundError,
     TilePayload,
     TileRef,
     TileRequest,
@@ -322,7 +336,282 @@ class TestExchange:
 
 
 # ----------------------------------------------------------------------
-# a recorded server stream, re-fed at arbitrary chunk boundaries
+# the serving side: dispatch guard, handshake, flip, replies
+# ----------------------------------------------------------------------
+def offer(payload="json", **fields) -> Hello:
+    payloads = ("json", "binary") if payload == "binary" else ("json",)
+    return Hello(client="test", payloads=payloads, **fields)
+
+
+def grant(conn: ServerConnection, hello: Hello, **capabilities) -> bytes:
+    """Feed ``hello`` as bytes and run the handshake the way an
+    endpoint's handler does; returns the welcome's frame."""
+    (frame,) = conn.receive(encode_wire(hello, conn.wire))
+    capabilities = {"server": "srv", "push": True, "payloads": PAYLOADS,
+                    **capabilities}
+    return conn.send(conn.welcome(conn.admit(frame), **capabilities))
+
+
+def served(framing="lines", payload="json", **fields) -> ServerConnection:
+    """A server core past its handshake."""
+    conn = ServerConnection(framing)
+    grant(conn, offer(payload, **fields))
+    return conn
+
+
+def sent(data: bytes, framing: str) -> list:
+    """The messages in ``data`` as a client under ``framing`` reads them."""
+    decoder = FrameDecoder(framing)
+    frames = decoder.feed(data)
+    assert decoder.buffered == 0
+    return [decode_wire(frame) for frame in frames]
+
+
+def refused(conn: ServerConnection, frame, framing="lines"):
+    """Admit ``frame`` expecting a refusal; returns ``(reply, fatal)``."""
+    with pytest.raises(ProtocolError) as caught:
+        conn.admit(frame)
+    data, fatal = conn.refuse(caught.value)
+    (reply,) = sent(data, framing)
+    assert isinstance(reply, ErrorInfo)
+    return reply, fatal
+
+
+class TestServerGuard:
+    def test_a_request_before_hello_is_refused_and_fatal(self):
+        conn = ServerConnection()
+        (frame,) = conn.receive(encode_wire(OpenSession("sneaky"), "lines"))
+        reply, fatal = refused(conn, frame)
+        assert reply.code == "invalid_request" and fatal
+        assert "must open with a hello" in reply.message
+        assert not conn.negotiated and not conn.sessions
+
+    def test_a_repeated_hello_is_refused_and_changes_nothing(self):
+        conn = served("length", "binary", push=True)
+        state = (conn.wire, conn.payload, conn.push)
+        assert state == ("binary", "binary", True)
+        (frame,) = conn.receive(encode_wire(offer(), "binary"))
+        reply, fatal = refused(conn, frame, "binary")
+        assert (reply.code, fatal) == ("invalid_request", False)
+        assert "handshake already completed" in reply.message
+        assert (conn.wire, conn.payload, conn.push) == state
+
+    def test_a_message_only_servers_send_is_refused(self):
+        conn = served()
+        for message in (Welcome(version=1), session_info()):
+            (frame,) = conn.receive(encode_wire(message, "lines"))
+            reply, fatal = refused(conn, frame)
+            assert (reply.code, fatal) == ("invalid_request", False)
+            assert "cannot serve" in reply.message
+        # Before the handshake the same frame is a missing hello.
+        fresh = ServerConnection()
+        (frame,) = fresh.receive(encode_wire(Welcome(version=1), "lines"))
+        reply, fatal = refused(fresh, frame)
+        assert "must open with a hello" in reply.message and fatal
+
+    @pytest.mark.parametrize("handshaken_first", [False, True])
+    def test_a_malformed_message_on_a_healthy_stream_is_answered(
+        self, handshaken_first
+    ):
+        conn = served() if handshaken_first else ServerConnection()
+        for line in (b"{not json\n", b'{"type": "no_such_message"}\n', b"[1]\n"):
+            (frame,) = conn.receive(line)
+            reply, fatal = refused(conn, frame)
+            assert (reply.code, fatal) == ("invalid_request", False)
+        # The stream is still in sync: the next frame is served.
+        message = OpenSession("s") if handshaken_first else offer()
+        (frame,) = conn.receive(encode_wire(message, "lines"))
+        assert conn.admit(frame) == message
+
+    @pytest.mark.parametrize("handshaken_first", [False, True])
+    def test_broken_framing_is_answered_and_fatal(self, handshaken_first):
+        conn = ServerConnection("length", 256)
+        if handshaken_first:
+            grant(conn, offer())
+        with pytest.raises(FrameTooLargeError) as caught:
+            conn.receive((257).to_bytes(4, "big"))
+        data, fatal = conn.refuse(caught.value)
+        assert fatal
+        (reply,) = sent(data, "length")
+        assert reply.code == "frame_too_large"
+        with pytest.raises(FramingError):
+            conn.receive(b"more")  # the stream stays dead
+
+    def test_a_refused_handshake_records_nothing_and_is_fatal(self):
+        conn = ServerConnection()
+        (frame,) = conn.receive(encode_wire(Hello(versions=(99,)), "lines"))
+        hello = conn.admit(frame)
+        with pytest.raises(VersionMismatchError) as caught:
+            conn.welcome(hello, server="srv", push=True, payloads=PAYLOADS)
+        data, fatal = conn.refuse(caught.value)
+        assert fatal and not conn.negotiated
+        assert sent(data, "lines")[0].code == "version_mismatch"
+
+    def test_whatever_a_handler_raises_is_one_typed_reply(self):
+        conn = served()
+        (frame,) = conn.receive(encode_wire(OpenSession("s"), "lines"))
+        conn.admit(frame)
+        data, fatal = conn.refuse(ValueError("handler blew up"))
+        assert not fatal
+        assert sent(data, "lines") == [
+            ErrorInfo(code="error", message="handler blew up")
+        ]
+
+    def test_whatever_decode_raises_is_a_typed_refusal(self, monkeypatch):
+        def explode(frame):
+            raise RuntimeError("decoder bug")
+
+        conn = served()
+        monkeypatch.setattr(connection, "decode_wire", explode)
+        reply, fatal = refused(conn, "{}")
+        assert (reply.code, fatal) == ("invalid_request", False)
+        assert "decoder bug" in reply.message
+
+
+class TestServerHandshake:
+    def test_a_binary_grant_flips_right_after_its_welcome(self, tiny_dataset):
+        conn = ServerConnection("length")
+        data = grant(conn, offer("binary"))
+        # The welcome itself left in the pre-handshake framing ...
+        assert sent(data, "length") == [
+            Welcome(
+                version=1, server="srv",
+                max_frame_bytes=conn.max_frame_bytes, push=False,
+                payload="binary",
+            )
+        ]
+        # ... and the very next frame, either direction, is binary.
+        assert conn.wire == "binary" and conn.payload == "binary"
+        tile = tiny_dataset.pyramid.fetch_tile(TileKey(1, 0, 0))
+        reply = conn.send(tile_reply(tile))
+        assert reply == encode_wire(tile_reply(tile), "binary")
+        request = TileRequest(session_id="s", tile=TileRef(1, 0, 0))
+        (frame,) = conn.receive(encode_wire(request, "binary"))
+        assert conn.admit(frame) == request
+
+    @pytest.mark.parametrize(
+        "hello, payloads",
+        [(offer("binary"), ("json",)), (offer("json"), PAYLOADS)],
+    )
+    def test_a_json_grant_never_flips(self, hello, payloads):
+        conn = ServerConnection("length")
+        data = grant(conn, hello, payloads=payloads)
+        assert sent(data, "length")[0].payload == "json"
+        assert (conn.wire, conn.payload) == ("length", "json")
+        assert sent(conn.send(session_info()), "length") == [session_info()]
+        assert conn.wire == "length"
+
+    @pytest.mark.parametrize(
+        "asked, offered, granted",
+        [(True, True, True), (True, False, False), (False, True, False)],
+    )
+    def test_push_needs_both_sides(self, asked, offered, granted):
+        conn = ServerConnection()
+        (welcome,) = sent(grant(conn, offer(push=asked), push=offered), "lines")
+        assert welcome.push is granted and conn.push is granted
+
+    def test_the_endpoint_may_advertise_a_tighter_frame_budget(self):
+        conn = ServerConnection("lines", 4096)
+        (welcome,) = sent(grant(conn, offer(), max_frame_bytes=1024), "lines")
+        assert welcome.max_frame_bytes == 1024
+        assert conn.max_frame_bytes == 4096  # its own budget is its own
+        assert sent(grant(ServerConnection("lines", 4096), offer()), "lines")[
+            0
+        ].max_frame_bytes == 4096
+
+
+class TestServerReplies:
+    def test_preencoded_bytes_pass_through(self):
+        conn = served()
+        assert conn.send(b"already framed") == b"already framed"
+
+    @pytest.mark.parametrize("payload", ["json", "binary"])
+    def test_an_oversize_reply_becomes_a_typed_error_frame(
+        self, payload, tiny_dataset
+    ):
+        conn = ServerConnection("length", 512)
+        grant(conn, offer(payload))
+        tile = tiny_dataset.pyramid.fetch_tile(TileKey(1, 0, 0))
+        (reply,) = sent(conn.send(tile_reply(tile)), conn.wire)
+        assert isinstance(reply, ErrorInfo)
+        assert reply.code == "frame_too_large"
+
+    def test_sessions_are_addressable_from_their_connection_only(self):
+        mine, theirs = served(), served()
+        mine.sessions.add("alice")
+        assert mine.require_session("alice") == "alice"
+        with pytest.raises(SessionNotFoundError, match="not open on this"):
+            theirs.require_session("alice")
+        mine.sessions.discard("alice")
+        with pytest.raises(SessionNotFoundError) as caught:
+            mine.require_session("alice")
+        assert caught.value.session_id == "alice"
+
+
+#: JSON a hostile client might frame: any value, including the numbers
+#: (``1e400`` → ``Infinity``) and nestings ``json.loads`` accepts.
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.text(max_size=6),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=6), children, max_size=3),
+    max_leaves=8,
+)
+MESSAGE_FIELDS = (
+    "session_id", "tile", "move", "held", "versions", "payloads", "push",
+    "rank", "generation", "utility", "payload", "entries", "tick",
+    "requests", "hits", "open", "code", "message",
+)
+MESSAGE_SHAPED = st.fixed_dictionaries(
+    {"type": st.sampled_from(sorted(MESSAGE_TYPES))},
+    optional={name: JSON_VALUES for name in MESSAGE_FIELDS},
+).map(json.dumps)
+
+
+class TestServerNeverLeaksAnException:
+    """One message or one :class:`ProtocolError` per frame, whatever the
+    bytes: nothing else may escape the core into a serve loop."""
+
+    @staticmethod
+    def drive(conn: ServerConnection, data: bytes) -> None:
+        try:
+            frames = conn.receive(data)
+        except ProtocolError as exc:
+            assert conn.refuse(exc)[1]
+            return
+        for frame in frames:
+            try:
+                message = conn.admit(frame)
+            except ProtocolError as exc:
+                data, _ = conn.refuse(exc)
+                assert sent(data, conn.wire)[0].code == exc.code
+            else:
+                assert type(message) in connection.CLIENT_MESSAGES
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        data=st.binary(max_size=64),
+        framing=st.sampled_from(["lines", "length", "binary"]),
+    )
+    def test_arbitrary_bytes(self, data, framing):
+        if framing == "binary":
+            conn = served("length", "binary")
+        else:
+            conn = ServerConnection(framing)
+        self.drive(conn, data)
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=MESSAGE_SHAPED, handshaken_first=st.booleans())
+    def test_message_shaped_json(self, text, handshaken_first):
+        conn = served() if handshaken_first else ServerConnection()
+        self.drive(conn, text.encode("utf-8") + b"\n")
+
+
+# ----------------------------------------------------------------------
+# a recorded session, each side re-fed at arbitrary chunk boundaries
 # ----------------------------------------------------------------------
 PUSH_CONFIG = ServiceConfig(
     prefetch=PrefetchPolicy(k=4, push="on", fidelity="progressive"),
@@ -468,6 +757,42 @@ class TestRecordedStream:
         )
 
 
+def admitted(recording, chunks) -> list:
+    """Feed the hello, then the rest of the recorded *client* bytes cut
+    as ``chunks``, into a bare server core; returns what it admitted.
+    (The hello stays its own chunk for the client's reason: the framing
+    flips behind the welcome, which a client waits for.)"""
+    _, sent_bytes, _, _ = recording
+    hello_end = 4 + int.from_bytes(sent_bytes[:4], "big")
+    conn = ServerConnection("length")
+    (frame,) = conn.receive(sent_bytes[:hello_end])
+    hello = conn.admit(frame)
+    conn.send(conn.welcome(hello, server="srv", push=True, payloads=PAYLOADS))
+    messages = [hello]
+    for chunk in chunks:
+        messages += [conn.admit(frame) for frame in conn.receive(chunk)]
+    return messages
+
+
+class TestRecordedRequests:
+    def test_every_cut_admits_the_recorded_messages(self, recording):
+        messages, sent_bytes, _, _ = recording
+        rest = sent_bytes[4 + int.from_bytes(sent_bytes[:4], "big") :]
+        assert admitted(recording, [rest]) == messages
+        assert isinstance(messages[-1], CloseSession)
+        for cut in range(1, len(rest)):
+            assert admitted(recording, [rest[:cut], rest[cut:]]) == messages
+
+    @pytest.mark.parametrize("size", [1, 7, 4096])
+    def test_fixed_size_reads_admit_the_recorded_messages(
+        self, recording, size
+    ):
+        messages, sent_bytes, _, _ = recording
+        rest = sent_bytes[4 + int.from_bytes(sent_bytes[:4], "big") :]
+        chunks = [rest[i : i + size] for i in range(0, len(rest), size)]
+        assert admitted(recording, chunks) == messages
+
+
 # ----------------------------------------------------------------------
 # session stub
 # ----------------------------------------------------------------------
@@ -593,3 +918,7 @@ def test_the_core_imports_no_io_module():
         elif isinstance(node, ast.ImportFrom) and node.module:
             imported.add(node.module.split(".")[0])
     assert imported.isdisjoint({"socket", "asyncio", "threading", "selectors"})
+
+
+def test_the_serve_loop_has_a_handler_for_exactly_what_the_core_admits():
+    assert set(_WireServer._HANDLERS) == connection.CLIENT_MESSAGES

@@ -20,6 +20,7 @@ import pytest
 from repro.core.allocation import SingleModelStrategy
 from repro.core.engine import PredictionEngine
 from repro.middleware.client import BrowsingSession
+from repro.middleware.cluster import ThreadedClusterServer
 from repro.middleware.config import CacheConfig, PrefetchPolicy, ServiceConfig
 from repro.middleware.net import (
     SocketTransport,
@@ -27,6 +28,7 @@ from repro.middleware.net import (
 )
 from repro.middleware.protocol import (
     CloseSession,
+    ErrorInfo,
     FrameDecoder,
     FramingError,
     FrameTooLargeError,
@@ -285,6 +287,85 @@ class TestResilience:
         (info,) = recv_lines(sock)
         assert info["type"] == "session_info"
         sock.close()
+
+    def test_a_number_too_large_for_an_int_is_answered_and_survivable(
+        self, server, capfd
+    ):
+        # JSON 1e400 is a float infinity, int() of it an OverflowError:
+        # it used to escape the serve loop, drop the connection without
+        # a reply and leave asyncio's traceback on stderr.
+        sock = raw_connection(server)
+        handshake(sock)
+        send_line(sock, {"type": "open_session", "session_id": "s"})
+        recv_lines(sock)
+        sock.sendall(
+            b'{"type":"tile_request","session_id":"s","tile":[1e400,0,0]}\n'
+        )
+        (error,) = recv_lines(sock)
+        assert error["code"] == InvalidRequestError.code
+        send_line(
+            sock, {"type": "tile_request", "session_id": "s", "tile": [0, 0, 0]}
+        )
+        (reply,) = recv_lines(sock)
+        assert (reply["type"], reply["tile"]) == ("tile_response", [0, 0, 0])
+        sock.close()
+        assert wait_for(lambda: server.server.connection_count == 0)
+        assert capfd.readouterr().err == ""
+
+    @pytest.mark.parametrize("session_id", [123, ["a"], {"a": 1}, True])
+    def test_a_non_string_session_id_opens_nothing(self, server, session_id):
+        # It used to open the service session under the raw value and
+        # the connection's under its str(): unreachable, unclosable,
+        # and still there after the disconnect.
+        service = server.server.service.service
+        sock = raw_connection(server)
+        handshake(sock)
+        send_line(sock, {"type": "open_session", "session_id": "good"})
+        recv_lines(sock)
+        send_line(sock, {"type": "open_session", "session_id": session_id})
+        (error,) = recv_lines(sock)
+        assert (error["type"], error["code"]) == ("error", "invalid_request")
+        assert service.session_ids == ["good"]
+        send_line(sock, {"type": "open_session"})  # auto id: still fine
+        (info,) = recv_lines(sock)
+        assert info["type"] == "session_info"
+        assert service.session_count == 2
+        sock.close()
+        assert wait_for(lambda: service.session_ids == [])
+
+    @pytest.mark.parametrize("endpoint_kind", ["server", "cluster"])
+    @pytest.mark.parametrize(
+        "reference",
+        [(0, -1, 0), (99, 0, 0), (1, 7, 0)],
+        ids=["negative-coordinate", "level-beyond-pyramid", "x-outside-level"],
+    )
+    def test_an_invalid_tile_reference_is_refused_before_the_session_sees_it(
+        self, endpoint_kind, reference, small_dataset
+    ):
+        pyramid = small_dataset.pyramid
+        kind, kwargs = {
+            "server": (ThreadedSocketServer, {}),
+            "cluster": (ThreadedClusterServer, {"workers": 2}),
+        }[endpoint_kind]
+        endpoint = kind(
+            pyramid,
+            CONFIG,
+            engine_factory=lambda: make_engine(pyramid.grid),
+            **kwargs,
+        )
+        with endpoint, SocketTransport(*endpoint.address) as transport:
+            conn = transport.connect(session_id="guarded")
+            conn.request(None, TileKey(0, 0, 0))
+            bad = transport.roundtrip(
+                TileRequest(session_id="guarded", tile=TileRef(*reference))
+            )
+            assert isinstance(bad, ErrorInfo)
+            assert (bad.code, bad.session_id) == ("invalid_request", "guarded")
+            # Recorder (and with it the engine's history) did not move,
+            # and the session still serves.
+            assert conn.request(None, TileKey(0, 0, 0)).hit
+            info = transport.roundtrip(CloseSession("guarded"))
+            assert (info.requests, info.hits) == (2, 1)
 
     def test_oversized_frame_typed_error_then_close(self, server):
         sock = raw_connection(server)
@@ -804,23 +885,6 @@ class TestEncodeOnce:
                 transport.connect().request(None, TileKey(0, 0, 0))
         stats = server.server.segment_cache.stats()
         assert (stats["entries"], stats["misses"], stats["hits"]) == (2, 2, 0)
-
-    def test_metadata_only_server_never_touches_the_cache(self, small_dataset):
-        with ThreadedSocketServer(
-            small_dataset.pyramid,
-            CONFIG,
-            engine_factory=lambda: make_engine(small_dataset.pyramid.grid),
-            include_payload=False,
-        ) as server:
-            with SocketTransport(*server.address) as transport:
-                session_id = transport.connect().session_id
-                for _ in range(2):
-                    reply = transport.roundtrip(
-                        TileRequest(session_id, TileRef(0, 0, 0))
-                    )
-                    assert reply.payload is None
-            stats = server.server.segment_cache.stats()
-        assert (stats["entries"], stats["misses"], stats["hits"]) == (0, 0, 0)
 
     def test_degraded_reply_never_touches_the_cache(self, small_dataset):
         config = ServiceConfig(

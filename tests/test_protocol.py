@@ -431,6 +431,84 @@ class TestEnvelope:
         with pytest.raises(TypeError):
             protocol.encode({"session_id": "s1"})
 
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"type": "tile_request", "session_id": "s", "tile": [1e400, 0, 0]},
+            {"type": "hello", "versions": [1e400]},
+            {
+                "type": "push_tile", "session_id": "s", "tile": [0, 0, 0],
+                "rank": 1e400, "generation": 1, "utility": 1.0,
+            },
+            {
+                "type": "session_info", "session_id": "s", "open": True,
+                "prefetch_mode": "sync", "requests": 1e400, "hits": 0,
+                "hit_rate": 0.0, "average_latency_seconds": 0.0,
+            },
+            {"type": "hotspot_gossip", "entries": [], "tick": 1e400},
+        ],
+        ids=lambda fields: fields["type"],
+    )
+    def test_a_number_too_large_for_an_int_is_a_typed_rejection(self, fields):
+        # JSON ``1e400`` parses to ``inf`` and ``int(inf)`` raises
+        # OverflowError — none of KeyError / TypeError / ValueError.
+        text = json.dumps(fields)
+        assert "Infinity" in text
+        with pytest.raises(InvalidRequestError, match="malformed"):
+            protocol.decode(text)
+
+    @pytest.mark.parametrize("field", ["shape", "nbytes"])
+    def test_an_infinite_binary_descriptor_is_a_typed_rejection(self, field):
+        message = TileResponse(
+            session_id="s", tile=TileRef(1, 0, 0), latency_seconds=0.0,
+            hit=True,
+            payload=TilePayload(
+                tile=TileRef(1, 0, 0),
+                attributes=(
+                    AttributeBlock.from_array(
+                        "v", np.zeros((2, 2)), binary=True
+                    ),
+                ),
+            ),
+        )
+        body = protocol.encode_binary_message(message)
+        header_len = int.from_bytes(body[:4], "big")
+        header = json.loads(body[4 : 4 + header_len])
+        entry = header["payload"]["attributes"][0]
+        entry[field] = [1e400, 2] if field == "shape" else 1e400
+        tampered = json.dumps(header).encode("utf-8")
+        with pytest.raises(InvalidRequestError, match="malformed"):
+            protocol.decode_binary_message(
+                len(tampered).to_bytes(4, "big")
+                + tampered
+                + body[4 + header_len :]
+            )
+
+    @pytest.mark.parametrize("session_id", [123, ["a"], {"a": 1}, True, 1.5])
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"type": "open_session"},
+            {"type": "close_session"},
+            {"type": "tile_request", "tile": [0, 0, 0]},
+            {"type": "push_ack", "held": []},
+        ],
+        ids=lambda fields: fields["type"],
+    )
+    def test_a_session_id_is_a_string_or_a_typed_rejection(
+        self, fields, session_id
+    ):
+        with pytest.raises(InvalidRequestError, match="session_id"):
+            protocol.decode(json.dumps({**fields, "session_id": session_id}))
+
+    def test_only_open_session_may_leave_the_session_id_out(self):
+        assert protocol.decode('{"type": "open_session"}') == OpenSession()
+        assert protocol.decode(
+            '{"type": "open_session", "session_id": null}'
+        ) == OpenSession()
+        with pytest.raises(InvalidRequestError):
+            protocol.decode('{"type": "close_session", "session_id": null}')
+
 
 class TestLatencyRecorderExport:
     def test_dict_round_trip(self):

@@ -748,15 +748,6 @@ class TestPushEndToEnd:
                     for name, array in full.attributes.items():
                         assert (response.tile.attributes[name] == array).all()
 
-    def test_push_requires_payload_serving(self, small_dataset):
-        with pytest.raises(ValueError, match="metadata-only"):
-            ThreadedSocketServer(
-                small_dataset.pyramid,
-                PUSH_CONFIG,
-                engine_factory=engine_factory(small_dataset.pyramid),
-                include_payload=False,
-            ).start()
-
 
 # ----------------------------------------------------------------------
 # cold-start blending (hotspot warmup)

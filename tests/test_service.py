@@ -10,7 +10,6 @@ from repro.cache.tile_cache import TileCache
 from repro.core.allocation import SingleModelStrategy
 from repro.core.engine import PredictionEngine
 from repro.experiments.sweep import SweepSpec, UnknownParameterError
-from repro.middleware.client import BrowsingSession
 from repro.middleware.config import CacheConfig, PrefetchPolicy, ServiceConfig
 from repro.middleware.protocol import (
     DuplicateSessionError,
@@ -18,7 +17,6 @@ from repro.middleware.protocol import (
     SessionNotFoundError,
 )
 from repro.middleware.service import ForeCacheService
-from repro.middleware.transport import InProcessTransport
 from repro.recommenders.momentum import MomentumRecommender
 from repro.tiles.key import TileKey
 from repro.tiles.moves import Move
@@ -278,79 +276,6 @@ class TestSessionLifecycle:
         first.request(None, TileKey(2, 1, 1))
         response = second.request(None, TileKey(2, 1, 1))
         assert response.hit
-
-
-class TestEquivalence:
-    """The acceptance bar: identical tile/hit/latency sequences through
-    the facade and the wire transport."""
-
-    @staticmethod
-    def replay_signature(responses):
-        return [
-            (r.tile.key, r.hit, r.latency_seconds, r.phase) for r in responses
-        ]
-
-    def test_facade_and_wire_replays_match(self, small_dataset, small_study):
-        """The facade is the reference leg."""
-        trace = max(small_study.traces, key=len)
-        grid = small_dataset.pyramid.grid
-
-        config = ServiceConfig(prefetch=PrefetchPolicy(k=5))
-        with ForeCacheService(small_dataset.pyramid, config) as service:
-            handle = service.open_session(make_engine(grid))
-            facade_responses = BrowsingSession(handle).replay(trace)
-
-        with ForeCacheService(small_dataset.pyramid, config) as service:
-            transport = InProcessTransport(service)
-            conn = transport.connect(make_engine(grid))
-            wire_responses = BrowsingSession(conn).replay(trace)
-
-        assert self.replay_signature(wire_responses) == (
-            self.replay_signature(facade_responses)
-        )
-        # The wire round trip rebuilt every payload losslessly.
-        for wire, ref in zip(wire_responses, facade_responses):
-            assert wire.tile == ref.tile
-
-
-class TestWireTransport:
-    def test_wire_errors_are_typed(self, service):
-        transport = InProcessTransport(service)
-        conn = transport.connect()
-        conn.close()
-        # A closed session is forgotten by id, so the wire reports it
-        # unknown — still a typed protocol error the client can handle.
-        with pytest.raises(SessionNotFoundError):
-            conn.request(None, TileKey(0, 0, 0))
-
-    def test_unknown_wire_session(self, service):
-        transport = InProcessTransport(service)
-        conn = transport.connect()
-        conn.session_id = "ghost"
-        with pytest.raises(SessionNotFoundError):
-            conn.request(None, TileKey(0, 0, 0))
-
-    def test_wire_close_is_idempotent(self, service):
-        transport = InProcessTransport(service)
-        conn = transport.connect()
-        conn.close()
-        conn.close()
-
-    def test_non_string_session_id_is_stringified_on_open(self, service):
-        """The facade and the wire must agree on the session key."""
-        transport = InProcessTransport(service)
-        conn = transport.connect(session_id=7)
-        assert conn.request(None, TileKey(0, 0, 0)).tile.key == TileKey(
-            0, 0, 0
-        )
-        conn.close()
-        assert service.session_count == 0
-
-    def test_metadata_only_transport_refuses_materialization(self, service):
-        transport = InProcessTransport(service, include_payload=False)
-        conn = transport.connect()
-        with pytest.raises(Exception, match="payload"):
-            conn.request(None, TileKey(0, 0, 0))
 
 
 class TestBackgroundService:

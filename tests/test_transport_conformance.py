@@ -1,8 +1,8 @@
 """One conformance harness, every transport.
 
-Each transport kind — the facade itself (the baseline), the in-process
-wire transport, the synchronous socket client (both framings), and the
-asyncio socket client — replays the same trace through a *fresh, cold*
+Each transport kind — the facade itself (the baseline), the synchronous
+socket client (both framings), and the asyncio socket client — replays
+the same trace through a *fresh, cold*
 service and must produce numerically identical results: the same
 (tile, hit, latency, phase) sequence, the same reconstructed
 ``LatencyRecorder``, and bit-identical tile payloads.  The second half
@@ -44,7 +44,6 @@ from repro.middleware.protocol import (
     Welcome,
 )
 from repro.middleware.service import ForeCacheService
-from repro.middleware.transport import InProcessTransport, Transport
 from repro.recommenders.momentum import MomentumRecommender
 from repro.tiles.key import TileKey
 from repro.tiles.moves import Move
@@ -54,7 +53,6 @@ CONFIG = ServiceConfig(prefetch=PrefetchPolicy(k=5))
 
 #: Every client-facing transport kind the conformance suite exercises.
 TRANSPORT_KINDS = (
-    "inprocess",
     "socket-sync-lines",
     "socket-sync-length",
     "socket-async",
@@ -104,16 +102,6 @@ def replay_facade(pyramid, trace):
         return responses
 
 
-def replay_inprocess(pyramid, trace):
-    with ForeCacheService(
-        pyramid, CONFIG, engine_factory=engine_factory(pyramid)
-    ) as service:
-        conn = InProcessTransport(service).connect()
-        responses = BrowsingSession(conn).replay(trace)
-        conn.close()
-        return responses
-
-
 def replay_socket_sync(pyramid, trace, framing):
     with ThreadedSocketServer(
         pyramid, CONFIG, engine_factory=engine_factory(pyramid), framing=framing
@@ -144,7 +132,6 @@ def replay_socket_async(pyramid, trace):
 
 
 REPLAYS = {
-    "inprocess": replay_inprocess,
     "socket-sync-lines": lambda p, t: replay_socket_sync(p, t, "lines"),
     "socket-sync-length": lambda p, t: replay_socket_sync(p, t, "length"),
     "socket-async": replay_socket_async,
@@ -197,12 +184,6 @@ class TestReplayEquivalence:
 @contextmanager
 def open_transport(kind, pyramid):
     """A live, connect-capable transport of the requested kind."""
-    if kind == "inprocess":
-        with ForeCacheService(
-            pyramid, CONFIG, engine_factory=engine_factory(pyramid)
-        ) as service:
-            yield InProcessTransport(service)
-        return
     framing = "length" if kind.endswith("length") else "lines"
     with ThreadedSocketServer(
         pyramid, CONFIG, engine_factory=engine_factory(pyramid), framing=framing
@@ -213,15 +194,10 @@ def open_transport(kind, pyramid):
             yield transport
 
 
-SYNC_KINDS = ("inprocess", "socket-sync-lines", "socket-sync-length")
+SYNC_KINDS = ("socket-sync-lines", "socket-sync-length")
 
 
 class TestErrorContract:
-    @pytest.mark.parametrize("kind", SYNC_KINDS)
-    def test_transports_implement_the_shared_abc(self, kind, small_dataset):
-        with open_transport(kind, small_dataset.pyramid) as transport:
-            assert isinstance(transport, Transport)
-
     @pytest.mark.parametrize("kind", SYNC_KINDS)
     def test_duplicate_session_is_typed(self, kind, small_dataset):
         with open_transport(kind, small_dataset.pyramid) as transport:
@@ -329,16 +305,6 @@ class TestConnectionContract:
 # ----------------------------------------------------------------------
 # negotiated binary payloads replay bit-identically
 # ----------------------------------------------------------------------
-def replay_inprocess_binary(pyramid, trace):
-    with ForeCacheService(
-        pyramid, CONFIG, engine_factory=engine_factory(pyramid)
-    ) as service:
-        conn = InProcessTransport(service, payload="binary").connect()
-        responses = BrowsingSession(conn).replay(trace)
-        conn.close()
-        return responses
-
-
 def replay_socket_sync_binary(pyramid, trace, framing):
     with ThreadedSocketServer(
         pyramid, CONFIG, engine_factory=engine_factory(pyramid), framing=framing
@@ -371,7 +337,6 @@ def replay_socket_async_binary(pyramid, trace):
 
 
 BINARY_REPLAYS = {
-    "inprocess": replay_inprocess_binary,
     "socket-sync-lines": lambda p, t: replay_socket_sync_binary(p, t, "lines"),
     "socket-sync-length": lambda p, t: replay_socket_sync_binary(
         p, t, "length"
@@ -536,16 +501,6 @@ class TestFidelityOffConformance:
     the wire."""
 
     def replay_off(self, kind, pyramid, trace):
-        if kind == "inprocess":
-            with ForeCacheService(
-                pyramid,
-                FIDELITY_OFF_CONFIG,
-                engine_factory=engine_factory(pyramid),
-            ) as service:
-                conn = InProcessTransport(service).connect()
-                responses = BrowsingSession(conn).replay(trace)
-                conn.close()
-                return responses
         if kind == "socket-async":
 
             async def drive(address):
