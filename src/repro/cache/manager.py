@@ -3,13 +3,15 @@
 On a request, the manager answers from the middleware cache when it can
 (a *hit*, main-memory speed) and falls back to a real DBMS query
 otherwise (a *miss*, ~50x slower on the paper's testbed).  After the
-prediction engine produces its ordered prefetch list, the manager pulls
-those tiles from the DBMS into the prefetch region — synchronously via
-:meth:`prefetch` (the paper's single-user loop), or one tile at a time
-via :meth:`prefetch_one` when a background scheduler drives the work.
+prediction engine produces its ordered prefetch list, the manager brings
+the prefetch region in line with it — synchronously via :meth:`prefetch`
+(the paper's single-user loop), which keeps every tile that is still
+predicted and queries the DBMS only for the ones resident nowhere, or
+one tile at a time via :meth:`prefetch_one` when a background scheduler
+drives the work.
 
 The manager is thread-safe and **coalesces** backend traffic: every
-backend load goes through an in-flight futures table, so concurrent
+backend load is registered in an in-flight table, so concurrent
 misses on the same :class:`~repro.tiles.key.TileKey` — two user sessions
 landing on the same tile, or a request racing a prefetch job — trigger
 exactly one DBMS query whose result all callers share.  The table (and
@@ -23,7 +25,6 @@ from __future__ import annotations
 
 import threading
 import time
-from concurrent.futures import Future
 from dataclasses import dataclass
 
 from repro.cache.tile_cache import TileCache
@@ -43,6 +44,21 @@ class FetchOutcome:
     #: True when this miss piggybacked on another caller's in-flight
     #: query instead of issuing its own.
     coalesced: bool = False
+
+
+class _PendingLoad:
+    """One backend load in flight: a plain record until somebody waits.
+
+    ``done`` is created by the first rider, under the stripe lock, so a
+    load no second caller joins constructs no event, condition or lock.
+    """
+
+    __slots__ = ("outcome", "done")
+
+    def __init__(self) -> None:
+        #: ``(tile, backend_seconds)``, or the exception the owner raised.
+        self.outcome: tuple[DataTile, float] | BaseException | None = None
+        self.done: threading.Event | None = None
 
 
 class CacheManager:
@@ -69,20 +85,21 @@ class CacheManager:
         self.backend_delay_seconds = backend_delay_seconds
         self.shards = shards
         self._locks = [threading.Lock() for _ in range(shards)]
-        self._inflight: list[dict[TileKey, Future]] = [
+        self._inflight: list[dict[TileKey, _PendingLoad]] = [
             {} for _ in range(shards)
         ]
         self._stats_lock = threading.Lock()
-        # Serializes whole synchronous prefetch cycles: without it, two
-        # threads' begin_prefetch_cycle/store_prefetched interleave and
-        # trample the shared region mid-refill.
+        # Serializes whole synchronous prefetch cycles: without it, one
+        # thread's plan drops the tiles another's is still carrying.
         self._cycle_lock = threading.Lock()
         self.requests = 0
         self.hits = 0
         self.coalesced = 0
         self.prefetch_queries = 0
 
-    def _stripe(self, key: TileKey) -> tuple[threading.Lock, dict[TileKey, Future]]:
+    def _stripe(
+        self, key: TileKey
+    ) -> tuple[threading.Lock, dict[TileKey, _PendingLoad]]:
         index = hash(key) % self.shards
         return self._locks[index], self._inflight[index]
 
@@ -109,7 +126,7 @@ class CacheManager:
             self.cache.record_request(cached)
             return FetchOutcome(tile=cached, hit=True, backend_seconds=0.0)
         tile, backend_seconds, owner = self._load(
-            key, publish=self.cache.record_request
+            key, self.cache.lookup, self.cache.record_request
         )
         if not owner:
             with self._stats_lock:
@@ -171,44 +188,42 @@ class CacheManager:
     def prefetch(self, predictions: list[tuple[TileKey, str]]) -> int:
         """Fill the prefetch region with (tile, predicting model) pairs.
 
-        The synchronous cycle: the region is cleared and refilled in
-        prediction order, atomically with respect to other cycles.
-        Tiles already resident (either region) only claim their slot;
-        they are not re-queried.  Returns the number of backend queries
-        issued.
+        The synchronous cycle, atomic with respect to other cycles.  The
+        region ends up as clearing it and refilling it in prediction
+        order would leave it — the predictions that get a slot, in that
+        order — but it is reached as a diff: tiles already resident
+        (either region) only claim their slot, a tile predicted again
+        never leaves the cache on the way, and only a planned key
+        resident nowhere is queried.  Returns the number of backend
+        queries issued.
+
+        The plan is made once: if a concurrent ``prefetch_one`` fills a
+        shard mid-cycle, the planned keys of that shard still to come
+        are queried and their refused tiles discarded — a waste bounded
+        by the shard's capacity per cycle, accepted rather than
+        re-planned for.
         """
         with self._cycle_lock:
             return self._run_prefetch_cycle(predictions)
 
     def _run_prefetch_cycle(self, predictions: list[tuple[TileKey, str]]) -> int:
-        self.cache.begin_prefetch_cycle()
+        claim = self.cache.claim_prefetched
+        store = self.cache.store_prefetched
         queries = 0
-        for key, model in predictions:
-            resident = self.cache.lookup(key)
-            if resident is not None:
-                if not self.cache.store_prefetched(resident, model):
-                    if self.cache.prefetch_region_full():
-                        break
-                continue
-            # Publish inside _load so a racing fetch() never finds a gap
-            # between the in-flight entry and residency; the second store
-            # below is idempotent and detects a full region.
+        for key, model in self.cache.begin_prefetch_cycle(predictions).items():
+            # Probe and publish inside _load, so a racing fetch() never
+            # finds a gap between the in-flight entry and residency.
             tile, _, owner = self._load(
                 key,
-                publish=lambda fetched, m=model: self.cache.store_prefetched(
-                    fetched, m
-                ),
+                lambda planned: claim(planned, model),
+                lambda fetched: store(fetched, model),
             )
             if owner:
                 queries += 1
-            if not self.cache.store_prefetched(tile, model):
-                # A rejected store means the key's shard is full.  With
-                # one shard that is the whole region — stop, as the
-                # paper's cycle does.  With several, other shards may
-                # still have slots for later predictions: skip this
-                # tile only.
-                if self.cache.prefetch_region_full():
-                    break
+            elif owner is False:
+                # The load's owner published for its own purpose; this
+                # prediction's slot is still to be written.
+                store(tile, model)
         with self._stats_lock:
             self.prefetch_queries += queries
         return queries
@@ -225,7 +240,9 @@ class CacheManager:
         if resident is not None:
             return resident
         tile, _, owner = self._load(
-            key, publish=lambda fetched: self.cache.admit_prefetched(fetched, model)
+            key,
+            self.cache.lookup,
+            lambda fetched: self.cache.admit_prefetched(fetched, model),
         )
         if owner:
             with self._stats_lock:
@@ -242,44 +259,51 @@ class CacheManager:
     # ------------------------------------------------------------------
     # coalesced backend loads
     # ------------------------------------------------------------------
-    def _load(self, key: TileKey, publish=None) -> tuple[DataTile, float, bool]:
+    def _load(
+        self, key: TileKey, probe, publish
+    ) -> tuple[DataTile, float, bool | None]:
         """Load ``key`` from the backend, coalescing concurrent callers.
 
-        Returns ``(tile, backend_seconds, owner)`` where ``owner`` is
-        True for the single caller that actually ran the DBMS query.
-        The owner calls ``publish(tile)`` (when given) to make the tile
-        cache-resident *before* the in-flight entry is removed, so a
-        late arrival always sees either the in-flight future or the
-        cached tile — never a gap that would trigger a duplicate query.
+        Returns ``(tile, backend_seconds, owner)``: ``owner`` is True
+        for the single caller that actually ran the DBMS query, False
+        for a rider that waited on that query, and None when
+        ``probe(key)`` — the one residency check, made under the
+        stripe lock — found the tile already cached.  The owner calls
+        ``publish(tile)`` to make the tile cache-resident *before* the
+        in-flight entry is removed, so a late arrival always sees
+        either the in-flight entry or the cached tile — never a gap
+        that would trigger a duplicate query.  A rider gets the owner's
+        tile, or is raised the owner's exception.
         """
         lock, inflight = self._stripe(key)
         with lock:
-            resident = self.cache.lookup(key)
+            resident = probe(key)
             if resident is not None:
-                return resident, 0.0, False
-            future = inflight.get(key)
-            if future is None:
-                future = Future()
-                inflight[key] = future
-                owner = True
-            else:
-                owner = False
+                return resident, 0.0, None
+            pending = inflight.get(key)
+            owner = pending is None
+            if owner:
+                pending = inflight[key] = _PendingLoad()
+            elif pending.done is None:
+                pending.done = threading.Event()
         if not owner:
-            tile, backend_seconds = future.result()
-            return tile, backend_seconds, False
+            pending.done.wait()
+            if isinstance(pending.outcome, BaseException):
+                raise pending.outcome
+            return (*pending.outcome, False)
         try:
-            tile, backend_seconds = self._query_backend(key)
-            if publish is not None:
-                publish(tile)
+            outcome = self._query_backend(key)
+            publish(outcome[0])
         except BaseException as exc:
-            future.set_exception(exc)
-            with lock:
-                inflight.pop(key, None)
+            outcome = exc
             raise
-        future.set_result((tile, backend_seconds))
-        with lock:
-            inflight.pop(key, None)
-        return tile, backend_seconds, True
+        finally:
+            with lock:
+                pending.outcome = outcome
+                del inflight[key]
+            if pending.done is not None:
+                pending.done.set()
+        return (*outcome, True)
 
     def _query_backend(self, key: TileKey) -> tuple[DataTile, float]:
         """A real (charged) DBMS query for one tile."""

@@ -4,9 +4,10 @@ Two regions (Section 3, "Tile Cache Manager"):
 
 - a **recent** region keeping the last ``n`` tiles the interface
   actually requested (plain LRU), and
-- a **prefetch** region refilled after every request with the
-  prediction engine's tiles, tracked per recommendation model so the
-  allocation strategy's quotas are observable.
+- a **prefetch** region brought in line with the prediction engine's
+  list after every request — a tile predicted again keeps its slot,
+  only the superseded ones are dropped — tracked per recommendation
+  model so the allocation strategy's quotas are observable.
 
 When the user actually requests a prefetched tile, it is *promoted* —
 moved into the recent LRU and its prefetch slot freed — so serving a
@@ -26,8 +27,10 @@ is a :class:`~repro.cache.lru.ShardedLRUCache` whose segments split
 admissions, and recency promotions stop serializing on one mutex.
 ``shards=1`` (the default) preserves the exact single-region semantics
 the synchronous figure benchmarks replay.
-Synchronous prefetching uses the cycle API
-(:meth:`begin_prefetch_cycle` + :meth:`store_prefetched`); background
+Synchronous prefetching uses the cycle API (beginning a cycle plans
+the slots and drops what the plan supersedes,
+:meth:`claim_prefetched` carries a resident tile into its slot,
+:meth:`store_prefetched` fills a slot from the backend); background
 prefetching uses :meth:`admit_prefetched`, which evicts the oldest
 prefetched tile in the key's shard instead of rejecting new work,
 because background jobs from several sessions interleave rather than
@@ -66,10 +69,8 @@ class TileCache:
             recent_capacity, shards=shards
         )
         self._locks = [threading.RLock() for _ in range(self.shards)]
-        self._prefetched: list[dict[TileKey, DataTile]] = [
-            {} for _ in range(self.shards)
-        ]
-        self._attribution: list[dict[TileKey, str]] = [
+        #: Per shard, in slot order: key -> (tile, predicting model).
+        self._prefetched: list[dict[TileKey, tuple[DataTile, str]]] = [
             {} for _ in range(self.shards)
         ]
         # Capacity split as evenly as possible; early shards absorb the
@@ -89,9 +90,9 @@ class TileCache:
         """Find a tile in either region (None on full miss)."""
         index = self._shard(key)
         with self._locks[index]:
-            tile = self._prefetched[index].get(key)
-        if tile is not None:
-            return tile
+            slot = self._prefetched[index].get(key)
+        if slot is not None:
+            return slot[0]
         return self._recent.peek(key)
 
     def __contains__(self, key: TileKey) -> bool:
@@ -116,18 +117,56 @@ class TileCache:
         index = self._shard(tile.key)
         with self._locks[index]:
             self._prefetched[index].pop(tile.key, None)
-            self._attribution[index].pop(tile.key, None)
 
-    def begin_prefetch_cycle(self) -> None:
-        """Clear the prefetch region for the next round of predictions.
+    def begin_prefetch_cycle(
+        self, predictions: list[tuple[TileKey, str]]
+    ) -> dict[TileKey, str]:
+        """Plan the next round's slots and drop the tiles it supersedes.
 
-        The paper re-evaluates allocations after every request; tiles
-        prefetched for the previous request are superseded (any still
-        relevant will be re-predicted)."""
+        The paper re-evaluates allocations after every request.  The
+        plan is what refilling an empty region in prediction order
+        would hold: a key claims a slot while its shard has one, a
+        repeated key keeps its slot under the later model, and a key
+        whose shard is full is skipped — or ends the plan, when every
+        slot of the whole region is taken.  Resident tiles the plan
+        names stay where they are (the cycle moves each into slot order
+        with :meth:`claim_prefetched`); the rest are dropped.  Returns
+        ``{key: model}`` in slot order."""
+        plan: dict[TileKey, str] = {}
+        taken = [0] * self.shards
+        for key, model in predictions:
+            if key not in plan:
+                index = self._shard(key)
+                if taken[index] >= self._capacities[index]:
+                    if len(plan) >= self.prefetch_capacity:
+                        break
+                    continue
+                taken[index] += 1
+            plan[key] = model
         for index in range(self.shards):
             with self._locks[index]:
-                self._prefetched[index].clear()
-                self._attribution[index].clear()
+                region = self._prefetched[index]
+                for key in [key for key in region if key not in plan]:
+                    del region[key]
+        return plan
+
+    def claim_prefetched(self, key: TileKey, model: str) -> DataTile | None:
+        """Carry a resident tile into the next slot of its shard.
+
+        The cycle's one probe and one slot write for a planned key: a
+        tile found in the prefetch region is re-inserted last under
+        ``model`` without leaving its shard lock, so a concurrent
+        lookup never misses it; one found only in the recent LRU also
+        claims a slot (if its shard has one).  None when the key is
+        resident nowhere."""
+        index = self._shard(key)
+        with self._locks[index]:
+            region = self._prefetched[index]
+            slot = region.pop(key, None)
+            tile = slot[0] if slot is not None else self._recent.peek(key)
+            if tile is not None and len(region) < self._capacities[index]:
+                region[key] = (tile, model)
+            return tile
 
     def store_prefetched(self, tile: DataTile, model: str) -> bool:
         """Add a predicted tile on behalf of ``model``.
@@ -143,8 +182,7 @@ class TileCache:
                 len(region) >= self._capacities[index]
             ):
                 return False
-            region[tile.key] = tile
-            self._attribution[index][tile.key] = model
+            region[tile.key] = (tile, model)
             return True
 
     def admit_prefetched(self, tile: DataTile, model: str) -> TileKey | None:
@@ -165,18 +203,8 @@ class TileCache:
             elif len(region) >= self._capacities[index]:
                 evicted = next(iter(region))
                 del region[evicted]
-                self._attribution[index].pop(evicted, None)
-            region[tile.key] = tile
-            self._attribution[index][tile.key] = model
+            region[tile.key] = (tile, model)
             return evicted
-
-    def prefetch_region_full(self) -> bool:
-        """True when every prefetch slot, across all shards, is taken."""
-        total = 0
-        for index in range(self.shards):
-            with self._locks[index]:
-                total += len(self._prefetched[index])
-        return total >= self.prefetch_capacity
 
     # ------------------------------------------------------------------
     # introspection
@@ -202,14 +230,15 @@ class TileCache:
         """Which model's allocation paid for a prefetched tile."""
         index = self._shard(key)
         with self._locks[index]:
-            return self._attribution[index].get(key)
+            slot = self._prefetched[index].get(key)
+        return slot[1] if slot is not None else None
 
     def model_usage(self) -> dict[str, int]:
         """Prefetched-tile counts per model."""
         usage: dict[str, int] = {}
         for index in range(self.shards):
             with self._locks[index]:
-                for model in self._attribution[index].values():
+                for _, model in self._prefetched[index].values():
                     usage[model] = usage.get(model, 0) + 1
         return usage
 
@@ -219,7 +248,7 @@ class TileCache:
         for index in range(self.shards):
             with self._locks[index]:
                 total += sum(
-                    tile.nbytes for tile in self._prefetched[index].values()
+                    tile.nbytes for tile, _ in self._prefetched[index].values()
                 )
         total += sum(
             tile.nbytes
@@ -234,4 +263,3 @@ class TileCache:
         for index in range(self.shards):
             with self._locks[index]:
                 self._prefetched[index].clear()
-                self._attribution[index].clear()

@@ -80,6 +80,7 @@ from repro.middleware.protocol import (
     TileSegmentCache,
     encode_tile_frame,
     encode_wire,
+    held_keys,
     requested_key,
 )
 from repro.middleware.push import PUSH_MODEL, PushCache, PushScheduler
@@ -423,9 +424,7 @@ class ForeCacheSocketServer(_WireServer):
         session_id = conn.require_session(message.session_id)
         key = requested_key(message, self.service.pyramid.grid)
         if conn.push and message.held is not None:
-            self.push_scheduler.acknowledge(
-                session_id, [ref.to_key() for ref in message.held]
-            )
+            self.push_scheduler.acknowledge(session_id, held_keys(message))
         result = await self.service.request(
             session_id, message.to_move(), key
         )
@@ -467,9 +466,7 @@ class ForeCacheSocketServer(_WireServer):
                 "push_ack on a connection that did not negotiate push",
                 session_id=session_id,
             )
-        self.push_scheduler.acknowledge(
-            session_id, [ref.to_key() for ref in message.held]
-        )
+        self.push_scheduler.acknowledge(session_id, held_keys(message))
         if message.tile is None:
             return [await self.service.info(session_id)]
         result = await self.service.local_hit(

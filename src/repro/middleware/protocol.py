@@ -573,26 +573,39 @@ class PushAck:
         )
 
 
+def _keyed(ref: TileRef, message: "TileRequest | PushAck", what: str) -> TileKey:
+    """``ref`` as a key, or the typed refusal (with the session id) of a
+    reference no :class:`TileKey` can hold (a negative coordinate)."""
+    try:
+        return ref.to_key()
+    except ValueError as exc:
+        raise InvalidRequestError(
+            f"invalid {what} reference {ref.to_list()}: {exc}",
+            session_id=message.session_id,
+        ) from None
+
+
 def requested_key(message: "TileRequest | PushAck", grid=None) -> TileKey:
     """The tile a ``tile_request`` / ``push_ack`` names, as a key.
 
-    A reference no :class:`TileKey` can hold (a negative coordinate) or,
-    given the serving pyramid's ``grid``, one outside it is refused here
-    — typed, with the session id — before the session or the cache see it.
+    A reference no :class:`TileKey` can hold or, given the serving
+    pyramid's ``grid``, one outside it is refused here — typed, with the
+    session id — before the session or the cache see it.
     """
-    try:
-        key = message.tile.to_key()
-    except ValueError as exc:
-        raise InvalidRequestError(
-            f"invalid tile reference {message.tile.to_list()}: {exc}",
-            session_id=message.session_id,
-        ) from None
+    key = _keyed(message.tile, message, "tile")
     if grid is not None and not grid.valid(key):
         raise InvalidRequestError(
             f"tile {key} is not in this pyramid",
             session_id=message.session_id,
         )
     return key
+
+
+def held_keys(message: "TileRequest | PushAck") -> list[TileKey]:
+    """The push-cache digest a ``tile_request`` / ``push_ack`` carries,
+    as keys — an un-keyable reference refused as :func:`requested_key`
+    refuses the tile, before the push scheduler sees anything."""
+    return [_keyed(ref, message, "held tile") for ref in message.held]
 
 
 @dataclass(frozen=True)

@@ -25,9 +25,14 @@ class DataTile:
     def __post_init__(self) -> None:
         if not self.attributes:
             raise ValueError(f"tile {self.key} has no attributes")
-        shapes = {name: arr.shape for name, arr in self.attributes.items()}
-        if len(set(shapes.values())) != 1:
-            raise ValueError(f"tile {self.key} attribute shapes differ: {shapes}")
+        blocks = iter(self.attributes.values())
+        shape = next(blocks).shape
+        for block in blocks:
+            if block.shape != shape:
+                shapes = {name: arr.shape for name, arr in self.attributes.items()}
+                raise ValueError(
+                    f"tile {self.key} attribute shapes differ: {shapes}"
+                )
 
     @property
     def shape(self) -> tuple[int, ...]:

@@ -99,7 +99,7 @@ class TestTileCache:
         cache = TileCache(recent_capacity=2, prefetch_capacity=2)
         cache.record_request(tile(A))
         cache.store_prefetched(tile(B), "m")
-        cache.begin_prefetch_cycle()
+        assert cache.begin_prefetch_cycle([]) == {}
         assert cache.lookup(B) is None
         assert cache.lookup(A) is not None
 

@@ -780,3 +780,242 @@ class TestShardedCacheManager:
         errors = run_threads([lambda s=s: churn(s) for s in range(6)])
         assert errors == []
         assert len(cache.prefetched_keys) <= 8
+
+
+class GatedBackend:
+    """Hold ``manager``'s backend queries at a gate the test opens."""
+
+    def __init__(self, manager: CacheManager, fail: BaseException | None = None):
+        self.calls: list[TileKey] = []
+        self.entered = threading.Event()
+        self.release = threading.Event()
+        original = manager._query_backend
+
+        def gated(key):
+            self.calls.append(key)
+            self.entered.set()
+            assert self.release.wait(10)
+            if fail is not None:
+                raise fail
+            return original(key)
+
+        manager._query_backend = gated
+
+
+@pytest.fixture
+def waiting_riders(monkeypatch):
+    """A semaphore released each time a caller starts waiting on another
+    caller's in-flight load — the gate that replaces "sleep until the
+    riders have probably arrived"."""
+    import repro.cache.manager as manager_module
+
+    waiting = threading.Semaphore(0)
+
+    class SignallingEvent(threading.Event):
+        def wait(self, timeout=None):
+            waiting.release()
+            return super().wait(timeout)
+
+    class SignallingThreading:
+        """The manager module's ``threading``: the real one, but for
+        ``Event``."""
+
+        Event = SignallingEvent
+
+        def __getattr__(self, name):
+            return getattr(threading, name)
+
+    monkeypatch.setattr(manager_module, "threading", SignallingThreading())
+    return waiting
+
+
+class TestLoadProtocol:
+    """The coalescing / publish protocol under the prefetch cycle, each
+    interleaving forced by a gate rather than hoped for with a sleep."""
+
+    RIDERS = 5
+
+    def test_carried_tile_is_never_absent_mid_cycle(self, small_dataset):
+        """A tile predicted two rounds running stays visible to other
+        threads while the cycle that re-claims it waits on the backend
+        (the refill dropped it first: a virtual miss and a second query
+        for whoever asked in that window)."""
+        manager = CacheManager(small_dataset.pyramid, TileCache(prefetch_capacity=3))
+        carried, superseded, absent = (TileKey(3, x, 3) for x in range(3))
+        manager.prefetch([(carried, "m"), (superseded, "m")])
+        tile = manager.peek(carried)
+        gate = GatedBackend(manager)
+        cycle = threading.Thread(
+            target=manager.prefetch, args=([(absent, "n"), (carried, "n")],)
+        )
+        cycle.start()
+        try:
+            assert gate.entered.wait(10)  # mid-cycle: loading `absent`
+            assert manager.peek(carried) is tile
+            assert carried in manager.cache
+            assert manager.peek(superseded) is None
+            outcome = manager.fetch(carried)
+            assert outcome.hit and outcome.tile is tile
+        finally:
+            gate.release.set()
+            cycle.join(timeout=10)
+        assert not cycle.is_alive()
+        assert gate.calls == [absent]
+        assert manager.cache.prefetched_keys == [absent, carried]
+        assert manager.cache.attribution(carried) == "n"
+        assert manager.peek(carried) is tile
+
+    def ride(self, manager, gate, waiting_riders, call) -> list[BaseException]:
+        """One owner held inside its query, RIDERS callers joining its
+        in-flight load, the gate opened once every one of them waits."""
+
+        def rider():
+            assert gate.entered.wait(10)  # the owner is inside its query
+            call()
+
+        def conductor():
+            for _ in range(self.RIDERS):
+                assert waiting_riders.acquire(timeout=10)
+            assert manager.inflight_count == 1
+            gate.release.set()
+
+        return run_threads([call] + [rider] * self.RIDERS + [conductor])
+
+    def test_concurrent_misses_share_one_query(
+        self, small_dataset, waiting_riders
+    ):
+        manager = CacheManager(small_dataset.pyramid, TileCache())
+        key = TileKey(3, 2, 2)
+        gate = GatedBackend(manager)
+        outcomes = []
+        errors = self.ride(
+            manager, gate, waiting_riders, lambda: outcomes.append(manager.fetch(key))
+        )
+        assert errors == []
+        assert gate.calls == [key], "concurrent misses must trigger one query"
+        assert len(outcomes) == self.RIDERS + 1
+        assert all(o.tile is outcomes[0].tile for o in outcomes)
+        assert all(o.backend_seconds == outcomes[0].backend_seconds for o in outcomes)
+        assert sorted(o.coalesced for o in outcomes) == [False] + [True] * self.RIDERS
+        assert manager.coalesced == self.RIDERS
+        assert manager.inflight_count == 0 and manager._inflight == [{}]
+
+    @pytest.mark.parametrize("failure", [RuntimeError, KeyboardInterrupt])
+    def test_owner_failure_reaches_every_waiter(
+        self, small_dataset, waiting_riders, failure
+    ):
+        manager = CacheManager(small_dataset.pyramid, TileCache())
+        key = TileKey(3, 2, 1)
+        raised = failure("backend down")
+        gate = GatedBackend(manager, fail=raised)
+        errors = self.ride(
+            manager, gate, waiting_riders, lambda: manager.prefetch_one(key, "m")
+        )
+        # The owner and every rider raise the owner's exception itself.
+        assert len(errors) == self.RIDERS + 1
+        assert all(error is raised for error in errors)
+        assert gate.calls == [key]
+        assert manager.inflight_count == 0 and manager._inflight == [{}]
+        assert manager.peek(key) is None
+
+    def test_a_cycle_riding_a_request_still_claims_its_slot(
+        self, small_dataset, waiting_riders
+    ):
+        """The owner of the load a cycle waits on published for its own
+        purpose (a fetch: the recent LRU); the prediction's slot is
+        written by the cycle."""
+        manager = CacheManager(small_dataset.pyramid, TileCache())
+        key = TileKey(3, 0, 2)
+        gate = GatedBackend(manager)
+        queries: list[int] = []
+
+        def cycle():
+            assert gate.entered.wait(10)
+            queries.append(manager.prefetch([(key, "m")]))
+
+        def conductor():
+            assert waiting_riders.acquire(timeout=10)
+            gate.release.set()
+
+        errors = run_threads([lambda: manager.fetch(key), cycle, conductor])
+        assert errors == []
+        assert gate.calls == [key] and queries == [0]
+        assert manager.cache.recent_keys == [key]
+        assert manager.cache.prefetched_keys == [key]
+        assert manager.cache.attribution(key) == "m"
+
+    def test_late_arrival_between_publish_and_unregister_sees_the_tile(
+        self, small_dataset
+    ):
+        """The owner publishes before it unregisters: a caller arriving
+        in between finds the resident tile, not a gap to re-query."""
+        manager = CacheManager(small_dataset.pyramid, TileCache())
+        key = TileKey(3, 1, 2)
+        gate = GatedBackend(manager)
+        gate.release.set()
+        published = threading.Event()
+        unregister = threading.Event()
+        record = manager.cache.record_request
+
+        def publish_then_hold(tile):
+            record(tile)
+            published.set()
+            assert unregister.wait(10)
+
+        manager.cache.record_request = publish_then_hold
+        owner = threading.Thread(target=manager.fetch, args=(key,))
+        owner.start()
+        try:
+            assert published.wait(10)
+            manager.cache.record_request = record
+            assert manager.inflight_count == 1  # still registered
+            tile = manager.peek(key)
+            assert tile is not None
+            assert manager._load(key, manager.cache.lookup, record) == (tile, 0.0, None)
+            assert manager.prefetch_one(key, "m") is tile
+            assert manager.fetch(key).hit
+        finally:
+            unregister.set()
+            owner.join(timeout=10)
+        assert not owner.is_alive()
+        assert gate.calls == [key]
+        assert manager.inflight_count == 0
+
+    def test_every_query_has_one_counted_owner(self, small_dataset):
+        """Every entry point at once from six threads: every caller gets
+        its own key's tile, nothing stays in flight, the region never
+        outgrows its capacity, and each backend query is counted by
+        exactly one owner."""
+        manager = CacheManager(
+            small_dataset.pyramid,
+            TileCache(recent_capacity=3, prefetch_capacity=4, shards=2),
+            shards=2,
+        )
+        keys = [TileKey(3, x, y) for x in range(3) for y in range(3)]
+        calls: list[TileKey] = []
+        original = manager._query_backend
+
+        def counted(key):
+            calls.append(key)
+            return original(key)
+
+        manager._query_backend = counted
+
+        def churn(seed):
+            rng = random.Random(seed)
+            for _ in range(300):
+                key = rng.choice(keys)
+                action = rng.randrange(3)
+                if action == 0:
+                    assert manager.fetch(key).tile.key == key
+                elif action == 1:
+                    assert manager.prefetch_one(key, "one").key == key
+                else:
+                    manager.prefetch([(k, "cycle") for k in rng.sample(keys, 5)])
+                assert len(manager.cache.prefetched_keys) <= 4
+
+        errors = run_threads([lambda s=s: churn(s) for s in range(6)])
+        assert errors == []
+        assert manager.inflight_count == 0
+        fetch_owners = manager.requests - manager.hits - manager.coalesced
+        assert len(calls) == fetch_owners + manager.prefetch_queries

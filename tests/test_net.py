@@ -367,6 +367,68 @@ class TestResilience:
             info = transport.roundtrip(CloseSession("guarded"))
             assert (info.requests, info.hits) == (2, 1)
 
+    @pytest.mark.parametrize("endpoint_kind", ["server", "cluster"])
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"type": "tile_request", "tile": [0, 0, 0], "held": [[0, -1, 0]]},
+            {"type": "push_ack", "held": [[-3, 0, 0]]},
+        ],
+        ids=["tile_request", "push_ack"],
+    )
+    def test_an_unkeyable_held_reference_is_refused_typed(
+        self, endpoint_kind, bad, small_dataset
+    ):
+        # It used to reach ErrorInfo.from_exception as TileKey's bare
+        # ValueError: the catch-all code and no session id.
+        pyramid = small_dataset.pyramid
+        kind, kwargs = {
+            "server": (ThreadedSocketServer, {}),
+            "cluster": (ThreadedClusterServer, {"workers": 2}),
+        }[endpoint_kind]
+        endpoint = kind(
+            pyramid,
+            ServiceConfig(prefetch=PrefetchPolicy(k=5, push="on")),
+            engine_factory=lambda: make_engine(pyramid.grid),
+            **kwargs,
+        )
+        good = {"type": "tile_request", "session_id": "s", "tile": [0, 0, 0]}
+        with endpoint:
+            sock = raw_connection(endpoint)
+            send_line(sock, {"type": "hello", "versions": [1], "push": True})
+            (welcome,) = recv_lines(sock)
+            assert welcome["push"] is True
+            send_line(sock, {"type": "open_session", "session_id": "s"})
+            send_line(sock, good)
+            send_line(sock, {**bad, "session_id": "s"})
+            send_line(sock, good)
+            send_line(sock, {"type": "close_session", "session_id": "s"})
+            # One decoder for the whole stream: pushed tiles arrive in
+            # between and span reads.
+            decoder, replies = FrameDecoder("lines"), []
+            while not (replies and replies[-1].get("open") is False):
+                data = sock.recv(65536)
+                assert data, "connection closed before close_session's reply"
+                replies.extend(
+                    reply
+                    for reply in map(json.loads, decoder.feed(data))
+                    if reply["type"] != "push_tile"
+                )
+            sock.close()
+        assert [reply["type"] for reply in replies] == [
+            "session_info",
+            "tile_response",
+            "error",
+            "tile_response",
+            "session_info",
+        ]
+        assert (replies[2]["code"], replies[2]["session_id"]) == (
+            "invalid_request",
+            "s",
+        )
+        # The refused message moved nothing: two requests, the second a hit.
+        assert (replies[4]["requests"], replies[4]["hits"]) == (2, 1)
+
     def test_oversized_frame_typed_error_then_close(self, server):
         sock = raw_connection(server)
         handshake(sock)

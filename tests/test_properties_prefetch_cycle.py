@@ -1,0 +1,225 @@
+"""A prefetch cycle is a diff — and nothing but its cost may show.
+
+``CacheManager.prefetch`` plans which predictions get a slot, drops only
+the tiles the plan supersedes and queries the backend only for planned
+keys resident nowhere.  The reference it must match — region, order,
+attribution, recent LRU, every byte — is the cycle it replaced: clear
+the region, then refill it in prediction order (``reference_cycle``
+below, transcribed from the parent commit).
+"""
+
+import threading
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import repro.cache.manager as manager_module
+from repro.cache.manager import CacheManager
+from repro.cache.tile_cache import TileCache
+from repro.tiles.key import TileKey
+from repro.tiles.tile import DataTile
+
+#: Small enough that predictions repeat from round to round and collide
+#: in a shard; 12 keys spread over every residue of 2 and 3.
+KEYS = [TileKey(3, x, y) for x in range(4) for y in range(3)]
+MODELS = ("markov", "sb", "momentum")
+
+
+class CountingPyramid:
+    """The one method ``CacheManager`` calls on a pyramid, counted."""
+
+    def __init__(self) -> None:
+        self.fetched: list[TileKey] = []
+
+    def fetch_tile_timed(self, key: TileKey) -> tuple[DataTile, float]:
+        self.fetched.append(key)
+        block = np.full((2, 2), hash(key) % 9973, dtype="int32")
+        return DataTile(key=key, attributes={"v": block}), 0.5
+
+
+def build_manager(shards: int, prefetch_capacity: int, recent_capacity: int):
+    cache = TileCache(
+        recent_capacity=recent_capacity,
+        prefetch_capacity=prefetch_capacity,
+        shards=shards,
+    )
+    return CacheManager(CountingPyramid(), cache, shards=shards)
+
+
+def reference_cycle(manager: CacheManager, predictions) -> int:
+    """The parent commit's ``_run_prefetch_cycle``, on one thread: the
+    region is emptied first, every prediction is looked up (so only the
+    recent LRU and this cycle's own stores can be found) and a
+    non-resident one is queried *before* its store can be refused."""
+    cache = manager.cache
+
+    def region_full() -> bool:
+        return len(cache.prefetched_keys) >= cache.prefetch_capacity
+
+    cache.begin_prefetch_cycle([])
+    queries = 0
+    for key, model in predictions:
+        resident = cache.lookup(key)
+        if resident is not None:
+            if not cache.store_prefetched(resident, model) and region_full():
+                break
+            continue
+        tile, _ = manager.pyramid.fetch_tile_timed(key)
+        queries += 1
+        if not cache.store_prefetched(tile, model) and region_full():
+            break
+    manager.prefetch_queries += queries
+    return queries
+
+
+def assert_same_cache(new: CacheManager, ref: CacheManager) -> None:
+    assert new.cache.prefetched_keys == ref.cache.prefetched_keys
+    assert new.cache.recent_keys == ref.cache.recent_keys
+    assert new.cache.model_usage() == ref.cache.model_usage()
+    for key in KEYS:
+        assert new.cache.attribution(key) == ref.cache.attribution(key)
+        ours, theirs = new.cache.lookup(key), ref.cache.lookup(key)
+        assert (ours is None) == (theirs is None)
+        if ours is not None:
+            assert ours.key == theirs.key == key
+            assert np.array_equal(ours.attribute("v"), theirs.attribute("v"))
+
+
+keys = st.sampled_from(KEYS)
+predictions = st.lists(st.tuples(keys, st.sampled_from(MODELS)), max_size=10)
+operations = st.lists(
+    st.one_of(
+        st.tuples(st.just("fetch"), keys),
+        st.tuples(st.just("prefetch"), predictions),
+        st.tuples(st.just("prefetch_one"), keys, st.sampled_from(MODELS)),
+    ),
+    max_size=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    shards=st.integers(1, 3),
+    prefetch_capacity=st.integers(1, 6),
+    recent_capacity=st.integers(1, 4),
+    ops=operations,
+)
+def test_cycle_leaves_the_parents_region_and_queries_only_absent_tiles(
+    shards, prefetch_capacity, recent_capacity, ops
+):
+    new = build_manager(shards, prefetch_capacity, recent_capacity)
+    ref = build_manager(shards, prefetch_capacity, recent_capacity)
+    for op, *args in ops:
+        if op == "fetch":
+            ours, theirs = new.fetch(*args), ref.fetch(*args)
+            assert ours.hit == theirs.hit
+            assert ours.backend_seconds == theirs.backend_seconds
+        elif op == "prefetch_one":
+            new.prefetch_one(*args)
+            ref.prefetch_one(*args)
+        else:
+            (round_predictions,) = args
+            outgoing = set(new.cache.prefetched_keys)
+            resident = outgoing | set(new.cache.recent_keys)
+            already_fetched = len(new.pyramid.fetched)
+            queries = new.prefetch(round_predictions)
+            ref_queries = reference_cycle(ref, round_predictions)
+            # Contract 2: exactly the planned keys resident in neither
+            # region are queried, in prediction order — never more than
+            # the refill queried.
+            planned = set(new.cache.prefetched_keys)
+            absent = [k for k, _ in round_predictions if k in planned - resident]
+            assert new.pyramid.fetched[already_fetched:] == list(dict.fromkeys(absent))
+            assert queries == len(new.pyramid.fetched) - already_fetched
+            assert queries <= ref_queries
+            if outgoing.isdisjoint(planned) and planned == {
+                k for k, _ in round_predictions
+            }:
+                assert queries == ref_queries
+        # Contract 1: same region, same order, same attribution, same
+        # recent LRU, same bytes — after every operation.
+        assert_same_cache(new, ref)
+        assert new.prefetch_queries <= ref.prefetch_queries
+        assert (new.requests, new.hits) == (ref.requests, ref.hits)
+        assert new.inflight_count == 0
+
+
+def test_a_prediction_whose_shard_is_full_is_not_queried():
+    """Five predictions hashing to one two-slot shard of a four-slot
+    region: two get a slot, and only those two are loaded.  The refill
+    queried all five and threw three tiles away."""
+    new = build_manager(shards=2, prefetch_capacity=4, recent_capacity=4)
+    ref = build_manager(shards=2, prefetch_capacity=4, recent_capacity=4)
+    candidates = (TileKey(5, x, y) for x in range(12) for y in range(12))
+    five = [(key, "m") for key in candidates if new.cache._shard(key) == 0][:5]
+    assert new.prefetch(five) == 2
+    assert new.pyramid.fetched == [key for key, _ in five[:2]]
+    assert reference_cycle(ref, five) == 5
+    assert new.cache.prefetched_keys == ref.cache.prefetched_keys
+    assert new.cache.prefetched_keys == [key for key, _ in five[:2]]
+    assert new.prefetch_queries == 2
+
+
+class Counted:
+    """Wrap a callable (or a lock's context entry) and count its uses."""
+
+    def __init__(self, inner) -> None:
+        self.inner = inner
+        self.calls = 0
+
+    def __call__(self, *args, **kwargs):
+        self.calls += 1
+        return self.inner(*args, **kwargs)
+
+    def __enter__(self):
+        self.calls += 1
+        return self.inner.__enter__()
+
+    def __exit__(self, *exc_info):
+        return self.inner.__exit__(*exc_info)
+
+
+def test_a_cycle_does_no_work_nobody_needs(monkeypatch):
+    """Contract 5, on one thread: per prediction at most one residency
+    probe and one slot write; per backend load one stripe-lock visit to
+    register and one to publish-and-unregister; nothing waitable is
+    constructed for a load no second caller joins."""
+    manager = build_manager(shards=1, prefetch_capacity=6, recent_capacity=4)
+    cache = manager.cache
+    a, b, c, d, e = KEYS[:5]
+    manager.prefetch([(a, "m"), (b, "m"), (c, "m")])
+    manager.fetch(d)  # d: recent LRU only
+
+    stripe = manager._locks[0] = Counted(manager._locks[0])
+    probes = [Counted(cache.lookup), Counted(cache.claim_prefetched)]
+    cache.lookup, cache.claim_prefetched = probes
+    writes = [Counted(cache.store_prefetched), Counted(cache.admit_prefetched)]
+    cache.store_prefetched, cache.admit_prefetched = writes
+    built: list[str] = []
+
+    class RecordingThreading:
+        """The manager module's ``threading`` for this one cycle: the
+        real one, every name it reaches for noted (the module only
+        touches ``threading`` to construct something)."""
+
+        def __getattr__(self, name):
+            built.append(name)
+            return getattr(threading, name)
+
+    monkeypatch.setattr(manager_module, "threading", RecordingThreading())
+
+    # b, a carried from the region, d from the recent LRU, e loaded.
+    round_predictions = [(b, "x"), (e, "x"), (a, "y"), (d, "y"), (b, "y")]
+    assert manager.prefetch(round_predictions) == 1
+    monkeypatch.undo()
+
+    assert built == []
+    assert cache.prefetched_keys == [b, e, a, d]
+    assert [cache.attribution(k) for k in (b, e, a, d)] == ["y", "x", "y", "y"]
+    assert sum(probe.calls for probe in probes) == 4  # one per planned key
+    # One slot write per planned key: the three carried tiles are
+    # written by their claim, the loaded one by its publish.
+    assert sum(write.calls for write in writes) == 1
+    assert stripe.calls == 3 + 2  # three carried, one load
+    assert manager.inflight_count == 0
