@@ -132,13 +132,12 @@ def main() -> None:
             for move in WALK:
                 if move not in session.available_moves:
                     continue
-                target = pyramid.grid.apply(session.current, move)
-                pushed = (
-                    conn.push_cache is not None
-                    and target is not None
-                    and target in conn.push_cache
-                )
+                cache = conn.push_cache
+                local_hits = cache.hits if cache is not None else 0
                 response = session.move(move)
+                # Decided after the move: until the move has collected
+                # the previous round, the cache lacks that round's pushes.
+                pushed = cache is not None and cache.hits > local_hits
                 source = "push" if pushed else (
                     "cache" if response.hit else "DBMS"
                 )

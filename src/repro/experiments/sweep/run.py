@@ -222,6 +222,10 @@ def _replay_wire(
                         response = client.request(move, key)
                         recorder.record(response.latency_seconds, response.hit)
                         if settle:
+                            # A local push hit returns before the server
+                            # has seen its ack: wait for that round, or
+                            # the drain races the prefetch it starts.
+                            transport.settle()
                             for service in inner:
                                 service.drain()
                 finally:

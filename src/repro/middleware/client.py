@@ -58,7 +58,11 @@ class _BrowsingState:
         The one place position changes, and only ever with a response in
         hand: a request that raised (``worker_unavailable`` mid-failover)
         or was cancelled before it ran leaves the client where it was,
-        so the same ``start()`` / ``move()`` can simply be retried.  A
+        so the same ``start()`` / ``move()`` can simply be retried.  On
+        a push connection the failure may be the *previous* move's: that
+        one was answered from the push cache, and what its ack met is
+        raised by this call before it sends anything.  Retrying is still
+        right; the server's history just lacks the move it never saw.  A
         cancel *mid-flight* on the asyncio front end is weaker: the
         worker thread finishes the request server-side (engine observes
         it, the recorder logs it) while the client stays put — callers

@@ -18,8 +18,10 @@ A *transport* is the I/O shell around one :class:`ClientConnection` —
 :class:`~repro.middleware.net.AsyncSocketTransport` (asyncio streams)
 and the cluster router's backend link all run the same loop::
 
-    frame = core.begin(message)            # raises before any byte moves
     try:
+        while not core.settle():           # a posted ack's reply is owed
+            core.receive(recv())
+        frame = core.begin(message)        # raises before any byte moves
         send(frame)
         while (reply := core.reply()) is None:
             core.receive(recv())
@@ -27,6 +29,12 @@ and the cluster router's backend link all run the same loop::
         if core.reply_outstanding:         # the pairing is lost
             drop the connection
         raise
+
+A session client that finds its tile in the push cache *posts* its
+``push_ack`` instead — ``send(core.post(message, settled))``, no read —
+and returns the held tile: think time, not the user, waits for the
+server's round, and the next exchange (any session's) settles first.
+The router's link never posts, so its loop has no settle step.
 
 The one shell around :class:`ServerConnection` is the serve loop the
 socket server and the cluster router share
@@ -73,7 +81,7 @@ from repro.middleware.protocol import (
     negotiate_version,
 )
 from repro.middleware.push import PushCache
-from repro.middleware.service import TileResponse
+from repro.middleware.service import PushHitResult, TileResponse
 from repro.middleware.transport import response_to_client
 from repro.tiles.key import TileKey
 from repro.tiles.moves import Move
@@ -144,6 +152,8 @@ class ClientConnection:
         #: the owner must drop the connection rather than hand request
         #: N+1 the answer to request N.
         self.reply_outstanding = False
+        #: What takes the reply owed to a posted message (:meth:`post`).
+        self._owed = None
         self._offered_push = False
         self._offered_payload = "json"
         #: True once both sides agreed on push (requested AND granted).
@@ -234,6 +244,8 @@ class ClientConnection:
         An over-limit request raises here, before any bytes move — a
         local, recoverable failure that leaves the stream synced.
         """
+        if self._owed is not None:
+            raise RuntimeError("a posted message's reply is owed: settle first")
         frame = encode_wire(message, self.wire, self.send_limit)
         self.reply_outstanding = True
         self.bytes_sent += len(frame)
@@ -279,6 +291,25 @@ class ClientConnection:
             self.reply_outstanding = False
             return message
         return None
+
+    def post(self, message, settled) -> bytes:
+        """:meth:`begin` for a message nobody waits on: its reply stays
+        *owed* until the next exchange's :meth:`settle` hands it to
+        ``settled(reply)``.  Nothing is framed while one is owed."""
+        frame = self.begin(message)
+        self._owed = settled
+        return frame
+
+    def settle(self) -> bool:
+        """True once no reply is owed; False while the owed one's bytes
+        are still to come (then :meth:`receive` more and ask again).
+        Pushes ahead of it are absorbed as :meth:`reply` absorbs them."""
+        if self._owed is not None:
+            if (reply := self.reply()) is None:
+                return False
+            settled, self._owed = self._owed, None
+            settled(reply)
+        return True
 
     def _absorb_push(self, message: PushTile) -> None:
         """File one unsolicited pushed tile into its session's cache.
@@ -499,7 +530,11 @@ class SessionStub:
     touching the wire: a held tile is answered locally and the server is
     told via ``push_ack`` (so its prediction engine still observes the
     move); every wire request carries the cache digest so the server
-    never re-streams a held tile.
+    never re-streams a held tile.  The session clients *post* that ack:
+    the caller has its tile (:meth:`local_response`) before the server
+    has seen the move, and a reply that turns out a failure
+    (:meth:`settled`) is raised by this session's next :meth:`request`
+    or :meth:`close` — whichever session's call happened to read it.
     """
 
     def __init__(
@@ -512,32 +547,34 @@ class SessionStub:
         self.session_id = session_id
         self.push_cache = push_cache
         self.closed = False
+        # What the held tile was held at when probed: the round its ack
+        # starts may evict or upgrade the key under it.
+        self._fidelity = 1.0
+        self._failure: ProtocolError | None = None
 
-    def _digest(self) -> tuple[TileRef, ...]:
-        assert self.push_cache is not None
-        return tuple(TileRef.from_key(k) for k in self.push_cache.digest())
+    def _raise_failure(self) -> None:
+        if self._failure is not None:
+            failure, self._failure = self._failure, None
+            raise failure
 
     def request(self, move: Move | None, key: TileKey):
         """What to send for ``(move, key)``: ``(message, held_tile)``.
 
         ``held_tile`` is the push cache's copy when the tile was already
         streamed here (the message is then a ``push_ack`` reporting the
-        local hit), else ``None`` (a ``tile_request``).
+        local hit), else ``None`` (a ``tile_request``).  Raises first,
+        with nothing probed, what this session's posted ack failed with.
         """
+        self._raise_failure()
         move_name = move.value if move is not None else None
-        if self.push_cache is None:
-            held = None
-        else:
-            tile = self.push_cache.get(key)
-            if tile is not None:
-                ack = PushAck(
-                    session_id=self.session_id,
-                    held=self._digest(),
-                    move=move_name,
-                    tile=TileRef.from_key(tile.key),
-                )
+        held = None
+        if self.push_cache is not None:
+            entry = self.push_cache.probe(key)
+            held = self.push_cache.held()
+            if entry is not None:
+                tile, self._fidelity, ref = entry
+                ack = PushAck(self.session_id, held, move=move_name, tile=ref)
                 return ack, tile
-            held = self._digest()
         request = TileRequest(
             session_id=self.session_id,
             tile=TileRef.from_key(key),
@@ -546,17 +583,22 @@ class SessionStub:
         )
         return request, None
 
+    def local_response(self, held_tile) -> TileResponse:
+        """The response to a request found held, from what this side
+        knows: a push hit's declared latency and ``hit``, the fidelity
+        the tile was held at when probed — and no ``phase`` /
+        ``prefetched``, which the server has yet to decide."""
+        known = PushHitResult(phase=None)
+        return TileResponse(
+            held_tile, known.latency_seconds, known.hit, None, fidelity=self._fidelity
+        )
+
     def response(self, reply, held_tile=None) -> TileResponse:
         """Turn the reply to :meth:`request` into the in-process
         response."""
         if held_tile is None:
             return response_to_client(reply)
-        if isinstance(reply, ErrorInfo):
-            raise reply.to_exception()
-        if not isinstance(reply, protocol.TileResponse):
-            raise ProtocolError(
-                f"expected tile_response, got {type(reply).__name__}"
-            )
+        self._check_hit_reply(reply)
         # The reply is payload-less by design — materialize the
         # in-process response from the tile this cache already holds.
         return TileResponse(
@@ -566,13 +608,31 @@ class SessionStub:
             phase=reply.to_phase(),
             prefetched=tuple(ref.to_key() for ref in reply.prefetched),
             # A held tile may still be the coarse stand-in awaiting its
-            # refinement frame; report what this cache actually holds.
-            fidelity=self.push_cache.fidelity(held_tile.key),
+            # refinement frame; report what it was held at when probed.
+            fidelity=self._fidelity,
         )
+
+    @staticmethod
+    def _check_hit_reply(reply) -> None:
+        if isinstance(reply, ErrorInfo):
+            raise reply.to_exception()
+        if not isinstance(reply, protocol.TileResponse):
+            raise ProtocolError(f"expected tile_response, got {type(reply).__name__}")
+
+    def settled(self, reply) -> None:
+        """Take the reply to a posted ack: its type checked as
+        :meth:`response` checks it, its values dropped (the caller was
+        answered long ago), a failure kept for this session's next call."""
+        try:
+            self._check_hit_reply(reply)
+        except ProtocolError as exc:
+            self._failure = exc
 
     def close(self) -> CloseSession | None:
         """The message that closes the server-side session, or ``None``
-        when this stub already closed (close is idempotent)."""
+        when this stub already closed (close is idempotent).  Raises
+        first what :meth:`request` would."""
+        self._raise_failure()
         if self.closed:
             return None
         self.closed = True

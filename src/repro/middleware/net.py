@@ -816,26 +816,45 @@ class SocketTransport(_ClientShell):
 
         The lock serializes concurrent sessions sharing this connection:
         the protocol is strict request/reply, so reply N always answers
-        request N.  Any failure between send and a fully received reply
-        (socket error, recv timeout, framing violation) leaves a reply
-        possibly still in flight — the pairing is unrecoverable, so the
-        transport closes itself rather than hand request N+1 the answer
-        to request N; later calls raise ``SessionClosedError``.
+        request N (a reply still owed to a posted ack is read first).
+        Any failure between send and a fully received reply (socket
+        error, recv timeout, framing violation) leaves a reply possibly
+        still in flight — the pairing is unrecoverable, so the transport
+        closes itself rather than hand request N+1 the answer to request
+        N; later calls raise ``SessionClosedError``.
         """
-        core = self._core
         with self._lock:
+            return self._exchange(message)
+
+    def settle(self) -> None:
+        """Return once the server has answered everything sent (after
+        a local hit ``request()`` returns before the server has seen
+        it).  A no-op with nothing owed, and on a closed transport."""
+        with self._lock:
+            self._exchange()
+
+    def _exchange(self, message=None, settled=None):
+        """One turn on the wire, lock held: read the reply a posted ack
+        is still owed; send ``message`` (if any) and return its reply —
+        or, given ``settled``, post it: no read, the reply owed to it."""
+        core = self._core
+        try:
+            while not (self._closed or core.settle()):
+                core.receive(self._sock.recv(_READ_CHUNK))
+            if message is None:
+                return None
             if self._closed:
                 raise SessionClosedError("socket transport is closed")
-            frame = core.begin(message)
-            try:
-                self._sock.sendall(frame)
-                while (reply := core.reply()) is None:
-                    core.receive(self._sock.recv(_READ_CHUNK))
-                return reply
-            except BaseException:
-                if core.reply_outstanding:
-                    self.close()  # RLock: safe while held
-                raise
+            if settled is not None:
+                return self._sock.sendall(core.post(message, settled))
+            self._sock.sendall(core.begin(message))
+            while (reply := core.reply()) is None:
+                core.receive(self._sock.recv(_READ_CHUNK))
+            return reply
+        except BaseException:
+            if core.reply_outstanding:
+                self.close()  # RLock: safe while held
+            raise
 
     def connect(
         self,
@@ -872,16 +891,26 @@ class SocketSessionClient(_SessionClient):
     """One session's client stub over a :class:`SocketTransport`."""
 
     def request(self, move: Move | None, key: TileKey) -> TileResponse:
-        """Round-trip one request over the socket (or answer it from the
-        push cache when the tile was already streamed here)."""
-        message, held_tile = self._stub.request(move, key)
-        return self._stub.response(
-            self.transport.roundtrip(message), held_tile
-        )
+        """Round-trip one request over the socket — or, when the tile
+        was already streamed here, return it from the push cache with
+        its ack posted: the transport's next call reads the reply."""
+        transport, stub = self.transport, self._stub
+        # One lock from settle to send: settling files pushes into any
+        # session's cache, so probe and digest must not interleave it.
+        with transport._lock:
+            transport._exchange()
+            message, held_tile = stub.request(move, key)
+            if held_tile is None:
+                return stub.response(transport._exchange(message))
+            response = stub.local_response(held_tile)
+            transport._exchange(message, stub.settled)
+            return response
 
     def close(self) -> None:
         """Close the server-side session.  Idempotent; tolerates a
         transport that already went away."""
+        with contextlib.suppress(ProtocolError, OSError):
+            self.transport.settle()
         message = self._stub.close()
         if message is None:
             return
@@ -953,24 +982,39 @@ class AsyncSocketTransport(_ClientShell):
         closes itself instead of letting the next request read a stale
         answer.  Later calls raise ``SessionClosedError``.
         """
-        core = self._core
         async with self._lock:
+            return await self._exchange(message)
+
+    async def settle(self) -> None:
+        """The awaitable :meth:`SocketTransport.settle`."""
+        async with self._lock:
+            await self._exchange()
+
+    async def _exchange(self, message=None, settled=None):
+        """The awaitable :meth:`SocketTransport._exchange`."""
+        core = self._core
+        try:
+            while not (self._closed or core.settle()):
+                core.receive(await self._reader.read(_READ_CHUNK))
+            if message is None:
+                return None
             if self._closed:
                 raise SessionClosedError("socket transport is closed")
-            frame = core.begin(message)
-            try:
-                self._writer.write(frame)
-                await self._writer.drain()
-                while (reply := core.reply()) is None:
-                    core.receive(await self._reader.read(_READ_CHUNK))
-                return reply
-            except BaseException:
-                if core.reply_outstanding:
-                    # No awaits here: this must complete even while a
-                    # cancellation is being delivered.
-                    self._closed = True
-                    self._writer.close()
-                raise
+            if settled is not None:
+                self._writer.write(core.post(message, settled))
+                return await self._writer.drain()
+            self._writer.write(core.begin(message))
+            await self._writer.drain()
+            while (reply := core.reply()) is None:
+                core.receive(await self._reader.read(_READ_CHUNK))
+            return reply
+        except BaseException:
+            if core.reply_outstanding:
+                # No awaits here: this must complete even while a
+                # cancellation is being delivered.
+                self._closed = True
+                self._writer.close()
+            raise
 
     async def connect(
         self,
@@ -1009,15 +1053,22 @@ class AsyncSocketSessionClient(_SessionClient):
     """
 
     async def request(self, move: Move | None, key: TileKey) -> TileResponse:
-        """Round-trip one request over the socket (or answer it from the
-        push cache when the tile was already streamed here)."""
-        message, held_tile = self._stub.request(move, key)
-        return self._stub.response(
-            await self.transport.roundtrip(message), held_tile
-        )
+        """The awaitable :meth:`SocketSessionClient.request`: the lock
+        spans settle, probe and send, and a local hit awaits no read."""
+        transport, stub = self.transport, self._stub
+        async with transport._lock:
+            await transport._exchange()
+            message, held_tile = stub.request(move, key)
+            if held_tile is None:
+                return stub.response(await transport._exchange(message))
+            response = stub.local_response(held_tile)
+            await transport._exchange(message, stub.settled)
+            return response
 
     async def close(self) -> None:
         """Close the server-side session.  Idempotent."""
+        with contextlib.suppress(ProtocolError, OSError):
+            await self.transport.settle()
         message = self._stub.close()
         if message is None:
             return

@@ -573,11 +573,18 @@ class PushAck:
         )
 
 
+@functools.lru_cache(maxsize=4096)
+def _key_of(level: int, x: int, y: int) -> TileKey:
+    """A reference's key, built and validated once (a ``held`` digest
+    repeats nearly whole request after request); a raise is not kept."""
+    return TileKey(level, x, y)
+
+
 def _keyed(ref: TileRef, message: "TileRequest | PushAck", what: str) -> TileKey:
     """``ref`` as a key, or the typed refusal (with the session id) of a
     reference no :class:`TileKey` can hold (a negative coordinate)."""
     try:
-        return ref.to_key()
+        return _key_of(ref.level, ref.x, ref.y)
     except ValueError as exc:
         raise InvalidRequestError(
             f"invalid {what} reference {ref.to_list()}: {exc}",
@@ -604,7 +611,8 @@ def requested_key(message: "TileRequest | PushAck", grid=None) -> TileKey:
 def held_keys(message: "TileRequest | PushAck") -> list[TileKey]:
     """The push-cache digest a ``tile_request`` / ``push_ack`` carries,
     as keys — an un-keyable reference refused as :func:`requested_key`
-    refuses the tile, before the push scheduler sees anything."""
+    refuses the tile, before the push scheduler sees anything.  Only a
+    reference not keyed before constructs a :class:`TileKey`."""
     return [_keyed(ref, message, "held tile") for ref in message.held]
 
 

@@ -38,10 +38,13 @@ for the conformance suite and the perf-trajectory gate to pin.
 
 from __future__ import annotations
 
+import bisect
+import operator
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
 from repro.core.popularity import HOT_SET_SIZE, SharedHotspotRegistry
+from repro.middleware.protocol import TileRef
 from repro.tiles.key import TileKey
 from repro.tiles.reduce import COARSE_REDUCTION
 from repro.tiles.tile import DataTile
@@ -49,6 +52,10 @@ from repro.tiles.tile import DataTile
 #: Cache-attribution label for tiles loaded on the push path (shows up
 #: in cache stats next to the per-model prefetch attributions).
 PUSH_MODEL = "push"
+
+#: ``TileKey``'s order read off a :class:`TileRef` as a tuple: a bisect
+#: compares in C and never calls the dataclass's Python ``__lt__``.
+_KEY_ORDER = operator.attrgetter("level", "x", "y")
 
 #: Per-rank geometric confidence decay: the model's best guess gets
 #: utility 1.0, the next 0.8, then 0.64, ...  Chosen to keep several
@@ -404,10 +411,11 @@ class PushCache:
 
     ``get`` answers a request locally (and promotes the tile); ``put``
     admits a pushed tile, evicting the least-recently-useful one beyond
-    ``capacity``.  ``digest()`` — the sorted key list — is what the
-    client reports to the server as its held set, so eviction here is
-    automatically reconciled server-side (an evicted tile becomes
-    pushable again).
+    ``capacity``.  The digest — the held tiles in key order — is what
+    the client reports to the server as its held set, so eviction here
+    is automatically reconciled server-side (an evicted tile becomes
+    pushable again); it is kept sorted, as wire references, while tiles
+    arrive and leave, so reporting it (:meth:`held`) sorts nothing.
 
     Progressive push streams a tile twice: a coarse stand-in first, a
     full-resolution refinement later.  ``put`` upgrades a held tile in
@@ -419,8 +427,10 @@ class PushCache:
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
-        self._tiles: OrderedDict[TileKey, DataTile] = OrderedDict()
-        self._fidelity: dict[TileKey, float] = {}
+        # key -> (tile, fidelity held at, wire reference), in LRU order;
+        # and the same references in key order: the digest.
+        self._held: OrderedDict[TileKey, tuple] = OrderedDict()
+        self._digest: list[TileRef] = []
         self.hits = 0
         self.misses = 0
         self.pushed = 0
@@ -435,49 +445,65 @@ class PushCache:
         improving replacement counts as an in-place *upgrade*.
         """
         key = tile.key
-        if key in self._tiles:
-            held = self._fidelity.get(key, 1.0)
+        entry = self._held.get(key)
+        if entry is None:
+            ref = TileRef.from_key(key)
+            bisect.insort(self._digest, ref, key=_KEY_ORDER)
+        else:
+            _, held, ref = entry
             if fidelity < held:
                 self.downgrades_ignored += 1
                 return
             if fidelity > held:
                 self.upgraded += 1
-            self._tiles.move_to_end(key)
-        self._tiles[key] = tile
-        self._fidelity[key] = fidelity
+            self._held.move_to_end(key)
+        self._held[key] = (tile, fidelity, ref)
         self.pushed += 1
-        while len(self._tiles) > self.capacity:
-            victim, _ = self._tiles.popitem(last=False)
-            self._fidelity.pop(victim, None)
+        while len(self._held) > self.capacity:
+            _, (_, _, ref) = self._held.popitem(last=False)
+            del self._digest[
+                bisect.bisect_left(self._digest, _KEY_ORDER(ref), key=_KEY_ORDER)
+            ]
             self.evicted += 1
+
+    def probe(self, key: TileKey) -> "tuple[DataTile, float, TileRef] | None":
+        """What is held for ``key`` (promoted): the tile, the fidelity
+        it is held at now and its wire reference — or None."""
+        entry = self._held.get(key)
+        if entry is None:
+            self.misses += 1
+            return None
+        self._held.move_to_end(key)
+        self.hits += 1
+        return entry
 
     def get(self, key: TileKey) -> DataTile | None:
         """The held tile for ``key`` (promoted), or None."""
-        tile = self._tiles.get(key)
-        if tile is None:
-            self.misses += 1
-            return None
-        self._tiles.move_to_end(key)
-        self.hits += 1
-        return tile
+        entry = self.probe(key)
+        return entry[0] if entry is not None else None
 
     def fidelity(self, key: TileKey) -> float:
         """Fidelity of the held tile for ``key`` (1.0 when not held)."""
-        return self._fidelity.get(key, 1.0)
+        entry = self._held.get(key)
+        return entry[1] if entry is not None else 1.0
+
+    def held(self) -> tuple[TileRef, ...]:
+        """The digest as a request carries it (``held``)."""
+        return tuple(self._digest)
 
     def digest(self) -> list[TileKey]:
-        """The held tiles, sorted — the wire-ready ``held`` list."""
-        return sorted(self._tiles)
+        """The held keys as ``sorted()`` gives them (nothing sorted)."""
+        return [ref.to_key() for ref in self._digest]
 
     def clear(self) -> None:
-        self._tiles.clear()
-        self._fidelity.clear()
+        self._held.clear()
+        self._digest.clear()
 
     def __contains__(self, key: TileKey) -> bool:
-        return key in self._tiles
+        return key in self._held
 
     def __len__(self) -> int:
-        return len(self._tiles)
+        return len(self._held)
 
     @property
     def hit_rate(self) -> float:
@@ -486,6 +512,6 @@ class PushCache:
 
     def __repr__(self) -> str:
         return (
-            f"<PushCache {len(self._tiles)}/{self.capacity} tiles "
+            f"<PushCache {len(self._held)}/{self.capacity} tiles "
             f"hits={self.hits} misses={self.misses}>"
         )

@@ -317,6 +317,56 @@ class TestRoutingAndFailover:
         finally:
             transport.close()
 
+    def test_a_posted_ack_meeting_the_dead_worker_fails_at_its_sessions_next_call(
+        self, tiny_dataset
+    ):
+        """The same death, seen by a push client mid local hit: the hit
+        is answered from the cache regardless, and the ack's typed
+        failure waits for the session that posted it."""
+        grid = tiny_dataset.pyramid.grid
+        with ThreadedClusterServer(
+            tiny_dataset.pyramid,
+            ServiceConfig(prefetch=PrefetchPolicy(k=4, push="on")),
+            workers=2,
+            engine_factory=lambda: make_engine(grid),
+        ) as cluster:
+            ring = cluster.router.router.ring
+            transport = SocketTransport(*cluster.address, push=True)
+            try:
+                pushy = transport.connect(session_id="pushy")
+                bystander = transport.connect(session_id="bystander")
+                start = TileKey(2, 0, 1)
+                pushy.request(None, start)
+                held = pushy.push_cache.digest()
+                assert held  # the round pushed what lies around the start
+                # Acks follow the session to the worker that served its
+                # last pull; that is the worker that dies.
+                doomed = ring.owner(start)
+                survivors = [
+                    k
+                    for k in all_keys(grid, grid.deepest_level)
+                    if ring.owner(k) != doomed and k not in held
+                ]
+                cluster.stop_worker(int(doomed.rpartition("-")[2]))
+                response = pushy.request(None, held[0])
+                assert response.tile.key == held[0] and response.hit
+                # Whichever call reads the refusal, it is not theirs.
+                assert bystander.request(None, survivors[0]).tile.key == (
+                    survivors[0]
+                )
+                sent = transport.bytes_sent
+                with pytest.raises(WorkerUnavailableError):
+                    pushy.request(None, survivors[1])
+                assert transport.bytes_sent == sent  # raised before sending
+                # The retry is a pull: it moves the session to a survivor.
+                assert pushy.request(None, survivors[1]).tile.key == (
+                    survivors[1]
+                )
+                pushy.close()
+                bystander.close()
+            finally:
+                transport.close()
+
     def test_mid_flight_death_leaves_other_sessions_served(
         self, tiny_dataset
     ):

@@ -12,8 +12,10 @@ the server's into a :class:`ClientConnection`, the client's into a
 from __future__ import annotations
 
 import ast
+import asyncio
 import inspect
 import json
+import socket
 
 import numpy as np
 import pytest
@@ -22,7 +24,7 @@ from hypothesis import strategies as st
 
 from repro.core.allocation import SingleModelStrategy
 from repro.core.engine import PredictionEngine
-from repro.middleware import connection, protocol
+from repro.middleware import connection, net, protocol
 from repro.middleware.config import CacheConfig, PrefetchPolicy, ServiceConfig
 from repro.middleware.connection import (
     ClientConnection,
@@ -32,6 +34,7 @@ from repro.middleware.connection import (
     decode_opaque,
 )
 from repro.middleware.net import (
+    AsyncSocketTransport,
     SocketTransport,
     ThreadedSocketServer,
     _WireServer,
@@ -60,6 +63,7 @@ from repro.middleware.protocol import (
     encode_wire,
 )
 from repro.middleware.push import PushCache
+from repro.middleware.service import PushHitResult, TileResponse
 from repro.recommenders.momentum import MomentumRecommender
 from repro.tiles.key import TileKey
 from repro.tiles.moves import Move
@@ -651,6 +655,7 @@ def recording(small_dataset):
             conn = transport.connect(session_id="walker")
             for move, key in pan_walk():
                 conn.request(move, key)
+            transport.settle()
             assert conn.push_cache.hits > 0 and conn.push_cache.upgraded > 0
             conn.close()
             sent = bytes(transport.wire_sent)
@@ -903,6 +908,459 @@ class TestSessionStub:
             )
         with pytest.raises(ProtocolError, match="expected session_info"):
             core.session_opened(Welcome(version=1))
+
+
+# ----------------------------------------------------------------------
+# posted acks: a local hit returns at once, its reply is owed
+# ----------------------------------------------------------------------
+def hit_reply(key: TileKey, session_id="s") -> protocol.TileResponse:
+    """The payload-less reply a server gives a ``push_ack``."""
+    return protocol.TileResponse(
+        session_id=session_id,
+        tile=TileRef.from_key(key),
+        latency_seconds=0.0,
+        hit=True,
+        phase="navigation",
+        prefetched=(TileRef(2, 3, 3),),
+    )
+
+
+class TestOwedReplyCore:
+    def test_post_leaves_the_reply_owed_until_settle_hands_it_over(self):
+        core = handshaken(push=True)
+        taken: list = []
+        frame = core.post(PushAck(session_id="s"), taken.append)
+        assert frame == encode_wire(PushAck(session_id="s"), "lines")
+        assert core.reply_outstanding and not core.settle()
+        reply = encode_wire(session_info(), "lines")
+        core.receive(reply[:-1])
+        assert not core.settle() and taken == []
+        core.receive(reply[-1:])
+        assert core.settle() and taken == [session_info()]
+        assert not core.reply_outstanding
+        assert core.settle() and len(taken) == 1  # nothing owed: a no-op
+
+    def test_nothing_is_framed_while_a_reply_is_owed(self):
+        core = handshaken(push=True, wire_tap=True)
+        core.post(PushAck(session_id="s"), lambda reply: None)
+        sent = bytes(core.wire_sent)
+        for frame_another in (
+            lambda: core.begin(OpenSession(session_id="t")),
+            lambda: core.post(PushAck(session_id="s"), lambda reply: None),
+        ):
+            with pytest.raises(RuntimeError, match="owed"):
+                frame_another()
+        assert bytes(core.wire_sent) == sent
+        core.receive(encode_wire(session_info(), "lines"))
+        assert core.settle()
+        core.begin(OpenSession(session_id="t"))
+
+    def test_settle_absorbs_the_pushes_ahead_of_the_owed_reply(
+        self, tiny_dataset
+    ):
+        tile = tiny_dataset.pyramid.fetch_tile(TileKey(2, 1, 0))
+        core = handshaken(push=True)
+        _, cache = open_session(core)
+        taken: list = []
+        core.post(PushAck(session_id="s"), taken.append)
+        stream = encode_wire(push_frame(tile), "lines") + encode_wire(
+            session_info(), "lines"
+        )
+        core.receive(stream[:50])
+        assert not core.settle() and len(cache) == 0
+        core.receive(stream[50:])
+        assert core.settle() and cache.digest() == [tile.key]
+        assert taken == [session_info()]
+
+    def test_an_undecodable_owed_reply_loses_the_pairing(self):
+        core = handshaken(push=True)
+        core.post(PushAck(session_id="s"), lambda reply: None)
+        core.receive(b'{"type": "no_such_message"}\n')
+        with pytest.raises(ProtocolError):
+            core.settle()
+        assert core.reply_outstanding
+
+
+class TestPostedAckStub:
+    """What the stub answers a held tile with, and whom a failed ack
+    finds: the session that posted it, at its next call."""
+
+    def held_stub(self, tile, fidelity=1.0, session_id="s"):
+        core = handshaken(push=True)
+        stub = SessionStub(core, *open_session(core, session_id))
+        stub.push_cache.put(tile, fidelity=fidelity)
+        return stub
+
+    def test_local_response_carries_what_the_client_knows(self, tiny_dataset):
+        tile = tiny_dataset.pyramid.fetch_tile(TileKey(2, 1, 0))
+        stub = self.held_stub(tile, fidelity=0.25)
+        _, held_tile = stub.request(Move.PAN_RIGHT, tile.key)
+        declared = PushHitResult(phase=None)
+        assert stub.local_response(held_tile) == TileResponse(
+            tile=tile,
+            latency_seconds=declared.latency_seconds,
+            hit=declared.hit,
+            phase=None,
+            prefetched=(),
+            fidelity=0.25,
+        )
+
+    def test_fidelity_is_the_one_the_tile_was_held_at_when_probed(
+        self, tiny_dataset
+    ):
+        pyramid = tiny_dataset.pyramid
+        tile = pyramid.fetch_tile(TileKey(2, 1, 0))
+        stub = self.held_stub(tile, fidelity=0.25)
+        _, held_tile = stub.request(Move.PAN_RIGHT, tile.key)
+        # The round the ack starts upgrades the key — or evicts it — but
+        # the caller holds the stand-in that was probed.
+        stub.push_cache.put(tile, fidelity=1.0)
+        assert stub.local_response(held_tile).fidelity == 0.25
+        assert stub.response(hit_reply(tile.key), held_tile).fidelity == 0.25
+        stub.push_cache.clear()
+        assert stub.response(hit_reply(tile.key), held_tile).fidelity == 0.25
+
+    def test_a_good_reply_settles_to_nothing(self, tiny_dataset):
+        tile = tiny_dataset.pyramid.fetch_tile(TileKey(2, 1, 0))
+        stub = self.held_stub(tile)
+        _, held_tile = stub.request(None, tile.key)
+        stub.settled(hit_reply(tile.key))
+        message, held_tile = stub.request(None, tile.key)
+        assert isinstance(message, PushAck) and held_tile is tile
+
+    @pytest.mark.parametrize(
+        "reply, raised",
+        [
+            (
+                ErrorInfo(
+                    code="worker_unavailable", message="down", session_id="s"
+                ),
+                protocol.WorkerUnavailableError,
+            ),
+            (
+                ErrorInfo(code="session_closed", message="gone"),
+                protocol.SessionClosedError,
+            ),
+            (session_info(), ProtocolError),
+        ],
+        ids=["worker_unavailable", "session_closed", "wrong_type"],
+    )
+    @pytest.mark.parametrize("next_call", ["request", "close"])
+    def test_a_failed_ack_is_raised_once_by_the_posters_next_call(
+        self, tiny_dataset, reply, raised, next_call
+    ):
+        tile = tiny_dataset.pyramid.fetch_tile(TileKey(2, 1, 0))
+        stub = self.held_stub(tile)
+        _, held_tile = stub.request(None, tile.key)
+        hits = stub.push_cache.hits
+        stub.settled(reply)  # never raises: it is not the reader's
+        call = (
+            (lambda: stub.request(None, tile.key))
+            if next_call == "request"
+            else stub.close
+        )
+        with pytest.raises(raised):
+            call()
+        # Raised before anything was probed or marked closed, so the
+        # same call can simply be made again.
+        assert stub.push_cache.hits == hits and not stub.closed
+        assert call() is not None
+
+
+class ScriptedSocket:
+    """What a :class:`SocketTransport` needs of a socket, scripted: what
+    ``recv`` returns (or raises) call by call, and a record of every
+    ``sendall``.  Reading past the script is the failure "read more
+    than it was owed"."""
+
+    def __init__(self) -> None:
+        self.script: list = []
+        self.sent = bytearray()
+        self.recv_calls = 0
+        self.closed = False
+
+    def feed(self, *items, chunk: int | None = None) -> None:
+        for item in items:
+            if isinstance(item, bytes) and chunk:
+                self.script += [
+                    item[i : i + chunk] for i in range(0, len(item), chunk)
+                ]
+            else:
+                self.script.append(item)
+
+    def recv(self, size: int) -> bytes:
+        self.recv_calls += 1
+        assert self.script, "read past the end of what the server sent"
+        item = self.script.pop(0)
+        if isinstance(item, BaseException):
+            raise item
+        return item
+
+    def sendall(self, data: bytes) -> None:
+        if self.closed:
+            raise OSError("socket is closed")
+        self.sent += data
+
+    def close(self) -> None:
+        self.closed = True
+
+
+class ScriptedStreams:
+    """The same script behind an asyncio reader/writer pair."""
+
+    def __init__(self) -> None:
+        self.sock = ScriptedSocket()
+        #: An ``asyncio.Event`` every read waits on, when set — and
+        #: whether one is waiting there.
+        self.gate = None
+        self.waiting = False
+
+    async def read(self, size: int) -> bytes:
+        if self.gate is not None:
+            self.waiting = True
+            await self.gate.wait()
+        return self.sock.recv(size)
+
+    def write(self, data: bytes) -> None:
+        self.sock.sendall(data)
+
+    async def drain(self) -> None:
+        pass
+
+    def close(self) -> None:
+        self.sock.close()
+
+    async def wait_closed(self) -> None:
+        pass
+
+
+def lines(*messages) -> bytes:
+    return b"".join(encode_wire(message, "lines") for message in messages)
+
+
+WELCOME = Welcome(version=1, server="fake", max_frame_bytes=1 << 20, push=True)
+
+
+class Shell:
+    """One scripted push connection and its two sessions, behind either
+    client shell: calls are made through :meth:`run`, so every contract
+    test below is written once and runs over both."""
+
+    def __init__(self, kind: str, monkeypatch, tiles) -> None:
+        self.kind = kind
+        self.streams = ScriptedStreams()
+        self.sock = self.streams.sock
+        self.sock.feed(lines(WELCOME))
+        if kind == "sync":
+            monkeypatch.setattr(
+                net.socket, "create_connection", lambda *a, **kw: self.sock
+            )
+            self.transport = SocketTransport("fake", 0, push=True)
+        else:
+            self.loop = asyncio.new_event_loop()
+            self.transport = AsyncSocketTransport(
+                self.streams, self.streams, None, "lines", 1 << 20
+            )
+            core = self.transport._core
+            core.welcome(
+                self.run(self.transport.roundtrip(core.hello("t", push=True)))
+            )
+        assert self.transport.push_enabled
+        self.a, self.b = (self.connect(name) for name in "ab")
+        for tile in tiles:
+            self.a.push_cache.put(tile)
+        self.core = self.transport._core
+
+    def run(self, result):
+        """The value of a call on either shell."""
+        if self.kind == "sync":
+            return result
+        return self.loop.run_until_complete(result)
+
+    def connect(self, session_id: str):
+        self.sock.feed(lines(session_info(session_id)))
+        return self.run(self.transport.connect(session_id=session_id))
+
+    def close(self) -> None:
+        if self.kind == "sync":
+            self.transport.close()
+        elif not self.loop.is_closed():
+            self.run(self.transport.aclose())
+            self.loop.close()
+
+
+@pytest.fixture(params=["sync", "async"])
+def shell(request, monkeypatch, tiny_dataset):
+    pyramid = tiny_dataset.pyramid
+    shell = Shell(
+        request.param,
+        monkeypatch,
+        [pyramid.fetch_tile(TileKey(2, x, 0)) for x in (0, 1)],
+    )
+    yield shell
+    shell.close()
+
+
+class TestOwedReplyShells:
+    """Contracts 2–5 on both I/O shells, their socket a script: every
+    ``recv`` is counted, nothing sleeps, nothing real is opened."""
+
+    HELD = TileKey(2, 0, 0)
+    ALSO_HELD = TileKey(2, 1, 0)
+
+    def test_a_local_hit_reads_nothing(self, shell, tiny_dataset):
+        reads, sent = shell.sock.recv_calls, len(shell.sock.sent)
+        response = shell.run(shell.a.request(Move.PAN_LEFT, self.HELD))
+        assert shell.sock.recv_calls == reads and shell.core.reply_outstanding
+        assert response.tile is shell.a.push_cache.get(self.HELD)
+        assert (response.hit, response.latency_seconds) == (True, 0.0)
+        assert (response.phase, response.prefetched) == (None, ())
+        # The ack went out whole, digest and all, before the call returned.
+        assert decode_wire(shell.sock.sent[sent:].decode()) == PushAck(
+            session_id="a",
+            held=(TileRef(2, 0, 0), TileRef(2, 1, 0)),
+            move="pan_left",
+            tile=TileRef(2, 0, 0),
+        )
+
+    def test_the_next_call_reads_exactly_the_owed_reply(
+        self, shell, tiny_dataset
+    ):
+        pyramid = tiny_dataset.pyramid
+        pushed = pyramid.fetch_tile(TileKey(2, 2, 0))
+        shell.run(shell.a.request(None, self.HELD))
+        # The owed round — a push, then the reply — in 1-byte reads, and
+        # not one byte behind it: reading on would fail the script.
+        shell.sock.feed(
+            lines(push_frame(pushed, session_id="a"), hit_reply(pushed.key, "a")),
+            chunk=1,
+        )
+        owed = len(shell.sock.script)
+        reads = shell.sock.recv_calls
+        # Settled first, so the tile that round pushed is a local hit now.
+        response = shell.run(shell.a.request(Move.PAN_RIGHT, pushed.key))
+        assert shell.sock.recv_calls == reads + owed and not shell.sock.script
+        assert response.hit and np.array_equal(
+            response.tile.attributes["ndsi_avg"], pushed.attributes["ndsi_avg"]
+        )
+        assert shell.core.reply_outstanding  # that hit's own reply, now owed
+
+    def test_settle_makes_the_books_current_and_is_a_noop_otherwise(
+        self, shell
+    ):
+        reads = shell.sock.recv_calls
+        shell.run(shell.transport.settle())  # nothing owed
+        assert shell.sock.recv_calls == reads
+        shell.run(shell.a.request(None, self.HELD))
+        shell.sock.feed(lines(hit_reply(self.HELD, "a")), chunk=7)
+        shell.run(shell.transport.settle())
+        assert not shell.core.reply_outstanding and not shell.sock.script
+        reads = shell.sock.recv_calls
+        shell.run(shell.transport.settle())
+        assert shell.sock.recv_calls == reads
+
+    def test_any_roundtrip_settles_first(self, shell):
+        shell.run(shell.a.request(None, self.HELD))
+        shell.sock.feed(
+            lines(hit_reply(self.HELD, "a"), session_info("a"))
+        )
+        # What benchmarks/perf/live.py's ``finish`` does, verbatim.
+        info = shell.run(shell.transport.roundtrip(CloseSession("a")))
+        assert info == session_info("a")
+        assert not shell.core.reply_outstanding
+
+    @pytest.mark.parametrize(
+        "failure, raised",
+        [
+            ([socket.timeout("timed out")], OSError),
+            ([ConnectionResetError("reset")], OSError),
+            ([b'{"type": "tile_resp', b""], ProtocolError),
+            ([b'{"type": "no_such_message"}\n'], ProtocolError),
+            ([b"x" * (protocol.DEFAULT_MAX_FRAME_BYTES + 64)], FramingError),
+        ],
+        ids=["timeout", "reset", "hangup_mid_reply", "undecodable", "framing"],
+    )
+    def test_a_failure_while_a_reply_is_owed_closes_the_transport(
+        self, shell, failure, raised
+    ):
+        shell.run(shell.a.request(None, self.HELD))
+        shell.sock.feed(*failure)
+        with pytest.raises(raised):
+            shell.run(shell.b.request(None, TileKey(0, 0, 0)))
+        assert shell.sock.closed
+        sent = len(shell.sock.sent)
+        for session in (shell.a, shell.b):
+            with pytest.raises(protocol.SessionClosedError):
+                shell.run(session.request(None, TileKey(0, 0, 0)))
+        assert len(shell.sock.sent) == sent
+        shell.run(shell.transport.settle())  # closed: a no-op
+        shell.run(shell.a.close())  # and a session close tolerates it
+
+    def test_closing_with_a_reply_owed_is_abortive(self, shell):
+        shell.run(shell.a.request(None, self.HELD))
+        reads = shell.sock.recv_calls
+        shell.close()
+        assert shell.sock.closed and shell.sock.recv_calls == reads
+
+    def test_an_error_finds_the_session_that_posted(self, shell, tiny_dataset):
+        tile = tiny_dataset.pyramid.fetch_tile(TileKey(1, 0, 0))
+        shell.run(shell.a.request(None, self.HELD))
+        # The ack met a dead worker; session b's request happens to be
+        # the call that reads so.  It is served, and told nothing.
+        shell.sock.feed(
+            lines(
+                ErrorInfo(
+                    code="worker_unavailable", message="down", session_id="a"
+                ),
+                tile_reply(tile, "b"),
+            )
+        )
+        assert shell.run(shell.b.request(None, tile.key)).tile.key == tile.key
+        sent, hits = len(shell.sock.sent), shell.a.push_cache.hits
+        with pytest.raises(protocol.WorkerUnavailableError):
+            shell.run(shell.a.request(Move.PAN_RIGHT, self.ALSO_HELD))
+        # Before that call probed or sent anything: it can be retried.
+        assert len(shell.sock.sent) == sent
+        assert shell.a.push_cache.hits == hits
+        response = shell.run(shell.a.request(Move.PAN_RIGHT, self.ALSO_HELD))
+        assert response.tile.key == self.ALSO_HELD
+
+    def test_close_raises_the_failed_ack_before_sending(self, shell):
+        shell.run(shell.a.request(None, self.HELD))
+        shell.sock.feed(lines(session_info("a")))  # not a tile_response
+        sent = len(shell.sock.sent)
+        with pytest.raises(ProtocolError, match="expected tile_response"):
+            shell.run(shell.a.close())
+        assert len(shell.sock.sent) == sent
+        shell.sock.feed(lines(session_info("a")))
+        shell.run(shell.a.close())
+        assert decode_wire(shell.sock.sent[sent:].decode()) == CloseSession("a")
+
+
+def test_a_cancelled_settle_closes_the_async_transport(
+    monkeypatch, tiny_dataset
+):
+    shell = Shell("async", monkeypatch, [tiny_dataset.pyramid.fetch_tile(
+        TileKey(2, 0, 0)
+    )])
+
+    async def drive():
+        await shell.a.request(None, TileKey(2, 0, 0))
+        # The owed reply never comes: session b's request waits in the
+        # settle's read, and is cancelled there.
+        shell.streams.gate = asyncio.Event()
+        task = asyncio.ensure_future(shell.b.request(None, TileKey(0, 0, 0)))
+        while not shell.streams.waiting:
+            await asyncio.sleep(0)
+        task.cancel()
+        with pytest.raises(asyncio.CancelledError):
+            await task
+        assert shell.sock.closed
+        with pytest.raises(protocol.SessionClosedError):
+            await shell.a.request(None, TileKey(2, 0, 0))
+
+    shell.run(drive())
+    shell.close()
 
 
 # ----------------------------------------------------------------------

@@ -15,6 +15,8 @@ absorption never misparies request/reply.
 from __future__ import annotations
 
 import asyncio
+import sys
+import threading
 import time
 
 import pytest
@@ -26,6 +28,7 @@ from repro.core.engine import PredictionEngine
 from repro.core.popularity import SharedHotspotRegistry
 from repro.middleware import protocol
 from repro.middleware.config import CacheConfig, PrefetchPolicy, ServiceConfig
+from repro.middleware.connection import ClientConnection, SessionStub
 from repro.middleware.net import (
     AsyncSocketTransport,
     SocketTransport,
@@ -48,6 +51,7 @@ from repro.middleware.push import (
     PushCache,
     PushScheduler,
 )
+from repro.modis.dataset import MODISDataset
 from repro.recommenders.hotspot import HotspotRecommender
 from repro.recommenders.momentum import MomentumRecommender
 from repro.tiles.key import TileKey
@@ -141,6 +145,130 @@ class TestPushCache:
         assert a not in cache
         # Unheld keys report full fidelity (nothing to refine).
         assert cache.fidelity(a) == 1.0
+
+
+# ----------------------------------------------------------------------
+# the digest is maintained, not rebuilt
+# ----------------------------------------------------------------------
+MODEL_KEYS = [key(level, x, y) for level in (1, 2) for x in (0, 1) for y in (0, 1)]
+CACHE_OPS = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("put"),
+            st.sampled_from(MODEL_KEYS),
+            st.sampled_from([0.25, 0.5, 1.0]),
+        ),
+        st.tuples(st.just("get"), st.sampled_from(MODEL_KEYS)),
+        st.tuples(st.just("clear")),
+    ),
+    max_size=40,
+)
+
+
+class TestPushCacheDigest:
+    @pytest.fixture(scope="class")
+    def tiles(self, tiny_dataset):
+        fetch = tiny_dataset.pyramid.fetch_tile
+        return {k: fetch(k, charge=False) for k in MODEL_KEYS}
+
+    @settings(max_examples=150, deadline=None)
+    @given(capacity=st.integers(min_value=1, max_value=5), ops=CACHE_OPS)
+    def test_any_sequence_leaves_what_sorted_would_give(
+        self, tiles, capacity, ops
+    ):
+        """Against the parent's structures — an LRU of keys, a fidelity
+        per key, ``sorted()`` per report — after every operation."""
+        cache = PushCache(capacity=capacity)
+        model: dict[TileKey, float] = {}  # insertion order is LRU order
+        for op, *args in ops:
+            if op == "put":
+                k, fidelity = args
+                cache.put(tiles[k], fidelity=fidelity)
+                if k not in model or fidelity >= model[k]:
+                    model.pop(k, None)
+                    model[k] = fidelity
+                    while len(model) > capacity:
+                        del model[next(iter(model))]
+            elif op == "get":
+                (k,) = args
+                held = cache.get(k)
+                assert (held is not None) == (k in model)
+                if k in model:
+                    assert held is tiles[k]
+                    model[k] = model.pop(k)
+            else:
+                cache.clear()
+                model.clear()
+            assert cache.digest() == sorted(model)
+            assert cache.held() == tuple(map(TileRef.from_key, sorted(model)))
+            assert len(cache) == len(model)
+            for k in MODEL_KEYS:
+                assert (k in cache) == (k in model)
+                assert cache.fidelity(k) == model.get(k, 1.0)
+
+    def test_reporting_a_held_tile_sorts_and_builds_nothing(
+        self, tiles, monkeypatch
+    ):
+        """One request for a held tile: no ``TileKey`` comparison, and no
+        ``TileRef`` built for any tile held at the request before."""
+        stub = SessionStub(ClientConnection(), "s", PushCache(capacity=8))
+        for k in reversed(MODEL_KEYS):
+            stub.push_cache.put(tiles[k])
+        calls = {"lt": 0, "ref": 0}
+        lt, init = TileKey.__lt__, TileRef.__init__
+
+        def counted(name, inner):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return inner(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(TileKey, "__lt__", counted("lt", lt))
+        monkeypatch.setattr(TileRef, "__init__", counted("ref", init))
+        message, held_tile = stub.request(Move.PAN_RIGHT, MODEL_KEYS[3])
+        assert calls == {"lt": 0, "ref": 0}
+        # A miss builds the one reference that was not held: the tile's.
+        request, _ = stub.request(Move.PAN_RIGHT, key(3, 0, 0))
+        assert calls == {"lt": 0, "ref": 1}
+        monkeypatch.undo()
+        assert held_tile is tiles[MODEL_KEYS[3]]
+        assert message.tile == TileRef.from_key(MODEL_KEYS[3])
+        assert message.held == request.held == tuple(
+            map(TileRef.from_key, sorted(MODEL_KEYS))
+        )
+
+
+class TestHeldKeysMemo:
+    def test_a_reference_is_keyed_once(self, monkeypatch):
+        protocol._key_of.cache_clear()
+        built: list = []
+
+        def counting_key(level, x, y):
+            built.append((level, x, y))
+            return TileKey(level, x, y)
+
+        monkeypatch.setattr(protocol, "TileKey", counting_key)
+        refs = tuple(TileRef(5, x, 3) for x in range(6))
+        ack = PushAck(session_id="s", held=refs)
+        first = protocol.held_keys(ack)
+        assert first == [TileKey(5, x, 3) for x in range(6)]
+        assert len(built) == 6
+        request = protocol.TileRequest(
+            session_id="t", tile=TileRef(0, 0, 0), held=refs[2:] + (TileRef(5, 9, 9),)
+        )
+        second = protocol.held_keys(request)
+        assert built[6:] == [(5, 9, 9)]  # only the one not keyed before
+        assert all(a is b for a, b in zip(second, first[2:]))
+        info = protocol._key_of.cache_info()
+        assert info.maxsize == 4096 and info.currsize == 7
+
+    def test_an_unkeyable_reference_is_refused_every_time(self):
+        ack = PushAck(session_id="s", held=(TileRef(1, 0, 0), TileRef(-3, 0, 0)))
+        for _ in range(3):
+            with pytest.raises(InvalidRequestError) as refusal:
+                protocol.held_keys(ack)
+            assert refusal.value.session_id == "s"
 
 
 # ----------------------------------------------------------------------
@@ -557,6 +685,7 @@ class TestPushEndToEnd:
             conn = transport.connect()
             for move, k in PAN_WALK:
                 conn.request(move, k)
+            transport.settle()
             cache = conn.push_cache
             # With no client-side eviction, every put must be a distinct
             # key: a re-push of a held tile would raise pushed above the
@@ -584,6 +713,7 @@ class TestPushEndToEnd:
                 conn = transport.connect()
                 for move, k in PAN_WALK:
                     conn.request(move, k)
+                transport.settle()
                 scheduler = server.server.push_scheduler
                 assert scheduler.cancelled_jobs > 0
                 assert scheduler.inflight_tiles(conn.session_id) <= 1
@@ -674,6 +804,7 @@ class TestPushEndToEnd:
                     assert response.tile.key == k
                     # Request/reply responses are always full fidelity.
                     assert response.tile.shape == (32, 32)
+                transport.settle()
                 cache = conn.push_cache
                 scheduler = server.server.push_scheduler
                 stats = scheduler.stats()
@@ -702,6 +833,7 @@ class TestPushEndToEnd:
                 conn = transport.connect()
                 for move, k in PAN_WALK:
                     conn.request(move, k)
+                transport.settle()
                 for k in conn.push_cache.digest():
                     held = conn.push_cache.get(k)
                     full = pyramid.fetch_tile(k, charge=False)
@@ -734,6 +866,7 @@ class TestPushEndToEnd:
                 conn = pushy.connect()
                 for move, k in PAN_WALK:
                     conn.request(move, k)
+                pushy.settle()
                 streamed = conn.push_cache.digest()
             assert server.server.push_scheduler.stats()["coarse_tiles"] > 0
             # A coarse frame shares its key with the full tile.  Had one
@@ -747,6 +880,277 @@ class TestPushEndToEnd:
                     assert response.fidelity == 1.0
                     for name, array in full.attributes.items():
                         assert (response.tile.attributes[name] == array).all()
+
+
+# ----------------------------------------------------------------------
+# a local hit is answered at once: same bytes, same answers, later books
+# ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def world256():
+    return MODISDataset.build(size=256, tile_size=32, days=1, seed=7)
+
+
+def push_config(fidelity="off", budget=None) -> ServiceConfig:
+    policy = dict(k=4, push="on", fidelity=fidelity)
+    if budget is not None:
+        policy["push_budget_bytes"] = budget
+    return ServiceConfig(
+        prefetch=PrefetchPolicy(**policy),
+        cache=CacheConfig(recent_capacity=4, prefetch_capacity=8),
+    )
+
+
+def synchronous(conn):
+    """The parent's session client — one blocking round trip per
+    request, local hit or not — transcribed from the public pieces."""
+    stub = conn._stub
+
+    def request(move, k):
+        message, held = stub.request(move, k)
+        reply = conn.transport.roundtrip(message)
+        return stub.response(reply, held)
+
+    return request
+
+
+def drive(pyramid, config, steps, *, sessions=1, capacity=32, client=None):
+    """Run ``steps`` — ``(session, choice among its legal moves)`` pairs,
+    each session starting at the root — over one fresh server and one
+    tapped push connection; ``client(conn)`` is what issues a session's
+    requests (default: the shipped, deferring ``conn.request``).
+    Returns the responses and both byte streams."""
+    grid = pyramid.grid
+    with ThreadedSocketServer(
+        pyramid, config, engine_factory=engine_factory(pyramid)
+    ) as server, SocketTransport(
+        *server.address,
+        push=True,
+        payload="binary",
+        push_cache_capacity=capacity,
+        wire_tap=True,
+    ) as transport:
+        conns = [transport.connect(session_id=f"s{i}") for i in range(sessions)]
+        request = [client(c) if client else c.request for c in conns]
+        at: list = [None] * sessions
+        responses = []
+        for who, choice in steps:
+            who %= sessions
+            if at[who] is None:
+                move, target = None, grid.root
+            else:
+                legal = grid.available_moves(at[who])
+                move, target = legal[choice % len(legal)]
+            responses.append(request[who](move, target))
+            at[who] = target
+        hits = sum(c.push_cache.hits for c in conns)
+        for conn in conns:
+            conn.close()
+        return (
+            responses,
+            hits,
+            bytes(transport.wire_sent),
+            bytes(transport.wire_received),
+        )
+
+
+def assert_same_answers(deferring, reference):
+    assert len(deferring) == len(reference)
+    for mine, theirs in zip(deferring, reference):
+        assert mine.tile.key == theirs.tile.key
+        for name, block in theirs.tile.attributes.items():
+            assert (mine.tile.attributes[name] == block).all()
+        assert (mine.hit, mine.latency_seconds, mine.fidelity) == (
+            theirs.hit, theirs.latency_seconds, theirs.fidelity,
+        )
+
+
+# Momentum pushes what lies ahead; a walk that keeps choosing the same
+# few moves is the one that meets its pushes.
+WALK_STEPS = st.lists(
+    st.tuples(st.integers(0, 2), st.integers(0, 3)), min_size=2, max_size=30
+)
+
+
+class TestDeferredAcks:
+    @settings(max_examples=20, deadline=None)
+    @given(
+        steps=WALK_STEPS,
+        sessions=st.integers(1, 3),
+        capacity=st.integers(1, 8),
+        progressive_budget=st.sampled_from([None, 8192, 12000]),
+    )
+    def test_same_bytes_and_answers_as_the_synchronous_client(
+        self, world256, steps, sessions, capacity, progressive_budget
+    ):
+        config = (
+            push_config()
+            if progressive_budget is None
+            else push_config("progressive", progressive_budget)
+        )
+        shape = dict(sessions=sessions, capacity=capacity)
+        mine = drive(world256.pyramid, config, steps, **shape)
+        theirs = drive(
+            world256.pyramid, config, steps, client=synchronous, **shape
+        )
+        assert_same_answers(mine[0], theirs[0])
+        assert mine[1:] == theirs[1:]  # local hits, sent bytes, received bytes
+
+    @pytest.mark.parametrize("fidelity", ["off", "progressive"])
+    def test_a_walk_of_local_hits_is_byte_identical(self, world256, fidelity):
+        # Down to the deepest level, then back and forth along a row.
+        steps = [(0, 0)] * 4 + [(0, 1)] * 5 + [(0, 0)] * 5 + [(0, 1)] * 3
+        config = push_config(fidelity)
+        mine = drive(world256.pyramid, config, steps)
+        theirs = drive(world256.pyramid, config, steps, client=synchronous)
+        assert mine[1] > 4  # the walk did meet its pushes
+        assert_same_answers(mine[0], theirs[0])
+        assert mine[1:] == theirs[1:]
+        # What a local hit cannot know yet, it does not claim.
+        local = [r for r in mine[0] if r.latency_seconds == 0.0 and r.hit]
+        assert len(local) == mine[1]
+        assert all((r.phase, r.prefetched) == (None, ()) for r in local)
+
+    @pytest.mark.parametrize(
+        "budget, capacity", [(8192, 1), (12000, 2)], ids=["cap1", "cap2"]
+    )
+    def test_a_local_hit_reports_the_fidelity_its_tile_was_held_at(
+        self, world256, budget, capacity
+    ):
+        """A small push cache under a small budget: the round a local
+        hit's ack starts evicts (or upgrades) the very key that was
+        just answered.  The response must describe the tile it carries."""
+        pyramid = world256.pyramid
+        with ThreadedSocketServer(
+            pyramid,
+            push_config("progressive", budget),
+            engine_factory=engine_factory(pyramid),
+        ) as server, SocketTransport(
+            *server.address, push=True, push_cache_capacity=capacity
+        ) as transport:
+            conn = transport.connect()
+            current = TileKey(3, 0, 1)
+            conn.request(None, current)
+            coarse_hits = 0
+            for move in [Move.PAN_RIGHT, Move.PAN_LEFT] * 6:
+                current = current.apply(move)
+                hits = conn.push_cache.hits
+                response = conn.request(move, current)
+                if conn.push_cache.hits == hits:
+                    continue
+                full = pyramid.fetch_tile(current, charge=False)
+                is_full = all(
+                    (response.tile.attributes[name] == block).all()
+                    for name, block in full.attributes.items()
+                )
+                assert is_full == (response.fidelity == 1.0)
+                coarse_hits += not is_full
+            assert coarse_hits > 0
+
+    def test_after_settle_the_servers_books_are_the_clients(
+        self, push_server, small_dataset
+    ):
+        service = push_server.server.service.service
+        with SocketTransport(
+            *push_server.address, pyramid=small_dataset.pyramid, push=True
+        ) as transport:
+            conn = transport.connect(session_id="walker")
+            hits = 0
+            for count, (move, k) in enumerate(PAN_WALK, start=1):
+                hits += conn.request(move, k).hit
+                transport.settle()
+                info = service.info("walker")
+                assert (info.requests, info.hits) == (count, hits)
+                assert service.session("walker").recorder.count == count
+            assert conn.push_cache.hits > 0
+
+    def test_two_threads_share_one_transport(self, world256):
+        """Settling in one session's call files pushes into the other's
+        cache; probe, digest and post hold the transport's lock."""
+        pyramid = world256.pyramid
+        bounce = [Move.PAN_RIGHT] * 5 + [Move.PAN_LEFT] * 5
+        walks = [
+            push_walk(TileKey(3, 0, row), bounce * 6) for row in (1, 5)
+        ]
+        wrong: list = []
+
+        def walk(conn, steps, counts):
+            for move, k in steps:
+                response = conn.request(move, k)
+                full = pyramid.fetch_tile(k, charge=False)
+                if response.tile.key != k or any(
+                    (response.tile.attributes[name] != block).any()
+                    for name, block in full.attributes.items()
+                ):
+                    wrong.append(k)
+                counts.append(response.hit)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadedSocketServer(
+                pyramid, PUSH_CONFIG, engine_factory=engine_factory(pyramid)
+            ) as server, SocketTransport(
+                *server.address, push=True, payload="binary"
+            ) as transport:
+                conns = [transport.connect(session_id=n) for n in "ab"]
+                counts: list = [[], []]
+                threads = [
+                    threading.Thread(target=walk, args=args, daemon=True)
+                    for args in zip(conns, walks, counts)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=120)
+                assert not any(thread.is_alive() for thread in threads)
+                transport.settle()
+                service = server.server.service.service
+                for conn, walked, seen in zip(conns, walks, counts):
+                    info = service.info(conn.session_id)
+                    assert (info.requests, info.hits) == (
+                        len(walked), sum(seen),
+                    )
+                    assert len(seen) == len(walked)
+                assert sum(c.push_cache.hits for c in conns) > 20
+        finally:
+            sys.setswitchinterval(interval)
+        assert wrong == []
+
+    def test_two_tasks_share_one_async_transport(self, world256):
+        pyramid = world256.pyramid
+        bounce = [Move.PAN_RIGHT] * 5 + [Move.PAN_LEFT] * 5
+        walks = [
+            push_walk(TileKey(3, 0, row), bounce * 3) for row in (1, 5)
+        ]
+
+        async def walk(conn, steps):
+            hits = 0
+            for move, k in steps:
+                response = await conn.request(move, k)
+                full = pyramid.fetch_tile(k, charge=False)
+                assert response.tile.key == k
+                for name, block in full.attributes.items():
+                    assert (response.tile.attributes[name] == block).all()
+                hits += response.hit
+            return hits
+
+        async def drive_both(server):
+            async with await AsyncSocketTransport.open(
+                *server.address, push=True, payload="binary"
+            ) as transport:
+                conns = [await transport.connect(session_id=n) for n in "ab"]
+                seen = await asyncio.gather(*map(walk, conns, walks))
+                await transport.settle()
+                service = server.server.service.service
+                for conn, walked, hits in zip(conns, walks, seen):
+                    info = service.info(conn.session_id)
+                    assert (info.requests, info.hits) == (len(walked), hits)
+                return sum(c.push_cache.hits for c in conns)
+
+        with ThreadedSocketServer(
+            pyramid, PUSH_CONFIG, engine_factory=engine_factory(pyramid)
+        ) as server:
+            assert asyncio.run(drive_both(server)) > 10
 
 
 # ----------------------------------------------------------------------
