@@ -5,9 +5,12 @@ The workers are real spawned processes, each paying a real (small)
 backend delay per cache miss, so serving capacity is genuinely bounded
 per process; eight concurrent client threads drive the router hard
 enough that a single worker saturates.  Four workers split the
-tile-key space via the consistent-hash ring and serve their partitions
-in parallel — aggregate requests/second must strictly exceed the
-1-worker figure on both the convergent and flash-crowd workloads.
+sessions via the consistent-hash ring and serve them in parallel —
+aggregate requests/second must strictly exceed the 1-worker figure on
+both the convergent and flash-crowd workloads.  (A tile several users
+share is now loaded once per worker hosting one of them: the convergent
+workload, all shared tiles, scales less than it did when the ring
+placed tiles — README "Cluster mode" has both sets of figures.)
 """
 
 from __future__ import annotations

@@ -10,10 +10,12 @@ Run with::
 Boots N spawn-context worker processes (each a full ForeCache socket
 server over its own cache) behind the consistent-hash router, replays a
 deterministic walk per session through the router over a real socket,
-and prints a summary.  ``--kill-worker`` hard-kills worker 0 halfway
-through: the killed partition's requests surface as typed
-``worker_unavailable`` errors, the retry lands on a surviving worker,
-and the exit code is nonzero if no typed error was seen.
+and prints which worker each session lives on and a summary.
+``--kill-worker`` hard-kills the first session's worker halfway
+through: the first request to meet the dead worker surfaces as a typed
+``worker_unavailable`` error, the ring re-maps the sessions that lived
+there, the retry lands on a surviving worker, sessions living elsewhere
+notice nothing, and the exit code is nonzero if no typed error was seen.
 """
 
 import argparse
@@ -80,8 +82,8 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--kill-worker",
         action="store_true",
-        help="hard-kill worker 0 halfway through the replay and assert "
-        "typed worker_unavailable errors surface cleanly",
+        help="hard-kill the first session's worker halfway through the "
+        "replay and assert typed worker_unavailable errors surface cleanly",
     )
     parser.add_argument("--backend-delay", type=float, default=0.0)
     args = parser.parse_args(argv)
@@ -122,15 +124,18 @@ def main(argv=None) -> int:
                 f"negotiated: push={transport.push_enabled} "
                 f"payload={transport.payload}"
             )
+            ring = cluster.router.router.ring
             clients = []
             walks = []
             for index in range(args.sessions):
-                clients.append(
-                    transport.connect(session_id=f"cli-user-{index + 1}")
-                )
+                session_id = f"cli-user-{index + 1}"
+                clients.append(transport.connect(session_id=session_id))
                 walks.append(
                     _snake_walk(grid, TileKey(0, 0, 0), args.steps)
                 )
+                owner = ring.owner(session_id)
+                print(f"session {session_id} lives on {owner}")
+            doomed = ring.owner(clients[0].session_id)
             total = sum(len(walk) for walk in walks)
             half = total // 2
             step = 0
@@ -139,8 +144,8 @@ def main(argv=None) -> int:
                     if position >= len(walk):
                         continue
                     if args.kill_worker and step == half:
-                        print("killing worker 0 mid-replay")
-                        cluster.kill_worker(0)
+                        print(f"killing {doomed} mid-replay")
+                        cluster.kill_worker(int(doomed.rpartition("-")[2]))
                     move, key = walk[position]
                     try:
                         client.request(move, key)

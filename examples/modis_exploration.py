@@ -15,7 +15,7 @@ and 13.
 ``--frontend`` chooses who serves the latency replay: the
 ``ForeCacheService`` facade (default), its asyncio front end, the real
 TCP socket transport replaying over loopback (``socket``), or a
-1-worker cluster behind the consistent-hash router (``cluster``) — all
+2-worker cluster behind the consistent-hash router (``cluster``) — all
 four must (and do) produce identical virtual-time numbers.  ``--prefetch-mode background`` routes every
 prefetch round through the rank-aware priority scheduler's worker pool
 instead of the inline sync path (a smoke path for the concurrent

@@ -357,8 +357,9 @@ def latency_points(
 #: identical virtual-time numbers (the facade is the single code path;
 #: the socket front end replays over a real loopback TCP connection and
 #: only adds physical transport time, never virtual latency; "cluster"
-#: puts the consistent-hash router between client and a single worker,
-#: which must change nothing); "service" — the facade in process — is
+#: puts the consistent-hash router and two workers between client and
+#: service — a session lives on one of them, which must change
+#: nothing); "service" — the facade in process — is
 #: the default and what the figure benchmarks run.
 REPLAY_FRONTENDS = ("service", "async", "socket", "cluster")
 
@@ -383,9 +384,10 @@ def replay_model_latency(
     facade ("service"), the asyncio front end ("async"), the TCP socket
     transport over loopback ("socket" — real framed bytes on a real
     port; latency stays virtual, so the numbers still match), or a
-    1-worker cluster behind the consistent-hash router ("cluster" —
-    the router terminates the handshake and forwards every frame, so
-    the numbers must again be bit-identical).
+    2-worker cluster behind the consistent-hash router ("cluster" —
+    the router terminates the handshake and forwards every frame of a
+    session to the one worker it lives on, so the numbers must again be
+    bit-identical).
 
     ``prefetch_mode="sync"`` (the default, what every figure benchmark
     uses) keeps the deterministic virtual-time numbers.
@@ -529,11 +531,12 @@ def _replay_wire_frontend(
     responses — what a real browser would report — which must equal the
     server-side recorder to the bit.
 
-    With ``cluster`` the endpoint is a 1-worker cluster instead: the
+    With ``cluster`` the endpoint is a 2-worker cluster instead: the
     client connects to the consistent-hash router, which owns the
-    handshake and forwards every request to the single worker.  The
-    numbers must not move — the router adds transport hops, never
-    virtual latency.
+    handshake and forwards every request to the worker the trace's
+    session lives on (the other one opens the session and never hears
+    of it again).  The numbers must not move — the router adds
+    transport hops, never virtual latency.
     """
     from repro.middleware.client import BrowsingSession
     from repro.middleware.cluster import ThreadedClusterServer
@@ -551,7 +554,7 @@ def _replay_wire_frontend(
             serving = dict(engine_factory=lambda: engine, max_workers=1)
             endpoint = (
                 ThreadedClusterServer(
-                    context.pyramid, config, workers=1, **serving
+                    context.pyramid, config, workers=2, **serving
                 )
                 if cluster
                 else ThreadedSocketServer(context.pyramid, config, **serving)

@@ -204,9 +204,9 @@ def _replay_wire(
     with endpoint:
         # The sync facades under the asyncio servers — the sweep owns the
         # whole stack, so draining them directly between requests is fair
-        # game (drain/wait_idle is thread-safe by design).  Draining must
-        # reach *every* worker's scheduler: a request's prefetch round
-        # runs on whichever worker owns its tile key.
+        # game (drain/wait_idle is thread-safe by design).  Every worker
+        # is drained: a session's prefetch rounds run on the one worker
+        # the ring placed it on, and idle workers drain at once.
         servers = [endpoint] if workers is None else endpoint.workers
         inner = [threaded.server.service.service for threaded in servers]
         with SocketTransport(

@@ -139,10 +139,10 @@ PARAMETER_DOMAINS: dict[str, tuple[object, object]] = {
     "fidelity": ("off", _check_choice("fidelity", FIDELITY_MODES)),
     "shed_queue_depth": (32, _check_int("shed_queue_depth", 1)),
     "shed_miss_streak": (0, _check_int("shed_miss_streak", 0)),
-    # cluster front end (run.py enforces the frontend pairing); the
-    # ring partition is a pure function of (cluster_workers,
-    # ring_replicas, ring_seed) — worker node names are stable — so
-    # cluster cells stay trajectory-gateable.
+    # cluster front end (run.py enforces the frontend pairing); which
+    # worker a session lives on is a pure function of (its id,
+    # cluster_workers, ring_replicas, ring_seed) — worker node names
+    # are stable — so cluster cells stay trajectory-gateable.
     "cluster_workers": (1, _check_int("cluster_workers", 1)),
     # push prefetch (socket front end only; run.py enforces the pairing)
     "push": ("off", _check_choice("push", PUSH_MODES)),
@@ -445,9 +445,11 @@ CI_OVERLOAD_SPEC = {
 }
 
 #: The cluster trajectory sweep: worker count over the consistent-hash
-#: router on the two multi-user workloads.  Deterministic because the
-#: ring partition only depends on (cluster_workers, ring_replicas,
-#: ring_seed) and every session replays sequentially with settle.  Its
+#: router on the two multi-user workloads.  Deterministic because
+#: session placement only depends on (cluster_workers, ring_replicas,
+#: ring_seed) and every session replays sequentially with settle — and,
+#: since a session is served whole by one worker, equal between worker
+#: counts on every metric that is not wall clock.  Its
 #: own spec — and its own snapshot directory in CI — so the earlier
 #: snapshots stay byte-comparable across the cluster-introducing change.
 CI_CLUSTER_SPEC = {

@@ -8,7 +8,7 @@ Topology
                           +----------------------+
         clients  ----->   |   TileServiceRouter  |   (wire protocol,
        (unchanged         |  - hello/welcome     |    unchanged)
-        protocol)         |  - consistent ring   |
+        protocol)         |  - session ring      |
                           |  - gossip merge      |
                           +----+----------+-----+
                                |          |
@@ -22,7 +22,12 @@ Topology
 
 Each worker is today's :class:`~repro.middleware.net.ForeCacheSocketServer`
 — full service stack, own cache, own hotspot registry — serving a
-partition of the tile-key space.  The router is a thin asyncio front
+partition of the *sessions*.  The paper's mechanism is one loop per
+user — recent moves, a prediction, a prefetch into the cache the user's
+next request is served from — so the router keeps that loop in one
+place: every message of a session goes to the worker the session lives
+on, whose engine therefore sees the whole walk and whose prefetches wait
+where the next request will land.  The router is a thin asyncio front
 end speaking the *existing* wire protocol to clients:
 
 * ``hello``/``welcome`` terminate at the router.  The granted
@@ -30,14 +35,14 @@ end speaking the *existing* wire protocol to clients:
   and what every live worker granted on that client's backend links
   (push requires all workers push-capable; binary payloads require all
   workers to speak binary).
-* Each ``tile_request`` maps to its owner worker through a seeded,
-  deterministic :class:`ConsistentHashRing` over :class:`TileKey` —
-  the same key always lands on the same worker, across runs and across
-  processes, because the ring hashes with :func:`hashlib.blake2b`
-  (no ``PYTHONHASHSEED`` dependence).
+* A session lives on ``ring.owner(session_id)``: a seeded,
+  deterministic :class:`ConsistentHashRing` maps the id to the same
+  worker across runs and across processes, because the ring hashes with
+  :func:`hashlib.blake2b` (no ``PYTHONHASHSEED`` dependence).  Each
+  ``tile_request`` and ``push_ack`` goes there; ``open_session`` and
+  ``close_session`` go to every worker and are answered by the owner.
 * ``push_tile`` frames stream back through the same backend link that
-  served the request and are forwarded to the owning client verbatim;
-  ``push_ack`` travels the reverse route by session ownership.
+  served the request and are forwarded to the owning client verbatim.
 * Payload-bearing frames are forwarded **opaque** to a client that
   negotiated ``binary`` (every link then speaks binary too): the router
   parses a frame's small JSON header and re-frames its body unchanged,
@@ -45,9 +50,17 @@ end speaking the *existing* wire protocol to clients:
   links is the fallback that still decodes and re-encodes.
 * A dead worker — or one that leaves a round trip unanswered past the
   deadline — surfaces as a typed ``worker_unavailable`` error and
-  is removed from the ring; a retry of the same key lands on a
-  surviving worker (sessions open on every worker, so the survivor
-  already has the session — no re-open round trip).
+  is removed from the ring, which moves its sessions — and no others —
+  to their ring successors; a retry lands there (sessions open on every
+  worker, so the successor already has the session — no re-open round
+  trip).  What failover loses is the dead worker's memory: its sessions
+  go on with an empty prediction history, a forgotten push ``held`` set
+  and a cold cache; every other session loses nothing, not even a hit.
+
+The price of keeping a session whole is paid in shared tiles: a tile
+several users want is loaded once per worker hosting one of them, not
+once per cluster (``experiments/backend_loads.py`` counts it, the
+README's "Cluster mode" has the throughput figures).
 
 Protocol logic is shared, not copied: the router serves its clients
 with the worker's own serve loop (:class:`~repro.middleware.net._WireServer`)
@@ -109,7 +122,6 @@ from repro.middleware.protocol import (
     FrameTooLargeError,
     Hello,
     HotspotGossip,
-    InvalidRequestError,
     OpenSession,
     ProtocolError,
     PushAck,
@@ -120,9 +132,7 @@ from repro.middleware.protocol import (
     decode_wire,
     frame_binary_body,
     negotiate_version,
-    requested_key,
 )
-from repro.tiles.key import TileKey
 from repro.tiles.pyramid import TilePyramid
 
 _READ_CHUNK = 65536
@@ -144,15 +154,18 @@ def _hash64(data: str) -> int:
     Python's builtin ``hash`` is randomised per process by
     ``PYTHONHASHSEED``; the ring must place the same key on the same
     worker across independent processes, so it hashes through a real
-    digest instead.
+    digest instead.  A session id is a client's string, and JSON can
+    spell a lone surrogate: it is hashed, not refused.
     """
+    encoded = data.encode("utf-8", "surrogatepass")
     return int.from_bytes(
-        hashlib.blake2b(data.encode("utf-8"), digest_size=8).digest(), "big"
+        hashlib.blake2b(encoded, digest_size=8).digest(), "big"
     )
 
 
 class ConsistentHashRing:
-    """Deterministic consistent-hash ring over :class:`TileKey`.
+    """Deterministic consistent-hash ring over anything with a stable
+    ``str()`` — the router places session ids on it.
 
     Each node contributes ``replicas`` points on the ring (more points
     smooth the partition toward 1/N per node); a key is owned by the
@@ -201,11 +214,15 @@ class ConsistentHashRing:
         self._nodes.discard(node)
         self._points = [p for p in self._points if p[1] != node]
 
-    def owner(self, key: TileKey) -> str:
-        """The node owning ``key`` — same answer in every process."""
+    def owner(self, key) -> str:
+        """The node owning ``key`` — same answer in every process.
+
+        ``key`` is placed by its ``str()``: a session id as it is, a
+        :class:`TileKey` as ``"level/x/y"``.
+        """
         if not self._points:
             raise WorkerUnavailableError("no live workers on the ring")
-        point = _hash64(f"{self.seed}:{key.level}/{key.x}/{key.y}")
+        point = _hash64(f"{self.seed}:{key}")
         index = bisect.bisect_left(self._points, (point, ""))
         if index == len(self._points):
             index = 0
@@ -364,7 +381,6 @@ class _RouterClient(ServerConnection):
     def __init__(self, framing: str, max_frame_bytes: int) -> None:
         super().__init__(framing, max_frame_bytes)
         self.links: dict[str, _BackendLink] = {}
-        self.session_worker: dict[str, str] = {}
 
 
 # ----------------------------------------------------------------------
@@ -554,120 +570,64 @@ class TileServiceRouter(_WireServer):
 
     async def _broadcast(
         self, message: "OpenSession | CloseSession", state: _RouterClient
-    ) -> "tuple[list[SessionInfo], ErrorInfo]":
-        """Send one session-lifecycle message to every live worker.
-
-        Returns the workers' ``SessionInfo`` answers (in node order)
-        and the error to report when there are none: the first typed
-        error a worker gave, else ``worker_unavailable``.
-        """
-        infos: list[SessionInfo] = []
-        error: ErrorInfo | None = None
+    ) -> "SessionInfo | ErrorInfo":
+        """Send one session-lifecycle message to every live worker; the
+        answer is the one from the worker the session lives on (looked
+        up afterwards: a death met on the way has re-mapped it)."""
+        replies: dict[str, "SessionInfo | ErrorInfo"] = {}
         for node in sorted(state.links):
             link = state.links[node]
             if link.dead:
                 continue
             try:
-                result, _ = await link.roundtrip(message)
+                replies[node], _ = await link.roundtrip(message)
             except WorkerUnavailableError:
                 self._mark_worker_dead(node)
-                continue
-            if isinstance(result, ErrorInfo):
-                error = error or result
-            elif isinstance(result, SessionInfo):
-                infos.append(result)
-        if error is None:
-            error = ErrorInfo.from_exception(
-                WorkerUnavailableError(
-                    "no live workers on the ring",
-                    session_id=message.session_id,
-                )
+        session_id = message.session_id
+        owner = self.ring.owner(session_id) if self._alive else None
+        return replies.get(owner) or ErrorInfo.from_exception(
+            WorkerUnavailableError(
+                "no live workers on the ring", session_id=session_id
             )
-        return infos, error
+        )
 
     async def _serve_open(
         self, message: OpenSession, state: _RouterClient
     ):
-        """Open the session on every live worker; the first success
-        wins the reply."""
+        """Open the session on every live worker — requests go to its
+        owner only, but a ring successor that already holds the session
+        takes over with no re-open round trip."""
         auto = message.session_id is None
         session_id = self._next_session_id() if auto else message.session_id
         for _ in range(64):
-            infos, error = await self._broadcast(
+            reply = await self._broadcast(
                 OpenSession(session_id=session_id), state
             )
-            if infos or not auto or error.code != DuplicateSessionError.code:
+            taken = getattr(reply, "code", None) == DuplicateSessionError.code
+            if not (auto and taken):
                 break
             # Another client claimed the auto id first (each worker
             # numbers its own sessions); renumber.
             session_id = self._next_session_id()
-        if not infos:
-            return [error]
-        state.sessions.add(session_id)
-        return [infos[0]]
+        if isinstance(reply, SessionInfo):
+            state.sessions.add(session_id)
+        return [reply]
 
     async def _serve_close(
         self, message: CloseSession, state: _RouterClient
     ):
         state.require_session(message.session_id)
-        infos, error = await self._broadcast(message, state)
+        reply = await self._broadcast(message, state)
         state.sessions.discard(message.session_id)
-        state.session_worker.pop(message.session_id, None)
-        if not infos:
-            return [error]
-        if len(infos) == 1:
-            return [replace(infos[0], open=False)]
-        # Aggregate across partitions: requests/hits sum, latency is
-        # the request-weighted mean.
-        requests = sum(info.requests for info in infos)
-        hits = sum(info.hits for info in infos)
-        weighted = sum(
-            info.average_latency_seconds * info.requests for info in infos
-        )
-        merged = replace(
-            infos[0],
-            requests=requests,
-            hits=hits,
-            hit_rate=(hits / requests) if requests else 0.0,
-            average_latency_seconds=(
-                (weighted / requests) if requests else 0.0
-            ),
-            open=False,
-        )
-        return [merged]
+        return [reply]
 
     # -- the request path ----------------------------------------------
-    async def _serve_request(
-        self, message: TileRequest, state: _RouterClient
-    ):
-        session_id = state.require_session(message.session_id)
-        key = requested_key(message)
-        node = self.ring.owner(key)
-        link = state.links.get(node)
-        if link is None or link.dead:
-            # The ring can briefly lag a death detected on another
-            # connection; surface the same typed failure.
-            self._mark_worker_dead(node)
-            raise WorkerUnavailableError(
-                f"worker {node} owning tile {key} is down "
-                "(safe to retry: the ring has re-mapped the key)",
-                session_id=session_id,
-            )
-        messages = await self._relay(node, link, message, state)
-        state.session_worker[session_id] = node
-        if not state.push:
-            messages = messages[-1:]
-        return messages
-
     async def _relay(
-        self,
-        node: str,
-        link: _BackendLink,
-        message: "TileRequest | PushAck",
-        state: _RouterClient,
+        self, message: "TileRequest | PushAck", state: _RouterClient
     ) -> list:
-        """One worker round trip for a client: push frames, then the
-        reply, ready for the connection core to send.
+        """One round trip to the worker the message's session lives on:
+        push frames, then the reply, ready for the connection core to
+        send.
 
         Whether payload-bearing frames are spliced or transcoded follows
         from what was negotiated: a binary client implies binary links
@@ -675,6 +635,11 @@ class TileServiceRouter(_WireServer):
         JSON client over binary links gets them decoded here, in the
         link, and re-encoded as JSON on the way out.
         """
+        session_id = message.session_id
+        node = self.ring.owner(session_id)
+        # On the ring means alive since before this client's hello, which
+        # dialled every live worker: the link exists (dead, at worst).
+        link = state.links[node]
         try:
             reply, pushes = await link.roundtrip(
                 message, opaque=state.payload == "binary"
@@ -682,7 +647,9 @@ class TileServiceRouter(_WireServer):
         except WorkerUnavailableError as exc:
             self._mark_worker_dead(node)
             raise WorkerUnavailableError(
-                str(exc), session_id=message.session_id
+                f"{exc} (safe to retry: the ring has re-mapped session "
+                f"{session_id!r})",
+                session_id=session_id,
             ) from exc
         messages = [*pushes, reply]
         if link.payload == "binary" and state.payload != "binary":
@@ -694,30 +661,18 @@ class TileServiceRouter(_WireServer):
                 messages[index] = self._splice(m)
         return messages
 
-    async def _serve_ack(self, message: PushAck, state: _RouterClient):
-        session_id = state.require_session(message.session_id)
+    async def _serve_request(
+        self, message: TileRequest, state: _RouterClient
+    ):
+        state.require_session(message.session_id)
+        messages = await self._relay(message, state)
         if not state.push:
-            raise InvalidRequestError(
-                "push_ack without negotiated push support"
-            )
-        node = state.session_worker.get(session_id)
-        if node is None and message.tile is not None:
-            node = self.ring.owner(requested_key(message))
-        if node is None:
-            live = sorted(
-                n for n, link in state.links.items() if not link.dead
-            )
-            if not live:
-                raise WorkerUnavailableError(
-                    "no live workers on the ring", session_id=session_id
-                )
-            node = live[0]
-        link = state.links.get(node)
-        if link is None or link.dead:
-            raise WorkerUnavailableError(
-                f"worker {node} is down", session_id=session_id
-            )
-        return await self._relay(node, link, message, state)
+            messages = messages[-1:]
+        return messages
+
+    async def _serve_ack(self, message: PushAck, state: _RouterClient):
+        state.require_push(state.require_session(message.session_id))
+        return await self._relay(message, state)
 
     async def _serve_gossip(self, message: HotspotGossip, state):
         """Client-facing gossip: read-only view of the merged hot set."""
@@ -831,9 +786,9 @@ class _ClusterHarness:
         try:
             addresses = self._boot_workers()
             # Stable logical node names: the ring hashes the node id, so
-            # deriving it from the (ephemeral) port would re-partition the
-            # key space on every boot.  ``worker-<i>`` keeps the partition
-            # a pure function of (worker count, ring_replicas, ring_seed).
+            # deriving it from the (ephemeral) port would re-place every
+            # session on every boot.  ``worker-<i>`` keeps placement a
+            # pure function of (worker count, ring_replicas, ring_seed).
             self.router = ThreadedRouter(
                 {
                     f"worker-{index}": address
@@ -916,8 +871,8 @@ class ThreadedClusterServer(_ClusterHarness):
 
     def stop_worker(self, index: int) -> None:
         """Gracefully stop one worker — the router sees EOF on its
-        links and converts subsequent requests for that partition into
-        typed ``worker_unavailable`` errors."""
+        links: the next message of a session living there gets a typed
+        ``worker_unavailable`` error, and the ring re-maps them all."""
         self.workers[index].stop()
 
     def _stop_workers(self) -> None:

@@ -262,14 +262,16 @@ class ServiceConfig:
     #: mandatory — it is the fallback every client can speak.
     payloads: tuple[str, ...] = ("json", "binary")
     #: Cluster mode: virtual ring points per worker on the consistent-
-    #: hash ring.  More replicas smooth the partition (each worker owns
-    #: many small arcs instead of one big one) at the cost of a larger
-    #: sorted ring; 64 keeps the per-worker share within a few percent
-    #: of 1/N.
+    #: hash ring the router places sessions on.  More replicas smooth
+    #: the partition (each worker owns many small arcs instead of one
+    #: big one) at the cost of a larger sorted ring; 64 keeps the
+    #: per-worker share of a large session population within a few
+    #: percent of 1/N.
     ring_replicas: int = 64
     #: Cluster mode: seed mixed into every ring hash.  The ring is a
     #: pure function of (seed, worker ids, replicas), so routers sharing
-    #: a seed agree on tile ownership across processes and restarts.
+    #: a seed agree on which worker a session lives on, across
+    #: processes and restarts.
     ring_seed: int = 0
 
     def __post_init__(self) -> None:

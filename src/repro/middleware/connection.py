@@ -522,6 +522,15 @@ class ServerConnection:
             )
         return session_id
 
+    def require_push(self, session_id: str) -> str:
+        """A ``push_ack`` is served only where push was negotiated."""
+        if not self.push:
+            raise InvalidRequestError(
+                "push_ack on a connection that did not negotiate push",
+                session_id=session_id,
+            )
+        return session_id
+
 
 class SessionStub:
     """One session's side of the protocol, for any transport's client.

@@ -460,12 +460,9 @@ class ForeCacheSocketServer(_WireServer):
     async def _serve_ack(self, message: PushAck, conn: ServerConnection):
         """Absorb a push-cache digest; with ``tile`` set, record the
         client's locally answered (push-hit) request."""
-        session_id = conn.require_session(message.session_id)
-        if not conn.push:
-            raise InvalidRequestError(
-                "push_ack on a connection that did not negotiate push",
-                session_id=session_id,
-            )
+        session_id = conn.require_push(
+            conn.require_session(message.session_id)
+        )
         self.push_scheduler.acknowledge(session_id, held_keys(message))
         if message.tile is None:
             return [await self.service.info(session_id)]

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import asyncio
 import importlib.util
+import json
 import os
 import socketserver
 import subprocess
@@ -20,10 +21,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core.allocation import SingleModelStrategy
 from repro.core.engine import PredictionEngine
 from repro.core.popularity import SharedHotspotRegistry
+from repro.experiments.sweep import resolve_spec, run_cell
 from repro.middleware import cluster as cluster_module
 from repro.middleware.cluster import (
     ConsistentHashRing,
@@ -78,6 +82,24 @@ def make_engine(grid) -> PredictionEngine:
 def all_keys(grid, level: int) -> list[TileKey]:
     n = grid.tiles_per_dim(level)
     return [TileKey(level, x, y) for x in range(n) for y in range(n)]
+
+
+def node_index(node: str) -> int:
+    """``worker-<i>`` → ``i``, what the harnesses stop and kill by."""
+    return int(node.rpartition("-")[2])
+
+
+def session_off(ring, node: str) -> str:
+    """A session id the ring places on any worker but ``node``."""
+    return next(
+        session_id
+        for session_id in map("bystander-{}".format, range(64))
+        if ring.owner(session_id) != node
+    )
+
+
+def outcome(response):
+    return (response.tile.key, response.hit, response.latency_seconds)
 
 
 @pytest.fixture
@@ -177,6 +199,67 @@ class TestConsistentHashRing:
         ring = ConsistentHashRing(["w0"])
         with pytest.raises(ValueError):
             ring.add("w0")
+
+
+# ----------------------------------------------------------------------
+# the ring places sessions: any string a client may name one by
+# ----------------------------------------------------------------------
+NODES = ["w0", "w1", "w2", "w3"]
+
+#: Whatever JSON can put in a ``session_id``, lone surrogates included.
+session_ids = st.text(st.characters(exclude_categories=()), max_size=40)
+
+
+class TestSessionPlacement:
+    @settings(max_examples=3, deadline=None)
+    @given(st.lists(session_ids, min_size=1, max_size=50))
+    @example(["", "session-1", "\ud800", "a\x00b", "naïve/0/0"])
+    def test_same_session_same_worker_across_processes(self, ids):
+        script = (
+            "import json, sys\n"
+            "from repro.middleware.cluster import ConsistentHashRing\n"
+            f"ring = ConsistentHashRing({NODES!r}, replicas=64, seed=3)\n"
+            "ids = json.load(sys.stdin)\n"
+            "print(json.dumps([ring.owner(s) for s in ids]))\n"
+        )
+        run = subprocess.run(
+            [sys.executable, "-c", script],
+            env=dict(os.environ, PYTHONPATH=REPO_SRC, PYTHONHASHSEED="random"),
+            input=json.dumps(ids),
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        local = ConsistentHashRing(NODES, replicas=64, seed=3)
+        assert json.loads(run.stdout) == [local.owner(s) for s in ids]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sets(session_ids, max_size=60), st.sampled_from(NODES))
+    def test_removal_moves_only_the_dead_nodes_sessions(self, ids, dead):
+        ring = ConsistentHashRing(NODES, replicas=64, seed=0)
+        before = {s: ring.owner(s) for s in ids}
+        ring.remove(dead)
+        for session_id, owner in before.items():
+            after = ring.owner(session_id)
+            assert after != dead
+            assert after == owner or owner == dead
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(0, 12).flatmap(
+            lambda level: st.tuples(
+                st.just(level),
+                st.integers(0, 2**level - 1),
+                st.integers(0, 2**level - 1),
+            )
+        ),
+        st.integers(0, 5),
+    )
+    def test_a_tile_key_is_placed_as_its_string(self, reference, seed):
+        ring = ConsistentHashRing(NODES, replicas=16, seed=seed)
+        key = TileKey(*reference)
+        assert str(key) == "{}/{}/{}".format(*reference)
+        assert ring.owner(key) == ring.owner(str(key))
 
 
 # ----------------------------------------------------------------------
@@ -290,30 +373,46 @@ class TestRoutingAndFailover:
     def test_worker_death_surfaces_typed_error_then_recovers(
         self, cluster2, tiny_dataset
     ):
-        grid = tiny_dataset.pyramid.grid
-        host, port = cluster2.address
-        transport = SocketTransport(host, port)
+        """The dead worker's session meets one typed error and moves on;
+        a session living on the survivor never learns anything happened
+        — no error, and the very hits of a dedicated single server."""
+        pyramid = tiny_dataset.pyramid
+        grid = pyramid.grid
+        walk = _snake_walk(grid, TileKey(0, 0, 0), 16)
+        with ThreadedSocketServer(
+            pyramid, ServiceConfig(), engine_factory=lambda: make_engine(grid)
+        ) as dedicated:
+            with SocketTransport(*dedicated.address) as transport:
+                solo = transport.connect()
+                expected = [outcome(solo.request(m, k)) for m, k in walk]
+        assert any(hit for _, hit, _ in expected)
+        ring = cluster2.router.router.ring
+        doomed = ring.owner("failover")
+        transport = SocketTransport(*cluster2.address)
         try:
             client = transport.connect(session_id="failover")
+            bystander = transport.connect(session_id=session_off(ring, doomed))
             keys = all_keys(grid, grid.deepest_level)
             # Serve one request so the connection is warm.
             client.request(None, keys[0])
-            cluster2.stop_worker(0)
-            errors = 0
+            seen = [outcome(bystander.request(m, k)) for m, k in walk[:8]]
+            cluster2.stop_worker(node_index(doomed))
+            seen += [outcome(bystander.request(m, k)) for m, k in walk[8:]]
+            assert seen == expected
+            errors = []
             for key in keys:
                 try:
                     response = client.request(None, key)
                 except WorkerUnavailableError:
-                    errors += 1
+                    errors.append(key)
                     # The retry goes to a survivor — same connection,
                     # same session (it was opened on every worker).
                     response = client.request(None, key)
                 assert response.tile.key == key
-            # The dead worker owned a real share of the key space, and
-            # each session hits its partition at most once before the
-            # ring re-maps it.
-            assert errors >= 1
+            # Once: the ring re-mapped the session at the first failure.
+            assert errors == keys[:1]
             client.close()
+            bystander.close()
         finally:
             transport.close()
 
@@ -331,37 +430,33 @@ class TestRoutingAndFailover:
             engine_factory=lambda: make_engine(grid),
         ) as cluster:
             ring = cluster.router.router.ring
+            # Acks go where the session lives; that is the worker that dies.
+            doomed = ring.owner("pushy")
             transport = SocketTransport(*cluster.address, push=True)
             try:
                 pushy = transport.connect(session_id="pushy")
-                bystander = transport.connect(session_id="bystander")
-                start = TileKey(2, 0, 1)
-                pushy.request(None, start)
+                bystander = transport.connect(
+                    session_id=session_off(ring, doomed)
+                )
+                pushy.request(None, TileKey(2, 0, 1))
                 held = pushy.push_cache.digest()
                 assert held  # the round pushed what lies around the start
-                # Acks follow the session to the worker that served its
-                # last pull; that is the worker that dies.
-                doomed = ring.owner(start)
-                survivors = [
+                fresh = [
                     k
                     for k in all_keys(grid, grid.deepest_level)
-                    if ring.owner(k) != doomed and k not in held
+                    if k not in held
                 ]
-                cluster.stop_worker(int(doomed.rpartition("-")[2]))
+                cluster.stop_worker(node_index(doomed))
                 response = pushy.request(None, held[0])
                 assert response.tile.key == held[0] and response.hit
                 # Whichever call reads the refusal, it is not theirs.
-                assert bystander.request(None, survivors[0]).tile.key == (
-                    survivors[0]
-                )
+                assert bystander.request(None, fresh[0]).tile.key == fresh[0]
                 sent = transport.bytes_sent
                 with pytest.raises(WorkerUnavailableError):
-                    pushy.request(None, survivors[1])
+                    pushy.request(None, fresh[1])
                 assert transport.bytes_sent == sent  # raised before sending
-                # The retry is a pull: it moves the session to a survivor.
-                assert pushy.request(None, survivors[1]).tile.key == (
-                    survivors[1]
-                )
+                # The ring has moved the session to the survivor.
+                assert pushy.request(None, fresh[1]).tile.key == fresh[1]
                 pushy.close()
                 bystander.close()
             finally:
@@ -377,25 +472,26 @@ class TestRoutingAndFailover:
             workers=3,
             engine_factory=lambda: make_engine(grid),
         ) as cluster:
+            ring = cluster.router.router.ring
+            doomed = ring.owner("alpha")
             host, port = cluster.address
             t1 = SocketTransport(host, port)
             t2 = SocketTransport(host, port)
             try:
                 c1 = t1.connect(session_id="alpha")
-                c2 = t2.connect(session_id="beta")
+                c2 = t2.connect(session_id=session_off(ring, doomed))
                 keys = all_keys(grid, grid.deepest_level)
                 c1.request(None, keys[0])
                 c2.request(None, keys[1])
-                cluster.stop_worker(1)
+                cluster.stop_worker(node_index(doomed))
                 # Both sessions — on separate connections — keep being
-                # served after the death, modulo one typed retry each.
+                # served after the death: one typed retry for the
+                # session that lived there, nothing for the other.
+                with pytest.raises(WorkerUnavailableError):
+                    c1.request(None, keys[0])
                 for client in (c1, c2):
                     for key in keys[:8]:
-                        try:
-                            response = client.request(None, key)
-                        except WorkerUnavailableError:
-                            response = client.request(None, key)
-                        assert response.tile.key == key
+                        assert client.request(None, key).tile.key == key
                 c1.close()
                 c2.close()
             finally:
@@ -416,6 +512,29 @@ class TestRoutingAndFailover:
             client.close()
         finally:
             transport.close()
+
+
+# ----------------------------------------------------------------------
+# the trajectory grid: a second worker changes no virtual number
+# ----------------------------------------------------------------------
+def test_every_ci_cluster_cell_reads_the_same_on_one_worker_and_on_two():
+    """``benchmarks/trajectory/cluster`` as an invariant: whatever is
+    not wall clock is equal between a 2-worker cell and its 1-worker
+    twin, because each session is served whole by one worker."""
+    results = {
+        cell.cell_id: run_cell(cell).metrics
+        for cell in resolve_spec("ci-cluster").cells()
+    }
+    pairs = [
+        (metrics, results[cell_id.replace("clworkers=2", "clworkers=1")])
+        for cell_id, metrics in results.items()
+        if "clworkers=2" in cell_id
+    ]
+    assert len(pairs) == 4
+    for two_workers, one_worker in pairs:
+        assert two_workers["requests"] > 0
+        for metric in set(one_worker) - {"wall_seconds", "throughput_rps"}:
+            assert two_workers[metric] == one_worker[metric], metric
 
 
 # ----------------------------------------------------------------------
@@ -834,7 +953,8 @@ class TestProcessCluster:
                 client = transport.connect(session_id="kill-smoke")
                 keys = all_keys(grid, grid.deepest_level)
                 client.request(None, keys[0])
-                cluster.kill_worker(0)
+                doomed = cluster.router.router.ring.owner("kill-smoke")
+                cluster.kill_worker(node_index(doomed))
                 errors = 0
                 for key in keys:
                     try:
@@ -843,7 +963,7 @@ class TestProcessCluster:
                         errors += 1
                         response = client.request(None, key)
                     assert response.tile.key == key
-                assert errors >= 1
+                assert errors == 1
                 client.close()
             finally:
                 transport.close()

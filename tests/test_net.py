@@ -54,6 +54,17 @@ def make_engine(grid) -> PredictionEngine:
     )
 
 
+def serving(endpoint_kind, pyramid, config):
+    """A direct socket server, or a 2-worker cluster's router: what a
+    raw client is told must not depend on which."""
+    factory = lambda: make_engine(pyramid.grid)  # noqa: E731
+    if endpoint_kind == "server":
+        return ThreadedSocketServer(pyramid, config, engine_factory=factory)
+    return ThreadedClusterServer(
+        pyramid, config, workers=2, engine_factory=factory
+    )
+
+
 @pytest.fixture
 def server(small_dataset):
     with ThreadedSocketServer(
@@ -343,16 +354,7 @@ class TestResilience:
         self, endpoint_kind, reference, small_dataset
     ):
         pyramid = small_dataset.pyramid
-        kind, kwargs = {
-            "server": (ThreadedSocketServer, {}),
-            "cluster": (ThreadedClusterServer, {"workers": 2}),
-        }[endpoint_kind]
-        endpoint = kind(
-            pyramid,
-            CONFIG,
-            engine_factory=lambda: make_engine(pyramid.grid),
-            **kwargs,
-        )
+        endpoint = serving(endpoint_kind, pyramid, CONFIG)
         with endpoint, SocketTransport(*endpoint.address) as transport:
             conn = transport.connect(session_id="guarded")
             conn.request(None, TileKey(0, 0, 0))
@@ -382,15 +384,10 @@ class TestResilience:
         # It used to reach ErrorInfo.from_exception as TileKey's bare
         # ValueError: the catch-all code and no session id.
         pyramid = small_dataset.pyramid
-        kind, kwargs = {
-            "server": (ThreadedSocketServer, {}),
-            "cluster": (ThreadedClusterServer, {"workers": 2}),
-        }[endpoint_kind]
-        endpoint = kind(
+        endpoint = serving(
+            endpoint_kind,
             pyramid,
             ServiceConfig(prefetch=PrefetchPolicy(k=5, push="on")),
-            engine_factory=lambda: make_engine(pyramid.grid),
-            **kwargs,
         )
         good = {"type": "tile_request", "session_id": "s", "tile": [0, 0, 0]}
         with endpoint:
@@ -428,6 +425,54 @@ class TestResilience:
         )
         # The refused message moved nothing: two requests, the second a hit.
         assert (replies[4]["requests"], replies[4]["hits"]) == (2, 1)
+
+    @pytest.mark.parametrize("endpoint_kind", ["server", "cluster"])
+    def test_a_push_ack_without_negotiated_push_is_refused_alike(
+        self, endpoint_kind, small_dataset
+    ):
+        # The router used to word it differently and drop the session id.
+        endpoint = serving(endpoint_kind, small_dataset.pyramid, CONFIG)
+        with endpoint:
+            sock = raw_connection(endpoint)
+            handshake(sock)
+            send_line(sock, {"type": "open_session", "session_id": "a"})
+            send_line(
+                sock, {"type": "push_ack", "session_id": "a", "held": []}
+            )
+            _, refusal = recv_lines(sock, 2)
+            sock.close()
+        assert refusal == {
+            "type": "error",
+            "code": "invalid_request",
+            "message": "push_ack on a connection that did not negotiate push",
+            "session_id": "a",
+        }
+
+    @pytest.mark.parametrize("endpoint_kind", ["server", "cluster"])
+    def test_a_lone_surrogate_session_id_is_served_alike(
+        self, endpoint_kind, small_dataset
+    ):
+        # JSON can spell one; the router hashes session ids onto its
+        # ring, and UTF-8 alone cannot encode it.
+        endpoint = serving(endpoint_kind, small_dataset.pyramid, CONFIG)
+        with endpoint:
+            sock = raw_connection(endpoint)
+            handshake(sock)
+            for line in (
+                b'{"type": "open_session", "session_id": "\\ud800"}\n',
+                b'{"type": "tile_request", "session_id": "\\ud800",'
+                b' "tile": [0, 0, 0]}\n',
+                b'{"type": "close_session", "session_id": "\\ud800"}\n',
+            ):
+                sock.sendall(line)
+            opened, tile, closed = recv_lines(sock, 3)
+            sock.close()
+        assert [opened["type"], tile["type"], closed["type"]] == [
+            "session_info",
+            "tile_response",
+            "session_info",
+        ]
+        assert closed["session_id"] == "\ud800" and closed["requests"] == 1
 
     def test_oversized_frame_typed_error_then_close(self, server):
         sock = raw_connection(server)

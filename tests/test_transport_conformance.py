@@ -46,8 +46,6 @@ from repro.middleware.protocol import (
 from repro.middleware.service import ForeCacheService
 from repro.recommenders.momentum import MomentumRecommender
 from repro.tiles.key import TileKey
-from repro.tiles.moves import Move
-from repro.users.session import Request, Trace
 
 CONFIG = ServiceConfig(prefetch=PrefetchPolicy(k=5))
 
@@ -609,17 +607,17 @@ class TestFidelityOffConformance:
 # the cluster front end: a router in the path changes nothing
 # ----------------------------------------------------------------------
 def replay_cluster(pyramid, trace, *, framing="lines", payload="json"):
-    """One trace through a 1-worker cluster, client side.
+    """One trace through a 3-worker cluster, client side.
 
-    A single worker behind the consistent-hash router *is* the direct
-    socket path with an extra hop: every session opens on the one
-    worker, every request routes to it, and the router forwards frames
-    without touching their numerics.
+    The router places the session on one worker and sends it every
+    request, so the session's engine sees the whole walk and its
+    prefetches wait where its next request lands: the direct socket
+    path with an extra hop, however many workers stand beside it.
     """
     with ThreadedClusterServer(
         pyramid,
         CONFIG,
-        workers=1,
+        workers=3,
         engine_factory=engine_factory(pyramid),
         framing=framing,
     ) as cluster:
@@ -632,52 +630,17 @@ def replay_cluster(pyramid, trace, *, framing="lines", payload="json"):
             return responses
 
 
-def partition_local_traces(grid, ring, steps=12):
-    """One bounce-walk trace per ring node, confined to its partition.
-
-    Each trace alternates between an adjacent (left, right) tile pair
-    at the deepest level whose two keys share a ring owner, so every
-    request of that session routes to exactly one worker.
-    """
-    level = grid.deepest_level
-    pairs = {}
-    for key in grid.keys_at_level(level):
-        right = grid.apply(key, Move.PAN_RIGHT)
-        if right is None:
-            continue
-        owner = ring.owner(key)
-        if owner == ring.owner(right) and owner not in pairs:
-            pairs[owner] = (key, right)
-        if len(pairs) == len(ring.nodes):
-            break
-    traces = {}
-    for index, owner in enumerate(sorted(pairs)):
-        left, right = pairs[owner]
-        requests = [Request(index=0, tile=left, move=None)]
-        for step in range(steps):
-            if step % 2 == 0:
-                requests.append(
-                    Request(index=step + 1, tile=right, move=Move.PAN_RIGHT)
-                )
-            else:
-                requests.append(
-                    Request(index=step + 1, tile=left, move=Move.PAN_LEFT)
-                )
-        traces[owner] = Trace(user_id=index, task_id=0, requests=requests)
-    return traces
-
-
 class TestClusterConformance:
     """Recorder-for-recorder identity through the router.
 
-    A 1-worker cluster must be bit-identical to the facade baseline on
-    both framings and both payload encodings; on an N-worker cluster,
-    a session whose trace stays inside one ring partition must see
-    exactly the single-node numbers.
+    A cluster must be bit-identical to the facade baseline on both
+    framings and both payload encodings, and a session alone on its
+    worker must see exactly the numbers of a dedicated single node —
+    any trace, any session, whatever the other workers are serving.
     """
 
     @pytest.mark.parametrize("framing", ("lines", "length"))
-    def test_single_worker_cluster_matches_facade(
+    def test_cluster_matches_facade(
         self, framing, small_dataset, replay_trace, baseline
     ):
         responses = replay_cluster(
@@ -688,7 +651,7 @@ class TestClusterConformance:
             client_recorder(baseline).to_dict()
         )
 
-    def test_single_worker_cluster_binary_matches_facade(
+    def test_cluster_binary_matches_facade(
         self, small_dataset, replay_trace, baseline
     ):
         responses = replay_cluster(
@@ -704,46 +667,57 @@ class TestClusterConformance:
                 assert wire.tile.attributes[name].dtype == array.dtype
                 np.testing.assert_array_equal(wire.tile.attributes[name], array)
 
-    def test_partition_local_sessions_match_single_node(self, small_dataset):
+    def test_sessions_alone_on_their_workers_match_single_node(
+        self, small_dataset, small_study
+    ):
         pyramid = small_dataset.pyramid
         with ThreadedClusterServer(
-            pyramid, CONFIG, workers=2, engine_factory=engine_factory(pyramid)
+            pyramid, CONFIG, workers=3, engine_factory=engine_factory(pyramid)
         ) as cluster:
             ring = cluster.router.router.ring
-            traces = partition_local_traces(pyramid.grid, ring)
-            # Both workers own at least one adjacent pair at this scale.
-            assert set(traces) == set(ring.nodes)
-            cluster_runs = {}
+            # One session per worker, each on a study trace of its own,
+            # taking turns request by request on one connection.
+            residents = {}
+            for session_id in map("walker-{}".format, range(64)):
+                residents.setdefault(ring.owner(session_id), session_id)
+            assert set(residents) == set(ring.nodes)
+            traces = dict(zip(residents.values(), small_study.traces))
             with SocketTransport(*cluster.address, pyramid=pyramid) as transport:
-                for owner in sorted(traces):
-                    conn = transport.connect()
-                    cluster_runs[owner] = BrowsingSession(conn).replay(
-                        traces[owner]
-                    )
-                    conn.close()
-        for owner in sorted(traces):
+                conns = {
+                    sid: transport.connect(session_id=sid) for sid in traces
+                }
+                cluster_runs = {sid: [] for sid in traces}
+                for step in range(max(map(len, traces.values()))):
+                    for sid, trace in traces.items():
+                        if step < len(trace):
+                            request = trace.requests[step]
+                            cluster_runs[sid].append(
+                                conns[sid].request(request.move, request.tile)
+                            )
+                # A session's requests reached its owner and nobody else.
+                for index, worker in enumerate(cluster.workers):
+                    service = worker.server.service.service
+                    resident = residents[f"worker-{index}"]
+                    for sid, trace in traces.items():
+                        assert service.info(sid).requests == (
+                            len(trace) if sid == resident else 0
+                        )
+        for sid, trace in traces.items():
             # The single-node truth: a dedicated cold server replaying
             # only this session.
-            with ThreadedSocketServer(
-                pyramid, CONFIG, engine_factory=engine_factory(pyramid)
-            ) as server:
-                with SocketTransport(
-                    *server.address, pyramid=pyramid
-                ) as transport:
-                    conn = transport.connect()
-                    solo = BrowsingSession(conn).replay(traces[owner])
-                    conn.close()
-            assert signature(cluster_runs[owner]) == signature(solo)
-            assert client_recorder(cluster_runs[owner]).to_dict() == (
+            solo = replay_socket_sync(pyramid, trace, "lines")
+            assert signature(cluster_runs[sid]) == signature(solo)
+            assert client_recorder(cluster_runs[sid]).to_dict() == (
                 client_recorder(solo).to_dict()
             )
 
     @pytest.mark.bench
     def test_momentum_figure_pin_through_the_cluster(self):
         # The headline numeric: the momentum LOO latency average at
-        # size=256/users=4, k=5, replayed through a 1-worker cluster,
-        # equals the direct socket path recorder-for-recorder and the
-        # long-pinned figure value to the bit.
+        # size=256/users=4, k=5, replayed through the cluster front end
+        # (a 2-worker cluster: each trace's session lives on one of
+        # them), equals the direct socket path recorder-for-recorder and
+        # the long-pinned figure value to the bit.
         from repro.experiments.context import ExperimentContext
         from repro.experiments.runner import replay_model_latency
 
