@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from repro.cache.manager import CacheManager
 from repro.cache.tile_cache import TileCache
 from repro.middleware.latency import HIT_SECONDS, LatencyModel
-from repro.middleware.protocol import DEFAULT_MAX_FRAME_BYTES, PAYLOADS
+from repro.middleware.protocol import DEFAULT_MAX_FRAME_BYTES, check_payloads
 from repro.tiles.pyramid import TilePyramid
 
 #: Who executes the prefetch list: the request call itself ("sync", the
@@ -291,17 +291,7 @@ class ServiceConfig:
             raise ValueError(
                 f"max_frame_bytes must be >= 4096, got {self.max_frame_bytes}"
             )
-        payloads = tuple(self.payloads)
-        if not payloads or any(p not in PAYLOADS for p in payloads):
-            raise ValueError(
-                f"payloads must be a non-empty subset of {PAYLOADS}, "
-                f"got {self.payloads!r}"
-            )
-        if "json" not in payloads:
-            raise ValueError(
-                'payloads must include "json" (the mandatory fallback), '
-                f"got {self.payloads!r}"
-            )
+        check_payloads(self.payloads)
         if self.ring_replicas < 1:
             raise ValueError(
                 f"ring_replicas must be >= 1, got {self.ring_replicas}"

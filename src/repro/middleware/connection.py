@@ -56,14 +56,13 @@ from typing import NamedTuple
 from repro.middleware import protocol
 from repro.middleware.protocol import (
     DEFAULT_MAX_FRAME_BYTES,
-    FRAMINGS,
+    MESSAGE_TYPES,
     PAYLOADS,
     SUPPORTED_VERSIONS,
     CloseSession,
     ErrorInfo,
     FrameDecoder,
     Hello,
-    HotspotGossip,
     InvalidRequestError,
     OpenSession,
     ProtocolError,
@@ -75,6 +74,7 @@ from repro.middleware.protocol import (
     TileRequest,
     Welcome,
     binary_message_type,
+    check_framing,
     decode_wire,
     encode_wire,
     negotiate_payload,
@@ -86,12 +86,6 @@ from repro.middleware.transport import response_to_client
 from repro.tiles.key import TileKey
 from repro.tiles.moves import Move
 from repro.tiles.reduce import upsample_tile
-
-
-def check_framing(framing: str) -> str:
-    if framing not in FRAMINGS:
-        raise ValueError(f"framing must be one of {FRAMINGS}, got {framing!r}")
-    return framing
 
 
 def check_payload(payload: str) -> str:
@@ -366,7 +360,7 @@ class ClientConnection:
 #: The message types a client may send.  A serving endpoint has one
 #: handler per member; anything else a client frames is refused.
 CLIENT_MESSAGES = frozenset(
-    {Hello, OpenSession, CloseSession, TileRequest, PushAck, HotspotGossip}
+    cls for cls in MESSAGE_TYPES.values() if cls.client_sends
 )
 
 

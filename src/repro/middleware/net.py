@@ -58,11 +58,9 @@ from repro.middleware.connection import (
     ClientConnection,
     ServerConnection,
     SessionStub,
-    check_framing,
 )
 from repro.middleware.protocol import (
     DEFAULT_MAX_FRAME_BYTES,
-    PAYLOADS,
     CloseSession,
     ErrorInfo,
     FrameTooLargeError,
@@ -78,6 +76,8 @@ from repro.middleware.protocol import (
     TileRef,
     TileRequest,
     TileSegmentCache,
+    check_framing,
+    check_payloads,
     encode_tile_frame,
     encode_wire,
     held_keys,
@@ -91,21 +91,6 @@ from repro.tiles.moves import Move
 from repro.tiles.pyramid import TilePyramid
 
 _READ_CHUNK = 65536
-
-
-def _check_payloads(payloads) -> tuple[str, ...]:
-    payloads = tuple(payloads)
-    if not payloads or any(p not in PAYLOADS for p in payloads):
-        raise ValueError(
-            f"payloads must be a non-empty subset of {PAYLOADS}, "
-            f"got {payloads!r}"
-        )
-    if "json" not in payloads:
-        raise ValueError(
-            f'payloads must include "json" (the mandatory fallback), '
-            f"got {payloads!r}"
-        )
-    return payloads
 
 
 class _WireServer:
@@ -271,7 +256,7 @@ class ForeCacheSocketServer(_WireServer):
         #: (defaults to ``ServiceConfig.payloads``).  Clients that do
         #: not offer "binary" — or servers configured without it — stay
         #: on the byte-identical JSON wire.
-        self.payloads = _check_payloads(
+        self.payloads = check_payloads(
             payloads if payloads is not None else config.payloads
         )
         self.max_frame_bytes = (
@@ -704,7 +689,7 @@ class ThreadedSocketServer(_LoopThread):
             host=host,
             port=port,
             payloads=(
-                _check_payloads(payloads) if payloads is not None else None
+                check_payloads(payloads) if payloads is not None else None
             ),
         )
 

@@ -49,9 +49,15 @@ per-tile segment, kept in a byte-bounded :class:`TileSegmentCache`,
 behind each send's own header, byte-identical to :func:`encode_wire` —
 which stays the reference encoder and serves every other message.
 
-All ``from_dict`` constructors tolerate unknown fields (they extract
-the fields they know and ignore the rest), so a newer peer can add
-fields without breaking an older one.
+A message's wire form is declared once, on its dataclass fields
+(:func:`_wire`: kind, default, what is left off the wire), and
+``to_dict`` / ``from_dict`` are derived from that table.  ``from_dict``
+tolerates unknown fields (it reads the fields it knows and ignores the
+rest), so a newer peer can add fields without breaking an older one —
+and coerces nothing: a field takes exactly the JSON type of its kind (a
+string is ``str``, an integer ``int`` and not ``bool``, a number ``int |
+float``, a tile reference a list of three integers); anything else is
+an :class:`InvalidRequestError` naming the field.
 """
 
 from __future__ import annotations
@@ -61,7 +67,8 @@ import json
 import struct
 import zlib
 from collections import OrderedDict
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
+from typing import Callable, ClassVar, NamedTuple
 
 import numpy as np
 
@@ -161,26 +168,144 @@ ERROR_TYPES: dict[str, type[ProtocolError]] = {
 
 
 # ----------------------------------------------------------------------
-# wire building blocks
+# the field table
 # ----------------------------------------------------------------------
-#: What a ``from_dict`` may raise on a well-framed but malformed message;
-#: every decode site turns exactly these into :class:`InvalidRequestError`.
+#: What reading a well-framed but malformed message may raise; every
+#: decode site turns exactly these into :class:`InvalidRequestError`.
 #: ``OverflowError`` is ``int(inf)``: JSON ``1e400`` parses to a float.
 _MALFORMED = (KeyError, TypeError, ValueError, OverflowError)
 
 
-def _session_id(data: dict, *, optional: bool = False) -> "str | None":
-    """A message's ``session_id``: a string or, where ``optional``,
-    absent.  Anything else would name a session under one key at the
-    service and another (its ``str``) on the connection."""
-    value = data.get("session_id") if optional else data["session_id"]
-    if not isinstance(value, str) and not (optional and value is None):
-        raise TypeError(
-            f"session_id must be a string, got {type(value).__name__}"
-        )
-    return value
+class _Kind(NamedTuple):
+    """How one kind of field crosses the wire.  ``read`` takes the JSON
+    value — of exactly one JSON type, nothing coerced into it — to the
+    field value or raises; ``write`` takes it back (``None``: the field
+    value is its own JSON form)."""
+
+    read: Callable
+    write: Callable | None = None
 
 
+def _expected(what: str, value) -> TypeError:
+    got = type(value).__name__
+    if type(value) is list:  # of the wrong entries: name theirs, bounded
+        got = f"[{', '.join(type(entry).__name__ for entry in value[:5])}]"
+    return TypeError(f"expected {what}, got {got}")
+
+
+def _kind(what: str, *types: type, build=None, write=None) -> _Kind:
+    """The kind whose JSON value is one of ``types`` exactly (``type()
+    in``: a ``bool`` is no ``int``), kept as it is or given to ``build``."""
+
+    def read(value):
+        if type(value) not in types:
+            raise _expected(what, value)
+        return value if build is None else build(value)
+
+    return _Kind(read, write)
+
+
+_STR = _kind("a string", str)
+_INT = _kind("an integer", int)
+_BOOL = _kind("a boolean", bool)
+_NUMBER = _kind("a number", int, float, build=float)
+
+
+def _list_of(item: _Kind) -> _Kind:
+    """A JSON list of ``item`` values; a tuple on this side."""
+    return _kind(
+        "a list",
+        list,
+        build=lambda entries: tuple(map(item.read, entries)),
+        write=list if item.write is None else (
+            lambda values: list(map(item.write, values))
+        ),
+    )
+
+
+def _wire(kind: _Kind, default=MISSING, *, required=False, omit=False):
+    """Declare a dataclass field that crosses the wire, under its own
+    name and in field order, as ``kind``.  ``default`` is what the
+    constructor *and* an absent key give (none: the key must be there;
+    ``required`` demands the key although the constructor defaults);
+    ``null`` is legal exactly where the default is ``None``; ``omit``
+    leaves a value equal to the default off the wire."""
+    absent = MISSING if required else default
+    return field(default=default, metadata={"wire": (*kind, absent, omit)})
+
+
+class _WireForm:
+    """The JSON form of a dataclass of :func:`_wire` fields, derived
+    from that table (:func:`_wire_table` builds it): no class writes its
+    own ``to_dict`` / ``from_dict``, so none has its own type checks."""
+
+    #: One ``(name, read, write, absent, omit)`` row per declared field.
+    wire_fields: ClassVar[tuple] = ()
+
+    def to_dict(self) -> dict:
+        data = {}
+        for name, _, write, absent, omit in self.wire_fields:
+            value = getattr(self, name)
+            if omit and value == absent:
+                continue
+            if write is not None and value is not None:
+                value = write(value)
+            data[name] = value
+        return data
+
+    @classmethod
+    def from_dict(cls, data: dict):
+        """Read the declared keys of ``data`` (any other is ignored);
+        raises, naming the field, on a missing or wrong-typed one."""
+        values = []
+        try:
+            for name, read, _, absent, _ in cls.wire_fields:
+                value = data.get(name, MISSING)
+                if value is MISSING:
+                    if absent is MISSING:
+                        raise ValueError("missing")
+                    value = absent
+                elif value is not None or absent is not None:
+                    value = read(value)
+                values.append(value)
+        except _MALFORMED as exc:
+            raise ValueError(f"{name}: {exc}") from None
+        return cls(*values)
+
+
+def _wire_table(cls):
+    cls.wire_fields = tuple(
+        (f.name, *f.metadata["wire"]) for f in fields(cls) if "wire" in f.metadata
+    )
+    return cls
+
+
+def _object(cls) -> _Kind:
+    """A nested JSON object read and written by ``cls``."""
+    return _kind("an object", dict, build=cls.from_dict, write=cls.to_dict)
+
+
+#: Every message class by its ``type`` tag, in definition order.
+MESSAGE_TYPES: dict[str, type] = {}
+
+
+def _message(name: str, *, client: bool = False, binary: bool = False):
+    """Register a wire message under its tag, with the per-type facts
+    every layer reads off the class: ``client_sends`` (a serving
+    endpoint has a handler for it: ``connection.CLIENT_MESSAGES``) and
+    ``binary_body`` (its payload may travel as a binary body)."""
+
+    def register(cls):
+        cls.wire_type, cls.client_sends, cls.binary_body = name, client, binary
+        MESSAGE_TYPES[name] = cls
+        return _wire_table(cls)
+
+    return register
+
+
+# ----------------------------------------------------------------------
+# wire building blocks
+# ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class TileRef:
     """A tile address on the wire: ``[level, x, y]``."""
@@ -201,12 +326,20 @@ class TileRef:
 
     @classmethod
     def from_list(cls, data) -> "TileRef":
-        level, x, y = data
-        return cls(level=int(level), x=int(x), y=int(y))
+        if type(data) is list and len(data) == 3:
+            level, x, y = data
+            if type(level) is type(x) is type(y) is int:
+                return cls(level, x, y)
+        raise _expected("[level, x, y]", data)
 
 
+_REF = _Kind(TileRef.from_list, TileRef.to_list)
+_REFS = _list_of(_REF)
+
+
+@_wire_table
 @dataclass(frozen=True, eq=False)
-class AttributeBlock:
+class AttributeBlock(_WireForm):
     """One attribute's dense block.
 
     JSON-born blocks carry ``values`` (the flattened scalar tuple);
@@ -217,10 +350,14 @@ class AttributeBlock:
     match, regardless of which carrier they arrived on.
     """
 
-    name: str
-    dtype: str
-    shape: tuple[int, ...]
-    values: tuple | None = None
+    name: str = _wire(_STR)
+    dtype: str = _wire(_STR)
+    shape: tuple[int, ...] = _wire(_list_of(_INT))
+    #: The one bulk field (thousands of scalars per JSON reply): taken
+    #: as a list, its entries checked by :meth:`to_array`, not one by one.
+    values: tuple | None = _wire(
+        _kind("a list", list, build=tuple, write=list), None
+    )
     #: The dense array itself — always C-contiguous when set, so the
     #: binary encoder can take its bytes with a zero-copy memoryview.
     array: np.ndarray | None = field(default=None, repr=False)
@@ -264,34 +401,22 @@ class AttributeBlock:
         return np.asarray(self.values, dtype=self.dtype).reshape(self.shape)
 
     def to_dict(self) -> dict:
-        values = (
-            list(self.values)
-            if self.values is not None
-            else self.array.ravel().tolist()
-        )
-        return {
-            "name": self.name,
-            "dtype": self.dtype,
-            "shape": list(self.shape),
-            "values": values,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "AttributeBlock":
-        return cls(
-            name=data["name"],
-            dtype=data["dtype"],
-            shape=tuple(int(n) for n in data["shape"]),
-            values=tuple(data["values"]),
-        )
+        data = super().to_dict()
+        if self.values is None:
+            # Binary-born: the scalars are listed only now JSON asks.
+            data["values"] = self.array.ravel().tolist()
+        return data
 
 
+@_wire_table
 @dataclass(frozen=True)
-class TilePayload:
+class TilePayload(_WireForm):
     """A full tile on the wire: its address plus every attribute block."""
 
-    tile: TileRef
-    attributes: tuple[AttributeBlock, ...]
+    tile: TileRef = _wire(_REF)
+    attributes: tuple[AttributeBlock, ...] = _wire(
+        _list_of(_object(AttributeBlock))
+    )
 
     @classmethod
     def from_tile(cls, tile: DataTile, *, binary: bool = False) -> "TilePayload":
@@ -313,78 +438,48 @@ class TilePayload:
             },
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "tile": self.tile.to_list(),
-            "attributes": [block.to_dict() for block in self.attributes],
-        }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "TilePayload":
-        return cls(
-            tile=TileRef.from_list(data["tile"]),
-            attributes=tuple(
-                AttributeBlock.from_dict(block) for block in data["attributes"]
-            ),
-        )
+_PAYLOAD = _object(TilePayload)
 
 
 # ----------------------------------------------------------------------
 # messages
 # ----------------------------------------------------------------------
+def _to_move(message: "TileRequest | PushAck") -> Move | None:
+    """The interface move a ``tile_request`` / ``push_ack`` names."""
+    if message.move is None:
+        return None
+    try:
+        return Move(message.move)
+    except ValueError:
+        raise InvalidRequestError(
+            f"unknown move {message.move!r}", session_id=message.session_id
+        ) from None
+
+
+@_message("tile_request", client=True)
 @dataclass(frozen=True)
-class TileRequest:
+class TileRequest(_WireForm):
     """One client request: session, the move taken, the target tile."""
 
-    session_id: str
-    tile: TileRef
+    session_id: str = _wire(_STR)
+    tile: TileRef = _wire(_REF)
     #: The interface move that led here (``Move.value``), or None for
     #: the session-opening request.
-    move: str | None = None
+    move: str | None = _wire(_STR, None)
     #: Push-negotiated clients attach their push-cache digest (the tiles
     #: they already hold) so the server never re-streams a held tile.
     #: ``None`` — the default, and the only value a non-push client ever
     #: sends — is omitted from the wire form entirely, keeping the frame
     #: byte-identical to the pre-push protocol.
-    held: tuple[TileRef, ...] | None = None
+    held: tuple[TileRef, ...] | None = _wire(_REFS, None, omit=True)
 
-    def to_move(self) -> Move | None:
-        if self.move is None:
-            return None
-        try:
-            return Move(self.move)
-        except ValueError:
-            raise InvalidRequestError(
-                f"unknown move {self.move!r}", session_id=self.session_id
-            ) from None
-
-    def to_dict(self) -> dict:
-        data = {
-            "session_id": self.session_id,
-            "tile": self.tile.to_list(),
-            "move": self.move,
-        }
-        if self.held is not None:
-            data["held"] = [ref.to_list() for ref in self.held]
-        return data
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TileRequest":
-        held = data.get("held")
-        return cls(
-            session_id=_session_id(data),
-            tile=TileRef.from_list(data["tile"]),
-            move=data.get("move"),
-            held=(
-                tuple(TileRef.from_list(ref) for ref in held)
-                if held is not None
-                else None
-            ),
-        )
+    to_move = _to_move
 
 
+@_message("tile_response", binary=True)
 @dataclass(frozen=True)
-class TileResponse:
+class TileResponse(_WireForm):
     """One server response on the wire.
 
     ``payload`` carries the tile's dense data; the reply to a
@@ -395,14 +490,16 @@ class TileResponse:
     full — legacy and fidelity-off peers stay wire-byte-identical.
     """
 
-    session_id: str
-    tile: TileRef
-    latency_seconds: float
-    hit: bool
-    phase: str | None = None
-    prefetched: tuple[TileRef, ...] = field(default_factory=tuple)
-    payload: TilePayload | None = None
-    fidelity: float = 1.0
+    session_id: str = _wire(_STR)
+    tile: TileRef = _wire(_REF)
+    latency_seconds: float = _wire(_NUMBER)
+    hit: bool = _wire(_BOOL)
+    phase: str | None = _wire(_STR, None)
+    prefetched: tuple[TileRef, ...] = _wire(_REFS, ())
+    payload: TilePayload | None = _wire(_PAYLOAD, None)
+    # Omitted when full: absent -> 1.0, so fidelity-off replies are
+    # byte-identical to the pre-fidelity protocol revision.
+    fidelity: float = _wire(_NUMBER, 1.0, omit=True)
 
     @classmethod
     def from_result(
@@ -432,41 +529,10 @@ class TileResponse:
     def to_phase(self) -> AnalysisPhase | None:
         return AnalysisPhase.from_string(self.phase) if self.phase else None
 
-    def to_dict(self) -> dict:
-        data = {
-            "session_id": self.session_id,
-            "tile": self.tile.to_list(),
-            "latency_seconds": self.latency_seconds,
-            "hit": self.hit,
-            "phase": self.phase,
-            "prefetched": [ref.to_list() for ref in self.prefetched],
-            "payload": self.payload.to_dict() if self.payload else None,
-        }
-        # Omitted when full: absent -> 1.0, so fidelity-off replies are
-        # byte-identical to the pre-fidelity protocol revision.
-        if self.fidelity != 1.0:
-            data["fidelity"] = self.fidelity
-        return data
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "TileResponse":
-        payload = data.get("payload")
-        return cls(
-            session_id=_session_id(data),
-            tile=TileRef.from_list(data["tile"]),
-            latency_seconds=data["latency_seconds"],
-            hit=data["hit"],
-            phase=data.get("phase"),
-            prefetched=tuple(
-                TileRef.from_list(ref) for ref in data.get("prefetched", [])
-            ),
-            payload=TilePayload.from_dict(payload) if payload else None,
-            fidelity=float(data.get("fidelity", 1.0)),
-        )
-
-
+@_message("push_tile", binary=True)
 @dataclass(frozen=True)
-class PushTile:
+class PushTile(_WireForm):
     """An unsolicited server→client frame: one predicted tile, streamed
     ahead of need (Khameleon-style continuous prefetch).
 
@@ -476,52 +542,27 @@ class PushTile:
     every other message is untouched.
     """
 
-    session_id: str
-    tile: TileRef
+    session_id: str = _wire(_STR)
+    tile: TileRef = _wire(_REF)
     #: Position in the prediction round that produced this push (0 = the
     #: model's best guess).
-    rank: int
+    rank: int = _wire(_INT)
     #: The server-side push round (generation) this frame belongs to; a
     #: newer request bumps it and cancels what the old round still had
     #: queued.
-    generation: int
+    generation: int = _wire(_INT)
     #: The scheduler's computed utility for this tile (diagnostic).
-    utility: float
-    payload: TilePayload | None = None
+    utility: float = _wire(_NUMBER)
+    payload: TilePayload | None = _wire(_PAYLOAD, None)
     #: Linear resolution fraction of the carried payload (1.0 = full);
     #: omitted on the wire when full, so fidelity-off push streams are
     #: byte-identical to the pre-fidelity revision.
-    fidelity: float = 1.0
-
-    def to_dict(self) -> dict:
-        data = {
-            "session_id": self.session_id,
-            "tile": self.tile.to_list(),
-            "rank": self.rank,
-            "generation": self.generation,
-            "utility": self.utility,
-            "payload": self.payload.to_dict() if self.payload else None,
-        }
-        if self.fidelity != 1.0:
-            data["fidelity"] = self.fidelity
-        return data
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "PushTile":
-        payload = data.get("payload")
-        return cls(
-            session_id=_session_id(data),
-            tile=TileRef.from_list(data["tile"]),
-            rank=int(data["rank"]),
-            generation=int(data["generation"]),
-            utility=float(data["utility"]),
-            payload=TilePayload.from_dict(payload) if payload else None,
-            fidelity=float(data.get("fidelity", 1.0)),
-        )
+    fidelity: float = _wire(_NUMBER, 1.0, omit=True)
 
 
+@_message("push_ack", client=True)
 @dataclass(frozen=True)
-class PushAck:
+class PushAck(_WireForm):
     """Client → server: the push-cache digest, optionally reporting a
     locally answered (push-hit) request.
 
@@ -535,42 +576,14 @@ class PushAck:
     :class:`SessionInfo`.
     """
 
-    session_id: str
-    held: tuple[TileRef, ...] = field(default_factory=tuple)
+    session_id: str = _wire(_STR)
+    held: tuple[TileRef, ...] = _wire(_REFS, ())
     #: Move that led to the locally served tile (``Move.value``).
-    move: str | None = None
+    move: str | None = _wire(_STR, None)
     #: The locally served tile, when this ack reports a push hit.
-    tile: TileRef | None = None
+    tile: TileRef | None = _wire(_REF, None)
 
-    def to_move(self) -> Move | None:
-        if self.move is None:
-            return None
-        try:
-            return Move(self.move)
-        except ValueError:
-            raise InvalidRequestError(
-                f"unknown move {self.move!r}", session_id=self.session_id
-            ) from None
-
-    def to_dict(self) -> dict:
-        return {
-            "session_id": self.session_id,
-            "held": [ref.to_list() for ref in self.held],
-            "move": self.move,
-            "tile": self.tile.to_list() if self.tile is not None else None,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "PushAck":
-        tile = data.get("tile")
-        return cls(
-            session_id=_session_id(data),
-            held=tuple(
-                TileRef.from_list(ref) for ref in data.get("held", [])
-            ),
-            move=data.get("move"),
-            tile=TileRef.from_list(tile) if tile is not None else None,
-        )
+    to_move = _to_move
 
 
 @functools.lru_cache(maxsize=4096)
@@ -616,49 +629,28 @@ def held_keys(message: "TileRequest | PushAck") -> list[TileKey]:
     return [_keyed(ref, message, "held tile") for ref in message.held]
 
 
+@_message("session_info")
 @dataclass(frozen=True)
-class SessionInfo:
+class SessionInfo(_WireForm):
     """A session's externally visible state and latency statistics."""
 
-    session_id: str
-    open: bool
-    prefetch_mode: str
-    requests: int
-    hits: int
-    hit_rate: float
-    average_latency_seconds: float
-
-    def to_dict(self) -> dict:
-        return {
-            "session_id": self.session_id,
-            "open": self.open,
-            "prefetch_mode": self.prefetch_mode,
-            "requests": self.requests,
-            "hits": self.hits,
-            "hit_rate": self.hit_rate,
-            "average_latency_seconds": self.average_latency_seconds,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SessionInfo":
-        return cls(
-            session_id=_session_id(data),
-            open=bool(data["open"]),
-            prefetch_mode=data["prefetch_mode"],
-            requests=int(data["requests"]),
-            hits=int(data["hits"]),
-            hit_rate=float(data["hit_rate"]),
-            average_latency_seconds=float(data["average_latency_seconds"]),
-        )
+    session_id: str = _wire(_STR)
+    open: bool = _wire(_BOOL)
+    prefetch_mode: str = _wire(_STR)
+    requests: int = _wire(_INT)
+    hits: int = _wire(_INT)
+    hit_rate: float = _wire(_NUMBER)
+    average_latency_seconds: float = _wire(_NUMBER)
 
 
+@_message("error")
 @dataclass(frozen=True)
-class ErrorInfo:
+class ErrorInfo(_WireForm):
     """A failure on the wire; re-raisable via :meth:`to_exception`."""
 
-    code: str
-    message: str
-    session_id: str | None = None
+    code: str = _wire(_STR)
+    message: str = _wire(_STR)
+    session_id: str | None = _wire(_STR, None)
 
     @classmethod
     def from_exception(cls, exc: BaseException) -> "ErrorInfo":
@@ -673,21 +665,6 @@ class ErrorInfo:
             self.message, session_id=self.session_id
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "code": self.code,
-            "message": self.message,
-            "session_id": self.session_id,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ErrorInfo":
-        return cls(
-            code=data["code"],
-            message=data["message"],
-            session_id=_session_id(data, optional=True),
-        )
-
 
 # ----------------------------------------------------------------------
 # control envelope (connection setup and session lifecycle)
@@ -699,80 +676,40 @@ PROTOCOL_VERSION = 1
 SUPPORTED_VERSIONS: tuple[int, ...] = (1,)
 
 
+@_message("hello", client=True)
 @dataclass(frozen=True)
-class Hello:
+class Hello(_WireForm):
     """The client's first frame: who it is and what it speaks."""
 
-    versions: tuple[int, ...] = SUPPORTED_VERSIONS
-    client: str = ""
+    versions: tuple[int, ...] = _wire(_list_of(_INT), SUPPORTED_VERSIONS, required=True)
+    client: str = _wire(_STR, "")
     #: Client opts into server-streamed ``push_tile`` frames.  Older
     #: peers simply omit the field (``from_dict`` defaults it off), so
     #: the capability degrades to plain pull without a version bump.
-    push: bool = False
+    push: bool = _wire(_BOOL, False)
     #: Payload encodings the client can speak, best-preferred first.
     #: Serialized only when it says more than the default ``("json",)``,
     #: so a JSON-only client's hello stays byte-identical to older
     #: builds and older servers negotiate JSON implicitly.
-    payloads: tuple[str, ...] = ("json",)
-
-    def to_dict(self) -> dict:
-        data = {
-            "versions": list(self.versions),
-            "client": self.client,
-            "push": self.push,
-        }
-        if self.payloads != ("json",):
-            data["payloads"] = list(self.payloads)
-        return data
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Hello":
-        return cls(
-            versions=tuple(int(v) for v in data["versions"]),
-            client=data.get("client", ""),
-            push=bool(data.get("push", False)),
-            payloads=tuple(
-                str(p) for p in data.get("payloads", ("json",))
-            ),
-        )
+    payloads: tuple[str, ...] = _wire(_list_of(_STR), ("json",), omit=True)
 
 
+@_message("welcome")
 @dataclass(frozen=True)
-class Welcome:
+class Welcome(_WireForm):
     """The server's handshake reply: the negotiated version and limits."""
 
-    version: int
-    server: str = ""
-    max_frame_bytes: int = 0
+    version: int = _wire(_INT)
+    server: str = _wire(_STR, "")
+    max_frame_bytes: int = _wire(_INT, 0)
     #: Push capability granted: True only when the client asked for it
     #: *and* this server runs with ``PrefetchPolicy.push="on"``.
-    push: bool = False
+    push: bool = _wire(_BOOL, False)
     #: The payload encoding this connection will speak from the next
     #: frame on.  Omitted from the wire when it is the default
     #: ``"json"``, keeping declining handshakes byte-identical to older
     #: builds.
-    payload: str = "json"
-
-    def to_dict(self) -> dict:
-        data = {
-            "version": self.version,
-            "server": self.server,
-            "max_frame_bytes": self.max_frame_bytes,
-            "push": self.push,
-        }
-        if self.payload != "json":
-            data["payload"] = self.payload
-        return data
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Welcome":
-        return cls(
-            version=int(data["version"]),
-            server=data.get("server", ""),
-            max_frame_bytes=int(data.get("max_frame_bytes", 0)),
-            push=bool(data.get("push", False)),
-            payload=str(data.get("payload", "json")),
-        )
+    payload: str = _wire(_STR, "json", omit=True)
 
 
 def negotiate_version(offered) -> int:
@@ -797,6 +734,23 @@ def negotiate_version(offered) -> int:
 PAYLOADS: tuple[str, ...] = ("json", "binary")
 
 
+def check_payloads(payloads) -> tuple[str, ...]:
+    """The encodings a server may be configured to grant: a non-empty
+    subset of :data:`PAYLOADS` that keeps the mandatory fallback."""
+    payloads = tuple(payloads)
+    if not payloads or any(p not in PAYLOADS for p in payloads):
+        raise ValueError(
+            f"payloads must be a non-empty subset of {PAYLOADS}, "
+            f"got {payloads!r}"
+        )
+    if "json" not in payloads:
+        raise ValueError(
+            f'payloads must include "json" (the mandatory fallback), '
+            f"got {payloads!r}"
+        )
+    return payloads
+
+
 def negotiate_payload(offered, supported=PAYLOADS) -> str:
     """Pick the payload encoding for a connection.
 
@@ -811,39 +765,38 @@ def negotiate_payload(offered, supported=PAYLOADS) -> str:
     return "json"
 
 
+@_message("open_session", client=True)
 @dataclass(frozen=True)
-class OpenSession:
+class OpenSession(_WireForm):
     """Open a server-side session (engine comes from the server's
     ``engine_factory``).  The reply is the new session's
     :class:`SessionInfo`."""
 
-    session_id: str | None = None
-
-    def to_dict(self) -> dict:
-        return {"session_id": self.session_id}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "OpenSession":
-        return cls(session_id=_session_id(data, optional=True))
+    #: A string or absent: anything else would name a session under one
+    #: key at the service and another (its ``str``) on the connection.
+    session_id: str | None = _wire(_STR, None)
 
 
+@_message("close_session", client=True)
 @dataclass(frozen=True)
-class CloseSession:
+class CloseSession(_WireForm):
     """Close an open session.  The reply is the session's final
     :class:`SessionInfo` snapshot (``open=False``)."""
 
-    session_id: str
-
-    def to_dict(self) -> dict:
-        return {"session_id": self.session_id}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "CloseSession":
-        return cls(session_id=_session_id(data))
+    session_id: str = _wire(_STR)
 
 
+def _hot_entry(value) -> tuple[int, int, int, float]:
+    if type(value) is list and len(value) == 4:
+        level, x, y, weight = value
+        if type(level) is type(x) is type(y) is int:
+            return level, x, y, _NUMBER.read(weight)
+    raise _expected("[level, x, y, weight]", value)
+
+
+@_message("hotspot_gossip", client=True)
 @dataclass(frozen=True)
-class HotspotGossip:
+class HotspotGossip(_WireForm):
     """A popularity snapshot travelling between cluster nodes.
 
     ``entries`` carries ``(level, x, y, weight)`` rows — a decayed
@@ -856,24 +809,10 @@ class HotspotGossip:
     ``invalid_request`` error rather than desyncing the stream.
     """
 
-    entries: tuple[tuple[int, int, int, float], ...] = ()
-    tick: int = 0
-
-    def to_dict(self) -> dict:
-        return {
-            "entries": [list(entry) for entry in self.entries],
-            "tick": self.tick,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "HotspotGossip":
-        return cls(
-            entries=tuple(
-                (int(lvl), int(x), int(y), float(w))
-                for lvl, x, y, w in data.get("entries", [])
-            ),
-            tick=int(data.get("tick", 0)),
-        )
+    entries: tuple[tuple[int, int, int, float], ...] = _wire(
+        _list_of(_Kind(_hot_entry, list)), ()
+    )
+    tick: int = _wire(_INT, 0)
 
     @classmethod
     def from_registry(cls, registry) -> "HotspotGossip":
@@ -904,53 +843,48 @@ class HotspotGossip:
 # ----------------------------------------------------------------------
 # envelope
 # ----------------------------------------------------------------------
-MESSAGE_TYPES: dict[str, type] = {
-    "tile_request": TileRequest,
-    "tile_response": TileResponse,
-    "push_tile": PushTile,
-    "push_ack": PushAck,
-    "session_info": SessionInfo,
-    "error": ErrorInfo,
-    "hello": Hello,
-    "welcome": Welcome,
-    "open_session": OpenSession,
-    "close_session": CloseSession,
-    "hotspot_gossip": HotspotGossip,
-}
-_TYPE_NAMES = {cls: name for name, cls in MESSAGE_TYPES.items()}
-
-
 def encode(message) -> str:
     """Serialize any wire message to a tagged JSON string."""
-    name = _TYPE_NAMES.get(type(message))
+    name = getattr(type(message), "wire_type", None)
     if name is None:
         raise TypeError(f"{type(message).__name__} is not a wire message")
     return json.dumps({"type": name, **message.to_dict()})
 
 
-def decode(data: str):
-    """Parse a tagged JSON string back into its wire message."""
+def _load_tagged(text, what: str) -> tuple[object, type | None, dict]:
+    """Parse one tagged JSON object — a JSON frame, or the header of a
+    binary body — into ``(type tag, its message class if it names one,
+    the other keys)``; anything but a JSON object is refused, typed."""
     try:
-        raw = json.loads(data)
-    except json.JSONDecodeError as exc:
-        raise InvalidRequestError(f"malformed JSON: {exc}") from None
+        raw = json.loads(text)
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise InvalidRequestError(f"{what} is not valid JSON: {exc}") from None
     except RecursionError:
         # json.loads recurses per nesting level; a hostile deeply-nested
         # payload must be a typed rejection, not a server crash.
         raise InvalidRequestError("JSON nested too deeply") from None
     if not isinstance(raw, dict):
-        raise InvalidRequestError("wire messages must be JSON objects")
+        raise InvalidRequestError(f"{what} must be a JSON object")
     name = raw.pop("type", None)
     # A non-string tag (e.g. a list) is unhashable — guard the lookup.
-    cls = MESSAGE_TYPES.get(name) if isinstance(name, str) else None
+    return name, MESSAGE_TYPES.get(name) if isinstance(name, str) else None, raw
+
+
+def _from_wire(cls, data: dict):
+    """``cls.from_dict(data)``, whatever a field of outside input raised
+    (:data:`_MALFORMED`) turned into the typed refusal."""
+    try:
+        return cls.from_dict(data)
+    except _MALFORMED as exc:
+        raise InvalidRequestError(f"malformed {cls.wire_type} message: {exc}") from None
+
+
+def decode(data: str):
+    """Parse a tagged JSON string back into its wire message."""
+    name, cls, raw = _load_tagged(data, "wire message")
     if cls is None:
         raise InvalidRequestError(f"unknown message type {name!r}")
-    try:
-        return cls.from_dict(raw)
-    except _MALFORMED as exc:
-        raise InvalidRequestError(
-            f"malformed {name} message: {exc}"
-        ) from None
+    return _from_wire(cls, raw)
 
 
 # ----------------------------------------------------------------------
@@ -960,6 +894,13 @@ def decode(data: str):
 #: (``"lines"``, debuggable with netcat) or 4-byte big-endian
 #: length-prefixed JSON (``"length"``, binary-safe and self-sizing).
 FRAMINGS: tuple[str, ...] = ("lines", "length")
+
+
+def check_framing(framing: str, allowed: tuple[str, ...] = FRAMINGS) -> str:
+    if framing not in allowed:
+        raise ValueError(f"framing must be one of {allowed}, got {framing!r}")
+    return framing
+
 
 #: Default ceiling on one frame's size.  A 32x32 float64 tile payload is
 #: ~25 KB of JSON; 8 MiB leaves room for much larger tiles while still
@@ -993,8 +934,7 @@ def encode_frame(
 
 
 def _frame_json(payload: bytes, framing: str, max_frame_bytes: int) -> bytes:
-    if framing not in FRAMINGS:
-        raise ValueError(f"framing must be one of {FRAMINGS}, got {framing!r}")
+    check_framing(framing)
     _check_frame_size(len(payload), max_frame_bytes)
     if framing == "lines":
         if b"\n" in payload:
@@ -1013,9 +953,6 @@ def _frame_json(payload: bytes, framing: str, max_frame_bytes: int) -> bytes:
 _FRAME_KIND_JSON = 0x00
 _FRAME_KIND_BINARY = 0x01
 _BINARY_FRAME_HEADER = struct.Struct(">BI")
-
-#: Message types whose payload may travel as a binary body.
-_BINARY_MESSAGE_NAMES = frozenset({"tile_response", "push_tile"})
 
 #: Blob codecs.  The encoder deflates when that shrinks the blob (the
 #: NDSI attribute blocks are highly redundant — min/avg/max coincide at
@@ -1070,8 +1007,7 @@ def encode_binary_message(message) -> bytes:
     byte counts), and the blob is every attribute array's raw bytes
     concatenated in descriptor order, deflated when that is smaller.
     """
-    name = _TYPE_NAMES.get(type(message))
-    if name not in _BINARY_MESSAGE_NAMES:
+    if not getattr(type(message), "binary_body", False):
         raise TypeError(
             f"{type(message).__name__} cannot travel as a binary body"
         )
@@ -1079,7 +1015,7 @@ def encode_binary_message(message) -> bytes:
     if payload is None:
         raise TypeError("message carries no payload; encode it as JSON")
     descriptor, blob = _payload_descriptor(payload)
-    header = {"type": name, **replace(message, payload=None).to_dict()}
+    header = {"type": message.wire_type, **replace(message, payload=None).to_dict()}
     header["payload"] = descriptor
     header_bytes = json.dumps(header).encode("utf-8")
     return b"".join(
@@ -1229,8 +1165,8 @@ def _decode_binary_payload(descriptor, body: memoryview) -> TilePayload:
     return TilePayload(tile=tile, attributes=tuple(blocks))
 
 
-def _split_binary_body(data) -> tuple[str, dict, memoryview]:
-    """Cut a binary body into ``(type name, header dict, blob view)``.
+def _split_binary_body(data) -> tuple[type, dict, memoryview]:
+    """Cut a binary body into ``(message class, header dict, blob view)``.
 
     Checks everything about the body that does not need the blob: it is
     long enough for the header it declares, the header is a JSON object,
@@ -1248,22 +1184,14 @@ def _split_binary_body(data) -> tuple[str, dict, memoryview]:
             f"binary message declares a {header_len}-byte header but "
             f"carries {len(view) - _LENGTH_HEADER.size} bytes"
         )
-    try:
-        header = json.loads(bytes(view[_LENGTH_HEADER.size : body_start]))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise InvalidRequestError(
-            f"binary message header is not valid JSON: {exc}"
-        ) from None
-    except RecursionError:
-        raise InvalidRequestError("JSON nested too deeply") from None
-    if not isinstance(header, dict):
-        raise InvalidRequestError("binary message header must be an object")
-    name = header.pop("type", None)
-    if not isinstance(name, str) or name not in _BINARY_MESSAGE_NAMES:
+    name, cls, header = _load_tagged(
+        bytes(view[_LENGTH_HEADER.size : body_start]), "binary message header"
+    )
+    if cls is None or not cls.binary_body:
         raise InvalidRequestError(
             f"message type {name!r} cannot travel as a binary body"
         )
-    return name, header, view[body_start:]
+    return cls, header, view[body_start:]
 
 
 def binary_message_type(data) -> str:
@@ -1273,19 +1201,15 @@ def binary_message_type(data) -> str:
     header checks of :func:`decode_binary_message` run, the blob is not
     touched (the final receiver's decoder validates every byte of it).
     """
-    return _split_binary_body(data)[0]
+    return _split_binary_body(data)[0].wire_type
 
 
 def decode_binary_message(data):
     """Parse a binary body back into its payload-bearing message."""
-    name, header, blob = _split_binary_body(data)
+    cls, header, blob = _split_binary_body(data)
     descriptor = header.pop("payload", None)
     header["payload"] = None
-    cls = MESSAGE_TYPES[name]
-    try:
-        message = cls.from_dict(header)
-    except _MALFORMED as exc:
-        raise InvalidRequestError(f"malformed {name} message: {exc}") from None
+    message = _from_wire(cls, header)
     if descriptor is None:
         return message
     payload = _decode_binary_payload(descriptor, blob)
@@ -1306,11 +1230,7 @@ def encode_wire(
     """
     if framing != "binary":
         return encode_frame(encode(message), framing, max_frame_bytes)
-    if (
-        type(message) in _TYPE_NAMES
-        and _TYPE_NAMES[type(message)] in _BINARY_MESSAGE_NAMES
-        and message.payload is not None
-    ):
+    if getattr(type(message), "binary_body", False) and message.payload is not None:
         kind = _FRAME_KIND_BINARY
         body = encode_binary_message(message)
     else:
@@ -1441,9 +1361,8 @@ def encode_tile_frame(
     ``payload`` is the last key of a full-fidelity message's dict, so
     the cached segment replaces the header's trailing ``null}``.
     """
-    name = _TYPE_NAMES.get(type(message))
     if (
-        name not in _BINARY_MESSAGE_NAMES
+        not getattr(type(message), "binary_body", False)
         or message.payload is not None
         or message.fidelity != 1.0
     ):
@@ -1512,16 +1431,11 @@ class FrameDecoder:
         framing: str = "lines",
         max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
     ) -> None:
-        if framing not in (*FRAMINGS, "binary"):
-            raise ValueError(
-                f"framing must be one of {(*FRAMINGS, 'binary')}, "
-                f"got {framing!r}"
-            )
         if max_frame_bytes < 1:
             raise ValueError(
                 f"max_frame_bytes must be >= 1, got {max_frame_bytes}"
             )
-        self.framing = framing
+        self.framing = check_framing(framing, (*FRAMINGS, "binary"))
         self.max_frame_bytes = max_frame_bytes
         self._buffer = bytearray()
         # Lines framing: everything before this offset is known to hold
@@ -1585,11 +1499,7 @@ class FrameDecoder:
                         f"{self.max_frame_bytes}-byte frame limit"
                     )
                 return frames
-            if newline > self.max_frame_bytes:
-                raise FrameTooLargeError(
-                    f"frame of {newline} bytes exceeds the "
-                    f"{self.max_frame_bytes}-byte limit"
-                )
+            _check_frame_size(newline, self.max_frame_bytes)
             payload = bytes(self._buffer[:newline])
             del self._buffer[: newline + 1]
             self._scanned = 0
@@ -1602,11 +1512,7 @@ class FrameDecoder:
         frames = []
         while len(self._buffer) >= _LENGTH_HEADER.size:
             (length,) = _LENGTH_HEADER.unpack_from(self._buffer)
-            if length > self.max_frame_bytes:
-                raise FrameTooLargeError(
-                    f"frame of {length} bytes exceeds the "
-                    f"{self.max_frame_bytes}-byte limit"
-                )
+            _check_frame_size(length, self.max_frame_bytes)
             if length == 0:
                 raise FramingError("length-prefixed frame of 0 bytes")
             end = _LENGTH_HEADER.size + length
@@ -1628,11 +1534,7 @@ class FrameDecoder:
             if len(self._buffer) < _BINARY_FRAME_HEADER.size:
                 return frames
             _, length = _BINARY_FRAME_HEADER.unpack_from(self._buffer)
-            if length > self.max_frame_bytes:
-                raise FrameTooLargeError(
-                    f"frame of {length} bytes exceeds the "
-                    f"{self.max_frame_bytes}-byte limit"
-                )
+            _check_frame_size(length, self.max_frame_bytes)
             if length == 0:
                 raise FramingError("binary frame of 0 bytes")
             end = _BINARY_FRAME_HEADER.size + length

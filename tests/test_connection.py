@@ -1363,6 +1363,20 @@ def test_a_cancelled_settle_closes_the_async_transport(
     shell.close()
 
 
+def test_an_error_reply_of_the_wrong_types_is_a_protocol_error(monkeypatch):
+    # ``"code": ["x"]`` used to decode, then escape ``to_exception`` —
+    # and the transport — as ``TypeError: unhashable type``.
+    sock = ScriptedSocket()
+    sock.feed(
+        lines(Welcome(version=1, server="fake")),
+        b'{"type": "error", "code": ["x"], "message": "m"}\n',
+    )
+    monkeypatch.setattr(net.socket, "create_connection", lambda *a, **kw: sock)
+    with SocketTransport("fake", 0) as transport:
+        with pytest.raises(ProtocolError, match="code: expected a string"):
+            transport.connect(session_id="s")
+
+
 # ----------------------------------------------------------------------
 # structure
 # ----------------------------------------------------------------------
@@ -1376,6 +1390,35 @@ def test_the_core_imports_no_io_module():
         elif isinstance(node, ast.ImportFrom) and node.module:
             imported.add(node.module.split(".")[0])
     assert imported.isdisjoint({"socket", "asyncio", "threading", "selectors"})
+
+
+def test_no_message_writes_its_own_codec():
+    """Replaced, not forked: the wire form of every message (and of
+    ``TilePayload``) is derived from its field table, so no class can
+    carry a type check — or miss one — of its own."""
+    derived = {cls.__name__ for cls in MESSAGE_TYPES.values()} | {"TilePayload"}
+    tree = ast.parse(inspect.getsource(protocol))
+    classes = [
+        node
+        for node in tree.body
+        if isinstance(node, ast.ClassDef) and node.name in derived
+    ]
+    assert {node.name for node in classes} == derived
+    for node in classes:
+        written = {
+            n.name for n in ast.walk(node) if isinstance(n, ast.FunctionDef)
+        } | {
+            n.id
+            for n in ast.walk(node)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)
+        }
+        assert written.isdisjoint({"to_dict", "from_dict"}), node.name
+        # ... nor has one been attached from outside its body.
+        assert vars(getattr(protocol, node.name)).keys().isdisjoint(
+            {"to_dict", "from_dict"}
+        )
+    # One ``to_move``, under both messages that name a move.
+    assert TileRequest.to_move is PushAck.to_move
 
 
 def test_the_serve_loop_has_a_handler_for_exactly_what_the_core_admits():

@@ -102,6 +102,21 @@ def handshake(sock) -> dict:
     return welcome
 
 
+def replies_until_closed(sock) -> list[dict]:
+    """Every reply up to the ``close_session`` one, pushed tiles dropped
+    (they arrive in between and span reads: one decoder for the stream)."""
+    decoder, replies = FrameDecoder("lines"), []
+    while not (replies and replies[-1].get("open") is False):
+        data = sock.recv(65536)
+        assert data, "connection closed before close_session's reply"
+        replies.extend(
+            reply
+            for reply in map(json.loads, decoder.feed(data))
+            if reply["type"] != "push_tile"
+        )
+    return replies
+
+
 def wait_for(predicate, timeout=10.0, interval=0.01) -> bool:
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
@@ -400,17 +415,7 @@ class TestResilience:
             send_line(sock, {**bad, "session_id": "s"})
             send_line(sock, good)
             send_line(sock, {"type": "close_session", "session_id": "s"})
-            # One decoder for the whole stream: pushed tiles arrive in
-            # between and span reads.
-            decoder, replies = FrameDecoder("lines"), []
-            while not (replies and replies[-1].get("open") is False):
-                data = sock.recv(65536)
-                assert data, "connection closed before close_session's reply"
-                replies.extend(
-                    reply
-                    for reply in map(json.loads, decoder.feed(data))
-                    if reply["type"] != "push_tile"
-                )
+            replies = replies_until_closed(sock)
             sock.close()
         assert [reply["type"] for reply in replies] == [
             "session_info",
@@ -425,6 +430,90 @@ class TestResilience:
         )
         # The refused message moved nothing: two requests, the second a hit.
         assert (replies[4]["requests"], replies[4]["hits"]) == (2, 1)
+
+    @pytest.mark.parametrize("endpoint_kind", ["server", "cluster"])
+    def test_a_reference_of_another_json_type_is_refused_naming_its_field(
+        self, endpoint_kind, small_dataset
+    ):
+        # Each used to be coerced: "120" unpacked to [1, 2, 0], an
+        # object to its keys, 1.9 to 1, "2" to 2 — and served or refused
+        # as whatever tile that happened to name.
+        request = {"type": "tile_request", "session_id": "s", "tile": [0, 0, 0]}
+        ack = {"type": "push_ack", "session_id": "s", "held": []}
+        bad = [
+            ("tile", {**request, "tile": "120"}),
+            ("tile", {**request, "tile": {"1": 0, "2": 0, "3": 0}}),
+            ("tile", {**request, "tile": [1.9, 0.5, 2]}),
+            ("tile", {**request, "tile": ["1", "0", "0"]}),
+            ("held", {**request, "held": ["000"]}),
+            ("held", {**request, "held": [[0, 0.0, 0]]}),
+            ("held", {**ack, "held": [{"0": 0, "1": 0, "2": 0}]}),
+            ("held", {**ack, "held": [["0", "0", "0"]]}),
+            ("tile", {**ack, "tile": "000"}),
+        ]
+        endpoint = serving(
+            endpoint_kind,
+            small_dataset.pyramid,
+            ServiceConfig(prefetch=PrefetchPolicy(k=5, push="on")),
+        )
+        with endpoint:
+            sock = raw_connection(endpoint)
+            send_line(sock, {"type": "hello", "versions": [1], "push": True})
+            assert recv_lines(sock)[0]["push"] is True
+            send_line(sock, {"type": "open_session", "session_id": "s"})
+            for message in [request, *(m for _, m in bad), request]:
+                send_line(sock, message)
+            send_line(sock, {"type": "close_session", "session_id": "s"})
+            opened, first, *refusals, last, closed = replies_until_closed(sock)
+            sock.close()
+        assert [r["type"] for r in (opened, first, last, closed)] == [
+            "session_info",
+            "tile_response",
+            "tile_response",
+            "session_info",
+        ]
+        assert [(r["type"], r["code"]) for r in refusals] == [
+            ("error", "invalid_request")
+        ] * len(bad)
+        for (field, message), refusal in zip(bad, refusals):
+            assert (
+                f"malformed {message['type']} message: {field}: "
+                "expected [level, x, y], got " in refusal["message"]
+            )
+        # The connection kept serving and nothing refused moved anything.
+        assert (closed["requests"], closed["hits"]) == (2, 1)
+
+    @pytest.mark.parametrize("endpoint_kind", ["server", "cluster"])
+    def test_a_hello_of_the_wrong_types_is_refused_and_grants_nothing(
+        self, endpoint_kind, small_dataset
+    ):
+        # bool("false") used to welcome the client *with push*, "1" was
+        # iterated as [1] and True read as version 1.
+        endpoint = serving(
+            endpoint_kind,
+            small_dataset.pyramid,
+            ServiceConfig(prefetch=PrefetchPolicy(k=5, push="on")),
+        )
+        bad = [
+            ("push", {"versions": [1], "push": "false"}),
+            ("push", {"versions": [1], "push": 1}),
+            ("versions", {"versions": "1", "push": True}),
+            ("versions", {"versions": [True], "push": True}),
+        ]
+        with endpoint:
+            sock = raw_connection(endpoint)
+            for _, fields in bad:
+                send_line(sock, {"type": "hello", **fields})
+            refusals = recv_lines(sock, len(bad))
+            # A malformed frame on a healthy stream is answered and the
+            # connection keeps reading: still un-negotiated, so the
+            # handshake can yet be made — with what *this* hello asks.
+            welcome = handshake(sock)
+            sock.close()
+        for (field, _), refusal in zip(bad, refusals):
+            assert (refusal["type"], refusal["code"]) == ("error", "invalid_request")
+            assert f"malformed hello message: {field}: expected " in refusal["message"]
+        assert welcome["push"] is False
 
     @pytest.mark.parametrize("endpoint_kind", ["server", "cluster"])
     def test_a_push_ack_without_negotiated_push_is_refused_alike(

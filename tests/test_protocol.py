@@ -1,9 +1,12 @@
 """Wire-protocol round trips: every message survives JSON losslessly."""
 
 import json
+from dataclasses import MISSING, fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.middleware import protocol
 from repro.middleware.latency import LatencyRecorder
@@ -17,9 +20,12 @@ from repro.middleware.protocol import (
     FramingError,
     FrameTooLargeError,
     Hello,
+    HotspotGossip,
     InvalidRequestError,
     OpenSession,
     ProtocolError,
+    PushAck,
+    PushTile,
     SessionClosedError,
     SessionInfo,
     SessionNotFoundError,
@@ -546,3 +552,211 @@ class TestLatencyRecorderExport:
             LatencyRecorder.from_dict(
                 recorder.to_dict(include_latencies=False)
             )
+
+
+# ----------------------------------------------------------------------
+# the field table
+# ----------------------------------------------------------------------
+_REF = TileRef(2, 1, 3)
+_PAYLOAD = TilePayload(
+    tile=_REF,
+    attributes=(
+        AttributeBlock(name="v", dtype="float64", shape=(1, 2), values=(1.0, 2.5)),
+    ),
+)
+#: One frame per message type with every default left alone and one with
+#: none, byte for byte what ``encode`` gave before the codecs were
+#: derived: key order and what is left off the wire are the format.
+GOLDEN = [
+    (
+        TileRequest(session_id="s", tile=_REF),
+        '{"type": "tile_request", "session_id": "s", "tile": [2, 1, 3], "move": null}',
+    ),
+    (
+        TileRequest(session_id="s", tile=_REF, move="pan_left", held=()),
+        '{"type": "tile_request", "session_id": "s", "tile": [2, 1, 3], "move": "pan_left", "held": []}',
+    ),
+    (
+        TileRequest(session_id="s", tile=_REF, move="zoom_in_0", held=(TileRef(0, 0, 0), _REF)),
+        '{"type": "tile_request", "session_id": "s", "tile": [2, 1, 3], "move": "zoom_in_0", "held": [[0, 0, 0], [2, 1, 3]]}',
+    ),
+    (
+        TileResponse(session_id="s", tile=_REF, latency_seconds=0.0195, hit=True),
+        '{"type": "tile_response", "session_id": "s", "tile": [2, 1, 3], "latency_seconds": 0.0195, "hit": true, "phase": null, "prefetched": [], "payload": null}',
+    ),
+    (
+        TileResponse(session_id="s", tile=_REF, latency_seconds=0.984, hit=False, phase="foraging", prefetched=(TileRef(0, 0, 0), _REF), payload=_PAYLOAD, fidelity=0.25),
+        '{"type": "tile_response", "session_id": "s", "tile": [2, 1, 3], "latency_seconds": 0.984, "hit": false, "phase": "foraging", "prefetched": [[0, 0, 0], [2, 1, 3]], "payload": {"tile": [2, 1, 3], "attributes": [{"name": "v", "dtype": "float64", "shape": [1, 2], "values": [1.0, 2.5]}]}, "fidelity": 0.25}',
+    ),
+    (
+        PushTile(session_id="s", tile=_REF, rank=0, generation=3, utility=0.5),
+        '{"type": "push_tile", "session_id": "s", "tile": [2, 1, 3], "rank": 0, "generation": 3, "utility": 0.5, "payload": null}',
+    ),
+    (
+        PushTile(session_id="s", tile=_REF, rank=1, generation=3, utility=0.25, payload=_PAYLOAD, fidelity=0.5),
+        '{"type": "push_tile", "session_id": "s", "tile": [2, 1, 3], "rank": 1, "generation": 3, "utility": 0.25, "payload": {"tile": [2, 1, 3], "attributes": [{"name": "v", "dtype": "float64", "shape": [1, 2], "values": [1.0, 2.5]}]}, "fidelity": 0.5}',
+    ),
+    (
+        PushAck(session_id="s"),
+        '{"type": "push_ack", "session_id": "s", "held": [], "move": null, "tile": null}',
+    ),
+    (
+        PushAck(session_id="s", held=(_REF,), move="pan_up", tile=_REF),
+        '{"type": "push_ack", "session_id": "s", "held": [[2, 1, 3]], "move": "pan_up", "tile": [2, 1, 3]}',
+    ),
+    (
+        SessionInfo(session_id="s", open=True, prefetch_mode="sync", requests=3, hits=2, hit_rate=0.6666666666666666, average_latency_seconds=0.341),
+        '{"type": "session_info", "session_id": "s", "open": true, "prefetch_mode": "sync", "requests": 3, "hits": 2, "hit_rate": 0.6666666666666666, "average_latency_seconds": 0.341}',
+    ),
+    (
+        ErrorInfo(code="invalid_request", message="no"),
+        '{"type": "error", "code": "invalid_request", "message": "no", "session_id": null}',
+    ),
+    (
+        ErrorInfo(code="session_not_found", message="gone", session_id="s"),
+        '{"type": "error", "code": "session_not_found", "message": "gone", "session_id": "s"}',
+    ),
+    (
+        Hello(),
+        '{"type": "hello", "versions": [1], "client": "", "push": false}',
+    ),
+    (
+        Hello(versions=(1, 2), client="browser/9", push=True, payloads=("json", "binary")),
+        '{"type": "hello", "versions": [1, 2], "client": "browser/9", "push": true, "payloads": ["json", "binary"]}',
+    ),
+    (
+        Welcome(version=1),
+        '{"type": "welcome", "version": 1, "server": "", "max_frame_bytes": 0, "push": false}',
+    ),
+    (
+        Welcome(version=1, server="forecache-repro", max_frame_bytes=8388608, push=True, payload="binary"),
+        '{"type": "welcome", "version": 1, "server": "forecache-repro", "max_frame_bytes": 8388608, "push": true, "payload": "binary"}',
+    ),
+    (
+        OpenSession(),
+        '{"type": "open_session", "session_id": null}',
+    ),
+    (
+        OpenSession(session_id="s"),
+        '{"type": "open_session", "session_id": "s"}',
+    ),
+    (
+        CloseSession(session_id="s"),
+        '{"type": "close_session", "session_id": "s"}',
+    ),
+    (
+        HotspotGossip(),
+        '{"type": "hotspot_gossip", "entries": [], "tick": 0}',
+    ),
+    (
+        HotspotGossip(entries=((2, 1, 3, 1.5), (0, 0, 0, 0.25)), tick=7),
+        '{"type": "hotspot_gossip", "entries": [[2, 1, 3, 1.5], [0, 0, 0, 0.25]], "tick": 7}',
+    ),
+]
+
+
+def _walk(node, path=()):
+    """Every ``(path, value)`` of a JSON tree, the root included."""
+    yield path, node
+    children = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ()
+    )
+    for key, child in children:
+        yield from _walk(child, (*path, key))
+
+
+def _at(tree, path):
+    for key in path:
+        tree = tree[key]
+    return tree
+
+
+def _put(tree, path, value):
+    if not path:
+        return value
+    _at(tree, path[:-1])[path[-1]] = value
+    return tree
+
+
+def _wrong_typed(message, path, original, value) -> bool:
+    """Is ``value`` of another JSON type than the ``original`` the
+    encoder put at ``path`` (and not one the field's kind also takes)?"""
+    if original is None or "values" in path[:-1]:
+        # A null says nothing of its field's type; the bulk scalars are
+        # checked by ``to_array``, never one by one.
+        return False
+    mine, theirs = type(original), type(value)
+    if mine is theirs or (mine is float and theirs is int):
+        return False
+    if value is None and len(path) == 1 and path[0] != "type":
+        # null is legal exactly where the constructor's default is None.
+        (field,) = (f for f in fields(message) if f.name == path[0])
+        return field.default is not None
+    return True
+
+
+_PLACES = [
+    (message, text, path)
+    for message, text in GOLDEN
+    for path, _ in _walk(json.loads(text))
+]
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(), children, max_size=4),
+    max_leaves=8,
+)
+
+
+class TestFieldTable:
+    @pytest.mark.parametrize(
+        ("message", "text"), GOLDEN, ids=lambda v: v if isinstance(v, str) else ""
+    )
+    def test_golden_frames(self, message, text):
+        assert protocol.encode(message) == text
+        assert protocol.decode(text) == message
+
+    def test_every_message_type_is_pinned_with_its_defaults_set_and_unset(self):
+        for name, cls in protocol.MESSAGE_TYPES.items():
+            frames = [message for message, _ in GOLDEN if type(message) is cls]
+            defaulted = [f for f in fields(cls) if f.default is not MISSING]
+            for at_default in (True, False):
+                assert any(
+                    all(
+                        (getattr(message, f.name) == f.default) is at_default
+                        for f in defaulted
+                    )
+                    for message in frames
+                ), (name, at_default)
+
+    @given(place=st.sampled_from(_PLACES), value=_JSON)
+    @settings(max_examples=1500, deadline=None)
+    def test_a_value_of_another_json_type_is_a_typed_rejection(self, place, value):
+        """Every message type x every declared field, at any depth x a
+        value of the wrong JSON type (null where not nullable, a bool
+        for an integer, an integer for a string, a string or an object
+        for a list, a list for an object, ...): InvalidRequestError and
+        nothing else.  No other replacement may raise anything else."""
+        message, text, path = place
+        tree = json.loads(text)
+        original = _at(tree, path)
+        try:
+            decoded = protocol.decode(json.dumps(_put(tree, path, value)))
+        except InvalidRequestError:
+            decoded = None
+        if _wrong_typed(message, path, original, value):
+            assert decoded is None, (path, value, decoded)
+
+    @given(
+        place=st.sampled_from(
+            [p for p in _PLACES if isinstance(_at(json.loads(p[1]), p[2]), dict)]
+        ),
+        key=st.text(),
+        value=_JSON,
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_an_unknown_key_is_ignored_at_any_depth(self, place, key, value):
+        message, text, path = place
+        tree = json.loads(text)
+        _at(tree, path)["x-" + key] = value  # no declared name starts so
+        assert protocol.decode(json.dumps(tree)) == message
