@@ -182,10 +182,15 @@ class SharedHotspotRegistry:
                 return 0.0
             return weight
 
-    def _snapshot_at(
-        self, top_n: int | None
-    ) -> tuple[int, list[tuple[TileKey, float]]]:
-        """(tick, ordered entries) with both taken from one tick read."""
+    def snapshot(self, top_n: int | None = None) -> list[tuple[TileKey, float]]:
+        """The hottest tiles, deterministically ordered.
+
+        Entries are sorted by ``(count desc, key asc)`` — the tie-break
+        makes the top-N a pure function of the counter state, never of
+        insertion or shard order.  ``top_n=None`` returns everything.
+        """
+        if top_n is not None and top_n < 1:
+            raise ValueError(f"top_n must be >= 1, got {top_n}")
         with self._tick_lock:
             tick = self._tick
         entries: list[tuple[TileKey, float]] = []
@@ -210,33 +215,7 @@ class SharedHotspotRegistry:
             # O(T log top_n), not a full sort: this runs per prediction
             # round on the request path.
             entries = heapq.nsmallest(top_n, entries, key=_hotness)
-        return tick, entries
-
-    def snapshot(self, top_n: int | None = None) -> list[tuple[TileKey, float]]:
-        """The hottest tiles, deterministically ordered.
-
-        Entries are sorted by ``(count desc, key asc)`` — the tie-break
-        makes the top-N a pure function of the counter state, never of
-        insertion or shard order.  ``top_n=None`` returns everything.
-        """
-        if top_n is not None and top_n < 1:
-            raise ValueError(f"top_n must be >= 1, got {top_n}")
-        return self._snapshot_at(top_n)[1]
-
-    def gossip_snapshot(
-        self, top_n: int | None = None
-    ) -> tuple[int, list[tuple[TileKey, float]]]:
-        """``(tick, snapshot)`` taken from one tick read.
-
-        The gossip wire format carries the tick its weights are
-        expressed at; reading ``tick`` and ``snapshot()`` separately
-        could straddle a concurrent ``advance()`` and mis-stamp the
-        entries by an epoch, so cluster nodes serialize from this
-        atomic pair instead.
-        """
-        if top_n is not None and top_n < 1:
-            raise ValueError(f"top_n must be >= 1, got {top_n}")
-        return self._snapshot_at(top_n)
+        return entries
 
     def hot_keys(self, top_n: int) -> list[TileKey]:
         """Just the keys of :meth:`snapshot`, hottest first."""
@@ -244,7 +223,7 @@ class SharedHotspotRegistry:
 
     @property
     def total_observations(self) -> int:
-        """Observations absorbed so far (undecayed; merges count theirs)."""
+        """Observations absorbed so far (undecayed)."""
         total = 0
         for index in range(self.shards):
             with self._locks[index]:
@@ -256,150 +235,6 @@ class SharedHotspotRegistry:
         return sum(
             len(self._entries[index]) for index in range(self.shards)
         )
-
-    # ------------------------------------------------------------------
-    # combination / lifecycle
-    # ------------------------------------------------------------------
-    def merge(self, other: "SharedHotspotRegistry") -> None:
-        """Fold another registry's counts into this one.
-
-        Both registries' counts are aligned to ``max(self.tick,
-        other.tick)`` before adding, so merging is commutative (and,
-        with exactly representable weights, associative).  The decay
-        factors must match — merging differently-decaying counters has
-        no meaningful unit.
-        """
-        if other.decay != self.decay:
-            raise ValueError(
-                f"cannot merge registries with different decay factors "
-                f"({self.decay} vs {other.decay})"
-            )
-        # Tick and counts come from one atomic read — a concurrent
-        # advance() on ``other`` cannot mis-align the decay below.
-        other_tick, incoming = other._snapshot_at(None)
-        target = max(self.tick, other_tick)
-        if target > self.tick:
-            self.advance(target - self.tick)
-        elapsed = target - other_tick
-        merged_keys = 0
-        for key, weight in incoming:
-            decayed = self._decayed(weight, elapsed)
-            if decayed > 0:
-                self.observe(key, decayed)
-                merged_keys += 1
-        # observe() tallied each merged key as one observation; correct
-        # the total to carry the other registry's true history.
-        adjustment = other.total_observations - merged_keys
-        if adjustment and self.shards:
-            with self._locks[0]:
-                self._observed[0] += adjustment
-
-    def merge_max(self, other: "SharedHotspotRegistry") -> None:
-        """Raise this registry's counts to at least ``other``'s.
-
-        Per-key **maximum** after aligning both sides to ``max(self.tick,
-        other.tick)`` — the gossip-safe combinator.  Unlike the additive
-        :meth:`merge`, this is *idempotent*: absorbing the same snapshot
-        twice (or absorbing a rebroadcast that already contains your own
-        counts) changes nothing, so a router can rebroadcast merged
-        cluster views every tick without the loop inflating anyone's
-        weights.  It stays commutative and associative, and a set of
-        nodes max-merging each other's snapshots converges to the
-        element-wise envelope — one shared view.
-
-        ``total_observations`` is untouched: a max is an envelope over
-        histories, not extra history.  Decay factors must match, as in
-        :meth:`merge`.
-        """
-        if other.decay != self.decay:
-            raise ValueError(
-                f"cannot merge registries with different decay factors "
-                f"({self.decay} vs {other.decay})"
-            )
-        other_tick, incoming = other._snapshot_at(None)
-        target = max(self.tick, other_tick)
-        if target > self.tick:
-            self.advance(target - self.tick)
-        elapsed = target - other_tick
-        for key, weight in incoming:
-            decayed = self._decayed(weight, elapsed)
-            if decayed <= 0 or decayed < self.prune_epsilon:
-                continue
-            index = self._shard(key)
-            with self._locks[index]:
-                entry = self._entries[index].get(key)
-                if entry is None:
-                    self._entries[index][key] = [decayed, target]
-                    continue
-                # Bring the held count to the merge tick (same lazy
-                # arithmetic as observe()), then keep the larger side.
-                held_elapsed = target - entry[1]
-                if held_elapsed > 0:
-                    held = self._decayed(entry[0], held_elapsed)
-                    entry[0] = (
-                        0.0 if held < self.prune_epsilon else held
-                    )
-                    entry[1] = target
-                if decayed > entry[0]:
-                    entry[0] = decayed
-
-    @classmethod
-    def from_snapshot(
-        cls,
-        entries: Iterable[tuple[TileKey, float]],
-        tick: int = 0,
-        decay: float = 1.0,
-    ) -> "SharedHotspotRegistry":
-        """Build a throwaway registry holding ``entries`` at ``tick``.
-
-        The gossip path deserializes wire snapshots into one of these so
-        :meth:`merge_max` can do the tick alignment; it is not meant as
-        a live registry (``total_observations`` stays 0).
-        """
-        registry = cls(shards=1, decay=decay)
-        if tick:
-            registry.advance(tick)
-        for key, weight in entries:
-            if weight > 0:
-                registry._entries[0][key] = [float(weight), tick]
-        return registry
-
-    def prune(self, epsilon: float | None = None) -> int:
-        """Drop every counter whose decayed weight is below ``epsilon``.
-
-        ``epsilon`` defaults to the registry's ``prune_epsilon``.  The
-        lazy sweeps in :meth:`observe`/:meth:`snapshot` already bound
-        memory on touched paths; this is the explicit O(T) version for
-        owners that want the bound enforced *now* (e.g. between sweep
-        cells).  Returns the number of entries removed.
-        """
-        limit = self.prune_epsilon if epsilon is None else epsilon
-        if limit < 0.0:
-            raise ValueError(f"epsilon must be >= 0, got {limit}")
-        with self._tick_lock:
-            tick = self._tick
-        removed = 0
-        for index in range(self.shards):
-            with self._locks[index]:
-                shard = self._entries[index]
-                dead = [
-                    key
-                    for key, (weight, seen_tick) in shard.items()
-                    if self._decayed(weight, max(0, tick - seen_tick)) < limit
-                ]
-                for key in dead:
-                    del shard[key]
-                removed += len(dead)
-        return removed
-
-    def clear(self) -> None:
-        """Forget everything (counts, tick, totals)."""
-        for index in range(self.shards):
-            with self._locks[index]:
-                self._entries[index].clear()
-                self._observed[index] = 0
-        with self._tick_lock:
-            self._tick = 0
 
     def __repr__(self) -> str:
         return (

@@ -9,7 +9,6 @@ Topology
         clients  ----->   |   TileServiceRouter  |   (wire protocol,
        (unchanged         |  - hello/welcome     |    unchanged)
         protocol)         |  - session ring      |
-                          |  - gossip merge      |
                           +----+----------+-----+
                                |          |
                      backend   |          |   backend
@@ -75,16 +74,13 @@ Backend links are **per client connection**: a client that negotiated
 push gets push-capable links, a pull-only client gets pull-only links.
 This keeps worker-side behaviour bit-identical to a direct connection
 (a worker never runs push rounds — which populate its cache — for a
-session whose real client did not ask for push).
+session whose real client did not ask for push).  Apart from those,
+the router opens one link per worker in :meth:`TileServiceRouter.start`
+to learn what it grants, and closes it as soon as the welcome is read.
 
-Cross-node popularity travels as ``hotspot_gossip`` frames: each
-worker snapshots its :class:`~repro.core.popularity.SharedHotspotRegistry`,
-the router merges the snapshots tick-aligned with
-:meth:`~repro.core.popularity.SharedHotspotRegistry.merge_max` and
-rebroadcasts the merged view, so every worker converges on the
-cluster-wide hot set within two gossip rounds.  ``merge_max`` is
-idempotent and commutative, so rebroadcast loops cannot inflate
-weights the way an additive merge would.
+The router keeps no popularity view: with ``shared_hotspots`` on, each
+worker's :class:`~repro.core.popularity.SharedHotspotRegistry` learns
+only from the sessions that live on it.
 
 ``examples/cluster_serving.py`` boots a local :class:`ProcessCluster`,
 replays a deterministic trace through it and prints a summary.
@@ -99,7 +95,6 @@ import hashlib
 import multiprocessing
 from dataclasses import dataclass, replace
 
-from repro.core.popularity import SharedHotspotRegistry
 from repro.middleware.config import ServiceConfig
 from repro.middleware.connection import (
     ClientConnection,
@@ -121,7 +116,6 @@ from repro.middleware.protocol import (
     ErrorInfo,
     FrameTooLargeError,
     Hello,
-    HotspotGossip,
     OpenSession,
     ProtocolError,
     PushAck,
@@ -425,41 +419,34 @@ class TileServiceRouter(_WireServer):
         self.ring = ConsistentHashRing(
             replicas=self.config.ring_replicas, seed=self.config.ring_seed
         )
-        #: Router-side merged view of the cluster's hot set.
-        self.cluster_view = SharedHotspotRegistry(
-            shards=1, decay=self.config.prefetch.hotspot_decay
-        )
-        self.gossip_rounds = 0
         #: Payload-bearing worker frames forwarded to a binary client
         #: unopened, and those decoded and re-encoded because the client
         #: speaks JSON while the links speak binary.
         self.frames_spliced = 0
         self.frames_transcoded = 0
         self._alive: set[str] = set()
-        self._control: dict[str, _BackendLink] = {}
         self._push_capable = False
         self._backend_binary = False
         self._session_counter = 0
 
     # -- lifecycle -----------------------------------------------------
     async def start(self) -> tuple[str, int]:
-        # One control link per worker: capability discovery (the worker
-        # grants push/binary iff its policy allows) plus the gossip
-        # channel.  No sessions ever open on a control link, so no push
-        # frames flow on it even though push is offered.
+        # Capability discovery: one handshake per worker (it grants
+        # push/binary iff its policy allows), and the link is closed as
+        # soon as its welcome is read.  Clients dial links of their own.
         self._closing = False
+        probes = []
         for node in sorted(self.worker_addrs):
             link = self._new_link(node)
-            await link.connect(push=True, binary="binary" in self.payloads)
-            self._control[node] = link
+            try:
+                await link.connect(push=True, binary="binary" in self.payloads)
+            finally:
+                await link.aclose()
+            probes.append(link)
             self._alive.add(node)
             self.ring.add(node)
-        self._push_capable = all(
-            link.push for link in self._control.values()
-        )
-        self._backend_binary = all(
-            link.payload == "binary" for link in self._control.values()
-        )
+        self._push_capable = all(link.push for link in probes)
+        self._backend_binary = all(link.payload == "binary" for link in probes)
         self._server = await asyncio.start_server(
             self._serve_connection, self.host, self.port
         )
@@ -487,12 +474,9 @@ class TileServiceRouter(_WireServer):
 
     async def aclose(self) -> None:
         # Every client connection has closed its own backend links by
-        # the time this returns; the control links go last.
+        # the time this returns.
         await self._stop_serving()
         self._server = None
-        for link in list(self._control.values()):
-            await link.aclose()
-        self._control.clear()
 
     def _mark_worker_dead(self, node: str) -> None:
         """Idempotent: drop a worker from routing and the ring."""
@@ -501,9 +485,6 @@ class TileServiceRouter(_WireServer):
         self._alive.discard(node)
         if node in self.ring:
             self.ring.remove(node)
-        link = self._control.pop(node, None)
-        if link is not None:
-            link._die()
 
     # -- client serving (the loop itself is _WireServer's) --------------
     _connection_core = _RouterClient
@@ -674,39 +655,6 @@ class TileServiceRouter(_WireServer):
         state.require_push(state.require_session(message.session_id))
         return await self._relay(message, state)
 
-    async def _serve_gossip(self, message: HotspotGossip, state):
-        """Client-facing gossip: read-only view of the merged hot set."""
-        return [HotspotGossip.from_registry(self.cluster_view)]
-
-    # -- gossip --------------------------------------------------------
-    async def gossip_once(self) -> SharedHotspotRegistry:
-        """One gossip round: collect every worker's snapshot, merge
-        tick-aligned, rebroadcast the merged view.
-
-        Round 1 collects all local hot sets into the router's merged
-        view; round 2's rebroadcast cross-pollinates that view back to
-        every worker — disjoint hot sets converge within two rounds.
-        ``merge_max`` keeps repeated rounds stable (idempotent).
-        """
-        outbound = HotspotGossip.from_registry(self.cluster_view)
-        fresh = SharedHotspotRegistry(
-            shards=1, decay=self.config.prefetch.hotspot_decay
-        )
-        for node in sorted(self._control):
-            link = self._control[node]
-            try:
-                reply, _ = await link.roundtrip(outbound)
-            except WorkerUnavailableError:
-                self._mark_worker_dead(node)
-                continue
-            if isinstance(reply, HotspotGossip):
-                reply.merge_into(fresh)
-            # An ErrorInfo reply (worker shares no registry) is skipped
-            # silently: gossip degrades gracefully on mixed clusters.
-        self.cluster_view = fresh
-        self.gossip_rounds += 1
-        return fresh
-
 
 # ----------------------------------------------------------------------
 # threaded in-process harnesses (tests / sweep)
@@ -752,11 +700,6 @@ class ThreadedRouter(_LoopThread):
         return TileServiceRouter(
             self._workers, self._config, **self._router_kwargs
         )
-
-    def gossip_once(self) -> SharedHotspotRegistry:
-        """Drive one gossip round from sync code (tests, sweeps)."""
-        assert self.router is not None
-        return self._run(self.router.gossip_once())
 
 
 class _ClusterHarness:
@@ -804,10 +747,6 @@ class _ClusterHarness:
             self.stop()
             raise
         return self
-
-    def gossip_once(self) -> SharedHotspotRegistry:
-        assert self.router is not None
-        return self.router.gossip_once()
 
     def stop(self) -> None:
         if self.router is not None:

@@ -65,8 +65,6 @@ from repro.middleware.protocol import (
     ErrorInfo,
     FrameTooLargeError,
     Hello,
-    HotspotGossip,
-    InvalidRequestError,
     OpenSession,
     ProtocolError,
     PushAck,
@@ -159,7 +157,6 @@ class _WireServer:
         CloseSession: "_serve_close",
         TileRequest: "_serve_request",
         PushAck: "_serve_ack",
-        HotspotGossip: "_serve_gossip",
     }
 
     async def _release(self, conn: ServerConnection) -> None:
@@ -366,25 +363,6 @@ class ForeCacheSocketServer(_WireServer):
                 payloads=self.payloads,
             )
         ]
-
-    async def _serve_gossip(self, message: HotspotGossip, conn):
-        """Absorb a popularity snapshot; reply with this node's own.
-
-        Cluster workers answer the router's gossip frames here: incoming
-        entries are max-merged into the shared registry (idempotent —
-        a rebroadcast that already contains this node's counts changes
-        nothing), and the reply is the post-absorb full snapshot, so
-        one round trip both delivers the cluster view and collects this
-        worker's contribution.
-        """
-        registry = self.service.service.hotspot_registry
-        if registry is None:
-            raise InvalidRequestError(
-                "this server shares no hotspot registry "
-                '(shared_hotspots is "off")'
-            )
-        message.merge_into(registry)
-        return [HotspotGossip.from_registry(registry)]
 
     async def _serve_open(self, message: OpenSession, conn: ServerConnection):
         handle = await self.service.open_session(None, message.session_id)

@@ -669,8 +669,6 @@ class ErrorInfo(_WireForm):
 # ----------------------------------------------------------------------
 # control envelope (connection setup and session lifecycle)
 # ----------------------------------------------------------------------
-#: The protocol revision this build speaks natively.
-PROTOCOL_VERSION = 1
 #: Every revision this build can serve (negotiation picks the highest
 #: revision both peers list).
 SUPPORTED_VERSIONS: tuple[int, ...] = (1,)
@@ -784,60 +782,6 @@ class CloseSession(_WireForm):
     :class:`SessionInfo` snapshot (``open=False``)."""
 
     session_id: str = _wire(_STR)
-
-
-def _hot_entry(value) -> tuple[int, int, int, float]:
-    if type(value) is list and len(value) == 4:
-        level, x, y, weight = value
-        if type(level) is type(x) is type(y) is int:
-            return level, x, y, _NUMBER.read(weight)
-    raise _expected("[level, x, y, weight]", value)
-
-
-@_message("hotspot_gossip", client=True)
-@dataclass(frozen=True)
-class HotspotGossip(_WireForm):
-    """A popularity snapshot travelling between cluster nodes.
-
-    ``entries`` carries ``(level, x, y, weight)`` rows — a decayed
-    weight per hot tile — and ``tick`` the decay epoch the weights are
-    expressed at, so the receiver can bring both sides to a common tick
-    before merging.  Sent worker → router as the reply to the router's
-    own gossip frame (whose entries are the merged cluster view).  An
-    empty-entry frame is a valid "nothing hot here yet" snapshot.
-    Pre-cluster peers reject the unknown type with a typed
-    ``invalid_request`` error rather than desyncing the stream.
-    """
-
-    entries: tuple[tuple[int, int, int, float], ...] = _wire(
-        _list_of(_Kind(_hot_entry, list)), ()
-    )
-    tick: int = _wire(_INT, 0)
-
-    @classmethod
-    def from_registry(cls, registry) -> "HotspotGossip":
-        """A registry's full snapshot, stamped from one atomic tick read."""
-        tick, entries = registry.gossip_snapshot()
-        return cls(
-            entries=tuple(
-                (key.level, key.x, key.y, weight) for key, weight in entries
-            ),
-            tick=tick,
-        )
-
-    def merge_into(self, registry) -> None:
-        """Max-merge this snapshot into ``registry``, tick-aligned."""
-        if self.entries:
-            registry.merge_max(
-                type(registry).from_snapshot(
-                    (
-                        (TileKey(level, x, y), weight)
-                        for level, x, y, weight in self.entries
-                    ),
-                    tick=self.tick,
-                    decay=registry.decay,
-                )
-            )
 
 
 # ----------------------------------------------------------------------
@@ -954,11 +898,10 @@ _FRAME_KIND_JSON = 0x00
 _FRAME_KIND_BINARY = 0x01
 _BINARY_FRAME_HEADER = struct.Struct(">BI")
 
-#: Blob codecs.  The encoder deflates when that shrinks the blob (the
-#: NDSI attribute blocks are highly redundant — min/avg/max coincide at
-#: fine zoom — so this usually wins big); level 1 keeps the encode cost
-#: negligible next to the syscall it saves.
-_BLOB_CODECS = ("raw", "zlib")
+#: The encoder deflates a blob (codec ``"zlib"``, else ``"raw"``) when
+#: that shrinks it (the NDSI attribute blocks are highly redundant —
+#: min/avg/max coincide at fine zoom — so this usually wins big); level
+#: 1 keeps the encode cost negligible next to the syscall it saves.
 _COMPRESS_LEVEL = 1
 _COMPRESS_MIN_BYTES = 64
 

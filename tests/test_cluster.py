@@ -1,5 +1,5 @@
 """The multi-process cluster: ring, handshake intersection, failover,
-gossip convergence, and a spawn-context smoke boot.
+and a spawn-context smoke boot.
 
 Everything runs over loopback on ephemeral ports.  The spawn tests are
 the only ones that cross a process boundary; they use small worlds so
@@ -12,6 +12,7 @@ import asyncio
 import importlib.util
 import json
 import os
+import socket
 import socketserver
 import subprocess
 import sys
@@ -26,7 +27,6 @@ from hypothesis import strategies as st
 
 from repro.core.allocation import SingleModelStrategy
 from repro.core.engine import PredictionEngine
-from repro.core.popularity import SharedHotspotRegistry
 from repro.experiments.sweep import resolve_spec, run_cell
 from repro.middleware import cluster as cluster_module
 from repro.middleware.cluster import (
@@ -42,7 +42,6 @@ from repro.middleware.protocol import (
     FrameDecoder,
     FrameTooLargeError,
     Hello,
-    HotspotGossip,
     OpenSession,
     SessionInfo,
     TileRequest,
@@ -318,6 +317,58 @@ class TestHandshakeIntersection:
                 router.stop()
             full.stop()
             json_only.stop()
+
+    def test_capability_probes_leave_no_link_open(self, cluster2):
+        """The router learns what each worker grants from one handshake
+        at start and closes that link once welcomed: with no client
+        connected, no worker serves a connection."""
+        servers = [worker.server for worker in cluster2.workers]
+        deadline = time.monotonic() + 5.0
+        while any(s.connection_count for s in servers) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert [s.connection_count for s in servers] == [0, 0]
+
+    def test_push_capable_probes_are_closed_too(self, tiny_dataset):
+        """A worker that grants push to the probe still ends up serving
+        no connection, and clients are granted push all the same."""
+        grid = tiny_dataset.pyramid.grid
+        config = ServiceConfig(prefetch=PrefetchPolicy(push="on"))
+        with ThreadedClusterServer(
+            tiny_dataset.pyramid,
+            config,
+            workers=2,
+            engine_factory=lambda: make_engine(grid),
+        ) as cluster:
+            servers = [worker.server for worker in cluster.workers]
+            deadline = time.monotonic() + 5.0
+            while any(s.connection_count for s in servers) and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert [s.connection_count for s in servers] == [0, 0]
+            with SocketTransport(*cluster.address, push=True) as transport:
+                assert transport.push_enabled is True
+
+    def test_a_failed_start_leaves_no_link_open(self, tiny_dataset):
+        """One worker is up, the next refuses connections: ``start``
+        raises the typed error, and the worker it did reach serves no
+        connection afterwards."""
+        grid = tiny_dataset.pyramid.grid
+        with ThreadedSocketServer(
+            tiny_dataset.pyramid,
+            ServiceConfig(),
+            engine_factory=lambda: make_engine(grid),
+        ) as live:
+            with socket.socket() as probe:
+                probe.bind(("127.0.0.1", 0))
+                dead = probe.getsockname()
+            # Probed in name order: the live worker first.
+            router = ThreadedRouter({"a-live": live.address, "b-dead": dead})
+            with pytest.raises(WorkerUnavailableError):
+                router.start()
+            router.stop()
+            deadline = time.monotonic() + 5.0
+            while live.server.connection_count and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert live.server.connection_count == 0
 
     def test_push_denied_when_workers_pull_only(self, cluster2):
         # Workers run push="off" (the default): a push-hungry client
@@ -834,84 +885,42 @@ class TestRouterShutdown:
 
 
 # ----------------------------------------------------------------------
-# gossip convergence
+# shared hotspots: one registry per worker
 # ----------------------------------------------------------------------
-class TestGossip:
-    @pytest.fixture
-    def gossip_cluster(self, tiny_dataset):
+class TestPerWorkerHotspots:
+    @pytest.mark.parametrize("mode", ["observe", "boost"])
+    def test_each_worker_learns_only_from_the_sessions_it_serves(
+        self, mode, tiny_dataset
+    ):
         grid = tiny_dataset.pyramid.grid
-        config = ServiceConfig(
-            prefetch=PrefetchPolicy(shared_hotspots="observe")
-        )
+        config = ServiceConfig(prefetch=PrefetchPolicy(k=2, shared_hotspots=mode))
+        walks = [
+            [TileKey(1, 0, 0), TileKey(1, 1, 0)],
+            [TileKey(2, 3, 3), TileKey(2, 2, 3)],
+        ]
         with ThreadedClusterServer(
             tiny_dataset.pyramid,
             config,
             workers=2,
             engine_factory=lambda: make_engine(grid),
         ) as cluster:
-            yield cluster
-
-    def registries(self, cluster):
-        return [
-            worker.server.service.service.hotspot_registry
-            for worker in cluster.workers
-        ]
-
-    def test_disjoint_hot_tiles_converge_to_one_snapshot(
-        self, gossip_cluster
-    ):
-        reg_a, reg_b = self.registries(gossip_cluster)
-        hot_a = TileKey(2, 0, 0)
-        hot_b = TileKey(2, 3, 3)
-        for _ in range(5):
-            reg_a.observe(hot_a)
-            reg_b.observe(hot_b)
-        # Round 1 collects both locals into the router's merged view;
-        # round 2 rebroadcasts it back — full convergence.
-        gossip_cluster.gossip_once()
-        view = gossip_cluster.gossip_once()
-        merged = dict(view.snapshot(10))
-        assert merged[hot_a] == pytest.approx(5.0)
-        assert merged[hot_b] == pytest.approx(5.0)
-        for registry in self.registries(gossip_cluster):
-            local = dict(registry.snapshot(10))
-            assert local[hot_a] == pytest.approx(5.0)
-            assert local[hot_b] == pytest.approx(5.0)
-
-    def test_gossip_is_idempotent_under_extra_rounds(self, gossip_cluster):
-        reg_a, _ = self.registries(gossip_cluster)
-        hot = TileKey(1, 1, 1)
-        for _ in range(3):
-            reg_a.observe(hot)
-        for _ in range(4):
-            view = gossip_cluster.gossip_once()
-        # merge_max: rebroadcast loops do not inflate the weight.
-        assert dict(view.snapshot(10))[hot] == pytest.approx(3.0)
-        for registry in self.registries(gossip_cluster):
-            assert dict(registry.snapshot(10))[hot] == pytest.approx(3.0)
-
-    def test_gossip_skips_workers_without_registry(self, cluster2):
-        # Default config: shared_hotspots="off", workers reply with a
-        # typed error; the round completes with an empty view.
-        view = cluster2.gossip_once()
-        assert view.snapshot(10) == []
-
-    def test_wire_message_roundtrip(self):
-        message = HotspotGossip(entries=((2, 1, 1, 3.5),), tick=4)
-        from repro.middleware.protocol import decode, encode
-
-        assert decode(encode(message)) == message
-
-    def test_merge_max_convergence_is_order_free(self):
-        a = SharedHotspotRegistry(shards=1)
-        b = SharedHotspotRegistry(shards=1)
-        a.observe(TileKey(1, 0, 0), 4.0)
-        b.observe(TileKey(1, 1, 1), 2.0)
-        ab = SharedHotspotRegistry.from_snapshot(a.snapshot(10))
-        ab.merge_max(b)
-        ba = SharedHotspotRegistry.from_snapshot(b.snapshot(10))
-        ba.merge_max(a)
-        assert dict(ab.snapshot(10)) == dict(ba.snapshot(10))
+            ring = cluster.router.router.ring
+            placed: dict[str, str] = {}
+            for session_id in map("user-{}".format, range(64)):
+                placed.setdefault(ring.owner(session_id), session_id)
+            with SocketTransport(*cluster.address) as transport:
+                for index, walk in enumerate(walks):
+                    client = transport.connect(session_id=placed[f"worker-{index}"])
+                    for key in walk:
+                        client.request(None, key)
+            learned = [
+                {
+                    key
+                    for key, _ in worker.server.service.service.hotspot_registry.snapshot()
+                }
+                for worker in cluster.workers
+            ]
+        assert learned == [set(walk) for walk in walks]
 
 
 # ----------------------------------------------------------------------

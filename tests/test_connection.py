@@ -60,6 +60,7 @@ from repro.middleware.protocol import (
     VersionMismatchError,
     Welcome,
     decode_wire,
+    encode_frame,
     encode_wire,
 )
 from repro.middleware.push import PushCache
@@ -426,6 +427,27 @@ class TestServerGuard:
         message = OpenSession("s") if handshaken_first else offer()
         (frame,) = conn.receive(encode_wire(message, "lines"))
         assert conn.admit(frame) == message
+
+    @pytest.mark.parametrize(
+        "framing, payload", [("lines", "json"), ("length", "json"), ("length", "binary")]
+    )
+    def test_a_hot_set_frame_is_an_unknown_type_on_every_wire(
+        self, framing, payload
+    ):
+        # ``hotspot_gossip`` was once served; now it is refused like any
+        # tag the server does not know, and the stream stays in sync.
+        conn = served(framing, payload)
+        body = b'{"type": "hotspot_gossip", "entries": [[2, 3, 3, 1e300]], "tick": 1000000}'
+        if conn.wire == "binary":
+            data = b"\x00" + len(body).to_bytes(4, "big") + body
+        else:
+            data = encode_frame(body.decode(), conn.wire)
+        (frame,) = conn.receive(data)
+        reply, fatal = refused(conn, frame, conn.wire)
+        assert (reply.code, fatal) == ("invalid_request", False)
+        assert reply.message == "unknown message type 'hotspot_gossip'"
+        (frame,) = conn.receive(encode_wire(OpenSession("s"), conn.wire))
+        assert conn.admit(frame) == OpenSession("s")
 
     @pytest.mark.parametrize("handshaken_first", [False, True])
     def test_broken_framing_is_answered_and_fatal(self, handshaken_first):

@@ -563,6 +563,84 @@ class TestResilience:
         ]
         assert closed["session_id"] == "\ud800" and closed["requests"] == 1
 
+    @pytest.mark.parametrize("endpoint_kind", ["server", "cluster"])
+    def test_a_hot_set_frame_is_an_unknown_type_and_moves_no_registry(
+        self, endpoint_kind, small_dataset
+    ):
+        # Every endpoint used to serve "hotspot_gossip" to any client:
+        # the entries were max-merged into the registry that steers every
+        # session's hot set, the tick jumped ahead (decaying every count
+        # to nothing), and the reply listed the other users' hot tiles.
+        endpoint = serving(
+            endpoint_kind,
+            small_dataset.pyramid,
+            ServiceConfig(
+                prefetch=PrefetchPolicy(
+                    k=5, shared_hotspots="boost", hotspot_decay=0.5
+                )
+            ),
+        )
+        request = {"type": "tile_request", "session_id": "s", "tile": [1, 0, 0]}
+        with endpoint:
+            workers = endpoint.workers if endpoint_kind == "cluster" else [endpoint]
+            services = [worker.server.service.service for worker in workers]
+            registries = [service.hotspot_registry for service in services]
+
+            def state():
+                requests = sum(service.info("s").requests for service in services)
+                return requests, [(r.snapshot(), r.tick) for r in registries]
+
+            sock = raw_connection(endpoint)
+            handshake(sock)
+            send_line(sock, {"type": "open_session", "session_id": "s"})
+            send_line(sock, request)
+            recv_lines(sock, 2)
+            requests, before = state()
+            send_line(
+                sock,
+                {
+                    "type": "hotspot_gossip",
+                    "entries": [[2, 3, 3, 1e300]],
+                    "tick": 1000000,
+                },
+            )
+            (refusal,) = recv_lines(sock)
+            assert state() == (requests, before)
+            send_line(sock, request)
+            (reply,) = recv_lines(sock)
+            assert state()[0] == requests + 1
+            sock.close()
+        assert refusal == {
+            "type": "error",
+            "code": "invalid_request",
+            "message": "unknown message type 'hotspot_gossip'",
+            "session_id": None,
+        }
+        assert (reply["type"], reply["tile"]) == ("tile_response", [1, 0, 0])
+        # There was a learned count to lose.
+        assert any(snapshot for snapshot, _ in before)
+
+    @pytest.mark.parametrize("endpoint_kind", ["server", "cluster"])
+    def test_a_hot_set_frame_before_hello_is_unknown_and_survivable(
+        self, endpoint_kind, small_dataset
+    ):
+        # Like any undecodable frame, it is refused before the handshake
+        # guard looks at it: answered, and the client may still say hello.
+        endpoint = serving(endpoint_kind, small_dataset.pyramid, CONFIG)
+        with endpoint:
+            sock = raw_connection(endpoint)
+            send_line(sock, {"type": "hotspot_gossip", "entries": [], "tick": 0})
+            (error,) = recv_lines(sock)
+            welcome = handshake(sock)
+            sock.close()
+        assert error == {
+            "type": "error",
+            "code": "invalid_request",
+            "message": "unknown message type 'hotspot_gossip'",
+            "session_id": None,
+        }
+        assert welcome["version"] == 1
+
     def test_oversized_frame_typed_error_then_close(self, server):
         sock = raw_connection(server)
         handshake(sock)

@@ -739,9 +739,8 @@ class TestAttributeSpecMemoProperties:
 # ----------------------------------------------------------------------
 # Exactness discipline: weights are small integers, decay is 0.5, and
 # op lists are short, so every count is a dyadic rational well inside
-# the 53-bit mantissa — float addition is exact and therefore
-# commutative AND associative, letting the merge properties assert
-# bit-identical snapshots instead of approximations.
+# the 53-bit mantissa — float addition is exact, letting the
+# properties assert bit-identical snapshots instead of approximations.
 registry_ops = st.lists(
     st.one_of(
         st.tuples(st.just("observe"), tile_keys(max_level=3), st.integers(1, 4)),
@@ -787,26 +786,36 @@ class TestSharedHotspotProperties:
         )
 
     @settings(max_examples=100, deadline=None)
-    @given(ops_a=registry_ops, ops_b=registry_ops)
-    def test_merge_is_commutative(self, ops_a, ops_b):
-        ab = _fresh_registry(ops_a)
-        ab.merge(_fresh_registry(ops_b))
-        ba = _fresh_registry(ops_b)
-        ba.merge(_fresh_registry(ops_a))
-        assert ab.snapshot() == ba.snapshot()
-        assert ab.tick == ba.tick
+    @given(ops=registry_ops, shards=st.integers(1, 6))
+    def test_total_observations_counts_every_observe(self, ops, shards):
+        registry = _fresh_registry(ops, shards=shards)
+        assert registry.total_observations == sum(
+            kind == "observe" for kind, _, _ in ops
+        )
+        assert registry.tick == sum(
+            amount for kind, _, amount in ops if kind == "advance"
+        )
 
     @settings(max_examples=100, deadline=None)
-    @given(ops_a=registry_ops, ops_b=registry_ops, ops_c=registry_ops)
-    def test_merge_is_associative(self, ops_a, ops_b, ops_c):
-        left = _fresh_registry(ops_a)
-        left.merge(_fresh_registry(ops_b))
-        left.merge(_fresh_registry(ops_c))
-        bc = _fresh_registry(ops_b)
-        bc.merge(_fresh_registry(ops_c))
-        right = _fresh_registry(ops_a)
-        right.merge(bc)
-        assert left.snapshot() == right.snapshot()
+    @given(ops=registry_ops, keys=st.lists(tile_keys(max_level=3), max_size=8))
+    def test_observe_many_is_one_observe_per_key(self, ops, keys):
+        batched = _fresh_registry(ops)
+        batched.observe_many(keys, 2.0)
+        one_by_one = _fresh_registry(ops)
+        for key in keys:
+            one_by_one.observe(key, 2.0)
+        assert batched.snapshot() == one_by_one.snapshot()
+        assert batched.total_observations == one_by_one.total_observations
+
+    @settings(max_examples=100, deadline=None)
+    @given(ops=registry_ops)
+    def test_count_agrees_with_the_snapshot_and_reads_change_nothing(self, ops):
+        registry = _fresh_registry(ops)
+        snap = registry.snapshot()
+        assert [(key, registry.count(key)) for key, _ in snap] == snap
+        assert registry.count(TileKey(6, 0, 0)) == 0.0  # never observed
+        assert registry.snapshot() == snap
+        assert registry.tick == _fresh_registry(ops).tick
 
     @settings(max_examples=100, deadline=None)
     @given(ops=registry_ops, n=st.integers(1, 5))

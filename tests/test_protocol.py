@@ -20,7 +20,6 @@ from repro.middleware.protocol import (
     FramingError,
     FrameTooLargeError,
     Hello,
-    HotspotGossip,
     InvalidRequestError,
     OpenSession,
     ProtocolError,
@@ -425,6 +424,19 @@ class TestEnvelope:
         with pytest.raises(InvalidRequestError):
             protocol.decode(json.dumps({"type": "warp_drive"}))
 
+    def test_hotspot_gossip_is_not_a_message_type(self):
+        header = json.dumps(
+            {"type": "hotspot_gossip", "entries": [[2, 3, 3, 1.0]], "tick": 1}
+        )
+        assert "hotspot_gossip" not in protocol.MESSAGE_TYPES
+        with pytest.raises(
+            InvalidRequestError, match="^unknown message type 'hotspot_gossip'$"
+        ):
+            protocol.decode(header)
+        body = len(header).to_bytes(4, "big") + header.encode()
+        with pytest.raises(InvalidRequestError, match="cannot travel as a binary body"):
+            protocol.decode_binary_message(body)
+
     def test_decode_rejects_non_object(self):
         with pytest.raises(InvalidRequestError):
             protocol.decode(json.dumps([1, 2, 3]))
@@ -451,7 +463,7 @@ class TestEnvelope:
                 "prefetch_mode": "sync", "requests": 1e400, "hits": 0,
                 "hit_rate": 0.0, "average_latency_seconds": 0.0,
             },
-            {"type": "hotspot_gossip", "entries": [], "tick": 1e400},
+            {"type": "welcome", "version": 1, "max_frame_bytes": 1e400},
         ],
         ids=lambda fields: fields["type"],
     )
@@ -643,14 +655,6 @@ GOLDEN = [
     (
         CloseSession(session_id="s"),
         '{"type": "close_session", "session_id": "s"}',
-    ),
-    (
-        HotspotGossip(),
-        '{"type": "hotspot_gossip", "entries": [], "tick": 0}',
-    ),
-    (
-        HotspotGossip(entries=((2, 1, 3, 1.5), (0, 0, 0, 0.25)), tick=7),
-        '{"type": "hotspot_gossip", "entries": [[2, 1, 3, 1.5], [0, 0, 0, 0.25]], "tick": 7}',
     ),
 ]
 

@@ -138,30 +138,16 @@ class TestRegistryBasics:
             assert [key for key, _ in registry.snapshot()] == order
             previous = current
 
-    def test_clear(self):
-        registry = SharedHotspotRegistry(shards=3, decay=0.5)
-        registry.observe(TileKey(1, 0, 1))
-        registry.advance(5)
-        registry.clear()
-        assert registry.snapshot() == []
-        assert registry.tick == 0
-        assert registry.total_observations == 0
-
-    def test_merge_aligns_ticks(self):
-        newer = SharedHotspotRegistry(decay=0.5)
-        older = SharedHotspotRegistry(decay=0.5)
-        key = TileKey(1, 1, 0)
-        older.observe(key, 4.0)  # at tick 0
-        newer.advance(2)
-        newer.observe(key, 1.0)  # at tick 2
-        newer.merge(older)  # older's 4.0 decays two ticks -> 1.0
-        assert newer.tick == 2
-        assert newer.count(key) == 2.0
-        assert newer.total_observations == 2
-
-    def test_merge_rejects_decay_mismatch(self):
-        with pytest.raises(ValueError):
-            SharedHotspotRegistry(decay=0.5).merge(SharedHotspotRegistry())
+    def test_public_surface(self):
+        """Observe, advance, read: nothing writes a registry but the
+        sessions of the service that owns it."""
+        public = {
+            name for name in dir(SharedHotspotRegistry) if not name.startswith("_")
+        }
+        assert public == {
+            "tick", "advance", "observe", "observe_many",
+            "count", "snapshot", "hot_keys", "total_observations",
+        }
 
 
 # ----------------------------------------------------------------------
@@ -645,9 +631,6 @@ class TestSubEpsilonPruning:
     def test_validation(self):
         with pytest.raises(ValueError):
             SharedHotspotRegistry(prune_epsilon=-0.1)
-        registry = SharedHotspotRegistry()
-        with pytest.raises(ValueError):
-            registry.prune(epsilon=-1.0)
 
     def test_service_registry_prunes_at_the_constant(self):
         """A service-owned registry drops a once-seen key after enough
@@ -711,25 +694,30 @@ class TestSubEpsilonPruning:
         # the new count is the fresh weight, not fresh + dust.
         assert registry.observe(key) == 1.0
 
-    def test_explicit_prune_returns_removed_count(self):
+    def test_default_epsilon_keeps_every_decayed_key(self):
+        registry = SharedHotspotRegistry(decay=0.5)
+        for key in keys_at(1):
+            registry.observe(key)
+        registry.advance(40)  # 0.5**40 ~ 9e-13: dust, but kept
+        assert registry.snapshot() == [(key, 0.5**40) for key in sorted(keys_at(1))]
+        assert len(registry) == len(keys_at(1))
+
+    def test_advance_sweeps_nothing_until_a_read(self):
+        """Pruning rides on reads: ``advance`` is O(1) and drops no
+        entry; ``count`` drops the one key it reads, ``snapshot`` the
+        rest."""
         registry = SharedHotspotRegistry(decay=0.5, prune_epsilon=0.05)
-        for key in keys_at(2)[:10]:
+        cold = keys_at(2)[:10]
+        for key in cold:
             registry.observe(key)
         survivor = TileKey(0, 0, 0)
         registry.observe(survivor, weight=64.0)
-        registry.advance(6)
-        removed = registry.prune()
-        assert removed == 10
+        registry.advance(6)  # cold: 0.5**6 < 0.05; survivor: 1.0
+        assert len(registry) == 11
+        assert registry.count(cold[0]) == 0.0
+        assert len(registry) == 10
+        assert registry.snapshot() == [(survivor, 1.0)]
         assert len(registry) == 1
-        assert registry.prune() == 0
-
-    def test_prune_with_explicit_epsilon_overrides_default(self):
-        registry = SharedHotspotRegistry(decay=0.5)  # no default pruning
-        for key in keys_at(1):
-            registry.observe(key)
-        registry.advance(4)
-        assert registry.prune() == 0  # default epsilon 0.0 keeps all
-        assert registry.prune(epsilon=0.125) == len(keys_at(1))
 
     def test_pruned_snapshot_is_shard_invariant(self):
         """Determinism: the pruned snapshot is a pure function of the
