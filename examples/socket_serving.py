@@ -97,14 +97,14 @@ def main() -> None:
             k=5,
             push="on" if args.push else "off",
             fidelity=args.fidelity,
-        )
+        ),
+        bind_port=args.port,
     )
     with ThreadedSocketServer(
         pyramid,
         config,
         engine_factory=engine_factory,
         framing=args.framing,
-        port=args.port,
     ) as server:
         host, port = server.address
         print(f"serving on {host}:{port} ({args.framing} framing)\n")

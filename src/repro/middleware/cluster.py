@@ -384,20 +384,19 @@ class TileServiceRouter(_WireServer):
     """Thin asyncio router fronting N socket workers.
 
     Speaks the unchanged wire protocol to clients; owns no tile state
-    of its own.  See the module docstring for the full contract.
+    of its own.  Its :class:`ServiceConfig` says where it listens, how
+    large a frame may be and which payload encodings it grants, as a
+    worker's does.  See the module docstring for the full contract.
     """
+
+    server_name = "forecache-router"
 
     def __init__(
         self,
         workers: dict[str, tuple[str, int]] | list[tuple[str, int]],
         config: ServiceConfig | None = None,
         *,
-        host: str = "127.0.0.1",
-        port: int = 0,
         framing: str = "lines",
-        max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
-        payloads: tuple[str, ...] = ("json", "binary"),
-        server_name: str = "forecache-router",
     ) -> None:
         super().__init__()
         if isinstance(workers, dict):
@@ -410,12 +409,7 @@ class TileServiceRouter(_WireServer):
         if not self.worker_addrs:
             raise ValueError("a cluster needs at least one worker")
         self.config = config or ServiceConfig()
-        self.host = host
-        self.port = port
         self.framing = framing
-        self.max_frame_bytes = max_frame_bytes
-        self.payloads = tuple(payloads)
-        self.server_name = server_name
         self.ring = ConsistentHashRing(
             replicas=self.config.ring_replicas, seed=self.config.ring_seed
         )
@@ -439,7 +433,9 @@ class TileServiceRouter(_WireServer):
         for node in sorted(self.worker_addrs):
             link = self._new_link(node)
             try:
-                await link.connect(push=True, binary="binary" in self.payloads)
+                await link.connect(
+                    push=True, binary="binary" in self.config.payloads
+                )
             finally:
                 await link.aclose()
             probes.append(link)
@@ -447,12 +443,7 @@ class TileServiceRouter(_WireServer):
             self.ring.add(node)
         self._push_capable = all(link.push for link in probes)
         self._backend_binary = all(link.payload == "binary" for link in probes)
-        self._server = await asyncio.start_server(
-            self._serve_connection, self.host, self.port
-        )
-        sockname = self._server.sockets[0].getsockname()
-        self.host, self.port = sockname[0], sockname[1]
-        return (self.host, self.port)
+        return await self._listen()
 
     def _new_link(self, node: str) -> _BackendLink:
         host, port = self.worker_addrs[node]
@@ -461,12 +452,8 @@ class TileServiceRouter(_WireServer):
             host,
             port,
             framing=self.framing,
-            max_frame_bytes=self.max_frame_bytes,
+            max_frame_bytes=self.config.max_frame_bytes,
         )
-
-    @property
-    def address(self) -> tuple[str, int]:
-        return (self.host, self.port)
 
     @property
     def alive_workers(self) -> tuple[str, ...]:
@@ -499,7 +486,7 @@ class TileServiceRouter(_WireServer):
         came, checked against this router's own budget.  The client's
         decoder validates every byte of it."""
         try:
-            data = frame_binary_body(frame.body, self.max_frame_bytes)
+            data = frame_binary_body(frame.body, self.config.max_frame_bytes)
         except FrameTooLargeError as exc:
             return ErrorInfo.from_exception(exc)
         self.frames_spliced += 1
@@ -508,8 +495,9 @@ class TileServiceRouter(_WireServer):
     # -- handshake -----------------------------------------------------
     async def _serve_hello(self, message: Hello, state: _RouterClient):
         negotiate_version(message.versions)  # refused before any dialling
+        payloads = self.config.payloads
         push_wanted = bool(message.push) and self._push_capable
-        offer_binary = "binary" in self.payloads and self._backend_binary
+        offer_binary = "binary" in payloads and self._backend_binary
         # Per-client backend links: push is offered to the workers iff
         # this client asked for it, so workers never run push rounds
         # (which populate their caches) for pull-only clients.
@@ -536,11 +524,11 @@ class TileServiceRouter(_WireServer):
                 server=self.server_name,
                 push=push_wanted and all(link.push for link in links),
                 payloads=(
-                    self.payloads
+                    payloads
                     if all(link.payload == "binary" for link in links)
                     else ("json",)
                 ),
-                max_frame_bytes=min([self.max_frame_bytes, *limits]),
+                max_frame_bytes=min([self.config.max_frame_bytes, *limits]),
             )
         ]
 
@@ -674,22 +662,12 @@ class ThreadedRouter(_LoopThread):
         workers: dict[str, tuple[str, int]] | list[tuple[str, int]],
         config: ServiceConfig | None = None,
         *,
-        host: str = "127.0.0.1",
-        port: int = 0,
         framing: str = "lines",
-        max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
-        payloads: tuple[str, ...] = ("json", "binary"),
     ) -> None:
         super().__init__()
         self._workers = workers
         self._config = config
-        self._router_kwargs = dict(
-            host=host,
-            port=port,
-            framing=framing,
-            max_frame_bytes=max_frame_bytes,
-            payloads=payloads,
-        )
+        self._framing = framing
 
     @property
     def router(self) -> TileServiceRouter | None:
@@ -698,19 +676,18 @@ class ThreadedRouter(_LoopThread):
 
     def _build(self) -> TileServiceRouter:
         return TileServiceRouter(
-            self._workers, self._config, **self._router_kwargs
+            self._workers, self._config, framing=self._framing
         )
 
 
 class _ClusterHarness:
     """What both cluster harnesses share: N workers a subclass boots
     (:meth:`_boot_workers`) and reaps (:meth:`_stop_workers`), fronted
-    by one :class:`ThreadedRouter`."""
+    by one :class:`ThreadedRouter`.  The router binds the configured
+    address; the workers bind ephemeral ports of their own."""
 
     config: ServiceConfig
-    _host: str
     _framing: str
-    _payloads: tuple[str, ...]
     router: ThreadedRouter | None = None
 
     @property
@@ -738,9 +715,7 @@ class _ClusterHarness:
                     for index, address in enumerate(addresses)
                 },
                 self.config,
-                host=self._host,
                 framing=self._framing,
-                payloads=self._payloads,
             )
             self.router.start()
         except BaseException:
@@ -781,8 +756,6 @@ class ThreadedClusterServer(_ClusterHarness):
         engine_factory=None,
         framing: str = "lines",
         max_workers: int = 4,
-        payloads: tuple[str, ...] | None = None,
-        host: str = "127.0.0.1",
     ) -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
@@ -790,20 +763,14 @@ class ThreadedClusterServer(_ClusterHarness):
         self.workers: list[ThreadedSocketServer] = [
             ThreadedSocketServer(
                 pyramid,
-                self.config,
+                replace(self.config, bind_port=0),
                 engine_factory=engine_factory,
                 framing=framing,
                 max_workers=max_workers,
-                payloads=payloads,
-                host=host,
             )
             for _ in range(workers)
         ]
-        self._host = host
         self._framing = framing
-        self._payloads = (
-            payloads if payloads is not None else self.config.payloads
-        )
 
     def _boot_workers(self) -> list[tuple[str, int]]:
         return [worker.start() for worker in self.workers]
@@ -825,10 +792,9 @@ class ThreadedClusterServer(_ClusterHarness):
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class WorkerSpec:
-    """Everything one worker process needs — picklable for spawn."""
+    """Everything one worker process needs — picklable for spawn.  The
+    worker binds ``config``'s address."""
 
-    host: str = "127.0.0.1"
-    port: int = 0
     size: int = 256
     tile_size: int = 32
     days: int = 1
@@ -866,8 +832,6 @@ async def _cluster_worker_serve(spec: WorkerSpec, port_queue, stop_event):
         engine_factory=engine_factory,
         max_workers=spec.max_workers,
         framing=spec.framing,
-        host=spec.host,
-        port=spec.port,
     )
     _, port = await server.start()
     port_queue.put(("ok", port))
@@ -895,7 +859,8 @@ class ProcessCluster(_ClusterHarness):
     :class:`ForeCacheSocketServer`; the router runs in the calling
     process on a background thread.  ``kill_worker`` hard-kills a
     process mid-flight (failure injection); ``stop_worker`` asks it to
-    exit cleanly.
+    exit cleanly.  Worker *i* binds ``start_port + i`` when
+    ``start_port`` is set, an ephemeral port otherwise.
     """
 
     def __init__(
@@ -908,32 +873,26 @@ class ProcessCluster(_ClusterHarness):
         days: int = 1,
         seed: int = 7,
         start_port: int = 0,
-        host: str = "127.0.0.1",
         framing: str = "lines",
         max_workers: int = 4,
-        payloads: tuple[str, ...] = ("json", "binary"),
         boot_timeout: float = 180.0,
     ) -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
         self.num_workers = workers
         self.config = config or ServiceConfig()
-        #: What every worker process is built from (``port`` is set per
-        #: worker at boot).
+        #: What every worker process is built from (its config's
+        #: ``bind_port`` is set per worker at boot).
         self._spec = WorkerSpec(
-            host=host,
             size=size,
             tile_size=tile_size,
             days=days,
             seed=seed,
             framing=framing,
             max_workers=max_workers,
-            config=self.config,
         )
         self._start_port = start_port
-        self._host = host
         self._framing = framing
-        self._payloads = payloads
         self._boot_timeout = boot_timeout
         self._ctx = multiprocessing.get_context("spawn")
         self.processes: list = []
@@ -944,7 +903,9 @@ class ProcessCluster(_ClusterHarness):
         queues = []
         for index in range(self.num_workers):
             port = self._start_port + index if self._start_port else 0
-            spec = replace(self._spec, port=port)
+            spec = replace(
+                self._spec, config=replace(self.config, bind_port=port)
+            )
             queue = self._ctx.Queue()
             stop_event = self._ctx.Event()
             process = self._ctx.Process(
@@ -970,7 +931,7 @@ class ProcessCluster(_ClusterHarness):
                     f"worker {index} failed to boot: {value}"
                 )
             self.worker_ports.append(int(value))
-        return [(self._host, port) for port in self.worker_ports]
+        return [(self.config.bind_host, port) for port in self.worker_ports]
 
     def kill_worker(self, index: int) -> None:
         """Hard-kill one worker process (mid-request failure injection)."""

@@ -8,7 +8,8 @@ constructed from three small value objects:
 - :class:`PrefetchPolicy` — how the prediction engine's list ``P`` is
   executed (budget, sync vs. background, worker pool, fair sharing),
 - :class:`ServiceConfig` — the two above plus the latency model's
-  transfer overhead.
+  transfer overhead, and each serving endpoint's address, frame budget,
+  payload grants and cluster ring.
 
 All three are frozen dataclasses: validation happens once, at
 construction, and a config can be shared between services, logged, or
@@ -37,7 +38,7 @@ PREFETCH_MODES = ("sync", "background")
 #: - "observe"  — every session's requests feed one
 #:   :class:`~repro.core.popularity.SharedHotspotRegistry`, but nothing
 #:   consults it yet (collect the signal, change no behavior — a canary
-#:   step, and the warm-up source for later "boost" services),
+#:   step),
 #: - "boost"    — observe, plus the signal is *acted on*: live
 #:   :class:`~repro.recommenders.hotspot.HotspotRecommender` instances
 #:   re-read the registry's top-N on every prediction, and the
@@ -242,24 +243,29 @@ class PrefetchPolicy:
 
 @dataclass(frozen=True)
 class ServiceConfig:
-    """Everything a :class:`ForeCacheService` needs beyond the pyramid."""
+    """Everything a :class:`ForeCacheService` needs beyond the pyramid,
+    and everything a serving endpoint — socket server, cluster router,
+    cluster harness — is configured by.  This is the only place those
+    settings are set: no endpoint constructor overrides them."""
 
     prefetch: PrefetchPolicy = field(default_factory=PrefetchPolicy)
     cache: CacheConfig = field(default_factory=CacheConfig)
     #: Fixed middleware/transfer overhead every response pays.
     transfer_seconds: float = HIT_SECONDS
-    #: Socket transport: interface the socket server binds.
+    #: Interface a socket server or cluster router binds.
     bind_host: str = "127.0.0.1"
-    #: Socket transport: port to bind (0 = ephemeral, OS-assigned).
+    #: Port it binds (0 = ephemeral, OS-assigned).  A cluster's router
+    #: binds this one; its workers bind ephemeral ports of their own.
     bind_port: int = 0
-    #: Socket transport: per-frame size ceiling — bounds what one peer
-    #: can make the server buffer before the frame is rejected.
+    #: Per-frame size ceiling an endpoint accepts and advertises —
+    #: bounds what one peer can make it buffer before the frame is
+    #: rejected.
     max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES
-    #: Socket transport: payload encodings this server will grant in
-    #: the hello/welcome handshake (:data:`~repro.middleware.protocol.
-    #: PAYLOADS`).  The default offers both; drop "binary" to force
-    #: every connection onto the JSON-compatible wire.  "json" is
-    #: mandatory — it is the fallback every client can speak.
+    #: Payload encodings an endpoint will grant in the hello/welcome
+    #: handshake (:data:`~repro.middleware.protocol.PAYLOADS`).  The
+    #: default offers both; drop "binary" to force every connection onto
+    #: the JSON-compatible wire.  "json" is mandatory — it is the
+    #: fallback every client can speak.
     payloads: tuple[str, ...] = ("json", "binary")
     #: Cluster mode: virtual ring points per worker on the consistent-
     #: hash ring the router places sessions on.  More replicas smooth

@@ -596,24 +596,10 @@ class SessionStub:
             held_tile, known.latency_seconds, known.hit, None, fidelity=self._fidelity
         )
 
-    def response(self, reply, held_tile=None) -> TileResponse:
-        """Turn the reply to :meth:`request` into the in-process
+    def response(self, reply) -> TileResponse:
+        """Turn the reply to a ``tile_request`` into the in-process
         response."""
-        if held_tile is None:
-            return response_to_client(reply)
-        self._check_hit_reply(reply)
-        # The reply is payload-less by design — materialize the
-        # in-process response from the tile this cache already holds.
-        return TileResponse(
-            tile=held_tile,
-            latency_seconds=reply.latency_seconds,
-            hit=reply.hit,
-            phase=reply.to_phase(),
-            prefetched=tuple(ref.to_key() for ref in reply.prefetched),
-            # A held tile may still be the coarse stand-in awaiting its
-            # refinement frame; report what it was held at when probed.
-            fidelity=self._fidelity,
-        )
+        return response_to_client(reply)
 
     @staticmethod
     def _check_hit_reply(reply) -> None:
@@ -623,9 +609,9 @@ class SessionStub:
             raise ProtocolError(f"expected tile_response, got {type(reply).__name__}")
 
     def settled(self, reply) -> None:
-        """Take the reply to a posted ack: its type checked as
-        :meth:`response` checks it, its values dropped (the caller was
-        answered long ago), a failure kept for this session's next call."""
+        """Take the reply to a posted ack: a typed error or a message of
+        another type than ``tile_response`` kept for this session's next
+        call, its values dropped (the caller was answered long ago)."""
         try:
             self._check_hit_reply(reply)
         except ProtocolError as exc:

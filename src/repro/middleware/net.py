@@ -75,7 +75,6 @@ from repro.middleware.protocol import (
     TileRequest,
     TileSegmentCache,
     check_framing,
-    check_payloads,
     encode_tile_frame,
     encode_wire,
     held_keys,
@@ -104,17 +103,22 @@ class _WireServer:
     ``b""`` and the connection leaves by the orderly-EOF branch; one in
     mid-dispatch is left alone, flushes its reply and leaves at the
     loop top.  No task is created per read to race the two.  An endpoint
-    supplies ``framing``, ``max_frame_bytes`` and (in its ``start()``)
-    ``_server``, its message handlers (``_HANDLERS``) and what a
-    finished connection leaves behind (:meth:`_release`).
+    supplies ``framing``, its ``config`` — the address it binds
+    (:meth:`_listen`), its frame budget and the payloads it grants — the
+    name its welcome gives, its message handlers (``_HANDLERS``) and
+    what a finished connection leaves behind (:meth:`_release`).
     """
 
     framing: str
-    max_frame_bytes: int
+    config: ServiceConfig
+    server_name: str
     #: What a fresh connection's protocol state is built from.
     _connection_core = ServerConnection
 
     def __init__(self) -> None:
+        #: ``(host, port)`` actually bound, available after ``start()``
+        #: (the configured port may be 0 = ephemeral).
+        self.address: tuple[str, int] | None = None
         self._server: asyncio.AbstractServer | None = None
         self._closing = False
         #: Each live connection's serving task, and the reader it is
@@ -127,6 +131,15 @@ class _WireServer:
     def connection_count(self) -> int:
         """Connections currently being served."""
         return len(self._connections)
+
+    async def _listen(self) -> tuple[str, int]:
+        """Bind ``config.bind_host`` / ``bind_port`` and start accepting;
+        returns the bound ``address``."""
+        self._server = await asyncio.start_server(
+            self._serve_connection, self.config.bind_host, self.config.bind_port
+        )
+        self.address = self._server.sockets[0].getsockname()[:2]
+        return self.address
 
     async def _stop_serving(self) -> None:
         """Stop accepting, then wait until every connection has left:
@@ -166,7 +179,7 @@ class _WireServer:
     async def _serve_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        conn = self._connection_core(self.framing, self.max_frame_bytes)
+        conn = self._connection_core(self.framing, self.config.max_frame_bytes)
         task = asyncio.current_task()
         connections = self._connections
         connections[task] = None
@@ -229,42 +242,23 @@ class _WireServer:
 # server
 # ----------------------------------------------------------------------
 class ForeCacheSocketServer(_WireServer):
-    """Asyncio TCP server speaking the framed wire protocol."""
+    """Asyncio TCP server speaking the framed wire protocol; its
+    service's :class:`ServiceConfig` says where it listens, how large a
+    frame may be and which payload encodings it grants."""
+
+    server_name = "forecache-repro"
 
     def __init__(
         self,
         service: AsyncForeCacheService,
         *,
-        host: str | None = None,
-        port: int | None = None,
         framing: str = "lines",
-        max_frame_bytes: int | None = None,
-        payloads: tuple[str, ...] | None = None,
-        server_name: str = "forecache-repro",
         owns_service: bool = False,
     ) -> None:
         super().__init__()
-        config = service.config
+        config = self.config = service.config
         self.service = service
-        self.host = host if host is not None else config.bind_host
-        self.port = port if port is not None else config.bind_port
         self.framing = check_framing(framing)
-        #: Payload encodings this server will grant in the handshake
-        #: (defaults to ``ServiceConfig.payloads``).  Clients that do
-        #: not offer "binary" — or servers configured without it — stay
-        #: on the byte-identical JSON wire.
-        self.payloads = check_payloads(
-            payloads if payloads is not None else config.payloads
-        )
-        self.max_frame_bytes = (
-            max_frame_bytes
-            if max_frame_bytes is not None
-            else config.max_frame_bytes
-        )
-        self.server_name = server_name
-        #: ``(host, port)`` actually bound, available after :meth:`start`
-        #: (the configured port may be 0 = ephemeral).
-        self.address: tuple[str, int] | None = None
         self._owns_service = owns_service
         self._closed = False
         policy = config.prefetch
@@ -303,7 +297,7 @@ class ForeCacheSocketServer(_WireServer):
         *,
         engine_factory=None,
         max_workers: int = 8,
-        **server_kwargs,
+        framing: str = "lines",
     ) -> "ForeCacheSocketServer":
         """Construct service and server in one call; the server owns
         (and on :meth:`aclose` closes) the service."""
@@ -313,7 +307,7 @@ class ForeCacheSocketServer(_WireServer):
             max_workers=max_workers,
             engine_factory=engine_factory,
         )
-        return cls(service, owns_service=True, **server_kwargs)
+        return cls(service, framing=framing, owns_service=True)
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -324,12 +318,7 @@ class ForeCacheSocketServer(_WireServer):
             raise RuntimeError("socket server already started")
         if self._closed:
             raise RuntimeError("socket server is closed")
-        self._server = await asyncio.start_server(
-            self._serve_connection, self.host, self.port
-        )
-        sockname = self._server.sockets[0].getsockname()
-        self.address = (sockname[0], sockname[1])
-        return self.address
+        return await self._listen()
 
     async def aclose(self) -> None:
         """Graceful shutdown: stop accepting, let every in-flight
@@ -360,7 +349,7 @@ class ForeCacheSocketServer(_WireServer):
                 message,
                 server=self.server_name,
                 push=self.push_scheduler is not None,
-                payloads=self.payloads,
+                payloads=self.config.payloads,
             )
         ]
 
@@ -416,7 +405,7 @@ class ForeCacheSocketServer(_WireServer):
             message,
             tile,
             conn.wire,
-            self.max_frame_bytes,
+            self.config.max_frame_bytes,
             self.segment_cache,
         )
 
@@ -506,7 +495,7 @@ class ForeCacheSocketServer(_WireServer):
                             payload=TilePayload.from_tile(tile, binary=binary),
                         ),
                         framing,
-                        self.max_frame_bytes,
+                        self.config.max_frame_bytes,
                     )
             except FrameTooLargeError:
                 # This tile can never fit a frame; skip it without
@@ -653,9 +642,6 @@ class ThreadedSocketServer(_LoopThread):
         engine_factory=None,
         framing: str = "lines",
         max_workers: int = 8,
-        host: str | None = None,
-        port: int | None = None,
-        payloads: tuple[str, ...] | None = None,
     ) -> None:
         super().__init__()
         self._pyramid = pyramid
@@ -664,11 +650,6 @@ class ThreadedSocketServer(_LoopThread):
             engine_factory=engine_factory,
             max_workers=max_workers,
             framing=check_framing(framing),
-            host=host,
-            port=port,
-            payloads=(
-                check_payloads(payloads) if payloads is not None else None
-            ),
         )
 
     @property
@@ -883,20 +864,20 @@ class SocketSessionClient(_SessionClient):
 
 class AsyncSocketTransport(_ClientShell):
     """Asyncio-streams client transport; the awaitable twin of
-    :class:`SocketTransport`."""
+    :class:`SocketTransport`.  Built by :meth:`open`, around the
+    connection core it configured."""
 
     def __init__(
         self,
         reader: asyncio.StreamReader,
         writer: asyncio.StreamWriter,
         pyramid: TilePyramid | None,
-        framing: str,
-        max_frame_bytes: int,
+        core: ClientConnection,
     ) -> None:
         self.pyramid = pyramid
         self._reader = reader
         self._writer = writer
-        self._core = ClientConnection(framing, max_frame_bytes)
+        self._core = core
         self._lock = asyncio.Lock()
         self._closed = False
 
@@ -924,8 +905,7 @@ class AsyncSocketTransport(_ClientShell):
         )
         hello = core.hello(client_name, push=push, payload=payload)
         reader, writer = await asyncio.open_connection(host, port)
-        self = cls(reader, writer, pyramid, framing, max_frame_bytes)
-        self._core = core  # the constructor's default core, configured
+        self = cls(reader, writer, pyramid, core)
         try:
             core.welcome(await self.roundtrip(hello))
         except BaseException:

@@ -182,26 +182,21 @@ class ForeCacheService:
         cache_manager: CacheManager | None = None,
         latency_model: LatencyModel | None = None,
         engine_factory: Callable[[], PredictionEngine] | None = None,
-        hotspot_registry: SharedHotspotRegistry | None = None,
     ) -> None:
         self.pyramid = pyramid
         self.config = config if config is not None else ServiceConfig()
         policy = self.config.prefetch
-        if hotspot_registry is not None and not policy.shares_hotspots:
-            raise ValueError(
-                "a hotspot_registry was provided but "
-                "PrefetchPolicy.shared_hotspots is 'off'; nothing would "
-                "ever feed or read it"
-            )
-        if policy.shares_hotspots and hotspot_registry is None:
+        #: The registry every session's requests feed, present iff the
+        #: policy shares hotspots.
+        self.hotspot_registry: SharedHotspotRegistry | None = None
+        if policy.shares_hotspots:
             # Shards match the cache striping: hot sessions observing
             # different tiles stop serializing on one registry mutex.
-            hotspot_registry = SharedHotspotRegistry(
+            self.hotspot_registry = SharedHotspotRegistry(
                 shards=self.config.cache.shards,
                 decay=policy.hotspot_decay,
                 prune_epsilon=HOTSPOT_PRUNE_EPSILON,
             )
-        self.hotspot_registry = hotspot_registry
         if cache_manager is None:
             cache_manager = self.config.cache.build_cache_manager(pyramid)
         if policy.share_budget and (

@@ -34,9 +34,16 @@ from repro.middleware.cluster import (
     ProcessCluster,
     ThreadedClusterServer,
     ThreadedRouter,
+    TileServiceRouter,
+    WorkerSpec,
 )
 from repro.middleware.config import CacheConfig, PrefetchPolicy, ServiceConfig
-from repro.middleware.net import SocketTransport, ThreadedSocketServer
+from repro.middleware.net import (
+    ForeCacheSocketServer,
+    SocketTransport,
+    ThreadedSocketServer,
+)
+from repro.middleware.service import ForeCacheService
 from repro.middleware.protocol import (
     CloseSession,
     FrameDecoder,
@@ -287,9 +294,8 @@ class TestHandshakeIntersection:
         factory = lambda: make_engine(grid)  # noqa: E731
         json_only = ThreadedSocketServer(
             tiny_dataset.pyramid,
-            ServiceConfig(),
+            ServiceConfig(payloads=("json",)),
             engine_factory=factory,
-            payloads=("json",),
         )
         full = ThreadedSocketServer(
             tiny_dataset.pyramid, ServiceConfig(), engine_factory=factory
@@ -398,6 +404,107 @@ class TestHandshakeIntersection:
             finally:
                 pushy.close()
                 plain.close()
+
+
+# ----------------------------------------------------------------------
+# one config per endpoint: the router and the harnesses read theirs
+# ----------------------------------------------------------------------
+def free_port() -> int:
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        return probe.getsockname()[1]
+
+
+def raw_replies(address, frames: list[bytes]) -> list[dict]:
+    """Send newline-framed JSON by hand, one frame per reply; return the
+    replies, then insist the endpoint hung up."""
+    with socket.create_connection(address, timeout=10) as sock:
+        data = b""
+        for count, frame in enumerate(frames, 1):
+            sock.sendall(frame)
+            while data.count(b"\n") < count:
+                chunk = sock.recv(65536)
+                assert chunk, f"hung up after {data!r}"
+                data += chunk
+        assert sock.recv(65536) == b""
+    return [json.loads(line) for line in data.splitlines()]
+
+
+#: What each endpoint constructor no longer takes: its config says it.
+REMOVED_OVERRIDES = {
+    ForeCacheService: ("hotspot_registry",),
+    **{
+        cls: ("host", "port", "max_frame_bytes", "payloads", "server_name")
+        for cls in (
+            ForeCacheSocketServer,
+            ThreadedSocketServer,
+            TileServiceRouter,
+            ThreadedRouter,
+        )
+    },
+    ThreadedClusterServer: ("host", "payloads"),
+    ProcessCluster: ("host", "payloads"),
+    WorkerSpec: ("host", "port"),
+}
+
+
+class TestConfiguredEndpoints:
+    def test_the_router_binds_the_configured_port_and_no_worker_does(
+        self, tiny_dataset
+    ):
+        grid = tiny_dataset.pyramid.grid
+        port = free_port()
+        with ThreadedClusterServer(
+            tiny_dataset.pyramid,
+            ServiceConfig(bind_port=port),
+            workers=2,
+            engine_factory=lambda: make_engine(grid),
+        ) as cluster:
+            assert cluster.address == ("127.0.0.1", port)
+            assert all(worker.address[1] != port for worker in cluster.workers)
+            with SocketTransport(*cluster.address) as transport:
+                client = transport.connect(session_id="configured")
+                assert client.request(None, grid.root).tile.key == grid.root
+                client.close()
+
+    def test_a_router_follows_its_own_config(self, tiny_dataset):
+        """Payload grants, the advertised frame budget and the enforced
+        one are the router's config's, as they are a worker's."""
+        pyramid = tiny_dataset.pyramid
+        factory = lambda: make_engine(pyramid.grid)  # noqa: E731
+        small = ServiceConfig(max_frame_bytes=4096)
+        hello = b'{"type":"hello","versions":[1]}\n'
+        request = {"type": "tile_request", "session_id": "", "tile": [0, 0, 0]}
+        request["session_id"] = "s" * (6061 - len(json.dumps(request)) - 1)
+        oversized = json.dumps(request).encode() + b"\n"
+        assert len(oversized) == 6061
+        with ThreadedSocketServer(
+            pyramid, ServiceConfig(), engine_factory=factory
+        ) as worker, ThreadedSocketServer(
+            pyramid, small, engine_factory=factory
+        ) as small_worker:
+            workers = {"worker-0": worker.address}
+            with ThreadedRouter(
+                workers, ServiceConfig(payloads=("json",))
+            ) as router:
+                with SocketTransport(
+                    *router.address, payload="binary"
+                ) as transport:
+                    assert transport.payload == "json"
+            with ThreadedRouter(workers, small) as router:
+                with SocketTransport(*router.address) as transport:
+                    assert transport.server_max_frame_bytes == 4096
+                routed = raw_replies(router.address, [hello, oversized])
+            direct = raw_replies(small_worker.address, [hello, oversized])
+        assert [reply["type"] for reply in routed] == ["welcome", "error"]
+        assert routed[1]["code"] == "frame_too_large"
+        assert routed[1] == direct[1]
+
+    def test_a_removed_override_is_a_type_error(self):
+        for cls, keywords in REMOVED_OVERRIDES.items():
+            for keyword in keywords:
+                with pytest.raises(TypeError, match=keyword):
+                    cls(None, **{keyword: None})
 
 
 # ----------------------------------------------------------------------
@@ -684,7 +791,7 @@ class TestOpaqueForwarding:
             engine_factory=lambda: make_engine(pyramid.grid),
         ) as worker:
             with ThreadedRouter(
-                {"worker-0": worker.address}, max_frame_bytes=4096
+                {"worker-0": worker.address}, ServiceConfig(max_frame_bytes=4096)
             ) as router:
                 with SocketTransport(
                     *router.address, payload="binary"

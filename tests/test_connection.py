@@ -69,6 +69,7 @@ from repro.recommenders.momentum import MomentumRecommender
 from repro.tiles.key import TileKey
 from repro.tiles.moves import Move
 from repro.tiles.reduce import downsample_tile
+from test_push import held_response
 
 
 def handshaken(
@@ -870,16 +871,16 @@ class TestSessionStub:
             hit=True,
             prefetched=(TileRef(2, 2, 0),),
         )
-        response = stub.response(reply, held_tile)
+        response = held_response(stub, reply, held_tile)
         assert response.tile is tile and response.hit
         assert response.prefetched == (TileKey(2, 2, 0),)
         # The cache's fidelity, not the payload-less reply's default.
         assert response.fidelity == 0.25
         with pytest.raises(ProtocolError, match="expected tile_response"):
-            stub.response(session_info(), held_tile)
+            held_response(stub, session_info(), held_tile)
         error = ErrorInfo(code="session_not_found", message="gone")
         with pytest.raises(protocol.SessionNotFoundError):
-            stub.response(error, held_tile)
+            held_response(stub, error, held_tile)
 
     def test_payloadless_reply_to_a_wire_request_is_a_violation(self):
         core = handshaken()
@@ -1038,9 +1039,9 @@ class TestPostedAckStub:
         # the caller holds the stand-in that was probed.
         stub.push_cache.put(tile, fidelity=1.0)
         assert stub.local_response(held_tile).fidelity == 0.25
-        assert stub.response(hit_reply(tile.key), held_tile).fidelity == 0.25
+        assert held_response(stub, hit_reply(tile.key), held_tile).fidelity == 0.25
         stub.push_cache.clear()
-        assert stub.response(hit_reply(tile.key), held_tile).fidelity == 0.25
+        assert held_response(stub, hit_reply(tile.key), held_tile).fidelity == 0.25
 
     def test_a_good_reply_settles_to_nothing(self, tiny_dataset):
         tile = tiny_dataset.pyramid.fetch_tile(TileKey(2, 1, 0))
@@ -1181,7 +1182,7 @@ class Shell:
         else:
             self.loop = asyncio.new_event_loop()
             self.transport = AsyncSocketTransport(
-                self.streams, self.streams, None, "lines", 1 << 20
+                self.streams, self.streams, None, ClientConnection("lines", 1 << 20)
             )
             core = self.transport._core
             core.welcome(

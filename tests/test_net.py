@@ -811,9 +811,8 @@ class TestIsolation:
         taken_port = server.address[1]
         doomed = ThreadedSocketServer(
             small_dataset.pyramid,
-            CONFIG,
+            ServiceConfig(prefetch=CONFIG.prefetch, bind_port=taken_port),
             engine_factory=lambda: make_engine(small_dataset.pyramid.grid),
-            port=taken_port,
         )
         with pytest.raises(OSError):
             doomed.start()

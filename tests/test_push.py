@@ -51,6 +51,7 @@ from repro.middleware.push import (
     PushCache,
     PushScheduler,
 )
+from repro.middleware.service import TileResponse
 from repro.modis.dataset import MODISDataset
 from repro.recommenders.hotspot import HotspotRecommender
 from repro.recommenders.momentum import MomentumRecommender
@@ -900,6 +901,24 @@ def push_config(fidelity="off", budget=None) -> ServiceConfig:
     )
 
 
+def held_response(stub: SessionStub, reply, held_tile) -> TileResponse:
+    """The in-process response to a local hit once the server's reply
+    to its ``push_ack`` is read: the reference a deferring client's
+    ``local_response`` is held to.  The reply is payload-less by design,
+    so the tile is the one the push cache holds."""
+    stub._check_hit_reply(reply)
+    return TileResponse(
+        tile=held_tile,
+        latency_seconds=reply.latency_seconds,
+        hit=reply.hit,
+        phase=reply.to_phase(),
+        prefetched=tuple(ref.to_key() for ref in reply.prefetched),
+        # A held tile may still be the coarse stand-in awaiting its
+        # refinement frame; report what it was held at when probed.
+        fidelity=stub._fidelity,
+    )
+
+
 def synchronous(conn):
     """The parent's session client — one blocking round trip per
     request, local hit or not — transcribed from the public pieces."""
@@ -908,7 +927,9 @@ def synchronous(conn):
     def request(move, k):
         message, held = stub.request(move, k)
         reply = conn.transport.roundtrip(message)
-        return stub.response(reply, held)
+        if held is None:
+            return stub.response(reply)
+        return held_response(stub, reply, held)
 
     return request
 

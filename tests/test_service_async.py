@@ -248,7 +248,6 @@ class TestWhatLeavesTheLoop:
                 pyramid,
                 ServiceConfig(prefetch=PrefetchPolicy(k=4)),
                 engine_factory=lambda: make_engine(pyramid.grid),
-                port=0,
             ) as server, await AsyncSocketTransport.open(
                 *server.address, pyramid=pyramid, payload="binary"
             ) as transport:

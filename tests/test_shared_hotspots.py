@@ -332,14 +332,6 @@ class TestServiceWiring:
         with ForeCacheService(pyramid, _service_config("off")) as service:
             assert service.hotspot_registry is None
 
-    def test_registry_with_off_policy_rejected(self, pyramid):
-        with pytest.raises(ValueError):
-            ForeCacheService(
-                pyramid,
-                _service_config("off"),
-                hotspot_registry=SharedHotspotRegistry(),
-            )
-
     def test_observe_feeds_registry_without_going_live(self, pyramid):
         grid = pyramid.grid
         factory = hotspot_engine_factory(grid, num_hotspots=1, proximity=4)
@@ -362,20 +354,6 @@ class TestServiceWiring:
             handle = service.open_session()
             recommender = handle.engine.recommenders["hotspot"]
             assert recommender.registry is service.hotspot_registry
-
-    def test_injected_registry_is_shared_across_services(self, pyramid):
-        registry = SharedHotspotRegistry()
-        grid = pyramid.grid
-        factory = hotspot_engine_factory(grid, num_hotspots=1)
-        with ForeCacheService(
-            pyramid,
-            _service_config("observe"),
-            engine_factory=factory,
-            hotspot_registry=registry,
-        ) as service:
-            assert service.hotspot_registry is registry
-            service.open_session().request(None, grid.root)
-        assert registry.total_observations == 1
 
     def test_registry_shards_follow_cache_shards(self, pyramid):
         config = ServiceConfig(

@@ -403,9 +403,8 @@ class TestBinaryPayloadConformance:
         def replay_tapped(payload):
             with ThreadedSocketServer(
                 pyramid,
-                CONFIG,
+                ServiceConfig(prefetch=CONFIG.prefetch, payloads=("json",)),
                 engine_factory=engine_factory(pyramid),
-                payloads=("json",),
             ) as server:
                 with SocketTransport(
                     *server.address,
