@@ -57,13 +57,29 @@ rest), so a newer peer can add fields without breaking an older one —
 and coerces nothing: a field takes exactly the JSON type of its kind (a
 string is ``str``, an integer ``int`` and not ``bool``, a number ``int |
 float``, a tile reference a list of three integers); anything else is
-an :class:`InvalidRequestError` naming the field.
+an :class:`InvalidRequestError` naming the field.  A JSON payload
+block's entries are read the same way, as a whole: numbers in a float
+block, integers inside the dtype's range in an integer block, as many
+as its shape holds.
+
+The wire's number domain is doubles and 64-bit integers, as in I-JSON:
+an integer literal inside ``[-2**63, 2**64)`` reads as that ``int``, one
+outside it as the nearest double (so every integer field refuses it),
+and the ``NaN`` / ``Infinity`` / ``-Infinity`` literals ``json.dumps``
+writes for non-finite payload values read as those floats.
+``json.dumps`` writes every frame; one function, :func:`_load_tagged`,
+reads every frame and binary header.  It parses with ``orjson`` and
+hands what orjson refuses to ``json.loads``: the non-finite literals,
+lone-surrogate escapes (a session id may hold one), non-UTF-8 encodings
+``json.loads`` detects in ``bytes``, and nesting deeper than the orjson
+build reads.  Both read the same value from the same text.
 """
 
 from __future__ import annotations
 
 import functools
 import json
+import math
 import struct
 import zlib
 from collections import OrderedDict
@@ -71,6 +87,7 @@ from dataclasses import MISSING, dataclass, field, fields, replace
 from typing import Callable, ClassVar, NamedTuple
 
 import numpy as np
+import orjson
 
 from repro.phases.model import AnalysisPhase
 from repro.tiles.key import TileKey
@@ -172,7 +189,8 @@ ERROR_TYPES: dict[str, type[ProtocolError]] = {
 # ----------------------------------------------------------------------
 #: What reading a well-framed but malformed message may raise; every
 #: decode site turns exactly these into :class:`InvalidRequestError`.
-#: ``OverflowError`` is ``int(inf)``: JSON ``1e400`` parses to a float.
+#: ``OverflowError`` is an ``int`` too large for a double (``from_dict``
+#: given one directly: the reader never makes one).
 _MALFORMED = (KeyError, TypeError, ValueError, OverflowError)
 
 
@@ -335,6 +353,46 @@ class TileRef:
 
 _REF = _Kind(TileRef.from_list, TileRef.to_list)
 _REFS = _list_of(_REF)
+_SHAPE = _list_of(_INT)
+
+#: The JSON types a payload block's entries may take, by the kind of its
+#: dtype; a block of any other dtype cannot travel as JSON.
+_ENTRY_TYPES = {
+    "f": ({float, int}, "numbers"),
+    "i": ({int}, "integers"),
+    "u": ({int}, "integers"),
+    "b": ({bool}, "booleans"),
+}
+
+
+def _values_array(block: "AttributeBlock") -> np.ndarray:
+    """A block's ``values`` as its array, or the refusal naming the
+    attribute: every entry of its dtype's JSON type (a ``bool`` is no
+    number, a list no entry), integers inside the dtype's range, and as
+    many entries as the shape holds.  One pass over the entries' types
+    (numpy's inference would read ``[true, 1.5]`` as two floats), then
+    numpy converts."""
+    name, values, shape = block.name, block.values, block.shape
+    try:
+        dtype = np.dtype(block.dtype)
+    except (TypeError, ValueError):
+        raise TypeError(f"attribute {name!r}: unknown dtype {block.dtype!r}") from None
+    if dtype.kind not in _ENTRY_TYPES:
+        raise TypeError(f"attribute {name!r}: dtype {dtype} cannot travel as JSON")
+    allowed, what = _ENTRY_TYPES[dtype.kind]
+    stray = set(map(type, values)) - allowed
+    if stray:
+        got = ", ".join(sorted(kind.__name__ for kind in stray))
+        raise TypeError(f"attribute {name!r}: {dtype} entries must be {what}, got {got}")
+    if min(shape, default=0) < 0 or math.prod(shape) != len(values):
+        raise ValueError(
+            f"attribute {name!r}: {len(values)} entries for shape {list(shape)}"
+        )
+    if dtype.kind in "iu" and values:
+        bounds = np.iinfo(dtype)
+        if min(values) < bounds.min or max(values) > bounds.max:
+            raise ValueError(f"attribute {name!r}: an entry is outside {dtype}")
+    return np.array(values, dtype=dtype).reshape(shape)
 
 
 @_wire_table
@@ -342,29 +400,33 @@ _REFS = _list_of(_REF)
 class AttributeBlock(_WireForm):
     """One attribute's dense block.
 
-    JSON-born blocks carry ``values`` (the flattened scalar tuple);
-    binary-born blocks skip the expensive ``tolist()`` round trip and
-    carry the backing ``array`` instead (``values=None``).  Either form
-    can produce the other, and equality compares the dense data — two
-    blocks are equal iff their names, dtypes, shapes, and element values
-    match, regardless of which carrier they arrived on.
+    Every block carries its dense ``array``.  JSON-born blocks also keep
+    ``values`` (the flattened scalars as read, checked and converted
+    once, when the block is built); binary-born blocks skip the
+    expensive ``tolist()`` round trip (``values=None``).  Equality
+    compares the dense data — two blocks are equal iff their names,
+    dtypes, shapes, and element values match, regardless of which
+    carrier they arrived on.
     """
 
     name: str = _wire(_STR)
     dtype: str = _wire(_STR)
-    shape: tuple[int, ...] = _wire(_list_of(_INT))
+    shape: tuple[int, ...] = _wire(_SHAPE)
     #: The one bulk field (thousands of scalars per JSON reply): taken
-    #: as a list, its entries checked by :meth:`to_array`, not one by one.
+    #: as a list, its entries checked by :func:`_values_array` as a
+    #: whole, not one by one.
     values: tuple | None = _wire(
         _kind("a list", list, build=tuple, write=list), None
     )
-    #: The dense array itself — always C-contiguous when set, so the
-    #: binary encoder can take its bytes with a zero-copy memoryview.
+    #: The dense array itself — always C-contiguous, so the binary
+    #: encoder can take its bytes with a zero-copy memoryview.
     array: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
-        if self.values is None and self.array is None:
-            raise ValueError("AttributeBlock needs values or an array")
+        if self.array is None:
+            if self.values is None:
+                raise ValueError("AttributeBlock needs values or an array")
+            object.__setattr__(self, "array", _values_array(self))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, AttributeBlock):
@@ -396,9 +458,7 @@ class AttributeBlock(_WireForm):
         )
 
     def to_array(self) -> np.ndarray:
-        if self.array is not None:
-            return self.array
-        return np.asarray(self.values, dtype=self.dtype).reshape(self.shape)
+        return self.array
 
     def to_dict(self) -> dict:
         data = super().to_dict()
@@ -795,18 +855,30 @@ def encode(message) -> str:
     return json.dumps({"type": name, **message.to_dict()})
 
 
+def _wire_int(literal: str) -> int | float:
+    """An integer literal as orjson reads it: the ``int`` inside
+    ``[-2**63, 2**64)``, the nearest double outside."""
+    value = int(literal)
+    return value if -(2**63) <= value < 2**64 else float(literal)
+
+
 def _load_tagged(text, what: str) -> tuple[object, type | None, dict]:
-    """Parse one tagged JSON object — a JSON frame, or the header of a
-    binary body — into ``(type tag, its message class if it names one,
-    the other keys)``; anything but a JSON object is refused, typed."""
+    """Parse one tagged JSON object — a JSON frame (``str``), or the
+    header of a binary body (``bytes``) — into ``(type tag, its message
+    class if it names one, the other keys)``; anything but a JSON object
+    is refused, typed.  The one reader of the wire: orjson, and
+    ``json.loads`` for what orjson refuses (see the module docstring)."""
     try:
-        raw = json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
-        raise InvalidRequestError(f"{what} is not valid JSON: {exc}") from None
-    except RecursionError:
-        # json.loads recurses per nesting level; a hostile deeply-nested
-        # payload must be a typed rejection, not a server crash.
-        raise InvalidRequestError("JSON nested too deeply") from None
+        raw = orjson.loads(text)
+    except orjson.JSONDecodeError:
+        try:
+            raw = json.loads(text, parse_int=_wire_int)
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+            raise InvalidRequestError(f"{what} is not valid JSON: {exc}") from None
+        except RecursionError:
+            # json.loads recurses per nesting level; a hostile deeply-nested
+            # payload must be a typed rejection, not a server crash.
+            raise InvalidRequestError("JSON nested too deeply") from None
     if not isinstance(raw, dict):
         raise InvalidRequestError(f"{what} must be a JSON object")
     name = raw.pop("type", None)
@@ -1016,8 +1088,8 @@ def _parse_attribute_specs(attrs) -> tuple[list, int]:
         try:
             name = item["name"]
             dtype_name = item["dtype"]
-            shape = tuple(int(n) for n in item["shape"])
-            nbytes = int(item["nbytes"])
+            shape = _SHAPE.read(item["shape"])
+            nbytes = _INT.read(item["nbytes"])
         except _MALFORMED as exc:
             raise InvalidRequestError(
                 f"malformed binary attribute descriptor: {exc}"

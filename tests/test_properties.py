@@ -619,12 +619,19 @@ _MALFORMED_DESCRIPTORS = {
     ),
     "non-integer shape": (
         [{**_entry(), "shape": ["x"]}],
-        "malformed binary attribute descriptor: "
-        "invalid literal for int() with base 10: 'x'",
+        "malformed binary attribute descriptor: expected an integer, got str",
+    ),
+    "float shape": (
+        [{**_entry(), "shape": [2.0, 3.0]}],
+        "malformed binary attribute descriptor: expected an integer, got float",
+    ),
+    "string nbytes": (
+        [{**_entry(), "nbytes": "48"}],
+        "malformed binary attribute descriptor: expected an integer, got str",
     ),
     "shape not a sequence": (
         [{**_entry(), "shape": 6}],
-        "malformed binary attribute descriptor: 'int' object is not iterable",
+        "malformed binary attribute descriptor: expected a list, got int",
     ),
     "unknown dtype": (
         [_entry(dtype="float64", nbytes=48) | {"dtype": "floaty"}],

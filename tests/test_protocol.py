@@ -1,15 +1,22 @@
 """Wire-protocol round trips: every message survives JSON losslessly."""
 
+import ast
 import json
+import struct
 from dataclasses import MISSING, fields
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.middleware import protocol
 from repro.middleware.latency import LatencyRecorder
+from repro.middleware.transport import response_to_client
 from repro.middleware.protocol import (
     ERROR_TYPES,
     SUPPORTED_VERSIONS,
@@ -685,9 +692,8 @@ def _put(tree, path, value):
 def _wrong_typed(message, path, original, value) -> bool:
     """Is ``value`` of another JSON type than the ``original`` the
     encoder put at ``path`` (and not one the field's kind also takes)?"""
-    if original is None or "values" in path[:-1]:
-        # A null says nothing of its field's type; the bulk scalars are
-        # checked by ``to_array``, never one by one.
+    if original is None:
+        # A null says nothing of its field's type.
         return False
     mine, theirs = type(original), type(value)
     if mine is theirs or (mine is float and theirs is int):
@@ -764,3 +770,371 @@ class TestFieldTable:
         tree = json.loads(text)
         _at(tree, path)["x-" + key] = value  # no declared name starts so
         assert protocol.decode(json.dumps(tree)) == message
+
+
+# ----------------------------------------------------------------------
+# the one reader
+# ----------------------------------------------------------------------
+def read(text) -> dict:
+    """What ``_load_tagged`` makes of one frame (``str``) or binary
+    header (``bytes``): its keys, the ``type`` tag put back."""
+    name, _, raw = protocol._load_tagged(text, "frame")
+    return raw if name is None else {"type": name, **raw}
+
+
+def in_domain(literal: str):
+    """The wire's number domain, for ``json.loads``' ``parse_int``: an
+    integer literal outside [-2**63, 2**64) is the nearest double."""
+    value = int(literal)
+    return value if -(2**63) <= value < 2**64 else float(literal)
+
+
+def same(a, b) -> bool:
+    """Equal in type, in bits (any NaN equals any NaN, -0.0 is not 0.0)
+    and in key order, at every depth."""
+    if type(a) is not type(b):
+        return False
+    if type(a) is float:
+        return struct.pack("<d", a) == struct.pack("<d", b) or (a != a and b != b)
+    if type(a) is list:
+        return len(a) == len(b) and all(map(same, a, b))
+    if type(a) is dict:
+        return list(a) == list(b) and all(same(a[key], b[key]) for key in a)
+    return a == b
+
+
+#: Any text, lone surrogates and astral characters included.
+_TEXT = st.text(st.characters(exclude_categories=())) | st.sampled_from(
+    ["\ud800", "\udfff", "a\udc00b", "\U0001f600", "😀"]
+)
+#: Every value ``json.dumps`` writes inside the wire's number domain:
+#: NaN, infinities, -0.0 and subnormals among the floats.
+WIRE_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-(2**63), 2**64 - 1)
+    | st.floats()
+    | _TEXT,
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(_TEXT, children, max_size=4),
+    max_leaves=12,
+)
+
+
+@st.composite
+def damaged_json(draw) -> str:
+    """A written value with up to three characters put in or replaced."""
+    text = json.dumps(draw(WIRE_VALUES), ensure_ascii=draw(st.booleans()))
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(text)))
+        text = (
+            text[:at]
+            + draw(st.sampled_from('[]{},:"\\ 0123456789.-+eEtrufalsnNIy\ud800'))
+            + text[at + draw(st.integers(0, 1)) :]
+        )
+    return text
+
+
+class TestTheReader:
+    """``_load_tagged`` reads what ``json.loads`` reads, bit for bit,
+    with orjson where it can and ``json.loads`` where it cannot."""
+
+    @given(value=WIRE_VALUES, ensure_ascii=st.booleans())
+    @settings(max_examples=500, deadline=None)
+    def test_every_written_value_reads_back_as_json_loads_reads_it(
+        self, value, ensure_ascii
+    ):
+        text = json.dumps({"v": value}, ensure_ascii=ensure_ascii)
+        expected = json.loads(text)
+        assert same(read(text), expected)
+        try:
+            data = text.encode("utf-8")
+        except UnicodeEncodeError:  # a lone surrogate written unescaped
+            return
+        assert same(read(data), expected)
+
+    @given(text=st.text() | damaged_json())
+    @settings(max_examples=1000, deadline=None)
+    def test_on_any_text_the_readers_both_refuse_or_agree(self, text):
+        framed = '{"v": ' + text + "}"
+        try:
+            expected = json.loads(framed, parse_int=in_domain)
+        except (ValueError, RecursionError):
+            expected = None
+        try:
+            got = read(framed)
+        except InvalidRequestError:
+            got = None
+        assert (got is None) == (expected is None), (got, expected)
+        assert got is None or same(got, expected)
+
+    @pytest.mark.parametrize(
+        ("text", "value"),
+        [
+            ("NaN", float("nan")),
+            ("Infinity", float("inf")),
+            ("-Infinity", float("-inf")),
+            ("1e400", float("inf")),
+            ('"\\ud800"', "\ud800"),
+            ('"\ud800"', "\ud800"),
+        ],
+    )
+    def test_what_orjson_refuses_is_read_by_json_loads(self, text, value):
+        framed = '{"v": ' + text + "}"
+        with pytest.raises(orjson.JSONDecodeError):
+            orjson.loads(framed)
+        with mock.patch.object(protocol.json, "loads", wraps=json.loads) as loads:
+            assert same(read(framed), {"v": value})
+        assert loads.call_count == 1
+
+    def test_what_orjson_reads_never_reaches_json_loads(self):
+        expected = [json.loads(text) for _, text in GOLDEN]
+        with mock.patch.object(protocol.json, "loads", wraps=json.loads) as loads:
+            assert [read(text) for _, text in GOLDEN] == expected
+            assert read(b'{"v": [1, -0.0, 5e-324, "\\u00e9"]}')["v"] == [1, -0.0, 5e-324, "é"]
+        assert loads.call_count == 0
+
+    def test_a_utf16_header_is_read_by_json_loads(self):
+        data = '{"type": "x", "v": 1}'.encode("utf-16")
+        with pytest.raises(orjson.JSONDecodeError):
+            orjson.loads(data)
+        assert read(data) == {"type": "x", "v": 1}
+
+    def test_nesting_deeper_than_json_loads_recurses_is_read_or_refused_typed(self):
+        depth = 1100
+        framed = '{"v": ' + "[" * depth + "]" * depth + "}"
+        try:
+            nested = read(framed)["v"]
+        except InvalidRequestError as exc:
+            # An orjson that caps nesting hands it to json.loads, which
+            # recurses out at this depth: typed all the same.
+            assert str(exc) == "JSON nested too deeply"
+        else:
+            for _ in range(depth - 1):
+                (nested,) = nested
+            assert nested == []
+
+    @pytest.mark.parametrize("fallback", [False, True], ids=["orjson", "json.loads"])
+    def test_the_number_domain_is_doubles_and_64_bit_integers(self, fallback):
+        # NaN elsewhere in the frame sends all of it to json.loads.
+        framed = (
+            '{"x": NaN, "v": [%d, %d, %d, %d, %d]}' if fallback
+            else '{"v": [%d, %d, %d, %d, %d]}'
+        ) % (2**64 - 1, -(2**63), 2**64, -(2**63) - 1, 2**70)
+        values = read(framed)["v"]
+        assert same(values, [2**64 - 1, -(2**63), 2.0**64, -(2.0**63), 2.0**70])
+
+
+#: Every integer field, ``N`` where the integer goes.
+_INTEGER_FIELDS = {
+    "tile ref": '{"type": "tile_request", "session_id": "s", "tile": [N, 0, 0]}',
+    "held ref": '{"type": "push_ack", "session_id": "s", "held": [[0, N, 0]]}',
+    "rank": '{"type": "push_tile", "session_id": "s", "tile": [0, 0, 0], "rank": N, "generation": 1, "utility": 0.5}',
+    "generation": '{"type": "push_tile", "session_id": "s", "tile": [0, 0, 0], "rank": 0, "generation": N, "utility": 0.5}',
+    "requests": '{"type": "session_info", "session_id": "s", "open": true, "prefetch_mode": "sync", "requests": N, "hits": 0, "hit_rate": 0.0, "average_latency_seconds": 0.0}',
+    "hits": '{"type": "session_info", "session_id": "s", "open": true, "prefetch_mode": "sync", "requests": 0, "hits": N, "hit_rate": 0.0, "average_latency_seconds": 0.0}',
+    "version": '{"type": "welcome", "version": N}',
+    "versions": '{"type": "hello", "versions": [1, N]}',
+    "max_frame_bytes": '{"type": "welcome", "version": 1, "max_frame_bytes": N}',
+    "block shape": '{"type": "tile_response", "session_id": "s", "tile": [0, 0, 0], "latency_seconds": 0.0, "hit": true, "payload": {"tile": [0, 0, 0], "attributes": [{"name": "v", "dtype": "float64", "shape": [N], "values": []}]}}',
+}
+_OVER_RANGE = [2**64, -(2**63) - 1, 2**70]
+
+
+def _binary_body(entry_field: str, literal: int) -> bytes:
+    """A binary ``tile_response`` whose descriptor entry has ``literal``
+    (written as the integer literal) for ``entry_field``."""
+    message = TileResponse(
+        session_id="s", tile=TileRef(1, 0, 0), latency_seconds=0.0, hit=True,
+        payload=TilePayload(
+            tile=TileRef(1, 0, 0),
+            attributes=(AttributeBlock.from_array("v", np.zeros((2, 2)), binary=True),),
+        ),
+    )
+    body = protocol.encode_binary_message(message)
+    size = int.from_bytes(body[:4], "big")
+    header = json.loads(body[4 : 4 + size])
+    entry = header["payload"]["attributes"][0]
+    entry[entry_field] = [literal, 2] if entry_field == "shape" else literal
+    tampered = json.dumps(header).encode("utf-8")
+    return len(tampered).to_bytes(4, "big") + tampered + body[4 + size :]
+
+
+class TestOverRangeIntegers:
+    """An integer literal outside [-2**63, 2**64) reads as a double, so
+    every integer field refuses it — typed, whichever reader read it."""
+
+    @pytest.mark.parametrize("fallback", [False, True], ids=["orjson", "json.loads"])
+    @pytest.mark.parametrize("literal", _OVER_RANGE)
+    @pytest.mark.parametrize("field", sorted(_INTEGER_FIELDS))
+    def test_every_integer_field_refuses_it(self, field, literal, fallback):
+        text = _INTEGER_FIELDS[field].replace("N", str(literal))
+        if fallback:
+            text = text.replace("{", '{"x": NaN, ', 1)
+        with pytest.raises(InvalidRequestError, match="malformed .*expected"):
+            protocol.decode(text)
+
+    @pytest.mark.parametrize("literal", _OVER_RANGE)
+    @pytest.mark.parametrize("entry_field", ["shape", "nbytes"])
+    def test_a_binary_descriptor_refuses_it(self, entry_field, literal):
+        with pytest.raises(
+            InvalidRequestError,
+            match="malformed binary attribute descriptor: expected an integer",
+        ):
+            protocol.decode_binary_message(_binary_body(entry_field, literal))
+
+    def test_the_edges_of_the_domain_are_still_integers(self):
+        text = _INTEGER_FIELDS["rank"].replace("N", str(2**64 - 1))
+        assert protocol.decode(text).rank == 2**64 - 1
+        text = _INTEGER_FIELDS["generation"].replace("N", str(-(2**63)))
+        assert protocol.decode(text).generation == -(2**63)
+
+
+# ----------------------------------------------------------------------
+# JSON payload entries are read, not coerced
+# ----------------------------------------------------------------------
+def _reply(dtype: str, shape: list, values: str) -> str:
+    """A ``tile_response`` frame carrying one JSON payload block ``v``."""
+    return (
+        '{"type": "tile_response", "session_id": "s", "tile": [1, 0, 0], '
+        '"latency_seconds": 0.0, "hit": true, "phase": null, "prefetched": [], '
+        '"payload": {"tile": [1, 0, 0], "attributes": [{"name": "v", '
+        f'"dtype": "{dtype}", "shape": {json.dumps(shape)}, "values": {values}}}]}}}}'
+    )
+
+
+class TestJsonPayloadEntries:
+    @pytest.mark.parametrize(
+        ("dtype", "shape", "values", "reason"),
+        [
+            ("float64", [1], '["1"]', "entries must be numbers, got str"),
+            ("float64", [1], "[true]", "entries must be numbers, got bool"),
+            ("float64", [1], "[null]", "entries must be numbers, got NoneType"),
+            ("float64", [2], "[true, 1.5]", "entries must be numbers, got bool"),
+            ("float64", [1], "[[1.0]]", "entries must be numbers, got list"),
+            ("float64", [1], '[{"a": 1}]', "entries must be numbers, got dict"),
+            ("int64", [1], "[1.5]", "entries must be integers, got float"),
+            ("int64", [1], "[%d]" % 2**70, "entries must be integers, got float"),
+            ("int64", [1], "[%d]" % 2**63, "an entry is outside int64"),
+            ("uint8", [2], "[0, 256]", "an entry is outside uint8"),
+            ("uint8", [1], "[-1]", "an entry is outside uint8"),
+            ("bool", [1], "[1]", "entries must be booleans, got int"),
+            ("float64", [2], "[1.0]", "1 entries for shape \\[2\\]"),
+            ("float64", [2, 2], "[1.0, 2.0, 3.0]", "3 entries for shape \\[2, 2\\]"),
+            ("float64", [-1], "[]", "0 entries for shape \\[-1\\]"),
+            ("float64", [-2, -2], "[1, 2, 3, 4]", "4 entries for shape \\[-2, -2\\]"),
+            ("object", [1], "[1]", "dtype object cannot travel as JSON"),
+            ("complex128", [1], "[1]", "dtype complex128 cannot travel as JSON"),
+            ("<U4", [1], '["a"]', "dtype <U4 cannot travel as JSON"),
+            ("floaty", [1], "[1.0]", "unknown dtype 'floaty'"),
+        ],
+    )
+    def test_a_wrong_entry_is_a_typed_refusal_naming_the_attribute(
+        self, dtype, shape, values, reason
+    ):
+        with pytest.raises(InvalidRequestError, match=f"attribute 'v': .*{reason}"):
+            response_to_client(protocol.decode_wire(_reply(dtype, shape, values)))
+
+    @pytest.mark.parametrize(
+        ("dtype", "shape", "values", "expected"),
+        [
+            ("float64", [2], "[1, 2.5]", [1.0, 2.5]),
+            ("float64", [3], "[NaN, Infinity, -Infinity]", [np.nan, np.inf, -np.inf]),
+            ("float32", [1, 2], "[0.5, -0.0]", [[0.5, -0.0]]),
+            ("int64", [2], "[%d, %d]" % (-(2**63), 2**63 - 1), [-(2**63), 2**63 - 1]),
+            ("uint64", [1], "[%d]" % (2**64 - 1), [2**64 - 1]),
+            ("int16", [0, 3], "[]", np.zeros((0, 3))),
+            ("bool", [2], "[true, false]", [True, False]),
+        ],
+    )
+    def test_entries_of_the_block_s_own_type_are_read_exactly(
+        self, dtype, shape, values, expected
+    ):
+        tile = response_to_client(protocol.decode_wire(_reply(dtype, shape, values)))
+        array = tile.tile.attributes["v"]
+        assert array.dtype == np.dtype(dtype)
+        assert array.shape == tuple(shape)
+        np.testing.assert_array_equal(array, np.asarray(expected, dtype=dtype))
+
+    def test_a_caller_s_integer_outside_the_dtype_is_refused_too(self):
+        with pytest.raises(ValueError, match="attribute 'v': an entry is outside int64"):
+            AttributeBlock(name="v", dtype="int64", shape=(1,), values=(2**70,))
+
+    @given(
+        array=st.sampled_from(["float64", "float32", "int64", "uint8", "bool"]).flatmap(
+            lambda dtype: hnp.arrays(dtype, hnp.array_shapes(min_side=0))
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_any_block_survives_the_json_wire(self, array):
+        block = AttributeBlock.from_array("v", array)
+        text = protocol.encode(TileResponse(
+            session_id="s", tile=TileRef(1, 0, 0), latency_seconds=0.0, hit=True,
+            payload=TilePayload(tile=TileRef(1, 0, 0), attributes=(block,)),
+        ))
+        back = protocol.decode(text).payload.attributes[0]
+        assert back == block
+        # Bit for bit, but for a NaN's sign and payload, which JSON's
+        # one NaN literal does not carry.
+        def canonical(x):
+            return np.where(np.isnan(x), np.nan, x) if x.dtype.kind == "f" else x
+
+        got = back.to_array()
+        assert (got.dtype, got.shape) == (array.dtype, array.shape)
+        assert canonical(got).tobytes() == canonical(array).tobytes()
+
+
+# ----------------------------------------------------------------------
+# structure
+# ----------------------------------------------------------------------
+#: The functions under ``repro/middleware`` that may parse JSON: the
+#: wire's one reader, and a recorder reading back its own ``to_json``.
+JSON_READERS = {("protocol", "_load_tagged"), ("latency", "LatencyRecorder.from_json")}
+
+
+def _json_parsers(path: Path) -> set:
+    """``(module, qualified function)`` of every place in ``path`` that
+    names a ``json`` / ``orjson`` parser (call or not, under any alias);
+    importing one by name is reported as its own offence."""
+    parsers = {"load", "loads", "JSONDecoder"}
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    aliases = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        for alias in node.names
+        if alias.name.split(".")[0] in ("json", "orjson")
+    }
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, (*scope, child.name))
+                continue
+            if (
+                isinstance(child, ast.ImportFrom)
+                and (child.module or "").split(".")[0] in ("json", "orjson")
+                and any(alias.name in parsers for alias in child.names)
+            ):
+                found.add((path.stem, f"from {child.module} import"))
+            if (
+                isinstance(child, ast.Attribute)
+                and child.attr in parsers
+                and isinstance(child.value, ast.Name)
+                and child.value.id in aliases
+            ):
+                found.add((path.stem, ".".join(scope)))
+            visit(child, scope)
+
+    visit(tree, ())
+    return found
+
+
+def test_the_wire_has_one_json_reader():
+    """A second decode path cannot quietly bring the stdlib parser back
+    onto the hot path: nothing else under ``repro/middleware`` parses."""
+    found = set()
+    for path in sorted(Path(protocol.__file__).parent.glob("*.py")):
+        found |= _json_parsers(path)
+    assert found == JSON_READERS
