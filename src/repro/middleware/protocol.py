@@ -70,9 +70,12 @@ writes for non-finite payload values read as those floats.
 ``json.dumps`` writes every frame; one function, :func:`_load_tagged`,
 reads every frame and binary header.  It parses with ``orjson`` and
 hands what orjson refuses to ``json.loads``: the non-finite literals,
-lone-surrogate escapes (a session id may hold one), non-UTF-8 encodings
-``json.loads`` detects in ``bytes``, and nesting deeper than the orjson
-build reads.  Both read the same value from the same text.
+lone-surrogate escapes (a session id may hold one) and non-UTF-8
+encodings ``json.loads`` detects in ``bytes``.  A text with more than
+1024 ``[`` / ``{`` — so any nesting orjson might recurse too deep on —
+is never handed to orjson: ``json.loads`` reads it, and refuses, typed,
+what nests past its recursion limit.  Both read the same value from the
+same text.
 """
 
 from __future__ import annotations
@@ -862,13 +865,34 @@ def _wire_int(literal: str) -> int | float:
     return value if -(2**63) <= value < 2**64 else float(literal)
 
 
+#: The deepest nesting orjson is handed.  orjson 3.8 builds nested values
+#: recursively in native code with no cap of its own: one closed frame of
+#: a million levels overflows the C stack and kills the process.  Later
+#: releases refuse past 1024 levels; this holds the same line on all.
+_ORJSON_MAX_DEPTH = 1024
+
+
+def _may_nest_deeper(text, depth: int) -> bool:
+    """Whether ``text`` (``str`` or ``bytes``) could nest deeper than
+    ``depth``.  It cannot hold more levels than characters, nor more than
+    it has ``[`` and ``{`` bytes — in UTF-8, UTF-16 and UTF-32 alike
+    (``byte | 0x20 == 0x7B`` is exactly those two)."""
+    if len(text) <= depth:
+        return False
+    data = text.encode("utf-8", "surrogatepass") if isinstance(text, str) else text
+    return np.count_nonzero((np.frombuffer(data, np.uint8) | 0x20) == 0x7B) > depth
+
+
 def _load_tagged(text, what: str) -> tuple[object, type | None, dict]:
     """Parse one tagged JSON object — a JSON frame (``str``), or the
     header of a binary body (``bytes``) — into ``(type tag, its message
     class if it names one, the other keys)``; anything but a JSON object
     is refused, typed.  The one reader of the wire: orjson, and
-    ``json.loads`` for what orjson refuses (see the module docstring)."""
+    ``json.loads`` for what orjson refuses or is not handed (see the
+    module docstring)."""
     try:
+        if _may_nest_deeper(text, _ORJSON_MAX_DEPTH):
+            raise orjson.JSONDecodeError("nested too deeply for orjson", "", 0)
         raw = orjson.loads(text)
     except orjson.JSONDecodeError:
         try:

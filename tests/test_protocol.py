@@ -2,7 +2,10 @@
 
 import ast
 import json
+import os
 import struct
+import subprocess
+import sys
 from dataclasses import MISSING, fields
 from pathlib import Path
 from unittest import mock
@@ -900,19 +903,69 @@ class TestTheReader:
             orjson.loads(data)
         assert read(data) == {"type": "x", "v": 1}
 
-    def test_nesting_deeper_than_json_loads_recurses_is_read_or_refused_typed(self):
-        depth = 1100
-        framed = '{"v": ' + "[" * depth + "]" * depth + "}"
-        try:
+    @pytest.mark.parametrize(
+        ("framed", "value"),
+        [
+            ('{"v": ' + "[" * 1100 + "]" * 1100 + "}", None),
+            ('{"v": ' + '{"a": ' * 1100 + "1" + "}" * 1100 + "}", None),
+            ('{"v": [' + "[], " * 1100 + "[]]}", [[]] * 1101),
+            ('{"v": "' + "[{" * 600 + '"}', "[{" * 600),
+        ],
+        ids=["deep-lists", "deep-objects", "many-lists", "brackets-in-a-string"],
+    )
+    def test_more_than_1024_brackets_are_read_by_json_loads_alone(self, framed, value):
+        with mock.patch.object(
+            protocol.orjson, "loads", wraps=orjson.loads
+        ) as fast, mock.patch.object(protocol.json, "loads", wraps=json.loads) as slow:
+            if value is None:
+                # json.loads recurses out at this depth: typed, no crash.
+                with pytest.raises(InvalidRequestError, match="^JSON nested too deeply$"):
+                    read(framed)
+            else:
+                assert read(framed) == {"v": value}
+        assert (fast.call_count, slow.call_count) == (0, 1)
+
+    def test_a_hostile_closed_nesting_is_refused_typed_not_crashed_on(self):
+        # In a child process: a reader that overflows the C stack dies
+        # there (SIGSEGV), and fails this test instead of the test run.
+        # orjson 3.8 alone does exactly that on the larger depth.
+        script = (
+            "import sys\n"
+            "from repro.middleware import protocol\n"
+            "from repro.middleware.connection import ServerConnection\n"
+            "for depth in map(int, sys.argv[1:]):\n"
+            "    nesting = b'[' * depth + b']' * depth\n"
+            "    conn = ServerConnection('lines')\n"
+            "    (frame,) = conn.receive(nesting + b'\\n')\n"
+            "    header = b'{\"type\": \"tile_response\", \"v\": ' + nesting + b'}'\n"
+            "    body = len(header).to_bytes(4, 'big') + header\n"
+            "    for read in (conn.admit, protocol.decode_binary_message):\n"
+            "        try:\n"
+            "            read(frame if read == conn.admit else body)\n"
+            "        except protocol.InvalidRequestError as exc:\n"
+            "            print(depth, exc)\n"
+        )
+        depths = [10**5, protocol.DEFAULT_MAX_FRAME_BYTES // 2]
+        run = subprocess.run(
+            [sys.executable, "-c", script, *map(str, depths)],
+            env=dict(os.environ, PYTHONPATH=str(Path(protocol.__file__).parents[2])),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.splitlines() == [
+            f"{depth} JSON nested too deeply" for depth in depths for _ in range(2)
+        ]
+
+    def test_1024_brackets_are_still_read_by_orjson(self):
+        framed = '{"v": ' + "[" * 1023 + "]" * 1023 + "}"
+        with mock.patch.object(protocol.json, "loads", wraps=json.loads) as slow:
             nested = read(framed)["v"]
-        except InvalidRequestError as exc:
-            # An orjson that caps nesting hands it to json.loads, which
-            # recurses out at this depth: typed all the same.
-            assert str(exc) == "JSON nested too deeply"
-        else:
-            for _ in range(depth - 1):
-                (nested,) = nested
-            assert nested == []
+        assert slow.call_count == 0
+        for _ in range(1022):
+            (nested,) = nested
+        assert nested == []
 
     @pytest.mark.parametrize("fallback", [False, True], ids=["orjson", "json.loads"])
     def test_the_number_domain_is_doubles_and_64_bit_integers(self, fallback):
