@@ -3,7 +3,7 @@ throughput must scale from one worker to four.
 
 The workers are real spawned processes, each paying a real (small)
 backend delay per cache miss, so serving capacity is genuinely bounded
-per process; eight concurrent client threads drive the router hard
+per process; 32 concurrent client threads drive the router hard
 enough that a single worker saturates.  Four workers split the
 sessions via the consistent-hash ring and serve them in parallel —
 aggregate requests/second must strictly exceed the 1-worker figure on
@@ -30,15 +30,19 @@ from repro.users.flashcrowd import flash_crowd_walks
 
 pytestmark = pytest.mark.bench
 
-NUM_CLIENTS = 8
+#: More clients than one worker has bridge threads (8): each client waits
+#: for its reply, so with fewer a single worker overlaps every miss and
+#: there is nothing for more workers to add.
+NUM_CLIENTS = 32
 REQUESTS_PER_CLIENT = 50
 #: Real per-miss backend latency inside each worker process.  With the
 #: recent cache starved to one slot misses are frequent, so a worker's
-#: miss-serving ceiling is (bridge threads / delay) and adding workers
-#: adds real capacity.  The clients negotiate binary payloads — with
-#: JSON tiles the eight client threads' decode work (one GIL) becomes
+#: miss-serving ceiling is (its 8 bridge threads / delay), ≈ 200 req/s —
+#: below what one process's CPU serves — and adding workers adds real
+#: capacity.  The clients negotiate binary payloads — with
+#: JSON tiles the client threads' decode work (one GIL) becomes
 #: the bottleneck and masks the cluster's parallelism entirely.
-BACKEND_DELAY_SECONDS = 0.01
+BACKEND_DELAY_SECONDS = 0.04
 
 CONFIG = ServiceConfig(
     prefetch=PrefetchPolicy(enabled=False),
@@ -82,7 +86,7 @@ def client_requests(walk):
 
 def aggregate_rps(workers: int, walks: list) -> float:
     """Total requests/second across NUM_CLIENTS threads, wall clock."""
-    with ProcessCluster(workers=workers, config=CONFIG, max_workers=2) as cluster:
+    with ProcessCluster(workers=workers, config=CONFIG) as cluster:
         host, port = cluster.address
         barrier = threading.Barrier(NUM_CLIENTS + 1)
         done = [0] * NUM_CLIENTS

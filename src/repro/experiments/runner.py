@@ -485,8 +485,7 @@ def _replay_async_frontend(
     """The whole LOO replay on one event loop.
 
     Only the *service* (cache + session) must be cold per trace, so the
-    loop is hoisted out of the per-trace churn; each trace gets a
-    single-thread bridge (the replay is sequential).
+    loop is hoisted out of the per-trace churn.
     """
     import asyncio
 
@@ -503,7 +502,6 @@ def _replay_async_frontend(
                 async with AsyncForeCacheService.build(
                     context.pyramid,
                     _figure12_config(k, prefetch_mode, shared_hotspots),
-                    max_workers=1,
                 ) as service:
                     session = await service.open_session(engine)
                     await AsyncBrowsingSession(session).replay(trace)
@@ -549,15 +547,17 @@ def _replay_wire_frontend(
         for trace in test:
             engine.reset()
             config = _figure12_config(k, prefetch_mode, shared_hotspots)
-            # The replay is sequential; don't spawn (and join) a full
-            # 8-thread bridge pool per trace.
-            serving = dict(engine_factory=lambda: engine, max_workers=1)
             endpoint = (
                 ThreadedClusterServer(
-                    context.pyramid, config, workers=2, **serving
+                    context.pyramid,
+                    config,
+                    workers=2,
+                    engine_factory=lambda: engine,
                 )
                 if cluster
-                else ThreadedSocketServer(context.pyramid, config, **serving)
+                else ThreadedSocketServer(
+                    context.pyramid, config, engine_factory=lambda: engine
+                )
             )
             with endpoint:
                 with SocketTransport(

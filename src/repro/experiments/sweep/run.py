@@ -194,11 +194,13 @@ def _replay_wire(
     from repro.middleware.cluster import ThreadedClusterServer
     from repro.middleware.net import SocketTransport, ThreadedSocketServer
 
-    serving = dict(engine_factory=_engine_factory(pyramid.grid), max_workers=2)
+    engine_factory = _engine_factory(pyramid.grid)
     endpoint = (
-        ThreadedSocketServer(pyramid, config, **serving)
+        ThreadedSocketServer(pyramid, config, engine_factory=engine_factory)
         if workers is None
-        else ThreadedClusterServer(pyramid, config, workers=workers, **serving)
+        else ThreadedClusterServer(
+            pyramid, config, workers=workers, engine_factory=engine_factory
+        )
     )
     recorder = LatencyRecorder()
     with endpoint:

@@ -111,15 +111,19 @@ class AsyncSessionHandle:
         await self.close()
 
 
+#: Threads the bridge pool may run.  A thread starts only when a job is
+#: submitted, and over an in-memory backend none is, so no caller needs
+#: a size of its own.
+_BRIDGE_THREADS = 8
+
+
 class AsyncForeCacheService:
     """``ForeCacheService`` for event-loop callers."""
 
-    def __init__(
-        self, service: ForeCacheService, *, max_workers: int = 8
-    ) -> None:
+    def __init__(self, service: ForeCacheService) -> None:
         self.service = service
         self._executor = ThreadPoolExecutor(
-            max_workers=max_workers, thread_name_prefix="forecache-aio"
+            max_workers=_BRIDGE_THREADS, thread_name_prefix="forecache-aio"
         )
         # Sync-mode prefetch runs the whole cycle inside the request's
         # post-fetch half — over a backend that can block, that half
@@ -141,15 +145,10 @@ class AsyncForeCacheService:
         cls,
         pyramid: TilePyramid,
         config: ServiceConfig | None = None,
-        *,
-        max_workers: int = 8,
         **service_kwargs,
     ) -> "AsyncForeCacheService":
         """Construct the facade and its async front end in one call."""
-        return cls(
-            ForeCacheService(pyramid, config, **service_kwargs),
-            max_workers=max_workers,
-        )
+        return cls(ForeCacheService(pyramid, config, **service_kwargs))
 
     @property
     def pyramid(self) -> TilePyramid:

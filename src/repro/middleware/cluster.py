@@ -31,22 +31,23 @@ end speaking the *existing* wire protocol to clients:
 
 * ``hello``/``welcome`` terminate at the router.  The granted
   capability set is the **intersection** of what the client asked for
-  and what every live worker granted on that client's backend links
+  and what every worker granted the router at :meth:`~TileServiceRouter.start`
   (push requires all workers push-capable; binary payloads require all
-  workers to speak binary).
+  workers to speak binary).  Each of the client's backend links is then
+  dialled asking for exactly that grant; a worker that grants anything
+  else is handled like one that refused the handshake.
 * A session lives on ``ring.owner(session_id)``: a seeded,
   deterministic :class:`ConsistentHashRing` maps the id to the same
   worker across runs and across processes, because the ring hashes with
   :func:`hashlib.blake2b` (no ``PYTHONHASHSEED`` dependence).  Each
   ``tile_request`` and ``push_ack`` goes there; ``open_session`` and
   ``close_session`` go to every worker and are answered by the owner.
-* ``push_tile`` frames stream back through the same backend link that
-  served the request and are forwarded to the owning client verbatim.
-* Payload-bearing frames are forwarded **opaque** to a client that
-  negotiated ``binary`` (every link then speaks binary too): the router
-  parses a frame's small JSON header and re-frames its body unchanged,
-  never inflating or rebuilding the tile.  A JSON client over binary
-  links is the fallback that still decodes and re-encodes.
+* Every frame of a relayed round — the ``push_tile`` frames streamed
+  ahead of the reply, then the reply — is forwarded **as its worker
+  framed it**: a link speaks its client's wire, so the router reads only
+  each frame's type tag (the text of a JSON frame, the header of a
+  binary one), checks its size against its own budget and passes the
+  bytes on.  A tile is encoded once, by its worker.
 * A dead worker — or one that leaves a round trip unanswered past the
   deadline — surfaces as a typed ``worker_unavailable`` error and
   is removed from the ring, which moves its sessions — and no others —
@@ -70,11 +71,13 @@ link is an I/O shell around the same
 :class:`~repro.middleware.connection.ClientConnection` core as the
 user-facing socket clients.
 
-Backend links are **per client connection**: a client that negotiated
-push gets push-capable links, a pull-only client gets pull-only links.
-This keeps worker-side behaviour bit-identical to a direct connection
-(a worker never runs push rounds — which populate its cache — for a
-session whose real client did not ask for push).  Apart from those,
+Backend links are **per client connection** and speak what their
+client speaks: push-capable links for a client that negotiated push,
+pull-only ones for a pull-only client, binary links for a binary
+client.  This keeps worker-side behaviour — and every byte a client
+reads after its welcome — identical to a direct connection (a worker
+never runs push rounds, which populate its cache, for a session whose
+real client did not ask for push).  Apart from those,
 the router opens one link per worker in :meth:`TileServiceRouter.start`
 to learn what it grants, and closes it as soon as the welcome is read.
 
@@ -124,7 +127,8 @@ from repro.middleware.protocol import (
     Welcome,
     WorkerUnavailableError,
     decode_wire,
-    frame_binary_body,
+    encode_frame,
+    negotiate_payload,
     negotiate_version,
 )
 from repro.tiles.pyramid import TilePyramid
@@ -137,6 +141,10 @@ _READ_CHUNK = 65536
 #: bound sits below the shipped clients' 30 s socket timeout so that they
 #: see that typed error and not their own timeout.
 _ROUNDTRIP_DEADLINE_SECONDS = 20.0
+
+#: How long :class:`ProcessCluster` waits for a spawned worker to build
+#: its world, bind and report its port.
+_BOOT_TIMEOUT_SECONDS = 180.0
 
 
 # ----------------------------------------------------------------------
@@ -242,13 +250,17 @@ class _BackendLink:
     The router is a *client* of each worker: the link is one more I/O
     shell around a :class:`~repro.middleware.connection.ClientConnection`,
     differing from the user-facing clients in two decisions — push
-    frames are collected for forwarding rather than absorbed, and (for a
-    binary client) payload-bearing frames come back unopened.  A link
-    dies the moment a stream operation fails or a round trip outlasts
-    ``_ROUNDTRIP_DEADLINE_SECONDS``; death is sticky and converts to the
-    typed ``worker_unavailable`` error so the real client can retry (the
-    ring will have re-mapped the key by then).
+    frames are collected for forwarding rather than absorbed, and a
+    relayed round's frames come back unopened
+    (:class:`~repro.middleware.connection.OpaqueFrame`).  It speaks
+    exactly what its client was granted, so those frames go on to the
+    client as they are.  A link dies the moment a stream operation fails
+    or a round trip outlasts ``_ROUNDTRIP_DEADLINE_SECONDS``; death is
+    sticky and converts to the typed ``worker_unavailable`` error so the
+    real client can retry (the ring will have re-mapped the key by then).
     """
+
+    client_name = "forecache-router"
 
     def __init__(
         self,
@@ -273,13 +285,7 @@ class _BackendLink:
     payload = _core_attribute("payload")
     server_max_frame_bytes = _core_attribute("server_max_frame_bytes")
 
-    async def connect(
-        self,
-        *,
-        push: bool = False,
-        binary: bool = False,
-        client_name: str = "forecache-router",
-    ) -> Welcome:
+    async def connect(self, *, push: bool = False, binary: bool = False) -> Welcome:
         try:
             self._reader, self._writer = await asyncio.open_connection(
                 self.host, self.port
@@ -290,7 +296,7 @@ class _BackendLink:
                 f"worker {self.node} is unreachable: {exc}"
             ) from exc
         hello = self._core.hello(
-            client_name, push=push, payload="binary" if binary else "json"
+            self.client_name, push=push, payload="binary" if binary else "json"
         )
         reply, _ = await self.roundtrip(hello)
         try:
@@ -305,11 +311,11 @@ class _BackendLink:
         """Send one message, return ``(reply, pushes)``.
 
         Push frames streamed ahead of the reply are collected and
-        returned for forwarding.  With ``opaque`` the payload-bearing
-        binary frames among them come back as :class:`OpaqueFrame`,
-        only their header parsed.  Any stream failure, an unparseable
-        frame, or a worker that does not answer within the deadline
-        marks the link dead and raises the typed worker-down error.
+        returned for forwarding.  With ``opaque`` every frame comes back
+        as an :class:`OpaqueFrame`, only its type tag read.  Any stream
+        failure, an unparseable frame, or a worker that does not answer
+        within the deadline marks the link dead and raises the typed
+        worker-down error.
         Framing happens *before* the failure guard: an oversized
         outgoing frame is a local, recoverable error — not worker death.
         """
@@ -413,11 +419,6 @@ class TileServiceRouter(_WireServer):
         self.ring = ConsistentHashRing(
             replicas=self.config.ring_replicas, seed=self.config.ring_seed
         )
-        #: Payload-bearing worker frames forwarded to a binary client
-        #: unopened, and those decoded and re-encoded because the client
-        #: speaks JSON while the links speak binary.
-        self.frames_spliced = 0
-        self.frames_transcoded = 0
         self._alive: set[str] = set()
         self._push_capable = False
         self._backend_binary = False
@@ -481,53 +482,43 @@ class TileServiceRouter(_WireServer):
             await link.aclose()
         state.links.clear()
 
-    def _splice(self, frame: OpaqueFrame) -> "bytes | ErrorInfo":
-        """Worker and client both speak binary: the body goes on as it
-        came, checked against this router's own budget.  The client's
-        decoder validates every byte of it."""
-        try:
-            data = frame_binary_body(frame.body, self.config.max_frame_bytes)
-        except FrameTooLargeError as exc:
-            return ErrorInfo.from_exception(exc)
-        self.frames_spliced += 1
-        return data
-
     # -- handshake -----------------------------------------------------
     async def _serve_hello(self, message: Hello, state: _RouterClient):
         negotiate_version(message.versions)  # refused before any dialling
-        payloads = self.config.payloads
-        push_wanted = bool(message.push) and self._push_capable
-        offer_binary = "binary" in payloads and self._backend_binary
-        # Per-client backend links: push is offered to the workers iff
-        # this client asked for it, so workers never run push rounds
-        # (which populate their caches) for pull-only clients.
+        # The grant comes first, from what the start() probes learned;
+        # then every link is dialled asking for exactly that, so a
+        # worker never runs push rounds (which populate its cache) for a
+        # pull-only client, and its frames are already in the client's
+        # wire.
+        push = bool(message.push) and self._push_capable
+        payloads = self.config.payloads if self._backend_binary else ("json",)
+        payload = negotiate_payload(message.payloads, payloads)
         for node in sorted(self._alive):
             link = self._new_link(node)
             try:
-                await link.connect(push=push_wanted, binary=offer_binary)
+                welcome = await link.connect(push=push, binary=payload == "binary")
             except WorkerUnavailableError:
+                welcome = None
+            if welcome is None or (welcome.push, welcome.payload) != (push, payload):
+                # Refused, or granted a wire other than this client's:
+                # the link could not forward its worker's frames as is.
+                await link.aclose()
                 self._mark_worker_dead(node)
                 continue
             state.links[node] = link
         if not state.links:
             raise WorkerUnavailableError("no live workers on the ring")
-        links = state.links.values()
         limits = [
             link.server_max_frame_bytes
-            for link in links
+            for link in state.links.values()
             if link.server_max_frame_bytes > 0
         ]
-        # Granted to this client: what every one of its links was.
         return [
             state.welcome(
                 message,
                 server=self.server_name,
-                push=push_wanted and all(link.push for link in links),
-                payloads=(
-                    payloads
-                    if all(link.payload == "binary" for link in links)
-                    else ("json",)
-                ),
+                push=push,
+                payloads=payloads,
                 max_frame_bytes=min([self.config.max_frame_bytes, *limits]),
             )
         ]
@@ -595,14 +586,13 @@ class TileServiceRouter(_WireServer):
         self, message: "TileRequest | PushAck", state: _RouterClient
     ) -> list:
         """One round trip to the worker the message's session lives on:
-        push frames, then the reply, ready for the connection core to
-        send.
+        its push frames, then its reply, framed for the client as the
+        worker framed them.
 
-        Whether payload-bearing frames are spliced or transcoded follows
-        from what was negotiated: a binary client implies binary links
-        (:meth:`_serve_hello`), so their bodies pass through unopened; a
-        JSON client over binary links gets them decoded here, in the
-        link, and re-encoded as JSON on the way out.
+        The link speaks exactly the client's wire (:meth:`_serve_hello`),
+        so nothing is decoded or encoded here: each frame is re-checked
+        against this router's own budget and goes on unchanged.  The
+        client's decoder validates every byte of it.
         """
         session_id = message.session_id
         node = self.ring.owner(session_id)
@@ -610,9 +600,7 @@ class TileServiceRouter(_WireServer):
         # dialled every live worker: the link exists (dead, at worst).
         link = state.links[node]
         try:
-            reply, pushes = await link.roundtrip(
-                message, opaque=state.payload == "binary"
-            )
+            reply, pushes = await link.roundtrip(message, opaque=True)
         except WorkerUnavailableError as exc:
             self._mark_worker_dead(node)
             raise WorkerUnavailableError(
@@ -620,24 +608,19 @@ class TileServiceRouter(_WireServer):
                 f"{session_id!r})",
                 session_id=session_id,
             ) from exc
-        messages = [*pushes, reply]
-        if link.payload == "binary" and state.payload != "binary":
-            self.frames_transcoded += sum(
-                getattr(m, "payload", None) is not None for m in messages
-            )
-        for index, m in enumerate(messages):
-            if isinstance(m, OpaqueFrame):
-                messages[index] = self._splice(m)
-        return messages
+        return [self._forward(frame, state) for frame in (*pushes, reply)]
+
+    def _forward(self, frame: OpaqueFrame, state: _RouterClient) -> "bytes | ErrorInfo":
+        try:
+            return encode_frame(frame.body, state.wire, self.config.max_frame_bytes)
+        except FrameTooLargeError as exc:
+            return ErrorInfo.from_exception(exc)
 
     async def _serve_request(
         self, message: TileRequest, state: _RouterClient
     ):
         state.require_session(message.session_id)
-        messages = await self._relay(message, state)
-        if not state.push:
-            messages = messages[-1:]
-        return messages
+        return await self._relay(message, state)
 
     async def _serve_ack(self, message: PushAck, state: _RouterClient):
         state.require_push(state.require_session(message.session_id))
@@ -755,7 +738,6 @@ class ThreadedClusterServer(_ClusterHarness):
         workers: int = 2,
         engine_factory=None,
         framing: str = "lines",
-        max_workers: int = 4,
     ) -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
@@ -766,7 +748,6 @@ class ThreadedClusterServer(_ClusterHarness):
                 replace(self.config, bind_port=0),
                 engine_factory=engine_factory,
                 framing=framing,
-                max_workers=max_workers,
             )
             for _ in range(workers)
         ]
@@ -800,7 +781,6 @@ class WorkerSpec:
     days: int = 1
     seed: int = 7
     framing: str = "lines"
-    max_workers: int = 4
     config: ServiceConfig | None = None
 
 
@@ -830,7 +810,6 @@ async def _cluster_worker_serve(spec: WorkerSpec, port_queue, stop_event):
         dataset.pyramid,
         spec.config or ServiceConfig(),
         engine_factory=engine_factory,
-        max_workers=spec.max_workers,
         framing=spec.framing,
     )
     _, port = await server.start()
@@ -874,8 +853,6 @@ class ProcessCluster(_ClusterHarness):
         seed: int = 7,
         start_port: int = 0,
         framing: str = "lines",
-        max_workers: int = 4,
-        boot_timeout: float = 180.0,
     ) -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
@@ -889,11 +866,9 @@ class ProcessCluster(_ClusterHarness):
             days=days,
             seed=seed,
             framing=framing,
-            max_workers=max_workers,
         )
         self._start_port = start_port
         self._framing = framing
-        self._boot_timeout = boot_timeout
         self._ctx = multiprocessing.get_context("spawn")
         self.processes: list = []
         self._stop_events: list = []
@@ -920,11 +895,11 @@ class ProcessCluster(_ClusterHarness):
             queues.append(queue)
         for index, queue in enumerate(queues):
             try:
-                status, value = queue.get(timeout=self._boot_timeout)
+                status, value = queue.get(timeout=_BOOT_TIMEOUT_SECONDS)
             except Exception as exc:
                 raise RuntimeError(
                     f"worker {index} did not report a port within "
-                    f"{self._boot_timeout}s"
+                    f"{_BOOT_TIMEOUT_SECONDS:g} s"
                 ) from exc
             if status != "ok":
                 raise RuntimeError(

@@ -73,10 +73,10 @@ from repro.middleware.protocol import (
     TileRef,
     TileRequest,
     Welcome,
-    binary_message_type,
     check_framing,
     decode_wire,
     encode_wire,
+    frame_type,
     negotiate_payload,
     negotiate_version,
 )
@@ -97,19 +97,17 @@ def check_payload(payload: str) -> str:
 
 
 class OpaqueFrame(NamedTuple):
-    """A payload-bearing binary frame, forwarded unopened: its type
-    name (read from the header) and its raw body."""
+    """A frame forwarded unopened: its type name (read from its tag) and
+    the frame as cut — a JSON text, or a binary body."""
 
     type: str
-    body: bytes
+    body: str | bytes
 
 
-def decode_opaque(frame):
-    """:func:`decode_wire` for a forwarder: a payload-bearing binary
-    frame comes back as an :class:`OpaqueFrame`, only its header parsed."""
-    if isinstance(frame, bytes):
-        return OpaqueFrame(binary_message_type(frame), frame)
-    return decode_wire(frame)
+def decode_opaque(frame) -> OpaqueFrame:
+    """:func:`decode_wire` for a forwarder: every frame comes back as an
+    :class:`OpaqueFrame`, only its type tag read (:func:`frame_type`)."""
+    return OpaqueFrame(frame_type(frame), frame)
 
 
 class ClientConnection:
@@ -483,7 +481,7 @@ class ServerConnection:
         Pre-encoded ``bytes`` pass through: tile-bearing frames are
         built where their tile is at hand (push frames also because
         their size is charged against the push budget), and a router's
-        spliced frames were never opened."""
+        forwarded frames were never opened."""
         if isinstance(message, bytes):
             return message
         try:

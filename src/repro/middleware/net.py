@@ -296,16 +296,12 @@ class ForeCacheSocketServer(_WireServer):
         config: ServiceConfig | None = None,
         *,
         engine_factory=None,
-        max_workers: int = 8,
         framing: str = "lines",
     ) -> "ForeCacheSocketServer":
         """Construct service and server in one call; the server owns
         (and on :meth:`aclose` closes) the service."""
         service = AsyncForeCacheService.build(
-            pyramid,
-            config,
-            max_workers=max_workers,
-            engine_factory=engine_factory,
+            pyramid, config, engine_factory=engine_factory
         )
         return cls(service, framing=framing, owns_service=True)
 
@@ -641,15 +637,12 @@ class ThreadedSocketServer(_LoopThread):
         *,
         engine_factory=None,
         framing: str = "lines",
-        max_workers: int = 8,
     ) -> None:
         super().__init__()
         self._pyramid = pyramid
         self._config = config
         self._server_kwargs = dict(
-            engine_factory=engine_factory,
-            max_workers=max_workers,
-            framing=check_framing(framing),
+            engine_factory=engine_factory, framing=check_framing(framing)
         )
 
     @property
@@ -717,6 +710,8 @@ class SocketTransport(_ClientShell):
     validate moves client-side — trace replay works without it.
     """
 
+    client_name = "forecache-python"
+
     def __init__(
         self,
         host: str,
@@ -726,7 +721,6 @@ class SocketTransport(_ClientShell):
         framing: str = "lines",
         max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
         timeout: float | None = 30.0,
-        client_name: str = "forecache-python",
         push: bool = False,
         push_cache_capacity: int = 32,
         payload: str = "json",
@@ -739,7 +733,7 @@ class SocketTransport(_ClientShell):
             push_cache_capacity=push_cache_capacity,
             wire_tap=wire_tap,
         )
-        hello = self._core.hello(client_name, push=push, payload=payload)
+        hello = self._core.hello(self.client_name, push=push, payload=payload)
         self._lock = threading.RLock()
         # _closed is guarded by its own lock so close() can run while a
         # roundtrip holds self._lock blocked in recv.
@@ -867,6 +861,8 @@ class AsyncSocketTransport(_ClientShell):
     :class:`SocketTransport`.  Built by :meth:`open`, around the
     connection core it configured."""
 
+    client_name = "forecache-python-aio"
+
     def __init__(
         self,
         reader: asyncio.StreamReader,
@@ -890,7 +886,6 @@ class AsyncSocketTransport(_ClientShell):
         *,
         framing: str = "lines",
         max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
-        client_name: str = "forecache-python-aio",
         push: bool = False,
         push_cache_capacity: int = 32,
         payload: str = "json",
@@ -903,7 +898,7 @@ class AsyncSocketTransport(_ClientShell):
             push_cache_capacity=push_cache_capacity,
             wire_tap=wire_tap,
         )
-        hello = core.hello(client_name, push=push, payload=payload)
+        hello = core.hello(cls.client_name, push=push, payload=payload)
         reader, writer = await asyncio.open_connection(host, port)
         self = cls(reader, writer, pyramid, core)
         try:

@@ -919,12 +919,18 @@ def _from_wire(cls, data: dict):
         raise InvalidRequestError(f"malformed {cls.wire_type} message: {exc}") from None
 
 
-def decode(data: str):
-    """Parse a tagged JSON string back into its wire message."""
-    name, cls, raw = _load_tagged(data, "wire message")
+def _load_message(text) -> tuple[type, dict]:
+    """A tagged JSON text's message class and its other keys; an unknown
+    tag is refused, typed."""
+    name, cls, raw = _load_tagged(text, "wire message")
     if cls is None:
         raise InvalidRequestError(f"unknown message type {name!r}")
-    return _from_wire(cls, raw)
+    return cls, raw
+
+
+def decode(data: str):
+    """Parse a tagged JSON string back into its wire message."""
+    return _from_wire(*_load_message(data))
 
 
 # ----------------------------------------------------------------------
@@ -959,18 +965,28 @@ def _check_frame_size(size: int, max_frame_bytes: int) -> None:
 
 
 def encode_frame(
-    text: str,
+    frame: "str | bytes",
     framing: str = "lines",
     max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
 ) -> bytes:
-    """Wrap one encoded message for the byte stream.
+    """Put one frame on the byte stream, as :class:`FrameDecoder` cuts
+    it back out: a message's JSON text in any framing (a kind-0 frame
+    under ``"binary"``), or — under ``"binary"`` only — a
+    payload-bearing message's binary body (kind 1).
 
     Refuses locally (with the same typed errors the server would send
     back) payloads the peer is guaranteed to reject: oversized frames,
     and — in ``"lines"`` framing — embedded newlines, which would split
     into two bogus frames on the wire.
     """
-    return _frame_json(text.encode("utf-8"), framing, max_frame_bytes)
+    if framing != "binary":
+        return _frame_json(frame.encode("utf-8"), framing, max_frame_bytes)
+    if isinstance(frame, str):
+        kind, frame = _FRAME_KIND_JSON, frame.encode("utf-8")
+    else:
+        kind = _FRAME_KIND_BINARY
+    _check_frame_size(len(frame), max_frame_bytes)
+    return _BINARY_FRAME_HEADER.pack(kind, len(frame)) + frame
 
 
 def _frame_json(payload: bytes, framing: str, max_frame_bytes: int) -> bytes:
@@ -1233,14 +1249,18 @@ def _split_binary_body(data) -> tuple[type, dict, memoryview]:
     return cls, header, view[body_start:]
 
 
-def binary_message_type(data) -> str:
-    """The type name of a binary body, from its header alone.
+def frame_type(frame) -> str:
+    """The type name of a frame as cut by :class:`FrameDecoder`, from
+    its tag alone.
 
-    For a forwarder that passes the body on without opening it: the
-    header checks of :func:`decode_binary_message` run, the blob is not
-    touched (the final receiver's decoder validates every byte of it).
+    For a forwarder that passes the frame on without opening it: a JSON
+    text is parsed but never built into its message, a binary body's
+    header checks of :func:`decode_binary_message` run and its blob is
+    not touched (the final receiver's decoder validates every byte).
     """
-    return _split_binary_body(data)[0].wire_type
+    if isinstance(frame, str):
+        return _load_message(frame)[0].wire_type
+    return _split_binary_body(frame)[0].wire_type
 
 
 def decode_binary_message(data):
@@ -1267,28 +1287,13 @@ def encode_wire(
     binary bodies and everything else as kind-0 JSON, both behind the
     ``kind byte + u32 length`` header.
     """
-    if framing != "binary":
-        return encode_frame(encode(message), framing, max_frame_bytes)
-    if getattr(type(message), "binary_body", False) and message.payload is not None:
-        kind = _FRAME_KIND_BINARY
-        body = encode_binary_message(message)
-    else:
-        kind = _FRAME_KIND_JSON
-        body = encode(message).encode("utf-8")
-    _check_frame_size(len(body), max_frame_bytes)
-    return _BINARY_FRAME_HEADER.pack(kind, len(body)) + body
-
-
-def frame_binary_body(body: bytes, max_frame_bytes: int) -> bytes:
-    """Put an already encoded binary body back behind a kind-1 header.
-
-    The cluster router forwards a worker's payload-bearing frames to a
-    binary client this way: the body — whatever :func:`encode_wire`
-    built on the worker — travels on unopened, checked only against the
-    forwarder's own frame budget.
-    """
-    _check_frame_size(len(body), max_frame_bytes)
-    return _BINARY_FRAME_HEADER.pack(_FRAME_KIND_BINARY, len(body)) + body
+    if (
+        framing == "binary"
+        and getattr(type(message), "binary_body", False)
+        and message.payload is not None
+    ):
+        return encode_frame(encode_binary_message(message), framing, max_frame_bytes)
+    return encode_frame(encode(message), framing, max_frame_bytes)
 
 
 # ----------------------------------------------------------------------

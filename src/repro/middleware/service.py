@@ -40,7 +40,7 @@ from repro.cache.manager import CacheManager
 from repro.core.engine import PredictionEngine
 from repro.core.popularity import SharedHotspotRegistry
 from repro.middleware.config import PrefetchPolicy, ServiceConfig
-from repro.middleware.latency import LatencyModel, LatencyRecorder
+from repro.middleware.latency import LatencyRecorder
 from repro.middleware.protocol import (
     DuplicateSessionError,
     SessionClosedError,
@@ -180,7 +180,6 @@ class ForeCacheService:
         config: ServiceConfig | None = None,
         *,
         cache_manager: CacheManager | None = None,
-        latency_model: LatencyModel | None = None,
         engine_factory: Callable[[], PredictionEngine] | None = None,
     ) -> None:
         self.pyramid = pyramid
@@ -208,11 +207,7 @@ class ForeCacheService:
                 f"prefetch budget k={policy.k}"
             )
         self.cache_manager = cache_manager
-        self.latency_model = (
-            latency_model
-            if latency_model is not None
-            else self.config.build_latency_model()
-        )
+        self.latency_model = self.config.build_latency_model()
         self.engine_factory = engine_factory
         #: The background worker pool, shared by every session: set
         #: exactly when ``policy.background``.
@@ -614,15 +609,6 @@ class ForeCacheService:
         record = self._record(session_id)
         with record.lock:
             return list(record.pending)
-
-    def load_tile(self, key: TileKey, model: str = "push") -> DataTile:
-        """Materialize one tile for streaming (push path).
-
-        Loads through the cache manager's coalesced prefetch path, so a
-        pushed tile also warms the shared prefetch region under the
-        given attribution label.
-        """
-        return self.cache_manager.prefetch_one(key, model)
 
     def _budget(self, policy: PrefetchPolicy) -> int:
         """This round's per-session prediction budget."""

@@ -11,11 +11,8 @@ bind a :class:`~repro.core.popularity.SharedHotspotRegistry` and the
 hotspot set is re-read from the registry's current top-N on every
 prediction, so one user's traffic steers another user's prefetching in
 real time (cross-session prediction sharing, Section 6.2 extended).
-Offline-trained hotspots remain the default — and the cold-start
-anchor: with ``hotspot_warmup`` set, the live registry's keys are
-blended in *gradually* (proportionally to how many observations the
-registry has seen) instead of displacing the trained set the moment
-the first live key appears.
+Offline-trained hotspots remain the default, and the fallback while the
+registry is still empty.
 """
 
 from __future__ import annotations
@@ -43,24 +40,15 @@ class HotspotRecommender(Recommender):
         num_hotspots: int = 10,
         proximity: int = 4,
         registry: "SharedHotspotRegistry | None" = None,
-        hotspot_warmup: int = 0,
     ) -> None:
         if num_hotspots < 1:
             raise ValueError(f"num_hotspots must be >= 1, got {num_hotspots}")
         if proximity < 1:
             raise ValueError(f"proximity must be >= 1, got {proximity}")
-        if hotspot_warmup < 0:
-            raise ValueError(
-                f"hotspot_warmup must be >= 0, got {hotspot_warmup}"
-            )
         self.num_hotspots = num_hotspots
         self.proximity = proximity
         self.hotspots: tuple[TileKey, ...] = ()
         self.registry = registry
-        #: Registry observations needed before live hotspots fully
-        #: replace the trained set.  0 (default) keeps the legacy hard
-        #: switch: any live key wins immediately.
-        self.hotspot_warmup = hotspot_warmup
         self._momentum = MomentumRecommender()
 
     def bind_registry(
@@ -79,34 +67,13 @@ class HotspotRecommender(Recommender):
         self.hotspots = tuple(key for key, _ in ordered[: self.num_hotspots])
 
     def effective_hotspots(self) -> tuple[TileKey, ...]:
-        """The hotspot set this prediction uses.
-
-        No registry (or an empty one): the trained set.  With a live
-        registry and ``hotspot_warmup == 0``: the live top-N, the legacy
-        hard switch.  With a warmup, the live signal earns slots
-        *linearly* — after ``observed`` of ``hotspot_warmup``
-        observations, ``num_hotspots * observed // hotspot_warmup`` live
-        keys lead the set and trained hotspots fill the remainder — so a
-        handful of early requests cannot evict a study-trained prior.
-        """
+        """The hotspot set this prediction uses: the live registry's
+        top-N, or the trained set without a registry or while it is
+        empty."""
         if self.registry is None:
             return self.hotspots
         live = tuple(self.registry.hot_keys(self.num_hotspots))
-        if not live:
-            return self.hotspots
-        if self.hotspot_warmup <= 0:
-            return live
-        observed = self.registry.total_observations
-        if observed >= self.hotspot_warmup:
-            return live
-        live_slots = (self.num_hotspots * observed) // self.hotspot_warmup
-        blended = list(live[:live_slots])
-        for key in self.hotspots:
-            if len(blended) >= self.num_hotspots:
-                break
-            if key not in blended:
-                blended.append(key)
-        return tuple(blended)
+        return live or self.hotspots
 
     def nearest_hotspot(self, tile: TileKey) -> TileKey | None:
         """The closest hotspot within ``proximity`` moves, if any.

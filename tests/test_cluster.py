@@ -1,5 +1,5 @@
-"""The multi-process cluster: ring, handshake intersection, failover,
-and a spawn-context smoke boot.
+"""The multi-process cluster: ring, handshake intersection, forwarding
+as framed, failover, and a spawn-context smoke boot.
 
 Everything runs over loopback on ephemeral ports.  The spawn tests are
 the only ones that cross a process boundary; they use small worlds so
@@ -20,7 +20,6 @@ import threading
 import time
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -29,6 +28,7 @@ from repro.core.allocation import SingleModelStrategy
 from repro.core.engine import PredictionEngine
 from repro.experiments.sweep import resolve_spec, run_cell
 from repro.middleware import cluster as cluster_module
+from repro.middleware.aio import AsyncForeCacheService
 from repro.middleware.cluster import (
     ConsistentHashRing,
     ProcessCluster,
@@ -36,9 +36,11 @@ from repro.middleware.cluster import (
     ThreadedRouter,
     TileServiceRouter,
     WorkerSpec,
+    _BackendLink,
 )
 from repro.middleware.config import CacheConfig, PrefetchPolicy, ServiceConfig
 from repro.middleware.net import (
+    AsyncSocketTransport,
     ForeCacheSocketServer,
     SocketTransport,
     ThreadedSocketServer,
@@ -51,11 +53,13 @@ from repro.middleware.protocol import (
     Hello,
     OpenSession,
     SessionInfo,
+    TileRef,
     TileRequest,
     Welcome,
     WorkerUnavailableError,
     decode_wire,
     encode_wire,
+    negotiate_payload,
 )
 from repro.recommenders.momentum import MomentumRecommender
 from repro.tiles.key import TileKey
@@ -430,21 +434,27 @@ def raw_replies(address, frames: list[bytes]) -> list[dict]:
     return [json.loads(line) for line in data.splitlines()]
 
 
-#: What each endpoint constructor no longer takes: its config says it.
+#: What each endpoint constructor no longer takes: its config says it,
+#: or a constant does (the bridge pool's size, the boot timeout, the
+#: name a client's hello gives).
 REMOVED_OVERRIDES = {
-    ForeCacheService: ("hotspot_registry",),
+    ForeCacheService: ("hotspot_registry", "latency_model"),
     **{
         cls: ("host", "port", "max_frame_bytes", "payloads", "server_name")
-        for cls in (
-            ForeCacheSocketServer,
-            ThreadedSocketServer,
-            TileServiceRouter,
-            ThreadedRouter,
-        )
+        for cls in (ForeCacheSocketServer, TileServiceRouter, ThreadedRouter)
     },
-    ThreadedClusterServer: ("host", "payloads"),
-    ProcessCluster: ("host", "payloads"),
-    WorkerSpec: ("host", "port"),
+    ThreadedSocketServer: (
+        "host", "port", "max_frame_bytes", "payloads", "server_name", "max_workers"
+    ),
+    ThreadedClusterServer: ("host", "payloads", "max_workers"),
+    ProcessCluster: ("host", "payloads", "max_workers", "boot_timeout"),
+    WorkerSpec: ("host", "port", "max_workers"),
+    AsyncForeCacheService: ("max_workers",),
+    AsyncForeCacheService.build: ("max_workers",),
+    ForeCacheSocketServer.build: ("max_workers",),
+    SocketTransport: ("client_name",),
+    AsyncSocketTransport.open: ("client_name",),
+    _BackendLink.connect: ("client_name",),
 }
 
 
@@ -505,6 +515,8 @@ class TestConfiguredEndpoints:
             for keyword in keywords:
                 with pytest.raises(TypeError, match=keyword):
                     cls(None, **{keyword: None})
+        # The push path loads through the async front end's own method.
+        assert not hasattr(ForeCacheService, "load_tile")
 
 
 # ----------------------------------------------------------------------
@@ -696,7 +708,7 @@ def test_every_ci_cluster_cell_reads_the_same_on_one_worker_and_on_two():
 
 
 # ----------------------------------------------------------------------
-# opaque forwarding: binary bodies pass through, JSON clients transcode
+# opaque forwarding: a worker's frames reach its client as framed
 # ----------------------------------------------------------------------
 PUSH_CONFIG = ServiceConfig(
     prefetch=PrefetchPolicy(k=4, push="on"),
@@ -704,11 +716,11 @@ PUSH_CONFIG = ServiceConfig(
 )
 
 
-def tapped_walk(address, walk, *, payload, push=False) -> bytes:
+def tapped_walk(address, walk, *, framing, payload, push) -> bytes:
     """Replay ``walk`` as session "walker"; return every byte the
     server side sent after its welcome."""
     with SocketTransport(
-        *address, payload=payload, push=push, wire_tap=True
+        *address, framing=framing, payload=payload, push=push, wire_tap=True
     ) as transport:
         assert transport.payload == payload
         assert transport.push_enabled is push
@@ -716,73 +728,66 @@ def tapped_walk(address, walk, *, payload, push=False) -> bytes:
         for move, key in walk:
             assert client.request(move, key).tile.key == key
         client.close()
-        # The welcome (one JSON line) names the server; skip it.
-        _, _, after_welcome = bytes(transport.wire_received).partition(b"\n")
-        return after_welcome
+        # The welcome (the first JSON frame) names the server; skip it.
+        stream = bytes(transport.wire_received)
+        if framing == "lines":
+            return stream.partition(b"\n")[2]
+        return stream[4 + int.from_bytes(stream[:4], "big"):]
 
 
 class TestOpaqueForwarding:
     @pytest.mark.parametrize("push", [False, True], ids=["pull", "push"])
-    def test_binary_client_gets_the_workers_bytes(self, tiny_dataset, push):
+    @pytest.mark.parametrize("payload", ["json", "binary"])
+    @pytest.mark.parametrize("framing", ["lines", "length"])
+    def test_a_client_gets_the_workers_bytes(
+        self, tiny_dataset, framing, payload, push
+    ):
         """Through a 1-worker cluster every reply — and every push
-        frame — reaches a binary client byte-identical to what a direct
-        ``ForeCacheSocketServer`` sends for the same walk."""
+        frame — reaches the client byte-identical to what a direct
+        ``ForeCacheSocketServer`` sends for the same walk, on every
+        framing and payload encoding."""
         pyramid = tiny_dataset.pyramid
         factory = lambda: make_engine(pyramid.grid)  # noqa: E731
         walk = _snake_walk(pyramid.grid, TileKey(0, 0, 0), 12)
         with ThreadedSocketServer(
-            pyramid, PUSH_CONFIG, engine_factory=factory
+            pyramid, PUSH_CONFIG, engine_factory=factory, framing=framing
         ) as direct:
             expected = tapped_walk(
-                direct.address, walk, payload="binary", push=push
+                direct.address, walk, framing=framing, payload=payload, push=push
             )
             scheduler = direct.server.push_scheduler
             assert (scheduler.pushed_tiles > 0) is push
         with ThreadedClusterServer(
-            pyramid, PUSH_CONFIG, workers=1, engine_factory=factory
+            pyramid, PUSH_CONFIG, workers=1, engine_factory=factory, framing=framing
         ) as cluster:
             routed = tapped_walk(
-                cluster.address, walk, payload="binary", push=push
+                cluster.address, walk, framing=framing, payload=payload, push=push
             )
-            router = cluster.router.router
         assert routed == expected
-        # Every payload-bearing (kind-1) frame was spliced, none
-        # transcoded.
-        payload_frames = sum(
-            isinstance(frame, bytes)
-            for frame in FrameDecoder("binary").feed(routed)
+
+    def test_a_json_reply_reaches_a_json_client_verbatim(self):
+        """The router reads a JSON reply's type tag, never its message:
+        a key no message declares, and the worker's own spacing, reach
+        the client byte for byte."""
+        line = (
+            b'{"type":"tile_response","session_id":"s","tile":[0,0,0],'
+            b'"latency_seconds":0.0195,"hit":true,"from_a_newer_worker":[1]}\n'
         )
-        assert router.frames_spliced == payload_frames >= len(walk) // 2
-        assert router.frames_transcoded == 0
-
-    def test_json_client_over_binary_links_gets_correct_json(
-        self, cluster2, tiny_dataset
-    ):
-        """The slow path that stays: the links speak binary (every
-        worker can), the client speaks JSON, so each tile is decoded and
-        re-encoded — chosen from the negotiated payloads alone."""
-        pyramid = tiny_dataset.pyramid
-        walk = _snake_walk(pyramid.grid, TileKey(0, 0, 0), 12)
-        with SocketTransport(*cluster2.address, wire_tap=True) as transport:
-            assert transport.payload == "json"
-            client = transport.connect()
-            for move, key in walk:
-                response = client.request(move, key)
-                full = pyramid.fetch_tile(key, charge=False)
-                for name, array in full.attributes.items():
-                    np.testing.assert_array_equal(
-                        response.tile.attributes[name], array
+        with FakeWorker(lambda sock: sock.sendall(line)) as fake:
+            with ThreadedRouter({"worker-0": fake.address}) as router:
+                with SocketTransport(*router.address, wire_tap=True) as transport:
+                    transport.connect(session_id="s")
+                    before = len(transport.wire_received)
+                    reply = transport.roundtrip(
+                        TileRequest(session_id="s", tile=TileRef(0, 0, 0))
                     )
-            client.close()
-            # Plain JSON lines all the way down the client's stream.
-            frames = FrameDecoder("lines").feed(bytes(transport.wire_received))
-            assert len(frames) == 1 + 1 + len(walk) + 1
-        router = cluster2.router.router
-        assert router.frames_transcoded == len(walk)
-        assert router.frames_spliced == 0
+                    assert bytes(transport.wire_received[before:]) == line
+                    assert reply.hit and reply.tile == TileRef(0, 0, 0)
+                    assert fake.requests == 1
 
-    def test_spliced_body_is_checked_against_the_routers_budget(
-        self, tiny_dataset
+    @pytest.mark.parametrize("payload", ["json", "binary"])
+    def test_a_forwarded_frame_is_checked_against_the_routers_budget(
+        self, tiny_dataset, payload
     ):
         pyramid = tiny_dataset.pyramid
         with ThreadedSocketServer(
@@ -794,26 +799,36 @@ class TestOpaqueForwarding:
                 {"worker-0": worker.address}, ServiceConfig(max_frame_bytes=4096)
             ) as router:
                 with SocketTransport(
-                    *router.address, payload="binary"
+                    *router.address, payload=payload
                 ) as transport:
+                    assert transport.payload == payload
                     client = transport.connect()
                     with pytest.raises(FrameTooLargeError, match="4096-byte"):
                         client.request(None, TileKey(0, 0, 0))
                     # Typed answer, link and connection both still up.
                     assert router.router.alive_workers == ("worker-0",)
-                    assert router.router.frames_spliced == 0
                     client.close()
+                    transport.connect(session_id="still-served").close()
 
 
 # ----------------------------------------------------------------------
 # misbehaving workers: corrupt frames and stalls
 # ----------------------------------------------------------------------
-class FakeWorker:
-    """A worker stand-in: real handshake (granting binary) and session
-    replies, then ``on_request(sock)`` decides what a tile request gets
-    — the connection stays open either way."""
+def grant_offered(hello: Hello, index: int) -> Welcome:
+    """A worker's welcome: everything the hello offers."""
+    return Welcome(
+        version=1, push=hello.push, payload=negotiate_payload(hello.payloads)
+    )
 
-    def __init__(self, on_request) -> None:
+
+class FakeWorker:
+    """A worker stand-in: real handshake — ``welcome(hello, index)``
+    answers the ``index``-th hello, by default granting what it offers —
+    and session replies in the wire granted, then ``on_request(sock)``
+    decides what a tile request gets — the connection stays open either
+    way."""
+
+    def __init__(self, on_request, welcome=grant_offered) -> None:
         fake = self
 
         class Handler(socketserver.BaseRequestHandler):
@@ -823,7 +838,8 @@ class FakeWorker:
                     for frame in decoder.feed(data):
                         message = decode_wire(frame)
                         if isinstance(message, Hello):
-                            reply = Welcome(version=1, payload="binary")
+                            reply = welcome(message, fake.hellos)
+                            fake.hellos += 1
                         elif isinstance(message, (OpenSession, CloseSession)):
                             reply = SessionInfo(
                                 message.session_id, True, "sync", 0, 0, 0.0, 0.0
@@ -834,10 +850,11 @@ class FakeWorker:
                             on_request(self.request)
                             continue
                         self.request.sendall(encode_wire(reply, wire))
-                        if isinstance(message, Hello):
+                        if isinstance(reply, Welcome) and reply.payload == "binary":
                             decoder.switch_to_binary()
                             wire = "binary"
 
+        self.hellos = 0
         self.requests = 0
         self._server = socketserver.ThreadingTCPServer(
             ("127.0.0.1", 0), Handler
@@ -863,28 +880,46 @@ def kind1_frame(body: bytes) -> bytes:
     return b"\x01" + len(body).to_bytes(4, "big") + body
 
 
+#: ``(link wire, name, frame)``: what a broken worker answers a tile
+#: request with — kind-1 bodies on a binary link, lines on a JSON one.
+CORRUPT_FRAMES = [
+    ("binary", "truncated", kind1_frame(b"\x00\x00")),
+    (
+        "binary",
+        "header-overrun",
+        kind1_frame((64).to_bytes(4, "big") + b'{"type": "tile_response"}'),
+    ),
+    ("binary", "not-json", kind1_frame((9).to_bytes(4, "big") + b"not json!blob")),
+    ("binary", "not-object", kind1_frame((2).to_bytes(4, "big") + b"[]")),
+    (
+        "binary",
+        "wrong-type",
+        kind1_frame((19).to_bytes(4, "big") + b'{"type": "welcome"}'),
+    ),
+    ("json", "not-json", b"not json!\n"),
+    ("json", "not-object", b"[]\n"),
+    ("json", "unknown-type", b'{"type": "bogus"}\n'),
+]
+
+
 class TestWorkerFaults:
     @pytest.mark.parametrize(
-        "body",
+        "payload, frame",
         [
-            b"\x00\x00",
-            (64).to_bytes(4, "big") + b'{"type": "tile_response"}',
-            (9).to_bytes(4, "big") + b"not json!" + b"blob",
-            (2).to_bytes(4, "big") + b"[]",
-            (19).to_bytes(4, "big") + b'{"type": "welcome"}',
+            pytest.param(payload, frame, id=f"{name}-{payload}")
+            for payload, name, frame in CORRUPT_FRAMES
         ],
-        ids=["truncated", "header-overrun", "not-json", "not-object", "wrong-type"],
     )
-    @pytest.mark.parametrize("payload", ["binary", "json"])
-    def test_corrupt_worker_header_is_worker_unavailable(self, body, payload):
-        """Opaque or not, the frame's header is still parsed: a worker
+    def test_corrupt_worker_header_is_worker_unavailable(self, payload, frame):
+        """Opaque or not, the frame's type tag is still read: a worker
         that sends a broken one loses its link, and the client gets the
         typed error instead of the worker's bytes."""
-        with FakeWorker(lambda sock: sock.sendall(kind1_frame(body))) as fake:
+        with FakeWorker(lambda sock: sock.sendall(frame)) as fake:
             with ThreadedRouter({"worker-0": fake.address}) as router:
                 with SocketTransport(
                     *router.address, payload=payload
                 ) as transport:
+                    assert transport.payload == payload
                     client = transport.connect(session_id="s")
                     with pytest.raises(
                         WorkerUnavailableError, match="died mid-request"
@@ -892,7 +927,22 @@ class TestWorkerFaults:
                         client.request(None, TileKey(0, 0, 0))
                     assert fake.requests == 1
                     assert router.router.alive_workers == ()
-                    assert router.router.frames_spliced == 0
+
+    def test_a_worker_granting_another_wire_than_asked_leaves_the_ring(self):
+        """Binary to the ``start()`` probe, JSON to a binary client's
+        link: the link could not forward that worker's frames as they
+        are, so the worker is handled like one that refused the
+        handshake."""
+
+        def fickle(hello: Hello, index: int) -> Welcome:
+            return Welcome(version=1, payload="binary" if index == 0 else "json")
+
+        with FakeWorker(lambda sock: None, fickle) as fake:
+            with ThreadedRouter({"worker-0": fake.address}) as router:
+                with pytest.raises(WorkerUnavailableError, match="no live workers"):
+                    SocketTransport(*router.address, payload="binary")
+                assert fake.hellos == 2
+                assert router.router.alive_workers == ()
 
     def test_stalled_worker_is_worker_unavailable_within_the_deadline(
         self, monkeypatch

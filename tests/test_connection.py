@@ -337,8 +337,9 @@ class TestExchange:
         # Header + body is the frame as the worker sent it.
         assert reply.endswith(answer.body) and push.endswith(pushes[0].body)
         assert decode_wire(answer.body) == tile_reply(tile)
-        # JSON frames (errors, session info) are never opaque.
-        assert decode_opaque('{"type": "open_session"}') == OpenSession()
+        # A JSON frame is opaque too: its text is read for the tag alone.
+        text = '{"type": "open_session", "unknown": 1}'
+        assert decode_opaque(text) == OpaqueFrame("open_session", text)
 
 
 # ----------------------------------------------------------------------

@@ -53,7 +53,6 @@ from repro.middleware.push import (
 )
 from repro.middleware.service import TileResponse
 from repro.modis.dataset import MODISDataset
-from repro.recommenders.hotspot import HotspotRecommender
 from repro.recommenders.momentum import MomentumRecommender
 from repro.tiles.key import TileKey
 from repro.tiles.moves import Move
@@ -1172,70 +1171,6 @@ class TestDeferredAcks:
             pyramid, PUSH_CONFIG, engine_factory=engine_factory(pyramid)
         ) as server:
             assert asyncio.run(drive_both(server)) > 10
-
-
-# ----------------------------------------------------------------------
-# cold-start blending (hotspot warmup)
-# ----------------------------------------------------------------------
-class TestHotspotWarmupBlend:
-    TRAINED = (key(1, 0, 0), key(1, 1, 0), key(1, 0, 1), key(1, 1, 1))
-
-    def recommender(self, registry, warmup: int) -> HotspotRecommender:
-        model = HotspotRecommender(
-            num_hotspots=4, registry=registry, hotspot_warmup=warmup
-        )
-        model.hotspots = self.TRAINED
-        return model
-
-    def observe(self, registry, k: TileKey, times: int) -> None:
-        for _ in range(times):
-            registry.observe(k)
-
-    def test_blend_schedule_is_linear_in_observations(self):
-        registry = SharedHotspotRegistry()
-        model = self.recommender(registry, warmup=8)
-        live = key(2, 3, 3)
-        # 0 observations: fully trained.
-        assert model.effective_hotspots() == self.TRAINED
-        # 2/8 observed -> 4*2//8 = 1 live slot leads, trained fills.
-        self.observe(registry, live, 2)
-        assert model.effective_hotspots() == (live,) + self.TRAINED[:3]
-        # 4/8 observed -> 2 live slots; the heavier live key leads.
-        self.observe(registry, live, 1)
-        self.observe(registry, key(2, 2, 2), 1)
-        assert model.effective_hotspots() == (
-            live,
-            key(2, 2, 2),
-            self.TRAINED[0],
-            self.TRAINED[1],
-        )
-        # 8/8 observed: fully live.
-        self.observe(registry, live, 4)
-        assert model.effective_hotspots() == (live, key(2, 2, 2))
-
-    def test_warmup_zero_keeps_the_legacy_hard_switch(self):
-        registry = SharedHotspotRegistry()
-        model = self.recommender(registry, warmup=0)
-        assert model.effective_hotspots() == self.TRAINED
-        registry.observe(key(2, 3, 3))
-        assert model.effective_hotspots() == (key(2, 3, 3),)
-
-    def test_empty_registry_always_falls_back_to_trained(self):
-        model = self.recommender(SharedHotspotRegistry(), warmup=8)
-        assert model.effective_hotspots() == self.TRAINED
-
-    def test_warmup_validation(self):
-        with pytest.raises(ValueError):
-            HotspotRecommender(hotspot_warmup=-1)
-
-    def test_blend_dedups_trained_keys_already_live(self):
-        registry = SharedHotspotRegistry()
-        model = self.recommender(registry, warmup=4)
-        # The live key IS a trained key: it must not appear twice.
-        self.observe(registry, self.TRAINED[0], 2)
-        blended = model.effective_hotspots()
-        assert blended[0] == self.TRAINED[0]
-        assert len(blended) == len(set(blended)) == 4
 
 
 # ----------------------------------------------------------------------

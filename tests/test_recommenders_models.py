@@ -167,6 +167,9 @@ class TestHotspot:
             HotspotRecommender(num_hotspots=0)
         with pytest.raises(ValueError):
             HotspotRecommender(proximity=0)
+        # The live set replaces the trained one outright; no blend.
+        with pytest.raises(TypeError, match="hotspot_warmup"):
+            HotspotRecommender(hotspot_warmup=8)
 
     def test_equidistant_hotspots_tiebreak_by_key(self):
         """Regression: equidistant hotspots must resolve by ``(distance,

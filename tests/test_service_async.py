@@ -2,6 +2,7 @@
 replay equivalence with the synchronous facade."""
 
 import asyncio
+import threading
 
 import numpy as np
 import pytest
@@ -15,7 +16,12 @@ from repro.core.engine import PredictionEngine
 from repro.middleware.aio import AsyncForeCacheService
 from repro.middleware.client import AsyncBrowsingSession, BrowsingSession
 from repro.middleware.config import CacheConfig, PrefetchPolicy, ServiceConfig
-from repro.middleware.net import AsyncSocketTransport, ForeCacheSocketServer
+from repro.middleware.net import (
+    AsyncSocketTransport,
+    ForeCacheSocketServer,
+    SocketTransport,
+    ThreadedSocketServer,
+)
 from repro.middleware.protocol import (
     DuplicateSessionError,
     SessionClosedError,
@@ -274,6 +280,36 @@ class TestWhatLeavesTheLoop:
                 assert tasks == []
 
         run(scenario())
+
+    def test_a_threaded_server_replay_starts_no_bridge_thread(self, small_dataset):
+        """Why no caller sizes the bridge pool: over the in-memory
+        pyramid a whole replay through a ``ThreadedSocketServer`` — sync
+        prefetch, socket framing, session lifecycle — starts no
+        ``forecache-aio`` thread, so the pool's size is never reached."""
+        pyramid = small_dataset.pyramid
+
+        def bridge_threads():
+            return {
+                thread
+                for thread in threading.enumerate()
+                if thread.name.startswith("forecache-aio")
+            }
+
+        before = bridge_threads()
+        with ThreadedSocketServer(
+            pyramid,
+            ServiceConfig(prefetch=PrefetchPolicy(k=4)),
+            engine_factory=lambda: make_engine(pyramid.grid),
+        ) as server:
+            with SocketTransport(*server.address) as transport:
+                conn = transport.connect()
+                responses = [
+                    conn.request(move, key) for move, key in pan_walk(pyramid.grid, 30)
+                ]
+                conn.close()
+            assert 0 < sum(r.hit for r in responses) < 30
+            assert bridge_threads() == before
+            assert not server.server.service._executor._threads
 
     @pytest.mark.parametrize("backend", ["delay", "disk"])
     def test_blocking_backend_submits_as_before(self, backend, tmp_path):
