@@ -296,39 +296,6 @@ def test_binary_payload_beats_json(world, benchmark):
             conn.close()
 
 
-def test_binary_frame_bytes_reduced_5x_on_256px_block():
-    """The acceptance bar from the wire redesign: on the 256px days=1
-    attribute block (four float64 32x32 attributes) the binary frame
-    must be at least 5x smaller than its JSON form."""
-    from repro.middleware import protocol
-
-    dataset = MODISDataset.build(size=256, tile_size=32, days=1, seed=7)
-    pyramid = dataset.pyramid
-    tile, _ = pyramid.fetch_tile_timed(pyramid.grid.root)
-    json_response = protocol.TileResponse(
-        session_id="bench",
-        tile=protocol.TileRef.from_key(tile.key),
-        latency_seconds=0.0,
-        hit=True,
-        payload=protocol.TilePayload.from_tile(tile),
-    )
-    binary_response = protocol.TileResponse(
-        session_id="bench",
-        tile=protocol.TileRef.from_key(tile.key),
-        latency_seconds=0.0,
-        hit=True,
-        payload=protocol.TilePayload.from_tile(tile, binary=True),
-    )
-    json_frame = protocol.encode_wire(json_response, "length")
-    binary_frame = protocol.encode_wire(binary_response, "binary")
-    ratio = len(json_frame) / len(binary_frame)
-    print(
-        f"\n256px block frame bytes: json={len(json_frame)} "
-        f"binary={len(binary_frame)} ({ratio:.2f}x)"
-    )
-    assert ratio >= 5.0, (len(json_frame), len(binary_frame))
-
-
 SCALING_CLIENTS = (1, 8, 64)
 
 

@@ -417,7 +417,14 @@ class ServerConnection:
         # the connection keeps serving, handshake or not.
         self._hang_up = False
         try:
-            message = decode_wire(frame)
+            if isinstance(frame, str):
+                message = decode_wire(frame)
+                kind = type(message)
+            else:
+                # No client message has a binary body, so the guard below
+                # refuses every such frame — from its header: the blob
+                # behind it is never inflated.
+                message, kind = None, MESSAGE_TYPES[frame_type(frame)]
         except ProtocolError:
             raise
         except Exception as exc:
@@ -428,7 +435,7 @@ class ServerConnection:
         # keep serving on: a refusal from here on — the guard's or the
         # hello handler's own — is answered, then hung up on.
         self._hang_up = not self.negotiated
-        if isinstance(message, Hello):
+        if kind is Hello:
             if self.negotiated:
                 # A repeated hello must not re-run the negotiation: the
                 # framing in force would no longer match the welcome.
@@ -436,12 +443,10 @@ class ServerConnection:
         elif not self.negotiated:
             raise InvalidRequestError(
                 "connection must open with a hello frame, got "
-                f"{type(message).__name__}"
+                f"{kind.__name__}"
             )
-        if type(message) not in CLIENT_MESSAGES:
-            raise InvalidRequestError(
-                f"cannot serve {type(message).__name__} messages"
-            )
+        if kind not in CLIENT_MESSAGES:
+            raise InvalidRequestError(f"cannot serve {kind.__name__} messages")
         return message
 
     def welcome(

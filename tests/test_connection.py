@@ -69,6 +69,7 @@ from repro.recommenders.momentum import MomentumRecommender
 from repro.tiles.key import TileKey
 from repro.tiles.moves import Move
 from repro.tiles.reduce import downsample_tile
+from test_protocol import bomb_body, traced_peak
 from test_push import held_response
 
 
@@ -415,6 +416,22 @@ class TestServerGuard:
         (frame,) = fresh.receive(encode_wire(Welcome(version=1), "lines"))
         reply, fatal = refused(fresh, frame)
         assert "must open with a hello" in reply.message and fatal
+
+    @pytest.mark.parametrize("declared", [64 << 20, 0], ids=["full", "zero"])
+    def test_a_binary_body_is_refused_before_its_blob_inflates(self, declared):
+        # No client message has a binary body, so its header is enough to
+        # refuse it: a zlib bomb behind it is never inflated — whether it
+        # declares its full size or none.
+        assert not any(cls.binary_body for cls in connection.CLIENT_MESSAGES)
+        conn = served("length", "binary")
+        (frame,) = conn.receive(encode_frame(bomb_body(declared), "binary"))
+
+        def refuse():
+            reply, fatal = refused(conn, frame, "binary")
+            assert (reply.code, fatal) == ("invalid_request", False)
+            assert reply.message == "cannot serve TileResponse messages"
+
+        assert traced_peak(refuse) < 4 << 20
 
     @pytest.mark.parametrize("handshaken_first", [False, True])
     def test_a_malformed_message_on_a_healthy_stream_is_answered(

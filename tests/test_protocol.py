@@ -1,11 +1,14 @@
 """Wire-protocol round trips: every message survives JSON losslessly."""
 
 import ast
+import functools
 import json
 import os
 import struct
 import subprocess
 import sys
+import tracemalloc
+import zlib
 from dataclasses import MISSING, fields
 from pathlib import Path
 from unittest import mock
@@ -47,6 +50,7 @@ from repro.middleware.protocol import (
     Welcome,
     negotiate_version,
 )
+from repro.modis.dataset import MODISDataset
 from repro.tiles.key import TileKey
 from repro.tiles.moves import Move
 from repro.tiles.tile import DataTile
@@ -253,6 +257,148 @@ class TestPayloadEdgeCases:
         restored = back.payload.to_tile()
         assert restored.attributes["v"].shape == (0, 0)
         assert restored.attributes["v"].dtype == np.int16
+
+
+def _reply_carrying(payload: TilePayload) -> TileResponse:
+    return TileResponse(
+        session_id="s", tile=payload.tile, latency_seconds=0.0, hit=True,
+        payload=payload,
+    )
+
+
+def _with_blob(body: bytes, blob: bytes, **entry) -> bytes:
+    """``body`` with its blob replaced, its codec set to ``"zlib"`` and
+    ``entry``'s keys written over its first descriptor entry."""
+    size = int.from_bytes(body[:4], "big")
+    header = json.loads(body[4 : 4 + size])
+    header["payload"]["codec"] = "zlib"
+    header["payload"]["attributes"][0].update(entry)
+    text = json.dumps(header).encode("utf-8")
+    return len(text).to_bytes(4, "big") + text + blob
+
+
+@functools.cache
+def _zlib_bomb() -> bytes:
+    """A zlib stream of 64 MiB of zeros, 64 KB on the wire; built a MiB
+    at a time."""
+    deflate = zlib.compressobj(9)
+    chunk = bytes(1 << 20)
+    return b"".join(deflate.compress(chunk) for _ in range(64)) + deflate.flush()
+
+
+def bomb_body(declared: int) -> bytes:
+    """A binary ``tile_response`` whose one ``uint8`` attribute declares
+    ``declared`` bytes and whose zlib blob inflates to 64 MiB."""
+    body = protocol.encode_binary_message(
+        _reply_carrying(
+            TilePayload(
+                tile=TileRef(0, 0, 0),
+                attributes=(
+                    AttributeBlock.from_array(
+                        "v", np.zeros(0, dtype="uint8"), binary=True
+                    ),
+                ),
+            )
+        )
+    )
+    return _with_blob(body, _zlib_bomb(), shape=[declared], nbytes=declared)
+
+
+def traced_peak(call) -> int:
+    """The peak of traced allocations while ``call()`` runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestBinaryBlob:
+    """The blob deflates one attribute block at a time: a block that
+    does not shrink under fixed codes goes stored, a repeated block
+    becomes back-references — in one standard zlib stream."""
+
+    def test_float_noise_is_stored_and_repeats_are_references(
+        self, tiny_dataset
+    ):
+        tile = tiny_dataset.pyramid.fetch_tile(TileKey(2, 1, 2))
+        payload = TilePayload.from_tile(tile, binary=True)
+        descriptor, blob = protocol._payload_descriptor(payload)
+        arrays = [block.to_array() for block in payload.attributes]
+        block_bytes = arrays[0].nbytes
+        # At days=1 the three NDSI blocks are one block three times.
+        names = [block.name for block in payload.attributes]
+        avg, high, low = (arrays[names.index(n)] for n in
+                          ("ndsi_avg", "ndsi_max", "ndsi_min"))
+        assert np.array_equal(avg, high) and np.array_equal(avg, low)
+        assert descriptor["codec"] == "zlib"
+        assert block_bytes <= len(blob) < 1.25 * block_bytes
+        assert zlib.decompress(blob) == b"".join(a.tobytes() for a in arrays)
+
+    def test_a_blob_deflated_in_one_piece_still_decodes(self, tiny_dataset):
+        # What a server from before the per-block stream sends.
+        tile = tiny_dataset.pyramid.fetch_tile(TileKey(1, 1, 0))
+        reply = _reply_carrying(TilePayload.from_tile(tile, binary=True))
+        raw = b"".join(
+            block.to_array().tobytes() for block in reply.payload.attributes
+        )
+        body = _with_blob(
+            protocol.encode_binary_message(reply), zlib.compress(raw, 1)
+        )
+        decoded = protocol.decode_binary_message(body)
+        assert decoded == reply
+        for name, array in tile.attributes.items():
+            np.testing.assert_array_equal(
+                decoded.payload.to_tile().attributes[name], array
+            )
+
+    def test_incompressible_blocks_are_sent_raw(self):
+        rng = np.random.default_rng(3)
+        tile = DataTile(
+            key=TileKey(1, 0, 0),
+            attributes={
+                name: rng.integers(0, 256, (32, 32), dtype="uint8")
+                for name in ("a", "b")
+            },
+        )
+        payload = TilePayload.from_tile(tile, binary=True)
+        descriptor, blob = protocol._payload_descriptor(payload)
+        assert descriptor["codec"] == "raw"
+        assert blob == b"".join(a.tobytes() for a in tile.attributes.values())
+
+    def test_binary_frame_bytes_reduced_5x_on_256px_block(self):
+        """The acceptance bar from the wire redesign: on the 256px days=1
+        attribute block (four float64 32x32 attributes) the binary frame
+        must be at least 5x smaller than its JSON form (7.60x with one
+        deflate block per attribute; 7.97x with one dynamic-coded
+        stream)."""
+        pyramid = MODISDataset.build(
+            size=256, tile_size=32, days=1, seed=7
+        ).pyramid
+        tile = pyramid.fetch_tile(pyramid.grid.root)
+        json_frame = protocol.encode_wire(
+            _reply_carrying(TilePayload.from_tile(tile)), "length"
+        )
+        binary_frame = protocol.encode_wire(
+            _reply_carrying(TilePayload.from_tile(tile, binary=True)), "binary"
+        )
+        ratio = len(json_frame) / len(binary_frame)
+        assert ratio >= 5.0, (
+            f"256px block frame bytes: json={len(json_frame)} "
+            f"binary={len(binary_frame)} ({ratio:.2f}x)"
+        )
+
+    def test_a_zero_size_blob_is_refused_before_it_inflates(self):
+        # zlib reads a max_length of 0 as "no limit": the decoder must
+        # not hand it one.
+        body = bomb_body(declared=0)
+
+        def refused():
+            with pytest.raises(InvalidRequestError, match="declared size"):
+                protocol.decode_binary_message(body)
+
+        assert traced_peak(refused) < 4 << 20
 
 
 class TestTileSegmentCache:
