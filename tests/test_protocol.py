@@ -3,14 +3,17 @@
 import ast
 import functools
 import json
+import math
 import os
 import struct
 import subprocess
 import sys
 import tracemalloc
+import warnings
 import zlib
 from dataclasses import MISSING, fields
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -1281,6 +1284,146 @@ class TestJsonPayloadEntries:
         got = back.to_array()
         assert (got.dtype, got.shape) == (array.dtype, array.shape)
         assert canonical(got).tobytes() == canonical(array).tobytes()
+
+
+def _reference_values_array(block) -> np.ndarray:
+    """``protocol._values_array`` before its exact-float route: one scan
+    of the entries' types, then ``np.array`` converts.  The oracle the
+    route is held to."""
+    name, values, shape = block.name, block.values, block.shape
+    try:
+        dtype = np.dtype(block.dtype)
+    except (TypeError, ValueError):
+        raise TypeError(f"attribute {name!r}: unknown dtype {block.dtype!r}") from None
+    if dtype.kind not in protocol._ENTRY_TYPES:
+        raise TypeError(f"attribute {name!r}: dtype {dtype} cannot travel as JSON")
+    allowed, what = protocol._ENTRY_TYPES[dtype.kind]
+    stray = set(map(type, values)) - allowed
+    if stray:
+        got = ", ".join(sorted(kind.__name__ for kind in stray))
+        raise TypeError(f"attribute {name!r}: {dtype} entries must be {what}, got {got}")
+    if min(shape, default=0) < 0 or math.prod(shape) != len(values):
+        raise ValueError(
+            f"attribute {name!r}: {len(values)} entries for shape {list(shape)}"
+        )
+    if dtype.kind in "iu" and values:
+        bounds = np.iinfo(dtype)
+        if min(values) < bounds.min or max(values) > bounds.max:
+            raise ValueError(f"attribute {name!r}: an entry is outside {dtype}")
+    return np.array(values, dtype=dtype).reshape(shape)
+
+
+def _conversion(convert, block):
+    """What ``convert(block)`` gives — dtype, shape and bytes, or the
+    exception's type and text — and the kinds of warning it raised on
+    the way (``np.array`` warns of an overflowing cast once per entry, a
+    whole-array cast once)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            array = convert(block)
+        except Exception as exc:
+            outcome = (type(exc), str(exc))
+        else:
+            outcome = (array.dtype, array.shape, array.tobytes())
+    return outcome, {(w.category, str(w.message)) for w in caught}
+
+
+#: Doubles at the edges a conversion can get wrong: signed zero, the
+#: subnormal range, overflow of each narrower float, and a value that
+#: rounds differently through float32 than straight to float16.
+_EDGE_FLOATS = [
+    math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324,
+    2.225073858507201e-308, 2.2250738585072014e-308, 1.7976931348623157e308,
+    65504.0, 65520.0, 3.4028235677973366e38, 1e300,
+    1 + 2**-11 + 2**-40, 2**-25 + 2**-60,
+]
+_EDGE_INTS = [0, 1, -1, 255, 256, 2**63 - 1, 2**63, -(2**63), -(2**63) - 1, 2**64 - 1]
+_EXACT_FLOATS = st.floats() | st.sampled_from(_EDGE_FLOATS)
+_ENTRIES = st.one_of(
+    _EXACT_FLOATS,
+    st.integers(-(2**64), 2**64) | st.sampled_from(_EDGE_INTS),
+    st.booleans(),
+    st.none(),
+    st.text(max_size=3),
+    st.lists(_EXACT_FLOATS, max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+    _EXACT_FLOATS.map(np.float64),
+)
+
+
+@st.composite
+def _json_blocks(draw):
+    """A JSON-born block as ``AttributeBlock`` hands it over: all exact
+    floats, exact floats but one, or a mix, with a shape that fits or
+    does not."""
+    values = draw(st.lists(_EXACT_FLOATS, max_size=12) | st.lists(_ENTRIES, max_size=12))
+    if values and draw(st.booleans()):
+        values[draw(st.integers(0, len(values) - 1))] = draw(_ENTRIES)
+    values = tuple(values)
+    count = len(values)
+    shape = draw(
+        st.sampled_from([(count,), (1, count), (count, 1)])
+        | st.lists(st.integers(-2, 13), max_size=3).map(tuple)
+    )
+    dtype = draw(st.sampled_from(
+        ["float64", "float32", "float16", ">f8", "int64", "uint8", "bool"]
+    ))
+    return SimpleNamespace(name="v", dtype=dtype, shape=shape, values=values)
+
+
+class TestExactFloatRoute:
+    """A float block of exact ``float`` entries is checked by one type
+    count and packed by ``struct``; every other block takes the scan and
+    ``np.array``.  Both must give what the scan and ``np.array`` alone
+    gave, down to the bytes, the refusal text and the warnings."""
+
+    @given(block=_json_blocks())
+    @settings(max_examples=600, deadline=None)
+    def test_it_converts_and_refuses_as_the_reference_does(self, block):
+        assert _conversion(protocol._values_array, block) == _conversion(
+            _reference_values_array, block
+        )
+
+    def test_a_native_float64_block_is_read_only(self):
+        reply = protocol.decode_wire(_reply("float64", [2], "[0.5, -1.5]"))
+        array = reply.payload.attributes[0].to_array()
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1.0
+
+    @pytest.fixture(scope="class")
+    def socket_json_tiles(self):
+        """Every distinct tile of ``benchmarks/perf``'s ``socket_json``
+        cycle, for the two seeds its numbers are quoted at."""
+        perf = Path(__file__).resolve().parents[1] / "benchmarks" / "perf"
+        with mock.patch.object(sys, "path", [str(perf), *sys.path]):
+            from launch import build_world
+            from workloads import wire_cycles
+        pyramid = build_world().pyramid
+        keys = {
+            key
+            for seed in (3, 7)
+            for cycle in wire_cycles(pyramid.grid, seed)
+            for key in cycle
+        }
+        return [pyramid.fetch_tile(key, charge=False) for key in sorted(keys)]
+
+    def test_socket_json_s_tiles_decode_as_their_binary_form_does(
+        self, socket_json_tiles
+    ):
+        for tile in socket_json_tiles:
+            decoded = {}
+            for binary, framing in ((False, "lines"), (True, "binary")):
+                reply = _reply_carrying(TilePayload.from_tile(tile, binary=binary))
+                (frame,) = protocol.FrameDecoder(framing).feed(
+                    protocol.encode_wire(reply, framing)
+                )
+                decoded[binary] = protocol.decode_wire(frame).payload.to_tile()
+            for name, array in tile.attributes.items():
+                got, want = decoded[False].attributes[name], decoded[True].attributes[name]
+                assert (got.dtype, got.shape) == (want.dtype, want.shape)
+                assert got.tobytes() == want.tobytes() == array.tobytes()
 
 
 # ----------------------------------------------------------------------
