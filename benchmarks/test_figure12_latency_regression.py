@@ -7,34 +7,23 @@ Paper fit: latency(ms) = 961.33 - 939.08 * accuracy, adjusted R^2
 
 from conftest import print_report
 
-from repro.experiments.latency import linear_fit
-from repro.experiments.report import Comparison, Table
+from repro.experiments.runner import run_figure12
 
 import pytest
 
 pytestmark = pytest.mark.bench
 
 
-def test_figure12_latency_regression(context, latency_points, benchmark):
+def test_figure12_latency_regression(latency_points, benchmark):
     points, _ = latency_points
-    table = Table(
-        ["model", "k", "accuracy", "avg_latency_ms"],
-        title="Figure 12: latency vs accuracy",
+    table, comparison = benchmark.pedantic(
+        lambda: run_figure12(points), rounds=1, iterations=1
     )
-    for p in points:
-        table.add_row(p.model, p.k, p.accuracy, p.average_latency_ms)
-
-    slope, intercept, r2 = benchmark.pedantic(
-        lambda: linear_fit(points), rounds=1, iterations=1
-    )
-    comparison = Comparison("Figure 12 — regression latency(ms) ~ accuracy")
-    comparison.add("intercept (ms)", 961.33, intercept)
-    comparison.add("slope (ms / accuracy)", -939.08, slope)
-    comparison.add("adjusted R^2", 0.99985, r2)
     print_report(table, comparison)
+    measured = {metric: float(value) for metric, _, value in comparison.rows}
 
     # The paper's headline: a strong linear relationship.
-    assert r2 > 0.99
+    assert measured["adjusted R^2"] > 0.99
     # Intercept ~ the miss cost; slope ~ -(miss - hit).
-    assert 900 < intercept < 1050
-    assert -1050 < slope < -850
+    assert 900 < measured["intercept (ms)"] < 1050
+    assert -1050 < measured["slope (ms per accuracy)"] < -850

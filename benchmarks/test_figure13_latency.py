@@ -9,9 +9,8 @@ order.
 
 from conftest import is_full_scale, print_report
 
-from repro.experiments.latency import figure13_violations, improvement_percent
-from repro.experiments.report import Comparison, Table
-from repro.middleware.latency import MISS_SECONDS
+from repro.experiments.latency import figure13_violations
+from repro.experiments.runner import run_figure13
 
 import pytest
 
@@ -20,34 +19,15 @@ pytestmark = pytest.mark.bench
 
 def test_figure13_latency(context, latency_points, benchmark):
     points, _ = latency_points
-    by_model: dict[str, dict[int, float]] = {}
-    for p in points:
-        by_model.setdefault(p.model, {})[p.k] = p.average_latency_ms
-    ks = sorted(next(iter(by_model.values())))
-
-    table = Table(
-        ["model"] + [f"k={k}" for k in ks],
-        title="Figure 13: average response time (ms)",
-    )
-    for model, series in by_model.items():
-        table.add_row(model, *(series[k] for k in ks))
-
-    no_prefetch = MISS_SECONDS * 1000.0
-    hybrid5 = by_model["hybrid"][5]
-    comparison = Comparison("Section 5.5 — headline latencies (k=5)")
-    comparison.add("hybrid avg latency (ms)", 185.0, hybrid5)
-    comparison.add("momentum avg latency (ms)", 349.0, by_model["momentum"][5])
-    comparison.add("hotspot avg latency (ms)", 360.0, by_model["hotspot"][5])
-    vs_none = benchmark.pedantic(
-        lambda: improvement_percent(no_prefetch, hybrid5), rounds=1, iterations=1
-    )
-    comparison.add("improvement vs no prefetching (%)", 430.0, vs_none)
-    comparison.add(
-        "improvement vs momentum (%)",
-        88.0,
-        improvement_percent(by_model["momentum"][5], hybrid5),
+    table, comparison = benchmark.pedantic(
+        lambda: run_figure13(points), rounds=1, iterations=1
     )
     print_report(table, comparison)
+    ks = [int(header[len("k="):]) for header in table.headers[1:]]
+    by_model = {
+        row[0]: dict(zip(ks, map(float, row[1:]))) for row in table.rows
+    }
+    measured = {metric: float(value) for metric, _, value in comparison.rows}
 
     # Hybrid below both baselines (every k >= 3 at full scale; downscaled
     # worlds check the headline k only — see figure13_violations) and
@@ -56,4 +36,4 @@ def test_figure13_latency(context, latency_points, benchmark):
         by_model, full_scale=is_full_scale(context)
     ) == []
     # Several-fold improvement over no prefetching.
-    assert vs_none > 200.0
+    assert measured["improvement vs no prefetching (%)"] > 200.0

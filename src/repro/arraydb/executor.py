@@ -142,10 +142,6 @@ class Database:
         """Schema of a stored array."""
         return self.array(name).schema
 
-    def array_names(self) -> list[str]:
-        """All stored array names, sorted."""
-        return sorted(self._catalog)
-
     # ------------------------------------------------------------------
     # direct (uncharged) data access — used by loaders and tests
     # ------------------------------------------------------------------

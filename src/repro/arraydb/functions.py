@@ -43,10 +43,6 @@ class FunctionRegistry:
     def __contains__(self, name: str) -> bool:
         return name in self._functions
 
-    def names(self) -> list[str]:
-        """All registered function names, sorted."""
-        return sorted(self._functions)
-
 
 def _build_default_registry() -> FunctionRegistry:
     registry = FunctionRegistry()

@@ -199,10 +199,6 @@ class ArraySchema:
         """Return a copy of this schema under a different array name."""
         return replace(self, name=new_name)
 
-    def with_attributes(self, attributes: tuple[Attribute, ...]) -> "ArraySchema":
-        """Return a copy of this schema with a different attribute list."""
-        return replace(self, attributes=attributes)
-
     def same_grid(self, other: "ArraySchema") -> bool:
         """True if two schemas share dimension names, ranges, and chunks."""
         if self.ndim != other.ndim:

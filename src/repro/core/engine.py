@@ -48,21 +48,6 @@ class PredictionResult:
         """(tile, model) pairs in prefetch priority order."""
         return [(tile, self.attributions[tile]) for tile in self.tiles]
 
-    def ranked(self) -> list[tuple[int, TileKey, str]]:
-        """(rank, tile, model) triples in prefetch priority order.
-
-        The scheduler-facing view of ``P``: each triple becomes one
-        cancellable prefetch job, rank 0 the most urgent.  A later
-        prediction round supersedes these jobs wholesale (the engine
-        re-ranks from scratch every observation), which is what lets the
-        scheduler cancel stale work by generation instead of diffing
-        lists.
-        """
-        return [
-            (rank, tile, self.attributions[tile])
-            for rank, tile in enumerate(self.tiles)
-        ]
-
 
 class PredictionEngine:
     """Two-level prediction: phase classifier over recommender suite."""

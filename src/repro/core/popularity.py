@@ -235,9 +235,3 @@ class SharedHotspotRegistry:
         return sum(
             len(self._entries[index]) for index in range(self.shards)
         )
-
-    def __repr__(self) -> str:
-        return (
-            f"<SharedHotspotRegistry shards={self.shards} "
-            f"decay={self.decay} tiles={len(self)} tick={self.tick}>"
-        )

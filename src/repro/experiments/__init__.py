@@ -10,8 +10,9 @@ Everything needed to regenerate the paper's tables and figures:
   over replayed latencies,
 - :mod:`repro.experiments.report` — table formatting and paper-vs-
   measured comparison rows,
-- :mod:`repro.experiments.runner` — a CLI entry point
-  (``python -m repro.experiments.runner --experiment fig11``).
+- :mod:`repro.experiments.runner` — one ``run_*`` function per table,
+  figure and ablation, which the figure benches under ``benchmarks/``
+  call.
 """
 
 from repro.experiments.accuracy import AccuracyResult, replay_engine

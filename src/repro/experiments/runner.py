@@ -1,19 +1,13 @@
 """Experiment runner: regenerate every table and figure of Section 5.
 
-Each ``run_*`` function returns printable report objects; the CLI prints
-them::
-
-    python -m repro.experiments.runner --experiment fig11
-    python -m repro.experiments.runner --experiment all --size 1024 --users 8
-
-The benchmark suite under ``benchmarks/`` calls the same functions, so
-``pytest benchmarks/ --benchmark-only`` and the CLI agree by
-construction.
+Each ``run_*`` function returns printable report objects.  The figure
+benches under ``benchmarks/`` call these functions and assert on what
+they return, so ``pytest -m bench`` (downscaled with ``REPRO_SIZE`` /
+``REPRO_USERS``) is how the tables and figures are regenerated.
 """
 
 from __future__ import annotations
 
-import argparse
 from collections import Counter
 
 import numpy as np
@@ -571,11 +565,8 @@ def _replay_wire_frontend(
     return recorder
 
 
-def run_figure12(
-    context: ExperimentContext, ks=DEFAULT_KS
-) -> tuple[Table, Comparison]:
-    """Latency-vs-accuracy regression (Figure 12)."""
-    points, _ = latency_points(context, ks)
+def run_figure12(points: list[LatencyPoint]) -> tuple[Table, Comparison]:
+    """Latency-vs-accuracy regression (Figure 12) over :func:`latency_points`."""
     table = Table(
         ["model", "k", "accuracy", "avg_latency_ms"],
         title="Figure 12: latency vs accuracy (all models, all fetch sizes)",
@@ -590,14 +581,13 @@ def run_figure12(
     return table, comparison
 
 
-def run_figure13(
-    context: ExperimentContext, ks=DEFAULT_KS
-) -> tuple[Table, Comparison]:
-    """Average response times per model and fetch size (Figure 13)."""
-    points, _ = latency_points(context, ks)
+def run_figure13(points: list[LatencyPoint]) -> tuple[Table, Comparison]:
+    """Average response times per model and fetch size (Figure 13) over
+    :func:`latency_points`."""
     by_model: dict[str, dict[int, float]] = {}
     for point in points:
         by_model.setdefault(point.model, {})[point.k] = point.average_latency_ms
+    ks = sorted({point.k for point in points})
 
     table = Table(
         ["model"] + [f"k={k}" for k in ks],
@@ -693,50 +683,3 @@ def run_prefetch_distance_ablation(
         result = evaluate_engine_cv(context.study, factory, ks)
         table.add_row(distance, *(result.accuracy(k) for k in ks))
     return table
-
-
-# ----------------------------------------------------------------------
-# CLI
-# ----------------------------------------------------------------------
-EXPERIMENTS = {
-    "table1": lambda ctx: [*run_table1(ctx)],
-    "phase": lambda ctx: [run_phase_classifier(ctx)],
-    "fig8": run_figure8,
-    "fig9": lambda ctx: [*run_figure9(ctx)],
-    "fig10a": run_figure10a,
-    "fig10b": run_figure10b,
-    "fig10c": run_figure10c,
-    "fig11": lambda ctx: [*run_figure11(ctx)[0], run_figure11(ctx)[1]],
-    "fig12": lambda ctx: [*run_figure12(ctx)],
-    "fig13": lambda ctx: [*run_figure13(ctx)],
-    "ablation-history": lambda ctx: [run_history_ablation(ctx)],
-    "ablation-allocation": lambda ctx: [run_allocation_ablation(ctx)],
-    "ablation-distance": lambda ctx: [run_prefetch_distance_ablation(ctx)],
-}
-
-
-def main(argv: list[str] | None = None) -> int:
-    """CLI entry point."""
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--experiment",
-        choices=sorted(EXPERIMENTS) + ["all"],
-        required=True,
-        help="which table/figure to regenerate",
-    )
-    parser.add_argument("--size", type=int, default=2048, help="world raster size")
-    parser.add_argument("--users", type=int, default=18, help="study participants")
-    args = parser.parse_args(argv)
-
-    context = ExperimentContext.build(size=args.size, num_users=args.users)
-    names = sorted(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
-    for name in names:
-        print(f"\n=== {name} ===")
-        for artifact in EXPERIMENTS[name](context):
-            print()
-            print(artifact)
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -61,12 +61,6 @@ class Regression:
     baseline: float
     current: float
 
-    def describe(self) -> str:
-        return (
-            f"{self.cell_id}: {self.metric} {self.baseline:.4g} -> "
-            f"{self.current:.4g}"
-        )
-
 
 @dataclass
 class CompareReport:

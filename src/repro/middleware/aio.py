@@ -74,10 +74,6 @@ class AsyncSessionHandle:
         return self._handle.recorder
 
     @property
-    def closed(self) -> bool:
-        return self._handle.closed
-
-    @property
     def pyramid(self) -> TilePyramid:
         return self._handle.pyramid
 
@@ -103,12 +99,6 @@ class AsyncSessionHandle:
         # on every failover, making this a hot path).
         self._service._check_open()
         self._handle.close()
-
-    async def __aenter__(self) -> "AsyncSessionHandle":
-        return self
-
-    async def __aexit__(self, *exc_info) -> None:
-        await self.close()
 
 
 #: Threads the bridge pool may run.  A thread starts only when a job is
@@ -157,11 +147,6 @@ class AsyncForeCacheService:
     @property
     def config(self) -> ServiceConfig:
         return self.service.config
-
-    @property
-    def closed(self) -> bool:
-        """True once :meth:`aclose` has fully completed."""
-        return self._closed
 
     @property
     def session_count(self) -> int:
@@ -288,22 +273,9 @@ class AsyncForeCacheService:
             return await self._call(manager.prefetch_one, key, model)
         return manager.prefetch_one(key, model)
 
-    @property
-    def hotspot_registry(self):
-        """The facade's shared popularity registry (None when off)."""
-        return self.service.hotspot_registry
-
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
-    async def drain(self, timeout: float | None = None) -> bool:
-        """Wait for outstanding background prefetch work."""
-        self._check_open()
-        scheduler = self.service.scheduler
-        if scheduler is None:
-            return True
-        return await self._call(scheduler.wait_idle, timeout)
-
     async def aclose(self) -> None:
         """Close the facade and stop the bridge thread pool.  Idempotent.
 

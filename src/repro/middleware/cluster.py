@@ -837,8 +837,7 @@ class ProcessCluster(_ClusterHarness):
     Python process (own GIL, own cache, own service stack) serving a
     :class:`ForeCacheSocketServer`; the router runs in the calling
     process on a background thread.  ``kill_worker`` hard-kills a
-    process mid-flight (failure injection); ``stop_worker`` asks it to
-    exit cleanly.  Worker *i* binds ``start_port + i`` when
+    process mid-flight (failure injection).  Worker *i* binds ``start_port + i`` when
     ``start_port`` is set, an ephemeral port otherwise.
     """
 
@@ -913,12 +912,6 @@ class ProcessCluster(_ClusterHarness):
         process = self.processes[index]
         process.kill()
         process.join(timeout=30)
-
-    def stop_worker(self, index: int) -> None:
-        """Ask one worker to shut down cleanly."""
-        if self.processes[index].is_alive():
-            self._stop_events[index].set()
-        self.processes[index].join(timeout=30)
 
     def _stop_workers(self) -> None:
         for process, event in zip(self.processes, self._stop_events):

@@ -1012,9 +1012,3 @@ class AsyncSocketSessionClient(_SessionClient):
         except (ProtocolError, OSError):
             return
         self._stub.close_acknowledged(reply)
-
-    async def __aenter__(self) -> "AsyncSocketSessionClient":
-        return self
-
-    async def __aexit__(self, *exc_info) -> None:
-        await self.close()

@@ -398,13 +398,6 @@ class PushScheduler:
             "refined_tiles": self.refined_tiles,
         }
 
-    def __repr__(self) -> str:
-        return (
-            f"<PushScheduler sessions={len(self._sessions)} "
-            f"budget={self.budget_bytes} inflight<={self.max_inflight} "
-            f"pushed={self.pushed_tiles}>"
-        )
-
 
 class PushCache:
     """The client-side bounded LRU of server-pushed tiles.
@@ -509,9 +502,3 @@ class PushCache:
     def hit_rate(self) -> float:
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
-
-    def __repr__(self) -> str:
-        return (
-            f"<PushCache {len(self._held)}/{self.capacity} tiles "
-            f"hits={self.hits} misses={self.misses}>"
-        )

@@ -168,20 +168,16 @@ class PrefetchScheduler:
     ) -> list[PrefetchJob]:
         """Queue one session's new prefetch round, superseding its last.
 
-        ``predictions`` is a :class:`~repro.core.engine.PredictionResult`
-        (consumed via its ``ranked()`` triples) or a plain ordered
-        ``(tile, model)`` sequence.  The session's generation is bumped
+        ``predictions`` is the ordered ``(tile, model)`` sequence of one
+        round (:meth:`~repro.core.engine.PredictionResult.attributed_tiles`),
+        rank 0 the most urgent.  The session's generation is bumped
         first, so queued jobs from its previous round become stale and
         are dropped by whichever worker pops them.  Returns the jobs,
         in priority order.
         """
-        if hasattr(predictions, "ranked"):
-            ranked = predictions.ranked()
-        else:
-            ranked = [
-                (rank, key, model)
-                for rank, (key, model) in enumerate(predictions)
-            ]
+        ranked = [
+            (rank, key, model) for rank, (key, model) in enumerate(predictions)
+        ]
         # One registry read per round, outside our lock (the registry
         # has its own striped locks): the hot set is a snapshot — jobs
         # queued this round keep the boost they were admitted with.

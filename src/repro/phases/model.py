@@ -25,9 +25,6 @@ class AnalysisPhase(Enum):
     #: refute the current hypothesis.
     SENSEMAKING = "sensemaking"
 
-    def __str__(self) -> str:
-        return self.value
-
     @classmethod
     def from_string(cls, value: str) -> "AnalysisPhase":
         """Parse a phase from its serialized string value."""

@@ -113,10 +113,6 @@ class SMOTrainer:
         alpha = np.zeros(n)
         bias = 0.0
         rng = np.random.default_rng(self.seed)
-
-        def error(i: int) -> float:
-            return float((alpha * y) @ kernel[:, i] + bias - y[i])
-
         errors = (alpha * y) @ kernel + bias - y
         passes = 0
         sweeps = 0

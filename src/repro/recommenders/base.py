@@ -58,6 +58,3 @@ class Recommender(abc.ABC):
         Returns an ordering of (a subset of) ``context.candidates``; the
         caller trims it to the model's cache allocation ``k``.
         """
-
-    def __repr__(self) -> str:
-        return f"<{type(self).__name__} {self.name!r}>"

@@ -262,11 +262,6 @@ class TilePyramid:
         """Number of zoom levels (level 0 is coarsest)."""
         return self.grid.num_levels
 
-    @property
-    def tile_cells(self) -> int:
-        """Cells per tile (``tile_size ** 2``)."""
-        return self.tile_size * self.tile_size
-
     def view_name(self, level: int) -> str:
         """Name of the materialized view backing one zoom level."""
         if not 0 <= level < self.num_levels:

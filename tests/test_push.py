@@ -19,6 +19,7 @@ import sys
 import threading
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -56,6 +57,7 @@ from repro.modis.dataset import MODISDataset
 from repro.recommenders.momentum import MomentumRecommender
 from repro.tiles.key import TileKey
 from repro.tiles.moves import Move
+from repro.tiles.tile import DataTile
 
 PUSH_CONFIG = ServiceConfig(
     prefetch=PrefetchPolicy(k=4, push="on"),
@@ -693,6 +695,63 @@ class TestPushEndToEnd:
             assert cache.evicted == 0
             assert cache.pushed == len(cache)
             assert push_server.server.push_scheduler.deduped_jobs > 0
+
+    def test_unloadable_and_oversized_pushes_are_rejected_not_streamed(
+        self, small_dataset
+    ):
+        # In one push round the first predicted tile fails to load and
+        # the second encodes over the frame budget.  Both are dropped
+        # through the scheduler's reject path, neither is streamed or
+        # held, the rest of the round streams, and the request's own
+        # reply still arrives.
+        pyramid = small_dataset.pyramid
+        config = ServiceConfig(
+            prefetch=PrefetchPolicy(k=4, push="on", push_budget_bytes=10**7),
+            cache=CacheConfig(recent_capacity=4, prefetch_capacity=8),
+            max_frame_bytes=2**20,
+        )
+        with ThreadedSocketServer(
+            pyramid, config, engine_factory=engine_factory(pyramid)
+        ) as server:
+            service = server.server.service
+            scheduler = server.server.push_scheduler
+            load_tile, reject = service.load_tile, scheduler.reject
+            loaded, rejected = [], []
+
+            async def faulty_load_tile(key, model="push"):
+                loaded.append(key)
+                if len(loaded) == 1:
+                    raise OSError("backend unavailable")
+                tile = await load_tile(key, model)
+                if len(loaded) == 2:
+                    # 2 MiB of float noise per attribute: no deflate
+                    # brings that frame under the 1 MiB budget.
+                    noise = np.random.default_rng(0).random((512, 512))
+                    return DataTile(key, {name: noise for name in tile.attributes})
+                return tile
+
+            def recording_reject(job):
+                rejected.append(job.key)
+                reject(job)
+
+            service.load_tile = faulty_load_tile
+            scheduler.reject = recording_reject
+            with SocketTransport(
+                *server.address, pyramid=pyramid, push=True, payload="binary"
+            ) as transport:
+                conn = transport.connect()
+                response = conn.request(None, pyramid.grid.root)
+                transport.settle()
+                assert response.tile.key == pyramid.grid.root
+                assert len(loaded) > 2
+                assert rejected == loaded[:2]
+                assert scheduler.deferred_jobs == 2
+                state = scheduler._sessions[conn.session_id]
+                for key in rejected:
+                    assert key not in conn.push_cache
+                    assert key not in state.held and key not in state.unacked
+                assert set(state.unacked) == set(loaded[2:])
+                assert scheduler.pushed_tiles == len(conn.push_cache) == len(loaded) - 2
 
     def test_new_request_cancels_stale_queued_pushes(self, small_dataset):
         # A tiny in-flight cap leaves jobs queued after every round; the

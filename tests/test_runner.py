@@ -1,15 +1,14 @@
 """Smoke tests for the experiment runner at miniature scale.
 
 The benchmarks exercise these at full scale with shape assertions; here
-we verify the machinery itself (every generator runs, produces sane
-tables, and the CLI wiring holds) on a tiny world.
+we verify the machinery itself (every generator runs and produces sane
+tables) on a tiny world.
 """
 
 import pytest
 
 from repro.experiments.context import ExperimentContext
 from repro.experiments.runner import (
-    EXPERIMENTS,
     HYBRID_SIGNATURE,
     REPLAY_FRONTENDS,
     hybrid_factory,
@@ -74,14 +73,6 @@ class TestRunnerFunctions:
         assert f"sb:{HYBRID_SIGNATURE}" in engine.recommenders
         assert "markov3" in engine.recommenders
         assert engine.phase_predictor is not None
-
-    def test_experiment_registry_complete(self):
-        expected = {
-            "table1", "phase", "fig8", "fig9", "fig10a", "fig10b", "fig10c",
-            "fig11", "fig12", "fig13", "ablation-history",
-            "ablation-allocation", "ablation-distance",
-        }
-        assert expected <= set(EXPERIMENTS)
 
 
 class TestReplayFrontends:

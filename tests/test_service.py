@@ -300,6 +300,35 @@ class TestBackgroundService:
         with pytest.raises(RuntimeError):
             service.scheduler.schedule([(TileKey(0, 0, 0), "m")])
 
+    def test_a_served_request_that_meets_the_shut_pool_gets_a_typed_error(
+        self, small_dataset
+    ):
+        # Closing the service shuts its prefetch pool down.  A request
+        # whose tile was already fetched when the pool went away must
+        # report the typed lifecycle error, not the scheduler's bare
+        # RuntimeError.
+        config = ServiceConfig(prefetch=PrefetchPolicy(k=5, mode="background"))
+        with ForeCacheService(
+            small_dataset.pyramid,
+            config,
+            engine_factory=lambda: make_engine(small_dataset.pyramid.grid),
+        ) as service:
+            session = service.open_session(session_id="racer")
+            fetch = service.cache_manager.fetch
+
+            def fetch_then_shut_the_pool(key):
+                outcome = fetch(key)
+                service.scheduler.shutdown()
+                return outcome
+
+            service.cache_manager.fetch = fetch_then_shut_the_pool
+            with pytest.raises(SessionClosedError) as caught:
+                session.request(None, TileKey(0, 0, 0))
+            assert type(caught.value) is SessionClosedError
+            assert "prefetch scheduler is shut down" in str(caught.value)
+            assert caught.value.session_id == "racer"
+            assert service.scheduler.closed
+
 
 class TestSchedulingKnobs:
     """shards thread from config through the facade."""
