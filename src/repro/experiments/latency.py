@@ -15,7 +15,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 
 @dataclass(frozen=True)
@@ -41,6 +40,8 @@ def linear_fit(
     Returns (slope, intercept, adjusted R^2) — the paper reports
     intercept 961.33, slope -939.08, adj. R^2 0.99985.
     """
+    from scipy import stats
+
     if len(points) < 3:
         raise ValueError(f"need at least 3 points to fit, got {len(points)}")
     x = np.asarray([p.accuracy for p in points])

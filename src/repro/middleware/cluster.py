@@ -108,8 +108,10 @@ from repro.middleware.connection import (
 from repro.middleware.net import (
     ForeCacheSocketServer,
     ThreadedSocketServer,
+    _READ_CHUNK,
     _LoopThread,
     _WireServer,
+    _cap_reads,
     _core_attribute,
 )
 from repro.middleware.protocol import (
@@ -132,8 +134,6 @@ from repro.middleware.protocol import (
     negotiate_version,
 )
 from repro.tiles.pyramid import TilePyramid
-
-_READ_CHUNK = 65536
 
 #: How long a backend link waits for one round trip before it declares
 #: the worker stalled.  A stalled worker is handled like a dead one (the
@@ -295,6 +295,7 @@ class _BackendLink:
             raise WorkerUnavailableError(
                 f"worker {self.node} is unreachable: {exc}"
             ) from exc
+        _cap_reads(self._writer)
         hello = self._core.hello(
             self.client_name, push=push, payload="binary" if binary else "json"
         )

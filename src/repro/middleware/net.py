@@ -87,7 +87,22 @@ from repro.tiles.reduce import COARSE_REDUCTION, downsample_tile
 from repro.tiles.moves import Move
 from repro.tiles.pyramid import TilePyramid
 
+#: The most one read takes off a socket, blocking or asyncio.
 _READ_CHUNK = 65536
+
+
+def _cap_reads(writer: asyncio.StreamWriter) -> None:
+    """Make the stream's transport ``recv`` at most :data:`_READ_CHUNK`.
+
+    asyncio's selector transport reads ``sock.recv(max_size)`` on every
+    readable event, 256 KiB by default.  A buffer that size is above
+    glibc's default 128 KiB mmap threshold, so malloc maps it fresh;
+    ``recv`` then shrinks it with ``mremap``, and the small chunk that
+    is finally freed never raises glibc's dynamic threshold.  Every read
+    would pay ``mmap`` + ``mremap`` + ``munmap`` and fresh page faults.
+    Below the threshold the buffer comes from the heap.
+    """
+    writer.transport.max_size = _READ_CHUNK
 
 
 class _WireServer:
@@ -179,6 +194,7 @@ class _WireServer:
     async def _serve_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        _cap_reads(writer)
         conn = self._connection_core(self.framing, self.config.max_frame_bytes)
         task = asyncio.current_task()
         connections = self._connections
@@ -900,6 +916,7 @@ class AsyncSocketTransport(_ClientShell):
         )
         hello = core.hello(cls.client_name, push=push, payload=payload)
         reader, writer = await asyncio.open_connection(host, port)
+        _cap_reads(writer)
         self = cls(reader, writer, pyramid, core)
         try:
             core.welcome(await self.roundtrip(hello))

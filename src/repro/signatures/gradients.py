@@ -10,7 +10,6 @@ multi-octave image-doubling of full SIFT buys nothing at this size.
 from __future__ import annotations
 
 import numpy as np
-from scipy import ndimage
 
 #: Descriptor layout: GRID x GRID spatial cells, ORIENT_BINS orientation
 #: bins each -> 4 * 4 * 8 = 128 dimensions, as in Lowe's SIFT.
@@ -22,6 +21,8 @@ DESCRIPTOR_DIM = GRID * GRID * ORIENT_BINS
 
 def gaussian_blur(image: np.ndarray, sigma: float) -> np.ndarray:
     """Gaussian-blur a 2-D image (reflect boundary)."""
+    from scipy import ndimage
+
     return ndimage.gaussian_filter(
         np.asarray(image, dtype="float64"), sigma=sigma, mode="reflect"
     )

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import ndimage
 
 from repro.signatures.base import Signature
 from repro.signatures.gradients import (
@@ -65,6 +64,8 @@ def _detect_in_octave(
     edge_ratio: float,
 ) -> list[Keypoint]:
     """DoG extrema within one octave image."""
+    from scipy import ndimage
+
     dogs = difference_of_gaussians(build_scale_space(image, num_scales, sigma0))
     footprint = np.ones((3, 3, 3), dtype=bool)
     local_max = ndimage.maximum_filter(dogs, footprint=footprint, mode="nearest")
@@ -111,6 +112,8 @@ def _octave_images(
     image: np.ndarray, num_octaves: int, sigma0: float, upsample: int
 ) -> list[np.ndarray]:
     """The (upsampled) base image and its blurred-and-halved successors."""
+    from scipy import ndimage
+
     image = np.asarray(image, dtype="float64")
     if upsample > 1:
         image = ndimage.zoom(image, upsample, order=1)

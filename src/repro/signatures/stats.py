@@ -10,7 +10,6 @@ over the attribute's value range.
 from __future__ import annotations
 
 import numpy as np
-from scipy.stats import norm
 
 from repro.signatures.base import Signature
 from repro.tiles.tile import DataTile
@@ -37,6 +36,8 @@ class NormalSignature(Signature):
         self.min_std = min_std
 
     def compute(self, tile: DataTile, attribute: str) -> np.ndarray:
+        from scipy.stats import norm
+
         values = np.asarray(tile.attribute(attribute), dtype="float64").ravel()
         mean = float(values.mean())
         std = max(float(values.std()), self.min_std)

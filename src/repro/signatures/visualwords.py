@@ -12,7 +12,6 @@ from __future__ import annotations
 from collections.abc import Callable, Sequence
 
 import numpy as np
-from scipy.cluster.vq import kmeans2
 
 from repro.tiles.pyramid import TilePyramid
 
@@ -47,6 +46,8 @@ class VisualVocabulary:
         When fewer distinct descriptors than words are available, the
         vocabulary shrinks to the available count rather than failing.
         """
+        from scipy.cluster.vq import kmeans2
+
         descriptors = np.asarray(descriptors, dtype="float64")
         if descriptors.ndim != 2 or descriptors.shape[0] == 0:
             raise ValueError("need a non-empty (N, dim) descriptor matrix")

@@ -1,0 +1,159 @@
+"""What a server, router or worker process loads, and how it reads.
+
+A momentum server needs numpy and nothing heavier: scipy is the hybrid
+engine's signature recommender's dependency, imported where a signature
+is computed.  A fresh interpreter checks that the whole serving path —
+socket server on every wire, two-worker cluster — runs without loading
+it, and that computing the signatures still does.  Every asyncio stream
+the middleware opens reads at most ``_READ_CHUNK`` per ``recv``.
+"""
+
+from __future__ import annotations
+
+import asyncio
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from repro.core.allocation import SingleModelStrategy
+from repro.core.engine import PredictionEngine
+from repro.middleware.cluster import ThreadedClusterServer
+from repro.middleware.config import PrefetchPolicy, ServiceConfig
+from repro.middleware.net import _READ_CHUNK, AsyncSocketTransport
+from repro.recommenders.momentum import MomentumRecommender
+
+REPO_SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+_SERVE_THEN_COMPUTE_SIGNATURES = """
+import sys
+
+import repro.middleware
+import repro.middleware.cluster
+from repro.core.allocation import SingleModelStrategy
+from repro.core.engine import PredictionEngine
+from repro.middleware import BrowsingSession, SocketTransport, ThreadedSocketServer
+from repro.middleware.cluster import ThreadedClusterServer
+from repro.middleware.config import PrefetchPolicy, ServiceConfig
+from repro.modis.dataset import MODISDataset
+from repro.recommenders.momentum import MomentumRecommender
+
+
+def scipy_modules():
+    return sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+
+
+def momentum_engine():
+    model = MomentumRecommender()
+    return PredictionEngine(
+        pyramid.grid, {model.name: model}, SingleModelStrategy(model.name)
+    )
+
+
+def walk(address, steps=30, **client):
+    with SocketTransport(*address, pyramid=pyramid, **client) as transport:
+        session = BrowsingSession(transport.connect())
+        session.start()
+        for _ in range(steps):
+            session.move(session.available_moves[-1])
+
+
+pyramid = MODISDataset.build(size=256, tile_size=32, days=1, seed=3).pyramid
+config = ServiceConfig(prefetch=PrefetchPolicy(k=4, push="on"))
+with ThreadedSocketServer(pyramid, config, engine_factory=momentum_engine) as server:
+    walk(server.address, payload="json")
+    walk(server.address, payload="binary")
+    walk(server.address, payload="binary", push=True)
+    assert server.server.push_scheduler.stats()["pushed_tiles"] > 0
+with ThreadedClusterServer(
+    pyramid, config, workers=2, engine_factory=momentum_engine
+) as cluster:
+    walk(cluster.address, payload="binary")
+assert scipy_modules() == [], scipy_modules()[:8]
+
+from repro.modis.dataset import NDSI_ATTRIBUTES
+from repro.signatures.densesift import DenseSIFTSignature, extract_dense_descriptors
+from repro.signatures.sift import SIFTSignature
+from repro.signatures.stats import NormalSignature
+from repro.signatures.visualwords import VisualVocabulary
+
+tile = pyramid.fetch_tile(pyramid.grid.root)
+attribute = NDSI_ATTRIBUTES[0]
+NormalSignature().compute(tile, attribute)
+_, descriptors = extract_dense_descriptors(tile.attribute(attribute), stride=4)
+vocabulary = VisualVocabulary.fit(descriptors, num_words=4)
+DenseSIFTSignature(vocabulary).compute(tile, attribute)
+SIFTSignature(vocabulary).compute(tile, attribute)
+loaded = set(scipy_modules())
+assert {"scipy.stats", "scipy.ndimage", "scipy.cluster.vq"} <= loaded, sorted(loaded)
+print("ok")
+"""
+
+
+def test_the_serving_path_runs_without_scipy_and_signatures_load_it():
+    run = subprocess.run(
+        [sys.executable, "-c", _SERVE_THEN_COMPUTE_SIGNATURES],
+        env=dict(os.environ, PYTHONPATH=REPO_SRC),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "ok"
+
+
+def test_every_asyncio_stream_reads_below_the_mmap_threshold(
+    tiny_dataset, monkeypatch
+):
+    # glibc's default mmap threshold is 128 KiB: a larger recv buffer is
+    # mapped and unmapped afresh on every read.
+    assert _READ_CHUNK < 128 * 1024
+    served: list[asyncio.StreamWriter] = []
+    dialled: list[asyncio.StreamWriter] = []
+    start_server, open_connection = asyncio.start_server, asyncio.open_connection
+
+    async def recording_start_server(serve, *args, **kwargs):
+        async def recorded(reader, writer):
+            served.append(writer)
+            await serve(reader, writer)
+
+        return await start_server(recorded, *args, **kwargs)
+
+    async def recording_open_connection(*args, **kwargs):
+        reader, writer = await open_connection(*args, **kwargs)
+        dialled.append(writer)
+        return reader, writer
+
+    monkeypatch.setattr(asyncio, "start_server", recording_start_server)
+    monkeypatch.setattr(asyncio, "open_connection", recording_open_connection)
+
+    pyramid = tiny_dataset.pyramid
+
+    def momentum_engine():
+        model = MomentumRecommender()
+        return PredictionEngine(
+            pyramid.grid, {model.name: model}, SingleModelStrategy(model.name)
+        )
+
+    async def one_request(address):
+        async with await AsyncSocketTransport.open(
+            *address, pyramid, payload="binary"
+        ) as transport:
+            session = await transport.connect()
+            await session.request(None, pyramid.grid.root)
+
+    config = ServiceConfig(prefetch=PrefetchPolicy(k=2))
+    with ThreadedClusterServer(
+        pyramid, config, workers=2, engine_factory=momentum_engine
+    ) as cluster:
+        asyncio.run(one_request(cluster.address))
+        router_port = cluster.address[1]
+
+    def port(writer, end):
+        return writer.get_extra_info(end)[1]
+
+    # The router's client side and every worker's ForeCacheSocketServer
+    # connection; the router's backend links and the asyncio client.
+    assert {port(w, "sockname") == router_port for w in served} == {True, False}
+    assert {port(w, "peername") == router_port for w in dialled} == {True, False}
+    assert {w.transport.max_size for w in served + dialled} == {_READ_CHUNK}
