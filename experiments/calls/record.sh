@@ -40,6 +40,9 @@ if [ "${2:-}" != report ]; then
         REPRO_SIZE=256 REPRO_USERS=4 record examples python examples/modis_exploration.py $args
     done
     REPRO_SIZE=256 REPRO_USERS=4 record examples python examples/parameter_sweep.py
+    for example in quickstart timeseries_browsing trace_analysis; do
+        REPRO_SIZE=256 REPRO_USERS=4 record examples python "examples/$example.py"
+    done
     for args in \
         "--framing lines" "--framing length" "--framing length --payload binary" \
         "--payload mixed" "--framing lines --push" "--framing length --push --payload binary" \

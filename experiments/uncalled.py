@@ -9,7 +9,8 @@ directory per suite, the fast tier's first), lists every ``def`` under
   counted: bodies that hold only a docstring, ``...``, ``pass`` or
   ``raise NotImplementedError``.
 - ``reached only by the fast tier M (L lines)``: defs the fast tier
-  called and no other suite did.
+  called and no other suite did, each then listed on its own line as
+  ``path:line qualname (lines)``.
 
 A function may stay uncalled only if ``experiments/uncalled_allowlist.txt``
 names it, one ``path:qualname  reason`` per line.  The exit status is 1
@@ -121,14 +122,17 @@ def main(argv=None) -> int:
         elif key not in fast and key not in others:
             uncalled.append(f"{path}:{line} {qualname}")
         elif key not in others:
-            fast_only.append(lines)
+            fast_only.append((f"{path}:{line} {qualname}", lines))
     for name in sorted(set(allowed) - names):
         print(f"allowlisted but not a non-stub def: {name}")
         failed = True
     for entry in uncalled:
         print(f"uncalled: {entry}")
     print(f"uncalled functions {len(uncalled)} (allowlisted {len(allowed)})")
-    print(f"reached only by the fast tier {len(fast_only)} ({sum(fast_only)} lines)")
+    total = sum(lines for _, lines in fast_only)
+    print(f"reached only by the fast tier {len(fast_only)} ({total} lines)")
+    for entry, lines in fast_only:
+        print(f"  {entry} ({lines})")
     return 1 if uncalled or failed else 0
 
 

@@ -5,10 +5,9 @@ subset of an array DBMS that ForeCache exercises:
 
 - multidimensional arrays with named dimensions and typed attributes
   (:mod:`repro.arraydb.schema`, :mod:`repro.arraydb.array`),
-- chunked storage, either in memory or on disk
-  (:mod:`repro.arraydb.storage`),
+- chunked storage in memory (:mod:`repro.arraydb.storage`),
 - an AFL-style operator algebra — ``scan``, ``subarray``, ``regrid``,
-  ``apply``, ``join``, ``store``, ``aggregate`` — sufficient to express
+  ``apply``, ``join``, ``project``, ``store`` — sufficient to express
   Query 1 of the paper (:mod:`repro.arraydb.query`),
 - a query executor with per-query cost accounting and a virtual clock,
   calibrated so that tile fetches cost what the paper measured on its
@@ -26,7 +25,7 @@ Example
 ...     attributes=(Attribute("v"),),
 ...     dimensions=(Dimension("x", 0, 8, 4), Dimension("y", 0, 8, 4)),
 ... )
->>> db.create_array(schema)
+>>> _ = db.create_array(schema)
 >>> db.write("A", "v", np.arange(64.0).reshape(8, 8))
 >>> result = db.execute(Q.regrid(Q.scan("A"), (2, 2)))
 >>> result.attribute("v").shape
@@ -45,7 +44,7 @@ from repro.arraydb.errors import (
 from repro.arraydb.executor import ArrayResult, Database
 from repro.arraydb.functions import FunctionRegistry, default_registry
 from repro.arraydb.schema import ArraySchema, Attribute, Dimension
-from repro.arraydb.storage import DiskChunkStore, MemoryChunkStore
+from repro.arraydb.storage import MemoryChunkStore
 
 __all__ = [
     "ArrayDBError",
@@ -58,7 +57,6 @@ __all__ = [
     "CostModel",
     "Database",
     "Dimension",
-    "DiskChunkStore",
     "FunctionRegistry",
     "MemoryChunkStore",
     "QueryStats",

@@ -1,4 +1,4 @@
-"""Chunked multidimensional arrays backed by a :class:`ChunkStore`.
+"""Chunked multidimensional arrays backed by a :class:`MemoryChunkStore`.
 
 A :class:`ChunkedArray` binds an :class:`~repro.arraydb.schema.ArraySchema`
 to a chunk store and provides region reads/writes in *array coordinates*
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.arraydb.schema import ArraySchema
-from repro.arraydb.storage import ChunkStore
+from repro.arraydb.storage import MemoryChunkStore
 
 Region = tuple[tuple[int, int], ...]
 
@@ -39,11 +39,6 @@ def region_shape(region: Region) -> tuple[int, ...]:
     return tuple(hi - lo for lo, hi in region)
 
 
-def region_cells(region: Region) -> int:
-    """Total number of cells in a region."""
-    return int(np.prod(region_shape(region), dtype=np.int64))
-
-
 class ChunkedArray:
     """A dense array stored as fixed-size chunks.
 
@@ -51,14 +46,9 @@ class ChunkedArray:
     matching the behaviour of an empty SciDB array.
     """
 
-    def __init__(self, schema: ArraySchema, store: ChunkStore) -> None:
+    def __init__(self, schema: ArraySchema, store: MemoryChunkStore) -> None:
         self.schema = schema
         self._store = store
-
-    @property
-    def store(self) -> ChunkStore:
-        """The chunk store this array reads and writes."""
-        return self._store
 
     # ------------------------------------------------------------------
     # region validation / geometry
@@ -204,14 +194,6 @@ class ChunkedArray:
     # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------
-    def stored_chunks(self, attribute: str) -> int:
-        """Number of chunks physically present for one attribute."""
-        return sum(
-            1
-            for key in self._store.keys()
-            if key[0] == self.schema.name and key[1] == attribute
-        )
-
     def drop(self) -> None:
         """Delete every chunk belonging to this array."""
         for key in list(self._store.keys()):

@@ -33,7 +33,7 @@ from repro.arraydb.errors import (
 )
 from repro.arraydb.functions import FunctionRegistry, default_registry
 from repro.arraydb.schema import ArraySchema, Attribute, Dimension
-from repro.arraydb.storage import ChunkStore, MemoryChunkStore
+from repro.arraydb.storage import MemoryChunkStore
 
 _REDUCTIONS = {
     "avg": np.nanmean,
@@ -64,22 +64,12 @@ class _Intermediate:
 
 @dataclass
 class ArrayResult:
-    """The materialized result of :meth:`Database.execute`.
-
-    ``scalar`` is set (and ``attributes`` empty) for ``aggregate`` queries.
-    """
+    """The materialized result of :meth:`Database.execute`."""
 
     dim_names: tuple[str, ...]
     origin: tuple[int, ...]
     attributes: dict[str, np.ndarray]
     stats: QueryStats
-    scalar: float | None = None
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        if not self.attributes:
-            return ()
-        return next(iter(self.attributes.values())).shape
 
     def attribute(self, name: str) -> np.ndarray:
         """Fetch one output attribute by name."""
@@ -88,22 +78,17 @@ class ArrayResult:
         except KeyError:
             raise SchemaError(f"result has no attribute {name!r}") from None
 
-    def attribute_names(self) -> list[str]:
-        """Names of all output attributes, in plan order."""
-        return list(self.attributes)
-
 
 class Database:
     """An in-process array database: catalog + chunk store + executor."""
 
     def __init__(
         self,
-        store: ChunkStore | None = None,
         registry: FunctionRegistry | None = None,
         cost_model: CostModel | None = None,
         clock: VirtualClock | None = None,
     ) -> None:
-        self._store = store if store is not None else MemoryChunkStore()
+        self._store = MemoryChunkStore()
         self.registry = registry if registry is not None else default_registry
         self.cost_model = cost_model if cost_model is not None else CostModel()
         self.clock = clock
@@ -126,10 +111,6 @@ class Database:
         if array is None:
             raise ArrayNotFoundError(name)
         array.drop()
-
-    def has_array(self, name: str) -> bool:
-        """True if ``name`` exists in the catalog."""
-        return name in self._catalog
 
     def array(self, name: str) -> ChunkedArray:
         """Look up a stored array."""
@@ -162,24 +143,13 @@ class Database:
     def execute(self, node: Q.QueryNode) -> ArrayResult:
         """Run a query plan, charge its cost, and return the result."""
         stats = QueryStats()
-        if isinstance(node, Q.Aggregate):
-            child = self._eval(node.child, stats)
-            scalar = self._reduce(child, node, stats)
-            result = ArrayResult(
-                dim_names=(),
-                origin=(),
-                attributes={},
-                stats=stats,
-                scalar=scalar,
-            )
-        else:
-            inter = self._eval(node, stats)
-            result = ArrayResult(
-                dim_names=inter.dim_names,
-                origin=inter.origin,
-                attributes=dict(inter.attributes),
-                stats=stats,
-            )
+        inter = self._eval(node, stats)
+        result = ArrayResult(
+            dim_names=inter.dim_names,
+            origin=inter.origin,
+            attributes=dict(inter.attributes),
+            stats=stats,
+        )
         self._charge(stats)
         return result
 
@@ -226,12 +196,8 @@ class Database:
             return self._eval_join(node, stats)
         if isinstance(node, Q.Project):
             return self._eval_project(node, stats)
-        if isinstance(node, Q.Filter):
-            return self._eval_filter(node, stats)
         if isinstance(node, Q.Store):
             return self._eval_store(node, stats)
-        if isinstance(node, Q.Aggregate):
-            raise QueryError("aggregate() must be the root of a query plan")
         raise QueryError(f"unknown query node {type(node).__name__}")
 
     def _eval_scan(
@@ -373,28 +339,6 @@ class Database:
             source=child.source,
         )
 
-    def _eval_filter(self, node: Q.Filter, stats: QueryStats) -> _Intermediate:
-        child = self._eval(node.child, stats)
-        func = self.registry.get(node.function)
-        args = [child.attributes[name] for name in node.inputs]
-        mask = np.asarray(func(*args), dtype=bool)
-        if mask.shape != child.shape:
-            raise QueryError(
-                f"filter predicate {node.function!r} returned shape "
-                f"{mask.shape}, expected {child.shape}"
-            )
-        stats.merge_compute(mask.size)
-        attributes = {
-            name: np.where(mask, data, node.fill)
-            for name, data in child.attributes.items()
-        }
-        return _Intermediate(
-            dim_names=child.dim_names,
-            origin=child.origin,
-            attributes=attributes,
-            source=child.source,
-        )
-
     def _eval_store(self, node: Q.Store, stats: QueryStats) -> _Intermediate:
         child = self._eval(node.child, stats)
         chunks = node.chunks if node.chunks is not None else child.shape
@@ -423,22 +367,6 @@ class Database:
             attributes=dict(child.attributes),
             source=node.name,
         )
-
-    def _reduce(
-        self, child: _Intermediate, node: Q.Aggregate, stats: QueryStats
-    ) -> float:
-        if node.attribute not in child.attributes:
-            raise QueryError(
-                f"aggregate references unknown attribute {node.attribute!r}"
-            )
-        data = child.attributes[node.attribute]
-        stats.merge_compute(data.size)
-        if node.function == "count":
-            return float(data.size)
-        reducer = _REDUCTIONS.get(node.function)
-        if reducer is None:
-            raise QueryError(f"unknown aggregate function {node.function!r}")
-        return float(reducer(data))
 
 
 def _window_aggregate(

@@ -102,30 +102,6 @@ class Project(QueryNode):
 
 
 @dataclass(frozen=True)
-class Filter(QueryNode):
-    """Zero out cells where a boolean UDF over ``inputs`` is false.
-
-    Dense arrays have no notion of absent cells, so filtered-out cells are
-    written as ``fill`` (default 0), the same convention SciDB's sparse
-    output takes when densified.
-    """
-
-    child: QueryNode
-    function: str
-    inputs: tuple[str, ...]
-    fill: float = 0.0
-
-
-@dataclass(frozen=True)
-class Aggregate(QueryNode):
-    """Reduce one attribute to a scalar (avg/sum/min/max/count/std)."""
-
-    child: QueryNode
-    function: str
-    attribute: str
-
-
-@dataclass(frozen=True)
 class Store(QueryNode):
     """Materialize the child's result as a new stored array."""
 
@@ -173,18 +149,6 @@ def join(left: QueryNode, right: QueryNode) -> Join:
 def project(child: QueryNode, attributes: tuple[str, ...]) -> Project:
     """``project(Q, attrs)`` — keep only ``attrs``."""
     return Project(child, tuple(attributes))
-
-
-def filter_(
-    child: QueryNode, function: str, inputs: tuple[str, ...], fill: float = 0.0
-) -> Filter:
-    """``filter(Q, pred, inputs)`` — zero out non-matching cells."""
-    return Filter(child, function, tuple(inputs), fill)
-
-
-def aggregate(child: QueryNode, function: str, attribute: str) -> Aggregate:
-    """``aggregate(Q, f, attr)`` — scalar reduction."""
-    return Aggregate(child, function, attribute)
 
 
 def store(

@@ -10,7 +10,7 @@ and its chunking.  Dimension ranges are half-open ``[start, end)``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -163,19 +163,9 @@ class ArraySchema:
         return tuple(d.start for d in self.dimensions)
 
     @property
-    def cell_count(self) -> int:
-        """Total number of cells in the array."""
-        return int(np.prod(self.shape, dtype=np.int64))
-
-    @property
     def chunk_shape(self) -> tuple[int, ...]:
         """Chunk interval along each dimension."""
         return tuple(d.chunk for d in self.dimensions)
-
-    @property
-    def chunk_grid(self) -> tuple[int, ...]:
-        """Number of chunks along each dimension."""
-        return tuple(d.num_chunks for d in self.dimensions)
 
     def attribute(self, name: str) -> Attribute:
         """Look up an attribute by name."""
@@ -183,30 +173,6 @@ class ArraySchema:
             if attr.name == name:
                 return attr
         raise SchemaError(f"array {self.name!r} has no attribute {name!r}")
-
-    def has_attribute(self, name: str) -> bool:
-        """Return True if an attribute with this name exists."""
-        return any(attr.name == name for attr in self.attributes)
-
-    def dimension(self, name: str) -> Dimension:
-        """Look up a dimension by name."""
-        for dim in self.dimensions:
-            if dim.name == name:
-                return dim
-        raise SchemaError(f"array {self.name!r} has no dimension {name!r}")
-
-    def renamed(self, new_name: str) -> "ArraySchema":
-        """Return a copy of this schema under a different array name."""
-        return replace(self, name=new_name)
-
-    def same_grid(self, other: "ArraySchema") -> bool:
-        """True if two schemas share dimension names, ranges, and chunks."""
-        if self.ndim != other.ndim:
-            return False
-        return all(
-            a.name == b.name and a.start == b.start and a.end == b.end
-            for a, b in zip(self.dimensions, other.dimensions)
-        )
 
     def __str__(self) -> str:
         attrs = ", ".join(str(a) for a in self.attributes)

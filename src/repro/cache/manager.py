@@ -315,23 +315,13 @@ class CacheManager:
     def backend_can_block(self) -> bool:
         """Whether a backend query may wait outside the interpreter.
 
-        Derived, not configured: true iff a real delay is emulated
-        (``backend_delay_seconds > 0``) or any level's view sits on a
-        chunk store that does not declare itself ``in_memory``.  An
-        event loop may run a query of a backend that cannot block
-        inline; one that can must leave the loop.
+        Derived, not configured: every view sits in memory, so a query
+        can wait only when a real delay is emulated
+        (``backend_delay_seconds > 0``).  An event loop may run a query
+        of a backend that cannot block inline; one that can must leave
+        the loop.
         """
-        if self.backend_delay_seconds > 0:
-            return True
-        pyramid = self.pyramid
-        return not all(
-            getattr(
-                pyramid.db.array(pyramid.view_name(level)).store,
-                "in_memory",
-                False,
-            )
-            for level in range(pyramid.num_levels)
-        )
+        return self.backend_delay_seconds > 0
 
     # ------------------------------------------------------------------
     # stats

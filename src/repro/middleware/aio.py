@@ -8,12 +8,11 @@ backend query), so the common case pays no thread hop at all.  Only
 work that can block — wait outside the interpreter — leaves the loop
 for the bridge pool: lifecycle joins, and, when the backend can block
 (:attr:`~repro.cache.manager.CacheManager.backend_can_block`: a
-configured delay or a chunk store that is not in memory — derived, not
-an option), a cache miss (the DBMS query plus its observe/predict round
-as one unit) and a sync-mode prefetch cycle.  Over an in-memory backend
-those are a few hundred microseconds of pure Python that would hold the
-GIL on any thread, so they run on the loop and the pool never starts a
-thread:
+configured delay — derived, not an option), a cache miss (the DBMS
+query plus its observe/predict round as one unit) and a sync-mode
+prefetch cycle.  Without a delay those are a few hundred microseconds
+of pure Python that would hold the GIL on any thread, so they run on
+the loop and the pool never starts a thread:
 
     async with AsyncForeCacheService.build(pyramid, config) as service:
         session = await service.open_session(engine)

@@ -10,7 +10,7 @@ Mirrors the paper's preparation pipeline:
 
 The resulting :class:`MODISDataset` also carries the three study tasks
 and the "what does the user see" helpers the simulated participants use
-(snow fraction per tile, tiles overlapping a task region).
+(snow fraction and clustered-snow saliency per tile).
 """
 
 from __future__ import annotations
@@ -153,13 +153,6 @@ class MODISDataset:
         """Zoom levels in the pyramid."""
         return self.pyramid.num_levels
 
-    def task(self, task_id: int) -> TaskSpec:
-        """Look up a study task by its 1-based id."""
-        for task in self.tasks:
-            if task.task_id == task_id:
-                return task
-        raise KeyError(f"no task with id {task_id}")
-
     def snow_fraction(self, key: TileKey, threshold: float = 0.0) -> float:
         """Fraction of a tile's land cells whose average NDSI exceeds
         ``threshold`` — the visual "how orange is this tile" cue the
@@ -218,64 +211,6 @@ class MODISDataset:
             "up": _cluster_mass(mask[:sy, :]),
             "down": _cluster_mass(mask[h - sy :, :]),
         }
-
-    def quadrant_snow(self, key: TileKey, threshold: float = 0.0) -> dict[tuple[int, int], float]:
-        """Snow fraction in each rendered quadrant of a tile.
-
-        The browsing interface zooms by clicking a quadrant (Section
-        5.3.2), so this is literally the information the user weighs when
-        choosing where to zoom.  Keys are (dx, dy) quadrant offsets.
-        """
-        tile = self.pyramid.fetch_tile(key, charge=False)
-        ndsi = tile.attribute(self.primary_attribute)
-        h, w = ndsi.shape
-        hy, hx = h // 2, w // 2
-        quadrants = {
-            (0, 0): ndsi[:hy, :hx],
-            (1, 0): ndsi[:hy, hx:],
-            (0, 1): ndsi[hy:, :hx],
-            (1, 1): ndsi[hy:, hx:],
-        }
-        return {
-            offset: float(np.mean(block > threshold))
-            for offset, block in quadrants.items()
-        }
-
-    def edge_snow(
-        self, key: TileKey, threshold: float = 0.0, strip: float = 0.3
-    ) -> dict[str, float]:
-        """Snow fraction near each edge of a tile.
-
-        A cluster touching the east edge suggests the pattern continues
-        on the tile to the right — the visual cue a panning user follows.
-        Keys are "left", "right", "up", "down"; ``strip`` is the fraction
-        of the tile counted as "near the edge".
-        """
-        tile = self.pyramid.fetch_tile(key, charge=False)
-        ndsi = tile.attribute(self.primary_attribute)
-        h, w = ndsi.shape
-        sy = max(1, int(round(h * strip)))
-        sx = max(1, int(round(w * strip)))
-        return {
-            "left": float(np.mean(ndsi[:, :sx] > threshold)),
-            "right": float(np.mean(ndsi[:, w - sx :] > threshold)),
-            "up": float(np.mean(ndsi[:sy, :] > threshold)),
-            "down": float(np.mean(ndsi[h - sy :, :] > threshold)),
-        }
-
-    def tiles_overlapping(self, bbox: tuple[float, float, float, float], level: int) -> list[TileKey]:
-        """All tiles at ``level`` intersecting a normalized bbox."""
-        x_min, y_min, x_max, y_max = bbox
-        n = self.pyramid.grid.tiles_per_dim(level)
-        x_lo = max(0, int(np.floor(x_min * n)))
-        y_lo = max(0, int(np.floor(y_min * n)))
-        x_hi = min(n - 1, int(np.ceil(x_max * n)) - 1)
-        y_hi = min(n - 1, int(np.ceil(y_max * n)) - 1)
-        return [
-            TileKey(level, x, y)
-            for y in range(y_lo, y_hi + 1)
-            for x in range(x_lo, x_hi + 1)
-        ]
 
     def satisfies_task(self, key: TileKey, task: TaskSpec) -> bool:
         """True if a tile meets the task's requirements: correct level,

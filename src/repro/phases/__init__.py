@@ -13,7 +13,6 @@ phase from her recent requests with a multi-class RBF-kernel SVM
 
 from repro.phases.classifier import PhaseClassifier
 from repro.phases.features import FEATURE_NAMES, feature_vector, trace_features
-from repro.phases.labeler import label_trace
 from repro.phases.model import AnalysisPhase
 from repro.phases.svm import SMOTrainer, SVMModel, rbf_kernel
 
@@ -24,7 +23,6 @@ __all__ = [
     "SMOTrainer",
     "SVMModel",
     "feature_vector",
-    "label_trace",
     "rbf_kernel",
     "trace_features",
 ]

@@ -1,16 +1,10 @@
-"""Heuristic phase labeling (the hand-label analogue for external traces).
+"""How well labeled traces fit the three-phase model (Section 5.3.5).
 
-The paper hand-labeled every study request with its analysis phase.  Our
-simulated users record the generating phase directly; for traces that
-lack labels (recorded from a real client, say) this module assigns them
-with the same rubric a human labeler would use:
-
-- zooming (in or out) is **Navigation** — the user is moving between the
-  coarse and detailed strata,
-- panning (or sitting) at detailed levels is **Sensemaking** — comparing
-  neighboring tiles against a hypothesis,
-- panning (or sitting) at coarse levels is **Foraging** — scanning for
-  new regions of interest.
+The paper hand-labeled every study request with its analysis phase; our
+simulated users record the generating phase directly.
+:func:`model_fit_fraction` checks those labels against each phase's
+definition, with :func:`detail_cutoff` drawing the line between coarse
+and detailed zoom levels.
 """
 
 from __future__ import annotations
@@ -29,21 +23,6 @@ def detail_cutoff(num_levels: int) -> int:
     if num_levels < 1:
         raise ValueError(f"num_levels must be >= 1, got {num_levels}")
     return max(1, (2 * (num_levels - 1) + 2) // 3)
-
-
-def label_trace(trace: Trace, num_levels: int) -> list[AnalysisPhase]:
-    """Assign a phase to every request in a trace."""
-    cutoff = detail_cutoff(num_levels)
-    labels: list[AnalysisPhase] = []
-    for request in trace.requests:
-        move = request.move
-        if move is not None and (move.is_zoom_in or move.is_zoom_out):
-            labels.append(AnalysisPhase.NAVIGATION)
-        elif request.tile.level >= cutoff:
-            labels.append(AnalysisPhase.SENSEMAKING)
-        else:
-            labels.append(AnalysisPhase.FORAGING)
-    return labels
 
 
 def model_fit_fraction(trace: Trace, num_levels: int) -> float:
@@ -78,22 +57,3 @@ def model_fit_fraction(trace: Trace, num_levels: int) -> float:
         if fits:
             consistent += 1
     return consistent / labeled if labeled else 0.0
-
-
-def label_agreement(trace: Trace, num_levels: int) -> float:
-    """Fraction of already-labeled requests the heuristic agrees with.
-
-    Useful for validating the simulator's generation-time labels against
-    the rubric (Section 5.3.5 reports 1333/1390 requests fitting the
-    model).
-    """
-    heuristic = label_trace(trace, num_levels)
-    pairs = [
-        (request.phase, label)
-        for request, label in zip(trace.requests, heuristic)
-        if request.phase is not None
-    ]
-    if not pairs:
-        return 0.0
-    agreed = sum(1 for actual, predicted in pairs if actual is predicted)
-    return agreed / len(pairs)

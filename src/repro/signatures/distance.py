@@ -90,8 +90,9 @@ def score_candidates(
     ℓ2-norm divided by the pair's physical distance, and finally summed
     over ROI tiles.  Lower scores mean more visually similar.
 
-    ``get_vector`` supplies signature vectors (typically backed by the
-    metadata store); ``distance_fns`` maps signature name to its distance
+    ``get_vector`` supplies signature vectors (typically a
+    :class:`~repro.signatures.provider.SignatureProvider`'s);
+    ``distance_fns`` maps signature name to its distance
     function.  This is :func:`score_pair_distances` over raw distances
     computed afresh from the vectors.
     """

@@ -126,41 +126,6 @@ def _octave_images(
     return octaves
 
 
-def detect_keypoints(
-    image: np.ndarray,
-    num_scales: int = 6,
-    sigma0: float = 1.6,
-    contrast_threshold: float = 0.001,
-    edge_ratio: float = 10.0,
-    max_keypoints: int = 64,
-    upsample: int = 2,
-    num_octaves: int = 3,
-) -> list[Keypoint]:
-    """DoG extrema across octaves, strongest responses first.
-
-    A pixel is a keypoint candidate when it is the maximum or minimum of
-    its 26-neighborhood in the octave's DoG stack, its |response| clears
-    the contrast threshold, and its Hessian trace/determinant ratio
-    rejects edge-like responses (ratio test with ``r = edge_ratio``).
-    """
-    keypoints: list[Keypoint] = []
-    for octave, octave_image in enumerate(
-        _octave_images(image, num_octaves, sigma0, upsample)
-    ):
-        keypoints.extend(
-            _detect_in_octave(
-                octave_image,
-                octave,
-                num_scales,
-                sigma0,
-                contrast_threshold,
-                edge_ratio,
-            )
-        )
-    keypoints.sort(key=lambda kp: -kp.response)
-    return keypoints[:max_keypoints]
-
-
 def extract_sift_descriptors(
     image: np.ndarray,
     num_scales: int = 6,
@@ -173,9 +138,14 @@ def extract_sift_descriptors(
 ) -> np.ndarray:
     """Detect keypoints and describe each; returns shape ``(N, 128)``.
 
-    Keypoints whose descriptor window leaves their octave image are
-    dropped, so N can be smaller than the keypoint count (possibly zero
-    for flat tiles — e.g. open ocean).
+    Keypoints are DoG extrema across octaves, strongest responses first,
+    at most ``max_keypoints`` of them.  A pixel is a candidate when it
+    is the maximum or minimum of its 26-neighborhood in the octave's DoG
+    stack, its |response| clears the contrast threshold, and its Hessian
+    trace/determinant ratio rejects edge-like responses (ratio test with
+    ``r = edge_ratio``).  Keypoints whose descriptor window leaves their
+    octave image are dropped, so N can be smaller than the keypoint
+    count (possibly zero for flat tiles — e.g. open ocean).
     """
     octaves = _octave_images(image, num_octaves, sigma0, upsample)
     # Descriptors are computed on reflect-padded gradients so keypoints

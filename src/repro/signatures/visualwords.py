@@ -124,15 +124,6 @@ class VisualVocabulary:
                 counts /= total
         return counts
 
-    def save(self, path) -> None:
-        """Persist the codebook to an ``.npy`` file."""
-        np.save(path, self.centers)
-
-    @classmethod
-    def load(cls, path) -> "VisualVocabulary":
-        """Load a codebook written by :meth:`save`."""
-        return cls(np.load(path))
-
 
 def train_vocabulary(
     pyramid: TilePyramid,

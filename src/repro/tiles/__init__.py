@@ -8,7 +8,6 @@ deepest level is the raw data.
 """
 
 from repro.tiles.key import TileKey
-from repro.tiles.metadata import MetadataStore
 from repro.tiles.moves import (
     ALL_MOVES,
     Move,
@@ -17,13 +16,12 @@ from repro.tiles.moves import (
     ZOOM_IN_MOVES,
 )
 from repro.tiles.pyramid import TileGrid, TilePyramid
-from repro.tiles.render import render_ascii, render_ppm, snow_colormap
+from repro.tiles.render import render_ascii
 from repro.tiles.tile import DataTile
 
 __all__ = [
     "ALL_MOVES",
     "DataTile",
-    "MetadataStore",
     "Move",
     "MoveCategory",
     "PAN_MOVES",
@@ -32,6 +30,4 @@ __all__ = [
     "TilePyramid",
     "ZOOM_IN_MOVES",
     "render_ascii",
-    "render_ppm",
-    "snow_colormap",
 ]

@@ -1,15 +1,12 @@
 """Tile rendering: the visualizer's view of a data tile.
 
 The study interface (Figure 7) renders each tile as a heatmap where
-snow shows orange-to-yellow and snow-free land green-to-blue.  This
-module provides the two renderings a headless reproduction can offer:
-ASCII art for terminals/docs and binary PPM images for files — no
-plotting dependencies required.
+snow shows orange-to-yellow and snow-free land green-to-blue.  A
+headless reproduction renders the same values as ASCII art for
+terminals and docs — no plotting dependencies required.
 """
 
 from __future__ import annotations
-
-from pathlib import Path
 
 import numpy as np
 
@@ -17,15 +14,6 @@ from repro.tiles.tile import DataTile
 
 #: Dark-to-bright ASCII luminance ramp.
 _ASCII_RAMP = " .:-=+*#%@"
-
-#: Color stops for the snow-cover colormap: (value in [0, 1], RGB).
-_COLOR_STOPS = (
-    (0.00, (20, 40, 120)),    # deep blue (no snow / water)
-    (0.35, (30, 120, 60)),    # green (bare land)
-    (0.60, (200, 120, 30)),   # orange (patchy snow)
-    (0.80, (255, 190, 60)),   # bright orange
-    (1.00, (255, 255, 200)),  # near-white (full snow)
-)
 
 
 def _normalize(values: np.ndarray, value_range: tuple[float, float]) -> np.ndarray:
@@ -64,45 +52,3 @@ def render_ascii(
     return "\n".join(
         "".join(_ASCII_RAMP[i] * 2 for i in row) for row in indices
     )
-
-
-def snow_colormap(values: np.ndarray) -> np.ndarray:
-    """Map normalized values in [0, 1] to RGB (uint8) via the study's
-    blue→green→orange→white snow palette."""
-    values = np.clip(np.asarray(values, dtype="float64"), 0.0, 1.0)
-    rgb = np.zeros(values.shape + (3,), dtype="float64")
-    for (v0, c0), (v1, c1) in zip(_COLOR_STOPS, _COLOR_STOPS[1:]):
-        mask = (values >= v0) & (values <= v1)
-        if not mask.any():
-            continue
-        t = (values[mask] - v0) / (v1 - v0)
-        for channel in range(3):
-            rgb[..., channel][mask] = c0[channel] + t * (
-                c1[channel] - c0[channel]
-            )
-    return rgb.astype("uint8")
-
-
-def render_ppm(
-    tile: DataTile,
-    attribute: str,
-    path: str | Path,
-    value_range: tuple[float, float] = (-1.0, 1.0),
-    scale: int = 4,
-) -> Path:
-    """Write one tile attribute as a binary PPM (P6) image.
-
-    ``scale`` repeats each cell into a ``scale x scale`` pixel block so
-    32 px tiles produce viewable images.  Returns the written path.
-    """
-    if scale < 1:
-        raise ValueError(f"scale must be >= 1, got {scale}")
-    values = _normalize(tile.attribute(attribute), value_range)
-    rgb = snow_colormap(values)
-    rgb = np.repeat(np.repeat(rgb, scale, axis=0), scale, axis=1)
-    h, w, _ = rgb.shape
-    path = Path(path)
-    with open(path, "wb") as handle:
-        handle.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
-        handle.write(rgb.tobytes())
-    return path

@@ -5,7 +5,7 @@ import pytest
 
 from repro.arraydb import ArraySchema, Attribute, Database, Dimension
 from repro.arraydb import query as Q
-from repro.arraydb.array import ChunkedArray, full_region, region_cells
+from repro.arraydb.array import ChunkedArray, full_region
 from repro.arraydb.cost import CostModel, VirtualClock
 from repro.arraydb.errors import ArrayNotFoundError
 from repro.arraydb.storage import MemoryChunkStore
@@ -102,16 +102,19 @@ class TestWriteRead:
 
 
 class TestBookkeeping:
-    def test_stored_chunks_counts_only_written(self):
+    def test_a_write_stores_only_the_chunks_it_covers(self):
         array = make_array()
         array.write("v", np.ones((4, 4)), ((0, 4), (0, 4)))
-        assert array.stored_chunks("v") == 1
+        _, stats = array.read("v")
+        assert stats.chunks_read == 1
 
     def test_drop_removes_all_chunks(self):
         array = make_array()
         array.write("v", np.ones((8, 8)))
         array.drop()
-        assert array.stored_chunks("v") == 0
+        out, stats = array.read("v")
+        assert stats.chunks_read == 0
+        assert not out.any()
 
     def test_cells_scanned_counts_chunk_cells(self):
         array = make_array()
@@ -125,9 +128,6 @@ class TestHelpers:
     def test_full_region(self):
         array = make_array()
         assert full_region(array.schema) == ((0, 8), (0, 8))
-
-    def test_region_cells(self):
-        assert region_cells(((0, 4), (2, 8))) == 24
 
 
 class TestViaDatabase:

@@ -93,49 +93,12 @@ class TestArraySchema:
     def test_shape(self):
         assert self._schema().shape == (8, 16)
 
-    def test_cell_count(self):
-        assert self._schema().cell_count == 128
-
-    def test_chunk_grid(self):
-        assert self._schema().chunk_grid == (2, 4)
-
     def test_attribute_lookup(self):
         assert self._schema().attribute("w").dtype == "int32"
 
     def test_attribute_lookup_missing(self):
         with pytest.raises(SchemaError):
             self._schema().attribute("nope")
-
-    def test_has_attribute(self):
-        schema = self._schema()
-        assert schema.has_attribute("v")
-        assert not schema.has_attribute("nope")
-
-    def test_dimension_lookup(self):
-        assert self._schema().dimension("x").length == 16
-
-    def test_dimension_lookup_missing(self):
-        with pytest.raises(SchemaError):
-            self._schema().dimension("z")
-
-    def test_renamed(self):
-        renamed = self._schema().renamed("B")
-        assert renamed.name == "B"
-        assert renamed.shape == (8, 16)
-
-    def test_same_grid(self):
-        a = self._schema()
-        b = a.renamed("B")
-        assert a.same_grid(b)
-
-    def test_different_grid(self):
-        a = self._schema()
-        c = ArraySchema(
-            "C",
-            attributes=(Attribute("v"),),
-            dimensions=(Dimension("y", 0, 4, 4), Dimension("x", 0, 16, 4)),
-        )
-        assert not a.same_grid(c)
 
     def test_rejects_duplicate_attributes(self):
         with pytest.raises(SchemaError):

@@ -1,22 +1,20 @@
-"""Unit tests for chunk stores (memory and disk)."""
+"""Unit tests for the chunk store."""
 
 import numpy as np
 import pytest
 
-from repro.arraydb.storage import DiskChunkStore, MemoryChunkStore
+from repro.arraydb.storage import MemoryChunkStore
 
 KEY = ("A", "v", (0, 1))
 OTHER = ("A", "v", (1, 1))
 
 
-@pytest.fixture(params=["memory", "disk"])
-def store(request, tmp_path):
-    if request.param == "memory":
-        return MemoryChunkStore()
-    return DiskChunkStore(tmp_path / "chunks")
+@pytest.fixture
+def store():
+    return MemoryChunkStore()
 
 
-class TestChunkStores:
+class TestChunkStore:
     def test_put_get_roundtrip(self, store):
         chunk = np.arange(12.0).reshape(3, 4)
         store.put(KEY, chunk)
@@ -50,39 +48,8 @@ class TestChunkStores:
         store.put(OTHER, np.zeros(2))
         assert set(store.keys()) == {KEY, OTHER}
 
-    def test_len(self, store):
-        assert len(store) == 0
-        store.put(KEY, np.zeros(2))
-        assert len(store) == 1
-
-    def test_bytes_used_positive(self, store):
-        store.put(KEY, np.zeros((10, 10)))
-        assert store.bytes_used() >= 10 * 10 * 8
-
     def test_dtype_preserved(self, store):
         chunk = np.arange(4, dtype="int16")
         store.put(KEY, chunk)
         assert store.get(KEY).dtype == np.dtype("int16")
 
-
-class TestDiskStoreSpecifics:
-    def test_index_rebuilt_on_reopen(self, tmp_path):
-        path = tmp_path / "chunks"
-        store = DiskChunkStore(path)
-        store.put(KEY, np.arange(6.0))
-        reopened = DiskChunkStore(path)
-        np.testing.assert_array_equal(reopened.get(KEY), np.arange(6.0))
-
-    def test_clear_removes_everything(self, tmp_path):
-        store = DiskChunkStore(tmp_path / "chunks")
-        store.put(KEY, np.zeros(4))
-        store.clear()
-        assert len(store) == 0
-        assert KEY not in store
-
-    def test_negative_coordinates_roundtrip(self, tmp_path):
-        store = DiskChunkStore(tmp_path / "chunks")
-        key = ("A", "v", (-1, 2))
-        store.put(key, np.ones(2))
-        reopened = DiskChunkStore(tmp_path / "chunks")
-        assert key in reopened

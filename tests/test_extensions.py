@@ -10,7 +10,7 @@ from repro.middleware.config import CacheConfig, PrefetchPolicy, ServiceConfig
 from repro.middleware.service import ForeCacheService
 from repro.recommenders.momentum import MomentumRecommender
 from repro.tiles.key import TileKey
-from repro.tiles.render import render_ascii, render_ppm, snow_colormap
+from repro.tiles.render import render_ascii
 from repro.tiles.tile import DataTile
 
 
@@ -112,28 +112,7 @@ class TestRendering:
         with pytest.raises(ValueError):
             render_ascii(self._tile(), "v", width=1)
 
-    def test_colormap_bounds(self):
-        rgb = snow_colormap(np.asarray([0.0, 0.5, 1.0]))
-        assert rgb.dtype == np.uint8
-        assert rgb.shape == (3, 3)
-        # Low values are blue-ish, high values near-white.
-        assert rgb[0][2] > rgb[0][0]
-        assert rgb[2].min() > 180
-
-    def test_ppm_roundtrip(self, tmp_path):
-        path = render_ppm(self._tile(), "v", tmp_path / "tile.ppm", scale=2)
-        data = path.read_bytes()
-        assert data.startswith(b"P6\n64 64\n255\n")
-        # Header + 64*64 RGB pixels.
-        assert len(data) == len(b"P6\n64 64\n255\n") + 64 * 64 * 3
-
-    def test_ppm_rejects_bad_scale(self, tmp_path):
-        with pytest.raises(ValueError):
-            render_ppm(self._tile(), "v", tmp_path / "x.ppm", scale=0)
-
-    def test_render_real_tile(self, small_dataset, tmp_path):
+    def test_render_real_tile(self, small_dataset):
         tile = small_dataset.pyramid.fetch_tile(TileKey(0, 0, 0), charge=False)
         art = render_ascii(tile, "ndsi_avg")
         assert len(art.splitlines()) == 32
-        render_ppm(tile, "ndsi_avg", tmp_path / "world.ppm")
-        assert (tmp_path / "world.ppm").stat().st_size > 1000

@@ -6,7 +6,7 @@ import pytest
 from repro.arraydb import ArraySchema, Attribute, Dimension
 from repro.modis.dataset import MODISDataset, NDSI_ATTRIBUTES, _cluster_mass
 from repro.modis.ndsi import ndsi_func, register_ndsi, run_ndsi_query
-from repro.modis.regions import DEFAULT_TASKS, MountainRange, TaskSpec
+from repro.modis.regions import DEFAULT_TASKS, MountainRange, TaskSpec, scaled_tasks
 from repro.modis.synth import SyntheticWorld, ValueNoise
 from repro.tiles.key import TileKey
 
@@ -157,6 +157,33 @@ class TestTaskSpec:
         assert DEFAULT_TASKS[2].ndsi_threshold == pytest.approx(0.25)
 
 
+class TestScaledTasks:
+    def test_full_scale_unchanged(self):
+        assert scaled_tasks(2048) == DEFAULT_TASKS
+        assert scaled_tasks(4096) == DEFAULT_TASKS
+
+    def test_half_scale_relaxed(self):
+        tasks = scaled_tasks(1024)
+        for scaled, original in zip(tasks, DEFAULT_TASKS):
+            assert scaled.min_fraction < original.min_fraction
+            assert scaled.ndsi_threshold <= original.ndsi_threshold
+            assert scaled.tiles_to_find <= original.tiles_to_find
+            # Geometry is untouched.
+            assert scaled.bbox == original.bbox
+            assert scaled.target_depth == original.target_depth
+
+    def test_quarter_scale_more_relaxed(self):
+        half = scaled_tasks(1024)
+        quarter = scaled_tasks(512)
+        for h, q in zip(half, quarter):
+            assert q.min_fraction <= h.min_fraction
+            assert q.ndsi_threshold <= h.ndsi_threshold
+
+    def test_rejects_bad_size(self):
+        with pytest.raises(ValueError):
+            scaled_tasks(0)
+
+
 class TestMountainRange:
     def test_rejects_bad_geometry(self):
         with pytest.raises(ValueError):
@@ -201,45 +228,23 @@ class TestMODISDataset:
             tile.attribute("ndsi_min") <= tile.attribute("ndsi_max") + 1e-12
         )
 
-    def test_task_lookup(self, tiny_dataset):
-        assert tiny_dataset.task(2).name == "europe_snow"
-        with pytest.raises(KeyError):
-            tiny_dataset.task(9)
-
-    def test_tiles_overlapping_full_bbox(self, tiny_dataset):
-        keys = tiny_dataset.tiles_overlapping((0.0, 0.0, 1.0, 1.0), 2)
-        assert len(keys) == 16
-
-    def test_tiles_overlapping_clipped(self, tiny_dataset):
-        keys = tiny_dataset.tiles_overlapping((0.0, 0.0, 0.49, 0.49), 1)
-        assert keys == [TileKey(1, 0, 0)]
-
     def test_each_task_is_satisfiable(self, small_dataset):
         """Every task must have at least tiles_to_find qualifying tiles."""
         for task in small_dataset.tasks:
             level = task.target_level(small_dataset.num_levels)
-            keys = small_dataset.tiles_overlapping(task.bbox, level)
+            keys = small_dataset.pyramid.grid.keys_at_level(level)
             satisfying = [
                 k for k in keys if small_dataset.satisfies_task(k, task)
             ]
             assert len(satisfying) >= task.tiles_to_find, task.name
 
     def test_satisfies_requires_target_level(self, small_dataset):
-        task = small_dataset.task(1)
+        task = small_dataset.tasks[0]
         level = task.target_level(small_dataset.num_levels)
-        keys = small_dataset.tiles_overlapping(task.bbox, level)
+        keys = small_dataset.pyramid.grid.keys_at_level(level)
         satisfying = [k for k in keys if small_dataset.satisfies_task(k, task)]
         parent = satisfying[0].parent
         assert not small_dataset.satisfies_task(parent, task)
-
-    def test_quadrant_snow_keys(self, tiny_dataset):
-        quadrants = tiny_dataset.quadrant_snow(TileKey(0, 0, 0), 0.0)
-        assert set(quadrants) == {(0, 0), (0, 1), (1, 0), (1, 1)}
-        assert all(0.0 <= v <= 1.0 for v in quadrants.values())
-
-    def test_edge_snow_keys(self, tiny_dataset):
-        edges = tiny_dataset.edge_snow(TileKey(0, 0, 0), 0.0)
-        assert set(edges) == {"left", "right", "up", "down"}
 
     def test_saliency_bounded(self, small_dataset):
         for key in [TileKey(0, 0, 0), TileKey(2, 1, 1)]:

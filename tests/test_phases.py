@@ -5,12 +5,7 @@ import pytest
 
 from repro.phases.classifier import PhaseClassifier
 from repro.phases.features import FEATURE_NAMES, feature_vector, trace_features
-from repro.phases.labeler import (
-    detail_cutoff,
-    label_agreement,
-    label_trace,
-    model_fit_fraction,
-)
+from repro.phases.labeler import detail_cutoff, model_fit_fraction
 from repro.phases.model import ALL_PHASES, AnalysisPhase
 from repro.phases.svm import SMOTrainer, rbf_kernel
 from repro.tiles.key import TileKey
@@ -80,46 +75,6 @@ class TestLabeler:
 
     def test_detail_cutoff_minimum(self):
         assert detail_cutoff(1) >= 1
-
-    def test_zooms_are_navigation(self):
-        trace = Trace(
-            user_id=1,
-            task_id=1,
-            requests=[
-                Request(0, TileKey(0, 0, 0), None),
-                Request(1, TileKey(1, 1, 0), Move.ZOOM_IN_NE),
-                Request(2, TileKey(0, 0, 0), Move.ZOOM_OUT),
-            ],
-        )
-        labels = label_trace(trace, num_levels=4)
-        assert labels[1] is P.NAVIGATION
-        assert labels[2] is P.NAVIGATION
-
-    def test_detail_pans_are_sensemaking(self):
-        trace = Trace(
-            user_id=1,
-            task_id=1,
-            requests=[Request(0, TileKey(3, 1, 1), Move.PAN_LEFT)],
-        )
-        assert label_trace(trace, num_levels=4)[0] is P.SENSEMAKING
-
-    def test_coarse_pans_are_foraging(self):
-        trace = Trace(
-            user_id=1,
-            task_id=1,
-            requests=[Request(0, TileKey(1, 1, 1), Move.PAN_LEFT)],
-        )
-        assert label_trace(trace, num_levels=4)[0] is P.FORAGING
-
-    def test_agreement_on_generated_traces(self, small_study, small_dataset):
-        """The heuristic labeler broadly agrees with generation labels
-        (divergences are the peek/verification zooms)."""
-        total = 0.0
-        weight = 0
-        for trace in small_study.traces:
-            total += label_agreement(trace, small_dataset.num_levels) * len(trace)
-            weight += len(trace)
-        assert total / weight > 0.55
 
     def test_model_fit_on_generated_traces(self, small_study, small_dataset):
         """Nearly all requests fit the three-phase model (paper: 96%)."""

@@ -23,7 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.allocation import PaperFinalStrategy, SingleModelStrategy
+from repro.core.allocation import PaperFinalStrategy
 from repro.core.engine import PredictionEngine
 from repro.experiments.context import ExperimentContext
 from repro.experiments.runner import HYBRID_SIGNATURE, hybrid_factory
@@ -353,24 +353,9 @@ class TestPairDistanceMemo:
             provider.vector(self.A, "coords"), provider.vector(self.B, "coords")
         )
 
-    def test_replacing_a_vector_drops_the_distances(self, counting_provider):
-        provider, _ = counting_provider
-        stale = provider.pair_distance(self.A, self.B, "coords")
-        provider.store.put(self.A, "coords", provider.vector(self.B, "coords"))
-        assert provider.pair_distance(self.A, self.B, "coords") == 0.0 != stale
-
-    def test_clearing_the_store_drops_the_distances(self, counting_provider):
-        provider, signature = counting_provider
-        before = provider.pair_distance(self.A, self.B, "coords")
-        provider.store.clear()
-        assert provider.pair_distance(self.A, self.B, "coords") == before
-        assert signature.distance_calls == 2
-        assert provider.store.compute_count == 2
-
     def test_a_new_vector_drops_nothing(self, counting_provider):
         provider, signature = counting_provider
         provider.pair_distance(self.A, self.B, "coords")
-        provider.store.put(TileKey(1, 0, 0), "coords", np.ones(3))
         provider.vector(TileKey(1, 1, 1), "coords")
         provider.pair_distance(self.A, self.B, "coords")
         assert signature.distance_calls == 1
@@ -387,7 +372,6 @@ class TestPairDistanceMemo:
             provider.registry, "get", lambda name: pytest.fail("resolved on a hit")
         )
         assert provider.vector(self.A, "coords") is first
-        assert provider.store.hit_count == 1
 
     def test_bounded(self, tiny_dataset, monkeypatch):
         monkeypatch.setattr(provider_module, "PAIR_DISTANCE_MEMO_PAIRS", 4)
@@ -403,24 +387,6 @@ class TestPairDistanceMemo:
             )
             assert provider.pair_distance(a, b, "coords") == expected
             assert provider._pair_distance.cache_info().currsize <= 4
-
-    def test_sb_ranking_follows_a_replaced_vector(self, counting_provider):
-        """A stale distance would be a wrong ranking, not a slow one."""
-        provider, _ = counting_provider
-        grid = provider.pyramid.grid
-        model = SignatureBasedRecommender(provider, ("coords",))
-        engine = PredictionEngine(
-            grid, {model.name: model}, SingleModelStrategy(model.name)
-        )
-        current = TileKey(1, 0, 0)
-        engine.observe(None, current)
-        before = engine.predict(8).tiles
-        # Make the last-ranked candidate identical to the reference tile.
-        provider.store.put(before[-1], "coords", provider.vector(current, "coords"))
-        engine.observe(None, current)
-        after = engine.predict(8).tiles
-        assert sorted(after) == sorted(before)
-        assert after.index(before[-1]) < len(before) - 1
 
 
 class TestGeometryMemo:

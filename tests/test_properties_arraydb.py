@@ -117,11 +117,3 @@ class TestQueryProperties:
         np.testing.assert_array_equal(
             db.execute(Q.scan("B")).attribute("v"), values
         )
-
-    @settings(max_examples=30, deadline=None)
-    @given(arrays, chunks)
-    def test_aggregate_matches_numpy(self, values, chunk):
-        db = fresh_db(values, chunk)
-        for func, ref in (("avg", np.mean), ("sum", np.sum), ("max", np.max)):
-            result = db.execute(Q.aggregate(Q.scan("A"), func, "v"))
-            np.testing.assert_allclose(result.scalar, ref(values), rtol=1e-9)

@@ -6,8 +6,6 @@ virtual second for virtual second, is the query they replaced:
 ``execute(subarray(scan(view), tile_region(key)))``.
 """
 
-import tempfile
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +14,6 @@ from hypothesis import strategies as st
 from repro.arraydb import ArraySchema, Attribute, Database, Dimension
 from repro.arraydb import query as Q
 from repro.arraydb.cost import CostModel, VirtualClock
-from repro.arraydb.storage import DiskChunkStore, MemoryChunkStore
 from repro.tiles.key import TileKey
 from repro.tiles.pyramid import TilePyramid
 
@@ -31,10 +28,10 @@ COST = CostModel(
 DTYPES = ("float64", "float32", "int32", "uint8")
 
 
-def build_pyramid(store, tile_size: int, levels: int, dtypes, seed: int) -> TilePyramid:
+def build_pyramid(tile_size: int, levels: int, dtypes, seed: int) -> TilePyramid:
     side = tile_size << (levels - 1)
     names = tuple(f"a{i}" for i in range(len(dtypes)))
-    db = Database(store=store, cost_model=COST)
+    db = Database(cost_model=COST)
     db.create_array(
         ArraySchema(
             "S",
@@ -67,7 +64,7 @@ def assert_fetches_match_reference(pyramid: TilePyramid) -> None:
 
         for tile in (charged, free):
             assert tile.key == key
-            assert tile.attribute_names() == reference.attribute_names()
+            assert tile.attribute_names() == list(reference.attributes)
             for name in pyramid.attributes:
                 block, expected = tile.attribute(name), reference.attribute(name)
                 assert block.dtype == expected.dtype
@@ -87,50 +84,43 @@ def worlds(draw):
 
 class TestFetchEqualsExecutedQuery:
     @settings(max_examples=25, deadline=None)
-    @given(worlds(), st.booleans(), st.data())
-    def test_every_tile_of_any_pyramid(self, world, on_disk, data):
-        with tempfile.TemporaryDirectory() as root:
-            store = DiskChunkStore(root) if on_disk else MemoryChunkStore()
-            pyramid = build_pyramid(store, **world)
-            if data.draw(st.booleans(), label="delete one chunk"):
-                # An absent chunk reads back as zeros and is not charged.
-                key = data.draw(st.sampled_from(list(pyramid.grid.all_keys())))
-                name = data.draw(st.sampled_from(pyramid.attributes))
-                store.delete((pyramid.view_name(key.level), name, (key.y, key.x)))
-            assert_fetches_match_reference(pyramid)
+    @given(worlds(), st.data())
+    def test_every_tile_of_any_pyramid(self, world, data):
+        pyramid = build_pyramid(**world)
+        if data.draw(st.booleans(), label="delete one chunk"):
+            # An absent chunk reads back as zeros and is not charged.
+            key = data.draw(st.sampled_from(list(pyramid.grid.all_keys())))
+            name = data.draw(st.sampled_from(pyramid.attributes))
+            pyramid.db._store.delete((pyramid.view_name(key.level), name, (key.y, key.x)))
+        assert_fetches_match_reference(pyramid)
 
 
-class CountingStore(MemoryChunkStore):
-    """Counts the look-ups a fetch performs."""
+def count_lookups(store, monkeypatch) -> dict[str, int]:
+    """Count, from here on, the ``get`` and ``keys`` calls on ``store``."""
+    counts = {"get": 0, "keys": 0}
+    for name in counts:
 
-    def __init__(self) -> None:
-        super().__init__()
-        self.gets = 0
-        self.scans = 0
+        def counted(*args, _name=name, _method=getattr(store, name)):
+            counts[_name] += 1
+            return _method(*args)
 
-    def get(self, key):
-        self.gets += 1
-        return super().get(key)
-
-    def keys(self):
-        self.scans += 1
-        return super().keys()
+        monkeypatch.setattr(store, name, counted)
+    return counts
 
 
 class TestFetchIsALookup:
     @pytest.mark.parametrize("charge", [True, False])
     def test_one_get_per_attribute_and_no_plan(self, charge, monkeypatch):
-        store = CountingStore()
-        pyramid = build_pyramid(store, 4, 3, ("float64", "uint8", "int32"), seed=1)
+        pyramid = build_pyramid(4, 3, ("float64", "uint8", "int32"), seed=1)
         executed = []
         monkeypatch.setattr(pyramid.db, "execute", executed.append)
-        store.gets = store.scans = 0
+        counts = count_lookups(pyramid.db._store, monkeypatch)
         pyramid.fetch_tile(TileKey(2, 3, 1), charge=charge)
-        assert (store.gets, store.scans, executed) == (3, 0, [])
+        assert (counts["get"], counts["keys"], executed) == (3, 0, [])
 
     def test_fetched_payloads_cannot_be_written(self):
-        store = MemoryChunkStore()
-        pyramid = build_pyramid(store, 4, 2, ("float64", "uint8"), seed=2)
+        pyramid = build_pyramid(4, 2, ("float64", "uint8"), seed=2)
+        store = pyramid.db._store
         key = TileKey(1, 1, 0)
         tile, _ = pyramid.fetch_tile_timed(key)
         for name in pyramid.attributes:
@@ -141,7 +131,7 @@ class TestFetchIsALookup:
             assert not np.shares_memory(block, chunk)
 
     def test_key_outside_the_pyramid(self):
-        pyramid = build_pyramid(MemoryChunkStore(), 4, 2, ("float64",), seed=3)
+        pyramid = build_pyramid(4, 2, ("float64",), seed=3)
         for key in (TileKey(2, 0, 0), TileKey(1, 2, 0)):
             with pytest.raises(ValueError):
                 pyramid.fetch_tile_timed(key)

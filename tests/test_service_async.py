@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from repro.arraydb import ArraySchema, Attribute, Database, Dimension
-from repro.arraydb.storage import DiskChunkStore, MemoryChunkStore
 from repro.cache.manager import CacheManager
 from repro.cache.tile_cache import TileCache
 from repro.core.allocation import SingleModelStrategy
@@ -58,10 +57,9 @@ def count_submits(service: AsyncForeCacheService) -> list[int]:
     return submits
 
 
-def build_pyramid(store) -> TilePyramid:
-    """A three-level pyramid over ``store`` (the world of
-    ``tests/test_disk_integration.py``)."""
-    db = Database(store=store)
+def build_pyramid() -> TilePyramid:
+    """A three-level pyramid over a 16 x 16 random array."""
+    db = Database()
     db.create_array(
         ArraySchema(
             "S",
@@ -187,38 +185,12 @@ class TestAsyncLifecycle:
 class TestWhatLeavesTheLoop:
     """Work leaves the event loop iff the backend can block."""
 
-    def test_blocking_is_derived_from_delay_and_stores(self, tmp_path):
-        class PlainStore:
-            """A complete chunk store that says nothing about itself."""
-
-            def __init__(self):
-                self.chunks = {}
-
-            def put(self, key, chunk):
-                self.chunks[key] = np.asarray(chunk)
-
-            def get(self, key):
-                return self.chunks[key]
-
-            def __contains__(self, key):
-                return key in self.chunks
-
-            def delete(self, key):
-                del self.chunks[key]
-
-            def keys(self):
-                return iter(list(self.chunks))
-
-            def bytes_used(self):
-                return sum(chunk.nbytes for chunk in self.chunks.values())
-
-        memory = build_pyramid(MemoryChunkStore())
-        assert not CacheManager(memory).backend_can_block
-        assert CacheManager(
-            memory, backend_delay_seconds=1e-6
-        ).backend_can_block
-        for store in (DiskChunkStore(tmp_path / "chunks"), PlainStore()):
-            assert CacheManager(build_pyramid(store)).backend_can_block
+    @pytest.mark.parametrize("delay, blocks", [(0.0, False), (1e-6, True)])
+    def test_blocking_is_derived_from_the_delay(self, delay, blocks):
+        """Every view sits in memory, so a query can wait outside the
+        interpreter exactly when a backend delay is emulated."""
+        manager = CacheManager(build_pyramid(), backend_delay_seconds=delay)
+        assert manager.backend_can_block is blocks
 
     def test_in_memory_requests_never_leave_the_loop(self, small_dataset):
         """Sync-mode prefetch over an in-memory pyramid: hits, misses
@@ -311,17 +283,12 @@ class TestWhatLeavesTheLoop:
             assert bridge_threads() == before
             assert not server.server.service._executor._threads
 
-    @pytest.mark.parametrize("backend", ["delay", "disk"])
-    def test_blocking_backend_submits_as_before(self, backend, tmp_path):
+    def test_blocking_backend_submits_as_before(self):
         """With a backend that can block the rule is the old one: a hit
         is probed on the loop, every miss and every sync prefetch round
         travels to the bridge pool."""
-        if backend == "delay":
-            pyramid = build_pyramid(MemoryChunkStore())
-            cache = CacheConfig(backend_delay_seconds=1e-6)
-        else:
-            pyramid = build_pyramid(DiskChunkStore(tmp_path / "chunks"))
-            cache = CacheConfig()
+        pyramid = build_pyramid()
+        cache = CacheConfig(backend_delay_seconds=1e-6)
         walk = pan_walk(pyramid.grid, 24)
 
         async def drive(policy):

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from repro.signatures.densesift import DenseSIFTSignature, extract_dense_descriptors
+from repro.signatures import sift
 from repro.signatures.gradients import (
     DESCRIPTOR_DIM,
+    WINDOW,
     build_scale_space,
     descriptor_at,
     difference_of_gaussians,
@@ -13,7 +15,7 @@ from repro.signatures.gradients import (
     normalize_tile_values,
     polar_gradients,
 )
-from repro.signatures.sift import SIFTSignature, detect_keypoints, extract_sift_descriptors
+from repro.signatures.sift import SIFTSignature, extract_sift_descriptors
 from repro.signatures.visualwords import VisualVocabulary
 from repro.tiles.key import TileKey
 from repro.tiles.tile import DataTile
@@ -87,23 +89,46 @@ class TestGradients:
 
 class TestSIFT:
     def test_blob_produces_keypoints(self):
-        kps = detect_keypoints(blob_image(), contrast_threshold=0.001)
-        assert len(kps) >= 1
+        descriptors = extract_sift_descriptors(blob_image(), contrast_threshold=0.001)
+        assert descriptors.shape[0] >= 1
 
     def test_flat_image_no_keypoints(self):
-        assert detect_keypoints(np.zeros((32, 32))) == []
+        descriptors = extract_sift_descriptors(np.zeros((32, 32)))
+        assert descriptors.shape == (0, DESCRIPTOR_DIM)
 
-    def test_keypoints_sorted_by_response(self):
-        kps = detect_keypoints(
-            blob_image(centers=((10, 10), (24, 24))), contrast_threshold=0.0005
-        )
-        responses = [kp.response for kp in kps]
-        assert responses == sorted(responses, reverse=True)
+    def test_describes_the_strongest_keypoints_first(self, monkeypatch):
+        """Of all DoG extrema, the ``max_keypoints`` strongest responses
+        are described, strongest first."""
+        half = WINDOW // 2
+        responses, octave_of, described = {}, {}, []
+        detect, describe = sift._detect_in_octave, sift.descriptor_at
+
+        def spy_detect(image, octave, *args):
+            octave_of[image.shape] = octave
+            keypoints = detect(image, octave, *args)
+            for kp in keypoints:
+                responses[kp.octave, kp.y, kp.x] = kp.response
+            return keypoints
+
+        def spy_describe(magnitude, angle, py, px, orientation):
+            h, w = magnitude.shape
+            octave = octave_of[h - 2 * half, w - 2 * half]
+            described.append(responses[octave, py - half, px - half])
+            return describe(magnitude, angle, py, px, orientation)
+
+        monkeypatch.setattr(sift, "_detect_in_octave", spy_detect)
+        monkeypatch.setattr(sift, "descriptor_at", spy_describe)
+        image = np.random.default_rng(0).random((64, 64))
+        extract_sift_descriptors(image, contrast_threshold=0.0001, max_keypoints=5)
+        assert len(responses) > 5
+        assert described == sorted(responses.values(), reverse=True)[:5]
 
     def test_max_keypoints_respected(self):
         img = np.random.default_rng(0).random((64, 64))
-        kps = detect_keypoints(img, contrast_threshold=0.0001, max_keypoints=5)
-        assert len(kps) <= 5
+        descriptors = extract_sift_descriptors(
+            img, contrast_threshold=0.0001, max_keypoints=5
+        )
+        assert descriptors.shape[0] <= 5
 
     def test_descriptors_shape(self):
         descriptors = extract_sift_descriptors(blob_image(), contrast_threshold=0.001)
@@ -188,13 +213,6 @@ class TestVisualVocabulary:
     def test_fit_rejects_empty(self):
         with pytest.raises(ValueError):
             VisualVocabulary.fit(np.zeros((0, 4)))
-
-    def test_save_load_roundtrip(self, tmp_path):
-        vocab = VisualVocabulary.fit(self._descriptors(), num_words=3)
-        path = tmp_path / "vocab.npy"
-        vocab.save(path)
-        loaded = VisualVocabulary.load(path)
-        np.testing.assert_array_equal(loaded.centers, vocab.centers)
 
 
 class TestSignaturesOnTiles:

@@ -40,7 +40,7 @@ class TestBuild:
         make_source(db, side=16)
         pyramid = TilePyramid.build(db, "S", tile_size=4)
         for level in range(3):
-            assert db.has_array(pyramid.view_name(level))
+            assert db.array(pyramid.view_name(level)).schema.name == pyramid.view_name(level)
 
     def test_views_chunked_by_tile(self, db):
         make_source(db, side=16)

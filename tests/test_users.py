@@ -121,7 +121,7 @@ class TestSimulatedUser:
     def one_trace(self, small_dataset):
         profile = BehaviorProfile.sample(np.random.default_rng(1))
         user = SimulatedUser(small_dataset, user_id=1, profile=profile, seed=17)
-        return user.run_task(small_dataset.task(2))
+        return user.run_task(small_dataset.tasks[1])
 
     def test_starts_at_root(self, one_trace):
         assert one_trace.requests[0].tile == TileKey(0, 0, 0)
@@ -142,10 +142,10 @@ class TestSimulatedUser:
     def test_deterministic_for_seed(self, small_dataset):
         profile = BehaviorProfile.sample(np.random.default_rng(1))
         a = SimulatedUser(small_dataset, 1, profile, seed=17).run_task(
-            small_dataset.task(2)
+            small_dataset.tasks[1]
         )
         b = SimulatedUser(small_dataset, 1, profile, seed=17).run_task(
-            small_dataset.task(2)
+            small_dataset.tasks[1]
         )
         assert a.requests == b.requests
 
@@ -154,12 +154,12 @@ class TestSimulatedUser:
         user = SimulatedUser(
             small_dataset, 1, profile, seed=17, max_requests=15
         )
-        trace = user.run_task(small_dataset.task(1))
+        trace = user.run_task(small_dataset.tasks[0])
         assert len(trace) <= 15
 
     def test_completes_task_2(self, small_dataset, one_trace):
         """Task 2 is well-stocked in the small world: user must finish."""
-        task = small_dataset.task(2)
+        task = small_dataset.tasks[1]
         found = {
             r.tile
             for r in one_trace.requests
