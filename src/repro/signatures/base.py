@@ -20,15 +20,15 @@ from repro.tiles.tile import DataTile
 class Signature(abc.ABC):
     """A compact numeric representation of one data tile."""
 
-    #: Registry / metadata-store key; subclasses override.
+    #: Registry key, and the provider's vector key; subclasses override.
     name: str = "signature"
 
     @abc.abstractmethod
     def compute(self, tile: DataTile, attribute: str) -> np.ndarray:
         """Compute this signature over one attribute of one tile.
 
-        Returns a 1-D float vector.  Must be deterministic: the metadata
-        store caches results by (tile key, signature name).
+        Returns a 1-D float vector.  Must be deterministic: the signature
+        provider keeps results by (tile key, signature name).
         """
 
     def distance(self, a: np.ndarray, b: np.ndarray) -> float:

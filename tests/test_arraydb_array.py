@@ -236,3 +236,134 @@ class TestFetchChunk:
     def test_unknown_array(self, db):
         with pytest.raises(ArrayNotFoundError):
             db.fetch_chunk("nope", (0, 0))
+
+
+def make_signed_array(chunk: int) -> ChunkedArray:
+    """A 16x16 array whose coordinates run from -8 to 8 on both axes."""
+    schema = ArraySchema(
+        "N",
+        attributes=(Attribute("v"),),
+        dimensions=(
+            Dimension("y", -8, 8, chunk),
+            Dimension("x", -8, 8, chunk),
+        ),
+    )
+    return ChunkedArray(schema, MemoryChunkStore())
+
+
+class TestNegativeOrigin:
+    """Array coordinates need not start at zero; chunk indices still do."""
+
+    @pytest.mark.parametrize("chunk", [1, 3, 4, 16])
+    def test_roundtrip(self, chunk):
+        array = make_signed_array(chunk)
+        data = np.arange(256.0).reshape(16, 16)
+        array.write("v", data)
+        out, _ = array.read("v")
+        np.testing.assert_array_equal(out, data)
+
+    def test_region_across_the_zero_line(self):
+        array = make_signed_array(4)
+        data = np.arange(256.0).reshape(16, 16)
+        array.write("v", data)
+        out, stats = array.read("v", ((-2, 2), (-1, 3)))
+        np.testing.assert_array_equal(out, data[6:10, 7:11])
+        assert stats.chunks_read == 4
+
+    def test_chunk_zero_starts_at_the_origin(self):
+        array = make_signed_array(4)
+        data = np.arange(256.0).reshape(16, 16)
+        array.write("v", data)
+        blocks, _ = array.read_chunk((0, 1))
+        np.testing.assert_array_equal(blocks["v"], data[0:4, 4:8])
+
+    def test_region_write_lands_at_array_coordinates(self):
+        array = make_signed_array(4)
+        array.write("v", np.full((2, 2), 7.0), ((-8, -6), (6, 8)))
+        out, _ = array.read("v")
+        assert out[0:2, 14:16].tolist() == [[7.0, 7.0], [7.0, 7.0]]
+        assert out.sum() == 28.0
+
+    def test_regrid_origin_is_the_window_index(self, db: Database):
+        schema = ArraySchema(
+            "N",
+            attributes=(Attribute("v"),),
+            dimensions=(Dimension("y", -8, 8, 4), Dimension("x", -8, 8, 4)),
+        )
+        db.create_array(schema)
+        db.write("N", "v", np.ones((16, 16)))
+        result = db.execute(Q.regrid(Q.scan("N"), (4, 4)))
+        assert result.origin == (-2, -2)
+        assert result.attribute("v").shape == (4, 4)
+
+
+class TestThreeDimensions:
+    def _array(self) -> ChunkedArray:
+        schema = ArraySchema(
+            "T",
+            attributes=(Attribute("v", "int64"),),
+            dimensions=(
+                Dimension("t", 0, 3, 2),
+                Dimension("y", 0, 5, 2),
+                Dimension("x", 0, 4, 3),
+            ),
+        )
+        return ChunkedArray(schema, MemoryChunkStore())
+
+    def test_roundtrip(self):
+        array = self._array()
+        data = np.arange(60).reshape(3, 5, 4)
+        array.write("v", data)
+        out, stats = array.read("v")
+        np.testing.assert_array_equal(out, data)
+        assert out.dtype == np.dtype("int64")
+        assert stats.chunks_read == 2 * 3 * 2
+
+    def test_region_read(self):
+        array = self._array()
+        data = np.arange(60).reshape(3, 5, 4)
+        array.write("v", data)
+        out, _ = array.read("v", ((1, 3), (1, 4), (2, 4)))
+        np.testing.assert_array_equal(out, data[1:3, 1:4, 2:4])
+
+    def test_edge_chunk_is_clipped(self):
+        array = self._array()
+        array.write("v", np.arange(60).reshape(3, 5, 4))
+        blocks, _ = array.read_chunk((1, 2, 1))
+        assert blocks["v"].shape == (1, 1, 1)
+        assert blocks["v"].item() == 2 * 20 + 4 * 4 + 3
+
+
+class TestSharedStore:
+    """Every array of a database lives in one store, keyed by array name."""
+
+    def test_drop_leaves_other_arrays(self):
+        store = MemoryChunkStore()
+        schemas = [
+            ArraySchema(
+                name,
+                attributes=(Attribute("v"),),
+                dimensions=(Dimension("y", 0, 4, 2), Dimension("x", 0, 4, 2)),
+            )
+            for name in ("A", "AB")
+        ]
+        first, second = (ChunkedArray(s, store) for s in schemas)
+        first.write("v", np.ones((4, 4)))
+        second.write("v", np.full((4, 4), 2.0))
+        first.drop()
+        assert {key[0] for key in store.keys()} == {"AB"}
+        out, _ = second.read("v")
+        assert (out == 2.0).all()
+
+    def test_attributes_are_stored_apart(self):
+        schema = ArraySchema(
+            "A",
+            attributes=(Attribute("v"), Attribute("w")),
+            dimensions=(Dimension("y", 0, 4, 4), Dimension("x", 0, 4, 4)),
+        )
+        array = ChunkedArray(schema, MemoryChunkStore())
+        array.write("v", np.ones((4, 4)))
+        blocks, stats = array.read_chunk((0, 0))
+        assert (blocks["v"] == 1.0).all()
+        assert not blocks["w"].any()
+        assert stats.chunks_read == 1

@@ -9,6 +9,7 @@ from repro.arraydb.errors import (
     ArrayExistsError,
     ArrayNotFoundError,
     QueryError,
+    SchemaError,
     UnknownFunctionError,
 )
 from repro.arraydb.functions import FunctionRegistry
@@ -224,3 +225,138 @@ class TestCostAccounting:
             db.array("A")
         with pytest.raises(ArrayNotFoundError):
             db.drop_array("A")
+
+
+class TestPlanErrors:
+    """Malformed plans are refused with a typed error, not a numpy one."""
+
+    def test_unknown_node_type(self, db):
+        class Sample(Q.QueryNode):
+            pass
+
+        with pytest.raises(QueryError, match="unknown query node Sample"):
+            db.execute(Sample())
+
+    def test_result_has_no_such_attribute(self, db):
+        load(db, "A", np.ones((4, 4)), chunk=4)
+        result = db.execute(Q.scan("A"))
+        with pytest.raises(SchemaError, match="no attribute 'w'"):
+            result.attribute("w")
+
+    def test_subarray_of_a_result_needs_its_dimensionality(self, db):
+        load(db, "A", np.ones((8, 8)), chunk=4)
+        plan = Q.subarray(Q.regrid(Q.scan("A"), (2, 2)), ((0, 2),))
+        with pytest.raises(QueryError, match="1 dimensions, input has 2"):
+            db.execute(plan)
+
+    @pytest.mark.parametrize(
+        "bounds", [((0, 5), (0, 4)), ((-1, 2), (0, 4)), ((2, 2), (0, 4))]
+    )
+    def test_subarray_of_a_result_stays_inside_it(self, db, bounds):
+        load(db, "A", np.ones((8, 8)), chunk=4)
+        plan = Q.subarray(Q.regrid(Q.scan("A"), (2, 2)), bounds)
+        with pytest.raises(QueryError, match="outside input range"):
+            db.execute(plan)
+
+    def test_subarray_of_a_result_slices_it(self, db):
+        data = np.arange(64.0).reshape(8, 8)
+        load(db, "A", data, chunk=4)
+        regridded = db.execute(Q.regrid(Q.scan("A"), (2, 2))).attribute("v")
+        result = db.execute(
+            Q.subarray(Q.regrid(Q.scan("A"), (2, 2)), ((1, 3), (2, 4)))
+        )
+        np.testing.assert_array_equal(result.attribute("v"), regridded[1:3, 2:4])
+        assert result.origin == (1, 2)
+
+    def test_regrid_needs_one_interval_per_dimension(self, db):
+        load(db, "A", np.ones((4, 4)), chunk=4)
+        with pytest.raises(QueryError, match="1 intervals, input has 2"):
+            db.execute(Q.regrid(Q.scan("A"), (2,)))
+
+    def test_apply_input_must_exist(self, db):
+        load(db, "A", np.ones((4, 4)), chunk=4)
+        with pytest.raises(QueryError, match="apply input 'w' not found"):
+            db.execute(Q.apply(Q.scan("A"), "out", "identity", ("w",)))
+
+    def test_apply_udf_must_keep_the_shape(self):
+        registry = FunctionRegistry()
+        registry.register("first_row", lambda v: v[0])
+        db = Database(registry=registry)
+        load(db, "A", np.ones((4, 4)), chunk=4)
+        with pytest.raises(QueryError, match=r"returned shape \(4,\)"):
+            db.execute(Q.apply(Q.scan("A"), "out", "first_row", ("v",)))
+
+    def test_join_refuses_a_qualified_name_that_collides(self, db):
+        """Qualifying ``v`` as ``B.v`` must not overwrite a right-hand
+        attribute that is already called ``B.v``."""
+        load(db, "B", np.ones((4, 4)), chunk=4)
+        schema = ArraySchema(
+            "C",
+            attributes=(Attribute("v"), Attribute("B.v")),
+            dimensions=(Dimension("y", 0, 4, 4), Dimension("x", 0, 4, 4)),
+        )
+        db.create_array(schema)
+        with pytest.raises(QueryError, match="duplicate attribute 'B.v'"):
+            db.execute(Q.join(Q.scan("B"), Q.scan("C")))
+
+    def test_join_of_results_without_a_source_qualifies_by_side(self, db):
+        load(db, "A", np.ones((4, 4)), chunk=4)
+        load(db, "B", np.full((4, 4), 2.0), chunk=4)
+        pair = Q.join(Q.scan("A"), Q.scan("B"))
+        result = db.execute(Q.join(pair, pair))
+        assert set(result.attributes) == {
+            "left.A.v", "left.B.v", "right.A.v", "right.B.v",
+        }
+        assert result.attribute("right.B.v")[0, 0] == 2.0
+
+    def test_store_chunks_need_one_interval_per_dimension(self, db):
+        load(db, "A", np.ones((4, 4)), chunk=4)
+        with pytest.raises(QueryError, match="store chunks have 1 dimensions"):
+            db.execute(Q.store(Q.scan("A"), "B", chunks=(2,)))
+        with pytest.raises(ArrayNotFoundError):
+            db.array("B")
+
+    def test_store_of_a_region_keeps_its_origin(self, db):
+        data = np.arange(64.0).reshape(8, 8)
+        load(db, "A", data, chunk=4)
+        db.execute(Q.store(Q.subarray(Q.scan("A"), ((2, 6), (4, 8))), "W"))
+        assert db.schema("W").origin == (2, 4)
+        np.testing.assert_array_equal(db.read("W", "v"), data[2:6, 4:8])
+
+    def test_apply_casts_to_the_requested_dtype(self, db):
+        load(db, "A", np.full((4, 4), 2.5), chunk=4)
+        result = db.execute(
+            Q.apply(Q.scan("A"), "n", "identity", ("v",), dtype="int32")
+        )
+        assert result.attribute("n").dtype == np.dtype("int32")
+        assert result.attribute("n")[0, 0] == 2
+
+
+class TestDefaultFunctions:
+    def test_safe_div_is_zero_where_the_divisor_is(self, db):
+        schema = ArraySchema(
+            "P",
+            attributes=(Attribute("a"), Attribute("b")),
+            dimensions=(Dimension("y", 0, 2, 2), Dimension("x", 0, 2, 2)),
+        )
+        db.create_array(schema)
+        db.write("P", "a", np.asarray([[1.0, 2.0], [3.0, 4.0]]))
+        db.write("P", "b", np.asarray([[2.0, 0.0], [0.5, 0.0]]))
+        result = db.execute(Q.apply(Q.scan("P"), "q", "safe_div", ("a", "b")))
+        np.testing.assert_array_equal(
+            result.attribute("q"), [[0.5, 0.0], [6.0, 0.0]]
+        )
+
+    def test_a_name_registers_once(self):
+        registry = FunctionRegistry()
+        registry.register("f", lambda v: v)
+        with pytest.raises(ValueError, match="already registered"):
+            registry.register("f", lambda v: v + 1)
+        assert registry.get("f")(1) == 1
+
+    def test_overwrite_replaces_a_function(self):
+        registry = FunctionRegistry()
+        registry.register("f", lambda v: v)
+        registry.register("f", lambda v: v + 1, overwrite=True)
+        assert registry.get("f")(1) == 2
+        assert "f" in registry

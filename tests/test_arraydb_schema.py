@@ -128,6 +128,27 @@ class TestArraySchema:
         with pytest.raises(SchemaError):
             ArraySchema("A", attributes=(), dimensions=(Dimension("x", 0, 4, 2),))
 
+    def test_rejects_no_dimensions(self):
+        with pytest.raises(SchemaError, match="at least one dimension"):
+            ArraySchema("A", attributes=(Attribute("v"),), dimensions=())
+
+    def test_rejects_empty_name(self):
+        with pytest.raises(SchemaError, match="array name"):
+            ArraySchema(
+                "", attributes=(Attribute("v"),), dimensions=(Dimension("x", 0, 4, 2),)
+            )
+
+    def test_origin_and_chunk_shape(self):
+        schema = ArraySchema(
+            "A",
+            attributes=(Attribute("v"),),
+            dimensions=(Dimension("y", -8, 8, 4), Dimension("x", 3, 10, 5)),
+        )
+        assert schema.ndim == 2
+        assert schema.origin == (-8, 3)
+        assert schema.shape == (16, 7)
+        assert schema.chunk_shape == (4, 5)
+
     def test_str_format(self):
         text = str(self._schema())
         assert text.startswith("A<")

@@ -48,6 +48,24 @@ class TestChunkStore:
         store.put(OTHER, np.zeros(2))
         assert set(store.keys()) == {KEY, OTHER}
 
+    def test_negative_chunk_coordinates(self, store):
+        key = ("A", "v", (-3, 0))
+        store.put(key, np.arange(4.0))
+        np.testing.assert_array_equal(store.get(key), np.arange(4.0))
+        assert ("A", "v", (3, 0)) not in store
+
+    def test_keys_is_a_snapshot(self, store):
+        store.put(KEY, np.zeros(2))
+        store.put(OTHER, np.zeros(2))
+        for key in store.keys():
+            store.delete(key)
+        assert list(store.keys()) == []
+
+    def test_put_stores_an_array(self, store):
+        store.put(KEY, [[1, 2], [3, 4]])
+        assert isinstance(store.get(KEY), np.ndarray)
+        assert store.get(KEY).shape == (2, 2)
+
     def test_dtype_preserved(self, store):
         chunk = np.arange(4, dtype="int16")
         store.put(KEY, chunk)

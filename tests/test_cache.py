@@ -134,6 +134,10 @@ class TestCacheManager:
     def manager(self, small_dataset):
         return CacheManager(small_dataset.pyramid, TileCache())
 
+    def test_rejects_a_negative_backend_delay(self, small_dataset):
+        with pytest.raises(ValueError, match="backend delay must be >= 0"):
+            CacheManager(small_dataset.pyramid, TileCache(), backend_delay_seconds=-0.001)
+
     def test_first_fetch_misses(self, manager):
         outcome = manager.fetch(TileKey(0, 0, 0))
         assert not outcome.hit

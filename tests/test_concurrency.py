@@ -22,6 +22,7 @@ from repro.middleware.config import CacheConfig, PrefetchPolicy, ServiceConfig
 from repro.middleware.scheduler import (
     CANCELLED,
     DONE,
+    FAILED,
     PrefetchScheduler,
 )
 from repro.middleware.service import ForeCacheService
@@ -231,6 +232,40 @@ class TestStaleCancellation:
             assert ours[0].state == DONE
         finally:
             scheduler.shutdown()
+
+    def test_a_failed_load_does_not_stop_the_worker(self, small_dataset):
+        manager = CacheManager(small_dataset.pyramid, TileCache())
+        bad = TileKey(2, 0, 0)
+        original = manager._query_backend
+
+        def flaky(key):
+            if key == bad:
+                raise OSError("backend went away")
+            return original(key)
+
+        manager._query_backend = flaky
+        scheduler = PrefetchScheduler(manager, max_workers=1)
+        try:
+            jobs = scheduler.schedule([(bad, "m"), (TileKey(2, 1, 0), "m")])
+            assert scheduler.wait_idle(10)
+            assert [job.state for job in jobs] == [FAILED, DONE]
+            assert isinstance(jobs[0].error, OSError)
+            assert jobs[1].tile.key == TileKey(2, 1, 0)
+            assert (scheduler.jobs_failed, scheduler.jobs_completed) == (1, 1)
+        finally:
+            scheduler.shutdown()
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"max_workers": 0}, "needs >= 1 workers"),
+            ({"shed_queue_depth": 0}, "shed_queue_depth must be >= 1"),
+        ],
+    )
+    def test_pool_settings_are_checked(self, small_dataset, kwargs, message):
+        manager = CacheManager(small_dataset.pyramid, TileCache())
+        with pytest.raises(ValueError, match=message):
+            PrefetchScheduler(manager, **kwargs)
 
     def test_schedule_after_shutdown_rejected(self, small_dataset):
         manager = CacheManager(small_dataset.pyramid, TileCache())

@@ -133,6 +133,13 @@ class TestSessionHistory:
         assert history.recent_moves(2) == (Move.PAN_RIGHT, Move.ZOOM_OUT)
         assert history.recent_moves(10) == tuple(moves)
 
+    def test_recent_moves_of_none_and_fewer_than_none(self):
+        history = SessionHistory(10)
+        history.record(Move.PAN_LEFT, TileKey(2, 1, 1))
+        assert history.recent_moves(0) == ()
+        with pytest.raises(ValueError, match="n must be >= 0"):
+            history.recent_moves(-1)
+
     def test_previous_tile(self):
         history = SessionHistory(5)
         assert history.previous_tile() is None
@@ -185,6 +192,10 @@ class TestAllocationStrategies:
         strategy = PaperFinalStrategy("ab", "sb")
         assert strategy.allocate(P.NAVIGATION, 3) == [("ab", 3)]
         assert strategy.allocate(P.FORAGING, 6) == [("ab", 4), ("sb", 2)]
+
+    def test_paper_final_ab_first_must_be_positive(self):
+        with pytest.raises(ValueError, match="ab_first must be >= 1"):
+            PaperFinalStrategy("ab", "sb", ab_first=0)
 
     def test_paper_final_unknown_phase(self):
         strategy = PaperFinalStrategy("ab", "sb")
@@ -251,6 +262,31 @@ class TestPredictionEngine:
         )
         with pytest.raises(RuntimeError):
             engine.predict(1)
+
+    def test_budget_must_be_positive(self):
+        model = MomentumRecommender()
+        engine = PredictionEngine(
+            GRID, {model.name: model}, SingleModelStrategy(model.name)
+        )
+        engine.observe(None, TileKey(2, 1, 1))
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            engine.predict(0)
+
+    def test_phase_needs_an_observed_request(self):
+        model = MomentumRecommender()
+        calls = []
+        engine = PredictionEngine(
+            GRID,
+            {model.name: model},
+            SingleModelStrategy(model.name),
+            phase_predictor=lambda tile, move: calls.append(tile) or P.FORAGING,
+        )
+        with pytest.raises(RuntimeError, match="no request observed"):
+            engine.predict_phase()
+        engine.observe(None, TileKey(2, 1, 1))
+        assert engine.predict_phase() is P.FORAGING
+        assert engine.predict_phase() is P.FORAGING
+        assert calls == [TileKey(2, 1, 1)]
 
     def test_invalid_tile_rejected(self):
         model = MomentumRecommender()

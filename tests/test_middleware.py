@@ -13,6 +13,7 @@ from repro.middleware.latency import (
     LatencyModel,
     LatencyRecorder,
     MISS_SECONDS,
+    nearest_rank_percentile,
 )
 from repro.middleware.protocol import WorkerUnavailableError
 from repro.middleware.service import ForeCacheService, SessionHandle
@@ -82,6 +83,23 @@ class TestLatencyModel:
         a.merge(b)
         assert a.count == 2
         assert a.hits == 1
+
+    @pytest.mark.parametrize(
+        "q, expected", [(0.0, 1.0), (0.25, 1.0), (0.5, 2.0), (0.51, 3.0), (1.0, 4.0)]
+    )
+    def test_percentile_is_the_nearest_rank(self, q, expected):
+        assert nearest_rank_percentile([4.0, 1.0, 3.0, 2.0], q) == expected
+
+    @pytest.mark.parametrize("q", [-0.01, 1.01])
+    def test_percentile_rank_must_be_a_fraction(self, q):
+        with pytest.raises(ValueError, match=r"must be in \[0, 1\]"):
+            nearest_rank_percentile([1.0], q)
+
+    def test_percentile_of_no_samples_is_zero(self):
+        recorder = LatencyRecorder()
+        assert recorder.percentile(0.95) == 0.0
+        assert recorder.average_seconds == 0.0
+        assert recorder.hit_rate == 0.0
 
 
 class TestServer:

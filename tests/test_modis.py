@@ -6,7 +6,13 @@ import pytest
 from repro.arraydb import ArraySchema, Attribute, Dimension
 from repro.modis.dataset import MODISDataset, NDSI_ATTRIBUTES, _cluster_mass
 from repro.modis.ndsi import ndsi_func, register_ndsi, run_ndsi_query
-from repro.modis.regions import DEFAULT_TASKS, MountainRange, TaskSpec, scaled_tasks
+from repro.modis.regions import (
+    DEFAULT_TASKS,
+    Continent,
+    MountainRange,
+    TaskSpec,
+    scaled_tasks,
+)
 from repro.modis.synth import SyntheticWorld, ValueNoise
 from repro.tiles.key import TileKey
 
@@ -144,6 +150,10 @@ class TestTaskSpec:
         with pytest.raises(ValueError):
             TaskSpec(1, "t", (0.5, 0.1, 0.3, 0.4), target_depth=0, ndsi_threshold=0.5)
 
+    def test_rejects_negative_depth(self):
+        with pytest.raises(ValueError, match="target_depth"):
+            TaskSpec(1, "t", (0.1, 0.1, 0.3, 0.4), target_depth=-1, ndsi_threshold=0.5)
+
     def test_rejects_bad_fraction(self):
         with pytest.raises(ValueError):
             TaskSpec(
@@ -190,6 +200,13 @@ class TestMountainRange:
             MountainRange("r", 0, 0, 1, 1, width=0.0, height=1.0)
         with pytest.raises(ValueError):
             MountainRange("r", 0, 0, 1, 1, width=0.1, height=0.0)
+
+
+class TestContinent:
+    @pytest.mark.parametrize("rx, ry", [(0.0, 0.1), (0.1, -0.1)])
+    def test_rejects_nonpositive_radii(self, rx, ry):
+        with pytest.raises(ValueError, match="radii must be positive"):
+            Continent("c", 0.5, 0.5, rx, ry)
 
 
 class TestClusterMass:

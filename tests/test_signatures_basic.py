@@ -74,6 +74,16 @@ class TestHistogramSignature:
         with pytest.raises(ValueError):
             HistogramSignature(bins=0)
 
+    def test_rejects_empty_range(self):
+        with pytest.raises(ValueError, match="empty value range"):
+            HistogramSignature(value_range=(0.5, 0.5))
+
+    def test_all_nan_tile_is_the_zero_vector(self):
+        sig = HistogramSignature(bins=4)
+        vec = sig.compute(tile_of(np.full((4, 4), np.nan)), "v")
+        np.testing.assert_array_equal(vec, np.zeros(4))
+        assert vec.dtype == np.float64
+
 
 class TestToolboxSignatures:
     def test_outlier_no_outliers(self):

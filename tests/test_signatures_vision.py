@@ -214,6 +214,37 @@ class TestVisualVocabulary:
         with pytest.raises(ValueError):
             VisualVocabulary.fit(np.zeros((0, 4)))
 
+    @pytest.mark.parametrize("shape", [(4,), (0, 4), (2, 2, 2)])
+    def test_centers_must_be_a_nonempty_matrix(self, shape):
+        with pytest.raises(ValueError, match="centers must be"):
+            VisualVocabulary(np.zeros(shape))
+
+    def test_assign_no_descriptors(self):
+        vocab = VisualVocabulary(np.zeros((2, 4)))
+        words = vocab.assign(np.zeros((0, 4)))
+        assert words.shape == (0,)
+
+    def test_encode_dim_mismatch(self):
+        vocab = VisualVocabulary(np.zeros((2, 4)))
+        with pytest.raises(ValueError, match="descriptor dim 5"):
+            vocab.encode(np.zeros((1, 5)))
+
+    def test_training_on_flat_imagery_is_refused(self, db):
+        from repro.arraydb import ArraySchema, Attribute, Dimension
+        from repro.signatures.visualwords import train_vocabulary
+        from repro.tiles.pyramid import TilePyramid
+
+        schema = ArraySchema(
+            "F",
+            attributes=(Attribute("v"),),
+            dimensions=(Dimension("y", 0, 64, 64), Dimension("x", 0, 64, 64)),
+        )
+        db.create_array(schema)
+        db.write("F", "v", np.zeros((64, 64)))
+        pyramid = TilePyramid.build(db, "F", tile_size=32)
+        with pytest.raises(ValueError, match="no descriptors found"):
+            train_vocabulary(pyramid, "v", num_words=4)
+
 
 class TestSignaturesOnTiles:
     def _tile(self, values) -> DataTile:

@@ -99,6 +99,30 @@ class TestBuild:
         with pytest.raises(ValueError):
             TilePyramid.build(db, "R", tile_size=4)
 
+    def test_rejects_non_2d(self, db):
+        schema = ArraySchema(
+            "T",
+            attributes=(Attribute("v"),),
+            dimensions=(
+                Dimension("t", 0, 2, 1),
+                Dimension("y", 0, 8, 8),
+                Dimension("x", 0, 8, 8),
+            ),
+        )
+        db.create_array(schema)
+        with pytest.raises(ValueError, match="2-D arrays"):
+            TilePyramid.build(db, "T", tile_size=4)
+
+    def test_rejects_shifted_origin(self, db):
+        schema = ArraySchema(
+            "O",
+            attributes=(Attribute("v"),),
+            dimensions=(Dimension("y", 4, 12, 8), Dimension("x", 4, 12, 8)),
+        )
+        db.create_array(schema)
+        with pytest.raises(ValueError, match=r"\(0, 0\) origin"):
+            TilePyramid.build(db, "O", tile_size=4)
+
     def test_rejects_indivisible_tile_size(self, db):
         make_source(db, side=16)
         with pytest.raises(ValueError):
@@ -125,6 +149,31 @@ class TestFetch:
         make_source(db, side=16)
         pyramid = TilePyramid.build(db, "S", tile_size=4)
         assert pyramid.tile_region(TileKey(1, 1, 0)) == ((0, 4), (4, 8))
+
+    @pytest.mark.parametrize("level", [-1, 3])
+    def test_view_name_outside_the_pyramid(self, db, level):
+        make_source(db, side=16)
+        pyramid = TilePyramid.build(db, "S", tile_size=4)
+        assert pyramid.view_name(2) == "S__z2"
+        with pytest.raises(ValueError, match="outside pyramid"):
+            pyramid.view_name(level)
+
+    @pytest.mark.parametrize("key", [TileKey(1, 2, 0), TileKey(3, 0, 0)])
+    def test_tile_region_of_a_foreign_key(self, db, key):
+        make_source(db, side=16)
+        pyramid = TilePyramid.build(db, "S", tile_size=4)
+        with pytest.raises(ValueError, match="not in this pyramid"):
+            pyramid.tile_region(key)
+
+    def test_every_tile_reads_its_view_region(self, db):
+        make_source(db, side=16)
+        pyramid = TilePyramid.build(db, "S", tile_size=4)
+        for level in range(pyramid.num_levels):
+            view = db.read(pyramid.view_name(level), "v")
+            for key in pyramid.grid.keys_at_level(level):
+                (y0, y1), (x0, x1) = pyramid.tile_region(key)
+                tile = pyramid.fetch_tile(key, charge=False)
+                np.testing.assert_array_equal(tile.attribute("v"), view[y0:y1, x0:x1])
 
     def test_invalid_key_raises(self, db):
         make_source(db, side=16)
@@ -198,3 +247,22 @@ class TestDataTile:
         c = DataTile(key=TileKey(1, 0, 0), attributes={"v": np.zeros((2, 2))})
         assert a == b
         assert a != c
+
+    def test_equality_needs_the_same_key(self):
+        a = DataTile(key=TileKey(1, 0, 0), attributes={"v": np.ones((2, 2))})
+        b = DataTile(key=TileKey(1, 1, 0), attributes={"v": np.ones((2, 2))})
+        assert a != b
+
+    def test_equality_needs_the_same_attributes(self):
+        a = DataTile(key=TileKey(1, 0, 0), attributes={"v": np.ones((2, 2))})
+        b = DataTile(
+            key=TileKey(1, 0, 0),
+            attributes={"v": np.ones((2, 2)), "m": np.ones((2, 2))},
+        )
+        assert a != b
+        assert b != a
+
+    def test_a_tile_is_not_equal_to_its_array(self):
+        a = DataTile(key=TileKey(1, 0, 0), attributes={"v": np.ones((2, 2))})
+        assert a.__eq__(a.attribute("v")) is NotImplemented
+        assert a != "tile"

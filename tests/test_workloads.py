@@ -9,8 +9,11 @@ trajectory gates on metrics replayed from them.
 import numpy as np
 import pytest
 
+from repro.middleware.latency import LatencyRecorder
+from repro.tiles.key import TileKey
 from repro.tiles.pyramid import TileGrid
 from repro.users.adversarial import adversarial_walks
+from repro.users.convergent import convergent_walks, cross_user_hit_rate
 from repro.users.flashcrowd import flash_crowd_walks
 
 
@@ -123,6 +126,58 @@ class TestFlashCrowdWalks:
             flash_crowd_walks(grid, dwell=-1)
         with pytest.raises(ValueError):
             flash_crowd_walks(grid, level=99)
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [({"wander": -1}, "wander must be >= 0"), ({"level": 0}, ">= 2 tiles")],
+    )
+    def test_validation_messages(self, grid, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            flash_crowd_walks(grid, **kwargs)
+
+
+class TestConvergentWalks:
+    def test_walks_are_valid_and_end_dwelling_on_the_hot_tile(self, grid):
+        hot = TileKey(3, 4, 4)
+        neighbor = TileKey(3, 4, 5)
+        walks = convergent_walks(grid, num_users=4, leg=3, dwell=2)
+        assert len(walks) == 4
+        for walk in walks:
+            assert_valid_walk(grid, walk)
+            tail = [key for _, key in walk[-5:]]
+            assert tail == [hot, neighbor, hot, neighbor, hot]
+
+    def test_each_user_approaches_from_its_own_corner(self, grid):
+        walks = convergent_walks(grid, num_users=4, leg=3, dwell=0)
+        starts = [walk[0][1] for walk in walks]
+        assert len(set(starts)) == 4
+        for start in starts:
+            assert start.manhattan_distance(TileKey(3, 4, 4)) == 6
+        # A fifth user repeats the first user's corner.
+        fifth = convergent_walks(grid, num_users=5, leg=3, dwell=0)[4]
+        assert fifth == walks[0]
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"num_users": 0}, "num_users must be >= 1"),
+            ({"leg": 1}, "leg must be >= 2"),
+            ({"dwell": -1}, "dwell must be >= 0"),
+            ({"hot": TileKey(3, 1, 4)}, "tiles of margin"),
+        ],
+    )
+    def test_validation(self, grid, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            convergent_walks(grid, **kwargs)
+
+    def test_cross_user_hit_rate_leaves_out_the_first_user(self):
+        first, second, third = LatencyRecorder(), LatencyRecorder(), LatencyRecorder()
+        first.record(0.1, True)
+        second.record(0.1, True)
+        second.record(0.1, False)
+        third.record(0.1, True)
+        assert cross_user_hit_rate([first]) == 0.0
+        assert cross_user_hit_rate([first, second, third]) == pytest.approx(2 / 3)
 
 
 class TestReplayThroughService:
