@@ -68,14 +68,24 @@ class ChunkedArray:
                     f"range [{dim.start}, {dim.end})"
                 )
 
-    def _covering_chunks(self, region: Region) -> list[tuple[int, ...]]:
-        """Chunk coordinate tuples overlapping ``region``."""
-        per_dim: list[range] = []
+    def _pieces(self, region: Region) -> list[tuple[tuple, tuple, tuple, tuple]]:
+        """Every chunk overlapping ``region``, as ``(chunk coordinates,
+        slices into the region, slices into the chunk, chunk shape)``.
+
+        The overlap is worked out once per dimension and combined, not
+        once per chunk.
+        """
+        per_dim = []
         for (lo, hi), dim in zip(region, self.schema.dimensions):
-            first = dim.chunk_of(lo)
-            last = dim.chunk_of(hi - 1)
-            per_dim.append(range(first, last + 1))
-        return [tuple(coords) for coords in itertools.product(*per_dim)]
+            spans = []
+            for index in range(dim.chunk_of(lo), dim.chunk_of(hi - 1) + 1):
+                c_lo, c_hi = dim.chunk_bounds(index)
+                s_lo, s_hi = max(c_lo, lo), min(c_hi, hi)
+                region_slice = slice(s_lo - lo, s_hi - lo)
+                chunk_slice = slice(s_lo - c_lo, s_hi - c_lo)
+                spans.append((index, region_slice, chunk_slice, c_hi - c_lo))
+            per_dim.append(spans)
+        return [tuple(zip(*spans)) for spans in itertools.product(*per_dim)]
 
     # ------------------------------------------------------------------
     # reads and writes
@@ -95,27 +105,30 @@ class ChunkedArray:
         out = np.zeros(region_shape(region), dtype=attr.numpy_dtype)
         chunks_read = 0
         cells_scanned = 0
-        for coords in self._covering_chunks(region):
+        for coords, out_slices, chunk_slices, _ in self._pieces(region):
             key = (self.schema.name, attribute, coords)
             if key not in self._store:
                 continue
             chunk = self._store.get(key)
             chunks_read += 1
             cells_scanned += chunk.size
-            bounds = [
-                dim.chunk_bounds(c) for dim, c in zip(self.schema.dimensions, coords)
-            ]
-            # Overlap of chunk bounds with the requested region, then the
-            # corresponding slices into the output and chunk arrays.
-            out_slices = []
-            chunk_slices = []
-            for (c_lo, c_hi), (r_lo, r_hi) in zip(bounds, region):
-                lo = max(c_lo, r_lo)
-                hi = min(c_hi, r_hi)
-                out_slices.append(slice(lo - r_lo, hi - r_lo))
-                chunk_slices.append(slice(lo - c_lo, hi - c_lo))
-            out[tuple(out_slices)] = chunk[tuple(chunk_slices)]
+            out[out_slices] = chunk[chunk_slices]
         return out, ReadStats(chunks_read=chunks_read, cells_scanned=cells_scanned)
+
+    def _read_stats(self, attribute: str, region: Region | None = None) -> ReadStats:
+        """The stats :meth:`read` would report, without copying any cells."""
+        self.schema.attribute(attribute)
+        if region is None:
+            region = full_region(self.schema)
+        self._check_region(region)
+        chunks_read = 0
+        cells_scanned = 0
+        for coords, _, _, _ in self._pieces(region):
+            key = (self.schema.name, attribute, coords)
+            if key in self._store:
+                chunks_read += 1
+                cells_scanned += self._store.get(key).size
+        return ReadStats(chunks_read=chunks_read, cells_scanned=cells_scanned)
 
     def read_chunk(
         self, coords: tuple[int, ...]
@@ -171,24 +184,13 @@ class ChunkedArray:
                 f"{region_shape(region)}"
             )
 
-        for coords in self._covering_chunks(region):
+        for coords, data_slices, chunk_slices, chunk_shape in self._pieces(region):
             key = (self.schema.name, attribute, coords)
-            bounds = [
-                dim.chunk_bounds(c) for dim, c in zip(self.schema.dimensions, coords)
-            ]
-            chunk_shape = tuple(hi - lo for lo, hi in bounds)
             if key in self._store:
                 chunk = np.array(self._store.get(key), dtype=attr.numpy_dtype)
             else:
                 chunk = np.zeros(chunk_shape, dtype=attr.numpy_dtype)
-            data_slices = []
-            chunk_slices = []
-            for (c_lo, c_hi), (r_lo, r_hi) in zip(bounds, region):
-                lo = max(c_lo, r_lo)
-                hi = min(c_hi, r_hi)
-                data_slices.append(slice(lo - r_lo, hi - r_lo))
-                chunk_slices.append(slice(lo - c_lo, hi - c_lo))
-            chunk[tuple(chunk_slices)] = data[tuple(data_slices)]
+            chunk[chunk_slices] = data[data_slices]
             self._store.put(key, chunk)
 
     # ------------------------------------------------------------------

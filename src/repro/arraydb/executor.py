@@ -8,12 +8,14 @@ by the cost model's charge for that ledger — this is what makes backend
 fetches "slow" relative to middleware cache hits in the latency
 experiments.
 
-One planner nicety is implemented: ``subarray(scan(A), bounds)`` is fused
-into a single region read, so a region query only touches the chunks that
-overlap it rather than scanning the whole array.  Tile fetches do not go
-through a plan at all: a tile is one whole chunk per attribute, which
-:meth:`Database.fetch_chunk` reads directly and charges exactly as that
-fused query would be.
+Two planner niceties are implemented: ``subarray(scan(A), bounds)`` is
+fused into a single region read, so a region query only touches the chunks
+that overlap it rather than scanning the whole array; and a ``project``
+directly over such a read copies only the attributes it keeps (the
+dropped ones are still charged as scanned, so costs do not change).
+Tile fetches do not go through a plan at all: a tile is one whole chunk
+per attribute, which :meth:`Database.fetch_chunk` reads directly and
+charges exactly as that fused query would be.
 """
 
 from __future__ import annotations
@@ -201,15 +203,27 @@ class Database:
         raise QueryError(f"unknown query node {type(node).__name__}")
 
     def _eval_scan(
-        self, node: Q.Scan, bounds, stats: QueryStats
+        self,
+        node: Q.Scan,
+        bounds,
+        stats: QueryStats,
+        keep: tuple[str, ...] | None = None,
     ) -> _Intermediate:
+        """Read ``node``'s array (within ``bounds``, if given).
+
+        Only the attributes named in ``keep`` (default: all) are
+        materialised; the others are charged exactly as if read.
+        """
         array = self.array(node.array)
         schema = array.schema
         attributes: dict[str, np.ndarray] = {}
         for attr in schema.attributes:
-            data, read_stats = array.read(attr.name, bounds)
+            if keep is None or attr.name in keep:
+                data, read_stats = array.read(attr.name, bounds)
+                attributes[attr.name] = data
+            else:
+                read_stats = array._read_stats(attr.name, bounds)
             stats.merge_read(read_stats.chunks_read, read_stats.cells_scanned)
-            attributes[attr.name] = data
         origin = (
             tuple(lo for lo, _ in bounds)
             if bounds is not None
@@ -327,7 +341,15 @@ class Database:
         )
 
     def _eval_project(self, node: Q.Project, stats: QueryStats) -> _Intermediate:
-        child = self._eval(node.child, stats)
+        # Over a scan, or a pushed-down subarray of one, read only the
+        # attributes the projection keeps.
+        source, bounds = node.child, None
+        if isinstance(source, Q.Subarray) and isinstance(source.child, Q.Scan):
+            source, bounds = source.child, source.bounds
+        if isinstance(source, Q.Scan):
+            child = self._eval_scan(source, bounds, stats, keep=node.attributes)
+        else:
+            child = self._eval(node.child, stats)
         missing = [a for a in node.attributes if a not in child.attributes]
         if missing:
             raise QueryError(f"project references unknown attributes {missing}")

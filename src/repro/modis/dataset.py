@@ -63,7 +63,17 @@ class MODISDataset:
         zoom levels.  When no database is supplied, one is created with a
         cost model calibrated so a tile fetch costs the paper's measured
         984 ms cache-miss latency.
+
+        Raises ``ValueError`` for ``days < 1`` or a ``size`` that is not
+        ``tile_size * 2^k``, before anything is synthesised.
         """
+        if days < 1:
+            raise ValueError(f"days must be >= 1, got {days}")
+        factor = size // tile_size if tile_size >= 1 else 0
+        if factor < 1 or factor * tile_size != size or factor & (factor - 1):
+            raise ValueError(
+                f"size must be tile_size * 2^k, got size={size}, tile_size={tile_size}"
+            )
         if tasks is None:
             # Task difficulty is calibrated for the 2048-cell study
             # raster; smaller worlds get proportionally relaxed tasks.
@@ -109,7 +119,6 @@ class MODISDataset:
                 db.drop_array(swir_name)
                 db.drop_array(day_array)
 
-        assert running_sum is not None  # days >= 1 enforced by range()
         land = world.land_mask(size)
         flattened = {
             "ndsi_avg": running_sum / days,

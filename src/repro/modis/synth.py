@@ -52,13 +52,16 @@ class ValueNoise:
         for octave in range(self.octaves):
             freq = self.base_frequency * (2**octave)
             lattice = rng.random((freq + 1, freq + 1))
-            total += amplitude * _bilinear_upsample(lattice, size)
+            layer = _bilinear_upsample(lattice, size)
+            layer *= amplitude
+            total += layer
             norm += amplitude
             amplitude *= 0.5
         total /= norm
         lo, hi = total.min(), total.max()
         if hi > lo:
-            total = (total - lo) / (hi - lo)
+            total -= lo
+            total /= hi - lo
         return total
 
 
@@ -67,20 +70,28 @@ def _bilinear_upsample(lattice: np.ndarray, size: int) -> np.ndarray:
     freq = lattice.shape[0] - 1
     coords = np.linspace(0.0, freq, size, endpoint=False) + 0.5 * freq / size
     i0 = np.clip(coords.astype(int), 0, freq - 1)
+    i1 = i0 + 1
     frac = coords - i0
-    # Separable bilinear interpolation: rows then columns.
-    top = lattice[i0][:, i0]
-    bottom = lattice[i0 + 1][:, i0]
-    right_top = lattice[i0][:, i0 + 1]
-    right_bottom = lattice[i0 + 1][:, i0 + 1]
     fy = frac[:, None]
-    fx = frac[None, :]
-    return (
-        top * (1 - fy) * (1 - fx)
-        + bottom * fy * (1 - fx)
-        + right_top * (1 - fy) * fx
-        + right_bottom * fy * fx
-    )
+    fx = frac
+    # Separable bilinear interpolation: weight the (size, f+1) lattice
+    # rows first, then gather columns, so each corner's term is one
+    # size x size array.  Per cell this is the same arithmetic, summed
+    # in the same ((top + bottom) + right_top) + right_bottom order.
+    upper = lattice[i0] * (1 - fy)
+    lower = lattice[i1] * fy
+    out = np.take(upper, i0, axis=1)
+    out *= 1 - fx
+    term = np.take(lower, i0, axis=1)
+    term *= 1 - fx
+    out += term
+    term = np.take(upper, i1, axis=1)
+    term *= fx
+    out += term
+    term = np.take(lower, i1, axis=1)
+    term *= fx
+    out += term
+    return out
 
 
 def _unit_grid(size: int) -> tuple[np.ndarray, np.ndarray]:
@@ -89,6 +100,20 @@ def _unit_grid(size: int) -> tuple[np.ndarray, np.ndarray]:
     y = centers[:, None] * np.ones((1, size))
     x = np.ones((size, 1)) * centers[None, :]
     return x, y
+
+
+#: Half-width, in standard deviations, of the window a terrain Gaussian
+#: is evaluated on.  exp(-x) rounds to exactly 0.0 once x > ~745.1,
+#: i.e. beyond ~38.6 deviations; 40 leaves a margin.
+_GAUSSIAN_REACH = 40.0
+
+
+def _cells_within(centers: np.ndarray, lo: float, hi: float) -> slice:
+    """Slice of the cells whose center lies in ``[lo, hi]``, plus one
+    cell on each side."""
+    start = int(np.searchsorted(centers, lo, side="left")) - 1
+    stop = int(np.searchsorted(centers, hi, side="right")) + 1
+    return slice(max(start, 0), stop)
 
 
 def _segment_distance(
@@ -137,11 +162,24 @@ class SyntheticWorld:
         cached = self._elevation_cache.get(size)
         if cached is not None:
             return cached
-        x, y = _unit_grid(size)
+        centers = (np.arange(size) + 0.5) / size
         elev = np.zeros((size, size), dtype="float64")
         for ridge_index, ridge in enumerate(self.ranges):
-            dist = _segment_distance(x, y, ridge.x0, ridge.y0, ridge.x1, ridge.y1)
-            elev += 0.35 * ridge.height * np.exp(-0.5 * (dist / ridge.width) ** 2)
+            # Each Gaussian is evaluated only on the cells within
+            # _GAUSSIAN_REACH widths of it: beyond that its exp() is
+            # exactly 0.0, and adding 0.0 leaves elev unchanged.
+            reach = _GAUSSIAN_REACH * ridge.width
+            rows = _cells_within(
+                centers, min(ridge.y0, ridge.y1) - reach, max(ridge.y0, ridge.y1) + reach
+            )
+            cols = _cells_within(
+                centers, min(ridge.x0, ridge.x1) - reach, max(ridge.x0, ridge.x1) + reach
+            )
+            dist = _segment_distance(
+                centers[None, cols], centers[rows, None],
+                ridge.x0, ridge.y0, ridge.x1, ridge.y1,
+            )
+            elev[rows, cols] += 0.35 * ridge.height * np.exp(-0.5 * (dist / ridge.width) ** 2)
             rng = np.random.default_rng(self.seed * 1000 + ridge_index)
             length = float(np.hypot(ridge.x1 - ridge.x0, ridge.y1 - ridge.y0))
             num_peaks = max(3, int(length / (2.2 * ridge.width)))
@@ -152,12 +190,16 @@ class SyntheticWorld:
                 py = ridge.y0 + t * (ridge.y1 - ridge.y0) + jitter[1]
                 sigma = ridge.width * rng.uniform(0.3, 0.55)
                 height = ridge.height * rng.uniform(0.55, 1.3)
-                d2 = (x - px) ** 2 + (y - py) ** 2
-                elev += height * np.exp(-0.5 * d2 / sigma**2)
+                reach = _GAUSSIAN_REACH * sigma
+                rows = _cells_within(centers, py - reach, py + reach)
+                cols = _cells_within(centers, px - reach, px + reach)
+                d2 = (centers[None, cols] - px) ** 2 + (centers[rows, None] - py) ** 2
+                elev[rows, cols] += height * np.exp(-0.5 * d2 / sigma**2)
         rolling = ValueNoise(self.seed + 11, octaves=5, base_frequency=6).sample(size)
-        result = elev + 0.15 * rolling
-        self._elevation_cache[size] = result
-        return result
+        rolling *= 0.15
+        elev += rolling
+        self._elevation_cache[size] = elev
+        return elev
 
     def land_mask(self, size: int) -> np.ndarray:
         """1.0 on land, 0.0 on ocean (noise-perturbed continent edges)."""

@@ -279,3 +279,31 @@ class TestMODISDataset:
         ta = a.pyramid.fetch_tile(TileKey(1, 1, 0), charge=False)
         tb = b.pyramid.fetch_tile(TileKey(1, 1, 0), charge=False)
         assert ta == tb
+
+    def test_build_charges_a_fixed_virtual_time(self):
+        """The build's queries cost exactly what they always have: the
+        cost model prices counts, so the clock is the same on any host."""
+        dataset = MODISDataset.build(size=128, tile_size=32, days=1, seed=7)
+        assert dataset.db.clock.now() == 109.953
+
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [
+            ({"days": 0}, "days"),
+            ({"days": -2}, "days"),
+            ({"size": 500}, "tile_size"),
+            ({"size": 96}, "tile_size"),
+            ({"size": 16}, "tile_size"),
+            ({"size": 0}, "tile_size"),
+            ({"tile_size": 0}, "tile_size"),
+            ({"tile_size": -32}, "tile_size"),
+        ],
+    )
+    def test_refuses_bad_arguments_before_synthesising(self, monkeypatch, kwargs, match):
+        calls = []
+        monkeypatch.setattr(
+            SyntheticWorld, "bands", lambda self, size, day=0: calls.append(day)
+        )
+        with pytest.raises(ValueError, match=match):
+            MODISDataset.build(**{"size": 64, "tile_size": 32, "days": 1, **kwargs})
+        assert calls == []

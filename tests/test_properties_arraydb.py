@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 
 from repro.arraydb import ArraySchema, Attribute, Database, Dimension
 from repro.arraydb import query as Q
+from repro.arraydb.array import ReadStats
+from repro.arraydb.cost import QueryStats, VirtualClock
 
 SIDE = 8
 
@@ -117,3 +119,145 @@ class TestQueryProperties:
         np.testing.assert_array_equal(
             db.execute(Q.scan("B")).attribute("v"), values
         )
+
+
+class _CellModel:
+    """A chunked array modelled one cell at a time.
+
+    Holds every written cell's value and the set of chunks a write has
+    created; a read reports a created chunk as read, with all its cells
+    scanned, exactly when the region touches one of its cells.
+    """
+
+    def __init__(self, dims: tuple[Dimension, ...], dtype: str) -> None:
+        self.dims = dims
+        self.dtype = np.dtype(dtype)
+        self.values: dict[tuple[int, ...], object] = {}
+        self.chunks: set[tuple[int, ...]] = set()
+
+    def _chunk_of(self, cell):
+        return tuple((c - d.start) // d.chunk for c, d in zip(cell, self.dims))
+
+    def _chunk_cells(self, coords) -> int:
+        cells = 1
+        for index, d in zip(coords, self.dims):
+            lo = d.start + index * d.chunk
+            cells *= min(lo + d.chunk, d.end) - lo
+        return cells
+
+    @staticmethod
+    def _cells(region):
+        for offset in np.ndindex(*(hi - lo for lo, hi in region)):
+            yield offset, tuple(lo + o for (lo, _), o in zip(region, offset))
+
+    def write(self, region, data: np.ndarray) -> None:
+        for offset, cell in self._cells(region):
+            self.values[cell] = data[offset]
+            self.chunks.add(self._chunk_of(cell))
+
+    def read(self, region) -> tuple[np.ndarray, ReadStats]:
+        out = np.zeros([hi - lo for lo, hi in region], dtype=self.dtype)
+        touched = set()
+        for offset, cell in self._cells(region):
+            out[offset] = self.values.get(cell, 0)
+            if self._chunk_of(cell) in self.chunks:
+                touched.add(self._chunk_of(cell))
+        cells = sum(self._chunk_cells(coords) for coords in touched)
+        return out, ReadStats(chunks_read=len(touched), cells_scanned=cells)
+
+
+#: Attributes of the modelled array; one integer-typed.
+MODEL_ATTRIBUTES = (Attribute("a"), Attribute("b"), Attribute("c", "int32"))
+
+
+@st.composite
+def model_dimensions(draw):
+    """1-3 dimensions, negative origins allowed, chunks that need not
+    divide the extent."""
+    dims = []
+    for axis in range(draw(st.integers(1, 3))):
+        start = draw(st.integers(-5, 5))
+        length = draw(st.integers(1, 7))
+        dims.append(Dimension(f"d{axis}", start, start + length, draw(st.integers(1, 4))))
+    return tuple(dims)
+
+
+def region_within(dims):
+    def bounds(d):
+        return st.integers(d.start, d.end - 1).flatmap(
+            lambda lo: st.tuples(st.just(lo), st.integers(lo + 1, d.end))
+        )
+
+    return st.tuples(*(bounds(d) for d in dims))
+
+
+@st.composite
+def modelled_arrays(draw):
+    """A database holding array ``M`` after a few random region writes,
+    the cell model of each attribute, and a random region to read."""
+    dims = draw(model_dimensions())
+    db = Database(clock=VirtualClock())
+    array = db.create_array(
+        ArraySchema("M", attributes=MODEL_ATTRIBUTES, dimensions=dims)
+    )
+    models = {attr.name: _CellModel(dims, attr.dtype) for attr in MODEL_ATTRIBUTES}
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    for _ in range(draw(st.integers(0, 4))):
+        attr = draw(st.sampled_from(MODEL_ATTRIBUTES))
+        region = draw(region_within(dims))
+        shape = tuple(hi - lo for lo, hi in region)
+        data = (rng.normal(size=shape) * 100).astype(attr.dtype)
+        array.write(attr.name, data, region)
+        models[attr.name].write(region, data)
+    return db, models, draw(region_within(dims))
+
+
+def _same(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestCellModel:
+    """Region reads, writes and projections against the cell model."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(modelled_arrays())
+    def test_read_matches_cell_model(self, case):
+        db, models, region = case
+        array = db.array("M")
+        full = tuple((d.start, d.end) for d in array.schema.dimensions)
+        for name, model in models.items():
+            for bounds, expected_region in ((region, region), (None, full)):
+                data, stats = array.read(name, bounds)
+                expected, expected_stats = model.read(expected_region)
+                assert _same(data, expected)
+                assert stats == expected_stats
+
+    @settings(max_examples=80, deadline=None)
+    @given(modelled_arrays(), st.sets(st.sampled_from([a.name for a in MODEL_ATTRIBUTES])))
+    def test_projection_charges_every_attribute_it_drops(self, case, keep):
+        """project(scan) and project(subarray(scan)) copy only the kept
+        attributes but charge the scan of all of them."""
+        db, models, region = case
+        keep = tuple(sorted(keep))
+        full = tuple((d.start, d.end) for d in db.schema("M").dimensions)
+        plans = (
+            (Q.project(Q.scan("M"), keep), full),
+            (Q.project(Q.subarray(Q.scan("M"), region), keep), region),
+        )
+        for plan, read_region in plans:
+            before = db.clock.now()
+            result = db.execute(plan)
+            assert tuple(result.attributes) == keep
+            for name in keep:
+                assert _same(result.attribute(name), models[name].read(read_region)[0])
+            reads = [model.read(read_region)[1] for model in models.values()]
+            assert result.stats == QueryStats(
+                chunks_read=sum(r.chunks_read for r in reads),
+                cells_scanned=sum(r.cells_scanned for r in reads),
+                cells_computed=0,
+                elapsed_seconds=result.stats.elapsed_seconds,
+            )
+            assert result.stats.elapsed_seconds == db.cost_model.query_cost(
+                result.stats.chunks_read, result.stats.cells_scanned, 0
+            )
+            assert db.clock.now() == before + result.stats.elapsed_seconds
