@@ -17,7 +17,6 @@ import numpy as np
 
 from repro.signatures.base import Signature
 from repro.signatures.gradients import (
-    DESCRIPTOR_DIM,
     descriptor_at,
     normalize_tile_values,
     polar_gradients,
@@ -43,20 +42,12 @@ def extract_dense_descriptors(
         raise ValueError(f"stride must be >= 1, got {stride}")
     magnitude, angle = polar_gradients(image)
     h, w = image.shape
-    positions: list[tuple[int, int]] = []
-    descriptors: list[np.ndarray] = []
-    for y in range(stride, h, stride):
-        for x in range(stride, w, stride):
-            vector = descriptor_at(magnitude, angle, y, x, orientation=0.0)
-            if vector is not None:
-                positions.append((y, x))
-                descriptors.append(vector)
-    if not descriptors:
-        return (
-            np.zeros((0, 2), dtype=int),
-            np.zeros((0, DESCRIPTOR_DIM), dtype="float64"),
-        )
-    return np.asarray(positions, dtype=int), np.stack(descriptors)
+    ys, xs = np.meshgrid(
+        np.arange(stride, h, stride), np.arange(stride, w, stride), indexing="ij"
+    )
+    ys, xs = ys.ravel(), xs.ravel()
+    kept, descriptors = descriptor_at(magnitude, angle, ys, xs, np.zeros(len(ys)))
+    return np.stack([ys[kept], xs[kept]], axis=1), descriptors
 
 
 class DenseSIFTSignature(Signature):

@@ -17,7 +17,6 @@ describe.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -40,72 +39,54 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.signatures.visualwords import VisualVocabulary
 
 
-@dataclass(frozen=True)
-class Keypoint:
-    """A detected scale-space extremum.
+def _extreme_of_neighbours(op, dogs: np.ndarray) -> np.ndarray:
+    """``op`` (``np.maximum`` or ``np.minimum``) over the 3x3x3
+    neighbourhood of every cell not on the DoG stack's faces.
 
-    ``y``/``x`` are coordinates within the keypoint's octave image; each
-    octave halves the resolution of the (upsampled) input.
+    Max and min are exact, so three separable 3-tap passes give what
+    ``ndimage.maximum_filter`` / ``minimum_filter`` give there.
     """
-
-    y: int
-    x: int
-    octave: int
-    scale_index: int
-    response: float
+    m = op(op(dogs[:-2], dogs[1:-1]), dogs[2:])
+    m = op(op(m[:, :-2], m[:, 1:-1]), m[:, 2:])
+    return op(op(m[:, :, :-2], m[:, :, 1:-1]), m[:, :, 2:])
 
 
 def _detect_in_octave(
     image: np.ndarray,
-    octave: int,
     num_scales: int,
     sigma0: float,
     contrast_threshold: float,
     edge_ratio: float,
-) -> list[Keypoint]:
-    """DoG extrema within one octave image."""
-    from scipy import ndimage
-
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """DoG extrema within one octave image: their ``(y, x, response)``,
+    in (scale, y, x) order."""
     dogs = difference_of_gaussians(build_scale_space(image, num_scales, sigma0))
-    footprint = np.ones((3, 3, 3), dtype=bool)
-    local_max = ndimage.maximum_filter(dogs, footprint=footprint, mode="nearest")
-    local_min = ndimage.minimum_filter(dogs, footprint=footprint, mode="nearest")
-    is_extremum = ((dogs == local_max) | (dogs == local_min)) & (
-        np.abs(dogs) > contrast_threshold
-    )
-    # Interior scales only: the first/last DoG slice has no scale neighbor.
-    is_extremum[0] = False
-    is_extremum[-1] = False
+    # Only interior scales (the first/last DoG slice has no scale
+    # neighbor) and interior pixels (the Hessian needs all four
+    # neighbors) are candidates, so no neighbourhood leaves the stack.
+    centre = dogs[1:-1, 1:-1, 1:-1]
+    is_extremum = (
+        (centre == _extreme_of_neighbours(np.maximum, dogs))
+        | (centre == _extreme_of_neighbours(np.minimum, dogs))
+    ) & (np.abs(centre) > contrast_threshold)
+    s, y, x = (index + 1 for index in np.nonzero(is_extremum))
 
+    value = dogs[s, y, x]
+    dxx = dogs[s, y, x + 1] + dogs[s, y, x - 1] - 2.0 * value
+    dyy = dogs[s, y + 1, x] + dogs[s, y - 1, x] - 2.0 * value
+    dxy = 0.25 * (
+        dogs[s, y + 1, x + 1]
+        - dogs[s, y + 1, x - 1]
+        - dogs[s, y - 1, x + 1]
+        + dogs[s, y - 1, x - 1]
+    )
+    trace = dxx + dyy
+    det = dxx * dyy - dxy * dxy
+    # Reject edge-like responses: principal-curvature ratio above r.
     edge_limit = (edge_ratio + 1.0) ** 2 / edge_ratio
-    h, w = image.shape
-    keypoints: list[Keypoint] = []
-    for s, y, x in zip(*np.nonzero(is_extremum)):
-        if y < 1 or x < 1 or y >= h - 1 or x >= w - 1:
-            continue
-        dog = dogs[s]
-        dxx = dog[y, x + 1] + dog[y, x - 1] - 2.0 * dog[y, x]
-        dyy = dog[y + 1, x] + dog[y - 1, x] - 2.0 * dog[y, x]
-        dxy = 0.25 * (
-            dog[y + 1, x + 1]
-            - dog[y + 1, x - 1]
-            - dog[y - 1, x + 1]
-            + dog[y - 1, x - 1]
-        )
-        trace = dxx + dyy
-        det = dxx * dyy - dxy * dxy
-        if det <= 0 or trace * trace / det >= edge_limit:
-            continue
-        keypoints.append(
-            Keypoint(
-                y=int(y),
-                x=int(x),
-                octave=octave,
-                scale_index=int(s),
-                response=float(abs(dog[y, x])),
-            )
-        )
-    return keypoints
+    keep = det > 0
+    keep[keep] = trace[keep] * trace[keep] / det[keep] < edge_limit
+    return y[keep], x[keep], np.abs(value[keep])
 
 
 def _octave_images(
@@ -114,7 +95,6 @@ def _octave_images(
     """The (upsampled) base image and its blurred-and-halved successors."""
     from scipy import ndimage
 
-    image = np.asarray(image, dtype="float64")
     if upsample > 1:
         image = ndimage.zoom(image, upsample, order=1)
     octaves = [image]
@@ -138,49 +118,59 @@ def extract_sift_descriptors(
 ) -> np.ndarray:
     """Detect keypoints and describe each; returns shape ``(N, 128)``.
 
-    Keypoints are DoG extrema across octaves, strongest responses first,
-    at most ``max_keypoints`` of them.  A pixel is a candidate when it
-    is the maximum or minimum of its 26-neighborhood in the octave's DoG
-    stack, its |response| clears the contrast threshold, and its Hessian
-    trace/determinant ratio rejects edge-like responses (ratio test with
-    ``r = edge_ratio``).  Keypoints whose descriptor window leaves their
-    octave image are dropped, so N can be smaller than the keypoint
-    count (possibly zero for flat tiles — e.g. open ocean).
+    Keypoints are DoG extrema across octaves, strongest responses first
+    (ties in octave, scale, y, x order), at most ``max_keypoints`` of
+    them.  A pixel is a candidate when it is the maximum or minimum of
+    its 26-neighborhood in the octave's DoG stack, its |response|
+    clears the contrast threshold, and its Hessian trace/determinant
+    ratio rejects edge-like responses (ratio test with
+    ``r = edge_ratio``).  Keypoints whose window holds no gradient are
+    dropped, so N can be smaller than the keypoint count (possibly zero
+    for flat tiles — e.g. open ocean).  The image must be finite.
     """
+    image = np.asarray(image, dtype="float64")
+    if image.ndim != 2:
+        raise ValueError(f"SIFT needs a 2-D image, got {image.ndim}-D")
+    if num_scales < 3:
+        raise ValueError(f"scale space needs >= 3 scales, got {num_scales}")
+    if num_octaves < 1:
+        raise ValueError(f"num_octaves must be >= 1, got {num_octaves}")
+    if upsample < 1:
+        raise ValueError(f"upsample must be >= 1, got {upsample}")
+    if max_keypoints < 0:
+        raise ValueError(f"max_keypoints must be >= 0, got {max_keypoints}")
+
     octaves = _octave_images(image, num_octaves, sigma0, upsample)
+    found = [
+        _detect_in_octave(
+            octave_image, num_scales, sigma0, contrast_threshold, edge_ratio
+        )
+        for octave_image in octaves
+    ]
+    octave = np.concatenate(
+        [np.full(len(ys), index) for index, (ys, _, _) in enumerate(found)]
+    )
+    ys, xs, responses = (np.concatenate(column) for column in zip(*found))
+    ranked = np.argsort(-responses, kind="stable")[:max_keypoints]
+
     # Descriptors are computed on reflect-padded gradients so keypoints
     # near tile borders — common on 32-64 px tiles — still get a full
     # window instead of being discarded.
     half = WINDOW // 2
-    gradients = [
-        polar_gradients(np.pad(img, half, mode="reflect")) for img in octaves
-    ]
-    keypoints: list[Keypoint] = []
-    for octave, octave_image in enumerate(octaves):
-        keypoints.extend(
-            _detect_in_octave(
-                octave_image,
-                octave,
-                num_scales,
-                sigma0,
-                contrast_threshold,
-                edge_ratio,
-            )
+    kept = np.zeros(len(ranked), dtype=bool)
+    descriptors = np.empty((len(ranked), DESCRIPTOR_DIM))
+    chosen_octave = octave[ranked]
+    for index in np.unique(chosen_octave):
+        rank = np.flatnonzero(chosen_octave == index)
+        py, px = ys[ranked[rank]] + half, xs[ranked[rank]] + half
+        magnitude, angle = polar_gradients(
+            np.pad(octaves[index], half, mode="reflect")
         )
-    keypoints.sort(key=lambda kp: -kp.response)
-    keypoints = keypoints[:max_keypoints]
-
-    descriptors = []
-    for kp in keypoints:
-        magnitude, angle = gradients[kp.octave]
-        py, px = kp.y + half, kp.x + half
         orientation = dominant_orientation(magnitude, angle, py, px)
-        vector = descriptor_at(magnitude, angle, py, px, orientation)
-        if vector is not None:
-            descriptors.append(vector)
-    if not descriptors:
-        return np.zeros((0, DESCRIPTOR_DIM), dtype="float64")
-    return np.stack(descriptors)
+        described, vectors = descriptor_at(magnitude, angle, py, px, orientation)
+        kept[rank[described]] = True
+        descriptors[rank[described]] = vectors
+    return descriptors[kept]
 
 
 class SIFTSignature(Signature):

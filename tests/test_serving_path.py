@@ -102,6 +102,40 @@ def test_the_serving_path_runs_without_scipy_and_signatures_load_it():
     assert run.stdout.strip() == "ok"
 
 
+_HYBRID_CONTEXT_THEN_PREDICT = """
+import sys
+
+from repro.experiments.context import ExperimentContext
+from repro.experiments.runner import hybrid_factory
+
+context = ExperimentContext.build(size=256, num_users=4)
+engine = hybrid_factory(context)(context.study.traces)
+for request in context.study.traces[0].requests[:10]:
+    engine.observe(request.move, request.tile)
+result = engine.predict(8)
+assert "sb:sift" in {name for _, name in result.attributed_tiles()}
+loaded = {name for name in sys.modules if name.split(".")[0] == "scipy"}
+assert {"scipy.ndimage", "scipy.cluster.vq"} <= loaded, sorted(loaded)
+assert "scipy.stats" not in loaded, sorted(loaded)
+print("ok")
+"""
+
+
+def test_the_paper_engine_boots_and_predicts_without_scipy_stats():
+    # NormalSignature's norm.cdf is the only user of scipy.stats, and the
+    # hybrid engine ranks by SIFT: building the context (vocabulary
+    # included) and a prediction that consults SIFT must not load it.
+    run = subprocess.run(
+        [sys.executable, "-c", _HYBRID_CONTEXT_THEN_PREDICT],
+        env=dict(os.environ, PYTHONPATH=REPO_SRC),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "ok"
+
+
 def test_every_asyncio_stream_reads_below_the_mmap_threshold(
     tiny_dataset, monkeypatch
 ):

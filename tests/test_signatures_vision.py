@@ -56,26 +56,49 @@ class TestGradients:
     def test_dominant_orientation_of_ramp(self):
         yy, xx = np.mgrid[0:32, 0:32].astype(float)
         mag, ang = polar_gradients(xx)  # gradient points +x
-        orientation = dominant_orientation(mag, ang, 16, 16)
+        (orientation,) = dominant_orientation(mag, ang, np.array([16]), np.array([16]))
         assert abs(orientation) < 0.5 or abs(orientation - 2 * np.pi) < 0.5
+
+    def test_dominant_orientation_of_each_point(self):
+        yy, xx = np.mgrid[0:32, 0:32].astype(float)
+        mag, ang = polar_gradients(yy)  # gradient points +y
+        orientations = dominant_orientation(
+            mag, ang, np.array([8, 16, 24]), np.array([20, 16, 9])
+        )
+        np.testing.assert_allclose(orientations, np.pi / 2, atol=0.1)
+
+    def test_dominant_orientation_of_flat_window_is_zero(self):
+        mag = np.zeros((32, 32))
+        ang = np.zeros((32, 32))
+        assert dominant_orientation(mag, ang, np.array([16]), np.array([16])) == [0.0]
 
     def test_descriptor_dimension(self):
         img = blob_image()
         mag, ang = polar_gradients(img)
-        vec = descriptor_at(mag, ang, 16, 16)
-        assert vec is not None
-        assert vec.shape == (DESCRIPTOR_DIM,)
-        assert np.linalg.norm(vec) == pytest.approx(1.0)
+        kept, vectors = descriptor_at(
+            mag, ang, np.array([16]), np.array([16]), np.zeros(1)
+        )
+        assert kept.tolist() == [True]
+        assert vectors.shape == (1, DESCRIPTOR_DIM)
+        assert np.linalg.norm(vectors[0]) == pytest.approx(1.0)
 
-    def test_descriptor_near_border_is_none(self):
+    def test_descriptor_near_border_is_dropped(self):
         img = blob_image()
         mag, ang = polar_gradients(img)
-        assert descriptor_at(mag, ang, 2, 2) is None
+        kept, vectors = descriptor_at(
+            mag, ang, np.array([2, 16]), np.array([2, 16]), np.zeros(2)
+        )
+        assert kept.tolist() == [False, True]
+        assert vectors.shape == (1, DESCRIPTOR_DIM)
 
-    def test_descriptor_flat_patch_is_none(self):
+    def test_descriptor_flat_patch_is_dropped(self):
         mag = np.zeros((32, 32))
         ang = np.zeros((32, 32))
-        assert descriptor_at(mag, ang, 16, 16) is None
+        kept, vectors = descriptor_at(
+            mag, ang, np.array([16]), np.array([16]), np.zeros(1)
+        )
+        assert kept.tolist() == [False]
+        assert vectors.shape == (0, DESCRIPTOR_DIM)
 
     def test_normalize_tile_values(self):
         values = np.asarray([[-1.0, 0.0], [1.0, 2.0]])
@@ -96,32 +119,82 @@ class TestSIFT:
         descriptors = extract_sift_descriptors(np.zeros((32, 32)))
         assert descriptors.shape == (0, DESCRIPTOR_DIM)
 
-    def test_describes_the_strongest_keypoints_first(self, monkeypatch):
+    @staticmethod
+    def _blobs_of_many_widths(seed: int = 11) -> np.ndarray:
+        """Eight blobs of random width and height: their strongest
+        keypoints lie in all three octaves, interleaved."""
+        rng = np.random.default_rng(seed)
+        yy, xx = np.mgrid[0:64, 0:64].astype(float)
+        image = np.zeros((64, 64))
+        for _ in range(8):
+            cy, cx, sigma, height = rng.random(4) * (64, 64, 4, 0.7) + (0, 0, 1, 0.3)
+            image += height * np.exp(-((yy - cy) ** 2 + (xx - cx) ** 2) / (2 * sigma**2))
+        return image
+
+    @pytest.mark.parametrize("kind", ["noise", "blobs"])
+    def test_describes_the_strongest_keypoints_first(self, monkeypatch, kind):
         """Of all DoG extrema, the ``max_keypoints`` strongest responses
-        are described, strongest first."""
+        are described, and the rows come strongest first."""
         half = WINDOW // 2
         responses, octave_of, described = {}, {}, []
         detect, describe = sift._detect_in_octave, sift.descriptor_at
 
-        def spy_detect(image, octave, *args):
-            octave_of[image.shape] = octave
-            keypoints = detect(image, octave, *args)
-            for kp in keypoints:
-                responses[kp.octave, kp.y, kp.x] = kp.response
-            return keypoints
+        def spy_detect(image, *args):
+            octave = octave_of[image.shape] = len(octave_of)
+            ys, xs, strengths = detect(image, *args)
+            for y, x, response in zip(ys, xs, strengths):
+                responses[octave, y, x] = response
+            return ys, xs, strengths
 
         def spy_describe(magnitude, angle, py, px, orientation):
             h, w = magnitude.shape
             octave = octave_of[h - 2 * half, w - 2 * half]
-            described.append(responses[octave, py - half, px - half])
-            return describe(magnitude, angle, py, px, orientation)
+            kept, vectors = describe(magnitude, angle, py, px, orientation)
+            for y, x, vector in zip(py[kept], px[kept], vectors):
+                described.append((responses[octave, y - half, x - half], vector))
+            return kept, vectors
 
         monkeypatch.setattr(sift, "_detect_in_octave", spy_detect)
         monkeypatch.setattr(sift, "descriptor_at", spy_describe)
-        image = np.random.default_rng(0).random((64, 64))
-        extract_sift_descriptors(image, contrast_threshold=0.0001, max_keypoints=5)
+        if kind == "noise":
+            image = np.random.default_rng(0).random((64, 64))
+        else:
+            image = self._blobs_of_many_widths()
+        descriptors = extract_sift_descriptors(
+            image, contrast_threshold=0.0001, max_keypoints=5
+        )
         assert len(responses) > 5
-        assert described == sorted(responses.values(), reverse=True)[:5]
+        strongest = sorted(responses.values(), reverse=True)[:5]
+        assert sorted((r for r, _ in described), reverse=True) == strongest
+        row_responses = [
+            next(r for r, vector in described if np.array_equal(vector, row))
+            for row in descriptors
+        ]
+        assert row_responses == strongest
+
+    @pytest.mark.parametrize(
+        "image, options",
+        [
+            (np.zeros(32), {}),
+            (np.zeros((2, 32, 32)), {}),
+            (np.zeros((32, 32)), {"num_scales": 2}),
+            (np.zeros((32, 32)), {"num_octaves": 0}),
+            (np.zeros((32, 32)), {"upsample": 0}),
+            (np.zeros((32, 32)), {"max_keypoints": -1}),
+        ],
+        ids=["1-D", "3-D", "num_scales=2", "num_octaves=0", "upsample=0", "max_keypoints=-1"],
+    )
+    def test_refuses_bad_arguments_before_any_work(self, monkeypatch, image, options):
+        def no_work(*args, **kwargs):
+            raise AssertionError("extraction started before the arguments were checked")
+
+        monkeypatch.setattr(sift, "_octave_images", no_work)
+        with pytest.raises(ValueError):
+            extract_sift_descriptors(image, **options)
+
+    def test_zero_keypoints_describes_nothing(self):
+        descriptors = extract_sift_descriptors(blob_image(), max_keypoints=0)
+        assert descriptors.shape == (0, DESCRIPTOR_DIM)
 
     def test_max_keypoints_respected(self):
         img = np.random.default_rng(0).random((64, 64))
