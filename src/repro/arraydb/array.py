@@ -10,12 +10,13 @@ cost accounting.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.arraydb.schema import ArraySchema
+from repro.arraydb.schema import ArraySchema, Dimension
 from repro.arraydb.storage import MemoryChunkStore
 
 Region = tuple[tuple[int, int], ...]
@@ -39,6 +40,15 @@ def region_shape(region: Region) -> tuple[int, ...]:
     return tuple(hi - lo for lo, hi in region)
 
 
+@functools.cache
+def _zero_block(shape: tuple[int, ...], dtype: np.dtype) -> np.ndarray:
+    """The one read-only zero block every absent chunk of this shape and
+    dtype reads back as."""
+    block = np.zeros(shape, dtype=dtype)
+    block.flags.writeable = False
+    return block
+
+
 class ChunkedArray:
     """A dense array stored as fixed-size chunks.
 
@@ -49,6 +59,7 @@ class ChunkedArray:
     def __init__(self, schema: ArraySchema, store: MemoryChunkStore) -> None:
         self.schema = schema
         self._store = store
+        self._chunk_counts = tuple(dim.num_chunks for dim in schema.dimensions)
 
     # ------------------------------------------------------------------
     # region validation / geometry
@@ -137,9 +148,12 @@ class ChunkedArray:
 
         Attribute for attribute this equals :meth:`read` over that chunk's
         bounds, stats included — an absent chunk reads back zero-filled and
-        is not counted — without assembling a region.  The blocks are fresh
-        copies (never the store's own arrays) and read-only, so one block
-        can be handed to any number of readers.
+        is not counted — without assembling a region.  The blocks are the
+        store's own read-only arrays, not copies: a stored chunk is never
+        written in place, and :meth:`write` replaces it, so a block keeps
+        its bytes for as long as anyone holds it and can be handed to any
+        number of readers.  Every absent chunk of one shape and dtype reads
+        back as the same shared read-only zero block.
         """
         schema = self.schema
         if len(coords) != schema.ndim:
@@ -147,21 +161,28 @@ class ChunkedArray:
                 f"chunk coordinates have {len(coords)} dimensions, array "
                 f"{schema.name!r} has {schema.ndim}"
             )
-        # chunk_bounds rejects an index outside the dimension's chunk count.
-        bounds = [dim.chunk_bounds(c) for dim, c in zip(schema.dimensions, coords)]
         coords = tuple(coords)
+        for index, count in zip(coords, self._chunk_counts):
+            if not 0 <= index < count:
+                raise IndexError(
+                    f"chunk {coords} outside array {schema.name!r} "
+                    f"(has {self._chunk_counts} chunks)"
+                )
         blocks: dict[str, np.ndarray] = {}
         chunks_read = 0
         cells_scanned = 0
         for attr in schema.attributes:
-            key = (schema.name, attr.name, coords)
-            if key in self._store:
-                block = np.array(self._store.get(key), dtype=attr.dtype, order="C")
+            try:
+                block = self._store.get((schema.name, attr.name, coords))
+            except KeyError:
+                shape = tuple(
+                    hi - lo
+                    for lo, hi in map(Dimension.chunk_bounds, schema.dimensions, coords)
+                )
+                block = _zero_block(shape, attr.numpy_dtype)
+            else:
                 chunks_read += 1
                 cells_scanned += block.size
-            else:
-                block = np.zeros([hi - lo for lo, hi in bounds], dtype=attr.dtype)
-            block.setflags(write=False)
             blocks[attr.name] = block
         return blocks, ReadStats(chunks_read=chunks_read, cells_scanned=cells_scanned)
 
@@ -191,6 +212,9 @@ class ChunkedArray:
             else:
                 chunk = np.zeros(chunk_shape, dtype=attr.numpy_dtype)
             chunk[chunk_slices] = data[data_slices]
+            # A fresh array for each write: freezing it lets the store keep
+            # it, and the chunk it replaces stays as readers saw it.
+            chunk.flags.writeable = False
             self._store.put(key, chunk)
 
     # ------------------------------------------------------------------

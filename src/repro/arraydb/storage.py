@@ -16,17 +16,37 @@ ChunkKey = tuple[str, str, tuple[int, ...]]
 
 
 class MemoryChunkStore:
-    """Chunks held in a plain dictionary."""
+    """Chunks held in a plain dictionary.
+
+    A stored chunk is immutable: a read-only array that only the store
+    can reach.  Nothing writes it in place; overwriting a key replaces
+    the array in the dict.  So an array handed out by :meth:`get` keeps
+    its bytes for as long as anyone holds it, and readers may share it
+    without copying.
+    """
 
     def __init__(self) -> None:
         self._chunks: dict[ChunkKey, np.ndarray] = {}
 
     def put(self, key: ChunkKey, chunk: np.ndarray) -> None:
-        """Store (or overwrite) a chunk."""
-        self._chunks[key] = np.asarray(chunk)
+        """Store (or overwrite) a chunk.
+
+        An array that owns its data and is already read-only is kept as
+        it is: the caller hands it over.  Anything else is copied and
+        the copy frozen, so the caller's array keeps its flags and a
+        later write to it cannot reach the store.
+        """
+        if not (
+            isinstance(chunk, np.ndarray)
+            and chunk.flags.owndata
+            and not chunk.flags.writeable
+        ):
+            chunk = np.array(chunk)
+            chunk.flags.writeable = False
+        self._chunks[key] = chunk
 
     def get(self, key: ChunkKey) -> np.ndarray:
-        """Fetch a chunk; raises ``KeyError`` if absent."""
+        """Fetch a chunk (read-only); raises ``KeyError`` if absent."""
         return self._chunks[key]
 
     def __contains__(self, key: ChunkKey) -> bool:

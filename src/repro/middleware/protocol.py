@@ -1355,8 +1355,11 @@ class TileSegmentCache:
     and, for binary, the deflated blob.  :func:`encode_tile_frame`
     splices it behind each send's own small header.
 
-    An entry never goes stale: a ``TilePyramid``'s levels are not
-    written after ``build()``, so a full-fidelity tile's bytes are a
+    An entry never goes stale.  A fetched tile's blocks are stored
+    chunks, which are never written in place, so the tile an entry was
+    encoded from keeps its bytes.  That the *key* maps to the same bytes
+    on every later fetch rests on a ``TilePyramid``'s levels not being
+    written after ``build()``: then a full-fidelity tile's bytes are a
     function of its key for as long as the server that owns this cache
     lives.  Reduced-fidelity tiles share a key with their full form and
     must never be stored.

@@ -15,8 +15,10 @@ class DataTile:
 
     All attribute blocks share the tile's shape.  Tiles are immutable —
     the middleware cache hands out shared references, so payloads must
-    never be mutated in place; the blocks of a tile fetched from the
-    pyramid are read-only arrays, so an attempt raises.
+    never be mutated in place.  The blocks of a tile fetched from the
+    pyramid are the chunk store's own read-only arrays, so an attempt
+    raises; and since a stored chunk is never written in place (a write
+    replaces it), a fetched tile keeps its bytes for as long as it lives.
     """
 
     key: TileKey

@@ -5,7 +5,7 @@ import pytest
 
 from repro.arraydb import ArraySchema, Attribute, Database, Dimension
 from repro.arraydb import query as Q
-from repro.arraydb.array import ChunkedArray, full_region
+from repro.arraydb.array import ChunkedArray, ReadStats, full_region
 from repro.arraydb.cost import CostModel, VirtualClock
 from repro.arraydb.errors import ArrayNotFoundError
 from repro.arraydb.storage import MemoryChunkStore
@@ -200,13 +200,41 @@ class TestReadChunk:
         with pytest.raises(ValueError):
             edge_array().read_chunk((0,))
 
-    def test_blocks_are_read_only_copies(self):
+    def test_blocks_are_the_stored_read_only_chunks(self):
+        """A block is the stored chunk itself, refuses writes, and keeps
+        its bytes after a write replaces that chunk."""
         array = edge_array()
         blocks, _ = array.read_chunk((0, 0))
+        before = {name: block.copy() for name, block in blocks.items()}
         for name, block in blocks.items():
-            assert not np.shares_memory(block, array._store.get(("E", name, (0, 0))))
+            assert np.shares_memory(block, array._store.get(("E", name, (0, 0))))
             with pytest.raises(ValueError):
                 block[0, 0] = 1
+        array.write("v", np.full((2, 2), -1.0), ((1, 3), (1, 3)))
+        array.write("n", np.full((10, 10), 7))
+        after, _ = array.read_chunk((0, 0))
+        for name, block in blocks.items():
+            np.testing.assert_array_equal(block, before[name])
+            assert not np.shares_memory(block, after[name])
+        assert after["v"][1, 1] == -1.0 and (after["n"] == 7).all()
+
+    def test_absent_chunk_is_one_shared_zero_block(self):
+        array = edge_array()
+        array._store.delete(("E", "v", (1, 1)))
+        array._store.delete(("E", "v", (1, 2)))
+        first, first_stats = array.read_chunk((1, 1))
+        second, second_stats = array.read_chunk((1, 1))
+        assert first["v"] is second["v"]
+        assert first_stats == second_stats == ReadStats(chunks_read=1, cells_scanned=16)
+        expected, _ = array.read("v", chunk_region(array, (1, 1)))
+        assert first["v"].dtype == expected.dtype
+        assert first["v"].tobytes() == expected.tobytes()
+        assert not first["v"].any()
+        with pytest.raises(ValueError):
+            first["v"][0, 0] = 1
+        # The edge chunk (1, 2) is 4 x 2: a zero block of its own shape.
+        edge, _ = array.read_chunk((1, 2))
+        assert edge["v"].shape == (4, 2) and not edge["v"].any()
 
 
 class TestFetchChunk:

@@ -71,3 +71,30 @@ class TestChunkStore:
         store.put(KEY, chunk)
         assert store.get(KEY).dtype == np.dtype("int16")
 
+
+    def test_put_does_not_alias_the_callers_array(self, store):
+        chunk = np.arange(4.0)
+        store.put(KEY, chunk)
+        chunk[0] = 99.0
+        np.testing.assert_array_equal(store.get(KEY), np.arange(4.0))
+        assert chunk.flags.writeable
+
+    def test_put_copies_a_read_only_view(self, store):
+        base = np.arange(8.0)
+        view = base[:4]
+        view.flags.writeable = False
+        store.put(KEY, view)
+        base[0] = 99.0
+        np.testing.assert_array_equal(store.get(KEY), np.arange(4.0))
+        assert base.flags.writeable
+
+    def test_put_keeps_an_owned_read_only_array(self, store):
+        chunk = np.arange(4.0)
+        chunk.flags.writeable = False
+        store.put(KEY, chunk)
+        assert store.get(KEY) is chunk
+
+    def test_stored_chunks_are_read_only(self, store):
+        store.put(KEY, np.zeros(3))
+        with pytest.raises(ValueError):
+            store.get(KEY)[0] = 1.0

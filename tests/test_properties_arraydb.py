@@ -191,25 +191,36 @@ def region_within(dims):
     return st.tuples(*(bounds(d) for d in dims))
 
 
+def empty_modelled_array(draw):
+    """A database holding an empty array ``M`` of random dimensions, the
+    cell model of each attribute, and a seeded generator for its data."""
+    dims = draw(model_dimensions())
+    db = Database(clock=VirtualClock())
+    db.create_array(ArraySchema("M", attributes=MODEL_ATTRIBUTES, dimensions=dims))
+    models = {attr.name: _CellModel(dims, attr.dtype) for attr in MODEL_ATTRIBUTES}
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return db, models, rng
+
+
+def write_at_random(draw, db, models, rng) -> None:
+    """One random region write of one attribute, to ``M`` and its model."""
+    array = db.array("M")
+    attr = draw(st.sampled_from(MODEL_ATTRIBUTES))
+    region = draw(region_within(array.schema.dimensions))
+    shape = tuple(hi - lo for lo, hi in region)
+    data = (rng.normal(size=shape) * 100).astype(attr.dtype)
+    array.write(attr.name, data, region)
+    models[attr.name].write(region, data)
+
+
 @st.composite
 def modelled_arrays(draw):
     """A database holding array ``M`` after a few random region writes,
     the cell model of each attribute, and a random region to read."""
-    dims = draw(model_dimensions())
-    db = Database(clock=VirtualClock())
-    array = db.create_array(
-        ArraySchema("M", attributes=MODEL_ATTRIBUTES, dimensions=dims)
-    )
-    models = {attr.name: _CellModel(dims, attr.dtype) for attr in MODEL_ATTRIBUTES}
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    db, models, rng = empty_modelled_array(draw)
     for _ in range(draw(st.integers(0, 4))):
-        attr = draw(st.sampled_from(MODEL_ATTRIBUTES))
-        region = draw(region_within(dims))
-        shape = tuple(hi - lo for lo, hi in region)
-        data = (rng.normal(size=shape) * 100).astype(attr.dtype)
-        array.write(attr.name, data, region)
-        models[attr.name].write(region, data)
-    return db, models, draw(region_within(dims))
+        write_at_random(draw, db, models, rng)
+    return db, models, draw(region_within(db.schema("M").dimensions))
 
 
 def _same(a: np.ndarray, b: np.ndarray) -> bool:
@@ -261,3 +272,33 @@ class TestCellModel:
                 result.stats.chunks_read, result.stats.cells_scanned, 0
             )
             assert db.clock.now() == before + result.stats.elapsed_seconds
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_chunk_reads_between_writes_keep_their_bytes(self, data):
+        """A block from ``read_chunk`` equals the model when taken and
+        still equals it after every later write."""
+        db, models, rng = empty_modelled_array(data.draw)
+        array = db.array("M")
+        dims = array.schema.dimensions
+        chunk_coords = st.tuples(*(st.integers(0, d.num_chunks - 1) for d in dims))
+        taken = []
+        for _ in range(data.draw(st.integers(1, 8))):
+            if data.draw(st.booleans(), label="write"):
+                write_at_random(data.draw, db, models, rng)
+                continue
+            coords = data.draw(chunk_coords)
+            bounds = tuple(d.chunk_bounds(c) for d, c in zip(dims, coords))
+            blocks, stats = array.read_chunk(coords)
+            reads = []
+            for name, model in models.items():
+                expected, read_stats = model.read(bounds)
+                assert _same(blocks[name], expected)
+                taken.append((blocks[name], expected))
+                reads.append(read_stats)
+            assert stats == ReadStats(
+                chunks_read=sum(r.chunks_read for r in reads),
+                cells_scanned=sum(r.cells_scanned for r in reads),
+            )
+        for block, expected in taken:
+            assert _same(block, expected)

@@ -119,16 +119,45 @@ class TestFetchIsALookup:
         assert (counts["get"], counts["keys"], executed) == (3, 0, [])
 
     def test_fetched_payloads_cannot_be_written(self):
+        """A payload is the stored chunk itself, refuses writes, and keeps
+        its bytes after a write replaces that chunk."""
         pyramid = build_pyramid(4, 2, ("float64", "uint8"), seed=2)
         store = pyramid.db._store
         key = TileKey(1, 1, 0)
         tile, _ = pyramid.fetch_tile_timed(key)
+        before = {name: tile.attribute(name).copy() for name in pyramid.attributes}
         for name in pyramid.attributes:
             block = tile.attribute(name)
             with pytest.raises(ValueError):
                 block[0, 0] = 1
             chunk = store.get((pyramid.view_name(1), name, (0, 1)))
-            assert not np.shares_memory(block, chunk)
+            assert np.shares_memory(block, chunk)
+        for name in pyramid.attributes:
+            pyramid.db.write(pyramid.view_name(1), name, np.full((8, 8), 99))
+        refetched = pyramid.fetch_tile(key, charge=False)
+        for name in pyramid.attributes:
+            np.testing.assert_array_equal(tile.attribute(name), before[name])
+            assert (refetched.attribute(name) == 99).all()
+
+    def test_absent_chunk_is_one_shared_zero_block(self):
+        """Two fetches of a tile whose chunk is absent get the same
+        read-only zero block, equal to the region read, and the same
+        charge as the executed query."""
+        pyramid = build_pyramid(4, 2, ("float64", "int32"), seed=4)
+        key = TileKey(1, 0, 1)
+        view = pyramid.view_name(1)
+        pyramid.db._store.delete((view, "a1", (1, 0)))
+        pyramid.db.clock = VirtualClock()
+        first, first_seconds = pyramid.fetch_tile_timed(key)
+        second, second_seconds = pyramid.fetch_tile_timed(key)
+        zeros = first.attribute("a1")
+        assert second.attribute("a1") is zeros
+        assert not zeros.flags.writeable and not zeros.any()
+        expected = pyramid.db.read(view, "a1", pyramid.tile_region(key))
+        assert zeros.dtype == expected.dtype
+        assert zeros.tobytes() == expected.tobytes()
+        reference = pyramid.db.execute(Q.subarray(Q.scan(view), pyramid.tile_region(key)))
+        assert first_seconds == second_seconds == reference.stats.elapsed_seconds
 
     def test_key_outside_the_pyramid(self):
         pyramid = build_pyramid(4, 2, ("float64",), seed=3)
