@@ -30,7 +30,7 @@ def main() -> int:
     parser.add_argument(
         "--spec",
         default="smoke",
-        help="built-in spec (smoke, ci) or path to a JSON spec file",
+        help="built-in spec (smoke, ci, ci-push, ci-overload, ci-cluster)",
     )
     parser.add_argument(
         "--keep",

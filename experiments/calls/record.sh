@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Run what CI runs under the call recorder (sitecustomize.py beside this
 # file), one record directory per suite, then report the functions
-# under src/repro/ that nothing called (experiments/uncalled.py).
+# under src/repro/ that nothing called or only the fast tier called
+# (experiments/uncalled.py).  tests/test_uncalled.py checks that every
+# script CI runs is run here too.
 #
 # Usage, from the repository root:
 #   experiments/calls/record.sh [OUT_DIR]     # default .calls
@@ -23,7 +25,8 @@ record() {
 }
 
 if [ "${2:-}" != report ]; then
-    rm -rf "$out/fast" "$out/bench" "$out/examples" "$out/perf"
+    rm -rf "$out/fast" "$out/bench" "$out/examples" "$out/perf" "$out/sweep" "$out/sweep-runs" \
+        "$out/scoreboard"
     # The profiler must stay on while a benchmark runs: pytest-benchmark
     # switches it off around every timed call unless disabled.
     record fast python -m pytest -q -p no:cacheprovider --benchmark-disable
@@ -40,8 +43,8 @@ if [ "${2:-}" != report ]; then
         REPRO_SIZE=256 REPRO_USERS=4 record examples python examples/modis_exploration.py $args
     done
     REPRO_SIZE=256 REPRO_USERS=4 record examples python examples/parameter_sweep.py
-    for example in quickstart timeseries_browsing trace_analysis; do
-        REPRO_SIZE=256 REPRO_USERS=4 record examples python "examples/$example.py"
+    for example in examples/quickstart.py examples/timeseries_browsing.py examples/trace_analysis.py; do
+        REPRO_SIZE=256 REPRO_USERS=4 record examples python "$example"
     done
     for args in \
         "--framing lines" "--framing length" "--framing length --payload binary" \
@@ -62,5 +65,22 @@ if [ "${2:-}" != report ]; then
             record perf python benchmarks/perf/run.py --workload "$workload" --seconds 2 --trace "$trace"
         done
     done
+    # CI's bench-trajectory job: every grid in full, snapshotted and
+    # compared against its committed baseline.
+    for grid in ci:benchmarks/trajectory ci-push:benchmarks/trajectory/push \
+        ci-overload:benchmarks/trajectory/overload ci-cluster:benchmarks/trajectory/cluster; do
+        spec=${grid%%:*}
+        record sweep python experiments/sweep.py run --spec "$spec" --results-dir "$out/sweep-runs/$spec"
+        record sweep python experiments/sweep.py snapshot --spec "$spec" \
+            --results-dir "$out/sweep-runs/$spec" --out-dir "$out/sweep-runs/$spec-snapshot"
+        record sweep python experiments/sweep.py compare --baseline "${grid#*:}" \
+            --current "$out/sweep-runs/$spec-snapshot" --markdown
+    done
+    # The test job's summary scripts, each timing at one run.
+    record scoreboard python experiments/scoreboard.py
+    record scoreboard python experiments/world_build.py --runs 1
+    record scoreboard python experiments/sift_cost.py --runs 1
+    record scoreboard python experiments/fetch_cost.py --heap
 fi
-python experiments/uncalled.py "$out/fast" "$out/bench" "$out/examples" "$out/perf"
+python experiments/uncalled.py "$out/fast" "$out/bench" "$out/examples" "$out/perf" \
+    "$out/sweep" "$out/scoreboard"

@@ -3,7 +3,6 @@
 
 Usage (from the repository root, no install needed)::
 
-    python experiments/sweep.py cells    --spec ci
     python experiments/sweep.py run      --spec ci --results-dir .sweep-results
     python experiments/sweep.py snapshot --spec ci --results-dir .sweep-results
     python experiments/sweep.py compare

@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""List the functions under ``src/repro/`` that nothing ran.
+"""List the functions under ``src/repro/`` that nothing ran, or only tests.
 
 Reads the call records ``experiments/calls/sitecustomize.py`` wrote (one
 directory per suite, the fast tier's first), lists every ``def`` under
@@ -13,9 +13,13 @@ directory per suite, the fast tier's first), lists every ``def`` under
   ``path:line qualname (lines)``.
 
 A function may stay uncalled only if ``experiments/uncalled_allowlist.txt``
-names it, one ``path:qualname  reason`` per line.  The exit status is 1
-if any other function is uncalled, or if an allowlist entry names a
-function that is now called or no longer exists; 0 otherwise.
+names it, and may be reached only by the fast tier only if
+``experiments/fast_only_allowlist.txt`` names it; both hold one
+``path:qualname  reason`` per line.  The exit status is 1 if any other
+function is uncalled or fast-only, if an uncalled entry names a function
+that is now called, if a fast-only entry names one another suite now
+reaches, or if an entry of either list names a function that no longer
+exists; 0 otherwise.
 
 Usage (from the repository root; ``experiments/calls/record.sh`` runs
 the suites and then this)::
@@ -31,6 +35,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 ALLOWLIST = ROOT / "experiments" / "uncalled_allowlist.txt"
+FAST_ONLY_ALLOWLIST = ROOT / "experiments" / "fast_only_allowlist.txt"
 
 
 def _is_stub(node: ast.AST) -> bool:
@@ -88,14 +93,14 @@ def called(directory: Path) -> set:
     return calls
 
 
-def allowlist() -> dict:
+def allowlist(path: Path) -> dict:
     entries = {}
-    for line in ALLOWLIST.read_text().splitlines():
+    for line in path.read_text().splitlines():
         line = line.strip()
         if line and not line.startswith("#"):
             name, _, reason = line.partition(" ")
             if not reason.strip():
-                raise SystemExit(f"{ALLOWLIST.name}: {name} gives no reason")
+                raise SystemExit(f"{path.name}: {name} gives no reason")
             entries[name] = reason.strip()
     return entries
 
@@ -108,13 +113,17 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     fast = called(args.fast)
     others = set().union(*map(called, args.others))
-    allowed = allowlist()
+    allowed = allowlist(ALLOWLIST)
+    explained = allowlist(FAST_ONLY_ALLOWLIST)
 
     uncalled, fast_only, names, failed = [], [], set(), False
     for path, line, qualname, lines in definitions():
         name = f"{path}:{qualname}"
         names.add(name)
         key = (path, line)
+        if name in explained and key in others:
+            print(f"fast-only allowlisted but reached by another suite: {name}")
+            failed = True
         if name in allowed:
             if key in fast or key in others:
                 print(f"allowlisted but called: {name}")
@@ -123,14 +132,18 @@ def main(argv=None) -> int:
             uncalled.append(f"{path}:{line} {qualname}")
         elif key not in others:
             fast_only.append((f"{path}:{line} {qualname}", lines))
-    for name in sorted(set(allowed) - names):
+            if name not in explained:
+                print(f"fast-only without a reason: {path}:{line} {qualname}")
+                failed = True
+    for name in sorted((set(allowed) | set(explained)) - names):
         print(f"allowlisted but not a non-stub def: {name}")
         failed = True
     for entry in uncalled:
         print(f"uncalled: {entry}")
     print(f"uncalled functions {len(uncalled)} (allowlisted {len(allowed)})")
     total = sum(lines for _, lines in fast_only)
-    print(f"reached only by the fast tier {len(fast_only)} ({total} lines)")
+    print(f"reached only by the fast tier {len(fast_only)} ({total} lines,"
+          f" allowlisted {len(explained)})")
     for entry, lines in fast_only:
         print(f"  {entry} ({lines})")
     return 1 if uncalled or failed else 0

@@ -11,13 +11,20 @@ Two regions (Section 3, "Tile Cache Manager"):
 
 When the user actually requests a prefetched tile, it is *promoted* —
 moved into the recent LRU and its prefetch slot freed — so serving a
-hit no longer leaves the tile double-resident (a dead slot that crowds
-out the next round's predictions and double-counts in ``nbytes()``).
-Two deliberate exceptions remain: the synchronous cycle *claims a
-slot* for a tile already in the recent LRU (the allocation strategy's
-per-model quotas must stay observable, as in the paper), and
-``nbytes()`` is a best-effort snapshot under concurrency — a promotion
-racing it can be counted in both regions for that one reading.
+hit no longer leaves a dead slot that crowds out the next round's
+predictions.  One deliberate exception remains: the synchronous cycle
+*claims a slot* for a tile already in the recent LRU (the allocation
+strategy's per-model quotas must stay observable, as in the paper), so
+a key can sit in both regions at once.
+
+``nbytes()`` is the payload the cache keeps reachable, each resident
+key counted once.  It is not memory the cache owns: a tile's arrays
+are the chunk store's own read-only blocks, shared with every other
+holder of that tile.  Under concurrency it is a best-effort snapshot:
+it reads one shard at a time, so a tile admitted or dropped while it
+reads may or may not be in that reading (a racing promotion is still
+counted once — the recent region takes the tile before its prefetch
+slot lets go).
 
 The cache is thread-safe, and **both regions are hash-striped** into
 ``shards`` independently locked segments: the prefetch region's shards
@@ -243,19 +250,17 @@ class TileCache:
         return usage
 
     def nbytes(self) -> int:
-        """Total payload bytes held across both regions."""
-        total = 0
+        """Payload bytes of the tiles resident in either region, each
+        key counted once (see the module notes)."""
+        sizes: dict[TileKey, int] = {}
         for index in range(self.shards):
             with self._locks[index]:
-                total += sum(
-                    tile.nbytes for tile, _ in self._prefetched[index].values()
-                )
-        total += sum(
-            tile.nbytes
-            for key in self._recent.keys()
-            if (tile := self._recent.peek(key)) is not None
-        )
-        return total
+                for key, (tile, _) in self._prefetched[index].items():
+                    sizes[key] = tile.nbytes
+        for key in self._recent.keys():
+            if key not in sizes and (tile := self._recent.peek(key)) is not None:
+                sizes[key] = tile.nbytes
+        return sum(sizes.values())
 
     def clear(self) -> None:
         """Drop everything."""

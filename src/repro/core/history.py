@@ -50,17 +50,6 @@ class SessionHistory:
         """The most recent move."""
         return self._moves[-1] if self._moves else None
 
-    def recent_moves(self, n: int) -> tuple[Move, ...]:
-        """The last ``n`` moves (fewer if the session is young)."""
-        if n < 0:
-            raise ValueError(f"n must be >= 0, got {n}")
-        moves = tuple(self._moves)
-        return moves[len(moves) - min(n, len(moves)) :]
-
-    def previous_tile(self) -> TileKey | None:
-        """The tile requested just before the current one."""
-        return self._tiles[-2] if len(self._tiles) >= 2 else None
-
     def __len__(self) -> int:
         return len(self._tiles)
 

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import heapq
 import threading
-from collections.abc import Iterable
 
 from repro.tiles.key import TileKey
 
@@ -158,11 +157,6 @@ class SharedHotspotRegistry:
                 new_weight = entry[0]
             self._observed[index] += 1
         return new_weight
-
-    def observe_many(self, keys: Iterable[TileKey], weight: float = 1.0) -> None:
-        """Record one request per key (convenience for replays)."""
-        for key in keys:
-            self.observe(key, weight)
 
     # ------------------------------------------------------------------
     # reads

@@ -14,7 +14,7 @@ from collections import Counter
 from collections.abc import Sequence
 
 from repro.core.engine import PredictionEngine
-from repro.phases.model import ALL_PHASES, AnalysisPhase
+from repro.phases.model import AnalysisPhase
 from repro.users.session import Trace
 
 #: The paper sweeps prefetch budgets 1..8 (9 is guaranteed-correct).
@@ -34,12 +34,6 @@ class AccuracyResult:
         if hit:
             self._hits[(phase, k)] += 1
 
-    def merge(self, other: "AccuracyResult") -> "AccuracyResult":
-        """Fold another result's counters into this one."""
-        self._hits.update(other._hits)
-        self._totals.update(other._totals)
-        return self
-
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
@@ -57,19 +51,6 @@ class AccuracyResult:
         if phase is not None:
             return self._totals[(phase, k)]
         return sum(t for (p, kk), t in self._totals.items() if kk == k)
-
-    def ks(self) -> list[int]:
-        """All budgets with recorded data, sorted."""
-        return sorted({k for _, k in self._totals})
-
-    def phases(self) -> list[AnalysisPhase]:
-        """All phases with recorded data, in canonical order."""
-        present = {p for p, _ in self._totals if p is not None}
-        return [p for p in ALL_PHASES if p in present]
-
-    def as_series(self, phase: AnalysisPhase | None = None) -> dict[int, float]:
-        """Accuracy per k — one plotted line of Figure 10/11."""
-        return {k: self.accuracy(k, phase) for k in self.ks()}
 
 
 def replay_engine(

@@ -3,7 +3,6 @@
 Invoked as ``python experiments/sweep.py <command>`` (the repo-root shim)
 or ``python -m repro.experiments.sweep.cli``::
 
-    cells    --spec ci                 # list the grid without running it
     run      --spec ci --results-dir . # execute (resumable) cell runs
     snapshot --spec ci --results-dir . --out-dir benchmarks/trajectory
     compare  [--baseline ...] [--current ...] [--tol-latency 0.25] ...
@@ -53,11 +52,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--spec",
             default="ci",
-            help="built-in spec name (ci, smoke) or path to a JSON spec",
+            help="built-in spec name (ci, ci-push, ci-overload, ci-cluster, smoke)",
         )
-
-    p_cells = sub.add_parser("cells", help="list the expanded grid")
-    add_spec(p_cells)
 
     p_run = sub.add_parser("run", help="execute the sweep (resumable)")
     add_spec(p_run)
@@ -151,15 +147,6 @@ def _resolve_snapshot_ref(ref: str | None, role: str) -> Path:
             f"no {role} snapshot: {base} has no BENCH_*.json"
         )
     return chosen
-
-
-def _cmd_cells(args) -> int:
-    spec = resolve_spec(args.spec)
-    cells = spec.cells()
-    print(f"spec {spec.name!r}: {len(cells)} cells")
-    for cell in cells:
-        print(f"  {cell.cell_id}")
-    return 0
 
 
 def _cmd_run(args) -> int:
@@ -276,7 +263,6 @@ def _cmd_report(args) -> int:
 
 
 _COMMANDS = {
-    "cells": _cmd_cells,
     "run": _cmd_run,
     "snapshot": _cmd_snapshot,
     "compare": _cmd_compare,

@@ -29,10 +29,8 @@ and snapshot diffing are built on.
 from __future__ import annotations
 
 import itertools
-import json
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
-from pathlib import Path
 
 from repro.middleware.config import (
     FIDELITY_MODES,
@@ -181,7 +179,7 @@ def _argument_product(
     """Cartesian product of the grid axes, as one dict per cell.
 
     Axis order follows the spec (insertion order), so the expansion is
-    reproducible for a given spec file.
+    reproducible for a given spec.
     """
     names = list(parameters)
     combos = itertools.product(*(parameters[name] for name in names))
@@ -290,18 +288,6 @@ class SweepSpec:
                 )
             seen[cell.cell_id] = cell.axes
         return spec
-
-    @classmethod
-    def from_json(cls, text: str) -> "SweepSpec":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise SweepSpecError(f"spec is not valid JSON: {exc}") from exc
-        return cls.from_dict(data)
-
-    @classmethod
-    def from_file(cls, path: str | Path) -> "SweepSpec":
-        return cls.from_json(Path(path).read_text(encoding="utf-8"))
 
     def to_dict(self) -> dict:
         """JSON-ready form (inverse of :meth:`from_dict`)."""
@@ -481,15 +467,11 @@ BUILTIN_SPECS: dict[str, dict] = {
 }
 
 
-def resolve_spec(ref: str | Path) -> SweepSpec:
-    """A spec from a built-in name (``ci``, ``ci-push``, ``ci-overload``,
-    ``ci-cluster``, ``smoke``) or a JSON file."""
-    if isinstance(ref, str) and ref in BUILTIN_SPECS:
-        return SweepSpec.from_dict(BUILTIN_SPECS[ref])
-    path = Path(ref)
-    if path.exists():
-        return SweepSpec.from_file(path)
-    raise SweepSpecError(
-        f"unknown spec {str(ref)!r}: not a built-in "
-        f"({sorted(BUILTIN_SPECS)}) and no such file"
-    )
+def resolve_spec(name: str) -> SweepSpec:
+    """A built-in spec by name (``ci``, ``ci-push``, ``ci-overload``,
+    ``ci-cluster``, ``smoke``)."""
+    if name not in BUILTIN_SPECS:
+        raise SweepSpecError(
+            f"unknown spec {name!r}: not a built-in ({sorted(BUILTIN_SPECS)})"
+        )
+    return SweepSpec.from_dict(BUILTIN_SPECS[name])

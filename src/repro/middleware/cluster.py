@@ -757,12 +757,6 @@ class ThreadedClusterServer(_ClusterHarness):
     def _boot_workers(self) -> list[tuple[str, int]]:
         return [worker.start() for worker in self.workers]
 
-    def stop_worker(self, index: int) -> None:
-        """Gracefully stop one worker — the router sees EOF on its
-        links: the next message of a session living there gets a typed
-        ``worker_unavailable`` error, and the ring re-maps them all."""
-        self.workers[index].stop()
-
     def _stop_workers(self) -> None:
         for worker in self.workers:
             with contextlib.suppress(Exception):

@@ -9,7 +9,6 @@ middleware/transfer overhead that every response pays.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -106,25 +105,3 @@ class LatencyRecorder:
         if include_latencies:
             data["latencies"] = list(self.latencies)
         return data
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "LatencyRecorder":
-        """Rebuild a recorder from :meth:`to_dict` output.
-
-        Requires the raw samples; a summary-only dict cannot round-trip.
-        """
-        if "latencies" not in data:
-            raise ValueError(
-                "cannot rebuild a LatencyRecorder from a summary-only "
-                "dict (serialize with include_latencies=True)"
-            )
-        return cls(latencies=list(data["latencies"]), hits=int(data["hits"]))
-
-    def to_json(self, include_latencies: bool = True) -> str:
-        """:meth:`to_dict`, serialized."""
-        return json.dumps(self.to_dict(include_latencies=include_latencies))
-
-    @classmethod
-    def from_json(cls, data: str) -> "LatencyRecorder":
-        """Inverse of :meth:`to_json` (with samples included)."""
-        return cls.from_dict(json.loads(data))

@@ -156,10 +156,6 @@ class SessionHandle:
             average_latency_seconds=recorder.average_seconds,
         )
 
-    def reset(self) -> None:
-        """Fresh recorder and engine state; queued prefetches dropped."""
-        self._service._reset_session(self._record)
-
     def close(self) -> None:
         """Close this session.  Idempotent."""
         self._service._close_record(self._record)
@@ -340,14 +336,6 @@ class ForeCacheService:
             engine.bind_hotspot_registry(
                 None, live=self.config.prefetch.hotspots_live
             )
-
-    def _reset_session(self, record: _SessionRecord) -> None:
-        if self.scheduler is not None:
-            self.scheduler.cancel_session(record.session_id)
-        with record.lock:
-            record.engine.reset()
-            record.recorder = LatencyRecorder()
-            record.pending = []
 
     @property
     def session_ids(self) -> list[Hashable]:

@@ -43,15 +43,6 @@ class SVMModel:
         k = rbf_kernel(x, self.support_vectors, self.gamma)
         return k @ self.dual_coef + self.bias
 
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        """Class labels in {-1, +1}."""
-        return np.where(self.decision_function(x) >= 0.0, 1.0, -1.0)
-
-    @property
-    def num_support_vectors(self) -> int:
-        """Number of support vectors retained."""
-        return self.support_vectors.shape[0]
-
 
 class SMOTrainer:
     """Sequential Minimal Optimization for the binary soft-margin SVM.

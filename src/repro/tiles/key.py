@@ -58,11 +58,6 @@ class TileKey:
             raise ValueError("the root tile has no parent")
         return TileKey(self.level - 1, self.x // 2, self.y // 2)
 
-    @property
-    def quadrant(self) -> tuple[int, int]:
-        """This tile's (dx, dy) position within its parent."""
-        return (self.x % 2, self.y % 2)
-
     def children(self) -> tuple["TileKey", ...]:
         """The four tiles at the next zoom level covering this tile."""
         return tuple(

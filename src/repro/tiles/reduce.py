@@ -32,12 +32,6 @@ from repro.tiles.tile import DataTile
 COARSE_REDUCTION = 4
 
 
-def reduction_fidelity(factor: int) -> float:
-    """The fidelity of a factor-``factor`` linear reduction."""
-    _check_factor(factor)
-    return 1.0 / factor
-
-
 def _check_factor(factor: int) -> None:
     if not isinstance(factor, int) or factor < 2 or factor & (factor - 1):
         raise ValueError(

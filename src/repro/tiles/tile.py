@@ -56,10 +56,6 @@ class DataTile:
                 f"available: {sorted(self.attributes)}"
             ) from None
 
-    def attribute_names(self) -> list[str]:
-        """Names of the attributes carried by this tile."""
-        return list(self.attributes)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DataTile):
             return NotImplemented

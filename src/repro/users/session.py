@@ -11,7 +11,7 @@ experiments.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.phases.model import AnalysisPhase
@@ -70,25 +70,6 @@ class Trace:
     def tiles(self) -> list[TileKey]:
         """The tile sequence, in request order."""
         return [r.tile for r in self.requests]
-
-    def phases(self) -> list[AnalysisPhase | None]:
-        """Per-request phase labels (None where unlabeled)."""
-        return [r.phase for r in self.requests]
-
-    def relabeled(self, phases: list[AnalysisPhase]) -> "Trace":
-        """A copy of this trace with replaced phase labels."""
-        if len(phases) != len(self.requests):
-            raise ValueError(
-                f"{len(phases)} labels for {len(self.requests)} requests"
-            )
-        return Trace(
-            user_id=self.user_id,
-            task_id=self.task_id,
-            requests=[
-                replace(request, phase=phase)
-                for request, phase in zip(self.requests, phases)
-            ],
-        )
 
     def to_dict(self) -> dict:
         """JSON-ready representation."""

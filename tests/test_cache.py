@@ -116,6 +116,14 @@ class TestTileCache:
         cache.store_prefetched(tile(B), "m")
         assert cache.nbytes() == 2 * tile(A).nbytes
 
+    def test_nbytes_counts_a_key_in_both_regions_once(self):
+        cache = TileCache()
+        cache.record_request(tile(A))
+        assert cache.begin_prefetch_cycle([(A, "m")]) == {A: "m"}
+        assert cache.claim_prefetched(A, "m") is not None
+        assert A in cache.prefetched_keys and A in cache.recent_keys
+        assert cache.nbytes() == tile(A).nbytes
+
     def test_clear(self):
         cache = TileCache()
         cache.record_request(tile(A))

@@ -566,7 +566,7 @@ class TestRoutingAndFailover:
             # Serve one request so the connection is warm.
             client.request(None, keys[0])
             seen = [outcome(bystander.request(m, k)) for m, k in walk[:8]]
-            cluster2.stop_worker(node_index(doomed))
+            cluster2.workers[node_index(doomed)].stop()
             seen += [outcome(bystander.request(m, k)) for m, k in walk[8:]]
             assert seen == expected
             errors = []
@@ -616,7 +616,7 @@ class TestRoutingAndFailover:
                     for k in all_keys(grid, grid.deepest_level)
                     if k not in held
                 ]
-                cluster.stop_worker(node_index(doomed))
+                cluster.workers[node_index(doomed)].stop()
                 response = pushy.request(None, held[0])
                 assert response.tile.key == held[0] and response.hit
                 # Whichever call reads the refusal, it is not theirs.
@@ -653,7 +653,7 @@ class TestRoutingAndFailover:
                 keys = all_keys(grid, grid.deepest_level)
                 c1.request(None, keys[0])
                 c2.request(None, keys[1])
-                cluster.stop_worker(node_index(doomed))
+                cluster.workers[node_index(doomed)].stop()
                 # Both sessions — on separate connections — keep being
                 # served after the death: one typed retry for the
                 # session that lived there, nothing for the other.
@@ -673,7 +673,7 @@ class TestRoutingAndFailover:
     ):
         grid = tiny_dataset.pyramid.grid
         host, port = cluster2.address
-        cluster2.stop_worker(1)
+        cluster2.workers[1].stop()
         transport = SocketTransport(host, port)
         try:
             client = transport.connect(session_id="late-joiner")

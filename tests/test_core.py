@@ -124,28 +124,21 @@ class TestSessionHistory:
         history.record(None, TileKey(0, 0, 0))
         assert history.moves == ()
 
-    def test_recent_moves(self):
+    def test_moves_oldest_first(self):
         history = SessionHistory(10)
         moves = [Move.PAN_LEFT, Move.PAN_RIGHT, Move.ZOOM_OUT]
         tile = TileKey(2, 1, 1)
         for move in moves:
             history.record(move, tile)
-        assert history.recent_moves(2) == (Move.PAN_RIGHT, Move.ZOOM_OUT)
-        assert history.recent_moves(10) == tuple(moves)
+        assert history.moves == tuple(moves)
+        assert history.last_move is Move.ZOOM_OUT
 
-    def test_recent_moves_of_none_and_fewer_than_none(self):
-        history = SessionHistory(10)
-        history.record(Move.PAN_LEFT, TileKey(2, 1, 1))
-        assert history.recent_moves(0) == ()
-        with pytest.raises(ValueError, match="n must be >= 0"):
-            history.recent_moves(-1)
-
-    def test_previous_tile(self):
+    def test_tiles_oldest_first(self):
         history = SessionHistory(5)
-        assert history.previous_tile() is None
+        assert history.tiles == ()
         history.record(None, TileKey(0, 0, 0))
         history.record(Move.ZOOM_IN_NW, TileKey(1, 0, 0))
-        assert history.previous_tile() == TileKey(0, 0, 0)
+        assert history.tiles == (TileKey(0, 0, 0), TileKey(1, 0, 0))
 
     def test_clear(self):
         history = SessionHistory(5)

@@ -37,26 +37,16 @@ class TestAccuracyResult:
     def test_empty_bucket_is_zero(self):
         assert AccuracyResult().accuracy(5) == 0.0
 
-    def test_merge(self):
-        a, b = AccuracyResult(), AccuracyResult()
-        a.record(P.FORAGING, 1, True)
-        b.record(P.FORAGING, 1, False)
-        a.merge(b)
-        assert a.accuracy(1) == pytest.approx(0.5)
-        assert a.sample_count(1) == 2
-
-    def test_ks_and_phases(self):
-        result = AccuracyResult()
-        result.record(P.SENSEMAKING, 2, True)
-        result.record(P.FORAGING, 5, False)
-        assert result.ks() == [2, 5]
-        assert result.phases() == [P.FORAGING, P.SENSEMAKING]
-
-    def test_as_series(self):
+    def test_sample_count(self):
         result = AccuracyResult()
         result.record(P.FORAGING, 1, True)
+        result.record(P.FORAGING, 1, False)
+        result.record(P.SENSEMAKING, 1, True)
         result.record(P.FORAGING, 2, False)
-        assert result.as_series() == {1: 1.0, 2: 0.0}
+        assert result.sample_count(1) == 3
+        assert result.sample_count(1, P.FORAGING) == 2
+        assert result.sample_count(2) == 1
+        assert result.sample_count(5) == 0
 
 
 class TestReplayEngine:

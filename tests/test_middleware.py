@@ -143,12 +143,6 @@ class TestServer:
         server.request(Move.ZOOM_IN_NW, TileKey(2, 0, 0))
         assert server.recorder.count == 2
 
-    def test_reset_session(self, server):
-        server.request(None, TileKey(1, 0, 0))
-        server.reset()
-        assert server.recorder.count == 0
-        assert server.engine.history.current is None
-
     def test_rejects_bad_k(self):
         with pytest.raises(ValueError):
             PrefetchPolicy(k=0)

@@ -804,17 +804,6 @@ class TestSharedHotspotProperties:
         )
 
     @settings(max_examples=100, deadline=None)
-    @given(ops=registry_ops, keys=st.lists(tile_keys(max_level=3), max_size=8))
-    def test_observe_many_is_one_observe_per_key(self, ops, keys):
-        batched = _fresh_registry(ops)
-        batched.observe_many(keys, 2.0)
-        one_by_one = _fresh_registry(ops)
-        for key in keys:
-            one_by_one.observe(key, 2.0)
-        assert batched.snapshot() == one_by_one.snapshot()
-        assert batched.total_observations == one_by_one.total_observations
-
-    @settings(max_examples=100, deadline=None)
     @given(ops=registry_ops)
     def test_count_agrees_with_the_snapshot_and_reads_change_nothing(self, ops):
         registry = _fresh_registry(ops)

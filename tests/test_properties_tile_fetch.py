@@ -64,7 +64,7 @@ def assert_fetches_match_reference(pyramid: TilePyramid) -> None:
 
         for tile in (charged, free):
             assert tile.key == key
-            assert tile.attribute_names() == list(reference.attributes)
+            assert list(tile.attributes) == list(reference.attributes)
             for name in pyramid.attributes:
                 block, expected = tile.attribute(name), reference.attribute(name)
                 assert block.dtype == expected.dtype

@@ -688,20 +688,15 @@ class TestEnvelope:
 
 
 class TestLatencyRecorderExport:
-    def test_dict_round_trip(self):
+    def test_dict_carries_the_samples(self):
         recorder = LatencyRecorder()
         recorder.record(0.0195, True)
         recorder.record(0.984, False)
         recorder.record(0.0195, True)
-        rebuilt = LatencyRecorder.from_dict(recorder.to_dict())
-        assert rebuilt == recorder
-
-    def test_json_round_trip(self):
-        recorder = LatencyRecorder()
-        recorder.record(0.1, False)
-        rebuilt = LatencyRecorder.from_json(recorder.to_json())
-        assert rebuilt.latencies == recorder.latencies
-        assert rebuilt.hits == recorder.hits
+        data = json.loads(json.dumps(recorder.to_dict()))
+        assert data["latencies"] == recorder.latencies
+        assert data["hits"] == recorder.hits == 2
+        assert data["count"] == 3
 
     def test_summary_fields(self):
         recorder = LatencyRecorder()
@@ -715,14 +710,6 @@ class TestLatencyRecorderExport:
         assert data["average_seconds"] == pytest.approx(0.25)
         assert data["p95_seconds"] == pytest.approx(0.4)
         json.dumps(data)  # JSON-ready
-
-    def test_summary_only_cannot_round_trip(self):
-        recorder = LatencyRecorder()
-        recorder.record(0.1, True)
-        with pytest.raises(ValueError):
-            LatencyRecorder.from_dict(
-                recorder.to_dict(include_latencies=False)
-            )
 
 
 # ----------------------------------------------------------------------
@@ -1430,8 +1417,8 @@ class TestExactFloatRoute:
 # structure
 # ----------------------------------------------------------------------
 #: The functions under ``repro/middleware`` that may parse JSON: the
-#: wire's one reader, and a recorder reading back its own ``to_json``.
-JSON_READERS = {("protocol", "_load_tagged"), ("latency", "LatencyRecorder.from_json")}
+#: wire's one reader.
+JSON_READERS = {("protocol", "_load_tagged")}
 
 
 def _json_parsers(path: Path) -> set:

@@ -16,7 +16,6 @@ from repro.tiles.reduce import (
     carve_fidelity,
     carve_from_ancestor,
     downsample_tile,
-    reduction_fidelity,
     upsample_tile,
 )
 from repro.tiles.tile import DataTile
@@ -28,14 +27,11 @@ def tile(key: TileKey, size: int = 8, base: float = 0.0) -> DataTile:
 
 
 class TestFactors:
-    def test_reduction_fidelity(self):
-        assert reduction_fidelity(2) == 0.5
-        assert reduction_fidelity(4) == 0.25
-
     @pytest.mark.parametrize("bad", [1, 0, -2, 3, 6, 2.0, "4"])
-    def test_bad_factor_rejected(self, bad):
-        with pytest.raises(ValueError):
-            reduction_fidelity(bad)
+    @pytest.mark.parametrize("reduce", [downsample_tile, upsample_tile])
+    def test_bad_factor_rejected(self, reduce, bad):
+        with pytest.raises(ValueError, match="power of two"):
+            reduce(tile(TileKey(0, 0, 0)), bad)
 
 
 class TestDownsample:

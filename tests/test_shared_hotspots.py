@@ -145,7 +145,7 @@ class TestRegistryBasics:
             name for name in dir(SharedHotspotRegistry) if not name.startswith("_")
         }
         assert public == {
-            "tick", "advance", "observe", "observe_many",
+            "tick", "advance", "observe",
             "count", "snapshot", "hot_keys", "total_observations",
         }
 
@@ -170,7 +170,8 @@ class TestRegistryDeterminism:
         streams = self._streams()
         sequential = SharedHotspotRegistry(shards=4)
         for stream in streams:
-            sequential.observe_many(stream)
+            for key in stream:
+                sequential.observe(key)
         expected = sequential.snapshot()
         assert expected, "scenario must actually observe something"
 
@@ -200,9 +201,11 @@ class TestRegistryDeterminism:
         streams = self._streams(num_threads=1, per_thread=120)
         observations = streams[0]
         forward = SharedHotspotRegistry()
-        forward.observe_many(observations)
+        for key in observations:
+            forward.observe(key)
         backward = SharedHotspotRegistry()
-        backward.observe_many(reversed(observations))
+        for key in reversed(observations):
+            backward.observe(key)
         assert forward.snapshot() == backward.snapshot()
 
     @pytest.mark.parametrize("shards", [2, 3, 8])
@@ -245,7 +248,8 @@ class TestRegistryDeterminism:
         for thread in readers:
             thread.start()
         for _ in range(50):
-            registry.observe_many(tiles)
+            for key in tiles:
+                registry.observe(key)
         stop.set()
         for thread in readers:
             thread.join()

@@ -148,11 +148,6 @@ class TestSpecValidation:
         }
         assert len(spec.cells()) == 64
 
-    def test_resolve_spec_from_file(self, tmp_path):
-        path = tmp_path / "spec.json"
-        path.write_text(json.dumps(tiny_spec().to_dict()))
-        assert resolve_spec(path).cells() == tiny_spec().cells()
-
     def test_resolve_spec_unknown(self):
         with pytest.raises(SweepSpecError):
             resolve_spec("no-such-spec")
@@ -418,18 +413,18 @@ class TestCompare:
 class TestCli:
     """Exit-code contract of the gate (what CI scripts rely on)."""
 
-    def _bootstrap(self, tmp_path, monkeypatch, capsys):
-        spec_path = tmp_path / "spec.json"
-        spec_path.write_text(json.dumps(tiny_spec().to_dict()))
-        return spec_path
+    def _bootstrap(self, monkeypatch):
+        monkeypatch.setitem(BUILTIN_SPECS, "tiny", tiny_spec().to_dict())
+        return "tiny"
 
-    def test_cells_and_spec_errors(self, tmp_path, capsys):
-        spec_path = tmp_path / "bad.json"
-        spec_path.write_text(json.dumps({"name": "x", "parameters": {}}))
-        assert main(["cells", "--spec", str(spec_path)]) == 2
+    def test_spec_errors(self, tmp_path, monkeypatch, capsys):
+        results = str(tmp_path / "results")
+        assert main(["run", "--spec", "no-such-spec", "--results-dir", results]) == 2
         assert "error:" in capsys.readouterr().err
-        assert main(["cells", "--spec", "smoke"]) == 0
-        assert "smoke" in capsys.readouterr().out
+        monkeypatch.setitem(BUILTIN_SPECS, "bad", {"name": "x", "parameters": {}})
+        assert main(["run", "--spec", "bad", "--results-dir", results]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "results").exists()
 
     def test_run_snapshot_compare_roundtrip(
         self, tmp_path, monkeypatch, capsys
@@ -445,11 +440,11 @@ class TestCli:
                 spec, results_dir, force=force, runner=fake_runner()
             ),
         )
-        spec_path = self._bootstrap(tmp_path, monkeypatch, capsys)
+        spec_name = self._bootstrap(monkeypatch)
         results = tmp_path / "results"
         traj = tmp_path / "traj"
         assert (
-            main(["run", "--spec", str(spec_path), "--results-dir", str(results)])
+            main(["run", "--spec", spec_name, "--results-dir", str(results)])
             == 0
         )
         assert (
@@ -457,7 +452,7 @@ class TestCli:
                 [
                     "snapshot",
                     "--spec",
-                    str(spec_path),
+                    spec_name,
                     "--results-dir",
                     str(results),
                     "--out-dir",
@@ -518,16 +513,15 @@ class TestCli:
         )
         assert "error:" in capsys.readouterr().err
 
-    def test_snapshot_partial_guard(self, tmp_path, capsys):
-        spec_path = tmp_path / "spec.json"
-        spec_path.write_text(json.dumps(tiny_spec().to_dict()))
+    def test_snapshot_partial_guard(self, tmp_path, monkeypatch, capsys):
+        spec_name = self._bootstrap(monkeypatch)
         empty = tmp_path / "none"
         assert (
             main(
                 [
                     "snapshot",
                     "--spec",
-                    str(spec_path),
+                    spec_name,
                     "--results-dir",
                     str(empty),
                     "--out-dir",

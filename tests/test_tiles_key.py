@@ -81,14 +81,13 @@ class TestQuadtreeRelations:
         with pytest.raises(ValueError):
             _ = TileKey(0, 0, 0).parent
 
-    def test_quadrant(self):
-        assert TileKey(2, 3, 2).quadrant == (1, 0)
-
     def test_child_quadrant_roundtrip(self):
         key = TileKey(2, 1, 3)
         for dx in (0, 1):
             for dy in (0, 1):
-                assert key.child(dx, dy).quadrant == (dx, dy)
+                child = key.child(dx, dy)
+                assert child.parent == key
+                assert (child.x % 2, child.y % 2) == (dx, dy)
 
     def test_child_bad_offsets(self):
         with pytest.raises(ValueError):

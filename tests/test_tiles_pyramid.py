@@ -75,7 +75,7 @@ class TestBuild:
         pyramid = TilePyramid.build(db, "S", tile_size=4, attributes=("v",))
         assert pyramid.attributes == ("v",)
         tile = pyramid.fetch_tile(TileKey(0, 0, 0), charge=False)
-        assert tile.attribute_names() == ["v"]
+        assert list(tile.attributes) == ["v"]
 
     def test_rejects_non_square(self, db):
         schema = ArraySchema(

@@ -40,20 +40,6 @@ class TestRequestTrace:
     def test_trace_tiles(self):
         assert sample_trace().tiles()[0] == TileKey(0, 0, 0)
 
-    def test_trace_phases(self):
-        assert sample_trace().phases() == [P.FORAGING, P.NAVIGATION, P.SENSEMAKING]
-
-    def test_relabeled(self):
-        trace = sample_trace()
-        relabeled = trace.relabeled([P.NAVIGATION] * 3)
-        assert relabeled.phases() == [P.NAVIGATION] * 3
-        # Original untouched.
-        assert trace.phases()[0] is P.FORAGING
-
-    def test_relabeled_length_checked(self):
-        with pytest.raises(ValueError):
-            sample_trace().relabeled([P.FORAGING])
-
     def test_trace_roundtrip(self):
         trace = sample_trace()
         assert Trace.from_dict(trace.to_dict()).requests == trace.requests
