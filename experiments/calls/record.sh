@@ -80,6 +80,7 @@ if [ "${2:-}" != report ]; then
     record scoreboard python experiments/scoreboard.py
     record scoreboard python experiments/world_build.py --runs 1
     record scoreboard python experiments/sift_cost.py --runs 1
+    record scoreboard python experiments/sift_cost.py --boot
     record scoreboard python experiments/fetch_cost.py --heap
 fi
 python experiments/uncalled.py "$out/fast" "$out/bench" "$out/examples" "$out/perf" \

@@ -3,7 +3,8 @@
 
 Every process that runs the paper's two-level engine builds an
 ``ExperimentContext`` at boot, which extracts SIFT descriptors from the
-vocabulary tiles and then from every tile whose signature is asked for.
+vocabulary tiles and then from every other tile whose signature is
+asked for.
 By default this script times ``extract_sift_descriptors`` over every
 tile of the 512 px world (32 px tiles, 2 days, seed 7; 341 tiles) in
 ``--runs`` fresh interpreters, each pinned to one CPU, and prints each
@@ -17,18 +18,31 @@ centres and every tile's ``sift`` and ``densesift`` vector.  A change
 that claims to extract the same descriptors faster must leave every
 digest unchanged.
 
+``--boot`` instead boots the context ``facade_study`` serves from (512
+px, 6 users) and replays the held-out users' traces once through a
+``k=5`` service session, as its warm-up cycle does.  It prints the
+seconds of each phase (world build; study, which includes importing
+``scipy.ndimage``; vocabulary; warm-up), how
+many times SIFT descriptors were extracted, how many times the study
+labelled a snow mask (``_cluster_mass``), and how many scipy modules the
+process loaded.  The counts are exact; CI prints them in the ``test``
+job's summary and nothing gates on them.
+
 Usage (from the repository root, no install needed)::
 
     python experiments/sift_cost.py [--runs 3]
     python experiments/sift_cost.py --digest
+    python experiments/sift_cost.py --boot
 """
 
 import argparse
+import collections
 import hashlib
 import os
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -110,11 +124,79 @@ def context_digest() -> str:
     return sha.hexdigest()
 
 
+#: The context ``facade_study`` boots, and the users its warm-up replays
+#: (the engine trains on the others).
+BOOT_CONTEXT = dict(size=512, num_users=6)
+HELD_OUT_USERS = (1, 2)
+
+
+def boot_counts() -> tuple[dict, collections.Counter]:
+    """Seconds per boot phase, and calls to the counted functions."""
+    import repro.experiments.context as context_module
+    import repro.modis.dataset as dataset_module
+    import repro.signatures.sift as sift_module
+    from repro.experiments.runner import hybrid_factory
+    from repro.middleware import ForeCacheService, PrefetchPolicy, ServiceConfig
+
+    seconds: dict = collections.defaultdict(float)
+    calls: collections.Counter = collections.Counter()
+
+    def patch(owner, name, wrap):
+        setattr(owner, name, wrap(getattr(owner, name)))
+
+    def timed(phase):
+        def wrap(inner):
+            def run(*args, **kwargs):
+                start = time.perf_counter()
+                try:
+                    return inner(*args, **kwargs)
+                finally:
+                    seconds[phase] += time.perf_counter() - start
+            return run
+        return wrap
+
+    def counted(inner):
+        def run(*args, **kwargs):
+            calls[inner.__name__] += 1
+            return inner(*args, **kwargs)
+        return run
+
+    patch(dataset_module.MODISDataset, "build", lambda inner: staticmethod(timed("build")(inner)))
+    patch(context_module, "run_study", timed("study"))
+    patch(context_module, "training_descriptors", timed("vocabulary"))
+    patch(context_module, "train_vocabulary", timed("vocabulary"))
+    patch(sift_module, "extract_sift_descriptors", counted)
+    patch(dataset_module, "_cluster_mass", counted)
+
+    context = context_module.ExperimentContext.build(**BOOT_CONTEXT)
+    traces = context.study.traces
+    engine = hybrid_factory(context)([t for t in traces if t.user_id not in HELD_OUT_USERS])
+    start = time.perf_counter()
+    with ForeCacheService(context.pyramid, ServiceConfig(prefetch=PrefetchPolicy(k=5))) as service:
+        session = service.open_session(engine)
+        for trace in traces:
+            if trace.user_id in HELD_OUT_USERS:
+                engine.reset()
+                for request in trace.requests:
+                    session.request(request.move, request.tile)
+    seconds["warm-up"] = time.perf_counter() - start
+    return seconds, calls
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--runs", type=int, default=3, help="fresh interpreters to time")
     parser.add_argument("--digest", action="store_true", help="hash the descriptors instead")
+    parser.add_argument("--boot", action="store_true", help="count a facade_study boot's work")
     args = parser.parse_args()
+    if args.boot:
+        seconds, calls = boot_counts()
+        scipy = [name for name in sys.modules if name.split(".")[0] == "scipy"]
+        print("boot phase seconds   ", "  ".join(f"{k} {v:.3f}" for k, v in seconds.items()))
+        print("sift extractions     ", calls["extract_sift_descriptors"])
+        print("_cluster_mass calls  ", calls["_cluster_mass"])
+        print("scipy modules loaded ", len(scipy))
+        return
     if args.digest:
         for world in DIGEST_WORLDS:
             sha, tiles = world_digest(world)

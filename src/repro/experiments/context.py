@@ -32,7 +32,7 @@ from repro.signatures.histogram import HistogramSignature
 from repro.signatures.provider import SignatureProvider
 from repro.signatures.sift import SIFTSignature
 from repro.signatures.stats import NormalSignature
-from repro.signatures.visualwords import train_vocabulary
+from repro.signatures.visualwords import train_vocabulary, training_descriptors
 from repro.users.session import StudyData, Trace
 from repro.users.study import run_study
 
@@ -85,22 +85,25 @@ class ExperimentContext:
             size=size, tile_size=tile_size, days=days, seed=world_seed
         )
         study = run_study(dataset, num_users=num_users, seed=study_seed)
-        vocabulary = train_vocabulary(
-            dataset.pyramid,
-            attribute,
-            num_words=num_words,
-            seed=world_seed,
-            max_tiles_per_level=48,
+        training = training_descriptors(
+            dataset.pyramid, attribute, seed=world_seed, max_tiles_per_level=48
+        )
+        sift = SIFTSignature(
+            train_vocabulary(training, num_words=num_words, seed=world_seed)
         )
         registry = SignatureRegistry(
             (
                 NormalSignature(),
                 HistogramSignature(),
-                SIFTSignature(vocabulary),
-                DenseSIFTSignature(vocabulary),
+                sift,
+                DenseSIFTSignature(sift.vocabulary),
             )
         )
         provider = SignatureProvider(dataset.pyramid, registry, attribute)
+        # The training tiles' descriptors are already extracted: their
+        # sift vectors encode them here instead of extracting them again.
+        for tile, descriptors in training.items():
+            provider.keep(tile, sift.name, sift.encode(descriptors))
         context = cls(
             dataset=dataset, study=study, provider=provider, attribute=attribute
         )

@@ -15,6 +15,7 @@ and the "what does the user see" helpers the simulated participants use
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,23 @@ from repro.tiles.pyramid import TilePyramid
 
 #: Attribute order of the flattened NDSI array.
 NDSI_ATTRIBUTES = ("ndsi_avg", "ndsi_min", "ndsi_max", "land_mask")
+
+
+def _remembered(view):
+    """Work a view of a tile out once per dataset and argument set: the
+    stored chunks it reads never change.  A dict comes back as the
+    caller's own copy."""
+
+    @functools.wraps(view)
+    def remembered(self, *args, **kwargs):
+        memo = self.__dict__.setdefault("_views", {})
+        key = (view.__name__, args, tuple(kwargs.items()))
+        found = memo.get(key)
+        if found is None:
+            found = memo[key] = view(self, *args, **kwargs)
+        return dict(found) if isinstance(found, dict) else found
+
+    return remembered
 
 
 @dataclass
@@ -177,6 +195,7 @@ class MODISDataset:
         tile = self.pyramid.fetch_tile(key, charge=False)
         return float(tile.attribute(self.primary_attribute).max())
 
+    @_remembered
     def saliency(self, key: TileKey, threshold: float = 0.0) -> float:
         """Visual attractiveness of a tile: mass of *clustered* snow.
 
@@ -190,6 +209,7 @@ class MODISDataset:
         mask = tile.attribute(self.primary_attribute) > threshold
         return _cluster_mass(mask)
 
+    @_remembered
     def quadrant_saliency(
         self, key: TileKey, threshold: float = 0.0
     ) -> dict[tuple[int, int], float]:
@@ -205,6 +225,7 @@ class MODISDataset:
             (1, 1): _cluster_mass(mask[hy:, hx:]),
         }
 
+    @_remembered
     def edge_saliency(
         self, key: TileKey, threshold: float = 0.0, strip: float = 0.3
     ) -> dict[str, float]:

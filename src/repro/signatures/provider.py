@@ -61,12 +61,18 @@ class SignatureProvider:
         if cached is not None:
             return cached
         signature = self.registry.get(signature_name)
-        vector = np.asarray(
+        return self.keep(
+            key,
+            signature_name,
             signature.compute(
                 self.pyramid.fetch_tile(key, charge=False), self.attribute
             ),
-            dtype="float64",
         )
+
+    def keep(self, key: TileKey, signature_name: str, vector) -> np.ndarray:
+        """Hold a tile's signature vector worked out ahead of its first
+        use, as :meth:`vector` holds one it computes."""
+        vector = np.asarray(vector, dtype="float64")
         self._vectors[(key, signature_name)] = vector
         return vector
 

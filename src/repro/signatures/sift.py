@@ -190,7 +190,10 @@ class SIFTSignature(Signature):
 
     def compute(self, tile: DataTile, attribute: str) -> np.ndarray:
         image = normalize_tile_values(tile.attribute(attribute), self.value_range)
-        descriptors = extract_sift_descriptors(
-            image, contrast_threshold=self.contrast_threshold
+        return self.encode(
+            extract_sift_descriptors(image, contrast_threshold=self.contrast_threshold)
         )
+
+    def encode(self, descriptors: np.ndarray) -> np.ndarray:
+        """The signature of a tile with these SIFT descriptors."""
         return self.vocabulary.encode(descriptors)

@@ -17,7 +17,7 @@ from repro.signatures.histogram import HistogramSignature
 from repro.signatures.provider import SignatureProvider
 from repro.signatures.sift import SIFTSignature
 from repro.signatures.stats import NormalSignature
-from repro.signatures.visualwords import train_vocabulary
+from repro.signatures.visualwords import train_vocabulary, training_descriptors
 from repro.users.study import run_study
 
 
@@ -62,13 +62,10 @@ def small_study(small_dataset):
 @pytest.fixture(scope="session")
 def small_vocabulary(small_dataset):
     """A small visual vocabulary trained on the small world."""
-    return train_vocabulary(
-        small_dataset.pyramid,
-        "ndsi_avg",
-        num_words=12,
-        seed=0,
-        max_tiles_per_level=12,
+    training = training_descriptors(
+        small_dataset.pyramid, "ndsi_avg", seed=0, max_tiles_per_level=12
     )
+    return train_vocabulary(training, num_words=12, seed=0)
 
 
 @pytest.fixture(scope="session")

@@ -4,8 +4,10 @@ A momentum server needs numpy and nothing heavier: scipy is the hybrid
 engine's signature recommender's dependency, imported where a signature
 is computed.  A fresh interpreter checks that the whole serving path —
 socket server on every wire, two-worker cluster — runs without loading
-it, and that computing the signatures still does.  Every asyncio stream
-the middleware opens reads at most ``_READ_CHUNK`` per ``recv``.
+it, and that computing the signatures still does; fitting a visual
+vocabulary loads neither ``scipy.cluster`` nor ``scipy.spatial``.
+Every asyncio stream the middleware opens reads at most
+``_READ_CHUNK`` per ``recv``.
 """
 
 from __future__ import annotations
@@ -37,6 +39,9 @@ from repro.middleware.cluster import ThreadedClusterServer
 from repro.middleware.config import PrefetchPolicy, ServiceConfig
 from repro.modis.dataset import MODISDataset
 from repro.recommenders.momentum import MomentumRecommender
+
+
+CLUSTER_OR_SPATIAL = ("scipy.cluster", "scipy.spatial")
 
 
 def scipy_modules():
@@ -79,13 +84,13 @@ from repro.signatures.visualwords import VisualVocabulary
 
 tile = pyramid.fetch_tile(pyramid.grid.root)
 attribute = NDSI_ATTRIBUTES[0]
-NormalSignature().compute(tile, attribute)
 _, descriptors = extract_dense_descriptors(tile.attribute(attribute), stride=4)
 vocabulary = VisualVocabulary.fit(descriptors, num_words=4)
+assert not [m for m in scipy_modules() if m.startswith(CLUSTER_OR_SPATIAL)]
+NormalSignature().compute(tile, attribute)
 DenseSIFTSignature(vocabulary).compute(tile, attribute)
 SIFTSignature(vocabulary).compute(tile, attribute)
-loaded = set(scipy_modules())
-assert {"scipy.stats", "scipy.ndimage", "scipy.cluster.vq"} <= loaded, sorted(loaded)
+assert {"scipy.stats", "scipy.ndimage"} <= set(scipy_modules()), scipy_modules()
 print("ok")
 """
 
@@ -115,16 +120,19 @@ for request in context.study.traces[0].requests[:10]:
 result = engine.predict(8)
 assert "sb:sift" in {name for _, name in result.attributed_tiles()}
 loaded = {name for name in sys.modules if name.split(".")[0] == "scipy"}
-assert {"scipy.ndimage", "scipy.cluster.vq"} <= loaded, sorted(loaded)
+assert "scipy.ndimage" in loaded, sorted(loaded)
 assert "scipy.stats" not in loaded, sorted(loaded)
+assert not [n for n in loaded if n.startswith(("scipy.cluster", "scipy.spatial"))]
 print("ok")
 """
 
 
-def test_the_paper_engine_boots_and_predicts_without_scipy_stats():
+def test_the_paper_engine_boots_and_predicts_without_scipy_stats_or_cluster():
     # NormalSignature's norm.cdf is the only user of scipy.stats, and the
     # hybrid engine ranks by SIFT: building the context (vocabulary
     # included) and a prediction that consults SIFT must not load it.
+    # The vocabulary's k-means is numpy's: no scipy.cluster, and so no
+    # scipy.spatial.
     run = subprocess.run(
         [sys.executable, "-c", _HYBRID_CONTEXT_THEN_PREDICT],
         env=dict(os.environ, PYTHONPATH=REPO_SRC),

@@ -304,7 +304,10 @@ class TestVisualVocabulary:
 
     def test_training_on_flat_imagery_is_refused(self, db):
         from repro.arraydb import ArraySchema, Attribute, Dimension
-        from repro.signatures.visualwords import train_vocabulary
+        from repro.signatures.visualwords import (
+            train_vocabulary,
+            training_descriptors,
+        )
         from repro.tiles.pyramid import TilePyramid
 
         schema = ArraySchema(
@@ -316,7 +319,7 @@ class TestVisualVocabulary:
         db.write("F", "v", np.zeros((64, 64)))
         pyramid = TilePyramid.build(db, "F", tile_size=32)
         with pytest.raises(ValueError, match="no descriptors found"):
-            train_vocabulary(pyramid, "v", num_words=4)
+            train_vocabulary(training_descriptors(pyramid, "v"), num_words=4)
 
 
 class TestSignaturesOnTiles:
