@@ -71,10 +71,15 @@ class SignatureProvider:
 
     def keep(self, key: TileKey, signature_name: str, vector) -> np.ndarray:
         """Hold a tile's signature vector worked out ahead of its first
-        use, as :meth:`vector` holds one it computes."""
+        use, as :meth:`vector` holds one it computes.  A held vector is
+        never replaced (the pair-distance and SB ranking memos rely on
+        it): the same bytes again are a no-op, others raise
+        ``ValueError``."""
         vector = np.asarray(vector, dtype="float64")
-        self._vectors[(key, signature_name)] = vector
-        return vector
+        held = self._vectors.setdefault((key, signature_name), vector)
+        if held.shape != vector.shape or held.tobytes() != vector.tobytes():
+            raise ValueError(f"{key} already holds another {signature_name!r} vector")
+        return held
 
     def pair_distance(self, a: TileKey, b: TileKey, signature_name: str) -> float:
         """Algorithm 3's raw ``dist_i``: the signature's distance between

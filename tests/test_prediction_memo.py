@@ -2,13 +2,14 @@
 
 The pure parts of a round — the phase decision of a ``(tile, move)``,
 the Kneser–Ney distribution of a context, the raw signature distance of
-a tile pair, the grid's legal moves and candidate sets — are computed
-once and remembered by the object that owns the state they derive from.
-These tests hold the three promises that makes: a remembered answer *is*
-the computed answer (bit for bit, against a transcription of the
-pair-by-pair Algorithm 3 and a digest recorded before anything was
-remembered), it is dropped exactly when its source changes, and it
-stays bounded.
+a tile pair, the grid's legal moves and candidate sets, the SB ranking
+of a ``(candidates, ROI)`` and the Markov ranking of a ``(last moves,
+tile)`` — are computed once and remembered by the object that owns the
+state they derive from.  These tests hold the three promises that
+makes: a remembered answer *is* the computed answer (bit for bit,
+against a transcription of the pair-by-pair Algorithm 3 and a digest
+recorded before anything was remembered), it is dropped exactly when
+its source changes, and it stays bounded.
 """
 
 from __future__ import annotations
@@ -30,7 +31,10 @@ from repro.experiments.runner import HYBRID_SIGNATURE, hybrid_factory
 from repro.phases import classifier as classifier_module
 from repro.phases.classifier import PhaseClassifier
 from repro.phases.features import trace_features
+from repro.recommenders import markov as markov_module
+from repro.recommenders import signature_based as signature_based_module
 from repro.recommenders import smoothing as smoothing_module
+from repro.recommenders.base import PredictionContext
 from repro.recommenders.markov import MarkovRecommender
 from repro.recommenders.signature_based import SignatureBasedRecommender
 from repro.recommenders.smoothing import KneserNeyEstimator
@@ -42,6 +46,7 @@ from repro.tiles import pyramid as pyramid_module
 from repro.tiles.key import TileKey
 from repro.tiles.moves import ALL_MOVES, Move
 from repro.tiles.pyramid import TileGrid
+from repro.users.session import Request, Trace
 
 #: blake2b over every hybrid round of the tiny study (see
 #: :func:`prediction_digest`), recorded at commit 338397e — the last one
@@ -360,6 +365,19 @@ class TestPairDistanceMemo:
         provider.pair_distance(self.A, self.B, "coords")
         assert signature.distance_calls == 1
 
+    def test_a_held_vector_is_never_replaced(self, counting_provider):
+        provider, signature = counting_provider
+        held = provider.vector(self.A, "coords")
+        first = provider.pair_distance(self.A, self.B, "coords")
+        assert provider.keep(self.A, "coords", held.copy()) is held
+        with pytest.raises(ValueError, match="already holds another"):
+            provider.keep(self.A, "coords", held + 1.0)
+        with pytest.raises(ValueError, match="already holds another"):
+            provider.keep(self.A, "coords", held[:2])
+        assert provider.vector(self.A, "coords") is held
+        assert provider.pair_distance(self.A, self.B, "coords") == first
+        assert first == signature.distance(held, provider.vector(self.B, "coords"))
+
     def test_unknown_signature_still_raises(self, counting_provider):
         provider, _ = counting_provider
         with pytest.raises(KeyError):
@@ -450,6 +468,188 @@ class TestGeometryMemo:
         assert reference._candidates.cache_info().currsize == 16
 
 
+def reference_sb_ranking(provider, signature, context) -> list[TileKey]:
+    """``SignatureBasedRecommender.predict`` before rankings were
+    remembered: Algorithm 3 from the vectors, every round."""
+    roi = list(context.roi) if context.roi else [context.current]
+    scores = reference_score_candidates(
+        list(context.candidates),
+        roi,
+        [signature.name],
+        provider.vector,
+        {signature.name: signature.distance},
+    )
+    return rank_by_score(scores)
+
+
+def round_context(grid, current, roi=(), moves=()) -> PredictionContext:
+    return PredictionContext(
+        current=current,
+        grid=grid,
+        candidates=tuple(grid.candidates(current)),
+        history_moves=tuple(moves),
+        roi=tuple(roi),
+    )
+
+
+class TestSBRankingMemo:
+    CURRENT, ROI = TileKey(2, 1, 1), (TileKey(2, 2, 1), TileKey(2, 2, 2))
+
+    @pytest.fixture
+    def model(self, counting_provider):
+        provider, _ = counting_provider
+        return SignatureBasedRecommender(provider, ("coords",))
+
+    def test_second_answer_comes_from_memory(
+        self, model, counting_provider, tiny_dataset
+    ):
+        provider, signature = counting_provider
+        context = round_context(tiny_dataset.pyramid.grid, self.CURRENT, self.ROI)
+        first = model.predict(context)
+        calls = signature.distance_calls
+        assert model.predict(context) == first
+        assert signature.distance_calls == calls
+        assert model._ranking.cache_info().hits == 1
+        assert first == reference_sb_ranking(provider, signature, context)
+
+    def test_empty_roi_is_the_current_tile(self, model, tiny_dataset):
+        grid = tiny_dataset.pyramid.grid
+        alone = model.predict(round_context(grid, self.CURRENT))
+        assert model.predict(round_context(grid, self.CURRENT, (self.CURRENT,))) == alone
+        assert model._ranking.cache_info().hits == 1
+
+    def test_returned_list_is_the_callers(self, model, tiny_dataset):
+        context = round_context(tiny_dataset.pyramid.grid, self.CURRENT, self.ROI)
+        first = model.predict(context)
+        expected = list(first)
+        first.reverse()
+        first.append(self.CURRENT)
+        assert model.predict(context) == expected
+
+    def test_bounded(self, counting_provider, tiny_dataset, monkeypatch):
+        provider, signature = counting_provider
+        monkeypatch.setattr(signature_based_module, "RANKING_MEMO_ROUNDS", 2)
+        small = SignatureBasedRecommender(provider, ("coords",))
+        grid = tiny_dataset.pyramid.grid
+        contexts = [
+            round_context(grid, current, roi)
+            for current in list(grid.keys_at_level(2))[:3]
+            for roi in ((), (TileKey(2, 3, 3),), self.ROI)
+        ]
+        for context in contexts + contexts:
+            assert small.predict(context) == reference_sb_ranking(
+                provider, signature, context
+            )
+            assert small._ranking.cache_info().currsize <= 2
+        assert small._ranking.cache_info().misses == 2 * len(contexts)
+
+
+def markov_traces(grid) -> list[Trace]:
+    """Two short walks over a 16-tile level: right along the top, then
+    down, so some move contexts prefer a pan and others a zoom."""
+    walks = [
+        (TileKey(2, 0, 0), [Move.PAN_RIGHT] * 3 + [Move.PAN_DOWN, Move.ZOOM_IN_NW]),
+        (TileKey(2, 0, 1), [Move.PAN_RIGHT, Move.PAN_RIGHT, Move.ZOOM_OUT]),
+    ]
+    traces = []
+    for user, (tile, moves) in enumerate(walks, start=1):
+        requests = [Request(0, tile, None, None)]
+        for step, move in enumerate(moves, start=1):
+            tile = grid.apply(tile, move)
+            requests.append(Request(step, tile, move, None))
+        traces.append(Trace(user_id=user, task_id=1, requests=requests))
+    return traces
+
+
+def reference_markov_ranking(model, context) -> list[TileKey]:
+    """``MarkovRecommender.predict`` before rankings were remembered:
+    the move distribution ranked over the legal moves, every round."""
+    distribution = model.move_distribution(context.history_moves)
+    ranked = [
+        (-distribution[move], index, target)
+        for index, (move, target) in enumerate(
+            context.grid.available_moves(context.current)
+        )
+        if target in set(context.candidates)
+    ]
+    return [tile for _, _, tile in sorted(ranked)]
+
+
+class TestMarkovRankingMemo:
+    GRID = TileGrid(4)
+    CURRENT = TileKey(2, 1, 1)
+    MOVES = (Move.PAN_RIGHT, Move.PAN_RIGHT)
+
+    def model(self, order: int = 2) -> MarkovRecommender:
+        model = MarkovRecommender(order=order)
+        model.train(markov_traces(self.GRID))
+        return model
+
+    def test_second_answer_comes_from_memory(self):
+        model = self.model()
+        context = round_context(self.GRID, self.CURRENT, moves=self.MOVES)
+        first = model.predict(context)
+        assert model.predict(context) == first
+        assert model._ranking.cache_info().hits == 1
+        assert first == reference_markov_ranking(model, context)
+        assert first[0] == TileKey(2, 2, 1)
+
+    def test_histories_sharing_the_last_moves_share_an_entry(self):
+        model = self.model()
+        longer = (Move.ZOOM_OUT, Move.PAN_UP) + self.MOVES
+        for moves in (self.MOVES, longer):
+            model.predict(round_context(self.GRID, self.CURRENT, moves=moves))
+        info = model._ranking.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
+    def test_returned_list_is_the_callers(self):
+        model = self.model()
+        context = round_context(self.GRID, self.CURRENT, moves=self.MOVES)
+        first = model.predict(context)
+        expected = list(first)
+        first.clear()
+        assert model.predict(context) == expected
+
+    def test_train_forgets(self):
+        model = self.model()
+        context = round_context(self.GRID, self.CURRENT, moves=self.MOVES)
+        before = model.predict(context)
+        walk = [Request(0, TileKey(1, 0, 0), None, None)]
+        for step in range(1, 7):
+            move = Move.ZOOM_IN_SE if step % 2 else Move.ZOOM_OUT
+            walk.append(Request(step, self.GRID.apply(walk[-1].tile, move), move, None))
+        model.train([Trace(user_id=1, task_id=1, requests=walk)] * 3)
+        assert model._ranking.cache_info().currsize == 0
+        after = model.predict(context)
+        assert after != before
+        assert after == reference_markov_ranking(model, context)
+
+    def test_untrained_still_raises_every_time(self):
+        model = MarkovRecommender(order=2)
+        context = round_context(self.GRID, self.CURRENT, moves=self.MOVES)
+        for _ in range(2):
+            with pytest.raises(RuntimeError):
+                model.predict(context)
+        assert model._ranking.cache_info().currsize == 0
+
+    def test_bounded(self, monkeypatch):
+        monkeypatch.setattr(markov_module, "RANKING_MEMO_ROUNDS", 3)
+        small = self.model()
+        monkeypatch.undo()
+        reference = self.model()
+        contexts = [
+            round_context(self.GRID, current, moves=moves)
+            for current in (self.CURRENT, TileKey(1, 1, 0), TileKey(3, 7, 7))
+            for moves in ((), self.MOVES, (Move.PAN_DOWN,))
+        ]
+        for context in contexts + contexts:
+            assert small.predict(context) == reference_markov_ranking(
+                reference, context
+            )
+            assert small._ranking.cache_info().currsize <= 3
+        assert small._ranking.cache_info().misses == 2 * len(contexts)
+
+
 # ----------------------------------------------------------------------
 # the whole engine
 # ----------------------------------------------------------------------
@@ -484,7 +684,7 @@ class TestHybridEngineUnchanged:
                     phase_predictor=classifier.predict,
                 )
 
-            return engine, provider, classifier
+            return engine, provider, classifier, ab, sb
 
         def drive(engine, share, records):
             for trace in share:
@@ -494,7 +694,7 @@ class TestHybridEngineUnchanged:
                     records.append(round_record(engine.predict(8)))
 
         shares = [traces[0::2], traces[1::2]]
-        engine, provider, classifier = shared_models()
+        engine, provider, classifier, ab, sb = shared_models()
         threaded = [[], []]
         workers = [
             threading.Thread(target=drive, args=(engine(), share, records))
@@ -512,8 +712,10 @@ class TestHybridEngineUnchanged:
         assert not any(worker.is_alive() for worker in workers)
         assert provider._pair_distance.cache_info().hits > 0
         assert classifier._decision.cache_info().hits > 0
+        assert ab._ranking.cache_info().hits > 0
+        assert sb._ranking.cache_info().hits > 0
 
-        engine, _, _ = shared_models()
+        engine = shared_models()[0]
         for share, records in zip(shares, threaded):
             sequential = []
             drive(engine(), share, sequential)

@@ -223,6 +223,14 @@ class TestSignatureBased:
         with pytest.raises(ValueError):
             SignatureBasedRecommender(provider, ("nope",))
 
+    @pytest.mark.parametrize(
+        "weights, message",
+        [([1.0], "1 weights for 2 signatures"), ([1.0, -0.5], "non-negative")],
+    )
+    def test_bad_weights_refused_at_construction(self, provider, weights, message):
+        with pytest.raises(ValueError, match=message):
+            SignatureBasedRecommender(provider, ("histogram", "normal"), weights)
+
     def test_name(self, provider):
         model = SignatureBasedRecommender(provider, ("histogram", "normal"))
         assert model.name == "sb:histogram+normal"
