@@ -1,23 +1,22 @@
-"""A SciDB-like in-process array DBMS substrate.
+"""A SciDB-like in-process array store: the backend ForeCache fetches from.
 
-The ForeCache paper runs against SciDB 13.3.  This package provides the
-subset of an array DBMS that ForeCache exercises:
+The ForeCache paper runs against SciDB 13.3, with every zoom level
+precomputed offline as a materialised view (Section 5).  This package
+provides the subset of an array DBMS that ForeCache exercises:
 
 - multidimensional arrays with named dimensions and typed attributes
   (:mod:`repro.arraydb.schema`, :mod:`repro.arraydb.array`),
 - chunked storage in memory (:mod:`repro.arraydb.storage`),
-- an AFL-style operator algebra — ``scan``, ``subarray``, ``regrid``,
-  ``apply``, ``join``, ``project``, ``store`` — sufficient to express
-  Query 1 of the paper (:mod:`repro.arraydb.query`),
-- a query executor with per-query cost accounting and a virtual clock,
+- a database with per-query cost accounting and a virtual clock,
   calibrated so that tile fetches cost what the paper measured on its
   SciDB testbed (:mod:`repro.arraydb.executor`,
-  :mod:`repro.arraydb.cost`).
+  :mod:`repro.arraydb.cost`).  A fetch reads one whole chunk per
+  attribute; the loaders that build the arrays bill each build step
+  through :meth:`Database.execute`.
 
 Example
 -------
 >>> from repro.arraydb import Database, ArraySchema, Dimension, Attribute
->>> from repro.arraydb import query as Q
 >>> import numpy as np
 >>> db = Database()
 >>> schema = ArraySchema(
@@ -27,9 +26,11 @@ Example
 ... )
 >>> _ = db.create_array(schema)
 >>> db.write("A", "v", np.arange(64.0).reshape(8, 8))
->>> result = db.execute(Q.regrid(Q.scan("A"), (2, 2)))
->>> result.attribute("v").shape
+>>> db.read("A", "v", ((0, 4), (4, 8))).shape
 (4, 4)
+>>> blocks, stats = db.fetch_chunk("A", (0, 1))
+>>> (float(blocks["v"][0, 0]), stats.chunks_read, stats.cells_scanned)
+(4.0, 1, 16)
 """
 
 from repro.arraydb.array import ChunkedArray
@@ -39,10 +40,8 @@ from repro.arraydb.errors import (
     ArrayExistsError,
     ArrayNotFoundError,
     SchemaError,
-    UnknownFunctionError,
 )
-from repro.arraydb.executor import ArrayResult, Database
-from repro.arraydb.functions import FunctionRegistry, default_registry
+from repro.arraydb.executor import Database
 from repro.arraydb.schema import ArraySchema, Attribute, Dimension
 from repro.arraydb.storage import MemoryChunkStore
 
@@ -50,18 +49,14 @@ __all__ = [
     "ArrayDBError",
     "ArrayExistsError",
     "ArrayNotFoundError",
-    "ArrayResult",
     "ArraySchema",
     "Attribute",
     "ChunkedArray",
     "CostModel",
     "Database",
     "Dimension",
-    "FunctionRegistry",
     "MemoryChunkStore",
     "QueryStats",
     "SchemaError",
-    "UnknownFunctionError",
     "VirtualClock",
-    "default_registry",
 ]

@@ -55,7 +55,8 @@ class CostModel:
     per_cell_scanned:
         Cost per cell scanned from storage.
     per_cell_computed:
-        Cost per cell produced by compute operators (apply/regrid/join).
+        Cost per cell a build step computes (NDSI's join and apply, a
+        zoom level's window aggregate).
     """
 
     per_query_overhead: float = 0.05

@@ -23,15 +23,3 @@ class ArrayExistsError(ArrayDBError):
     def __init__(self, name: str) -> None:
         super().__init__(f"array {name!r} already exists")
         self.name = name
-
-
-class UnknownFunctionError(ArrayDBError):
-    """Raised when ``apply`` references a UDF that was never registered."""
-
-    def __init__(self, name: str) -> None:
-        super().__init__(f"function {name!r} is not registered")
-        self.name = name
-
-
-class QueryError(ArrayDBError):
-    """Raised when a query plan is structurally invalid."""

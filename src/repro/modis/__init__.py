@@ -8,13 +8,14 @@ same *visual structure*: continents, ocean, and spatially coherent
 mountain ranges whose snow shows up as bright NDSI clusters — including
 analogues of the three study regions (Rockies, Alps, Andes).
 
-The NDSI itself is computed exactly as the paper does: a ``ndsi_func``
-UDF applied through the array DBMS via Query 1
-(``store(apply(join(S_VIS, S_SWIR), ndsi, ...), NDSI)``).
+The NDSI itself is computed as the paper's Query 1 does
+(``store(apply(join(S_VIS, S_SWIR), ndsi, ...), NDSI)``): ``ndsi_func``
+applied to the two band arrays, stored as a new array and charged to
+the database's cost ledger as that query.
 """
 
 from repro.modis.dataset import MODISDataset
-from repro.modis.ndsi import ndsi_func, register_ndsi, run_ndsi_query
+from repro.modis.ndsi import ndsi_func, run_ndsi_query
 from repro.modis.regions import (
     Continent,
     DEFAULT_CONTINENTS,
@@ -36,6 +37,5 @@ __all__ = [
     "TaskSpec",
     "ValueNoise",
     "ndsi_func",
-    "register_ndsi",
     "run_ndsi_query",
 ]

@@ -3,7 +3,8 @@
 Mirrors the paper's preparation pipeline:
 
 1. load each day's VIS and SWIR band arrays into the DBMS,
-2. compute that day's NDSI inside the DBMS via Query 1,
+2. compute that day's NDSI from the two bands and store it as a new
+   array, charged as the paper's Query 1,
 3. flatten the week into a single 2-D array with four attributes —
    ``ndsi_avg``, ``ndsi_min``, ``ndsi_max``, and ``land_mask``,
 4. build the zoom-level pyramid of data tiles over the flattened array.

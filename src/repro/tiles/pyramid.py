@@ -17,7 +17,8 @@ import functools
 from collections import deque
 from collections.abc import Iterator
 
-from repro.arraydb import query as Q
+import numpy as np
+
 from repro.arraydb.executor import Database
 from repro.arraydb.schema import ArraySchema, Attribute, Dimension
 from repro.tiles.key import TileKey
@@ -27,6 +28,9 @@ from repro.tiles.tile import DataTile
 #: How many keys' legal moves, and how many ``(key, d)`` candidate sets,
 #: one :class:`TileGrid` remembers (least recently used dropped first).
 GEOMETRY_MEMO_KEYS = 512
+
+#: How a coarser level aggregates each window of cells, by name.
+AGGREGATES = {"avg": np.nanmean, "max": np.nanmax}
 
 
 class TileGrid:
@@ -189,8 +193,10 @@ class TilePyramid:
         ``source`` must be a square 2-D array whose side is
         ``tile_size * 2^k`` for some ``k >= 0``; the pyramid then has
         ``k + 1`` levels.  ``aggregates`` maps attribute name to the
-        regrid aggregate used when coarsening it (default ``"avg"``;
-        e.g. a land/sea mask wants ``"max"``).
+        aggregate, a key of :data:`AGGREGATES`, used when coarsening it
+        (default ``"avg"``; e.g. a land/sea mask wants ``"max"``).  A key
+        that names no pyramid attribute, or an unknown aggregate, raises
+        ``ValueError`` before any view exists.
         """
         schema = db.schema(source)
         if schema.ndim != 2:
@@ -218,6 +224,14 @@ class TilePyramid:
         if attributes is None:
             attributes = tuple(a.name for a in schema.attributes)
         aggregates = aggregates or {}
+        strays = sorted(set(aggregates) - set(attributes))
+        if strays:
+            raise ValueError(f"aggregates name no pyramid attribute: {strays}")
+        unknown = sorted(set(aggregates.values()) - set(AGGREGATES))
+        if unknown:
+            raise ValueError(
+                f"unknown aggregates {unknown}; choose from {sorted(AGGREGATES)}"
+            )
 
         pyramid = cls(db, source, tile_size, num_levels, tuple(attributes))
         for level in range(num_levels):
@@ -226,7 +240,12 @@ class TilePyramid:
         return pyramid
 
     def _materialize_level(self, level: int, aggregates: dict[str, str]) -> None:
-        """Create the materialized view for one zoom level (Figures 3-4)."""
+        """Create the materialized view for one zoom level (Figures 3-4).
+
+        A coarser level charges one query per attribute, as the regrid of
+        a projected scan it stands for: a whole scan of the source (every
+        attribute) plus one computed cell per output cell.
+        """
         interval = 1 << (self.grid.deepest_level - level)
         side = self.grid.tiles_per_dim(level) * self.tile_size
         dims = (
@@ -242,16 +261,16 @@ class TilePyramid:
             ArraySchema(self.view_name(level), attributes=attrs, dimensions=dims)
         )
         for name in self.attributes:
-            if interval == 1:
-                data = self.db.read(self.source, name)
-            else:
-                agg = aggregates.get(name, "avg")
-                plan = Q.regrid(
-                    Q.project(Q.scan(self.source), (name,)),
-                    (interval, interval),
-                    agg,
+            data = self.db.read(self.source, name)
+            if interval > 1:
+                # Each output cell reduces one interval x interval window;
+                # build() guarantees the interval divides the source side.
+                windows = np.asarray(data, dtype="float64").reshape(
+                    side, interval, side, interval
                 )
-                data = self.db.execute(plan).attribute(name)
+                with np.errstate(invalid="ignore"):
+                    data = AGGREGATES[aggregates.get(name, "avg")](windows, axis=(1, 3))
+                self.db.execute((self.source,), cells_computed=data.size)
             view.write(name, data)
 
     # ------------------------------------------------------------------
@@ -315,9 +334,9 @@ class TilePyramid:
 
         A tile is one whole chunk per attribute, read as such.  With
         ``charge=True`` (the default) the read is charged to the
-        database's cost model/clock exactly as the equivalent
-        ``subarray(scan(...))`` query would be — this is the "cache miss"
-        path.  With ``charge=False`` the same read goes to the array
+        database's cost model/clock as one query over the region read of
+        the tile's bounds (:meth:`Database.fetch_chunk`) — this is the
+        "cache miss" path.  With ``charge=False`` the same read goes to the array
         directly and costs nothing (used when precomputing metadata at
         build time).
         """

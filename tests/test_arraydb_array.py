@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from repro.arraydb import ArraySchema, Attribute, Database, Dimension
-from repro.arraydb import query as Q
 from repro.arraydb.array import ChunkedArray, ReadStats, full_region
-from repro.arraydb.cost import CostModel, VirtualClock
+from repro.arraydb.cost import CostModel, QueryStats, VirtualClock
 from repro.arraydb.errors import ArrayNotFoundError
 from repro.arraydb.storage import MemoryChunkStore
 
@@ -141,6 +140,13 @@ class TestViaDatabase:
         db.write("B", "v", np.eye(4))
         np.testing.assert_array_equal(db.read("B", "v"), np.eye(4))
 
+    def test_drop_array(self, db: Database, small_array):
+        db.drop_array("A")
+        with pytest.raises(ArrayNotFoundError):
+            db.array("A")
+        with pytest.raises(ArrayNotFoundError):
+            db.drop_array("A")
+
 
 def edge_array(db: Database | None = None, y_start: int = 0) -> ChunkedArray:
     """A two-attribute 10x10 array chunked by 4: the last chunk of each
@@ -238,32 +244,117 @@ class TestReadChunk:
 
 
 class TestFetchChunk:
-    """The charged chunk read bills what the fused region query bills."""
+    """The charged chunk read bills what the region read over it bills."""
 
     @pytest.mark.parametrize("coords", [(0, 0), (2, 2)])
     @pytest.mark.parametrize("absent", [False, True])
-    def test_matches_executed_subarray(self, coords, absent):
-        def world() -> Database:
-            cost = CostModel(0.05, 0.002, 1e-5, 1e-5)
-            db = Database(cost_model=cost, clock=VirtualClock())
-            array = edge_array(db)
-            if absent:
-                array._store.delete(("E", "n", coords))
-            return db
-
-        direct, reference = world(), world()
-        bounds = chunk_region(direct.array("E"), coords)
-        blocks, stats = direct.fetch_chunk("E", coords)
-        result = reference.execute(Q.subarray(Q.scan("E"), bounds))
-        assert stats == result.stats
+    def test_matches_the_region_read(self, coords, absent):
+        cost = CostModel(0.05, 0.002, 1e-5, 1e-5)
+        db = Database(cost_model=cost, clock=VirtualClock())
+        array = edge_array(db)
+        if absent:
+            array._store.delete(("E", "n", coords))
+        bounds = chunk_region(array, coords)
+        reads = {name: array.read(name, bounds) for name in ("v", "n")}
+        chunks_read = sum(stats.chunks_read for _, stats in reads.values())
+        cells_scanned = sum(stats.cells_scanned for _, stats in reads.values())
+        blocks, stats = db.fetch_chunk("E", coords)
+        seconds = cost.query_cost(chunks_read, cells_scanned, 0)
+        assert stats == QueryStats(chunks_read, cells_scanned, 0, seconds)
         assert stats.elapsed_seconds > 0
-        assert direct.clock.now() == reference.clock.now() == stats.elapsed_seconds
-        for name in ("v", "n"):
-            np.testing.assert_array_equal(blocks[name], result.attribute(name))
+        assert db.clock.now() == VirtualClock().advance(seconds) == stats.elapsed_seconds
+        for name, (expected, _) in reads.items():
+            np.testing.assert_array_equal(blocks[name], expected)
 
     def test_unknown_array(self, db):
         with pytest.raises(ArrayNotFoundError):
             db.fetch_chunk("nope", (0, 0))
+
+
+class TestExecute:
+    """A build query bills whole scans of the named arrays plus compute."""
+
+    def test_stats_populated(self, db, small_array):
+        stats = db.execute(("A",), cells_computed=16)
+        assert stats.chunks_read == 4
+        assert stats.cells_scanned == 64
+        assert stats.cells_computed == 16
+        assert stats.elapsed_seconds > 0
+
+    def test_clock_advances(self):
+        clock = VirtualClock()
+        db = Database(cost_model=CostModel(per_query_overhead=1.0), clock=clock)
+        edge_array(db)
+        stats = db.execute(("E",), cells_computed=0)
+        assert clock.now() == stats.elapsed_seconds >= 1.0
+
+    def test_unknown_array(self, db):
+        with pytest.raises(ArrayNotFoundError):
+            db.execute(("missing",), cells_computed=0)
+
+    def test_ledger_is_priced_by_the_cost_model(self):
+        cost = CostModel(0.05, 0.002, 1e-5, 1e-3)
+        db = Database(cost_model=cost)
+        edge_array(db)
+        stats = db.execute(("E",), cells_computed=7)
+        # Both attributes, each 9 stored chunks of 100 cells in all.
+        assert stats == QueryStats(18, 200, 7, cost.query_cost(18, 200, 7))
+
+    def test_every_attribute_is_billed_as_read_whole(self, db):
+        array = edge_array(db)
+        reads = [array.read(name)[1] for name in ("v", "n")]
+        stats = db.execute(("E",), cells_computed=0)
+        assert stats.chunks_read == sum(r.chunks_read for r in reads)
+        assert stats.cells_scanned == sum(r.cells_scanned for r in reads)
+
+    def test_absent_chunks_are_not_billed(self, db):
+        db.create_array(
+            ArraySchema(
+                "Z",
+                attributes=(Attribute("v"),),
+                dimensions=(Dimension("y", 0, 8, 4), Dimension("x", 0, 8, 4)),
+            )
+        )
+        db.write("Z", "v", np.ones((4, 4)), ((0, 4), (4, 8)))
+        stats = db.execute(("Z",), cells_computed=0)
+        assert (stats.chunks_read, stats.cells_scanned) == (1, 16)
+
+    def test_no_scans_charges_the_compute_alone(self):
+        cost = CostModel(0.05, 0.002, 1e-5, 1e-3)
+        db = Database(cost_model=cost, clock=VirtualClock())
+        stats = db.execute((), cells_computed=10)
+        assert stats == QueryStats(0, 0, 10, cost.query_cost(0, 0, 10))
+        assert db.clock.now() == stats.elapsed_seconds
+
+    def test_several_scans_sum_into_one_query(self, db, small_array):
+        edge_array(db)
+        alone = [db.execute((name,), cells_computed=0) for name in ("A", "E")]
+        both = db.execute(("A", "E"), cells_computed=0)
+        assert both.chunks_read == sum(s.chunks_read for s in alone)
+        assert both.cells_scanned == sum(s.cells_scanned for s in alone)
+        # One query, so the per-query overhead is paid once.
+        overhead = db.cost_model.per_query_overhead
+        assert both.elapsed_seconds == pytest.approx(
+            sum(s.elapsed_seconds for s in alone) - overhead
+        )
+
+    def test_an_array_named_twice_is_scanned_twice(self, db, small_array):
+        once = db.execute(("A",), cells_computed=0)
+        twice = db.execute(("A", "A"), cells_computed=0)
+        assert (twice.chunks_read, twice.cells_scanned) == (
+            2 * once.chunks_read,
+            2 * once.cells_scanned,
+        )
+
+    def test_charging_leaves_the_data_alone(self, db, small_array):
+        before = db.read("A", "v")
+        db.execute(("A",), cells_computed=64)
+        np.testing.assert_array_equal(db.read("A", "v"), before)
+
+    def test_without_a_clock_the_ledger_is_still_priced(self, db, small_array):
+        assert db.clock is None
+        stats = db.execute(("A",), cells_computed=0)
+        assert stats.elapsed_seconds == db.cost_model.query_cost(4, 64, 0)
 
 
 def make_signed_array(chunk: int) -> ChunkedArray:
@@ -311,18 +402,6 @@ class TestNegativeOrigin:
         out, _ = array.read("v")
         assert out[0:2, 14:16].tolist() == [[7.0, 7.0], [7.0, 7.0]]
         assert out.sum() == 28.0
-
-    def test_regrid_origin_is_the_window_index(self, db: Database):
-        schema = ArraySchema(
-            "N",
-            attributes=(Attribute("v"),),
-            dimensions=(Dimension("y", -8, 8, 4), Dimension("x", -8, 8, 4)),
-        )
-        db.create_array(schema)
-        db.write("N", "v", np.ones((16, 16)))
-        result = db.execute(Q.regrid(Q.scan("N"), (4, 4)))
-        assert result.origin == (-2, -2)
-        assert result.attribute("v").shape == (4, 4)
 
 
 class TestThreeDimensions:

@@ -3,9 +3,19 @@
 import numpy as np
 import pytest
 
-from repro.arraydb import ArraySchema, Attribute, Dimension
+from repro.arraydb import (
+    ArrayExistsError,
+    ArrayNotFoundError,
+    ArraySchema,
+    Attribute,
+    CostModel,
+    Database,
+    Dimension,
+    SchemaError,
+    VirtualClock,
+)
 from repro.modis.dataset import MODISDataset, NDSI_ATTRIBUTES, _cluster_mass
-from repro.modis.ndsi import ndsi_func, register_ndsi, run_ndsi_query
+from repro.modis.ndsi import ndsi_func, run_ndsi_query
 from repro.modis.regions import (
     DEFAULT_TASKS,
     Continent,
@@ -101,34 +111,172 @@ class TestNDSI:
     def test_ndsi_zero_bands(self):
         assert ndsi_func(np.asarray([0.0]), np.asarray([0.0]))[0] == 0.0
 
-    def test_register_idempotent(self):
-        from repro.arraydb.functions import FunctionRegistry
-
-        registry = FunctionRegistry()
-        register_ndsi(registry)
-        register_ndsi(registry)
-        assert "ndsi_func" in registry
+    @staticmethod
+    def load_band(db, name, dims, value):
+        db.create_array(
+            ArraySchema(name, attributes=(Attribute("reflectance"),), dimensions=dims)
+        )
+        db.write(name, "reflectance", np.full([d.length for d in dims], value))
 
     def test_query1_pipeline(self, db):
         """The paper's Query 1: store(apply(join(VIS, SWIR), ndsi...))."""
         side = 8
-        for name in ("S_VIS", "S_SWIR"):
-            schema = ArraySchema(
-                name,
-                attributes=(Attribute("reflectance"),),
-                dimensions=(
-                    Dimension("y", 0, side, side),
-                    Dimension("x", 0, side, side),
-                ),
-            )
-            db.create_array(schema)
-        vis = np.full((side, side), 0.8)
-        swir = np.full((side, side), 0.2)
-        db.write("S_VIS", "reflectance", vis)
-        db.write("S_SWIR", "reflectance", swir)
+        dims = (Dimension("y", 0, side, side), Dimension("x", 0, side, side))
+        self.load_band(db, "S_VIS", dims, 0.8)
+        self.load_band(db, "S_SWIR", dims, 0.2)
         out = run_ndsi_query(db, "S_VIS", "S_SWIR", "NDSI")
         result = db.read(out, "ndsi")
         np.testing.assert_allclose(result, np.full((side, side), 0.6))
+
+    def test_query1_charges_the_scans_join_and_apply(self):
+        """One query: both bands scanned whole, one computed cell per
+        cell for the join and one for the apply."""
+        cost = CostModel(0.05, 0.002, 1e-5, 1e-3)
+        db = Database(cost_model=cost)
+        dims = (Dimension("y", 0, 8, 4), Dimension("x", 0, 8, 8))
+        self.load_band(db, "S_VIS", dims, 0.8)
+        self.load_band(db, "S_SWIR", dims, 0.2)
+        charged = []
+        execute = db.execute
+        db.execute = lambda *args, **kwargs: charged.append(execute(*args, **kwargs))
+        run_ndsi_query(db, "S_VIS", "S_SWIR", "NDSI")
+        [stats] = charged
+        assert (stats.chunks_read, stats.cells_scanned, stats.cells_computed) == (4, 128, 128)
+        assert stats.elapsed_seconds == cost.query_cost(4, 128, 128)
+        assert db.schema("NDSI").chunk_shape == (8, 8)
+
+    @pytest.mark.parametrize(
+        "swir_dims",
+        [
+            pytest.param(
+                (Dimension("y", 0, 8, 8), Dimension("x", 0, 4, 4)), id="other-shape"
+            ),
+            pytest.param(
+                (Dimension("y", 2, 10, 8), Dimension("x", 0, 8, 8)), id="shifted-origin"
+            ),
+        ],
+    )
+    def test_query1_refuses_bands_that_are_not_cell_aligned(self, db, swir_dims):
+        self.load_band(db, "S_VIS", (Dimension("y", 0, 8, 8), Dimension("x", 0, 8, 8)), 0.8)
+        self.load_band(db, "S_SWIR", swir_dims, 0.2)
+        with pytest.raises(SchemaError, match="not cell-aligned"):
+            run_ndsi_query(db, "S_VIS", "S_SWIR", "NDSI")
+        with pytest.raises(ArrayNotFoundError):
+            db.array("NDSI")
+
+    @pytest.mark.parametrize(
+        "vis, swir, expected",
+        [
+            (1.0, 0.0, 1.0),
+            (0.0, 1.0, -1.0),
+            (0.5, 0.5, 0.0),
+            (0.8, 0.2, 0.6),
+            (0.0, 0.0, 0.0),
+        ],
+    )
+    def test_ndsi_values(self, vis, swir, expected):
+        [value] = ndsi_func(np.asarray([vis]), np.asarray([swir]))
+        assert value == pytest.approx(expected)
+
+    def test_ndsi_is_antisymmetric_in_the_bands(self):
+        rng = np.random.default_rng(3)
+        vis, swir = rng.random((2, 6, 6))
+        np.testing.assert_array_equal(ndsi_func(vis, swir), -ndsi_func(swir, vis))
+
+    def test_ndsi_of_plain_integers_is_float64(self):
+        out = ndsi_func([3, 0], [1, 0])
+        assert out.dtype == np.float64
+        assert out.tolist() == [0.5, 0.0]
+
+    def test_query1_matches_ndsi_func_across_chunks(self, db):
+        """Bands stored in several chunks give ndsi_func's exact bytes."""
+        dims = (Dimension("y", 0, 12, 4), Dimension("x", 0, 12, 5))
+        rng = np.random.default_rng(11)
+        bands = {}
+        for name in ("S_VIS", "S_SWIR"):
+            self.load_band(db, name, dims, 0.0)
+            bands[name] = rng.random((12, 12))
+            db.write(name, "reflectance", bands[name])
+        run_ndsi_query(db, "S_VIS", "S_SWIR", "NDSI")
+        expected = ndsi_func(bands["S_VIS"], bands["S_SWIR"])
+        assert db.read("NDSI", "ndsi").tobytes() == expected.tobytes()
+
+    def test_query1_keeps_the_vis_bands_coordinates(self, db):
+        dims = (Dimension("lat", -4, 4, 2), Dimension("lon", 10, 18, 4))
+        self.load_band(db, "S_VIS", dims, 0.8)
+        self.load_band(db, "S_SWIR", dims, 0.2)
+        run_ndsi_query(db, "S_VIS", "S_SWIR", "NDSI")
+        schema = db.schema("NDSI")
+        assert [d.name for d in schema.dimensions] == ["lat", "lon"]
+        assert (schema.origin, schema.shape) == ((-4, 10), (8, 8))
+        assert [str(a) for a in schema.attributes] == ["ndsi:float64"]
+
+    @pytest.mark.parametrize("dtype", ["float32", "int32", "uint8"])
+    def test_query1_stores_float64_whatever_the_band_dtype(self, db, dtype):
+        dims = (Dimension("y", 0, 4, 4), Dimension("x", 0, 4, 4))
+        for name, value in (("S_VIS", 3), ("S_SWIR", 1)):
+            db.create_array(
+                ArraySchema(
+                    name, attributes=(Attribute("reflectance", dtype),), dimensions=dims
+                )
+            )
+            db.write(name, "reflectance", np.full((4, 4), value))
+        run_ndsi_query(db, "S_VIS", "S_SWIR", "NDSI")
+        out = db.read("NDSI", "ndsi")
+        assert out.dtype == np.float64
+        np.testing.assert_array_equal(out, np.full((4, 4), 0.5))
+
+    def test_query1_reads_unwritten_cells_as_zero(self):
+        """Absent chunks are empty cells: NDSI 0 there, and not billed."""
+        db = Database()
+        dims = (Dimension("y", 0, 8, 4), Dimension("x", 0, 8, 8))
+        for name, value in (("S_VIS", 0.8), ("S_SWIR", 0.2)):
+            db.create_array(
+                ArraySchema(name, attributes=(Attribute("reflectance"),), dimensions=dims)
+            )
+            db.write(name, "reflectance", np.full((4, 8), value), ((0, 4), (0, 8)))
+        charged = []
+        execute = db.execute
+        db.execute = lambda *args, **kwargs: charged.append(execute(*args, **kwargs))
+        run_ndsi_query(db, "S_VIS", "S_SWIR", "NDSI")
+        out = db.read("NDSI", "ndsi")
+        np.testing.assert_allclose(out[:4], 0.6)
+        np.testing.assert_array_equal(out[4:], 0.0)
+        [stats] = charged
+        assert (stats.chunks_read, stats.cells_scanned, stats.cells_computed) == (2, 64, 128)
+
+    def test_query1_refuses_an_existing_output_without_charging(self):
+        clock = VirtualClock()
+        db = Database(clock=clock)
+        dims = (Dimension("y", 0, 4, 4), Dimension("x", 0, 4, 4))
+        self.load_band(db, "S_VIS", dims, 0.8)
+        self.load_band(db, "S_SWIR", dims, 0.2)
+        self.load_band(db, "NDSI", dims, 7.0)
+        with pytest.raises(ArrayExistsError):
+            run_ndsi_query(db, "S_VIS", "S_SWIR", "NDSI")
+        assert clock.now() == 0.0
+        np.testing.assert_array_equal(db.read("NDSI", "reflectance"), 7.0)
+
+    @pytest.mark.parametrize("missing", ["S_VIS", "S_SWIR"])
+    def test_query1_needs_both_bands(self, db, missing):
+        dims = (Dimension("y", 0, 4, 4), Dimension("x", 0, 4, 4))
+        for name in {"S_VIS", "S_SWIR"} - {missing}:
+            self.load_band(db, name, dims, 0.5)
+        with pytest.raises(ArrayNotFoundError):
+            run_ndsi_query(db, "S_VIS", "S_SWIR", "NDSI")
+
+    def test_query1_output_is_served_as_one_chunk(self):
+        clock = VirtualClock()
+        db = Database(clock=clock)
+        dims = (Dimension("y", 0, 8, 4), Dimension("x", 0, 8, 4))
+        self.load_band(db, "S_VIS", dims, 0.8)
+        self.load_band(db, "S_SWIR", dims, 0.2)
+        run_ndsi_query(db, "S_VIS", "S_SWIR", "NDSI")
+        booted = clock.now()
+        blocks, stats = db.fetch_chunk("NDSI", (0, 0))
+        assert (stats.chunks_read, stats.cells_scanned) == (1, 64)
+        assert blocks["ndsi"].tobytes() == db.read("NDSI", "ndsi").tobytes()
+        assert clock.now() == booted + stats.elapsed_seconds
 
 
 class TestTaskSpec:

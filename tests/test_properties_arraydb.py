@@ -5,25 +5,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.arraydb import ArraySchema, Attribute, Database, Dimension
-from repro.arraydb import query as Q
 from repro.arraydb.array import ReadStats
 from repro.arraydb.cost import QueryStats, VirtualClock
+from repro.tiles.pyramid import TilePyramid
 
 SIDE = 8
 
 
-def fresh_db(values: np.ndarray, chunk: int) -> Database:
+def fresh_db(values: np.ndarray, chunk: int, **more: np.ndarray) -> Database:
+    """A database holding array ``A``: ``values`` as ``v``, plus any
+    further attributes given by name."""
     db = Database()
     schema = ArraySchema(
         "A",
-        attributes=(Attribute("v"),),
+        attributes=tuple(Attribute(name) for name in ("v", *more)),
         dimensions=(
             Dimension("y", 0, SIDE, chunk),
             Dimension("x", 0, SIDE, chunk),
         ),
     )
     db.create_array(schema)
-    db.write("A", "v", values)
+    for name, data in {"v": values, **more}.items():
+        db.write("A", name, data)
     return db
 
 
@@ -32,6 +35,9 @@ arrays = st.lists(
 ).map(lambda vals: np.asarray(vals).reshape(SIDE, SIDE))
 
 chunks = st.sampled_from([1, 2, 4, 8, 3, 5])
+
+#: Pyramid tile sizes over a ``SIDE`` x ``SIDE`` source: 4, 3 or 2 levels.
+tile_sizes = st.sampled_from([1, 2, 4])
 
 
 @st.composite
@@ -59,66 +65,49 @@ class TestStorageProperties:
         out = db.read("A", "v", region)
         np.testing.assert_array_equal(out, values[y0:y1, x0:x1])
 
-    @settings(max_examples=30, deadline=None)
-    @given(arrays, chunks, regions())
-    def test_subarray_query_matches_direct_read(self, values, chunk, region):
-        """The pushdown-optimized query path agrees with direct reads."""
-        db = fresh_db(values, chunk)
-        result = db.execute(Q.subarray(Q.scan("A"), region))
-        np.testing.assert_array_equal(
-            result.attribute("v"), db.read("A", "v", region)
-        )
+
+def level_views(pyramid: TilePyramid, attribute: str) -> list[np.ndarray]:
+    """One attribute of every level's view, coarsest first."""
+    return [
+        pyramid.db.read(pyramid.view_name(level), attribute)
+        for level in range(pyramid.num_levels)
+    ]
 
 
-class TestQueryProperties:
+class TestPyramidViewProperties:
     @settings(max_examples=30, deadline=None)
-    @given(arrays, chunks)
-    def test_regrid_avg_preserves_mean(self, values, chunk):
+    @given(arrays, chunks, tile_sizes)
+    def test_avg_preserves_mean(self, values, chunk, tile_size):
         """Averaging windows preserves the global mean (even splits)."""
-        db = fresh_db(values, chunk)
-        result = db.execute(Q.regrid(Q.scan("A"), (2, 2)))
-        np.testing.assert_allclose(
-            result.attribute("v").mean(), values.mean(), rtol=1e-9
+        pyramid = TilePyramid.build(fresh_db(values, chunk), "A", tile_size)
+        for view in level_views(pyramid, "v"):
+            np.testing.assert_allclose(view.mean(), values.mean(), rtol=1e-9)
+
+    @settings(max_examples=30, deadline=None)
+    @given(arrays, chunks, tile_sizes)
+    def test_levels_compose(self, values, chunk, tile_size):
+        """Averaging a level's 2x2 windows gives the next coarser level."""
+        pyramid = TilePyramid.build(fresh_db(values, chunk), "A", tile_size)
+        views = level_views(pyramid, "v")
+        for coarse, fine in zip(views, views[1:]):
+            n = coarse.shape[0]
+            np.testing.assert_allclose(
+                fine.reshape(n, 2, n, 2).mean(axis=(1, 3)), coarse, rtol=1e-9
+            )
+
+    @settings(max_examples=30, deadline=None)
+    @given(arrays, chunks, tile_sizes)
+    def test_min_le_avg_le_max(self, values, chunk, tile_size):
+        """``v`` averaged lies between ``high`` (= ``v``) and ``-low``
+        (``low`` = ``-v``), both coarsened by max."""
+        db = fresh_db(values, chunk, low=-values, high=values)
+        pyramid = TilePyramid.build(
+            db, "A", tile_size, aggregates={"low": "max", "high": "max"}
         )
-
-    @settings(max_examples=30, deadline=None)
-    @given(arrays, chunks)
-    def test_regrid_sum_preserves_total(self, values, chunk):
-        db = fresh_db(values, chunk)
-        result = db.execute(Q.regrid(Q.scan("A"), (4, 4), "sum"))
-        np.testing.assert_allclose(
-            result.attribute("v").sum(), values.sum(), rtol=1e-9
-        )
-
-    @settings(max_examples=30, deadline=None)
-    @given(arrays, chunks)
-    def test_regrid_composition(self, values, chunk):
-        """regrid(2,2) twice equals regrid(4,4) for averages."""
-        db = fresh_db(values, chunk)
-        once = db.execute(
-            Q.regrid(Q.regrid(Q.scan("A"), (2, 2)), (2, 2))
-        ).attribute("v")
-        direct = db.execute(Q.regrid(Q.scan("A"), (4, 4))).attribute("v")
-        np.testing.assert_allclose(once, direct, rtol=1e-9)
-
-    @settings(max_examples=30, deadline=None)
-    @given(arrays, chunks)
-    def test_min_le_avg_le_max(self, values, chunk):
-        db = fresh_db(values, chunk)
-        low = db.execute(Q.regrid(Q.scan("A"), (2, 2), "min")).attribute("v")
-        mid = db.execute(Q.regrid(Q.scan("A"), (2, 2), "avg")).attribute("v")
-        high = db.execute(Q.regrid(Q.scan("A"), (2, 2), "max")).attribute("v")
-        assert np.all(low <= mid + 1e-12)
-        assert np.all(mid <= high + 1e-12)
-
-    @settings(max_examples=30, deadline=None)
-    @given(arrays, chunks)
-    def test_store_then_scan_identity(self, values, chunk):
-        db = fresh_db(values, chunk)
-        db.execute(Q.store(Q.scan("A"), "B"))
-        np.testing.assert_array_equal(
-            db.execute(Q.scan("B")).attribute("v"), values
-        )
+        views = zip(*(level_views(pyramid, name) for name in ("low", "v", "high")))
+        for low, mid, high in views:
+            assert np.all(-low <= mid + 1e-12)
+            assert np.all(mid <= high + 1e-12)
 
 
 class _CellModel:
@@ -228,7 +217,7 @@ def _same(a: np.ndarray, b: np.ndarray) -> bool:
 
 
 class TestCellModel:
-    """Region reads, writes and projections against the cell model."""
+    """Region reads, writes and charged scans against the cell model."""
 
     @settings(max_examples=80, deadline=None)
     @given(modelled_arrays())
@@ -244,34 +233,25 @@ class TestCellModel:
                 assert stats == expected_stats
 
     @settings(max_examples=80, deadline=None)
-    @given(modelled_arrays(), st.sets(st.sampled_from([a.name for a in MODEL_ATTRIBUTES])))
-    def test_projection_charges_every_attribute_it_drops(self, case, keep):
-        """project(scan) and project(subarray(scan)) copy only the kept
-        attributes but charge the scan of all of them."""
-        db, models, region = case
-        keep = tuple(sorted(keep))
+    @given(modelled_arrays(), st.integers(0, 500))
+    def test_execute_charges_every_attribute_read_whole(self, case, cells_computed):
+        """``execute`` bills every attribute of the array as read whole,
+        plus the computed cells, priced once."""
+        db, models, _ = case
         full = tuple((d.start, d.end) for d in db.schema("M").dimensions)
-        plans = (
-            (Q.project(Q.scan("M"), keep), full),
-            (Q.project(Q.subarray(Q.scan("M"), region), keep), region),
+        before = db.clock.now()
+        stats = db.execute(("M",), cells_computed)
+        reads = [model.read(full)[1] for model in models.values()]
+        assert stats == QueryStats(
+            chunks_read=sum(r.chunks_read for r in reads),
+            cells_scanned=sum(r.cells_scanned for r in reads),
+            cells_computed=cells_computed,
+            elapsed_seconds=stats.elapsed_seconds,
         )
-        for plan, read_region in plans:
-            before = db.clock.now()
-            result = db.execute(plan)
-            assert tuple(result.attributes) == keep
-            for name in keep:
-                assert _same(result.attribute(name), models[name].read(read_region)[0])
-            reads = [model.read(read_region)[1] for model in models.values()]
-            assert result.stats == QueryStats(
-                chunks_read=sum(r.chunks_read for r in reads),
-                cells_scanned=sum(r.cells_scanned for r in reads),
-                cells_computed=0,
-                elapsed_seconds=result.stats.elapsed_seconds,
-            )
-            assert result.stats.elapsed_seconds == db.cost_model.query_cost(
-                result.stats.chunks_read, result.stats.cells_scanned, 0
-            )
-            assert db.clock.now() == before + result.stats.elapsed_seconds
+        assert stats.elapsed_seconds == db.cost_model.query_cost(
+            stats.chunks_read, stats.cells_scanned, cells_computed
+        )
+        assert db.clock.now() == before + stats.elapsed_seconds
 
     @settings(max_examples=80, deadline=None)
     @given(st.data())

@@ -3,7 +3,15 @@
 import numpy as np
 import pytest
 
-from repro.arraydb import ArraySchema, Attribute, Database, Dimension
+from repro.arraydb import (
+    ArraySchema,
+    Attribute,
+    CostModel,
+    Database,
+    Dimension,
+    VirtualClock,
+)
+from repro.arraydb.errors import ArrayNotFoundError
 from repro.tiles.key import TileKey
 from repro.tiles.pyramid import TilePyramid
 from repro.tiles.tile import DataTile
@@ -69,6 +77,131 @@ class TestBuild:
         level1 = db.read(pyramid.view_name(1), "m")
         expected = raw.reshape(8, 2, 8, 2).max(axis=(1, 3))
         np.testing.assert_allclose(level1, expected)
+
+    @pytest.mark.parametrize(
+        "aggregate, expected",
+        [("avg", [[2.5, 4.5], [10.5, 12.5]]), ("max", [[5.0, 7.0], [13.0, 15.0]])],
+    )
+    def test_window_values(self, db, aggregate, expected):
+        """Each coarser cell aggregates its window of source cells."""
+        db.create_array(
+            ArraySchema(
+                "A",
+                attributes=(Attribute("v"),),
+                dimensions=(Dimension("y", 0, 4, 4), Dimension("x", 0, 4, 4)),
+            )
+        )
+        db.write("A", "v", np.arange(16.0).reshape(4, 4))
+        pyramid = TilePyramid.build(db, "A", tile_size=2, aggregates={"v": aggregate})
+        np.testing.assert_array_equal(db.read(pyramid.view_name(0), "v"), expected)
+
+    def test_paper_figure3_shape(self, db):
+        """A 16x16 array with aggregation parameters (2,2) becomes 8x8."""
+        make_source(db, side=16)
+        pyramid = TilePyramid.build(db, "S", tile_size=8)
+        assert db.schema(pyramid.view_name(0)).shape == (8, 8)
+
+    def test_coarser_levels_charge_one_query_per_attribute(self):
+        """Each coarser level bills, per attribute, a whole scan of the
+        source (every attribute) plus its own output cells."""
+        cost = CostModel(0.05, 0.002, 1e-5, 1e-3)
+        db = Database(cost_model=cost)
+        make_source(db, side=16)
+        charged = []
+        execute = db.execute
+        db.execute = lambda *args, **kwargs: charged.append(execute(*args, **kwargs))
+        TilePyramid.build(db, "S", tile_size=4)
+        ledgers = [(s.chunks_read, s.cells_scanned, s.cells_computed) for s in charged]
+        assert ledgers == [(2, 512, 16)] * 2 + [(2, 512, 64)] * 2
+        assert [s.elapsed_seconds for s in charged] == [
+            cost.query_cost(*ledger) for ledger in ledgers
+        ]
+
+    def test_a_single_level_pyramid_charges_nothing(self):
+        clock = VirtualClock()
+        db = Database(clock=clock)
+        make_source(db, side=8)
+        charged = []
+        execute = db.execute
+        db.execute = lambda *args, **kwargs: charged.append(execute(*args, **kwargs))
+        TilePyramid.build(db, "S", tile_size=8)
+        assert charged == []
+        assert clock.now() == 0.0
+
+    def test_the_charge_does_not_depend_on_the_aggregate(self):
+        clocks = []
+        for aggregate in ("avg", "max"):
+            clock = VirtualClock()
+            db = Database(cost_model=CostModel(0.05, 0.002, 1e-5, 1e-3), clock=clock)
+            make_source(db, side=16)
+            TilePyramid.build(db, "S", tile_size=4, aggregates={"v": aggregate})
+            clocks.append(clock.now())
+        assert clocks[0] == clocks[1] > 0.0
+
+    def test_views_start_at_zero_at_every_level(self, db):
+        make_source(db, side=16)
+        pyramid = TilePyramid.build(db, "S", tile_size=4)
+        for level in range(pyramid.num_levels):
+            assert db.schema(pyramid.view_name(level)).origin == (0, 0)
+
+    @pytest.mark.parametrize(
+        "side, tile_size, shapes",
+        [(16, 4, [4, 8, 16]), (32, 8, [8, 16, 32]), (32, 4, [4, 8, 16, 32])],
+    )
+    def test_each_level_doubles_the_side(self, db, side, tile_size, shapes):
+        make_source(db, side=side)
+        pyramid = TilePyramid.build(db, "S", tile_size=tile_size)
+        assert [
+            db.schema(pyramid.view_name(level)).shape
+            for level in range(pyramid.num_levels)
+        ] == [(n, n) for n in shapes]
+
+    @pytest.mark.parametrize("aggregate, expected", [("avg", 2.0), ("max", 3.0)])
+    def test_empty_cells_are_left_out_of_a_window(self, db, aggregate, expected):
+        """A NaN cell does not count: the window aggregates the others."""
+        db.create_array(
+            ArraySchema(
+                "A",
+                attributes=(Attribute("v"),),
+                dimensions=(Dimension("y", 0, 2, 2), Dimension("x", 0, 2, 2)),
+            )
+        )
+        db.write("A", "v", [[1.0, np.nan], [2.0, 3.0]])
+        pyramid = TilePyramid.build(db, "A", tile_size=1, aggregates={"v": aggregate})
+        assert db.read(pyramid.view_name(0), "v").tolist() == [[expected]]
+
+    def test_an_integer_attribute_keeps_its_dtype(self, db):
+        db.create_array(
+            ArraySchema(
+                "A",
+                attributes=(Attribute("c", "int32"),),
+                dimensions=(Dimension("y", 0, 4, 4), Dimension("x", 0, 4, 4)),
+            )
+        )
+        db.write("A", "c", np.arange(16).reshape(4, 4))
+        pyramid = TilePyramid.build(db, "A", tile_size=2, aggregates={"c": "max"})
+        level0 = db.read(pyramid.view_name(0), "c")
+        assert level0.dtype == np.int32
+        assert level0.tolist() == [[5, 7], [13, 15]]
+
+    @pytest.mark.parametrize(
+        "attributes, aggregates, match",
+        [
+            pytest.param(None, {"mm": "max"}, "no pyramid attribute", id="typo"),
+            pytest.param(("v",), {"m": "max"}, "no pyramid attribute", id="not-kept"),
+            pytest.param(None, {"m": "median"}, "unknown aggregates", id="median"),
+            pytest.param(None, {"v": "sum"}, "unknown aggregates", id="sum"),
+            pytest.param(None, {"m": "min"}, "unknown aggregates", id="min"),
+        ],
+    )
+    def test_rejects_bad_aggregates_before_any_view(self, db, attributes, aggregates, match):
+        make_source(db, side=16)
+        with pytest.raises(ValueError, match=match):
+            TilePyramid.build(
+                db, "S", tile_size=4, attributes=attributes, aggregates=aggregates
+            )
+        with pytest.raises(ArrayNotFoundError):
+            db.array("S__z0")
 
     def test_attribute_subset(self, db):
         make_source(db, side=16)
