@@ -20,7 +20,7 @@ Two claims:
 
 2. The machinery is invisible when off: with the default
    ``fidelity="off"`` the momentum figure replay is bit-identical on
-   all four front ends (server, service, async, socket) to the pinned
+   every replay front end (service, socket, cluster) to the pinned
    pre-fidelity value.
 """
 

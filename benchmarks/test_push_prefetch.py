@@ -11,8 +11,8 @@ Two claims, per the Khameleon-style push design:
    tiles pushed into a client's local cache are immune.
 
 2. The push machinery is invisible when off: with ``push="off"`` the
-   momentum figure replay is bit-identical on all four front ends
-   (server, service, async, socket) to the pre-push pinned value.
+   momentum figure replay is bit-identical on every replay front end
+   (service, socket, cluster) to the pre-push pinned value.
 """
 
 from __future__ import annotations

@@ -3,7 +3,7 @@
 Run with::
 
     python examples/modis_exploration.py [--size 1024] [--users 8]
-        [--frontend service|async|socket|cluster] [--models momentum,hybrid]
+        [--frontend service|socket|cluster] [--models momentum,hybrid]
         [--prefetch-mode sync|background] [--shared-hotspots off|observe|boost]
 
 Reproduces the paper's evaluation loop end to end: build the NDSI
@@ -13,10 +13,10 @@ per-phase accuracy plus replayed latency — the content of Figures 11
 and 13.
 
 ``--frontend`` chooses who serves the latency replay: the
-``ForeCacheService`` facade (default), its asyncio front end, the real
-TCP socket transport replaying over loopback (``socket``), or a
-2-worker cluster behind the consistent-hash router (``cluster``) — all
-four must (and do) produce identical virtual-time numbers.  ``--prefetch-mode background`` routes every
+``ForeCacheService`` facade (default), the real TCP socket transport
+replaying over loopback (``socket``), or a 2-worker cluster behind the
+consistent-hash router (``cluster``) — all three must (and do) produce
+identical virtual-time numbers.  ``--prefetch-mode background`` routes every
 prefetch round through the rank-aware priority scheduler's worker pool
 instead of the inline sync path (a smoke path for the concurrent
 serving stack; latency numbers then depend on physical timing).

@@ -35,7 +35,7 @@ if [ "${2:-}" != report ]; then
     for args in \
         "--models momentum" \
         "--frontend service --models momentum,markov3" \
-        "--frontend async --models momentum,markov3" \
+        "--frontend cluster --models momentum,markov3" \
         "--frontend service --models momentum --prefetch-mode background" \
         "--frontend service --models momentum,hotspot --prefetch-mode background --shared-hotspots boost" \
         "--frontend socket --models momentum"; do

@@ -347,15 +347,14 @@ def latency_points(
     return points, accuracy
 
 
-#: Serving front ends the latency replay can drive.  All of them produce
-#: identical virtual-time numbers (the facade is the single code path;
-#: the socket front end replays over a real loopback TCP connection and
-#: only adds physical transport time, never virtual latency; "cluster"
-#: puts the consistent-hash router and two workers between client and
-#: service — a session lives on one of them, which must change
-#: nothing); "service" — the facade in process — is
-#: the default and what the figure benchmarks run.
-REPLAY_FRONTENDS = ("service", "async", "socket", "cluster")
+#: Serving front ends the latency replay can drive, all three with
+#: identical virtual-time numbers: "service", the facade in process, is
+#: the default and what the figure benchmarks run; "socket" replays over
+#: a real loopback TCP connection, which adds physical transport time,
+#: never virtual latency; "cluster" puts the consistent-hash router and
+#: two workers between client and service — a session lives on one of
+#: them, which must change nothing.
+REPLAY_FRONTENDS = ("service", "socket", "cluster")
 
 
 def replay_model_latency(
@@ -375,13 +374,12 @@ def replay_model_latency(
     near-perfect line).
 
     ``frontend`` selects who serves the replay: the ``ForeCacheService``
-    facade ("service"), the asyncio front end ("async"), the TCP socket
-    transport over loopback ("socket" — real framed bytes on a real
-    port; latency stays virtual, so the numbers still match), or a
-    2-worker cluster behind the consistent-hash router ("cluster" —
-    the router terminates the handshake and forwards every frame of a
-    session to the one worker it lives on, so the numbers must again be
-    bit-identical).
+    facade ("service"), the TCP socket transport over loopback
+    ("socket" — real framed bytes on a real port; latency stays
+    virtual, so the numbers still match), or a 2-worker cluster behind
+    the consistent-hash router ("cluster" — the router terminates the
+    handshake and forwards every frame of a session to the one worker
+    it lives on, so the numbers must again be bit-identical).
 
     ``prefetch_mode="sync"`` (the default, what every figure benchmark
     uses) keeps the deterministic virtual-time numbers.
@@ -403,10 +401,6 @@ def replay_model_latency(
     if frontend not in REPLAY_FRONTENDS:
         raise ValueError(
             f"frontend must be one of {REPLAY_FRONTENDS}, got {frontend!r}"
-        )
-    if frontend == "async":
-        return _replay_async_frontend(
-            context, factory, k, prefetch_mode, shared_hotspots
         )
     if frontend in ("socket", "cluster"):
         return _replay_wire_frontend(
@@ -467,42 +461,6 @@ def _replay_service_trace(
         handle = service.open_session(engine)
         BrowsingSession(handle).replay(trace)
         return handle.recorder
-
-
-def _replay_async_frontend(
-    context,
-    factory,
-    k: int,
-    prefetch_mode: str = "sync",
-    shared_hotspots: str = "off",
-):
-    """The whole LOO replay on one event loop.
-
-    Only the *service* (cache + session) must be cold per trace, so the
-    loop is hoisted out of the per-trace churn.
-    """
-    import asyncio
-
-    from repro.middleware.aio import AsyncForeCacheService
-    from repro.middleware.client import AsyncBrowsingSession
-    from repro.middleware.latency import LatencyRecorder
-
-    async def replay_all():
-        recorder = LatencyRecorder()
-        for _, train, test in leave_one_user_out(context.study):
-            engine = factory(train)
-            for trace in test:
-                engine.reset()
-                async with AsyncForeCacheService.build(
-                    context.pyramid,
-                    _figure12_config(k, prefetch_mode, shared_hotspots),
-                ) as service:
-                    session = await service.open_session(engine)
-                    await AsyncBrowsingSession(session).replay(trace)
-                    recorder.merge(session.recorder)
-        return recorder
-
-    return asyncio.run(replay_all())
 
 
 def _replay_wire_frontend(

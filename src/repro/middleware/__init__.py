@@ -5,17 +5,17 @@ first-class (``open_session() -> SessionHandle``), construction is via
 frozen configs (:class:`ServiceConfig`, :class:`PrefetchPolicy`,
 :class:`CacheConfig`), and requests/responses have a typed,
 JSON-serializable wire form (:mod:`repro.middleware.protocol`).
-:class:`AsyncForeCacheService` is the asyncio front end;
 :class:`ForeCacheSocketServer` / :class:`SocketTransport` speak the wire
-protocol over TCP, :class:`TileServiceRouter` in front of a cluster of
-them.  :class:`BrowsingSession` / :class:`AsyncBrowsingSession` are the
-lightweight clients the user (or a trace replay) drives, against any
-front end: every connection exposes ``.pyramid``, ``.request(move,
-key)`` and ``.close()``.
+protocol over TCP, the server through :class:`AsyncForeCacheService`
+(the facade's asyncio bridge), :class:`TileServiceRouter` in front of a
+cluster of them.  :class:`BrowsingSession` is the lightweight client the
+user (or a trace replay) drives, against any front end: every
+connection exposes ``.pyramid``, ``.request(move, key)`` and
+``.close()``.
 """
 
-from repro.middleware.aio import AsyncForeCacheService, AsyncSessionHandle
-from repro.middleware.client import AsyncBrowsingSession, BrowsingSession
+from repro.middleware.aio import AsyncForeCacheService
+from repro.middleware.client import BrowsingSession
 from repro.middleware.cluster import (
     ConsistentHashRing,
     ProcessCluster,
@@ -38,8 +38,6 @@ from repro.middleware.latency import (
     MISS_SECONDS,
 )
 from repro.middleware.net import (
-    AsyncSocketSessionClient,
-    AsyncSocketTransport,
     ForeCacheSocketServer,
     SocketSessionClient,
     SocketTransport,
@@ -72,11 +70,7 @@ from repro.middleware.service import (
 )
 
 __all__ = [
-    "AsyncBrowsingSession",
     "AsyncForeCacheService",
-    "AsyncSessionHandle",
-    "AsyncSocketSessionClient",
-    "AsyncSocketTransport",
     "BrowsingSession",
     "CacheConfig",
     "ConsistentHashRing",

@@ -14,17 +14,21 @@ prefetch cycle.  Without a delay those are a few hundred microseconds
 of pure Python that would hold the GIL on any thread, so they run on
 the loop and the pool never starts a thread:
 
-    async with AsyncForeCacheService.build(pyramid, config) as service:
-        session = await service.open_session(engine)
-        response = await session.request(move, key)
+    service = AsyncForeCacheService.build(pyramid, config)
+    session_id = await service.open_session(engine)
+    response = await service.request(session_id, move, key)
+    await service.aclose()
 
-The threaded :class:`~repro.middleware.service.ForeCacheService` stays
-the sync front end over the very same core — same cache, same
-scheduler, same numerics — so sync and async callers compose and every
-replay front end stays bit-identical.
+Sessions are addressed by the id :meth:`~AsyncForeCacheService.open_session`
+returns, which is all the socket server
+(:class:`~repro.middleware.net.ForeCacheSocketServer`), the one caller,
+needs.  The threaded :class:`~repro.middleware.service.ForeCacheService`
+stays the sync front end over the very same core — same cache, same
+scheduler, same numerics — so the socket and cluster replays stay
+bit-identical to the facade's.
 
 Cancellation follows asyncio rules: cancelling a task blocked on
-``await session.request(...)`` raises ``CancelledError`` in the task
+``await service.request(...)`` raises ``CancelledError`` in the task
 immediately; underlying cache/DBMS work already started on the bridge
 pool runs to completion on its worker thread (populating the cache
 *and* feeding the prediction engine for later requests), and the
@@ -41,63 +45,16 @@ from concurrent.futures import ThreadPoolExecutor
 
 from repro.core.engine import PredictionEngine
 from repro.middleware.config import ServiceConfig
-from repro.middleware.latency import LatencyRecorder
 from repro.middleware.protocol import SessionClosedError, SessionInfo
 from repro.middleware.service import (
     ForeCacheService,
     PushHitResult,
-    SessionHandle,
     TileResponse,
 )
 from repro.tiles.key import TileKey
 from repro.tiles.tile import DataTile
 from repro.tiles.moves import Move
 from repro.tiles.pyramid import TilePyramid
-
-
-class AsyncSessionHandle:
-    """Awaitable face of one open session."""
-
-    def __init__(
-        self, service: "AsyncForeCacheService", handle: SessionHandle
-    ) -> None:
-        self._service = service
-        self._handle = handle
-
-    @property
-    def session_id(self) -> Hashable:
-        return self._handle.session_id
-
-    @property
-    def recorder(self) -> LatencyRecorder:
-        return self._handle.recorder
-
-    @property
-    def pyramid(self) -> TilePyramid:
-        return self._handle.pyramid
-
-    async def request(self, move: Move | None, key: TileKey) -> TileResponse:
-        """Serve one tile request without blocking the event loop.
-
-        Cache hits are answered inline on the loop (no thread hop);
-        only misses that can block travel to the bridge pool.
-        """
-        self._service._check_open()
-        return await self._service._request_record(
-            self._handle._record, move, key
-        )
-
-    async def info(self) -> SessionInfo:
-        self._service._check_open()
-        return self._handle.info()
-
-    async def close(self) -> None:
-        # Lifecycle is native: closing deregisters the session under the
-        # facade's locks — dict bookkeeping, never a backend query — so
-        # it runs inline on the loop (the cluster router closes sessions
-        # on every failover, making this a hot path).
-        self._service._check_open()
-        self._handle.close()
 
 
 #: Threads the bridge pool may run.  A thread starts only when a job is
@@ -204,16 +161,17 @@ class AsyncForeCacheService:
         session_id: Hashable | None = None,
         *,
         reset_engine: bool = False,
-    ) -> AsyncSessionHandle:
+    ) -> Hashable:
+        """Register a session; returns its id (generated when
+        ``session_id`` is None), the handle every other call takes."""
         # Native, no executor hop: registering a session is dict
         # bookkeeping under the facade's locks (never a backend query),
         # and the cluster router re-opens sessions on every failover —
         # lifecycle is a hot path there.
         self._check_open()
-        handle = self.service.open_session(
+        return self.service.open_session(
             engine, session_id, reset_engine=reset_engine
-        )
-        return AsyncSessionHandle(self, handle)
+        ).session_id
 
     async def close_session(self, session_id: Hashable) -> None:
         # Native for the same reason as open_session: deregistration +
@@ -296,9 +254,3 @@ class AsyncForeCacheService:
             None, functools.partial(self._executor.shutdown, True)
         )
         self._closed = True
-
-    async def __aenter__(self) -> "AsyncForeCacheService":
-        return self
-
-    async def __aexit__(self, *exc_info) -> None:
-        await self.aclose()

@@ -14,9 +14,8 @@ module imports no ``socket``, ``asyncio``, ``threading`` or
 ``selectors`` (a structural test asserts it).
 
 A *transport* is the I/O shell around one :class:`ClientConnection` —
-:class:`~repro.middleware.net.SocketTransport` (blocking sockets),
-:class:`~repro.middleware.net.AsyncSocketTransport` (asyncio streams)
-and the cluster router's backend link all run the same loop::
+:class:`~repro.middleware.net.SocketTransport` (blocking sockets) and
+the cluster router's backend link (asyncio streams) run the same loop::
 
     try:
         while not core.settle():           # a posted ack's reply is owed
@@ -44,8 +43,9 @@ for each reply — or ``refuse`` for whatever either raised.
 
 :class:`SessionStub` is the same idea one level up: what one session
 sends for ``(move, key)`` and how the reply becomes the in-process
-:class:`~repro.middleware.service.TileResponse`, shared by the sync and
-the async session clients.
+:class:`~repro.middleware.service.TileResponse`, which
+:class:`~repro.middleware.net.SocketSessionClient` moves over its
+transport.
 """
 
 from __future__ import annotations

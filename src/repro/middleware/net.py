@@ -28,16 +28,15 @@ A second ``hello`` on a negotiated connection is refused with a typed
 serve loop around it, :class:`_WireServer`, moves the bytes and runs
 the endpoint's handlers, and the cluster router runs it too.
 
-Clients come in both colors — :class:`SocketTransport` (blocking
-sockets) and :class:`AsyncSocketTransport` (asyncio streams) — each
-multiplexing any number of sessions over one connection.  Neither holds
-protocol logic: a transport here is an I/O shell that frames via its
+The client is :class:`SocketTransport` (blocking sockets), multiplexing
+any number of sessions over one connection.  It holds no protocol
+logic: it is an I/O shell that frames via its
 :class:`~repro.middleware.connection.ClientConnection` core, moves the
 bytes, feeds the core and returns its reply; locks, timeouts and close
 semantics are the shell's, every protocol decision the core's.  The
-connections they return satisfy the same contract as every other front
-end, so the one ``BrowsingSession`` / ``AsyncBrowsingSession`` replays
-traces over loopback exactly as it does in process.
+connections it returns satisfy the same contract as every other front
+end, so the one ``BrowsingSession`` replays traces over loopback
+exactly as it does in process.
 :class:`ThreadedSocketServer` runs the whole server on a dedicated
 daemon thread for synchronous programs (examples, benchmarks, tests).
 """
@@ -366,12 +365,11 @@ class ForeCacheSocketServer(_WireServer):
         ]
 
     async def _serve_open(self, message: OpenSession, conn: ServerConnection):
-        handle = await self.service.open_session(None, message.session_id)
-        session_id = handle.session_id
+        session_id = await self.service.open_session(None, message.session_id)
         conn.sessions.add(session_id)
         if conn.push:
             self.push_scheduler.open_session(session_id)
-        return [await handle.info()]
+        return [await self.service.info(session_id)]
 
     async def _serve_close(
         self, message: CloseSession, conn: ServerConnection
@@ -681,42 +679,7 @@ def _core_attribute(name: str) -> property:
     return property(lambda self: getattr(self._core, name))
 
 
-class _ClientShell:
-    """What both socket clients expose of their connection core."""
-
-    _core: ClientConnection
-
-    push_enabled = _core_attribute("push_enabled")
-    payload = _core_attribute("payload")
-    server_version = _core_attribute("server_version")
-    server_name = _core_attribute("server_name")
-    server_max_frame_bytes = _core_attribute("server_max_frame_bytes")
-    bytes_sent = _core_attribute("bytes_sent")
-    bytes_received = _core_attribute("bytes_received")
-    wire_sent = _core_attribute("wire_sent")
-    wire_received = _core_attribute("wire_received")
-
-
-class _SessionClient:
-    """What both session clients share: identity and the protocol stub."""
-
-    def __init__(
-        self,
-        transport,
-        session_id: str,
-        push_cache: PushCache | None = None,
-    ) -> None:
-        self.transport = transport
-        self.session_id = session_id
-        self.push_cache = push_cache
-        self._stub = SessionStub(transport._core, session_id, push_cache)
-
-    @property
-    def pyramid(self) -> TilePyramid | None:
-        return self.transport.pyramid
-
-
-class SocketTransport(_ClientShell):
+class SocketTransport:
     """Blocking-socket client transport; multiplexes sessions over one
     TCP connection.
 
@@ -727,6 +690,16 @@ class SocketTransport(_ClientShell):
     """
 
     client_name = "forecache-python"
+
+    push_enabled = _core_attribute("push_enabled")
+    payload = _core_attribute("payload")
+    server_version = _core_attribute("server_version")
+    server_name = _core_attribute("server_name")
+    server_max_frame_bytes = _core_attribute("server_max_frame_bytes")
+    bytes_sent = _core_attribute("bytes_sent")
+    bytes_received = _core_attribute("bytes_received")
+    wire_sent = _core_attribute("wire_sent")
+    wire_received = _core_attribute("wire_received")
 
     def __init__(
         self,
@@ -838,8 +811,23 @@ class SocketTransport(_ClientShell):
         self.close()
 
 
-class SocketSessionClient(_SessionClient):
+class SocketSessionClient:
     """One session's client stub over a :class:`SocketTransport`."""
+
+    def __init__(
+        self,
+        transport: SocketTransport,
+        session_id: str,
+        push_cache: PushCache | None = None,
+    ) -> None:
+        self.transport = transport
+        self.session_id = session_id
+        self.push_cache = push_cache
+        self._stub = SessionStub(transport._core, session_id, push_cache)
+
+    @property
+    def pyramid(self) -> TilePyramid | None:
+        return self.transport.pyramid
 
     def request(self, move: Move | None, key: TileKey) -> TileResponse:
         """Round-trip one request over the socket — or, when the tile
@@ -869,163 +857,4 @@ class SocketSessionClient(_SessionClient):
             reply = self.transport.roundtrip(message)
         except (ProtocolError, OSError):
             return  # connection gone; the server reaps the session
-        self._stub.close_acknowledged(reply)
-
-
-class AsyncSocketTransport(_ClientShell):
-    """Asyncio-streams client transport; the awaitable twin of
-    :class:`SocketTransport`.  Built by :meth:`open`, around the
-    connection core it configured."""
-
-    client_name = "forecache-python-aio"
-
-    def __init__(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-        pyramid: TilePyramid | None,
-        core: ClientConnection,
-    ) -> None:
-        self.pyramid = pyramid
-        self._reader = reader
-        self._writer = writer
-        self._core = core
-        self._lock = asyncio.Lock()
-        self._closed = False
-
-    @classmethod
-    async def open(
-        cls,
-        host: str,
-        port: int,
-        pyramid: TilePyramid | None = None,
-        *,
-        framing: str = "lines",
-        max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
-        push: bool = False,
-        push_cache_capacity: int = 32,
-        payload: str = "json",
-        wire_tap: bool = False,
-    ) -> "AsyncSocketTransport":
-        """Connect and run the hello/welcome handshake."""
-        core = ClientConnection(
-            framing,
-            max_frame_bytes,
-            push_cache_capacity=push_cache_capacity,
-            wire_tap=wire_tap,
-        )
-        hello = core.hello(cls.client_name, push=push, payload=payload)
-        reader, writer = await asyncio.open_connection(host, port)
-        _cap_reads(writer)
-        self = cls(reader, writer, pyramid, core)
-        try:
-            core.welcome(await self.roundtrip(hello))
-        except BaseException:
-            await self.aclose()
-            raise
-        return self
-
-    async def roundtrip(self, message):
-        """Send one message, await the decoded reply (serialized).
-
-        A failure — or a *cancellation* — between send and a fully
-        received reply leaves that reply in flight, permanently
-        desynchronizing the strict request/reply pairing; the transport
-        closes itself instead of letting the next request read a stale
-        answer.  Later calls raise ``SessionClosedError``.
-        """
-        async with self._lock:
-            return await self._exchange(message)
-
-    async def settle(self) -> None:
-        """The awaitable :meth:`SocketTransport.settle`."""
-        async with self._lock:
-            await self._exchange()
-
-    async def _exchange(self, message=None, settled=None):
-        """The awaitable :meth:`SocketTransport._exchange`."""
-        core = self._core
-        try:
-            while not (self._closed or core.settle()):
-                core.receive(await self._reader.read(_READ_CHUNK))
-            if message is None:
-                return None
-            if self._closed:
-                raise SessionClosedError("socket transport is closed")
-            if settled is not None:
-                self._writer.write(core.post(message, settled))
-                return await self._writer.drain()
-            self._writer.write(core.begin(message))
-            await self._writer.drain()
-            while (reply := core.reply()) is None:
-                core.receive(await self._reader.read(_READ_CHUNK))
-            return reply
-        except BaseException:
-            if core.reply_outstanding:
-                # No awaits here: this must complete even while a
-                # cancellation is being delivered.
-                self._closed = True
-                self._writer.close()
-            raise
-
-    async def connect(
-        self,
-        engine: PredictionEngine | None = None,
-        session_id: str | None = None,
-    ) -> "AsyncSocketSessionClient":
-        """Open a server-side session; returns its awaitable stub."""
-        reply = await self.roundtrip(
-            self._core.open_session(engine, session_id)
-        )
-        return AsyncSocketSessionClient(
-            self, *self._core.session_opened(reply)
-        )
-
-    async def aclose(self) -> None:
-        """Drop the connection (server closes its sessions).  Idempotent."""
-        if self._closed:
-            return
-        self._closed = True
-        self._writer.close()
-        with contextlib.suppress(Exception):
-            await self._writer.wait_closed()
-
-    async def __aenter__(self) -> "AsyncSocketTransport":
-        return self
-
-    async def __aexit__(self, *exc_info) -> None:
-        await self.aclose()
-
-
-class AsyncSocketSessionClient(_SessionClient):
-    """One session's awaitable stub over an :class:`AsyncSocketTransport`.
-
-    Satisfies the ``AsyncBrowsingSession`` connection contract
-    (``.pyramid`` + awaitable ``.request(move, key)``).
-    """
-
-    async def request(self, move: Move | None, key: TileKey) -> TileResponse:
-        """The awaitable :meth:`SocketSessionClient.request`: the lock
-        spans settle, probe and send, and a local hit awaits no read."""
-        transport, stub = self.transport, self._stub
-        async with transport._lock:
-            await transport._exchange()
-            message, held_tile = stub.request(move, key)
-            if held_tile is None:
-                return stub.response(await transport._exchange(message))
-            response = stub.local_response(held_tile)
-            await transport._exchange(message, stub.settled)
-            return response
-
-    async def close(self) -> None:
-        """Close the server-side session.  Idempotent."""
-        with contextlib.suppress(ProtocolError, OSError):
-            await self.transport.settle()
-        message = self._stub.close()
-        if message is None:
-            return
-        try:
-            reply = await self.transport.roundtrip(message)
-        except (ProtocolError, OSError):
-            return
         self._stub.close_acknowledged(reply)

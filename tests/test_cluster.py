@@ -40,7 +40,6 @@ from repro.middleware.cluster import (
 )
 from repro.middleware.config import CacheConfig, PrefetchPolicy, ServiceConfig
 from repro.middleware.net import (
-    AsyncSocketTransport,
     ForeCacheSocketServer,
     SocketTransport,
     ThreadedSocketServer,
@@ -453,7 +452,6 @@ REMOVED_OVERRIDES = {
     AsyncForeCacheService.build: ("max_workers",),
     ForeCacheSocketServer.build: ("max_workers",),
     SocketTransport: ("client_name",),
-    AsyncSocketTransport.open: ("client_name",),
     _BackendLink.connect: ("client_name",),
 }
 

@@ -12,7 +12,6 @@ the server's into a :class:`ClientConnection`, the client's into a
 from __future__ import annotations
 
 import ast
-import asyncio
 import inspect
 import json
 import socket
@@ -33,12 +32,7 @@ from repro.middleware.connection import (
     SessionStub,
     decode_opaque,
 )
-from repro.middleware.net import (
-    AsyncSocketTransport,
-    SocketTransport,
-    ThreadedSocketServer,
-    _WireServer,
-)
+from repro.middleware.net import SocketTransport, ThreadedSocketServer, _WireServer
 from repro.middleware.protocol import (
     MESSAGE_TYPES,
     PAYLOADS,
@@ -1146,35 +1140,6 @@ class ScriptedSocket:
         self.closed = True
 
 
-class ScriptedStreams:
-    """The same script behind an asyncio reader/writer pair."""
-
-    def __init__(self) -> None:
-        self.sock = ScriptedSocket()
-        #: An ``asyncio.Event`` every read waits on, when set — and
-        #: whether one is waiting there.
-        self.gate = None
-        self.waiting = False
-
-    async def read(self, size: int) -> bytes:
-        if self.gate is not None:
-            self.waiting = True
-            await self.gate.wait()
-        return self.sock.recv(size)
-
-    def write(self, data: bytes) -> None:
-        self.sock.sendall(data)
-
-    async def drain(self) -> None:
-        pass
-
-    def close(self) -> None:
-        self.sock.close()
-
-    async def wait_closed(self) -> None:
-        pass
-
-
 def lines(*messages) -> bytes:
     return b"".join(encode_wire(message, "lines") for message in messages)
 
@@ -1183,58 +1148,33 @@ WELCOME = Welcome(version=1, server="fake", max_frame_bytes=1 << 20, push=True)
 
 
 class Shell:
-    """One scripted push connection and its two sessions, behind either
-    client shell: calls are made through :meth:`run`, so every contract
-    test below is written once and runs over both."""
+    """One scripted push connection and its two sessions."""
 
-    def __init__(self, kind: str, monkeypatch, tiles) -> None:
-        self.kind = kind
-        self.streams = ScriptedStreams()
-        self.sock = self.streams.sock
+    def __init__(self, monkeypatch, tiles) -> None:
+        self.sock = ScriptedSocket()
         self.sock.feed(lines(WELCOME))
-        if kind == "sync":
-            monkeypatch.setattr(
-                net.socket, "create_connection", lambda *a, **kw: self.sock
-            )
-            self.transport = SocketTransport("fake", 0, push=True)
-        else:
-            self.loop = asyncio.new_event_loop()
-            self.transport = AsyncSocketTransport(
-                self.streams, self.streams, None, ClientConnection("lines", 1 << 20)
-            )
-            core = self.transport._core
-            core.welcome(
-                self.run(self.transport.roundtrip(core.hello("t", push=True)))
-            )
+        monkeypatch.setattr(
+            net.socket, "create_connection", lambda *a, **kw: self.sock
+        )
+        self.transport = SocketTransport("fake", 0, push=True)
         assert self.transport.push_enabled
         self.a, self.b = (self.connect(name) for name in "ab")
         for tile in tiles:
             self.a.push_cache.put(tile)
         self.core = self.transport._core
 
-    def run(self, result):
-        """The value of a call on either shell."""
-        if self.kind == "sync":
-            return result
-        return self.loop.run_until_complete(result)
-
     def connect(self, session_id: str):
         self.sock.feed(lines(session_info(session_id)))
-        return self.run(self.transport.connect(session_id=session_id))
+        return self.transport.connect(session_id=session_id)
 
     def close(self) -> None:
-        if self.kind == "sync":
-            self.transport.close()
-        elif not self.loop.is_closed():
-            self.run(self.transport.aclose())
-            self.loop.close()
+        self.transport.close()
 
 
-@pytest.fixture(params=["sync", "async"])
-def shell(request, monkeypatch, tiny_dataset):
+@pytest.fixture
+def shell(monkeypatch, tiny_dataset):
     pyramid = tiny_dataset.pyramid
     shell = Shell(
-        request.param,
         monkeypatch,
         [pyramid.fetch_tile(TileKey(2, x, 0)) for x in (0, 1)],
     )
@@ -1243,15 +1183,15 @@ def shell(request, monkeypatch, tiny_dataset):
 
 
 class TestOwedReplyShells:
-    """Contracts 2–5 on both I/O shells, their socket a script: every
-    ``recv`` is counted, nothing sleeps, nothing real is opened."""
+    """Contracts 2–5 on the client's I/O shell, its socket a script:
+    every ``recv`` is counted, nothing sleeps, nothing real is opened."""
 
     HELD = TileKey(2, 0, 0)
     ALSO_HELD = TileKey(2, 1, 0)
 
     def test_a_local_hit_reads_nothing(self, shell, tiny_dataset):
         reads, sent = shell.sock.recv_calls, len(shell.sock.sent)
-        response = shell.run(shell.a.request(Move.PAN_LEFT, self.HELD))
+        response = shell.a.request(Move.PAN_LEFT, self.HELD)
         assert shell.sock.recv_calls == reads and shell.core.reply_outstanding
         assert response.tile is shell.a.push_cache.get(self.HELD)
         assert (response.hit, response.latency_seconds) == (True, 0.0)
@@ -1269,7 +1209,7 @@ class TestOwedReplyShells:
     ):
         pyramid = tiny_dataset.pyramid
         pushed = pyramid.fetch_tile(TileKey(2, 2, 0))
-        shell.run(shell.a.request(None, self.HELD))
+        shell.a.request(None, self.HELD)
         # The owed round — a push, then the reply — in 1-byte reads, and
         # not one byte behind it: reading on would fail the script.
         shell.sock.feed(
@@ -1279,7 +1219,7 @@ class TestOwedReplyShells:
         owed = len(shell.sock.script)
         reads = shell.sock.recv_calls
         # Settled first, so the tile that round pushed is a local hit now.
-        response = shell.run(shell.a.request(Move.PAN_RIGHT, pushed.key))
+        response = shell.a.request(Move.PAN_RIGHT, pushed.key)
         assert shell.sock.recv_calls == reads + owed and not shell.sock.script
         assert response.hit and np.array_equal(
             response.tile.attributes["ndsi_avg"], pushed.attributes["ndsi_avg"]
@@ -1290,23 +1230,23 @@ class TestOwedReplyShells:
         self, shell
     ):
         reads = shell.sock.recv_calls
-        shell.run(shell.transport.settle())  # nothing owed
+        shell.transport.settle()  # nothing owed
         assert shell.sock.recv_calls == reads
-        shell.run(shell.a.request(None, self.HELD))
+        shell.a.request(None, self.HELD)
         shell.sock.feed(lines(hit_reply(self.HELD, "a")), chunk=7)
-        shell.run(shell.transport.settle())
+        shell.transport.settle()
         assert not shell.core.reply_outstanding and not shell.sock.script
         reads = shell.sock.recv_calls
-        shell.run(shell.transport.settle())
+        shell.transport.settle()
         assert shell.sock.recv_calls == reads
 
     def test_any_roundtrip_settles_first(self, shell):
-        shell.run(shell.a.request(None, self.HELD))
+        shell.a.request(None, self.HELD)
         shell.sock.feed(
             lines(hit_reply(self.HELD, "a"), session_info("a"))
         )
         # What benchmarks/perf/live.py's ``finish`` does, verbatim.
-        info = shell.run(shell.transport.roundtrip(CloseSession("a")))
+        info = shell.transport.roundtrip(CloseSession("a"))
         assert info == session_info("a")
         assert not shell.core.reply_outstanding
 
@@ -1324,28 +1264,28 @@ class TestOwedReplyShells:
     def test_a_failure_while_a_reply_is_owed_closes_the_transport(
         self, shell, failure, raised
     ):
-        shell.run(shell.a.request(None, self.HELD))
+        shell.a.request(None, self.HELD)
         shell.sock.feed(*failure)
         with pytest.raises(raised):
-            shell.run(shell.b.request(None, TileKey(0, 0, 0)))
+            shell.b.request(None, TileKey(0, 0, 0))
         assert shell.sock.closed
         sent = len(shell.sock.sent)
         for session in (shell.a, shell.b):
             with pytest.raises(protocol.SessionClosedError):
-                shell.run(session.request(None, TileKey(0, 0, 0)))
+                session.request(None, TileKey(0, 0, 0))
         assert len(shell.sock.sent) == sent
-        shell.run(shell.transport.settle())  # closed: a no-op
-        shell.run(shell.a.close())  # and a session close tolerates it
+        shell.transport.settle()  # closed: a no-op
+        shell.a.close()  # and a session close tolerates it
 
     def test_closing_with_a_reply_owed_is_abortive(self, shell):
-        shell.run(shell.a.request(None, self.HELD))
+        shell.a.request(None, self.HELD)
         reads = shell.sock.recv_calls
         shell.close()
         assert shell.sock.closed and shell.sock.recv_calls == reads
 
     def test_an_error_finds_the_session_that_posted(self, shell, tiny_dataset):
         tile = tiny_dataset.pyramid.fetch_tile(TileKey(1, 0, 0))
-        shell.run(shell.a.request(None, self.HELD))
+        shell.a.request(None, self.HELD)
         # The ack met a dead worker; session b's request happens to be
         # the call that reads so.  It is served, and told nothing.
         shell.sock.feed(
@@ -1356,52 +1296,38 @@ class TestOwedReplyShells:
                 tile_reply(tile, "b"),
             )
         )
-        assert shell.run(shell.b.request(None, tile.key)).tile.key == tile.key
+        assert shell.b.request(None, tile.key).tile.key == tile.key
         sent, hits = len(shell.sock.sent), shell.a.push_cache.hits
         with pytest.raises(protocol.WorkerUnavailableError):
-            shell.run(shell.a.request(Move.PAN_RIGHT, self.ALSO_HELD))
+            shell.a.request(Move.PAN_RIGHT, self.ALSO_HELD)
         # Before that call probed or sent anything: it can be retried.
         assert len(shell.sock.sent) == sent
         assert shell.a.push_cache.hits == hits
-        response = shell.run(shell.a.request(Move.PAN_RIGHT, self.ALSO_HELD))
+        response = shell.a.request(Move.PAN_RIGHT, self.ALSO_HELD)
         assert response.tile.key == self.ALSO_HELD
 
     def test_close_raises_the_failed_ack_before_sending(self, shell):
-        shell.run(shell.a.request(None, self.HELD))
+        shell.a.request(None, self.HELD)
         shell.sock.feed(lines(session_info("a")))  # not a tile_response
         sent = len(shell.sock.sent)
         with pytest.raises(ProtocolError, match="expected tile_response"):
-            shell.run(shell.a.close())
+            shell.a.close()
         assert len(shell.sock.sent) == sent
         shell.sock.feed(lines(session_info("a")))
-        shell.run(shell.a.close())
+        shell.a.close()
         assert decode_wire(shell.sock.sent[sent:].decode()) == CloseSession("a")
 
 
-def test_a_cancelled_settle_closes_the_async_transport(
-    monkeypatch, tiny_dataset
-):
-    shell = Shell("async", monkeypatch, [tiny_dataset.pyramid.fetch_tile(
-        TileKey(2, 0, 0)
-    )])
-
-    async def drive():
-        await shell.a.request(None, TileKey(2, 0, 0))
-        # The owed reply never comes: session b's request waits in the
-        # settle's read, and is cancelled there.
-        shell.streams.gate = asyncio.Event()
-        task = asyncio.ensure_future(shell.b.request(None, TileKey(0, 0, 0)))
-        while not shell.streams.waiting:
-            await asyncio.sleep(0)
-        task.cancel()
-        with pytest.raises(asyncio.CancelledError):
-            await task
-        assert shell.sock.closed
-        with pytest.raises(protocol.SessionClosedError):
-            await shell.a.request(None, TileKey(2, 0, 0))
-
-    shell.run(drive())
-    shell.close()
+def test_a_refused_handshake_closes_the_socket(monkeypatch):
+    sock = ScriptedSocket()
+    sock.feed(lines(ErrorInfo(code="version_mismatch", message="no common version")))
+    monkeypatch.setattr(net.socket, "create_connection", lambda *a, **kw: sock)
+    with pytest.raises(VersionMismatchError, match="no common version"):
+        SocketTransport("fake", 0)
+    assert sock.closed
+    assert decode_wire(sock.sent.decode()) == Hello(
+        versions=protocol.SUPPORTED_VERSIONS, client=SocketTransport.client_name
+    )
 
 
 def test_an_error_reply_of_the_wrong_types_is_a_protocol_error(monkeypatch):

@@ -184,6 +184,38 @@ class TestBrowsingSession:
         session.start()
         assert all(m.is_zoom_in for m in session.available_moves)
 
+    def test_start_at_a_given_tile(self, server):
+        session = BrowsingSession(server)
+        assert session.start(at=TileKey(2, 1, 3)).tile.key == TileKey(2, 1, 3)
+        assert session.current == TileKey(2, 1, 3)
+        assert Move.ZOOM_OUT in session.available_moves
+
+    def test_a_start_outside_the_pyramid_sends_nothing(self, server):
+        session = BrowsingSession(server)
+        with pytest.raises(ValueError, match="not in the pyramid"):
+            session.start(at=TileKey(1, 2, 0))
+        assert session.current is None
+        assert server.recorder.count == 0
+        session.start()  # still fresh
+
+    def test_an_illegal_move_sends_nothing(self, server):
+        session = BrowsingSession(server)
+        session.start()
+        with pytest.raises(ValueError, match="not legal"):
+            session.move(Move.PAN_LEFT)
+        assert session.current == TileKey(0, 0, 0)
+        assert server.recorder.count == 1
+
+    def test_available_moves_are_the_grids_from_the_current_tile(self, server):
+        session = BrowsingSession(server)
+        grid = server.pyramid.grid
+        session.start()
+        for move in (Move.ZOOM_IN_SE, Move.PAN_LEFT, Move.ZOOM_IN_NW):
+            session.move(move)
+            assert session.available_moves == [
+                legal for legal, _ in grid.available_moves(session.current)
+            ]
+
     def test_replay_trace(self, server, small_study):
         session = BrowsingSession(server)
         trace = small_study.traces[0]

@@ -41,6 +41,7 @@ from repro.middleware.protocol import (
     VersionMismatchError,
     encode_frame,
 )
+from repro.middleware.service import ForeCacheService
 from repro.recommenders.momentum import MomentumRecommender
 from repro.tiles.key import TileKey
 
@@ -286,6 +287,21 @@ class TestHandshake:
         assert info["open"] is True
         assert info["requests"] == 0
         sock.close()
+
+    def test_a_session_is_registered_under_the_id_its_reply_names(
+        self, server, small_dataset
+    ):
+        service = server.server.service.service
+        with SocketTransport(
+            *server.address, pyramid=small_dataset.pyramid
+        ) as transport:
+            named = transport.connect(session_id="s3")
+            generated = [transport.connect() for _ in range(2)]
+            ids = [named.session_id] + [c.session_id for c in generated]
+            assert ids[0] == "s3" and len(set(ids)) == 3
+            for session_id in ids:
+                assert service.session(session_id).session_id == session_id
+            assert service.session_count == 3
 
     def test_close_session_replies_final_snapshot(self, server, small_dataset):
         with SocketTransport(
@@ -1019,39 +1035,6 @@ class TestConcurrency:
             with pytest.raises(SessionClosedError):
                 conn.request(None, TileKey(1, 0, 0))
 
-    def test_cancelled_async_roundtrip_poisons_the_transport(
-        self, small_dataset
-    ):
-        from repro.middleware.net import AsyncSocketTransport
-        from repro.middleware.protocol import SessionClosedError as Closed
-
-        config = ServiceConfig(
-            prefetch=PrefetchPolicy(k=5),
-            cache=CacheConfig(backend_delay_seconds=0.4),
-        )
-        with ThreadedSocketServer(
-            small_dataset.pyramid,
-            config,
-            engine_factory=lambda: make_engine(small_dataset.pyramid.grid),
-        ) as server:
-
-            async def scenario():
-                transport = await AsyncSocketTransport.open(
-                    *server.address, pyramid=small_dataset.pyramid
-                )
-                conn = await transport.connect()
-                with pytest.raises(asyncio.TimeoutError):
-                    await asyncio.wait_for(
-                        conn.request(None, TileKey(0, 0, 0)), timeout=0.05
-                    )
-                # The cancelled request's reply is still in flight; the
-                # transport refuses to hand it to the next request.
-                with pytest.raises(Closed):
-                    await conn.request(None, TileKey(1, 0, 0))
-                await transport.aclose()
-
-            asyncio.run(scenario())
-
     def test_threaded_server_stop_is_idempotent(self, small_dataset):
         server = ThreadedSocketServer(
             small_dataset.pyramid,
@@ -1089,34 +1072,76 @@ class TestAsyncServerInOneLoop:
 
     def test_server_and_client_share_a_loop(self, small_dataset):
         from repro.middleware.aio import AsyncForeCacheService
-        from repro.middleware.client import AsyncBrowsingSession
-        from repro.middleware.net import (
-            AsyncSocketTransport,
-            ForeCacheSocketServer,
-        )
+        from repro.middleware.net import ForeCacheSocketServer
+
+        pyramid = small_dataset.pyramid
+
+        def browse(address):
+            # The blocking client runs off the loop, which keeps serving.
+            with SocketTransport(*address, pyramid=pyramid) as transport:
+                conn = transport.connect()
+                response = BrowsingSession(conn).start()
+                assert response.tile.key == pyramid.grid.root
+                conn.close()
 
         async def scenario():
             service = AsyncForeCacheService.build(
-                small_dataset.pyramid,
+                pyramid,
                 CONFIG,
-                engine_factory=lambda: make_engine(
-                    small_dataset.pyramid.grid
-                ),
+                engine_factory=lambda: make_engine(pyramid.grid),
             )
             async with ForeCacheSocketServer(
                 service, owns_service=True
             ) as server:
-                async with await AsyncSocketTransport.open(
-                    *server.address, pyramid=small_dataset.pyramid
-                ) as transport:
-                    conn = await transport.connect()
-                    session = AsyncBrowsingSession(conn)
-                    response = await session.start()
-                    assert response.tile.key == small_dataset.pyramid.grid.root
-                    await conn.close()
+                await asyncio.to_thread(browse, server.address)
             assert server.connection_count == 0
 
         asyncio.run(scenario())
+
+
+class TestSocketClient:
+    """The one client's own lifecycle, against a live server."""
+
+    def test_a_session_close_after_the_server_dropped_it_is_quiet(
+        self, small_dataset
+    ):
+        server = ThreadedSocketServer(
+            small_dataset.pyramid,
+            CONFIG,
+            engine_factory=lambda: make_engine(small_dataset.pyramid.grid),
+        )
+        server.start()
+        with SocketTransport(*server.address) as transport:
+            conn = transport.connect()
+            conn.request(None, TileKey(0, 0, 0))
+            server.stop()
+            conn.close()  # the server reaped the session with the connection
+            conn.close()
+
+    def test_a_closed_transport_refuses_new_sessions_typed(self, server):
+        service = server.server.service
+        transport = SocketTransport(*server.address)
+        transport.connect()
+        transport.close()
+        with pytest.raises(SessionClosedError):
+            transport.connect()
+        transport.close()  # idempotent
+        assert wait_for(lambda: service.session_count == 0)
+
+    def test_a_trace_replays_without_a_client_side_pyramid(
+        self, server, small_dataset, small_study
+    ):
+        trace = max(small_study.traces, key=len)
+        with ForeCacheService(small_dataset.pyramid, CONFIG) as service:
+            handle = service.open_session(make_engine(small_dataset.pyramid.grid))
+            expected = BrowsingSession(handle).replay(trace)
+        with SocketTransport(*server.address) as transport:
+            conn = transport.connect()
+            assert conn.pyramid is None
+            responses = BrowsingSession(conn).replay(trace)
+        assert [
+            (r.tile.key, r.hit, r.latency_seconds) for r in responses
+        ] == [(r.tile.key, r.hit, r.latency_seconds) for r in expected]
 
 
 # ----------------------------------------------------------------------

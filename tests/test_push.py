@@ -14,7 +14,6 @@ absorption never misparies request/reply.
 
 from __future__ import annotations
 
-import asyncio
 import sys
 import threading
 import time
@@ -30,11 +29,7 @@ from repro.core.popularity import SharedHotspotRegistry
 from repro.middleware import protocol
 from repro.middleware.config import CacheConfig, PrefetchPolicy, ServiceConfig
 from repro.middleware.connection import ClientConnection, SessionStub
-from repro.middleware.net import (
-    AsyncSocketTransport,
-    SocketTransport,
-    ThreadedSocketServer,
-)
+from repro.middleware.net import SocketTransport, ThreadedSocketServer
 from repro.middleware.protocol import (
     FrameDecoder,
     Hello,
@@ -640,6 +635,20 @@ class TestPushEndToEnd:
             assert not legacy.push_enabled
             assert legacy.connect().push_cache is None
 
+    def test_only_a_push_connections_sessions_join_the_push_scheduler(
+        self, push_server
+    ):
+        scheduler = push_server.server.push_scheduler
+        with SocketTransport(*push_server.address) as pull, SocketTransport(
+            *push_server.address, push=True
+        ) as push:
+            pull.connect()
+            assert scheduler.session_count == 0
+            conn = push.connect()
+            assert scheduler.session_count == 1
+            conn.close()
+            assert scheduler.session_count == 0
+
     def test_push_off_server_declines_a_push_client(self, small_dataset):
         with ThreadedSocketServer(
             small_dataset.pyramid,
@@ -818,26 +827,6 @@ class TestPushEndToEnd:
             assert isinstance(reply, protocol.ErrorInfo)
             with pytest.raises(InvalidRequestError):
                 raise reply.to_exception()
-
-    def test_async_client_mirrors_the_sync_push_path(
-        self, push_server, small_dataset
-    ):
-        pyramid = small_dataset.pyramid
-
-        async def drive():
-            async with await AsyncSocketTransport.open(
-                *push_server.address, pyramid=pyramid, push=True
-            ) as transport:
-                assert transport.push_enabled
-                conn = await transport.connect()
-                for move, k in PAN_WALK:
-                    response = await conn.request(move, k)
-                    assert response.tile.key == k
-                hits = conn.push_cache.hits
-                await conn.close()
-                return hits
-
-        assert asyncio.run(drive()) > 0
 
     def test_progressive_push_refines_client_tiles_in_place(
         self, small_dataset
@@ -1195,41 +1184,36 @@ class TestDeferredAcks:
             sys.setswitchinterval(interval)
         assert wrong == []
 
-    def test_two_tasks_share_one_async_transport(self, world256):
+    def test_two_interleaved_sessions_share_one_transport(self, world256):
+        """Step by step in turn, the two sessions' calls settle each
+        other's rounds: every reply still carries its own full tile,
+        and the server's books end equal to the clients'."""
         pyramid = world256.pyramid
         bounce = [Move.PAN_RIGHT] * 5 + [Move.PAN_LEFT] * 5
         walks = [
             push_walk(TileKey(3, 0, row), bounce * 3) for row in (1, 5)
         ]
-
-        async def walk(conn, steps):
-            hits = 0
-            for move, k in steps:
-                response = await conn.request(move, k)
-                full = pyramid.fetch_tile(k, charge=False)
-                assert response.tile.key == k
-                for name, block in full.attributes.items():
-                    assert (response.tile.attributes[name] == block).all()
-                hits += response.hit
-            return hits
-
-        async def drive_both(server):
-            async with await AsyncSocketTransport.open(
-                *server.address, push=True, payload="binary"
-            ) as transport:
-                conns = [await transport.connect(session_id=n) for n in "ab"]
-                seen = await asyncio.gather(*map(walk, conns, walks))
-                await transport.settle()
-                service = server.server.service.service
-                for conn, walked, hits in zip(conns, walks, seen):
-                    info = service.info(conn.session_id)
-                    assert (info.requests, info.hits) == (len(walked), hits)
-                return sum(c.push_cache.hits for c in conns)
-
         with ThreadedSocketServer(
             pyramid, PUSH_CONFIG, engine_factory=engine_factory(pyramid)
-        ) as server:
-            assert asyncio.run(drive_both(server)) > 10
+        ) as server, SocketTransport(
+            *server.address, push=True, payload="binary"
+        ) as transport:
+            conns = [transport.connect(session_id=n) for n in "ab"]
+            seen = [0, 0]
+            for steps in zip(*walks):
+                for index, (conn, (move, k)) in enumerate(zip(conns, steps)):
+                    response = conn.request(move, k)
+                    full = pyramid.fetch_tile(k, charge=False)
+                    assert response.tile.key == k
+                    for name, block in full.attributes.items():
+                        assert (response.tile.attributes[name] == block).all()
+                    seen[index] += response.hit
+            transport.settle()
+            service = server.server.service.service
+            for conn, walked, hits in zip(conns, walks, seen):
+                info = service.info(conn.session_id)
+                assert (info.requests, info.hits) == (len(walked), hits)
+            assert sum(c.push_cache.hits for c in conns) > 10
 
 
 # ----------------------------------------------------------------------

@@ -76,8 +76,8 @@ class TestRunnerFunctions:
 
 
 class TestReplayFrontends:
-    def test_the_four_front_ends(self):
-        assert REPLAY_FRONTENDS == ("service", "async", "socket", "cluster")
+    def test_the_three_front_ends(self):
+        assert REPLAY_FRONTENDS == ("service", "socket", "cluster")
 
     def test_retired_server_front_end_is_rejected(self, tiny_context):
         with pytest.raises(ValueError, match="frontend must be one of"):

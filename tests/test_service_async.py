@@ -3,6 +3,7 @@ replay equivalence with the synchronous facade."""
 
 import asyncio
 import threading
+from contextlib import aclosing
 
 import numpy as np
 import pytest
@@ -13,10 +14,9 @@ from repro.cache.tile_cache import TileCache
 from repro.core.allocation import SingleModelStrategy
 from repro.core.engine import PredictionEngine
 from repro.middleware.aio import AsyncForeCacheService
-from repro.middleware.client import AsyncBrowsingSession, BrowsingSession
+from repro.middleware.client import BrowsingSession
 from repro.middleware.config import CacheConfig, PrefetchPolicy, ServiceConfig
 from repro.middleware.net import (
-    AsyncSocketTransport,
     ForeCacheSocketServer,
     SocketTransport,
     ThreadedSocketServer,
@@ -24,6 +24,7 @@ from repro.middleware.net import (
 from repro.middleware.protocol import (
     DuplicateSessionError,
     SessionClosedError,
+    SessionNotFoundError,
 )
 from repro.middleware.service import ForeCacheService
 from repro.recommenders.momentum import MomentumRecommender
@@ -93,47 +94,36 @@ def pan_walk(grid, steps: int):
 class TestAsyncLifecycle:
     def test_open_request_close(self, small_dataset):
         async def scenario():
-            async with AsyncForeCacheService.build(
+            async with aclosing(AsyncForeCacheService.build(
                 small_dataset.pyramid,
                 ServiceConfig(prefetch=PrefetchPolicy(k=5)),
-            ) as service:
+            )) as service:
                 session = await service.open_session(
                     make_engine(small_dataset.pyramid.grid)
                 )
-                response = await session.request(None, TileKey(0, 0, 0))
+                response = await service.request(
+                    session, None, TileKey(0, 0, 0)
+                )
                 assert response.tile.key == TileKey(0, 0, 0)
-                info = await session.info()
+                info = await service.info(session)
                 assert info.requests == 1
-                await session.close()
-                with pytest.raises(SessionClosedError):
-                    await session.request(Move.ZOOM_IN_NW, TileKey(1, 0, 0))
+                await service.close_session(session)
+                with pytest.raises(SessionNotFoundError):
+                    await service.request(
+                        session, Move.ZOOM_IN_NW, TileKey(1, 0, 0)
+                    )
 
         run(scenario())
 
     def test_duplicate_session_rejected(self, small_dataset):
         async def scenario():
-            async with AsyncForeCacheService.build(
+            async with aclosing(AsyncForeCacheService.build(
                 small_dataset.pyramid
-            ) as service:
+            )) as service:
                 grid = small_dataset.pyramid.grid
                 await service.open_session(make_engine(grid), "bob")
                 with pytest.raises(DuplicateSessionError):
                     await service.open_session(make_engine(grid), "bob")
-
-        run(scenario())
-
-    def test_double_start_rejected(self, small_dataset):
-        async def scenario():
-            async with AsyncForeCacheService.build(
-                small_dataset.pyramid
-            ) as service:
-                session = await service.open_session(
-                    make_engine(small_dataset.pyramid.grid)
-                )
-                browser = AsyncBrowsingSession(session)
-                await browser.start()
-                with pytest.raises(RuntimeError):
-                    await browser.start()
 
         run(scenario())
 
@@ -157,27 +147,268 @@ class TestAsyncLifecycle:
         grid = small_dataset.pyramid.grid
 
         async def scenario():
-            async with AsyncForeCacheService.build(
+            async with aclosing(AsyncForeCacheService.build(
                 small_dataset.pyramid,
                 ServiceConfig(
                     prefetch=PrefetchPolicy(k=4),
                     cache=CacheConfig(backend_delay_seconds=0.001),
                 ),
-            ) as service:
+            )) as service:
                 submits = count_submits(service)
                 session = await service.open_session(
                     make_engine(grid), "native-1"
                 )
-                await session.info()
-                await session.close()
+                await service.info(session)
+                await service.close_session(session)
                 await service.open_session(make_engine(grid), "native-2")
                 await service.close_session("native-2")
                 assert submits == [0]
                 # Sanity: the shim does count — a cold-cache miss over
                 # a backend that sleeps must travel to the bridge pool.
                 probe = await service.open_session(make_engine(grid))
-                await probe.request(None, TileKey(0, 0, 0))
+                await service.request(probe, None, TileKey(0, 0, 0))
                 assert submits == [1]
+
+        run(scenario())
+
+
+class TestBridgeCalls:
+    """Every call the socket server makes of the bridge: sessions are
+    addressed by the id ``open_session`` returns."""
+
+    def test_open_session_returns_the_id_the_facade_registers(
+        self, small_dataset
+    ):
+        grid = small_dataset.pyramid.grid
+
+        async def scenario():
+            async with aclosing(
+                AsyncForeCacheService.build(small_dataset.pyramid)
+            ) as service:
+                named = await service.open_session(make_engine(grid), "alice")
+                first = await service.open_session(make_engine(grid))
+                second = await service.open_session(make_engine(grid))
+                assert named == "alice"
+                assert len({named, first, second}) == 3
+                for session_id in (named, first, second):
+                    handle = service.service.session(session_id)
+                    assert handle.session_id == session_id
+                    info = await service.info(session_id)
+                    assert (info.session_id, info.open) == (str(session_id), True)
+                assert service.session_count == 3
+
+        run(scenario())
+
+    def test_each_id_keeps_its_own_books(self, small_dataset):
+        grid = small_dataset.pyramid.grid
+
+        async def scenario():
+            async with aclosing(
+                AsyncForeCacheService.build(
+                    small_dataset.pyramid,
+                    ServiceConfig(prefetch=PrefetchPolicy(k=4)),
+                )
+            ) as service:
+                walker = await service.open_session(make_engine(grid))
+                idle = await service.open_session(make_engine(grid))
+                responses = [
+                    await service.request(walker, move, key)
+                    for move, key in pan_walk(grid, 10)
+                ]
+                books = await service.info(walker)
+                assert (books.requests, books.hits) == (
+                    10, sum(r.hit for r in responses),
+                )
+                books = await service.info(idle)
+                assert (books.requests, books.hits) == (0, 0)
+
+        run(scenario())
+
+    def test_a_closed_id_can_be_opened_again_from_scratch(self, small_dataset):
+        grid = small_dataset.pyramid.grid
+
+        async def scenario():
+            async with aclosing(
+                AsyncForeCacheService.build(small_dataset.pyramid)
+            ) as service:
+                await service.open_session(make_engine(grid), "bob")
+                await service.request("bob", None, grid.root)
+                await service.close_session("bob")
+                assert await service.open_session(make_engine(grid), "bob") == "bob"
+                assert (await service.info("bob")).requests == 0
+
+        run(scenario())
+
+    def test_reset_engine_reaches_the_facade(self, small_dataset):
+        """A refused reset would replay the last session's history into
+        the next one's predictions."""
+        grid = small_dataset.pyramid.grid
+        engine = make_engine(grid)
+
+        async def scenario():
+            async with aclosing(
+                AsyncForeCacheService.build(small_dataset.pyramid)
+            ) as service:
+                await service.open_session(engine, "first")
+                for move, key in pan_walk(grid, 4):
+                    await service.request("first", move, key)
+                await service.close_session("first")
+                assert len(engine.history) > 0
+                await service.open_session(engine, "fresh", reset_engine=True)
+                assert len(engine.history) == 0
+
+        run(scenario())
+
+    @pytest.mark.parametrize(
+        "call",
+        ["request", "local_hit", "info", "close_session", "pending_predictions"],
+    )
+    def test_an_unknown_id_is_typed(self, small_dataset, call):
+        args = ("ghost", None, TileKey(0, 0, 0))
+        if call not in ("request", "local_hit"):
+            args = args[:1]
+
+        async def scenario():
+            async with aclosing(
+                AsyncForeCacheService.build(small_dataset.pyramid)
+            ) as service:
+                with pytest.raises(SessionNotFoundError, match="ghost"):
+                    await getattr(service, call)(*args)
+
+        run(scenario())
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            "open_session",
+            "request",
+            "local_hit",
+            "info",
+            "close_session",
+            "pending_predictions",
+            "load_tile",
+        ],
+    )
+    def test_a_closed_service_refuses_every_call_typed(self, small_dataset, call):
+        """The socket server reports this over the wire instead of the
+        executor's "cannot schedule new futures after shutdown"."""
+        grid = small_dataset.pyramid.grid
+
+        async def scenario():
+            service = AsyncForeCacheService.build(small_dataset.pyramid)
+            session = await service.open_session(make_engine(grid))
+            await service.aclose()
+            args = {
+                "open_session": (make_engine(grid),),
+                "request": (session, None, grid.root),
+                "local_hit": (session, None, grid.root),
+                "load_tile": (grid.root,),
+            }.get(call, (session,))
+            with pytest.raises(SessionClosedError, match="service is closed"):
+                await getattr(service, call)(*args)
+
+        run(scenario())
+
+    def test_aclose_closes_every_session_and_joins_the_bridge_threads(self):
+        pyramid = build_pyramid()
+
+        async def scenario():
+            service = AsyncForeCacheService.build(
+                pyramid,
+                ServiceConfig(cache=CacheConfig(backend_delay_seconds=1e-6)),
+            )
+            session = await service.open_session(make_engine(pyramid.grid))
+            await service.request(session, None, pyramid.grid.root)
+            threads = list(service._executor._threads)
+            assert threads  # the miss ran on the bridge pool
+            await service.aclose()
+            assert not any(thread.is_alive() for thread in threads)
+            assert service.service.session_count == 0
+            with pytest.raises(SessionClosedError):
+                service.service.open_session(make_engine(pyramid.grid))
+
+        run(scenario())
+
+    def test_load_tile_loads_once_then_returns_the_resident_tile(self):
+        """Over a backend that can block, a cold load is one bridge job
+        and a resident tile is handed back on the loop, itself."""
+        pyramid = build_pyramid()
+        key = TileKey(2, 1, 1)
+
+        async def scenario():
+            async with aclosing(
+                AsyncForeCacheService.build(
+                    pyramid,
+                    ServiceConfig(cache=CacheConfig(backend_delay_seconds=1e-6)),
+                )
+            ) as service:
+                submits = count_submits(service)
+                cold = await service.load_tile(key)
+                assert submits == [1]
+                np.testing.assert_array_equal(
+                    cold.attribute("v"),
+                    pyramid.fetch_tile(key, charge=False).attribute("v"),
+                )
+                assert await service.load_tile(key) is cold
+                assert submits == [1]
+
+        run(scenario())
+
+    def test_pending_predictions_match_the_sync_facades(
+        self, small_dataset, small_study
+    ):
+        pyramid = small_dataset.pyramid
+        trace = max(small_study.traces, key=len)
+        config = ServiceConfig(prefetch=PrefetchPolicy(k=5))
+
+        with ForeCacheService(pyramid, config) as sync_service:
+            handle = sync_service.open_session(make_engine(pyramid.grid))
+            expected = []
+            for request in trace.requests:
+                handle.request(request.move, request.tile)
+                expected.append(
+                    sync_service.pending_predictions(handle.session_id)
+                )
+
+        async def scenario():
+            async with aclosing(
+                AsyncForeCacheService.build(pyramid, config)
+            ) as service:
+                session = await service.open_session(make_engine(pyramid.grid))
+                seen = []
+                for request in trace.requests:
+                    await service.request(session, request.move, request.tile)
+                    seen.append(await service.pending_predictions(session))
+                return seen
+
+        seen = run(scenario())
+        assert any(seen)
+        assert seen == expected
+
+    def test_a_local_hit_books_a_hit_without_touching_the_cache(
+        self, small_dataset
+    ):
+        grid = small_dataset.pyramid.grid
+
+        async def scenario():
+            async with aclosing(
+                AsyncForeCacheService.build(
+                    small_dataset.pyramid,
+                    ServiceConfig(prefetch=PrefetchPolicy(k=4)),
+                )
+            ) as service:
+                session = await service.open_session(make_engine(grid))
+                await service.request(session, None, grid.root)
+                before = await service.info(session)
+                fetches = service.service.cache_manager.requests
+                await service.local_hit(session, Move.ZOOM_IN_NW, TileKey(1, 0, 0))
+                after = await service.info(session)
+                assert (after.requests, after.hits) == (
+                    before.requests + 1, before.hits + 1,
+                )
+                assert service.service.cache_manager.requests == fetches
+                recorder = service.service.session(session).recorder
+                assert recorder.average_seconds == before.average_latency_seconds / 2
 
         run(scenario())
 
@@ -199,14 +430,14 @@ class TestWhatLeavesTheLoop:
         grid = small_dataset.pyramid.grid
 
         async def scenario():
-            async with AsyncForeCacheService.build(
+            async with aclosing(AsyncForeCacheService.build(
                 small_dataset.pyramid,
                 ServiceConfig(prefetch=PrefetchPolicy(k=4)),
-            ) as service:
+            )) as service:
                 submits = count_submits(service)
                 session = await service.open_session(make_engine(grid))
                 responses = [
-                    await session.request(move, key)
+                    await service.request(session, move, key)
                     for move, key in pan_walk(grid, 50)
                 ]
                 hits = sum(r.hit for r in responses)
@@ -226,27 +457,34 @@ class TestWhatLeavesTheLoop:
                 pyramid,
                 ServiceConfig(prefetch=PrefetchPolicy(k=4)),
                 engine_factory=lambda: make_engine(pyramid.grid),
-            ) as server, await AsyncSocketTransport.open(
-                *server.address, pyramid=pyramid, payload="binary"
-            ) as transport:
-                conn = await transport.connect()
-                loop = asyncio.get_running_loop()
-                tasks = []
-
-                def counting_factory(loop, coro, **kwargs):
-                    task = asyncio.Task(coro, loop=loop, **kwargs)
-                    tasks.append(task)
-                    return task
-
-                loop.set_task_factory(counting_factory)
+            ) as server:
+                # The blocking client runs off the loop, which serves it.
+                transport = await asyncio.to_thread(
+                    SocketTransport, *server.address, payload="binary"
+                )
                 try:
-                    submits = count_submits(server.service)
-                    responses = [
-                        await conn.request(move, key)
-                        for move, key in pan_walk(pyramid.grid, 50)
-                    ]
+                    conn = await asyncio.to_thread(transport.connect)
+                    loop = asyncio.get_running_loop()
+                    tasks = []
+
+                    def counting_factory(loop, coro, **kwargs):
+                        task = asyncio.Task(coro, loop=loop, **kwargs)
+                        tasks.append(task)
+                        return task
+
+                    loop.set_task_factory(counting_factory)
+                    try:
+                        submits = count_submits(server.service)
+                        responses = await asyncio.to_thread(
+                            lambda: [
+                                conn.request(move, key)
+                                for move, key in pan_walk(pyramid.grid, 50)
+                            ]
+                        )
+                    finally:
+                        loop.set_task_factory(None)
                 finally:
-                    loop.set_task_factory(None)
+                    transport.close()
                 assert 0 < sum(r.hit for r in responses) < 50
                 assert submits == [0]
                 assert tasks == []
@@ -292,15 +530,16 @@ class TestWhatLeavesTheLoop:
         walk = pan_walk(pyramid.grid, 24)
 
         async def drive(policy):
-            async with AsyncForeCacheService.build(
+            async with aclosing(AsyncForeCacheService.build(
                 pyramid, ServiceConfig(prefetch=policy, cache=cache)
-            ) as service:
+            )) as service:
                 submits = count_submits(service)
                 session = await service.open_session(
                     make_engine(pyramid.grid)
                 )
                 responses = [
-                    await session.request(move, key) for move, key in walk
+                    await service.request(session, move, key)
+                    for move, key in walk
                 ]
                 return submits[0], sum(not r.hit for r in responses)
 
@@ -328,10 +567,10 @@ class TestWhatLeavesTheLoop:
         repeats = -(-200 // len(stream))
 
         async def drive(cache):
-            async with AsyncForeCacheService.build(
+            async with aclosing(AsyncForeCacheService.build(
                 pyramid,
                 ServiceConfig(prefetch=PrefetchPolicy(k=5), cache=cache),
-            ) as service:
+            )) as service:
                 submits = count_submits(service)
                 sessions = [
                     await service.open_session(make_engine(pyramid.grid), name)
@@ -339,8 +578,8 @@ class TestWhatLeavesTheLoop:
                 ]
                 replies = []
                 for index, request in (stream * repeats)[:200]:
-                    r = await sessions[index].request(
-                        request.move, request.tile
+                    r = await service.request(
+                        sessions[index], request.move, request.tile
                     )
                     replies.append(
                         (
@@ -353,7 +592,7 @@ class TestWhatLeavesTheLoop:
                             r.tile.attribute(pyramid.attributes[0]).tobytes(),
                         )
                     )
-                books = [await session.info() for session in sessions]
+                books = [await service.info(session) for session in sessions]
                 return replies, books, submits[0]
 
         on_loop = run(drive(CacheConfig()))
@@ -367,51 +606,30 @@ class TestAsyncConcurrency:
     def test_many_concurrent_sessions(self, small_dataset):
         """Concurrent coroutine sessions share the cache race-free."""
 
+        grid = small_dataset.pyramid.grid
+
         async def drive(service, session_id):
-            session = await service.open_session(
-                make_engine(small_dataset.pyramid.grid), session_id
-            )
-            browser = AsyncBrowsingSession(session)
-            response = await browser.start()
-            assert response.tile.key == small_dataset.pyramid.grid.root
+            session = await service.open_session(make_engine(grid), session_id)
+            key = grid.root
+            response = await service.request(session, None, key)
+            assert response.tile.key == key
             for _ in range(5):
-                moves = browser.available_moves
-                response = await browser.move(moves[session_id % len(moves)])
-                assert response.tile.key == browser.current
-            return session.recorder.count
+                moves = grid.available_moves(key)
+                move, key = moves[session_id % len(moves)]
+                response = await service.request(session, move, key)
+                assert response.tile.key == key
+            return (await service.info(session)).requests
 
         async def scenario():
-            async with AsyncForeCacheService.build(
+            async with aclosing(AsyncForeCacheService.build(
                 small_dataset.pyramid,
                 ServiceConfig(prefetch=PrefetchPolicy(k=4)),
-            ) as service:
+            )) as service:
                 counts = await asyncio.gather(
                     *(drive(service, i) for i in range(6))
                 )
                 assert counts == [6] * 6
                 assert service.service.cache_manager.requests == 36
-
-        run(scenario())
-
-    def test_cancelled_start_leaves_client_fresh(self, small_dataset):
-        """A start() cancelled before the server saw it must not brick
-        the client — position advances only on success."""
-
-        async def scenario():
-            async with AsyncForeCacheService.build(
-                small_dataset.pyramid
-            ) as service:
-                session = await service.open_session(
-                    make_engine(small_dataset.pyramid.grid)
-                )
-                browser = AsyncBrowsingSession(session)
-                task = asyncio.create_task(browser.start())
-                task.cancel()  # before the executor ever runs it
-                with pytest.raises(asyncio.CancelledError):
-                    await task
-                assert browser.current is None
-                response = await browser.start()  # retry succeeds
-                assert response.tile.key == small_dataset.pyramid.grid.root
 
         run(scenario())
 
@@ -424,14 +642,14 @@ class TestAsyncConcurrency:
         )
 
         async def scenario():
-            async with AsyncForeCacheService.build(
+            async with aclosing(AsyncForeCacheService.build(
                 small_dataset.pyramid, cache_manager=manager
-            ) as service:
+            )) as service:
                 session = await service.open_session(
                     make_engine(small_dataset.pyramid.grid)
                 )
                 task = asyncio.create_task(
-                    session.request(None, TileKey(2, 1, 1))
+                    service.request(session, None, TileKey(2, 1, 1))
                 )
                 await asyncio.sleep(0.01)  # let it reach the slow backend
                 task.cancel()
@@ -440,10 +658,12 @@ class TestAsyncConcurrency:
                 # Give the worker thread time to finish the fetch behind
                 # the cancellation; the session serves on, now from cache.
                 await asyncio.sleep(0.15)
-                response = await session.request(None, TileKey(2, 1, 1))
+                response = await service.request(
+                    session, None, TileKey(2, 1, 1)
+                )
                 assert response.tile.key == TileKey(2, 1, 1)
                 assert response.hit
-                assert session.recorder.count == 2
+                assert (await service.info(session)).requests == 2
 
         run(scenario())
 
@@ -461,11 +681,14 @@ class TestAsyncEquivalence:
             sync_responses = BrowsingSession(handle).replay(trace)
 
         async def scenario():
-            async with AsyncForeCacheService.build(
+            async with aclosing(AsyncForeCacheService.build(
                 small_dataset.pyramid, config
-            ) as service:
+            )) as service:
                 session = await service.open_session(make_engine(grid))
-                return await AsyncBrowsingSession(session).replay(trace)
+                return [
+                    await service.request(session, request.move, request.tile)
+                    for request in trace.requests
+                ]
 
         async_responses = run(scenario())
         signature = [

@@ -22,7 +22,7 @@ from repro.core.allocation import SingleModelStrategy
 from repro.core.engine import PredictionEngine
 from repro.middleware.cluster import ThreadedClusterServer
 from repro.middleware.config import PrefetchPolicy, ServiceConfig
-from repro.middleware.net import _READ_CHUNK, AsyncSocketTransport
+from repro.middleware.net import _READ_CHUNK, SocketTransport
 from repro.recommenders.momentum import MomentumRecommender
 
 REPO_SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -177,25 +177,20 @@ def test_every_asyncio_stream_reads_below_the_mmap_threshold(
             pyramid.grid, {model.name: model}, SingleModelStrategy(model.name)
         )
 
-    async def one_request(address):
-        async with await AsyncSocketTransport.open(
-            *address, pyramid, payload="binary"
-        ) as transport:
-            session = await transport.connect()
-            await session.request(None, pyramid.grid.root)
 
     config = ServiceConfig(prefetch=PrefetchPolicy(k=2))
     with ThreadedClusterServer(
         pyramid, config, workers=2, engine_factory=momentum_engine
     ) as cluster:
-        asyncio.run(one_request(cluster.address))
+        with SocketTransport(*cluster.address, payload="binary") as transport:
+            transport.connect().request(None, pyramid.grid.root)
         router_port = cluster.address[1]
 
     def port(writer, end):
         return writer.get_extra_info(end)[1]
 
     # The router's client side and every worker's ForeCacheSocketServer
-    # connection; the router's backend links and the asyncio client.
+    # connection; the router's backend links.
     assert {port(w, "sockname") == router_port for w in served} == {True, False}
-    assert {port(w, "peername") == router_port for w in dialled} == {True, False}
+    assert {port(w, "peername") == router_port for w in dialled} == {False}
     assert {w.transport.max_size for w in served + dialled} == {_READ_CHUNK}

@@ -1,9 +1,8 @@
 """One conformance harness, every transport.
 
-Each transport kind — the facade itself (the baseline), the synchronous
-socket client (both framings), and the asyncio socket client — replays
-the same trace through a *fresh, cold*
-service and must produce numerically identical results: the same
+Each transport kind — the facade itself (the baseline) and the socket
+client over both framings — replays the same trace through a *fresh,
+cold* service and must produce numerically identical results: the same
 (tile, hit, latency, phase) sequence, the same reconstructed
 ``LatencyRecorder``, and bit-identical tile payloads.  The second half
 checks the shared error contract: typed duplicate-session and
@@ -12,7 +11,6 @@ unknown-session errors, idempotent close, on every transport.
 
 from __future__ import annotations
 
-import asyncio
 import json
 import socket
 from contextlib import contextmanager
@@ -22,16 +20,11 @@ import pytest
 
 from repro.core.allocation import SingleModelStrategy
 from repro.core.engine import PredictionEngine
-from repro.middleware.aio import AsyncForeCacheService
-from repro.middleware.client import AsyncBrowsingSession, BrowsingSession
+from repro.middleware.client import BrowsingSession
 from repro.middleware.cluster import ThreadedClusterServer
 from repro.middleware.config import PrefetchPolicy, ServiceConfig
 from repro.middleware.latency import LatencyRecorder
-from repro.middleware.net import (
-    AsyncSocketTransport,
-    SocketTransport,
-    ThreadedSocketServer,
-)
+from repro.middleware.net import SocketTransport, ThreadedSocketServer
 from repro.middleware.protocol import (
     CloseSession,
     DuplicateSessionError,
@@ -50,11 +43,7 @@ from repro.tiles.key import TileKey
 CONFIG = ServiceConfig(prefetch=PrefetchPolicy(k=5))
 
 #: Every client-facing transport kind the conformance suite exercises.
-TRANSPORT_KINDS = (
-    "socket-sync-lines",
-    "socket-sync-length",
-    "socket-async",
-)
+TRANSPORT_KINDS = ("socket-sync-lines", "socket-sync-length")
 
 
 def make_engine(grid) -> PredictionEngine:
@@ -113,26 +102,9 @@ def replay_socket_sync(pyramid, trace, framing):
             return responses
 
 
-def replay_socket_async(pyramid, trace):
-    async def drive(address):
-        async with await AsyncSocketTransport.open(
-            *address, pyramid=pyramid
-        ) as transport:
-            conn = await transport.connect()
-            responses = await AsyncBrowsingSession(conn).replay(trace)
-            await conn.close()
-            return responses
-
-    with ThreadedSocketServer(
-        pyramid, CONFIG, engine_factory=engine_factory(pyramid)
-    ) as server:
-        return asyncio.run(drive(server.address))
-
-
 REPLAYS = {
     "socket-sync-lines": lambda p, t: replay_socket_sync(p, t, "lines"),
     "socket-sync-length": lambda p, t: replay_socket_sync(p, t, "length"),
-    "socket-async": replay_socket_async,
 }
 
 
@@ -192,18 +164,15 @@ def open_transport(kind, pyramid):
             yield transport
 
 
-SYNC_KINDS = ("socket-sync-lines", "socket-sync-length")
-
-
 class TestErrorContract:
-    @pytest.mark.parametrize("kind", SYNC_KINDS)
+    @pytest.mark.parametrize("kind", TRANSPORT_KINDS)
     def test_duplicate_session_is_typed(self, kind, small_dataset):
         with open_transport(kind, small_dataset.pyramid) as transport:
             transport.connect(session_id="alice")
             with pytest.raises(DuplicateSessionError):
                 transport.connect(session_id="alice")
 
-    @pytest.mark.parametrize("kind", SYNC_KINDS)
+    @pytest.mark.parametrize("kind", TRANSPORT_KINDS)
     def test_request_after_close_is_typed(self, kind, small_dataset):
         with open_transport(kind, small_dataset.pyramid) as transport:
             conn = transport.connect()
@@ -213,14 +182,14 @@ class TestErrorContract:
             with pytest.raises(SessionNotFoundError):
                 conn.request(None, TileKey(0, 0, 0))
 
-    @pytest.mark.parametrize("kind", SYNC_KINDS)
+    @pytest.mark.parametrize("kind", TRANSPORT_KINDS)
     def test_close_is_idempotent(self, kind, small_dataset):
         with open_transport(kind, small_dataset.pyramid) as transport:
             conn = transport.connect()
             conn.close()
             conn.close()
 
-    @pytest.mark.parametrize("kind", SYNC_KINDS)
+    @pytest.mark.parametrize("kind", TRANSPORT_KINDS)
     def test_sessions_share_one_cache(self, kind, small_dataset):
         with open_transport(kind, small_dataset.pyramid) as transport:
             first = transport.connect()
@@ -244,7 +213,7 @@ def check_connection_surface(conn, pyramid) -> None:
 
 
 @contextmanager
-def open_sync_connection(kind, pyramid):
+def open_connection(kind, pyramid):
     """One open session's connection: a facade handle or a wire client."""
     if kind == "facade":
         with ForeCacheService(
@@ -257,48 +226,17 @@ def open_sync_connection(kind, pyramid):
 
 
 class TestConnectionContract:
-    """Whatever ``BrowsingSession`` / ``AsyncBrowsingSession`` can drive
-    exposes the same three names, sync or awaitable."""
+    """Whatever ``BrowsingSession`` can drive exposes the same three
+    names."""
 
-    @pytest.mark.parametrize("kind", ("facade",) + SYNC_KINDS)
+    @pytest.mark.parametrize("kind", ("facade",) + TRANSPORT_KINDS)
     def test_sync_connections_share_one_surface(self, kind, small_dataset):
         pyramid = small_dataset.pyramid
-        with open_sync_connection(kind, pyramid) as conn:
+        with open_connection(kind, pyramid) as conn:
             check_connection_surface(conn, pyramid)
             root = pyramid.grid.root
             assert conn.request(None, root).tile.key == root
             conn.close()
-
-    @pytest.mark.parametrize("kind", ("facade-async", "socket-async"))
-    def test_async_connections_share_one_surface(self, kind, small_dataset):
-        pyramid = small_dataset.pyramid
-        root = pyramid.grid.root
-
-        async def drive(conn):
-            check_connection_surface(conn, pyramid)
-            assert (await conn.request(None, root)).tile.key == root
-            await conn.close()
-
-        async def over_facade():
-            async with AsyncForeCacheService.build(
-                pyramid, CONFIG, engine_factory=engine_factory(pyramid)
-            ) as service:
-                await drive(await service.open_session())
-
-        async def over_socket(address):
-            async with await AsyncSocketTransport.open(
-                *address, pyramid=pyramid
-            ) as transport:
-                await drive(await transport.connect())
-
-        if kind == "facade-async":
-            asyncio.run(over_facade())
-            return
-        with ThreadedSocketServer(
-            pyramid, CONFIG, engine_factory=engine_factory(pyramid)
-        ) as server:
-            asyncio.run(over_socket(server.address))
-
 
 # ----------------------------------------------------------------------
 # negotiated binary payloads replay bit-identically
@@ -317,29 +255,11 @@ def replay_socket_sync_binary(pyramid, trace, framing):
             return responses
 
 
-def replay_socket_async_binary(pyramid, trace):
-    async def drive(address):
-        async with await AsyncSocketTransport.open(
-            *address, pyramid=pyramid, payload="binary"
-        ) as transport:
-            assert transport.payload == "binary"
-            conn = await transport.connect()
-            responses = await AsyncBrowsingSession(conn).replay(trace)
-            await conn.close()
-            return responses
-
-    with ThreadedSocketServer(
-        pyramid, CONFIG, engine_factory=engine_factory(pyramid)
-    ) as server:
-        return asyncio.run(drive(server.address))
-
-
 BINARY_REPLAYS = {
     "socket-sync-lines": lambda p, t: replay_socket_sync_binary(p, t, "lines"),
     "socket-sync-length": lambda p, t: replay_socket_sync_binary(
         p, t, "length"
     ),
-    "socket-async": replay_socket_async_binary,
 }
 
 
@@ -498,23 +418,6 @@ class TestFidelityOffConformance:
     the wire."""
 
     def replay_off(self, kind, pyramid, trace):
-        if kind == "socket-async":
-
-            async def drive(address):
-                async with await AsyncSocketTransport.open(
-                    *address, pyramid=pyramid
-                ) as transport:
-                    conn = await transport.connect()
-                    responses = await AsyncBrowsingSession(conn).replay(trace)
-                    await conn.close()
-                    return responses
-
-            with ThreadedSocketServer(
-                pyramid,
-                FIDELITY_OFF_CONFIG,
-                engine_factory=engine_factory(pyramid),
-            ) as server:
-                return asyncio.run(drive(server.address))
         framing = "length" if kind.endswith("length") else "lines"
         with ThreadedSocketServer(
             pyramid,
