@@ -11,8 +11,9 @@ provides the subset of an array DBMS that ForeCache exercises:
   calibrated so that tile fetches cost what the paper measured on its
   SciDB testbed (:mod:`repro.arraydb.executor`,
   :mod:`repro.arraydb.cost`).  A fetch reads one whole chunk per
-  attribute; the loaders that build the arrays bill each build step
-  through :meth:`Database.execute`.
+  attribute and is billed through :meth:`Database.charge_read`; the
+  loaders that build the arrays bill each build step through
+  :meth:`Database.execute`.
 
 Example
 -------
@@ -28,7 +29,8 @@ Example
 >>> db.write("A", "v", np.arange(64.0).reshape(8, 8))
 >>> db.read("A", "v", ((0, 4), (4, 8))).shape
 (4, 4)
->>> blocks, stats = db.fetch_chunk("A", (0, 1))
+>>> blocks, read = db.array("A").read_chunk((0, 1))
+>>> stats = db.charge_read(read)
 >>> (float(blocks["v"][0, 0]), stats.chunks_read, stats.cells_scanned)
 (4.0, 1, 16)
 """

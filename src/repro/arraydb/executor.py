@@ -1,8 +1,9 @@
 """The array database: a catalog of chunked arrays and its cost ledger.
 
 Nothing is planned at serving time.  A tile is one whole chunk per
-attribute, which :meth:`Database.fetch_chunk` reads directly; the arrays
-it serves from are built once, with numpy, by the loaders
+attribute, read by :meth:`ChunkedArray.read_chunk`; every fetch of it is
+billed by :meth:`Database.charge_read`.  The arrays served from are
+built once, with numpy, by the loaders
 (:func:`repro.modis.ndsi.run_ndsi_query`,
 :meth:`repro.tiles.pyramid.TilePyramid.build`), which bill each build
 step through :meth:`Database.execute`.  Every charge prices a
@@ -18,7 +19,7 @@ from collections.abc import Iterable
 
 import numpy as np
 
-from repro.arraydb.array import ChunkedArray
+from repro.arraydb.array import ChunkedArray, ReadStats
 from repro.arraydb.cost import CostModel, QueryStats, VirtualClock
 from repro.arraydb.errors import ArrayExistsError, ArrayNotFoundError
 from repro.arraydb.schema import ArraySchema
@@ -103,21 +104,13 @@ class Database:
         self._charge(stats)
         return stats
 
-    def fetch_chunk(
-        self, name: str, coords: tuple[int, ...]
-    ) -> tuple[dict[str, np.ndarray], QueryStats]:
-        """Read every attribute of one whole chunk of ``name``, charged.
-
-        The data equal :meth:`read` of each attribute over that chunk's
-        bounds, and the ledger is those reads' summed
-        :class:`~repro.arraydb.array.ReadStats`, priced once as one
-        query: a chunk is the storage unit, so fetching one is a look-up.
-        See :meth:`ChunkedArray.read_chunk`.
-        """
-        blocks, read_stats = self.array(name).read_chunk(coords)
-        stats = QueryStats(read_stats.chunks_read, read_stats.cells_scanned)
+    def charge_read(self, read: ReadStats) -> QueryStats:
+        """Charge one look-up query over the chunks and cells ``read``
+        counts (:meth:`ChunkedArray.read_chunk`), priced once: a caller
+        that keeps what it read charges each fetch of it again."""
+        stats = QueryStats(read.chunks_read, read.cells_scanned)
         self._charge(stats)
-        return blocks, stats
+        return stats
 
     def _charge(self, stats: QueryStats) -> None:
         """Price a finished ledger and advance the clock by it."""

@@ -22,11 +22,16 @@ class MemoryChunkStore:
     can reach.  Nothing writes it in place; overwriting a key replaces
     the array in the dict.  So an array handed out by :meth:`get` keeps
     its bytes for as long as anyone holds it, and readers may share it
-    without copying.
+    without copying.  :attr:`version` counts changes: :meth:`put` and
+    :meth:`delete` bump it after changing the dict (one writer at a
+    time, as the loaders build), so a reader that keeps what it read,
+    tagged with the version seen before reading, knows to read again
+    once the version moves.
     """
 
     def __init__(self) -> None:
         self._chunks: dict[ChunkKey, np.ndarray] = {}
+        self.version = 0
 
     def put(self, key: ChunkKey, chunk: np.ndarray) -> None:
         """Store (or overwrite) a chunk.
@@ -44,6 +49,7 @@ class MemoryChunkStore:
             chunk = np.array(chunk)
             chunk.flags.writeable = False
         self._chunks[key] = chunk
+        self.version += 1
 
     def get(self, key: ChunkKey) -> np.ndarray:
         """Fetch a chunk (read-only); raises ``KeyError`` if absent."""
@@ -55,6 +61,7 @@ class MemoryChunkStore:
     def delete(self, key: ChunkKey) -> None:
         """Remove a chunk; raises ``KeyError`` if absent."""
         del self._chunks[key]
+        self.version += 1
 
     def keys(self) -> Iterator[ChunkKey]:
         """Iterate over all stored chunk keys."""

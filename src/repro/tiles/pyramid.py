@@ -19,6 +19,7 @@ from collections.abc import Iterator
 
 import numpy as np
 
+from repro.arraydb.array import ReadStats
 from repro.arraydb.executor import Database
 from repro.arraydb.schema import ArraySchema, Attribute, Dimension
 from repro.tiles.key import TileKey
@@ -175,6 +176,8 @@ class TilePyramid:
         self.tile_size = tile_size
         self.grid = TileGrid(num_levels)
         self.attributes = attributes
+        # (store version read at, {key: (tile, read counts)}); see _read.
+        self._table: tuple[int, dict[TileKey, tuple[DataTile, ReadStats]]] = (-1, {})
 
     # ------------------------------------------------------------------
     # construction
@@ -323,37 +326,53 @@ class TilePyramid:
                 )
         return names
 
-    def _tile_chunk(self, key: TileKey) -> tuple[str, tuple[int, int]]:
-        """Where ``key`` is stored: its level's view and chunk coordinates."""
-        if not self.grid.valid(key):
-            raise ValueError(f"key {key} is not in this pyramid")
-        return self._views[key.level], (key.y, key.x)
+    def _read(self, key: TileKey) -> tuple[DataTile, ReadStats]:
+        """``key``'s tile and read counts: read from the store (its chunks,
+        :meth:`ChunkedArray.read_chunk`) into the tile table on the key's
+        first fetch, a look-up there on every later one.  The table holds
+        at most one entry per tile, whose blocks are the store's own
+        read-only arrays.  It is tagged with the store's version taken
+        before reading and dropped once that moves, so a fetch after a
+        write or a delete reads the store again.  A key outside the
+        pyramid raises ``ValueError`` and never enters the table.
+        """
+        version = self.db._store.version
+        table_version, table = self._table
+        if table_version != version:
+            table = {}
+            self._table = (version, table)
+        entry = table.get(key)
+        if entry is None:
+            if not self.grid.valid(key):
+                raise ValueError(f"key {key} is not in this pyramid")
+            view = self.db.array(self._views[key.level])
+            blocks, read = view.read_chunk((key.y, key.x))
+            entry = table[key] = (DataTile(key=key, attributes=blocks), read)
+        return entry
 
     def fetch_tile(self, key: TileKey, charge: bool = True) -> DataTile:
         """Fetch one tile's payload from the backing DBMS.
 
-        A tile is one whole chunk per attribute, read as such.  With
-        ``charge=True`` (the default) the read is charged to the
-        database's cost model/clock as one query over the region read of
-        the tile's bounds (:meth:`Database.fetch_chunk`) — this is the
-        "cache miss" path.  With ``charge=False`` the same read goes to the array
-        directly and costs nothing (used when precomputing metadata at
-        build time).
+        A tile is one whole chunk per attribute, read once into the tile
+        table (:meth:`_read`).  With ``charge=True`` (the default) every
+        fetch, the first and each later one, is charged to the database's
+        cost model/clock as one query over the chunks and cells read
+        (:meth:`Database.charge_read`) — this is the "cache miss" path.
+        With ``charge=False`` the same table entry costs nothing (used
+        when precomputing metadata at build time).
         """
+        tile, read = self._read(key)
         if charge:
-            tile, _ = self.fetch_tile_timed(key)
-            return tile
-        view, coords = self._tile_chunk(key)
-        blocks, _ = self.db.array(view).read_chunk(coords)
-        return DataTile(key=key, attributes=blocks)
+            self.db.charge_read(read)
+        return tile
 
     def fetch_tile_timed(self, key: TileKey) -> tuple[DataTile, float]:
         """Charged tile fetch returning ``(tile, virtual seconds charged)``.
 
-        The cost comes from the fetch's own stats ledger rather than
-        clock deltas, so concurrent fetches report their individual
-        costs even while a shared clock advances under them.
+        Charged as :meth:`fetch_tile` is, from the fetch's own stats
+        ledger rather than clock deltas, so concurrent fetches report
+        their individual costs even while a shared clock advances under
+        them.
         """
-        view, coords = self._tile_chunk(key)
-        blocks, stats = self.db.fetch_chunk(view, coords)
-        return DataTile(key=key, attributes=blocks), stats.elapsed_seconds
+        tile, read = self._read(key)
+        return tile, self.db.charge_read(read).elapsed_seconds

@@ -243,8 +243,9 @@ class TestReadChunk:
         assert edge["v"].shape == (4, 2) and not edge["v"].any()
 
 
-class TestFetchChunk:
-    """The charged chunk read bills what the region read over it bills."""
+class TestChargeRead:
+    """A chunk read charged through ``charge_read`` bills what the region
+    read over that chunk bills."""
 
     @pytest.mark.parametrize("coords", [(0, 0), (2, 2)])
     @pytest.mark.parametrize("absent", [False, True])
@@ -258,7 +259,8 @@ class TestFetchChunk:
         reads = {name: array.read(name, bounds) for name in ("v", "n")}
         chunks_read = sum(stats.chunks_read for _, stats in reads.values())
         cells_scanned = sum(stats.cells_scanned for _, stats in reads.values())
-        blocks, stats = db.fetch_chunk("E", coords)
+        blocks, read = db.array("E").read_chunk(coords)
+        stats = db.charge_read(read)
         seconds = cost.query_cost(chunks_read, cells_scanned, 0)
         assert stats == QueryStats(chunks_read, cells_scanned, 0, seconds)
         assert stats.elapsed_seconds > 0
@@ -266,9 +268,17 @@ class TestFetchChunk:
         for name, (expected, _) in reads.items():
             np.testing.assert_array_equal(blocks[name], expected)
 
+    def test_every_charge_advances_the_clock_once(self):
+        """Charging the same read again bills it again, from the same counts."""
+        db = Database(cost_model=CostModel(0.5, 0.25, 2**-10, 0.0), clock=VirtualClock())
+        read = ReadStats(chunks_read=2, cells_scanned=32)
+        first, second = db.charge_read(read), db.charge_read(read)
+        assert first == second == QueryStats(2, 32, 0, 0.5 + 0.5 + 32 * 2**-10)
+        assert db.clock.now() == 2 * first.elapsed_seconds
+
     def test_unknown_array(self, db):
         with pytest.raises(ArrayNotFoundError):
-            db.fetch_chunk("nope", (0, 0))
+            db.array("nope").read_chunk((0, 0))
 
 
 class TestExecute:

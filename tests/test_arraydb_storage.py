@@ -98,3 +98,18 @@ class TestChunkStore:
         store.put(KEY, np.zeros(3))
         with pytest.raises(ValueError):
             store.get(KEY)[0] = 1.0
+
+    def test_every_change_bumps_the_version(self, store):
+        """Each put and delete moves the version; reads never do."""
+        assert store.version == 0
+        store.put(KEY, np.zeros(2))
+        store.put(KEY, np.ones(2))
+        store.put(OTHER, np.zeros(2))
+        assert store.version == 3
+        store.get(KEY), KEY in store, list(store.keys())
+        assert store.version == 3
+        store.delete(KEY)
+        assert store.version == 4
+        with pytest.raises(KeyError):
+            store.delete(KEY)
+        assert store.version == 4

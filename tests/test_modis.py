@@ -273,7 +273,8 @@ class TestNDSI:
         self.load_band(db, "S_SWIR", dims, 0.2)
         run_ndsi_query(db, "S_VIS", "S_SWIR", "NDSI")
         booted = clock.now()
-        blocks, stats = db.fetch_chunk("NDSI", (0, 0))
+        blocks, read = db.array("NDSI").read_chunk((0, 0))
+        stats = db.charge_read(read)
         assert (stats.chunks_read, stats.cells_scanned) == (1, 64)
         assert blocks["ndsi"].tobytes() == db.read("NDSI", "ndsi").tobytes()
         assert clock.now() == booted + stats.elapsed_seconds

@@ -1,11 +1,15 @@
-"""A tile fetch is a chunk look-up — and nothing but its speed may show.
+"""A tile fetch is a table look-up — and nothing but its speed may show.
 
 ``TilePyramid.fetch_tile_timed`` / ``fetch_tile`` read a tile's one chunk
-per attribute directly.  The reference they must match, byte for byte and
-virtual second for virtual second, is the region read over the tile's
-bounds: ``ChunkedArray.read`` of each attribute, priced by the cost
-model as one query over the summed ``ReadStats``.
+per attribute once, into the pyramid's tile table, and charge every
+fetch.  The reference every fetch must match, the first and each repeat,
+byte for byte and virtual second for virtual second, is the region read
+over the tile's bounds: ``ChunkedArray.read`` of each attribute, priced
+by the cost model as one query over the summed ``ReadStats``.
 """
+
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -57,28 +61,36 @@ def region_read(pyramid: TilePyramid, key: TileKey) -> tuple[dict, float]:
     return blocks, pyramid.db.cost_model.query_cost(chunks_read, cells_scanned, 0)
 
 
+def assert_tile_matches(tile, key: TileKey, reference: dict) -> None:
+    assert tile.key == key
+    assert list(tile.attributes) == list(reference)
+    for name, expected in reference.items():
+        block = tile.attribute(name)
+        assert block.dtype == expected.dtype
+        assert block.shape == expected.shape
+        assert block.tobytes() == expected.tobytes()
+
+
 def assert_fetches_match_reference(pyramid: TilePyramid) -> None:
+    """Every key, fetched twice: the first fetch reads the store, the
+    second is served from the tile table, and both match the reference
+    in bytes, dtype, charge and clock."""
     db = pyramid.db
     for key in pyramid.grid.all_keys():
         reference, reference_seconds = region_read(pyramid, key)
         reference_clock = VirtualClock().advance(reference_seconds)
 
-        db.clock = VirtualClock()
-        charged, seconds = pyramid.fetch_tile_timed(key)
-        assert seconds == reference_seconds
-        assert db.clock.now() == reference_clock
+        for _ in range(2):
+            db.clock = VirtualClock()
+            charged, seconds = pyramid.fetch_tile_timed(key)
+            assert seconds == reference_seconds
+            assert db.clock.now() == reference_clock
 
-        free = pyramid.fetch_tile(key, charge=False)
-        assert db.clock.now() == reference_clock  # untouched by the free read
+            free = pyramid.fetch_tile(key, charge=False)
+            assert db.clock.now() == reference_clock  # untouched by the free read
 
-        for tile in (charged, free):
-            assert tile.key == key
-            assert list(tile.attributes) == list(reference)
-            for name in pyramid.attributes:
-                block, expected = tile.attribute(name), reference[name]
-                assert block.dtype == expected.dtype
-                assert block.shape == expected.shape
-                assert block.tobytes() == expected.tobytes()
+            for tile in (charged, free):
+                assert_tile_matches(tile, key, reference)
 
 
 @st.composite
@@ -126,6 +138,19 @@ class TestFetchIsALookup:
         counts = count_lookups(pyramid.db._store, monkeypatch)
         pyramid.fetch_tile(TileKey(2, 3, 1), charge=charge)
         assert (counts["get"], counts["keys"], executed) == (3, 0, [])
+
+    @pytest.mark.parametrize("charge", [True, False])
+    def test_a_repeat_fetch_makes_no_store_get(self, charge, monkeypatch):
+        pyramid = build_pyramid(4, 3, ("float64", "uint8", "int32"), seed=1)
+        key = TileKey(2, 3, 1)
+        first = pyramid.fetch_tile(key, charge=charge)
+        counts = count_lookups(pyramid.db._store, monkeypatch)
+        pyramid.db.clock = VirtualClock()
+        again, seconds = pyramid.fetch_tile_timed(key)
+        assert pyramid.fetch_tile(key, charge=charge) is again is first
+        assert (counts["get"], counts["keys"]) == (0, 0)
+        assert seconds == region_read(pyramid, key)[1] > 0
+        assert pyramid.db.clock.now() == VirtualClock().advance(seconds) * (1 + charge)
 
     def test_fetched_payloads_cannot_be_written(self):
         """A payload is the stored chunk itself, refuses writes, and keeps
@@ -175,6 +200,124 @@ class TestFetchIsALookup:
                 pyramid.fetch_tile_timed(key)
             with pytest.raises(ValueError):
                 pyramid.fetch_tile(key, charge=False)
+
+
+class TestTableFollowsTheStore:
+    """A tile fetched before the store changes never hides the change."""
+
+    def test_a_write_to_a_view_is_seen_by_the_next_fetch(self):
+        pyramid = build_pyramid(4, 2, ("float64", "uint8"), seed=5)
+        key = TileKey(1, 1, 1)
+        before = pyramid.fetch_tile(key)
+        view = pyramid.view_name(1)
+        pyramid.db.write(view, "a1", np.full((4, 4), 7), pyramid.tile_region(key))
+        after = pyramid.fetch_tile(key)
+        assert before is not after
+        assert (after.attribute("a1") == 7).all()
+        assert before.attribute("a0") is after.attribute("a0")
+        assert_fetches_match_reference(pyramid)
+
+    def test_a_delete_is_seen_by_the_next_fetch(self):
+        pyramid = build_pyramid(4, 2, ("float64", "int32"), seed=6)
+        key = TileKey(1, 0, 1)
+        pyramid.db.clock = VirtualClock()
+        _, before_seconds = pyramid.fetch_tile_timed(key)
+        pyramid.db._store.delete((pyramid.view_name(1), "a1", (1, 0)))
+        after, after_seconds = pyramid.fetch_tile_timed(key)
+        assert not after.attribute("a1").any()
+        assert after_seconds == region_read(pyramid, key)[1] < before_seconds
+        assert_fetches_match_reference(pyramid)
+
+    def test_a_write_to_another_array_drops_the_table(self, monkeypatch):
+        """The table follows the whole store: any change re-reads."""
+        pyramid = build_pyramid(4, 2, ("float64",), seed=7)
+        key = TileKey(1, 0, 0)
+        pyramid.fetch_tile(key)
+        pyramid.db.write("S", "a0", np.zeros((8, 8)))
+        counts = count_lookups(pyramid.db._store, monkeypatch)
+        pyramid.fetch_tile(key)
+        assert counts["get"] == 1
+
+
+#: Every term a power of two, so sums of charges are exact in any order.
+DYADIC = CostModel(
+    per_query_overhead=0.5,
+    per_chunk_overhead=0.25,
+    per_cell_scanned=2**-10,
+    per_cell_computed=2**-10,
+)
+
+
+class TestConcurrentFetches:
+    def test_threads_on_a_fresh_pyramid_charge_every_fetch(self):
+        """8 threads fetch overlapping keys from an empty table: the clock
+        is the exact sum of every charge returned, and every tile equals
+        the reference."""
+        pyramid = build_pyramid(4, 3, ("float64", "uint8", "int32"), seed=8)
+        pyramid.db.cost_model = DYADIC
+        keys = list(pyramid.grid.all_keys())
+        pyramid.db.clock = VirtualClock()
+        start = threading.Barrier(8, timeout=10)
+        fetched: list[list] = [[] for _ in range(8)]
+
+        def fetch(i: int) -> None:
+            start.wait()
+            for round_ in range(3):
+                for key in keys[i % 3 :: 2] + keys[round_::5]:
+                    fetched[i].append(pyramid.fetch_tile_timed(key))
+
+        threads = [threading.Thread(target=fetch, args=(i,)) for i in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert [len(per_thread) for per_thread in fetched] == [
+            3 * len(keys[i % 3 :: 2]) + sum(len(keys[r::5]) for r in range(3))
+            for i in range(8)
+        ]
+        results = [pair for per_thread in fetched for pair in per_thread]
+        assert pyramid.db.clock.now() == sum(seconds for _, seconds in results)
+        references = {key: region_read(pyramid, key) for key in keys}
+        for tile, seconds in results:
+            reference, reference_seconds = references[tile.key]
+            assert seconds == reference_seconds
+            assert_tile_matches(tile, tile.key, reference)
+
+
+def test_serving_a_study_replay_never_changes_the_store():
+    """After the context is built nothing writes the chunk store, so the
+    tile table is never dropped while a hybrid session serves."""
+    from repro.experiments.context import ExperimentContext
+    from repro.experiments.runner import hybrid_factory
+    from repro.middleware import ForeCacheService, PrefetchPolicy, ServiceConfig
+
+    context = ExperimentContext.build(size=256, num_users=4)
+    store = context.pyramid.db._store
+    version = store.version
+    traces = context.study.traces
+    engine = hybrid_factory(context)(traces[2:])
+    served = 0
+    with ForeCacheService(
+        context.pyramid, ServiceConfig(prefetch=PrefetchPolicy(k=5))
+    ) as service:
+        session = service.open_session(engine)
+        while served < 2000:
+            for trace in traces[:2]:
+                engine.reset()
+                previous = None
+                for key in trace.tiles():
+                    move = previous.move_to(key) if previous is not None else None
+                    session.request(move, key)
+                    previous = key
+                    served += 1
+    assert store.version == version
+    assert context.pyramid._table[0] == version
 
 
 class TestMisalignedViews:
