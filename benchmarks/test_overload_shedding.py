@@ -20,7 +20,7 @@ Two claims:
 
 2. The machinery is invisible when off: with the default
    ``fidelity="off"`` the momentum figure replay is bit-identical on
-   every replay front end (service, socket, cluster) to the pinned
+   every replay front end (inprocess, socket, cluster) to the pinned
    pre-fidelity value.
 """
 
@@ -31,9 +31,10 @@ import pytest
 from repro.core.allocation import SingleModelStrategy
 from repro.core.engine import PredictionEngine
 from repro.experiments.context import ExperimentContext
-from repro.experiments.runner import REPLAY_FRONTENDS, replay_model_latency
+from repro.experiments.runner import replay_model_latency
+from repro.experiments.sweep.spec import FRONTENDS
 from repro.middleware.config import CacheConfig, PrefetchPolicy, ServiceConfig
-from repro.middleware.latency import LatencyRecorder
+from repro.middleware.latency import HIT_SECONDS, LatencyRecorder
 from repro.middleware.net import SocketTransport, ThreadedSocketServer
 from repro.modis.dataset import MODISDataset
 from repro.recommenders.base import PredictionContext, Recommender
@@ -185,22 +186,20 @@ class TestOverloadShedding:
             world, "progressive"
         )
         assert prog.count == off.count
-        hit_latency = overload_config("off").build_latency_model()
-        hit_seconds = hit_latency.response_seconds(True, 0.0)
         print(
             f"\noverload: off p99={off.percentile(0.99) * 1000:.1f}ms "
             f"avg={off.average_seconds * 1000:.1f}ms | "
             f"progressive p99={prog.percentile(0.99) * 1000:.1f}ms "
             f"avg={prog.average_seconds * 1000:.1f}ms "
-            f"(hit={hit_seconds * 1000:.1f}ms)"
+            f"(hit={HIT_SECONDS * 1000:.1f}ms)"
         )
         # Off mode collapses: the offered load is >= 2x what the backend
         # absorbs, so the typical response pays the miss penalty.
-        assert off.percentile(0.99) > 2 * hit_seconds
+        assert off.percentile(0.99) > 2 * HIT_SECONDS
         # Progressive keeps the tail bounded near hit latency, and is
         # strictly better than off at the same offered load.
         assert prog.percentile(0.99) < off.percentile(0.99)
-        assert prog.percentile(0.99) <= 2 * hit_seconds
+        assert prog.percentile(0.99) <= 2 * HIT_SECONDS
         assert prog.average_seconds < off.average_seconds
         # Every response well-formed at some fidelity, on both ladders.
         assert off_bad == 0 and prog_bad == 0
@@ -222,7 +221,7 @@ class TestFidelityOffFigureNumerics:
     def context(self) -> ExperimentContext:
         return ExperimentContext.build(size=256, num_users=4)
 
-    @pytest.mark.parametrize("frontend", REPLAY_FRONTENDS)
+    @pytest.mark.parametrize("frontend", FRONTENDS)
     def test_momentum_average_is_bit_identical(self, context, frontend):
         recorder = replay_model_latency(
             context,

@@ -12,7 +12,7 @@ Two claims, per the Khameleon-style push design:
 
 2. The push machinery is invisible when off: with ``push="off"`` the
    momentum figure replay is bit-identical on every replay front end
-   (service, socket, cluster) to the pre-push pinned value.
+   (inprocess, socket, cluster) to the pre-push pinned value.
 """
 
 from __future__ import annotations
@@ -22,7 +22,8 @@ import pytest
 from repro.core.allocation import SingleModelStrategy
 from repro.core.engine import PredictionEngine
 from repro.experiments.context import ExperimentContext
-from repro.experiments.runner import REPLAY_FRONTENDS, replay_model_latency
+from repro.experiments.runner import replay_model_latency
+from repro.experiments.sweep.spec import FRONTENDS
 from repro.middleware.config import CacheConfig, PrefetchPolicy, ServiceConfig
 from repro.middleware.latency import LatencyRecorder
 from repro.middleware.net import SocketTransport, ThreadedSocketServer
@@ -148,7 +149,7 @@ class TestPushOffFigureNumerics:
     def context(self) -> ExperimentContext:
         return ExperimentContext.build(size=256, num_users=4)
 
-    @pytest.mark.parametrize("frontend", REPLAY_FRONTENDS)
+    @pytest.mark.parametrize("frontend", FRONTENDS)
     def test_momentum_average_is_bit_identical(self, context, frontend):
         recorder = replay_model_latency(
             context,

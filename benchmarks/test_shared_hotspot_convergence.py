@@ -29,15 +29,12 @@ import pytest
 
 from repro.core.engine import PredictionEngine
 from repro.core.allocation import SingleModelStrategy
+from repro.experiments.sweep.run import replay_walks
 from repro.middleware.config import CacheConfig, PrefetchPolicy, ServiceConfig
 from repro.middleware.service import ForeCacheService
 from repro.modis.dataset import MODISDataset
 from repro.recommenders.hotspot import HotspotRecommender
-from repro.users.convergent import (
-    convergent_walks,
-    cross_user_hit_rate,
-    replay_walks,
-)
+from repro.users.convergent import convergent_walks, cross_user_hit_rate
 
 pytestmark = pytest.mark.bench
 
@@ -68,10 +65,10 @@ def run_mode(pyramid, mode: str, walks):
         # prediction (the Section 5.2.2 equivalence).
         cache=CacheConfig(recent_capacity=1, prefetch_capacity=1),
     )
-    with ForeCacheService(
-        pyramid, config, engine_factory=engine_factory(pyramid.grid)
-    ) as service:
-        return replay_walks(service, walks)
+    recorders, _, _ = replay_walks(
+        pyramid, config, walks, engine_factory(pyramid.grid)
+    )
+    return recorders
 
 
 def test_shared_boost_beats_isolated_cross_user_hit_rate(pyramid):

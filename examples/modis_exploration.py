@@ -3,7 +3,7 @@
 Run with::
 
     python examples/modis_exploration.py [--size 1024] [--users 8]
-        [--frontend service|socket|cluster] [--models momentum,hybrid]
+        [--frontend inprocess|socket|cluster] [--models momentum,hybrid]
         [--prefetch-mode sync|background] [--shared-hotspots off|observe|boost]
 
 Reproduces the paper's evaluation loop end to end: build the NDSI
@@ -12,14 +12,16 @@ every model with leave-one-user-out cross validation, and print
 per-phase accuracy plus replayed latency — the content of Figures 11
 and 13.
 
-``--frontend`` chooses who serves the latency replay: the
-``ForeCacheService`` facade (default), the real TCP socket transport
-replaying over loopback (``socket``), or a 2-worker cluster behind the
-consistent-hash router (``cluster``) — all three must (and do) produce
-identical virtual-time numbers.  ``--prefetch-mode background`` routes every
-prefetch round through the rank-aware priority scheduler's worker pool
-instead of the inline sync path (a smoke path for the concurrent
-serving stack; latency numbers then depend on physical timing).
+``--frontend`` chooses who serves the latency replay, from the sweep's
+front-end axis (``repro.experiments.sweep.spec.FRONTENDS``): the
+``ForeCacheService`` facade in process (``inprocess``, the default), the
+real TCP socket transport replaying over loopback (``socket``), or a
+2-worker cluster behind the consistent-hash router (``cluster``) — all
+three must (and do) produce identical virtual-time numbers.
+``--prefetch-mode background`` routes every prefetch round through the
+rank-aware priority scheduler's worker pool instead of the inline sync
+path (a smoke path for the concurrent serving stack; latency numbers
+then depend on physical timing).
 ``--shared-hotspots`` turns on the cross-session popularity model
 (``observe`` collects the signal, ``boost`` also acts on it — live
 hotspot recommenders plus scheduler rank boost); ``off``/``observe``
@@ -33,11 +35,9 @@ import os
 from repro.experiments.context import ExperimentContext
 from repro.experiments.crossval import evaluate_engine_cv
 from repro.experiments.report import Table
-from repro.experiments.runner import (
-    REPLAY_FRONTENDS,
-    hybrid_factory,
-    replay_model_latency,
-)
+from repro.experiments.runner import hybrid_factory, replay_model_latency
+from repro.experiments.sweep.spec import FRONTENDS
+from repro.middleware.config import PREFETCH_MODES, SHARED_HOTSPOT_MODES
 from repro.phases.model import ALL_PHASES
 
 
@@ -51,8 +51,8 @@ def main() -> None:
     )
     parser.add_argument(
         "--frontend",
-        choices=REPLAY_FRONTENDS,
-        default="service",
+        choices=FRONTENDS,
+        default="inprocess",
         help="serving front end for the latency replay",
     )
     parser.add_argument(
@@ -62,13 +62,13 @@ def main() -> None:
     )
     parser.add_argument(
         "--prefetch-mode",
-        choices=("sync", "background"),
+        choices=PREFETCH_MODES,
         default="sync",
         help="who executes prefetch rounds during the latency replay",
     )
     parser.add_argument(
         "--shared-hotspots",
-        choices=("off", "observe", "boost"),
+        choices=SHARED_HOTSPOT_MODES,
         default="off",
         help="cross-session popularity sharing during the latency replay",
     )

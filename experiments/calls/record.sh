@@ -34,10 +34,10 @@ if [ "${2:-}" != report ]; then
         python -m pytest -q -p no:cacheprovider -m bench --benchmark-disable
     for args in \
         "--models momentum" \
-        "--frontend service --models momentum,markov3" \
+        "--frontend inprocess --models momentum,markov3" \
         "--frontend cluster --models momentum,markov3" \
-        "--frontend service --models momentum --prefetch-mode background" \
-        "--frontend service --models momentum,hotspot --prefetch-mode background --shared-hotspots boost" \
+        "--frontend inprocess --models momentum --prefetch-mode background" \
+        "--frontend inprocess --models momentum,hotspot --prefetch-mode background --shared-hotspots boost" \
         "--frontend socket --models momentum"; do
         # shellcheck disable=SC2086
         REPRO_SIZE=256 REPRO_USERS=4 record examples python examples/modis_exploration.py $args

@@ -67,8 +67,7 @@ def budgeted() -> dict:
     """``{name: count}`` of every count the budget holds."""
     import repro.middleware as middleware
     from repro.core.popularity import SharedHotspotRegistry
-    from repro.experiments.runner import REPLAY_FRONTENDS
-    from repro.experiments.sweep.spec import PARAMETER_DOMAINS
+    from repro.experiments.sweep.spec import FRONTENDS, PARAMETER_DOMAINS
     from repro.middleware.protocol import MESSAGE_TYPES
     from repro.middleware.push import PushScheduler
 
@@ -87,7 +86,7 @@ def budgeted() -> dict:
         "sweep PARAMETER_DOMAINS": len(PARAMETER_DOMAINS),
         "PrefetchScheduler params": ctor(middleware.PrefetchScheduler),
         "PushScheduler params": ctor(PushScheduler),
-        "REPLAY_FRONTENDS": len(REPLAY_FRONTENDS),
+        "FRONTENDS": len(FRONTENDS),
         "repro.middleware.__all__": len(middleware.__all__),
         "MESSAGE_TYPES": len(MESSAGE_TYPES),
         "declared wire fields": sum(len(cls.wire_fields) for cls in MESSAGE_TYPES.values()),

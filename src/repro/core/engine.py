@@ -19,12 +19,13 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
-from repro.core.allocation import AllocationStrategy
+from repro.core.allocation import AllocationStrategy, SingleModelStrategy
 from repro.core.history import SessionHistory
 from repro.core.popularity import SharedHotspotRegistry
 from repro.core.roi import ROITracker
 from repro.phases.model import AnalysisPhase
 from repro.recommenders.base import PredictionContext, Recommender
+from repro.recommenders.momentum import MomentumRecommender
 from repro.tiles.key import TileKey
 from repro.tiles.moves import Move
 from repro.tiles.pyramid import TileGrid
@@ -238,3 +239,14 @@ class PredictionEngine:
             allocation=list(allocation),
             attributions=attributions,
         )
+
+
+def momentum_engine(grid: TileGrid) -> PredictionEngine:
+    """The Momentum baseline alone: train-free, so any workload (one
+    with no training corpus too) replays the same through it."""
+    model = MomentumRecommender()
+    return PredictionEngine(
+        grid=grid,
+        recommenders={model.name: model},
+        strategy=SingleModelStrategy(model.name),
+    )

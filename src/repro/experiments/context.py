@@ -18,13 +18,12 @@ from repro.core.allocation import (
     PaperFinalStrategy,
     SingleModelStrategy,
 )
-from repro.core.engine import PredictionEngine
+from repro.core.engine import PredictionEngine, momentum_engine
 from repro.modis.dataset import MODISDataset
 from repro.phases.classifier import PhaseClassifier
 from repro.recommenders.base import Recommender
 from repro.recommenders.hotspot import HotspotRecommender
 from repro.recommenders.markov import MarkovRecommender
-from repro.recommenders.momentum import MomentumRecommender
 from repro.recommenders.signature_based import SignatureBasedRecommender
 from repro.signatures.base import SignatureRegistry
 from repro.signatures.densesift import DenseSIFTSignature
@@ -153,8 +152,7 @@ class ExperimentContext:
     # ------------------------------------------------------------------
     def momentum_engine(self, train: list[Trace] | None = None) -> PredictionEngine:
         """The Momentum baseline (needs no training)."""
-        model = MomentumRecommender()
-        return self._engine({model.name: model}, SingleModelStrategy(model.name))
+        return momentum_engine(self.grid)
 
     def hotspot_engine(self, train: list[Trace]) -> PredictionEngine:
         """The Hotspot baseline, trained on request popularity."""

@@ -9,6 +9,7 @@ they return, so ``pytest -m bench`` (downscaled with ``REPRO_SIZE`` /
 from __future__ import annotations
 
 from collections import Counter
+from functools import partial
 
 import numpy as np
 
@@ -26,7 +27,9 @@ from repro.experiments.latency import (
     linear_fit,
 )
 from repro.experiments.report import Comparison, Table
-from repro.middleware.latency import MISS_SECONDS
+from repro.experiments.sweep.run import replay_walks
+from repro.middleware.config import CacheConfig, PrefetchPolicy, ServiceConfig
+from repro.middleware.latency import MISS_SECONDS, LatencyRecorder
 from repro.phases.features import FEATURE_NAMES
 from repro.phases.labeler import model_fit_fraction
 from repro.phases.model import ALL_PHASES, AnalysisPhase
@@ -347,21 +350,11 @@ def latency_points(
     return points, accuracy
 
 
-#: Serving front ends the latency replay can drive, all three with
-#: identical virtual-time numbers: "service", the facade in process, is
-#: the default and what the figure benchmarks run; "socket" replays over
-#: a real loopback TCP connection, which adds physical transport time,
-#: never virtual latency; "cluster" puts the consistent-hash router and
-#: two workers between client and service — a session lives on one of
-#: them, which must change nothing.
-REPLAY_FRONTENDS = ("service", "socket", "cluster")
-
-
 def replay_model_latency(
     context: ExperimentContext,
     factory,
     k: int,
-    frontend: str = "service",
+    frontend: str = "inprocess",
     prefetch_mode: str = "sync",
     shared_hotspots: str = "off",
 ):
@@ -373,13 +366,13 @@ def replay_model_latency(
     latency is a pure function of prediction accuracy (Figure 12's
     near-perfect line).
 
-    ``frontend`` selects who serves the replay: the ``ForeCacheService``
-    facade ("service"), the TCP socket transport over loopback
-    ("socket" — real framed bytes on a real port; latency stays
-    virtual, so the numbers still match), or a 2-worker cluster behind
-    the consistent-hash router ("cluster" — the router terminates the
-    handshake and forwards every frame of a session to the one worker
-    it lives on, so the numbers must again be bit-identical).
+    Each trace replays through :func:`replay_walks` against a cold
+    endpoint of ``frontend`` (one of
+    :data:`~repro.experiments.sweep.spec.FRONTENDS`); the numbers are
+    the same on all three.  The fold's engine is trained once and reset
+    for each trace, except on the cluster front end: its router opens a
+    session on every worker, and each open gets an engine of its own
+    (one shared engine would feed whichever worker opened last).
 
     ``prefetch_mode="sync"`` (the default, what every figure benchmark
     uses) keeps the deterministic virtual-time numbers.
@@ -396,131 +389,39 @@ def replay_model_latency(
     reproduction — each trace replays against a cold service, so its
     registry only ever sees that trace).
     """
-    from repro.middleware.latency import LatencyRecorder
-
-    if frontend not in REPLAY_FRONTENDS:
-        raise ValueError(
-            f"frontend must be one of {REPLAY_FRONTENDS}, got {frontend!r}"
-        )
-    if frontend in ("socket", "cluster"):
-        return _replay_wire_frontend(
-            context,
-            factory,
-            k,
-            prefetch_mode,
-            shared_hotspots,
-            cluster=frontend == "cluster",
-        )
-    recorder = LatencyRecorder()
-    for _, train, test in leave_one_user_out(context.study):
-        engine = factory(train)
-        for trace in test:
-            recorder.merge(
-                _replay_service_trace(
-                    context, engine, trace, k, prefetch_mode,
-                    shared_hotspots,
-                )
-            )
-    return recorder
-
-
-def _figure12_config(
-    k: int, prefetch_mode: str = "sync", shared_hotspots: str = "off"
-):
-    """Section 5.2.2 cache shape: the k-tile prefetch region only."""
-    from repro.middleware.config import (
-        CacheConfig,
-        PrefetchPolicy,
-        ServiceConfig,
-    )
-
-    return ServiceConfig(
+    config = ServiceConfig(
         prefetch=PrefetchPolicy(
             k=k, mode=prefetch_mode, shared_hotspots=shared_hotspots
         ),
         cache=CacheConfig(recent_capacity=1, prefetch_capacity=k),
     )
-
-
-def _replay_service_trace(
-    context,
-    engine,
-    trace,
-    k: int,
-    prefetch_mode: str,
-    shared_hotspots: str = "off",
-):
-    """One trace through a cold facade session (sync front end)."""
-    from repro.middleware.client import BrowsingSession
-    from repro.middleware.service import ForeCacheService
-
-    engine.reset()
-    with ForeCacheService(
-        context.pyramid, _figure12_config(k, prefetch_mode, shared_hotspots)
-    ) as service:
-        handle = service.open_session(engine)
-        BrowsingSession(handle).replay(trace)
-        return handle.recorder
-
-
-def _replay_wire_frontend(
-    context,
-    factory,
-    k: int,
-    prefetch_mode: str = "sync",
-    shared_hotspots: str = "off",
-    *,
-    cluster: bool = False,
-):
-    """The whole LOO replay over real loopback TCP.
-
-    Each trace still gets a cold service (cache and session state), so a
-    fresh socket server wraps each trace's service; the engine is built
-    once per fold and reset per trace, exactly like the other front
-    ends.  Latencies are reconstructed *client-side* from the wire
-    responses — what a real browser would report — which must equal the
-    server-side recorder to the bit.
-
-    With ``cluster`` the endpoint is a 2-worker cluster instead: the
-    client connects to the consistent-hash router, which owns the
-    handshake and forwards every request to the worker the trace's
-    session lives on (the other one opens the session and never hears
-    of it again).  The numbers must not move — the router adds
-    transport hops, never virtual latency.
-    """
-    from repro.middleware.client import BrowsingSession
-    from repro.middleware.cluster import ThreadedClusterServer
-    from repro.middleware.latency import LatencyRecorder
-    from repro.middleware.net import SocketTransport, ThreadedSocketServer
-
     recorder = LatencyRecorder()
     for _, train, test in leave_one_user_out(context.study):
-        engine = factory(train)
+        if frontend == "cluster":
+            engine_factory = partial(factory, train)
+        else:
+            engine_factory = _resetting(factory(train))
         for trace in test:
-            engine.reset()
-            config = _figure12_config(k, prefetch_mode, shared_hotspots)
-            endpoint = (
-                ThreadedClusterServer(
-                    context.pyramid,
-                    config,
-                    workers=2,
-                    engine_factory=lambda: engine,
-                )
-                if cluster
-                else ThreadedSocketServer(
-                    context.pyramid, config, engine_factory=lambda: engine
-                )
+            walk = [(request.move, request.tile) for request in trace.requests]
+            (replayed,), _, _ = replay_walks(
+                context.pyramid,
+                config,
+                [walk],
+                engine_factory,
+                frontend=frontend,
             )
-            with endpoint:
-                with SocketTransport(
-                    *endpoint.address, pyramid=context.pyramid
-                ) as transport:
-                    conn = transport.connect()
-                    responses = BrowsingSession(conn).replay(trace)
-                    conn.close()
-            for response in responses:
-                recorder.record(response.latency_seconds, response.hit)
+            recorder.merge(replayed)
     return recorder
+
+
+def _resetting(engine):
+    """A factory handing out ``engine``, reset, to every session."""
+
+    def factory():
+        engine.reset()
+        return engine
+
+    return factory
 
 
 def run_figure12(points: list[LatencyPoint]) -> tuple[Table, Comparison]:

@@ -1,9 +1,9 @@
 """Sweep execution: run every grid cell, persisting one record per cell.
 
-Each cell is executed through the real serving stack — a
-:class:`~repro.middleware.service.ForeCacheService` (or the TCP socket
-transport over it) replaying the cell's workload with
-:class:`~repro.middleware.latency.LatencyRecorder` capture — and its
+Each cell is executed through the real serving stack — the cell's
+front end (the in-process facade, a socket server or a cluster router)
+replaying the cell's workload through :func:`replay_walks`, the one
+replay loop the figure replays and the hotspot benches run too — and its
 result is written to ``<results_dir>/<cell_id>.json`` *immediately*.
 An interrupted sweep therefore resumes by re-running only the missing
 cells: a completed cell whose persisted parameters still match is
@@ -26,12 +26,16 @@ import os
 import tempfile
 import time
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from pathlib import Path
 
-from repro.core.engine import PredictionEngine
-from repro.core.allocation import SingleModelStrategy
-from repro.experiments.sweep.spec import SweepCell, SweepSpec, SweepSpecError
+from repro.core.engine import momentum_engine
+from repro.experiments.sweep.spec import (
+    FRONTENDS,
+    SweepCell,
+    SweepSpec,
+    SweepSpecError,
+)
 from repro.middleware.config import (
     CacheConfig,
     PrefetchPolicy,
@@ -40,7 +44,6 @@ from repro.middleware.config import (
 from repro.middleware.latency import LatencyRecorder
 from repro.middleware.service import ForeCacheService
 from repro.modis.dataset import MODISDataset
-from repro.recommenders.momentum import MomentumRecommender
 from repro.users.adversarial import adversarial_walks
 from repro.users.convergent import convergent_walks
 from repro.users.flashcrowd import flash_crowd_walks
@@ -141,104 +144,104 @@ def cell_config(cell_params: dict) -> ServiceConfig:
     )
 
 
-def _engine_factory(grid):
-    """Per-session Momentum engines: train-free, so every workload
-    (including ones with no training corpus) replays identically."""
-
-    def factory() -> PredictionEngine:
-        model = MomentumRecommender()
-        return PredictionEngine(
-            grid=grid,
-            recommenders={model.name: model},
-            strategy=SingleModelStrategy(model.name),
-        )
-
-    return factory
-
-
 # ----------------------------------------------------------------------
-# cell execution
+# walk replay: the one loop every measurement runs
 # ----------------------------------------------------------------------
-def _replay_inprocess(
-    pyramid, config: ServiceConfig, walks, settle: bool
-) -> tuple[LatencyRecorder, float, int]:
-    recorder = LatencyRecorder()
-    with ForeCacheService(
-        pyramid, config, engine_factory=_engine_factory(pyramid.grid)
-    ) as service:
-        start = time.perf_counter()
-        for index, walk in enumerate(walks):
-            with service.open_session(
-                session_id=f"user-{index + 1}"
-            ) as handle:
-                for move, key in walk:
-                    handle.request(move, key)
-                    if settle:
-                        service.drain()
-                recorder.merge(handle.recorder)
-        wall = time.perf_counter() - start
-        registry = service.hotspot_registry
-        tracked = len(registry) if registry is not None else 0
-    return recorder, wall, tracked
-
-
-def _replay_wire(
+def replay_walks(
     pyramid,
     config: ServiceConfig,
     walks,
-    settle: bool,
-    workers: int | None = None,
-) -> tuple[LatencyRecorder, float, int]:
-    """Replay over loopback TCP: against one socket server, or — with
-    ``workers`` — through the router of an all-threads cluster."""
-    from repro.middleware.cluster import ThreadedClusterServer
-    from repro.middleware.net import SocketTransport, ThreadedSocketServer
+    engine_factory,
+    *,
+    frontend: str = "inprocess",
+    workers: int = 2,
+    settle: bool = False,
+) -> tuple[list[LatencyRecorder], float, int]:
+    """Replay each walk in its own session ``user-<i>``, one after another.
 
-    engine_factory = _engine_factory(pyramid.grid)
-    endpoint = (
-        ThreadedSocketServer(pyramid, config, engine_factory=engine_factory)
-        if workers is None
-        else ThreadedClusterServer(
+    ``frontend`` (one of :data:`FRONTENDS`) picks the one endpoint that
+    serves every walk: the
+    :class:`~repro.middleware.service.ForeCacheService` facade in
+    process, a socket server over loopback TCP, or the router of a
+    ``workers``-worker all-threads cluster.  The endpoint calls
+    ``engine_factory()`` for each session it opens; a cluster opens each
+    session on every worker.  Latency is virtual, so the front end never
+    moves a number.  With ``settle`` every request waits for its
+    prefetch round on every service before the next one is sent.
+
+    Returns one :class:`LatencyRecorder` per walk (recorded from the
+    responses, as a client sees them), the wall-clock seconds of the
+    replay, and the number of tiles the shared hotspot registries track.
+    """
+    if frontend not in FRONTENDS:
+        raise ValueError(
+            f"frontend must be one of {FRONTENDS}, got {frontend!r}"
+        )
+    if frontend == "inprocess":
+        endpoint = ForeCacheService(
+            pyramid, config, engine_factory=engine_factory
+        )
+    elif frontend == "socket":
+        from repro.middleware.net import ThreadedSocketServer
+
+        endpoint = ThreadedSocketServer(
+            pyramid, config, engine_factory=engine_factory
+        )
+    else:
+        from repro.middleware.cluster import ThreadedClusterServer
+
+        endpoint = ThreadedClusterServer(
             pyramid, config, workers=workers, engine_factory=engine_factory
         )
-    )
-    recorder = LatencyRecorder()
+    recorders = []
     with endpoint:
-        # The sync facades under the asyncio servers — the sweep owns the
-        # whole stack, so draining them directly between requests is fair
-        # game (drain/wait_idle is thread-safe by design).  Every worker
-        # is drained: a session's prefetch rounds run on the one worker
-        # the ring placed it on, and idle workers drain at once.
-        servers = [endpoint] if workers is None else endpoint.workers
-        inner = [threaded.server.service.service for threaded in servers]
-        with SocketTransport(
-            *endpoint.address,
-            pyramid=pyramid,
-            push=config.prefetch.push_enabled,
-        ) as transport:
+        if frontend == "inprocess":
+            services = [endpoint]
+            transport = contextlib.nullcontext()
+            open_session = endpoint.open_session
+        else:
+            from repro.middleware.net import SocketTransport
+
+            # The sync facades under the servers: the replay owns the
+            # whole stack, so it drains them directly (drain is
+            # thread-safe).  A session's prefetch rounds run on the one
+            # worker the ring placed it on; idle workers drain at once.
+            servers = endpoint.workers if frontend == "cluster" else [endpoint]
+            services = [server.server.service.service for server in servers]
+            transport = SocketTransport(
+                *endpoint.address,
+                pyramid=pyramid,
+                push=config.prefetch.push_enabled,
+            )
+            open_session = transport.connect
+        with transport:
             start = time.perf_counter()
             for index, walk in enumerate(walks):
-                client = transport.connect(session_id=f"user-{index + 1}")
+                recorder = LatencyRecorder()
+                session = open_session(session_id=f"user-{index + 1}")
                 try:
                     for move, key in walk:
-                        response = client.request(move, key)
+                        response = session.request(move, key)
                         recorder.record(response.latency_seconds, response.hit)
                         if settle:
-                            # A local push hit returns before the server
-                            # has seen its ack: wait for that round, or
-                            # the drain races the prefetch it starts.
-                            transport.settle()
-                            for service in inner:
+                            if frontend != "inprocess":
+                                # A local push hit returns before the
+                                # server has seen its ack: wait for that
+                                # round, or the drain races the prefetch
+                                # it starts.
+                                transport.settle()
+                            for service in services:
                                 service.drain()
                 finally:
-                    client.close()
+                    session.close()
+                recorders.append(recorder)
             wall = time.perf_counter() - start
         tracked = sum(
             len(service.hotspot_registry)
-            for service in inner
+            for service in services
             if service.hotspot_registry is not None
         )
-    return recorder, wall, tracked
+    return recorders, wall, tracked
 
 
 @dataclass(frozen=True)
@@ -283,21 +286,18 @@ def run_cell(cell: SweepCell) -> CellResult:
     dataset = _dataset(params["size"], params["tile_size"], params["seed"])
     walks = cell_walks(params, dataset)
     config = cell_config(params)
-    settle = params["settle"] and config.prefetch.background
-    if params["frontend"] == "inprocess":
-        recorder, wall, tracked = _replay_inprocess(
-            dataset.pyramid, config, walks, settle
-        )
-    else:
-        recorder, wall, tracked = _replay_wire(
-            dataset.pyramid,
-            config,
-            walks,
-            settle,
-            params["cluster_workers"]
-            if params["frontend"] == "cluster"
-            else None,
-        )
+    recorders, wall, tracked = replay_walks(
+        dataset.pyramid,
+        config,
+        walks,
+        partial(momentum_engine, dataset.pyramid.grid),
+        frontend=params["frontend"],
+        workers=params["cluster_workers"],
+        settle=params["settle"] and config.prefetch.background,
+    )
+    recorder = LatencyRecorder()
+    for walk_recorder in recorders:
+        recorder.merge(walk_recorder)
     metrics = {
         "requests": recorder.count,
         "hits": recorder.hits,

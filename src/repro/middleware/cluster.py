@@ -780,10 +780,8 @@ class WorkerSpec:
 
 
 async def _cluster_worker_serve(spec: WorkerSpec, port_queue, stop_event):
-    from repro.core.allocation import SingleModelStrategy
-    from repro.core.engine import PredictionEngine
+    from repro.core.engine import momentum_engine
     from repro.modis.dataset import MODISDataset
-    from repro.recommenders.momentum import MomentumRecommender
 
     dataset = MODISDataset.build(
         size=spec.size,
@@ -793,18 +791,10 @@ async def _cluster_worker_serve(spec: WorkerSpec, port_queue, stop_event):
     )
     grid = dataset.pyramid.grid
 
-    def engine_factory():
-        model = MomentumRecommender()
-        return PredictionEngine(
-            grid=grid,
-            recommenders={model.name: model},
-            strategy=SingleModelStrategy(model.name),
-        )
-
     server = ForeCacheSocketServer.build(
         dataset.pyramid,
         spec.config or ServiceConfig(),
-        engine_factory=engine_factory,
+        engine_factory=lambda: momentum_engine(grid),
         framing=spec.framing,
     )
     _, port = await server.start()

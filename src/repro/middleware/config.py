@@ -7,9 +7,8 @@ constructed from three small value objects:
   lock striping (``shards``), and the emulated backend delay,
 - :class:`PrefetchPolicy` — how the prediction engine's list ``P`` is
   executed (budget, sync vs. background, worker pool, fair sharing),
-- :class:`ServiceConfig` — the two above plus the latency model's
-  transfer overhead, and each serving endpoint's address, frame budget,
-  payload grants and cluster ring.
+- :class:`ServiceConfig` — the two above plus each serving endpoint's
+  address, frame budget, payload grants and cluster ring.
 
 All three are frozen dataclasses: validation happens once, at
 construction, and a config can be shared between services, logged, or
@@ -22,7 +21,6 @@ from dataclasses import dataclass, field
 
 from repro.cache.manager import CacheManager
 from repro.cache.tile_cache import TileCache
-from repro.middleware.latency import HIT_SECONDS, LatencyModel
 from repro.middleware.protocol import DEFAULT_MAX_FRAME_BYTES, check_payloads
 from repro.tiles.pyramid import TilePyramid
 
@@ -250,8 +248,6 @@ class ServiceConfig:
 
     prefetch: PrefetchPolicy = field(default_factory=PrefetchPolicy)
     cache: CacheConfig = field(default_factory=CacheConfig)
-    #: Fixed middleware/transfer overhead every response pays.
-    transfer_seconds: float = HIT_SECONDS
     #: Interface a socket server or cluster router binds.
     bind_host: str = "127.0.0.1"
     #: Port it binds (0 = ephemeral, OS-assigned).  A cluster's router
@@ -284,10 +280,6 @@ class ServiceConfig:
         # Capacity-vs-budget fit is NOT checked here: the serving cache
         # may be an injected manager rather than one built from
         # ``cache``, so the service validates the cache actually in use.
-        if self.transfer_seconds < 0:
-            raise ValueError(
-                f"transfer_seconds must be >= 0, got {self.transfer_seconds}"
-            )
         if not 0 <= self.bind_port <= 65535:
             raise ValueError(
                 f"bind_port must be in [0, 65535], got {self.bind_port}"
@@ -302,6 +294,3 @@ class ServiceConfig:
             raise ValueError(
                 f"ring_replicas must be >= 1, got {self.ring_replicas}"
             )
-
-    def build_latency_model(self) -> LatencyModel:
-        return LatencyModel(transfer_seconds=self.transfer_seconds)

@@ -39,17 +39,15 @@ def nearest_rank_percentile(values: list[float], q: float) -> float:
 class LatencyModel:
     """Maps request outcomes to response latency."""
 
-    transfer_seconds: float = HIT_SECONDS
-
     def response_seconds(self, hit: bool, backend_seconds: float) -> float:
         """Latency of one response.
 
-        Hits pay only the middleware/transfer overhead; misses pay the
-        backend query on top of it.
+        Hits pay only the middleware/transfer overhead,
+        :data:`HIT_SECONDS`; misses pay the backend query on top of it.
         """
         if hit:
-            return self.transfer_seconds
-        return self.transfer_seconds + backend_seconds
+            return HIT_SECONDS
+        return HIT_SECONDS + backend_seconds
 
 
 @dataclass

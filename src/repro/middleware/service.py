@@ -40,7 +40,7 @@ from repro.cache.manager import CacheManager
 from repro.core.engine import PredictionEngine
 from repro.core.popularity import SharedHotspotRegistry
 from repro.middleware.config import PrefetchPolicy, ServiceConfig
-from repro.middleware.latency import LatencyRecorder
+from repro.middleware.latency import LatencyModel, LatencyRecorder
 from repro.middleware.protocol import (
     DuplicateSessionError,
     SessionClosedError,
@@ -203,7 +203,7 @@ class ForeCacheService:
                 f"prefetch budget k={policy.k}"
             )
         self.cache_manager = cache_manager
-        self.latency_model = self.config.build_latency_model()
+        self.latency_model = LatencyModel()
         self.engine_factory = engine_factory
         #: The background worker pool, shared by every session: set
         #: exactly when ``policy.background``.

@@ -11,11 +11,7 @@ the 3 tasks to produce the study trace corpus.
 
 from repro.users.adversarial import adversarial_walks
 from repro.users.behavior import BehaviorProfile, SimulatedUser
-from repro.users.convergent import (
-    convergent_walks,
-    cross_user_hit_rate,
-    replay_walks,
-)
+from repro.users.convergent import convergent_walks, cross_user_hit_rate
 from repro.users.flashcrowd import flash_crowd_walks
 from repro.users.session import Request, StudyData, Trace
 from repro.users.study import run_study
@@ -30,6 +26,5 @@ __all__ = [
     "convergent_walks",
     "cross_user_hit_rate",
     "flash_crowd_walks",
-    "replay_walks",
     "run_study",
 ]

@@ -21,8 +21,10 @@ The shape is chosen to separate prediction sharing from cache sharing:
 - Everyone ends dwelling on ``H``, so a live popularity model learns
   ``H`` from user 1 and steers users 2..N through their turns.
 
-Used by ``benchmarks/test_shared_hotspots.py`` and the fast-tier
-``tests/test_shared_hotspots.py`` end-to-end assertions.
+Used by ``benchmarks/test_shared_hotspot_convergence.py`` and the
+fast-tier ``tests/test_shared_hotspots.py`` end-to-end assertions, which
+replay the walks through
+:func:`repro.experiments.sweep.run.replay_walks`.
 """
 
 from __future__ import annotations
@@ -106,23 +108,6 @@ def convergent_walks(
                 raise ValueError(f"walk leaves the grid at {key}")
         walks.append(walk)
     return walks
-
-
-def replay_walks(service, walks: list[Walk]) -> list:
-    """Replay each walk in its own (sequential) service session.
-
-    Sessions run one after another — the deterministic setting where a
-    later user's registry state is exactly the earlier users' full
-    traffic.  Returns each session's
-    :class:`~repro.middleware.latency.LatencyRecorder`.
-    """
-    recorders = []
-    for index, walk in enumerate(walks):
-        with service.open_session(session_id=f"user-{index + 1}") as handle:
-            for move, key in walk:
-                handle.request(move, key)
-            recorders.append(handle.recorder)
-    return recorders
 
 
 def cross_user_hit_rate(recorders: list) -> float:

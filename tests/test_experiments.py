@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.allocation import SingleModelStrategy
-from repro.core.engine import PredictionEngine
+from repro.core.engine import PredictionEngine, momentum_engine
 from repro.experiments.accuracy import AccuracyResult, replay_engine
 from repro.experiments.crossval import (
     classifier_cv_accuracy,
@@ -17,7 +17,8 @@ from repro.experiments.latency import (
     linear_fit,
 )
 from repro.experiments.report import Comparison, Table
-from repro.experiments.runner import _replay_service_trace
+from repro.experiments.sweep.run import replay_walks
+from repro.middleware.config import CacheConfig, PrefetchPolicy, ServiceConfig
 from repro.middleware.latency import LatencyRecorder
 from repro.phases.model import AnalysisPhase
 from repro.recommenders.momentum import MomentumRecommender
@@ -123,18 +124,19 @@ class TestCrossValidation:
 
 class TestLatencyHarness:
     def test_replay_service_trace(self, small_dataset, small_study):
-        model = MomentumRecommender()
-        engine = PredictionEngine(
-            small_dataset.pyramid.grid,
-            {model.name: model},
-            SingleModelStrategy(model.name),
+        pyramid = small_dataset.pyramid
+        config = ServiceConfig(
+            prefetch=PrefetchPolicy(k=5),
+            cache=CacheConfig(recent_capacity=1, prefetch_capacity=5),
         )
         # Each trace replays through a cold service; latencies pool.
         recorder = LatencyRecorder()
         for trace in small_study.traces[:2]:
-            recorder.merge(
-                _replay_service_trace(small_dataset, engine, trace, 5, "sync")
+            walk = [(request.move, request.tile) for request in trace.requests]
+            (replayed,), _, _ = replay_walks(
+                pyramid, config, [walk], lambda: momentum_engine(pyramid.grid)
             )
+            recorder.merge(replayed)
         assert recorder.count == sum(len(t) for t in small_study.traces[:2])
         assert 0.0 < recorder.average_seconds < 1.0
 

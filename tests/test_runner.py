@@ -5,12 +5,13 @@ we verify the machinery itself (every generator runs and produces sane
 tables) on a tiny world.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.experiments.context import ExperimentContext
 from repro.experiments.runner import (
     HYBRID_SIGNATURE,
-    REPLAY_FRONTENDS,
     hybrid_factory,
     replay_model_latency,
     run_figure8,
@@ -20,6 +21,7 @@ from repro.experiments.runner import (
     run_phase_classifier,
     run_table1,
 )
+from repro.experiments.sweep.spec import FRONTENDS
 
 
 @pytest.fixture(scope="module")
@@ -77,26 +79,84 @@ class TestRunnerFunctions:
 
 class TestReplayFrontends:
     def test_the_three_front_ends(self):
-        assert REPLAY_FRONTENDS == ("service", "socket", "cluster")
+        assert FRONTENDS == ("inprocess", "socket", "cluster")
 
     def test_retired_server_front_end_is_rejected(self, tiny_context):
-        with pytest.raises(ValueError, match="frontend must be one of"):
-            replay_model_latency(
-                tiny_context,
-                tiny_context.momentum_engine,
-                k=5,
-                frontend="server",
-            )
+        # "server" was retired with its adapter, "service" when the
+        # figure replay took the sweep's front-end names.
+        for retired in ("server", "service"):
+            with pytest.raises(ValueError, match="frontend must be one of"):
+                replay_model_latency(
+                    tiny_context,
+                    tiny_context.momentum_engine,
+                    k=5,
+                    frontend=retired,
+                )
 
     def test_default_front_end_is_the_facade(self, tiny_context):
         """What Figures 12/13 run when nobody names a front end."""
         factory = tiny_context.momentum_engine
         default = replay_model_latency(tiny_context, factory, k=5)
         facade = replay_model_latency(
-            tiny_context, factory, k=5, frontend="service"
+            tiny_context, factory, k=5, frontend="inprocess"
         )
         assert default.count == tiny_context.study.total_requests()
         assert default.to_dict() == facade.to_dict()
+
+    def test_a_cluster_session_feeds_only_its_owners_registry(
+        self, tiny_context, monkeypatch
+    ):
+        """The router opens every session on both workers, but only the
+        owner serves it: each worker's session needs its own engine, or
+        the owner's requests are observed into the registry of whichever
+        worker opened last.  Two ring seeds put the sessions on each of
+        the two workers in turn."""
+        from repro.middleware import cluster
+        from repro.middleware.cluster import ThreadedClusterServer
+
+        owners = set()
+        for ring_seed in (0, 3):
+            counts = []
+
+            class Counted(ThreadedClusterServer):
+                def __init__(self, pyramid, config, **kwargs):
+                    config = replace(config, ring_seed=ring_seed)
+                    super().__init__(pyramid, config, **kwargs)
+
+                def stop(self):
+                    services = [w.server.service.service for w in self.workers]
+                    counts.append(
+                        [
+                            (
+                                service.cache_manager.requests,
+                                service.hotspot_registry.total_observations,
+                            )
+                            for service in services
+                        ]
+                    )
+                    super().stop()
+
+            monkeypatch.setattr(cluster, "ThreadedClusterServer", Counted)
+            routed = replay_model_latency(
+                tiny_context,
+                tiny_context.momentum_engine,
+                k=5,
+                frontend="cluster",
+                shared_hotspots="observe",
+            )
+            assert len(counts) == len(tiny_context.study.traces)
+            for workers in counts:
+                served = [i for i, (requests, _) in enumerate(workers) if requests]
+                assert len(served) == 1  # a session lives on one worker
+                owner = served[0]
+                owners.add(owner)
+                requests, observed = workers[owner]
+                assert observed == requests
+                assert workers[1 - owner] == (0, 0)
+            assert sum(workers[0][0] + workers[1][0] for workers in counts) == (
+                routed.count
+            )
+        assert owners == {0, 1}
 
 
 class TestContext:

@@ -115,7 +115,6 @@ class TestConfig:
             (CacheConfig, "prefetch_capacity", 0),
             (CacheConfig, "backend_delay_seconds", -1.0),
             (CacheConfig, "shards", 0),
-            (ServiceConfig, "transfer_seconds", -1.0),
             (ServiceConfig, "bind_port", 70000),
             (ServiceConfig, "max_frame_bytes", 16),
             (ServiceConfig, "payloads", ("binary",)),

@@ -24,6 +24,7 @@ from repro.cache.tile_cache import TileCache
 from repro.core.allocation import SingleModelStrategy
 from repro.core.engine import PredictionEngine
 from repro.core.popularity import SharedHotspotRegistry
+from repro.experiments.sweep.run import replay_walks
 from repro.middleware.config import CacheConfig, PrefetchPolicy, ServiceConfig
 from repro.middleware.scheduler import (
     DONE,
@@ -35,11 +36,7 @@ from repro.recommenders.hotspot import HotspotRecommender
 from repro.recommenders.momentum import MomentumRecommender
 from repro.tiles.key import TileKey
 from repro.tiles.pyramid import TilePyramid
-from repro.users.convergent import (
-    convergent_walks,
-    cross_user_hit_rate,
-    replay_walks,
-)
+from repro.users.convergent import convergent_walks, cross_user_hit_rate
 
 
 @pytest.fixture(scope="module")
@@ -521,10 +518,7 @@ class TestEndToEnd:
             factory = hotspot_engine_factory(
                 grid, num_hotspots=1, proximity=4
             )
-            with ForeCacheService(
-                pyramid, config, engine_factory=factory
-            ) as service:
-                recorders = replay_walks(service, walks)
+            recorders, _, _ = replay_walks(pyramid, config, walks, factory)
             rates[mode] = cross_user_hit_rate(recorders)
         assert rates["boost"] > rates["off"]
 
@@ -540,13 +534,8 @@ class TestEndToEnd:
             factory = hotspot_engine_factory(
                 grid, num_hotspots=1, proximity=4
             )
-            with ForeCacheService(
-                pyramid, config, engine_factory=factory
-            ) as service:
-                return [
-                    recorder.to_dict()
-                    for recorder in replay_walks(service, walks)
-                ]
+            recorders, _, _ = replay_walks(pyramid, config, walks, factory)
+            return [recorder.to_dict() for recorder in recorders]
 
         assert run() == run()
 

@@ -10,6 +10,7 @@ import json
 
 import pytest
 
+from repro.core.engine import momentum_engine
 from repro.experiments.sweep import (
     BUILTIN_SPECS,
     CellResult,
@@ -34,8 +35,13 @@ from repro.experiments.sweep.cli import main
 from repro.experiments.sweep.run import (
     cell_path,
     load_cell_record,
+    replay_walks,
     write_cell_record,
 )
+from repro.experiments.sweep.spec import FRONTENDS
+from repro.middleware.config import CacheConfig, PrefetchPolicy, ServiceConfig
+from repro.modis.dataset import MODISDataset
+from repro.users.adversarial import adversarial_walks
 
 
 def tiny_spec(**overrides) -> SweepSpec:
@@ -531,3 +537,55 @@ class TestCli:
             == 2
         )
         assert "missing" in capsys.readouterr().err
+
+
+class TestReplayWalks:
+    """The one walk-replay loop behind sweep cells, figure replays and
+    the hotspot benches."""
+
+    @pytest.fixture(scope="class")
+    def pyramid(self):
+        return MODISDataset.build(size=64, tile_size=8, days=1, seed=3).pyramid
+
+    def test_per_walk_recorders_are_equal_on_every_front_end(self, pyramid):
+        grid = pyramid.grid
+        walks = adversarial_walks(grid, num_users=2, steps=12, seed=5)
+        config = ServiceConfig(
+            prefetch=PrefetchPolicy(k=2, shared_hotspots="observe"),
+            cache=CacheConfig(recent_capacity=1, prefetch_capacity=2),
+        )
+        replays = {
+            frontend: replay_walks(
+                pyramid,
+                config,
+                walks,
+                lambda: momentum_engine(grid),
+                frontend=frontend,
+            )
+            for frontend in FRONTENDS
+        }
+        per_walk = {
+            frontend: [recorder.to_dict() for recorder in recorders]
+            for frontend, (recorders, _, _) in replays.items()
+        }
+        assert per_walk["socket"] == per_walk["inprocess"]
+        assert per_walk["cluster"] == per_walk["inprocess"]
+        recorders, wall, tracked = replays["inprocess"]
+        assert [recorder.count for recorder in recorders] == list(
+            map(len, walks)
+        )
+        assert 0 < sum(recorder.hits for recorder in recorders)
+        assert wall > 0.0
+        # One service holds every session's observations on both of the
+        # single-node front ends.
+        assert tracked == replays["socket"][2] > 0
+
+    def test_unknown_front_end_is_rejected(self, pyramid):
+        with pytest.raises(ValueError, match="frontend must be one of"):
+            replay_walks(
+                pyramid,
+                ServiceConfig(),
+                [],
+                lambda: momentum_engine(pyramid.grid),
+                frontend="service",
+            )
