@@ -179,7 +179,6 @@ def test_stress_rank1_completes_before_stale_low_ranks():
             prefetch_capacity=PREFETCH_K,
             shards=STRESS_SHARDS,
         ),
-        shards=STRESS_SHARDS,
     )
     gate_key = pyramid.grid.root
     started = threading.Event()

@@ -83,6 +83,7 @@ if [ "${2:-}" != report ]; then
     record scoreboard python experiments/sift_cost.py --boot
     record scoreboard python experiments/fetch_cost.py --heap
     record scoreboard python experiments/round_cost.py
+    record scoreboard python experiments/cycle_cost.py
 fi
 python experiments/uncalled.py "$out/fast" "$out/bench" "$out/examples" "$out/perf" \
     "$out/sweep" "$out/scoreboard"

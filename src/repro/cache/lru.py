@@ -18,6 +18,7 @@ from typing import Generic, TypeVar
 
 K = TypeVar("K", bound=Hashable)
 V = TypeVar("V")
+_ABSENT = object()
 
 
 class LRUCache(Generic[K, V]):
@@ -36,12 +37,13 @@ class LRUCache(Generic[K, V]):
     def get(self, key: K) -> V | None:
         """Fetch and refresh an entry; None (and a counted miss) if absent."""
         with self._lock:
-            if key in self._entries:
-                self._entries.move_to_end(key)
-                self.hits += 1
-                return self._entries[key]
-            self.misses += 1
-            return None
+            value = self._entries.get(key, _ABSENT)
+            if value is _ABSENT:
+                self.misses += 1
+                return None
+            self._entries.move_to_end(key)
+            self.hits += 1
+            return value
 
     def peek(self, key: K) -> V | None:
         """Fetch without touching recency or counters."""
@@ -51,11 +53,8 @@ class LRUCache(Generic[K, V]):
     def put(self, key: K, value: V) -> K | None:
         """Insert/overwrite; returns the evicted key, if any."""
         with self._lock:
-            if key in self._entries:
-                self._entries.move_to_end(key)
-                self._entries[key] = value
-                return None
             self._entries[key] = value
+            self._entries.move_to_end(key)
             if len(self._entries) > self.capacity:
                 evicted, _ = self._entries.popitem(last=False)
                 return evicted
@@ -123,6 +122,14 @@ class ShardedLRUCache(Generic[K, V]):
     def peek(self, key: K) -> V | None:
         """Fetch without touching recency or counters."""
         return self._segment(key).peek(key)
+
+    def peek_many(self, keys: list[K]) -> list[V | None]:
+        """:meth:`peek` of each key; one lock visit with one segment."""
+        if self.shards > 1:
+            return [self.peek(key) for key in keys]
+        segment = self._segments[0]
+        with segment._lock:
+            return list(map(segment._entries.get, keys))
 
     def put(self, key: K, value: V) -> K | None:
         """Insert/overwrite; returns the key's segment's evictee, if any."""

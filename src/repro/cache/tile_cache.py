@@ -1,4 +1,4 @@
-"""The partitioned main-memory tile cache.
+"""The partitioned main-memory tile cache and its in-flight loads.
 
 Two regions (Section 3, "Tile Cache Manager"):
 
@@ -18,39 +18,50 @@ strategy's per-model quotas must stay observable, as in the paper), so
 a key can sit in both regions at once.
 
 ``nbytes()`` is the payload the cache keeps reachable, each resident
-key counted once.  It is not memory the cache owns: a tile's arrays
-are the chunk store's own read-only blocks, shared with every other
-holder of that tile.  Under concurrency it is a best-effort snapshot:
-it reads one shard at a time, so a tile admitted or dropped while it
-reads may or may not be in that reading (a racing promotion is still
-counted once — the recent region takes the tile before its prefetch
-slot lets go).
+key counted once — a best-effort snapshot under concurrency, read one
+shard at a time.  It is not memory the cache owns: a tile's arrays are
+the chunk store's own read-only blocks.
 
-The cache is thread-safe, and **both regions are hash-striped** into
-``shards`` independently locked segments: the prefetch region's shards
-each own an equal slice of ``prefetch_capacity``, and the recent region
-is a :class:`~repro.cache.lru.ShardedLRUCache` whose segments split
-``recent_capacity`` the same way — so concurrent sessions' lookups,
-admissions, and recency promotions stop serializing on one mutex.
-``shards=1`` (the default) preserves the exact single-region semantics
-the synchronous figure benchmarks replay.
-Synchronous prefetching uses the cycle API (beginning a cycle plans
-the slots and drops what the plan supersedes,
-:meth:`claim_prefetched` carries a resident tile into its slot,
-:meth:`store_prefetched` fills a slot from the backend); background
-prefetching uses :meth:`admit_prefetched`, which evicts the oldest
-prefetched tile in the key's shard instead of rejecting new work,
-because background jobs from several sessions interleave rather than
-arriving in clean per-request cycles.
+The cache is thread-safe and **hash-striped** into ``shards`` segments,
+each owning an equal slice of ``prefetch_capacity``.  A shard's one
+lock holds its prefetch slots, the backend loads in flight for its keys
+and every probe and update of the recent region for its keys (a
+:class:`~repro.cache.lru.ShardedLRUCache`, entered under the shard
+lock: shard, then segment, never the reverse).  ``shards=1`` (the
+default) keeps the single-region semantics the figure benchmarks
+replay.  Every backend load goes through :meth:`TileCache.load`, which
+**coalesces** concurrent loads of one key into one query.
 """
 
 from __future__ import annotations
 
 import threading
+from collections.abc import ValuesView
 
 from repro.cache.lru import ShardedLRUCache
 from repro.tiles.key import TileKey
 from repro.tiles.tile import DataTile
+
+#: What :meth:`TileCache.load` loads for.  A user request promotes a
+#: resident tile and records a loaded one into the recent region; a
+#: background prefetch admits a loaded tile that is still absent; the
+#: synchronous cycle replaces the prefetch region with its plan.
+REQUEST, ADMIT, CYCLE = "request", "admit", "cycle"
+
+
+class _PendingLoad:
+    """One backend load in flight: a plain record until somebody waits.
+
+    ``done`` is created by the first rider, under the shard lock, so a
+    load no second caller joins constructs no event, condition or lock.
+    """
+
+    __slots__ = ("outcome", "done")
+
+    def __init__(self) -> None:
+        #: ``(tile, backend_seconds)``, or the exception the owner raised.
+        self.outcome: tuple[DataTile, float] | BaseException | None = None
+        self.done: threading.Event | None = None
 
 
 class TileCache:
@@ -80,6 +91,10 @@ class TileCache:
         self._prefetched: list[dict[TileKey, tuple[DataTile, str]]] = [
             {} for _ in range(self.shards)
         ]
+        #: Per shard: the backend loads in flight for its keys.
+        self._inflight: list[dict[TileKey, _PendingLoad]] = [
+            {} for _ in range(self.shards)
+        ]
         # Capacity split as evenly as possible; early shards absorb the
         # remainder, so the slices always sum to prefetch_capacity.
         base, extra = divmod(prefetch_capacity, self.shards)
@@ -98,105 +113,56 @@ class TileCache:
         index = self._shard(key)
         with self._locks[index]:
             slot = self._prefetched[index].get(key)
-        if slot is not None:
-            return slot[0]
-        return self._recent.peek(key)
+            return slot[0] if slot is not None else self._recent.peek(key)
 
     def __contains__(self, key: TileKey) -> bool:
-        index = self._shard(key)
-        with self._locks[index]:
-            if key in self._prefetched[index]:
-                return True
-        return key in self._recent
+        return self.lookup(key) is not None
+
+    @property
+    def inflight_count(self) -> int:
+        """Backend loads currently in flight, all shards.
+
+        Read lock-free — a load signal, not an invariant; the overload
+        detector only needs a magnitude, not an exact synchronized
+        count.
+        """
+        return sum(len(loads) for loads in self._inflight)
 
     # ------------------------------------------------------------------
     # updates
     # ------------------------------------------------------------------
+    def promote(self, key: TileKey) -> DataTile | None:
+        """Serve a request from memory: the resident tile, or None.
+
+        A tile found is recorded into the recent region; one that sat
+        in the prefetch region is promoted, its slot freed for the next
+        round's predictions.
+        """
+        index = hash(key) % self.shards
+        with self._locks[index]:
+            slot = self._prefetched[index].pop(key, None)
+            if slot is None:
+                return self._recent.get(key)
+            self._recent.put(key, slot[0])
+            return slot[0]
+
     def record_request(self, tile: DataTile) -> None:
         """A tile the user actually requested enters the recent region.
 
         If the tile sat in the prefetch region, it is promoted: the
         recent LRU takes ownership and the prefetch slot is freed for
-        the next round's predictions (recent-first, so a concurrent
-        lookup sees the tile resident throughout, never a gap).
+        the next round's predictions.
         """
-        self._recent.put(tile.key, tile)
         index = self._shard(tile.key)
         with self._locks[index]:
+            self._recent.put(tile.key, tile)
             self._prefetched[index].pop(tile.key, None)
-
-    def begin_prefetch_cycle(
-        self, predictions: list[tuple[TileKey, str]]
-    ) -> dict[TileKey, str]:
-        """Plan the next round's slots and drop the tiles it supersedes.
-
-        The paper re-evaluates allocations after every request.  The
-        plan is what refilling an empty region in prediction order
-        would hold: a key claims a slot while its shard has one, a
-        repeated key keeps its slot under the later model, and a key
-        whose shard is full is skipped — or ends the plan, when every
-        slot of the whole region is taken.  Resident tiles the plan
-        names stay where they are (the cycle moves each into slot order
-        with :meth:`claim_prefetched`); the rest are dropped.  Returns
-        ``{key: model}`` in slot order."""
-        plan: dict[TileKey, str] = {}
-        taken = [0] * self.shards
-        for key, model in predictions:
-            if key not in plan:
-                index = self._shard(key)
-                if taken[index] >= self._capacities[index]:
-                    if len(plan) >= self.prefetch_capacity:
-                        break
-                    continue
-                taken[index] += 1
-            plan[key] = model
-        for index in range(self.shards):
-            with self._locks[index]:
-                region = self._prefetched[index]
-                for key in [key for key in region if key not in plan]:
-                    del region[key]
-        return plan
-
-    def claim_prefetched(self, key: TileKey, model: str) -> DataTile | None:
-        """Carry a resident tile into the next slot of its shard.
-
-        The cycle's one probe and one slot write for a planned key: a
-        tile found in the prefetch region is re-inserted last under
-        ``model`` without leaving its shard lock, so a concurrent
-        lookup never misses it; one found only in the recent LRU also
-        claims a slot (if its shard has one).  None when the key is
-        resident nowhere."""
-        index = self._shard(key)
-        with self._locks[index]:
-            region = self._prefetched[index]
-            slot = region.pop(key, None)
-            tile = slot[0] if slot is not None else self._recent.peek(key)
-            if tile is not None and len(region) < self._capacities[index]:
-                region[key] = (tile, model)
-            return tile
-
-    def store_prefetched(self, tile: DataTile, model: str) -> bool:
-        """Add a predicted tile on behalf of ``model``.
-
-        Idempotent for tiles already in the region (their slot is
-        re-claimed); returns False (and stores nothing) once the key's
-        shard is full.
-        """
-        index = self._shard(tile.key)
-        with self._locks[index]:
-            region = self._prefetched[index]
-            if tile.key not in region and (
-                len(region) >= self._capacities[index]
-            ):
-                return False
-            region[tile.key] = (tile, model)
-            return True
 
     def admit_prefetched(self, tile: DataTile, model: str) -> TileKey | None:
         """Add a predicted tile, evicting the shard's oldest if full.
 
-        The background scheduler's admission path: unlike the cycle API,
-        a full shard makes room rather than rejecting the tile, since
+        The background scheduler's admission rule: unlike the cycle, a
+        full shard makes room rather than rejecting the tile, since
         concurrent sessions' jobs arrive continuously.  Returns the
         evicted key, if any.
         """
@@ -212,6 +178,153 @@ class TileCache:
                 del region[evicted]
             region[tile.key] = (tile, model)
             return evicted
+
+    # ------------------------------------------------------------------
+    # coalesced backend loads
+    # ------------------------------------------------------------------
+    def load(self, predictions, purpose: str, query) -> tuple[ValuesView[list], int]:
+        """Bring the keys of ``predictions``, ``(key, model)`` pairs, in.
+
+        ``CYCLE`` first plans the slots as refilling an empty region in
+        prediction order would: a key claims a slot while its shard has
+        one, a repeated key keeps its slot under the later model, a key
+        whose shard is full is skipped — or ends the plan, once every
+        slot of the region is taken.  Then two visits per shard holding
+        a planned key.  The first probes each key: a resident tile is
+        served (``REQUEST`` promotes it, ``CYCLE`` carries it); an
+        absent one is registered as a load this call owns, or ridden if
+        one is in flight.  ``CYCLE`` visits every shard and replaces its
+        region with the carried tiles, in plan order.  Then
+        ``query(key)`` runs per owned key, outside any lock, in plan
+        order, and the ridden loads are waited on.  The second visit
+        publishes the loaded tiles, then unregisters the owned loads:
+        a late arrival finds the load or the tile, never a gap.
+        ``CYCLE`` slots each loaded tile at its plan position while the
+        shard has room, and never brings back a carried tile a request
+        promoted in between.
+
+        Returns each planned key, in plan order, as ``[shard, key,
+        model, pending, owner, tile]`` (``pending`` None: ``tile`` was
+        resident; else the load, its ``outcome`` ``(tile,
+        backend_seconds)``), and the number of queries run.  When a
+        query raises, the owned loads not yet run are abandoned: every
+        owned load is unregistered with that exception, which each of
+        its riders raises too, the loaded tiles are still published,
+        and the exception propagates — as does a ridden load's.
+        """
+        cycle = purpose == CYCLE
+        shards = self.shards
+        plan: dict[TileKey, list] = {}
+        groups: list[list[list]] = [[] for _ in range(shards)]
+        for key, model in predictions:
+            entry = plan.get(key)
+            if entry is not None:
+                entry[2] = model
+                continue
+            index = hash(key) % shards if shards > 1 else 0
+            group = groups[index]
+            if cycle and len(group) >= self._capacities[index]:
+                if len(plan) >= self.prefetch_capacity:
+                    break
+                continue
+            plan[key] = entry = [index, key, model, None, False, None]
+            group.append(entry)
+        owned: list[list] = []
+        ridden: list[list] = []
+        touched: list[int] = []
+        for index, group in enumerate(groups):
+            if not (group or cycle):
+                continue
+            with self._locks[index]:
+                region = self._prefetched[index]
+                inflight = self._inflight[index]
+                if cycle:
+                    carried = self._prefetched[index] = {}
+                loads = len(owned) + len(ridden)
+                found = self._recent.peek_many([entry[1] for entry in group])
+                for entry, tile in zip(group, found):
+                    key = entry[1]
+                    slot = region.get(key)
+                    if slot is not None:
+                        tile = slot[0]
+                    if tile is not None:
+                        entry[5] = tile
+                        if cycle:
+                            carried[key] = (tile, entry[2])
+                        elif purpose == REQUEST:
+                            self.record_request(tile)
+                        continue
+                    pending = entry[3] = inflight.get(key)
+                    if pending is None:
+                        entry[3] = inflight[key] = _PendingLoad()
+                        entry[4] = True
+                        owned.append(entry)
+                        continue
+                    if pending.done is None:
+                        pending.done = threading.Event()
+                    ridden.append(entry)
+                if len(owned) + len(ridden) > loads:
+                    touched.append(index)
+        if not touched:
+            return plan.values(), 0
+        if len(touched) > 1:
+            owned = [entry for entry in plan.values() if entry[4]]  # plan order
+        error: BaseException | None = None
+        try:
+            for entry in owned:
+                entry[3].outcome = query(entry[1])
+            for _, _, _, pending, _, _ in ridden:
+                pending.done.wait()
+                if isinstance(pending.outcome, BaseException):
+                    raise pending.outcome
+        except BaseException as exc:
+            error = exc
+        for index in touched:
+            with self._locks[index]:
+                try:
+                    self._publish(index, groups[index], purpose)
+                except BaseException as exc:
+                    error = error or exc
+                inflight = self._inflight[index]
+                for shard, key, _, pending, _, _ in owned:
+                    if shard == index:
+                        if not isinstance(pending.outcome, tuple):
+                            pending.outcome = error
+                        del inflight[key]
+                        if pending.done is not None:
+                            pending.done.set()
+        if error is not None:
+            raise error
+        return plan.values(), len(owned)
+
+    def _publish(self, index: int, group: list[list], purpose: str) -> None:
+        """The second visit's writes to shard ``index`` (lock held)."""
+        region = self._prefetched[index]
+        if purpose == CYCLE:
+            room = self._capacities[index] - len(region)
+            slots: dict[TileKey, tuple[DataTile, str]] = {}
+            for _, key, model, pending, _, _ in group:
+                slot = region.pop(key, None)
+                outcome = pending and pending.outcome
+                if isinstance(outcome, tuple) and (slot or room > 0):
+                    room -= slot is None
+                    slot = (outcome[0], model)
+                if slot is not None:
+                    slots[key] = slot
+            # Whatever a background admission slotted in between goes last.
+            slots.update(region)
+            self._prefetched[index] = slots
+            return
+        for _, key, model, pending, _, _ in group:
+            if pending is None or not isinstance(pending.outcome, tuple):
+                continue
+            tile = pending.outcome[0]
+            if purpose == REQUEST:
+                self.record_request(tile)
+            elif key not in region and self._recent.peek(key) is None:
+                # A rider admits only what its owner's publish left
+                # absent: a tile a request recorded stays in one region.
+                self.admit_prefetched(tile, model)
 
     # ------------------------------------------------------------------
     # introspection
@@ -263,7 +376,7 @@ class TileCache:
         return sum(sizes.values())
 
     def clear(self) -> None:
-        """Drop everything."""
+        """Drop every resident tile (loads in flight are left alone)."""
         self._recent.clear()
         for index in range(self.shards):
             with self._locks[index]:

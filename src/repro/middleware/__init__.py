@@ -33,7 +33,6 @@ from repro.middleware.config import (
 )
 from repro.middleware.latency import (
     HIT_SECONDS,
-    LatencyModel,
     LatencyRecorder,
     MISS_SECONDS,
 )
@@ -83,7 +82,6 @@ __all__ = [
     "FrameTooLargeError",
     "HIT_SECONDS",
     "InvalidRequestError",
-    "LatencyModel",
     "LatencyRecorder",
     "MISS_SECONDS",
     "PREFETCH_MODES",

@@ -76,8 +76,8 @@ class CacheConfig:
     prefetch_capacity: int = 9
     #: Real seconds each backend query sleeps (throughput benchmarks).
     backend_delay_seconds: float = 0.0
-    #: Hash-striped lock segments for the prefetch region and the
-    #: manager's in-flight coalescing table.  1 (the default) keeps the
+    #: Hash-striped lock segments of the tile cache, each holding its
+    #: prefetch slots and in-flight loads.  1 (the default) keeps the
     #: single-lock semantics the sync figure benchmarks replay; raise it
     #: so many concurrent sessions stop serializing on one mutex.
     shards: int = 1
@@ -109,7 +109,6 @@ class CacheConfig:
                 shards=self.shards,
             ),
             backend_delay_seconds=self.backend_delay_seconds,
-            shards=self.shards,
         )
 
 

@@ -3,7 +3,7 @@
 The paper measured, on its SciDB testbed, an average of **19.5 ms** to
 serve a tile from the middleware cache and **984.0 ms** when the tile
 had to be fetched from SciDB.  Our backend charges its own (calibrated)
-virtual query cost on a miss; the latency model adds the fixed
+virtual query cost on a miss; :func:`response_seconds` adds the fixed
 middleware/transfer overhead that every response pays.
 """
 
@@ -35,19 +35,15 @@ def nearest_rank_percentile(values: list[float], q: float) -> float:
     return ordered[index]
 
 
-@dataclass(frozen=True)
-class LatencyModel:
-    """Maps request outcomes to response latency."""
+def response_seconds(hit: bool, backend_seconds: float) -> float:
+    """Latency of one response.
 
-    def response_seconds(self, hit: bool, backend_seconds: float) -> float:
-        """Latency of one response.
-
-        Hits pay only the middleware/transfer overhead,
-        :data:`HIT_SECONDS`; misses pay the backend query on top of it.
-        """
-        if hit:
-            return HIT_SECONDS
-        return HIT_SECONDS + backend_seconds
+    Hits pay only the middleware/transfer overhead, :data:`HIT_SECONDS`;
+    misses pay the backend query on top of it.
+    """
+    if hit:
+        return HIT_SECONDS
+    return HIT_SECONDS + backend_seconds
 
 
 @dataclass

@@ -40,7 +40,7 @@ from repro.cache.manager import CacheManager
 from repro.core.engine import PredictionEngine
 from repro.core.popularity import SharedHotspotRegistry
 from repro.middleware.config import PrefetchPolicy, ServiceConfig
-from repro.middleware.latency import LatencyModel, LatencyRecorder
+from repro.middleware.latency import LatencyRecorder, response_seconds
 from repro.middleware.protocol import (
     DuplicateSessionError,
     SessionClosedError,
@@ -203,7 +203,6 @@ class ForeCacheService:
                 f"prefetch budget k={policy.k}"
             )
         self.cache_manager = cache_manager
-        self.latency_model = LatencyModel()
         self.engine_factory = engine_factory
         #: The background worker pool, shared by every session: set
         #: exactly when ``policy.background``.
@@ -446,7 +445,7 @@ class ForeCacheService:
                 self.degraded_served += 1
             # Served from memory: charge the hit-path latency.  The
             # streak is left alone — only a *real* hit clears overload.
-            latency = self.latency_model.response_seconds(True, 0.0)
+            latency = response_seconds(True, 0.0)
             phase, prefetched = self._observe_and_predict(
                 record, move, key, latency, True
             )
@@ -477,9 +476,7 @@ class ForeCacheService:
                     self._miss_streak = 0
                 else:
                     self._miss_streak += 1
-        latency = self.latency_model.response_seconds(
-            outcome.hit, outcome.backend_seconds
-        )
+        latency = response_seconds(outcome.hit, outcome.backend_seconds)
         phase, prefetched = self._observe_and_predict(
             record, move, key, latency, outcome.hit
         )

@@ -5,13 +5,25 @@ import pytest
 
 from repro.cache.lru import LRUCache, ShardedLRUCache
 from repro.cache.manager import CacheManager
-from repro.cache.tile_cache import TileCache
+from repro.cache.tile_cache import CYCLE, TileCache
 from repro.tiles.key import TileKey
 from repro.tiles.tile import DataTile
 
 
 def tile(key: TileKey) -> DataTile:
     return DataTile(key=key, attributes={"v": np.zeros((2, 2))})
+
+
+def refill(cache: TileCache, predictions) -> list[TileKey]:
+    """Run one synchronous cycle on ``cache``; the keys it queried."""
+    queried: list[TileKey] = []
+
+    def query(key):
+        queried.append(key)
+        return tile(key), 0.5
+
+    cache.load(predictions, CYCLE, query)
+    return queried
 
 
 A, B, C, D = (TileKey(2, i, 0) for i in range(4))
@@ -83,51 +95,49 @@ class TestTileCache:
     def test_lookup_both_regions(self):
         cache = TileCache(recent_capacity=2, prefetch_capacity=2)
         cache.record_request(tile(A))
-        cache.store_prefetched(tile(B), "m")
+        cache.admit_prefetched(tile(B), "m")
         assert cache.lookup(A) is not None
         assert cache.lookup(B) is not None
         assert cache.lookup(C) is None
 
     def test_prefetch_capacity_enforced(self):
         cache = TileCache(prefetch_capacity=2)
-        assert cache.store_prefetched(tile(A), "m")
-        assert cache.store_prefetched(tile(B), "m")
-        assert not cache.store_prefetched(tile(C), "m")
+        assert refill(cache, [(A, "m"), (B, "m"), (C, "m")]) == [A, B]
+        assert cache.prefetched_keys == [A, B]
         assert C not in cache
 
     def test_begin_cycle_clears_prefetch_only(self):
         cache = TileCache(recent_capacity=2, prefetch_capacity=2)
         cache.record_request(tile(A))
-        cache.store_prefetched(tile(B), "m")
-        assert cache.begin_prefetch_cycle([]) == {}
+        cache.admit_prefetched(tile(B), "m")
+        assert refill(cache, []) == []
         assert cache.lookup(B) is None
         assert cache.lookup(A) is not None
 
     def test_attribution(self):
         cache = TileCache()
-        cache.store_prefetched(tile(A), "markov3")
-        cache.store_prefetched(tile(B), "sb:sift")
+        cache.admit_prefetched(tile(A), "markov3")
+        cache.admit_prefetched(tile(B), "sb:sift")
         assert cache.attribution(A) == "markov3"
         assert cache.model_usage() == {"markov3": 1, "sb:sift": 1}
 
     def test_nbytes_counts_both_regions(self):
         cache = TileCache()
         cache.record_request(tile(A))
-        cache.store_prefetched(tile(B), "m")
+        cache.admit_prefetched(tile(B), "m")
         assert cache.nbytes() == 2 * tile(A).nbytes
 
     def test_nbytes_counts_a_key_in_both_regions_once(self):
         cache = TileCache()
         cache.record_request(tile(A))
-        assert cache.begin_prefetch_cycle([(A, "m")]) == {A: "m"}
-        assert cache.claim_prefetched(A, "m") is not None
+        assert refill(cache, [(A, "m")]) == []  # carried from the recent LRU
         assert A in cache.prefetched_keys and A in cache.recent_keys
         assert cache.nbytes() == tile(A).nbytes
 
     def test_clear(self):
         cache = TileCache()
         cache.record_request(tile(A))
-        cache.store_prefetched(tile(B), "m")
+        cache.admit_prefetched(tile(B), "m")
         cache.clear()
         assert cache.lookup(A) is None
         assert cache.lookup(B) is None
@@ -236,20 +246,33 @@ class TestPromoteOnHit:
         assert key in manager.cache.recent_keys
 
 
+def count_recordings(cache: TileCache) -> list[TileKey]:
+    """The keys ``cache`` records into its recent LRU, as they come: a
+    hit's promotion, or a loaded tile's ``record_request``."""
+    calls: list[TileKey] = []
+    promote, record = cache.promote, cache.record_request
+
+    def promoting(key):
+        tile = promote(key)
+        if tile is not None:
+            calls.append(key)
+        return tile
+
+    def recording(t):
+        calls.append(t.key)
+        record(t)
+
+    cache.promote, cache.record_request = promoting, recording
+    return calls
+
+
 class TestRecordRequestOnce:
     """Every fetch path records the tile into the recent LRU exactly
     once: hit, miss owner (via publish), and coalesced waiter."""
 
     def test_hit_and_owner_record_once(self, small_dataset):
         manager = CacheManager(small_dataset.pyramid, TileCache())
-        calls: list[TileKey] = []
-        original = manager.cache.record_request
-
-        def counting(t):
-            calls.append(t.key)
-            original(t)
-
-        manager.cache.record_request = counting
+        calls = count_recordings(manager.cache)
         key = TileKey(1, 0, 0)
         manager.fetch(key)  # miss: owner records via publish only
         assert calls == [key]
@@ -260,14 +283,7 @@ class TestRecordRequestOnce:
         import threading
 
         manager = CacheManager(small_dataset.pyramid, TileCache())
-        calls: list[TileKey] = []
-        record_original = manager.cache.record_request
-
-        def counting(t):
-            calls.append(t.key)
-            record_original(t)
-
-        manager.cache.record_request = counting
+        calls = count_recordings(manager.cache)
         key = TileKey(1, 1, 1)
         started = threading.Event()
         release = threading.Event()
@@ -288,7 +304,8 @@ class TestRecordRequestOnce:
         owner.join(timeout=10)
         waiter.join(timeout=10)
         assert not owner.is_alive() and not waiter.is_alive()
-        # Two requests, two recordings: owner via publish, waiter itself.
+        # Two requests, two recordings: owner and waiter, each at its
+        # publish.
         assert calls == [key, key]
 
 
@@ -316,7 +333,7 @@ class TestShardedTileCache:
             if len(keys) == 6:
                 break
         for i, key in enumerate(keys):
-            assert cache.store_prefetched(tile(key), f"m{i % 2}")
+            assert cache.admit_prefetched(tile(key), f"m{i % 2}") is None
         for i, key in enumerate(keys):
             assert cache.lookup(key) is not None
             assert cache.attribution(key) == f"m{i % 2}"
@@ -342,7 +359,7 @@ class TestShardedTileCache:
     def test_clear_spans_all_shards(self):
         cache = TileCache(recent_capacity=4, prefetch_capacity=8, shards=4)
         for x in range(6):
-            cache.store_prefetched(tile(TileKey(3, x, 0)), "m")
+            cache.admit_prefetched(tile(TileKey(3, x, 0)), "m")
         cache.record_request(tile(TileKey(3, 0, 1)))
         cache.clear()
         assert cache.prefetched_keys == []
@@ -354,8 +371,11 @@ class TestShardedTileCache:
             TileCache(shards=0)
 
     def test_manager_rejects_zero_shards(self, small_dataset):
+        """Shards are the cache's alone: the manager takes none."""
         with pytest.raises(ValueError):
-            CacheManager(small_dataset.pyramid, TileCache(), shards=0)
+            CacheManager(small_dataset.pyramid, TileCache(shards=0))
+        with pytest.raises(TypeError):
+            CacheManager(small_dataset.pyramid, TileCache(), shards=2)
 
 
 class TestRiderAdmission:

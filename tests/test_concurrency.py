@@ -15,7 +15,7 @@ import pytest
 
 from repro.cache.lru import LRUCache
 from repro.cache.manager import CacheManager
-from repro.cache.tile_cache import TileCache
+from repro.cache.tile_cache import ADMIT, TileCache
 from repro.core.allocation import SingleModelStrategy
 from repro.core.engine import PredictionEngine
 from repro.middleware.config import CacheConfig, PrefetchPolicy, ServiceConfig
@@ -582,7 +582,6 @@ class TestPriorityAdmission:
         return CacheManager(
             small_dataset.pyramid,
             TileCache(recent_capacity=32, prefetch_capacity=9, shards=shards),
-            shards=shards,
         )
 
     @staticmethod
@@ -774,7 +773,6 @@ class TestShardedCacheManager:
             small_dataset.pyramid,
             TileCache(shards=4),
             backend_delay_seconds=0.05,
-            shards=8,
         )
         calls: list[TileKey] = []
         original = manager._query_backend
@@ -808,7 +806,6 @@ class TestShardedCacheManager:
             small_dataset.pyramid,
             TileCache(shards=4),
             backend_delay_seconds=0.02,
-            shards=4,
         )
         calls: list[TileKey] = []
         original = manager._query_backend
@@ -875,13 +872,17 @@ class GatedBackend:
 
         manager._query_backend = gated
 
+    @staticmethod
+    def fail(key):
+        raise AssertionError(f"{key} queried while resident")
+
 
 @pytest.fixture
 def waiting_riders(monkeypatch):
     """A semaphore released each time a caller starts waiting on another
     caller's in-flight load — the gate that replaces "sleep until the
     riders have probably arrived"."""
-    import repro.cache.manager as manager_module
+    import repro.cache.tile_cache as tile_cache_module
 
     waiting = threading.Semaphore(0)
 
@@ -891,7 +892,7 @@ def waiting_riders(monkeypatch):
             return super().wait(timeout)
 
     class SignallingThreading:
-        """The manager module's ``threading``: the real one, but for
+        """The cache module's ``threading``: the real one, but for
         ``Event``."""
 
         Event = SignallingEvent
@@ -899,7 +900,7 @@ def waiting_riders(monkeypatch):
         def __getattr__(self, name):
             return getattr(threading, name)
 
-    monkeypatch.setattr(manager_module, "threading", SignallingThreading())
+    monkeypatch.setattr(tile_cache_module, "threading", SignallingThreading())
     return waiting
 
 
@@ -911,9 +912,11 @@ class TestLoadProtocol:
 
     def test_carried_tile_is_never_absent_mid_cycle(self, small_dataset):
         """A tile predicted two rounds running stays visible to other
-        threads while the cycle that re-claims it waits on the backend
+        threads while the cycle that carries it waits on the backend
         (the refill dropped it first: a virtual miss and a second query
-        for whoever asked in that window)."""
+        for whoever asked in that window).  A request served from it
+        in that window promotes it for good: the cycle's second visit
+        does not put it back into the prefetch region."""
         manager = CacheManager(small_dataset.pyramid, TileCache(prefetch_capacity=3))
         carried, superseded, absent = (TileKey(3, x, 3) for x in range(3))
         manager.prefetch([(carried, "m"), (superseded, "m")])
@@ -935,8 +938,9 @@ class TestLoadProtocol:
             cycle.join(timeout=10)
         assert not cycle.is_alive()
         assert gate.calls == [absent]
-        assert manager.cache.prefetched_keys == [absent, carried]
-        assert manager.cache.attribution(carried) == "n"
+        assert manager.cache.prefetched_keys == [absent]
+        assert manager.cache.recent_keys == [carried]
+        assert manager.cache.attribution(carried) is None
         assert manager.peek(carried) is tile
 
     def ride(self, manager, gate, waiting_riders, call) -> list[BaseException]:
@@ -972,7 +976,7 @@ class TestLoadProtocol:
         assert all(o.backend_seconds == outcomes[0].backend_seconds for o in outcomes)
         assert sorted(o.coalesced for o in outcomes) == [False] + [True] * self.RIDERS
         assert manager.coalesced == self.RIDERS
-        assert manager.inflight_count == 0 and manager._inflight == [{}]
+        assert manager.inflight_count == 0 and manager.cache._inflight == [{}]
 
     @pytest.mark.parametrize("failure", [RuntimeError, KeyboardInterrupt])
     def test_owner_failure_reaches_every_waiter(
@@ -989,7 +993,7 @@ class TestLoadProtocol:
         assert len(errors) == self.RIDERS + 1
         assert all(error is raised for error in errors)
         assert gate.calls == [key]
-        assert manager.inflight_count == 0 and manager._inflight == [{}]
+        assert manager.inflight_count == 0 and manager.cache._inflight == [{}]
         assert manager.peek(key) is None
 
     def test_a_cycle_riding_a_request_still_claims_its_slot(
@@ -1021,37 +1025,39 @@ class TestLoadProtocol:
     def test_late_arrival_between_publish_and_unregister_sees_the_tile(
         self, small_dataset
     ):
-        """The owner publishes before it unregisters: a caller arriving
-        in between finds the resident tile, not a gap to re-query."""
+        """The owner publishes before it unregisters, in one visit to
+        the shard lock: a caller arriving in between — the owner's own
+        thread, re-entering the lock from inside the publish — finds the
+        resident tile, not a gap to re-query."""
         manager = CacheManager(small_dataset.pyramid, TileCache())
         key = TileKey(3, 1, 2)
         gate = GatedBackend(manager)
         gate.release.set()
-        published = threading.Event()
-        unregister = threading.Event()
         record = manager.cache.record_request
+        arrivals = []
 
-        def publish_then_hold(tile):
+        def publish_then_arrive(tile):
             record(tile)
-            published.set()
-            assert unregister.wait(10)
-
-        manager.cache.record_request = publish_then_hold
-        owner = threading.Thread(target=manager.fetch, args=(key,))
-        owner.start()
-        try:
-            assert published.wait(10)
             manager.cache.record_request = record
-            assert manager.inflight_count == 1  # still registered
-            tile = manager.peek(key)
-            assert tile is not None
-            assert manager._load(key, manager.cache.lookup, record) == (tile, 0.0, None)
-            assert manager.prefetch_one(key, "m") is tile
-            assert manager.fetch(key).hit
-        finally:
-            unregister.set()
-            owner.join(timeout=10)
-        assert not owner.is_alive()
+            arrivals.append(
+                (
+                    manager.inflight_count,
+                    manager.peek(key),
+                    manager.cache.load([(key, "m")], ADMIT, gate.fail),
+                    manager.prefetch_one(key, "m"),
+                    manager.fetch(key).hit,
+                )
+            )
+
+        manager.cache.record_request = publish_then_arrive
+        tile = manager.fetch(key).tile
+        ((inflight, peeked, loaded, prefetched, hit),) = arrivals
+        assert inflight == 1  # still registered
+        assert peeked is tile
+        entries, queries = loaded
+        assert list(entries) == [[0, key, "m", None, False, tile]] and queries == 0
+        assert prefetched is tile
+        assert hit
         assert gate.calls == [key]
         assert manager.inflight_count == 0
 
@@ -1063,7 +1069,6 @@ class TestLoadProtocol:
         manager = CacheManager(
             small_dataset.pyramid,
             TileCache(recent_capacity=3, prefetch_capacity=4, shards=2),
-            shards=2,
         )
         keys = [TileKey(3, x, y) for x in range(3) for y in range(3)]
         calls: list[TileKey] = []
@@ -1093,3 +1098,107 @@ class TestLoadProtocol:
         assert manager.inflight_count == 0
         fetch_owners = manager.requests - manager.hits - manager.coalesced
         assert len(calls) == fetch_owners + manager.prefetch_queries
+
+
+class GatedPyramid:
+    """A pyramid whose fetches of ``gated`` keys wait at a gate the test
+    opens (and then raise ``fail``, when given); every fetch is noted."""
+
+    def __init__(self, pyramid, gated, fail: BaseException | None = None):
+        self.pyramid = pyramid
+        self.gated = set(gated)
+        self.fail = fail
+        self.calls: list[TileKey] = []
+        self.entered = threading.Event()
+        self.release = threading.Event()
+
+    def fetch_tile_timed(self, key):
+        self.calls.append(key)
+        if key in self.gated:
+            self.entered.set()
+            assert self.release.wait(10)
+            if self.fail is not None:
+                raise self.fail
+        return self.pyramid.fetch_tile_timed(key)
+
+
+class TestCycleWindow:
+    """Requests landing between the prefetch cycle's two visits: the
+    cycle has registered its loads and is inside a query."""
+
+    RIDERS = 3
+
+    def test_a_request_for_a_key_the_cycle_registered_rides_it(
+        self, small_dataset, waiting_riders
+    ):
+        key = TileKey(3, 1, 3)
+        pyramid = GatedPyramid(small_dataset.pyramid, [key])
+        manager = CacheManager(pyramid, TileCache())
+        outcomes = []
+
+        def request():
+            assert pyramid.entered.wait(10)  # the cycle is querying `key`
+            outcomes.append(manager.fetch(key))
+
+        def conductor():
+            assert waiting_riders.acquire(timeout=10)
+            assert manager.inflight_count == 1
+            pyramid.release.set()
+
+        errors = run_threads(
+            [lambda: manager.prefetch([(key, "m")]), request, conductor]
+        )
+        assert errors == []
+        assert pyramid.calls == [key], "the request must ride the cycle's query"
+        (outcome,) = outcomes
+        assert not outcome.hit and outcome.coalesced
+        assert outcome.tile is manager.peek(key)
+        assert (manager.coalesced, manager.prefetch_queries) == (1, 1)
+        # The cycle slotted it, the request then promoted it.
+        assert manager.cache.recent_keys == [key]
+        assert manager.cache.prefetched_keys == []
+        assert manager.inflight_count == 0
+
+    def test_a_failed_query_abandons_the_cycles_loads_and_nothing_else(
+        self, small_dataset, waiting_riders
+    ):
+        carried, failing, later = (TileKey(3, x, 2) for x in range(3))
+        raised = RuntimeError("backend down")
+        pyramid = GatedPyramid(small_dataset.pyramid, [failing], fail=raised)
+        manager = CacheManager(pyramid, TileCache())
+        manager.prefetch([(carried, "m")])
+        tile = manager.peek(carried)
+
+        def cycle():
+            manager.prefetch([(carried, "n"), (failing, "n"), (later, "n")])
+
+        def rider(key):
+            assert pyramid.entered.wait(10)  # the cycle is querying `failing`
+            manager.fetch(key)
+
+        def conductor():
+            for _ in range(2 * self.RIDERS):
+                assert waiting_riders.acquire(timeout=10)
+            assert manager.inflight_count == 2
+            pyramid.release.set()
+
+        errors = run_threads(
+            [cycle, conductor]
+            + [lambda: rider(failing)] * self.RIDERS
+            + [lambda: rider(later)] * self.RIDERS
+        )
+        # The cycle and every rider of either abandoned load raise the
+        # owner's exception itself; `later` was never queried.
+        assert len(errors) == 1 + 2 * self.RIDERS
+        assert all(error is raised for error in errors)
+        assert pyramid.calls == [carried, failing]
+        assert manager.cache.prefetched_keys == [carried]
+        assert manager.cache.attribution(carried) == "n"
+        assert manager.peek(carried) is tile
+        assert manager.inflight_count == 0 and manager.cache._inflight == [{}]
+        assert manager.peek(failing) is None and manager.peek(later) is None
+
+        pyramid.fail = None
+        assert manager.prefetch([(carried, "o"), (failing, "o"), (later, "o")]) == 2
+        assert pyramid.calls == [carried, failing, failing, later]
+        assert manager.cache.prefetched_keys == [carried, failing, later]

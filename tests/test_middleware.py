@@ -10,10 +10,10 @@ from repro.middleware.client import BrowsingSession
 from repro.middleware.config import PrefetchPolicy, ServiceConfig
 from repro.middleware.latency import (
     HIT_SECONDS,
-    LatencyModel,
     LatencyRecorder,
     MISS_SECONDS,
     nearest_rank_percentile,
+    response_seconds,
 )
 from repro.middleware.protocol import WorkerUnavailableError
 from repro.middleware.service import ForeCacheService, SessionHandle
@@ -63,10 +63,10 @@ def server(small_dataset):
 
 class TestLatencyModel:
     def test_hit_latency(self):
-        assert LatencyModel().response_seconds(True, 0.0) == HIT_SECONDS
+        assert response_seconds(True, 0.0) == HIT_SECONDS
 
     def test_miss_latency_includes_backend(self):
-        latency = LatencyModel().response_seconds(False, 0.9645)
+        latency = response_seconds(False, 0.9645)
         assert latency == pytest.approx(MISS_SECONDS)
 
     def test_recorder_average(self):

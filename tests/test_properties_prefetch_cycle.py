@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.cache.manager as manager_module
+import repro.cache.tile_cache as tile_cache_module
 from repro.cache.manager import CacheManager
 from repro.cache.tile_cache import TileCache
 from repro.tiles.key import TileKey
@@ -38,13 +39,38 @@ class CountingPyramid:
         return DataTile(key=key, attributes={"v": block}), 0.5
 
 
+class RefillCache(TileCache):
+    """A tile cache plus the two cycle calls ``reference_cycle`` makes,
+    transcribed from the parent commit (``begin_prefetch_cycle`` only as
+    the reference calls it: with no predictions, it plans nothing and
+    drops the whole region).  The manager's cycle calls neither."""
+
+    def begin_prefetch_cycle(self, predictions) -> dict[TileKey, str]:
+        assert predictions == []
+        for index in range(self.shards):
+            with self._locks[index]:
+                self._prefetched[index].clear()
+        return {}
+
+    def store_prefetched(self, tile: DataTile, model: str) -> bool:
+        index = self._shard(tile.key)
+        with self._locks[index]:
+            region = self._prefetched[index]
+            if tile.key not in region and (
+                len(region) >= self._capacities[index]
+            ):
+                return False
+            region[tile.key] = (tile, model)
+            return True
+
+
 def build_manager(shards: int, prefetch_capacity: int, recent_capacity: int):
-    cache = TileCache(
+    cache = RefillCache(
         recent_capacity=recent_capacity,
         prefetch_capacity=prefetch_capacity,
         shards=shards,
     )
-    return CacheManager(CountingPyramid(), cache, shards=shards)
+    return CacheManager(CountingPyramid(), cache)
 
 
 def reference_cycle(manager: CacheManager, predictions) -> int:
@@ -181,45 +207,63 @@ class Counted:
 
 
 def test_a_cycle_does_no_work_nobody_needs(monkeypatch):
-    """Contract 5, on one thread: per prediction at most one residency
-    probe and one slot write; per backend load one stripe-lock visit to
-    register and one to publish-and-unregister; nothing waitable is
-    constructed for a load no second caller joins."""
+    """Contract 5, on one thread: two visits to the shard lock — one
+    to carry and register, one to slot and unregister; no
+    per-key probe or write call; nothing waitable constructed for a
+    load no second caller joins."""
     manager = build_manager(shards=1, prefetch_capacity=6, recent_capacity=4)
     cache = manager.cache
     a, b, c, d, e = KEYS[:5]
     manager.prefetch([(a, "m"), (b, "m"), (c, "m")])
     manager.fetch(d)  # d: recent LRU only
 
-    stripe = manager._locks[0] = Counted(manager._locks[0])
-    probes = [Counted(cache.lookup), Counted(cache.claim_prefetched)]
-    cache.lookup, cache.claim_prefetched = probes
-    writes = [Counted(cache.store_prefetched), Counted(cache.admit_prefetched)]
-    cache.store_prefetched, cache.admit_prefetched = writes
+    shard = cache._locks[0] = Counted(cache._locks[0])
+    probes = [Counted(cache.lookup)]
+    (cache.lookup,) = probes
+    writes = [Counted(cache.record_request), Counted(cache.admit_prefetched)]
+    cache.record_request, cache.admit_prefetched = writes
     built: list[str] = []
 
     class RecordingThreading:
-        """The manager module's ``threading`` for this one cycle: the
-        real one, every name it reaches for noted (the module only
-        touches ``threading`` to construct something)."""
+        """A module's ``threading`` for this one cycle: the real one,
+        every name it reaches for noted (the cache modules only touch
+        ``threading`` to construct something)."""
 
         def __getattr__(self, name):
             built.append(name)
             return getattr(threading, name)
 
     monkeypatch.setattr(manager_module, "threading", RecordingThreading())
+    monkeypatch.setattr(tile_cache_module, "threading", RecordingThreading())
 
     # b, a carried from the region, d from the recent LRU, e loaded.
     round_predictions = [(b, "x"), (e, "x"), (a, "y"), (d, "y"), (b, "y")]
     assert manager.prefetch(round_predictions) == 1
     monkeypatch.undo()
+    assert shard.calls == 2  # carry, register; slot, unregister
 
     assert built == []
     assert cache.prefetched_keys == [b, e, a, d]
     assert [cache.attribution(k) for k in (b, e, a, d)] == ["y", "x", "y", "y"]
-    assert sum(probe.calls for probe in probes) == 4  # one per planned key
-    # One slot write per planned key: the three carried tiles are
-    # written by their claim, the loaded one by its publish.
-    assert sum(write.calls for write in writes) == 1
-    assert stripe.calls == 3 + 2  # three carried, one load
+    assert sum(probe.calls for probe in probes) == 0
+    assert sum(write.calls for write in writes) == 0
+    assert manager.inflight_count == 0
+
+
+def test_a_cycle_visits_a_shard_at_most_twice():
+    """With several shards: a shard holding a planned key absent
+    everywhere is visited twice, one holding only carried keys or no
+    planned key at all once (its superseded tiles still drop)."""
+    manager = build_manager(shards=3, prefetch_capacity=6, recent_capacity=4)
+    cache = manager.cache
+    by_shard = [[k for k in KEYS if cache._shard(k) == i] for i in range(3)]
+    carried, loaded = by_shard[0][0], by_shard[1][0]
+    superseded = by_shard[2][0]
+    manager.prefetch([(carried, "m"), (superseded, "m")])
+    visits = [Counted(lock) for lock in cache._locks]
+    cache._locks[:] = visits
+    assert manager.prefetch([(carried, "n"), (loaded, "n")]) == 1
+    assert [lock.calls for lock in visits] == [1, 2, 1]
+    assert manager.peek(superseded) is None
+    assert cache.prefetched_keys == [carried, loaded]
     assert manager.inflight_count == 0

@@ -337,11 +337,15 @@ class TestSchedulingKnobs:
             CacheConfig(shards=0)
 
     def test_cache_config_shards_reach_both_layers(self, small_dataset):
+        """Both cache regions, the in-flight loads with the prefetch
+        slots; the manager keeps no stripes of its own."""
         manager = CacheConfig(shards=4).build_cache_manager(
             small_dataset.pyramid
         )
-        assert manager.shards == 4
+        assert not hasattr(manager, "shards")
         assert manager.cache.shards == 4
+        assert len(manager.cache._inflight) == 4
+        assert manager.cache._recent.shards == 4
 
     def test_background_requests_flow_through_priority_scheduler(
         self, small_dataset
