@@ -10,9 +10,11 @@ service session, recording the calls its cache manager receives: one
 call stream is then replayed on fresh cache managers of the default
 shape over the same pyramid, with no engine in the loop.
 
-It prints three exact counts per request of one replay — backend
-queries (``fetch_tile_timed`` calls), hits, and visits to the cache's
-shard locks during the prefetch cycle — and then the median over
+It prints exact counts of one replay — backend queries
+(``fetch_tile_timed`` calls) and hits per request, visits to the
+cache's shard locks per prefetch cycle, and per ``fetch`` that hit and
+that missed (a re-entrant acquire counts as a visit) — and then the
+median over
 ``TIMED_PASSES`` replays of the microseconds per request spent in
 ``fetch`` plus ``prefetch``.  CI prints it in the ``test`` job's
 summary; nothing gates on it.
@@ -118,15 +120,18 @@ def main() -> None:
 
     visits = [0]
     cycle_visits = 0
+    #: Shard-lock visits of the fetches that hit, and of those that missed.
+    fetch_visits = {True: 0, False: 0}
     pyramid.fetch_tile_timed = counted
     try:
         cache = manager.cache
         cache._locks[:] = [CountedLock(lock, visits) for lock in cache._locks]
         for name, argument in calls:
+            before = visits[0]
             if name == "fetch":
-                manager.fetch(argument)
+                hit = manager.fetch(argument).hit
+                fetch_visits[hit] += visits[0] - before
             else:
-                before = visits[0]
                 manager.prefetch(argument)
                 cycle_visits += visits[0] - before
     finally:
@@ -140,6 +145,8 @@ def main() -> None:
     )
     print(f"hits                    {manager.hits} of {manager.requests}")
     print(f"shard-lock visits/cycle {cycle_visits / len(requests):.3f}")
+    print(f"shard-lock visits/hit   {fetch_visits[True] / manager.hits:.3f}")
+    print(f"shard-lock visits/miss  {fetch_visits[False] / misses:.3f}")
     per_pass = [
         replay(CacheConfig().build_cache_manager(pyramid), calls) / len(requests)
         for _ in range(TIMED_PASSES)

@@ -10,11 +10,11 @@ predicted and queries the DBMS only for the ones resident nowhere, or
 one tile at a time via :meth:`prefetch_one` when a background scheduler
 drives the work.
 
-The manager is thread-safe.  Its loads go through the cache's
-coalescing :meth:`~repro.cache.tile_cache.TileCache.load`, so
-concurrent misses on one :class:`~repro.tiles.key.TileKey` — two
-sessions on one tile, a request racing a prefetch job — run one DBMS
-query; stats counters live under their own small lock.
+The manager is thread-safe.  Its loads are the cache's coalesced
+loads, so concurrent misses on one :class:`~repro.tiles.key.TileKey` —
+two sessions on one tile, a request racing a prefetch job — run one
+DBMS query; a :meth:`CacheManager.fetch` hit takes one shard-lock visit
+and a miss two.  Stats counters live under their own small lock.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import threading
 import time
 from dataclasses import dataclass
 
-from repro.cache.tile_cache import ADMIT, CYCLE, REQUEST, TileCache
+from repro.cache.tile_cache import ADMIT, CYCLE, TileCache
 from repro.tiles.key import TileKey
 from repro.tiles.pyramid import TilePyramid
 from repro.tiles.tile import DataTile
@@ -76,41 +76,37 @@ class CacheManager:
     def fetch(self, key: TileKey) -> FetchOutcome:
         """Serve one user request, from cache if possible.
 
-        Safe to call from many threads: a miss that finds the key's
-        query in flight rides it.  The tile is recorded into the recent
-        LRU exactly once per call — a hit from the prefetch region
-        *promotes* it (its slot is freed), a miss records at its load's
-        publish, owner and rider alike.
+        Safe to call from many threads.  The probe that finds the tile
+        absent registers its load, or rides the one in flight for the
+        key; one more visit publishes it.  The tile is recorded into the
+        recent LRU exactly once per call — a hit from the prefetch
+        region *promotes* it (its slot is freed), a miss records at its
+        load's publish, owner and rider alike.
         """
-        outcome = self.try_fetch(key)
-        if outcome is not None:
-            return outcome
+        try:
+            tile, pending, owner = self.cache.request(key, self._query_backend)
+        except BaseException:
+            with self._stats_lock:
+                self.requests += 1
+            raise
         with self._stats_lock:
             self.requests += 1
-        ((_, _, _, pending, owner, tile),), _ = self.cache.load(
-            [(key, None)], REQUEST, self._query_backend
-        )
-        if pending is None:
-            # Resident by the time the load probed: a hit after all.
-            with self._stats_lock:
+            if pending is None:
                 self.hits += 1
-            return FetchOutcome(tile, True, 0.0)
-        tile, backend_seconds = pending.outcome
-        if not owner:
-            with self._stats_lock:
+            elif not owner:
                 self.coalesced += 1
-        return FetchOutcome(tile, False, backend_seconds, not owner)
+        if pending is None:
+            return FetchOutcome(tile, True, 0.0)
+        return FetchOutcome(tile, False, pending.outcome[1], not owner)
 
     def try_fetch(self, key: TileKey) -> FetchOutcome | None:
         """Serve one request *only if it is a hit*; None on a miss.
 
-        The non-blocking face of :meth:`fetch`: a hit is counted and
-        recorded exactly as :meth:`fetch` would (requests+1, hits+1,
-        recent-LRU promotion), so ``try_fetch(key) or fetch(key)``
-        double-counts — a miss probe touches **no** counters and leaves
-        the full accounting to the :meth:`fetch` that follows.  This is
-        what lets an event loop answer cache hits inline without ever
-        blocking on the backend.
+        A hit is counted and recorded exactly as :meth:`fetch` would; a
+        miss is a pure probe — no counters, no load registered — so
+        ``try_fetch(key) or fetch(key)`` counts one request either way.
+        This is what lets an event loop answer cache hits inline without
+        ever blocking on the backend.
         """
         cached = self.cache.promote(key)
         if cached is None:

@@ -22,30 +22,29 @@ key counted once — a best-effort snapshot under concurrency, read one
 shard at a time.  It is not memory the cache owns: a tile's arrays are
 the chunk store's own read-only blocks.
 
-The cache is thread-safe and **hash-striped** into ``shards`` segments,
-each owning an equal slice of ``prefetch_capacity``.  A shard's one
-lock holds its prefetch slots, the backend loads in flight for its keys
-and every probe and update of the recent region for its keys (a
-:class:`~repro.cache.lru.ShardedLRUCache`, entered under the shard
-lock: shard, then segment, never the reverse).  ``shards=1`` (the
-default) keeps the single-region semantics the figure benchmarks
-replay.  Every backend load goes through :meth:`TileCache.load`, which
-**coalesces** concurrent loads of one key into one query.
+The cache is thread-safe and **hash-striped**: a key lives in shard
+``hash(key) % shards``, whose one lock holds the key's recent entry,
+prefetch slot and in-flight backend load, so every probe takes one
+lock.  There are ``min(shards, prefetch_capacity, recent_capacity)``
+shards, so each has a slot in both regions; each region's capacity is
+split over them, early shards absorbing the remainder, and evicts
+within the key's shard.  ``shards=1`` (the default) keeps the
+single-region semantics the figure benchmarks replay.  Concurrent
+backend loads of one key are **coalesced** into one query.
 """
 
 from __future__ import annotations
 
 import threading
+from collections import OrderedDict
 from collections.abc import ValuesView
 
-from repro.cache.lru import ShardedLRUCache
 from repro.tiles.key import TileKey
 from repro.tiles.tile import DataTile
 
-#: What :meth:`TileCache.load` loads for.  A user request promotes a
-#: resident tile and records a loaded one into the recent region; a
-#: background prefetch admits a loaded tile that is still absent; the
-#: synchronous cycle replaces the prefetch region with its plan.
+#: What a load is for.  A user request records a loaded tile into the
+#: recent region; a background prefetch admits a loaded tile that is
+#: still absent; the synchronous cycle replaces the prefetch region.
 REQUEST, ADMIT, CYCLE = "request", "admit", "cycle"
 
 
@@ -64,43 +63,47 @@ class _PendingLoad:
         self.done: threading.Event | None = None
 
 
+def _register(entry: list, inflight: dict[TileKey, _PendingLoad]) -> bool:
+    """Register the load of an absent ``entry`` (True: the caller owns
+    it), or ride the one in flight (False).  Shard lock held."""
+    key = entry[1]
+    pending = inflight.get(key)
+    if pending is None:
+        entry[3] = inflight[key] = _PendingLoad()
+        entry[4] = True
+        return True
+    if pending.done is None:
+        pending.done = threading.Event()
+    entry[3] = pending
+    return False
+
+
 class TileCache:
     """Recent-LRU plus hash-striped per-model prefetch slots."""
 
     def __init__(
-        self,
-        recent_capacity: int = 10,
-        prefetch_capacity: int = 9,
-        shards: int = 1,
+        self, recent_capacity: int = 10, prefetch_capacity: int = 9, shards: int = 1
     ) -> None:
-        if prefetch_capacity < 1:
-            raise ValueError(
-                f"prefetch capacity must be >= 1, got {prefetch_capacity}"
-            )
-        if shards < 1:
-            raise ValueError(f"shards must be >= 1, got {shards}")
+        for name, value in (
+            ("recent capacity", recent_capacity),
+            ("prefetch capacity", prefetch_capacity),
+            ("shards", shards),
+        ):
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
         self.prefetch_capacity = prefetch_capacity
-        # Every shard needs at least one slot to be useful.  Each region
-        # clamps independently against its own capacity.
-        self.shards = min(shards, prefetch_capacity)
-        self._recent: ShardedLRUCache[TileKey, DataTile] = ShardedLRUCache(
-            recent_capacity, shards=shards
-        )
-        self._locks = [threading.RLock() for _ in range(self.shards)]
+        self.shards = shards = min(shards, prefetch_capacity, recent_capacity)
+        self._locks = [threading.RLock() for _ in range(shards)]
+        #: Per shard, least recently requested first: key -> tile.
+        self._recent = [OrderedDict() for _ in range(shards)]
         #: Per shard, in slot order: key -> (tile, predicting model).
-        self._prefetched: list[dict[TileKey, tuple[DataTile, str]]] = [
-            {} for _ in range(self.shards)
-        ]
+        self._prefetched = [{} for _ in range(shards)]
         #: Per shard: the backend loads in flight for its keys.
-        self._inflight: list[dict[TileKey, _PendingLoad]] = [
-            {} for _ in range(self.shards)
-        ]
-        # Capacity split as evenly as possible; early shards absorb the
-        # remainder, so the slices always sum to prefetch_capacity.
-        base, extra = divmod(prefetch_capacity, self.shards)
-        self._capacities = [
-            base + (1 if i < extra else 0) for i in range(self.shards)
-        ]
+        self._inflight: list[dict[TileKey, _PendingLoad]] = [{} for _ in range(shards)]
+        self._recent_capacities, self._capacities = (
+            [total // shards + (i < total % shards) for i in range(shards)]
+            for total in (recent_capacity, prefetch_capacity)
+        )
 
     def _shard(self, key: TileKey) -> int:
         return hash(key) % self.shards
@@ -113,7 +116,7 @@ class TileCache:
         index = self._shard(key)
         with self._locks[index]:
             slot = self._prefetched[index].get(key)
-            return slot[0] if slot is not None else self._recent.peek(key)
+            return slot[0] if slot is not None else self._recent[index].get(key)
 
     def __contains__(self, key: TileKey) -> bool:
         return self.lookup(key) is not None
@@ -129,35 +132,67 @@ class TileCache:
         return sum(len(loads) for loads in self._inflight)
 
     # ------------------------------------------------------------------
-    # updates
+    # the request path
     # ------------------------------------------------------------------
     def promote(self, key: TileKey) -> DataTile | None:
-        """Serve a request from memory: the resident tile, or None.
+        """Serve a request from memory: the resident tile, recorded
+        into the recent region (promoted out of the prefetch region if
+        it sat there), or None, an absent key left alone."""
+        index = hash(key) % self.shards
+        with self._locks[index]:
+            return self._promote(index, key)
 
-        A tile found is recorded into the recent region; one that sat
-        in the prefetch region is promoted, its slot freed for the next
-        round's predictions.
+    def request(self, key: TileKey, query) -> tuple[DataTile, _PendingLoad | None, bool]:
+        """Serve a request, from memory or from ``query(key)``.
+
+        One visit to the key's shard lock serves a resident tile as
+        :meth:`promote` does, or registers the load of an absent one (or
+        rides the one in flight).  The query runs outside the lock, and
+        one more visit records the loaded tile into the recent region
+        and unregisters the load.  Returns ``(tile, pending, owner)``:
+        ``pending`` is None on a hit, else the load (its ``outcome``
+        ``(tile, backend_seconds)``); ``owner``: this call queried.
         """
         index = hash(key) % self.shards
         with self._locks[index]:
-            slot = self._prefetched[index].pop(key, None)
-            if slot is None:
-                return self._recent.get(key)
-            self._recent.put(key, slot[0])
-            return slot[0]
+            tile = self._promote(index, key)
+            if tile is not None:
+                return tile, None, False
+            entry = [index, key, None, None, False, None]
+            owner = _register(entry, self._inflight[index])
+        group = [entry]
+        owned, ridden = (group, []) if owner else ([], group)
+        self._complete({index: group}, [index], owned, ridden, REQUEST, query)
+        return entry[3].outcome[0], entry[3], owner
 
     def record_request(self, tile: DataTile) -> None:
-        """A tile the user actually requested enters the recent region.
-
-        If the tile sat in the prefetch region, it is promoted: the
-        recent LRU takes ownership and the prefetch slot is freed for
-        the next round's predictions.
-        """
+        """A tile the user actually requested enters the recent region,
+        promoted out of the prefetch region if it sat there."""
         index = self._shard(tile.key)
         with self._locks[index]:
-            self._recent.put(tile.key, tile)
-            self._prefetched[index].pop(tile.key, None)
+            self._record(index, tile)
 
+    def _promote(self, index: int, key: TileKey) -> DataTile | None:
+        """:meth:`promote`'s work, shard ``index``'s lock held."""
+        slot = self._prefetched[index].get(key)
+        tile = slot[0] if slot is not None else self._recent[index].get(key)
+        if tile is not None:
+            self._record(index, tile)
+        return tile
+
+    def _record(self, index: int, tile: DataTile) -> None:
+        """:meth:`record_request`'s work, shard ``index``'s lock held."""
+        key = tile.key
+        recent = self._recent[index]
+        recent[key] = tile
+        recent.move_to_end(key)
+        if len(recent) > self._recent_capacities[index]:
+            recent.popitem(last=False)
+        self._prefetched[index].pop(key, None)
+
+    # ------------------------------------------------------------------
+    # the prefetch path
+    # ------------------------------------------------------------------
     def admit_prefetched(self, tile: DataTile, model: str) -> TileKey | None:
         """Add a predicted tile, evicting the shard's oldest if full.
 
@@ -179,11 +214,9 @@ class TileCache:
             region[tile.key] = (tile, model)
             return evicted
 
-    # ------------------------------------------------------------------
-    # coalesced backend loads
-    # ------------------------------------------------------------------
     def load(self, predictions, purpose: str, query) -> tuple[ValuesView[list], int]:
-        """Bring the keys of ``predictions``, ``(key, model)`` pairs, in.
+        """Bring the keys of ``predictions``, ``(key, model)`` pairs, in
+        for ``ADMIT`` or ``CYCLE``.
 
         ``CYCLE`` first plans the slots as refilling an empty region in
         prediction order would: a key claims a slot while its shard has
@@ -191,26 +224,22 @@ class TileCache:
         whose shard is full is skipped — or ends the plan, once every
         slot of the region is taken.  Then two visits per shard holding
         a planned key.  The first probes each key: a resident tile is
-        served (``REQUEST`` promotes it, ``CYCLE`` carries it); an
-        absent one is registered as a load this call owns, or ridden if
-        one is in flight.  ``CYCLE`` visits every shard and replaces its
-        region with the carried tiles, in plan order.  Then
-        ``query(key)`` runs per owned key, outside any lock, in plan
-        order, and the ridden loads are waited on.  The second visit
-        publishes the loaded tiles, then unregisters the owned loads:
-        a late arrival finds the load or the tile, never a gap.
-        ``CYCLE`` slots each loaded tile at its plan position while the
-        shard has room, and never brings back a carried tile a request
-        promoted in between.
+        served (``CYCLE`` carries it); an absent one is registered as a
+        load this call owns, or ridden if one is in flight.  ``CYCLE``
+        visits every shard and replaces its region with the carried
+        tiles, in plan order.  Then ``query(key)`` runs per owned key,
+        outside any lock, in plan order, and the ridden loads are
+        waited on.  The second visit publishes the loaded tiles, then
+        unregisters the owned loads: a late arrival finds the load or
+        the tile, never a gap.  ``CYCLE`` slots each loaded tile at its
+        plan position while the shard has room, and never brings back a
+        carried tile a request promoted in between.
 
         Returns each planned key, in plan order, as ``[shard, key,
         model, pending, owner, tile]`` (``pending`` None: ``tile`` was
         resident; else the load, its ``outcome`` ``(tile,
-        backend_seconds)``), and the number of queries run.  When a
-        query raises, the owned loads not yet run are abandoned: every
-        owned load is unregistered with that exception, which each of
-        its riders raises too, the loaded tiles are still published,
-        and the exception propagates — as does a ridden load's.
+        backend_seconds)``), and the number of queries run.  A query's
+        error propagates as :meth:`_complete` says.
         """
         cycle = purpose == CYCLE
         shards = self.shards
@@ -237,38 +266,41 @@ class TileCache:
                 continue
             with self._locks[index]:
                 region = self._prefetched[index]
+                recent = self._recent[index]
                 inflight = self._inflight[index]
                 if cycle:
                     carried = self._prefetched[index] = {}
                 loads = len(owned) + len(ridden)
-                found = self._recent.peek_many([entry[1] for entry in group])
-                for entry, tile in zip(group, found):
+                for entry in group:
                     key = entry[1]
                     slot = region.get(key)
-                    if slot is not None:
-                        tile = slot[0]
+                    tile = slot[0] if slot is not None else recent.get(key)
                     if tile is not None:
                         entry[5] = tile
                         if cycle:
                             carried[key] = (tile, entry[2])
-                        elif purpose == REQUEST:
-                            self.record_request(tile)
-                        continue
-                    pending = entry[3] = inflight.get(key)
-                    if pending is None:
-                        entry[3] = inflight[key] = _PendingLoad()
-                        entry[4] = True
+                    elif _register(entry, inflight):
                         owned.append(entry)
-                        continue
-                    if pending.done is None:
-                        pending.done = threading.Event()
-                    ridden.append(entry)
+                    else:
+                        ridden.append(entry)
                 if len(owned) + len(ridden) > loads:
                     touched.append(index)
         if not touched:
             return plan.values(), 0
         if len(touched) > 1:
             owned = [entry for entry in plan.values() if entry[4]]  # plan order
+        self._complete(groups, touched, owned, ridden, purpose, query)
+        return plan.values(), len(owned)
+
+    def _complete(self, groups, touched, owned, ridden, purpose, query) -> None:
+        """Run the ``owned`` loads and wait on the ``ridden`` ones, then
+        publish to each ``touched`` shard and unregister, in one visit.
+
+        When a query raises, the owned loads not yet run are abandoned:
+        every owned load is unregistered with that exception, which each
+        of its riders raises too, the loaded tiles are still published,
+        and the exception propagates — as does a ridden load's.
+        """
         error: BaseException | None = None
         try:
             for entry in owned:
@@ -295,7 +327,6 @@ class TileCache:
                             pending.done.set()
         if error is not None:
             raise error
-        return plan.values(), len(owned)
 
     def _publish(self, index: int, group: list[list], purpose: str) -> None:
         """The second visit's writes to shard ``index`` (lock held)."""
@@ -320,8 +351,8 @@ class TileCache:
                 continue
             tile = pending.outcome[0]
             if purpose == REQUEST:
-                self.record_request(tile)
-            elif key not in region and self._recent.peek(key) is None:
+                self._record(index, tile)
+            elif key not in region and key not in self._recent[index]:
                 # A rider admits only what its owner's publish left
                 # absent: a tile a request recorded stays in one region.
                 self.admit_prefetched(tile, model)
@@ -342,9 +373,13 @@ class TileCache:
     @property
     def recent_keys(self) -> list[TileKey]:
         """Keys in the recent region — least recent first within each
-        LRU segment, concatenated segment by segment (global recency
-        order only when ``shards == 1``, the figure-replay default)."""
-        return self._recent.keys()
+        shard, concatenated shard by shard (global recency order only
+        when ``shards == 1``, the figure-replay default)."""
+        keys: list[TileKey] = []
+        for index in range(self.shards):
+            with self._locks[index]:
+                keys.extend(self._recent[index])
+        return keys
 
     def attribution(self, key: TileKey) -> str | None:
         """Which model's allocation paid for a prefetched tile."""
@@ -365,19 +400,17 @@ class TileCache:
     def nbytes(self) -> int:
         """Payload bytes of the tiles resident in either region, each
         key counted once (see the module notes)."""
-        sizes: dict[TileKey, int] = {}
+        total = 0
         for index in range(self.shards):
             with self._locks[index]:
-                for key, (tile, _) in self._prefetched[index].items():
-                    sizes[key] = tile.nbytes
-        for key in self._recent.keys():
-            if key not in sizes and (tile := self._recent.peek(key)) is not None:
-                sizes[key] = tile.nbytes
-        return sum(sizes.values())
+                sizes = {key: t.nbytes for key, t in self._recent[index].items()}
+                sizes.update((key, s[0].nbytes) for key, s in self._prefetched[index].items())
+            total += sum(sizes.values())
+        return total
 
     def clear(self) -> None:
         """Drop every resident tile (loads in flight are left alone)."""
-        self._recent.clear()
         for index in range(self.shards):
             with self._locks[index]:
+                self._recent[index].clear()
                 self._prefetched[index].clear()

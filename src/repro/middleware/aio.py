@@ -166,8 +166,8 @@ class AsyncForeCacheService:
         ``session_id`` is None), the handle every other call takes."""
         # Native, no executor hop: registering a session is dict
         # bookkeeping under the facade's locks (never a backend query),
-        # and the cluster router re-opens sessions on every failover —
-        # lifecycle is a hot path there.
+        # and the cluster router broadcasts every open to every live
+        # worker (ROADMAP item 19) — lifecycle is a hot path there.
         self._check_open()
         return self.service.open_session(
             engine, session_id, reset_engine=reset_engine

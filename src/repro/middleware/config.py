@@ -76,10 +76,10 @@ class CacheConfig:
     prefetch_capacity: int = 9
     #: Real seconds each backend query sleeps (throughput benchmarks).
     backend_delay_seconds: float = 0.0
-    #: Hash-striped lock segments of the tile cache, each holding its
-    #: prefetch slots and in-flight loads.  1 (the default) keeps the
-    #: single-lock semantics the sync figure benchmarks replay; raise it
-    #: so many concurrent sessions stop serializing on one mutex.
+    #: Hash-striped lock shards of the tile cache, each holding its
+    #: recent slice, prefetch slots and in-flight loads.  1 (the default)
+    #: keeps the single-lock semantics the sync figure benchmarks replay;
+    #: raise it so many concurrent sessions stop serializing on one mutex.
     shards: int = 1
 
     def __post_init__(self) -> None:

@@ -1,9 +1,13 @@
-"""Unit tests for the LRU, tile cache, and cache manager."""
+"""Unit tests for the tile cache, its recent region, the cache manager,
+and the standalone sharded LRU."""
+
+import random
+from collections import OrderedDict
 
 import numpy as np
 import pytest
 
-from repro.cache.lru import LRUCache, ShardedLRUCache
+from repro.cache.lru import ShardedLRUCache
 from repro.cache.manager import CacheManager
 from repro.cache.tile_cache import CYCLE, TileCache
 from repro.tiles.key import TileKey
@@ -29,66 +33,52 @@ def refill(cache: TileCache, predictions) -> list[TileKey]:
 A, B, C, D = (TileKey(2, i, 0) for i in range(4))
 
 
-class TestLRUCache:
-    def test_put_get(self):
-        cache = LRUCache(2)
-        cache.put("a", 1)
-        assert cache.get("a") == 1
-        assert cache.hits == 1
-
-    def test_miss_counted(self):
-        cache = LRUCache(2)
-        assert cache.get("missing") is None
-        assert cache.misses == 1
+class TestRecentRegion:
+    """The recent region is an LRU per shard, entered only through the
+    request path (``promote``, ``request``, ``record_request``)."""
 
     def test_eviction_order(self):
-        cache = LRUCache(2)
-        cache.put("a", 1)
-        cache.put("b", 2)
-        evicted = cache.put("c", 3)
-        assert evicted == "a"
-        assert "a" not in cache
+        cache = TileCache(recent_capacity=2)
+        for key in (A, B, C):
+            cache.record_request(tile(key))
+        assert cache.recent_keys == [B, C]
+        assert A not in cache
 
-    def test_get_refreshes_recency(self):
-        cache = LRUCache(2)
-        cache.put("a", 1)
-        cache.put("b", 2)
-        cache.get("a")
-        evicted = cache.put("c", 3)
-        assert evicted == "b"
+    def test_promote_refreshes_recency(self):
+        cache = TileCache(recent_capacity=2)
+        cache.record_request(tile(A))
+        cache.record_request(tile(B))
+        assert cache.promote(A).key == A
+        cache.record_request(tile(C))
+        assert cache.recent_keys == [A, C]
 
-    def test_peek_does_not_refresh(self):
-        cache = LRUCache(2)
-        cache.put("a", 1)
-        cache.put("b", 2)
-        cache.peek("a")
-        evicted = cache.put("c", 3)
-        assert evicted == "a"
+    def test_lookup_does_not_refresh(self):
+        cache = TileCache(recent_capacity=2)
+        cache.record_request(tile(A))
+        cache.record_request(tile(B))
+        assert cache.lookup(A).key == A
+        cache.record_request(tile(C))
+        assert cache.recent_keys == [B, C]
 
-    def test_overwrite_no_eviction(self):
-        cache = LRUCache(2)
-        cache.put("a", 1)
-        cache.put("b", 2)
-        assert cache.put("a", 3) is None
-        assert cache.get("a") == 3
+    def test_promote_of_an_absent_key_changes_nothing(self):
+        cache = TileCache(recent_capacity=2)
+        cache.record_request(tile(A))
+        assert cache.promote(B) is None
+        assert cache.recent_keys == [A]
+        assert cache.inflight_count == 0
 
-    def test_keys_order(self):
-        cache = LRUCache(3)
-        for key in "abc":
-            cache.put(key, key)
-        cache.get("a")
-        assert cache.keys() == ["b", "c", "a"]
+    def test_rerecording_refreshes_without_eviction(self):
+        cache = TileCache(recent_capacity=2)
+        cache.record_request(tile(A))
+        cache.record_request(tile(B))
+        replacement = tile(A)
+        cache.record_request(replacement)
+        assert cache.recent_keys == [B, A]
+        assert cache.lookup(A) is replacement
 
-    def test_hit_rate(self):
-        cache = LRUCache(2)
-        cache.put("a", 1)
-        cache.get("a")
-        cache.get("b")
-        assert cache.hit_rate == pytest.approx(0.5)
-
-    def test_rejects_zero_capacity(self):
-        with pytest.raises(ValueError):
-            LRUCache(0)
+    def test_rejects_zero_recent_capacity(self):
+        with pytest.raises(ValueError, match="recent capacity must be >= 1"):
+            TileCache(recent_capacity=0)
 
 
 class TestTileCache:
@@ -246,23 +236,24 @@ class TestPromoteOnHit:
         assert key in manager.cache.recent_keys
 
 
+class RecordingSlice(OrderedDict):
+    """A shard's recent slice that notes each key it records: every
+    recording — a hit's refresh or promotion, a loaded tile's publish —
+    moves the key to the slice's most recent end exactly once."""
+
+    def __init__(self, entries, calls: list) -> None:
+        super().__init__(entries)
+        self.calls = calls
+
+    def move_to_end(self, key, last=True):
+        self.calls.append(key)
+        super().move_to_end(key, last)
+
+
 def count_recordings(cache: TileCache) -> list[TileKey]:
-    """The keys ``cache`` records into its recent LRU, as they come: a
-    hit's promotion, or a loaded tile's ``record_request``."""
+    """The keys ``cache`` records into its recent LRU, as they come."""
     calls: list[TileKey] = []
-    promote, record = cache.promote, cache.record_request
-
-    def promoting(key):
-        tile = promote(key)
-        if tile is not None:
-            calls.append(key)
-        return tile
-
-    def recording(t):
-        calls.append(t.key)
-        record(t)
-
-    cache.promote, cache.record_request = promoting, recording
+    cache._recent[:] = [RecordingSlice(s, calls) for s in cache._recent]
     return calls
 
 
@@ -277,6 +268,20 @@ class TestRecordRequestOnce:
         manager.fetch(key)  # miss: owner records via publish only
         assert calls == [key]
         manager.fetch(key)  # hit: records once more
+        assert calls == [key, key]
+
+    def test_promotion_records_once(self, small_dataset):
+        manager = CacheManager(small_dataset.pyramid, TileCache())
+        calls = count_recordings(manager.cache)
+        key = TileKey(1, 0, 1)
+        manager.prefetch([(key, "m")])
+        assert calls == []  # a cycle never touches the recent region
+        assert manager.fetch(key).hit  # promoted: recorded once
+        assert calls == [key]
+        assert manager.try_fetch(key).hit  # the probe records like fetch
+        assert calls == [key, key]
+        assert manager.try_fetch(TileKey(1, 1, 1)) is None
+        assert manager.peek(key) is not None  # a peek records nothing
         assert calls == [key, key]
 
     def test_coalesced_waiter_records_once(self, small_dataset):
@@ -318,6 +323,44 @@ class TestShardedTileCache:
         cache = TileCache(prefetch_capacity=9, shards=4)
         assert sum(cache._capacities) == 9
         assert max(cache._capacities) - min(cache._capacities) <= 1
+
+    def test_recent_capacity_split_like_the_prefetch_slots(self):
+        cache = TileCache(recent_capacity=10, prefetch_capacity=9, shards=4)
+        assert cache.shards == 4
+        assert cache._recent_capacities == [3, 3, 2, 2]
+        assert cache._capacities == [3, 2, 2, 2]
+        assert len(cache._recent) == len(cache._locks) == 4
+
+    def test_shards_clamped_to_the_recent_capacity(self):
+        """More shards than recent slots: both regions share the clamped
+        count, so a key's recent entry and its prefetch slot live in
+        the one shard ``hash(key) % 2``, under one lock."""
+        cache = TileCache(recent_capacity=2, prefetch_capacity=8, shards=4)
+        assert cache.shards == 2
+        assert len(cache._locks) == len(cache._recent) == 2
+        assert cache._recent_capacities == [1, 1]
+        assert cache._capacities == [4, 4]
+        keys = [TileKey(4, x, 0) for x in range(8)]
+        for key in keys:
+            cache.admit_prefetched(tile(key), "m")
+        for key in keys[:2]:
+            cache.record_request(tile(key))
+        for key in keys:
+            index = hash(key) % 2
+            in_recent = key in cache._recent[index]
+            assert in_recent == (key in keys[:2])
+            assert (key in cache._prefetched[index]) == (not in_recent)
+            assert key not in cache._recent[1 - index]
+            assert key not in cache._prefetched[1 - index]
+        # Each shard's one recent slot holds its last requested key.
+        for later in (TileKey(4, x, 1) for x in range(4)):
+            cache.record_request(tile(later))
+            assert later in cache._recent[hash(later) % 2]
+            assert len(cache._recent[hash(later) % 2]) == 1
+
+    def test_shards_clamped_to_the_smaller_capacity(self):
+        assert TileCache(recent_capacity=3, prefetch_capacity=5, shards=8).shards == 3
+        assert TileCache(recent_capacity=5, prefetch_capacity=3, shards=8).shards == 3
 
     def test_lookup_and_attribution_across_shards(self):
         cache = TileCache(prefetch_capacity=8, shards=4)
@@ -445,33 +488,71 @@ class TestShardedSyncCycle:
         assert len(stored) == 4
 
 
-class TestShardedLRUCache:
-    def test_one_shard_matches_plain_lru_exactly(self):
-        """shards=1 must be operation-for-operation identical to LRUCache
-        (the sync figure benchmarks replay through this configuration)."""
-        import random
+def lru_contents(cache: ShardedLRUCache) -> list:
+    """Every segment's keys, least to most recently used, segment by segment."""
+    return [key for _, entries, _ in cache._segments for key in entries]
 
-        plain = LRUCache(4)
-        sharded = ShardedLRUCache(4, shards=1)
+
+class TestShardedLRUCache:
+    """The standalone sharded LRU timed by the perf tracing microbench."""
+
+    def test_put_get(self):
+        cache = ShardedLRUCache(2)
+        assert cache.put("a", 1) is None
+        assert cache.get("a") == 1
+        assert cache.get("missing") is None
+
+    def test_eviction_order(self):
+        cache = ShardedLRUCache(2)
+        cache.put("a", 1)
+        cache.put("b", 2)
+        assert cache.put("c", 3) == "a"
+        assert cache.get("a") is None
+        assert lru_contents(cache) == ["b", "c"]
+
+    def test_get_refreshes_recency(self):
+        cache = ShardedLRUCache(2)
+        cache.put("a", 1)
+        cache.put("b", 2)
+        cache.get("a")
+        assert cache.put("c", 3) == "b"
+
+    def test_overwrite_no_eviction(self):
+        cache = ShardedLRUCache(2)
+        cache.put("a", 1)
+        cache.put("b", 2)
+        assert cache.put("a", 3) is None
+        assert cache.get("a") == 3
+        assert lru_contents(cache) == ["b", "a"]
+
+    def test_rejects_zero_capacity(self):
+        with pytest.raises(ValueError):
+            ShardedLRUCache(0)
+        with pytest.raises(ValueError):
+            ShardedLRUCache(4, shards=0)
+
+    def test_one_shard_matches_a_reference_lru(self):
+        cache = ShardedLRUCache(4, shards=1)
+        reference: OrderedDict = OrderedDict()
         rng = random.Random(7)
         for step in range(500):
             key = rng.randrange(12)
-            op = rng.randrange(3)
-            if op == 0:
-                assert plain.put(key, step) == sharded.put(key, step)
-            elif op == 1:
-                assert plain.get(key) == sharded.get(key)
+            if rng.randrange(2):
+                reference[key] = step
+                reference.move_to_end(key)
+                expected = reference.popitem(last=False)[0] if len(reference) > 4 else None
+                assert cache.put(key, step) == expected
             else:
-                assert plain.peek(key) == sharded.peek(key)
-            assert plain.keys() == sharded.keys()
-            assert plain.hits == sharded.hits
-            assert plain.misses == sharded.misses
+                expected = reference.get(key)
+                if expected is not None:
+                    reference.move_to_end(key)
+                assert cache.get(key) == expected
+            assert lru_contents(cache) == list(reference)
 
     def test_capacity_split_across_segments(self):
         cache = ShardedLRUCache(10, shards=4)
         assert cache.shards == 4
-        assert [seg.capacity for seg in cache._segments] == [3, 3, 2, 2]
-        assert cache.capacity == 10
+        assert [capacity for _, _, capacity in cache._segments] == [3, 3, 2, 2]
 
     def test_shards_clamped_to_capacity(self):
         cache = ShardedLRUCache(2, shards=8)
@@ -481,38 +562,12 @@ class TestShardedLRUCache:
         cache = ShardedLRUCache(6, shards=3)
         for n in range(50):
             cache.put(n, n)
-        assert len(cache) <= 6
-
-    def test_counters_aggregate_segments(self):
-        cache = ShardedLRUCache(8, shards=4)
-        for n in range(8):
-            cache.put(n, n)
-        present = sum(1 for n in range(8) if cache.get(n) is not None)
-        assert cache.hits == present
-        cache.get(99)
-        assert cache.misses >= 1
-        assert 0.0 < cache.hit_rate < 1.0
+        assert len(lru_contents(cache)) <= 6
 
     def test_eviction_is_per_segment(self):
         """An insert can only evict from its own key's segment."""
         cache = ShardedLRUCache(4, shards=4)
-        keys = list(range(16))
-        for key in keys:
+        for key in range(16):
             evicted = cache.put(key, key)
             if evicted is not None:
-                same_segment = (
-                    cache._segments[hash(evicted) % cache.shards]
-                    is cache._segments[hash(key) % cache.shards]
-                )
-                assert same_segment
-
-    def test_clear_and_validation(self):
-        cache = ShardedLRUCache(4, shards=2)
-        cache.put("a", 1)
-        cache.clear()
-        assert len(cache) == 0
-        assert "a" not in cache
-        with pytest.raises(ValueError):
-            ShardedLRUCache(0)
-        with pytest.raises(ValueError):
-            ShardedLRUCache(4, shards=0)
+                assert hash(evicted) % cache.shards == hash(key) % cache.shards

@@ -9,11 +9,11 @@ the code must survive.
 from __future__ import annotations
 
 import random
+import sys
 import threading
 
 import pytest
 
-from repro.cache.lru import LRUCache
 from repro.cache.manager import CacheManager
 from repro.cache.tile_cache import ADMIT, TileCache
 from repro.core.allocation import SingleModelStrategy
@@ -407,21 +407,30 @@ class TestMultiUserStress:
 
 
 class TestThreadSafeCaches:
-    def test_lru_bounded_under_concurrent_writes(self):
-        cache: LRUCache[int, int] = LRUCache(8)
+    def test_recent_region_bounded_under_concurrent_requests(self):
+        """record/promote churn on one shard's recent slice: occupancy
+        stays within capacity and every entry holds its own key's tile."""
+        import numpy as np
+
+        def tile(key):
+            return DataTile(key=key, attributes={"v": np.zeros((2, 2))})
+
+        cache = TileCache(recent_capacity=8, prefetch_capacity=8)
+        keys = [TileKey(4, x, y) for x in range(8) for y in range(8)]
 
         def writer(seed):
             rng = random.Random(seed)
             for _ in range(500):
-                n = rng.randrange(64)
-                cache.put(n, n)
-                cache.get(rng.randrange(64))
+                cache.record_request(tile(rng.choice(keys)))
+                wanted = rng.choice(keys)
+                found = cache.promote(wanted)
+                assert found is None or found.key == wanted
 
         errors = run_threads([lambda s=s: writer(s) for s in range(6)])
         assert errors == []
-        assert len(cache) <= 8
-        for key in cache.keys():
-            assert cache.peek(key) == key
+        assert len(cache.recent_keys) <= 8
+        for key in cache.recent_keys:
+            assert cache.lookup(key).key == key
 
     def test_admit_prefetched_evicts_oldest(self):
         import numpy as np
@@ -464,31 +473,78 @@ class TestThreadSafeCaches:
         assert errors == []
         assert len(cache.prefetched_keys) <= 4
 
-    def test_sharded_recent_lru_hammer(self):
-        """get/put/evict churn across every segment of the sharded LRU:
-        occupancy stays bounded, values stay consistent, counters add up."""
+    def test_sharded_lru_hammer(self):
+        """get/put/evict churn across every segment of the standalone
+        sharded LRU: each segment stays within its capacity and every
+        value read back is the one put under its key."""
         from repro.cache.lru import ShardedLRUCache
 
-        cache: ShardedLRUCache[int, int] = ShardedLRUCache(16, shards=8)
-        gets_per_worker = 400
+        cache = ShardedLRUCache(16, shards=8)
 
         def churn(seed):
             rng = random.Random(seed)
-            for _ in range(gets_per_worker):
+            for _ in range(400):
                 n = rng.randrange(96)
                 cache.put(n, n)
-                found = cache.get(rng.randrange(96))
-                assert found is None or 0 <= found < 96
-                assert len(cache) <= 16
+                wanted = rng.randrange(96)
+                found = cache.get(wanted)
+                assert found is None or found == wanted
 
-        workers = 6
-        errors = run_threads([lambda s=s: churn(s) for s in range(workers)])
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            errors = run_threads([lambda s=s: churn(s) for s in range(6)])
+        finally:
+            sys.setswitchinterval(interval)
         assert errors == []
-        assert len(cache) <= 16
-        for key in cache.keys():
-            assert cache.peek(key) == key
-        # Every get was counted exactly once, hit or miss.
-        assert cache.hits + cache.misses == workers * gets_per_worker
+        for _, entries, capacity in cache._segments:
+            assert len(entries) <= capacity
+            assert all(entries[key] == key for key in entries)
+
+    def test_sharded_recent_region_hammer(self):
+        """Request/promote churn across every shard of a sharded tile
+        cache's recent region: each slice stays within its capacity,
+        entries stay consistent, and every probe is counted once."""
+        import numpy as np
+
+        def tile(key):
+            return DataTile(key=key, attributes={"v": np.zeros((2, 2))})
+
+        cache = TileCache(recent_capacity=16, prefetch_capacity=16, shards=8)
+        manager = CacheManager(None, cache)
+        keys = [TileKey(5, x, y) for x in range(12) for y in range(8)]
+        probes_per_worker = 400
+        hits = []
+
+        def churn(seed):
+            rng = random.Random(seed)
+            found_count = 0
+            for _ in range(probes_per_worker):
+                cache.record_request(tile(rng.choice(keys)))
+                wanted = rng.choice(keys)
+                outcome = manager.try_fetch(wanted)
+                if outcome is not None:
+                    assert outcome.tile.key == wanted and outcome.hit
+                    found_count += 1
+                assert len(cache.recent_keys) <= 16
+            hits.append(found_count)
+
+        # Switch threads often, so churn interleaves inside the shards.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            errors = run_threads([lambda s=s: churn(s) for s in range(6)])
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+        assert cache._recent_capacities == [2] * 8
+        for index, capacity in enumerate(cache._recent_capacities):
+            assert len(cache._recent[index]) <= capacity
+        for key in cache.recent_keys:
+            assert cache.lookup(key).key == key
+        # Every hit was counted exactly once; a miss probe counts nothing.
+        assert manager.hits == manager.requests == sum(hits)
+        assert manager.inflight_count == 0
 
     def test_a_concurrent_put_can_evict_a_just_requested_tile(self):
         """Why the hammer below never asserts residency right after a
@@ -1027,18 +1083,18 @@ class TestLoadProtocol:
     ):
         """The owner publishes before it unregisters, in one visit to
         the shard lock: a caller arriving in between — the owner's own
-        thread, re-entering the lock from inside the publish — finds the
+        thread, re-entering the lock right after the publish — finds the
         resident tile, not a gap to re-query."""
         manager = CacheManager(small_dataset.pyramid, TileCache())
         key = TileKey(3, 1, 2)
         gate = GatedBackend(manager)
         gate.release.set()
-        record = manager.cache.record_request
+        publish = manager.cache._publish
         arrivals = []
 
-        def publish_then_arrive(tile):
-            record(tile)
-            manager.cache.record_request = record
+        def publish_then_arrive(index, group, purpose):
+            publish(index, group, purpose)
+            manager.cache._publish = publish
             arrivals.append(
                 (
                     manager.inflight_count,
@@ -1049,7 +1105,7 @@ class TestLoadProtocol:
                 )
             )
 
-        manager.cache.record_request = publish_then_arrive
+        manager.cache._publish = publish_then_arrive
         tile = manager.fetch(key).tile
         ((inflight, peeked, loaded, prefetched, hit),) = arrivals
         assert inflight == 1  # still registered

@@ -1,5 +1,6 @@
 """Property-based tests (hypothesis) on core invariants."""
 
+from collections import OrderedDict
 from dataclasses import replace
 from unittest import mock
 
@@ -8,7 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cache.lru import LRUCache
+from repro.cache.lru import ShardedLRUCache
+from repro.cache.manager import CacheManager
+from repro.cache.tile_cache import TileCache
 from repro.core.roi import ROITracker
 from repro.middleware import protocol as protocol_module
 from repro.recommenders.smoothing import KneserNeyEstimator
@@ -202,30 +205,111 @@ class TestROIProperties:
 
 
 # ----------------------------------------------------------------------
-# LRU invariants
+# recent-region (LRU) invariants
 # ----------------------------------------------------------------------
+RECENT_KEYS = [TileKey(3, x, y) for x in range(4) for y in range(3)]
+
+
+class StubPyramid:
+    """The one method ``CacheManager`` calls on a pyramid."""
+
+    def fetch_tile_timed(self, key: TileKey) -> tuple[DataTile, float]:
+        return DataTile(key=key, attributes={"v": np.zeros((2, 2))}), 0.5
+
+
+recent_operations = st.lists(
+    st.one_of(
+        st.tuples(st.just("fetch"), st.sampled_from(RECENT_KEYS)),
+        st.tuples(st.just("record_request"), st.sampled_from(RECENT_KEYS)),
+        st.tuples(
+            st.just("prefetch"),
+            st.lists(
+                st.tuples(st.sampled_from(RECENT_KEYS), st.just("m")), max_size=6
+            ),
+        ),
+        st.tuples(st.just("clear")),
+    ),
+    max_size=40,
+)
+
+
+class TestRecentRegionProperties:
+    """Each shard's slice of the recent region is a plain LRU of its
+    capacity slice, whatever the prefetch cycle does beside it."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        shards=st.integers(1, 4),
+        recent_capacity=st.integers(1, 8),
+        prefetch_capacity=st.integers(1, 8),
+        operations=recent_operations,
+    )
+    def test_slices_match_a_reference_lru(
+        self, shards, recent_capacity, prefetch_capacity, operations
+    ):
+        cache = TileCache(recent_capacity, prefetch_capacity, shards)
+        manager = CacheManager(StubPyramid(), cache)
+        count = min(shards, recent_capacity, prefetch_capacity)
+        assert cache.shards == count
+        base, extra = divmod(recent_capacity, count)
+        capacities = [base + (1 if i < extra else 0) for i in range(count)]
+        reference: list[OrderedDict] = [OrderedDict() for _ in range(count)]
+        last = None
+        for operation in operations:
+            name = operation[0]
+            if name == "prefetch":
+                manager.prefetch(operation[1])
+            elif name == "clear":
+                cache.clear()
+                for lru in reference:
+                    lru.clear()
+                last = None
+            else:
+                key = last = operation[1]
+                if name == "fetch":
+                    assert manager.fetch(key).tile.key == key
+                else:
+                    cache.record_request(StubPyramid().fetch_tile_timed(key)[0])
+                lru = reference[hash(key) % count]
+                lru[key] = None
+                lru.move_to_end(key)
+                if len(lru) > capacities[hash(key) % count]:
+                    lru.popitem(last=False)
+            assert cache.recent_keys == [k for lru in reference for k in lru]
+            for index, capacity in enumerate(capacities):
+                assert len(cache._recent[index]) <= capacity
+            if last is not None:
+                assert last in cache.recent_keys
+                assert cache.lookup(last).key == last
+
+
 class TestLRUProperties:
+    """The standalone sharded LRU: bounded, and a put is always kept."""
+
     @settings(max_examples=50, deadline=None)
     @given(
         st.integers(1, 8),
+        st.integers(1, 4),
         st.lists(st.tuples(st.sampled_from("abcdefgh"), st.booleans()), max_size=60),
     )
-    def test_capacity_never_exceeded(self, capacity, operations):
-        cache = LRUCache(capacity)
+    def test_capacity_never_exceeded(self, capacity, shards, operations):
+        cache = ShardedLRUCache(capacity, shards)
         for key, is_put in operations:
             if is_put:
                 cache.put(key, key)
             else:
                 cache.get(key)
-            assert len(cache) <= capacity
+            for _, entries, segment_capacity in cache._segments:
+                assert len(entries) <= segment_capacity
+            assert sum(len(entries) for _, entries, _ in cache._segments) <= capacity
 
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.sampled_from("abcd"), min_size=1, max_size=30))
     def test_most_recent_put_always_present(self, keys):
-        cache = LRUCache(2)
+        cache = ShardedLRUCache(2)
         for key in keys:
             cache.put(key, key)
-            assert key in cache
+            assert cache.get(key) == key
 
 
 # ----------------------------------------------------------------------

@@ -337,15 +337,18 @@ class TestSchedulingKnobs:
             CacheConfig(shards=0)
 
     def test_cache_config_shards_reach_both_layers(self, small_dataset):
-        """Both cache regions, the in-flight loads with the prefetch
-        slots; the manager keeps no stripes of its own."""
+        """One shard count for both cache regions and the in-flight
+        loads, each shard a slice of every one of them; the manager
+        keeps no stripes of its own."""
         manager = CacheConfig(shards=4).build_cache_manager(
             small_dataset.pyramid
         )
         assert not hasattr(manager, "shards")
         assert manager.cache.shards == 4
         assert len(manager.cache._inflight) == 4
-        assert manager.cache._recent.shards == 4
+        assert len(manager.cache._recent) == 4
+        assert len(manager.cache._prefetched) == 4
+        assert len(manager.cache._locks) == 4
 
     def test_background_requests_flow_through_priority_scheduler(
         self, small_dataset
