@@ -13,8 +13,10 @@ shape over the same pyramid, with no engine in the loop.
 It prints exact counts of one replay — backend queries
 (``fetch_tile_timed`` calls) and hits per request, visits to the
 cache's shard locks per prefetch cycle, and per ``fetch`` that hit and
-that missed (a re-entrant acquire counts as a visit) — and then the
-median over
+that missed (a re-entrant acquire counts as a visit) — then the visits
+per background admission (``prefetch_one``) of a resident tile and of
+an absent one, from one more replay that admits each cycle's
+predictions one at a time instead, and then the median over
 ``TIMED_PASSES`` replays of the microseconds per request spent in
 ``fetch`` plus ``prefetch``.  CI prints it in the ``test`` job's
 summary; nothing gates on it.
@@ -94,6 +96,28 @@ def replay(manager, calls) -> float:
     return time.perf_counter() - start
 
 
+def admission_visits(manager, calls) -> dict[bool, float]:
+    """Run ``calls`` on ``manager``, each cycle's predictions admitted
+    one ``prefetch_one`` at a time; shard-lock visits per admission of
+    a resident tile (True) and of an absent one (False)."""
+    cache = manager.cache
+    visits = [0]
+    cache._locks[:] = [CountedLock(lock, visits) for lock in cache._locks]
+    totals = {True: 0, False: 0}
+    counts = {True: 0, False: 0}
+    for name, argument in calls:
+        if name == "fetch":
+            manager.fetch(argument)
+            continue
+        for key, model in argument:
+            before, queries = visits[0], manager.prefetch_queries
+            manager.prefetch_one(key, model)
+            hit = manager.prefetch_queries == queries
+            totals[hit] += visits[0] - before
+            counts[hit] += 1
+    return {hit: totals[hit] / counts[hit] for hit in totals}
+
+
 def main() -> None:
     from repro.experiments.context import ExperimentContext
     from repro.experiments.runner import hybrid_factory
@@ -147,6 +171,9 @@ def main() -> None:
     print(f"shard-lock visits/cycle {cycle_visits / len(requests):.3f}")
     print(f"shard-lock visits/hit   {fetch_visits[True] / manager.hits:.3f}")
     print(f"shard-lock visits/miss  {fetch_visits[False] / misses:.3f}")
+    admit_visits = admission_visits(CacheConfig().build_cache_manager(pyramid), calls)
+    print(f"shard-lock visits/admit hit  {admit_visits[True]:.3f}")
+    print(f"shard-lock visits/admit miss {admit_visits[False]:.3f}")
     per_pass = [
         replay(CacheConfig().build_cache_manager(pyramid), calls) / len(requests)
         for _ in range(TIMED_PASSES)

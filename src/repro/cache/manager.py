@@ -13,8 +13,9 @@ drives the work.
 The manager is thread-safe.  Its loads are the cache's coalesced
 loads, so concurrent misses on one :class:`~repro.tiles.key.TileKey` —
 two sessions on one tile, a request racing a prefetch job — run one
-DBMS query; a :meth:`CacheManager.fetch` hit takes one shard-lock visit
-and a miss two.  Stats counters live under their own small lock.
+DBMS query; a :meth:`CacheManager.fetch` or :meth:`prefetch_one` hit
+takes one shard-lock visit and a miss two.  Stats counters live under
+their own small lock.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import threading
 import time
 from dataclasses import dataclass
 
-from repro.cache.tile_cache import ADMIT, CYCLE, TileCache
+from repro.cache.tile_cache import TileCache
 from repro.tiles.key import TileKey
 from repro.tiles.pyramid import TilePyramid
 from repro.tiles.tile import DataTile
@@ -146,7 +147,7 @@ class CacheManager:
         leaves no room for are discarded, not re-planned for.
         """
         with self._cycle_lock:
-            _, queries = self.cache.load(predictions, CYCLE, self._query_backend)
+            queries = self.cache.load(predictions, self._query_backend)
         with self._stats_lock:
             self.prefetch_queries += queries
         return queries
@@ -155,20 +156,16 @@ class CacheManager:
         """Pull one predicted tile into the prefetch region (background path).
 
         Coalesces with any in-flight load of the same key; a tile
-        already resident is returned without a query.  Unlike the
-        synchronous cycle, a full prefetch shard evicts its oldest
-        entry rather than dropping the new tile.
+        already resident is returned without a query, in one shard-lock
+        visit (a miss takes two).  Unlike the synchronous cycle, a full
+        prefetch shard evicts its oldest entry rather than dropping the
+        new tile.
         """
-        resident = self.cache.lookup(key)
-        if resident is not None:
-            return resident
-        ((_, _, _, pending, owner, tile),), _ = self.cache.load(
-            [(key, model)], ADMIT, self._query_backend
-        )
+        tile, _, owner = self.cache.admit(key, model, self._query_backend)
         if owner:
             with self._stats_lock:
                 self.prefetch_queries += 1
-        return tile if pending is None else pending.outcome[0]
+        return tile
 
     # ------------------------------------------------------------------
     # backend

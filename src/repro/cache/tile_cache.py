@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from collections.abc import ValuesView
 
 from repro.tiles.key import TileKey
 from repro.tiles.tile import DataTile
@@ -153,16 +152,24 @@ class TileCache:
         ``pending`` is None on a hit, else the load (its ``outcome``
         ``(tile, backend_seconds)``); ``owner``: this call queried.
         """
+        return self._one(key, None, REQUEST, query)
+
+    def _one(self, key: TileKey, model: str | None, purpose: str, query):
+        """:meth:`request` or :meth:`admit`, as ``purpose`` says."""
         index = hash(key) % self.shards
         with self._locks[index]:
-            tile = self._promote(index, key)
+            if purpose == REQUEST:
+                tile = self._promote(index, key)
+            else:  # resident in either region: left where it is
+                slot = self._prefetched[index].get(key)
+                tile = slot[0] if slot is not None else self._recent[index].get(key)
             if tile is not None:
                 return tile, None, False
-            entry = [index, key, None, None, False, None]
+            entry = [index, key, model, None, False]
             owner = _register(entry, self._inflight[index])
         group = [entry]
         owned, ridden = (group, []) if owner else ([], group)
-        self._complete({index: group}, [index], owned, ridden, REQUEST, query)
+        self._complete({index: group}, [index], owned, ridden, purpose, query)
         return entry[3].outcome[0], entry[3], owner
 
     def record_request(self, tile: DataTile) -> None:
@@ -193,55 +200,44 @@ class TileCache:
     # ------------------------------------------------------------------
     # the prefetch path
     # ------------------------------------------------------------------
-    def admit_prefetched(self, tile: DataTile, model: str) -> TileKey | None:
-        """Add a predicted tile, evicting the shard's oldest if full.
+    def admit(self, key: TileKey, model: str, query) -> tuple[DataTile, _PendingLoad | None, bool]:
+        """Bring one predicted key into the prefetch region (the
+        background and push path), from memory or from ``query(key)``.
 
-        The background scheduler's admission rule: unlike the cycle, a
-        full shard makes room rather than rejecting the tile, since
-        concurrent sessions' jobs arrive continuously.  Returns the
-        evicted key, if any.
+        Shaped like :meth:`request`: one visit returns a tile resident
+        in either region, left where it is, or registers (or rides) the
+        load of an absent one.  The second admits the loaded tile and
+        unregisters the load.  Unlike the cycle, a full shard makes
+        room — its oldest slot goes — since concurrent sessions' jobs
+        arrive continuously; a rider admits only what its owner's
+        publish left absent.  Returns what :meth:`request` returns.
         """
-        index = self._shard(tile.key)
-        with self._locks[index]:
-            region = self._prefetched[index]
-            evicted: TileKey | None = None
-            if tile.key in region:
-                # Refresh FIFO position: a re-predicted tile is fresh again.
-                del region[tile.key]
-            elif len(region) >= self._capacities[index]:
-                evicted = next(iter(region))
-                del region[evicted]
-            region[tile.key] = (tile, model)
-            return evicted
+        return self._one(key, model, ADMIT, query)
 
-    def load(self, predictions, purpose: str, query) -> tuple[ValuesView[list], int]:
-        """Bring the keys of ``predictions``, ``(key, model)`` pairs, in
-        for ``ADMIT`` or ``CYCLE``.
+    def load(self, predictions, query) -> int:
+        """The synchronous cycle: bring the prefetch region in line with
+        ``predictions``, ``(key, model)`` pairs.
 
-        ``CYCLE`` first plans the slots as refilling an empty region in
+        It first plans the slots as refilling an empty region in
         prediction order would: a key claims a slot while its shard has
         one, a repeated key keeps its slot under the later model, a key
         whose shard is full is skipped — or ends the plan, once every
-        slot of the region is taken.  Then two visits per shard holding
-        a planned key.  The first probes each key: a resident tile is
-        served (``CYCLE`` carries it); an absent one is registered as a
-        load this call owns, or ridden if one is in flight.  ``CYCLE``
-        visits every shard and replaces its region with the carried
-        tiles, in plan order.  Then ``query(key)`` runs per owned key,
-        outside any lock, in plan order, and the ridden loads are
-        waited on.  The second visit publishes the loaded tiles, then
-        unregisters the owned loads: a late arrival finds the load or
-        the tile, never a gap.  ``CYCLE`` slots each loaded tile at its
-        plan position while the shard has room, and never brings back a
-        carried tile a request promoted in between.
+        slot of the region is taken.  Then two visits per shard.  The
+        first probes each planned key: a resident tile is carried; an
+        absent one is registered as a load this call owns, or ridden if
+        one is in flight.  It replaces every shard's region with the
+        carried tiles, in plan order.  Then ``query(key)`` runs per
+        owned key, outside any lock, in plan order, and the ridden loads
+        are waited on.  The second visit, to the shards with a load,
+        publishes the loaded tiles, then unregisters the owned loads: a
+        late arrival finds the load or the tile, never a gap.  Each
+        loaded tile is slotted at its plan position while the shard has
+        room, and a carried tile a request promoted in between never
+        comes back.
 
-        Returns each planned key, in plan order, as ``[shard, key,
-        model, pending, owner, tile]`` (``pending`` None: ``tile`` was
-        resident; else the load, its ``outcome`` ``(tile,
-        backend_seconds)``), and the number of queries run.  A query's
-        error propagates as :meth:`_complete` says.
+        Returns the number of queries run.  A query's error propagates
+        as :meth:`_complete` says.
         """
-        cycle = purpose == CYCLE
         shards = self.shards
         plan: dict[TileKey, list] = {}
         groups: list[list[list]] = [[] for _ in range(shards)]
@@ -252,33 +248,28 @@ class TileCache:
                 continue
             index = hash(key) % shards if shards > 1 else 0
             group = groups[index]
-            if cycle and len(group) >= self._capacities[index]:
+            if len(group) >= self._capacities[index]:
                 if len(plan) >= self.prefetch_capacity:
                     break
                 continue
-            plan[key] = entry = [index, key, model, None, False, None]
+            plan[key] = entry = [index, key, model, None, False]
             group.append(entry)
         owned: list[list] = []
         ridden: list[list] = []
         touched: list[int] = []
         for index, group in enumerate(groups):
-            if not (group or cycle):
-                continue
             with self._locks[index]:
                 region = self._prefetched[index]
                 recent = self._recent[index]
                 inflight = self._inflight[index]
-                if cycle:
-                    carried = self._prefetched[index] = {}
+                carried = self._prefetched[index] = {}
                 loads = len(owned) + len(ridden)
                 for entry in group:
                     key = entry[1]
                     slot = region.get(key)
                     tile = slot[0] if slot is not None else recent.get(key)
                     if tile is not None:
-                        entry[5] = tile
-                        if cycle:
-                            carried[key] = (tile, entry[2])
+                        carried[key] = (tile, entry[2])
                     elif _register(entry, inflight):
                         owned.append(entry)
                     else:
@@ -286,11 +277,11 @@ class TileCache:
                 if len(owned) + len(ridden) > loads:
                     touched.append(index)
         if not touched:
-            return plan.values(), 0
+            return 0
         if len(touched) > 1:
             owned = [entry for entry in plan.values() if entry[4]]  # plan order
-        self._complete(groups, touched, owned, ridden, purpose, query)
-        return plan.values(), len(owned)
+        self._complete(groups, touched, owned, ridden, CYCLE, query)
+        return len(owned)
 
     def _complete(self, groups, touched, owned, ridden, purpose, query) -> None:
         """Run the ``owned`` loads and wait on the ``ridden`` ones, then
@@ -305,7 +296,7 @@ class TileCache:
         try:
             for entry in owned:
                 entry[3].outcome = query(entry[1])
-            for _, _, _, pending, _, _ in ridden:
+            for _, _, _, pending, _ in ridden:
                 pending.done.wait()
                 if isinstance(pending.outcome, BaseException):
                     raise pending.outcome
@@ -318,7 +309,7 @@ class TileCache:
                 except BaseException as exc:
                     error = error or exc
                 inflight = self._inflight[index]
-                for shard, key, _, pending, _, _ in owned:
+                for shard, key, _, pending, _ in owned:
                     if shard == index:
                         if not isinstance(pending.outcome, tuple):
                             pending.outcome = error
@@ -334,7 +325,7 @@ class TileCache:
         if purpose == CYCLE:
             room = self._capacities[index] - len(region)
             slots: dict[TileKey, tuple[DataTile, str]] = {}
-            for _, key, model, pending, _, _ in group:
+            for _, key, model, pending, _ in group:
                 slot = region.pop(key, None)
                 outcome = pending and pending.outcome
                 if isinstance(outcome, tuple) and (slot or room > 0):
@@ -346,16 +337,17 @@ class TileCache:
             slots.update(region)
             self._prefetched[index] = slots
             return
-        for _, key, model, pending, _, _ in group:
-            if pending is None or not isinstance(pending.outcome, tuple):
-                continue
-            tile = pending.outcome[0]
-            if purpose == REQUEST:
-                self._record(index, tile)
-            elif key not in region and key not in self._recent[index]:
-                # A rider admits only what its owner's publish left
-                # absent: a tile a request recorded stays in one region.
-                self.admit_prefetched(tile, model)
+        ((_, key, model, pending, _),) = group  # request or admit: one key
+        if not isinstance(pending.outcome, tuple):
+            return
+        if purpose == REQUEST:
+            self._record(index, pending.outcome[0])
+        elif key not in region and key not in self._recent[index]:
+            # A rider admits only what its owner's publish left absent:
+            # a tile a request recorded stays in one region.
+            if len(region) >= self._capacities[index]:
+                del region[next(iter(region))]
+            region[key] = (pending.outcome[0], model)
 
     # ------------------------------------------------------------------
     # introspection

@@ -223,12 +223,12 @@ class AsyncForeCacheService:
         """
         self._check_open()
         manager = self.service.cache_manager
+        if not self._backend_blocks:
+            return manager.prefetch_one(key, model)
         resident = manager.cache.lookup(key)
         if resident is not None:
             return resident
-        if self._backend_blocks:
-            return await self._call(manager.prefetch_one, key, model)
-        return manager.prefetch_one(key, model)
+        return await self._call(manager.prefetch_one, key, model)
 
     # ------------------------------------------------------------------
     # lifecycle

@@ -53,8 +53,8 @@ from repro.tiles.tile import DataTile
 #: in cache stats next to the per-model prefetch attributions).
 PUSH_MODEL = "push"
 
-#: ``TileKey``'s order read off a :class:`TileRef` as a tuple: a bisect
-#: compares in C and never calls the dataclass's Python ``__lt__``.
+#: A :class:`TileRef`'s place in ``TileKey`` order, as its field tuple: a
+#: bisect compares in C, and the dataclass has no order of its own.
 _KEY_ORDER = operator.attrgetter("level", "x", "y")
 
 #: Per-rank geometric confidence decay: the model's best guess gets

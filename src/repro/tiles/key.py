@@ -8,11 +8,16 @@ zooming out maps to its parent at ``l - 1``.
 Keys are pure values with no knowledge of how many levels exist — bounds
 checking against a concrete pyramid lives in
 :class:`repro.tiles.pyramid.TileGrid`.
+
+A key is the ``tuple`` of its fields, so the dicts, memos and shards
+keyed by it hash and compare in C, by ``hash((level, x, y))``.  It
+equals that plain tuple too: keep plain 3-tuples out of containers of
+keys, and a key out of ``json.dumps`` (the wire has ``TileRef``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from _collections import _tuplegetter
 
 from repro.tiles.moves import (
     Move,
@@ -23,30 +28,30 @@ from repro.tiles.moves import (
 )
 
 
-@dataclass(frozen=True, order=True)
-class TileKey:
-    """Address of one tile in the zoom-level pyramid."""
+class TileKey(tuple):
+    """Address of one tile in the zoom-level pyramid: an immutable
+    ``(level, x, y)`` with non-negative fields."""
 
-    level: int
-    x: int
-    y: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.level < 0:
-            raise ValueError(f"tile level must be non-negative, got {self.level}")
-        if self.x < 0 or self.y < 0:
-            raise ValueError(
-                f"tile coordinates must be non-negative, got ({self.x}, {self.y})"
-            )
-        # Every dict, lru_cache, shard and stripe on the request path is
-        # keyed by TileKey: hash once.  Not a field, so fields(), repr, ==
-        # and ordering do not see it.
-        object.__setattr__(self, "_hash", hash((self.level, self.x, self.y)))
+    def __new__(cls, level: int, x: int, y: int) -> "TileKey":
+        if level < 0:
+            raise ValueError(f"tile level must be non-negative, got {level}")
+        if x < 0 or y < 0:
+            raise ValueError(f"tile coordinates must be non-negative, got ({x}, {y})")
+        return tuple.__new__(cls, (level, x, y))
 
-    def __hash__(self) -> int:
-        # Must stay hash((level, x, y)), what the dataclass would generate:
-        # ``hash(key) % shards`` places keys in the sharded caches.
-        return self._hash
+    # Read-only fields: the descriptor ``collections.namedtuple`` uses.
+    level = _tuplegetter(0, "Zoom level, 0 the coarsest.")
+    x = _tuplegetter(1, "Column at this level.")
+    y = _tuplegetter(2, "Row at this level.")
+
+    def __getnewargs__(self) -> tuple[int, int, int]:
+        # pickle and copy rebuild a key through __new__, checks included.
+        return tuple(self)
+
+    def __repr__(self) -> str:
+        return f"TileKey(level={self[0]!r}, x={self[1]!r}, y={self[2]!r})"
 
     # ------------------------------------------------------------------
     # quadtree relations

@@ -9,13 +9,18 @@ import pytest
 
 from repro.cache.lru import ShardedLRUCache
 from repro.cache.manager import CacheManager
-from repro.cache.tile_cache import CYCLE, TileCache
+from repro.cache.tile_cache import TileCache
 from repro.tiles.key import TileKey
 from repro.tiles.tile import DataTile
 
 
 def tile(key: TileKey) -> DataTile:
     return DataTile(key=key, attributes={"v": np.zeros((2, 2))})
+
+
+def admit(cache: TileCache, key: TileKey, model: str = "m") -> None:
+    """Admit ``key``'s tile as the background path does."""
+    cache.admit(key, model, lambda key: (tile(key), 0.5))
 
 
 def refill(cache: TileCache, predictions) -> list[TileKey]:
@@ -26,7 +31,7 @@ def refill(cache: TileCache, predictions) -> list[TileKey]:
         queried.append(key)
         return tile(key), 0.5
 
-    cache.load(predictions, CYCLE, query)
+    cache.load(predictions, query)
     return queried
 
 
@@ -85,7 +90,7 @@ class TestTileCache:
     def test_lookup_both_regions(self):
         cache = TileCache(recent_capacity=2, prefetch_capacity=2)
         cache.record_request(tile(A))
-        cache.admit_prefetched(tile(B), "m")
+        admit(cache, B)
         assert cache.lookup(A) is not None
         assert cache.lookup(B) is not None
         assert cache.lookup(C) is None
@@ -99,22 +104,22 @@ class TestTileCache:
     def test_begin_cycle_clears_prefetch_only(self):
         cache = TileCache(recent_capacity=2, prefetch_capacity=2)
         cache.record_request(tile(A))
-        cache.admit_prefetched(tile(B), "m")
+        admit(cache, B)
         assert refill(cache, []) == []
         assert cache.lookup(B) is None
         assert cache.lookup(A) is not None
 
     def test_attribution(self):
         cache = TileCache()
-        cache.admit_prefetched(tile(A), "markov3")
-        cache.admit_prefetched(tile(B), "sb:sift")
+        admit(cache, A, "markov3")
+        admit(cache, B, "sb:sift")
         assert cache.attribution(A) == "markov3"
         assert cache.model_usage() == {"markov3": 1, "sb:sift": 1}
 
     def test_nbytes_counts_both_regions(self):
         cache = TileCache()
         cache.record_request(tile(A))
-        cache.admit_prefetched(tile(B), "m")
+        admit(cache, B)
         assert cache.nbytes() == 2 * tile(A).nbytes
 
     def test_nbytes_counts_a_key_in_both_regions_once(self):
@@ -127,7 +132,7 @@ class TestTileCache:
     def test_clear(self):
         cache = TileCache()
         cache.record_request(tile(A))
-        cache.admit_prefetched(tile(B), "m")
+        admit(cache, B)
         cache.clear()
         assert cache.lookup(A) is None
         assert cache.lookup(B) is None
@@ -342,7 +347,7 @@ class TestShardedTileCache:
         assert cache._capacities == [4, 4]
         keys = [TileKey(4, x, 0) for x in range(8)]
         for key in keys:
-            cache.admit_prefetched(tile(key), "m")
+            admit(cache, key)
         for key in keys[:2]:
             cache.record_request(tile(key))
         for key in keys:
@@ -376,7 +381,7 @@ class TestShardedTileCache:
             if len(keys) == 6:
                 break
         for i, key in enumerate(keys):
-            assert cache.admit_prefetched(tile(key), f"m{i % 2}") is None
+            admit(cache, key, f"m{i % 2}")
         for i, key in enumerate(keys):
             assert cache.lookup(key) is not None
             assert cache.attribution(key) == f"m{i % 2}"
@@ -394,15 +399,18 @@ class TestShardedTileCache:
             if cache._shard(key) == target
         ][:3]
         first, second, third = same_shard
-        assert cache.admit_prefetched(tile(first), "m") is None
-        assert cache.admit_prefetched(tile(second), "m") == first
-        assert cache.admit_prefetched(tile(third), "m") == second
+        admit(cache, first)
+        admit(cache, second)
+        assert cache.lookup(first) is None
+        admit(cache, third)
+        assert cache.lookup(second) is None
         assert cache.lookup(third) is not None
+        assert cache.prefetched_keys == [third]
 
     def test_clear_spans_all_shards(self):
         cache = TileCache(recent_capacity=4, prefetch_capacity=8, shards=4)
         for x in range(6):
-            cache.admit_prefetched(tile(TileKey(3, x, 0)), "m")
+            admit(cache, TileKey(3, x, 0))
         cache.record_request(tile(TileKey(3, 0, 1)))
         cache.clear()
         assert cache.prefetched_keys == []
@@ -455,6 +463,51 @@ class TestRiderAdmission:
         assert key in manager.cache.recent_keys
         assert key not in manager.cache.prefetched_keys
         assert manager.cache.nbytes() == manager.fetch(key).tile.nbytes
+
+
+class CountedLock:
+    """A shard lock whose ``with`` entries (re-entrant ones too) are counted."""
+
+    def __init__(self, inner) -> None:
+        self.inner = inner
+        self.calls = 0
+
+    def __enter__(self):
+        self.calls += 1
+        return self.inner.__enter__()
+
+    def __exit__(self, *exc_info):
+        return self.inner.__exit__(*exc_info)
+
+
+class TestAdmitPath:
+    """``prefetch_one`` (the background and push admission) visits the
+    key's shard lock once for a resident tile and twice for a miss."""
+
+    def test_a_resident_tile_takes_one_visit_and_stays_put(self, small_dataset):
+        manager = CacheManager(small_dataset.pyramid, TileCache())
+        recent, prefetched = TileKey(2, 0, 0), TileKey(2, 1, 0)
+        manager.fetch(recent)
+        manager.prefetch_one(prefetched, "m")
+        lock = manager.cache._locks[0] = CountedLock(manager.cache._locks[0])
+        assert manager.prefetch_one(recent, "x").key == recent
+        assert manager.prefetch_one(prefetched, "x").key == prefetched
+        assert lock.calls == 2
+        assert manager.prefetch_queries == 1
+        assert manager.cache.recent_keys == [recent]
+        assert manager.cache.prefetched_keys == [prefetched]
+        assert manager.cache.attribution(prefetched) == "m"
+
+    def test_a_miss_takes_two_visits(self, small_dataset):
+        manager = CacheManager(small_dataset.pyramid, TileCache(prefetch_capacity=2))
+        lock = manager.cache._locks[0] = CountedLock(manager.cache._locks[0])
+        a, b, c = (TileKey(2, i, 0) for i in range(3))
+        for key in (a, b, c):
+            assert manager.prefetch_one(key, "m").key == key
+        assert lock.calls == 6
+        assert manager.prefetch_queries == 3
+        assert manager.cache.prefetched_keys == [b, c]  # a made room
+        assert manager.inflight_count == 0
 
 
 class TestShardedSyncCycle:

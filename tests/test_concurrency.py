@@ -15,7 +15,7 @@ import threading
 import pytest
 
 from repro.cache.manager import CacheManager
-from repro.cache.tile_cache import ADMIT, TileCache
+from repro.cache.tile_cache import TileCache
 from repro.core.allocation import SingleModelStrategy
 from repro.core.engine import PredictionEngine
 from repro.middleware.config import CacheConfig, PrefetchPolicy, ServiceConfig
@@ -432,17 +432,17 @@ class TestThreadSafeCaches:
         for key in cache.recent_keys:
             assert cache.lookup(key).key == key
 
-    def test_admit_prefetched_evicts_oldest(self):
+    def test_admit_evicts_oldest(self):
         import numpy as np
 
-        def tile(key):
-            return DataTile(key=key, attributes={"v": np.zeros((2, 2))})
+        def query(key):
+            return DataTile(key=key, attributes={"v": np.zeros((2, 2))}), 0.5
 
         cache = TileCache(prefetch_capacity=2)
         a, b, c = (TileKey(2, i, 0) for i in range(3))
-        assert cache.admit_prefetched(tile(a), "m") is None
-        assert cache.admit_prefetched(tile(b), "m") is None
-        assert cache.admit_prefetched(tile(c), "m") == a
+        for key in (a, b, c):
+            assert cache.admit(key, "m", query)[0].key == key
+        assert cache.prefetched_keys == [b, c]
         assert cache.lookup(a) is None
         assert cache.lookup(b) is not None
         assert cache.attribution(c) == "m"
@@ -464,7 +464,7 @@ class TestThreadSafeCaches:
                 if action == 0:
                     cache.record_request(tile(key))
                 elif action == 1:
-                    cache.admit_prefetched(tile(key), f"m{seed}")
+                    cache.admit(key, f"m{seed}", lambda k: (tile(k), 0.5))
                 else:
                     found = cache.lookup(key)
                     assert found is None or found.key == key
@@ -605,7 +605,7 @@ class TestThreadSafeCaches:
                     # the recent region and frees its slot.
                     cache.record_request(tile(key))
                 elif action == 1:
-                    cache.admit_prefetched(tile(key), f"m{seed}")
+                    cache.admit(key, f"m{seed}", lambda k: (tile(k), 0.5))
                 elif action == 2:
                     found = cache.lookup(key)
                     assert found is None or found.key == key
@@ -619,8 +619,10 @@ class TestThreadSafeCaches:
         assert len(cache.recent_keys) <= 12
         # Single-threaded, promotion is an invariant: a requested
         # prefetched tile stays resident and its prefetch slot is freed.
+        # (An admission leaves a resident tile where it is: start empty.)
+        cache.clear()
         for key in keys[:6]:
-            cache.admit_prefetched(tile(key), "m")
+            cache.admit(key, "m", lambda k: (tile(k), 0.5))
             assert key in cache.prefetched_keys
             cache.record_request(tile(key))
             assert key not in cache.prefetched_keys
@@ -899,7 +901,7 @@ class TestShardedCacheManager:
                 if action == 0:
                     cache.record_request(tile(key))
                 elif action == 1:
-                    cache.admit_prefetched(tile(key), f"m{seed}")
+                    cache.admit(key, f"m{seed}", lambda k: (tile(k), 0.5))
                 else:
                     found = cache.lookup(key)
                     assert found is None or found.key == key
@@ -1099,7 +1101,7 @@ class TestLoadProtocol:
                 (
                     manager.inflight_count,
                     manager.peek(key),
-                    manager.cache.load([(key, "m")], ADMIT, gate.fail),
+                    manager.cache.admit(key, "m", gate.fail),
                     manager.prefetch_one(key, "m"),
                     manager.fetch(key).hit,
                 )
@@ -1110,8 +1112,7 @@ class TestLoadProtocol:
         ((inflight, peeked, loaded, prefetched, hit),) = arrivals
         assert inflight == 1  # still registered
         assert peeked is tile
-        entries, queries = loaded
-        assert list(entries) == [[0, key, "m", None, False, tile]] and queries == 0
+        assert loaded[0] is tile and loaded[1:] == (None, False)
         assert prefetched is tile
         assert hit
         assert gate.calls == [key]

@@ -220,8 +220,8 @@ def test_a_cycle_does_no_work_nobody_needs(monkeypatch):
     shard = cache._locks[0] = Counted(cache._locks[0])
     probes = [Counted(cache.lookup)]
     (cache.lookup,) = probes
-    writes = [Counted(cache.record_request), Counted(cache.admit_prefetched)]
-    cache.record_request, cache.admit_prefetched = writes
+    writes = [Counted(cache.record_request), Counted(cache.admit)]
+    cache.record_request, cache.admit = writes
     built: list[str] = []
 
     class RecordingThreading:

@@ -69,7 +69,19 @@ def roundtrip(message):
 class TestTileRef:
     def test_key_round_trip(self):
         key = TileKey(3, 5, 2)
-        assert TileRef.from_key(key).to_key() == key
+        ref = TileRef.from_key(key)
+        assert type(ref) is TileRef
+        back = ref.to_key()
+        assert back == key and type(back) is TileKey
+
+    @pytest.mark.parametrize(
+        "value, got", [(TileKey(3, 5, 2), "TileKey"), ((3, 5, 2), "tuple")]
+    )
+    def test_a_key_or_tuple_is_no_wire_reference(self, value, got):
+        # A key is a tuple, and equals [level, x, y] field for field: only
+        # the JSON list itself may enter as a reference.
+        with pytest.raises(TypeError, match=rf"^expected \[level, x, y\], got {got}$"):
+            TileRef.from_list(value)
 
     def test_list_round_trip(self):
         ref = TileRef(2, 1, 3)

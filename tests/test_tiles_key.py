@@ -1,7 +1,7 @@
 """Unit tests for tile keys and quadtree coordinate math."""
 
 import copy
-import dataclasses
+import copyreg
 import pickle
 
 import pytest
@@ -26,8 +26,9 @@ class TestConstruction:
         assert len({TileKey(1, 0, 1), TileKey(1, 0, 1)}) == 1
 
 
-class TestStoredHash:
-    """The hash is computed once, and is the one the dataclass would generate."""
+class TestValueSemantics:
+    """A key is the value ``(level, x, y)``: its hash is the field
+    tuple's, and every way of copying, ordering or printing it agrees."""
 
     coords = st.integers(0, 2**40)
 
@@ -41,20 +42,49 @@ class TestStoredHash:
     def test_survives_every_way_of_copying_a_key(self, level, x, y):
         key = TileKey(level, x, y)
         copies = [
-            pickle.loads(pickle.dumps(key)),
-            copy.deepcopy(key),
-            dataclasses.replace(key),
-        ]
+            pickle.loads(pickle.dumps(key, protocol))
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
+        ] + [copy.copy(key), copy.deepcopy(key)]
         for other in copies:
+            assert type(other) is TileKey
             assert other == key and hash(other) == hash(key)
-        moved = dataclasses.replace(key, x=x + 1)
-        assert hash(moved) == hash((level, x + 1, y))
+            assert (other.level, other.x, other.y) == (level, x, y)
 
-    def test_is_not_a_field(self):
-        key = TileKey(3, 5, 2)
-        assert [f.name for f in dataclasses.fields(key)] == ["level", "x", "y"]
-        assert repr(key) == "TileKey(level=3, x=5, y=2)"
-        assert dataclasses.asdict(key) == {"level": 3, "x": 5, "y": 2}
+    @given(st.integers(0, 64), st.integers(1, 2**40), coords)
+    def test_unpickling_checks_the_fields(self, level, x, y):
+        # From protocol 2 on, pickle rebuilds a key by calling __new__
+        # with its fields, so a stream carrying a negative one is refused.
+        key = TileKey(level, x, y)
+        for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+            rebuild, args = key.__reduce_ex__(protocol)[:2]
+            assert (rebuild, args) == (copyreg.__newobj__, (TileKey, level, x, y))
+        fields = pickle.dumps((level, x, y), 2)[2:-3]  # the args, unframed
+        stream = pickle.dumps(key, 2)
+        assert stream.count(fields) == 1
+        forged = stream.replace(fields, pickle.dumps((level, -x, y), 2)[2:-3])
+        with pytest.raises(ValueError, match="non-negative"):
+            pickle.loads(forged)
+
+    @given(st.lists(st.tuples(st.integers(0, 64), coords, coords), max_size=20))
+    def test_orders_like_its_field_tuples(self, fields):
+        keys = [TileKey(*f) for f in fields]
+        assert [tuple(k) for k in sorted(keys)] == sorted(fields)
+
+    @given(st.integers(0, 64), coords, coords)
+    def test_is_immutable(self, level, x, y):
+        key = TileKey(level, x, y)
+        for name in ("level", "x", "y"):
+            with pytest.raises(AttributeError):
+                setattr(key, name, 0)
+        with pytest.raises(AttributeError):
+            key.other = 0
+        assert not hasattr(key, "__dict__")
+        assert (key.level, key.x, key.y) == (level, x, y)
+
+    @given(st.integers(0, 64), coords, coords)
+    def test_repr_names_the_fields(self, level, x, y):
+        assert repr(TileKey(level, x, y)) == f"TileKey(level={level}, x={x}, y={y})"
+        assert repr(TileKey(3, 5, 2)) == "TileKey(level=3, x=5, y=2)"
 
 
 class TestQuadtreeRelations:
