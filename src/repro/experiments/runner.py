@@ -9,7 +9,6 @@ they return, so ``pytest -m bench`` (downscaled with ``REPRO_SIZE`` /
 from __future__ import annotations
 
 from collections import Counter
-from functools import partial
 
 import numpy as np
 
@@ -370,9 +369,8 @@ def replay_model_latency(
     endpoint of ``frontend`` (one of
     :data:`~repro.experiments.sweep.spec.FRONTENDS`); the numbers are
     the same on all three.  The fold's engine is trained once and reset
-    for each trace, except on the cluster front end: its router opens a
-    session on every worker, and each open gets an engine of its own
-    (one shared engine would feed whichever worker opened last).
+    for each trace on every front end: a cluster router opens the
+    trace's session on its owner only, so one engine serves it.
 
     ``prefetch_mode="sync"`` (the default, what every figure benchmark
     uses) keeps the deterministic virtual-time numbers.
@@ -397,10 +395,7 @@ def replay_model_latency(
     )
     recorder = LatencyRecorder()
     for _, train, test in leave_one_user_out(context.study):
-        if frontend == "cluster":
-            engine_factory = partial(factory, train)
-        else:
-            engine_factory = _resetting(factory(train))
+        engine_factory = _resetting(factory(train))
         for trace in test:
             walk = [(request.move, request.tile) for request in trace.requests]
             (replayed,), _, _ = replay_walks(

@@ -165,7 +165,7 @@ def replay_walks(
     process, a socket server over loopback TCP, or the router of a
     ``workers``-worker all-threads cluster.  The endpoint calls
     ``engine_factory()`` for each session it opens; a cluster opens each
-    session on every worker.  Latency is virtual, so the front end never
+    session on its owner only.  Latency is virtual, so the front end never
     moves a number.  With ``settle`` every request waits for its
     prefetch round on every service before the next one is sent.
 

@@ -165,9 +165,8 @@ class AsyncForeCacheService:
         """Register a session; returns its id (generated when
         ``session_id`` is None), the handle every other call takes."""
         # Native, no executor hop: registering a session is dict
-        # bookkeeping under the facade's locks (never a backend query),
-        # and the cluster router broadcasts every open to every live
-        # worker (ROADMAP item 19) — lifecycle is a hot path there.
+        # bookkeeping under the facade's locks (never a backend query);
+        # a cluster router sends each open to the session's owner only.
         self._check_open()
         return self.service.open_session(
             engine, session_id, reset_engine=reset_engine

@@ -39,9 +39,9 @@ end speaking the *existing* wire protocol to clients:
 * A session lives on ``ring.owner(session_id)``: a seeded,
   deterministic :class:`ConsistentHashRing` maps the id to the same
   worker across runs and across processes, because the ring hashes with
-  :func:`hashlib.blake2b` (no ``PYTHONHASHSEED`` dependence).  Each
-  ``tile_request`` and ``push_ack`` goes there; ``open_session`` and
-  ``close_session`` go to every worker and are answered by the owner.
+  :func:`hashlib.blake2b` (no ``PYTHONHASHSEED`` dependence).  Every
+  message of the session goes there, and there only: ``open_session``,
+  ``tile_request``, ``push_ack`` and ``close_session``.
 * Every frame of a relayed round — the ``push_tile`` frames streamed
   ahead of the reply, then the reply — is forwarded **as its worker
   framed it**: a link speaks its client's wire, so the router reads only
@@ -51,11 +51,12 @@ end speaking the *existing* wire protocol to clients:
 * A dead worker — or one that leaves a round trip unanswered past the
   deadline — surfaces as a typed ``worker_unavailable`` error and
   is removed from the ring, which moves its sessions — and no others —
-  to their ring successors; a retry lands there (sessions open on every
-  worker, so the successor already has the session — no re-open round
-  trip).  What failover loses is the dead worker's memory: its sessions
-  go on with an empty prediction history, a forgotten push ``held`` set
-  and a cold cache; every other session loses nothing, not even a hit.
+  to their ring successors; a retry lands there, where the router opens
+  the session first (owner only: no worker holds a session the ring
+  does not give it).  What failover loses is the dead worker's memory:
+  its sessions go on with an empty prediction history, a forgotten push
+  ``held`` set and a cold cache; every other session loses nothing, not
+  even a hit.
 
 The price of keeping a session whole is paid in shared tiles: a tile
 several users want is loaded once per worker hosting one of them, not
@@ -382,6 +383,8 @@ class _RouterClient(ServerConnection):
     def __init__(self, framing: str, max_frame_bytes: int) -> None:
         super().__init__(framing, max_frame_bytes)
         self.links: dict[str, _BackendLink] = {}
+        #: Each open session of this client → the worker it is open on.
+        self.sessions: dict[str, str] = {}
 
 
 # ----------------------------------------------------------------------
@@ -529,41 +532,41 @@ class TileServiceRouter(_WireServer):
         self._session_counter += 1
         return f"session-{self._session_counter}"
 
-    async def _broadcast(
-        self, message: "OpenSession | CloseSession", state: _RouterClient
-    ) -> "SessionInfo | ErrorInfo":
-        """Send one session-lifecycle message to every live worker; the
-        answer is the one from the worker the session lives on (looked
-        up afterwards: a death met on the way has re-mapped it)."""
-        replies: dict[str, "SessionInfo | ErrorInfo"] = {}
-        for node in sorted(state.links):
-            link = state.links[node]
-            if link.dead:
-                continue
+    async def _roundtrip(
+        self, node: str, message, state: _RouterClient, *, opaque: bool = False
+    ):
+        """``(reply, pushes)`` of one round trip with ``node``, the owner of
+        ``message``'s session — opened there first if this client opened
+        it on a worker the ring has dropped since (it goes on amnesic)."""
+        session_id = message.session_id
+        # On the ring means alive since before this client's hello, which
+        # dialled every live worker: the link exists (dead, at worst).
+        link = state.links[node]
+        if state.sessions.get(session_id, node) != node:
+            opened, _ = await link.roundtrip(OpenSession(session_id=session_id))
+            if not isinstance(opened, SessionInfo):
+                raise opened.to_exception()
+            state.sessions[session_id] = node
+        return await link.roundtrip(message, opaque=opaque)
+
+    async def _on_owner(self, message: "OpenSession | CloseSession", state: _RouterClient):
+        """``(node, reply)`` of a lifecycle message sent to its session's
+        owner: one that dies on the way leaves the ring, the next answers."""
+        while self._alive:
+            node = self.ring.owner(message.session_id)
             try:
-                replies[node], _ = await link.roundtrip(message)
+                return node, (await self._roundtrip(node, message, state))[0]
             except WorkerUnavailableError:
                 self._mark_worker_dead(node)
-        session_id = message.session_id
-        owner = self.ring.owner(session_id) if self._alive else None
-        return replies.get(owner) or ErrorInfo.from_exception(
-            WorkerUnavailableError(
-                "no live workers on the ring", session_id=session_id
-            )
+        raise WorkerUnavailableError(
+            "no live workers on the ring", session_id=message.session_id
         )
 
-    async def _serve_open(
-        self, message: OpenSession, state: _RouterClient
-    ):
-        """Open the session on every live worker — requests go to its
-        owner only, but a ring successor that already holds the session
-        takes over with no re-open round trip."""
+    async def _serve_open(self, message: OpenSession, state: _RouterClient):
         auto = message.session_id is None
         session_id = self._next_session_id() if auto else message.session_id
         for _ in range(64):
-            reply = await self._broadcast(
-                OpenSession(session_id=session_id), state
-            )
+            node, reply = await self._on_owner(OpenSession(session_id=session_id), state)
             taken = getattr(reply, "code", None) == DuplicateSessionError.code
             if not (auto and taken):
                 break
@@ -571,16 +574,15 @@ class TileServiceRouter(_WireServer):
             # numbers its own sessions); renumber.
             session_id = self._next_session_id()
         if isinstance(reply, SessionInfo):
-            state.sessions.add(session_id)
+            state.sessions[session_id] = node
         return [reply]
 
-    async def _serve_close(
-        self, message: CloseSession, state: _RouterClient
-    ):
+    async def _serve_close(self, message: CloseSession, state: _RouterClient):
         state.require_session(message.session_id)
-        reply = await self._broadcast(message, state)
-        state.sessions.discard(message.session_id)
-        return [reply]
+        try:
+            return [(await self._on_owner(message, state))[1]]
+        finally:
+            del state.sessions[message.session_id]
 
     # -- the request path ----------------------------------------------
     async def _relay(
@@ -597,11 +599,8 @@ class TileServiceRouter(_WireServer):
         """
         session_id = message.session_id
         node = self.ring.owner(session_id)
-        # On the ring means alive since before this client's hello, which
-        # dialled every live worker: the link exists (dead, at worst).
-        link = state.links[node]
         try:
-            reply, pushes = await link.roundtrip(message, opaque=True)
+            reply, pushes = await self._roundtrip(node, message, state, opaque=True)
         except WorkerUnavailableError as exc:
             self._mark_worker_dead(node)
             raise WorkerUnavailableError(

@@ -107,6 +107,16 @@ def session_off(ring, node: str) -> str:
     )
 
 
+def exchange(sock, decoder, message: dict) -> dict:
+    """One round trip of a raw JSON-lines client."""
+    sock.sendall(json.dumps(message).encode() + b"\n")
+    frames = []
+    while not frames:
+        frames = decoder.feed(sock.recv(65536))
+    (frame,) = frames
+    return json.loads(frame)
+
+
 def outcome(response):
     return (response.tile.key, response.hit, response.latency_seconds)
 
@@ -574,7 +584,7 @@ class TestRoutingAndFailover:
                 except WorkerUnavailableError:
                     errors.append(key)
                     # The retry goes to a survivor — same connection,
-                    # same session (it was opened on every worker).
+                    # same session, which the router opens there first.
                     response = client.request(None, key)
                 assert response.tile.key == key
             # Once: the ring re-mapped the session at the first failure.
@@ -583,6 +593,82 @@ class TestRoutingAndFailover:
             bystander.close()
         finally:
             transport.close()
+
+    def test_a_re_mapped_session_is_opened_on_its_successor_once(
+        self, cluster2, tiny_dataset, monkeypatch
+    ):
+        """A session is open on its owner only.  Its ring successor gets
+        no copy before the retry that follows the death, which opens it
+        there once; a session closed after the re-map with no request in
+        between is opened there and closed, with a fresh session's reply."""
+        grid = tiny_dataset.pyramid.grid
+        keys = all_keys(grid, grid.deepest_level)
+        ring = cluster2.router.router.ring
+        doomed = ring.owner("failover")
+        quiet = next(
+            s for s in map("quiet-{}".format, range(64)) if ring.owner(s) == doomed
+        )
+        successor = cluster2.workers[1 - node_index(doomed)].server.service.service
+        opened = []
+        open_session = successor.open_session
+
+        def counted(engine=None, session_id=None, **kwargs):
+            opened.append(session_id)
+            return open_session(engine, session_id, **kwargs)
+
+        monkeypatch.setattr(successor, "open_session", counted)
+        with (
+            SocketTransport(*cluster2.address) as transport,
+            socket.create_connection(cluster2.address, timeout=10) as raw,
+        ):
+            decoder = FrameDecoder("lines")
+            exchange(raw, decoder, {"type": "hello", "versions": [1]})
+            exchange(raw, decoder, {"type": "open_session", "session_id": quiet})
+            client = transport.connect(session_id="failover")
+            client.request(None, keys[0])
+            cluster2.workers[node_index(doomed)].stop()
+            with pytest.raises(WorkerUnavailableError):
+                client.request(None, keys[1])
+            assert (opened, successor.session_count) == ([], 0)
+            assert client.request(None, keys[1]).tile.key == keys[1]
+            assert client.request(None, keys[2]).tile.key == keys[2]
+            assert opened == ["failover"]
+            assert successor.info("failover").requests == 2
+            closed = exchange(
+                raw, decoder, {"type": "close_session", "session_id": quiet}
+            )
+            assert closed == {
+                "type": "session_info",
+                "session_id": quiet,
+                "open": False,
+                "prefetch_mode": "sync",
+                "requests": 0,
+                "hits": 0,
+                "hit_rate": 0.0,
+                "average_latency_seconds": 0.0,
+            }
+            assert opened == ["failover", quiet]
+            client.close()
+            assert successor.session_count == 0
+
+    def test_an_open_meeting_a_dead_owner_is_answered_by_the_next(
+        self, cluster2
+    ):
+        """The owner's death is learnt by the open itself: the next
+        owner answers it, and with no worker left the reply is typed."""
+        ring = cluster2.router.router.ring
+        doomed = ring.owner("late")
+        with SocketTransport(*cluster2.address) as transport:
+            cluster2.workers[node_index(doomed)].stop()
+            late = transport.connect(session_id="late")
+            (alive,) = ring.nodes
+            assert alive != doomed
+            survivor = cluster2.workers[node_index(alive)]
+            assert survivor.server.service.service.session_ids == ["late"]
+            late.close()
+            survivor.stop()
+            with pytest.raises(WorkerUnavailableError, match="no live workers"):
+                transport.connect(session_id="later")
 
     def test_a_posted_ack_meeting_the_dead_worker_fails_at_its_sessions_next_call(
         self, tiny_dataset

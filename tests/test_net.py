@@ -603,7 +603,12 @@ class TestResilience:
             registries = [service.hotspot_registry for service in services]
 
             def state():
-                requests = sum(service.info("s").requests for service in services)
+                # Only the session's owner holds "s".
+                requests = sum(
+                    service.info("s").requests
+                    for service in services
+                    if "s" in service.session_ids
+                )
                 return requests, [(r.snapshot(), r.tick) for r in registries]
 
             sock = raw_connection(endpoint)

@@ -106,14 +106,25 @@ class TestReplayFrontends:
     def test_a_cluster_session_feeds_only_its_owners_registry(
         self, tiny_context, monkeypatch
     ):
-        """The router opens every session on both workers, but only the
-        owner serves it: each worker's session needs its own engine, or
-        the owner's requests are observed into the registry of whichever
-        worker opened last.  Two ring seeds put the sessions on each of
-        the two workers in turn."""
+        """Each fold trains one engine, reset for each trace, on every
+        front end: the router opens a session on its owner only, so that
+        engine serves the owner alone, which observes every request into
+        its registry while the other worker sees nothing.  Two ring seeds
+        put the sessions on each of the two workers in turn."""
         from repro.middleware import cluster
         from repro.middleware.cluster import ThreadedClusterServer
 
+        folds = len(tiny_context.study.user_ids)
+        trained = []
+
+        def factory(train):
+            trained.append(train)
+            return tiny_context.momentum_engine(train)
+
+        for frontend in ("inprocess", "socket"):
+            trained.clear()
+            replay_model_latency(tiny_context, factory, k=5, frontend=frontend)
+            assert len(trained) == folds, frontend
         owners = set()
         for ring_seed in (0, 3):
             counts = []
@@ -137,13 +148,15 @@ class TestReplayFrontends:
                     super().stop()
 
             monkeypatch.setattr(cluster, "ThreadedClusterServer", Counted)
+            trained.clear()
             routed = replay_model_latency(
                 tiny_context,
-                tiny_context.momentum_engine,
+                factory,
                 k=5,
                 frontend="cluster",
                 shared_hotspots="observe",
             )
+            assert len(trained) == folds
             assert len(counts) == len(tiny_context.study.traces)
             for workers in counts:
                 served = [i for i, (requests, _) in enumerate(workers) if requests]

@@ -532,6 +532,22 @@ def replay_cluster(pyramid, trace, *, framing="lines", payload="json"):
             return responses
 
 
+def take_turns(address, pyramid, traces, inspect=lambda: None):
+    """Replay ``traces`` (session id → trace) on one connection, the
+    sessions taking turns request by request; ``inspect()`` runs while
+    they are all still open.  Returns each session's responses."""
+    with SocketTransport(*address, pyramid=pyramid) as transport:
+        conns = {sid: transport.connect(session_id=sid) for sid in traces}
+        runs = {sid: [] for sid in traces}
+        for step in range(max(map(len, traces.values()))):
+            for sid, trace in traces.items():
+                if step < len(trace):
+                    request = trace.requests[step]
+                    runs[sid].append(conns[sid].request(request.move, request.tile))
+        inspect()
+    return runs
+
+
 class TestClusterConformance:
     """Recorder-for-recorder identity through the router.
 
@@ -584,26 +600,23 @@ class TestClusterConformance:
                 residents.setdefault(ring.owner(session_id), session_id)
             assert set(residents) == set(ring.nodes)
             traces = dict(zip(residents.values(), small_study.traces))
-            with SocketTransport(*cluster.address, pyramid=pyramid) as transport:
-                conns = {
-                    sid: transport.connect(session_id=sid) for sid in traces
-                }
-                cluster_runs = {sid: [] for sid in traces}
-                for step in range(max(map(len, traces.values()))):
-                    for sid, trace in traces.items():
-                        if step < len(trace):
-                            request = trace.requests[step]
-                            cluster_runs[sid].append(
-                                conns[sid].request(request.move, request.tile)
-                            )
-                # A session's requests reached its owner and nobody else.
+
+            def reached_only_their_owners():
+                # A session reached its owner and nobody else: it is
+                # not even open on any other worker.
                 for index, worker in enumerate(cluster.workers):
                     service = worker.server.service.service
                     resident = residents[f"worker-{index}"]
                     for sid, trace in traces.items():
-                        assert service.info(sid).requests == (
-                            len(trace) if sid == resident else 0
-                        )
+                        if sid == resident:
+                            assert service.info(sid).requests == len(trace)
+                        else:
+                            with pytest.raises(SessionNotFoundError):
+                                service.info(sid)
+
+            cluster_runs = take_turns(
+                cluster.address, pyramid, traces, reached_only_their_owners
+            )
         for sid, trace in traces.items():
             # The single-node truth: a dedicated cold server replaying
             # only this session.
@@ -612,6 +625,46 @@ class TestClusterConformance:
             assert client_recorder(cluster_runs[sid]).to_dict() == (
                 client_recorder(solo).to_dict()
             )
+
+    def test_a_shared_budget_is_split_over_the_workers_own_sessions(
+        self, small_dataset, small_study
+    ):
+        """Under ``share_budget`` a worker splits ``k`` over the sessions
+        it holds, so it must hold exactly those the ring gives it: N
+        sessions through a W-worker cluster prefetch what W dedicated
+        servers do, each holding only one worker's resident sessions."""
+        pyramid = small_dataset.pyramid
+        config = ServiceConfig(prefetch=PrefetchPolicy(k=6, share_budget=True))
+        traces = dict(zip(map("walker-{}".format, range(6)), small_study.traces))
+        with ThreadedClusterServer(
+            pyramid, config, workers=3, engine_factory=engine_factory(pyramid)
+        ) as cluster:
+            ring = cluster.router.router.ring
+            residents = [
+                [sid for sid in traces if ring.owner(sid) == f"worker-{index}"]
+                for index in range(3)
+            ]
+            # Budgets of k, k/2 and k/3: each worker shares it differently.
+            assert sorted(map(len, residents)) == [1, 2, 3]
+            counts = []
+            cluster_runs = take_turns(
+                cluster.address,
+                pyramid,
+                traces,
+                lambda: counts.extend(
+                    w.server.service.service.session_count for w in cluster.workers
+                ),
+            )
+        assert counts == [len(sids) for sids in residents]
+        for sids in residents:
+            with ThreadedSocketServer(
+                pyramid, config, engine_factory=engine_factory(pyramid)
+            ) as server:
+                alone = take_turns(
+                    server.address, pyramid, {sid: traces[sid] for sid in sids}
+                )
+            for sid in sids:
+                assert signature(cluster_runs[sid]) == signature(alone[sid])
 
     @pytest.mark.bench
     def test_momentum_figure_pin_through_the_cluster(self):
