@@ -8,7 +8,9 @@ users 1 and 2's study traces in the order seed 7 shuffles them into
 service session, recording the calls its cache manager receives: one
 ``fetch(key)`` per request, then one ``prefetch(predictions)``.  That
 call stream is then replayed on fresh cache managers of the default
-shape over the same pyramid, with no engine in the loop.
+shape over the same pyramid, with no engine in the loop.  The session
+serves the cycle a second time, warm and unrecorded, to count the
+Python function calls a whole request makes.
 
 It prints exact counts of one replay — backend queries
 (``fetch_tile_timed`` calls) and hits per request, visits to the
@@ -16,10 +18,12 @@ cache's shard locks per prefetch cycle, and per ``fetch`` that hit and
 that missed (a re-entrant acquire counts as a visit) — then the visits
 per background admission (``prefetch_one``) of a resident tile and of
 an absent one, from one more replay that admits each cycle's
-predictions one at a time instead, and then the median over
-``TIMED_PASSES`` replays of the microseconds per request spent in
-``fetch`` plus ``prefetch``.  CI prints it in the ``test`` job's
-summary; nothing gates on it.
+predictions one at a time instead, the Python function calls per
+request of the warm pass (``sys.setprofile`` ``call`` events: the
+service, engine, cache and backend frames one request runs), and then
+the median over ``TIMED_PASSES`` replays of the microseconds per
+request spent in ``fetch`` plus ``prefetch``.  CI prints it in the
+``test`` job's summary; nothing gates on it.
 
 Usage (from the repository root, no install needed)::
 
@@ -58,9 +62,12 @@ class CountedLock:
         return self.inner.__exit__(*exc_info)
 
 
-def record_calls(context, engine, requests) -> list:
+def record_calls(context, engine, requests) -> tuple[list, float]:
     """One pass through a service session; the cache manager's calls,
-    in order, as ``(method name, argument)``."""
+    in order, as ``(method name, argument)``.  Then a second, warm pass
+    through the same session with the recording removed; the Python
+    function calls it makes per request (``sys.setprofile`` ``call``
+    events)."""
     from repro.middleware.config import PrefetchPolicy, ServiceConfig
     from repro.middleware.service import ForeCacheService
 
@@ -77,11 +84,29 @@ def record_calls(context, engine, requests) -> list:
 
             setattr(manager, name, recording)
         session = service.open_session(engine)
-        for move, tile in requests:
-            if move is None:
-                engine.reset()
-            session.request(move, tile)
-    return calls
+
+        def serve():
+            for move, tile in requests:
+                if move is None:
+                    engine.reset()
+                session.request(move, tile)
+
+        serve()
+        del manager.fetch, manager.prefetch
+        events = [0]
+
+        def count(frame, event, arg):
+            if event == "call":
+                events[0] += 1
+
+        previous = sys.getprofile()  # experiments/calls' recorder, if on
+        sys.setprofile(count)
+        try:
+            serve()
+        finally:
+            sys.setprofile(previous)
+    # Less the one call into ``serve`` itself.
+    return calls, (events[0] - 1) / len(requests)
 
 
 def replay(manager, calls) -> float:
@@ -131,7 +156,7 @@ def main() -> None:
     held_out = [t for t in traces if t.user_id in HELD_OUT_USERS]
     random.Random(SEED).shuffle(held_out)
     requests = [(r.move, r.tile) for trace in held_out for r in trace.requests]
-    calls = record_calls(context, engine, requests)
+    calls, python_calls = record_calls(context, engine, requests)
     pyramid = context.pyramid
 
     manager = CacheConfig().build_cache_manager(pyramid)
@@ -174,6 +199,7 @@ def main() -> None:
     admit_visits = admission_visits(CacheConfig().build_cache_manager(pyramid), calls)
     print(f"shard-lock visits/admit hit  {admit_visits[True]:.3f}")
     print(f"shard-lock visits/admit miss {admit_visits[False]:.3f}")
+    print(f"python calls/request    {python_calls:.1f}")
     per_pass = [
         replay(CacheConfig().build_cache_manager(pyramid), calls) / len(requests)
         for _ in range(TIMED_PASSES)

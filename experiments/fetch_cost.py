@@ -17,7 +17,8 @@ and ``tile fetch us/repeat fetch``: cold traffic pays the first.
 ``tracemalloc`` sees them, that a charged fetch of every tile of that
 world from an empty tile table leaves alive, per tile, while the fetched
 tiles are held.  The pyramid keeps one table entry per tile (the tile,
-its read counts), so that is what the count covers.  A fetch that copies
+the virtual seconds a fetch of it is charged), so that is what the
+count covers.  A fetch that copies
 its payload keeps the payload too; one that hands out the store's own
 chunks keeps only the entry.  CI prints that line in the ``test`` job's
 summary; nothing gates on it.

@@ -10,10 +10,10 @@ provides the subset of an array DBMS that ForeCache exercises:
 - a database with per-query cost accounting and a virtual clock,
   calibrated so that tile fetches cost what the paper measured on its
   SciDB testbed (:mod:`repro.arraydb.executor`,
-  :mod:`repro.arraydb.cost`).  A fetch reads one whole chunk per
-  attribute and is billed through :meth:`Database.charge_read`; the
-  loaders that build the arrays bill each build step through
-  :meth:`Database.execute`.
+  :mod:`repro.arraydb.cost`).  A tile fetch reads one whole chunk per
+  attribute and is billed by the tile pyramid as one look-up query
+  priced by :attr:`Database.cost_model`; the loaders that build the
+  arrays bill each build step through :meth:`Database.execute`.
 
 Example
 -------
@@ -30,8 +30,7 @@ Example
 >>> db.read("A", "v", ((0, 4), (4, 8))).shape
 (4, 4)
 >>> blocks, read = db.array("A").read_chunk((0, 1))
->>> stats = db.charge_read(read)
->>> (float(blocks["v"][0, 0]), stats.chunks_read, stats.cells_scanned)
+>>> (float(blocks["v"][0, 0]), read.chunks_read, read.cells_scanned)
 (4.0, 1, 16)
 """
 

@@ -2,15 +2,17 @@
 
 Nothing is planned at serving time.  A tile is one whole chunk per
 attribute, read by :meth:`ChunkedArray.read_chunk`; every fetch of it is
-billed by :meth:`Database.charge_read`.  The arrays served from are
-built once, with numpy, by the loaders
+billed by :meth:`repro.tiles.pyramid.TilePyramid.fetch_tile_timed`, as
+one look-up query over the chunks and cells read.  The arrays served
+from are built once, with numpy, by the loaders
 (:func:`repro.modis.ndsi.run_ndsi_query`,
 :meth:`repro.tiles.pyramid.TilePyramid.build`), which bill each build
-step through :meth:`Database.execute`.  Every charge prices a
-:class:`~repro.arraydb.cost.QueryStats` ledger with the cost model and,
-when the database owns a :class:`~repro.arraydb.cost.VirtualClock`,
-advances the clock by it — this is what makes backend fetches "slow"
-relative to middleware cache hits in the latency experiments.
+step through :meth:`Database.execute` and its
+:class:`~repro.arraydb.cost.QueryStats` ledger.  Every charge is priced
+by :attr:`Database.cost_model` and, when the database owns a
+:class:`~repro.arraydb.cost.VirtualClock`, advances the clock by it —
+this is what makes backend fetches "slow" relative to middleware cache
+hits in the latency experiments.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from collections.abc import Iterable
 
 import numpy as np
 
-from repro.arraydb.array import ChunkedArray, ReadStats
+from repro.arraydb.array import ChunkedArray
 from repro.arraydb.cost import CostModel, QueryStats, VirtualClock
 from repro.arraydb.errors import ArrayExistsError, ArrayNotFoundError
 from repro.arraydb.schema import ArraySchema
@@ -101,22 +103,9 @@ class Database:
                 read_stats = array._read_stats(attr.name)
                 stats.merge_read(read_stats.chunks_read, read_stats.cells_scanned)
         stats.merge_compute(cells_computed)
-        self._charge(stats)
-        return stats
-
-    def charge_read(self, read: ReadStats) -> QueryStats:
-        """Charge one look-up query over the chunks and cells ``read``
-        counts (:meth:`ChunkedArray.read_chunk`), priced once: a caller
-        that keeps what it read charges each fetch of it again."""
-        stats = QueryStats(read.chunks_read, read.cells_scanned)
-        self._charge(stats)
-        return stats
-
-    def _charge(self, stats: QueryStats) -> None:
-        """Price a finished ledger and advance the clock by it."""
-        cost = self.cost_model.query_cost(
+        stats.elapsed_seconds = self.cost_model.query_cost(
             stats.chunks_read, stats.cells_scanned, stats.cells_computed
         )
-        stats.elapsed_seconds = cost
         if self.clock is not None:
-            self.clock.advance(cost)
+            self.clock.advance(stats.elapsed_seconds)
+        return stats

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.cache.tile_cache import TileCache
 from repro.tiles.key import TileKey
@@ -30,9 +30,12 @@ from repro.tiles.pyramid import TilePyramid
 from repro.tiles.tile import DataTile
 
 
-@dataclass(frozen=True)
-class FetchOutcome:
-    """How one request was served."""
+class FetchOutcome(NamedTuple):
+    """How one request was served.
+
+    A read-only ``NamedTuple``, its fields read in C; it equals the
+    plain tuple of its fields.
+    """
 
     tile: DataTile
     hit: bool

@@ -50,31 +50,15 @@ REQUEST, ADMIT, CYCLE = "request", "admit", "cycle"
 class _PendingLoad:
     """One backend load in flight: a plain record until somebody waits.
 
-    ``done`` is created by the first rider, under the shard lock, so a
-    load no second caller joins constructs no event, condition or lock.
+    Its fields start as class defaults, so registering a load runs no
+    Python ``__init__``.  ``done`` is created by the first rider, under
+    the shard lock, so a load no second caller joins constructs no
+    event, condition or lock.
     """
 
-    __slots__ = ("outcome", "done")
-
-    def __init__(self) -> None:
-        #: ``(tile, backend_seconds)``, or the exception the owner raised.
-        self.outcome: tuple[DataTile, float] | BaseException | None = None
-        self.done: threading.Event | None = None
-
-
-def _register(entry: list, inflight: dict[TileKey, _PendingLoad]) -> bool:
-    """Register the load of an absent ``entry`` (True: the caller owns
-    it), or ride the one in flight (False).  Shard lock held."""
-    key = entry[1]
-    pending = inflight.get(key)
-    if pending is None:
-        entry[3] = inflight[key] = _PendingLoad()
-        entry[4] = True
-        return True
-    if pending.done is None:
-        pending.done = threading.Event()
-    entry[3] = pending
-    return False
+    #: ``(tile, backend_seconds)``, or the exception the owner raised.
+    outcome: tuple[DataTile, float] | BaseException | None = None
+    done: threading.Event | None = None
 
 
 class TileCache:
@@ -139,7 +123,11 @@ class TileCache:
         it sat there), or None, an absent key left alone."""
         index = hash(key) % self.shards
         with self._locks[index]:
-            return self._promote(index, key)
+            slot = self._prefetched[index].get(key)
+            tile = slot[0] if slot is not None else self._recent[index].get(key)
+            if tile is not None:
+                self._record(index, tile)
+            return tile
 
     def request(self, key: TileKey, query) -> tuple[DataTile, _PendingLoad | None, bool]:
         """Serve a request, from memory or from ``query(key)``.
@@ -157,20 +145,52 @@ class TileCache:
     def _one(self, key: TileKey, model: str | None, purpose: str, query):
         """:meth:`request` or :meth:`admit`, as ``purpose`` says."""
         index = hash(key) % self.shards
+        group = [[index, key, model, None, False]]
+        owned, ridden = [], []
         with self._locks[index]:
-            if purpose == REQUEST:
-                tile = self._promote(index, key)
-            else:  # resident in either region: left where it is
-                slot = self._prefetched[index].get(key)
-                tile = slot[0] if slot is not None else self._recent[index].get(key)
-            if tile is not None:
-                return tile, None, False
-            entry = [index, key, model, None, False]
-            owner = _register(entry, self._inflight[index])
-        group = [entry]
-        owned, ridden = (group, []) if owner else ([], group)
+            tile = self._probe(index, group, purpose, owned, ridden)
+        if tile is not None:
+            return tile, None, False
         self._complete({index: group}, [index], owned, ridden, purpose, query)
-        return entry[3].outcome[0], entry[3], owner
+        pending = group[0][3]
+        return pending.outcome[0], pending, bool(owned)
+
+    def _probe(self, index: int, group: list[list], purpose: str, owned, ridden):
+        """The first visit to shard ``index`` (lock held), one path for
+        request, admit and cycle.  A resident key is served — a request
+        records it (:meth:`_record`), an admission leaves it be — or, in
+        a cycle, carried into the shard's new prefetch region.  An absent
+        key's load is registered into ``owned``, or the one in flight
+        ridden into ``ridden`` (its first rider creates ``done``).
+        Returns the tile served, or None.
+        """
+        region = self._prefetched[index]
+        recent = self._recent[index]
+        inflight = self._inflight[index]
+        if purpose == CYCLE:
+            carried = self._prefetched[index] = {}
+        for entry in group:
+            key = entry[1]
+            slot = region.get(key)
+            tile = slot[0] if slot is not None else recent.get(key)
+            if tile is not None:
+                if purpose == CYCLE:
+                    carried[key] = (tile, entry[2])
+                    continue
+                if purpose == REQUEST:
+                    self._record(index, tile)
+                return tile
+            pending = inflight.get(key)
+            if pending is None:
+                entry[3] = inflight[key] = _PendingLoad()
+                entry[4] = True
+                owned.append(entry)
+            else:
+                if pending.done is None:
+                    pending.done = threading.Event()
+                entry[3] = pending
+                ridden.append(entry)
+        return None
 
     def record_request(self, tile: DataTile) -> None:
         """A tile the user actually requested enters the recent region,
@@ -178,14 +198,6 @@ class TileCache:
         index = self._shard(tile.key)
         with self._locks[index]:
             self._record(index, tile)
-
-    def _promote(self, index: int, key: TileKey) -> DataTile | None:
-        """:meth:`promote`'s work, shard ``index``'s lock held."""
-        slot = self._prefetched[index].get(key)
-        tile = slot[0] if slot is not None else self._recent[index].get(key)
-        if tile is not None:
-            self._record(index, tile)
-        return tile
 
     def _record(self, index: int, tile: DataTile) -> None:
         """:meth:`record_request`'s work, shard ``index``'s lock held."""
@@ -240,7 +252,8 @@ class TileCache:
         """
         shards = self.shards
         plan: dict[TileKey, list] = {}
-        groups: list[list[list]] = [[] for _ in range(shards)]
+        # One empty group per shard, built in C (a 3.11 comprehension is a frame).
+        groups: list[list[list]] = list(map(list, [()] * shards))
         for key, model in predictions:
             entry = plan.get(key)
             if entry is not None:
@@ -259,21 +272,8 @@ class TileCache:
         touched: list[int] = []
         for index, group in enumerate(groups):
             with self._locks[index]:
-                region = self._prefetched[index]
-                recent = self._recent[index]
-                inflight = self._inflight[index]
-                carried = self._prefetched[index] = {}
                 loads = len(owned) + len(ridden)
-                for entry in group:
-                    key = entry[1]
-                    slot = region.get(key)
-                    tile = slot[0] if slot is not None else recent.get(key)
-                    if tile is not None:
-                        carried[key] = (tile, entry[2])
-                    elif _register(entry, inflight):
-                        owned.append(entry)
-                    else:
-                        ridden.append(entry)
+                self._probe(index, group, CYCLE, owned, ridden)
                 if len(owned) + len(ridden) > loads:
                     touched.append(index)
         if not touched:

@@ -34,9 +34,9 @@ from repro.tiles.pyramid import TileGrid
 PhasePredictor = Callable[[TileKey, Move | None], AnalysisPhase]
 
 
-@dataclass
+@dataclass(slots=True)
 class PredictionResult:
-    """Output of one prediction round."""
+    """Output of one prediction round (slotted: no per-instance dict)."""
 
     phase: AnalysisPhase | None
     tiles: list[TileKey]
@@ -47,7 +47,7 @@ class PredictionResult:
 
     def attributed_tiles(self) -> list[tuple[TileKey, str]]:
         """(tile, model) pairs in prefetch priority order."""
-        return [(tile, self.attributions[tile]) for tile in self.tiles]
+        return list(zip(self.tiles, map(self.attributions.__getitem__, self.tiles)))
 
 
 class PredictionEngine:

@@ -35,6 +35,7 @@ from __future__ import annotations
 import threading
 from collections.abc import Callable, Hashable
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from repro.cache.manager import CacheManager
 from repro.core.engine import PredictionEngine
@@ -66,32 +67,37 @@ from repro.tiles.tile import DataTile
 HOTSPOT_PRUNE_EPSILON = 1e-6
 
 
-@dataclass(frozen=True)
-class TileResponse:
-    """What one request returns, in process."""
+class TileResponse(NamedTuple):
+    """What one request returns, in process.
+
+    A read-only ``NamedTuple``, its fields read in C; it equals the
+    plain tuple of its fields.
+    """
 
     tile: DataTile
     latency_seconds: float
     hit: bool
     phase: AnalysisPhase | None
-    prefetched: tuple[TileKey, ...] = field(default_factory=tuple)
+    prefetched: tuple[TileKey, ...] = ()
     #: Linear resolution fraction of the payload: 1.0 is the real tile;
     #: under overload (``PrefetchPolicy.fidelity="progressive"``) an
     #: ancestor-carved stand-in reports ``2**-depth``.
     fidelity: float = 1.0
 
 
-@dataclass(frozen=True)
-class PushHitResult:
+class PushHitResult(NamedTuple):
     """Outcome of a client-side push-cache hit reported to the server.
 
     The client already holds the tile, so no tile (and no cache fetch)
     is involved — the server records the zero-latency hit, feeds the
     session's engine, and returns the new prediction round's metadata.
+
+    A read-only ``NamedTuple``, its fields read in C; it equals the
+    plain tuple of its fields.
     """
 
     phase: AnalysisPhase | None
-    prefetched: tuple[TileKey, ...] = field(default_factory=tuple)
+    prefetched: tuple[TileKey, ...] = ()
     latency_seconds: float = 0.0
     hit: bool = True
 
@@ -450,12 +456,7 @@ class ForeCacheService:
                 record, move, key, latency, True
             )
             return TileResponse(
-                tile=tile,
-                latency_seconds=latency,
-                hit=True,
-                phase=phase,
-                prefetched=prefetched,
-                fidelity=carve_fidelity(level, key.level),
+                tile, latency, True, phase, prefetched, carve_fidelity(level, key.level)
             )
         return None
 
@@ -480,13 +481,7 @@ class ForeCacheService:
         phase, prefetched = self._observe_and_predict(
             record, move, key, latency, outcome.hit
         )
-        return TileResponse(
-            tile=outcome.tile,
-            latency_seconds=latency,
-            hit=outcome.hit,
-            phase=phase,
-            prefetched=prefetched,
-        )
+        return TileResponse(outcome.tile, latency, outcome.hit, phase, prefetched)
 
     def _observe_and_predict(
         self,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import abc
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from repro.tiles.key import TileKey
 from repro.tiles.moves import Move
@@ -18,8 +18,7 @@ from repro.tiles.pyramid import TileGrid
 from repro.users.session import Trace
 
 
-@dataclass(frozen=True)
-class PredictionContext:
+class PredictionContext(NamedTuple):
     """Inputs available to a recommender at prediction time.
 
     ``history_moves`` / ``history_tiles`` are the session history ``H``
@@ -27,6 +26,9 @@ class PredictionContext:
     maintained by Algorithm 1 (empty until the first zoom-in/zoom-out
     cycle completes).  ``candidates`` are the tiles at most ``d`` moves
     from the current tile, in breadth-first order.
+
+    A read-only ``NamedTuple``, its fields read in C; it equals the
+    plain tuple of its fields.
     """
 
     current: TileKey
@@ -34,7 +36,7 @@ class PredictionContext:
     candidates: tuple[TileKey, ...]
     history_moves: tuple[Move, ...] = ()
     history_tiles: tuple[TileKey, ...] = ()
-    roi: tuple[TileKey, ...] = field(default_factory=tuple)
+    roi: tuple[TileKey, ...] = ()
 
     @property
     def last_move(self) -> Move | None:

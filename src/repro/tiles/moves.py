@@ -24,7 +24,14 @@ class MoveCategory(Enum):
 
 
 class Move(Enum):
-    """One user interaction in the browsing interface."""
+    """One user interaction in the browsing interface.
+
+    Hashed by identity, in C, as enum equality is identity (a copied or
+    unpickled member is the member): a memo, set or dict keyed by moves
+    runs no Python ``__hash__``.  ``Enum``'s ``hash(name)`` varied per
+    process too."""
+
+    __hash__ = object.__hash__
 
     PAN_LEFT = "pan_left"
     PAN_RIGHT = "pan_right"

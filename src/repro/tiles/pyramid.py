@@ -19,7 +19,6 @@ from collections.abc import Iterator
 
 import numpy as np
 
-from repro.arraydb.array import ReadStats
 from repro.arraydb.executor import Database
 from repro.arraydb.schema import ArraySchema, Attribute, Dimension
 from repro.tiles.key import TileKey
@@ -176,8 +175,8 @@ class TilePyramid:
         self.tile_size = tile_size
         self.grid = TileGrid(num_levels)
         self.attributes = attributes
-        # (store version read at, {key: (tile, read counts)}); see _read.
-        self._table: tuple[int, dict[TileKey, tuple[DataTile, ReadStats]]] = (-1, {})
+        # (store version read at, cost model, {key: (tile, seconds)}); see _read.
+        self._table: tuple = (-1, None, {})
 
     # ------------------------------------------------------------------
     # construction
@@ -326,53 +325,57 @@ class TilePyramid:
                 )
         return names
 
-    def _read(self, key: TileKey) -> tuple[DataTile, ReadStats]:
-        """``key``'s tile and read counts: read from the store (its chunks,
-        :meth:`ChunkedArray.read_chunk`) into the tile table on the key's
-        first fetch, a look-up there on every later one.  The table holds
-        at most one entry per tile, whose blocks are the store's own
-        read-only arrays.  It is tagged with the store's version taken
-        before reading and dropped once that moves, so a fetch after a
-        write or a delete reads the store again.  A key outside the
-        pyramid raises ``ValueError`` and never enters the table.
-        """
-        version = self.db._store.version
-        table_version, table = self._table
-        if table_version != version:
+    def _read(self, key: TileKey) -> tuple[DataTile, float]:
+        """``key``'s table entry, ``(tile, virtual seconds per fetch)``,
+        read from the store (:meth:`ChunkedArray.read_chunk`) and priced
+        as one look-up query, ``query_cost(chunks, cells, 0)``, on the
+        key's first fetch.  The table holds one entry per tile at most,
+        its blocks the store's own read-only arrays, and is dropped when
+        the store's version (taken before reading) or the cost model
+        moves: a fetch after a write or a delete reads the store again,
+        one after ``db.cost_model`` is reassigned is priced anew.  A key
+        outside the pyramid raises ``ValueError``, entering no table."""
+        db = self.db
+        version, model = db._store.version, db.cost_model
+        table_version, table_model, table = self._table
+        if table_version != version or table_model is not model:
             table = {}
-            self._table = (version, table)
+            self._table = (version, model, table)
         entry = table.get(key)
         if entry is None:
             if not self.grid.valid(key):
                 raise ValueError(f"key {key} is not in this pyramid")
-            view = self.db.array(self._views[key.level])
+            view = db.array(self._views[key.level])
             blocks, read = view.read_chunk((key.y, key.x))
-            entry = table[key] = (DataTile(key=key, attributes=blocks), read)
+            seconds = model.query_cost(read.chunks_read, read.cells_scanned, 0)
+            entry = table[key] = (DataTile(key=key, attributes=blocks), seconds)
         return entry
 
     def fetch_tile(self, key: TileKey, charge: bool = True) -> DataTile:
         """Fetch one tile's payload from the backing DBMS.
 
-        A tile is one whole chunk per attribute, read once into the tile
-        table (:meth:`_read`).  With ``charge=True`` (the default) every
-        fetch, the first and each later one, is charged to the database's
-        cost model/clock as one query over the chunks and cells read
-        (:meth:`Database.charge_read`) — this is the "cache miss" path.
-        With ``charge=False`` the same table entry costs nothing (used
-        when precomputing metadata at build time).
+        With ``charge=True`` (the default) this is
+        :meth:`fetch_tile_timed`'s tile — the "cache miss" path.  With
+        ``charge=False`` the same table entry costs nothing (used when
+        precomputing metadata at build time).
         """
-        tile, read = self._read(key)
         if charge:
-            self.db.charge_read(read)
-        return tile
+            return self.fetch_tile_timed(key)[0]
+        return self._read(key)[0]
 
     def fetch_tile_timed(self, key: TileKey) -> tuple[DataTile, float]:
         """Charged tile fetch returning ``(tile, virtual seconds charged)``.
 
-        Charged as :meth:`fetch_tile` is, from the fetch's own stats
-        ledger rather than clock deltas, so concurrent fetches report
-        their individual costs even while a shared clock advances under
-        them.
+        The one charge path: every fetch is one tile-table look-up
+        (:meth:`_read` fills it) plus one advance of the database's clock,
+        if any, by the entry's price.  The price is returned, not read off
+        the clock, so concurrent fetches report their own costs.
         """
-        tile, read = self._read(key)
-        return tile, self.db.charge_read(read).elapsed_seconds
+        db = self.db
+        version, model, table = self._table
+        entry = table.get(key)
+        if entry is None or version != db._store.version or model is not db.cost_model:
+            entry = self._read(key)
+        if db.clock is not None:
+            db.clock.advance(entry[1])
+        return entry

@@ -8,6 +8,8 @@ from repro.arraydb.array import ChunkedArray, ReadStats, full_region
 from repro.arraydb.cost import CostModel, QueryStats, VirtualClock
 from repro.arraydb.errors import ArrayNotFoundError
 from repro.arraydb.storage import MemoryChunkStore
+from repro.tiles.key import TileKey
+from repro.tiles.pyramid import TilePyramid
 
 
 def make_array(chunk: int = 4, side: int = 8) -> ChunkedArray:
@@ -243,38 +245,57 @@ class TestReadChunk:
         assert edge["v"].shape == (4, 2) and not edge["v"].any()
 
 
+def fetch_pyramid(cost: CostModel) -> TilePyramid:
+    """A three-level pyramid of 4 x 4 tiles over a 16 x 16 source with
+    two attributes (``v`` float64, ``n`` int16), its clock fresh after
+    the build: tile ``(2, x, y)`` is chunk ``(y, x)`` of view ``S__z2``."""
+    db = Database(cost_model=cost)
+    db.create_array(
+        ArraySchema(
+            "S",
+            attributes=(Attribute("v"), Attribute("n", "int16")),
+            dimensions=(Dimension("y", 0, 16, 16), Dimension("x", 0, 16, 16)),
+        )
+    )
+    db.write("S", "v", np.arange(256.0).reshape(16, 16))
+    db.write("S", "n", np.arange(256).reshape(16, 16))
+    pyramid = TilePyramid.build(db, "S", tile_size=4)
+    db.clock = VirtualClock()
+    return pyramid
+
+
 class TestChargeRead:
-    """A chunk read charged through ``charge_read`` bills what the region
-    read over that chunk bills."""
+    """A chunk read charged through the one charge path,
+    ``TilePyramid.fetch_tile_timed``, bills what the region read over
+    that chunk bills."""
 
     @pytest.mark.parametrize("coords", [(0, 0), (2, 2)])
     @pytest.mark.parametrize("absent", [False, True])
     def test_matches_the_region_read(self, coords, absent):
         cost = CostModel(0.05, 0.002, 1e-5, 1e-5)
-        db = Database(cost_model=cost, clock=VirtualClock())
-        array = edge_array(db)
+        pyramid = fetch_pyramid(cost)
+        db = pyramid.db
+        array = db.array(pyramid.view_name(2))
         if absent:
-            array._store.delete(("E", "n", coords))
+            array._store.delete(("S__z2", "n", coords))
         bounds = chunk_region(array, coords)
         reads = {name: array.read(name, bounds) for name in ("v", "n")}
         chunks_read = sum(stats.chunks_read for _, stats in reads.values())
         cells_scanned = sum(stats.cells_scanned for _, stats in reads.values())
-        blocks, read = db.array("E").read_chunk(coords)
-        stats = db.charge_read(read)
-        seconds = cost.query_cost(chunks_read, cells_scanned, 0)
-        assert stats == QueryStats(chunks_read, cells_scanned, 0, seconds)
-        assert stats.elapsed_seconds > 0
-        assert db.clock.now() == VirtualClock().advance(seconds) == stats.elapsed_seconds
+        tile, seconds = pyramid.fetch_tile_timed(TileKey(2, coords[1], coords[0]))
+        assert seconds == cost.query_cost(chunks_read, cells_scanned, 0)
+        assert seconds > 0
+        assert db.clock.now() == VirtualClock().advance(seconds) == seconds
         for name, (expected, _) in reads.items():
-            np.testing.assert_array_equal(blocks[name], expected)
+            np.testing.assert_array_equal(tile.attribute(name), expected)
 
     def test_every_charge_advances_the_clock_once(self):
         """Charging the same read again bills it again, from the same counts."""
-        db = Database(cost_model=CostModel(0.5, 0.25, 2**-10, 0.0), clock=VirtualClock())
-        read = ReadStats(chunks_read=2, cells_scanned=32)
-        first, second = db.charge_read(read), db.charge_read(read)
-        assert first == second == QueryStats(2, 32, 0, 0.5 + 0.5 + 32 * 2**-10)
-        assert db.clock.now() == 2 * first.elapsed_seconds
+        pyramid = fetch_pyramid(CostModel(0.5, 0.25, 2**-10, 0.0))
+        key = TileKey(2, 1, 3)  # two chunks of 16 cells
+        (_, first), (_, second) = pyramid.fetch_tile_timed(key), pyramid.fetch_tile_timed(key)
+        assert first == second == 0.5 + 0.5 + 32 * 2**-10
+        assert pyramid.db.clock.now() == 2 * first
 
     def test_unknown_array(self, db):
         with pytest.raises(ArrayNotFoundError):

@@ -239,6 +239,22 @@ class TestTableFollowsTheStore:
         assert counts["get"] == 1
 
 
+    def test_a_reassigned_cost_model_prices_the_next_fetch(self):
+        """The table keeps each entry's price, tagged with the cost model
+        that priced it: a fetch after ``db.cost_model`` is reassigned is
+        charged by the new model, and the clock follows."""
+        pyramid = build_pyramid(4, 2, ("float64", "uint8"), seed=9)
+        key = TileKey(1, 1, 0)
+        pyramid.db.clock = VirtualClock()
+        _, before = pyramid.fetch_tile_timed(key)
+        pyramid.db.cost_model = DYADIC
+        tile, after = pyramid.fetch_tile_timed(key)
+        reference, reference_seconds = region_read(pyramid, key)
+        assert after == reference_seconds != before
+        assert pyramid.db.clock.now() == VirtualClock().advance(before) + after
+        assert_tile_matches(tile, key, reference)
+
+
 #: Every term a power of two, so sums of charges are exact in any order.
 DYADIC = CostModel(
     per_query_overhead=0.5,

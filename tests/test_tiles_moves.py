@@ -1,5 +1,9 @@
 """Unit tests for the nine-move vocabulary."""
 
+import copy
+import pickle
+import sys
+
 import pytest
 
 from repro.tiles.moves import (
@@ -74,3 +78,40 @@ class TestSerialization:
 
     def test_str(self):
         assert str(Move.PAN_LEFT) == "pan_left"
+
+
+class TestHash:
+    """A move hashes by identity, in C: the memos, sets and dicts keyed
+    by moves look one up without a Python call."""
+
+    def test_hashing_every_move_calls_no_python_function(self):
+        calls = []
+        moves = list(Move)
+
+        def profile(frame, event, arg):
+            if event == "call":
+                calls.append(frame.f_code.co_name)
+
+        previous = sys.getprofile()  # a call recorder may be running
+        sys.setprofile(profile)
+        try:
+            for move in moves:
+                hash(move)
+            set(moves), dict.fromkeys(moves), moves[0] in PAN_MOVES
+        finally:
+            sys.setprofile(previous)
+        assert calls == []
+
+    # Ids by name: str() ids would run Move.__str__ while any suite
+    # collects, which experiments/uncalled.py would count as a call.
+    @pytest.mark.parametrize("move", list(Move), ids=[move.name for move in Move])
+    @pytest.mark.parametrize(
+        "round_trip",
+        [copy.copy, copy.deepcopy, lambda m: pickle.loads(pickle.dumps(m))],
+        ids=["copy", "deepcopy", "pickle"],
+    )
+    def test_a_round_trip_is_the_member_and_hashes_as_it(self, move, round_trip):
+        again = round_trip(move)
+        assert again is move
+        assert again == move and hash(again) == hash(move)
+        assert {move: 1}[again] == 1
