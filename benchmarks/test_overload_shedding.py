@@ -173,7 +173,7 @@ def replay_concurrent(world, fidelity: str):
                     remaining -= 1
             for client in clients:
                 client.close()
-        degraded = server.server.service.service.degraded_served
+        degraded = server.server.service.degraded_served
     return recorder, fidelities, bad, degraded
 
 

@@ -5,15 +5,17 @@ Python imports this module at start-up when its directory is on
 too.  Then a ``sys.setprofile`` / ``threading.setprofile`` hook notes the
 first ``call`` of every code object, and at exit the process writes the
 ``(path, first line)`` of each one under ``src/repro/`` to
-``$REPRO_CALLS_DIR/<pid>-<ns>.json``.  Child processes inherit both
-variables, so spawned workers and scripts run by tests are recorded as
-well.  ``experiments/uncalled.py`` reads the files.
+``$REPRO_CALLS_DIR/<pid>-<ns>.json``, with the process's ``pid`` and
+``argv``.  Child processes inherit both variables, so spawned workers
+and scripts run by tests are recorded as well.
+``experiments/uncalled.py`` reads the files.
 
 The first line of a code object is its first decorator's line, which is
 how the report keys a ``def``.  Anything that switches the profiler off
 (``pytest-benchmark`` times without ``--benchmark-disable``) hides the
-calls it makes meanwhile, and a process killed by a signal writes
-nothing.
+calls it makes meanwhile: a process whose main thread no longer runs
+the hook at exit says so in its file (``"hook_lost": true``), and the
+report fails.  A process killed by a signal writes nothing.
 """
 
 import atexit
@@ -34,6 +36,7 @@ def _start(out: str) -> None:
             seen.add((code.co_filename, code.co_firstlineno))
 
     def write():
+        lost = sys.getprofile() is not hook
         # The hook must be off before teardown, or the interpreter's own
         # finalisation runs into it.
         sys.setprofile(None)
@@ -46,8 +49,14 @@ def _start(out: str) -> None:
                 calls.add(("src/repro/" + tail, line))
         os.makedirs(out, exist_ok=True)
         name = os.path.join(out, f"{os.getpid()}-{time.time_ns()}.json")
+        record = {
+            "pid": os.getpid(),
+            "argv": sys.argv,
+            "hook_lost": lost,
+            "calls": sorted(calls),
+        }
         with open(name, "w") as handle:
-            json.dump(sorted(calls), handle)
+            json.dump(record, handle)
 
     atexit.register(write)
     threading.setprofile(hook)

@@ -43,9 +43,9 @@ from uncalled import FAST_ONLY_ALLOWLIST, allowlist  # noqa: E402
 
 BUDGET = ROOT / "experiments" / "scoreboard_budget.txt"
 
-#: The nine constructors a server, router or cluster is configured through.
+#: The eight constructors a server, router or cluster is configured through.
 ENDPOINTS = (
-    "ForeCacheService", "AsyncForeCacheService", "ForeCacheSocketServer",
+    "ForeCacheService", "ForeCacheSocketServer",
     "ThreadedSocketServer", "TileServiceRouter", "ThreadedRouter",
     "ThreadedClusterServer", "ProcessCluster", "WorkerSpec",
 )

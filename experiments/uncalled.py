@@ -18,8 +18,9 @@ names it, and may be reached only by the fast tier only if
 ``path:qualname  reason`` per line.  The exit status is 1 if any other
 function is uncalled or fast-only, if an uncalled entry names a function
 that is now called, if a fast-only entry names one another suite now
-reaches, or if an entry of either list names a function that no longer
-exists; 0 otherwise.
+reaches, if an entry of either list names a function that no longer
+exists, or if a recorded process switched the recorder's hook off (each
+such process is named by its pid and argv); 0 otherwise.
 
 Usage (from the repository root; ``experiments/calls/record.sh`` runs
 the suites and then this)::
@@ -86,10 +87,15 @@ def definitions():
                     todo.append((node, prefix))
 
 
-def called(directory: Path) -> set:
+def called(directory: Path, lost: list) -> set:
+    """The ``(path, line)`` keys the records under ``directory`` hold;
+    each process that lost the recorder's hook is appended to ``lost``."""
     calls = set()
-    for record in directory.glob("*.json"):
-        calls.update(map(tuple, json.loads(record.read_text())))
+    for path in directory.glob("*.json"):
+        record = json.loads(path.read_text())
+        calls.update(map(tuple, record["calls"]))
+        if record["hook_lost"]:
+            lost.append(f"pid {record['pid']} {' '.join(record['argv'])!r}")
     return calls
 
 
@@ -111,12 +117,16 @@ def main(argv=None) -> int:
     parser.add_argument("others", type=Path, nargs="*",
                         help="every other suite's call records")
     args = parser.parse_args(argv)
-    fast = called(args.fast)
-    others = set().union(*map(called, args.others))
+    lost = []
+    fast = called(args.fast, lost)
+    others = set().union(*(called(other, lost) for other in args.others))
     allowed = allowlist(ALLOWLIST)
     explained = allowlist(FAST_ONLY_ALLOWLIST)
 
-    uncalled, fast_only, names, failed = [], [], set(), False
+    uncalled, fast_only, names = [], [], set()
+    failed = bool(lost)
+    for process in lost:
+        print(f"recorder switched off, calls after it unrecorded: {process}")
     for path, line, qualname, lines in definitions():
         name = f"{path}:{qualname}"
         names.add(name)

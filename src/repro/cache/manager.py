@@ -109,8 +109,10 @@ class CacheManager:
         A hit is counted and recorded exactly as :meth:`fetch` would; a
         miss is a pure probe — no counters, no load registered — so
         ``try_fetch(key) or fetch(key)`` counts one request either way.
-        This is what lets an event loop answer cache hits inline without
-        ever blocking on the backend.
+        Its one caller is the socket server over a backend that can
+        block: it answers a hit on its event loop and sends only a miss
+        to its bridge pool.  Over a backend that cannot block the server
+        calls :meth:`fetch` alone, so a miss probes the cache once.
         """
         cached = self.cache.promote(key)
         if cached is None:

@@ -202,12 +202,12 @@ def replay_walks(
         else:
             from repro.middleware.net import SocketTransport
 
-            # The sync facades under the servers: the replay owns the
+            # The facades under the servers: the replay owns the
             # whole stack, so it drains them directly (drain is
             # thread-safe).  A session's prefetch rounds run on the one
             # worker the ring placed it on; idle workers drain at once.
             servers = endpoint.workers if frontend == "cluster" else [endpoint]
-            services = [server.server.service.service for server in servers]
+            services = [server.server.service for server in servers]
             transport = SocketTransport(
                 *endpoint.address,
                 pyramid=pyramid,

@@ -6,15 +6,13 @@ frozen configs (:class:`ServiceConfig`, :class:`PrefetchPolicy`,
 :class:`CacheConfig`), and requests/responses have a typed,
 JSON-serializable wire form (:mod:`repro.middleware.protocol`).
 :class:`ForeCacheSocketServer` / :class:`SocketTransport` speak the wire
-protocol over TCP, the server through :class:`AsyncForeCacheService`
-(the facade's asyncio bridge), :class:`TileServiceRouter` in front of a
-cluster of them.  :class:`BrowsingSession` is the lightweight client the
-user (or a trace replay) drives, against any front end: every
-connection exposes ``.pyramid``, ``.request(move, key)`` and
-``.close()``.
+protocol over TCP, the server calling the facade on its event loop,
+:class:`TileServiceRouter` in front of a cluster of them.
+:class:`BrowsingSession` is the lightweight client the user (or a
+trace replay) drives, against any front end: every connection exposes
+``.pyramid``, ``.request(move, key)`` and ``.close()``.
 """
 
-from repro.middleware.aio import AsyncForeCacheService
 from repro.middleware.client import BrowsingSession
 from repro.middleware.cluster import (
     ConsistentHashRing,
@@ -69,7 +67,6 @@ from repro.middleware.service import (
 )
 
 __all__ = [
-    "AsyncForeCacheService",
     "BrowsingSession",
     "CacheConfig",
     "ConsistentHashRing",

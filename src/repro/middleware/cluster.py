@@ -134,6 +134,7 @@ from repro.middleware.protocol import (
     negotiate_payload,
     negotiate_version,
 )
+from repro.middleware.service import ForeCacheService
 from repro.tiles.pyramid import TilePyramid
 
 #: How long a backend link waits for one round trip before it declares
@@ -726,8 +727,8 @@ class ThreadedClusterServer(_ClusterHarness):
     The all-threads harness for tests and the parameter sweep: every
     worker is a :class:`~repro.middleware.net.ThreadedSocketServer`
     over a *shared* pyramid (shared backend, independent caches), and
-    the router fronts them all.  ``workers[i].server.service.service``
-    reaches worker *i*'s sync facade for draining.
+    the router fronts them all.  ``workers[i].server.service`` is worker
+    *i*'s facade, for draining.
     """
 
     def __init__(
@@ -790,10 +791,12 @@ async def _cluster_worker_serve(spec: WorkerSpec, port_queue, stop_event):
     )
     grid = dataset.pyramid.grid
 
-    server = ForeCacheSocketServer.build(
-        dataset.pyramid,
-        spec.config or ServiceConfig(),
-        engine_factory=lambda: momentum_engine(grid),
+    server = ForeCacheSocketServer(
+        ForeCacheService(
+            dataset.pyramid,
+            spec.config or ServiceConfig(),
+            engine_factory=lambda: momentum_engine(grid),
+        ),
         framing=spec.framing,
     )
     _, port = await server.start()

@@ -3,14 +3,22 @@
 The paper's middleware sits between a browser and the DBMS; this module
 is the boundary where bytes actually cross a network.  One
 :class:`ForeCacheSocketServer` speaks the framed JSON protocol of
-:mod:`repro.middleware.protocol` over asyncio TCP, backed by an
-:class:`~repro.middleware.aio.AsyncForeCacheService`:
+:mod:`repro.middleware.protocol` over asyncio TCP in front of one
+:class:`~repro.middleware.service.ForeCacheService`, which it closes on
+``aclose``:
 
-    service = AsyncForeCacheService.build(pyramid, config, engine_factory=...)
+    service = ForeCacheService(pyramid, config, engine_factory=...)
     server = ForeCacheSocketServer(service)
     host, port = await server.start()
     ...
     await server.aclose()          # drains in-flight requests
+
+The server calls the facade on its event loop.  Only work that can
+wait outside the interpreter leaves the loop for the server's bridge
+pool, and that is decided once, from
+:attr:`~repro.cache.manager.CacheManager.backend_can_block`: over a
+backend that cannot block a request is one ``service.request(...)``,
+with no thread hop.
 
 Each connection opens with a ``hello``/``welcome`` version negotiation,
 then drives sessions through the ``open_session``/``close_session``
@@ -47,11 +55,11 @@ import asyncio
 import contextlib
 import socket
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 from repro.core.engine import PredictionEngine
 from repro.middleware import protocol
-from repro.middleware.aio import AsyncForeCacheService
 from repro.middleware.config import ServiceConfig
 from repro.middleware.connection import (
     ClientConnection,
@@ -80,14 +88,20 @@ from repro.middleware.protocol import (
     requested_key,
 )
 from repro.middleware.push import PUSH_MODEL, PushCache, PushScheduler
-from repro.middleware.service import TileResponse
+from repro.middleware.service import ForeCacheService, TileResponse
 from repro.tiles.key import TileKey
 from repro.tiles.reduce import COARSE_REDUCTION, downsample_tile
 from repro.tiles.moves import Move
 from repro.tiles.pyramid import TilePyramid
+from repro.tiles.tile import DataTile
 
 #: The most one read takes off a socket, blocking or asyncio.
 _READ_CHUNK = 65536
+
+#: Threads the server's bridge pool may run.  A thread starts only when
+#: a job is submitted, and over a backend that cannot block none is, so
+#: no caller needs a size of its own.
+_BRIDGE_THREADS = 8
 
 
 def _cap_reads(writer: asyncio.StreamWriter) -> None:
@@ -257,32 +271,52 @@ class _WireServer:
 # server
 # ----------------------------------------------------------------------
 class ForeCacheSocketServer(_WireServer):
-    """Asyncio TCP server speaking the framed wire protocol; its
-    service's :class:`ServiceConfig` says where it listens, how large a
-    frame may be and which payload encodings it grants."""
+    """Asyncio TCP server speaking the framed wire protocol in front of
+    one :class:`~repro.middleware.service.ForeCacheService`; the
+    facade's :class:`ServiceConfig` says where it listens, how large a
+    frame may be and which payload encodings it grants.  The server
+    closes the facade on :meth:`aclose`.
+
+    What leaves the loop is decided here, once: over a backend that can
+    block (:attr:`~repro.cache.manager.CacheManager.backend_can_block`,
+    a configured delay) a cache hit is still probed on the loop, but a
+    miss — the DBMS query and its observe/predict round as one unit — a
+    sync-mode prefetch round, a push load and a push-hit round run on
+    the bridge pool.  Cancelling a request waiting on the pool leaves
+    that work to finish on its thread (filling the cache and feeding
+    the engine) and the session usable; a request served on the loop
+    cannot be cancelled mid-round.
+    """
 
     server_name = "forecache-repro"
 
     def __init__(
-        self,
-        service: AsyncForeCacheService,
-        *,
-        framing: str = "lines",
-        owns_service: bool = False,
+        self, service: ForeCacheService, *, framing: str = "lines"
     ) -> None:
         super().__init__()
         config = self.config = service.config
         self.service = service
         self.framing = check_framing(framing)
-        self._owns_service = owns_service
+        #: Set once the drain is over: every call is refused from then on.
         self._closed = False
         policy = config.prefetch
+        self._executor = ThreadPoolExecutor(
+            max_workers=_BRIDGE_THREADS, thread_name_prefix="forecache-bridge"
+        )
+        self._backend_blocks = service.cache_manager.backend_can_block
+        # Sync-mode prefetch runs the whole cycle inside a request's
+        # post-fetch half, so over a backend that can block that half
+        # leaves the loop too; in background mode (or with prefetch off)
+        # it is bookkeeping.
+        self._post_blocking = (
+            self._backend_blocks and policy.enabled and not policy.background
+        )
         #: The server-wide push allocator, present iff the policy says
         #: ``push="on"``.  One scheduler serves every connection, so the
         #: downstream budget is shared across *all* live push sessions.
         self.push_scheduler: PushScheduler | None = None
         if policy.push_enabled:
-            registry = service.service.hotspot_registry
+            registry = service.hotspot_registry
             self.push_scheduler = PushScheduler(
                 budget_bytes=policy.push_budget_bytes,
                 max_inflight=policy.push_max_inflight,
@@ -304,22 +338,6 @@ class ForeCacheSocketServer(_WireServer):
         #: this server's lifetime.
         self.segment_cache = TileSegmentCache()
 
-    @classmethod
-    def build(
-        cls,
-        pyramid: TilePyramid,
-        config: ServiceConfig | None = None,
-        *,
-        engine_factory=None,
-        framing: str = "lines",
-    ) -> "ForeCacheSocketServer":
-        """Construct service and server in one call; the server owns
-        (and on :meth:`aclose` closes) the service."""
-        service = AsyncForeCacheService.build(
-            pyramid, config, engine_factory=engine_factory
-        )
-        return cls(service, framing=framing, owns_service=True)
-
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
@@ -327,21 +345,23 @@ class ForeCacheSocketServer(_WireServer):
         """Bind and start accepting; returns the bound ``(host, port)``."""
         if self._server is not None:
             raise RuntimeError("socket server already started")
-        if self._closed:
+        if self._closing:
             raise RuntimeError("socket server is closed")
         return await self._listen()
 
     async def aclose(self) -> None:
         """Graceful shutdown: stop accepting, let every in-flight
         request finish and its response flush, close all connections
-        (their sessions with them), then — if this server built its
-        service via :meth:`build` — close the service.  Idempotent."""
-        if self._closed:
+        (their sessions with them), then close the facade and join the
+        bridge pool's threads, in that order and off the loop, so a
+        slow in-flight backend query never stalls it.  Idempotent."""
+        if self._closing:
             return
-        self._closed = True
         await self._stop_serving()
-        if self._owns_service:
-            await self.service.aclose()
+        self._closed = True
+        loop = asyncio.get_running_loop()
+        await loop.run_in_executor(None, self.service.close)
+        await loop.run_in_executor(None, self._executor.shutdown)
 
     async def __aenter__(self) -> "ForeCacheSocketServer":
         await self.start()
@@ -349,6 +369,18 @@ class ForeCacheSocketServer(_WireServer):
 
     async def __aexit__(self, *exc_info) -> None:
         await self.aclose()
+
+    def _check_open(self) -> None:
+        # A typed refusal the wire can report, not the pool's "cannot
+        # schedule new futures after shutdown".
+        if self._closed:
+            raise SessionClosedError("service is closed")
+
+    def _call(self, fn, *args) -> asyncio.Future:
+        """Run ``fn(*args)`` on the bridge pool."""
+        return asyncio.get_running_loop().run_in_executor(
+            self._executor, fn, *args
+        )
 
     # ------------------------------------------------------------------
     # per-connection serving
@@ -365,31 +397,38 @@ class ForeCacheSocketServer(_WireServer):
         ]
 
     async def _serve_open(self, message: OpenSession, conn: ServerConnection):
-        session_id = await self.service.open_session(None, message.session_id)
+        # A closed facade refuses the open itself, typed.
+        service = self.service
+        session_id = service.open_session(None, message.session_id).session_id
         conn.sessions.add(session_id)
         if conn.push:
             self.push_scheduler.open_session(session_id)
-        return [await self.service.info(session_id)]
+        return [service.info(session_id)]
 
     async def _serve_close(
         self, message: CloseSession, conn: ServerConnection
     ):
+        self._check_open()
         session_id = conn.require_session(message.session_id)
-        final = await self.service.info(session_id)
-        await self.service.close_session(session_id)
+        final = self.service.info(session_id)
+        self.service.close_session(session_id)
         conn.sessions.discard(session_id)
         if self.push_scheduler is not None:
             self.push_scheduler.forget_session(session_id)
         return [replace(final, open=False)]
 
     async def _serve_request(self, message: TileRequest, conn: ServerConnection):
+        self._check_open()
         session_id = conn.require_session(message.session_id)
         key = requested_key(message, self.service.pyramid.grid)
         if conn.push and message.held is not None:
             self.push_scheduler.acknowledge(session_id, held_keys(message))
-        result = await self.service.request(
-            session_id, message.to_move(), key
-        )
+        if self._backend_blocks:
+            result = await self._blocking_request(
+                session_id, message.to_move(), key
+            )
+        else:
+            result = self.service.request(session_id, message.to_move(), key)
         # A full-fidelity tile goes out through the segment cache; a
         # degraded one (same key, other bytes) is encoded by the
         # connection core like any other message.
@@ -408,6 +447,28 @@ class ForeCacheSocketServer(_WireServer):
         messages.append(response)
         return messages
 
+    async def _blocking_request(
+        self, session_id: str, move: Move | None, key: TileKey
+    ) -> TileResponse:
+        """One request over a backend that can block.
+
+        The hit is probed on the loop
+        (:meth:`~repro.cache.manager.CacheManager.try_fetch`, which
+        registers no load on a miss); a miss leaves it whole — fetch
+        plus observe/predict round — so a cancelled request never
+        half-observes.
+        """
+        service = self.service
+        record = service._record(session_id)
+        outcome = service.cache_manager.try_fetch(key)
+        if outcome is None:
+            return await self._call(service._request, record, move, key)
+        if self._post_blocking:
+            return await self._call(
+                service._complete_request, record, move, key, outcome
+            )
+        return service._complete_request(record, move, key, outcome)
+
     def _tile_frame(self, message, tile, conn: ServerConnection) -> bytes:
         """Frame a payload-less reply or push around its full-fidelity
         tile, through the segment cache."""
@@ -422,17 +483,24 @@ class ForeCacheSocketServer(_WireServer):
     async def _serve_ack(self, message: PushAck, conn: ServerConnection):
         """Absorb a push-cache digest; with ``tile`` set, record the
         client's locally answered (push-hit) request."""
+        self._check_open()
         session_id = conn.require_push(
             conn.require_session(message.session_id)
         )
         self.push_scheduler.acknowledge(session_id, held_keys(message))
+        service = self.service
         if message.tile is None:
-            return [await self.service.info(session_id)]
-        result = await self.service.local_hit(
+            return [service.info(session_id)]
+        args = (
             session_id,
             message.to_move(),
-            requested_key(message, self.service.pyramid.grid),
+            requested_key(message, service.pyramid.grid),
         )
+        # No cache fetch: only a sync-mode prefetch round can block.
+        if self._post_blocking:
+            result = await self._call(service.local_hit, *args)
+        else:
+            result = service.local_hit(*args)
         # Payload-less by construction: the client asked because it
         # already holds the tile.
         response = protocol.TileResponse(
@@ -471,14 +539,14 @@ class ForeCacheSocketServer(_WireServer):
         binary = conn.payload == "binary"
         messages: list[bytes] = []
         try:
-            pending = await self.service.pending_predictions(session_id)
+            pending = self.service.pending_predictions(session_id)
         except Exception:
             return messages  # session vanished mid-round; push nothing
         scheduler.begin_round(session_id, pending)
         generation = scheduler.generation(session_id)
         while (job := scheduler.next_job(session_id)) is not None:
             try:
-                tile = await self.service.load_tile(job.key, PUSH_MODEL)
+                tile = await self._load_tile(job.key)
             except Exception:
                 scheduler.reject(job)
                 continue
@@ -522,13 +590,24 @@ class ForeCacheSocketServer(_WireServer):
             messages.append(frame)
         return messages
 
+    async def _load_tile(self, key: TileKey) -> DataTile:
+        """Materialize one tile for streaming: a resident tile inline,
+        a load off the loop if it can block."""
+        manager = self.service.cache_manager
+        if not self._backend_blocks:
+            return manager.prefetch_one(key, PUSH_MODEL)
+        resident = manager.peek(key)
+        if resident is not None:
+            return resident
+        return await self._call(manager.prefetch_one, key, PUSH_MODEL)
+
     async def _release(self, conn: ServerConnection) -> None:
         """Drop the sessions a finished connection leaves behind."""
         for session_id in list(conn.sessions):
             if self.push_scheduler is not None:
                 self.push_scheduler.forget_session(session_id)
             with contextlib.suppress(Exception):
-                await self.service.close_session(session_id)
+                self.service.close_session(session_id)
         conn.sessions.clear()
 
 
@@ -655,9 +734,8 @@ class ThreadedSocketServer(_LoopThread):
         super().__init__()
         self._pyramid = pyramid
         self._config = config
-        self._server_kwargs = dict(
-            engine_factory=engine_factory, framing=check_framing(framing)
-        )
+        self._engine_factory = engine_factory
+        self._framing = check_framing(framing)
 
     @property
     def server(self) -> ForeCacheSocketServer | None:
@@ -665,8 +743,11 @@ class ThreadedSocketServer(_LoopThread):
         return self._endpoint
 
     def _build(self) -> ForeCacheSocketServer:
-        return ForeCacheSocketServer.build(
-            self._pyramid, self._config, **self._server_kwargs
+        return ForeCacheSocketServer(
+            ForeCacheService(
+                self._pyramid, self._config, engine_factory=self._engine_factory
+            ),
+            framing=self._framing,
         )
 
 

@@ -26,8 +26,8 @@ every session's requests feed; under ``"boost"`` live
 the background scheduler consult it, so one user's traffic steers
 another user's prefetching (see README "Shared prediction").
 
-:class:`~repro.middleware.aio.AsyncForeCacheService` is the asyncio
-front end over the same core.
+:class:`~repro.middleware.net.ForeCacheSocketServer` serves this facade
+over TCP, calling it on its event loop.
 """
 
 from __future__ import annotations
@@ -465,8 +465,8 @@ class ForeCacheService:
     ) -> TileResponse:
         """The post-fetch half of :meth:`_request`.
 
-        Split out so the asyncio front end can serve a cache hit it
-        probed on the event loop (via
+        Split out so the socket server, over a backend that can block,
+        can serve a cache hit it probed on the event loop (via
         :meth:`~repro.cache.manager.CacheManager.try_fetch`) and finish
         the round — latency accounting, observe/predict, prefetch
         scheduling — without re-entering the fetch path.

@@ -28,7 +28,6 @@ from repro.core.allocation import SingleModelStrategy
 from repro.core.engine import PredictionEngine
 from repro.experiments.sweep import resolve_spec, run_cell
 from repro.middleware import cluster as cluster_module
-from repro.middleware.aio import AsyncForeCacheService
 from repro.middleware.cluster import (
     ConsistentHashRing,
     ProcessCluster,
@@ -458,9 +457,6 @@ REMOVED_OVERRIDES = {
     ThreadedClusterServer: ("host", "payloads", "max_workers"),
     ProcessCluster: ("host", "payloads", "max_workers", "boot_timeout"),
     WorkerSpec: ("host", "port", "max_workers"),
-    AsyncForeCacheService: ("max_workers",),
-    AsyncForeCacheService.build: ("max_workers",),
-    ForeCacheSocketServer.build: ("max_workers",),
     SocketTransport: ("client_name",),
     _BackendLink.connect: ("client_name",),
 }
@@ -523,8 +519,10 @@ class TestConfiguredEndpoints:
             for keyword in keywords:
                 with pytest.raises(TypeError, match=keyword):
                     cls(None, **{keyword: None})
-        # The push path loads through the async front end's own method.
+        # The push path loads through the socket server's own method,
+        # and the server has one constructor, which takes the facade.
         assert not hasattr(ForeCacheService, "load_tile")
+        assert not hasattr(ForeCacheSocketServer, "build")
 
 
 # ----------------------------------------------------------------------
@@ -608,7 +606,7 @@ class TestRoutingAndFailover:
         quiet = next(
             s for s in map("quiet-{}".format, range(64)) if ring.owner(s) == doomed
         )
-        successor = cluster2.workers[1 - node_index(doomed)].server.service.service
+        successor = cluster2.workers[1 - node_index(doomed)].server.service
         opened = []
         open_session = successor.open_session
 
@@ -664,7 +662,7 @@ class TestRoutingAndFailover:
             (alive,) = ring.nodes
             assert alive != doomed
             survivor = cluster2.workers[node_index(alive)]
-            assert survivor.server.service.service.session_ids == ["late"]
+            assert survivor.server.service.session_ids == ["late"]
             late.close()
             survivor.stop()
             with pytest.raises(WorkerUnavailableError, match="no live workers"):
@@ -1157,7 +1155,7 @@ class TestPerWorkerHotspots:
             learned = [
                 {
                     key
-                    for key, _ in worker.server.service.service.hotspot_registry.snapshot()
+                    for key, _ in worker.server.service.hotspot_registry.snapshot()
                 }
                 for worker in cluster.workers
             ]

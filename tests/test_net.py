@@ -291,7 +291,7 @@ class TestHandshake:
     def test_a_session_is_registered_under_the_id_its_reply_names(
         self, server, small_dataset
     ):
-        service = server.server.service.service
+        service = server.server.service
         with SocketTransport(
             *server.address, pyramid=small_dataset.pyramid
         ) as transport:
@@ -359,7 +359,7 @@ class TestResilience:
         # It used to open the service session under the raw value and
         # the connection's under its str(): unreachable, unclosable,
         # and still there after the disconnect.
-        service = server.server.service.service
+        service = server.server.service
         sock = raw_connection(server)
         handshake(sock)
         send_line(sock, {"type": "open_session", "session_id": "good"})
@@ -599,7 +599,7 @@ class TestResilience:
         request = {"type": "tile_request", "session_id": "s", "tile": [1, 0, 0]}
         with endpoint:
             workers = endpoint.workers if endpoint_kind == "cluster" else [endpoint]
-            services = [worker.server.service.service for worker in workers]
+            services = [worker.server.service for worker in workers]
             registries = [service.hotspot_registry for service in services]
 
             def state():
@@ -1076,8 +1076,8 @@ class TestAsyncServerInOneLoop:
     """The server used natively from a single event loop (no thread)."""
 
     def test_server_and_client_share_a_loop(self, small_dataset):
-        from repro.middleware.aio import AsyncForeCacheService
         from repro.middleware.net import ForeCacheSocketServer
+        from repro.middleware.service import ForeCacheService
 
         pyramid = small_dataset.pyramid
 
@@ -1090,14 +1090,12 @@ class TestAsyncServerInOneLoop:
                 conn.close()
 
         async def scenario():
-            service = AsyncForeCacheService.build(
+            service = ForeCacheService(
                 pyramid,
                 CONFIG,
                 engine_factory=lambda: make_engine(pyramid.grid),
             )
-            async with ForeCacheSocketServer(
-                service, owns_service=True
-            ) as server:
+            async with ForeCacheSocketServer(service) as server:
                 await asyncio.to_thread(browse, server.address)
             assert server.connection_count == 0
 

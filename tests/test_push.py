@@ -722,16 +722,15 @@ class TestPushEndToEnd:
         with ThreadedSocketServer(
             pyramid, config, engine_factory=engine_factory(pyramid)
         ) as server:
-            service = server.server.service
             scheduler = server.server.push_scheduler
-            load_tile, reject = service.load_tile, scheduler.reject
+            load_tile, reject = server.server._load_tile, scheduler.reject
             loaded, rejected = [], []
 
-            async def faulty_load_tile(key, model="push"):
+            async def faulty_load_tile(key):
                 loaded.append(key)
                 if len(loaded) == 1:
                     raise OSError("backend unavailable")
-                tile = await load_tile(key, model)
+                tile = await load_tile(key)
                 if len(loaded) == 2:
                     # 2 MiB of float noise per attribute: no deflate
                     # brings that frame under the 1 MiB budget.
@@ -743,7 +742,7 @@ class TestPushEndToEnd:
                 rejected.append(job.key)
                 reject(job)
 
-            service.load_tile = faulty_load_tile
+            server.server._load_tile = faulty_load_tile
             scheduler.reject = recording_reject
             with SocketTransport(
                 *server.address, pyramid=pyramid, push=True, payload="binary"
@@ -1117,7 +1116,7 @@ class TestDeferredAcks:
     def test_after_settle_the_servers_books_are_the_clients(
         self, push_server, small_dataset
     ):
-        service = push_server.server.service.service
+        service = push_server.server.service
         with SocketTransport(
             *push_server.address, pyramid=small_dataset.pyramid, push=True
         ) as transport:
@@ -1172,7 +1171,7 @@ class TestDeferredAcks:
                     thread.join(timeout=120)
                 assert not any(thread.is_alive() for thread in threads)
                 transport.settle()
-                service = server.server.service.service
+                service = server.server.service
                 for conn, walked, seen in zip(conns, walks, counts):
                     info = service.info(conn.session_id)
                     assert (info.requests, info.hits) == (
@@ -1209,7 +1208,7 @@ class TestDeferredAcks:
                         assert (response.tile.attributes[name] == block).all()
                     seen[index] += response.hit
             transport.settle()
-            service = server.server.service.service
+            service = server.server.service
             for conn, walked, hits in zip(conns, walks, seen):
                 info = service.info(conn.session_id)
                 assert (info.requests, info.hits) == (len(walked), hits)

@@ -135,7 +135,7 @@ class TestReplayFrontends:
                     super().__init__(pyramid, config, **kwargs)
 
                 def stop(self):
-                    services = [w.server.service.service for w in self.workers]
+                    services = [w.server.service for w in self.workers]
                     counts.append(
                         [
                             (

@@ -202,6 +202,13 @@ class TestSessionLifecycle:
             service.request("ghost", None, TileKey(0, 0, 0))
         with pytest.raises(SessionNotFoundError):
             service.close_session("ghost")
+        for call, args in (
+            (service.info, ()),
+            (service.pending_predictions, ()),
+            (service.local_hit, (None, TileKey(0, 0, 0))),
+        ):
+            with pytest.raises(SessionNotFoundError, match="ghost"):
+                call("ghost", *args)
 
     def test_open_after_service_close_rejected(self, small_dataset):
         service = ForeCacheService(small_dataset.pyramid)

@@ -605,7 +605,7 @@ class TestClusterConformance:
                 # A session reached its owner and nobody else: it is
                 # not even open on any other worker.
                 for index, worker in enumerate(cluster.workers):
-                    service = worker.server.service.service
+                    service = worker.server.service
                     resident = residents[f"worker-{index}"]
                     for sid, trace in traces.items():
                         if sid == resident:
@@ -652,7 +652,7 @@ class TestClusterConformance:
                 pyramid,
                 traces,
                 lambda: counts.extend(
-                    w.server.service.service.session_count for w in cluster.workers
+                    w.server.service.session_count for w in cluster.workers
                 ),
             )
         assert counts == [len(sids) for sids in residents]

@@ -2,13 +2,17 @@
 
 The gate's verdicts are checked on synthetic call records: every def
 under ``src/repro`` is placed in a suite by hand, so no suite runs under
-the recorder here.  The last tests hold ``experiments/calls/record.sh``
+the recorder here; only a one-line child process does, to check that
+switching the recorder's hook off is caught.  The last tests hold ``experiments/calls/record.sh``
 to what CI runs, and the committed allowlists to the defs that exist.
 """
 
 import importlib.util
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -55,16 +59,20 @@ class Records:
     def _write(self, directory: str, keys: set) -> str:
         path = self.tmp_path / directory
         path.mkdir(exist_ok=True)
-        (path / "1-1.json").write_text(json.dumps(sorted(keys)))
+        record = {"pid": 1, "argv": ["-c"], "hook_lost": False, "calls": sorted(keys)}
+        (path / "1-1.json").write_text(json.dumps(record))
         return str(path)
 
-    def report(self) -> int:
+    def report(self, *more: Path) -> int:
+        """The gate's exit status, reading ``more`` record directories
+        after the synthetic suites."""
         for path, entries in (
             (uncalled.ALLOWLIST, self.allowed),
             (uncalled.FAST_ONLY_ALLOWLIST, self.explained),
         ):
             path.write_text("".join(f"{name}  {why}\n" for name, why in entries.items()))
-        return uncalled.main([self._write("fast", self.fast), self._write("others", self.others)])
+        suites = [self._write("fast", self.fast), self._write("others", self.others)]
+        return uncalled.main(suites + [str(directory) for directory in more])
 
 
 @pytest.fixture
@@ -109,6 +117,32 @@ class TestReport:
         records.explained[_name(records.fast_only)] = ""
         with pytest.raises(SystemExit, match="gives no reason"):
             records.report()
+
+
+def _record_child(out: Path, code: str) -> None:
+    """Run ``python -c code`` under the call recorder, its records
+    going to ``out`` (not to any suite the test itself is recorded in)."""
+    path = [str(ROOT / "experiments" / "calls"), str(ROOT / "src")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path), REPRO_CALLS_DIR=str(out))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+class TestRecorder:
+    @pytest.mark.parametrize("switched_off", [False, True])
+    def test_a_process_that_switches_the_hook_off_fails_the_report(
+        self, records, capsys, tmp_path, switched_off
+    ):
+        out = tmp_path / "child"
+        code = "import sys; import repro.tiles.key"
+        if switched_off:
+            code += "; sys.setprofile(None)"
+        _record_child(out, code)
+        (record,) = (json.loads(path.read_text()) for path in out.glob("*.json"))
+        assert record["hook_lost"] is switched_off
+        assert record["argv"] == ["-c"]
+        assert records.report(out) == int(switched_off)
+        named = f"recorder switched off, calls after it unrecorded: pid {record['pid']} '-c'"
+        assert (named in capsys.readouterr().out) is switched_off
 
 
 @pytest.mark.parametrize("path", [uncalled.ALLOWLIST, uncalled.FAST_ONLY_ALLOWLIST])
