@@ -177,6 +177,13 @@ class Wire:
         )
         return self._decode(replies[-1])
 
+    async def digest(self, session_id: str):
+        """A push-cache digest with no request: the session's books."""
+        (info,) = await self.server._serve_ack(
+            PushAck(session_id=session_id), self.conn
+        )
+        return info
+
 
 def signature(reply) -> tuple:
     """What a reply says about the request, in process terms."""
@@ -303,10 +310,10 @@ class TestLifecycle:
 
         run(scenario())
 
-    @pytest.mark.parametrize("call", ["request", "local_hit", "close"])
+    @pytest.mark.parametrize("call", ["request", "local_hit", "close", "digest"])
     def test_an_unknown_id_is_typed(self, small_dataset, call):
         args = ("ghost", None, TileKey(0, 0, 0))
-        if call == "close":
+        if call in ("close", "digest"):
             args = args[:1]
 
         async def scenario():
@@ -320,7 +327,9 @@ class TestLifecycle:
 
         run(scenario())
 
-    @pytest.mark.parametrize("call", ["open", "request", "local_hit", "close"])
+    @pytest.mark.parametrize(
+        "call", ["open", "request", "local_hit", "close", "digest"]
+    )
     def test_a_closed_server_refuses_every_call_typed(self, small_dataset, call):
         """The wire reports this, not the bridge pool's "cannot schedule
         new futures after shutdown"."""
@@ -344,7 +353,16 @@ class TestLifecycle:
 
         run(scenario())
 
-    def test_aclose_is_idempotent_and_joins_the_bridge_threads(self):
+    def test_aclose_is_idempotent(self, small_dataset):
+        async def scenario():
+            server = make_server(small_dataset.pyramid)
+            await server.aclose()
+            await server.aclose()
+            assert server.service.session_count == 0
+
+        run(scenario())
+
+    def test_aclose_closes_every_session_and_joins_the_bridge_threads(self):
         pyramid = build_pyramid()
 
         async def scenario():
@@ -355,11 +373,31 @@ class TestLifecycle:
             threads = list(server._executor._threads)
             assert threads  # the miss ran on the bridge pool
             await server.aclose()
-            await server.aclose()
             assert not any(thread.is_alive() for thread in threads)
             assert server.service.session_count == 0
             with pytest.raises(SessionClosedError):
                 server.service.open_session(make_engine(pyramid.grid))
+
+        run(scenario())
+
+    def test_a_reopened_id_predicts_from_a_fresh_engine(self, small_dataset):
+        """Each open builds its session's engine anew: a closed
+        session's history never reaches the next one's predictions."""
+        grid = small_dataset.pyramid.grid
+
+        async def scenario():
+            async with aclosing(make_server(small_dataset.pyramid)) as server:
+                wire = Wire(server)
+                await wire.open("first")
+                for move, key in pan_walk(grid, 4):
+                    await wire.request("first", move, key)
+                walked = server.service._record("first").engine
+                await wire.close("first")
+                assert len(walked.history) > 0
+                await wire.open("first")
+                fresh = server.service._record("first").engine
+                assert fresh is not walked
+                assert len(fresh.history) == 0
 
         run(scenario())
 
@@ -412,6 +450,43 @@ class TestPushHooks:
                 assert submits == [1]
 
         run(scenario())
+
+    def test_push_rounds_read_the_facades_pending_predictions(
+        self, small_dataset, small_study
+    ):
+        """Each request's push round starts from the prediction list the
+        facade served in process holds after the same request."""
+        pyramid = small_dataset.pyramid
+        trace = max(small_study.traces, key=len)
+        config = ServiceConfig(prefetch=PrefetchPolicy(k=5, push="on"))
+
+        with ForeCacheService(pyramid, config) as service:
+            handle = service.open_session(make_engine(pyramid.grid))
+            expected = []
+            for request in trace.requests:
+                handle.request(request.move, request.tile)
+                expected.append(service.pending_predictions(handle.session_id))
+
+        async def scenario():
+            async with aclosing(make_server(pyramid, config)) as server:
+                scheduler = server.push_scheduler
+                rounds = []
+                begin_round = scheduler.begin_round
+
+                def recording_begin_round(session_id, predictions):
+                    rounds.append(predictions)
+                    return begin_round(session_id, predictions)
+
+                scheduler.begin_round = recording_begin_round
+                wire = Wire(server, push=True)
+                session = await wire.open()
+                for request in trace.requests:
+                    await wire.request(session, request.move, request.tile)
+                return rounds
+
+        seen = run(scenario())
+        assert any(seen)
+        assert seen == expected
 
     def test_a_local_hit_books_a_hit_without_touching_the_cache(
         self, small_dataset
@@ -519,6 +594,40 @@ class TestWhatLeavesTheLoop:
                 assert 0 < sum(r.hit for r in responses) < 50
                 assert submits == [0]
                 assert tasks == []
+
+        run(scenario())
+
+    def test_in_memory_push_rounds_never_leave_the_loop(self, small_dataset):
+        """With push on over an in-memory pyramid, the tiles a push
+        round streams are loaded on the loop, as are the requests and
+        local hits around them."""
+        grid = small_dataset.pyramid.grid
+
+        async def scenario():
+            async with aclosing(make_server(
+                small_dataset.pyramid,
+                ServiceConfig(prefetch=PrefetchPolicy(k=4, push="on")),
+            )) as server:
+                submits = count_submits(server)
+                wire = Wire(server, push=True)
+                session = await wire.open()
+                pushed = 0
+                for index, (move, key) in enumerate(pan_walk(grid, 30)):
+                    if index % 3 == 2:
+                        await wire.local_hit(session, move, key)
+                        continue
+                    replies = await server._serve_request(
+                        TileRequest(
+                            session_id=session,
+                            tile=TileRef.from_key(key),
+                            move=move and move.value,
+                        ),
+                        wire.conn,
+                    )
+                    pushed += len(replies) - 1
+                assert pushed > 0
+                assert submits == [0]
+                assert not server._executor._threads
 
         run(scenario())
 
