@@ -15,8 +15,11 @@ alone, so they read the same on every Python and every host:
   ``experiments/fast_only_allowlist.txt``.
 
 *Print-only* lines vary across Python versions or hosts: the orjson
-version the wire reads with, what a fresh serving process imports, and
-the binary blob bytes per tile with the zlib build that wrote them.
+version the wire reads with, what a fresh serving process imports, the
+binary blob bytes per tile with the zlib build that wrote them, and the
+JSON and binary wire-segment bytes a server keeps if it sends every
+tile of the 256 px world in both encodings (its memory bound: one
+segment per tile per encoding sent).
 
 ``experiments/scoreboard_budget.txt`` holds one ``budget  name`` per
 budgeted count.  The exit status is 1 if a count exceeds its budget or
@@ -103,7 +106,11 @@ def print_only() -> None:
 
     import orjson
 
-    from repro.middleware.protocol import TilePayload, _payload_descriptor
+    from repro.middleware.protocol import (
+        TilePayload,
+        _encode_tile_segment,
+        _payload_descriptor,
+    )
     from repro.modis.dataset import MODISDataset
 
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -124,6 +131,10 @@ def print_only() -> None:
         for key in keys
     ]
     print(f"{'mean blob bytes per tile':<30} {sum(sizes) / len(sizes)} over {len(sizes)} tiles")
+    tiles = [pyramid.fetch_tile(key) for key in pyramid.grid.all_keys()]
+    for name, binary in (("JSON", False), ("binary", True)):
+        total = sum(sum(map(len, _encode_tile_segment(tile, binary))) for tile in tiles)
+        print(f"{name + ' segments, every tile':<30} {total} bytes over {len(tiles)} tiles")
     print(f"{'zlib runtime':<30} {zlib.ZLIB_RUNTIME_VERSION}")
 
 

@@ -726,9 +726,10 @@ class ThreadedClusterServer(_ClusterHarness):
 
     The all-threads harness for tests and the parameter sweep: every
     worker is a :class:`~repro.middleware.net.ThreadedSocketServer`
-    over a *shared* pyramid (shared backend, independent caches), and
-    the router fronts them all.  ``workers[i].server.service`` is worker
-    *i*'s facade, for draining.
+    over a *shared* pyramid (shared backend, independent caches; the
+    workers share the pyramid's tiles, so a tile one worker has encoded
+    for the wire is encoded for all), and the router fronts them all.
+    ``workers[i].server.service`` is worker *i*'s facade, for draining.
     """
 
     def __init__(

@@ -80,7 +80,6 @@ from repro.middleware.protocol import (
     TilePayload,
     TileRef,
     TileRequest,
-    TileSegmentCache,
     check_framing,
     encode_tile_frame,
     encode_wire,
@@ -330,13 +329,6 @@ class ForeCacheSocketServer(_WireServer):
                 # byte-identical to earlier builds.
                 progressive=policy.fidelity_enabled,
             )
-        #: Encode once, send many: the encoded payload segment of every
-        #: full-fidelity tile this server has sent, per payload
-        #: encoding, under a fixed byte budget.  Entries cannot go
-        #: stale — the pyramid's levels are never written after
-        #: ``build()``, so a tile's bytes are a function of its key for
-        #: this server's lifetime.
-        self.segment_cache = TileSegmentCache()
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -429,17 +421,17 @@ class ForeCacheSocketServer(_WireServer):
             )
         else:
             result = self.service.request(session_id, message.to_move(), key)
-        # A full-fidelity tile goes out through the segment cache; a
-        # degraded one (same key, other bytes) is encoded by the
-        # connection core like any other message.
-        cached = result.fidelity == 1.0
+        # A full-fidelity tile goes out with the segment memoised on
+        # it; a degraded one (a fresh tile: same key, other bytes) is
+        # encoded by the connection core like any other message.
+        full = result.fidelity == 1.0
         response = protocol.TileResponse.from_result(
-            session_id, result, not cached, binary=conn.payload == "binary"
+            session_id, result, not full, binary=conn.payload == "binary"
         )
         messages: list = []
         if conn.push:
             messages.extend(await self._push_messages(session_id, conn))
-        if cached:
+        if full:
             try:
                 response = self._tile_frame(response, result.tile, conn)
             except FrameTooLargeError as exc:
@@ -471,13 +463,9 @@ class ForeCacheSocketServer(_WireServer):
 
     def _tile_frame(self, message, tile, conn: ServerConnection) -> bytes:
         """Frame a payload-less reply or push around its full-fidelity
-        tile, through the segment cache."""
+        tile, encoding the tile at most once per payload encoding."""
         return encode_tile_frame(
-            message,
-            tile,
-            conn.wire,
-            self.config.max_frame_bytes,
-            self.segment_cache,
+            message, tile, conn.wire, self.config.max_frame_bytes
         )
 
     async def _serve_ack(self, message: PushAck, conn: ServerConnection):

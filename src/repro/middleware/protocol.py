@@ -46,11 +46,12 @@ form).
 :func:`encode_wire` / :func:`decode_wire` pick the right form per
 message; declining peers keep the byte-identical JSON protocol.
 
-A full-fidelity tile's bytes depend on its key alone, so a server need
-not rebuild them per send: :func:`encode_tile_frame` splices a
-per-tile segment, kept in a byte-bounded :class:`TileSegmentCache`,
-behind each send's own header, byte-identical to :func:`encode_wire` —
-which stays the reference encoder and serves every other message.
+A fetched tile keeps its bytes for as long as it lives, so a server
+need not rebuild them per send: :func:`encode_tile_frame` splices the
+tile's encoded segment, memoised on the tile object itself
+(``DataTile.segments``), behind each send's own header, byte-identical
+to :func:`encode_wire` — which stays the reference encoder and serves
+every other message.
 
 A message's wire form is declared once, on its dataclass fields
 (:func:`_wire`: kind, default, what is left off the wire), and
@@ -89,7 +90,6 @@ import math
 import operator
 import struct
 import zlib
-from collections import OrderedDict
 from dataclasses import MISSING, dataclass, field, fields, replace
 from typing import Callable, ClassVar, NamedTuple
 
@@ -1340,84 +1340,6 @@ def encode_wire(
 # ----------------------------------------------------------------------
 # encode once, send many
 # ----------------------------------------------------------------------
-#: Byte budget of one server's :class:`TileSegmentCache`: about 1000
-#: binary (~7.7 KB) or 115 JSON (~71 KB) segments of a 32x32 MODIS tile.
-SEGMENT_CACHE_BYTES = 8 * 1024 * 1024
-
-
-class TileSegmentCache:
-    """Byte-bounded LRU of encoded full-fidelity tile payloads.
-
-    An entry is the part of a payload-bearing frame that depends on the
-    tile alone, keyed by ``(TileKey, binary?)``: the JSON text of the
-    frame's ``payload`` value — the whole :meth:`TilePayload.to_dict`
-    under the JSON framings, the blob descriptor under ``"binary"`` —
-    and, for binary, the deflated blob.  :func:`encode_tile_frame`
-    splices it behind each send's own small header.
-
-    An entry never goes stale.  A fetched tile's blocks are stored
-    chunks, which are never written in place, so the tile an entry was
-    encoded from keeps its bytes.  That the *key* maps to the same bytes
-    on every later fetch rests on a ``TilePyramid``'s levels not being
-    written after ``build()``: then a full-fidelity tile's bytes are a
-    function of its key for as long as the server that owns this cache
-    lives.  Reduced-fidelity tiles share a key with their full form and
-    must never be stored.
-
-    Not locked: the socket server encodes on its event loop only.
-    """
-
-    def __init__(self, budget_bytes: int = SEGMENT_CACHE_BYTES) -> None:
-        if budget_bytes < 0:
-            raise ValueError(
-                f"budget_bytes must be >= 0, got {budget_bytes}"
-            )
-        self.budget_bytes = budget_bytes
-        self._segments: OrderedDict = OrderedDict()
-        self.bytes = 0
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    def __len__(self) -> int:
-        return len(self._segments)
-
-    def get(self, key) -> "tuple[bytes, bytes] | None":
-        segment = self._segments.get(key)
-        if segment is None:
-            self.misses += 1
-            return None
-        self.hits += 1
-        self._segments.move_to_end(key)
-        return segment
-
-    def put(self, key, segment: "tuple[bytes, bytes]") -> None:
-        """Admit a segment, evicting least-recently-sent ones to stay
-        within the budget; one that alone exceeds it is not stored."""
-        size = len(segment[0]) + len(segment[1])
-        if size > self.budget_bytes:
-            return
-        old = self._segments.pop(key, None)
-        if old is not None:
-            self.bytes -= len(old[0]) + len(old[1])
-        self._segments[key] = segment
-        self.bytes += size
-        while self.bytes > self.budget_bytes:
-            _, (text, blob) = self._segments.popitem(last=False)
-            self.bytes -= len(text) + len(blob)
-            self.evictions += 1
-
-    def stats(self) -> dict:
-        """A counters snapshot (diagnostics, tests)."""
-        return {
-            "entries": len(self._segments),
-            "bytes": self.bytes,
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-        }
-
-
 def _encode_tile_segment(tile: DataTile, binary: bool) -> "tuple[bytes, bytes]":
     payload = TilePayload.from_tile(tile, binary=binary)
     if not binary:
@@ -1431,10 +1353,10 @@ def encode_tile_frame(
     tile: DataTile,
     framing: str,
     max_frame_bytes: int,
-    cache: TileSegmentCache,
 ) -> bytes:
     """Frame a full-fidelity ``tile`` behind ``message``'s header,
-    encoding the tile's bytes at most once per ``cache`` residency.
+    encoding the tile's bytes at most once per tile object and payload
+    encoding.
 
     ``message`` is the :class:`TileResponse` or :class:`PushTile` to
     send *without* its payload.  The result — and any
@@ -1446,8 +1368,15 @@ def encode_tile_frame(
                 tile, binary=framing == "binary")),
             framing, max_frame_bytes)
 
-    ``payload`` is the last key of a full-fidelity message's dict, so
-    the cached segment replaces the header's trailing ``null}``.
+    The tile-dependent segment — the JSON text of the ``payload`` value
+    (the whole :meth:`TilePayload.to_dict` under the JSON framings, the
+    blob descriptor under ``"binary"``) and, for binary, the deflated
+    blob — is kept in ``tile.segments``, so it lives exactly as long as
+    the tile: a pyramid's tile table drops its tiles when the store is
+    written, and their segments with them.  (A reduced-fidelity tile
+    is a fresh object, sent by :func:`encode_wire`.)  ``payload`` is
+    the last key of a full-fidelity message's dict, so the segment
+    replaces the header's trailing ``null}``.
     """
     if (
         not getattr(type(message), "binary_body", False)
@@ -1459,11 +1388,12 @@ def encode_tile_frame(
             "tile_response or push_tile"
         )
     binary = framing == "binary"
-    key = (tile.key, binary)
-    segment = cache.get(key)
+    segment = tile.segments.get(binary)
     if segment is None:
-        segment = _encode_tile_segment(tile, binary)
-        cache.put(key, segment)
+        # Two event loops sharing one pyramid (a ThreadedClusterServer's
+        # in-process workers) may both fill this slot; they write the
+        # same bytes, and the dict assignment is atomic.
+        segment = tile.segments[binary] = _encode_tile_segment(tile, binary)
     payload_text, blob = segment
     header = encode(message).encode("utf-8")[: -len(b"null}")]
     if not binary:

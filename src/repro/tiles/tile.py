@@ -23,6 +23,15 @@ class DataTile:
 
     key: TileKey
     attributes: dict[str, np.ndarray] = field(default_factory=dict)
+    #: The socket server's encoded wire segment of this tile, per
+    #: payload encoding (``{binary?: (payload text, blob)}``), filled on
+    #: the tile's first full-fidelity send.  It is a memo of the tile's
+    #: own bytes, so it lives and goes stale with this object — a store
+    #: write makes the pyramid hand out a new tile — and is not part of
+    #: the tile's value.
+    segments: dict[bool, tuple[bytes, bytes]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if not self.attributes:

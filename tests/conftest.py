@@ -22,6 +22,23 @@ from repro.users.study import run_study
 
 
 @pytest.fixture
+def segment_encodes(monkeypatch) -> list:
+    """Every wire segment encoded while the test runs, as ``(tile,
+    binary)``: the server's encoder, wrapped to count its calls."""
+    from repro.middleware import protocol
+
+    calls = []
+    encode = protocol._encode_tile_segment
+
+    def counting(tile, binary):
+        calls.append((tile, binary))
+        return encode(tile, binary)
+
+    monkeypatch.setattr(protocol, "_encode_tile_segment", counting)
+    return calls
+
+
+@pytest.fixture
 def db() -> Database:
     """A fresh in-memory array database."""
     return Database()

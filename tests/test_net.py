@@ -42,6 +42,7 @@ from repro.middleware.protocol import (
     encode_frame,
 )
 from repro.middleware.service import ForeCacheService
+from repro.modis.dataset import MODISDataset
 from repro.recommenders.momentum import MomentumRecommender
 from repro.tiles.key import TileKey
 
@@ -1153,41 +1154,42 @@ class TestSocketClient:
 # ----------------------------------------------------------------------
 class TestEncodeOnce:
     @pytest.mark.parametrize("payload", ["json", "binary"])
-    def test_a_resend_is_a_cache_hit_with_the_same_tile(
-        self, server, small_dataset, payload
+    def test_a_resend_encodes_nothing_and_sends_the_same_tile(
+        self, server, small_dataset, segment_encodes, payload
     ):
         pyramid = small_dataset.pyramid
-        cache = server.server.segment_cache
         with SocketTransport(
             *server.address, pyramid=pyramid, payload=payload
         ) as one, SocketTransport(
             *server.address, pyramid=pyramid, payload=payload
         ) as two:
             first = one.connect().request(None, TileKey(2, 1, 1))
-            assert cache.stats()["misses"] == 1
+            encoded = len(segment_encodes)
             again = two.connect().request(None, TileKey(2, 1, 1))
-            assert cache.stats() == {
-                "entries": 1,
-                "bytes": cache.bytes,
-                "hits": 1,
-                "misses": 1,
-                "evictions": 0,
-            }
+            assert len(segment_encodes) == encoded
         expected = pyramid.fetch_tile(TileKey(2, 1, 1))
-        for response in (first, again):
-            for name, array in expected.attributes.items():
-                assert (response.tile.attributes[name] == array).all()
+        assert first.tile == again.tile == expected
 
-    def test_each_payload_encoding_has_its_own_entry(
-        self, server, small_dataset
+    def test_each_payload_encoding_is_encoded_once(
+        self, server, small_dataset, segment_encodes
     ):
-        for payload in ("json", "binary"):
-            with SocketTransport(*server.address, payload=payload) as transport:
-                transport.connect().request(None, TileKey(0, 0, 0))
-        stats = server.server.segment_cache.stats()
-        assert (stats["entries"], stats["misses"], stats["hits"]) == (2, 2, 0)
+        tile = small_dataset.pyramid.fetch_tile(TileKey(0, 0, 0), charge=False)
+        tile.segments.clear()  # forget what earlier tests sent
+        for _ in range(2):
+            for payload in ("json", "binary"):
+                with SocketTransport(
+                    *server.address, payload=payload
+                ) as transport:
+                    transport.connect().request(None, TileKey(0, 0, 0))
+        assert [(t.key, binary) for t, binary in segment_encodes] == [
+            (TileKey(0, 0, 0), False),
+            (TileKey(0, 0, 0), True),
+        ]
+        assert set(tile.segments) == {False, True}
 
-    def test_degraded_reply_never_touches_the_cache(self, small_dataset):
+    def test_degraded_reply_encodes_and_stores_nothing(
+        self, small_dataset, segment_encodes
+    ):
         config = ServiceConfig(
             prefetch=PrefetchPolicy(
                 k=2,
@@ -1196,23 +1198,63 @@ class TestEncodeOnce:
             ),
             cache=CacheConfig(recent_capacity=8, prefetch_capacity=4),
         )
+        full = small_dataset.pyramid.fetch_tile(TileKey(3, 1, 1), charge=False)
+        full.segments.clear()
         with ThreadedSocketServer(
             small_dataset.pyramid,
             config,
             engine_factory=lambda: make_engine(small_dataset.pyramid.grid),
         ) as server:
-            cache = server.server.segment_cache
             with SocketTransport(*server.address) as transport:
                 conn = transport.connect()
                 # Warm the level-1 ancestor, then trip the miss streak.
                 for key in (TileKey(1, 0, 0), TileKey(4, 9, 9), TileKey(5, 20, 20)):
                     assert conn.request(None, key).fidelity == 1.0
-                before = cache.stats()
+                encoded = len(segment_encodes)
                 degraded = conn.request(None, TileKey(3, 1, 1))
                 assert degraded.fidelity == 0.25
-                # Same key, other bytes: neither looked up nor stored.
-                assert cache.stats() == before
-                assert before["entries"] == 3
+                # Same key, other bytes: neither encoded as a segment
+                # nor left on the full tile.
+                assert len(segment_encodes) == encoded
+                assert full.segments == {}
+
+    @pytest.mark.parametrize("endpoint_kind", ["server", "cluster"])
+    def test_a_store_write_is_served_once_the_key_is_evicted(
+        self, endpoint_kind
+    ):
+        # A world of its own: this test writes into a view.
+        pyramid = MODISDataset.build(size=256, tile_size=32, days=1, seed=7).pyramid
+        config = ServiceConfig(
+            prefetch=PrefetchPolicy(enabled=False),
+            cache=CacheConfig(recent_capacity=1, prefetch_capacity=1),
+        )
+        key, other = TileKey(2, 1, 1), TileKey(0, 0, 0)
+        with serving(endpoint_kind, pyramid, config) as server:
+            with SocketTransport(
+                *server.address, payload="json"
+            ) as json_wire, SocketTransport(
+                *server.address, payload="binary"
+            ) as binary_wire:
+                conns = [json_wire.connect(), binary_wire.connect()]
+                for conn in conns:
+                    assert conn.request(None, key).tile == pyramid.fetch_tile(
+                        key, charge=False
+                    )
+                old = pyramid.fetch_tile(key, charge=False)
+                for name, block in old.attributes.items():
+                    pyramid.db.write(
+                        pyramid.view_name(key.level),
+                        name,
+                        block + 1.0,
+                        pyramid.tile_region(key),
+                    )
+                new = pyramid.fetch_tile(key, charge=False)
+                assert new != old
+                served = []
+                for conn in conns:
+                    conn.request(None, other)  # evicts key
+                    served.append(conn.request(None, key).tile == new)
+                assert served == [True, True]  # json, binary
 
     @pytest.mark.parametrize("payload", ["json", "binary"])
     def test_oversized_reply_is_a_typed_error_cold_and_warm(

@@ -562,7 +562,7 @@ class TestBinaryFramingProperties:
 
 
 # ----------------------------------------------------------------------
-# encode once, send many: the cached-segment encoder vs the reference
+# encode once, send many: the memoised-segment encoder vs the reference
 # ----------------------------------------------------------------------
 _tile_refs = tile_keys(max_level=3).map(protocol_module.TileRef.from_key)
 
@@ -590,48 +590,47 @@ def payloadless_messages(draw, tile):
     )
 
 
+_SEGMENT_DTYPES = st.sampled_from(
+    ["float64", "float32", "float16", "int64", "int16", "uint8", "bool"]
+)
+
+
 class TestEncodeOnceProperties:
     """``encode_tile_frame`` is the reference encoder, byte for byte —
-    on the send that fills the cache and on every send after it."""
+    on a tile's first send, on every send after it, and for a second
+    tile with the same key and other bytes."""
 
     @settings(max_examples=150, deadline=None)
     @given(
         data=st.data(),
-        tile=data_tiles(
-            dtypes=st.sampled_from(
-                ["float64", "float32", "float16", "int64", "int16",
-                 "uint8", "bool"]
-            ),
-            finite=False,
-        ),
+        tile=data_tiles(dtypes=_SEGMENT_DTYPES, finite=False),
+        rewritten=data_tiles(dtypes=_SEGMENT_DTYPES, finite=False),
         framing=st.sampled_from(["lines", "length", "binary"]),
     )
-    def test_byte_identical_to_encode_wire_cold_and_warm(
-        self, data, tile, framing
+    def test_byte_identical_to_encode_wire_first_and_repeat_sends(
+        self, data, tile, rewritten, framing
     ):
-        cache = protocol_module.TileSegmentCache()
+        rewritten = DataTile(key=tile.key, attributes=rewritten.attributes)
         binary = framing == "binary"
-        for sends in (1, 2, 3):
-            message = data.draw(payloadless_messages(tile))
-            reference = protocol_module.encode_wire(
-                replace(
-                    message,
-                    payload=protocol_module.TilePayload.from_tile(
-                        tile, binary=binary
+        for _ in range(3):
+            for sent in (tile, rewritten):
+                message = data.draw(payloadless_messages(sent))
+                reference = protocol_module.encode_wire(
+                    replace(
+                        message,
+                        payload=protocol_module.TilePayload.from_tile(
+                            sent, binary=binary
+                        ),
                     ),
-                ),
-                framing,
-            )
-            frame = protocol_module.encode_tile_frame(
-                message,
-                tile,
-                framing,
-                protocol_module.DEFAULT_MAX_FRAME_BYTES,
-                cache,
-            )
-            assert frame == reference
-            assert cache.stats()["misses"] == 1
-            assert cache.stats()["hits"] == sends - 1
+                    framing,
+                )
+                frame = protocol_module.encode_tile_frame(
+                    message,
+                    sent,
+                    framing,
+                    protocol_module.DEFAULT_MAX_FRAME_BYTES,
+                )
+                assert frame == reference
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -652,7 +651,6 @@ class TestEncodeOnceProperties:
         exact = len(protocol_module.encode_wire(complete, framing)) - (
             {"lines": 1, "length": 4, "binary": 5}[framing]
         )
-        cache = protocol_module.TileSegmentCache()
         for limit in (exact, exact - 1, exact - 1):
             try:
                 reference = protocol_module.encode_wire(
@@ -662,7 +660,7 @@ class TestEncodeOnceProperties:
                 reference = str(exc)
             try:
                 frame = protocol_module.encode_tile_frame(
-                    message, tile, framing, limit, cache
+                    message, tile, framing, limit
                 )
             except protocol_module.FrameTooLargeError as exc:
                 frame = str(exc)

@@ -8,10 +8,11 @@ import os
 import struct
 import subprocess
 import sys
+import threading
 import tracemalloc
 import warnings
 import zlib
-from dataclasses import MISSING, fields
+from dataclasses import MISSING, fields, replace
 from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
@@ -48,7 +49,6 @@ from repro.middleware.protocol import (
     TileRef,
     TileRequest,
     TileResponse,
-    TileSegmentCache,
     VersionMismatchError,
     Welcome,
     negotiate_version,
@@ -416,53 +416,12 @@ class TestBinaryBlob:
         assert traced_peak(refused) < 4 << 20
 
 
-class TestTileSegmentCache:
-    """The encode-once store: byte-bounded, LRU, counted."""
+class TestEncodeTileFrame:
+    """The encode-once framer: the segment is memoised on the tile."""
 
-    @staticmethod
-    def segment(size: int) -> tuple[bytes, bytes]:
-        return b"t" * (size // 2), b"b" * (size - size // 2)
-
-    def test_budget_is_honoured_by_evicting_least_recently_sent(self):
-        cache = TileSegmentCache(budget_bytes=100)
-        for name in "abc":
-            cache.put(name, self.segment(40))
-            assert cache.bytes <= 100
-        # "a" was the oldest; admitting "c" pushed it out.
-        assert cache.get("a") is None
-        assert cache.get("b") is not None  # now the most recent
-        cache.put("d", self.segment(40))
-        assert cache.get("c") is None
-        assert cache.get("b") is not None
-        assert cache.stats() == {
-            "entries": 2,
-            "bytes": 80,
-            "hits": 2,
-            "misses": 2,
-            "evictions": 2,
-        }
-
-    def test_entry_larger_than_the_budget_is_never_stored(self):
-        cache = TileSegmentCache(budget_bytes=100)
-        cache.put("small", self.segment(60))
-        cache.put("huge", self.segment(101))
-        assert cache.get("huge") is None
-        # ... and did not evict what was there to make room.
-        assert cache.get("small") is not None
-        assert (len(cache), cache.bytes, cache.evictions) == (1, 60, 0)
-
-    def test_replacing_an_entry_recounts_its_bytes(self):
-        cache = TileSegmentCache(budget_bytes=100)
-        cache.put("a", self.segment(60))
-        cache.put("a", self.segment(30))
-        assert (len(cache), cache.bytes, cache.evictions) == (1, 30, 0)
-
-    def test_default_budget_is_the_module_constant(self):
-        assert TileSegmentCache().budget_bytes == protocol.SEGMENT_CACHE_BYTES
-        with pytest.raises(ValueError):
-            TileSegmentCache(budget_bytes=-1)
-
-    def test_oversized_tile_is_encoded_but_not_kept(self):
+    def test_a_tile_frame_round_trips_and_is_encoded_once(
+        self, segment_encodes
+    ):
         tile = DataTile(
             key=TileKey(1, 0, 0),
             attributes={"v": np.arange(64, dtype="float64").reshape(8, 8)},
@@ -470,17 +429,74 @@ class TestTileSegmentCache:
         message = TileResponse(
             session_id="s", tile=TileRef(1, 0, 0), latency_seconds=0.0, hit=True
         )
-        cache = TileSegmentCache(budget_bytes=16)
         for _ in range(2):
             frame = protocol.encode_tile_frame(
-                message, tile, "lines", protocol.DEFAULT_MAX_FRAME_BYTES, cache
+                message, tile, "lines", protocol.DEFAULT_MAX_FRAME_BYTES
             )
             back = protocol.decode(frame.decode("utf-8"))
             np.testing.assert_array_equal(
                 back.payload.to_tile().attributes["v"], tile.attributes["v"]
             )
-        assert cache.stats()["entries"] == 0
-        assert cache.stats()["misses"] == 2
+        assert segment_encodes == [(tile, False)]
+        assert list(tile.segments) == [False]
+
+    def test_racing_first_sends_all_frame_the_reference_bytes(self):
+        # Event loops sharing one pyramid (a ThreadedClusterServer's
+        # in-process workers) may fill a tile's slot at the same time.
+        tiles = [
+            DataTile(
+                key=TileKey(2, x, 0),
+                attributes={"v": np.arange(64.0).reshape(8, 8) * (x + 1)},
+            )
+            for x in range(4)
+        ]
+
+        def message(tile):
+            return TileResponse(
+                session_id="s",
+                tile=TileRef.from_key(tile.key),
+                latency_seconds=0.0,
+                hit=False,
+            )
+
+        expected = {
+            (tile.key, framing): protocol.encode_wire(
+                replace(
+                    message(tile),
+                    payload=TilePayload.from_tile(tile, binary=framing == "binary"),
+                ),
+                framing,
+            )
+            for tile in tiles
+            for framing in ("lines", "binary")
+        }
+        senders = 8
+        barrier = threading.Barrier(senders)
+        sent = []
+
+        def send(framing):
+            barrier.wait(timeout=10)
+            for tile in tiles:
+                frame = protocol.encode_tile_frame(
+                    message(tile), tile, framing, protocol.DEFAULT_MAX_FRAME_BYTES
+                )
+                sent.append(frame == expected[tile.key, framing])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=send, args=(("lines", "binary")[i % 2],))
+                for i in range(senders)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert sent == [True] * (senders * len(tiles))
 
     @pytest.mark.parametrize(
         "message",
@@ -500,12 +516,11 @@ class TestTileSegmentCache:
         tile = DataTile(
             key=TileKey(1, 0, 0), attributes={"v": np.zeros((2, 2))}
         )
-        cache = TileSegmentCache()
         with pytest.raises(ValueError):
             protocol.encode_tile_frame(
-                message, tile, "binary", protocol.DEFAULT_MAX_FRAME_BYTES, cache
+                message, tile, "binary", protocol.DEFAULT_MAX_FRAME_BYTES
             )
-        assert cache.stats()["misses"] == 0
+        assert tile.segments == {}
 
 
 class TestForwardCompatibility:

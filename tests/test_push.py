@@ -867,11 +867,10 @@ class TestPushEndToEnd:
                     assert cache.get(k).shape == (32, 32)
                     assert 0.0 < cache.fidelity(k) <= 1.0
 
-    def test_second_walker_is_pushed_from_the_segment_cache(
-        self, push_server, small_dataset
+    def test_second_walker_is_pushed_without_encoding(
+        self, push_server, small_dataset, segment_encodes
     ):
         pyramid = small_dataset.pyramid
-        segments = push_server.server.segment_cache
         pushed = []
         for _ in range(2):
             with SocketTransport(
@@ -888,16 +887,15 @@ class TestPushEndToEnd:
                         assert (held.attributes[name] == array).all()
                 pushed.append(conn.push_cache.pushed)
             if len(pushed) == 1:
-                first = segments.stats()
-        # The first walker's sends encoded every tile; the second walks
-        # the same tiles and is served those encodings, pushes included.
+                first = len(segment_encodes)
+        # After the first walker's sends every tile it was sent carries
+        # its encoding; the second walks the same tiles and is sent
+        # those encodings, pushes included.
         assert pushed[0] == pushed[1] > 0
-        second = segments.stats()
-        assert second["misses"] == first["misses"]
-        assert second["hits"] - first["hits"] >= pushed[1]
+        assert len(segment_encodes) == first
 
-    def test_coarse_push_frames_never_enter_the_segment_cache(
-        self, small_dataset
+    def test_coarse_push_frames_are_never_memoised(
+        self, small_dataset, segment_encodes
     ):
         pyramid = small_dataset.pyramid
         config = ServiceConfig(
@@ -916,9 +914,11 @@ class TestPushEndToEnd:
                 pushy.settle()
                 streamed = conn.push_cache.digest()
             assert server.server.push_scheduler.stats()["coarse_tiles"] > 0
-            # A coarse frame shares its key with the full tile.  Had one
-            # been stored, a plain client asking for that key would now
-            # be handed the block-averaged bytes.
+            # Only full-fidelity tiles reach the segment encoder.
+            assert {t.shape for t, _ in segment_encodes} <= {(32, 32)}
+            # A coarse frame shares its key with the full tile.  Had its
+            # segment been memoised, a plain client asking for that key
+            # would now be handed the block-averaged bytes.
             with SocketTransport(*server.address) as plain:
                 conn = plain.connect()
                 for k in streamed:

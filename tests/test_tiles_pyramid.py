@@ -314,6 +314,18 @@ class TestFetch:
         with pytest.raises(ValueError):
             pyramid.fetch_tile(TileKey(5, 0, 0))
 
+    def test_a_tiles_memo_lives_until_a_write_replaces_the_tile(self, db):
+        make_source(db, side=16)
+        pyramid = TilePyramid.build(db, "S", tile_size=4)
+        key = TileKey(2, 1, 2)
+        tile = pyramid.fetch_tile(key)
+        tile.segments[False] = (b"{}", b"")
+        assert pyramid.fetch_tile(key) is tile
+        db.write(pyramid.view_name(2), "v", np.zeros((4, 4)), pyramid.tile_region(key))
+        rewritten = pyramid.fetch_tile(key)
+        assert rewritten is not tile
+        assert rewritten.segments == {}
+
     def test_charged_fetch_advances_clock(self):
         from repro.arraydb import CostModel, VirtualClock
 
@@ -394,6 +406,14 @@ class TestDataTile:
         )
         assert a != b
         assert b != a
+
+    def test_memoised_segments_are_not_part_of_the_value(self):
+        a = DataTile(key=TileKey(1, 0, 0), attributes={"v": np.ones((2, 2))})
+        b = DataTile(key=TileKey(1, 0, 0), attributes={"v": np.ones((2, 2))})
+        a.segments[True] = (b"{}", b"blob")
+        assert a == b
+        assert repr(a) == repr(b)
+        assert b.segments == {}
 
     def test_a_tile_is_not_equal_to_its_array(self):
         a = DataTile(key=TileKey(1, 0, 0), attributes={"v": np.ones((2, 2))})
