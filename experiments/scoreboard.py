@@ -43,6 +43,7 @@ SRC = ROOT / "src"
 sys.path.insert(0, str(SRC))
 
 from uncalled import FAST_ONLY_ALLOWLIST, allowlist  # noqa: E402
+from wire_cost import BUDGET_NAMES as WIRE_COST_BUDGETS  # noqa: E402
 
 BUDGET = ROOT / "experiments" / "scoreboard_budget.txt"
 
@@ -153,7 +154,8 @@ def main() -> int:
         if limit is None or count > limit:
             print(f"{BUDGET.name}: {name} is {count}, budget {limit}", file=sys.stderr)
             failed = True
-    for name in sorted(set(budget) - set(counts)):
+    # experiments/wire_cost.py holds its own lines of the file.
+    for name in sorted(set(budget) - set(counts) - set(WIRE_COST_BUDGETS.values())):
         print(f"{BUDGET.name}: {name} is not a count this script prints", file=sys.stderr)
         failed = True
     print_only()
