@@ -17,14 +17,11 @@ class ROITracker:
     """Stateful implementation of the paper's UPDATEROI heuristic."""
 
     def __init__(self) -> None:
-        self._roi: list[TileKey] = []
+        #: The user's last committed region of interest (may be empty):
+        #: a tuple, built once per commit and read as it is.
+        self.roi: tuple[TileKey, ...] = ()
         self._temp: list[TileKey] = []
         self._in_flag = False
-
-    @property
-    def roi(self) -> tuple[TileKey, ...]:
-        """The user's last committed region of interest (may be empty)."""
-        return tuple(self._roi)
 
     @property
     def in_progress(self) -> tuple[TileKey, ...]:
@@ -52,7 +49,7 @@ class ROITracker:
             self._temp = [tile]
         elif move.is_zoom_out:
             if self._in_flag:
-                self._roi = self._temp
+                self.roi = tuple(self._temp)
             self._in_flag = False
             self._temp = []
         elif self._in_flag:
@@ -62,6 +59,6 @@ class ROITracker:
 
     def reset(self) -> None:
         """Forget all state (new session)."""
-        self._roi = []
+        self.roi = ()
         self._temp = []
         self._in_flag = False

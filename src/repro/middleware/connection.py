@@ -572,7 +572,8 @@ class SessionStub:
         with nothing probed, what this session's posted ack failed with.
         """
         self._raise_failure()
-        move_name = move.value if move is not None else None
+        # The member's value without the enum property's frames.
+        move_name = move._value_ if move is not None else None
         held = None
         if self.push_cache is not None:
             entry = self.push_cache.probe(key)

@@ -1,97 +1,70 @@
 """The typed, JSON-serializable request/response protocol.
 
 Everything that crosses the client/server boundary is one of the wire
-messages defined here — plain frozen dataclasses whose fields are JSON
-scalars, lists, or further wire messages, so any transport that can move
-strings can carry the protocol.  The in-process objects (``DataTile``,
-``Move``, ``AnalysisPhase``) stay server-side; the wire speaks tile
-*references* (``level, x, y``), move names, and phase names, plus an
-optional dense payload encoding for transports that ship tile data.
+messages defined here — frozen dataclasses whose fields are JSON
+scalars, lists, or further wire forms.  The in-process objects
+(``DataTile``, ``Move``, ``AnalysisPhase``) stay server-side; the wire
+speaks tile *references* (``[level, x, y]``), move and phase names, and
+an optional dense payload.  :func:`encode` tags a message with its
+``type``; :func:`decode` dispatches back.  Failures travel as
+:class:`ErrorInfo`, which maps 1:1 onto the typed exception hierarchy,
+so a client re-raises exactly what the server threw.
 
-Messages are tagged with a ``type`` field by :func:`encode`;
-:func:`decode` dispatches back to the right class.  Failures travel as
-:class:`ErrorInfo`, which maps 1:1 onto the typed exception hierarchy
-(:class:`SessionNotFoundError`, :class:`DuplicateSessionError`,
-:class:`SessionClosedError`, :class:`InvalidRequestError`, and the
-byte-level :class:`FramingError` family) so a client can re-raise
-exactly what the server threw.
-
-For transports that move *bytes* rather than strings (the socket
-transport in :mod:`repro.middleware.net`), this module also defines the
-framing layer: messages travel as newline-delimited (``"lines"``) or
-4-byte-big-endian length-prefixed (``"length"``) UTF-8 JSON frames, cut
-back out of the byte stream by the incremental :class:`FrameDecoder`.
-A connection starts with a :class:`Hello`/:class:`Welcome`
-version-negotiation handshake, then drives sessions with the
-:class:`OpenSession`/:class:`CloseSession` control envelope (the reply
-to both is a :class:`SessionInfo`).  The handshake also negotiates the
-optional ``push`` capability: when both peers opt in, the server may
-stream unsolicited :class:`PushTile` frames (always *before* the reply
-they accompany) and the client reports its push-cache state via
-:class:`PushAck` / ``TileRequest.held`` digests.
-
-The handshake likewise negotiates the **payload encoding**
-(:data:`PAYLOADS`).  The default, ``"json"``, is the wire format above.
-With ``"binary"`` — granted only when the client's hello offers it and
-the server's config allows it — the connection switches (right after
-the welcome) to the binary framing: every frame is ``kind byte + u32
-length + body``, where kind 0 carries an ordinary UTF-8 JSON message
-and kind 1 carries a payload-bearing message (``tile_response``,
-``push_tile``) as a small JSON header plus the attribute arrays' raw
-bytes, concatenated via :class:`memoryview` (deflate-packed when that
-wins, one deflate block per attribute block: float noise goes stored,
-a repeated or constant block becomes back-references, so the reader
-copies more than it decodes — the NDSI blocks land far below their JSON
-form).
-:func:`encode_wire` / :func:`decode_wire` pick the right form per
-message; declining peers keep the byte-identical JSON protocol.
-
-A fetched tile keeps its bytes for as long as it lives, so a server
-need not rebuild them per send: :func:`encode_tile_frame` splices the
-tile's encoded segment, memoised on the tile object itself
-(``DataTile.segments``), behind each send's own header, byte-identical
-to :func:`encode_wire` — which stays the reference encoder and serves
-every other message.
+Byte transports (:mod:`repro.middleware.net`) frame messages as
+newline-delimited (``"lines"``) or u32-length-prefixed (``"length"``)
+UTF-8 JSON, cut back out by :class:`FrameDecoder`.  A connection opens
+with a :class:`Hello` / :class:`Welcome` handshake that negotiates the
+version, the optional ``push`` capability (unsolicited
+:class:`PushTile` frames, always *before* the reply they accompany;
+the client's push-cache digests in :class:`PushAck` /
+``TileRequest.held``) and the payload encoding (:data:`PAYLOADS`).
+Under ``"binary"`` every later frame is ``kind byte + u32 length +
+body``: kind 0 a JSON message, kind 1 a payload-bearing message as a
+JSON header plus the attribute arrays' raw bytes (deflated when that
+wins, one deflate block per attribute block).  :func:`encode_wire` /
+:func:`decode_wire` pick the form per message; declining peers keep the
+byte-identical JSON protocol.  :func:`encode_tile_frame` splices a
+tile's encoded segment, memoised on the tile (``DataTile.segments``),
+into each send, byte-identical to :func:`encode_wire`.
 
 A message's wire form is declared once, on its dataclass fields
-(:func:`_wire`: kind, default, what is left off the wire), and
-``to_dict`` / ``from_dict`` are derived from that table.  ``from_dict``
-tolerates unknown fields (it reads the fields it knows and ignores the
-rest), so a newer peer can add fields without breaking an older one —
-and coerces nothing: a field takes exactly the JSON type of its kind (a
-string is ``str``, an integer ``int`` and not ``bool``, a number ``int |
-float``, a tile reference a list of three integers); anything else is
-an :class:`InvalidRequestError` naming the field.  A JSON payload
-block's entries are read the same way, as a whole: numbers in a float
-block, integers inside the dtype's range in an integer block, as many
-as its shape holds.
+(:func:`_wire`: kind, default, what is left off the wire), and its two
+codecs are generated from that table at import (:func:`_wire_form`),
+as ``dataclasses`` generates ``__init__``: no table is walked per
+message.  ``from_dict`` ignores unknown keys, so a newer peer can add
+fields, and coerces nothing: a field takes exactly the JSON type of its
+kind (a string ``str``, an integer ``int`` and not ``bool``, a number
+``int | float``, a tile reference a list of three integers); anything
+else is an :class:`InvalidRequestError` naming the field.  A JSON
+payload block's entries are checked as a whole.  ``to_json`` writes
+byte for byte what ``json.dumps`` writes for the field dict — its
+separators, ``encode_basestring_ascii`` strings, ``float.__repr__``
+numbers — and hands ``json.dumps`` itself any value not of its kind's
+exact type (``NaN`` / ``Infinity`` included).
 
-The wire's number domain is doubles and 64-bit integers, as in I-JSON:
-an integer literal inside ``[-2**63, 2**64)`` reads as that ``int``, one
-outside it as the nearest double (so every integer field refuses it),
-and the ``NaN`` / ``Infinity`` / ``-Infinity`` literals ``json.dumps``
-writes for non-finite payload values read as those floats.
-``json.dumps`` writes every frame; one function, :func:`_load_tagged`,
-reads every frame and binary header.  It parses with ``orjson`` and
-hands what orjson refuses to ``json.loads``: the non-finite literals,
-lone-surrogate escapes (a session id may hold one) and non-UTF-8
-encodings ``json.loads`` detects in ``bytes``.  A text with more than
-1024 ``[`` / ``{`` — so any nesting orjson might recurse too deep on —
-is never handed to orjson: ``json.loads`` reads it, and refuses, typed,
-what nests past its recursion limit.  Both read the same value from the
-same text.
+The number domain is doubles and 64-bit integers, as in I-JSON: an
+integer literal inside ``[-2**63, 2**64)`` reads as that ``int``, one
+outside it as the nearest double, and the non-finite literals read as
+those floats.  One function, :func:`_load_tagged`, reads every frame and
+binary header: ``orjson``, and ``json.loads`` for what orjson refuses
+(non-finite literals, lone surrogates, non-UTF-8 ``bytes``) or is never
+handed — a text of more than 1024 ``[`` / ``{``, so nesting past its
+depth is refused, typed.  Both read the same value from the same text.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 import operator
 import struct
 import zlib
-from dataclasses import MISSING, dataclass, field, fields, replace
-from typing import Callable, ClassVar, NamedTuple
+from _collections import _tuplegetter
+from dataclasses import MISSING, dataclass, field, fields
+from json.encoder import encode_basestring_ascii
+from typing import NamedTuple
 
 import numpy as np
 import orjson
@@ -178,21 +151,15 @@ class WorkerUnavailableError(ProtocolError, ConnectionError):
 ERROR_TYPES: dict[str, type[ProtocolError]] = {
     cls.code: cls
     for cls in (
-        ProtocolError,
-        SessionNotFoundError,
-        DuplicateSessionError,
-        SessionClosedError,
-        InvalidRequestError,
-        FramingError,
-        FrameTooLargeError,
-        VersionMismatchError,
+        ProtocolError, SessionNotFoundError, DuplicateSessionError, SessionClosedError,
+        InvalidRequestError, FramingError, FrameTooLargeError, VersionMismatchError,
         WorkerUnavailableError,
     )
 }
 
 
 # ----------------------------------------------------------------------
-# the field table
+# the field table, and the codecs generated from it
 # ----------------------------------------------------------------------
 #: What reading a well-framed but malformed message may raise; every
 #: decode site turns exactly these into :class:`InvalidRequestError`.
@@ -202,13 +169,18 @@ _MALFORMED = (KeyError, TypeError, ValueError, OverflowError)
 
 
 class _Kind(NamedTuple):
-    """How one kind of field crosses the wire.  ``read`` takes the JSON
-    value — of exactly one JSON type, nothing coerced into it — to the
-    field value or raises; ``write`` takes it back (``None``: the field
-    value is its own JSON form)."""
+    """How one kind of field crosses the wire: the source the codec
+    generator splices in for each field of the kind.  ``read`` is the
+    statements that take the JSON value ``v`` — of exactly one JSON
+    type, nothing coerced into it — to the field value, left in ``v``,
+    or raise; ``write`` the expression giving the field value ``v``'s
+    JSON text, which is what ``json.dumps`` writes for it: a value not
+    of the kind's exact type is handed to ``json.dumps`` itself.
+    ``env`` binds the names the two use beyond :data:`_CODEC_NAMES`."""
 
-    read: Callable
-    write: Callable | None = None
+    read: str
+    write: str
+    env: tuple = ()
 
 
 def _expected(what: str, value) -> TypeError:
@@ -218,34 +190,69 @@ def _expected(what: str, value) -> TypeError:
     return TypeError(f"expected {what}, got {got}")
 
 
-def _kind(what: str, *types: type, build=None, write=None) -> _Kind:
-    """The kind whose JSON value is one of ``types`` exactly (``type()
-    in``: a ``bool`` is no ``int``), kept as it is or given to ``build``."""
-
-    def read(value):
-        if type(value) not in types:
-            raise _expected(what, value)
-        return value if build is None else build(value)
-
-    return _Kind(read, write)
+def _refuse_entry(read, entries) -> None:
+    """Raise what ``read`` raises on the first of ``entries`` it refuses."""
+    for entry in entries:
+        read(entry)
 
 
-_STR = _kind("a string", str)
-_INT = _kind("an integer", int)
-_BOOL = _kind("a boolean", bool)
-_NUMBER = _kind("a number", int, float, build=float)
+_countOf = operator.countOf
+#: The names every generated codec may use.
+_CODEC_NAMES = dict(
+    MISSING=MISSING, MALFORMED=_MALFORMED, InvalidRequestError=InvalidRequestError,
+    _expected=_expected, _refuse_entry=_refuse_entry, _quote=encode_basestring_ascii,
+    _dumps=json.dumps, _countOf=_countOf,
+)
 
 
-def _list_of(item: _Kind) -> _Kind:
-    """A JSON list of ``item`` values; a tuple on this side."""
-    return _kind(
-        "a list",
-        list,
-        build=lambda entries: tuple(map(item.read, entries)),
-        write=list if item.write is None else (
-            lambda values: list(map(item.write, values))
-        ),
+def _codec(source: str, env=()):
+    """Compile one generated function (its frames read ``<string>``)."""
+    names = {**_CODEC_NAMES, **dict(env)}
+    exec(source, names)
+    return names[source[len("def ") : source.index("(")]]
+
+
+def _reader(kind: _Kind):
+    """``kind.read`` as a function of one JSON value."""
+    body = "".join(f"    {line}\n" for line in kind.read.splitlines())
+    return _codec(f"def read(v):\n{body}    return v\n", kind.env)
+
+
+def _scalar(what: str, t: str, text: str) -> _Kind:
+    """The kind whose JSON value is of type ``t`` exactly (a ``bool``
+    is no ``int``), kept as it is and written as ``text``."""
+    return _Kind(
+        f"if type(v) is not {t}: raise _expected({what!r}, v)",
+        f"'null' if v is None else {text} if type(v) is {t} else _dumps(v)",
     )
+
+
+def _list_of(what: str, t: str, text: str) -> _Kind:
+    """A JSON list of ``t`` values (each as :func:`_scalar` reads it and
+    written as ``text(entry)``); a tuple on this side."""
+    return _Kind(
+        "if type(v) is not list: raise _expected('a list', v)\n"
+        f"if _countOf(map(type, v), {t}) != len(v): _refuse_entry(read_{t}, v)\n"
+        "v = tuple(v)",
+        f"'null' if v is None else '[%s]' % ', '.join(map({text}, v)) if type(v)"
+        f" is tuple and _countOf(map(type, v), {t}) == len(v) else _dumps(v)",
+        ((f"read_{t}", _reader(_scalar(what, t, ""))),),
+    )
+
+
+_STR = _scalar("a string", "str", "_quote(v)")
+_INT = _scalar("an integer", "int", "repr(v)")
+_BOOL = _scalar("a boolean", "bool", "('true' if v else 'false')")
+_NUMBER = _Kind(
+    "if type(v) is not float:\n"
+    "    if type(v) is not int: raise _expected('a number', v)\n"
+    "    v = float(v)",
+    # json.dumps writes a non-finite float: NaN, Infinity, -Infinity.
+    "'null' if v is None else repr(v) if type(v) is float and v - v == 0.0"
+    " or type(v) is int else _dumps(v)",
+)
+_STRS = _list_of("a string", "str", "_quote")
+_INTS = _list_of("an integer", "int", "repr")
 
 
 def _wire(kind: _Kind, default=MISSING, *, required=False, omit=False):
@@ -256,58 +263,93 @@ def _wire(kind: _Kind, default=MISSING, *, required=False, omit=False):
     ``null`` is legal exactly where the default is ``None``; ``omit``
     leaves a value equal to the default off the wire."""
     absent = MISSING if required else default
-    return field(default=default, metadata={"wire": (*kind, absent, omit)})
+    return field(default=default, metadata={"wire": (kind, absent, omit)})
 
 
-class _WireForm:
-    """The JSON form of a dataclass of :func:`_wire` fields, derived
-    from that table (:func:`_wire_table` builds it): no class writes its
-    own ``to_dict`` / ``from_dict``, so none has its own type checks."""
+def _wire_form(cls):
+    """Give a dataclass of :func:`_wire` fields its field table,
+    ``wire_fields`` (one ``(name, kind, absent, omit)`` row per field),
+    and the two codecs generated from it, as ``dataclasses`` generates
+    ``__init__`` — no class writes a codec of its own:
 
-    #: One ``(name, read, write, absent, omit)`` row per declared field.
-    wire_fields: ClassVar[tuple] = ()
-
-    def to_dict(self) -> dict:
-        data = {}
-        for name, _, write, absent, omit in self.wire_fields:
-            value = getattr(self, name)
-            if omit and value == absent:
-                continue
-            if write is not None and value is not None:
-                value = write(value)
-            data[name] = value
-        return data
-
-    @classmethod
-    def from_dict(cls, data: dict):
-        """Read the declared keys of ``data`` (any other is ignored);
-        raises, naming the field, on a missing or wrong-typed one."""
-        values = []
-        try:
-            for name, read, _, absent, _ in cls.wire_fields:
-                value = data.get(name, MISSING)
-                if value is MISSING:
-                    if absent is MISSING:
-                        raise ValueError("missing")
-                    value = absent
-                elif value is not None or absent is not None:
-                    value = read(value)
-                values.append(value)
-        except _MALFORMED as exc:
-            raise ValueError(f"{name}: {exc}") from None
-        return cls(*values)
-
-
-def _wire_table(cls):
-    cls.wire_fields = tuple(
+    - ``from_dict(data)``: the instance the declared keys of a JSON
+      object give (any other key is ignored), built the way ``copy``
+      restores one, or the refusal naming the field (a message's is
+      the typed :class:`InvalidRequestError`);
+    - ``to_json(self)``: its JSON text, a message's ``type`` tag first,
+      byte for byte what ``json.dumps`` writes for the dict of its
+      fields.  A binary-body message's ``to_json(self, payload)``
+      writes the JSON text ``payload`` as its payload's.
+    """
+    cls.wire_fields = rows = tuple(
         (f.name, *f.metadata["wire"]) for f in fields(cls) if "wire" in f.metadata
     )
+    tag = getattr(cls, "wire_type", None)
+    spliced = getattr(cls, "binary_body", False)
+    env = {"cls": cls, "new": object.__new__}
+    read = ["def from_dict(data):", "    get = data.get", "    try:"]
+    write = [f"def to_json(m{', payload=None' if spliced else ''}):"]
+    parts = [f'"type": {json.dumps(tag)}'] if tag else []
+    for i, (name, kind, absent, omit) in enumerate(rows):
+        env.update(kind.env, **{f"absent{i}": absent})
+        missing = "raise ValueError('missing')" if absent is MISSING else f"v = absent{i}"
+        read += [
+            f"        field, v = {name!r}, get({name!r}, MISSING)",
+            f"        if v is MISSING: {missing}",
+            f"        {'elif v is not None' if absent is None else 'else'}:",
+            *(f"            {line}" for line in kind.read.splitlines()),
+            f"        f_{name} = v",
+        ]
+        text = kind.write
+        if spliced and name == "payload":
+            text = f"payload if payload is not None else {text}"
+        key = f"{json.dumps(name)}: "
+        if omit:  # follows a written field: the tag or a declared one
+            text = f"'' if v == absent{i} else {', ' + key!r} + ({text})"
+            parts[-1] += "%s"
+        else:
+            parts.append(f"{key}%s")
+        write += [f"    v = m.{name}", f"    t{i} = {text}"]
+    error = f"InvalidRequestError(f'malformed {tag} message: " if tag else "ValueError(f'"
+    read += ["    except MALFORMED as exc:", f"        raise {error}{{field}}: {{exc}}') from None"]
+    state = []
+    for f in fields(cls):
+        if "wire" not in f.metadata:
+            env[f"d_{f.name}"] = f.default
+        state.append(f"{f.name!r}: {'f' if 'wire' in f.metadata else 'd'}_{f.name}")
+    read += ["    m = new(cls)", f"    m.__dict__.update({{{', '.join(state)}}})"]
+    if hasattr(cls, "__post_init__"):
+        read.append("    m.__post_init__()")
+    read.append("    return m")
+    write.append(
+        f"    return {'{' + ', '.join(parts) + '}'!r} % ({''.join(f't{i}, ' for i in range(len(rows)))})"
+    )
+    cls.from_dict = staticmethod(_codec("\n".join(read) + "\n", env))
+    cls.to_json = _codec("\n".join(write) + "\n", env)
     return cls
 
 
 def _object(cls) -> _Kind:
-    """A nested JSON object read and written by ``cls``."""
-    return _kind("an object", dict, build=cls.from_dict, write=cls.to_dict)
+    """A nested JSON object read and written by ``cls``'s codecs."""
+    name = cls.__name__
+    return _Kind(
+        "if type(v) is not dict: raise _expected('an object', v)\n"
+        f"v = read_{name}(v)",
+        f"'null' if v is None else write_{name}(v) if type(v) is {name} else _dumps(v)",
+        ((name, cls), (f"read_{name}", cls.from_dict), (f"write_{name}", cls.to_json)),
+    )
+
+
+def _objects(cls) -> _Kind:
+    """A JSON list of :func:`_object` values; a tuple on this side."""
+    name = cls.__name__
+    return _Kind(
+        "if type(v) is not list: raise _expected('a list', v)\n"
+        f"v = tuple(map(read_{name}_object, v))",
+        f"'null' if v is None else '[%s]' % ', '.join(map(write_{name}, v)) if type(v)"
+        f" is tuple and _countOf(map(type, v), {name}) == len(v) else _dumps(v)",
+        (*_object(cls).env, (f"read_{name}_object", _reader(_object(cls)))),
+    )
 
 
 #: Every message class by its ``type`` tag, in definition order.
@@ -323,7 +365,7 @@ def _message(name: str, *, client: bool = False, binary: bool = False):
     def register(cls):
         cls.wire_type, cls.client_sends, cls.binary_body = name, client, binary
         MESSAGE_TYPES[name] = cls
-        return _wire_table(cls)
+        return _wire_form(cls)
 
     return register
 
@@ -331,36 +373,74 @@ def _message(name: str, *, client: bool = False, binary: bool = False):
 # ----------------------------------------------------------------------
 # wire building blocks
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class TileRef:
-    """A tile address on the wire: ``[level, x, y]``."""
+class TileRef(tuple):
+    """A tile address on the wire: ``[level, x, y]``, three ``int``.
 
-    level: int
-    x: int
-    y: int
+    Like :class:`TileKey` it is the tuple of its fields (one check and
+    one ``tuple.__new__`` to read, ``"[%d, %d, %d]" % ref`` to write),
+    so it equals a key or a plain tuple of the same fields: keep refs
+    out of containers of keys.  Unlike a key it may hold what no key
+    can — a peer's negative coordinate, which :func:`requested_key` /
+    :func:`held_keys` refuse, typed."""
+
+    __slots__ = ()
+
+    def __new__(cls, level: int, x: int, y: int) -> "TileRef":
+        if not type(level) is type(x) is type(y) is int:
+            raise _expected("[level, x, y]", [level, x, y])
+        return tuple.__new__(cls, (level, x, y))
+
+    level = _tuplegetter(0, "Zoom level, 0 the coarsest.")
+    x = _tuplegetter(1, "Column at this level.")
+    y = _tuplegetter(2, "Row at this level.")
+
+    def __getnewargs__(self) -> tuple[int, int, int]:
+        return tuple(self)
+
+    def __repr__(self) -> str:
+        return f"TileRef(level={self[0]!r}, x={self[1]!r}, y={self[2]!r})"
 
     @classmethod
     def from_key(cls, key: TileKey) -> "TileRef":
-        return cls(level=key.level, x=key.x, y=key.y)
+        return tuple.__new__(cls, key)
 
     def to_key(self) -> TileKey:
-        return TileKey(self.level, self.x, self.y)
+        return TileKey(*self)
 
     def to_list(self) -> list[int]:
-        return [self.level, self.x, self.y]
+        return list(self)
 
     @classmethod
     def from_list(cls, data) -> "TileRef":
-        if type(data) is list and len(data) == 3:
-            level, x, y = data
-            if type(level) is type(x) is type(y) is int:
-                return cls(level, x, y)
-        raise _expected("[level, x, y]", data)
+        return _read_ref(data)
 
 
-_REF = _Kind(TileRef.from_list, TileRef.to_list)
-_REFS = _list_of(_REF)
-_SHAPE = _list_of(_INT)
+_REF = _Kind(
+    "if type(v) is not list or len(v) != 3 or not type(v[0]) is type(v[1])"
+    " is type(v[2]) is int: raise _expected('[level, x, y]', v)\n"
+    "v = tuple.__new__(TileRef, v)",
+    "'null' if v is None else '[%d, %d, %d]' % v if type(v) is TileRef else _dumps(v)",
+    (("TileRef", TileRef),),
+)
+_read_ref = _reader(_REF)
+_new_ref = functools.partial(tuple.__new__, TileRef)
+_REFS = _Kind(
+    # In C, one pass each: every entry a list of three, every field int.
+    "if type(v) is not list: raise _expected('a list', v)\n"
+    "if (_countOf(map(type, v), list) != len(v) or _countOf(map(len, v), 3) != len(v)\n"
+    "        or _countOf(map(type, _chain(v)), int) != 3 * len(v)):\n"
+    "    _refuse_entry(read_ref, v)\n"
+    "v = tuple(map(new_ref, v))",
+    "'null' if v is None else '[%s]' % ', '.join(map(ref_text, v)) if type(v)"
+    " is tuple and _countOf(map(type, v), TileRef) == len(v) else _dumps(v)",
+    (
+        ("TileRef", TileRef),
+        ("read_ref", _read_ref),
+        ("new_ref", _new_ref),
+        ("ref_text", "[%d, %d, %d]".__mod__),
+        ("_chain", itertools.chain.from_iterable),
+    ),
+)
 
 #: The JSON types a payload block's entries may take, by the kind of its
 #: dtype; a block of any other dtype cannot travel as JSON.
@@ -394,21 +474,15 @@ def _values_array(block: "AttributeBlock") -> np.ndarray:
         raise TypeError(f"attribute {name!r}: unknown dtype {block.dtype!r}") from None
     if dtype.kind not in _ENTRY_TYPES:
         raise TypeError(f"attribute {name!r}: dtype {dtype} cannot travel as JSON")
-    exact_floats = (
-        dtype.kind == "f" and operator.countOf(map(type, values), float) == len(values)
-    )
+    exact_floats = (dtype.kind == "f" and operator.countOf(map(type, values), float) == len(values))
     if not exact_floats:
         allowed, what = _ENTRY_TYPES[dtype.kind]
         stray = set(map(type, values)) - allowed
         if stray:
             got = ", ".join(sorted(kind.__name__ for kind in stray))
-            raise TypeError(
-                f"attribute {name!r}: {dtype} entries must be {what}, got {got}"
-            )
+            raise TypeError(f"attribute {name!r}: {dtype} entries must be {what}, got {got}")
     if min(shape, default=0) < 0 or math.prod(shape) != len(values):
-        raise ValueError(
-            f"attribute {name!r}: {len(values)} entries for shape {list(shape)}"
-        )
+        raise ValueError(f"attribute {name!r}: {len(values)} entries for shape {list(shape)}")
     if exact_floats:
         doubles = np.frombuffer(struct.pack(f"{len(values)}d", *values), np.float64)
         return doubles.astype(dtype, copy=False).reshape(shape)
@@ -419,9 +493,9 @@ def _values_array(block: "AttributeBlock") -> np.ndarray:
     return np.array(values, dtype=dtype).reshape(shape)
 
 
-@_wire_table
+@_wire_form
 @dataclass(frozen=True, eq=False)
-class AttributeBlock(_WireForm):
+class AttributeBlock:
     """One attribute's dense block.
 
     Every block carries its dense ``array``.  JSON-born blocks also keep
@@ -435,13 +509,15 @@ class AttributeBlock(_WireForm):
 
     name: str = _wire(_STR)
     dtype: str = _wire(_STR)
-    shape: tuple[int, ...] = _wire(_SHAPE)
+    shape: tuple[int, ...] = _wire(_INTS)
     #: The one bulk field (thousands of scalars per JSON reply): taken
     #: as a list, its entries checked by :func:`_values_array` as a
-    #: whole, not one by one.
-    values: tuple | None = _wire(
-        _kind("a list", list, build=tuple, write=list), None
-    )
+    #: whole, not one by one; a binary-born block's are listed only
+    #: when JSON asks.
+    values: tuple | None = _wire(_Kind(
+        "if type(v) is not list: raise _expected('a list', v)\nv = tuple(v)",
+        "_dumps(v if v is not None else m.array.ravel().tolist())",
+    ), None)
     #: The dense array itself — always C-contiguous, so the binary
     #: encoder can take its bytes with a zero-copy memoryview.
     array: np.ndarray | None = field(default=None, repr=False)
@@ -455,11 +531,7 @@ class AttributeBlock(_WireForm):
     def __eq__(self, other) -> bool:
         if not isinstance(other, AttributeBlock):
             return NotImplemented
-        if (self.name, self.dtype, self.shape) != (
-            other.name,
-            other.dtype,
-            other.shape,
-        ):
+        if (self.name, self.dtype, self.shape) != (other.name, other.dtype, other.shape):
             return False
         mine, theirs = self.to_array(), other.to_array()
         equal_nan = mine.dtype.kind == "f" and theirs.dtype.kind == "f"
@@ -469,9 +541,7 @@ class AttributeBlock(_WireForm):
         return hash((self.name, self.dtype, self.shape))
 
     @classmethod
-    def from_array(
-        cls, name: str, array: np.ndarray, *, binary: bool = False
-    ) -> "AttributeBlock":
+    def from_array(cls, name: str, array: np.ndarray, *, binary: bool = False) -> "AttributeBlock":
         array = np.ascontiguousarray(array)
         return cls(
             name=name,
@@ -484,23 +554,14 @@ class AttributeBlock(_WireForm):
     def to_array(self) -> np.ndarray:
         return self.array
 
-    def to_dict(self) -> dict:
-        data = super().to_dict()
-        if self.values is None:
-            # Binary-born: the scalars are listed only now JSON asks.
-            data["values"] = self.array.ravel().tolist()
-        return data
 
-
-@_wire_table
+@_wire_form
 @dataclass(frozen=True)
-class TilePayload(_WireForm):
+class TilePayload:
     """A full tile on the wire: its address plus every attribute block."""
 
     tile: TileRef = _wire(_REF)
-    attributes: tuple[AttributeBlock, ...] = _wire(
-        _list_of(_object(AttributeBlock))
-    )
+    attributes: tuple[AttributeBlock, ...] = _wire(_objects(AttributeBlock))
 
     @classmethod
     def from_tile(cls, tile: DataTile, *, binary: bool = False) -> "TilePayload":
@@ -515,35 +576,38 @@ class TilePayload(_WireForm):
         )
 
     def to_tile(self) -> DataTile:
+        blocks = self.attributes
         return DataTile(
-            key=self.tile.to_key(),
-            attributes={
-                block.name: block.to_array() for block in self.attributes
-            },
+            key=_key_of(self.tile),
+            attributes=dict(zip(map(_NAME, blocks), map(_ARRAY, blocks))),
         )
 
 
 _PAYLOAD = _object(TilePayload)
+_NAME, _ARRAY = operator.attrgetter("name"), operator.attrgetter("array")
 
 
 # ----------------------------------------------------------------------
 # messages
 # ----------------------------------------------------------------------
+#: Each interface move and analysis phase by its wire name.
+_MOVES = {move.value: move for move in Move}
+_PHASES = {phase.value: phase for phase in AnalysisPhase}
+
+
 def _to_move(message: "TileRequest | PushAck") -> Move | None:
     """The interface move a ``tile_request`` / ``push_ack`` names."""
     if message.move is None:
         return None
-    try:
-        return Move(message.move)
-    except ValueError:
-        raise InvalidRequestError(
-            f"unknown move {message.move!r}", session_id=message.session_id
-        ) from None
+    move = _MOVES.get(message.move)
+    if move is None:
+        raise InvalidRequestError(f"unknown move {message.move!r}", session_id=message.session_id)
+    return move
 
 
 @_message("tile_request", client=True)
 @dataclass(frozen=True)
-class TileRequest(_WireForm):
+class TileRequest:
     """One client request: session, the move taken, the target tile."""
 
     session_id: str = _wire(_STR)
@@ -563,7 +627,7 @@ class TileRequest(_WireForm):
 
 @_message("tile_response", binary=True)
 @dataclass(frozen=True)
-class TileResponse(_WireForm):
+class TileResponse:
     """One server response on the wire.
 
     ``payload`` carries the tile's dense data; the reply to a
@@ -587,36 +651,33 @@ class TileResponse(_WireForm):
 
     @classmethod
     def from_result(
-        cls,
-        session_id: str,
-        result,
-        include_payload: bool = True,
-        *,
-        binary: bool = False,
+        cls, session_id: str, result, include_payload: bool = True, *, binary: bool = False
     ) -> "TileResponse":
-        """Build the wire form of an in-process ``TileResponse``."""
-        return cls(
+        """Build the wire form of an in-process ``TileResponse``, in one
+        step as :meth:`from_dict` builds one."""
+        phase, tile = result.phase, result.tile
+        message = object.__new__(cls)
+        message.__dict__.update(
             session_id=session_id,
-            tile=TileRef.from_key(result.tile.key),
+            tile=_new_ref(tile.key),
             latency_seconds=result.latency_seconds,
             hit=result.hit,
-            phase=result.phase.value if result.phase is not None else None,
-            prefetched=tuple(TileRef.from_key(k) for k in result.prefetched),
-            payload=(
-                TilePayload.from_tile(result.tile, binary=binary)
-                if include_payload
-                else None
-            ),
+            phase=phase._value_ if phase is not None else None,  # no enum frames
+            prefetched=tuple(map(_new_ref, result.prefetched)),
+            payload=TilePayload.from_tile(tile, binary=binary) if include_payload else None,
             fidelity=getattr(result, "fidelity", 1.0),
         )
+        return message
 
     def to_phase(self) -> AnalysisPhase | None:
-        return AnalysisPhase.from_string(self.phase) if self.phase else None
+        if not self.phase:
+            return None
+        return _PHASES.get(self.phase) or AnalysisPhase.from_string(self.phase)
 
 
 @_message("push_tile", binary=True)
 @dataclass(frozen=True)
-class PushTile(_WireForm):
+class PushTile:
     """An unsolicited server→client frame: one predicted tile, streamed
     ahead of need (Khameleon-style continuous prefetch).
 
@@ -646,7 +707,7 @@ class PushTile(_WireForm):
 
 @_message("push_ack", client=True)
 @dataclass(frozen=True)
-class PushAck(_WireForm):
+class PushAck:
     """Client → server: the push-cache digest, optionally reporting a
     locally answered (push-hit) request.
 
@@ -671,21 +732,20 @@ class PushAck(_WireForm):
 
 
 @functools.lru_cache(maxsize=4096)
-def _key_of(level: int, x: int, y: int) -> TileKey:
+def _key_of(ref: TileRef) -> TileKey:
     """A reference's key, built and validated once (a ``held`` digest
     repeats nearly whole request after request); a raise is not kept."""
-    return TileKey(level, x, y)
+    return TileKey(*ref)
 
 
 def _keyed(ref: TileRef, message: "TileRequest | PushAck", what: str) -> TileKey:
     """``ref`` as a key, or the typed refusal (with the session id) of a
     reference no :class:`TileKey` can hold (a negative coordinate)."""
     try:
-        return _key_of(ref.level, ref.x, ref.y)
+        return _key_of(ref)
     except ValueError as exc:
         raise InvalidRequestError(
-            f"invalid {what} reference {ref.to_list()}: {exc}",
-            session_id=message.session_id,
+            f"invalid {what} reference {list(ref)}: {exc}", session_id=message.session_id
         ) from None
 
 
@@ -696,11 +756,13 @@ def requested_key(message: "TileRequest | PushAck", grid=None) -> TileKey:
     pyramid's ``grid``, one outside it is refused here — typed, with the
     session id — before the session or the cache see it.
     """
-    key = _keyed(message.tile, message, "tile")
+    try:
+        key = _key_of(message.tile)
+    except ValueError:
+        key = _keyed(message.tile, message, "tile")  # raises, typed
     if grid is not None and not grid.valid(key):
         raise InvalidRequestError(
-            f"tile {key} is not in this pyramid",
-            session_id=message.session_id,
+            f"tile {key} is not in this pyramid", session_id=message.session_id
         )
     return key
 
@@ -710,12 +772,20 @@ def held_keys(message: "TileRequest | PushAck") -> list[TileKey]:
     as keys — an un-keyable reference refused as :func:`requested_key`
     refuses the tile, before the push scheduler sees anything.  Only a
     reference not keyed before constructs a :class:`TileKey`."""
-    return [_keyed(ref, message, "held tile") for ref in message.held]
+    try:
+        return list(map(_key_of, message.held))
+    except ValueError:  # name the first reference refused
+        return [_keyed(ref, message, "held tile") for ref in message.held]
+
+
+def prefetched_keys(message: "TileResponse") -> tuple[TileKey, ...]:
+    """The tiles a ``tile_response`` says were prefetched, as keys."""
+    return tuple(map(_key_of, message.prefetched))
 
 
 @_message("session_info")
 @dataclass(frozen=True)
-class SessionInfo(_WireForm):
+class SessionInfo:
     """A session's externally visible state and latency statistics."""
 
     session_id: str = _wire(_STR)
@@ -729,7 +799,7 @@ class SessionInfo(_WireForm):
 
 @_message("error")
 @dataclass(frozen=True)
-class ErrorInfo(_WireForm):
+class ErrorInfo:
     """A failure on the wire; re-raisable via :meth:`to_exception`."""
 
     code: str = _wire(_STR)
@@ -739,15 +809,11 @@ class ErrorInfo(_WireForm):
     @classmethod
     def from_exception(cls, exc: BaseException) -> "ErrorInfo":
         if isinstance(exc, ProtocolError):
-            return cls(
-                code=exc.code, message=exc.message, session_id=exc.session_id
-            )
+            return cls(code=exc.code, message=exc.message, session_id=exc.session_id)
         return cls(code=ProtocolError.code, message=str(exc))
 
     def to_exception(self) -> ProtocolError:
-        return ERROR_TYPES.get(self.code, ProtocolError)(
-            self.message, session_id=self.session_id
-        )
+        return ERROR_TYPES.get(self.code, ProtocolError)(self.message, session_id=self.session_id)
 
 
 # ----------------------------------------------------------------------
@@ -760,10 +826,10 @@ SUPPORTED_VERSIONS: tuple[int, ...] = (1,)
 
 @_message("hello", client=True)
 @dataclass(frozen=True)
-class Hello(_WireForm):
+class Hello:
     """The client's first frame: who it is and what it speaks."""
 
-    versions: tuple[int, ...] = _wire(_list_of(_INT), SUPPORTED_VERSIONS, required=True)
+    versions: tuple[int, ...] = _wire(_INTS, SUPPORTED_VERSIONS, required=True)
     client: str = _wire(_STR, "")
     #: Client opts into server-streamed ``push_tile`` frames.  Older
     #: peers simply omit the field (``from_dict`` defaults it off), so
@@ -773,12 +839,12 @@ class Hello(_WireForm):
     #: Serialized only when it says more than the default ``("json",)``,
     #: so a JSON-only client's hello stays byte-identical to older
     #: builds and older servers negotiate JSON implicitly.
-    payloads: tuple[str, ...] = _wire(_list_of(_STR), ("json",), omit=True)
+    payloads: tuple[str, ...] = _wire(_STRS, ("json",), omit=True)
 
 
 @_message("welcome")
 @dataclass(frozen=True)
-class Welcome(_WireForm):
+class Welcome:
     """The server's handshake reply: the negotiated version and limits."""
 
     version: int = _wire(_INT)
@@ -821,15 +887,9 @@ def check_payloads(payloads) -> tuple[str, ...]:
     subset of :data:`PAYLOADS` that keeps the mandatory fallback."""
     payloads = tuple(payloads)
     if not payloads or any(p not in PAYLOADS for p in payloads):
-        raise ValueError(
-            f"payloads must be a non-empty subset of {PAYLOADS}, "
-            f"got {payloads!r}"
-        )
+        raise ValueError(f"payloads must be a non-empty subset of {PAYLOADS}, got {payloads!r}")
     if "json" not in payloads:
-        raise ValueError(
-            f'payloads must include "json" (the mandatory fallback), '
-            f"got {payloads!r}"
-        )
+        raise ValueError(f'payloads must include "json" (the mandatory fallback), got {payloads!r}')
     return payloads
 
 
@@ -849,7 +909,7 @@ def negotiate_payload(offered, supported=PAYLOADS) -> str:
 
 @_message("open_session", client=True)
 @dataclass(frozen=True)
-class OpenSession(_WireForm):
+class OpenSession:
     """Open a server-side session (engine comes from the server's
     ``engine_factory``).  The reply is the new session's
     :class:`SessionInfo`."""
@@ -861,7 +921,7 @@ class OpenSession(_WireForm):
 
 @_message("close_session", client=True)
 @dataclass(frozen=True)
-class CloseSession(_WireForm):
+class CloseSession:
     """Close an open session.  The reply is the session's final
     :class:`SessionInfo` snapshot (``open=False``)."""
 
@@ -873,10 +933,9 @@ class CloseSession(_WireForm):
 # ----------------------------------------------------------------------
 def encode(message) -> str:
     """Serialize any wire message to a tagged JSON string."""
-    name = getattr(type(message), "wire_type", None)
-    if name is None:
+    if getattr(type(message), "wire_type", None) is None:
         raise TypeError(f"{type(message).__name__} is not a wire message")
-    return json.dumps({"type": name, **message.to_dict()})
+    return message.to_json()
 
 
 def _wire_int(literal: str) -> int | float:
@@ -912,7 +971,7 @@ def _load_tagged(text, what: str) -> tuple[object, type | None, dict]:
     ``json.loads`` for what orjson refuses or is not handed (see the
     module docstring)."""
     try:
-        if _may_nest_deeper(text, _ORJSON_MAX_DEPTH):
+        if len(text) > _ORJSON_MAX_DEPTH and _may_nest_deeper(text, _ORJSON_MAX_DEPTH):
             raise orjson.JSONDecodeError("nested too deeply for orjson", "", 0)
         raw = orjson.loads(text)
     except orjson.JSONDecodeError:
@@ -931,27 +990,12 @@ def _load_tagged(text, what: str) -> tuple[object, type | None, dict]:
     return name, MESSAGE_TYPES.get(name) if isinstance(name, str) else None, raw
 
 
-def _from_wire(cls, data: dict):
-    """``cls.from_dict(data)``, whatever a field of outside input raised
-    (:data:`_MALFORMED`) turned into the typed refusal."""
-    try:
-        return cls.from_dict(data)
-    except _MALFORMED as exc:
-        raise InvalidRequestError(f"malformed {cls.wire_type} message: {exc}") from None
-
-
-def _load_message(text) -> tuple[type, dict]:
-    """A tagged JSON text's message class and its other keys; an unknown
-    tag is refused, typed."""
-    name, cls, raw = _load_tagged(text, "wire message")
-    if cls is None:
-        raise InvalidRequestError(f"unknown message type {name!r}")
-    return cls, raw
-
-
 def decode(data: str):
     """Parse a tagged JSON string back into its wire message."""
-    return _from_wire(*_load_message(data))
+    name, cls, raw = _load_tagged(data, "wire message")
+    if cls is None:
+        raise InvalidRequestError(f"unknown message type {name!r}")
+    return cls.from_dict(raw)
 
 
 # ----------------------------------------------------------------------
@@ -986,9 +1030,7 @@ def _check_frame_size(size: int, max_frame_bytes: int) -> None:
 
 
 def encode_frame(
-    frame: "str | bytes",
-    framing: str = "lines",
-    max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
+    frame: "str | bytes", framing: str = "lines", max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES
 ) -> bytes:
     """Put one frame on the byte stream, as :class:`FrameDecoder` cuts
     it back out: a message's JSON text in any framing (a kind-0 frame
@@ -1015,9 +1057,7 @@ def _frame_json(payload: bytes, framing: str, max_frame_bytes: int) -> bytes:
     _check_frame_size(len(payload), max_frame_bytes)
     if framing == "lines":
         if b"\n" in payload:
-            raise FramingError(
-                "newline-delimited framing cannot carry embedded newlines"
-            )
+            raise FramingError("newline-delimited framing cannot carry embedded newlines")
         return payload + b"\n"
     return _LENGTH_HEADER.pack(len(payload)) + payload
 
@@ -1032,19 +1072,12 @@ _FRAME_KIND_BINARY = 0x01
 _BINARY_FRAME_HEADER = struct.Struct(">BI")
 
 #: The encoder deflates a blob (codec ``"zlib"``, else ``"raw"``) when
-#: that shrinks it.  Each attribute block is its own deflate block in the
-#: one zlib stream (a sync flush after each), coded with fixed Huffman
-#: codes, so zlib decides per block: a block that repeats an earlier one
-#: (min/avg/max coincide at fine zoom) or is constant becomes a few
-#: back-references, and a block of float noise goes *stored*, inflating
-#: as a copy — unless fixed codes save it a few bytes, which they often
-#: do.  Over ``benchmarks/perf``'s binary cycle (512 px world, 179
-#: replies) the fresh float block goes stored on 113 replies at seed 7
-#: and 116 at seed 3; on the others fixed codes win by 4-63 B and the
-#: blob inflates in ~59 µs instead of ~16 (~32 µs mean per reply on a
-#: 2-CPU Xeon VM).  The 256 px world's finest level stores it on 61 of
-#: 64 tiles.  Against one dynamic-coded stream a 32x32 MODIS reply costs
-#: the wire ~650 B (+8 %).  Level 1 keeps the encode cheap.
+#: that shrinks it, each attribute block its own fixed-Huffman deflate
+#: block (a sync flush after each): a repeated or constant block becomes
+#: back-references, float noise goes *stored* unless fixed codes save a
+#: few bytes (on 113 of ``benchmarks/perf``'s 179 binary replies it goes
+#: stored at seed 7 and 116 at seed 3; a fixed-coded blob inflates in
+#: ~59 µs, a stored one in ~16).  Level 1 keeps the encode cheap.
 _COMPRESS_LEVEL = 1
 _COMPRESS_MIN_BYTES = 64
 
@@ -1054,28 +1087,44 @@ ATTRIBUTE_SPEC_MEMO_ENTRIES = 1024
 ATTRIBUTE_SPEC_MEMO_KEY_CHARS = 128
 
 
-def _payload_descriptor(payload: TilePayload) -> tuple[dict, bytes]:
-    """Flatten a payload into its JSON descriptor and packed blob."""
+@_wire_form
+@dataclass(frozen=True)
+class _BlobEntry:
+    """One attribute's bytes in a binary body's blob, as listed."""
+
+    name: str = _wire(_STR)
+    dtype: str = _wire(_STR)
+    shape: tuple[int, ...] = _wire(_INTS)
+    nbytes: int = _wire(_INT)
+
+
+@_wire_form
+@dataclass(frozen=True)
+class _BlobDescriptor:
+    """A binary body's payload, as its header carries it: the tile, the
+    blob's codec and the attributes in blob order."""
+
+    tile: TileRef = _wire(_REF)
+    codec: str = _wire(_STR)
+    attributes: tuple[_BlobEntry, ...] = _wire(_objects(_BlobEntry))
+
+
+_read_shape = _reader(_INTS)
+
+
+def _payload_descriptor(payload: TilePayload) -> "tuple[_BlobDescriptor, bytes]":
+    """Flatten a payload into its descriptor and packed blob."""
     attrs = []
     views = []
     for block in payload.attributes:
         array = np.ascontiguousarray(block.to_array())
         view = memoryview(array).cast("B")
-        attrs.append(
-            {
-                "name": block.name,
-                "dtype": str(array.dtype),
-                "shape": list(array.shape),
-                "nbytes": view.nbytes,
-            }
-        )
+        attrs.append(_BlobEntry(block.name, str(array.dtype), array.shape, view.nbytes))
         views.append(view)
     blob = b"".join(views)
     codec = "raw"
     if len(blob) >= _COMPRESS_MIN_BYTES:
-        deflate = zlib.compressobj(
-            _COMPRESS_LEVEL, zlib.DEFLATED, 15, 8, zlib.Z_FIXED
-        )
+        deflate = zlib.compressobj(_COMPRESS_LEVEL, zlib.DEFLATED, 15, 8, zlib.Z_FIXED)
         parts = []
         for view in views:
             parts.append(deflate.compress(view))
@@ -1084,12 +1133,7 @@ def _payload_descriptor(payload: TilePayload) -> tuple[dict, bytes]:
         packed = b"".join(parts)
         if len(packed) < len(blob):
             codec, blob = "zlib", packed
-    descriptor = {
-        "tile": payload.tile.to_list(),
-        "codec": codec,
-        "attributes": attrs,
-    }
-    return descriptor, blob
+    return _BlobDescriptor(payload.tile, codec, tuple(attrs)), blob
 
 
 def encode_binary_message(message) -> bytes:
@@ -1102,19 +1146,13 @@ def encode_binary_message(message) -> bytes:
     concatenated in descriptor order, deflated when that is smaller.
     """
     if not getattr(type(message), "binary_body", False):
-        raise TypeError(
-            f"{type(message).__name__} cannot travel as a binary body"
-        )
+        raise TypeError(f"{type(message).__name__} cannot travel as a binary body")
     payload = message.payload
     if payload is None:
         raise TypeError("message carries no payload; encode it as JSON")
     descriptor, blob = _payload_descriptor(payload)
-    header = {"type": message.wire_type, **replace(message, payload=None).to_dict()}
-    header["payload"] = descriptor
-    header_bytes = json.dumps(header).encode("utf-8")
-    return b"".join(
-        (_LENGTH_HEADER.pack(len(header_bytes)), header_bytes, blob)
-    )
+    header_bytes = message.to_json(descriptor.to_json()).encode("utf-8")
+    return b"".join((_LENGTH_HEADER.pack(len(header_bytes)), header_bytes, blob))
 
 
 def _attribute_spec(name, dtype_name, shape: tuple, nbytes: int) -> tuple:
@@ -1124,17 +1162,11 @@ def _attribute_spec(name, dtype_name, shape: tuple, nbytes: int) -> tuple:
     try:
         dtype = np.dtype(dtype_name)
     except (TypeError, ValueError):
-        raise InvalidRequestError(
-            f"unknown dtype {dtype_name!r} in binary payload"
-        ) from None
+        raise InvalidRequestError(f"unknown dtype {dtype_name!r} in binary payload") from None
     if dtype.hasobject:
-        raise InvalidRequestError(
-            f"object dtype {dtype_name!r} cannot travel on the wire"
-        )
+        raise InvalidRequestError(f"object dtype {dtype_name!r} cannot travel on the wire")
     if any(n < 0 for n in shape) or nbytes < 0:
-        raise InvalidRequestError(
-            "binary attribute shape/nbytes must be non-negative"
-        )
+        raise InvalidRequestError("binary attribute shape/nbytes must be non-negative")
     count = 1
     for n in shape:
         count *= n
@@ -1161,26 +1193,25 @@ def _parse_attribute_specs(attrs) -> tuple[list, int]:
     total = 0
     for item in attrs:
         if not isinstance(item, dict):
-            raise InvalidRequestError(
-                "binary payload attribute entries must be objects"
-            )
+            raise InvalidRequestError("binary payload attribute entries must be objects")
         try:
             name = item["name"]
             dtype_name = item["dtype"]
-            shape = _SHAPE.read(item["shape"])
-            nbytes = _INT.read(item["nbytes"])
+            shape = item["shape"]
+            if type(shape) is not list or _countOf(map(type, shape), int) != len(shape):
+                _read_shape(shape)  # raises what the field table would
+            nbytes = item["nbytes"]
+            if type(nbytes) is not int:
+                raise _expected("an integer", nbytes)
+            shape = tuple(shape)
         except _MALFORMED as exc:
-            raise InvalidRequestError(
-                f"malformed binary attribute descriptor: {exc}"
-            ) from None
+            raise InvalidRequestError(f"malformed binary attribute descriptor: {exc}") from None
         # Only a small entry with text for name and dtype is remembered:
         # the memo never holds a peer's oversized key, an unhashable one
         # (a JSON list) never reaches it, and equal keys of different
         # types (1, 1.0, True) cannot stand in for each other.
-        if (
-            type(name) is str is type(dtype_name)
-            and len(name) + len(dtype_name) + len(shape)
-            <= ATTRIBUTE_SPEC_MEMO_KEY_CHARS
+        if type(name) is str is type(dtype_name) and (
+            len(name) + len(dtype_name) + len(shape) <= ATTRIBUTE_SPEC_MEMO_KEY_CHARS
         ):
             validate = _remembered_attribute_spec
         else:
@@ -1193,9 +1224,7 @@ def _parse_attribute_specs(attrs) -> tuple[list, int]:
 def _unpack_blob(codec, body: memoryview, total: int) -> "bytes | memoryview":
     if codec == "raw":
         if len(body) != total:
-            raise InvalidRequestError(
-                f"binary payload blob is {len(body)} bytes, expected {total}"
-            )
+            raise InvalidRequestError(f"binary payload blob is {len(body)} bytes, expected {total}")
         return body
     if codec == "zlib":
         # Bounded decompression: never inflate past what the descriptor
@@ -1208,18 +1237,9 @@ def _unpack_blob(codec, body: memoryview, total: int) -> "bytes | memoryview":
         try:
             raw = decomp.decompress(body, total or 1)
         except zlib.error as exc:
-            raise InvalidRequestError(
-                f"binary payload blob failed to inflate: {exc}"
-            ) from None
-        if (
-            len(raw) != total
-            or not decomp.eof
-            or decomp.unconsumed_tail
-            or decomp.unused_data
-        ):
-            raise InvalidRequestError(
-                "binary payload blob does not inflate to the declared size"
-            )
+            raise InvalidRequestError(f"binary payload blob failed to inflate: {exc}") from None
+        if len(raw) != total or not decomp.eof or decomp.unconsumed_tail or decomp.unused_data:
+            raise InvalidRequestError("binary payload blob does not inflate to the declared size")
         return raw
     raise InvalidRequestError(f"unknown binary payload codec {codec!r}")
 
@@ -1232,33 +1252,26 @@ def _decode_binary_payload(descriptor, body: memoryview) -> TilePayload:
         attrs = descriptor["attributes"]
         codec = descriptor.get("codec", "raw")
     except _MALFORMED as exc:
-        raise InvalidRequestError(
-            f"malformed binary payload descriptor: {exc}"
-        ) from None
+        raise InvalidRequestError(f"malformed binary payload descriptor: {exc}") from None
     specs, total = _parse_attribute_specs(attrs)
     buffer = _unpack_blob(codec, body, total)
     blocks = []
     offset = 0
     for name, dtype, shape, count, nbytes, dtype_text in specs:
         try:
-            array = np.frombuffer(
-                buffer, dtype=dtype, count=count, offset=offset
-            ).reshape(shape)
+            array = np.frombuffer(buffer, dtype=dtype, count=count, offset=offset).reshape(shape)
         except ValueError as exc:
             raise InvalidRequestError(
                 f"attribute {name!r} bytes do not form its array: {exc}"
             ) from None
-        blocks.append(
-            AttributeBlock(
-                name=name,
-                dtype=dtype_text,
-                shape=shape,
-                values=None,
-                array=array,
-            )
-        )
+        # Built in one step, as ``from_dict`` builds one.
+        block = object.__new__(AttributeBlock)
+        block.__dict__.update(name=name, dtype=dtype_text, shape=shape, values=None, array=array)
+        blocks.append(block)
         offset += nbytes
-    return TilePayload(tile=tile, attributes=tuple(blocks))
+    payload = object.__new__(TilePayload)
+    payload.__dict__.update(tile=tile, attributes=tuple(blocks))
+    return payload
 
 
 def _split_binary_body(data) -> tuple[type, dict, memoryview]:
@@ -1284,9 +1297,7 @@ def _split_binary_body(data) -> tuple[type, dict, memoryview]:
         bytes(view[_LENGTH_HEADER.size : body_start]), "binary message header"
     )
     if cls is None or not cls.binary_body:
-        raise InvalidRequestError(
-            f"message type {name!r} cannot travel as a binary body"
-        )
+        raise InvalidRequestError(f"message type {name!r} cannot travel as a binary body")
     return cls, header, view[body_start:]
 
 
@@ -1300,7 +1311,10 @@ def frame_type(frame) -> str:
     not touched (the final receiver's decoder validates every byte).
     """
     if isinstance(frame, str):
-        return _load_message(frame)[0].wire_type
+        name, cls, _ = _load_tagged(frame, "wire message")
+        if cls is None:
+            raise InvalidRequestError(f"unknown message type {name!r}")
+        return name
     return _split_binary_body(frame)[0].wire_type
 
 
@@ -1308,18 +1322,15 @@ def decode_binary_message(data):
     """Parse a binary body back into its payload-bearing message."""
     cls, header, blob = _split_binary_body(data)
     descriptor = header.pop("payload", None)
-    header["payload"] = None
-    message = _from_wire(cls, header)
-    if descriptor is None:
-        return message
-    payload = _decode_binary_payload(descriptor, blob)
-    return replace(message, payload=payload)
+    message = cls.from_dict(header)  # the payload absent: None
+    if descriptor is not None:
+        # Not yet seen by anyone: completed in place, as it was built.
+        object.__setattr__(message, "payload", _decode_binary_payload(descriptor, blob))
+    return message
 
 
 def encode_wire(
-    message,
-    framing: str = "lines",
-    max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
+    message, framing: str = "lines", max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES
 ) -> bytes:
     """Encode one message for the byte stream under any framing.
 
@@ -1328,11 +1339,8 @@ def encode_wire(
     binary bodies and everything else as kind-0 JSON, both behind the
     ``kind byte + u32 length`` header.
     """
-    if (
-        framing == "binary"
-        and getattr(type(message), "binary_body", False)
-        and message.payload is not None
-    ):
+    cls = type(message)
+    if framing == "binary" and getattr(cls, "binary_body", False) and message.payload is not None:
         return encode_frame(encode_binary_message(message), framing, max_frame_bytes)
     return encode_frame(encode(message), framing, max_frame_bytes)
 
@@ -1340,20 +1348,15 @@ def encode_wire(
 # ----------------------------------------------------------------------
 # encode once, send many
 # ----------------------------------------------------------------------
-def _encode_tile_segment(tile: DataTile, binary: bool) -> "tuple[bytes, bytes]":
+def _encode_tile_segment(tile: DataTile, binary: bool) -> "tuple[str, bytes]":
     payload = TilePayload.from_tile(tile, binary=binary)
     if not binary:
-        return json.dumps(payload.to_dict()).encode("utf-8"), b""
+        return payload.to_json(), b""
     descriptor, blob = _payload_descriptor(payload)
-    return json.dumps(descriptor).encode("utf-8"), blob
+    return descriptor.to_json(), blob
 
 
-def encode_tile_frame(
-    message,
-    tile: DataTile,
-    framing: str,
-    max_frame_bytes: int,
-) -> bytes:
+def encode_tile_frame(message, tile: DataTile, framing: str, max_frame_bytes: int) -> bytes:
     """Frame a full-fidelity ``tile`` behind ``message``'s header,
     encoding the tile's bytes at most once per tile object and payload
     encoding.
@@ -1369,14 +1372,13 @@ def encode_tile_frame(
             framing, max_frame_bytes)
 
     The tile-dependent segment — the JSON text of the ``payload`` value
-    (the whole :meth:`TilePayload.to_dict` under the JSON framings, the
-    blob descriptor under ``"binary"``) and, for binary, the deflated
-    blob — is kept in ``tile.segments``, so it lives exactly as long as
-    the tile: a pyramid's tile table drops its tiles when the store is
+    (the whole :class:`TilePayload` under the JSON framings, the blob
+    descriptor under ``"binary"``) and, for binary, the deflated blob —
+    is kept in ``tile.segments``, so it lives exactly as long as the
+    tile: a pyramid's tile table drops its tiles when the store is
     written, and their segments with them.  (A reduced-fidelity tile
-    is a fresh object, sent by :func:`encode_wire`.)  ``payload`` is
-    the last key of a full-fidelity message's dict, so the segment
-    replaces the header's trailing ``null}``.
+    is a fresh object, sent by :func:`encode_wire`.)  The message's
+    generated writer splices the segment in as its payload's text.
     """
     if (
         not getattr(type(message), "binary_body", False)
@@ -1395,21 +1397,16 @@ def encode_tile_frame(
         # same bytes, and the dict assignment is atomic.
         segment = tile.segments[binary] = _encode_tile_segment(tile, binary)
     payload_text, blob = segment
-    header = encode(message).encode("utf-8")[: -len(b"null}")]
+    header = message.to_json(payload_text).encode("utf-8")
     if not binary:
-        return _frame_json(
-            b"".join((header, payload_text, b"}")), framing, max_frame_bytes
-        )
-    header_len = len(header) + len(payload_text) + 1
-    body_len = _LENGTH_HEADER.size + header_len + len(blob)
+        return _frame_json(header, framing, max_frame_bytes)
+    body_len = _LENGTH_HEADER.size + len(header) + len(blob)
     _check_frame_size(body_len, max_frame_bytes)
     return b"".join(
         (
             _BINARY_FRAME_HEADER.pack(_FRAME_KIND_BINARY, body_len),
-            _LENGTH_HEADER.pack(header_len),
+            _LENGTH_HEADER.pack(len(header)),
             header,
-            payload_text,
-            b"}",
             blob,
         )
     )
@@ -1450,9 +1447,7 @@ class FrameDecoder:
         max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
     ) -> None:
         if max_frame_bytes < 1:
-            raise ValueError(
-                f"max_frame_bytes must be >= 1, got {max_frame_bytes}"
-            )
+            raise ValueError(f"max_frame_bytes must be >= 1, got {max_frame_bytes}")
         self.framing = check_framing(framing, (*FRAMINGS, "binary"))
         self.max_frame_bytes = max_frame_bytes
         self._buffer = bytearray()

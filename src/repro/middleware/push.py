@@ -39,7 +39,6 @@ for the conformance suite and the perf-trajectory gate to pin.
 from __future__ import annotations
 
 import bisect
-import operator
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
@@ -52,10 +51,6 @@ from repro.tiles.tile import DataTile
 #: Cache-attribution label for tiles loaded on the push path (shows up
 #: in cache stats next to the per-model prefetch attributions).
 PUSH_MODEL = "push"
-
-#: A :class:`TileRef`'s place in ``TileKey`` order, as its field tuple: a
-#: bisect compares in C, and the dataclass has no order of its own.
-_KEY_ORDER = operator.attrgetter("level", "x", "y")
 
 #: Per-rank geometric confidence decay: the model's best guess gets
 #: utility 1.0, the next 0.8, then 0.64, ...  Chosen to keep several
@@ -441,7 +436,7 @@ class PushCache:
         entry = self._held.get(key)
         if entry is None:
             ref = TileRef.from_key(key)
-            bisect.insort(self._digest, ref, key=_KEY_ORDER)
+            bisect.insort(self._digest, ref)
         else:
             _, held, ref = entry
             if fidelity < held:
@@ -454,9 +449,7 @@ class PushCache:
         self.pushed += 1
         while len(self._held) > self.capacity:
             _, (_, _, ref) = self._held.popitem(last=False)
-            del self._digest[
-                bisect.bisect_left(self._digest, _KEY_ORDER(ref), key=_KEY_ORDER)
-            ]
+            del self._digest[bisect.bisect_left(self._digest, ref)]
             self.evicted += 1
 
     def probe(self, key: TileKey) -> "tuple[DataTile, float, TileRef] | None":

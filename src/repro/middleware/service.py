@@ -210,6 +210,8 @@ class ForeCacheService:
             )
         self.cache_manager = cache_manager
         self.engine_factory = engine_factory
+        #: ``policy.fidelity_enabled``, read once: every request asks.
+        self._fidelity = policy.fidelity_enabled
         #: The background worker pool, shared by every session: set
         #: exactly when ``policy.background``.
         self.scheduler: PrefetchScheduler | None = None
@@ -392,7 +394,7 @@ class ForeCacheService:
                 f"session {record.session_id!r} is closed",
                 session_id=str(record.session_id),
             )
-        if self.config.prefetch.fidelity_enabled and self._overloaded():
+        if self._fidelity and self._overloaded():
             degraded = self._degraded_response(record, move, key)
             if degraded is not None:
                 return degraded
@@ -471,7 +473,7 @@ class ForeCacheService:
         the round — latency accounting, observe/predict, prefetch
         scheduling — without re-entering the fetch path.
         """
-        if self.config.prefetch.fidelity_enabled:
+        if self._fidelity:
             with self._miss_lock:
                 if outcome.hit:
                     self._miss_streak = 0
@@ -617,10 +619,8 @@ class ForeCacheService:
         budget = self.config.prefetch.k
         merged: list[tuple[TileKey, str]] = []
         seen: set[TileKey] = set()
-        rank = 0
-        while len(merged) < budget and any(
-            rank < len(queue) for queue in queues
-        ):
+        rank, ranks = 0, max(map(len, queues), default=0)
+        while len(merged) < budget and rank < ranks:
             for queue in queues:
                 if rank < len(queue):
                     tile, model = queue[rank]

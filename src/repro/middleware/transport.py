@@ -36,6 +36,6 @@ def response_to_client(message) -> TileResponse:
         latency_seconds=message.latency_seconds,
         hit=message.hit,
         phase=message.to_phase(),
-        prefetched=tuple(ref.to_key() for ref in message.prefetched),
+        prefetched=protocol.prefetched_keys(message),
         fidelity=message.fidelity,
     )

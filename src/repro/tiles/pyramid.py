@@ -81,10 +81,11 @@ class TileGrid:
 
     def valid(self, key: TileKey) -> bool:
         """True if ``key`` exists in this pyramid."""
-        if not 0 <= key.level < self.num_levels:
+        level, x, y = key
+        if not 0 <= level < self.num_levels:
             return False
-        n = self.tiles_per_dim(key.level)
-        return 0 <= key.x < n and 0 <= key.y < n
+        n = 1 << level  # tiles_per_dim, the level already checked
+        return 0 <= x < n and 0 <= y < n
 
     def keys_at_level(self, level: int) -> Iterator[TileKey]:
         """Iterate all keys at one level in row-major order."""

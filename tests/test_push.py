@@ -212,7 +212,7 @@ class TestPushCacheDigest:
         for k in reversed(MODEL_KEYS):
             stub.push_cache.put(tiles[k])
         calls = {"lt": 0, "ref": 0}
-        lt, init = TileKey.__lt__, TileRef.__init__
+        lt, from_key = TileKey.__lt__, TileRef.from_key
 
         def counted(name, inner):
             def wrapper(*args, **kwargs):
@@ -222,7 +222,7 @@ class TestPushCacheDigest:
             return wrapper
 
         monkeypatch.setattr(TileKey, "__lt__", counted("lt", lt))
-        monkeypatch.setattr(TileRef, "__init__", counted("ref", init))
+        monkeypatch.setattr(TileRef, "from_key", counted("ref", from_key))
         message, held_tile = stub.request(Move.PAN_RIGHT, MODEL_KEYS[3])
         assert calls == {"lt": 0, "ref": 0}
         # A miss builds the one reference that was not held: the tile's.

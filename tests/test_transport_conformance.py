@@ -483,7 +483,7 @@ class TestFidelityOffConformance:
             latency_seconds=0.5,
             hit=True,
         )
-        assert "fidelity" not in response.to_dict()
+        assert "fidelity" not in json.loads(proto.encode(response))
         assert proto.decode(proto.encode(response)).fidelity == 1.0
         push = PushTile(
             session_id="s",
@@ -492,7 +492,7 @@ class TestFidelityOffConformance:
             generation=1,
             utility=1.0,
         )
-        assert "fidelity" not in push.to_dict()
+        assert "fidelity" not in json.loads(proto.encode(push))
         # A degraded frame carries the field; absent always means full.
         degraded = TileResponse(
             session_id="s",
@@ -501,7 +501,7 @@ class TestFidelityOffConformance:
             hit=True,
             fidelity=0.25,
         )
-        assert degraded.to_dict()["fidelity"] == 0.25
+        assert json.loads(proto.encode(degraded))["fidelity"] == 0.25
         assert proto.decode(proto.encode(degraded)).fidelity == 0.25
 
 
