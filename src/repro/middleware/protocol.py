@@ -1339,8 +1339,11 @@ def encode_wire(
     binary bodies and everything else as kind-0 JSON, both behind the
     ``kind byte + u32 length`` header.
     """
-    cls = type(message)
-    if framing == "binary" and getattr(cls, "binary_body", False) and message.payload is not None:
+    if (
+        framing == "binary"
+        and getattr(type(message), "binary_body", False)
+        and message.payload is not None
+    ):
         return encode_frame(encode_binary_message(message), framing, max_frame_bytes)
     return encode_frame(encode(message), framing, max_frame_bytes)
 
