@@ -190,18 +190,11 @@ def _expected(what: str, value) -> TypeError:
     return TypeError(f"expected {what}, got {got}")
 
 
-def _refuse_entry(read, entries) -> None:
-    """Raise what ``read`` raises on the first of ``entries`` it refuses."""
-    for entry in entries:
-        read(entry)
-
-
 _countOf = operator.countOf
 #: The names every generated codec may use.
 _CODEC_NAMES = dict(
     MISSING=MISSING, MALFORMED=_MALFORMED, InvalidRequestError=InvalidRequestError,
-    _expected=_expected, _refuse_entry=_refuse_entry, _quote=encode_basestring_ascii,
-    _dumps=json.dumps, _countOf=_countOf,
+    _expected=_expected, _quote=encode_basestring_ascii, _dumps=json.dumps, _countOf=_countOf,
 )
 
 
@@ -232,7 +225,8 @@ def _list_of(what: str, t: str, text: str) -> _Kind:
     written as ``text(entry)``); a tuple on this side."""
     return _Kind(
         "if type(v) is not list: raise _expected('a list', v)\n"
-        f"if _countOf(map(type, v), {t}) != len(v): _refuse_entry(read_{t}, v)\n"
+        f"if _countOf(map(type, v), {t}) != len(v):\n"
+        f"    for e in v: read_{t}(e)  # the first stray entry's refusal\n"
         "v = tuple(v)",
         f"'null' if v is None else '[%s]' % ', '.join(map({text}, v)) if type(v)"
         f" is tuple and _countOf(map(type, v), {t}) == len(v) else _dumps(v)",
@@ -395,10 +389,8 @@ class TileRef(tuple):
     y = _tuplegetter(2, "Row at this level.")
 
     def __getnewargs__(self) -> tuple[int, int, int]:
+        # pickle and copy rebuild a ref through __new__, checks included.
         return tuple(self)
-
-    def __repr__(self) -> str:
-        return f"TileRef(level={self[0]!r}, x={self[1]!r}, y={self[2]!r})"
 
     @classmethod
     def from_key(cls, key: TileKey) -> "TileRef":
@@ -429,7 +421,7 @@ _REFS = _Kind(
     "if type(v) is not list: raise _expected('a list', v)\n"
     "if (_countOf(map(type, v), list) != len(v) or _countOf(map(len, v), 3) != len(v)\n"
     "        or _countOf(map(type, _chain(v)), int) != 3 * len(v)):\n"
-    "    _refuse_entry(read_ref, v)\n"
+    "    for e in v: read_ref(e)  # the first stray entry's refusal\n"
     "v = tuple(map(new_ref, v))",
     "'null' if v is None else '[%s]' % ', '.join(map(ref_text, v)) if type(v)"
     " is tuple and _countOf(map(type, v), TileRef) == len(v) else _dumps(v)",
@@ -738,28 +730,20 @@ def _key_of(ref: TileRef) -> TileKey:
     return TileKey(*ref)
 
 
-def _keyed(ref: TileRef, message: "TileRequest | PushAck", what: str) -> TileKey:
-    """``ref`` as a key, or the typed refusal (with the session id) of a
-    reference no :class:`TileKey` can hold (a negative coordinate)."""
-    try:
-        return _key_of(ref)
-    except ValueError as exc:
-        raise InvalidRequestError(
-            f"invalid {what} reference {list(ref)}: {exc}", session_id=message.session_id
-        ) from None
-
-
 def requested_key(message: "TileRequest | PushAck", grid=None) -> TileKey:
     """The tile a ``tile_request`` / ``push_ack`` names, as a key.
 
-    A reference no :class:`TileKey` can hold or, given the serving
-    pyramid's ``grid``, one outside it is refused here — typed, with the
-    session id — before the session or the cache see it.
+    A reference no :class:`TileKey` can hold (a negative coordinate)
+    or, given the serving pyramid's ``grid``, one outside it is refused
+    here — typed, with the session id — before the session or the cache
+    see it.
     """
     try:
         key = _key_of(message.tile)
-    except ValueError:
-        key = _keyed(message.tile, message, "tile")  # raises, typed
+    except ValueError as exc:
+        raise InvalidRequestError(
+            f"invalid tile reference {list(message.tile)}: {exc}", session_id=message.session_id
+        ) from None
     if grid is not None and not grid.valid(key):
         raise InvalidRequestError(
             f"tile {key} is not in this pyramid", session_id=message.session_id
@@ -774,8 +758,16 @@ def held_keys(message: "TileRequest | PushAck") -> list[TileKey]:
     reference not keyed before constructs a :class:`TileKey`."""
     try:
         return list(map(_key_of, message.held))
-    except ValueError:  # name the first reference refused
-        return [_keyed(ref, message, "held tile") for ref in message.held]
+    except ValueError:
+        for ref in message.held:  # name the first reference refused
+            try:
+                _key_of(ref)
+            except ValueError as exc:
+                raise InvalidRequestError(
+                    f"invalid held tile reference {list(ref)}: {exc}",
+                    session_id=message.session_id,
+                ) from None
+        raise
 
 
 def prefetched_keys(message: "TileResponse") -> tuple[TileKey, ...]:

@@ -1,10 +1,12 @@
 """Wire-protocol round trips: every message survives JSON losslessly."""
 
 import ast
+import copy
 import functools
 import json
 import math
 import os
+import pickle
 import struct
 import subprocess
 import sys
@@ -87,6 +89,14 @@ class TestTileRef:
     def test_list_round_trip(self):
         ref = TileRef(2, 1, 3)
         assert TileRef.from_list(ref.to_list()) == ref
+
+    def test_pickle_and_copy_rebuild_a_ref_through_its_checks(self):
+        ref = TileRef(2, -1, 3)  # a peer's: no key can hold it
+        for again in (pickle.loads(pickle.dumps(ref)), copy.copy(ref), copy.deepcopy(ref)):
+            assert type(again) is TileRef and again == ref
+            assert (again.level, again.x, again.y) == (2, -1, 3)
+        with pytest.raises(TypeError, match=r"^expected \[level, x, y\], got \[float, int, int\]$"):
+            TileRef(2.0, 1, 3)
 
 
 class TestTilePayload:
