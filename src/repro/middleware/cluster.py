@@ -47,7 +47,10 @@ end speaking the *existing* wire protocol to clients:
   framed it**: a link speaks its client's wire, so the router reads only
   each frame's type tag (the text of a JSON frame, the header of a
   binary one), checks its size against its own budget and passes the
-  bytes on.  A tile is encoded once, by its worker.
+  bytes on.  A tile is encoded once, by its worker.  The relay runs on
+  callbacks: the client's connection starts the round trip on the link,
+  and the link's protocol hands the frames back — no task, future or
+  lock per relayed request.
 * A dead worker — or one that leaves a round trip unanswered past the
   deadline — surfaces as a typed ``worker_unavailable`` error and
   is removed from the ring, which moves its sessions — and no others —
@@ -64,7 +67,7 @@ once per cluster (``experiments/backend_loads.py`` counts it, the
 README's "Cluster mode" has the throughput figures).
 
 Protocol logic is shared, not copied: the router serves its clients
-with the worker's own serve loop (:class:`~repro.middleware.net._WireServer`)
+with the worker's own shell (:class:`~repro.middleware.net._ServedConnection`)
 and :class:`~repro.middleware.connection.ServerConnection` core — same
 dispatch guard, same handshake, same typed replies — supplying only its
 message handlers and the capabilities its workers share; each backend
@@ -98,6 +101,7 @@ import contextlib
 import hashlib
 import multiprocessing
 from dataclasses import dataclass, replace
+from functools import partial
 
 from repro.middleware.config import ServiceConfig
 from repro.middleware.connection import (
@@ -109,7 +113,6 @@ from repro.middleware.connection import (
 from repro.middleware.net import (
     ForeCacheSocketServer,
     ThreadedSocketServer,
-    _READ_CHUNK,
     _LoopThread,
     _WireServer,
     _cap_reads,
@@ -246,18 +249,16 @@ class ConsistentHashRing:
 # ----------------------------------------------------------------------
 # backend links
 # ----------------------------------------------------------------------
-class _BackendLink:
-    """One router→worker connection speaking the wire protocol.
-
-    The router is a *client* of each worker: the link is one more I/O
-    shell around a :class:`~repro.middleware.connection.ClientConnection`,
-    differing from the user-facing clients in two decisions — push
-    frames are collected for forwarding rather than absorbed, and a
-    relayed round's frames come back unopened
-    (:class:`~repro.middleware.connection.OpaqueFrame`).  It speaks
-    exactly what its client was granted, so those frames go on to the
-    client as they are.  A link dies the moment a stream operation fails
-    or a round trip outlasts ``_ROUNDTRIP_DEADLINE_SECONDS``; death is
+class _BackendLink(asyncio.Protocol):
+    """One router→worker connection: one more I/O shell around a
+    :class:`~repro.middleware.connection.ClientConnection`, on asyncio's
+    protocol callbacks.  Unlike a user-facing client it collects push
+    frames for forwarding, and a relayed round's frames stay unopened
+    (:class:`~repro.middleware.connection.OpaqueFrame`); it speaks what
+    its client was granted, so they go on as they are (:meth:`forward`).
+    One round trip is out at a time (:meth:`begin`).  The link dies when
+    the worker goes away, sends a frame nobody asked for, or leaves a
+    round trip unanswered past ``_ROUNDTRIP_DEADLINE_SECONDS``; death is
     sticky and converts to the typed ``worker_unavailable`` error so the
     real client can retry (the ring will have re-mapped the key by then).
     """
@@ -279,25 +280,30 @@ class _BackendLink:
         self.dead = False
         self._stalled = False
         self._core = ClientConnection(framing, max_frame_bytes)
-        self._reader: asyncio.StreamReader | None = None
-        self._writer: asyncio.StreamWriter | None = None
-        self._lock = asyncio.Lock()
+        #: The router's own budget, which each forwarded frame is held to.
+        self._max_frame_bytes = max_frame_bytes
+        self._loop: asyncio.AbstractEventLoop | None = None
+        self._transport: asyncio.Transport | None = None
+        #: What takes the outcome of the round trip out, if one is, and
+        #: how its frames are read.
+        self._done = None
+        self._decode = self._unsolicited
+        self._pushes: list = []
+        self._deadline: asyncio.TimerHandle | None = None
 
     push = _core_attribute("push_enabled")
     payload = _core_attribute("payload")
     server_max_frame_bytes = _core_attribute("server_max_frame_bytes")
 
     async def connect(self, *, push: bool = False, binary: bool = False) -> Welcome:
+        self._loop = loop = asyncio.get_running_loop()
         try:
-            self._reader, self._writer = await asyncio.open_connection(
-                self.host, self.port
-            )
+            await loop.create_connection(lambda: self, self.host, self.port)
         except OSError as exc:
             self.dead = True
             raise WorkerUnavailableError(
                 f"worker {self.node} is unreachable: {exc}"
             ) from exc
-        _cap_reads(self._writer)
         hello = self._core.hello(
             self.client_name, push=push, payload="binary" if binary else "json"
         )
@@ -311,70 +317,93 @@ class _BackendLink:
             ) from exc
 
     async def roundtrip(self, message, *, opaque: bool = False):
-        """Send one message, return ``(reply, pushes)``.
+        """Send one message, return ``(reply, pushes)`` — with
+        ``opaque``, :class:`OpaqueFrame` s, only their type tags read."""
+        future = self._loop.create_future()
+        self.begin(message, decode_opaque if opaque else decode_wire, future.set_result)
+        outcome = await future
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
 
-        Push frames streamed ahead of the reply are collected and
-        returned for forwarding.  With ``opaque`` every frame comes back
-        as an :class:`OpaqueFrame`, only its type tag read.  Any stream
-        failure, an unparseable frame, or a worker that does not answer
-        within the deadline marks the link dead and raises the typed
-        worker-down error.
-        Framing happens *before* the failure guard: an oversized
-        outgoing frame is a local, recoverable error — not worker death.
-        """
-        if self.dead or self._writer is None:
+    def begin(self, message, decode, done) -> None:
+        """Send ``message``; ``done`` gets ``(reply, pushes)``, each frame
+        read by ``decode``, or the worker-down error.  What fails before
+        a byte is sent raises here (an oversized frame is local)."""
+        if self.dead or self._transport is None:
             raise WorkerUnavailableError(f"worker {self.node} is down")
-        core = self._core
-        data = core.begin(message)
-        decode = decode_opaque if opaque else decode_wire
-        pushes: list = []
-        # The deadline aborts the transport, which fails the pending
-        # drain/read below like any other connection loss.
-        deadline = asyncio.get_running_loop().call_later(
+        data = self._core.begin(message)
+        self._decode, self._done = decode, done
+        self._transport.write(data)
+        self._deadline = self._loop.call_later(
             _ROUNDTRIP_DEADLINE_SECONDS, self._stall
         )
+
+    def forward(self, frame: OpaqueFrame) -> "bytes | ErrorInfo":
+        """A worker's frame for the client: as it is, if in budget."""
         try:
-            async with self._lock:
-                self._writer.write(data)
-                await self._writer.drain()
-                while (reply := core.reply(decode, pushes.append)) is None:
-                    core.receive(await self._reader.read(_READ_CHUNK))
-                return reply, pushes
-        except (ConnectionError, OSError, ProtocolError) as exc:
-            self._die()
-            reason = (
-                f"gave no answer within {_ROUNDTRIP_DEADLINE_SECONDS:g} s"
-                if self._stalled
-                else f"died mid-request: {exc}"
-            )
-            raise WorkerUnavailableError(
-                f"worker {self.node} {reason}"
-            ) from exc
-        finally:
-            deadline.cancel()
+            return encode_frame(frame.body, self._core.wire, self._max_frame_bytes)
+        except FrameTooLargeError as exc:
+            return ErrorInfo.from_exception(exc)
+
+    def _unsolicited(self, frame):
+        raise ProtocolError("worker sent a frame no request asked for")
+
+    def connection_made(self, transport: asyncio.Transport) -> None:
+        _cap_reads(transport)
+        self._transport = transport
+
+    def data_received(self, data: bytes) -> None:
+        core = self._core
+        try:
+            core.receive(data)
+            reply = core.reply(self._decode, self._pushes.append)
+            if reply is not None:
+                core.reply(self._unsolicited)  # nothing may follow it
+        except ProtocolError as exc:
+            self._fail(exc)
+            return
+        if reply is not None:
+            pushes, self._pushes = self._pushes, []
+            self._finish((reply, pushes))
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        if not self.dead:
+            self._fail(exc or ProtocolError("server closed the connection"))
 
     def _stall(self) -> None:
         self._stalled = True
-        if self._writer is not None:
-            self._writer.transport.abort()
+        self._fail(TimeoutError())
+
+    def _fail(self, exc: BaseException) -> None:
+        self._die()
+        if self._done is None:
+            return
+        reason = (
+            f"gave no answer within {_ROUNDTRIP_DEADLINE_SECONDS:g} s"
+            if self._stalled
+            else f"died mid-request: {exc}"
+        )
+        error = WorkerUnavailableError(f"worker {self.node} {reason}")
+        error.__cause__ = exc
+        self._finish(error)
+
+    def _finish(self, outcome) -> None:
+        self._deadline.cancel()
+        done, self._done = self._done, None
+        self._decode = self._unsolicited
+        done(outcome)
 
     def _die(self) -> None:
         self.dead = True
-        if self._writer is not None:
-            with contextlib.suppress(Exception):
-                self._writer.close()
-            self._writer = None
+        if self._transport is not None:
+            self._transport.abort()
 
-    async def aclose(self) -> None:
-        writer, self._writer = self._writer, None
+    def close(self) -> None:
         self.dead = True
-        if writer is not None:  # else never connected, or already died
-            with contextlib.suppress(Exception):
-                writer.close()
-                # A dead peer (SIGKILLed worker) may never complete
-                # the close handshake; don't hang shutdown on it.
-                with contextlib.suppress(asyncio.CancelledError):
-                    await asyncio.wait_for(writer.wait_closed(), 5)
+        transport, self._transport = self._transport, None
+        if transport is not None:  # else never connected
+            transport.close()
 
 
 class _RouterClient(ServerConnection):
@@ -443,7 +472,7 @@ class TileServiceRouter(_WireServer):
                     push=True, binary="binary" in self.config.payloads
                 )
             finally:
-                await link.aclose()
+                link.close()
             probes.append(link)
             self._alive.add(node)
             self.ring.add(node)
@@ -482,9 +511,11 @@ class TileServiceRouter(_WireServer):
     # -- client serving (the loop itself is _WireServer's) --------------
     _connection_core = _RouterClient
 
-    async def _release(self, state: _RouterClient) -> None:
+    _may_wait = True  # lifecycle messages wait on their round trips
+
+    def _release(self, state: _RouterClient) -> None:
         for link in state.links.values():
-            await link.aclose()
+            link.close()
         state.links.clear()
 
     # -- handshake -----------------------------------------------------
@@ -507,7 +538,7 @@ class TileServiceRouter(_WireServer):
             if welcome is None or (welcome.push, welcome.payload) != (push, payload):
                 # Refused, or granted a wire other than this client's:
                 # the link could not forward its worker's frames as is.
-                await link.aclose()
+                link.close()
                 self._mark_worker_dead(node)
                 continue
             state.links[node] = link
@@ -586,46 +617,58 @@ class TileServiceRouter(_WireServer):
             del state.sessions[message.session_id]
 
     # -- the request path ----------------------------------------------
-    async def _relay(
-        self, message: "TileRequest | PushAck", state: _RouterClient
-    ) -> list:
-        """One round trip to the worker the message's session lives on:
-        its push frames, then its reply, framed for the client as the
-        worker framed them.
+    def _relay(self, message: "TileRequest | PushAck", state: _RouterClient):
+        """One round trip to the worker the session lives on: its push
+        frames, then its reply, as the worker framed them (the link
+        speaks the client's wire; each frame is only held to this
+        router's budget).  While the node the session was opened on is
+        alive it owns the session — the ring only shrinks, and a key's
+        owner moves only when its node leaves — and the round trip runs
+        on its link, ending by callback."""
+        node = state.sessions[message.session_id]
+        if node not in self._alive:
+            return self._relay_to_owner(message, state)
+        return partial(self._relay_on, state.links[node], message)
 
-        The link speaks exactly the client's wire (:meth:`_serve_hello`),
-        so nothing is decoded or encoded here: each frame is re-checked
-        against this router's own budget and goes on unchanged.  The
-        client's decoder validates every byte of it.
-        """
-        session_id = message.session_id
-        node = self.ring.owner(session_id)
+    def _relay_on(self, link: _BackendLink, message, deliver) -> None:
+        def done(outcome):
+            deliver(self._relayed(link, message.session_id, outcome))
+
         try:
-            reply, pushes = await self._roundtrip(node, message, state, opaque=True)
+            link.begin(message, decode_opaque, done)
         except WorkerUnavailableError as exc:
-            self._mark_worker_dead(node)
-            raise WorkerUnavailableError(
-                f"{exc} (safe to retry: the ring has re-mapped session "
-                f"{session_id!r})",
-                session_id=session_id,
-            ) from exc
-        return [self._forward(frame, state) for frame in (*pushes, reply)]
+            raise self._relayed(link, message.session_id, exc) from exc
 
-    def _forward(self, frame: OpaqueFrame, state: _RouterClient) -> "bytes | ErrorInfo":
+    async def _relay_to_owner(self, message, state: _RouterClient) -> list:
+        """:meth:`_relay` of a session whose node has left the ring,
+        opened on its new owner first (where it goes on amnesic)."""
+        node = self.ring.owner(message.session_id)
         try:
-            return encode_frame(frame.body, state.wire, self.config.max_frame_bytes)
-        except FrameTooLargeError as exc:
-            return ErrorInfo.from_exception(exc)
+            outcome = await self._roundtrip(node, message, state, opaque=True)
+        except WorkerUnavailableError as exc:
+            raise self._relayed(state.links[node], message.session_id, exc) from exc
+        return self._relayed(state.links[node], message.session_id, outcome)
 
-    async def _serve_request(
-        self, message: TileRequest, state: _RouterClient
-    ):
+    def _relayed(self, link: _BackendLink, session_id: str, outcome):
+        """A relayed outcome as the client gets it: the frames, or the
+        typed error, its worker dropped from the ring."""
+        if not isinstance(outcome, WorkerUnavailableError):
+            reply, pushes = outcome
+            return [*map(link.forward, pushes), link.forward(reply)]
+        self._mark_worker_dead(link.node)
+        return WorkerUnavailableError(
+            f"{outcome} (safe to retry: the ring has re-mapped session "
+            f"{session_id!r})",
+            session_id=session_id,
+        )
+
+    def _serve_request(self, message: TileRequest, state: _RouterClient):
         state.require_session(message.session_id)
-        return await self._relay(message, state)
+        return self._relay(message, state)
 
-    async def _serve_ack(self, message: PushAck, state: _RouterClient):
+    def _serve_ack(self, message: PushAck, state: _RouterClient):
         state.require_push(state.require_session(message.session_id))
-        return await self._relay(message, state)
+        return self._relay(message, state)
 
 
 # ----------------------------------------------------------------------

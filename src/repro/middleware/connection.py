@@ -13,9 +13,9 @@ sessions the connection may address.  Nothing here moves a byte: this
 module imports no ``socket``, ``asyncio``, ``threading`` or
 ``selectors`` (a structural test asserts it).
 
-A *transport* is the I/O shell around one :class:`ClientConnection` —
-:class:`~repro.middleware.net.SocketTransport` (blocking sockets) and
-the cluster router's backend link (asyncio streams) run the same loop::
+A *transport* is the I/O shell around one :class:`ClientConnection`.
+:class:`~repro.middleware.net.SocketTransport` (blocking sockets) runs
+this loop::
 
     try:
         while not core.settle():           # a posted ack's reply is owed
@@ -33,11 +33,14 @@ A session client that finds its tile in the push cache *posts* its
 ``push_ack`` instead — ``send(core.post(message, settled))``, no read —
 and returns the held tile: think time, not the user, waits for the
 server's round, and the next exchange (any session's) settles first.
-The router's link never posts, so its loop has no settle step.
+The cluster router's backend link runs the same steps on asyncio's
+protocol callbacks: ``begin`` and send when a round trip starts,
+``receive`` and ``reply`` on each read until the reply is there.  It
+never posts, so it has no settle step.
 
-The one shell around :class:`ServerConnection` is the serve loop the
+The one shell around :class:`ServerConnection` is the protocol the
 socket server and the cluster router share
-(:meth:`~repro.middleware.net._WireServer._serve_connection`): per read,
+(:class:`~repro.middleware.net._ServedConnection`): per read,
 ``receive``; per frame, ``admit``, the endpoint's handler, then ``send``
 for each reply — or ``refuse`` for whatever either raised.
 
@@ -114,9 +117,10 @@ class ClientConnection:
     """The protocol state of one client connection.
 
     The protocol is strict request/reply, so the owner serializes
-    :meth:`begin` … :meth:`reply` pairs (the transports hold a lock
-    around them).  ``wire_tap=True`` also records every byte framed and
-    fed (conformance tests assert whole streams byte-identical across
+    :meth:`begin` … :meth:`reply` pairs (the socket transport holds a
+    lock around them; the router's link starts one when the last ended).
+    ``wire_tap=True`` also records every byte framed and fed
+    (conformance tests assert whole streams byte-identical across
     negotiation outcomes).
     """
 

@@ -17,8 +17,8 @@ The server calls the facade on its event loop.  Only work that can
 wait outside the interpreter leaves the loop for the server's bridge
 pool, and that is decided once, from
 :attr:`~repro.cache.manager.CacheManager.backend_can_block`: over a
-backend that cannot block a request is one ``service.request(...)``,
-with no thread hop.
+backend that cannot block a request is one ``service.request(...)``
+inside the read that brought it: no thread hop, task or future.
 
 Each connection opens with a ``hello``/``welcome`` version negotiation,
 then drives sessions through the ``open_session``/``close_session``
@@ -33,8 +33,9 @@ stream is answered and the connection keeps serving.
 A second ``hello`` on a negotiated connection is refused with a typed
 ``invalid_request`` and changes nothing.  Those rules are the
 :class:`~repro.middleware.connection.ServerConnection` core's; the one
-serve loop around it, :class:`_WireServer`, moves the bytes and runs
-the endpoint's handlers, and the cluster router runs it too.
+shell around it, :class:`_ServedConnection` (an :class:`asyncio.Protocol`
+per connection), moves the bytes and runs the endpoint's handlers, and
+the cluster router runs it too.
 
 The client is :class:`SocketTransport` (blocking sockets), multiplexing
 any number of sessions over one connection.  It holds no protocol
@@ -78,8 +79,8 @@ from repro.middleware.protocol import (
     PushTile,
     SessionClosedError,
     TilePayload,
-    TileRef,
     TileRequest,
+    _new_ref,
     check_framing,
     encode_tile_frame,
     encode_wire,
@@ -103,8 +104,8 @@ _READ_CHUNK = 65536
 _BRIDGE_THREADS = 8
 
 
-def _cap_reads(writer: asyncio.StreamWriter) -> None:
-    """Make the stream's transport ``recv`` at most :data:`_READ_CHUNK`.
+def _cap_reads(transport: asyncio.Transport) -> None:
+    """Make ``transport`` ``recv`` at most :data:`_READ_CHUNK`.
 
     asyncio's selector transport reads ``sock.recv(max_size)`` on every
     readable event, 256 KiB by default.  A buffer that size is above
@@ -114,26 +115,187 @@ def _cap_reads(writer: asyncio.StreamWriter) -> None:
     would pay ``mmap`` + ``mremap`` + ``munmap`` and fresh page faults.
     Below the threshold the buffer comes from the heap.
     """
-    writer.transport.max_size = _READ_CHUNK
+    transport.max_size = _READ_CHUNK
+
+
+class _ServedConnection(asyncio.Protocol):
+    """The I/O shell around one client's
+    :class:`~repro.middleware.connection.ServerConnection`, on asyncio's
+    protocol callbacks: per read the core cuts frames, per frame it
+    admits one and the endpoint's handler serves it, and all the read
+    produced leaves in one ``writelines``.  While a dispatch is out (a
+    task, or a handler ending by callback) later frames wait, a read
+    arriving meanwhile is held unopened and reading pauses; backed-up
+    writes pause reading too.  The connection ends — closes, then runs
+    the endpoint's ``_release`` — once nothing is out after a hang-up,
+    the client's EOF or loss, or shutdown (:meth:`leave`).
+    """
+
+    def __init__(self, server: "_WireServer") -> None:
+        self.server = server
+        self.conn = server._connection_core(
+            server.framing, server.config.max_frame_bytes
+        )
+        self.transport: asyncio.Transport | None = None
+        #: The read's frames still to dispatch, and what the others made.
+        self._frames = iter(())
+        self._out: list = []
+        self._busy = False  # a dispatch is out
+        self._task: asyncio.Task | None = None
+        self._held: bytes | None = None  # a read that came meanwhile
+        self._reading = True
+        self._blocked = False  # writes are backed up
+        self._ending = False
+        self._ended = False
+
+    def connection_made(self, transport: asyncio.Transport) -> None:
+        _cap_reads(transport)
+        self.transport = transport
+        self.server._connections.add(self)
+        if self.server._closing:
+            self.leave()
+
+    def data_received(self, data: bytes) -> None:
+        if self._busy:
+            self._held = data
+            self._pause_reading()
+            return
+        try:
+            frames = self.conn.receive(data)
+        except ProtocolError as exc:
+            frames = ()
+            self._refuse(exc)
+        self._frames = iter(frames)
+        self._dispatch()
+
+    def eof_received(self) -> bool:
+        self.leave()
+        return True  # the transport is closed by _end
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        self.leave()
+
+    def pause_writing(self) -> None:
+        self._blocked = True
+        self._pause_reading()
+
+    def resume_writing(self) -> None:
+        self._blocked = False
+        self._next()
+
+    def _dispatch(self) -> None:
+        """Serve the read's remaining frames, then write what they made
+        — unless one has to wait: its end (:meth:`_resume`) goes on."""
+        server, conn, out = self.server, self.conn, self._out
+        handlers = server._HANDLERS
+        for frame in self._frames:
+            try:
+                message = conn.admit(frame)
+                work = getattr(server, handlers[type(message)])(message, conn)
+                if callable(work) or server._may_wait:
+                    self._wait(work)
+                    return
+                try:  # run to completion: it has nothing to wait on
+                    work.send(None)
+                except StopIteration as done:
+                    work = done.value
+                else:
+                    work.close()
+                    raise RuntimeError("a handler waited where nothing may")
+            except Exception as exc:
+                # The guard's or the handler's: one typed reply.
+                if self._refuse(exc):
+                    break
+            else:
+                out.extend(map(conn.send, work))
+        self._flush()
+
+    def _wait(self, work) -> None:
+        if callable(work):
+            work(self._resume)  # raises what fails to start
+        else:
+            self._task = asyncio.ensure_future(self._await(work))
+        self._busy = True
+
+    async def _await(self, work) -> None:
+        try:
+            outcome = await work
+        except Exception as exc:
+            outcome = exc
+        self._resume(outcome)
+
+    def _resume(self, outcome) -> None:
+        """The dispatch out ended: ``outcome`` is its replies or the
+        exception to refuse."""
+        self._busy = False
+        self._task = None
+        if isinstance(outcome, Exception):
+            if self._refuse(outcome):
+                self._frames = iter(())
+        else:
+            self._out.extend(map(self.conn.send, outcome))
+        self._dispatch()
+
+    def _refuse(self, exc: Exception) -> bool:
+        """Queue the typed reply to ``exc``; True if it hangs up."""
+        refusal, hang_up = self.conn.refuse(exc)
+        self._out.append(refusal)
+        self._ending |= hang_up
+        return hang_up
+
+    def _flush(self) -> None:
+        if self._out:
+            self.transport.writelines(self._out)
+            self._out = []
+        if self._ending or not self._reading:
+            self._next()
+
+    def _next(self) -> None:
+        """Unless held back: end, serve a held read, or read again."""
+        if self._busy:
+            return
+        if self._ending:
+            self._end()
+        elif self._blocked:
+            return
+        elif self._held is not None:
+            held, self._held = self._held, None
+            self.data_received(held)
+        elif not self._reading:
+            self._reading = True
+            self.transport.resume_reading()
+
+    def _pause_reading(self) -> None:
+        if self._reading:
+            self._reading = False
+            self.transport.pause_reading()
+
+    def leave(self) -> None:
+        """End once nothing is out; what is unread is dropped."""
+        self._ending = True
+        self._next()
+
+    def _end(self) -> None:
+        if self._ended:
+            return
+        self._ended = True
+        self._held = None
+        self.transport.close()  # flushes what was written, reads no more
+        try:
+            self.server._release(self.conn)
+        finally:
+            self.server._left(self)
 
 
 class _WireServer:
-    """The I/O shell around one
-    :class:`~repro.middleware.connection.ServerConnection` per client.
-
-    The one serve loop under both :class:`ForeCacheSocketServer` and the
-    cluster's :class:`~repro.middleware.cluster.TileServiceRouter`: one
-    awaited read per turn, the core cuts and admits, the endpoint's
-    handler runs, one batched write per read, cleanup — and the one
-    shutdown, :meth:`_stop_serving`, which reaches an idle connection
-    through its reader: ``feed_eof()`` wakes the pending ``read`` with
-    ``b""`` and the connection leaves by the orderly-EOF branch; one in
-    mid-dispatch is left alone, flushes its reply and leaves at the
-    loop top.  No task is created per read to race the two.  An endpoint
-    supplies ``framing``, its ``config`` — the address it binds
-    (:meth:`_listen`), its frame budget and the payloads it grants — the
-    name its welcome gives, its message handlers (``_HANDLERS``) and
-    what a finished connection leaves behind (:meth:`_release`).
+    """The serving endpoint under :class:`ForeCacheSocketServer` and
+    :class:`~repro.middleware.cluster.TileServiceRouter`: one
+    :class:`_ServedConnection` per client, and the one shutdown,
+    :meth:`_stop_serving`.  An endpoint supplies ``framing``, its
+    ``config`` (address, frame budget, payloads), the name its welcome
+    gives, its handlers (``_HANDLERS``), whether they may wait
+    (``_may_wait``) and what a finished connection leaves behind
+    (:meth:`_release`).
     """
 
     framing: str
@@ -141,6 +303,9 @@ class _WireServer:
     server_name: str
     #: What a fresh connection's protocol state is built from.
     _connection_core = ServerConnection
+    #: Whether a handler coroutine may wait, and so runs as a task;
+    #: where it may not, it runs inside the read that brought its frame.
+    _may_wait = False
 
     def __init__(self) -> None:
         #: ``(host, port)`` actually bound, available after ``start()``
@@ -148,11 +313,9 @@ class _WireServer:
         self.address: tuple[str, int] | None = None
         self._server: asyncio.AbstractServer | None = None
         self._closing = False
-        #: Each live connection's serving task, and the reader it is
-        #: blocked on while idle (None while it serves what it read).
-        self._connections: dict[
-            asyncio.Task, asyncio.StreamReader | None
-        ] = {}
+        self._connections: set[_ServedConnection] = set()
+        #: Set by :meth:`_stop_serving` once the last one has left.
+        self._drained: asyncio.Future | None = None
 
     @property
     def connection_count(self) -> int:
@@ -162,35 +325,41 @@ class _WireServer:
     async def _listen(self) -> tuple[str, int]:
         """Bind ``config.bind_host`` / ``bind_port`` and start accepting;
         returns the bound ``address``."""
-        self._server = await asyncio.start_server(
-            self._serve_connection, self.config.bind_host, self.config.bind_port
+        self._server = await asyncio.get_running_loop().create_server(
+            lambda: _ServedConnection(self), self.config.bind_host, self.config.bind_port
         )
         self.address = self._server.sockets[0].getsockname()[:2]
         return self.address
 
     async def _stop_serving(self) -> None:
-        """Stop accepting, then wait until every connection has left:
-        an idle one promptly, one in mid-dispatch after its reply is
-        flushed; each has run its :meth:`_release` by the time this
-        returns."""
+        """Stop accepting, then wait until every connection has left —
+        an idle one at once, one in mid-dispatch once its reply is
+        written — and run its :meth:`_release`, leaving no task."""
         self._closing = True
-        for reader in self._connections.values():
-            if reader is not None:
-                reader.feed_eof()
         if self._server is not None:
             self._server.close()
-            await self._server.wait_closed()
+        for connection in list(self._connections):
+            connection.leave()
         if self._connections:
-            await asyncio.gather(*self._connections, return_exceptions=True)
+            self._drained = asyncio.get_running_loop().create_future()
+            await self._drained
+        if self._server is not None:
+            await self._server.wait_closed()
+
+    def _left(self, connection: _ServedConnection) -> None:
+        self._connections.discard(connection)
+        drained = self._drained
+        if not self._connections and drained is not None and not drained.done():
+            drained.set_result(None)
 
     #: The message types a client may send (the core's
-    #: ``CLIENT_MESSAGES``), and the endpoint coroutine
-    #: ``handler(message, conn)`` serving each.  A handler returns
-    #: everything its message produces, in wire order — zero or more
-    #: pre-encoded ``push_tile`` frames *followed by* the actual reply,
-    #: so push delivery is deterministic (fixed interleaving, no
-    #: background writer task) — or raises, which becomes the typed
-    #: error reply.  ``_serve_hello`` answers ``[conn.welcome(...)]``.
+    #: ``CLIENT_MESSAGES``) and the handler ``handler(message, conn)``
+    #: serving each.  It returns a coroutine returning the replies, or
+    #: ``start(deliver)``, which starts work that ends by calling
+    #: ``deliver`` once with the replies or the exception to refuse.
+    #: The replies are everything the message produces in wire order:
+    #: pre-encoded ``push_tile`` frames, then the reply (no background
+    #: writer).  What a handler raises is answered with the typed error.
     _HANDLERS = {
         Hello: "_serve_hello",
         OpenSession: "_serve_open",
@@ -199,71 +368,9 @@ class _WireServer:
         PushAck: "_serve_ack",
     }
 
-    async def _release(self, conn: ServerConnection) -> None:
+    def _release(self, conn: ServerConnection) -> None:
         """Drop what a finished connection leaves behind."""
         raise NotImplementedError
-
-    async def _serve_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        _cap_reads(writer)
-        conn = self._connection_core(self.framing, self.config.max_frame_bytes)
-        task = asyncio.current_task()
-        connections = self._connections
-        connections[task] = None
-        try:
-            while not self._closing:
-                connections[task] = reader
-                try:
-                    data = await reader.read(_READ_CHUNK)
-                except (ConnectionError, OSError):
-                    break  # client vanished mid-read
-                connections[task] = None
-                if not data:
-                    break  # orderly EOF, or shutdown fed one
-                # Everything this read-batch produces — push frames and
-                # replies across every completed frame — leaves in a
-                # single writelines+drain (the writev-style batching
-                # that keeps small frames from paying a syscall each).
-                out: list[bytes] = []
-                hang_up = False
-                try:
-                    frames = conn.receive(data)
-                except ProtocolError as exc:
-                    frames = ()
-                    refusal, hang_up = conn.refuse(exc)
-                    out.append(refusal)
-                for frame in frames:
-                    try:
-                        message = conn.admit(frame)
-                        handler = getattr(self, self._HANDLERS[type(message)])
-                        replies = await handler(message, conn)
-                    except Exception as exc:
-                        # The guard's or the handler's: one typed reply.
-                        refusal, hang_up = conn.refuse(exc)
-                        out.append(refusal)
-                        if hang_up:
-                            break
-                    else:
-                        out.extend(map(conn.send, replies))
-                if out:
-                    try:
-                        writer.writelines(out)
-                        await writer.drain()
-                    except (ConnectionError, OSError):
-                        break  # client vanished mid-write
-                if hang_up:
-                    break
-        finally:
-            try:
-                # The transport stops reading first: a reader that
-                # shutdown fed an EOF must be fed nothing after it.
-                writer.close()
-                await self._release(conn)
-                with contextlib.suppress(Exception):
-                    await writer.wait_closed()
-            finally:
-                del connections[task]
 
 
 # ----------------------------------------------------------------------
@@ -303,6 +410,8 @@ class ForeCacheSocketServer(_WireServer):
             max_workers=_BRIDGE_THREADS, thread_name_prefix="forecache-bridge"
         )
         self._backend_blocks = service.cache_manager.backend_can_block
+        # Over a backend that cannot block no handler waits on anything.
+        self._may_wait = self._backend_blocks
         # Sync-mode prefetch runs the whole cycle inside a request's
         # post-fetch half, so over a backend that can block that half
         # leaves the loop too; in background mode (or with prefetch off)
@@ -491,18 +600,8 @@ class ForeCacheSocketServer(_WireServer):
             result = service.local_hit(*args)
         # Payload-less by construction: the client asked because it
         # already holds the tile.
-        response = protocol.TileResponse(
-            session_id=session_id,
-            tile=message.tile,
-            latency_seconds=result.latency_seconds,
-            hit=result.hit,
-            phase=(
-                result.phase.value if result.phase is not None else None
-            ),
-            prefetched=tuple(
-                TileRef.from_key(k) for k in result.prefetched
-            ),
-            payload=None,
+        response = protocol.TileResponse.from_result(
+            session_id, result, False, ref=message.tile
         )
         messages: list = list(await self._push_messages(session_id, conn))
         messages.append(response)
@@ -543,26 +642,22 @@ class ForeCacheSocketServer(_WireServer):
                 # the full tile's wire bytes.  The refinement job queued
                 # behind it re-streams the tile at full resolution.
                 tile = downsample_tile(tile, COARSE_REDUCTION)
-            push = PushTile(
+            full = job.fidelity == 1.0
+            push = object.__new__(PushTile)  # in one step, as from_dict
+            push.__dict__.update(
                 session_id=session_id,
-                tile=TileRef.from_key(job.key),
+                tile=_new_ref(job.key),
                 rank=job.rank,
                 generation=generation,
                 utility=job.utility,
+                payload=None if full else TilePayload.from_tile(tile, binary=binary),
                 fidelity=job.fidelity,
             )
             try:
-                if job.fidelity == 1.0:
+                if full:
                     frame = self._tile_frame(push, tile, conn)
                 else:
-                    frame = encode_wire(
-                        replace(
-                            push,
-                            payload=TilePayload.from_tile(tile, binary=binary),
-                        ),
-                        framing,
-                        self.config.max_frame_bytes,
-                    )
+                    frame = encode_wire(push, framing, self.config.max_frame_bytes)
             except FrameTooLargeError:
                 # This tile can never fit a frame; skip it without
                 # charging the round's budget.
@@ -589,7 +684,7 @@ class ForeCacheSocketServer(_WireServer):
             return resident
         return await self._call(manager.prefetch_one, key, PUSH_MODEL)
 
-    async def _release(self, conn: ServerConnection) -> None:
+    def _release(self, conn: ServerConnection) -> None:
         """Drop the sessions a finished connection leaves behind."""
         for session_id in list(conn.sessions):
             if self.push_scheduler is not None:

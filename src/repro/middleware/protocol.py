@@ -643,20 +643,27 @@ class TileResponse:
 
     @classmethod
     def from_result(
-        cls, session_id: str, result, include_payload: bool = True, *, binary: bool = False
+        cls,
+        session_id: str,
+        result,
+        include_payload: bool = True,
+        *,
+        binary: bool = False,
+        ref: "TileRef | None" = None,
     ) -> "TileResponse":
-        """Build the wire form of an in-process ``TileResponse``, in one
-        step as :meth:`from_dict` builds one."""
-        phase, tile = result.phase, result.tile
+        """Build the wire form of an in-process ``TileResponse`` — or,
+        given the ``ref`` of the tile it answers, of a payload-less
+        ``PushHitResult`` — in one step as :meth:`from_dict` builds one."""
+        phase = result.phase
         message = object.__new__(cls)
         message.__dict__.update(
             session_id=session_id,
-            tile=_new_ref(tile.key),
+            tile=_new_ref(result.tile.key) if ref is None else ref,
             latency_seconds=result.latency_seconds,
             hit=result.hit,
             phase=phase._value_ if phase is not None else None,  # no enum frames
             prefetched=tuple(map(_new_ref, result.prefetched)),
-            payload=TilePayload.from_tile(tile, binary=binary) if include_payload else None,
+            payload=TilePayload.from_tile(result.tile, binary=binary) if include_payload else None,
             fidelity=getattr(result, "fidelity", 1.0),
         )
         return message

@@ -46,6 +46,7 @@ from repro.middleware.net import (
 from repro.middleware.service import ForeCacheService
 from repro.middleware.protocol import (
     CloseSession,
+    ErrorInfo,
     FrameDecoder,
     FrameTooLargeError,
     Hello,
@@ -1026,6 +1027,23 @@ class TestWorkerFaults:
                 assert fake.hellos == 2
                 assert router.router.alive_workers == ()
 
+    def test_a_frame_behind_the_reply_is_worker_unavailable(self):
+        """Nothing may follow a relayed round's reply: a worker that
+        sends a frame no request asked for loses its link, and the
+        client is told so rather than handed that frame as the answer
+        to its next request."""
+        reply = encode_wire(ErrorInfo(code="error", message="x"), "lines")
+        with FakeWorker(lambda sock: sock.sendall(reply + reply)) as fake:
+            with ThreadedRouter({"worker-0": fake.address}) as router:
+                with SocketTransport(*router.address) as transport:
+                    client = transport.connect(session_id="s")
+                    with pytest.raises(
+                        WorkerUnavailableError, match="no request asked for"
+                    ):
+                        client.request(None, TileKey(0, 0, 0))
+                    assert fake.requests == 1
+                    assert router.router.alive_workers == ()
+
     def test_stalled_worker_is_worker_unavailable_within_the_deadline(
         self, monkeypatch
     ):
@@ -1083,7 +1101,7 @@ class TestRouterShutdown:
         async def observed_aclose():
             await aclose()
             at_return.append(
-                (router.connection_count, [link._writer for link in links])
+                (router.connection_count, [link._transport for link in links])
             )
 
         router.aclose = observed_aclose

@@ -6,7 +6,7 @@ is computed.  A fresh interpreter checks that the whole serving path —
 socket server on every wire, two-worker cluster — runs without loading
 it, and that computing the signatures still does; fitting a visual
 vocabulary loads neither ``scipy.cluster`` nor ``scipy.spatial``.
-Every asyncio stream the middleware opens reads at most
+Every asyncio transport the middleware serves or dials reads at most
 ``_READ_CHUNK`` per ``recv``.
 """
 
@@ -20,9 +20,9 @@ from pathlib import Path
 
 from repro.core.allocation import SingleModelStrategy
 from repro.core.engine import PredictionEngine
-from repro.middleware.cluster import ThreadedClusterServer
+from repro.middleware.cluster import ThreadedClusterServer, _BackendLink
 from repro.middleware.config import PrefetchPolicy, ServiceConfig
-from repro.middleware.net import _READ_CHUNK, SocketTransport
+from repro.middleware.net import _READ_CHUNK, SocketTransport, _ServedConnection
 from repro.recommenders.momentum import MomentumRecommender
 
 REPO_SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -150,24 +150,20 @@ def test_every_asyncio_stream_reads_below_the_mmap_threshold(
     # glibc's default mmap threshold is 128 KiB: a larger recv buffer is
     # mapped and unmapped afresh on every read.
     assert _READ_CHUNK < 128 * 1024
-    served: list[asyncio.StreamWriter] = []
-    dialled: list[asyncio.StreamWriter] = []
-    start_server, open_connection = asyncio.start_server, asyncio.open_connection
+    served: list[asyncio.Transport] = []
+    dialled: list[asyncio.Transport] = []
 
-    async def recording_start_server(serve, *args, **kwargs):
-        async def recorded(reader, writer):
-            served.append(writer)
-            await serve(reader, writer)
+    def recording(cls, transports):
+        connection_made = cls.connection_made
 
-        return await start_server(recorded, *args, **kwargs)
+        def recorded(self, transport):
+            connection_made(self, transport)
+            transports.append(transport)
 
-    async def recording_open_connection(*args, **kwargs):
-        reader, writer = await open_connection(*args, **kwargs)
-        dialled.append(writer)
-        return reader, writer
+        monkeypatch.setattr(cls, "connection_made", recorded)
 
-    monkeypatch.setattr(asyncio, "start_server", recording_start_server)
-    monkeypatch.setattr(asyncio, "open_connection", recording_open_connection)
+    recording(_ServedConnection, served)
+    recording(_BackendLink, dialled)
 
     pyramid = tiny_dataset.pyramid
 
@@ -186,11 +182,11 @@ def test_every_asyncio_stream_reads_below_the_mmap_threshold(
             transport.connect().request(None, pyramid.grid.root)
         router_port = cluster.address[1]
 
-    def port(writer, end):
-        return writer.get_extra_info(end)[1]
+    def port(transport, end):
+        return transport.get_extra_info(end)[1]
 
     # The router's client side and every worker's ForeCacheSocketServer
     # connection; the router's backend links.
-    assert {port(w, "sockname") == router_port for w in served} == {True, False}
-    assert {port(w, "peername") == router_port for w in dialled} == {False}
-    assert {w.transport.max_size for w in served + dialled} == {_READ_CHUNK}
+    assert {port(t, "sockname") == router_port for t in served} == {True, False}
+    assert {port(t, "peername") == router_port for t in dialled} == {False}
+    assert {t.max_size for t in served + dialled} == {_READ_CHUNK}
