@@ -23,7 +23,14 @@ request of the warm pass (``sys.setprofile`` ``call`` events: the
 service, engine, cache and backend frames one request runs), and then
 the median over ``TIMED_PASSES`` replays of the microseconds per
 request spent in ``fetch`` plus ``prefetch``.  CI prints it in the
-``test`` job's summary; nothing gates on it.
+``test`` job's summary.
+
+The exact counts in :data:`BUDGET_NAMES` — Python calls per request and
+shard-lock visits per hit, miss, admission hit and admission miss — are
+held to their lines in ``experiments/scoreboard_budget.txt``, each as
+printed (calls to one decimal: the warm pass still makes a few one-off
+calls, 52.022 per request when this gate came in).  Exit status 1 when
+one exceeds its budget; the timing is printed only.
 
 Usage (from the repository root, no install needed)::
 
@@ -36,7 +43,9 @@ import sys
 import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+BUDGET = ROOT / "experiments" / "scoreboard_budget.txt"
 
 #: The context ``facade_study`` boots, the users it replays (the engine
 #: trains on the others) and the budget its session prefetches.
@@ -45,6 +54,15 @@ HELD_OUT_USERS = (1, 2)
 SEED = 7
 K = 5
 TIMED_PASSES = 21
+
+#: The budget line of each gated count, by the name it is printed under.
+BUDGET_NAMES = {
+    "python calls/request": "cycle calls per request",
+    "shard-lock visits/hit": "shard-lock visits per hit",
+    "shard-lock visits/miss": "shard-lock visits per miss",
+    "shard-lock visits/admit hit": "shard-lock visits per admission hit",
+    "shard-lock visits/admit miss": "shard-lock visits per admission miss",
+}
 
 
 class CountedLock:
@@ -143,7 +161,17 @@ def admission_visits(manager, calls) -> dict[bool, float]:
     return {hit: totals[hit] / counts[hit] for hit in totals}
 
 
-def main() -> None:
+def budgets() -> dict:
+    """``{budget line name: budget}`` of the counts this script gates."""
+    limits = {}
+    for line in BUDGET.read_text().splitlines():
+        value, _, name = line.strip().partition(" ")
+        if name.strip() in BUDGET_NAMES.values():
+            limits[name.strip()] = int(value)
+    return limits
+
+
+def main() -> int:
     from repro.experiments.context import ExperimentContext
     from repro.experiments.runner import hybrid_factory
     from repro.middleware.config import CacheConfig
@@ -194,18 +222,30 @@ def main() -> None:
     )
     print(f"hits                    {manager.hits} of {manager.requests}")
     print(f"shard-lock visits/cycle {cycle_visits / len(requests):.3f}")
-    print(f"shard-lock visits/hit   {fetch_visits[True] / manager.hits:.3f}")
-    print(f"shard-lock visits/miss  {fetch_visits[False] / misses:.3f}")
     admit_visits = admission_visits(CacheConfig().build_cache_manager(pyramid), calls)
-    print(f"shard-lock visits/admit hit  {admit_visits[True]:.3f}")
-    print(f"shard-lock visits/admit miss {admit_visits[False]:.3f}")
-    print(f"python calls/request    {python_calls:.1f}")
+    gated = {
+        "shard-lock visits/hit": fetch_visits[True] / manager.hits,
+        "shard-lock visits/miss": fetch_visits[False] / misses,
+        "shard-lock visits/admit hit": admit_visits[True],
+        "shard-lock visits/admit miss": admit_visits[False],
+        "python calls/request": python_calls,
+    }
+    limits = budgets()
+    failed = False
+    for name, count in gated.items():
+        limit = limits.get(BUDGET_NAMES[name])
+        digits = 1 if name == "python calls/request" else 3
+        print(f"{name:<28} {count:.{digits}f}  (budget {limit})")
+        if limit is None or round(count, digits) > limit:
+            print(f"{BUDGET.name}: {BUDGET_NAMES[name]} is {count:.{digits}f}, budget {limit}", file=sys.stderr)
+            failed = True
     per_pass = [
         replay(CacheConfig().build_cache_manager(pyramid), calls) / len(requests)
         for _ in range(TIMED_PASSES)
     ]
     print(f"us per request          {statistics.median(per_pass) * 1e6:.1f}")
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

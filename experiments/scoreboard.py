@@ -43,6 +43,7 @@ SRC = ROOT / "src"
 sys.path.insert(0, str(SRC))
 
 from uncalled import FAST_ONLY_ALLOWLIST, allowlist  # noqa: E402
+from cycle_cost import BUDGET_NAMES as CYCLE_COST_BUDGETS  # noqa: E402
 from wire_cost import BUDGET_NAMES as WIRE_COST_BUDGETS  # noqa: E402
 
 BUDGET = ROOT / "experiments" / "scoreboard_budget.txt"
@@ -154,8 +155,9 @@ def main() -> int:
         if limit is None or count > limit:
             print(f"{BUDGET.name}: {name} is {count}, budget {limit}", file=sys.stderr)
             failed = True
-    # experiments/wire_cost.py holds its own lines of the file.
-    for name in sorted(set(budget) - set(counts) - set(WIRE_COST_BUDGETS.values())):
+    # experiments/wire_cost.py and cycle_cost.py hold their own lines of the file.
+    own = set(WIRE_COST_BUDGETS.values()) | set(CYCLE_COST_BUDGETS.values())
+    for name in sorted(set(budget) - set(counts) - own):
         print(f"{BUDGET.name}: {name} is not a count this script prints", file=sys.stderr)
         failed = True
     print_only()

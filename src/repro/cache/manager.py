@@ -1,8 +1,10 @@
 """The cache manager: serves tile requests, executes prefetches.
 
 On a request, the manager answers from the middleware cache when it can
-(a *hit*, main-memory speed) and falls back to a real DBMS query
-otherwise (a *miss*, ~50x slower on the paper's testbed).  After the
+(a *hit*, main-memory speed: the pyramid's live tile table holds the
+tile) and falls back to a real DBMS query otherwise (a *miss*, ~50x
+slower on the paper's testbed), as for a key written since it was
+loaded: its new bytes are the DBMS's to give.  After the
 prediction engine produces its ordered prefetch list, the manager brings
 the prefetch region in line with it — synchronously via :meth:`prefetch`
 (the paper's single-user loop), which keeps every tile that is still
@@ -80,15 +82,15 @@ class CacheManager:
     def fetch(self, key: TileKey) -> FetchOutcome:
         """Serve one user request, from cache if possible.
 
-        Safe to call from many threads.  The probe that finds the tile
-        absent registers its load, or rides the one in flight for the
-        key; one more visit publishes it.  The tile is recorded into the
+        Safe to call from many threads.  The probe that finds the key
+        absent (or written since it was loaded) registers its load, or
+        rides the one in flight; one more visit publishes it.  The tile is recorded into the
         recent LRU exactly once per call — a hit from the prefetch
         region *promotes* it (its slot is freed), a miss records at its
         load's publish, owner and rider alike.
         """
         try:
-            tile, pending, owner = self.cache.request(key, self._query_backend)
+            tile, pending, owner = self.cache.request(key, self._query_backend, self.pyramid.tiles())
         except BaseException:
             with self._stats_lock:
                 self.requests += 1
@@ -114,7 +116,7 @@ class CacheManager:
         to its bridge pool.  Over a backend that cannot block the server
         calls :meth:`fetch` alone, so a miss probes the cache once.
         """
-        cached = self.cache.promote(key)
+        cached = self.cache.promote(key, self.pyramid.tiles())
         if cached is None:
             return None
         with self._stats_lock:
@@ -123,13 +125,14 @@ class CacheManager:
         return FetchOutcome(cached, True, 0.0)
 
     def peek(self, key: TileKey) -> DataTile | None:
-        """Pure residency probe: the cached tile or None, **no** side
-        effects — no request/hit counters, no LRU promotion.  This is
-        the probe for opportunistic paths (degraded-fidelity ancestor
-        lookup) that must not distort the cache statistics or the
-        recency order the real request stream produces.
+        """Pure residency probe: the cached tile or None — no
+        request/hit counters, no LRU promotion; a key written since it
+        was loaded is None, and loses its slots.  This is the probe for
+        opportunistic paths (degraded-fidelity ancestor lookup) that
+        must not distort the cache statistics or the recency order the
+        real request stream produces.
         """
-        return self.cache.lookup(key)
+        return self.cache.lookup(key, self.pyramid.tiles())
 
     @property
     def inflight_count(self) -> int:
@@ -166,7 +169,7 @@ class CacheManager:
         prefetch shard evicts its oldest entry rather than dropping the
         new tile.
         """
-        tile, _, owner = self.cache.admit(key, model, self._query_backend)
+        tile, _, owner = self.cache.request(key, self._query_backend, self.pyramid.tiles(), model)
         if owner:
             with self._stats_lock:
                 self.prefetch_queries += 1

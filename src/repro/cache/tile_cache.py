@@ -17,10 +17,13 @@ predictions.  One deliberate exception remains: the synchronous cycle
 strategy's per-model quotas must stay observable, as in the paper), so
 a key can sit in both regions at once.
 
-``nbytes()`` is the payload the cache keeps reachable, each resident
-key counted once — a best-effort snapshot under concurrency, read one
-shard at a time.  It is not memory the cache owns: a tile's arrays are
-the chunk store's own read-only blocks.
+The cache holds residency, not tiles: a slot is a key and the model
+that predicted it.  The bytes are the DBMS's — a tile handed out is
+the entry of the pyramid's live tile table
+(:meth:`~repro.tiles.pyramid.TilePyramid.tiles`), the very object a
+miss loads.  A resident key the table no longer holds was written
+since it was loaded: where a tile is handed out it loses its slots and
+loads as a miss, since the new bytes are the DBMS's to give.
 
 The cache is thread-safe and **hash-striped**: a key lives in shard
 ``hash(key) % shards``, whose one lock holds the key's recent entry,
@@ -41,8 +44,8 @@ from collections import OrderedDict
 from repro.tiles.key import TileKey
 from repro.tiles.tile import DataTile
 
-#: What a load is for.  A user request records a loaded tile into the
-#: recent region; a background prefetch admits a loaded tile that is
+#: What a load is for.  A user request records a loaded key into the
+#: recent region; a background prefetch admits a loaded key that is
 #: still absent; the synchronous cycle replaces the prefetch region.
 REQUEST, ADMIT, CYCLE = "request", "admit", "cycle"
 
@@ -62,7 +65,7 @@ class _PendingLoad:
 
 
 class TileCache:
-    """Recent-LRU plus hash-striped per-model prefetch slots."""
+    """Recent-LRU plus hash-striped per-model prefetch slots, of keys."""
 
     def __init__(
         self, recent_capacity: int = 10, prefetch_capacity: int = 9, shards: int = 1
@@ -77,10 +80,10 @@ class TileCache:
         self.prefetch_capacity = prefetch_capacity
         self.shards = shards = min(shards, prefetch_capacity, recent_capacity)
         self._locks = [threading.RLock() for _ in range(shards)]
-        #: Per shard, least recently requested first: key -> tile.
-        self._recent = [OrderedDict() for _ in range(shards)]
-        #: Per shard, in slot order: key -> (tile, predicting model).
-        self._prefetched = [{} for _ in range(shards)]
+        #: Per shard, least recently requested first: an ordered set of keys.
+        self._recent: list[OrderedDict[TileKey, None]] = [OrderedDict() for _ in range(shards)]
+        #: Per shard, in slot order: key -> predicting model.
+        self._prefetched: list[dict[TileKey, str]] = [{} for _ in range(shards)]
         #: Per shard: the backend loads in flight for its keys.
         self._inflight: list[dict[TileKey, _PendingLoad]] = [{} for _ in range(shards)]
         self._recent_capacities, self._capacities = (
@@ -94,15 +97,17 @@ class TileCache:
     # ------------------------------------------------------------------
     # lookups
     # ------------------------------------------------------------------
-    def lookup(self, key: TileKey) -> DataTile | None:
-        """Find a tile in either region (None on full miss)."""
+    def lookup(self, key: TileKey, tiles: dict) -> DataTile | None:
+        """A resident key's tile from ``tiles``, the pyramid's live tile
+        table, the key left where it is; or None (see :meth:`_fresh`)."""
         index = self._shard(key)
         with self._locks[index]:
-            slot = self._prefetched[index].get(key)
-            return slot[0] if slot is not None else self._recent[index].get(key)
+            return self._fresh(index, key, tiles)
 
     def __contains__(self, key: TileKey) -> bool:
-        return self.lookup(key) is not None
+        index = self._shard(key)
+        with self._locks[index]:
+            return key in self._prefetched[index] or key in self._recent[index]
 
     @property
     def inflight_count(self) -> int:
@@ -114,55 +119,69 @@ class TileCache:
         """
         return sum(len(loads) for loads in self._inflight)
 
+    def _fresh(self, index: int, key: TileKey, tiles: dict) -> DataTile | None:
+        """``key``'s tile if it is resident and in ``tiles`` (lock held).
+        A resident key not in ``tiles`` was written since it was loaded
+        and loses its slots."""
+        if key in self._prefetched[index] or key in self._recent[index]:
+            entry = tiles.get(key)
+            if entry is not None:
+                return entry[0]
+            self._prefetched[index].pop(key, None)
+            self._recent[index].pop(key, None)
+        return None
+
     # ------------------------------------------------------------------
-    # the request path
+    # the request and admission path
     # ------------------------------------------------------------------
-    def promote(self, key: TileKey) -> DataTile | None:
-        """Serve a request from memory: the resident tile, recorded
-        into the recent region (promoted out of the prefetch region if
-        it sat there), or None, an absent key left alone."""
+    def promote(self, key: TileKey, tiles: dict) -> DataTile | None:
+        """Serve a request from memory: :meth:`lookup`'s tile, its key
+        recorded into the recent region (:meth:`_record`), or None."""
         index = hash(key) % self.shards
         with self._locks[index]:
-            slot = self._prefetched[index].get(key)
-            tile = slot[0] if slot is not None else self._recent[index].get(key)
+            tile = self._fresh(index, key, tiles)
             if tile is not None:
-                self._record(index, tile)
+                self._record(index, key)
             return tile
 
-    def request(self, key: TileKey, query) -> tuple[DataTile, _PendingLoad | None, bool]:
-        """Serve a request, from memory or from ``query(key)``.
+    def request(
+        self, key: TileKey, query, tiles: dict, model: str | None = None
+    ) -> tuple[DataTile, _PendingLoad | None, bool]:
+        """Serve a request from memory or from ``query(key)`` — or, given
+        the predicting ``model``, admit a predicted key into the prefetch
+        region (the background and push path).
 
-        One visit to the key's shard lock serves a resident tile as
-        :meth:`promote` does, or registers the load of an absent one (or
-        rides the one in flight).  The query runs outside the lock, and
-        one more visit records the loaded tile into the recent region
-        and unregisters the load.  Returns ``(tile, pending, owner)``:
+        One visit to the key's shard lock serves a resident key (see
+        :meth:`_probe`) or registers the load of an absent one (or rides
+        the one in flight).  The query runs outside the lock, and one
+        more visit publishes and unregisters the load: a request records
+        the key; an admission slots it, unlike the cycle making room in a
+        full shard — its oldest slot goes — since concurrent sessions'
+        jobs arrive continuously.  Returns ``(tile, pending, owner)``:
         ``pending`` is None on a hit, else the load (its ``outcome``
         ``(tile, backend_seconds)``); ``owner``: this call queried.
         """
-        return self._one(key, None, REQUEST, query)
-
-    def _one(self, key: TileKey, model: str | None, purpose: str, query):
-        """:meth:`request` or :meth:`admit`, as ``purpose`` says."""
         index = hash(key) % self.shards
         group = [[index, key, model, None, False]]
+        purpose = REQUEST if model is None else ADMIT
         owned, ridden = [], []
         with self._locks[index]:
-            tile = self._probe(index, group, purpose, owned, ridden)
+            tile = self._probe(index, group, purpose, owned, ridden, tiles)
         if tile is not None:
             return tile, None, False
         self._complete({index: group}, [index], owned, ridden, purpose, query)
         pending = group[0][3]
         return pending.outcome[0], pending, bool(owned)
 
-    def _probe(self, index: int, group: list[list], purpose: str, owned, ridden):
+    def _probe(self, index: int, group: list[list], purpose: str, owned, ridden, tiles=None):
         """The first visit to shard ``index`` (lock held), one path for
-        request, admit and cycle.  A resident key is served — a request
-        records it (:meth:`_record`), an admission leaves it be — or, in
-        a cycle, carried into the shard's new prefetch region.  An absent
-        key's load is registered into ``owned``, or the one in flight
-        ridden into ``ridden`` (its first rider creates ``done``).
-        Returns the tile served, or None.
+        request, admit and cycle.  A cycle carries a resident key into
+        the shard's new prefetch region, its tile unread.  Otherwise a
+        resident key is served as :meth:`_fresh` says — a request records
+        it (:meth:`_record`), an admission leaves it be — or, dropped,
+        loads as an absent key: its load is registered into ``owned``,
+        or the one in flight ridden into ``ridden`` (its first rider
+        creates ``done``).  Returns the tile served, or None.
         """
         region = self._prefetched[index]
         recent = self._recent[index]
@@ -171,15 +190,18 @@ class TileCache:
             carried = self._prefetched[index] = {}
         for entry in group:
             key = entry[1]
-            slot = region.get(key)
-            tile = slot[0] if slot is not None else recent.get(key)
-            if tile is not None:
+            if key in region or key in recent:
                 if purpose == CYCLE:
-                    carried[key] = (tile, entry[2])
+                    carried[key] = entry[2]
                     continue
-                if purpose == REQUEST:
-                    self._record(index, tile)
-                return tile
+                # _fresh, inlined: a hit runs no frame of its own.
+                served = tiles.get(key)
+                if served is not None:
+                    if purpose == REQUEST:
+                        self._record(index, key)
+                    return served[0]
+                region.pop(key, None)
+                recent.pop(key, None)
             pending = inflight.get(key)
             if pending is None:
                 entry[3] = inflight[key] = _PendingLoad()
@@ -192,40 +214,20 @@ class TileCache:
                 ridden.append(entry)
         return None
 
-    def record_request(self, tile: DataTile) -> None:
-        """A tile the user actually requested enters the recent region,
-        promoted out of the prefetch region if it sat there."""
-        index = self._shard(tile.key)
-        with self._locks[index]:
-            self._record(index, tile)
-
-    def _record(self, index: int, tile: DataTile) -> None:
-        """:meth:`record_request`'s work, shard ``index``'s lock held."""
-        key = tile.key
+    def _record(self, index: int, key: TileKey) -> None:
+        """A key the user actually requested enters shard ``index``'s
+        recent region (lock held), promoted out of its prefetch region
+        if it sat there."""
         recent = self._recent[index]
-        recent[key] = tile
+        recent[key] = None
         recent.move_to_end(key)
         if len(recent) > self._recent_capacities[index]:
             recent.popitem(last=False)
         self._prefetched[index].pop(key, None)
 
     # ------------------------------------------------------------------
-    # the prefetch path
+    # the prefetch cycle
     # ------------------------------------------------------------------
-    def admit(self, key: TileKey, model: str, query) -> tuple[DataTile, _PendingLoad | None, bool]:
-        """Bring one predicted key into the prefetch region (the
-        background and push path), from memory or from ``query(key)``.
-
-        Shaped like :meth:`request`: one visit returns a tile resident
-        in either region, left where it is, or registers (or rides) the
-        load of an absent one.  The second admits the loaded tile and
-        unregisters the load.  Unlike the cycle, a full shard makes
-        room — its oldest slot goes — since concurrent sessions' jobs
-        arrive continuously; a rider admits only what its owner's
-        publish left absent.  Returns what :meth:`request` returns.
-        """
-        return self._one(key, model, ADMIT, query)
-
     def load(self, predictions, query) -> int:
         """The synchronous cycle: bring the prefetch region in line with
         ``predictions``, ``(key, model)`` pairs.
@@ -235,16 +237,16 @@ class TileCache:
         one, a repeated key keeps its slot under the later model, a key
         whose shard is full is skipped — or ends the plan, once every
         slot of the region is taken.  Then two visits per shard.  The
-        first probes each planned key: a resident tile is carried; an
-        absent one is registered as a load this call owns, or ridden if
-        one is in flight.  It replaces every shard's region with the
-        carried tiles, in plan order.  Then ``query(key)`` runs per
-        owned key, outside any lock, in plan order, and the ridden loads
-        are waited on.  The second visit, to the shards with a load,
-        publishes the loaded tiles, then unregisters the owned loads: a
-        late arrival finds the load or the tile, never a gap.  Each
-        loaded tile is slotted at its plan position while the shard has
-        room, and a carried tile a request promoted in between never
+        first probes each planned key: a resident key is carried, its
+        tile unread; an absent one is registered as a load this call
+        owns, or ridden if one is in flight.  It replaces every shard's
+        region with the carried keys, in plan order.  Then
+        ``query(key)`` runs per owned key, outside any lock, in plan
+        order, and the ridden loads are waited on.  The second visit, to the shards with a load,
+        publishes the loaded keys, then unregisters the owned loads: a
+        late arrival finds the load or the key, never a gap.  Each
+        loaded key is slotted at its plan position while the shard has
+        room, and a carried key a request promoted in between never
         comes back.
 
         Returns the number of queries run.  A query's error propagates
@@ -289,7 +291,7 @@ class TileCache:
 
         When a query raises, the owned loads not yet run are abandoned:
         every owned load is unregistered with that exception, which each
-        of its riders raises too, the loaded tiles are still published,
+        of its riders raises too, the loaded keys are still published,
         and the exception propagates — as does a ridden load's.
         """
         error: BaseException | None = None
@@ -324,13 +326,13 @@ class TileCache:
         region = self._prefetched[index]
         if purpose == CYCLE:
             room = self._capacities[index] - len(region)
-            slots: dict[TileKey, tuple[DataTile, str]] = {}
+            slots: dict[TileKey, str] = {}
             for _, key, model, pending, _ in group:
                 slot = region.pop(key, None)
                 outcome = pending and pending.outcome
-                if isinstance(outcome, tuple) and (slot or room > 0):
+                if isinstance(outcome, tuple) and (slot is not None or room > 0):
                     room -= slot is None
-                    slot = (outcome[0], model)
+                    slot = model
                 if slot is not None:
                     slots[key] = slot
             # Whatever a background admission slotted in between goes last.
@@ -341,13 +343,13 @@ class TileCache:
         if not isinstance(pending.outcome, tuple):
             return
         if purpose == REQUEST:
-            self._record(index, pending.outcome[0])
+            self._record(index, key)
         elif key not in region and key not in self._recent[index]:
             # A rider admits only what its owner's publish left absent:
-            # a tile a request recorded stays in one region.
+            # a key a request recorded stays in one region.
             if len(region) >= self._capacities[index]:
                 del region[next(iter(region))]
-            region[key] = (pending.outcome[0], model)
+            region[key] = model
 
     # ------------------------------------------------------------------
     # introspection
@@ -377,31 +379,19 @@ class TileCache:
         """Which model's allocation paid for a prefetched tile."""
         index = self._shard(key)
         with self._locks[index]:
-            slot = self._prefetched[index].get(key)
-        return slot[1] if slot is not None else None
+            return self._prefetched[index].get(key)
 
     def model_usage(self) -> dict[str, int]:
         """Prefetched-tile counts per model."""
         usage: dict[str, int] = {}
         for index in range(self.shards):
             with self._locks[index]:
-                for _, model in self._prefetched[index].values():
+                for model in self._prefetched[index].values():
                     usage[model] = usage.get(model, 0) + 1
         return usage
 
-    def nbytes(self) -> int:
-        """Payload bytes of the tiles resident in either region, each
-        key counted once (see the module notes)."""
-        total = 0
-        for index in range(self.shards):
-            with self._locks[index]:
-                sizes = {key: t.nbytes for key, t in self._recent[index].items()}
-                sizes.update((key, s[0].nbytes) for key, s in self._prefetched[index].items())
-            total += sum(sizes.values())
-        return total
-
     def clear(self) -> None:
-        """Drop every resident tile (loads in flight are left alone)."""
+        """Drop every resident key (loads in flight are left alone)."""
         for index in range(self.shards):
             with self._locks[index]:
                 self._recent[index].clear()

@@ -176,7 +176,7 @@ class TilePyramid:
         self.tile_size = tile_size
         self.grid = TileGrid(num_levels)
         self.attributes = attributes
-        # (store version read at, cost model, {key: (tile, seconds)}); see _read.
+        # (store version read at, cost model, {key: (tile, seconds)}); see tiles().
         self._table: tuple = (-1, None, {})
 
     # ------------------------------------------------------------------
@@ -306,10 +306,10 @@ class TilePyramid:
     def _views(self) -> tuple[str, ...]:
         """Each level's view name, once the views are known to be tile-aligned.
 
-        A pyramid is never written after :meth:`build`, so what
-        :meth:`_materialize_level` guarantees — tile ``(level, x, y)`` *is*
-        chunk ``(y, x)`` of the level's view — is checked once per pyramid
-        and every fetch relies on it.
+        A write after :meth:`build` replaces a view's chunks but never its
+        schema, so what :meth:`_materialize_level` guarantees — tile
+        ``(level, x, y)`` *is* chunk ``(y, x)`` of the level's view — is
+        checked once per pyramid and every fetch relies on it.
         """
         names = tuple(self.view_name(level) for level in range(self.num_levels))
         for name in names:
@@ -326,29 +326,32 @@ class TilePyramid:
                 )
         return names
 
-    def _read(self, key: TileKey) -> tuple[DataTile, float]:
-        """``key``'s table entry, ``(tile, virtual seconds per fetch)``,
-        read from the store (:meth:`ChunkedArray.read_chunk`) and priced
-        as one look-up query, ``query_cost(chunks, cells, 0)``, on the
-        key's first fetch.  The table holds one entry per tile at most,
-        its blocks the store's own read-only arrays, and is dropped when
-        the store's version (taken before reading) or the cost model
-        moves: a fetch after a write or a delete reads the store again,
-        one after ``db.cost_model`` is reassigned is priced anew.  A key
-        outside the pyramid raises ``ValueError``, entering no table."""
+    def tiles(self) -> dict[TileKey, tuple[DataTile, float]]:
+        """The live tile table, ``{key: (tile, virtual seconds per fetch)}``:
+        one entry per tile fetched since the store's version (a write or
+        a delete) or ``db.cost_model`` last moved, when it is dropped.
+        Its blocks are the store's own read-only arrays."""
         db = self.db
         version, model = db._store.version, db.cost_model
         table_version, table_model, table = self._table
         if table_version != version or table_model is not model:
             table = {}
             self._table = (version, model, table)
+        return table
+
+    def _read(self, key: TileKey) -> tuple[DataTile, float]:
+        """``key``'s entry in the live table (:meth:`tiles`), read from
+        the store (:meth:`ChunkedArray.read_chunk`) on its first fetch and
+        priced as one look-up query, ``query_cost(chunks, cells, 0)``.  A
+        key outside the pyramid raises ``ValueError``, entering no table."""
+        table = self.tiles()
         entry = table.get(key)
         if entry is None:
             if not self.grid.valid(key):
                 raise ValueError(f"key {key} is not in this pyramid")
-            view = db.array(self._views[key.level])
+            view = self.db.array(self._views[key.level])
             blocks, read = view.read_chunk((key.y, key.x))
-            seconds = model.query_cost(read.chunks_read, read.cells_scanned, 0)
+            seconds = self.db.cost_model.query_cost(read.chunks_read, read.cells_scanned, 0)
             entry = table[key] = (DataTile(key=key, attributes=blocks), seconds)
         return entry
 

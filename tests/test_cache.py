@@ -18,18 +18,36 @@ def tile(key: TileKey) -> DataTile:
     return DataTile(key=key, attributes={"v": np.zeros((2, 2))})
 
 
-def admit(cache: TileCache, key: TileKey, model: str = "m") -> None:
-    """Admit ``key``'s tile as the background path does."""
-    cache.admit(key, model, lambda key: (tile(key), 0.5))
+class Table(dict):
+    """A stand-in for a pyramid's live tile table: :meth:`query` loads a
+    key's tile into it, as a pyramid fetch fills its table."""
+
+    def query(self, key: TileKey) -> tuple[DataTile, float]:
+        entry = self[key] = (tile(key), 0.5)
+        return entry
 
 
-def refill(cache: TileCache, predictions) -> list[TileKey]:
+#: The table the helpers below serve from; no test here drops an entry.
+TILES = Table()
+
+
+def request(cache: TileCache, key: TileKey, tiles: Table = TILES):
+    """Request ``key`` as the request path does; what ``request`` returns."""
+    return cache.request(key, tiles.query, tiles)
+
+
+def admit(cache: TileCache, key: TileKey, model: str = "m", tiles: Table = TILES):
+    """Admit ``key`` as the background path does; what ``request`` returns."""
+    return cache.request(key, tiles.query, tiles, model)
+
+
+def refill(cache: TileCache, predictions, tiles: Table = TILES) -> list[TileKey]:
     """Run one synchronous cycle on ``cache``; the keys it queried."""
     queried: list[TileKey] = []
 
     def query(key):
         queried.append(key)
-        return tile(key), 0.5
+        return tiles.query(key)
 
     cache.load(predictions, query)
     return queried
@@ -39,61 +57,106 @@ A, B, C, D = (TileKey(2, i, 0) for i in range(4))
 
 
 class TestRecentRegion:
-    """The recent region is an LRU per shard, entered only through the
-    request path (``promote``, ``request``, ``record_request``)."""
+    """The recent region is an LRU of keys per shard, entered only
+    through the request path (``promote``, ``request``)."""
 
     def test_eviction_order(self):
         cache = TileCache(recent_capacity=2)
         for key in (A, B, C):
-            cache.record_request(tile(key))
+            request(cache, key)
         assert cache.recent_keys == [B, C]
         assert A not in cache
 
     def test_promote_refreshes_recency(self):
         cache = TileCache(recent_capacity=2)
-        cache.record_request(tile(A))
-        cache.record_request(tile(B))
-        assert cache.promote(A).key == A
-        cache.record_request(tile(C))
+        request(cache, A)
+        request(cache, B)
+        assert cache.promote(A, TILES).key == A
+        request(cache, C)
         assert cache.recent_keys == [A, C]
 
     def test_lookup_does_not_refresh(self):
         cache = TileCache(recent_capacity=2)
-        cache.record_request(tile(A))
-        cache.record_request(tile(B))
-        assert cache.lookup(A).key == A
-        cache.record_request(tile(C))
+        request(cache, A)
+        request(cache, B)
+        assert cache.lookup(A, TILES).key == A
+        request(cache, C)
         assert cache.recent_keys == [B, C]
 
     def test_promote_of_an_absent_key_changes_nothing(self):
         cache = TileCache(recent_capacity=2)
-        cache.record_request(tile(A))
-        assert cache.promote(B) is None
+        request(cache, A)
+        assert cache.promote(B, TILES) is None
         assert cache.recent_keys == [A]
         assert cache.inflight_count == 0
 
-    def test_rerecording_refreshes_without_eviction(self):
+    def test_a_repeated_request_refreshes_without_eviction(self):
         cache = TileCache(recent_capacity=2)
-        cache.record_request(tile(A))
-        cache.record_request(tile(B))
-        replacement = tile(A)
-        cache.record_request(replacement)
+        request(cache, A)
+        request(cache, B)
+        assert request(cache, A) == (TILES[A][0], None, False)  # a hit
         assert cache.recent_keys == [B, A]
-        assert cache.lookup(A) is replacement
 
     def test_rejects_zero_recent_capacity(self):
         with pytest.raises(ValueError, match="recent capacity must be >= 1"):
             TileCache(recent_capacity=0)
 
 
+class TestStaleKeys:
+    """A slot holds a key, not a tile: a resident key the live table no
+    longer holds was written since it was loaded.  Where a tile is
+    handed out it loses its slots and loads as an absent key; the cycle
+    carries it unread."""
+
+    def test_a_request_loads_it_again(self):
+        cache, tiles = TileCache(recent_capacity=2, prefetch_capacity=2), Table()
+        request(cache, A, tiles)
+        admit(cache, B, tiles=tiles)
+        old = tiles.pop(A)[0]
+        served, pending, owner = request(cache, A, tiles)
+        assert pending is not None and owner
+        assert served is tiles[A][0] and served is not old
+        assert cache.recent_keys == [A]
+        assert request(cache, A, tiles)[1] is None  # loaded again: a hit
+
+    def test_promote_and_lookup_drop_its_slots(self):
+        cache, tiles = TileCache(recent_capacity=2, prefetch_capacity=2), Table()
+        request(cache, A, tiles)
+        admit(cache, B, tiles=tiles)
+        tiles.clear()
+        assert cache.promote(A, tiles) is None
+        assert cache.lookup(B, tiles) is None
+        assert A not in cache and B not in cache
+        assert cache.recent_keys == cache.prefetched_keys == []
+        assert cache.inflight_count == 0
+
+    def test_an_admission_loads_it_again_into_its_slot(self):
+        cache, tiles = TileCache(recent_capacity=2, prefetch_capacity=2), Table()
+        admit(cache, A, "m", tiles)
+        tiles.clear()
+        served, pending, owner = admit(cache, A, "n", tiles)
+        assert owner and served is tiles[A][0]
+        assert cache.prefetched_keys == [A]
+        assert cache.attribution(A) == "n"
+
+    def test_the_cycle_carries_it_unread(self):
+        cache, tiles = TileCache(recent_capacity=2, prefetch_capacity=2), Table()
+        request(cache, A, tiles)
+        admit(cache, B, tiles=tiles)
+        tiles.clear()
+        assert refill(cache, [(B, "m"), (A, "n")], tiles) == []
+        assert cache.prefetched_keys == [B, A]
+        assert tiles == {}
+
+
 class TestTileCache:
     def test_lookup_both_regions(self):
         cache = TileCache(recent_capacity=2, prefetch_capacity=2)
-        cache.record_request(tile(A))
+        request(cache, A)
         admit(cache, B)
-        assert cache.lookup(A) is not None
-        assert cache.lookup(B) is not None
-        assert cache.lookup(C) is None
+        assert cache.lookup(A, TILES) is not None
+        assert cache.lookup(B, TILES) is not None
+        assert cache.lookup(C, TILES) is None
 
     def test_prefetch_capacity_enforced(self):
         cache = TileCache(prefetch_capacity=2)
@@ -103,11 +166,11 @@ class TestTileCache:
 
     def test_begin_cycle_clears_prefetch_only(self):
         cache = TileCache(recent_capacity=2, prefetch_capacity=2)
-        cache.record_request(tile(A))
+        request(cache, A)
         admit(cache, B)
         assert refill(cache, []) == []
-        assert cache.lookup(B) is None
-        assert cache.lookup(A) is not None
+        assert cache.lookup(B, TILES) is None
+        assert cache.lookup(A, TILES) is not None
 
     def test_attribution(self):
         cache = TileCache()
@@ -116,26 +179,13 @@ class TestTileCache:
         assert cache.attribution(A) == "markov3"
         assert cache.model_usage() == {"markov3": 1, "sb:sift": 1}
 
-    def test_nbytes_counts_both_regions(self):
-        cache = TileCache()
-        cache.record_request(tile(A))
-        admit(cache, B)
-        assert cache.nbytes() == 2 * tile(A).nbytes
-
-    def test_nbytes_counts_a_key_in_both_regions_once(self):
-        cache = TileCache()
-        cache.record_request(tile(A))
-        assert refill(cache, [(A, "m")]) == []  # carried from the recent LRU
-        assert A in cache.prefetched_keys and A in cache.recent_keys
-        assert cache.nbytes() == tile(A).nbytes
-
     def test_clear(self):
         cache = TileCache()
-        cache.record_request(tile(A))
+        request(cache, A)
         admit(cache, B)
         cache.clear()
-        assert cache.lookup(A) is None
-        assert cache.lookup(B) is None
+        assert cache.lookup(A, TILES) is None
+        assert cache.lookup(B, TILES) is None
 
     def test_rejects_zero_prefetch(self):
         with pytest.raises(ValueError):
@@ -213,12 +263,6 @@ class TestPromoteOnHit:
         assert key in manager.cache.recent_keys
         assert manager.cache.attribution(key) is None
 
-    def test_promote_does_not_double_count_nbytes(self, manager):
-        key = TileKey(1, 1, 0)
-        manager.prefetch([(key, "m")])
-        tile_bytes = manager.fetch(key).tile.nbytes
-        assert manager.cache.nbytes() == tile_bytes
-
     def test_promote_frees_slot_for_next_admission(self, small_dataset):
         manager = CacheManager(
             small_dataset.pyramid, TileCache(prefetch_capacity=2)
@@ -230,7 +274,7 @@ class TestPromoteOnHit:
         evicted = manager.prefetch_one(c, "m")
         assert evicted.key == c
         # The freed slot absorbed c; b was not evicted to make room.
-        assert manager.cache.lookup(b) is not None
+        assert manager.peek(b) is not None
         assert set(manager.cache.prefetched_keys) == {b, c}
 
     def test_plain_hit_from_recent_unaffected(self, manager):
@@ -349,7 +393,7 @@ class TestShardedTileCache:
         for key in keys:
             admit(cache, key)
         for key in keys[:2]:
-            cache.record_request(tile(key))
+            request(cache, key)
         for key in keys:
             index = hash(key) % 2
             in_recent = key in cache._recent[index]
@@ -359,7 +403,7 @@ class TestShardedTileCache:
             assert key not in cache._prefetched[1 - index]
         # Each shard's one recent slot holds its last requested key.
         for later in (TileKey(4, x, 1) for x in range(4)):
-            cache.record_request(tile(later))
+            request(cache, later)
             assert later in cache._recent[hash(later) % 2]
             assert len(cache._recent[hash(later) % 2]) == 1
 
@@ -383,7 +427,7 @@ class TestShardedTileCache:
         for i, key in enumerate(keys):
             admit(cache, key, f"m{i % 2}")
         for i, key in enumerate(keys):
-            assert cache.lookup(key) is not None
+            assert cache.lookup(key, TILES) is not None
             assert cache.attribution(key) == f"m{i % 2}"
         usage = cache.model_usage()
         assert usage == {"m0": 3, "m1": 3}
@@ -401,21 +445,20 @@ class TestShardedTileCache:
         first, second, third = same_shard
         admit(cache, first)
         admit(cache, second)
-        assert cache.lookup(first) is None
+        assert cache.lookup(first, TILES) is None
         admit(cache, third)
-        assert cache.lookup(second) is None
-        assert cache.lookup(third) is not None
+        assert cache.lookup(second, TILES) is None
+        assert cache.lookup(third, TILES) is not None
         assert cache.prefetched_keys == [third]
 
     def test_clear_spans_all_shards(self):
         cache = TileCache(recent_capacity=4, prefetch_capacity=8, shards=4)
         for x in range(6):
             admit(cache, TileKey(3, x, 0))
-        cache.record_request(tile(TileKey(3, 0, 1)))
+        request(cache, TileKey(3, 0, 1))
         cache.clear()
         assert cache.prefetched_keys == []
         assert cache.recent_keys == []
-        assert cache.nbytes() == 0
 
     def test_rejects_zero_shards(self):
         with pytest.raises(ValueError):
@@ -462,7 +505,7 @@ class TestRiderAdmission:
         assert not owner.is_alive() and not rider.is_alive()
         assert key in manager.cache.recent_keys
         assert key not in manager.cache.prefetched_keys
-        assert manager.cache.nbytes() == manager.fetch(key).tile.nbytes
+        assert manager.fetch(key).hit
 
 
 class CountedLock:

@@ -45,6 +45,25 @@ def serving(pyramid, policy: PrefetchPolicy, **cache) -> ForeCacheService:
     )
 
 
+class Table(dict):
+    """A pyramid's live tile table with no pyramid: :meth:`query` loads
+    a key's tile into it as a fetch fills the table, and :meth:`tiles`
+    makes it a pyramid to a :class:`CacheManager`."""
+
+    def query(self, key: TileKey) -> tuple[DataTile, float]:
+        import numpy as np
+
+        entry = self[key] = (DataTile(key=key, attributes={"v": np.zeros((2, 2))}), 0.5)
+        return entry
+
+    def tiles(self) -> Table:
+        return self
+
+    def request(self, cache: TileCache, key: TileKey, model: str | None = None):
+        """``cache.request`` served from this table."""
+        return cache.request(key, self.query, self, model)
+
+
 def run_threads(workers) -> list[BaseException]:
     """Run thunks on their own threads; return exceptions they raised."""
     errors: list[BaseException] = []
@@ -408,52 +427,37 @@ class TestMultiUserStress:
 
 class TestThreadSafeCaches:
     def test_recent_region_bounded_under_concurrent_requests(self):
-        """record/promote churn on one shard's recent slice: occupancy
-        stays within capacity and every entry holds its own key's tile."""
-        import numpy as np
-
-        def tile(key):
-            return DataTile(key=key, attributes={"v": np.zeros((2, 2))})
-
-        cache = TileCache(recent_capacity=8, prefetch_capacity=8)
+        """request/promote churn on one shard's recent slice: occupancy
+        stays within capacity and every entry serves its own key's tile."""
+        cache, tiles = TileCache(recent_capacity=8, prefetch_capacity=8), Table()
         keys = [TileKey(4, x, y) for x in range(8) for y in range(8)]
 
         def writer(seed):
             rng = random.Random(seed)
             for _ in range(500):
-                cache.record_request(tile(rng.choice(keys)))
+                tiles.request(cache, rng.choice(keys))
                 wanted = rng.choice(keys)
-                found = cache.promote(wanted)
+                found = cache.promote(wanted, tiles)
                 assert found is None or found.key == wanted
 
         errors = run_threads([lambda s=s: writer(s) for s in range(6)])
         assert errors == []
         assert len(cache.recent_keys) <= 8
         for key in cache.recent_keys:
-            assert cache.lookup(key).key == key
+            assert cache.lookup(key, tiles).key == key
 
     def test_admit_evicts_oldest(self):
-        import numpy as np
-
-        def query(key):
-            return DataTile(key=key, attributes={"v": np.zeros((2, 2))}), 0.5
-
-        cache = TileCache(prefetch_capacity=2)
+        cache, tiles = TileCache(prefetch_capacity=2), Table()
         a, b, c = (TileKey(2, i, 0) for i in range(3))
         for key in (a, b, c):
-            assert cache.admit(key, "m", query)[0].key == key
+            assert tiles.request(cache, key, "m")[0].key == key
         assert cache.prefetched_keys == [b, c]
-        assert cache.lookup(a) is None
-        assert cache.lookup(b) is not None
+        assert cache.lookup(a, tiles) is None
+        assert cache.lookup(b, tiles) is not None
         assert cache.attribution(c) == "m"
 
     def test_tile_cache_concurrent_mixed_traffic(self):
-        import numpy as np
-
-        def tile(key):
-            return DataTile(key=key, attributes={"v": np.zeros((2, 2))})
-
-        cache = TileCache(recent_capacity=8, prefetch_capacity=4)
+        cache, tiles = TileCache(recent_capacity=8, prefetch_capacity=4), Table()
         keys = [TileKey(3, x, y) for x in range(4) for y in range(4)]
 
         def churn(seed):
@@ -462,11 +466,11 @@ class TestThreadSafeCaches:
                 key = rng.choice(keys)
                 action = rng.randrange(3)
                 if action == 0:
-                    cache.record_request(tile(key))
+                    tiles.request(cache, key)
                 elif action == 1:
-                    cache.admit(key, f"m{seed}", lambda k: (tile(k), 0.5))
+                    tiles.request(cache, key, f"m{seed}")
                 else:
-                    found = cache.lookup(key)
+                    found = cache.lookup(key, tiles)
                     assert found is None or found.key == key
 
         errors = run_threads([lambda s=s: churn(s) for s in range(6)])
@@ -505,13 +509,9 @@ class TestThreadSafeCaches:
         """Request/promote churn across every shard of a sharded tile
         cache's recent region: each slice stays within its capacity,
         entries stay consistent, and every probe is counted once."""
-        import numpy as np
-
-        def tile(key):
-            return DataTile(key=key, attributes={"v": np.zeros((2, 2))})
-
         cache = TileCache(recent_capacity=16, prefetch_capacity=16, shards=8)
-        manager = CacheManager(None, cache)
+        tiles = Table()
+        manager = CacheManager(tiles, cache)
         keys = [TileKey(5, x, y) for x in range(12) for y in range(8)]
         probes_per_worker = 400
         hits = []
@@ -520,7 +520,7 @@ class TestThreadSafeCaches:
             rng = random.Random(seed)
             found_count = 0
             for _ in range(probes_per_worker):
-                cache.record_request(tile(rng.choice(keys)))
+                tiles.request(cache, rng.choice(keys))
                 wanted = rng.choice(keys)
                 outcome = manager.try_fetch(wanted)
                 if outcome is not None:
@@ -541,7 +541,7 @@ class TestThreadSafeCaches:
         for index, capacity in enumerate(cache._recent_capacities):
             assert len(cache._recent[index]) <= capacity
         for key in cache.recent_keys:
-            assert cache.lookup(key).key == key
+            assert cache.lookup(key, tiles).key == key
         # Every hit was counted exactly once; a miss probe counts nothing.
         assert manager.hits == manager.requests == sum(hits)
         assert manager.inflight_count == 0
@@ -552,25 +552,20 @@ class TestThreadSafeCaches:
         segment may evict the tile in between.  Two threads, a one-slot
         segment, and a barrier between the put and the check make that
         interleaving certain."""
-        import numpy as np
-
-        def tile(key):
-            return DataTile(key=key, attributes={"v": np.zeros((2, 2))})
-
-        cache = TileCache(recent_capacity=1, prefetch_capacity=1)
+        cache, tiles = TileCache(recent_capacity=1, prefetch_capacity=1), Table()
         first, second = TileKey(3, 0, 0), TileKey(3, 1, 0)
         put_done, check_now = (threading.Barrier(2, timeout=10) for _ in range(2))
         seen = []
 
         def requester():
-            cache.record_request(tile(first))
+            tiles.request(cache, first)
             put_done.wait()
             check_now.wait()
             seen.append(first in cache)
 
         def intruder():
             put_done.wait()
-            cache.record_request(tile(second))
+            tiles.request(cache, second)
             check_now.wait()
 
         assert run_threads([requester, intruder]) == []
@@ -587,12 +582,8 @@ class TestThreadSafeCaches:
         never negative.  Residency right after a request is not one of
         those (see the test above): ``recent_capacity=12`` over 8
         shards gives segments of 2, 2, 2, 2, 1, 1, 1, 1 slots."""
-        import numpy as np
-
-        def tile(key):
-            return DataTile(key=key, attributes={"v": np.zeros((2, 2))})
-
         cache = TileCache(recent_capacity=12, prefetch_capacity=8, shards=8)
+        tiles = Table()
         keys = [TileKey(3, x, y) for x in range(6) for y in range(6)]
 
         def churn(seed):
@@ -603,11 +594,11 @@ class TestThreadSafeCaches:
                 if action == 0:
                     # A user request: promotes a prefetched tile into
                     # the recent region and frees its slot.
-                    cache.record_request(tile(key))
+                    tiles.request(cache, key)
                 elif action == 1:
-                    cache.admit(key, f"m{seed}", lambda k: (tile(k), 0.5))
+                    tiles.request(cache, key, f"m{seed}")
                 elif action == 2:
-                    found = cache.lookup(key)
+                    found = cache.lookup(key, tiles)
                     assert found is None or found.key == key
                 else:
                     usage = cache.model_usage()
@@ -622,12 +613,12 @@ class TestThreadSafeCaches:
         # (An admission leaves a resident tile where it is: start empty.)
         cache.clear()
         for key in keys[:6]:
-            cache.admit(key, "m", lambda k: (tile(k), 0.5))
+            tiles.request(cache, key, "m")
             assert key in cache.prefetched_keys
-            cache.record_request(tile(key))
+            tiles.request(cache, key)
             assert key not in cache.prefetched_keys
             assert key in cache.recent_keys
-            assert cache.lookup(key).key == key
+            assert cache.lookup(key, tiles).key == key
 
 
 class TestPriorityAdmission:
@@ -885,12 +876,8 @@ class TestShardedCacheManager:
         assert sorted(calls) == sorted(keys)
 
     def test_sharded_tile_cache_concurrent_mixed_traffic(self):
-        import numpy as np
-
-        def tile(key):
-            return DataTile(key=key, attributes={"v": np.zeros((2, 2))})
-
         cache = TileCache(recent_capacity=8, prefetch_capacity=8, shards=4)
+        tiles = Table()
         keys = [TileKey(3, x, y) for x in range(4) for y in range(4)]
 
         def churn(seed):
@@ -899,11 +886,11 @@ class TestShardedCacheManager:
                 key = rng.choice(keys)
                 action = rng.randrange(3)
                 if action == 0:
-                    cache.record_request(tile(key))
+                    tiles.request(cache, key)
                 elif action == 1:
-                    cache.admit(key, f"m{seed}", lambda k: (tile(k), 0.5))
+                    tiles.request(cache, key, f"m{seed}")
                 else:
-                    found = cache.lookup(key)
+                    found = cache.lookup(key, tiles)
                     assert found is None or found.key == key
 
         errors = run_threads([lambda s=s: churn(s) for s in range(6)])
@@ -1101,7 +1088,7 @@ class TestLoadProtocol:
                 (
                     manager.inflight_count,
                     manager.peek(key),
-                    manager.cache.admit(key, "m", gate.fail),
+                    manager.cache.request(key, gate.fail, manager.pyramid.tiles(), "m"),
                     manager.prefetch_one(key, "m"),
                     manager.fetch(key).hit,
                 )
@@ -1168,6 +1155,9 @@ class GatedPyramid:
         self.calls: list[TileKey] = []
         self.entered = threading.Event()
         self.release = threading.Event()
+
+    def tiles(self):
+        return self.pyramid.tiles()
 
     def fetch_tile_timed(self, key):
         self.calls.append(key)

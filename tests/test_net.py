@@ -1219,16 +1219,14 @@ class TestEncodeOnce:
                 assert full.segments == {}
 
     @pytest.mark.parametrize("endpoint_kind", ["server", "cluster"])
-    def test_a_store_write_is_served_once_the_key_is_evicted(
-        self, endpoint_kind
-    ):
+    def test_a_store_write_is_served_on_the_next_request(self, endpoint_kind):
         # A world of its own: this test writes into a view.
         pyramid = MODISDataset.build(size=256, tile_size=32, days=1, seed=7).pyramid
         config = ServiceConfig(
             prefetch=PrefetchPolicy(enabled=False),
             cache=CacheConfig(recent_capacity=1, prefetch_capacity=1),
         )
-        key, other = TileKey(2, 1, 1), TileKey(0, 0, 0)
+        key = TileKey(2, 1, 1)
         with serving(endpoint_kind, pyramid, config) as server:
             with SocketTransport(
                 *server.address, payload="json"
@@ -1240,21 +1238,23 @@ class TestEncodeOnce:
                     assert conn.request(None, key).tile == pyramid.fetch_tile(
                         key, charge=False
                     )
-                old = pyramid.fetch_tile(key, charge=False)
-                for name, block in old.attributes.items():
-                    pyramid.db.write(
-                        pyramid.view_name(key.level),
-                        name,
-                        block + 1.0,
-                        pyramid.tile_region(key),
-                    )
-                new = pyramid.fetch_tile(key, charge=False)
-                assert new != old
                 served = []
                 for conn in conns:
-                    conn.request(None, other)  # evicts key
-                    served.append(conn.request(None, key).tile == new)
-                assert served == [True, True]  # json, binary
+                    old = pyramid.fetch_tile(key, charge=False)
+                    for name, block in old.attributes.items():
+                        pyramid.db.write(
+                            pyramid.view_name(key.level),
+                            name,
+                            block + 1.0,
+                            pyramid.tile_region(key),
+                        )
+                    # Still cached, but written since it was loaded: a
+                    # miss, the new bytes fetched from the store.
+                    response = conn.request(None, key)
+                    new = pyramid.fetch_tile(key, charge=False)
+                    assert new != old
+                    served.append((response.tile == new, response.hit))
+                assert served == [(True, False)] * 2  # json, binary
 
     @pytest.mark.parametrize("payload", ["json", "binary"])
     def test_oversized_reply_is_a_typed_error_cold_and_warm(

@@ -210,17 +210,23 @@ class TestROIProperties:
 RECENT_KEYS = [TileKey(3, x, y) for x in range(4) for y in range(3)]
 
 
-class StubPyramid:
-    """The one method ``CacheManager`` calls on a pyramid."""
+class StubPyramid(dict):
+    """The two methods ``CacheManager`` calls on a pyramid; the stub is
+    its own live tile table, filled by the first fetch of each key."""
+
+    def tiles(self) -> "StubPyramid":
+        return self
 
     def fetch_tile_timed(self, key: TileKey) -> tuple[DataTile, float]:
-        return DataTile(key=key, attributes={"v": np.zeros((2, 2))}), 0.5
+        if key not in self:
+            self[key] = DataTile(key=key, attributes={"v": np.zeros((2, 2))}), 0.5
+        return self[key]
 
 
 recent_operations = st.lists(
     st.one_of(
         st.tuples(st.just("fetch"), st.sampled_from(RECENT_KEYS)),
-        st.tuples(st.just("record_request"), st.sampled_from(RECENT_KEYS)),
+        st.tuples(st.just("request"), st.sampled_from(RECENT_KEYS)),
         st.tuples(
             st.just("prefetch"),
             st.lists(
@@ -248,7 +254,8 @@ class TestRecentRegionProperties:
         self, shards, recent_capacity, prefetch_capacity, operations
     ):
         cache = TileCache(recent_capacity, prefetch_capacity, shards)
-        manager = CacheManager(StubPyramid(), cache)
+        pyramid = StubPyramid()
+        manager = CacheManager(pyramid, cache)
         count = min(shards, recent_capacity, prefetch_capacity)
         assert cache.shards == count
         base, extra = divmod(recent_capacity, count)
@@ -269,7 +276,7 @@ class TestRecentRegionProperties:
                 if name == "fetch":
                     assert manager.fetch(key).tile.key == key
                 else:
-                    cache.record_request(StubPyramid().fetch_tile_timed(key)[0])
+                    cache.request(key, pyramid.fetch_tile_timed, pyramid)
                 lru = reference[hash(key) % count]
                 lru[key] = None
                 lru.move_to_end(key)
@@ -280,7 +287,7 @@ class TestRecentRegionProperties:
                 assert len(cache._recent[index]) <= capacity
             if last is not None:
                 assert last in cache.recent_keys
-                assert cache.lookup(last).key == last
+                assert cache.lookup(last, pyramid).key == last
 
 
 class TestLRUProperties:

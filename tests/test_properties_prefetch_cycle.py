@@ -28,22 +28,29 @@ MODELS = ("markov", "sb", "momentum")
 
 
 class CountingPyramid:
-    """The one method ``CacheManager`` calls on a pyramid, counted."""
+    """The two methods ``CacheManager`` calls on a pyramid, fetches
+    counted: each fetch reads its key into the live tile table."""
 
     def __init__(self) -> None:
         self.fetched: list[TileKey] = []
+        self.table: dict[TileKey, tuple[DataTile, float]] = {}
+
+    def tiles(self) -> dict[TileKey, tuple[DataTile, float]]:
+        return self.table
 
     def fetch_tile_timed(self, key: TileKey) -> tuple[DataTile, float]:
         self.fetched.append(key)
         block = np.full((2, 2), hash(key) % 9973, dtype="int32")
-        return DataTile(key=key, attributes={"v": block}), 0.5
+        entry = self.table[key] = (DataTile(key=key, attributes={"v": block}), 0.5)
+        return entry
 
 
 class RefillCache(TileCache):
     """A tile cache plus the two cycle calls ``reference_cycle`` makes,
     transcribed from the parent commit (``begin_prefetch_cycle`` only as
     the reference calls it: with no predictions, it plans nothing and
-    drops the whole region).  The manager's cycle calls neither."""
+    drops the whole region), a slot holding a key's model rather than
+    its tile.  The manager's cycle calls neither."""
 
     def begin_prefetch_cycle(self, predictions) -> dict[TileKey, str]:
         assert predictions == []
@@ -52,15 +59,13 @@ class RefillCache(TileCache):
                 self._prefetched[index].clear()
         return {}
 
-    def store_prefetched(self, tile: DataTile, model: str) -> bool:
-        index = self._shard(tile.key)
+    def store_prefetched(self, key: TileKey, model: str) -> bool:
+        index = self._shard(key)
         with self._locks[index]:
             region = self._prefetched[index]
-            if tile.key not in region and (
-                len(region) >= self._capacities[index]
-            ):
+            if key not in region and len(region) >= self._capacities[index]:
                 return False
-            region[tile.key] = (tile, model)
+            region[key] = model
             return True
 
 
@@ -86,14 +91,13 @@ def reference_cycle(manager: CacheManager, predictions) -> int:
     cache.begin_prefetch_cycle([])
     queries = 0
     for key, model in predictions:
-        resident = cache.lookup(key)
-        if resident is not None:
-            if not cache.store_prefetched(resident, model) and region_full():
+        if key in cache:
+            if not cache.store_prefetched(key, model) and region_full():
                 break
             continue
-        tile, _ = manager.pyramid.fetch_tile_timed(key)
+        manager.pyramid.fetch_tile_timed(key)
         queries += 1
-        if not cache.store_prefetched(tile, model) and region_full():
+        if not cache.store_prefetched(key, model) and region_full():
             break
     manager.prefetch_queries += queries
     return queries
@@ -105,7 +109,8 @@ def assert_same_cache(new: CacheManager, ref: CacheManager) -> None:
     assert new.cache.model_usage() == ref.cache.model_usage()
     for key in KEYS:
         assert new.cache.attribution(key) == ref.cache.attribution(key)
-        ours, theirs = new.cache.lookup(key), ref.cache.lookup(key)
+        ours = new.cache.lookup(key, new.pyramid.tiles())
+        theirs = ref.cache.lookup(key, ref.pyramid.tiles())
         assert (ours is None) == (theirs is None)
         if ours is not None:
             assert ours.key == theirs.key == key
@@ -209,8 +214,8 @@ class Counted:
 def test_a_cycle_does_no_work_nobody_needs(monkeypatch):
     """Contract 5, on one thread: two visits to the shard lock — one
     to carry and register, one to slot and unregister; no
-    per-key probe or write call; nothing waitable constructed for a
-    load no second caller joins."""
+    per-key probe or write call, no tile read; nothing waitable
+    constructed for a load no second caller joins."""
     manager = build_manager(shards=1, prefetch_capacity=6, recent_capacity=4)
     cache = manager.cache
     a, b, c, d, e = KEYS[:5]
@@ -218,10 +223,11 @@ def test_a_cycle_does_no_work_nobody_needs(monkeypatch):
     manager.fetch(d)  # d: recent LRU only
 
     shard = cache._locks[0] = Counted(cache._locks[0])
-    probes = [Counted(cache.lookup)]
-    (cache.lookup,) = probes
-    writes = [Counted(cache.record_request), Counted(cache.admit)]
-    cache.record_request, cache.admit = writes
+    probes = [Counted(cache.lookup), Counted(cache.promote), Counted(cache._fresh)]
+    cache.lookup, cache.promote, cache._fresh = probes
+    writes = [Counted(cache.request), Counted(cache._record)]
+    cache.request, cache._record = writes
+    reads = manager.pyramid.tiles = Counted(manager.pyramid.tiles)
     built: list[str] = []
 
     class RecordingThreading:
@@ -247,6 +253,7 @@ def test_a_cycle_does_no_work_nobody_needs(monkeypatch):
     assert [cache.attribution(k) for k in (b, e, a, d)] == ["y", "x", "y", "y"]
     assert sum(probe.calls for probe in probes) == 0
     assert sum(write.calls for write in writes) == 0
+    assert reads.calls == 0  # the cycle carries keys, its tiles unread
     assert manager.inflight_count == 0
 
 

@@ -17,9 +17,11 @@ from repro.middleware.protocol import (
     SessionNotFoundError,
 )
 from repro.middleware.service import ForeCacheService
+from repro.modis.dataset import MODISDataset
 from repro.recommenders.momentum import MomentumRecommender
 from repro.tiles.key import TileKey
 from repro.tiles.moves import Move
+from repro.tiles.reduce import carve_from_ancestor
 
 
 def make_engine(grid) -> PredictionEngine:
@@ -463,7 +465,7 @@ class TestProgressiveFidelity:
             assert scheduler.jobs_shed == 0
             assert scheduler.wait_idle(timeout=10)
 
-    def degraded_service(self, small_dataset, **knobs):
+    def degraded_service(self, pyramid, **knobs):
         policy = PrefetchPolicy(
             k=2,
             fidelity="progressive",
@@ -471,18 +473,18 @@ class TestProgressiveFidelity:
             **knobs,
         )
         return ForeCacheService(
-            small_dataset.pyramid,
+            pyramid,
             ServiceConfig(
                 prefetch=policy,
                 cache=CacheConfig(recent_capacity=8, prefetch_capacity=4),
             ),
-            engine_factory=lambda: make_engine(small_dataset.pyramid.grid),
+            engine_factory=lambda: make_engine(pyramid.grid),
         )
 
     def test_overload_serves_cached_ancestor_at_reduced_fidelity(
         self, small_dataset
     ):
-        with self.degraded_service(small_dataset) as svc:
+        with self.degraded_service(small_dataset.pyramid) as svc:
             session = svc.open_session()
             # Warm the level-1 ancestor, then trip the miss streak.
             assert session.request(None, TileKey(1, 0, 0)).fidelity == 1.0
@@ -498,8 +500,31 @@ class TestProgressiveFidelity:
             assert response.tile.shape == (32, 32)
             assert svc.degraded_served == 1
 
+    def test_a_written_ancestor_is_not_carved_from(self):
+        # A world of its own: this test writes into a view.
+        pyramid = MODISDataset.build(size=256, tile_size=32, days=1, seed=7).pyramid
+        with self.degraded_service(pyramid) as svc:
+            session = svc.open_session()
+            ancestor, key = TileKey(1, 0, 0), TileKey(3, 1, 1)
+            assert session.request(None, ancestor).fidelity == 1.0
+            old = pyramid.fetch_tile(ancestor, charge=False)
+            for name, block in old.attributes.items():
+                pyramid.db.write(
+                    pyramid.view_name(1), name, block + 1.0, pyramid.tile_region(ancestor)
+                )
+            session.request(None, TileKey(3, 7, 7))
+            session.request(None, TileKey(3, 6, 6))
+            assert svc._overloaded()
+            response = session.request(None, key)
+            # The cached ancestor was written since it was loaded: no
+            # carve from its old bytes, a real fetch instead.
+            assert response.tile != carve_from_ancestor(old, key)
+            assert (response.fidelity, response.hit) == (1.0, False)
+            assert response.tile == pyramid.fetch_tile(key, charge=False)
+            assert svc.degraded_served == 0
+
     def test_no_cached_ancestor_pays_the_backend(self, small_dataset):
-        with self.degraded_service(small_dataset) as svc:
+        with self.degraded_service(small_dataset.pyramid) as svc:
             session = svc.open_session()
             session.request(None, TileKey(4, 9, 9))
             session.request(None, TileKey(5, 20, 20))
@@ -512,7 +537,7 @@ class TestProgressiveFidelity:
             assert svc.degraded_served == 0
 
     def test_real_hit_clears_the_miss_streak(self, small_dataset):
-        with self.degraded_service(small_dataset) as svc:
+        with self.degraded_service(small_dataset.pyramid) as svc:
             session = svc.open_session()
             session.request(None, TileKey(4, 9, 9))
             session.request(None, TileKey(5, 20, 20))
