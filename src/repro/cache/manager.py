@@ -155,7 +155,7 @@ class CacheManager:
         leaves no room for are discarded, not re-planned for.
         """
         with self._cycle_lock:
-            queries = self.cache.load(predictions, self._query_backend)
+            queries = self.cache.load(predictions, self._query_backend, self.pyramid.tiles)
         with self._stats_lock:
             self.prefetch_queries += queries
         return queries

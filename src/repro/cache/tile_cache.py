@@ -21,9 +21,9 @@ The cache holds residency, not tiles: a slot is a key and the model
 that predicted it.  The bytes are the DBMS's — a tile handed out is
 the entry of the pyramid's live tile table
 (:meth:`~repro.tiles.pyramid.TilePyramid.tiles`), the very object a
-miss loads.  A resident key the table no longer holds was written
-since it was loaded: where a tile is handed out it loses its slots and
-loads as a miss, since the new bytes are the DBMS's to give.
+miss loads.  A store write replaces that table: a shard's keys loaded
+under another one, or missing from it, lose their slots and load as a
+miss, even once another reader of the pyramid has loaded the new bytes.
 
 The cache is thread-safe and **hash-striped**: a key lives in shard
 ``hash(key) % shards``, whose one lock holds the key's recent entry,
@@ -86,6 +86,9 @@ class TileCache:
         self._prefetched: list[dict[TileKey, str]] = [{} for _ in range(shards)]
         #: Per shard: the backend loads in flight for its keys.
         self._inflight: list[dict[TileKey, _PendingLoad]] = [{} for _ in range(shards)]
+        #: Per shard: the live tile table its keys were loaded under.
+        self._tables: list[dict | None] = [None] * shards
+        self._latest: dict | None = None  # the latest probe's: the cycle's (load)
         self._recent_capacities, self._capacities = (
             [total // shards + (i < total % shards) for i in range(shards)]
             for total in (recent_capacity, prefetch_capacity)
@@ -120,9 +123,11 @@ class TileCache:
         return sum(len(loads) for loads in self._inflight)
 
     def _fresh(self, index: int, key: TileKey, tiles: dict) -> DataTile | None:
-        """``key``'s tile if it is resident and in ``tiles`` (lock held).
-        A resident key not in ``tiles`` was written since it was loaded
-        and loses its slots."""
+        """``key``'s tile if it is resident and in ``tiles``, its shard's
+        table (lock held).  A resident key not in ``tiles`` was written
+        since it was loaded and loses its slots."""
+        if tiles is not self._tables[index]:
+            return None
         if key in self._prefetched[index] or key in self._recent[index]:
             entry = tiles.get(key)
             if entry is not None:
@@ -169,20 +174,25 @@ class TileCache:
             tile = self._probe(index, group, purpose, owned, ridden, tiles)
         if tile is not None:
             return tile, None, False
-        self._complete({index: group}, [index], owned, ridden, purpose, query)
+        self._complete({index: group}, [index], owned, ridden, purpose, query, tiles)
         pending = group[0][3]
         return pending.outcome[0], pending, bool(owned)
 
-    def _probe(self, index: int, group: list[list], purpose: str, owned, ridden, tiles=None):
+    def _probe(self, index: int, group: list[list], purpose: str, owned, ridden, tiles):
         """The first visit to shard ``index`` (lock held), one path for
-        request, admit and cycle.  A cycle carries a resident key into
-        the shard's new prefetch region, its tile unread.  Otherwise a
-        resident key is served as :meth:`_fresh` says — a request records
-        it (:meth:`_record`), an admission leaves it be — or, dropped,
-        loads as an absent key: its load is registered into ``owned``,
-        or the one in flight ridden into ``ridden`` (its first rider
-        creates ``done``).  Returns the tile served, or None.
+        request, admit and cycle; a new ``tiles`` table drops the shard's
+        keys.  A cycle carries a resident key into the shard's new
+        prefetch region, its tile unread.  Otherwise a resident key is
+        served as :meth:`_fresh` says — a request records it
+        (:meth:`_record`), an admission leaves it be — or, dropped, loads
+        as an absent key: its load is registered into ``owned``, or the
+        one in flight ridden into ``ridden`` (its first rider creates
+        ``done``).  Returns the tile served, or None.
         """
+        if tiles is not self._tables[index]:
+            self._latest = self._tables[index] = tiles
+            self._prefetched[index].clear()
+            self._recent[index].clear()
         region = self._prefetched[index]
         recent = self._recent[index]
         inflight = self._inflight[index]
@@ -228,9 +238,10 @@ class TileCache:
     # ------------------------------------------------------------------
     # the prefetch cycle
     # ------------------------------------------------------------------
-    def load(self, predictions, query) -> int:
+    def load(self, predictions, query, tiles) -> int:
         """The synchronous cycle: bring the prefetch region in line with
-        ``predictions``, ``(key, model)`` pairs.
+        ``predictions``, ``(key, model)`` pairs, under the table the
+        latest probe brought — ``tiles()``, the live table, before any.
 
         It first plans the slots as refilling an empty region in
         prediction order would: a key claims a slot while its shard has
@@ -253,6 +264,7 @@ class TileCache:
         as :meth:`_complete` says.
         """
         shards = self.shards
+        table = self._latest if self._latest is not None else tiles()
         plan: dict[TileKey, list] = {}
         # One empty group per shard, built in C (a 3.11 comprehension is a frame).
         groups: list[list[list]] = list(map(list, [()] * shards))
@@ -275,19 +287,20 @@ class TileCache:
         for index, group in enumerate(groups):
             with self._locks[index]:
                 loads = len(owned) + len(ridden)
-                self._probe(index, group, CYCLE, owned, ridden)
+                self._probe(index, group, CYCLE, owned, ridden, table)
                 if len(owned) + len(ridden) > loads:
                     touched.append(index)
         if not touched:
             return 0
         if len(touched) > 1:
             owned = [entry for entry in plan.values() if entry[4]]  # plan order
-        self._complete(groups, touched, owned, ridden, CYCLE, query)
+        self._complete(groups, touched, owned, ridden, CYCLE, query, table)
         return len(owned)
 
-    def _complete(self, groups, touched, owned, ridden, purpose, query) -> None:
+    def _complete(self, groups, touched, owned, ridden, purpose, query, tiles) -> None:
         """Run the ``owned`` loads and wait on the ``ridden`` ones, then
-        publish to each ``touched`` shard and unregister, in one visit.
+        publish to each ``touched`` shard still under ``tiles`` and
+        unregister, in one visit.
 
         When a query raises, the owned loads not yet run are abandoned:
         every owned load is unregistered with that exception, which each
@@ -307,7 +320,8 @@ class TileCache:
         for index in touched:
             with self._locks[index]:
                 try:
-                    self._publish(index, groups[index], purpose)
+                    if self._tables[index] is tiles:
+                        self._publish(index, groups[index], purpose)
                 except BaseException as exc:
                     error = error or exc
                 inflight = self._inflight[index]

@@ -91,10 +91,6 @@ class PrefetchJob:
     #: assert rank-priority without timestamping.
     finish_order: int | None = field(default=None, repr=False)
 
-    @property
-    def finished(self) -> bool:
-        return self.state != PENDING
-
 
 class PrefetchScheduler:
     """Runs prefetch lists on a worker pool, cancelling stale rounds.

@@ -49,7 +49,7 @@ def refill(cache: TileCache, predictions, tiles: Table = TILES) -> list[TileKey]
         queried.append(key)
         return tiles.query(key)
 
-    cache.load(predictions, query)
+    cache.load(predictions, query, lambda: tiles)
     return queried
 
 

@@ -858,8 +858,9 @@ class TestIsolation:
 # concurrency and lifecycle
 # ----------------------------------------------------------------------
 class TestConcurrency:
+    @pytest.mark.parametrize("payload", ("json", "binary"))
     def test_concurrent_clients_replay_over_one_server(
-        self, server, small_dataset, small_study
+        self, server, small_dataset, small_study, payload
     ):
         traces = sorted(small_study.traces, key=len, reverse=True)[:4]
         results: dict[int, list] = {}
@@ -868,8 +869,9 @@ class TestConcurrency:
         def drive(index: int, trace) -> None:
             try:
                 with SocketTransport(
-                    *server.address, pyramid=small_dataset.pyramid
+                    *server.address, pyramid=small_dataset.pyramid, payload=payload
                 ) as transport:
+                    assert transport.payload == payload
                     conn = transport.connect(session_id=f"user-{index}")
                     responses = BrowsingSession(conn).replay(trace)
                     conn.close()

@@ -50,13 +50,16 @@ class RefillCache(TileCache):
     transcribed from the parent commit (``begin_prefetch_cycle`` only as
     the reference calls it: with no predictions, it plans nothing and
     drops the whole region), a slot holding a key's model rather than
-    its tile.  The manager's cycle calls neither."""
+    its tile.  The manager's cycle calls neither.  ``begin_prefetch_cycle``
+    also records the live table ``tiles`` as each shard's, as a probe
+    does: the table here never moves, so nothing else changes."""
 
-    def begin_prefetch_cycle(self, predictions) -> dict[TileKey, str]:
+    def begin_prefetch_cycle(self, predictions, tiles) -> dict[TileKey, str]:
         assert predictions == []
         for index in range(self.shards):
             with self._locks[index]:
                 self._prefetched[index].clear()
+                self._tables[index] = tiles
         return {}
 
     def store_prefetched(self, key: TileKey, model: str) -> bool:
@@ -88,7 +91,7 @@ def reference_cycle(manager: CacheManager, predictions) -> int:
     def region_full() -> bool:
         return len(cache.prefetched_keys) >= cache.prefetch_capacity
 
-    cache.begin_prefetch_cycle([])
+    cache.begin_prefetch_cycle([], manager.pyramid.tiles())
     queries = 0
     for key, model in predictions:
         if key in cache:
