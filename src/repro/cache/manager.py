@@ -1,10 +1,10 @@
 """The cache manager: serves tile requests, executes prefetches.
 
 On a request, the manager answers from the middleware cache when it can
-(a *hit*, main-memory speed: the pyramid's live tile table holds the
-tile) and falls back to a real DBMS query otherwise (a *miss*, ~50x
-slower on the paper's testbed), as for a key written since it was
-loaded: its new bytes are the DBMS's to give.  After the
+(a *hit*, main-memory speed: the pyramid's live tile table still holds
+the entry the cache loaded) and falls back to a real DBMS query
+otherwise (a *miss*, ~50x slower on the paper's testbed), as for a key
+written since it was loaded: its new bytes are the DBMS's to give.  After the
 prediction engine produces its ordered prefetch list, the manager brings
 the prefetch region in line with it — synchronously via :meth:`prefetch`
 (the paper's single-user loop), which keeps every tile that is still
@@ -65,7 +65,8 @@ class CacheManager:
         self.cache = cache if cache is not None else TileCache()
         #: Real wall-clock seconds each backend query sleeps, emulating a
         #: slow DBMS in real time (the virtual clock charges cost either
-        #: way; this knob makes throughput benchmarks physical).
+        #: way; ``benchmarks/test_cluster_blocking_backend.py`` and
+        #: ``examples/cluster_serving.py --backend-delay`` set it).
         self.backend_delay_seconds = backend_delay_seconds
         self._stats_lock = threading.Lock()
         # Serializes whole synchronous prefetch cycles: without it, one
@@ -155,7 +156,7 @@ class CacheManager:
         leaves no room for are discarded, not re-planned for.
         """
         with self._cycle_lock:
-            queries = self.cache.load(predictions, self._query_backend, self.pyramid.tiles)
+            queries = self.cache.load(predictions, self._query_backend)
         with self._stats_lock:
             self.prefetch_queries += queries
         return queries

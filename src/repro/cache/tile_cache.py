@@ -17,13 +17,13 @@ predictions.  One deliberate exception remains: the synchronous cycle
 strategy's per-model quotas must stay observable, as in the paper), so
 a key can sit in both regions at once.
 
-The cache holds residency, not tiles: a slot is a key and the model
-that predicted it.  The bytes are the DBMS's — a tile handed out is
-the entry of the pyramid's live tile table
-(:meth:`~repro.tiles.pyramid.TilePyramid.tiles`), the very object a
-miss loads.  A store write replaces that table: a shard's keys loaded
-under another one, or missing from it, lose their slots and load as a
-miss, even once another reader of the pyramid has loaded the new bytes.
+A slot holds the entry of the pyramid's live tile table
+(:meth:`~repro.tiles.pyramid.TilePyramid.tiles`), ``(tile, seconds)``,
+that its key was loaded as — the very object a miss's query returns.
+A resident key is served only while the live table still holds that
+entry: a store write replaces the table, so a key loaded before it
+loses its slots and loads as a miss, even once another reader of the
+pyramid has loaded the new bytes.
 
 The cache is thread-safe and **hash-striped**: a key lives in shard
 ``hash(key) % shards``, whose one lock holds the key's recent entry,
@@ -59,13 +59,13 @@ class _PendingLoad:
     event, condition or lock.
     """
 
-    #: ``(tile, backend_seconds)``, or the exception the owner raised.
+    #: The loaded table entry ``(tile, backend_seconds)``, or the owner's error.
     outcome: tuple[DataTile, float] | BaseException | None = None
     done: threading.Event | None = None
 
 
 class TileCache:
-    """Recent-LRU plus hash-striped per-model prefetch slots, of keys."""
+    """Recent-LRU plus hash-striped per-model prefetch slots, of table entries."""
 
     def __init__(
         self, recent_capacity: int = 10, prefetch_capacity: int = 9, shards: int = 1
@@ -80,15 +80,12 @@ class TileCache:
         self.prefetch_capacity = prefetch_capacity
         self.shards = shards = min(shards, prefetch_capacity, recent_capacity)
         self._locks = [threading.RLock() for _ in range(shards)]
-        #: Per shard, least recently requested first: an ordered set of keys.
-        self._recent: list[OrderedDict[TileKey, None]] = [OrderedDict() for _ in range(shards)]
-        #: Per shard, in slot order: key -> predicting model.
-        self._prefetched: list[dict[TileKey, str]] = [{} for _ in range(shards)]
+        #: Per shard, least recently requested first: key -> held entry.
+        self._recent: list[OrderedDict[TileKey, tuple]] = [OrderedDict() for _ in range(shards)]
+        #: Per shard, in slot order: key -> (predicting model, held entry).
+        self._prefetched: list[dict[TileKey, tuple[str, tuple]]] = [{} for _ in range(shards)]
         #: Per shard: the backend loads in flight for its keys.
         self._inflight: list[dict[TileKey, _PendingLoad]] = [{} for _ in range(shards)]
-        #: Per shard: the live tile table its keys were loaded under.
-        self._tables: list[dict | None] = [None] * shards
-        self._latest: dict | None = None  # the latest probe's: the cycle's (load)
         self._recent_capacities, self._capacities = (
             [total // shards + (i < total % shards) for i in range(shards)]
             for total in (recent_capacity, prefetch_capacity)
@@ -105,7 +102,8 @@ class TileCache:
         table, the key left where it is; or None (see :meth:`_fresh`)."""
         index = self._shard(key)
         with self._locks[index]:
-            return self._fresh(index, key, tiles)
+            entry = self._fresh(index, key, tiles)
+            return entry and entry[0]
 
     def __contains__(self, key: TileKey) -> bool:
         index = self._shard(key)
@@ -122,18 +120,18 @@ class TileCache:
         """
         return sum(len(loads) for loads in self._inflight)
 
-    def _fresh(self, index: int, key: TileKey, tiles: dict) -> DataTile | None:
-        """``key``'s tile if it is resident and in ``tiles``, its shard's
-        table (lock held).  A resident key not in ``tiles`` was written
-        since it was loaded and loses its slots."""
-        if tiles is not self._tables[index]:
+    def _fresh(self, index: int, key: TileKey, tiles: dict) -> tuple | None:
+        """The entry ``key``'s slot holds if ``tiles`` holds it still
+        (lock held).  A resident key whose entry ``tiles`` no longer
+        holds was written since it was loaded and loses its slots."""
+        slot = self._prefetched[index].get(key)
+        held = slot[1] if slot is not None else self._recent[index].get(key)
+        if held is None:
             return None
-        if key in self._prefetched[index] or key in self._recent[index]:
-            entry = tiles.get(key)
-            if entry is not None:
-                return entry[0]
-            self._prefetched[index].pop(key, None)
-            self._recent[index].pop(key, None)
+        if tiles.get(key) is held:
+            return held
+        self._prefetched[index].pop(key, None)
+        self._recent[index].pop(key, None)
         return None
 
     # ------------------------------------------------------------------
@@ -144,10 +142,10 @@ class TileCache:
         recorded into the recent region (:meth:`_record`), or None."""
         index = hash(key) % self.shards
         with self._locks[index]:
-            tile = self._fresh(index, key, tiles)
-            if tile is not None:
-                self._record(index, key)
-            return tile
+            entry = self._fresh(index, key, tiles)
+            if entry is not None:
+                self._record(index, key, entry)
+            return entry and entry[0]
 
     def request(
         self, key: TileKey, query, tiles: dict, model: str | None = None
@@ -174,25 +172,21 @@ class TileCache:
             tile = self._probe(index, group, purpose, owned, ridden, tiles)
         if tile is not None:
             return tile, None, False
-        self._complete({index: group}, [index], owned, ridden, purpose, query, tiles)
+        self._complete({index: group}, [index], owned, ridden, purpose, query)
         pending = group[0][3]
         return pending.outcome[0], pending, bool(owned)
 
     def _probe(self, index: int, group: list[list], purpose: str, owned, ridden, tiles):
         """The first visit to shard ``index`` (lock held), one path for
-        request, admit and cycle; a new ``tiles`` table drops the shard's
-        keys.  A cycle carries a resident key into the shard's new
-        prefetch region, its tile unread.  Otherwise a resident key is
-        served as :meth:`_fresh` says — a request records it
-        (:meth:`_record`), an admission leaves it be — or, dropped, loads
-        as an absent key: its load is registered into ``owned``, or the
-        one in flight ridden into ``ridden`` (its first rider creates
-        ``done``).  Returns the tile served, or None.
+        request, admit and cycle.  A cycle carries a resident key into
+        the shard's new prefetch region with the entry it holds, unread.
+        Otherwise a resident key is served as :meth:`_fresh` says against
+        ``tiles`` — a request records it (:meth:`_record`), an admission
+        leaves it be — or, dropped, loads as an absent key: its load is
+        registered into ``owned``, or the one in flight ridden into
+        ``ridden`` (its first rider creates ``done``).  Returns the tile
+        served, or None.
         """
-        if tiles is not self._tables[index]:
-            self._latest = self._tables[index] = tiles
-            self._prefetched[index].clear()
-            self._recent[index].clear()
         region = self._prefetched[index]
         recent = self._recent[index]
         inflight = self._inflight[index]
@@ -200,16 +194,17 @@ class TileCache:
             carried = self._prefetched[index] = {}
         for entry in group:
             key = entry[1]
-            if key in region or key in recent:
+            slot = region.get(key)
+            held = slot[1] if slot is not None else recent.get(key)
+            if held is not None:
                 if purpose == CYCLE:
-                    carried[key] = entry[2]
+                    carried[key] = (entry[2], held)
                     continue
                 # _fresh, inlined: a hit runs no frame of its own.
-                served = tiles.get(key)
-                if served is not None:
+                if tiles.get(key) is held:
                     if purpose == REQUEST:
-                        self._record(index, key)
-                    return served[0]
+                        self._record(index, key, held)
+                    return held[0]
                 region.pop(key, None)
                 recent.pop(key, None)
             pending = inflight.get(key)
@@ -224,12 +219,12 @@ class TileCache:
                 ridden.append(entry)
         return None
 
-    def _record(self, index: int, key: TileKey) -> None:
+    def _record(self, index: int, key: TileKey, entry: tuple) -> None:
         """A key the user actually requested enters shard ``index``'s
-        recent region (lock held), promoted out of its prefetch region
-        if it sat there."""
+        recent region (lock held) holding ``entry``, promoted out of its
+        prefetch region if it sat there."""
         recent = self._recent[index]
-        recent[key] = None
+        recent[key] = entry
         recent.move_to_end(key)
         if len(recent) > self._recent_capacities[index]:
             recent.popitem(last=False)
@@ -238,33 +233,32 @@ class TileCache:
     # ------------------------------------------------------------------
     # the prefetch cycle
     # ------------------------------------------------------------------
-    def load(self, predictions, query, tiles) -> int:
+    def load(self, predictions, query) -> int:
         """The synchronous cycle: bring the prefetch region in line with
-        ``predictions``, ``(key, model)`` pairs, under the table the
-        latest probe brought — ``tiles()``, the live table, before any.
+        ``predictions``, ``(key, model)`` pairs.
 
         It first plans the slots as refilling an empty region in
         prediction order would: a key claims a slot while its shard has
         one, a repeated key keeps its slot under the later model, a key
         whose shard is full is skipped — or ends the plan, once every
         slot of the region is taken.  Then two visits per shard.  The
-        first probes each planned key: a resident key is carried, its
-        tile unread; an absent one is registered as a load this call
-        owns, or ridden if one is in flight.  It replaces every shard's
-        region with the carried keys, in plan order.  Then
-        ``query(key)`` runs per owned key, outside any lock, in plan
-        order, and the ridden loads are waited on.  The second visit, to the shards with a load,
-        publishes the loaded keys, then unregisters the owned loads: a
-        late arrival finds the load or the key, never a gap.  Each
-        loaded key is slotted at its plan position while the shard has
-        room, and a carried key a request promoted in between never
-        comes back.
+        first probes each planned key: a resident key is carried with
+        its entry, unread (a stale one is caught at its next request);
+        an absent one is registered as a load this call owns, or ridden
+        if one is in flight.  It replaces every shard's region with the
+        carried keys, in plan order.  Then ``query(key)`` runs per owned
+        key, outside any lock, in plan order, and the ridden loads are
+        waited on.  The second visit, to the shards with a load,
+        publishes each loaded key under the entry its query returned,
+        then unregisters the owned loads: a late arrival finds the load
+        or the key, never a gap.  Each loaded key is slotted at its plan
+        position while the shard has room, and a carried key a request
+        promoted in between never comes back.
 
         Returns the number of queries run.  A query's error propagates
         as :meth:`_complete` says.
         """
         shards = self.shards
-        table = self._latest if self._latest is not None else tiles()
         plan: dict[TileKey, list] = {}
         # One empty group per shard, built in C (a 3.11 comprehension is a frame).
         groups: list[list[list]] = list(map(list, [()] * shards))
@@ -287,20 +281,19 @@ class TileCache:
         for index, group in enumerate(groups):
             with self._locks[index]:
                 loads = len(owned) + len(ridden)
-                self._probe(index, group, CYCLE, owned, ridden, table)
+                self._probe(index, group, CYCLE, owned, ridden, None)
                 if len(owned) + len(ridden) > loads:
                     touched.append(index)
         if not touched:
             return 0
         if len(touched) > 1:
             owned = [entry for entry in plan.values() if entry[4]]  # plan order
-        self._complete(groups, touched, owned, ridden, CYCLE, query, table)
+        self._complete(groups, touched, owned, ridden, CYCLE, query)
         return len(owned)
 
-    def _complete(self, groups, touched, owned, ridden, purpose, query, tiles) -> None:
+    def _complete(self, groups, touched, owned, ridden, purpose, query) -> None:
         """Run the ``owned`` loads and wait on the ``ridden`` ones, then
-        publish to each ``touched`` shard still under ``tiles`` and
-        unregister, in one visit.
+        publish to each ``touched`` shard and unregister, in one visit.
 
         When a query raises, the owned loads not yet run are abandoned:
         every owned load is unregistered with that exception, which each
@@ -320,8 +313,7 @@ class TileCache:
         for index in touched:
             with self._locks[index]:
                 try:
-                    if self._tables[index] is tiles:
-                        self._publish(index, groups[index], purpose)
+                    self._publish(index, groups[index], purpose)
                 except BaseException as exc:
                     error = error or exc
                 inflight = self._inflight[index]
@@ -340,13 +332,13 @@ class TileCache:
         region = self._prefetched[index]
         if purpose == CYCLE:
             room = self._capacities[index] - len(region)
-            slots: dict[TileKey, str] = {}
+            slots: dict[TileKey, tuple[str, tuple]] = {}
             for _, key, model, pending, _ in group:
                 slot = region.pop(key, None)
                 outcome = pending and pending.outcome
                 if isinstance(outcome, tuple) and (slot is not None or room > 0):
                     room -= slot is None
-                    slot = model
+                    slot = (model, outcome)
                 if slot is not None:
                     slots[key] = slot
             # Whatever a background admission slotted in between goes last.
@@ -357,13 +349,13 @@ class TileCache:
         if not isinstance(pending.outcome, tuple):
             return
         if purpose == REQUEST:
-            self._record(index, key)
+            self._record(index, key, pending.outcome)
         elif key not in region and key not in self._recent[index]:
             # A rider admits only what its owner's publish left absent:
             # a key a request recorded stays in one region.
             if len(region) >= self._capacities[index]:
                 del region[next(iter(region))]
-            region[key] = model
+            region[key] = (model, pending.outcome)
 
     # ------------------------------------------------------------------
     # introspection
@@ -393,14 +385,15 @@ class TileCache:
         """Which model's allocation paid for a prefetched tile."""
         index = self._shard(key)
         with self._locks[index]:
-            return self._prefetched[index].get(key)
+            slot = self._prefetched[index].get(key)
+            return slot and slot[0]
 
     def model_usage(self) -> dict[str, int]:
         """Prefetched-tile counts per model."""
         usage: dict[str, int] = {}
         for index in range(self.shards):
             with self._locks[index]:
-                for model in self._prefetched[index].values():
+                for model, _ in self._prefetched[index].values():
                     usage[model] = usage.get(model, 0) + 1
         return usage
 

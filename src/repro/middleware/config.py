@@ -74,7 +74,7 @@ class CacheConfig:
     recent_capacity: int = 10
     #: Slots refilled from the prediction engine's list ``P``.
     prefetch_capacity: int = 9
-    #: Real seconds each backend query sleeps (throughput benchmarks).
+    #: Real seconds a backend query sleeps (test_cluster_blocking_backend.py, cluster_serving.py).
     backend_delay_seconds: float = 0.0
     #: Hash-striped lock shards of the tile cache, each holding its
     #: recent slice, prefetch slots and in-flight loads.  1 (the default)

@@ -20,10 +20,12 @@ def tile(key: TileKey) -> DataTile:
 
 class Table(dict):
     """A stand-in for a pyramid's live tile table: :meth:`query` loads a
-    key's tile into it, as a pyramid fetch fills its table."""
+    key's tile into it once, as a pyramid fetch fills its table."""
 
     def query(self, key: TileKey) -> tuple[DataTile, float]:
-        entry = self[key] = (tile(key), 0.5)
+        entry = self.get(key)
+        if entry is None:
+            entry = self[key] = (tile(key), 0.5)
         return entry
 
 
@@ -49,7 +51,7 @@ def refill(cache: TileCache, predictions, tiles: Table = TILES) -> list[TileKey]
         queried.append(key)
         return tiles.query(key)
 
-    cache.load(predictions, query, lambda: tiles)
+    cache.load(predictions, query)
     return queried
 
 
@@ -103,10 +105,11 @@ class TestRecentRegion:
 
 
 class TestStaleKeys:
-    """A slot holds a key, not a tile: a resident key the live table no
-    longer holds was written since it was loaded.  Where a tile is
-    handed out it loses its slots and loads as an absent key; the cycle
-    carries it unread."""
+    """A slot holds the table entry its key was loaded as: a resident
+    key whose entry the live table no longer holds was written since it
+    was loaded.  Where a tile is handed out it loses its slots and loads
+    as an absent key; the cycle carries it unread, and its next request
+    catches it."""
 
     def test_a_request_loads_it_again(self):
         cache, tiles = TileCache(recent_capacity=2, prefetch_capacity=2), Table()

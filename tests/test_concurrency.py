@@ -47,13 +47,15 @@ def serving(pyramid, policy: PrefetchPolicy, **cache) -> ForeCacheService:
 
 class Table(dict):
     """A pyramid's live tile table with no pyramid: :meth:`query` loads
-    a key's tile into it as a fetch fills the table, and :meth:`tiles`
-    makes it a pyramid to a :class:`CacheManager`."""
+    a key's tile into it once, as a fetch fills the table, and
+    :meth:`tiles` makes it a pyramid to a :class:`CacheManager`."""
 
     def query(self, key: TileKey) -> tuple[DataTile, float]:
         import numpy as np
 
-        entry = self[key] = (DataTile(key=key, attributes={"v": np.zeros((2, 2))}), 0.5)
+        entry = self.get(key)
+        if entry is None:
+            entry = self[key] = (DataTile(key=key, attributes={"v": np.zeros((2, 2))}), 0.5)
         return entry
 
     def tiles(self) -> Table:

@@ -59,6 +59,31 @@ def build_pyramid(seed: int) -> TilePyramid:
     return TilePyramid.build(db, "S", tile_size=TILE_SIZE)
 
 
+def write_tile(pyramid: TilePyramid, key: TileKey) -> None:
+    """Add one to every cell of ``key``'s region of its level's view."""
+    view = pyramid.view_name(key.level)
+    region = pyramid.tile_region(key)
+    for name in pyramid.attributes:
+        block, _ = pyramid.db.array(view).read(name, region)
+        pyramid.db.write(view, name, block + 1, region)
+
+
+def test_a_key_loaded_after_a_write_is_a_hit():
+    """A cycle run after a write slots what it loads under the entry it
+    read: that key's next request is a hit and charges no query."""
+    pyramid = build_pyramid(0)
+    manager = CacheManager(pyramid, TileCache())
+    queried: list[TileKey] = []
+    query = manager._query_backend
+    manager._query_backend = lambda key: queried.append(key) or query(key)
+    manager.fetch(TileKey(1, 0, 0))
+    write_tile(pyramid, TileKey(0, 0, 0))
+    assert manager.prefetch([(TileKey(2, 1, 1), "m")]) == 1
+    outcome = manager.fetch(TileKey(2, 1, 1))
+    assert outcome.hit and outcome.backend_seconds == 0.0
+    assert queried == [TileKey(1, 0, 0), TileKey(2, 1, 1)]
+
+
 class CacheUnderWrites(RuleBasedStateMachine):
     @initialize(
         seed=st.integers(0, 2**16),
@@ -143,11 +168,7 @@ class CacheUnderWrites(RuleBasedStateMachine):
         # As often as not a key the manager holds: the case to get right.
         held = sorted(set(self.cache.recent_keys) | set(self.cache.prefetched_keys))
         key = data.draw(keys | st.sampled_from(held) if held else keys)
-        view = self.pyramid.view_name(key.level)
-        region = self.pyramid.tile_region(key)
-        for name in self.pyramid.attributes:
-            block, _ = self.pyramid.db.array(view).read(name, region)
-            self.pyramid.db.write(view, name, block + 1, region)
+        write_tile(self.pyramid, key)
         for written in self.written.values():
             written.add(key)
 

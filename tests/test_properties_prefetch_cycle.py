@@ -29,7 +29,7 @@ MODELS = ("markov", "sb", "momentum")
 
 class CountingPyramid:
     """The two methods ``CacheManager`` calls on a pyramid, fetches
-    counted: each fetch reads its key into the live tile table."""
+    counted: a key's first fetch reads it into the live tile table."""
 
     def __init__(self) -> None:
         self.fetched: list[TileKey] = []
@@ -40,8 +40,10 @@ class CountingPyramid:
 
     def fetch_tile_timed(self, key: TileKey) -> tuple[DataTile, float]:
         self.fetched.append(key)
-        block = np.full((2, 2), hash(key) % 9973, dtype="int32")
-        entry = self.table[key] = (DataTile(key=key, attributes={"v": block}), 0.5)
+        entry = self.table.get(key)
+        if entry is None:
+            block = np.full((2, 2), hash(key) % 9973, dtype="int32")
+            entry = self.table[key] = (DataTile(key=key, attributes={"v": block}), 0.5)
         return entry
 
 
@@ -49,26 +51,24 @@ class RefillCache(TileCache):
     """A tile cache plus the two cycle calls ``reference_cycle`` makes,
     transcribed from the parent commit (``begin_prefetch_cycle`` only as
     the reference calls it: with no predictions, it plans nothing and
-    drops the whole region), a slot holding a key's model rather than
-    its tile.  The manager's cycle calls neither.  ``begin_prefetch_cycle``
-    also records the live table ``tiles`` as each shard's, as a probe
-    does: the table here never moves, so nothing else changes."""
+    drops the whole region), a slot holding a key's model and the
+    tile-table entry it was loaded as.  The manager's cycle calls
+    neither."""
 
-    def begin_prefetch_cycle(self, predictions, tiles) -> dict[TileKey, str]:
+    def begin_prefetch_cycle(self, predictions) -> dict[TileKey, str]:
         assert predictions == []
         for index in range(self.shards):
             with self._locks[index]:
                 self._prefetched[index].clear()
-                self._tables[index] = tiles
         return {}
 
-    def store_prefetched(self, key: TileKey, model: str) -> bool:
+    def store_prefetched(self, key: TileKey, model: str, entry: tuple) -> bool:
         index = self._shard(key)
         with self._locks[index]:
             region = self._prefetched[index]
             if key not in region and len(region) >= self._capacities[index]:
                 return False
-            region[key] = model
+            region[key] = (model, entry)
             return True
 
 
@@ -91,16 +91,17 @@ def reference_cycle(manager: CacheManager, predictions) -> int:
     def region_full() -> bool:
         return len(cache.prefetched_keys) >= cache.prefetch_capacity
 
-    cache.begin_prefetch_cycle([], manager.pyramid.tiles())
+    tiles = manager.pyramid.tiles()  # never moves: a fetch fills it once
+    cache.begin_prefetch_cycle([])
     queries = 0
     for key, model in predictions:
         if key in cache:
-            if not cache.store_prefetched(key, model) and region_full():
+            if not cache.store_prefetched(key, model, tiles[key]) and region_full():
                 break
             continue
         manager.pyramid.fetch_tile_timed(key)
         queries += 1
-        if not cache.store_prefetched(key, model) and region_full():
+        if not cache.store_prefetched(key, model, tiles[key]) and region_full():
             break
     manager.prefetch_queries += queries
     return queries
